@@ -102,11 +102,20 @@ func (t *Txn) session(id string) (*replicaSession, error) {
 // to a single replica; all other statements execute on every replica of the
 // database (read-one-write-all).
 func (t *Txn) Exec(sql string, params ...sqldb.Value) (*sqldb.Result, error) {
-	stmt, err := t.c.stmts.Parse(sql)
+	stmt, err := t.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	return t.ExecStmt(stmt, params...)
+}
+
+// Parse returns the parsed form of sql from the controller's shared
+// statement cache. Callers that need the statement before executing it (the
+// system layer decides from its kind whether to capture it for DR) get the
+// same AST every time, so the replica engines' plan memos — keyed by AST
+// identity — keep hitting.
+func (t *Txn) Parse(sql string) (sqldb.Statement, error) {
+	return t.c.stmts.Parse(sql)
 }
 
 // ExecStmt executes a pre-parsed statement.
@@ -501,9 +510,10 @@ func IsRejection(err error) bool { return errors.Is(err, ErrRejected) }
 // (not-leader redirects and quorum loss heal once a leader re-emerges), or
 // any simulated-network fault — dropped or delayed messages, lost replies,
 // partitioned or timed-out calls all abort the transaction cleanly and
-// invite a retry. A sealed log is the same story as a failed machine: the
-// statement was in flight when the machine crashed and discovered it only
-// at its next log append.
+// invite a retry. A sealed log or a closed engine is the same story as a
+// failed machine: the statement was in flight when the machine crashed and
+// discovered it only at its next log append or table lookup, before the
+// session noticed the failure.
 func IsRetryable(err error) bool {
 	return errors.Is(err, sqldb.ErrDeadlock) ||
 		errors.Is(err, sqldb.ErrLockTimeout) ||
@@ -511,6 +521,7 @@ func IsRetryable(err error) bool {
 		errors.Is(err, ErrRejected) ||
 		errors.Is(err, ErrMachineFailed) ||
 		errors.Is(err, wal.ErrSealed) ||
+		errors.Is(err, sqldb.ErrEngineClosed) ||
 		errors.Is(err, ErrPrepareTimeout) ||
 		errors.Is(err, ErrUnreachable) ||
 		errors.Is(err, ErrStaleRoute) ||

@@ -175,7 +175,7 @@ func chaosClassify(err error) tpcw.ErrorClass {
 		// spinning on the refused Begin at millions of aborts per second.
 		time.Sleep(200 * time.Microsecond)
 		return tpcw.ClassAborted
-	case core.IsRetryable(err), errors.Is(err, sqldb.ErrEngineClosed):
+	case core.IsRetryable(err):
 		return tpcw.ClassAborted
 	default:
 		return tpcw.DefaultClassifier(err)
@@ -238,18 +238,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	rec.Reset() // record only the faulted concurrent workload
 
 	report := &ChaosReport{Seed: cfg.Seed, Duration: cfg.Duration}
-	var fatalMu sync.Mutex
-	classify := func(err error) tpcw.ErrorClass {
-		class := chaosClassify(err)
-		if class == tpcw.ClassFatal {
-			fatalMu.Lock()
-			if len(report.FatalErrors) < 8 {
-				report.FatalErrors = append(report.FatalErrors, err.Error())
-			}
-			fatalMu.Unlock()
-		}
-		return class
-	}
+	var fatal fatalSampler
+	classify := fatal.wrap(chaosClassify)
 	client := &tpcw.Client{
 		DB:       db,
 		Mix:      tpcw.OrderingMix,
@@ -306,6 +296,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	report.Aborted = st.Aborted
 	report.Rejected = st.Rejected
 	report.Fatal = st.Fatal
+	report.FatalErrors = fatal.sampled()
 	report.NetCalls = reg.Counter("netsim_calls_total", "").Value()
 	report.Dropped = reg.Counter("netsim_dropped_total", "").Value()
 	report.ReplyLost = reg.Counter("netsim_reply_lost_total", "").Value()

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"sdp/internal/core"
@@ -78,6 +79,35 @@ func classify(err error) tpcw.ErrorClass {
 		return tpcw.ClassAborted
 	}
 	return tpcw.DefaultClassifier(err)
+}
+
+// fatalSampler wraps a classifier and keeps the first few errors it classed
+// as fatal, so a report can say what the error was, not just that one
+// happened.
+type fatalSampler struct {
+	mu   sync.Mutex
+	errs []string
+}
+
+func (s *fatalSampler) wrap(classify func(error) tpcw.ErrorClass) func(error) tpcw.ErrorClass {
+	return func(err error) tpcw.ErrorClass {
+		class := classify(err)
+		if class == tpcw.ClassFatal {
+			s.mu.Lock()
+			if len(s.errs) < 8 {
+				s.errs = append(s.errs, err.Error())
+			}
+			s.mu.Unlock()
+		}
+		return class
+	}
+}
+
+// sampled returns the errors kept so far.
+func (s *fatalSampler) sampled() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.errs...)
 }
 
 // Table is a generic text table for experiment output.

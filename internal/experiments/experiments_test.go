@@ -109,7 +109,7 @@ func TestRecoveryExperimentShape(t *testing.T) {
 				t.Errorf("%s threads=%d: nothing recovered", name, pt.Threads)
 			}
 			if pt.Fatal > 0 {
-				t.Errorf("%s threads=%d: %d fatal client errors", name, pt.Threads, pt.Fatal)
+				t.Errorf("%s threads=%d: %d fatal client errors: %s", name, pt.Threads, pt.Fatal, strings.Join(pt.FatalErrors, "; "))
 			}
 		}
 	}

@@ -20,6 +20,9 @@ type RecoveryPoint struct {
 	RecoveredDBs   int
 	TotalCommitted uint64
 	Fatal          uint64
+	// FatalErrors samples the first few errors classified as fatal, for
+	// diagnosis.
+	FatalErrors []string
 }
 
 // RecoveryResult holds both figures' series (they come from the same runs,
@@ -100,12 +103,14 @@ func runRecoveryPoint(gran sqldb.DumpGranularity, threads, numDBs int, sizeMB fl
 	}
 	stop := make(chan struct{})
 	results := make(chan tpcw.Stats, sessions)
+	var fatal fatalSampler
+	sampling := fatal.wrap(classify)
 	for s := 0; s < sessions; s++ {
 		client := &tpcw.Client{
 			DB:            dbs[s%numDBs],
 			Mix:           tpcw.OrderingMix,
 			Workload:      workloads[s%numDBs],
-			Classify:      classify,
+			Classify:      sampling,
 			RejectBackoff: time.Millisecond,
 		}
 		go func(seed int64) { results <- client.RunSession(seed, stop) }(cfg.Seed + int64(s)*7919)
@@ -146,6 +151,7 @@ func runRecoveryPoint(gran sqldb.DumpGranularity, threads, numDBs int, sizeMB fl
 		RecoveredDBs:   len(report.Recovered),
 		TotalCommitted: total.Committed,
 		Fatal:          total.Fatal,
+		FatalErrors:    fatal.sampled(),
 	}
 	rejected := after.Rejected - before.Rejected
 	if len(affected) > 0 {

@@ -1,123 +1,123 @@
 package sqldb
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
-// This file implements the plan-compilation layer: a cached single-table
-// SELECT is lowered once, at plan time, into a pipeline of pre-bound
-// closures — column offsets and parameter slots resolved at compile time, no
-// AST walk and no name resolution per row. The compiled form rides on the
-// stmtPlan, so DDL invalidation (plan-cache generation bump) retires it with
-// the plan. Statements the compiler does not cover (joins, grouping,
-// aggregates, DISTINCT) keep the tree-walking executor; correctness is never
-// gated on compiler coverage.
-//
-// Value-level semantics (three-valued logic, type errors, division by zero)
-// are shared with the interpreter through the apply* helpers in eval.go, so
-// the two paths cannot drift apart.
+// This file is the expression half of the executor. Every expression of a
+// statement is bound once, at plan time, into a closure over pre-resolved
+// column offsets and parameter slots; executing a statement never walks the
+// AST or resolves a name. Binding is total: a column that does not resolve,
+// or an aggregate outside a grouped stage, binds to a closure that reports
+// the error when (and only when) it is evaluated, which is when the
+// statement would have met it row by row. Value-level semantics (three-valued
+// logic, type errors, division by zero) live in the apply* helpers of eval.go.
 
-// exprFn is a compiled expression: evaluated against a source row and the
-// statement parameters.
-type exprFn func(row Row, params []Value) (Value, error)
+// env is what a bound expression evaluates against: the current source row
+// and the statement parameters, plus — in the grouped stage of a SELECT — the
+// rows of the current group, which aggregates fold over.
+type env struct {
+	row     Row
+	params  []Value
+	group   []Row
+	grouped bool
+}
 
-// predFn is a compiled predicate with SQL WHERE semantics (NULL filters the
-// row out).
-type predFn func(row Row, params []Value) (bool, error)
+// exprFn is a bound expression.
+type exprFn func(en *env) (Value, error)
 
-// compileExpr lowers an expression into a closure over pre-resolved column
-// offsets and parameter slots. ok=false means the expression is not
-// compilable (aggregates, unresolvable columns) and the statement falls back
-// to the interpreter.
-func compileExpr(e Expr, bind []colBinding) (exprFn, bool) {
+// predFn is a bound predicate with SQL WHERE semantics (NULL filters the row
+// out).
+type predFn func(en *env) (bool, error)
+
+// binder binds expressions against one set of source columns. It remembers
+// the first column-resolution error it met, in bind order, so a SELECT can
+// report an unknown or ambiguous column even when its source is empty, and
+// counts the aggregate calls it lowered.
+type binder struct {
+	cols []colBinding
+	err  error
+	aggs int
+}
+
+// failing binds to an expression that always reports err.
+func failing(err error) exprFn {
+	return func(*env) (Value, error) { return Null, err }
+}
+
+// columnAt binds to the source column at offset off. Rows shorter than the
+// binding (the null-extended representative of an empty group) read as NULL.
+func columnAt(off int) exprFn {
+	return func(en *env) (Value, error) {
+		if off >= len(en.row) {
+			return Null, nil
+		}
+		return en.row[off], nil
+	}
+}
+
+// expr binds an expression.
+func (b *binder) expr(e Expr) exprFn {
 	switch ex := e.(type) {
 	case *LiteralExpr:
-		v := ex.Val
-		return func(Row, []Value) (Value, error) { return v, nil }, true
+		// Capture the node, not a copy of its value: bulk-load INSERTs bind
+		// hundreds of literals per cached plan.
+		return func(*env) (Value, error) { return ex.Val, nil }
 	case *ParamExpr:
 		idx := ex.Index
-		return func(_ Row, params []Value) (Value, error) {
-			if idx >= len(params) {
+		return func(en *env) (Value, error) {
+			if idx >= len(en.params) {
 				return Null, fmt.Errorf("sqldb: missing binding for parameter %d", idx+1)
 			}
-			return params[idx], nil
-		}, true
+			return en.params[idx], nil
+		}
 	case *ColumnExpr:
-		off := resolveBinding(bind, ex)
-		if off < 0 {
-			return nil, false
+		off := resolveBinding(b.cols, ex)
+		if off >= 0 {
+			return columnAt(off)
 		}
-		return func(row Row, _ []Value) (Value, error) {
-			if off >= len(row) {
-				return Null, nil
-			}
-			return row[off], nil
-		}, true
+		err := fmt.Errorf("%w: %s", ErrNoColumn, ex.Col)
+		if off == -2 {
+			err = errAmbiguous(ex.Col)
+		}
+		if b.err == nil {
+			b.err = err
+		}
+		return failing(err)
 	case *BinaryExpr:
-		l, ok := compileExpr(ex.L, bind)
-		if !ok {
-			return nil, false
-		}
-		r, ok := compileExpr(ex.R, bind)
-		if !ok {
-			return nil, false
-		}
-		op := ex.Op
-		if op == OpAnd || op == OpOr {
-			return func(row Row, params []Value) (Value, error) {
-				lv, err := l(row, params)
-				if err != nil {
-					return Null, err
-				}
-				rv, err := r(row, params)
-				if err != nil {
-					return Null, err
-				}
-				return applyBoolPair(op, lv, rv)
-			}, true
-		}
-		return func(row Row, params []Value) (Value, error) {
-			lv, err := l(row, params)
+		l, r, op := b.expr(ex.L), b.expr(ex.R), ex.Op
+		logical := op == OpAnd || op == OpOr
+		return func(en *env) (Value, error) {
+			lv, err := l(en)
 			if err != nil {
 				return Null, err
 			}
-			rv, err := r(row, params)
+			rv, err := r(en)
 			if err != nil {
 				return Null, err
+			}
+			if logical {
+				// AND/OR need three-valued evaluation before the NULL short-circuit.
+				return applyBoolPair(op, lv, rv)
 			}
 			return applyBinary(op, lv, rv)
-		}, true
-	case *UnaryExpr:
-		f, ok := compileExpr(ex.E, bind)
-		if !ok {
-			return nil, false
 		}
-		op := ex.Op
-		return func(row Row, params []Value) (Value, error) {
-			v, err := f(row, params)
+	case *UnaryExpr:
+		f, op := b.expr(ex.E), ex.Op
+		return func(en *env) (Value, error) {
+			v, err := f(en)
 			if err != nil {
 				return Null, err
 			}
 			return applyUnary(op, v)
-		}, true
-	case *InExpr:
-		f, ok := compileExpr(ex.E, bind)
-		if !ok {
-			return nil, false
 		}
+	case *InExpr:
+		f := b.expr(ex.E)
 		list := make([]exprFn, len(ex.List))
 		for i, le := range ex.List {
-			lf, ok := compileExpr(le, bind)
-			if !ok {
-				return nil, false
-			}
-			list[i] = lf
+			list[i] = b.expr(le)
 		}
 		negate := ex.Negate
-		return func(row Row, params []Value) (Value, error) {
-			v, err := f(row, params)
+		return func(en *env) (Value, error) {
+			v, err := f(en)
 			if err != nil {
 				return Null, err
 			}
@@ -126,7 +126,7 @@ func compileExpr(e Expr, bind []colBinding) (exprFn, bool) {
 			}
 			sawNull := false
 			for _, lf := range list {
-				lv, err := lf(row, params)
+				lv, err := lf(en)
 				if err != nil {
 					return Null, err
 				}
@@ -142,88 +142,61 @@ func compileExpr(e Expr, bind []colBinding) (exprFn, bool) {
 				return Null, nil
 			}
 			return NewBool(negate), nil
-		}, true
+		}
 	case *BetweenExpr:
-		f, ok := compileExpr(ex.E, bind)
-		if !ok {
-			return nil, false
-		}
-		lo, ok := compileExpr(ex.Lo, bind)
-		if !ok {
-			return nil, false
-		}
-		hi, ok := compileExpr(ex.Hi, bind)
-		if !ok {
-			return nil, false
-		}
+		f, lo, hi := b.expr(ex.E), b.expr(ex.Lo), b.expr(ex.Hi)
 		negate := ex.Negate
-		return func(row Row, params []Value) (Value, error) {
-			v, err := f(row, params)
+		return func(en *env) (Value, error) {
+			v, err := f(en)
 			if err != nil {
 				return Null, err
 			}
-			lv, err := lo(row, params)
+			lv, err := lo(en)
 			if err != nil {
 				return Null, err
 			}
-			hv, err := hi(row, params)
+			hv, err := hi(en)
 			if err != nil {
 				return Null, err
 			}
 			return applyBetween(v, lv, hv, negate), nil
-		}, true
+		}
 	case *LikeExpr:
-		f, ok := compileExpr(ex.E, bind)
-		if !ok {
-			return nil, false
-		}
-		p, ok := compileExpr(ex.Pattern, bind)
-		if !ok {
-			return nil, false
-		}
+		f, p := b.expr(ex.E), b.expr(ex.Pattern)
 		negate := ex.Negate
-		return func(row Row, params []Value) (Value, error) {
-			v, err := f(row, params)
+		return func(en *env) (Value, error) {
+			v, err := f(en)
 			if err != nil {
 				return Null, err
 			}
-			pv, err := p(row, params)
+			pv, err := p(en)
 			if err != nil {
 				return Null, err
 			}
 			return applyLike(v, pv, negate)
-		}, true
-	case *IsNullExpr:
-		f, ok := compileExpr(ex.E, bind)
-		if !ok {
-			return nil, false
 		}
-		negate := ex.Negate
-		return func(row Row, params []Value) (Value, error) {
-			v, err := f(row, params)
+	case *IsNullExpr:
+		f, negate := b.expr(ex.E), ex.Negate
+		return func(en *env) (Value, error) {
+			v, err := f(en)
 			if err != nil {
 				return Null, err
 			}
-			isNull := v.IsNull()
-			if negate {
-				isNull = !isNull
-			}
-			return NewBool(isNull), nil
-		}, true
+			return NewBool(v.IsNull() != negate), nil
+		}
+	case *AggExpr:
+		b.aggs++
+		return b.aggregate(ex)
 	default:
-		// Aggregates and anything unknown stay on the interpreter.
-		return nil, false
+		return failing(fmt.Errorf("sqldb: unsupported expression %T", e))
 	}
 }
 
-// compilePred wraps a compiled expression with predTrue semantics.
-func compilePred(e Expr, bind []colBinding) (predFn, bool) {
-	f, ok := compileExpr(e, bind)
-	if !ok {
-		return nil, false
-	}
-	return func(row Row, params []Value) (bool, error) {
-		v, err := f(row, params)
+// pred binds a predicate: NULL is not true, a non-boolean is a type error.
+func (b *binder) pred(e Expr) predFn {
+	f := b.expr(e)
+	return func(en *env) (bool, error) {
+		v, err := f(en)
 		if err != nil {
 			return false, err
 		}
@@ -232,614 +205,119 @@ func compilePred(e Expr, bind []colBinding) (predFn, bool) {
 			return false, fmt.Errorf("%w: predicate evaluated to %s", ErrTypeMismatch, v.Typ)
 		}
 		return st == tvTrue, nil
-	}, true
+	}
 }
 
-// compiledSelect is the closure-compiled form of a cacheable single-table
-// SELECT: constants, predicates, projection and ORDER BY keys are pre-bound
-// closures, and the access path executes through pre-resolved step functions.
-type compiledSelect struct {
-	from   string  // table name as written, resolved via e.Table at execution
-	schema *Schema // schema compiled against; pointer-compared at execution
-	access *accessPath
-
-	eq     exprFn // point / index-equality constant
-	lo, hi exprFn // range bound constants
-
-	residual predFn // access-path residual predicate (non-scan paths)
-	where    predFn // full WHERE (scan path)
-
-	proj  []int    // flat projection: source column offsets (nil → projX)
-	projX []exprFn // expression projection
-	cols  []string
-
-	order     []exprFn // ORDER BY keys evaluated on the source row
-	orderProj []int    // ≥0: key is the projected column at this index (alias)
-	desc      []bool
-
-	limit, offset int
-}
-
-// compileSelect lowers a validated, star-expanded single-table SELECT into
-// its compiled form, or returns nil when the statement is out of the
-// compiler's coverage (grouping, aggregates, DISTINCT, uncompilable
-// expressions).
-func compileSelect(tbl *Table, s *SelectStmt, sel *selPlan, access *accessPath) *compiledSelect {
-	if access == nil || s.Distinct || len(s.GroupBy) > 0 || s.Having != nil || anyAggregate(sel.items) {
+// bindConst binds a row-independent constant (a literal, a parameter, or a
+// negation of one): it evaluates against the parameters alone.
+func bindConst(e Expr) exprFn {
+	if e == nil {
 		return nil
 	}
-	bind := bindingsFor(tbl.schema, s.From.Name())
-	cs := &compiledSelect{
-		from:   s.From.Table,
-		schema: tbl.schema,
-		access: access,
-		cols:   sel.cols,
-		limit:  s.Limit,
-		offset: s.Offset,
-	}
-
-	// Projection: all-column items lower to a flat offset copy plan.
-	flat := make([]int, 0, len(sel.items))
-	simple := true
-	for _, it := range sel.items {
-		ce, ok := it.Expr.(*ColumnExpr)
-		if !ok {
-			simple = false
-			break
-		}
-		off := resolveBinding(bind, ce)
-		if off < 0 {
-			return nil
-		}
-		flat = append(flat, off)
-	}
-	if simple {
-		cs.proj = flat
-	} else {
-		for _, it := range sel.items {
-			f, ok := compileExpr(it.Expr, bind)
-			if !ok {
-				return nil
-			}
-			cs.projX = append(cs.projX, f)
-		}
-	}
-
-	// Access-path constants and predicates.
-	switch access.kind {
-	case pathPoint, pathIndexEq:
-		f, ok := compileExpr(access.eq, nil)
-		if !ok {
-			return nil
-		}
-		cs.eq = f
-	case pathIndexRange:
-		if access.lo != nil {
-			f, ok := compileExpr(access.lo, nil)
-			if !ok {
-				return nil
-			}
-			cs.lo = f
-		}
-		if access.hi != nil {
-			f, ok := compileExpr(access.hi, nil)
-			if !ok {
-				return nil
-			}
-			cs.hi = f
-		}
-	}
-	if access.kind == pathScan {
-		if s.Where != nil {
-			f, ok := compilePred(s.Where, bind)
-			if !ok {
-				return nil
-			}
-			cs.where = f
-		}
-	} else if access.residual != nil {
-		f, ok := compilePred(access.residual, bind)
-		if !ok {
-			return nil
-		}
-		cs.residual = f
-	}
-
-	// ORDER BY: an unqualified name matching a projected alias orders by the
-	// projected value, exactly as the interpreter's orderKeys does.
-	for _, o := range s.OrderBy {
-		pj := -1
-		if ce, ok := o.Expr.(*ColumnExpr); ok && ce.Table == "" {
-			for j, it := range sel.items {
-				if strings.EqualFold(it.Alias, ce.Col) {
-					pj = j
-					break
-				}
-			}
-		}
-		var f exprFn
-		if pj < 0 {
-			var ok bool
-			f, ok = compileExpr(o.Expr, bind)
-			if !ok {
-				return nil
-			}
-		}
-		cs.order = append(cs.order, f)
-		cs.orderProj = append(cs.orderProj, pj)
-		cs.desc = append(cs.desc, o.Desc)
-	}
-	return cs
+	return (&binder{}).expr(e)
 }
 
-// rangeBoundsExec resolves the compiled range-bound constants for this
-// execution, with the same fallback rules as accessPath.rangeExec: a NULL or
-// type-incomparable bound sends the statement to the scan path, which owns
-// the locking behaviour and error semantics of those cases.
-func (cs *compiledSelect) rangeBoundsExec(tbl *Table, params []Value) (b rangeBounds, fallback bool, err error) {
-	colTyp := tbl.schema.Cols[cs.access.colIdx].Typ
-	if cs.lo != nil {
-		v, err := cs.lo(nil, params)
-		if err != nil {
-			return b, false, err
-		}
-		if v.IsNull() || !colComparable(colTyp, v) {
-			return b, true, nil
-		}
-		b.lo, b.hasLo, b.loIncl = v, true, cs.access.loIncl
+// aggregate binds an aggregate call: evaluated in the grouped stage, it folds
+// its argument over the rows of the current group through a fresh
+// accumulator. Anywhere else (WHERE, a join's ON, an ungrouped SELECT's ORDER
+// BY, DML) there is no group and evaluating it is an error.
+func (b *binder) aggregate(ex *AggExpr) exprFn {
+	fn, star, distinct := ex.Fn, ex.Star, ex.Distinct
+	var arg exprFn
+	if ex.E != nil {
+		arg = b.expr(ex.E)
 	}
-	if cs.hi != nil {
-		v, err := cs.hi(nil, params)
-		if err != nil {
-			return b, false, err
+	return func(en *env) (Value, error) {
+		if !en.grouped {
+			return Null, fmt.Errorf("sqldb: aggregate %s outside grouped context", fn)
 		}
-		if v.IsNull() || !colComparable(colTyp, v) {
-			return b, true, nil
-		}
-		b.hi, b.hasHi, b.hiIncl = v, true, cs.access.hiIncl
-	}
-	return b, false, nil
-}
-
-// resultRow returns an output-row buffer of capacity ≥ n, reusing the i-th
-// row buffer of a previous use of res when possible, so steady-state point
-// reads through ExecStmtInto allocate nothing.
-func resultRow(res *Result, i, n int) Row {
-	prev := res.Rows[:cap(res.Rows)]
-	if i < len(prev) && cap(prev[i]) >= n {
-		return prev[i][:0]
-	}
-	return make(Row, 0, n)
-}
-
-// projectOne projects one source row through the compiled projection.
-func (cs *compiledSelect) projectOne(src Row, params []Value, res *Result, i int) (Row, error) {
-	if cs.proj != nil {
-		pr := resultRow(res, i, len(cs.proj))
-		for _, off := range cs.proj {
-			if off < len(src) {
-				pr = append(pr, src[off])
-			} else {
-				pr = append(pr, Null)
+		if star {
+			if fn != AggCount {
+				return Null, fmt.Errorf("sqldb: %s(*) is not valid", fn)
 			}
+			return NewInt(int64(len(en.group))), nil
 		}
-		return pr, nil
-	}
-	pr := resultRow(res, i, len(cs.projX))
-	for _, f := range cs.projX {
-		v, err := f(src, params)
-		if err != nil {
-			return nil, err
+		acc := accumulator{fn: fn}
+		if distinct {
+			acc.seen = make(map[string]bool)
 		}
-		pr = append(pr, v)
-	}
-	return pr, nil
-}
-
-// emit projects the gathered source rows and applies ORDER BY, OFFSET and
-// LIMIT. Every source row is projected before the LIMIT cut, matching the
-// interpreter's evaluation (and error) order exactly. reuse, when non-nil,
-// is filled in place with its backing slices reused.
-func (cs *compiledSelect) emit(rows []Row, params []Value, reuse *Result) (*Result, error) {
-	res := reuse
-	if res == nil {
-		res = &Result{}
-	}
-	res.Cols = cs.cols
-	res.Affected = 0
-
-	out := res.Rows[:0]
-	for i, src := range rows {
-		pr, err := cs.projectOne(src, params, res, i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pr)
-	}
-
-	if len(cs.order) > 0 && len(out) > 1 {
-		keys := make([]Row, len(out))
-		for i, src := range rows {
-			k := make(Row, len(cs.order))
-			for j := range cs.order {
-				if pj := cs.orderProj[j]; pj >= 0 {
-					k[j] = out[i][pj]
-					continue
-				}
-				v, err := cs.order[j](src, params)
-				if err != nil {
-					return nil, err
-				}
-				k[j] = v
-			}
-			keys[i] = k
-		}
-		idx := make([]int, len(out))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ka, kb := keys[idx[a]], keys[idx[b]]
-			for j := range cs.order {
-				c := Compare(ka[j], kb[j])
-				if c == 0 {
-					continue
-				}
-				if cs.desc[j] {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		sorted := make([]Row, len(out))
-		for i, ix := range idx {
-			sorted[i] = out[ix]
-		}
-		out = sorted
-	} else if len(cs.order) > 0 && len(out) == 1 {
-		// Single row: keys still evaluate (errors must surface), order is moot.
-		for j := range cs.order {
-			if cs.orderProj[j] >= 0 {
-				continue
-			}
-			if _, err := cs.order[j](rows[0], params); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	if cs.offset > 0 {
-		if cs.offset >= len(out) {
-			out = out[:0]
-		} else {
-			out = out[cs.offset:]
-		}
-	}
-	if cs.limit >= 0 && cs.limit < len(out) {
-		out = out[:cs.limit]
-	}
-	res.Rows = out
-	return res, nil
-}
-
-// optMaxAttempts bounds optimistic re-reads before falling back to the
-// locking path.
-const optMaxAttempts = 3
-
-// execCompiled runs a compiled single-table SELECT. handled=false sends the
-// statement to the tree-walking executor (stale schema, missing index, range
-// fallback, optimistic retries exhausted); handled=true means the result and
-// error are final.
-func (e *Engine) execCompiled(t *Txn, cs *compiledSelect, params []Value, reuse *Result) (res *Result, handled bool, err error) {
-	tbl, err := e.Table(t.db, cs.from)
-	if err != nil {
-		return nil, true, err
-	}
-	// A DROP+CREATE of the same table name leaves the plan pointing at a dead
-	// schema; the access path is additionally re-validated as the interpreter
-	// does, and equality/range paths need their index to still exist.
-	if tbl.schema != cs.schema || !cs.access.validFor(tbl) {
-		return nil, false, nil
-	}
-	switch cs.access.kind {
-	case pathIndexEq:
-		if !tbl.hasIndex(cs.access.col) {
-			return nil, false, nil
-		}
-	case pathIndexRange:
-		if !cs.access.onPK && !tbl.hasIndex(cs.access.col) {
-			return nil, false, nil
-		}
-	}
-	if t.readOnly {
-		res, handled, err := e.execCompiledOptimistic(t, cs, tbl, params, reuse)
-		if handled {
-			return res, true, err
-		}
-		// Validation kept failing or the path fell back: take locks instead.
-	}
-	return e.execCompiledLocking(t, cs, tbl, params, reuse)
-}
-
-// execCompiledOptimistic serves a read-only transaction's compiled SELECT
-// without the lock manager: it reads under per-access table latches only and
-// validates consistency with the table's mutation epoch. The read is only
-// attempted when no writer holds uncommitted changes on the table
-// (tbl.dirty == 0), which — together with an unchanged epoch across the read
-// window — proves every row image seen was committed and stable.
-func (e *Engine) execCompiledOptimistic(t *Txn, cs *compiledSelect, tbl *Table, params []Value, reuse *Result) (*Result, bool, error) {
-	a := cs.access
-
-	// Constants evaluate once, outside the retry loop.
-	var eqVal Value
-	var b rangeBounds
-	switch a.kind {
-	case pathPoint, pathIndexEq:
-		v, err := cs.eq(nil, params)
-		if err != nil {
-			return nil, true, err
-		}
-		eqVal = v
-	case pathIndexRange:
-		bb, fallback, err := cs.rangeBoundsExec(tbl, params)
-		if err != nil {
-			return nil, true, err
-		}
-		if fallback {
-			return nil, false, nil
-		}
-		b = bb
-	}
-
-	for attempt := 0; attempt < optMaxAttempts; attempt++ {
-		if attempt > 0 {
-			e.statOptRetries.Add(1)
-		}
-		ep := tbl.epoch.Load()
-		if prev, seen := t.optEpochFor(tbl); seen && prev != ep {
-			// A statement earlier in this transaction read this table at a
-			// different epoch; the snapshot can no longer be made consistent.
-			e.statOptConflicts.Add(1)
-			return nil, true, ErrOptimisticConflict
-		}
-		if tbl.dirty.Load() != 0 {
-			e.statOptFallbacks.Add(1)
-			return nil, false, nil
-		}
-		rows, err := cs.gatherOptimistic(t, tbl, eqVal, b, params)
-		if err != nil {
-			if tbl.epoch.Load() != ep {
-				continue // possibly a torn read; retry cleanly
-			}
-			return nil, true, err
-		}
-		if tbl.epoch.Load() != ep {
-			continue
-		}
-		// This statement's reads were consistent at epoch ep. Other tables
-		// read by earlier statements must not have moved during this window,
-		// or the transaction's combined snapshot is broken.
-		if !t.validateOptEpochs(tbl) {
-			e.statOptConflicts.Add(1)
-			return nil, true, ErrOptimisticConflict
-		}
-		t.noteOptEpoch(tbl, ep)
-		t.optHandled = true
-		e.statOptHits.Add(1)
-		e.recordOptimisticReads(t, tbl, a.kind, rows)
-		res, err := cs.emit(rows, params, reuse)
-		return res, true, err
-	}
-	e.statOptFallbacks.Add(1)
-	return nil, false, nil
-}
-
-// gatherOptimistic collects the candidate source rows for one optimistic
-// execution without lock-manager calls. Point and equality/range paths fetch
-// their candidates in one batched latch acquisition; the caller owns epoch
-// validation.
-func (cs *compiledSelect) gatherOptimistic(t *Txn, tbl *Table, eqVal Value, b rangeBounds, params []Value) ([]Row, error) {
-	a := cs.access
-	rows := t.rowsScratch[:0]
-	defer func() { t.rowsScratch = rows }()
-	switch a.kind {
-	case pathPoint:
-		t.keyBuf = appendKey(t.keyBuf[:0], eqVal)
-		row, _, found := tbl.readPKRowInto(t.keyBuf, t.rowBuf)
-		t.rowBuf = row
-		if !found {
-			return rows, nil
-		}
-		if cs.residual != nil {
-			ok, err := cs.residual(row, params)
+		sub := env{params: en.params}
+		for _, r := range en.group {
+			sub.row = r
+			v, err := arg(&sub)
 			if err != nil {
-				return nil, err
+				return Null, err
 			}
-			if !ok {
-				return rows, nil
+			if err := acc.add(v); err != nil {
+				return Null, err
 			}
 		}
-		rows = append(rows, row)
-	case pathIndexEq:
-		ids, _ := tbl.lookupIndex(a.col, eqVal)
-		for _, row := range tbl.getRowsBatch(ids, nil) {
-			if !Equal(row[a.colIdx], eqVal) {
-				continue
-			}
-			if cs.residual != nil {
-				ok, err := cs.residual(row, params)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			rows = append(rows, row)
-		}
-	case pathIndexRange:
-		var ids []uint64
-		if a.onPK {
-			ids = tbl.lookupPKRange(b)
-		} else {
-			ids, _ = tbl.lookupIndexRange(a.col, b)
-		}
-		for _, row := range tbl.getRowsBatch(ids, nil) {
-			if !b.match(row[a.colIdx]) {
-				continue
-			}
-			if cs.residual != nil {
-				ok, err := cs.residual(row, params)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			rows = append(rows, row)
-		}
-	default: // pathScan
-		var match func(Row) (bool, error)
-		if cs.where != nil {
-			match = func(r Row) (bool, error) { return cs.where(r, params) }
-		}
-		if err := tbl.scanWhere(match, func(_ uint64, r Row) bool {
-			rows = append(rows, r)
-			return true
-		}); err != nil {
-			return nil, err
-		}
+		return acc.result(), nil
 	}
-	return rows, nil
 }
 
-// execCompiledLocking serves a compiled SELECT through the regular lock
-// manager — the same lock pattern as the interpreted read paths, with the
-// compiled predicates and projection doing the per-row work.
-func (e *Engine) execCompiledLocking(t *Txn, cs *compiledSelect, tbl *Table, params []Value, reuse *Result) (*Result, bool, error) {
-	a := cs.access
-	var rows []Row
-	switch a.kind {
-	case pathPoint:
-		v, err := cs.eq(nil, params)
-		if err != nil {
-			return nil, true, err
-		}
-		if err := t.lockTable(tbl, LockIS); err != nil {
-			return nil, true, err
-		}
-		t.keyBuf = appendKey(t.keyBuf[:0], v)
-		key := string(t.keyBuf)
-		if err := t.lockRow(tbl, key, LockS); err != nil {
-			return nil, true, err
-		}
-		e.record(t, false, tbl.qname+":"+key)
-		row, _, found := tbl.readPKRowInto(t.keyBuf, t.rowBuf)
-		t.rowBuf = row
-		if found {
-			keep := true
-			if cs.residual != nil {
-				keep, err = cs.residual(row, params)
-				if err != nil {
-					return nil, true, err
-				}
-			}
-			if keep {
-				rows = t.rowsScratch[:0]
-				rows = append(rows, row)
-				t.rowsScratch = rows
-			}
-		}
-	case pathIndexEq:
-		v, err := cs.eq(nil, params)
-		if err != nil {
-			return nil, true, err
-		}
-		if err := t.lockTable(tbl, LockIS); err != nil {
-			return nil, true, err
-		}
-		ids, _ := tbl.lookupIndex(a.col, v)
-		rows, err = e.collectLockedRows(t, tbl, ids, func(row Row) (bool, error) {
-			if !Equal(row[a.colIdx], v) {
-				return false, nil
-			}
-			if cs.residual != nil {
-				return cs.residual(row, params)
-			}
-			return true, nil
-		})
-		if err != nil {
-			return nil, true, err
-		}
-	case pathIndexRange:
-		b, fallback, err := cs.rangeBoundsExec(tbl, params)
-		if err != nil {
-			return nil, true, err
-		}
-		if fallback {
-			return nil, false, nil
-		}
-		if err := t.lockTable(tbl, LockIS); err != nil {
-			return nil, true, err
-		}
-		var ids []uint64
-		if a.onPK {
-			ids = tbl.lookupPKRange(b)
-		} else {
-			ids, _ = tbl.lookupIndexRange(a.col, b)
-		}
-		rows, err = e.collectLockedRows(t, tbl, ids, func(row Row) (bool, error) {
-			if !b.match(row[a.colIdx]) {
-				return false, nil
-			}
-			if cs.residual != nil {
-				return cs.residual(row, params)
-			}
-			return true, nil
-		})
-		if err != nil {
-			return nil, true, err
-		}
-	default: // pathScan
-		if err := t.lockTable(tbl, LockS); err != nil {
-			return nil, true, err
-		}
-		e.record(t, false, tbl.qname)
-		var match func(Row) (bool, error)
-		if cs.where != nil {
-			match = func(r Row) (bool, error) { return cs.where(r, params) }
-		}
-		if err := tbl.scanWhere(match, func(_ uint64, r Row) bool {
-			rows = append(rows, r)
-			return true
-		}); err != nil {
-			return nil, true, err
-		}
-	}
-	res, err := cs.emit(rows, params, reuse)
-	return res, true, err
+// accumulator is the running state of one aggregate over one group. NULL
+// inputs are skipped; an aggregate that saw no value is NULL, except COUNT,
+// which is 0. SUM stays INT while every input is INT and is FLOAT otherwise;
+// AVG is always FLOAT.
+type accumulator struct {
+	fn       AggFn
+	count    int64
+	sum      float64
+	sumInt   int64
+	sawFloat bool
+	extreme  Value           // running MIN or MAX
+	seen     map[string]bool // DISTINCT: values already counted
 }
 
-// recordOptimisticReads emits history-recorder events for a validated
-// optimistic read, mirroring the objects the locking paths record. The
-// object strings are only built when a recorder is installed, keeping the
-// hot path allocation-free.
-func (e *Engine) recordOptimisticReads(t *Txn, tbl *Table, kind pathKind, rows []Row) {
-	if e.recovering.Load() {
-		return
+func (a *accumulator) add(v Value) error {
+	if v.IsNull() {
+		return nil
 	}
-	box := e.recorder.Load()
-	if box == nil || box.r == nil {
-		return
+	if a.seen != nil {
+		k := keyString(v)
+		if a.seen[k] {
+			return nil
+		}
+		a.seen[k] = true
 	}
-	if kind == pathScan {
-		e.record(t, false, tbl.qname)
-		return
+	switch a.fn {
+	case AggSum, AggAvg:
+		if !v.numeric() {
+			return fmt.Errorf("%w: %s over %s", ErrTypeMismatch, a.fn, v.Typ)
+		}
+		if v.Typ == TypeInt {
+			a.sumInt += v.Int
+		} else {
+			a.sawFloat = true
+		}
+		a.sum += v.AsFloat()
+	case AggMin:
+		if a.count == 0 || Compare(v, a.extreme) < 0 {
+			a.extreme = v
+		}
+	case AggMax:
+		if a.count == 0 || Compare(v, a.extreme) > 0 {
+			a.extreme = v
+		}
 	}
-	pkIdx := tbl.schema.PKIdx
-	for _, r := range rows {
-		e.record(t, false, tbl.qname+":"+keyString(r[pkIdx]))
+	a.count++
+	return nil
+}
+
+func (a *accumulator) result() Value {
+	switch {
+	case a.fn == AggCount:
+		return NewInt(a.count)
+	case a.count == 0:
+		return Null
+	case a.fn == AggSum && !a.sawFloat:
+		return NewInt(a.sumInt)
+	case a.fn == AggSum:
+		return NewFloat(a.sum)
+	case a.fn == AggAvg:
+		return NewFloat(a.sum / float64(a.count))
+	default:
+		return a.extreme
 	}
 }

@@ -1,20 +1,23 @@
 package sqldb
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// diffEngine builds the table the differential tests run against: mixed
+// diffEngine builds the tables the golden corpus runs against: mixed
 // types, NULLs, negative keys, quoted text, and two secondary indexes so
 // every access path (point, index-eq, index-range, scan) is reachable.
-func diffEngine(t *testing.T) *Engine {
+func diffEngine(t testing.TB) *Engine {
 	t.Helper()
 	e := newTestDB(t)
 	mustExec(t, e, `CREATE TABLE item (id INT PRIMARY KEY, title TEXT NOT NULL, cost FLOAT, qty INT, subject TEXT)`)
@@ -35,231 +38,203 @@ func diffEngine(t *testing.T) *Engine {
 		`(10, 'alphabet', 6.0, 3, 'SCIENCE')`,
 	}
 	mustExec(t, e, "INSERT INTO item VALUES "+strings.Join(rows, ", "))
+
+	// Join partners: review references item and author (with dangling and
+	// NULL references on both sides), author carries a UNIQUE column, and
+	// nopk has no primary key (table-lock write path).
+	mustExec(t, e, `CREATE TABLE author (aid INT PRIMARY KEY, name TEXT UNIQUE, country TEXT)`)
+	mustExec(t, e, `INSERT INTO author VALUES (1, 'Ann', 'US'), (2, 'Bo', NULL), (3, 'Cy', 'UK'), (4, 'Di', 'US')`)
+	mustExec(t, e, `CREATE TABLE review (rid INT PRIMARY KEY, item_id INT, aid INT, stars INT, note TEXT)`)
+	mustExec(t, e, `CREATE INDEX idx_review_item ON review (item_id)`)
+	mustExec(t, e, `INSERT INTO review VALUES (100, 1, 1, 5, 'great'), (101, 1, 2, 3, NULL), (102, 3, 1, 4, 'ok'),
+		(103, 5, 3, NULL, 'meh'), (104, 9, NULL, 2, 'anon'), (105, 42, 2, 1, 'orphan'), (106, NULL, 4, 5, 'noitem'), (107, 4, 1, 4, 'fine')`)
+	mustExec(t, e, `CREATE TABLE nopk (a INT, b TEXT)`)
+	mustExec(t, e, `INSERT INTO nopk VALUES (1, 'x'), (2, 'y'), (2, 'yy'), (NULL, 'n'), (3, NULL)`)
 	return e
 }
 
-// runPlanned executes one planned statement in its own transaction and
-// returns the result, rolling back on error exactly like Engine.Exec.
-func runPlanned(e *Engine, readOnly bool, stmt Statement, plan *stmtPlan, params []Value) (*Result, error) {
-	var tx *Txn
-	var err error
-	if readOnly {
-		tx, err = e.BeginReadOnly("app")
-	} else {
-		tx, err = e.Begin("app")
-	}
-	if err != nil {
-		return nil, err
-	}
-	res, err := tx.execPlanned(stmt, plan, params, nil)
-	if err != nil {
-		_ = tx.Rollback()
-		return nil, err
-	}
-	if err := tx.Commit(); err != nil {
-		return nil, err
-	}
-	return res, nil
+// goldenResult is one frozen statement outcome: values are type-tagged
+// strings ("n", "i:3", "f:2.5", "t:text", "b:true") so INT 3 and FLOAT 3 stay
+// distinct.
+type goldenResult struct {
+	Cols     []string   `json:"cols,omitempty"`
+	Rows     [][]string `json:"rows,omitempty"`
+	Affected int        `json:"affected,omitempty"`
+	Err      string     `json:"err,omitempty"`
 }
 
-// assertDiff runs one SELECT through the tree-walking interpreter, the
-// compiled locking path, and the compiled optimistic read-only path, and
-// requires all three to agree on columns, rows, and errors.
-func assertDiff(t *testing.T, e *Engine, sql string, params ...Value) {
-	t.Helper()
-	stmt, err := Parse(sql)
-	if err != nil {
-		t.Fatalf("Parse(%q): %v", sql, err)
-	}
-	plan, _ := planStatement(e, "app", stmt)
-	if plan == nil {
-		t.Fatalf("no plan for %q", sql)
-	}
-	interp := *plan
-	interp.compiled = nil
+// goldenCase is one statement of testdata/exec_golden.json. A case with
+// Verify is DML: it runs in a locking transaction, Verify runs after it in
+// the same transaction (After is its outcome; nil when the statement aborted
+// the transaction) and the transaction is rolled back. Any other case is a
+// query and must produce Want in a locking and in a read-only transaction.
+type goldenCase struct {
+	SQL    string        `json:"sql"`
+	Params []string      `json:"params,omitempty"`
+	Verify string        `json:"verify,omitempty"`
+	Want   goldenResult  `json:"want"`
+	After  *goldenResult `json:"after,omitempty"`
+}
 
-	wantRes, wantErr := runPlanned(e, false, stmt, &interp, params)
-	for _, mode := range []struct {
-		name     string
-		readOnly bool
-	}{{"compiled-locking", false}, {"compiled-optimistic", true}} {
-		got, gotErr := runPlanned(e, mode.readOnly, stmt, plan, params)
-		if (gotErr != nil) != (wantErr != nil) {
-			t.Fatalf("%s %q: err=%v, interpreter err=%v", mode.name, sql, gotErr, wantErr)
+func encodeGoldenValue(v Value) string {
+	switch v.Typ {
+	case TypeInt:
+		return "i:" + strconv.FormatInt(v.Int, 10)
+	case TypeFloat:
+		return "f:" + strconv.FormatFloat(v.Float, 'g', -1, 64)
+	case TypeText:
+		return "t:" + v.Str
+	case TypeBool:
+		return "b:" + strconv.FormatBool(v.Bool)
+	default:
+		return "n"
+	}
+}
+
+func decodeGoldenValue(t testing.TB, s string) Value {
+	t.Helper()
+	kind, body, _ := strings.Cut(s, ":")
+	switch kind {
+	case "n":
+		return Null
+	case "i":
+		n, err := strconv.ParseInt(body, 10, 64)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if gotErr != nil {
-			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("%s %q: err=%q, interpreter err=%q", mode.name, sql, gotErr, wantErr)
+		return NewInt(n)
+	case "f":
+		f, err := strconv.ParseFloat(body, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewFloat(f)
+	case "t":
+		return NewText(body)
+	case "b":
+		return NewBool(body == "true")
+	}
+	t.Fatalf("bad golden value %q", s)
+	return Null
+}
+
+func goldenOf(res *Result, err error) goldenResult {
+	if err != nil {
+		return goldenResult{Err: err.Error()}
+	}
+	var g goldenResult
+	if res == nil {
+		return g
+	}
+	g.Cols, g.Affected = res.Cols, res.Affected
+	for _, r := range res.Rows {
+		row := make([]string, len(r))
+		for i, v := range r {
+			row[i] = encodeGoldenValue(v)
+		}
+		g.Rows = append(g.Rows, row)
+	}
+	return g
+}
+
+func loadGolden(t testing.TB) []goldenCase {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/exec_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []goldenCase
+	if err := json.Unmarshal(raw, &cases); err != nil {
+		t.Fatal(err)
+	}
+	return cases
+}
+
+// TestExecGolden replays the frozen corpus: the results the tree-walking
+// interpreter of the parent commit produced for the hand-written and the
+// 400-statement random differential corpora, plus joins, aggregates,
+// grouping, DISTINCT, DML through every access path and INSERT expressions.
+// Columns, row order, values and error text must all match, in locking and in
+// read-only (optimistic) transactions.
+func TestExecGolden(t *testing.T) {
+	e := diffEngine(t)
+	defer e.Close()
+	same := func(c goldenCase, mode string, got, want goldenResult) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %q %v:\n got %+v\nwant %+v", mode, c.SQL, c.Params, got, want)
+		}
+	}
+	for _, c := range loadGolden(t) {
+		params := make([]Value, len(c.Params))
+		for i, p := range c.Params {
+			params[i] = decodeGoldenValue(t, p)
+		}
+		if c.Verify == "" {
+			for _, readOnly := range []bool{false, true} {
+				begin, mode := e.Begin, "locking"
+				if readOnly {
+					begin, mode = e.BeginReadOnly, "read-only"
+				}
+				tx, err := begin("app")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := goldenOf(tx.Exec(c.SQL, params...))
+				_ = tx.Rollback()
+				same(c, mode, got, c.Want)
 			}
 			continue
 		}
-		if !reflect.DeepEqual(got.Cols, wantRes.Cols) {
-			t.Fatalf("%s %q: cols=%v, interpreter cols=%v", mode.name, sql, got.Cols, wantRes.Cols)
+		tx, err := e.Begin("app")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(got.Rows) != len(wantRes.Rows) {
-			t.Fatalf("%s %q: %d rows, interpreter %d rows\n got: %v\nwant: %v",
-				mode.name, sql, len(got.Rows), len(wantRes.Rows), got.Rows, wantRes.Rows)
+		same(c, "dml", goldenOf(tx.Exec(c.SQL, params...)), c.Want)
+		if active := tx.State() == TxnActive; active != (c.After != nil) {
+			t.Errorf("dml %q: transaction active=%v after the statement, golden says %v", c.SQL, active, c.After != nil)
+		} else if active {
+			same(c, "verify "+c.Verify+" after", goldenOf(tx.Exec(c.Verify)), *c.After)
 		}
-		for i := range got.Rows {
-			if !reflect.DeepEqual(got.Rows[i], wantRes.Rows[i]) {
-				t.Fatalf("%s %q: row %d = %v, interpreter %v", mode.name, sql, i, got.Rows[i], wantRes.Rows[i])
-			}
-		}
+		_ = tx.Rollback()
 	}
 }
 
-// TestCompiledDifferentialCorpus pins the compiled executor to the
-// interpreter across a hand-written corpus covering every access path,
-// projection shape, ORDER BY/LIMIT/OFFSET combination, and error case.
-func TestCompiledDifferentialCorpus(t *testing.T) {
-	e := diffEngine(t)
+// FuzzParseBind feeds arbitrary text to the parser, the binder and the
+// executor: every input either fails to parse, fails with an error, or runs
+// to a result — never a panic. Seeded with the golden corpus's SQL. DDL is
+// parsed but not executed so one input cannot change the schema under the
+// next; everything else runs in a transaction that is rolled back.
+func FuzzParseBind(f *testing.F) {
+	for _, c := range loadGolden(f) {
+		f.Add(c.SQL)
+	}
+	e := diffEngine(f)
 	defer e.Close()
-	one := []Value{NewInt(1)}
-	corpus := []struct {
-		sql    string
-		params []Value
-	}{
-		// Point reads, hit and miss, with and without residuals.
-		{"SELECT * FROM item WHERE id = 1", nil},
-		{"SELECT * FROM item WHERE id = -3", nil},
-		{"SELECT * FROM item WHERE id = 999", nil},
-		{"SELECT title FROM item WHERE id = ?", one},
-		{"SELECT title, cost FROM item WHERE id = 1 AND qty > 2", nil},
-		{"SELECT title FROM item WHERE id = 1 AND qty > 100", nil},
-		{"SELECT id FROM item WHERE id = 2 AND title = 'it''s'", nil},
-		// Index equality, with residuals and projections.
-		{"SELECT id, title FROM item WHERE subject = 'HISTORY'", nil},
-		{"SELECT id FROM item WHERE subject = 'ART' AND cost > 5.0", nil},
-		{"SELECT id, qty FROM item WHERE qty = 3", nil},
-		{"SELECT id FROM item WHERE subject = 'MISSING'", nil},
-		{"SELECT id FROM item WHERE subject = ?", []Value{NewText("SCIENCE")}},
-		// Ranges on the primary key and on a secondary index.
-		{"SELECT id FROM item WHERE id > 3", nil},
-		{"SELECT id FROM item WHERE id >= -3 AND id < 4", nil},
-		{"SELECT id, title FROM item WHERE id BETWEEN 2 AND 6", nil},
-		{"SELECT id FROM item WHERE qty > 2 AND qty <= 7", nil},
-		{"SELECT id FROM item WHERE qty BETWEEN ? AND ?", []Value{NewInt(1), NewInt(5)}},
-		// Scans: LIKE, IN, IS NULL, boolean structure, expressions.
-		{"SELECT id FROM item WHERE title LIKE 'alpha%'", nil},
-		{"SELECT id FROM item WHERE title LIKE '%a%'", nil},
-		{"SELECT id FROM item WHERE title NOT LIKE '%a%'", nil},
-		{"SELECT id FROM item WHERE title LIKE ?", []Value{NewText("%wild%")}},
-		{"SELECT id FROM item WHERE cost IS NULL", nil},
-		{"SELECT id FROM item WHERE subject IS NOT NULL AND qty IS NULL", nil},
-		{"SELECT id FROM item WHERE id IN (1, 3, 5, 99)", nil},
-		{"SELECT id FROM item WHERE subject IN ('ART', 'SCIENCE')", nil},
-		{"SELECT id FROM item WHERE qty NOT IN (3, NULL)", nil},
-		{"SELECT id FROM item WHERE cost * 2.0 > 10.0", nil},
-		{"SELECT id FROM item WHERE NOT (qty > 3)", nil},
-		{"SELECT id FROM item WHERE qty > 2 OR subject = 'ART'", nil},
-		{"SELECT id FROM item WHERE -id = 3", nil},
-		// Projection shapes: *, flat columns, computed expressions, aliases.
-		{"SELECT * FROM item WHERE subject = 'ART'", nil},
-		{"SELECT cost, id, title FROM item WHERE id < 4", nil},
-		{"SELECT id, cost * 2.0 AS double_cost FROM item WHERE id BETWEEN 1 AND 5", nil},
-		{"SELECT id + qty AS s FROM item WHERE id > 5", nil},
-		{"SELECT title, qty FROM item WHERE qty = 3", nil},
-		// ORDER BY on projected and non-projected keys, DESC, multi-key.
-		{"SELECT id, title FROM item WHERE id > 0 ORDER BY title", nil},
-		{"SELECT id FROM item WHERE id > 0 ORDER BY cost DESC", nil},
-		{"SELECT id, qty FROM item WHERE subject IS NOT NULL ORDER BY qty DESC, id", nil},
-		{"SELECT title FROM item WHERE id > -5 ORDER BY id DESC", nil},
-		// LIMIT and OFFSET, including past-the-end values.
-		{"SELECT id FROM item WHERE id > 0 ORDER BY id LIMIT 3", nil},
-		{"SELECT id FROM item WHERE id > 0 ORDER BY id LIMIT 3 OFFSET 2", nil},
-		{"SELECT id FROM item WHERE id > 0 ORDER BY id LIMIT 100 OFFSET 11", nil},
-		{"SELECT id FROM item ORDER BY id LIMIT 0", nil},
-		// Statements the compiler rejects: both paths interpret, must agree.
-		{"SELECT DISTINCT subject FROM item WHERE subject IS NOT NULL ORDER BY subject", nil},
-		{"SELECT subject, COUNT(*) AS n FROM item GROUP BY subject ORDER BY subject", nil},
-		{"SELECT MAX(cost) AS top FROM item", nil},
-		// Error cases: identical error text on every path.
-		{"SELECT id FROM item WHERE title > 5", nil},
-		{"SELECT id FROM item WHERE qty + title = 3", nil},
-		{"SELECT id FROM item WHERE id = ?", nil}, // missing parameter
-		{"SELECT id FROM item WHERE subject LIKE 5", nil},
-	}
-	for _, c := range corpus {
-		assertDiff(t, e, c.sql, c.params...)
-	}
+	params := []Value{NewInt(1), NewText("alpha"), NewFloat(2.5), Null, NewInt(40)}
+	f.Fuzz(func(t *testing.T, sql string) {
+		stmt, err := Parse(sql)
+		if err != nil {
+			return
+		}
+		switch stmt.(type) {
+		case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt:
+			return
+		}
+		tx, err := e.Begin("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = tx.Rollback() }()
+		if res, err := tx.ExecStmt(stmt, params...); err == nil && res == nil {
+			t.Fatalf("%q: nil result without an error", sql)
+		}
+	})
 }
 
-// TestCompiledDifferentialRandom fuzzes randomly generated WHERE clauses and
-// projections through all three execution paths with a deterministic seed.
-func TestCompiledDifferentialRandom(t *testing.T) {
-	e := diffEngine(t)
-	defer e.Close()
-	rng := rand.New(rand.NewSource(0xC0FFEE))
-
-	cols := []string{"id", "title", "cost", "qty", "subject"}
-	consts := []string{"0", "3", "-3", "5.0", "'HISTORY'", "'alpha'", "''", "NULL", "100.25", "9"}
-	cmps := []string{"=", "<>", "<", "<=", ">", ">="}
-
-	var genPred func(depth int) string
-	genPred = func(depth int) string {
-		if depth > 2 || rng.Intn(3) == 0 {
-			col := cols[rng.Intn(len(cols))]
-			switch rng.Intn(6) {
-			case 0:
-				return fmt.Sprintf("%s %s %s", col, cmps[rng.Intn(len(cmps))], consts[rng.Intn(len(consts))])
-			case 1:
-				return fmt.Sprintf("%s IS NULL", col)
-			case 2:
-				return fmt.Sprintf("%s IS NOT NULL", col)
-			case 3:
-				return fmt.Sprintf("%s BETWEEN %d AND %d", col, rng.Intn(6)-3, rng.Intn(10))
-			case 4:
-				return fmt.Sprintf("%s IN (%s, %s)", col, consts[rng.Intn(len(consts))], consts[rng.Intn(len(consts))])
-			default:
-				return fmt.Sprintf("title LIKE '%%%c%%'", 'a'+rune(rng.Intn(26)))
-			}
-		}
-		op := "AND"
-		if rng.Intn(2) == 0 {
-			op = "OR"
-		}
-		l, r := genPred(depth+1), genPred(depth+1)
-		if rng.Intn(4) == 0 {
-			return fmt.Sprintf("NOT (%s %s %s)", l, op, r)
-		}
-		return fmt.Sprintf("(%s %s %s)", l, op, r)
-	}
-
-	genProj := func() string {
-		switch rng.Intn(4) {
-		case 0:
-			return "*"
-		case 1:
-			return cols[rng.Intn(len(cols))]
-		case 2:
-			a, b := cols[rng.Intn(len(cols))], cols[rng.Intn(len(cols))]
-			return fmt.Sprintf("%s, %s", a, b)
-		default:
-			return "id, cost * 2.0 AS c2, qty"
-		}
-	}
-
-	for i := 0; i < 400; i++ {
-		sql := fmt.Sprintf("SELECT %s FROM item WHERE %s", genProj(), genPred(0))
-		if rng.Intn(2) == 0 {
-			sql += " ORDER BY id"
-			if rng.Intn(2) == 0 {
-				sql += " DESC"
-			}
-		}
-		if rng.Intn(3) == 0 {
-			sql += fmt.Sprintf(" LIMIT %d", rng.Intn(6))
-			if rng.Intn(2) == 0 {
-				sql += fmt.Sprintf(" OFFSET %d", rng.Intn(4))
-			}
-		}
-		assertDiff(t, e, sql)
-	}
-}
-
-// TestCompiledPointReadZeroAllocs enforces the allocation budget of the
-// tentpole: a compiled point read through a recycled read-only transaction
-// must not allocate at all in steady state.
+// TestCompiledPointReadZeroAllocs enforces the allocation budget of the hot
+// path: a point read through a recycled read-only transaction must not
+// allocate at all in steady state.
 func TestCompiledPointReadZeroAllocs(t *testing.T) {
 	e := diffEngine(t)
 	defer e.Close()
@@ -292,8 +267,8 @@ func TestCompiledPointReadZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCompiledExplainExecMode checks that EXPLAIN reports the executor that
-// will actually serve the statement.
+// TestCompiledExplainExecMode checks EXPLAIN's access path and exec marker
+// for every statement shape, grouped ones included.
 func TestCompiledExplainExecMode(t *testing.T) {
 	e := diffEngine(t)
 	defer e.Close()
@@ -306,7 +281,7 @@ func TestCompiledExplainExecMode(t *testing.T) {
 		{"EXPLAIN SELECT id FROM item WHERE subject = 'ART'", "index", "exec=compiled"},
 		{"EXPLAIN SELECT id FROM item WHERE id > 3", "range", "exec=compiled"},
 		{"EXPLAIN SELECT id FROM item WHERE title LIKE '%a%'", "scan", "exec=compiled"},
-		{"EXPLAIN SELECT subject, COUNT(*) AS n FROM item GROUP BY subject", "", "exec=interpreted"},
+		{"EXPLAIN SELECT subject, COUNT(*) AS n FROM item GROUP BY subject", "scan", "exec=compiled"},
 	}
 	for _, c := range cases {
 		res := mustExec(t, e, c.sql)
@@ -323,9 +298,9 @@ func TestCompiledExplainExecMode(t *testing.T) {
 	}
 }
 
-// TestCompiledStatementCounters checks the observability wiring: compiling a
-// plan bumps plan_compile_total, compiled execution bumps compiled_exec_total
-// and the optimistic hit counter.
+// TestCompiledStatementCounters checks the observability wiring: binding a
+// plan bumps plan_compile_total, executing it bumps compiled_exec_total and
+// (for a read-only point read) the optimistic hit counter.
 func TestCompiledStatementCounters(t *testing.T) {
 	e := diffEngine(t)
 	defer e.Close()

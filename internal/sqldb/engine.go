@@ -98,10 +98,10 @@ type Stats struct {
 	Deadlocks uint64
 	LocksHeld uint64
 
-	// Compiled-execution counters: plans lowered to closures
-	// (plan_compile_total), statements served by the compiled path
-	// (compiled_exec_total), and all statements executed (stmt_exec_total) —
-	// the denominator for the compiled fraction.
+	// Execution counters: plans bound to closures (plan_compile_total),
+	// SELECT and DML statements executed through a bound plan
+	// (compiled_exec_total), and all statements executed, DDL and EXPLAIN
+	// included (stmt_exec_total).
 	PlanCompiles  uint64
 	CompiledExecs uint64
 	StmtExecs     uint64
@@ -406,8 +406,8 @@ func (e *Engine) BeginWithID(db string, globalID uint64) (*Txn, error) {
 	return t, nil
 }
 
-// BeginReadOnly starts a transaction that may only read. Compiled
-// single-table SELECTs in a read-only transaction use the optimistic
+// BeginReadOnly starts a transaction that may only read. Single-table
+// SELECTs in a read-only transaction use the optimistic
 // lock-free fast path, validated against per-table mutation epochs; when
 // validation cannot be satisfied the transaction aborts with
 // ErrOptimisticConflict, which — like a deadlock — is retryable by the
@@ -437,7 +437,6 @@ func (e *Engine) BeginReadOnly(db string) (*Txn, error) {
 		c.optHandled = false
 		c.undo = nil
 		c.trace = obs.SpanContext{}
-		c.execMode = ""
 		return c, nil
 	}
 	t, err := e.BeginWithID(db, 0)
@@ -465,11 +464,12 @@ func (e *Engine) Exec(db, sql string, params ...Value) (*Result, error) {
 	return res, nil
 }
 
-// cachedStatement returns the parsed statement and access-path plan for
+// cachedStatement returns the parsed statement and its bound plan for
 // (db, sql), consulting the engine's plan cache. A hit whose plan generation
-// is current skips both the parser and the planner; a hit whose plan was made
-// stale by DDL keeps the parse (the AST cannot change) and re-derives just
-// the plan.
+// is current skips the parser, the planner and the binder; a hit whose plan
+// was made stale by DDL keeps the parse (the AST cannot change) and re-binds
+// just the plan. A statement that does not bind (DDL, EXPLAIN, an unknown
+// table) comes back with a nil plan and is not cached.
 func (e *Engine) cachedStatement(db, sql string) (Statement, *stmtPlan, error) {
 	pc := e.plans
 	if pc.disabled() {
@@ -477,41 +477,35 @@ func (e *Engine) cachedStatement(db, sql string) (Statement, *stmtPlan, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		plan, _ := planStatement(e, db, stmt)
+		plan, _ := bindStatement(e, db, stmt)
 		return stmt, plan, nil
 	}
-	if stmt, plan, ok := pc.get(db, sql); ok {
-		if plan != nil && plan.gen == pc.gen.Load() {
-			pc.hitMiss.IncA()
-			return stmt, plan, nil
-		}
-		pc.hitMiss.IncB()
-		plan, cacheable := planStatement(e, db, stmt)
-		if cacheable {
-			pc.put(db, sql, stmt, plan)
-		}
+	stmt, plan, ok := pc.get(db, sql)
+	if ok && plan.gen == pc.gen.Load() {
+		pc.hitMiss.IncA()
 		return stmt, plan, nil
 	}
 	pc.hitMiss.IncB()
-	stmt, err := Parse(sql)
-	if err != nil {
-		return nil, nil, err
+	if !ok {
+		var err error
+		if stmt, err = Parse(sql); err != nil {
+			return nil, nil, err
+		}
 	}
-	plan, cacheable := planStatement(e, db, stmt)
-	if cacheable {
+	if plan, _ = bindStatement(e, db, stmt); plan != nil {
 		pc.put(db, sql, stmt, plan)
 	}
 	return stmt, plan, nil
 }
 
-// plannedStmt returns the memoised access-path plan for a pre-parsed
-// statement, keyed by AST identity. This is the fast path for the cluster
-// controller, which parses a statement once and executes the same AST against
-// every replica engine.
+// plannedStmt returns the memoised bound plan for a pre-parsed statement,
+// keyed by AST identity. This is the fast path for the cluster controller,
+// which parses a statement once and executes the same AST against every
+// replica engine.
 func (e *Engine) plannedStmt(db string, stmt Statement) *stmtPlan {
 	pc := e.plans
 	if pc.disabled() {
-		plan, _ := planStatement(e, db, stmt)
+		plan, _ := bindStatement(e, db, stmt)
 		return plan
 	}
 	if plan, ok := pc.memoLoad(db, stmt); ok {
@@ -519,8 +513,8 @@ func (e *Engine) plannedStmt(db string, stmt Statement) *stmtPlan {
 		return plan
 	}
 	pc.hitMiss.IncB()
-	plan, cacheable := planStatement(e, db, stmt)
-	if cacheable && plan != nil {
+	plan, _ := bindStatement(e, db, stmt)
+	if plan != nil {
 		pc.memoStore(db, stmt, plan)
 	}
 	return plan

@@ -11,134 +11,8 @@ type colBinding struct {
 	col   string
 }
 
-// evalCtx is the environment an expression is evaluated in. In grouped
-// evaluation, row is the group's representative row and groupRows holds the
-// full group for aggregate functions.
-type evalCtx struct {
-	bindings  []colBinding
-	row       Row
-	params    []Value
-	groupRows []Row
-	grouped   bool
-}
-
-// evalExpr evaluates e in ctx using SQL three-valued logic: unknown is
-// represented as the NULL value.
-func evalExpr(e Expr, ctx *evalCtx) (Value, error) {
-	switch ex := e.(type) {
-	case *LiteralExpr:
-		return ex.Val, nil
-	case *ParamExpr:
-		if ex.Index >= len(ctx.params) {
-			return Null, fmt.Errorf("sqldb: missing binding for parameter %d", ex.Index+1)
-		}
-		return ctx.params[ex.Index], nil
-	case *ColumnExpr:
-		idx := resolveBinding(ctx.bindings, ex)
-		if idx == -2 {
-			return Null, errAmbiguous(ex.Col)
-		}
-		if idx < 0 {
-			return Null, fmt.Errorf("%w: %s", ErrNoColumn, ex.Col)
-		}
-		if idx >= len(ctx.row) {
-			return Null, nil
-		}
-		return ctx.row[idx], nil
-	case *BinaryExpr:
-		return evalBinary(ex, ctx)
-	case *UnaryExpr:
-		v, err := evalExpr(ex.E, ctx)
-		if err != nil {
-			return Null, err
-		}
-		return applyUnary(ex.Op, v)
-	case *InExpr:
-		v, err := evalExpr(ex.E, ctx)
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() {
-			return Null, nil
-		}
-		sawNull := false
-		for _, le := range ex.List {
-			lv, err := evalExpr(le, ctx)
-			if err != nil {
-				return Null, err
-			}
-			if lv.IsNull() {
-				sawNull = true
-				continue
-			}
-			if Equal(v, lv) {
-				return NewBool(!ex.Negate), nil
-			}
-		}
-		if sawNull {
-			return Null, nil
-		}
-		return NewBool(ex.Negate), nil
-	case *BetweenExpr:
-		v, err := evalExpr(ex.E, ctx)
-		if err != nil {
-			return Null, err
-		}
-		lo, err := evalExpr(ex.Lo, ctx)
-		if err != nil {
-			return Null, err
-		}
-		hi, err := evalExpr(ex.Hi, ctx)
-		if err != nil {
-			return Null, err
-		}
-		return applyBetween(v, lo, hi, ex.Negate), nil
-	case *LikeExpr:
-		v, err := evalExpr(ex.E, ctx)
-		if err != nil {
-			return Null, err
-		}
-		p, err := evalExpr(ex.Pattern, ctx)
-		if err != nil {
-			return Null, err
-		}
-		return applyLike(v, p, ex.Negate)
-	case *IsNullExpr:
-		v, err := evalExpr(ex.E, ctx)
-		if err != nil {
-			return Null, err
-		}
-		isNull := v.IsNull()
-		if ex.Negate {
-			isNull = !isNull
-		}
-		return NewBool(isNull), nil
-	case *AggExpr:
-		return evalAggregate(ex, ctx)
-	default:
-		return Null, fmt.Errorf("sqldb: unsupported expression %T", e)
-	}
-}
-
-func evalBinary(ex *BinaryExpr, ctx *evalCtx) (Value, error) {
-	l, err := evalExpr(ex.L, ctx)
-	if err != nil {
-		return Null, err
-	}
-	r, err := evalExpr(ex.R, ctx)
-	if err != nil {
-		return Null, err
-	}
-	// AND/OR need three-valued evaluation before the NULL short-circuit.
-	if ex.Op == OpAnd || ex.Op == OpOr {
-		return applyBoolPair(ex.Op, l, r)
-	}
-	return applyBinary(ex.Op, l, r)
-}
-
 // applyBoolPair combines two already-evaluated operands under AND/OR
-// three-valued logic. Shared by the tree-walking evaluator and the compiled
-// expression closures so both paths have identical semantics.
+// three-valued logic.
 func applyBoolPair(op BinOp, l, r Value) (Value, error) {
 	lt, lk := boolState(l)
 	rt, rk := boolState(r)
@@ -166,8 +40,7 @@ func applyBoolPair(op BinOp, l, r Value) (Value, error) {
 }
 
 // applyBinary applies a comparison or arithmetic operator to two
-// already-evaluated operands. Shared by the tree-walking evaluator and the
-// compiled expression closures.
+// already-evaluated operands.
 func applyBinary(op BinOp, l, r Value) (Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return Null, nil
@@ -228,7 +101,6 @@ func applyBinary(op BinOp, l, r Value) (Value, error) {
 }
 
 // applyUnary applies NOT or unary minus to an already-evaluated operand.
-// Shared by the tree-walking evaluator and the compiled expression closures.
 func applyUnary(op UnOp, v Value) (Value, error) {
 	switch op {
 	case OpNot:
@@ -310,112 +182,4 @@ func boolState(v Value) (triState, bool) {
 	default:
 		return tvFalse, false
 	}
-}
-
-// predTrue evaluates a predicate and reports whether it is definitely true
-// (SQL WHERE semantics: NULL filters the row out).
-func predTrue(e Expr, ctx *evalCtx) (bool, error) {
-	v, err := evalExpr(e, ctx)
-	if err != nil {
-		return false, err
-	}
-	st, ok := boolState(v)
-	if !ok {
-		return false, fmt.Errorf("%w: predicate evaluated to %s", ErrTypeMismatch, v.Typ)
-	}
-	return st == tvTrue, nil
-}
-
-// evalAggregate computes an aggregate over the current group.
-func evalAggregate(ex *AggExpr, ctx *evalCtx) (Value, error) {
-	if !ctx.grouped {
-		return Null, fmt.Errorf("sqldb: aggregate %s outside grouped context", ex.Fn)
-	}
-	rows := ctx.groupRows
-
-	if ex.Star {
-		if ex.Fn != AggCount {
-			return Null, fmt.Errorf("sqldb: %s(*) is not valid", ex.Fn)
-		}
-		return NewInt(int64(len(rows))), nil
-	}
-
-	count := int64(0)
-	var sum float64
-	sumIsInt := true
-	var sumInt int64
-	var minV, maxV Value
-	first := true
-	var seen map[string]bool
-	if ex.Distinct {
-		seen = make(map[string]bool)
-	}
-	for _, r := range rows {
-		sub := &evalCtx{bindings: ctx.bindings, row: r, params: ctx.params}
-		v, err := evalExpr(ex.E, sub)
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if seen != nil {
-			k := keyString(v)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		count++
-		switch ex.Fn {
-		case AggSum, AggAvg:
-			if !v.numeric() {
-				return Null, fmt.Errorf("%w: %s over %s", ErrTypeMismatch, ex.Fn, v.Typ)
-			}
-			if v.Typ == TypeInt {
-				sumInt += v.Int
-			} else {
-				sumIsInt = false
-			}
-			sum += v.AsFloat()
-		case AggMin:
-			if first || Compare(v, minV) < 0 {
-				minV = v
-			}
-		case AggMax:
-			if first || Compare(v, maxV) > 0 {
-				maxV = v
-			}
-		}
-		first = false
-	}
-
-	switch ex.Fn {
-	case AggCount:
-		return NewInt(count), nil
-	case AggSum:
-		if count == 0 {
-			return Null, nil
-		}
-		if sumIsInt {
-			return NewInt(sumInt), nil
-		}
-		return NewFloat(sum), nil
-	case AggAvg:
-		if count == 0 {
-			return Null, nil
-		}
-		return NewFloat(sum / float64(count)), nil
-	case AggMin:
-		if count == 0 {
-			return Null, nil
-		}
-		return minV, nil
-	case AggMax:
-		if count == 0 {
-			return Null, nil
-		}
-		return maxV, nil
-	}
-	return Null, fmt.Errorf("sqldb: unknown aggregate")
 }

@@ -14,7 +14,7 @@ func evalOne(t *testing.T, expr string) (Value, error) {
 		t.Fatalf("parse %q: %v", expr, err)
 	}
 	sel := stmt.(*SelectStmt)
-	return evalExpr(sel.Items[0].Expr, &evalCtx{})
+	return (&binder{}).expr(sel.Items[0].Expr)(&env{})
 }
 
 func mustEval(t *testing.T, expr string) Value {

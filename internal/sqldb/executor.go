@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -25,10 +24,9 @@ func (t *Txn) lockRow(tbl *Table, key string, mode LockMode) error {
 }
 
 // execute dispatches a parsed statement. The transaction's state has already
-// been validated by the caller. plan, when non-nil, carries the cached
-// access-path plan for the statement; executors re-validate it against the
-// resolved table and re-plan ad hoc if it is stale. reuse, when non-nil, is a
-// caller-owned Result the compiled path may fill in place.
+// been validated by the caller. plan, when non-nil, is the statement's cached
+// bound form; reuse, when non-nil, is a caller-owned Result a SELECT may fill
+// in place.
 func (e *Engine) execute(t *Txn, stmt Statement, plan *stmtPlan, params []Value, reuse *Result) (*Result, error) {
 	if !e.recovering.Load() {
 		e.statStmtExecs.Add(1)
@@ -39,10 +37,6 @@ func (e *Engine) execute(t *Txn, stmt Statement, plan *stmtPlan, params []Value,
 		default:
 			return nil, fmt.Errorf("%w: %T", ErrReadOnlyTxn, stmt)
 		}
-	}
-	var access *accessPath
-	if plan != nil {
-		access = plan.access
 	}
 	switch s := stmt.(type) {
 	case *CreateTableStmt:
@@ -58,38 +52,45 @@ func (e *Engine) execute(t *Txn, stmt Statement, plan *stmtPlan, params []Value,
 	case *DropTableStmt:
 		return e.execDropTable(t, s)
 	case *InsertStmt:
-		res, err := e.execInsert(t, s, params)
+		res, err := e.runBound(t, stmt, plan, params, nil)
 		return e.logWrite(t, s.Table, stmt, params, res, err)
 	case *UpdateStmt:
-		res, err := e.execUpdate(t, s, access, params)
+		res, err := e.runBound(t, stmt, plan, params, nil)
 		return e.logWrite(t, s.Table, stmt, params, res, err)
 	case *DeleteStmt:
-		res, err := e.execDelete(t, s, access, params)
+		res, err := e.runBound(t, stmt, plan, params, nil)
 		return e.logWrite(t, s.Table, stmt, params, res, err)
 	case *SelectStmt:
-		var sel *selPlan
-		if plan != nil {
-			sel = plan.sel
-		}
-		if plan != nil && plan.compiled != nil {
-			res, handled, err := e.execCompiled(t, plan.compiled, params, reuse)
-			if handled {
-				if err == nil {
-					e.statCompiledExecs.Add(1)
-				}
-				if t.trace.Sampled {
-					t.execMode = "compiled"
-				}
-				return res, err
-			}
-		}
-		return e.execSelect(t, s, access, sel, params)
+		return e.runBound(t, stmt, plan, params, reuse)
 	case *ExplainStmt:
 		return e.execExplain(t, s, params)
 	case *BeginStmt, *CommitStmt, *RollbackStmt:
 		return nil, fmt.Errorf("sqldb: transaction-control statements are handled by the session layer")
 	default:
 		return nil, fmt.Errorf("sqldb: unsupported statement %T", stmt)
+	}
+}
+
+// runBound executes a SELECT or DML statement through its bound plan. A
+// missing plan (the statement did not bind when it was cached) is bound now,
+// which reports why; a plan the catalog moved under since it was fetched is
+// re-bound against the current catalog and run again.
+func (e *Engine) runBound(t *Txn, stmt Statement, plan *stmtPlan, params []Value, reuse *Result) (*Result, error) {
+	if !e.recovering.Load() {
+		e.statCompiledExecs.Add(1)
+	}
+	for {
+		if plan == nil {
+			var err error
+			if plan, err = bindStatement(e, t.db, stmt); err != nil {
+				return nil, err
+			}
+		}
+		res, err := plan.exec(t, params, reuse)
+		if err != errStalePlan {
+			return res, err
+		}
+		plan = nil
 	}
 }
 
@@ -200,66 +201,100 @@ func (e *Engine) execDropTable(t *Txn, s *DropTableStmt) (*Result, error) {
 
 // --- INSERT ------------------------------------------------------------------
 
-func (e *Engine) execInsert(t *Txn, s *InsertStmt, params []Value) (*Result, error) {
-	tbl, err := e.Table(t.db, s.Table)
+// boundInsert is an INSERT bound against its table: the schema position of
+// every listed column and the value expressions of every row.
+type boundInsert struct {
+	table     string
+	schema    *Schema
+	positions []int
+	tableMode LockMode
+
+	// bound[r][i] evaluates values[r][i], except that a literal is taken
+	// straight from its node: bulk loads are 50-row all-literal statements
+	// that the plan caches retain, and a closure per literal would grow each
+	// of their plans by some 10 kB. bound (or bound[r]) stays nil while
+	// everything in the statement (or row) is a literal.
+	values [][]Expr
+	bound  [][]exprFn
+}
+
+func bindInsert(e *Engine, db string, s *InsertStmt) (func(*Txn, []Value, *Result) (*Result, error), error) {
+	tbl, err := e.Table(db, s.Table)
 	if err != nil {
 		return nil, err
 	}
 	schema := tbl.schema
+	bi := &boundInsert{table: s.Table, schema: schema, tableMode: LockIX}
 
 	// Map the statement's column list to schema positions.
-	positions := make([]int, 0, len(s.Cols))
 	if len(s.Cols) == 0 {
 		for i := range schema.Cols {
-			positions = append(positions, i)
-		}
-	} else {
-		for _, c := range s.Cols {
-			idx := schema.ColIndex(c)
-			if idx < 0 {
-				return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, s.Table, c)
-			}
-			positions = append(positions, idx)
+			bi.positions = append(bi.positions, i)
 		}
 	}
-
-	hasUniqueSecondary := false
+	for _, c := range s.Cols {
+		idx := schema.ColIndex(c)
+		if idx < 0 {
+			return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, s.Table, c)
+		}
+		bi.positions = append(bi.positions, idx)
+	}
+	// Without a primary key there is no row-lock identity; with a unique
+	// secondary index the uniqueness probe needs a stable view.
+	if schema.PKIdx < 0 {
+		bi.tableMode = LockX
+	}
 	for _, c := range schema.Cols {
 		if c.Unique && !c.PrimaryKey {
-			hasUniqueSecondary = true
+			bi.tableMode = LockX
 		}
 	}
-
-	// Lock order: table intention lock first, then row locks.
-	tableMode := LockIX
-	if schema.PKIdx < 0 || hasUniqueSecondary {
-		// Without a primary key there is no row-lock identity; with a
-		// unique secondary index the uniqueness probe needs a stable view.
-		tableMode = LockX
+	var b binder // VALUES see no columns
+	bi.values = s.Rows
+	for r, exprRow := range s.Rows {
+		for i, ex := range exprRow {
+			if _, literal := ex.(*LiteralExpr); literal {
+				continue
+			}
+			if bi.bound == nil {
+				bi.bound = make([][]exprFn, len(s.Rows))
+			}
+			if bi.bound[r] == nil {
+				bi.bound[r] = make([]exprFn, len(exprRow))
+			}
+			bi.bound[r][i] = b.expr(ex)
+		}
 	}
-	if err := t.lockTable(tbl, tableMode); err != nil {
+	return bi.exec, nil
+}
+
+func (bi *boundInsert) exec(t *Txn, params []Value, _ *Result) (*Result, error) {
+	e, schema := t.engine, bi.schema
+	tbl, err := t.boundTable(bi.table, schema)
+	if err != nil {
+		return nil, err
+	}
+	// Lock order: table intention lock first, then row locks.
+	if err := t.lockTable(tbl, bi.tableMode); err != nil {
 		return nil, err
 	}
 	// Raise the dirty-writer mark before the first physical change so
 	// optimistic readers never trust row images this transaction is adding.
 	t.touchWrite(tbl)
 
-	ctx := &evalCtx{params: params}
+	en := t.newEnv(params)
 	affected := 0
-	for _, exprRow := range s.Rows {
-		if len(exprRow) != len(positions) {
-			return nil, fmt.Errorf("%w: INSERT has %d values for %d columns", ErrTypeMismatch, len(exprRow), len(positions))
+	for r, exprRow := range bi.values {
+		if len(exprRow) != len(bi.positions) {
+			return nil, fmt.Errorf("%w: INSERT has %d values for %d columns", ErrTypeMismatch, len(exprRow), len(bi.positions))
 		}
-		full := make(Row, len(schema.Cols))
-		for i := range full {
-			full[i] = Null
-		}
+		full := nullRow(len(schema.Cols))
 		for i, ex := range exprRow {
-			v, err := evalExpr(ex, ctx)
-			if err != nil {
+			if lit, ok := ex.(*LiteralExpr); ok {
+				full[bi.positions[i]] = lit.Val
+			} else if full[bi.positions[i]], err = bi.bound[r][i](en); err != nil {
 				return nil, err
 			}
-			full[positions[i]] = v
 		}
 		if err := schema.CheckRow(full); err != nil {
 			return nil, err
@@ -270,7 +305,7 @@ func (e *Engine) execInsert(t *Txn, s *InsertStmt, params []Value) (*Result, err
 				return nil, err
 			}
 			if _, dup := tbl.lookupPK(full[schema.PKIdx]); dup {
-				return nil, fmt.Errorf("%w: %s=%s in %s", ErrDuplicateKey, schema.Cols[schema.PKIdx].Name, full[schema.PKIdx], s.Table)
+				return nil, fmt.Errorf("%w: %s=%s in %s", ErrDuplicateKey, schema.Cols[schema.PKIdx].Name, full[schema.PKIdx], bi.table)
 			}
 			e.record(t, true, tbl.qname+":"+key)
 		} else {
@@ -279,7 +314,7 @@ func (e *Engine) execInsert(t *Txn, s *InsertStmt, params []Value) (*Result, err
 		for i, c := range schema.Cols {
 			if c.Unique && !c.PrimaryKey {
 				if dup := tbl.uniqueViolation(i, full[i]); dup {
-					return nil, fmt.Errorf("%w: %s=%s in %s", ErrDuplicateKey, c.Name, full[i], s.Table)
+					return nil, fmt.Errorf("%w: %s=%s in %s", ErrDuplicateKey, c.Name, full[i], bi.table)
 				}
 			}
 		}
@@ -293,47 +328,77 @@ func (e *Engine) execInsert(t *Txn, s *InsertStmt, params []Value) (*Result, err
 
 // --- UPDATE / DELETE --------------------------------------------------------
 
-func (e *Engine) execUpdate(t *Txn, s *UpdateStmt, access *accessPath, params []Value) (*Result, error) {
-	tbl, err := e.Table(t.db, s.Table)
+// boundWrite is an UPDATE or DELETE bound against its table: the read that
+// locks and returns the target rows and, for UPDATE, the assignments.
+type boundWrite struct {
+	read   *tableRead
+	delete bool
+	setIdx []int
+	set    []exprFn
+}
+
+func bindUpdate(e *Engine, db string, s *UpdateStmt) (func(*Txn, []Value, *Result) (*Result, error), error) {
+	tbl, err := e.Table(db, s.Table)
 	if err != nil {
 		return nil, err
 	}
-	schema := tbl.schema
-
-	setIdx := make([]int, len(s.Set))
-	for i, a := range s.Set {
-		idx := schema.ColIndex(a.Col)
+	bw := &boundWrite{}
+	b := &binder{cols: bindingsFor(tbl.schema, s.Table)}
+	for _, a := range s.Set {
+		idx := tbl.schema.ColIndex(a.Col)
 		if idx < 0 {
 			return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, s.Table, a.Col)
 		}
-		setIdx[i] = idx
+		bw.setIdx = append(bw.setIdx, idx)
+		bw.set = append(bw.set, b.expr(a.Expr))
 	}
+	bw.read = bindRead(tbl, s.Table, s.Table, s.Where)
+	bw.read.write = true
+	return bw.exec, nil
+}
 
-	bindings := bindingsFor(schema, s.Table)
-	targets, err := e.writeTargets(t, tbl, s.Where, params, bindings, access)
+func bindDelete(e *Engine, db string, s *DeleteStmt) (func(*Txn, []Value, *Result) (*Result, error), error) {
+	tbl, err := e.Table(db, s.Table)
 	if err != nil {
 		return nil, err
 	}
-	if len(targets) > 0 {
+	bw := &boundWrite{delete: true, read: bindRead(tbl, s.Table, s.Table, s.Where)}
+	bw.read.write = true
+	return bw.exec, nil
+}
+
+func (bw *boundWrite) exec(t *Txn, params []Value, _ *Result) (*Result, error) {
+	tbl, err := t.boundTable(bw.read.name, bw.read.schema)
+	if err != nil {
+		return nil, err
+	}
+	en := t.newEnv(params)
+	rows, ids, err := bw.read.rows(t, tbl, en)
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) > 0 {
 		t.touchWrite(tbl)
 	}
-
-	affected := 0
-	for _, target := range targets {
-		ctx := &evalCtx{bindings: bindings, row: target.row, params: params}
-		newRow := target.row.Clone()
-		for i, a := range s.Set {
-			v, err := evalExpr(a.Expr, ctx)
-			if err != nil {
+	schema := tbl.schema
+	for i, old := range rows {
+		if bw.delete {
+			tbl.deleteRowPhysical(ids[i])
+			t.logUndo(undoRec{table: tbl, kind: undoDelete, rowID: ids[i], before: old})
+			continue
+		}
+		en.row = old
+		newRow := old.Clone()
+		for k, f := range bw.set {
+			if newRow[bw.setIdx[k]], err = f(en); err != nil {
 				return nil, err
 			}
-			newRow[setIdx[i]] = v
 		}
 		if err := schema.CheckRow(newRow); err != nil {
 			return nil, err
 		}
 		if schema.PKIdx >= 0 {
-			oldKey := keyString(target.row[schema.PKIdx])
+			oldKey := keyString(old[schema.PKIdx])
 			newKey := keyString(newRow[schema.PKIdx])
 			if oldKey != newKey {
 				if err := t.lockRow(tbl, newKey, LockX); err != nil {
@@ -342,961 +407,16 @@ func (e *Engine) execUpdate(t *Txn, s *UpdateStmt, access *accessPath, params []
 				if _, dup := tbl.lookupPK(newRow[schema.PKIdx]); dup {
 					return nil, fmt.Errorf("%w: %s", ErrDuplicateKey, newRow[schema.PKIdx])
 				}
-				e.record(t, true, tbl.qname+":"+newKey)
+				t.engine.record(t, true, tbl.qname+":"+newKey)
 			}
 		}
-		tbl.updateRowPhysical(target.rowID, newRow)
-		t.logUndo(undoRec{table: tbl, kind: undoUpdate, rowID: target.rowID, before: target.row})
-		affected++
+		tbl.updateRowPhysical(ids[i], newRow)
+		t.logUndo(undoRec{table: tbl, kind: undoUpdate, rowID: ids[i], before: old})
 	}
-	return &Result{Affected: affected}, nil
+	return &Result{Affected: len(rows)}, nil
 }
 
-func (e *Engine) execDelete(t *Txn, s *DeleteStmt, access *accessPath, params []Value) (*Result, error) {
-	tbl, err := e.Table(t.db, s.Table)
-	if err != nil {
-		return nil, err
-	}
-	bindings := bindingsFor(tbl.schema, s.Table)
-	targets, err := e.writeTargets(t, tbl, s.Where, params, bindings, access)
-	if err != nil {
-		return nil, err
-	}
-	if len(targets) > 0 {
-		t.touchWrite(tbl)
-	}
-	for _, target := range targets {
-		tbl.deleteRowPhysical(target.rowID)
-		t.logUndo(undoRec{table: tbl, kind: undoDelete, rowID: target.rowID, before: target.row})
-	}
-	return &Result{Affected: len(targets)}, nil
-}
-
-// writeTarget is one row selected for modification, captured after its X
-// lock was acquired.
-type writeTarget struct {
-	rowID uint64
-	row   Row
-}
-
-// writeTargets locks and returns the rows matched by where, following the
-// access path. Point accesses (primary-key equality) lock just the one key;
-// index equality and index range find candidates through the index; anything
-// else scans. Non-point candidates are X-locked, re-fetched and re-checked
-// against the full predicate after the lock.
-func (e *Engine) writeTargets(t *Txn, tbl *Table, where Expr, params []Value, bindings []colBinding, path *accessPath) ([]writeTarget, error) {
-	schema := tbl.schema
-	if schema.PKIdx < 0 {
-		// No row identity: whole-table X lock, then scan.
-		if err := t.lockTable(tbl, LockX); err != nil {
-			return nil, err
-		}
-		e.record(t, true, tbl.qname)
-		return e.collectByScan(t, tbl, where, params, bindings, false)
-	}
-	if path == nil || !path.validFor(tbl) {
-		path = planWhere(tbl, where)
-	}
-	if err := t.lockTable(tbl, LockIX); err != nil {
-		return nil, err
-	}
-	switch path.kind {
-	case pathPoint:
-		pkVal, err := evalConst(path.eq, params)
-		if err != nil {
-			return nil, err
-		}
-		key := keyString(pkVal)
-		if err := t.lockRow(tbl, key, LockX); err != nil {
-			return nil, err
-		}
-		e.record(t, true, tbl.qname+":"+key)
-		rowID, found := tbl.lookupPK(pkVal)
-		if !found {
-			return nil, nil
-		}
-		row, found := tbl.getRow(rowID)
-		if !found {
-			return nil, nil
-		}
-		if path.residual != nil {
-			match, err := predTrue(path.residual, &evalCtx{bindings: bindings, row: row, params: params})
-			if err != nil {
-				return nil, err
-			}
-			if !match {
-				return nil, nil
-			}
-		}
-		return []writeTarget{{rowID: rowID, row: row}}, nil
-	case pathIndexEq:
-		if tbl.hasIndex(path.col) {
-			val, err := evalConst(path.eq, params)
-			if err != nil {
-				return nil, err
-			}
-			ids, _ := tbl.lookupIndex(path.col, val)
-			return e.lockWriteCandidates(t, tbl, ids, where, params, bindings)
-		}
-	case pathIndexRange:
-		b, fallback, err := path.rangeExec(tbl, params)
-		if err != nil {
-			return nil, err
-		}
-		if !fallback && (path.onPK || tbl.hasIndex(path.col)) {
-			var ids []uint64
-			if path.onPK {
-				ids = tbl.lookupPKRange(b)
-			} else {
-				ids, _ = tbl.lookupIndexRange(path.col, b)
-			}
-			return e.lockWriteCandidates(t, tbl, ids, where, params, bindings)
-		}
-	}
-	return e.collectByScan(t, tbl, where, params, bindings, true)
-}
-
-// lockWriteCandidates X-locks each candidate row and keeps those that still
-// match the full predicate after the lock (index candidates are pre-lock
-// guesses; the row may have changed or vanished in between).
-func (e *Engine) lockWriteCandidates(t *Txn, tbl *Table, ids []uint64, where Expr, params []Value, bindings []colBinding) ([]writeTarget, error) {
-	pkIdx := tbl.schema.PKIdx
-	ctx := &evalCtx{bindings: bindings, params: params}
-	var out []writeTarget
-	for _, id := range ids {
-		row, found := tbl.getRow(id)
-		if !found {
-			continue
-		}
-		key := keyString(row[pkIdx])
-		if err := t.lockRow(tbl, key, LockX); err != nil {
-			return nil, err
-		}
-		e.record(t, true, tbl.qname+":"+key)
-		row, found = tbl.getRow(id)
-		if !found {
-			continue
-		}
-		if where != nil {
-			ctx.row = row
-			match, err := predTrue(where, ctx)
-			if err != nil {
-				return nil, err
-			}
-			if !match {
-				continue
-			}
-		}
-		out = append(out, writeTarget{rowID: id, row: row})
-	}
-	return out, nil
-}
-
-// collectByScan finds matching rows via a filtered scan, then (if lockRows)
-// locks each one exclusively and re-validates the predicate after the lock.
-func (e *Engine) collectByScan(t *Txn, tbl *Table, where Expr, params []Value, bindings []colBinding, lockRows bool) ([]writeTarget, error) {
-	type candidate struct {
-		rowID uint64
-		key   string
-	}
-	var cands []candidate
-	var match func(Row) (bool, error)
-	if where != nil {
-		ctx := &evalCtx{bindings: bindings, params: params}
-		match = func(r Row) (bool, error) {
-			ctx.row = r
-			return predTrue(where, ctx)
-		}
-	}
-	pkIdx := tbl.schema.PKIdx
-	if err := tbl.scanWhere(match, func(rowID uint64, r Row) bool {
-		key := ""
-		if pkIdx >= 0 {
-			key = keyString(r[pkIdx])
-		}
-		cands = append(cands, candidate{rowID: rowID, key: key})
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	recheck := &evalCtx{bindings: bindings, params: params}
-	var out []writeTarget
-	for _, c := range cands {
-		if lockRows {
-			if err := t.lockRow(tbl, c.key, LockX); err != nil {
-				return nil, err
-			}
-			e.record(t, true, tbl.qname+":"+c.key)
-		}
-		row, found := tbl.getRow(c.rowID)
-		if !found {
-			continue
-		}
-		if where != nil {
-			recheck.row = row
-			matched, err := predTrue(where, recheck)
-			if err != nil {
-				return nil, err
-			}
-			if !matched {
-				continue
-			}
-		}
-		out = append(out, writeTarget{rowID: c.rowID, row: row})
-	}
-	return out, nil
-}
-
-// --- SELECT -----------------------------------------------------------------
-
-func (e *Engine) execSelect(t *Txn, s *SelectStmt, access *accessPath, sel *selPlan, params []Value) (*Result, error) {
-	if s.From == nil {
-		// SELECT without FROM: evaluate items once against an empty row.
-		ctx := &evalCtx{params: params}
-		res := &Result{}
-		var row Row
-		for _, item := range s.Items {
-			if item.Star {
-				return nil, fmt.Errorf("sqldb: SELECT * requires a FROM clause")
-			}
-			v, err := evalExpr(item.Expr, ctx)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-			res.Cols = append(res.Cols, itemName(item))
-		}
-		res.Rows = []Row{row}
-		return res, nil
-	}
-
-	rows, bindings, err := e.selectSource(t, s, access, params)
-	if err != nil {
-		return nil, err
-	}
-	// A cached selPlan was validated and star-expanded at plan time against
-	// the same generation; skip both per-execution passes.
-	if sel == nil {
-		if err := validateSelect(s, bindings); err != nil {
-			return nil, err
-		}
-	}
-	return project(s, rows, bindings, params, sel)
-}
-
-// validateSelect resolves every column reference in the statement against
-// the source bindings, so references to unknown or ambiguous columns fail
-// even when the source produced no rows.
-func validateSelect(s *SelectStmt, bindings []colBinding) error {
-	aliases := make(map[string]bool)
-	for _, item := range s.Items {
-		if item.Alias != "" {
-			aliases[lower(item.Alias)] = true
-		}
-	}
-	var check func(e Expr) error
-	check = func(e Expr) error {
-		switch ex := e.(type) {
-		case nil:
-			return nil
-		case *ColumnExpr:
-			switch resolveBinding(bindings, ex) {
-			case -1:
-				return fmt.Errorf("%w: %s", ErrNoColumn, ex.Col)
-			case -2:
-				return errAmbiguous(ex.Col)
-			}
-			return nil
-		case *BinaryExpr:
-			if err := check(ex.L); err != nil {
-				return err
-			}
-			return check(ex.R)
-		case *UnaryExpr:
-			return check(ex.E)
-		case *InExpr:
-			if err := check(ex.E); err != nil {
-				return err
-			}
-			for _, l := range ex.List {
-				if err := check(l); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *BetweenExpr:
-			if err := check(ex.E); err != nil {
-				return err
-			}
-			if err := check(ex.Lo); err != nil {
-				return err
-			}
-			return check(ex.Hi)
-		case *LikeExpr:
-			if err := check(ex.E); err != nil {
-				return err
-			}
-			return check(ex.Pattern)
-		case *IsNullExpr:
-			return check(ex.E)
-		case *AggExpr:
-			if ex.E != nil {
-				return check(ex.E)
-			}
-			return nil
-		default:
-			return nil
-		}
-	}
-	for _, item := range s.Items {
-		if item.Star {
-			continue
-		}
-		if err := check(item.Expr); err != nil {
-			return err
-		}
-	}
-	if err := check(s.Where); err != nil {
-		return err
-	}
-	for _, g := range s.GroupBy {
-		if err := check(g); err != nil {
-			return err
-		}
-	}
-	if err := check(s.Having); err != nil {
-		return err
-	}
-	for _, o := range s.OrderBy {
-		// An unqualified ORDER BY name may refer to a projected alias.
-		if ce, ok := o.Expr.(*ColumnExpr); ok && ce.Table == "" && aliases[lower(ce.Col)] {
-			continue
-		}
-		if err := check(o.Expr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// selectSource produces the filtered, joined source rows and their column
-// bindings, acquiring read locks along the way.
-func (e *Engine) selectSource(t *Txn, s *SelectStmt, access *accessPath, params []Value) ([]Row, []colBinding, error) {
-	baseTbl, err := e.Table(t.db, s.From.Table)
-	if err != nil {
-		return nil, nil, err
-	}
-	baseBind := bindingsFor(baseTbl.schema, s.From.Name())
-
-	if len(s.Joins) == 0 {
-		rows, err := e.readTableRows(t, baseTbl, s.Where, params, baseBind, access)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rows, baseBind, nil
-	}
-
-	// Joined query: read each table under a shared table lock and combine.
-	// WHERE conjuncts that reference only one table are pushed down to that
-	// table's scan, so the join works on pre-filtered inputs. Pushing into
-	// the right side of a LEFT JOIN would change which left rows null-extend,
-	// so only inner-join sides (and the base table) receive pushed filters.
-	var conjuncts []Expr
-	if s.Where != nil {
-		conjuncts = splitAnd(s.Where)
-	}
-	consumed := make([]bool, len(conjuncts))
-
-	// Each pushed filter goes through the access-path planner, so an
-	// equality on an indexed column reads only the matching rows instead of
-	// scanning the table (the order_line side of TPC-W's order-status join).
-	basePush := pushdownFilter(conjuncts, consumed, baseBind)
-	current, err := e.readTableRows(t, baseTbl, basePush, params, baseBind, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	bindings := baseBind
-
-	for _, j := range s.Joins {
-		jt, err := e.Table(t.db, j.Table.Table)
-		if err != nil {
-			return nil, nil, err
-		}
-		rightBind := bindingsFor(jt.schema, j.Table.Name())
-		var rightFilter Expr
-		if !j.Left {
-			rightFilter = pushdownFilter(conjuncts, consumed, rightBind)
-		}
-		right, err := e.readTableRows(t, jt, rightFilter, params, rightBind, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		current, err = joinRows(current, bindings, right, rightBind, j, params)
-		if err != nil {
-			return nil, nil, err
-		}
-		bindings = append(append([]colBinding{}, bindings...), rightBind...)
-	}
-
-	var rest []Expr
-	for i, c := range conjuncts {
-		if !consumed[i] {
-			rest = append(rest, c)
-		}
-	}
-	if residual := joinAnd(rest); residual != nil {
-		ctx := &evalCtx{bindings: bindings, params: params}
-		filtered := current[:0]
-		for _, r := range current {
-			ctx.row = r
-			match, err := predTrue(residual, ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			if match {
-				filtered = append(filtered, r)
-			}
-		}
-		current = filtered
-	}
-	return current, bindings, nil
-}
-
-// pushdownFilter selects the not-yet-consumed conjuncts that resolve
-// entirely within one table's bindings, marks them consumed, and joins them
-// into a filter for that table's scan.
-func pushdownFilter(conjuncts []Expr, consumed []bool, bind []colBinding) Expr {
-	var picked []Expr
-	for i, c := range conjuncts {
-		if consumed[i] || !exprResolvesIn(c, bind) {
-			continue
-		}
-		consumed[i] = true
-		picked = append(picked, c)
-	}
-	return joinAnd(picked)
-}
-
-// exprResolvesIn reports whether every column reference in e resolves
-// unambiguously within bind and e contains no aggregates.
-func exprResolvesIn(e Expr, bind []colBinding) bool {
-	switch ex := e.(type) {
-	case nil:
-		return true
-	case *LiteralExpr:
-		return true
-	case *ParamExpr:
-		return true
-	case *ColumnExpr:
-		return resolveBinding(bind, ex) >= 0
-	case *BinaryExpr:
-		return exprResolvesIn(ex.L, bind) && exprResolvesIn(ex.R, bind)
-	case *UnaryExpr:
-		return exprResolvesIn(ex.E, bind)
-	case *InExpr:
-		if !exprResolvesIn(ex.E, bind) {
-			return false
-		}
-		for _, l := range ex.List {
-			if !exprResolvesIn(l, bind) {
-				return false
-			}
-		}
-		return true
-	case *BetweenExpr:
-		return exprResolvesIn(ex.E, bind) && exprResolvesIn(ex.Lo, bind) && exprResolvesIn(ex.Hi, bind)
-	case *LikeExpr:
-		return exprResolvesIn(ex.E, bind) && exprResolvesIn(ex.Pattern, bind)
-	case *IsNullExpr:
-		return exprResolvesIn(ex.E, bind)
-	default:
-		return false
-	}
-}
-
-// readTableRows reads the rows of one table matching where, following the
-// access path: point (IS + one row S lock), index equality (IS + row S locks
-// on matches), index range (IS + row S locks in key order), or full scan
-// (table S lock). Paths that cannot execute — missing index, stale plan,
-// NULL or non-comparable bound — fall back to the scan.
-func (e *Engine) readTableRows(t *Txn, tbl *Table, where Expr, params []Value, bindings []colBinding, path *accessPath) ([]Row, error) {
-	if path == nil || !path.validFor(tbl) {
-		path = planWhere(tbl, where)
-	}
-	switch path.kind {
-	case pathPoint:
-		return e.readPoint(t, tbl, params, bindings, path)
-	case pathIndexEq:
-		if tbl.hasIndex(path.col) {
-			return e.readIndexEq(t, tbl, params, bindings, path)
-		}
-	case pathIndexRange:
-		b, fallback, err := path.rangeExec(tbl, params)
-		if err != nil {
-			return nil, err
-		}
-		if !fallback && (path.onPK || tbl.hasIndex(path.col)) {
-			return e.readIndexRange(t, tbl, b, params, bindings, path)
-		}
-	}
-	return e.readScan(t, tbl, where, params, bindings)
-}
-
-// rowCheck re-validates a candidate row after its lock was acquired,
-// reporting whether the row should be kept.
-type rowCheck func(Row) (bool, error)
-
-// fetchCheckedRow fetches a row by ID (after its lock is held) and applies
-// check. keep=false when the row vanished or no longer matches.
-func fetchCheckedRow(tbl *Table, id uint64, check rowCheck) (row Row, keep bool, err error) {
-	row, found := tbl.getRow(id)
-	if !found {
-		return nil, false, nil
-	}
-	if check != nil {
-		ok, err := check(row)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-	}
-	return row, true, nil
-}
-
-// collectLockedRows is the shared row-collection loop of the index-equality,
-// index-range and compiled read paths: S-lock each candidate by its primary
-// key, re-fetch under the lock (the row may have changed or vanished while
-// unlocked), and keep the rows that still pass check.
-func (e *Engine) collectLockedRows(t *Txn, tbl *Table, ids []uint64, check rowCheck) ([]Row, error) {
-	pkIdx := tbl.schema.PKIdx
-	var out []Row
-	for _, id := range ids {
-		row, found := tbl.getRow(id)
-		if !found {
-			continue
-		}
-		key := keyString(row[pkIdx])
-		if err := t.lockRow(tbl, key, LockS); err != nil {
-			return nil, err
-		}
-		e.record(t, false, tbl.qname+":"+key)
-		row, keep, err := fetchCheckedRow(tbl, id, check)
-		if err != nil {
-			return nil, err
-		}
-		if !keep {
-			continue
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// residualCheck builds a rowCheck for an access path's residual predicate,
-// or nil when there is none.
-func residualCheck(path *accessPath, bindings []colBinding, params []Value) rowCheck {
-	if path.residual == nil {
-		return nil
-	}
-	ctx := &evalCtx{bindings: bindings, params: params}
-	return func(row Row) (bool, error) {
-		ctx.row = row
-		return predTrue(path.residual, ctx)
-	}
-}
-
-// readPoint serves a primary-key equality read: IS table lock plus one row
-// S lock. The key itself is locked (not the row ID), so the lock also guards
-// the key's absence against concurrent inserts.
-func (e *Engine) readPoint(t *Txn, tbl *Table, params []Value, bindings []colBinding, path *accessPath) ([]Row, error) {
-	pkVal, err := evalConst(path.eq, params)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.lockTable(tbl, LockIS); err != nil {
-		return nil, err
-	}
-	key := keyString(pkVal)
-	if err := t.lockRow(tbl, key, LockS); err != nil {
-		return nil, err
-	}
-	e.record(t, false, tbl.qname+":"+key)
-	rowID, found := tbl.lookupPK(pkVal)
-	if !found {
-		return nil, nil
-	}
-	row, keep, err := fetchCheckedRow(tbl, rowID, residualCheck(path, bindings, params))
-	if err != nil || !keep {
-		return nil, err
-	}
-	return []Row{row}, nil
-}
-
-// readIndexEq serves a secondary-index equality read: IS table lock plus a
-// row S lock per candidate, re-fetching and re-checking after each lock.
-func (e *Engine) readIndexEq(t *Txn, tbl *Table, params []Value, bindings []colBinding, path *accessPath) ([]Row, error) {
-	val, err := evalConst(path.eq, params)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.lockTable(tbl, LockIS); err != nil {
-		return nil, err
-	}
-	ids, _ := tbl.lookupIndex(path.col, val)
-	residual := residualCheck(path, bindings, params)
-	return e.collectLockedRows(t, tbl, ids, func(row Row) (bool, error) {
-		if !Equal(row[path.colIdx], val) {
-			return false, nil
-		}
-		if residual != nil {
-			return residual(row)
-		}
-		return true, nil
-	})
-}
-
-// readIndexRange serves a range read over the primary key or a secondary
-// index: IS table lock plus a row S lock per candidate in ascending key
-// order, re-checking the bounds and residual after each lock.
-func (e *Engine) readIndexRange(t *Txn, tbl *Table, b rangeBounds, params []Value, bindings []colBinding, path *accessPath) ([]Row, error) {
-	if err := t.lockTable(tbl, LockIS); err != nil {
-		return nil, err
-	}
-	var ids []uint64
-	if path.onPK {
-		ids = tbl.lookupPKRange(b)
-	} else {
-		ids, _ = tbl.lookupIndexRange(path.col, b)
-	}
-	residual := residualCheck(path, bindings, params)
-	return e.collectLockedRows(t, tbl, ids, func(row Row) (bool, error) {
-		if !b.match(row[path.colIdx]) {
-			return false, nil
-		}
-		if residual != nil {
-			return residual(row)
-		}
-		return true, nil
-	})
-}
-
-// readScan reads every row matching where under a shared table lock, with
-// the predicate evaluated under the page latch so non-matching rows are
-// never cloned.
-func (e *Engine) readScan(t *Txn, tbl *Table, where Expr, params []Value, bindings []colBinding) ([]Row, error) {
-	if err := t.lockTable(tbl, LockS); err != nil {
-		return nil, err
-	}
-	e.record(t, false, tbl.qname)
-	var match func(Row) (bool, error)
-	if where != nil {
-		ctx := &evalCtx{bindings: bindings, params: params}
-		match = func(r Row) (bool, error) {
-			ctx.row = r
-			return predTrue(where, ctx)
-		}
-	}
-	var out []Row
-	err := tbl.scanWhere(match, func(_ uint64, r Row) bool {
-		out = append(out, r)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// joinRows combines left rows with right rows under the join clause. When
-// the ON predicate is a simple column equality it builds a hash table on the
-// right side; otherwise it falls back to a nested loop.
-func joinRows(left []Row, leftBind []colBinding, right []Row, rightBind []colBinding, j JoinClause, params []Value) ([]Row, error) {
-	combined := append(append([]colBinding{}, leftBind...), rightBind...)
-
-	// Try hash join: ON l.col = r.col with one side in each input.
-	if eq, ok := j.On.(*BinaryExpr); ok && eq.Op == OpEq {
-		lc, lok := eq.L.(*ColumnExpr)
-		rc, rok := eq.R.(*ColumnExpr)
-		if lok && rok {
-			li := resolveBinding(leftBind, lc)
-			ri := resolveBinding(rightBind, rc)
-			if li < 0 || ri < 0 {
-				// Maybe written in the other order.
-				li = resolveBinding(leftBind, rc)
-				ri = resolveBinding(rightBind, lc)
-			}
-			if li >= 0 && ri >= 0 {
-				ht := make(map[string][]Row, len(right))
-				for _, rr := range right {
-					if rr[ri].IsNull() {
-						continue
-					}
-					k := keyString(rr[ri])
-					ht[k] = append(ht[k], rr)
-				}
-				var out []Row
-				for _, lr := range left {
-					matched := false
-					if !lr[li].IsNull() {
-						for _, rr := range ht[keyString(lr[li])] {
-							out = append(out, concatRows(lr, rr))
-							matched = true
-						}
-					}
-					if !matched && j.Left {
-						out = append(out, concatRows(lr, nullRow(len(rightBind))))
-					}
-				}
-				return out, nil
-			}
-		}
-	}
-
-	// Nested loop with full predicate evaluation.
-	var out []Row
-	for _, lr := range left {
-		matched := false
-		for _, rr := range right {
-			joined := concatRows(lr, rr)
-			match, err := predTrue(j.On, &evalCtx{bindings: combined, row: joined, params: params})
-			if err != nil {
-				return nil, err
-			}
-			if match {
-				out = append(out, joined)
-				matched = true
-			}
-		}
-		if !matched && j.Left {
-			out = append(out, concatRows(lr, nullRow(len(rightBind))))
-		}
-	}
-	return out, nil
-}
-
-func concatRows(a, b Row) Row {
-	out := make(Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	return out
-}
-
-func nullRow(n int) Row {
-	r := make(Row, n)
-	for i := range r {
-		r[i] = Null
-	}
-	return r
-}
-
-// project applies grouping, aggregation, projection, DISTINCT, ORDER BY and
-// LIMIT to the source rows.
-func project(s *SelectStmt, rows []Row, bindings []colBinding, params []Value, pre *selPlan) (*Result, error) {
-	var items []SelectItem
-	var cols []string
-	if pre != nil {
-		items, cols = pre.items, pre.cols
-	} else {
-		var err error
-		items, cols, err = expandStars(s.Items, bindings)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	grouped := len(s.GroupBy) > 0 || anyAggregate(items) || s.Having != nil
-
-	type outRow struct {
-		row  Row
-		keys Row // ORDER BY sort keys
-	}
-	var outs []outRow
-
-	if grouped {
-		groups := make(map[string][]Row)
-		var order []string
-		if len(s.GroupBy) == 0 {
-			groups[""] = rows
-			order = []string{""}
-		} else {
-			for _, r := range rows {
-				ctx := &evalCtx{bindings: bindings, row: r, params: params}
-				var kb strings.Builder
-				for _, g := range s.GroupBy {
-					v, err := evalExpr(g, ctx)
-					if err != nil {
-						return nil, err
-					}
-					kb.WriteString(keyString(v))
-					kb.WriteByte('\x00')
-				}
-				k := kb.String()
-				if _, seen := groups[k]; !seen {
-					order = append(order, k)
-				}
-				groups[k] = append(groups[k], r)
-			}
-		}
-		for _, k := range order {
-			g := groups[k]
-			if len(g) == 0 && len(s.GroupBy) > 0 {
-				continue
-			}
-			var rep Row
-			if len(g) > 0 {
-				rep = g[0]
-			} else {
-				rep = nullRow(len(bindings))
-			}
-			ctx := &evalCtx{bindings: bindings, row: rep, params: params, groupRows: g, grouped: true}
-			if s.Having != nil {
-				match, err := predTrue(s.Having, ctx)
-				if err != nil {
-					return nil, err
-				}
-				if !match {
-					continue
-				}
-			}
-			var pr Row
-			for _, item := range items {
-				v, err := evalExpr(item.Expr, ctx)
-				if err != nil {
-					return nil, err
-				}
-				pr = append(pr, v)
-			}
-			keys, err := orderKeys(s.OrderBy, ctx, items, pr)
-			if err != nil {
-				return nil, err
-			}
-			outs = append(outs, outRow{row: pr, keys: keys})
-		}
-	} else {
-		for _, r := range rows {
-			ctx := &evalCtx{bindings: bindings, row: r, params: params}
-			var pr Row
-			for _, item := range items {
-				v, err := evalExpr(item.Expr, ctx)
-				if err != nil {
-					return nil, err
-				}
-				pr = append(pr, v)
-			}
-			keys, err := orderKeys(s.OrderBy, ctx, items, pr)
-			if err != nil {
-				return nil, err
-			}
-			outs = append(outs, outRow{row: pr, keys: keys})
-		}
-	}
-
-	if s.Distinct {
-		seen := make(map[string]bool, len(outs))
-		dedup := outs[:0]
-		for _, o := range outs {
-			var kb strings.Builder
-			for _, v := range o.row {
-				kb.WriteString(keyString(v))
-				kb.WriteByte('\x00')
-			}
-			if !seen[kb.String()] {
-				seen[kb.String()] = true
-				dedup = append(dedup, o)
-			}
-		}
-		outs = dedup
-	}
-
-	if len(s.OrderBy) > 0 {
-		sort.SliceStable(outs, func(i, j int) bool {
-			for k, item := range s.OrderBy {
-				c := Compare(outs[i].keys[k], outs[j].keys[k])
-				if c == 0 {
-					continue
-				}
-				if item.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-
-	if s.Offset > 0 {
-		if s.Offset >= len(outs) {
-			outs = nil
-		} else {
-			outs = outs[s.Offset:]
-		}
-	}
-	if s.Limit >= 0 && s.Limit < len(outs) {
-		outs = outs[:s.Limit]
-	}
-
-	res := &Result{Cols: cols, Rows: make([]Row, len(outs))}
-	for i, o := range outs {
-		res.Rows[i] = o.row
-	}
-	return res, nil
-}
-
-// orderKeys evaluates the ORDER BY expressions for one output row. An ORDER
-// BY expression that names a projected alias uses the projected value.
-func orderKeys(order []OrderItem, ctx *evalCtx, items []SelectItem, projected Row) (Row, error) {
-	if len(order) == 0 {
-		return nil, nil
-	}
-	keys := make(Row, len(order))
-	for i, o := range order {
-		if ce, ok := o.Expr.(*ColumnExpr); ok && ce.Table == "" {
-			found := false
-			for j, item := range items {
-				if strings.EqualFold(item.Alias, ce.Col) {
-					keys[i] = projected[j]
-					found = true
-					break
-				}
-			}
-			if found {
-				continue
-			}
-		}
-		v, err := evalExpr(o.Expr, ctx)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = v
-	}
-	return keys, nil
-}
-
-// expandStars replaces * and alias.* items with explicit column references
-// and computes the output column names.
-func expandStars(items []SelectItem, bindings []colBinding) ([]SelectItem, []string, error) {
-	var out []SelectItem
-	var cols []string
-	for _, item := range items {
-		if !item.Star {
-			out = append(out, item)
-			cols = append(cols, itemName(item))
-			continue
-		}
-		matched := false
-		for _, b := range bindings {
-			if item.StarTable != "" && !strings.EqualFold(item.StarTable, b.table) {
-				continue
-			}
-			out = append(out, SelectItem{Expr: &ColumnExpr{Table: b.table, Col: b.col}})
-			cols = append(cols, b.col)
-			matched = true
-		}
-		if !matched {
-			return nil, nil, fmt.Errorf("%w: no columns for %s.*", ErrNoColumn, item.StarTable)
-		}
-	}
-	return out, cols, nil
-}
+// --- shared binding helpers ---------------------------------------------------
 
 func itemName(item SelectItem) string {
 	if item.Alias != "" {
@@ -1310,44 +430,6 @@ func itemName(item SelectItem) string {
 	}
 	return "expr"
 }
-
-func anyAggregate(items []SelectItem) bool {
-	for _, item := range items {
-		if item.Expr != nil && exprHasAggregate(item.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-func exprHasAggregate(e Expr) bool {
-	switch ex := e.(type) {
-	case *AggExpr:
-		return true
-	case *BinaryExpr:
-		return exprHasAggregate(ex.L) || exprHasAggregate(ex.R)
-	case *UnaryExpr:
-		return exprHasAggregate(ex.E)
-	case *InExpr:
-		if exprHasAggregate(ex.E) {
-			return true
-		}
-		for _, l := range ex.List {
-			if exprHasAggregate(l) {
-				return true
-			}
-		}
-	case *BetweenExpr:
-		return exprHasAggregate(ex.E) || exprHasAggregate(ex.Lo) || exprHasAggregate(ex.Hi)
-	case *LikeExpr:
-		return exprHasAggregate(ex.E) || exprHasAggregate(ex.Pattern)
-	case *IsNullExpr:
-		return exprHasAggregate(ex.E)
-	}
-	return false
-}
-
-// --- predicate decomposition ------------------------------------------------
 
 func splitAnd(e Expr) []Expr {
 	if be, ok := e.(*BinaryExpr); ok && be.Op == OpAnd {
@@ -1376,6 +458,8 @@ func bindingsFor(schema *Schema, alias string) []colBinding {
 	return out
 }
 
+// resolveBinding returns the position of the column ce names, -1 when there
+// is none, -2 when it is ambiguous.
 func resolveBinding(bindings []colBinding, ce *ColumnExpr) int {
 	match := -1
 	for i, b := range bindings {

@@ -7,7 +7,7 @@ import (
 )
 
 // newTestDB returns an engine with one database "app" created.
-func newTestDB(t *testing.T) *Engine {
+func newTestDB(t testing.TB) *Engine {
 	t.Helper()
 	e := NewEngine(DefaultConfig())
 	if err := e.CreateDatabase("app"); err != nil {
@@ -16,7 +16,7 @@ func newTestDB(t *testing.T) *Engine {
 	return e
 }
 
-func mustExec(t *testing.T, e *Engine, sql string, params ...Value) *Result {
+func mustExec(t testing.TB, e *Engine, sql string, params ...Value) *Result {
 	t.Helper()
 	res, err := e.Exec("app", sql, params...)
 	if err != nil {

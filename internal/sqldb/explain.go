@@ -29,7 +29,7 @@ func (e *Engine) execExplain(t *Txn, s *ExplainStmt, params []Value) (*Result, e
 		}
 		if len(inner.Joins) == 0 {
 			access, detail := e.explainAccess(tbl, inner.Where, params)
-			add(tbl.Name(), access, detail+" exec="+explainExecMode(tbl, inner))
+			add(tbl.Name(), access, detail+" exec=compiled")
 			return res, nil
 		}
 		add(tbl.Name(), "scan", "join build side")
@@ -39,22 +39,14 @@ func (e *Engine) execExplain(t *Txn, s *ExplainStmt, params []Value) (*Result, e
 			if err != nil {
 				return nil, err
 			}
-			strategy := "nested-loop"
-			detail := "general ON predicate"
-			if eq, ok := j.On.(*BinaryExpr); ok && eq.Op == OpEq {
-				lc, lok := eq.L.(*ColumnExpr)
-				rc, rok := eq.R.(*ColumnExpr)
-				if lok && rok {
-					rightBind := bindingsFor(jt.schema, j.Table.Name())
-					if (resolveBinding(bindings, lc) >= 0 && resolveBinding(rightBind, rc) >= 0) ||
-						(resolveBinding(bindings, rc) >= 0 && resolveBinding(rightBind, lc) >= 0) {
-						strategy = "hash-join"
-						detail = fmt.Sprintf("ON %s = %s", exprName(lc), exprName(rc))
-					}
-					bindings = append(bindings, rightBind...)
-				}
+			rightBind := bindingsFor(jt.schema, j.Table.Name())
+			if bindJoin(bindings, rightBind, j).li >= 0 {
+				lc, rc, _ := equiJoinCols(j.On)
+				add(jt.Name(), "hash-join", fmt.Sprintf("ON %s = %s", exprName(lc), exprName(rc)))
+			} else {
+				add(jt.Name(), "nested-loop", "general ON predicate")
 			}
-			add(jt.Name(), strategy, detail)
+			bindings = append(bindings, rightBind...)
 		}
 		return res, nil
 
@@ -89,22 +81,6 @@ func (e *Engine) execExplain(t *Txn, s *ExplainStmt, params []Value) (*Result, e
 	}
 }
 
-// explainExecMode reports whether a single-table SELECT would execute on the
-// compiled closure pipeline or fall back to the tree-walking interpreter, by
-// attempting the same compilation the planner performs.
-func explainExecMode(tbl *Table, s *SelectStmt) string {
-	bind := bindingsFor(tbl.schema, s.From.Name())
-	if validateSelect(s, bind) == nil {
-		if items, cols, err := expandStars(s.Items, bind); err == nil {
-			sel := &selPlan{items: items, cols: cols}
-			if compileSelect(tbl, s, sel, planWhere(tbl, s.Where)) != nil {
-				return "compiled"
-			}
-		}
-	}
-	return "interpreted"
-}
-
 // explainAccess mirrors the executor's access-path choice for one table by
 // running the same planner the execution path caches.
 func (e *Engine) explainAccess(tbl *Table, where Expr, params []Value) (access, detail string) {
@@ -126,7 +102,7 @@ func (e *Engine) explainAccess(tbl *Table, where Expr, params []Value) (access, 
 // constString renders a constant bound expression for EXPLAIN output,
 // resolving parameters when bindings were supplied.
 func constString(e Expr, params []Value) string {
-	if v, err := evalConst(e, params); err == nil {
+	if v, err := bindConst(e)(&env{params: params}); err == nil {
 		return v.String()
 	}
 	return "?"

@@ -19,6 +19,13 @@ func cachedPlan(t *testing.T, e *Engine, sql string) *stmtPlan {
 	return plan
 }
 
+// explainAccessOf returns the access path EXPLAIN reports for a single-table
+// statement.
+func explainAccessOf(t *testing.T, e *Engine, sql string, params ...Value) string {
+	t.Helper()
+	return mustExec(t, e, "EXPLAIN "+sql, params...).Rows[0][1].Str
+}
+
 func TestPlanCacheHitCounter(t *testing.T) {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
@@ -62,8 +69,8 @@ func TestPlanCacheParameterisedSharesOnePlan(t *testing.T) {
 	if got := cachedPlan(t, e, q); got != first {
 		t.Error("plan was re-derived between bindings of one statement")
 	}
-	if first.access == nil || first.access.kind != pathPoint {
-		t.Errorf("parameterised PK lookup plan kind = %v, want point", first.access)
+	if got := explainAccessOf(t, e, q, NewInt(1)); got != "point" {
+		t.Errorf("parameterised PK lookup plan kind = %v, want point", got)
 	}
 }
 
@@ -115,17 +122,21 @@ func TestPlanCacheCreateIndexRederivesPlan(t *testing.T) {
 
 	const q = "SELECT id FROM t WHERE cat = 'a'"
 	mustExec(t, e, q)
-	if plan := cachedPlan(t, e, q); plan.access == nil || plan.access.kind != pathScan {
-		t.Fatalf("pre-index plan kind = %v, want scan", plan.access)
+	if got := explainAccessOf(t, e, q); got != "scan" {
+		t.Fatalf("pre-index plan kind = %v, want scan", got)
 	}
+	old := cachedPlan(t, e, q)
 
 	mustExec(t, e, "CREATE INDEX idx_cat ON t (cat)")
 	res := mustExec(t, e, q)
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows after index = %d, want 2", len(res.Rows))
 	}
-	if plan := cachedPlan(t, e, q); plan.access == nil || plan.access.kind != pathIndexEq {
-		t.Errorf("post-index plan kind = %v, want index equality", plan.access)
+	if cachedPlan(t, e, q) == old {
+		t.Error("cached plan was not re-derived after CREATE INDEX")
+	}
+	if got := explainAccessOf(t, e, q); got != "index" {
+		t.Errorf("post-index plan kind = %v, want index equality", got)
 	}
 }
 

@@ -48,111 +48,54 @@ type accessPath struct {
 	residual Expr // conjuncts not consumed by the access path, nil if none
 }
 
-// validFor re-validates a cached path against the table actually resolved at
-// execution time. A path derived before a DROP+CREATE of the same table name
-// may reference column positions that no longer exist; in that case the
-// executor re-plans ad hoc.
-func (p *accessPath) validFor(tbl *Table) bool {
-	if p.kind == pathScan {
-		return true
-	}
-	s := tbl.schema
-	if p.colIdx < 0 || p.colIdx >= len(s.Cols) || lower(s.Cols[p.colIdx].Name) != p.col {
-		return false
-	}
-	if p.kind == pathPoint || p.onPK {
-		return s.PKIdx == p.colIdx
-	}
-	return true
-}
-
-// stmtPlan is the cached planning result for one statement against one
-// database: the referenced table names (for targeted invalidation), the
-// access path of the statement's single-table predicate, and — for
-// single-table SELECTs — the pre-validated projection.
+// stmtPlan is the cached, bound form of one statement against one database:
+// the referenced table names (for targeted invalidation) and, for SELECT and
+// DML, the closure pipeline that executes it. It lives and dies with the
+// plan-cache generation: DDL bumps the generation and the next use re-binds
+// against the new catalog.
 type stmtPlan struct {
-	gen    uint64   // planCache generation this plan was derived under
+	gen    uint64   // planCache generation this plan was bound under
 	tables []string // lower-cased referenced table names
-	access *accessPath
-	sel    *selPlan
-
-	// compiled is the closure-compiled form of a single-table SELECT, nil
-	// when the statement is outside the compiler's coverage. It lives and
-	// dies with the plan: DDL bumps the cache generation, the stale plan is
-	// re-derived, and the compiled form is rebuilt against the new schema.
-	compiled *compiledSelect
+	exec   func(t *Txn, params []Value, reuse *Result) (*Result, error)
 }
 
-// selPlan is the reusable projection of a single-table SELECT: the statement
-// has been validated against the table's bindings and its * items expanded,
-// so executions with a current plan skip both per-call passes. The items
-// still resolve columns by name at evaluation time, so a plan raced by
-// DDL mid-execution degrades to a resolution error, never a wrong column.
-type selPlan struct {
-	items []SelectItem
-	cols  []string
-}
-
-// planStatement derives the cacheable plan for stmt, or reports that the
-// statement should not be cached (DDL, EXPLAIN, statements whose tables do
-// not resolve). The generation is captured before catalog inspection, so a
-// concurrent DDL makes the plan stale rather than silently wrong.
-func planStatement(e *Engine, db string, stmt Statement) (*stmtPlan, bool) {
-	gen := e.plans.gen.Load()
+// bindStatement binds stmt against db's current catalog. A nil plan with a
+// nil error means the statement kind is not planned (DDL, EXPLAIN); an error
+// (an unknown table, an unknown INSERT or SET column) is what executing the
+// statement reports. The generation is captured before catalog inspection, so
+// a concurrent DDL makes the plan stale rather than silently wrong.
+func bindStatement(e *Engine, db string, stmt Statement) (*stmtPlan, error) {
+	plan := &stmtPlan{gen: e.plans.gen.Load()}
+	var err error
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		if s.From == nil {
-			return &stmtPlan{gen: gen}, true
-		}
-		tables := []string{lower(s.From.Table)}
-		for _, j := range s.Joins {
-			tables = append(tables, lower(j.Table.Table))
-		}
-		plan := &stmtPlan{gen: gen, tables: tables}
-		if len(s.Joins) == 0 {
-			tbl, err := e.Table(db, s.From.Table)
-			if err != nil {
-				return nil, false
-			}
-			plan.access = planWhere(tbl, s.Where)
-			// Pre-validate the statement and expand * once; statements that
-			// fail (unknown column, bad star) re-run the checks — and fail —
-			// at execution, exactly as an unplanned statement would.
-			bind := bindingsFor(tbl.schema, s.From.Name())
-			if validateSelect(s, bind) == nil {
-				if items, cols, err := expandStars(s.Items, bind); err == nil {
-					plan.sel = &selPlan{items: items, cols: cols}
-					if cs := compileSelect(tbl, s, plan.sel, plan.access); cs != nil {
-						plan.compiled = cs
-						e.statPlanCompiles.Add(1)
-					}
-				}
+		if s.From != nil {
+			plan.tables = append(plan.tables, lower(s.From.Table))
+			for _, j := range s.Joins {
+				plan.tables = append(plan.tables, lower(j.Table.Table))
 			}
 		}
-		return plan, true
-	case *UpdateStmt:
-		tbl, err := e.Table(db, s.Table)
-		if err != nil {
-			return nil, false
-		}
-		return &stmtPlan{gen: gen, tables: []string{lower(s.Table)}, access: planWhere(tbl, s.Where)}, true
-	case *DeleteStmt:
-		tbl, err := e.Table(db, s.Table)
-		if err != nil {
-			return nil, false
-		}
-		return &stmtPlan{gen: gen, tables: []string{lower(s.Table)}, access: planWhere(tbl, s.Where)}, true
+		plan.exec, err = bindSelect(e, db, s)
 	case *InsertStmt:
-		if _, err := e.Table(db, s.Table); err != nil {
-			return nil, false
-		}
-		return &stmtPlan{gen: gen, tables: []string{lower(s.Table)}}, true
+		plan.tables = []string{lower(s.Table)}
+		plan.exec, err = bindInsert(e, db, s)
+	case *UpdateStmt:
+		plan.tables = []string{lower(s.Table)}
+		plan.exec, err = bindUpdate(e, db, s)
+	case *DeleteStmt:
+		plan.tables = []string{lower(s.Table)}
+		plan.exec, err = bindDelete(e, db, s)
 	case *BeginStmt, *CommitStmt, *RollbackStmt:
-		// No table access, but caching still skips the parser.
-		return &stmtPlan{gen: gen}, true
+		// Nothing to bind, but caching still skips the parser.
+		return plan, nil
 	default:
-		return nil, false
+		return nil, nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	e.statPlanCompiles.Add(1)
+	return plan, nil
 }
 
 // planWhere selects the access path for a single-table predicate:
@@ -370,44 +313,6 @@ func residualOf(conjuncts []Expr, i int) Expr {
 	rest = append(rest, conjuncts[:i]...)
 	rest = append(rest, conjuncts[i+1:]...)
 	return joinAnd(rest)
-}
-
-// evalConst evaluates a row-independent constant expression against the
-// statement parameters (it reports the same missing-binding error the row
-// evaluator would).
-func evalConst(e Expr, params []Value) (Value, error) {
-	return evalExpr(e, &evalCtx{params: params})
-}
-
-// rangeExec resolves the path's bound expressions into concrete range bounds
-// for this execution. fallback is set when the range cannot run as an index
-// traversal with identical semantics to the scan it replaces — a NULL bound
-// (three-valued logic: no row matches, but the scan path owns the locking
-// behaviour) or a bound that is not comparable with the column type (the
-// scan path owns the type-mismatch error).
-func (p *accessPath) rangeExec(tbl *Table, params []Value) (b rangeBounds, fallback bool, err error) {
-	colTyp := tbl.schema.Cols[p.colIdx].Typ
-	if p.lo != nil {
-		v, err := evalConst(p.lo, params)
-		if err != nil {
-			return b, false, err
-		}
-		if v.IsNull() || !colComparable(colTyp, v) {
-			return b, true, nil
-		}
-		b.lo, b.hasLo, b.loIncl = v, true, p.loIncl
-	}
-	if p.hi != nil {
-		v, err := evalConst(p.hi, params)
-		if err != nil {
-			return b, false, err
-		}
-		if v.IsNull() || !colComparable(colTyp, v) {
-			return b, true, nil
-		}
-		b.hi, b.hasHi, b.hiIncl = v, true, p.hiIncl
-	}
-	return b, false, nil
 }
 
 // colComparable reports whether a non-null constant can be ordered against

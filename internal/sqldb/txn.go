@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -85,7 +86,7 @@ type Txn struct {
 	locksBuf [8]lockID
 
 	// readOnly marks a transaction started with BeginReadOnly: writes are
-	// rejected and compiled SELECTs may use the optimistic lock-free path.
+	// rejected and single-table SELECTs may use the optimistic lock-free path.
 	// optHandled is set while a statement is served by the optimistic path,
 	// whose in-window validation subsumes the end-of-statement check.
 	readOnly   bool
@@ -105,20 +106,28 @@ type Txn struct {
 	writeTables []*Table
 	writeBuf    [4]*Table
 
-	// Per-transaction scratch buffers that keep the compiled point-read path
-	// allocation-free across statements.
+	// Per-transaction scratch that keeps the point-read path allocation-free
+	// across statements: the evaluation environment of the running statement,
+	// and the key, row, one-row list and one-ID list of a point step.
+	env         env
 	keyBuf      []byte
 	rowBuf      Row
 	rowsScratch []Row
-	rowsBuf     [4]Row
+	rowsBuf     [1]Row
+	idBuf       [1]uint64
 
 	// trace is the distributed-tracing context this transaction's work is
 	// attributed to (zero = untraced; every recording site checks Sampled
-	// first, so untraced transactions pay one branch). execMode remembers
-	// how the last traced statement executed, for its span's detail. Only
-	// the transaction's own goroutine touches them.
-	trace    obs.SpanContext
-	execMode string
+	// first, so untraced transactions pay one branch). Only the transaction's
+	// own goroutine touches it.
+	trace obs.SpanContext
+}
+
+// newEnv resets the transaction's evaluation environment for a statement
+// bound to params.
+func (t *Txn) newEnv(params []Value) *env {
+	t.env = env{params: params}
+	return &t.env
 }
 
 // optRead is one table's recorded optimistic-read epoch.
@@ -254,7 +263,7 @@ func (t *Txn) ExecStmt(stmt Statement, params ...Value) (*Result, error) {
 }
 
 // ExecStmtInto is ExecStmt with a caller-owned result: res and its row
-// buffers are reused across calls, so a compiled point read executes with
+// buffers are reused across calls, so a point read executes with
 // zero steady-state allocations. On error res is left in an undefined state.
 func (t *Txn) ExecStmtInto(res *Result, stmt Statement, params ...Value) error {
 	out, err := t.execPlanned(stmt, t.engine.plannedStmt(t.db, stmt), params, res)
@@ -270,15 +279,6 @@ func (t *Txn) ExecStmtInto(res *Result, stmt Statement, params ...Value) error {
 func (t *Txn) execPlanned(stmt Statement, plan *stmtPlan, params []Value, reuse *Result) (*Result, error) {
 	if err := t.checkActive(); err != nil {
 		return nil, err
-	}
-	if !t.engine.HasDatabase(t.db) {
-		// The database was dropped underneath the transaction (e.g. an
-		// aborted replica copy discarding its half-copied destination while
-		// branches were still routed there). The branch cannot proceed:
-		// abort it so the client sees a retryable abort rather than a
-		// missing-schema error.
-		t.rollbackLocked()
-		return nil, fmt.Errorf("%w: database %s was dropped", ErrTxnAborted, t.db)
 	}
 	// Capacity model: occupy one of the machine's worker slots for the
 	// statement's service time before touching data. The slot is released
@@ -296,18 +296,26 @@ func (t *Txn) execPlanned(stmt Statement, plan *stmtPlan, params []Value, reuse 
 	traced := t.trace.Traced() && t.engine.cfg.Spans != nil
 	var spanStart time.Time
 	if traced {
-		t.execMode = "interpreted"
 		spanStart = time.Now()
 	}
 	res, err := t.engine.execute(t, stmt, plan, params, reuse)
 	if err == nil && t.readOnly && !t.optHandled && len(t.optReads) > 0 &&
 		!t.validateOptEpochs(nil) {
-		// An interpreter-served (locking) statement completed after a writer
-		// moved a table this transaction had read optimistically: the
-		// combined reads no longer form one consistent snapshot. Optimistic
-		// statements validate within their own read window instead.
+		// A statement served under locks completed after a writer moved a
+		// table this transaction had read optimistically: the combined reads
+		// no longer form one consistent snapshot. Optimistic statements
+		// validate within their own read window instead.
 		t.engine.statOptConflicts.Add(1)
 		res, err = nil, ErrOptimisticConflict
+	}
+	if err != nil && errors.Is(err, ErrNoTable) && !t.engine.HasDatabase(t.db) {
+		// Not a missing table: the whole database was dropped underneath the
+		// open transaction (a replica being shrunk away, or an aborted copy
+		// discarding its half-copied destination while branches were still
+		// routed there). The branch cannot proceed; the client sees a
+		// retryable abort rather than a missing-schema error.
+		res, err = nil, fmt.Errorf("%w: database %s was dropped", ErrTxnAborted, t.db)
+		t.rollbackLocked()
 	}
 	if err != nil && isAbortError(err) {
 		// Deadlock victims and lock-wait timeouts roll the whole
@@ -321,20 +329,12 @@ func (t *Txn) execPlanned(stmt Statement, plan *stmtPlan, params []Value, reuse 
 }
 
 // recordSQLSpan emits the "sql"-scope span of one traced statement: what
-// kind of statement, which tenant, how long, and which executor served it.
+// kind of statement, which tenant, how long, and whether it ran under locks
+// or on the optimistic read path.
 func (t *Txn) recordSQLSpan(stmt Statement, start time.Time) {
-	mode := t.execMode
+	detail := "exec=compiled"
 	if t.optHandled {
-		mode = "optimistic"
-	}
-	var detail string
-	switch mode {
-	case "compiled":
-		detail = "exec=compiled"
-	case "optimistic":
 		detail = "exec=optimistic"
-	default:
-		detail = "exec=interpreted"
 	}
 	t.engine.cfg.Spans.Record(obs.Span{
 		TraceID:  t.trace.TraceID,

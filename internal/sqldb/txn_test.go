@@ -405,3 +405,101 @@ func TestStatsCounters(t *testing.T) {
 		t.Errorf("stats = %+v", s)
 	}
 }
+
+// TestDroppedDatabaseAbortsOpenTxn pins the one rule for a database that
+// vanishes under an open transaction (a replica shrunk away, an aborted copy
+// discarding its destination): whichever statement meets it — bound from a
+// cached plan, bound fresh, DML or DDL — fails as a retryable abort and the
+// branch is rolled back, while an unknown table in a live database stays
+// ErrNoTable and leaves the transaction usable.
+func TestDroppedDatabaseAbortsOpenTxn(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		warm   string // run (and so cached) before the drop, in the same txn
+		second string // runs after the drop
+	}{
+		{"before first statement", "", "SELECT v FROM t WHERE id = 1"},
+		{"between two statements", "SELECT v FROM t WHERE id = 1", "SELECT v FROM t WHERE id = 1"},
+		{"write after read", "SELECT v FROM t WHERE id = 1", "UPDATE t SET v = 'z' WHERE id = 1"},
+		{"insert", "", "INSERT INTO t VALUES (9, 'n')"},
+		{"join", "", "SELECT a.v FROM t a JOIN t b ON a.id = b.id"},
+		{"ddl", "", "CREATE TABLE u (id INT PRIMARY KEY)"},
+		{"explain", "", "EXPLAIN SELECT v FROM t WHERE id = 1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newTestDB(t)
+			defer e.Close()
+			mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+			mustExec(t, e, "INSERT INTO t VALUES (1, 'a')")
+			mustExec(t, e, "SELECT v FROM t WHERE id = 1") // plan is cached
+
+			tx, err := e.Begin("app")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.warm != "" {
+				if _, err := tx.Exec(c.warm); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tx.Exec("SELECT v FROM nosuch"); !errors.Is(err, ErrNoTable) {
+				t.Fatalf("unknown table in a live database: err = %v, want ErrNoTable", err)
+			}
+			if tx.State() != TxnActive {
+				t.Fatalf("unknown table aborted the transaction: state %v", tx.State())
+			}
+			if err := e.DropDatabase("app"); err != nil {
+				t.Fatal(err)
+			}
+			_, err = tx.Exec(c.second)
+			if !errors.Is(err, ErrTxnAborted) || errors.Is(err, ErrNoTable) {
+				t.Fatalf("statement on a dropped database: err = %v, want ErrTxnAborted", err)
+			}
+			if tx.State() != TxnAborted {
+				t.Errorf("state after the abort = %v, want aborted", tx.State())
+			}
+			if held := e.Stats().LocksHeld; held != 0 {
+				t.Errorf("%d locks still held after the abort", held)
+			}
+		})
+	}
+}
+
+// TestDroppedDatabaseRace drops the database while a transaction is between
+// the start and the table resolution of a statement: however the drop
+// interleaves, the statement never reports a missing table.
+func TestDroppedDatabaseRace(t *testing.T) {
+	e := NewEngine(DefaultConfig())
+	defer e.Close()
+	for i := 0; i < 300; i++ {
+		if err := e.CreateDatabase("app"); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+		mustExec(t, e, "INSERT INTO t VALUES (1, 'a')")
+		tx, err := e.Begin("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		running := make(chan struct{})
+		go func() {
+			for n := 0; ; n++ {
+				if _, err := tx.Exec("UPDATE t SET v = 'b' WHERE id = 1"); err != nil {
+					done <- err
+					return
+				}
+				if n == 0 {
+					close(running)
+				}
+			}
+		}()
+		<-running
+		if err := e.DropDatabase("app"); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; !errors.Is(err, ErrTxnAborted) {
+			t.Fatalf("iteration %d: err = %v, want ErrTxnAborted", i, err)
+		}
+	}
+}

@@ -398,7 +398,7 @@ type capturedWrite struct {
 // Exec executes a statement at the primary, capturing writes for
 // asynchronous DR shipping.
 func (t *Txn) Exec(sql string, params ...sqldb.Value) (*sqldb.Result, error) {
-	stmt, err := sqldb.Parse(sql)
+	stmt, err := t.inner.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
