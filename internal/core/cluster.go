@@ -123,13 +123,14 @@ func (ds *dbState) pendingFor(table string) *drainCounter {
 	return d
 }
 
-// copyState tracks an in-progress replica creation (Algorithm 1).
+// copyState tracks an in-progress replica creation (Algorithm 1). copied and
+// inFlight hold lower-cased table names; a database-granularity copy has
+// every table still to be copied in flight at once.
 type copyState struct {
 	source   string
 	target   string
-	wholeDB  bool // database-granularity copy: all writes rejected
 	copied   map[string]bool
-	inFlight string
+	inFlight map[string]bool
 	// aborted is set by FailMachine when the copy's source or target dies
 	// mid-copy: the copy process abandons at its next step boundary, the
 	// router stops rejecting writes, and the half-copied destination is
@@ -511,6 +512,7 @@ func (c *Cluster) FailMachine(id string) ([]string, error) {
 				if ds.readHome == id && len(ds.replicas) > 0 {
 					ds.readHome = ds.replicas[0]
 				}
+				m.release(ds.req)
 				// Snapshot the database's write counters so a restart can
 				// tell which tables changed while the machine was down.
 				if m.walStore != nil {
@@ -673,14 +675,8 @@ func (c *Cluster) writeRoute(db, table string) ([]string, func(), error) {
 		case cs.aborted:
 			// The copy is being abandoned (its source or target failed):
 			// stop rejecting and stop feeding the dead target.
-		case cs.wholeDB:
-			// Database-granularity copy: every write to the database is
-			// proactively rejected for the duration of the copy.
-			c.metrics.rejected.Inc()
-			c.metrics.reg.TraceEvent("copy", db, "write_rejected", table)
-			return nil, nil, ErrRejected
-		case table == cs.inFlight:
-			// Algorithm 1, line 11: write on the table being copied.
+		case cs.inFlight[table]:
+			// Algorithm 1, line 11: write on a table being copied.
 			c.metrics.rejected.Inc()
 			c.metrics.reg.TraceEvent("copy", db, "write_rejected", table)
 			return nil, nil, ErrRejected

@@ -1,0 +1,355 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"sdp/internal/netsim"
+	"sdp/internal/sla"
+	"sdp/internal/sqldb"
+)
+
+// tableDigest is one table's COUNT(*) and SUM(n), read from a machine's
+// engine directly.
+func tableDigest(t *testing.T, m *Machine, tbl string) string {
+	t.Helper()
+	res, err := m.Engine().Exec("app", "SELECT COUNT(*), SUM(n) FROM "+tbl)
+	if err != nil {
+		t.Fatalf("%s: digest of %s: %v", m.ID(), tbl, err)
+	}
+	return fmt.Sprint(res.Rows[0])
+}
+
+// wantSameTables requires got to hold exactly want's tables of app, each with
+// want's digest.
+func wantSameTables(t *testing.T, want, got *Machine) {
+	t.Helper()
+	tables := want.Engine().Tables("app")
+	if g := got.Engine().Tables("app"); fmt.Sprint(g) != fmt.Sprint(tables) {
+		t.Fatalf("%s holds tables %v, %s holds %v", got.ID(), g, want.ID(), tables)
+	}
+	for _, tbl := range tables {
+		if w, g := tableDigest(t, want, tbl), tableDigest(t, got, tbl); w != g {
+			t.Fatalf("table %s: %s has %s, %s has %s", tbl, got.ID(), g, want.ID(), w)
+		}
+	}
+}
+
+// TestCopyReplicaCases drives every kind of target through the one copy
+// driver, at both granularities. Each case ends the same way: the target is
+// crashed the moment the copy returns and restarted from its own log with no
+// checkpoint in between, and must then still match the source table for
+// table — the restore frames alone carry the copy.
+func TestCopyReplicaCases(t *testing.T) {
+	const rows = 300
+	type fixture struct {
+		c      *Cluster
+		n      *netsim.Network
+		m2, m3 *Machine
+	}
+	// downAndUp fails m2, runs the writes it misses, and restarts it.
+	downAndUp := func(t *testing.T, f fixture, missed func()) {
+		t.Helper()
+		if _, err := f.c.FailMachine("m2"); err != nil {
+			t.Fatal(err)
+		}
+		missed()
+		if _, err := f.c.RestartMachine("m2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name string
+		// prepare returns the copy's target; wantCopied is how many tables
+		// the copy must dump.
+		prepare    func(t *testing.T, f fixture) *Machine
+		wantCopied uint64
+	}{
+		{name: "fresh_target", wantCopied: 3,
+			prepare: func(t *testing.T, f fixture) *Machine { return f.m3 }},
+		{name: "restarted_all_clean", wantCopied: 0,
+			prepare: func(t *testing.T, f fixture) *Machine {
+				downAndUp(t, f, func() {})
+				return f.m2
+			}},
+		{name: "restarted_tables_written", wantCopied: 1,
+			prepare: func(t *testing.T, f fixture) *Machine {
+				downAndUp(t, f, func() {
+					clusterExec(t, f.c, "UPDATE hot SET n = n + 1000 WHERE id <= 100")
+					clusterExec(t, f.c, "DELETE FROM hot WHERE id > 290")
+					clusterExec(t, f.c, "INSERT INTO hot VALUES (9001, 1)")
+				})
+				return f.m2
+			}},
+		{name: "restarted_in_doubt_dirtied", wantCopied: 1,
+			prepare: func(t *testing.T, f fixture) *Machine {
+				// m2 dies between acking PREPARE and receiving COMMIT: cold's
+				// write counter is already past the write, so only the
+				// in-doubt mark keeps the table out of the clean set.
+				f.n.OnDeliver(func(ci netsim.CallInfo) {
+					if ci.Op == "prepare" && ci.To == "m2" {
+						if _, err := f.c.FailMachine("m2"); err != nil {
+							t.Errorf("FailMachine: %v", err)
+						}
+					}
+				})
+				clusterExec(t, f.c, "INSERT INTO cold VALUES (9002, 7)")
+				f.n.ClearHooks()
+				stats, err := f.c.RestartMachine("m2")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.InDoubt != 1 {
+					t.Fatalf("InDoubt = %d, want 1", stats.InDoubt)
+				}
+				return f.m2
+			}},
+		{name: "stale_half_copied_target", wantCopied: 3,
+			prepare: func(t *testing.T, f fixture) *Machine {
+				// What an aborted copy leaves when its cleanup cannot reach
+				// the target: a wrong version of one table, and one the
+				// source never had.
+				eng := f.m3.Engine()
+				if err := eng.CreateDatabase("app"); err != nil {
+					t.Fatal(err)
+				}
+				f.m3.dbCount.Add(1)
+				for _, sql := range []string{
+					"CREATE TABLE hot (id INT PRIMARY KEY, n INT)", "INSERT INTO hot VALUES (1, -5)",
+					"CREATE TABLE leftover (id INT PRIMARY KEY, n INT)",
+				} {
+					if _, err := eng.Exec("app", sql); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return f.m3
+			}},
+		{name: "table_dropped_while_down", wantCopied: 1,
+			prepare: func(t *testing.T, f fixture) *Machine {
+				downAndUp(t, f, func() {
+					clusterExec(t, f.c, "DROP TABLE doomed")
+					clusterExec(t, f.c, "CREATE TABLE born (id INT PRIMARY KEY, n INT)")
+					clusterExec(t, f.c, "INSERT INTO born VALUES (1, 11)")
+				})
+				return f.m2
+			}},
+	}
+	for _, g := range []sqldb.DumpGranularity{sqldb.GranularityTable, sqldb.GranularityDatabase} {
+		for _, tc := range cases {
+			t.Run(g.String()+"/"+tc.name, func(t *testing.T) {
+				opts, n := netOpts(21)
+				opts.WAL = walOpts().WAL
+				opts.CopyGranularity = g
+				c := newTestCluster(t, 3, opts) // app lives on m1 and m2
+				for _, tbl := range []string{"hot", "cold", "doomed"} {
+					clusterExec(t, c, "CREATE TABLE "+tbl+" (id INT PRIMARY KEY, n INT)")
+					for i := 1; i <= rows; i += 50 {
+						sql := "INSERT INTO " + tbl + " VALUES "
+						for j := i; j < i+50; j++ {
+							sql += fmt.Sprintf("(%d, %d),", j, j*3)
+						}
+						clusterExec(t, c, sql[:len(sql)-1])
+					}
+				}
+				f := fixture{c: c, n: n}
+				f.m2, _ = c.Machine("m2")
+				f.m3, _ = c.Machine("m3")
+				source, _ := c.Machine("m1")
+
+				target := tc.prepare(t, f)
+				c.mu.Lock()
+				marks := target.usableMarks("app", c.dbs["app"].epoch)
+				c.mu.Unlock()
+				copiedBefore := c.metrics.copyPhase.With("table_copied").Value()
+				if err := c.copyReplica("app", target, marks); err != nil {
+					t.Fatalf("copyReplica: %v", err)
+				}
+				if got := c.metrics.copyPhase.With("table_copied").Value() - copiedBefore; got != tc.wantCopied {
+					t.Errorf("tables copied = %d, want %d", got, tc.wantCopied)
+				}
+				if reps, _ := c.Replicas("app"); !contains(reps, target.ID()) {
+					t.Fatalf("replicas = %v, want %s among them", reps, target.ID())
+				}
+				wantSameTables(t, source, target)
+				// The new replica takes writes like any other.
+				clusterExec(t, c, "INSERT INTO hot VALUES (9100, 1)")
+				clusterExec(t, c, "UPDATE cold SET n = 0 WHERE id = 1")
+
+				if _, err := c.FailMachine(target.ID()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.RestartMachine(target.ID()); err != nil {
+					t.Fatal(err)
+				}
+				wantSameTables(t, source, target)
+				if got, want := int(target.dbCount.Load()), len(target.Engine().Databases()); got != want {
+					t.Errorf("%s counts %d hosted databases, holds %d", target.ID(), got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestCopyApplyFailureAbortsDatabaseCopy makes one table's restore fail on
+// the target after the table is registered there (the engine does not police
+// a unique index once built, so the source can hold duplicates the target's
+// index build refuses). Under database granularity the apply error used to be
+// dropped and the existence check passed: the copy must instead abort, leave
+// the replica set alone and leave nothing on the target.
+func TestCopyApplyFailureAbortsDatabaseCopy(t *testing.T) {
+	c := newTestCluster(t, 3, Options{Replicas: 2, CopyGranularity: sqldb.GranularityDatabase})
+	clusterExec(t, c, "CREATE TABLE a (id INT PRIMARY KEY, n INT)")
+	clusterExec(t, c, "CREATE TABLE b (id INT PRIMARY KEY, n INT)")
+	clusterExec(t, c, "CREATE UNIQUE INDEX b_n ON b (n)")
+	clusterExec(t, c, "INSERT INTO a VALUES (1, 1)")
+	clusterExec(t, c, "INSERT INTO b VALUES (1, 7)")
+	clusterExec(t, c, "INSERT INTO b VALUES (2, 7)")
+
+	err := c.CreateReplica("app", "m3")
+	if !errors.Is(err, sqldb.ErrDuplicateKey) {
+		t.Fatalf("CreateReplica err = %v, want the restore's ErrDuplicateKey", err)
+	}
+	if reps, _ := c.Replicas("app"); len(reps) != 2 || contains(reps, "m3") {
+		t.Fatalf("replicas after failed copy = %v", reps)
+	}
+	m3, _ := c.Machine("m3")
+	if m3.Engine().HasDatabase("app") {
+		t.Fatal("failed copy left its database on the target")
+	}
+	if got := m3.dbCount.Load(); got != 0 {
+		t.Fatalf("target counts %d hosted databases, want 0", got)
+	}
+	// Nothing is left in flight: writes flow.
+	clusterExec(t, c, "INSERT INTO a VALUES (2, 2)")
+}
+
+// TestCatchUpCrossesTheNetwork partitions the source from a restarted target:
+// the catch-up copy's apply step crosses that link, so recovery must fail —
+// retryably — and succeed once the partition heals.
+func TestCatchUpCrossesTheNetwork(t *testing.T) {
+	opts, n := netOpts(22)
+	opts.WAL = walOpts().WAL
+	c := newTestCluster(t, 2, opts)
+	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, n INT)")
+	clusterExec(t, c, "INSERT INTO t VALUES (1, 1)")
+	affected, err := c.FailMachine("m2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterExec(t, c, "INSERT INTO t VALUES (2, 2)")
+	if _, err := c.RestartMachine("m2"); err != nil {
+		t.Fatal(err)
+	}
+
+	n.PartitionPair("m1", "m2")
+	report := c.RecoverDatabases(affected, 1)
+	if err := report.Failed["app"]; !IsRetryable(err) {
+		t.Fatalf("recovery across a partition: err = %v, want a retryable failure", err)
+	}
+	if reps, _ := c.Replicas("app"); len(reps) != 1 {
+		t.Fatalf("replicas during partition = %v", reps)
+	}
+	clusterExec(t, c, "INSERT INTO t VALUES (3, 3)") // the failed copy left nothing in flight
+
+	n.HealAll()
+	if report := c.RecoverDatabases(affected, 1); len(report.Failed) != 0 {
+		t.Fatalf("recovery after heal: %v", report.Failed)
+	}
+	if reps, _ := c.Replicas("app"); len(reps) != 2 {
+		t.Fatalf("replicas after heal = %v", reps)
+	}
+	m1, _ := c.Machine("m1")
+	m2, _ := c.Machine("m2")
+	wantSameTables(t, m1, m2)
+}
+
+// TestSLAReservationsFollowReplicas places a database with an SLA and walks
+// it through failure, recovery on both paths, growth and shrinkage: at every
+// step the machines' reservations must add up to one per replica, on the
+// machines that hold the replicas.
+func TestSLAReservationsFollowReplicas(t *testing.T) {
+	req := sla.Resources{CPU: 0.3, Memory: 0.2, Disk: 0.1, DiskBW: 0.1}
+	c := NewCluster("sla", walOpts())
+	if _, err := c.AddMachines(4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PlaceWithSLA("app", req, 2); err != nil {
+		t.Fatal(err)
+	}
+	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, n INT)")
+	clusterExec(t, c, "INSERT INTO t VALUES (1, 1)")
+
+	check := func(step string) {
+		t.Helper()
+		reps, _ := c.Replicas("app")
+		for _, id := range c.MachineIDs() {
+			m, _ := c.Machine(id)
+			want := sla.Resources{}
+			if contains(reps, id) {
+				want = req
+			}
+			got := m.Used()
+			d := got.Sub(want)
+			if drift := math.Abs(d.CPU) + math.Abs(d.Memory) + math.Abs(d.Disk) + math.Abs(d.DiskBW); drift > 1e-9 {
+				t.Fatalf("%s: %s reserves %v, want %v (replicas %v)", step, id, got, want, reps)
+			}
+		}
+	}
+	recover := func(step, path string) {
+		t.Helper()
+		before := c.metrics.walRecovery.With(path).Value()
+		if report := c.RecoverDatabases([]string{"app"}, 1); len(report.Failed) != 0 {
+			t.Fatalf("%s: %v", step, report.Failed)
+		}
+		if c.metrics.walRecovery.With(path).Value() != before+1 {
+			t.Fatalf("%s: did not take the %s path", step, path)
+		}
+		check(step)
+	}
+	check("placed")
+
+	// Full path: the failed machine stays down, another takes the replica.
+	reps, _ := c.Replicas("app")
+	if _, err := c.FailMachine(reps[1]); err != nil {
+		t.Fatal(err)
+	}
+	check("failed")
+	recover("recovered onto a fresh machine", "full")
+	// The dead machine comes back with its log-recovered copy, which is not a
+	// replica and reserves nothing.
+	if _, err := c.RestartMachine(reps[1]); err != nil {
+		t.Fatal(err)
+	}
+	check("old replica restarted")
+
+	// Fast path: a replica fails and a restarted machine is caught up.
+	reps, _ = c.Replicas("app")
+	if _, err := c.FailMachine(reps[1]); err != nil {
+		t.Fatal(err)
+	}
+	clusterExec(t, c, "INSERT INTO t VALUES (2, 2)")
+	if _, err := c.RestartMachine(reps[1]); err != nil {
+		t.Fatal(err)
+	}
+	check("restarted")
+	recover("caught up", "fast")
+
+	// Grow onto a third machine, then shrink the recovered replica away.
+	reps, _ = c.Replicas("app")
+	var spare string
+	for _, id := range c.MachineIDs() {
+		if !contains(reps, id) {
+			spare = id
+		}
+	}
+	if err := c.GrowReplica("app", spare); err != nil {
+		t.Fatal(err)
+	}
+	check("grown")
+	if err := c.ShrinkReplica("app", reps[1]); err != nil {
+		t.Fatal(err)
+	}
+	check("shrunk")
+}

@@ -42,7 +42,6 @@ type ctlCmd struct {
 	Replicas    []string `json:"replicas,omitempty"`
 	Source      string   `json:"source,omitempty"`
 	Target      string   `json:"target,omitempty"`
-	WholeDB     bool     `json:"whole_db,omitempty"`
 	Partitioned bool     `json:"partitioned,omitempty"`
 }
 
@@ -63,9 +62,8 @@ type ctlDB struct {
 
 // ctlCopy is the replicated record of an in-flight replica copy.
 type ctlCopy struct {
-	Source  string `json:"source"`
-	Target  string `json:"target"`
-	WholeDB bool   `json:"whole_db,omitempty"`
+	Source string `json:"source"`
+	Target string `json:"target"`
 }
 
 // ctlCreateResult is the Apply result of a create_db command, carrying the
@@ -163,7 +161,7 @@ func (st *ctlState) Apply(index uint64, data []byte) any {
 		delete(st.s.DBs, cmd.DB)
 	case ctlOpCopyBegin:
 		if db, ok := st.s.DBs[cmd.DB]; ok {
-			db.Copy = &ctlCopy{Source: cmd.Source, Target: cmd.Target, WholeDB: cmd.WholeDB}
+			db.Copy = &ctlCopy{Source: cmd.Source, Target: cmd.Target}
 		}
 	case ctlOpCopyAbort:
 		if db, ok := st.s.DBs[cmd.DB]; ok {

@@ -162,24 +162,17 @@ func (m *Machine) setMarks(db string, epoch uint64, seqs map[string]uint64) {
 	m.mu.Unlock()
 }
 
-// hasMarks reports whether the machine holds a failure-time snapshot for db.
-func (m *Machine) hasMarks(db string) bool {
+// usableMarks returns the failure-time write counters for db if the machine
+// holds a snapshot of that incarnation (epoch) of the namespace, else nil.
+// The map is the machine's own; callers read it under the cluster mutex,
+// which every writer of marks also holds.
+func (m *Machine) usableMarks(db string, epoch uint64) map[string]uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.marks[db]
-	return ok
-}
-
-// takeMarks consumes the failure-time snapshot for db.
-func (m *Machine) takeMarks(db string) (map[string]uint64, uint64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	dm, ok := m.marks[db]
-	if !ok {
-		return nil, 0, false
+	if dm, ok := m.marks[db]; ok && dm.epoch == epoch {
+		return dm.tables
 	}
-	delete(m.marks, db)
-	return dm.tables, dm.epoch, true
+	return nil
 }
 
 // dirtyMarks removes tables from a database's snapshot, forcing them into
@@ -202,4 +195,13 @@ func (m *Machine) clearMarks(db string) {
 	m.mu.Lock()
 	delete(m.marks, db)
 	m.mu.Unlock()
+}
+
+// dropDatabase discards the machine's copy of db, if it has one and is
+// alive to drop it, together with any marks describing that copy.
+func (m *Machine) dropDatabase(db string) {
+	if m.Engine().DropDatabase(db) == nil {
+		m.dbCount.Add(-1)
+	}
+	m.clearMarks(db)
 }

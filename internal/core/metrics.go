@@ -106,7 +106,7 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 		recoverySeconds: reg.Histogram("core_recovery_seconds",
 			"Per-database re-replication duration during recovery", nil),
 		walRecovery: reg.CounterVec("wal_recovery_total",
-			"Databases recovered after a machine restart, by path: fast (log replay + delta catch-up) or full (Algorithm-1 copy)", "path"),
+			"Databases re-replicated by recovery, by path: fast (a restarted machine caught up, only tables written since copied) or full (every table copied onto the least-loaded machine)", "path"),
 
 		twopcTimeout: reg.CounterVec("twopc_timeout_total",
 			"2PC deliveries that exceeded the coordinator's deadline or exhausted retries, by phase (prepare: vote missing, presumed abort; commit: decision delivery handed to a background resolver)", "phase"),

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"sdp/internal/sla"
-)
+import "fmt"
 
 // MigrateReplica moves one replica of db from one machine to another while
 // the database keeps serving transactions: a new replica is created on the
@@ -12,87 +8,31 @@ import (
 // throughout), and only once the target is fully synchronised is the source
 // replica retired. This is the replica-movement primitive behind the
 // paper's SLA-driven "database placement and migration within a cluster";
-// the SLA model counts each move in reallocation_rate(j).
+// the SLA model counts each move in reallocation_rate(j). The database's SLA
+// reservation moves with the replica: CreateReplica takes it on the target
+// before copying, RetireReplica gives it back on the source.
 func (c *Cluster) MigrateReplica(db, fromID, toID string) error {
 	c.mu.Lock()
 	ds, ok := c.dbs[db]
+	hosts := ok && contains(ds.replicas, fromID)
+	c.mu.Unlock()
 	if !ok {
-		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoDatabase, db)
 	}
-	if !contains(ds.replicas, fromID) {
-		c.mu.Unlock()
+	if !hosts {
 		return fmt.Errorf("core: %s does not host %s", fromID, db)
 	}
-	req := ds.req
-	c.mu.Unlock()
-
-	// Reserve SLA capacity on the target up front so a concurrent
-	// placement cannot oversubscribe it.
-	target, err := c.Machine(toID)
-	if err != nil {
-		return err
-	}
-	reserved := false
-	if req != (sla.Resources{}) {
-		if !target.reserve(req) {
-			return fmt.Errorf("%w: migrating %s to %s", ErrNoCapacity, db, toID)
-		}
-		reserved = true
-	}
-
 	if err := c.CreateReplica(db, toID); err != nil {
-		if reserved {
-			target.release(req)
-		}
 		return err
 	}
-
-	// The target is now a full replica; retire the source.
-	if err := c.RetireReplica(db, fromID); err != nil {
-		return err
-	}
-	if reserved {
-		if m, merr := c.Machine(fromID); merr == nil {
-			m.release(req)
-		}
-	}
-	return nil
+	return c.RetireReplica(db, fromID)
 }
 
 // GrowReplica raises db's replica degree by one, copying onto the target
-// with Algorithm 1. The database's declared SLA reservation (if any) is
-// taken on the target up front, exactly as MigrateReplica does, so
-// concurrent placements cannot oversubscribe the machine. This is the
-// adaptive provisioning controller's grow primitive.
+// with Algorithm 1. This is the adaptive provisioning controller's grow
+// primitive.
 func (c *Cluster) GrowReplica(db, targetID string) error {
-	c.mu.Lock()
-	ds, ok := c.dbs[db]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoDatabase, db)
-	}
-	req := ds.req
-	c.mu.Unlock()
-
-	target, err := c.Machine(targetID)
-	if err != nil {
-		return err
-	}
-	reserved := false
-	if req != (sla.Resources{}) {
-		if !target.reserve(req) {
-			return fmt.Errorf("%w: growing %s onto %s", ErrNoCapacity, db, targetID)
-		}
-		reserved = true
-	}
-	if err := c.CreateReplica(db, targetID); err != nil {
-		if reserved {
-			target.release(req)
-		}
-		return err
-	}
-	return nil
+	return c.CreateReplica(db, targetID)
 }
 
 // ShrinkReplica lowers db's replica degree by one, retiring the replica on
@@ -100,24 +40,7 @@ func (c *Cluster) GrowReplica(db, targetID string) error {
 // replicated; the last replica is never shrunk. This is the adaptive
 // provisioning controller's shrink primitive.
 func (c *Cluster) ShrinkReplica(db, fromID string) error {
-	c.mu.Lock()
-	ds, ok := c.dbs[db]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoDatabase, db)
-	}
-	req := ds.req
-	c.mu.Unlock()
-
-	if err := c.RetireReplica(db, fromID); err != nil {
-		return err
-	}
-	if req != (sla.Resources{}) {
-		if m, merr := c.Machine(fromID); merr == nil {
-			m.release(req)
-		}
-	}
-	return nil
+	return c.RetireReplica(db, fromID)
 }
 
 // RetireReplica removes one replica of db from a machine through the
@@ -160,7 +83,8 @@ func (c *Cluster) RetireReplica(db, machineID string) error {
 }
 
 // retireReplica removes one replica of db from a machine: the machine stops
-// receiving the database's operations, then drops its copy.
+// receiving the database's operations, gives back the replica's SLA
+// reservation, then drops its copy.
 func (c *Cluster) retireReplica(db, machineID string) error {
 	c.mu.Lock()
 	ds, ok := c.dbs[db]
@@ -190,9 +114,10 @@ func (c *Cluster) retireReplica(db, machineID string) error {
 		ds.readHome = ds.replicas[0]
 	}
 	m := c.machines[machineID]
+	m.release(ds.req)
 	c.mu.Unlock()
 
-	if m != nil && !m.Failed() {
+	if !m.Failed() {
 		// In-flight transactions may still hold branches on the retiring
 		// machine; they complete normally (their sessions were created
 		// before removal). New transactions no longer route here. The

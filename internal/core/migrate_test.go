@@ -169,7 +169,7 @@ func TestWriteRouteAlgorithm1(t *testing.T) {
 	ds.copying = &copyState{
 		target:   "m3",
 		copied:   map[string]bool{"a": true},
-		inFlight: "b",
+		inFlight: map[string]bool{"b": true},
 	}
 	c.mu.Unlock()
 
@@ -198,14 +198,14 @@ func TestWriteRouteAlgorithm1(t *testing.T) {
 		t.Errorf("uncopied-table targets = %v (replicas %v)", targets, reps)
 	}
 
-	// Case: database-granularity copy rejects everything.
+	// Case: a database-granularity step has every uncopied table in flight.
 	c.mu.Lock()
-	ds.copying.wholeDB = true
+	ds.copying.inFlight["c"] = true
 	c.mu.Unlock()
-	if _, _, err := c.writeRoute("app", "a"); !errors.Is(err, ErrRejected) {
-		t.Errorf("wholeDB write err = %v", err)
+	if _, _, err := c.writeRoute("app", "c"); !errors.Is(err, ErrRejected) {
+		t.Errorf("second in-flight table write err = %v", err)
 	}
-	if got := c.Stats().Rejected; got < 2 {
+	if got := c.Stats().Rejected; got != 2 {
 		t.Errorf("rejected counter = %d", got)
 	}
 

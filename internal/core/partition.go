@@ -100,9 +100,7 @@ func (c *Cluster) CreatePartitionedDatabase(db string, groups [][]string) error 
 		res, err := cp.propose(ctlCmd{Op: ctlOpCreateDB, DB: db, Partitioned: true})
 		if err != nil {
 			for _, m := range ms {
-				if derr := m.Engine().DropDatabase(db); derr == nil {
-					m.dbCount.Add(-1)
-				}
+				m.dropDatabase(db)
 			}
 			return err
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -61,14 +60,15 @@ func (c *Cluster) RecoverDatabases(dbs []string, threads int) RecoveryReport {
 	return report
 }
 
-// recoverOne re-replicates one database. When a restarted machine holds a
-// log-recovered copy of the database plus usable failure-time marks, the
-// fast path catches it up by copying only the tables written while it was
-// down; otherwise (or if catch-up fails) a full Algorithm-1 copy onto a
-// fresh target runs.
+// recoverOne re-replicates one database. Its one decision is the copy's
+// target: a restarted machine holding a log-recovered copy of the database
+// plus usable failure-time marks is caught up (only the tables written while
+// it was down are copied); otherwise, or if that fails, the least-loaded
+// machine gets a copy of every table. Either way Algorithm 1 runs through
+// copyReplica.
 func (c *Cluster) recoverOne(db string) error {
-	if target := c.fastRecoveryCandidate(db); target != nil {
-		err := c.catchUpReplica(db, target)
+	if target, marks := c.fastRecoveryCandidate(db); target != nil {
+		err := c.copyReplica(db, target, marks)
 		if err == nil {
 			c.metrics.walRecovery.With("fast").Inc()
 			c.metrics.reg.TraceEvent("recovery", db, "fast_path", target.ID())
@@ -77,21 +77,15 @@ func (c *Cluster) recoverOne(db string) error {
 		if errors.Is(err, ErrCopyInProgress) {
 			return err
 		}
-		// The log-recovered copy is unusable; discard it and fall through
-		// to a full copy.
+		// Start over with a full copy: a copy that failed past its admission
+		// checks has discarded the target's log-recovered state.
 		c.metrics.reg.TraceEvent("recovery", db, "fast_path_failed", err.Error())
-		if target.Engine().HasDatabase(db) {
-			if derr := target.Engine().DropDatabase(db); derr == nil {
-				target.dbCount.Add(-1)
-			}
-		}
-		target.clearMarks(db)
 	}
 	target, err := c.pickRecoveryTarget(db)
 	if err != nil {
 		return err
 	}
-	if err := c.CreateReplica(db, target); err != nil {
+	if err := c.copyReplica(db, target, nil); err != nil {
 		return err
 	}
 	c.metrics.walRecovery.With("full").Inc()
@@ -99,280 +93,24 @@ func (c *Cluster) recoverOne(db string) error {
 }
 
 // fastRecoveryCandidate returns a live machine holding a log-recovered copy
-// of db plus the failure-time marks needed to catch it up, or nil.
-func (c *Cluster) fastRecoveryCandidate(db string) *Machine {
+// of db together with the failure-time marks needed to catch it up, or nil.
+func (c *Cluster) fastRecoveryCandidate(db string) (*Machine, map[string]uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ds, ok := c.dbs[db]
 	if !ok || ds.partitioned() {
-		return nil
+		return nil, nil
 	}
 	for _, id := range c.order {
 		m := c.machines[id]
 		if m.Failed() || contains(ds.replicas, id) {
 			continue
 		}
-		if ds.copying != nil && ds.copying.target == id {
-			continue
-		}
-		if m.hasMarks(db) && m.Engine().HasDatabase(db) {
-			return m
+		if marks := m.usableMarks(db, ds.epoch); marks != nil && m.Engine().HasDatabase(db) {
+			return m, marks
 		}
 	}
-	return nil
-}
-
-// catchUpReplica re-admits a restarted machine's log-recovered copy of db
-// into the replica set by running Algorithm 1 with the unchanged tables
-// pre-marked as copied: only the tables written while the machine was down
-// (per its failure-time marks) are dumped and restored.
-func (c *Cluster) catchUpReplica(db string, target *Machine) error {
-	targetID := target.ID()
-	c.mu.Lock()
-	ds, ok := c.dbs[db]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoDatabase, db)
-	}
-	if ds.partitioned() {
-		c.mu.Unlock()
-		return fmt.Errorf("core: catch-up is not supported for partitioned database %s", db)
-	}
-	if ds.copying != nil {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrCopyInProgress, db)
-	}
-	if contains(ds.replicas, targetID) {
-		c.mu.Unlock()
-		return fmt.Errorf("core: %s already hosts %s", targetID, db)
-	}
-	if len(ds.replicas) == 0 {
-		c.mu.Unlock()
-		return ErrNoReplicas
-	}
-	marks, epoch, ok := target.takeMarks(db)
-	if !ok || epoch != ds.epoch {
-		c.mu.Unlock()
-		return fmt.Errorf("core: %s has no usable failure-time marks for %s", targetID, db)
-	}
-	sourceID := ds.replicas[0]
-	source := c.machines[sourceID]
-	cs := &copyState{source: sourceID, target: targetID, copied: make(map[string]bool)}
-	// A table whose write counter did not move while the machine was down
-	// was fully recovered by log replay: mark it copied up front, so it is
-	// never dumped and new writes route to the target immediately. (Counters
-	// advance at routing time under the cluster mutex, so any write the dead
-	// machine might have missed is visible in the delta.)
-	for tbl, seq := range marks {
-		if ds.writeSeq[tbl] == seq {
-			cs.copied[tbl] = true
-		}
-	}
-	clean := make([]string, 0, len(cs.copied))
-	for tbl := range cs.copied {
-		clean = append(clean, tbl)
-	}
-	sort.Strings(clean)
-	ds.copying = cs
-	c.mu.Unlock()
-	c.metrics.reg.TraceEvent("copy", db, "catchup_plan",
-		fmt.Sprintf("target=%s clean=%v", targetID, clean))
-
-	if cp := c.ctl; cp != nil {
-		cp.mu.Lock()
-		_, perr := cp.propose(ctlCmd{Op: ctlOpCopyBegin, DB: db, Source: sourceID, Target: targetID})
-		cp.mu.Unlock()
-		if perr != nil {
-			c.mu.Lock()
-			ds.copying = nil
-			c.mu.Unlock()
-			c.metrics.copyPhase.With("abandoned").Inc()
-			return perr
-		}
-	}
-
-	met := c.metrics
-	met.copyPhase.With("start").Inc()
-	met.copiesRunning.Inc()
-	defer met.copiesRunning.Dec()
-	met.reg.TraceEvent("copy", db, "catchup_start", fmt.Sprintf("%s -> %s", sourceID, targetID))
-
-	physical, err := c.catchUpTables(ds, cs, source, target, db)
-	if err != nil {
-		c.abandonCopy(ds)
-		return err
-	}
-	// Small deltas are applied through the target's SQL layer and are already
-	// in its log; only a physical bulk restore bypasses it and forces a
-	// checkpoint of the database, so the log alone reproduces the caught-up
-	// state on the machine's next restart.
-	if physical && target.Engine().WAL() != nil {
-		if err := target.Engine().CheckpointDatabase(db); err != nil {
-			c.abandonCopy(ds)
-			return err
-		}
-	}
-
-	c.mu.Lock()
-	// Same guard as CreateReplica: a target (or source) that failed while
-	// the catch-up ran must not register the half-caught-up destination.
-	if cs.aborted || target.Failed() {
-		c.mu.Unlock()
-		c.abandonCopy(ds)
-		return fmt.Errorf("%w: %s -> %s", ErrCopyAborted, sourceID, targetID)
-	}
-	c.mu.Unlock()
-
-	if cp := c.ctl; cp != nil {
-		cp.mu.Lock()
-		_, perr := cp.propose(ctlCmd{Op: ctlOpCopyComplete, DB: db})
-		if perr != nil {
-			cp.mu.Unlock()
-			c.abandonCopy(ds)
-			return perr
-		}
-		c.mu.Lock()
-		if !contains(ds.replicas, targetID) {
-			ds.replicas = append(ds.replicas, targetID)
-		}
-		ds.copying = nil
-		c.mu.Unlock()
-		cp.mu.Unlock()
-	} else {
-		c.mu.Lock()
-		ds.replicas = append(ds.replicas, targetID)
-		ds.copying = nil
-		c.mu.Unlock()
-	}
-	met.copyPhase.With("done").Inc()
-	met.reg.TraceEvent("copy", db, "catchup_done", targetID)
-	return nil
-}
-
-// catchUpLogicalRows is the largest table that catch-up rebuilds through SQL
-// statements on the target — and therefore through the target's write-ahead
-// log. Larger tables are restored physically, which bypasses the log and
-// costs a checkpoint of the whole database before the target rejoins.
-const catchUpLogicalRows = 1000
-
-// catchUpTables reconciles the target's table set with the source and copies
-// every table not pre-marked as unchanged, under Algorithm 1's in-flight
-// drain protocol. It reports whether any table was restored physically
-// (bypassing the target's log).
-func (c *Cluster) catchUpTables(ds *dbState, cs *copyState, source, target *Machine, db string) (physical bool, err error) {
-	srcTables := source.Engine().Tables(db)
-	srcSet := make(map[string]bool, len(srcTables))
-	for _, tbl := range srcTables {
-		srcSet[lowerName(tbl)] = true
-	}
-	// Tables the target recovered but the source no longer has were dropped
-	// cluster-wide while the machine was down.
-	for _, tbl := range target.Engine().Tables(db) {
-		if !srcSet[lowerName(tbl)] {
-			if _, err := target.Engine().Exec(db, "DROP TABLE "+tbl); err != nil {
-				return physical, err
-			}
-		}
-	}
-	for _, tbl := range srcTables {
-		lt := lowerName(tbl)
-		if cs.copied[lt] {
-			continue
-		}
-		c.mu.Lock()
-		cs.inFlight = tbl
-		d := ds.pendingFor(lt)
-		c.mu.Unlock()
-		c.metrics.copyPhase.With("table_inflight").Inc()
-		c.metrics.reg.TraceEvent("copy", db, "table_inflight", tbl)
-
-		d.wait()
-
-		// The target's recovered version of the table is stale; replace it.
-		if target.Engine().HasDatabase(db) {
-			if _, err := target.Engine().Table(db, tbl); err == nil {
-				if _, err := target.Engine().Exec(db, "DROP TABLE "+tbl); err != nil {
-					return physical, err
-				}
-			}
-		}
-		dumpStart := time.Now()
-		err := source.Engine().DumpTableWith(db, tbl, func(d sqldb.TableDump) error {
-			if len(d.Rows) <= catchUpLogicalRows {
-				return restoreTableLogged(target.Engine(), db, d)
-			}
-			physical = true
-			return target.Engine().RestoreTable(db, d)
-		})
-		c.metrics.copyDump.ObserveDuration(time.Since(dumpStart))
-		if err != nil {
-			return physical, err
-		}
-
-		c.mu.Lock()
-		cs.copied[lt] = true
-		cs.inFlight = ""
-		c.mu.Unlock()
-		c.metrics.copyPhase.With("table_copied").Inc()
-		c.metrics.reg.TraceEvent("copy", db, "table_copied", tbl)
-	}
-	return physical, nil
-}
-
-// restoreTableLogged rebuilds one table on a machine through its SQL layer,
-// so every mutation reaches the machine's write-ahead log and the log alone
-// reproduces the table on the next restart — no checkpoint needed. All rows
-// are inserted in a single transaction: one commit record, one flush.
-func restoreTableLogged(eng *sqldb.Engine, db string, d sqldb.TableDump) error {
-	var b strings.Builder
-	b.WriteString("CREATE TABLE ")
-	b.WriteString(d.Schema.Table)
-	b.WriteString(" (")
-	for i, col := range d.Schema.Cols {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(col.Name)
-		b.WriteByte(' ')
-		b.WriteString(col.Typ.String())
-		switch {
-		case col.PrimaryKey:
-			b.WriteString(" PRIMARY KEY")
-		case col.NotNull:
-			b.WriteString(" NOT NULL")
-		}
-		if col.Unique && !col.PrimaryKey {
-			b.WriteString(" UNIQUE")
-		}
-	}
-	b.WriteString(")")
-	if _, err := eng.Exec(db, b.String()); err != nil {
-		return err
-	}
-	for _, ix := range d.Indexes {
-		create := "CREATE INDEX "
-		if ix.Unique {
-			create = "CREATE UNIQUE INDEX "
-		}
-		if _, err := eng.Exec(db, create+ix.Name+" ON "+d.Schema.Table+" ("+ix.Col+")"); err != nil {
-			return err
-		}
-	}
-	if len(d.Rows) == 0 {
-		return nil
-	}
-	insert := "INSERT INTO " + d.Schema.Table + " VALUES (?" + strings.Repeat(", ?", len(d.Schema.Cols)-1) + ")"
-	t, err := eng.Begin(db)
-	if err != nil {
-		return err
-	}
-	for _, row := range d.Rows {
-		if _, err := t.Exec(insert, row...); err != nil {
-			_ = t.Rollback()
-			return err
-		}
-	}
-	return t.Commit()
+	return nil, nil
 }
 
 // CheckpointMachines writes a fuzzy checkpoint on every live machine that
@@ -441,20 +179,17 @@ func (c *Cluster) RestartMachine(id string) (*sqldb.RecoveryStats, error) {
 			continue
 		}
 		// A half-copied database left behind by an Algorithm 1 copy that
-		// aborted when this machine failed mid-copy: the machine never
-		// joined the replica set and has no catch-up marks (a failed
-		// replica always gets marks at FailMachine), so the partial state
-		// is useless and would block a future copy onto this machine.
-		if !contains(ds.replicas, id) && !m.hasMarks(db) {
+		// aborted when this machine failed mid-copy, or a since dropped and
+		// re-created namespace: the machine never joined the replica set
+		// and has no catch-up marks for this incarnation (a failed replica
+		// always gets marks at FailMachine), so the state is useless.
+		if !contains(ds.replicas, id) && m.usableMarks(db, ds.epoch) == nil {
 			orphans = append(orphans, db)
 		}
 	}
 	c.mu.Unlock()
 	for _, db := range orphans {
-		if derr := eng.DropDatabase(db); derr == nil {
-			m.dbCount.Add(-1)
-		}
-		m.clearMarks(db)
+		m.dropDatabase(db)
 	}
 	// The liveness change commits after the physical restart: if the
 	// proposal is lost with the machine already live, the replicated state
@@ -475,30 +210,27 @@ func (c *Cluster) RestartMachine(id string) (*sqldb.RecoveryStats, error) {
 }
 
 // pickRecoveryTarget returns the live machine with the fewest hosted
-// databases that does not already host db.
-func (c *Cluster) pickRecoveryTarget(db string) (string, error) {
+// databases that does not already host db and has room for its SLA
+// reservation.
+func (c *Cluster) pickRecoveryTarget(db string) (*Machine, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ds, ok := c.dbs[db]
 	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrNoDatabase, db)
+		return nil, fmt.Errorf("%w: %s", ErrNoDatabase, db)
 	}
-	best := ""
-	var bestN int32
+	var best *Machine
 	for _, id := range c.order {
 		m := c.machines[id]
-		if m.Failed() || contains(ds.replicas, id) {
+		if m.Failed() || contains(ds.replicas, id) || !m.Used().Add(ds.req).Fits(m.Capacity()) {
 			continue
 		}
-		if ds.copying != nil && ds.copying.target == id {
-			continue
-		}
-		if n := m.dbCount.Load(); best == "" || n < bestN {
-			best, bestN = id, n
+		if best == nil || m.dbCount.Load() < best.dbCount.Load() {
+			best = m
 		}
 	}
-	if best == "" {
-		return "", fmt.Errorf("%w: no machine can host a new replica of %s", ErrNoReplicas, db)
+	if best == nil {
+		return nil, fmt.Errorf("%w: no machine can host a new replica of %s", ErrNoReplicas, db)
 	}
 	return best, nil
 }

@@ -14,277 +14,261 @@ import (
 //     the end),
 //   - writes to tables already copied execute on all machines including the
 //     target,
-//   - writes to the table currently being copied are rejected (and the
+//   - writes to a table currently being copied are rejected (and the
 //     transaction aborted),
 //   - writes to tables not yet copied execute on the old machines only.
 //
 // With database-granularity copying (Options.CopyGranularity), all tables
-// are locked for the duration of the copy and every write to the database
-// is rejected — less bookkeeping, more rejections, as in the paper's
-// recovery experiments.
+// are locked and in flight for the duration of the copy and every write to
+// them is rejected — less bookkeeping, more rejections, as in the paper's
+// recovery experiments. The database's SLA reservation, if it declares one,
+// is taken on the target for the new replica.
 func (c *Cluster) CreateReplica(db, targetID string) error {
+	target, err := c.Machine(targetID)
+	if err != nil {
+		return err
+	}
+	return c.copyReplica(db, target, nil)
+}
+
+// copyReplica is the one driver of Algorithm 1: it brings target's copy of db
+// up to date from the first current replica and then admits target to the
+// replica set. marks are the per-table write counters recorded when a since
+// restarted target failed (nil for any other target): a table whose counter
+// has not moved was fully recovered by the target's own log replay, starts
+// out copied, and is never dumped. The comparison happens in the critical
+// section that installs the copy state, because counters advance at routing
+// time under the same mutex — any write the target might have missed is
+// visible in the delta, and any later one is routed to it.
+//
+// Whatever the target already holds of db is reconciled rather than trusted:
+// tables the source no longer has are dropped, and each copied table replaces
+// the target's version (sqldb.Engine.RestoreTable). On any failure the copy
+// is abandoned and the target's copy of db dropped, so a target is either a
+// registered replica or holds nothing.
+func (c *Cluster) copyReplica(db string, target *Machine, marks map[string]uint64) error {
+	targetID := target.ID()
 	c.mu.Lock()
 	ds, ok := c.dbs[db]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoDatabase, db)
+	var err error
+	switch {
+	case !ok:
+		err = fmt.Errorf("%w: %s", ErrNoDatabase, db)
+	case ds.partitioned():
+		err = fmt.Errorf("core: replica creation is not supported for partitioned database %s", db)
+	case ds.copying != nil:
+		err = fmt.Errorf("%w: %s", ErrCopyInProgress, db)
+	case contains(ds.replicas, targetID):
+		err = fmt.Errorf("core: %s already hosts %s", targetID, db)
+	case target.Failed():
+		err = fmt.Errorf("%w: %s", ErrMachineFailed, targetID)
+	case len(ds.replicas) == 0:
+		err = ErrNoReplicas
+	case !target.reserve(ds.req):
+		err = fmt.Errorf("%w: replica of %s on %s", ErrNoCapacity, db, targetID)
 	}
-	if ds.partitioned() {
+	if err != nil {
 		c.mu.Unlock()
-		return fmt.Errorf("core: replica creation is not supported for partitioned database %s", db)
+		return err
 	}
-	if ds.copying != nil {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrCopyInProgress, db)
-	}
-	if contains(ds.replicas, targetID) {
-		c.mu.Unlock()
-		return fmt.Errorf("core: %s already hosts %s", targetID, db)
-	}
-	target, ok := c.machines[targetID]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoMachine, targetID)
-	}
-	if target.Failed() {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrMachineFailed, targetID)
-	}
-	if len(ds.replicas) == 0 {
-		c.mu.Unlock()
-		return ErrNoReplicas
-	}
+	req := ds.req
 	sourceID := ds.replicas[0]
 	source := c.machines[sourceID]
 	cs := &copyState{
-		source:  sourceID,
-		target:  targetID,
-		wholeDB: c.opts.CopyGranularity == sqldb.GranularityDatabase,
-		copied:  make(map[string]bool),
+		source:   sourceID,
+		target:   targetID,
+		copied:   make(map[string]bool),
+		inFlight: make(map[string]bool),
+	}
+	for tbl, seq := range marks {
+		if ds.writeSeq[tbl] == seq {
+			cs.copied[tbl] = true
+		}
 	}
 	ds.copying = cs
 	c.mu.Unlock()
-
-	if cp := c.ctl; cp != nil {
-		// The copy's existence commits to the replicated log before any data
-		// moves, so a controller taking over mid-copy knows to abort it
-		// rather than leave the router rejecting writes forever.
-		cp.mu.Lock()
-		_, perr := cp.propose(ctlCmd{Op: ctlOpCopyBegin, DB: db, Source: sourceID, Target: targetID, WholeDB: cs.wholeDB})
-		cp.mu.Unlock()
-		if perr != nil {
-			c.mu.Lock()
-			ds.copying = nil
-			c.mu.Unlock()
-			c.metrics.copyPhase.With("abandoned").Inc()
-			return perr
-		}
-	}
+	// Whatever marks the target held described the copy being replaced.
+	target.clearMarks(db)
 
 	m := c.metrics
 	m.copyPhase.With("start").Inc()
 	m.copiesRunning.Inc()
 	defer m.copiesRunning.Dec()
-	m.reg.TraceEvent("copy", db, "start", fmt.Sprintf("%s -> %s", sourceID, targetID))
+	m.reg.TraceEvent("copy", db, "start", fmt.Sprintf("%s -> %s clean=%d", sourceID, targetID, len(cs.copied)))
 
-	if err := c.netCall(c.endpoint, targetID, "copy_create_db", func() error {
-		// The target may hold a stale copy of db left by an earlier copy
-		// that aborted mid-flight (it is guaranteed not to be a current
-		// replica — that was checked above): discard it and start clean.
-		if contains(target.Engine().Databases(), db) {
-			if derr := target.Engine().DropDatabase(db); derr != nil {
-				return derr
-			}
-			target.dbCount.Add(-1)
-		}
-		return target.Engine().CreateDatabase(db)
-	}); err != nil {
-		c.abandonCopy(ds)
-		return err
-	}
-
-	var err error
-	if cs.wholeDB {
-		err = c.copyWholeDB(ds, cs, source, target, db)
-	} else {
-		err = c.copyTableByTable(ds, cs, source, target, db)
-	}
+	err = c.runCopy(ds, cs, source, target)
 	if err != nil {
-		c.abandonCopy(ds)
-		_ = target.Engine().DropDatabase(db)
+		c.mu.Lock()
+		ds.copying = nil
+		c.mu.Unlock()
+		if cp := c.ctl; cp != nil {
+			// Best effort: a takeover's reconciliation retires orphaned copy
+			// records anyway.
+			cp.mu.Lock()
+			_, _ = cp.propose(ctlCmd{Op: ctlOpCopyAbort, DB: db})
+			cp.mu.Unlock()
+		}
+		target.dropDatabase(db)
+		target.release(req)
+		m.copyPhase.With("abandoned").Inc()
+		m.reg.TraceEvent("copy", db, "abandoned", err.Error())
 		return err
 	}
-
-	// The restore was physical and bypassed the target's log; checkpoint the
-	// copied database so the log alone reproduces it on the target's next
-	// restart. Databases the target already hosts are untouched.
-	if target.Engine().WAL() != nil {
-		if err := target.Engine().CheckpointDatabase(db); err != nil {
-			c.abandonCopy(ds)
-			_ = target.Engine().DropDatabase(db)
-			return err
-		}
-	}
-
-	c.mu.Lock()
-	// A copy whose source or target failed mid-flight must not register the
-	// half-copied destination (the FailMachine race: the target can die
-	// after the last table landed but before this registration).
-	if cs.aborted || target.Failed() {
-		c.mu.Unlock()
-		c.abandonCopy(ds)
-		_ = target.Engine().DropDatabase(db)
-		return fmt.Errorf("%w: %s -> %s", ErrCopyAborted, sourceID, targetID)
-	}
-	c.mu.Unlock()
-
-	if cp := c.ctl; cp != nil {
-		// Registration commits to the replicated log first: a takeover after
-		// the commit sees the target as a full replica; before it, the copy
-		// is aborted and the target discarded. Either way no controller ever
-		// routes to a half-copied replica.
-		cp.mu.Lock()
-		_, perr := cp.propose(ctlCmd{Op: ctlOpCopyComplete, DB: db})
-		if perr != nil {
-			cp.mu.Unlock()
-			c.abandonCopy(ds)
-			_ = target.Engine().DropDatabase(db)
-			return perr
-		}
-		c.mu.Lock()
-		if !contains(ds.replicas, targetID) {
-			ds.replicas = append(ds.replicas, targetID)
-		}
-		ds.copying = nil
-		c.mu.Unlock()
-		cp.mu.Unlock()
-	} else {
-		c.mu.Lock()
-		if cs.aborted || target.Failed() {
-			c.mu.Unlock()
-			c.abandonCopy(ds)
-			_ = target.Engine().DropDatabase(db)
-			return fmt.Errorf("%w: %s -> %s", ErrCopyAborted, sourceID, targetID)
-		}
-		ds.replicas = append(ds.replicas, targetID)
-		ds.copying = nil
-		c.mu.Unlock()
-	}
-	target.dbCount.Add(1)
 	m.copyPhase.With("done").Inc()
 	m.reg.TraceEvent("copy", db, "done", targetID)
 	return nil
 }
 
-// copyWholeDB performs a database-granularity copy: the dump transaction
-// holds read locks on every table until the whole database is copied, and
-// each table is restored on the target while the locks are held.
-func (c *Cluster) copyWholeDB(ds *dbState, cs *copyState, source, target *Machine, db string) error {
-	// Writes already enqueued before the copy state was installed must
-	// finish before the dump locks the tables. New writes are rejected
-	// (wholeDB), so every table's counter strictly drains.
-	c.mu.Lock()
-	counters := make([]*drainCounter, 0, len(ds.pending))
-	for _, d := range ds.pending {
-		counters = append(counters, d)
+// runCopy performs the copy proper: the copy_begin/copy_complete proposal
+// pair, the target's preparation, one copyTables step per table (or one for
+// the whole database), and the registration of the new replica. The caller
+// abandons the copy on error.
+func (c *Cluster) runCopy(ds *dbState, cs *copyState, source, target *Machine) error {
+	db := ds.name
+	cp := c.ctl
+	if cp != nil {
+		// The copy's existence commits to the replicated log before any data
+		// moves, so a controller taking over mid-copy knows to abort it
+		// rather than leave the router rejecting writes forever.
+		cp.mu.Lock()
+		_, err := cp.propose(ctlCmd{Op: ctlOpCopyBegin, DB: db, Source: cs.source, Target: cs.target})
+		cp.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
-	c.mu.Unlock()
-	for _, d := range counters {
-		d.wait()
-	}
-	c.metrics.reg.TraceEvent("copy", db, "db_locked", "")
-	dumpStart := time.Now()
-	defer func() { c.metrics.copyDump.ObserveDuration(time.Since(dumpStart)) }()
-	err := c.netCall(c.endpoint, source.ID(), "copy_dump", func() error {
-		_, derr := source.Engine().DumpDatabase(db, sqldb.GranularityDatabase, sqldb.DumpObserver{
-			TableDone: func(_ string, d sqldb.TableDump) {
-				// Errors surface via the outer dump error path below: a failed
-				// restore leaves the target incomplete, and the final verify
-				// catches it. The apply step crosses the source→target link;
-				// RestoreTable is not idempotent (duplicate tables fail), so
-				// the delivery is declared non-idempotent and never retried.
-				_ = c.netCall(source.ID(), target.ID(), "copy_apply", func() error {
-					return target.Engine().RestoreTable(db, d)
-				})
-			},
-		})
-		return derr
+
+	tables := source.Engine().Tables(db)
+	err := c.netCall(c.endpoint, cs.target, "copy_create_db", func() error {
+		eng := target.Engine()
+		if !eng.HasDatabase(db) {
+			if err := eng.CreateDatabase(db); err != nil {
+				return err
+			}
+			target.dbCount.Add(1)
+			return nil
+		}
+		// A table the target holds but the source does not was dropped
+		// cluster-wide while the target was away, or belongs to a stale copy.
+		for _, tbl := range eng.Tables(db) {
+			if !contains(tables, tbl) {
+				if _, err := eng.Exec(db, "DROP TABLE "+tbl); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return err
 	}
+
+	var pending []string
+	for _, tbl := range tables {
+		if !cs.copied[tbl] {
+			pending = append(pending, tbl)
+		}
+	}
+	step := 1
+	if c.opts.CopyGranularity == sqldb.GranularityDatabase {
+		step = len(pending)
+	}
+	for ; len(pending) > 0; pending = pending[step:] {
+		if err := c.copyTables(ds, cs, source, target, pending[:step]); err != nil {
+			return err
+		}
+	}
+
+	// Registration commits to the replicated log first: a takeover after the
+	// commit sees the target as a full replica; before it, the copy is
+	// aborted and the target discarded. Either way no controller ever routes
+	// to a half-copied replica. cp.mu is held from the abort check to the
+	// local registration, so a machine failure (which takes it) falls
+	// entirely before — and aborts the copy — or entirely after, and removes
+	// a registered replica.
+	if cp != nil {
+		cp.mu.Lock()
+		defer cp.mu.Unlock()
+	}
 	c.mu.Lock()
-	aborted := cs.aborted
-	c.mu.Unlock()
-	if aborted {
-		return fmt.Errorf("%w: %s", ErrCopyAborted, db)
+	defer c.mu.Unlock()
+	if err := cs.abortedErr(target); err != nil {
+		return err
 	}
-	// Verify every table arrived.
-	for _, tbl := range source.Engine().Tables(db) {
-		if _, terr := target.Engine().Table(db, tbl); terr != nil {
-			return fmt.Errorf("core: table %s missing on target after copy: %w", tbl, terr)
-		}
-	}
-	return nil
-}
-
-// copyTableByTable performs a table-granularity copy, advancing Algorithm
-// 1's copied-set/in-flight state table by table.
-func (c *Cluster) copyTableByTable(ds *dbState, cs *copyState, source, target *Machine, db string) error {
-	for _, tbl := range source.Engine().Tables(db) {
-		// Mark the table in flight *before* taking its lock: from this
-		// moment new writes to it are rejected, so once the in-flight
-		// writes drain the lock acquisition races only with transactions
-		// that already hold their locks (and strict 2PL orders us after
-		// them).
-		c.mu.Lock()
-		if cs.aborted {
-			c.mu.Unlock()
-			return fmt.Errorf("%w: %s", ErrCopyAborted, db)
-		}
-		cs.inFlight = tbl
-		d := ds.pendingFor(lowerName(tbl))
+	if cp != nil {
 		c.mu.Unlock()
-		c.metrics.copyPhase.With("table_inflight").Inc()
-		c.metrics.reg.TraceEvent("copy", db, "table_inflight", tbl)
-
-		d.wait()
-
-		dumpStart := time.Now()
-		err := c.netCall(c.endpoint, source.ID(), "copy_dump", func() error {
-			return source.Engine().DumpTableWith(db, tbl, func(d sqldb.TableDump) error {
-				return c.netCall(source.ID(), target.ID(), "copy_apply", func() error {
-					return target.Engine().RestoreTable(db, d)
-				})
-			})
-		})
-		c.metrics.copyDump.ObserveDuration(time.Since(dumpStart))
+		_, err := cp.propose(ctlCmd{Op: ctlOpCopyComplete, DB: db})
+		c.mu.Lock()
 		if err != nil {
 			return err
 		}
+	}
+	ds.replicas = append(ds.replicas, cs.target)
+	ds.copying = nil
+	return nil
+}
 
-		c.mu.Lock()
-		cs.copied[lowerName(tbl)] = true
-		cs.inFlight = ""
-		c.mu.Unlock()
-		c.metrics.copyPhase.With("table_copied").Inc()
-		c.metrics.reg.TraceEvent("copy", db, "table_copied", tbl)
+// abortedErr is the copy's one abort check: a copy whose source or target
+// failed mid-flight (FailMachine sets aborted), or whose controller lost
+// leadership, must not register the half-copied destination. Called with the
+// cluster mutex held.
+func (cs *copyState) abortedErr(target *Machine) error {
+	if cs.aborted || target.Failed() {
+		return fmt.Errorf("%w: %s -> %s", ErrCopyAborted, cs.source, cs.target)
 	}
 	return nil
 }
 
-// abandonCopy clears the copy state after a failed replica creation,
-// retiring the replicated copy record (best effort — a takeover's
-// reconciliation retires orphaned records anyway).
-func (c *Cluster) abandonCopy(ds *dbState) {
+// copyTables is Algorithm 1's per-table step, for one table or — at database
+// granularity — for every table at once: mark the tables in flight, drain
+// the writes already routed to them, dump them under their read locks, apply
+// each image on the target while the locks are held, mark them copied.
+func (c *Cluster) copyTables(ds *dbState, cs *copyState, source, target *Machine, tables []string) error {
+	// The tables go in flight *before* their locks are taken: from this
+	// moment new writes to them are rejected, so once the in-flight writes
+	// drain the lock acquisition races only with transactions that already
+	// hold their locks (and strict 2PL orders the dump after them).
 	c.mu.Lock()
-	ds.copying = nil
-	c.mu.Unlock()
-	if cp := c.ctl; cp != nil {
-		cp.mu.Lock()
-		_, _ = cp.propose(ctlCmd{Op: ctlOpCopyAbort, DB: ds.name})
-		cp.mu.Unlock()
+	if err := cs.abortedErr(target); err != nil {
+		c.mu.Unlock()
+		return err
 	}
-	c.metrics.copyPhase.With("abandoned").Inc()
-	c.metrics.reg.TraceEvent("copy", ds.name, "abandoned", "")
+	drains := make([]*drainCounter, len(tables))
+	for i, tbl := range tables {
+		cs.inFlight[tbl] = true
+		drains[i] = ds.pendingFor(tbl)
+	}
+	c.mu.Unlock()
+	for _, tbl := range tables {
+		c.metrics.copyPhase.With("table_inflight").Inc()
+		c.metrics.reg.TraceEvent("copy", ds.name, "table_inflight", tbl)
+	}
+	for _, d := range drains {
+		d.wait()
+	}
+
+	dumpStart := time.Now()
+	err := c.netCall(c.endpoint, cs.source, "copy_dump", func() error {
+		return source.Engine().DumpTables(ds.name, tables, func(d sqldb.TableDump) error {
+			return c.netCall(cs.source, cs.target, "copy_apply", func() error {
+				return target.Engine().RestoreTable(ds.name, d)
+			})
+		})
+	})
+	c.metrics.copyDump.ObserveDuration(time.Since(dumpStart))
+	if err != nil {
+		return err
+	}
+
+	c.mu.Lock()
+	for _, tbl := range tables {
+		cs.copied[tbl] = true
+		delete(cs.inFlight, tbl)
+	}
+	c.mu.Unlock()
+	for _, tbl := range tables {
+		c.metrics.copyPhase.With("table_copied").Inc()
+		c.metrics.reg.TraceEvent("copy", ds.name, "table_copied", tbl)
+	}
+	return nil
 }

@@ -109,8 +109,8 @@ func TestMachineRestartFastRecovery(t *testing.T) {
 	}
 
 	// A second restart of the caught-up machine reproduces the caught-up
-	// state from its own log (the delta was applied through the target's SQL
-	// layer, so the log is self-contained without a new checkpoint).
+	// state from its own log (the delta landed as a restore frame, so the log
+	// is self-contained without a checkpoint).
 	if _, err := c.FailMachine(victimID); err != nil {
 		t.Fatal(err)
 	}
@@ -119,52 +119,6 @@ func TestMachineRestartFastRecovery(t *testing.T) {
 	}
 	if got := tableCount(t, victim, "app", "hot"); got != 31 {
 		t.Fatalf("hot after second restart: %d rows, want 31", got)
-	}
-}
-
-// TestCatchUpPhysicalFallback drives the catch-up's bulk path: a delta table
-// larger than catchUpLogicalRows is restored physically (bypassing the
-// target's log), which must force a checkpoint so the machine's next restart
-// still reproduces the caught-up state.
-func TestCatchUpPhysicalFallback(t *testing.T) {
-	c := newTestCluster(t, 2, walOpts())
-	clusterExec(t, c, "CREATE TABLE big (id INT PRIMARY KEY)")
-	rows := catchUpLogicalRows + 100
-	for i := 1; i <= rows; i++ {
-		clusterExec(t, c, "INSERT INTO big VALUES (?)", intv(int64(i)))
-	}
-	replicas, _ := c.Replicas("app")
-	victimID := replicas[1]
-	affected, err := c.FailMachine(victimID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dirty the big table while the victim is down: the whole table is the
-	// delta, and it is too large for the logical path.
-	clusterExec(t, c, "INSERT INTO big VALUES (?)", intv(int64(rows+1)))
-	if _, err := c.RestartMachine(victimID); err != nil {
-		t.Fatal(err)
-	}
-	if report := c.RecoverDatabases(affected, 1); len(report.Failed) != 0 {
-		t.Fatalf("recovery failures: %v", report.Failed)
-	}
-	if got := c.metrics.walRecovery.With("fast").Value(); got != 1 {
-		t.Fatalf("wal_recovery_total{path=fast} = %d, want 1", got)
-	}
-	victim, _ := c.Machine(victimID)
-	if got := tableCount(t, victim, "app", "big"); got != rows+1 {
-		t.Fatalf("big after catch-up: %d rows, want %d", got, rows+1)
-	}
-	// The physical restore bypassed the log; only the forced checkpoint makes
-	// this restart reproduce the table.
-	if _, err := c.FailMachine(victimID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RestartMachine(victimID); err != nil {
-		t.Fatal(err)
-	}
-	if got := tableCount(t, victim, "app", "big"); got != rows+1 {
-		t.Fatalf("big after second restart: %d rows, want %d", got, rows+1)
 	}
 }
 
@@ -234,20 +188,16 @@ func TestRestartDropsOrphanedDatabase(t *testing.T) {
 	if victim.Engine().HasDatabase("scratch") {
 		t.Fatal("orphaned database survived restart")
 	}
-	// "app" exists cluster-wide again, so the recovered copy is kept on the
-	// machine for now — but its marks must not pass the epoch check.
-	if c.fastRecoveryCandidate("app") != nil && victim.hasMarks("app") {
-		marks, epoch, _ := victim.takeMarks("app")
-		c.mu.Lock()
-		cur := c.dbs["app"].epoch
-		c.mu.Unlock()
-		if epoch == cur {
-			t.Fatalf("stale marks carry current epoch %d", cur)
-		}
-		victim.setMarks("app", epoch, marks)
+	// "app" exists cluster-wide again, but as a new incarnation: the marks the
+	// machine holds carry the old epoch, so its copy is as orphaned as
+	// scratch's and there is nothing to fast-path from.
+	if victim.Engine().HasDatabase("app") {
+		t.Fatal("stale incarnation of a re-created database survived restart")
 	}
-	// Recovery must take the full path (possibly after discarding the stale
-	// incarnation) and end with a correct replica.
+	if m, _ := c.fastRecoveryCandidate("app"); m != nil {
+		t.Fatalf("stale marks made %s a fast recovery candidate", m.ID())
+	}
+	// Recovery must take the full path and end with a correct replica.
 	report := c.RecoverDatabases([]string{"app"}, 1)
 	if len(report.Failed) != 0 {
 		t.Fatalf("recovery failures: %v", report.Failed)

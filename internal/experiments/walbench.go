@@ -173,7 +173,7 @@ func RunWALBench(cfg Config) (WALBench, error) {
 		res.NoGroupCommit = append(res.NoGroupCommit, pt)
 	}
 
-	// Recovery comparison, median of three trials each (a GC pause can rival
+	// Recovery comparison, median of recoveryTrials each (a GC pause can rival
 	// the measured interval). Fast path: the failed machine restarts with its
 	// log intact, replays it, and only the post-failure delta is copied.
 	res.RecoveryRows = cfg.walBenchRows()
@@ -212,8 +212,11 @@ func RunWALBench(cfg Config) (WALBench, error) {
 }
 
 // recoveryTrials is how many times each recovery path is measured; the
-// reported numbers are the median trial.
-const recoveryTrials = 3
+// reported numbers are the median trial. Both paths load every row of the
+// database exactly once (a checkpoint image on restart, a dump image on a
+// copy), so they differ by some 10% and a median of three cannot tell them
+// apart.
+const recoveryTrials = 9
 
 // walFastTrial is one timed fast-path recovery.
 type walFastTrial struct {

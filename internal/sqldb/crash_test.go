@@ -393,6 +393,145 @@ func TestCrashCompactedLog(t *testing.T) {
 	wantIDs(t, e4, "bank", "accounts", 1, 2, 3, 4, 5)
 }
 
+// idImage builds the dump image of a one-column table holding ids lo..hi.
+func idImage(t *testing.T, table string, lo, hi int64) TableDump {
+	t.Helper()
+	schema, err := NewSchema(table, []Column{{Name: "id", Typ: TypeInt, PrimaryKey: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := TableDump{Schema: schema}
+	for id := lo; id <= hi; id++ {
+		d.Rows = append(d.Rows, Row{NewInt(id)})
+	}
+	return d
+}
+
+func idRange(lo, hi int64) []int64 {
+	out := make([]int64, 0, hi-lo+1)
+	for id := lo; id <= hi; id++ {
+		out = append(out, id)
+	}
+	return out
+}
+
+// TestCrashRestoreFrame proves a bulk table restore is durable through its
+// own redo frame, wherever a full checkpoint falls relative to it: before
+// (the later frame replaces the checkpoint's image of the old table), after
+// (the checkpoint's image supersedes the frame), racing it (ckptMu picks one
+// of the two orders), or never.
+func TestCrashRestoreFrame(t *testing.T) {
+	for _, when := range []string{"none", "before", "after", "racing"} {
+		t.Run("checkpoint_"+when, func(t *testing.T) {
+			e, s := newWALEngine(t)
+			seedBank(t, e)
+			// The stale incarnation the restore replaces, with a wider schema.
+			crashExec(t, e, "bank", "CREATE TABLE moved (id INT PRIMARY KEY, junk TEXT)")
+			crashExec(t, e, "bank", "INSERT INTO moved (id, junk) VALUES (1, 'stale')")
+			img := idImage(t, "moved", 100, 400)
+
+			switch when {
+			case "none":
+				if err := e.RestoreTable("bank", img); err != nil {
+					t.Fatal(err)
+				}
+			case "before":
+				if err := e.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.RestoreTable("bank", img); err != nil {
+					t.Fatal(err)
+				}
+			case "after":
+				if err := e.RestoreTable("bank", img); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			case "racing":
+				errs := make(chan error, 2)
+				go func() { errs <- e.Checkpoint() }()
+				go func() { errs <- e.RestoreTable("bank", img) }()
+				for i := 0; i < 2; i++ {
+					if err := <-errs; err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// RestoreTable returned, so the image is durable without any later
+			// commit forcing the log: crash right away.
+			s.Crash(0)
+			e2, _ := recoverEngine(t, s)
+			wantIDs(t, e2, "bank", "moved", idRange(100, 400)...)
+			wantIDs(t, e2, "bank", "accounts", 1, 2)
+
+			// Writes after the restore replay on top of the image, and a second
+			// recovery of the grown log agrees.
+			crashExec(t, e2, "bank", "INSERT INTO moved (id) VALUES (401)")
+			crashExec(t, e2, "bank", "DELETE FROM moved WHERE id = 100")
+			s.Crash(0)
+			e3, _ := recoverEngine(t, s)
+			wantIDs(t, e3, "bank", "moved", idRange(101, 401)...)
+		})
+	}
+}
+
+// TestCrashDroppedDatabaseSkipsHistory covers the replay rule that a drop
+// record retires everything logged before it for that database. The hard
+// case is a log whose head was compacted at one checkpoint and not at the
+// next: a database dropped in between has its creation only in the first
+// checkpoint's marker, which recovery no longer reads, so its surviving
+// statements and restore frame have nothing to apply to — and must be
+// skipped, not fail the recovery.
+func TestCrashDroppedDatabaseSkipsHistory(t *testing.T) {
+	s := wal.NewMemStore()
+	e := NewEngine(DefaultConfig())
+	e.AttachWAL(wal.New(s, wal.Config{Compact: true}, nil))
+	seedBank(t, e)
+	for _, db := range []string{"gone", "again"} {
+		if err := e.CreateDatabase(db); err != nil {
+			t.Fatal(err)
+		}
+		crashExec(t, e, db, "CREATE TABLE g (id INT PRIMARY KEY)")
+	}
+	if err := e.Checkpoint(); err != nil { // compacts: both creations are now only markers
+		t.Fatal(err)
+	}
+	s.Crash(0)
+
+	e2, _ := recoverEngine(t, s) // logs without compaction from here on
+	for _, db := range []string{"gone", "again"} {
+		crashExec(t, e2, db, "INSERT INTO g (id) VALUES (1)")
+		if err := e2.RestoreTable(db, idImage(t, "h", 1, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e2.DropDatabase(db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Same name, new incarnation: only what follows the drop may survive.
+	if err := e2.CreateDatabase("again"); err != nil {
+		t.Fatal(err)
+	}
+	crashExec(t, e2, "again", "CREATE TABLE fresh (id INT PRIMARY KEY)")
+	crashExec(t, e2, "again", "INSERT INTO fresh (id) VALUES (9)")
+	s.Crash(0)
+
+	e3, _ := recoverEngine(t, s)
+	wantIDs(t, e3, "bank", "accounts", 1, 2)
+	if e3.HasDatabase("gone") {
+		t.Fatal("dropped database resurrected")
+	}
+	wantIDs(t, e3, "again", "fresh", 9)
+	if got := e3.Tables("again"); len(got) != 1 {
+		t.Fatalf("tables of the new incarnation = %v, want only fresh", got)
+	}
+}
+
 // TestCrashRandomizedCut is the property-based crash test behind `make
 // crash`: a multi-transaction workload runs to completion, then the log is
 // cut at a position chosen by SDP_CRASH_SEED (or a fixed seed) and recovery
@@ -411,10 +550,13 @@ func TestCrashRandomizedCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 
 	// Build the reference log: 30 transactions inserting their GID as a row,
-	// a sprinkle of aborts, and a mid-workload checkpoint.
+	// a sprinkle of aborts, a mid-workload checkpoint, and — after it — a bulk
+	// restore that replaces a small table with a large image.
 	e, s := newWALEngine(t)
 	seedBank(t, e)
 	crashExec(t, e, "bank", "CREATE TABLE log (id INT PRIMARY KEY)")
+	crashExec(t, e, "bank", "CREATE TABLE moved (id INT PRIMARY KEY)")
+	crashExec(t, e, "bank", "INSERT INTO moved (id) VALUES (1)")
 	for gid := uint64(1); gid <= 30; gid++ {
 		tx, err := e.BeginWithID("bank", gid)
 		if err != nil {
@@ -438,14 +580,36 @@ func TestCrashRandomizedCut(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if gid == 22 {
+			if err := e.RestoreTable("bank", idImage(t, "moved", 100, 300)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	full, err := s.Contents()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for trial := 0; trial < 12; trial++ {
-		cut := rng.Intn(len(full) + 1)
+	// 12 cuts anywhere in the log, then 4 that tear the restore frame itself.
+	cuts := make([]int, 0, 16)
+	for len(cuts) < 12 {
+		cuts = append(cuts, rng.Intn(len(full)+1))
+	}
+	recs, _, _ := wal.Scan(full)
+	for i, r := range recs {
+		if r.Type == wal.RecRestoreTable {
+			frame := int(recs[i+1].LSN - r.LSN)
+			for len(cuts) < 16 {
+				cuts = append(cuts, int(r.LSN)+1+rng.Intn(frame-1))
+			}
+		}
+	}
+	if len(cuts) != 16 {
+		t.Fatal("reference log holds no restore frame")
+	}
+
+	for _, cut := range cuts {
 		t.Run(fmt.Sprintf("cut_%d", cut), func(t *testing.T) {
 			// A store holding exactly the first cut bytes, as the crash left it.
 			cs := wal.NewMemStore()
@@ -458,9 +622,13 @@ func TestCrashRandomizedCut(t *testing.T) {
 			// Expected surviving transactions: commit records intact in the cut.
 			recs, _, _ := wal.Scan(full[:cut])
 			want := []int64{}
+			restored := false
 			for _, r := range recs {
 				if r.Type == wal.RecCommit && r.GID != 0 {
 					want = append(want, int64(r.GID))
+				}
+				if r.Type == wal.RecRestoreTable {
+					restored = true
 				}
 			}
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -479,6 +647,13 @@ func TestCrashRandomizedCut(t *testing.T) {
 				return
 			}
 			wantIDs(t, e2, "bank", "log", want...)
+			// The bulk restore is all or nothing: a torn frame leaves the
+			// table it would have replaced exactly as the checkpoint saw it.
+			if restored {
+				wantIDs(t, e2, "bank", "moved", idRange(100, 300)...)
+			} else if len(want) > 0 {
+				wantIDs(t, e2, "bank", "moved", 1)
+			}
 		})
 	}
 }

@@ -2,12 +2,14 @@ package sqldb
 
 import (
 	"fmt"
+
+	"sdp/internal/wal"
 )
 
 // The dump tool models mysqldump: each table is copied under a table read
 // lock, which blocks writers to that table for the duration of the table's
 // copy. The cluster controller builds its online replica-creation protocol
-// (the paper's Algorithm 1) on top of these primitives.
+// (the paper's Algorithm 1) on DumpTables and RestoreTable.
 
 // TableDump is the copied image of one table.
 type TableDump struct {
@@ -46,120 +48,45 @@ func (g DumpGranularity) String() string {
 	return "table"
 }
 
-// DumpObserver receives per-table progress callbacks from DumpDatabase. The
-// cluster controller uses these to maintain the copied-set/in-flight state
-// that Algorithm 1 needs. Either callback may be nil.
-type DumpObserver struct {
-	// TableStart is called after the table's read lock is acquired and
-	// before its rows are copied.
-	TableStart func(table string)
-	// TableDone is called after the table's rows are copied; under
-	// GranularityTable the read lock has been released by this point.
-	TableDone func(table string, d TableDump)
-}
-
-// DumpDatabase copies every table of a database, honouring the granularity's
-// locking protocol, and returns the copied images in the order copied.
-func (e *Engine) DumpDatabase(db string, g DumpGranularity, obs DumpObserver) ([]TableDump, error) {
-	names := e.Tables(db)
-	if !e.HasDatabase(db) {
-		return nil, fmt.Errorf("%w: database %s", ErrNoTable, db)
-	}
-
-	switch g {
-	case GranularityDatabase:
-		// One transaction holds S locks on all tables until the copy ends.
-		t, err := e.Begin(db)
-		if err != nil {
-			return nil, err
-		}
-		defer func() { _ = t.Commit() }()
-		// Lock in sorted (deterministic) order to avoid lock-order cycles
-		// between concurrent dumps.
-		tables := make([]*Table, 0, len(names))
-		for _, name := range names {
-			tbl, err := e.Table(db, name)
-			if err != nil {
-				return nil, err
-			}
-			if err := t.lockTable(tbl, LockS); err != nil {
-				return nil, err
-			}
-			tables = append(tables, tbl)
-		}
-		out := make([]TableDump, 0, len(tables))
-		for _, tbl := range tables {
-			if obs.TableStart != nil {
-				obs.TableStart(tbl.Name())
-			}
-			d := copyTable(tbl)
-			out = append(out, d)
-			if obs.TableDone != nil {
-				obs.TableDone(tbl.Name(), d)
-			}
-		}
-		return out, nil
-
-	default:
-		// Table granularity: a short transaction per table so the read lock
-		// is released as soon as that table's copy completes.
-		out := make([]TableDump, 0, len(names))
-		for _, name := range names {
-			tbl, err := e.Table(db, name)
-			if err != nil {
-				return nil, err
-			}
-			t, err := e.Begin(db)
-			if err != nil {
-				return nil, err
-			}
-			if err := t.lockTable(tbl, LockS); err != nil {
-				_ = t.Rollback()
-				return nil, err
-			}
-			if obs.TableStart != nil {
-				obs.TableStart(tbl.Name())
-			}
-			d := copyTable(tbl)
-			if err := t.Commit(); err != nil {
-				return nil, err
-			}
-			out = append(out, d)
-			if obs.TableDone != nil {
-				obs.TableDone(tbl.Name(), d)
-			}
-		}
-		return out, nil
-	}
-}
-
-// DumpTableWith copies one table under its read lock and invokes fn with
-// the image while the lock is still held. The cluster controller's online
-// replica creation (the paper's Algorithm 1) uses this so that the copied
-// table is installed on the target machine before writers on the source can
-// resume — otherwise a write executing right after the lock release could
-// reach the source but miss the target.
-func (e *Engine) DumpTableWith(db, table string, fn func(TableDump) error) error {
-	tbl, err := e.Table(db, table)
-	if err != nil {
-		return err
-	}
+// DumpTables copies the named tables of db under table read locks: one
+// transaction S-locks every table, in the order given, and then hands each
+// image to fn while all the locks are still held. The cluster controller's
+// online replica creation (the paper's Algorithm 1) installs each image on
+// the target machine from inside fn, so a copied table exists on the target
+// before writers on the source can resume — otherwise a write executing
+// right after the lock release could reach the source but miss the target.
+// Granularity is the caller's choice of how many tables one call names.
+func (e *Engine) DumpTables(db string, tables []string, fn func(TableDump) error) error {
 	t, err := e.Begin(db)
 	if err != nil {
 		return err
 	}
-	if err := t.lockTable(tbl, LockS); err != nil {
+	if err := t.dumpTables(tables, fn); err != nil {
 		_ = t.Rollback()
 		return err
 	}
-	d := copyTable(tbl)
-	if fn != nil {
-		if err := fn(d); err != nil {
-			_ = t.Rollback()
+	return t.Commit()
+}
+
+// dumpTables S-locks every named table, then images each for fn.
+func (t *Txn) dumpTables(tables []string, fn func(TableDump) error) error {
+	locked := make([]*Table, len(tables))
+	for i, name := range tables {
+		tbl, err := t.engine.Table(t.db, name)
+		if err != nil {
+			return err
+		}
+		if err := t.lockTable(tbl, LockS); err != nil {
+			return err
+		}
+		locked[i] = tbl
+	}
+	for _, tbl := range locked {
+		if err := fn(copyTable(tbl)); err != nil {
 			return err
 		}
 	}
-	return t.Commit()
+	return nil
 }
 
 // copyTable snapshots a table's schema, rows and index definitions. The
@@ -182,10 +109,21 @@ func copyTable(tbl *Table) TableDump {
 	return d
 }
 
-// RestoreTable creates a table from a dump image and bulk-loads its rows,
-// bypassing transactional bookkeeping (the table is not yet serving client
-// traffic). Used by the replica-creation process on the target machine.
+// RestoreTable installs a dump image as the table's contents, replacing any
+// table of that name, and bulk-loads its rows without transactional
+// bookkeeping (the table is not serving client traffic: it is a replica
+// copy's target, or the engine is recovering). With a log attached the
+// restore is durable when it returns: the image is forced to the log as one
+// redo frame after the rows are loaded. The whole restore holds ckptMu, so a
+// checkpoint images the table either before the restore began (and the later
+// frame replaces that image on replay) or after it completed (and the
+// checkpoint supersedes the frame) — never half loaded.
 func (e *Engine) RestoreTable(db string, d TableDump) error {
+	logged := e.walLogging()
+	if logged {
+		e.ckptMu.Lock()
+		defer e.ckptMu.Unlock()
+	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -197,15 +135,14 @@ func (e *Engine) RestoreTable(db string, d TableDump) error {
 		return fmt.Errorf("%w: database %s", ErrNoTable, db)
 	}
 	key := lower(d.Schema.Table)
-	if _, exists := tables[key]; exists {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrTableExists, d.Schema.Table)
+	if old, exists := tables[key]; exists {
+		e.pool.InvalidateTable(old.poolName)
 	}
 	tbl := newTable(e, qualified(db, d.Schema.Table), d.Schema.Clone())
 	tables[key] = tbl
 	e.mu.Unlock()
-	// Cached "no such table" knowledge (e.g. non-cacheable plans that were
-	// derived before the restore) must not outlive the table's appearance.
+	// Plans bound to the replaced table, and cached "no such table" knowledge
+	// derived before the restore, must not outlive it.
 	e.plans.invalidateTables(db, key)
 
 	for _, r := range d.Rows {
@@ -221,5 +158,11 @@ func (e *Engine) RestoreTable(db string, d TableDump) error {
 			return err
 		}
 	}
-	return nil
+	if !logged {
+		return nil
+	}
+	_, err := e.wal.AppendSync(wal.Record{
+		Type: wal.RecRestoreTable, DB: db, Table: key, Data: encodeTableImage(d),
+	})
+	return err
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -226,6 +227,20 @@ func TestSchemaDDLRoundTrip(t *testing.T) {
 	}
 }
 
+// dumpAll images every table of app in one DumpTables call.
+func dumpAll(t *testing.T, e *Engine) []TableDump {
+	t.Helper()
+	var dumps []TableDump
+	err := e.DumpTables("app", e.Tables("app"), func(d TableDump) error {
+		dumps = append(dumps, d)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dumps
+}
+
 func TestDumpRestoreRoundTrip(t *testing.T) {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE a (id INT PRIMARY KEY, v TEXT)")
@@ -236,16 +251,9 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 		mustExec(t, e, fmt.Sprintf("INSERT INTO b VALUES (%d, %d.5)", i, i))
 	}
 
-	var started, done []string
-	dumps, err := e.DumpDatabase("app", GranularityTable, DumpObserver{
-		TableStart: func(tbl string) { started = append(started, tbl) },
-		TableDone:  func(tbl string, _ TableDump) { done = append(done, tbl) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dumps) != 2 || len(started) != 2 || len(done) != 2 {
-		t.Fatalf("dumps=%d started=%v done=%v", len(dumps), started, done)
+	dumps := dumpAll(t, e)
+	if len(dumps) != 2 || dumps[0].Schema.Table != "a" || dumps[1].Schema.Table != "b" {
+		t.Fatalf("dumps = %d tables, want a then b", len(dumps))
 	}
 
 	e2 := NewEngine(DefaultConfig())
@@ -274,50 +282,137 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDumpDatabaseGranularityBlocksWrites(t *testing.T) {
+// TestDumpTablesHoldsEveryLock checks the database-granularity use of
+// DumpTables: while the callback runs for the first table, writes to every
+// named table block — the last one's lock is already held.
+func TestDumpTablesHoldsEveryLock(t *testing.T) {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE a (id INT PRIMARY KEY)")
-	mustExec(t, e, "INSERT INTO a VALUES (1)")
+	mustExec(t, e, "CREATE TABLE b (id INT PRIMARY KEY)")
 
 	inDump := make(chan struct{})
 	release := make(chan struct{})
+	dumped := make(chan error, 1)
 	go func() {
-		_, _ = e.DumpDatabase("app", GranularityDatabase, DumpObserver{
-			TableStart: func(string) {
+		first := true
+		dumped <- e.DumpTables("app", []string{"a", "b"}, func(TableDump) error {
+			if first {
+				first = false
 				close(inDump)
 				<-release
-			},
+			}
+			return nil
 		})
 	}()
 	<-inDump
-	// A write during the database-granularity dump must block (the dump
-	// transaction holds the table read lock).
 	wrote := make(chan error, 1)
 	go func() {
-		_, err := e.Exec("app", "INSERT INTO a VALUES (2)")
+		_, err := e.Exec("app", "INSERT INTO b VALUES (2)")
 		wrote <- err
 	}()
 	select {
 	case err := <-wrote:
-		t.Fatalf("write did not block during database dump (err=%v)", err)
+		t.Fatalf("write to b did not block while a was being dumped (err=%v)", err)
 	case <-timeAfter50ms():
 	}
 	close(release)
 	if err := <-wrote; err != nil {
 		t.Fatalf("write failed after dump: %v", err)
 	}
+	if err := <-dumped; err != nil {
+		t.Fatalf("dump: %v", err)
+	}
+	if err := e.DumpTables("app", []string{"a", "nope"}, func(TableDump) error { return nil }); !isNoTable(err) {
+		t.Fatalf("dump of a missing table: err = %v, want ErrNoTable", err)
+	}
+	if held := e.Stats().LocksHeld; held != 0 {
+		t.Fatalf("locks held after dumps = %d", held)
+	}
 }
 
-func TestRestoreIntoExistingTableFails(t *testing.T) {
+// TestDumpConsistentUnderWrites dumps a table while transfer transactions
+// run against it: the image restored elsewhere must hold every account and
+// the invariant total (the read lock never tears a transfer).
+func TestDumpConsistentUnderWrites(t *testing.T) {
 	e := newTestDB(t)
-	mustExec(t, e, "CREATE TABLE a (id INT PRIMARY KEY)")
-	dumps, err := e.DumpDatabase("app", GranularityTable, DumpObserver{})
-	if err != nil {
+	mustExec(t, e, "CREATE TABLE acct (id INT PRIMARY KEY, bal INT)")
+	const n = 16
+	for i := 0; i < n; i++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO acct VALUES (%d, 100)", i))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i++
+				tx, err := e.Begin("app")
+				if err != nil {
+					continue
+				}
+				_, e1 := tx.Exec("UPDATE acct SET bal = bal - 1 WHERE id = ?", NewInt(int64(i%n)))
+				var e2 error
+				if e1 == nil {
+					_, e2 = tx.Exec("UPDATE acct SET bal = bal + 1 WHERE id = ?", NewInt(int64((i*3+1)%n)))
+				}
+				if e1 != nil || e2 != nil {
+					_ = tx.Rollback()
+					continue
+				}
+				_ = tx.Commit()
+			}
+		}(w * 5)
+	}
+	dumps := dumpAll(t, e)
+	close(stop)
+	wg.Wait()
+
+	e2 := newTestDB(t)
+	if err := e2.RestoreTable("app", dumps[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RestoreTable("app", dumps[0]); err == nil {
-		t.Error("restore over existing table succeeded")
+	res := mustExec(t, e2, "SELECT SUM(bal), COUNT(*) FROM acct")
+	if res.Rows[0][1].Int != n {
+		t.Fatalf("restored rows = %v", res.Rows[0][1])
 	}
+	if res.Rows[0][0].Int != n*100 {
+		t.Errorf("restored total = %v, want %d (dump tore a transfer)", res.Rows[0][0], n*100)
+	}
+}
+
+// TestRestoreReplacesExistingTable checks RestoreTable's replace semantics:
+// the image supersedes the table's rows, schema and indexes, and cached
+// plans follow.
+func TestRestoreReplacesExistingTable(t *testing.T) {
+	src := newTestDB(t)
+	mustExec(t, src, "CREATE TABLE a (id INT PRIMARY KEY, v TEXT)")
+	mustExec(t, src, "CREATE INDEX idx_v ON a (v)")
+	mustExec(t, src, "INSERT INTO a VALUES (7, 'new')")
+
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE a (id INT PRIMARY KEY)")
+	for i := 0; i < 300; i++ { // several sealed pages of the old incarnation
+		mustExec(t, e, fmt.Sprintf("INSERT INTO a VALUES (%d)", i))
+	}
+	mustExec(t, e, "SELECT id FROM a WHERE id = 7") // caches a plan on the old schema
+	if err := e.RestoreTable("app", dumpAll(t, src)[0]); err != nil {
+		t.Fatal(err)
+	}
+	res := mustExec(t, e, "SELECT id, v FROM a")
+	if len(res.Rows) != 1 || res.Rows[0][0].Int != 7 || res.Rows[0][1].Str != "new" {
+		t.Fatalf("rows after replace = %v", res.Rows)
+	}
+	if res := mustExec(t, e, "SELECT id FROM a WHERE v = 'new'"); len(res.Rows) != 1 {
+		t.Fatalf("restored index lookup = %v", res.Rows)
+	}
+	mustExec(t, e, "INSERT INTO a VALUES (8, 'later')")
 }
 
 func TestDatabaseByteSizeGrows(t *testing.T) {

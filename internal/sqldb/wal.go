@@ -136,37 +136,20 @@ func (e *Engine) walAbort(t *Txn) {
 	_, _ = e.wal.Append(wal.Record{Type: wal.RecAbort, Txn: t.id, GID: t.GlobalID, DB: t.db})
 }
 
-// Checkpoint writes a fuzzy checkpoint: a begin frame, one namespace marker
-// per database, one image frame per table (each captured under that table's
-// read lock, one table at a time, so writers are blocked only for their own
-// table's copy), and a forced end frame. Recovery uses only checkpoints whose
-// end frame is durable. Replay work after a checkpoint is bounded by the log
-// tail: a statement frame is applied only if its LSN is past the image frame
-// of its table, and strict 2PL guarantees every transaction reflected in the
-// image committed before the image frame was appended.
+// Checkpoint writes a fuzzy checkpoint of every database: a begin frame, per
+// database one namespace marker followed by one image frame per table (each
+// captured under that table's read lock, one table at a time, so writers are
+// blocked only for their own table's copy), and a forced end frame. Recovery
+// uses only the newest checkpoint whose end frame is durable. Replay work
+// after a checkpoint is bounded by the log tail: a statement frame is applied
+// only if its LSN is past the image frame of its table, and strict 2PL
+// guarantees every transaction reflected in the image committed before the
+// image frame was appended. A checkpoint covers a whole database — marker
+// plus every table — because the marker's LSN filters the namespace's
+// create/drop history during replay, which is only sound if every surviving
+// table is imaged. When the log is configured for it, the dead head before
+// the checkpoint is compacted away.
 func (e *Engine) Checkpoint() error {
-	return e.checkpoint(e.Databases(), true)
-}
-
-// CheckpointDatabase writes a fuzzy checkpoint covering only db: its
-// namespace marker and all of its tables. Other databases keep recovering
-// from their own latest checkpoints (or full replay). The cluster controller
-// uses this after physically restoring tables of one database onto a
-// machine, making the machine's log self-contained again at the cost of that
-// database alone. A checkpoint always covers a whole database — marker plus
-// every table — because the marker's LSN filters the namespace's create/drop
-// history during replay, which is only sound if every surviving table is
-// imaged.
-func (e *Engine) CheckpointDatabase(db string) error {
-	return e.checkpoint([]string{db}, false)
-}
-
-// checkpoint writes one begin/end-framed checkpoint imaging the given
-// databases in full. full marks a checkpoint that set out to cover every
-// database, making the log head eligible for compaction when the log is
-// configured for it; partial checkpoints never compact, since records of the
-// uncovered databases must keep replaying.
-func (e *Engine) checkpoint(dbs []string, full bool) error {
 	if e.wal == nil {
 		return fmt.Errorf("sqldb: no WAL attached")
 	}
@@ -175,9 +158,9 @@ func (e *Engine) checkpoint(dbs []string, full bool) error {
 	if _, err := e.wal.Append(wal.Record{Type: wal.RecCheckpointBegin}); err != nil {
 		return err
 	}
-	for _, db := range dbs {
+	for _, db := range e.Databases() {
 		if !e.HasDatabase(db) {
-			continue // dropped since the caller listed it
+			continue // dropped since the listing
 		}
 		// The namespace marker's own LSN is the database's snapshot position:
 		// create/drop records — and statements — before it are reflected in
@@ -186,20 +169,19 @@ func (e *Engine) checkpoint(dbs []string, full bool) error {
 			return err
 		}
 		for _, table := range e.Tables(db) {
-			err := e.DumpTableWith(db, table, func(d TableDump) error {
+			err := e.DumpTables(db, []string{table}, func(d TableDump) error {
 				// Appended while the table read lock is held: every commit
 				// touching this table is either before this frame (and in the
 				// image) or after it (and replayed).
 				_, err := e.wal.Append(wal.Record{
-					Type: wal.RecCheckpointTable, DB: db, Table: lower(table),
+					Type: wal.RecCheckpointTable, DB: db, Table: table,
 					Data: encodeTableImage(d),
 				})
 				return err
 			})
-			if err != nil {
-				if isNoTable(err) {
-					continue // dropped while checkpointing; the drop record replays
-				}
+			if err != nil && !isNoTable(err) {
+				// A table (or the database) dropped while checkpointing is
+				// skipped: its drop record replays.
 				return err
 			}
 		}
@@ -207,7 +189,7 @@ func (e *Engine) checkpoint(dbs []string, full bool) error {
 	if _, err := e.wal.AppendSync(wal.Record{Type: wal.RecCheckpointEnd}); err != nil {
 		return err
 	}
-	if full && e.wal.Config().Compact {
+	if e.wal.Config().Compact {
 		if _, err := e.wal.Compact(); err != nil {
 			return err
 		}
@@ -223,12 +205,12 @@ func isNoTable(err error) bool {
 // RecoveryStats summarises one Engine.Recover run.
 type RecoveryStats struct {
 	// CheckpointLSN is the begin-frame LSN of the newest complete checkpoint
-	// in the log, or -1 when recovery replayed the whole log. Databases absent
-	// from that checkpoint are restored from their own most recent one.
+	// in the log, or -1 when recovery replayed the whole log.
 	CheckpointLSN int64
 	// Records is the number of intact log records scanned.
 	Records int
-	// Applied is the number of statements and namespace changes replayed.
+	// Applied is the number of statements, table restores and database
+	// creations replayed.
 	Applied int
 	// InDoubt is the number of prepared transactions re-instated for the
 	// commit coordinator to resolve (see RecoveredPrepared).
@@ -244,11 +226,11 @@ type RecoveryStats struct {
 }
 
 // Recover rebuilds the engine's state from its attached log: it truncates any
-// torn tail, restores each database from its most recent complete checkpoint,
-// replays the statements of committed transactions (and all DDL) in log
-// order, and re-instates prepared in-doubt transactions so the commit
-// coordinator can resolve them with ResolvePrepared. It must run on a fresh
-// engine before it serves traffic.
+// torn tail, restores the newest complete checkpoint, replays the statements
+// of committed transactions, all DDL and every table restore in log order,
+// and re-instates prepared in-doubt transactions so the commit coordinator
+// can resolve them with ResolvePrepared. It must run on a fresh engine before
+// it serves traffic.
 func (e *Engine) Recover() (*RecoveryStats, error) {
 	if e.wal == nil {
 		return nil, fmt.Errorf("sqldb: no WAL attached")
@@ -262,77 +244,52 @@ func (e *Engine) Recover() (*RecoveryStats, error) {
 	defer e.recovering.Store(false)
 	stats := &RecoveryStats{CheckpointLSN: -1, Records: len(recs), TornTail: torn}
 
-	// Locate every complete checkpoint. Checkpoints are serialised by ckptMu,
-	// so begin and end frames pair up in log order; a begin without a matching
-	// end is an interrupted checkpoint and is ignored.
-	type ckptSpan struct{ begin, end int }
-	var spans []ckptSpan
-	lastBegin := -1
+	// One pass locates the newest complete checkpoint and each database's
+	// last drop. Checkpoints are serialised by ckptMu, so begin and end frames
+	// pair up in log order; a begin without a matching end is an interrupted
+	// checkpoint and is ignored. Every checkpoint covers every database, so
+	// the newest one supersedes the rest.
+	//
+	// snap maps "db" and "db/table" to the LSN up to which the log is already
+	// reflected in what recovery has built; frames at or before it are
+	// skipped. A database starts at its last drop record: the drop destroyed
+	// everything logged before it, so nothing older — a checkpoint's marker
+	// and images of that incarnation included — is rebuilt, and the drop
+	// itself has nothing left to remove.
+	snap := make(map[string]int64)
+	begin, end, open := -1, -1, -1
 	for i, r := range recs {
 		switch r.Type {
 		case wal.RecCheckpointBegin:
-			lastBegin = i
+			open = i
 		case wal.RecCheckpointEnd:
-			if lastBegin >= 0 {
-				spans = append(spans, ckptSpan{lastBegin, i})
-				lastBegin = -1
+			if open >= 0 {
+				begin, end, open = open, i, -1
 			}
+		case wal.RecDropDB:
+			snap[r.DB] = r.LSN
 		}
 	}
-
-	// For each database keep only its newest checkpoint group: the namespace
-	// marker plus the table images that followed it in the same checkpoint. A
-	// checkpoint always covers a whole database, so the newest group is
-	// internally consistent and strictly supersedes older ones; mixing images
-	// across checkpoints of one database would resurrect tables dropped
-	// between them. Databases checkpointed only in older checkpoints (e.g. a
-	// later CheckpointDatabase covered just one database) still restore from
-	// their own newest group.
-	snap := make(map[string]int64)
-	// dbSpanEnd maps a database to the end-frame LSN of the checkpoint its
-	// marker came from — the close of that checkpoint's fuzzy window.
-	dbSpanEnd := make(map[string]int64)
-	if len(spans) > 0 {
-		stats.CheckpointLSN = recs[spans[len(spans)-1].begin].LSN
-		latest := make(map[string][]wal.RecordAt)
-		markerSpan := make(map[string]int)
-		for si, sp := range spans {
-			for i := sp.begin + 1; i < sp.end; i++ {
-				r := recs[i]
-				if r.Type != wal.RecCheckpointTable {
-					continue
-				}
-				if r.Table == "" {
-					latest[r.DB] = []wal.RecordAt{r}
-					markerSpan[r.DB] = si
-					dbSpanEnd[r.DB] = recs[sp.end].LSN
-				} else if ms, ok := markerSpan[r.DB]; ok && ms == si {
-					latest[r.DB] = append(latest[r.DB], r)
-				}
+	// marked holds the databases restored from the checkpoint; ckptEnd closes
+	// its fuzzy window.
+	marked := make(map[string]bool)
+	ckptEnd := int64(-1)
+	if begin >= 0 {
+		stats.CheckpointLSN = recs[begin].LSN
+		ckptEnd = recs[end].LSN
+		for _, r := range recs[begin+1 : end] {
+			if r.Type != wal.RecCheckpointTable || r.LSN <= snapLSN(snap, r.DB) {
+				continue
 			}
-		}
-		restoreDBs := make([]string, 0, len(latest))
-		for db := range latest {
-			restoreDBs = append(restoreDBs, db)
-		}
-		sort.Strings(restoreDBs)
-		// snap maps "db" and "db/table" to the LSN its checkpoint image is
-		// consistent with; frames at or before that LSN are already reflected.
-		for _, db := range restoreDBs {
-			for _, r := range latest[db] {
-				if r.Table == "" {
-					if err := e.CreateDatabase(r.DB); err != nil {
-						return nil, fmt.Errorf("sqldb: recover: %w", err)
-					}
-					snap[r.DB] = r.LSN
-					continue
-				}
-				img, err := decodeTableImage(r.Data)
-				if err != nil {
+			if r.Table == "" {
+				if err := e.CreateDatabase(r.DB); err != nil {
 					return nil, fmt.Errorf("sqldb: recover: %w", err)
 				}
-				if err := e.RestoreTable(r.DB, img); err != nil {
-					return nil, fmt.Errorf("sqldb: recover: %w", err)
+				snap[r.DB] = r.LSN
+				marked[r.DB] = true
+			} else if marked[r.DB] {
+				if err := e.restoreImage(r); err != nil {
+					return nil, err
 				}
 				snap[r.DB+"/"+r.Table] = r.LSN
 			}
@@ -426,12 +383,14 @@ func (e *Engine) Recover() (*RecoveryStats, error) {
 				return nil, fmt.Errorf("sqldb: recover: %w", err)
 			}
 			stats.Applied++
-		case wal.RecDropDB:
-			if r.LSN <= snapLSN(snap, r.DB) {
+		case wal.RecRestoreTable:
+			// A table installed in bulk: replace whatever replay has built of
+			// it with the image — unless a later checkpoint covers it.
+			if r.LSN <= snapLSN(snap, r.DB+"/"+r.Table) || r.LSN <= snapLSN(snap, r.DB) {
 				continue
 			}
-			if err := e.DropDatabase(r.DB); err != nil {
-				return nil, fmt.Errorf("sqldb: recover: %w", err)
+			if err := e.restoreImage(r); err != nil {
+				return nil, err
 			}
 			stats.Applied++
 		case wal.RecStatement:
@@ -462,8 +421,8 @@ func (e *Engine) Recover() (*RecoveryStats, error) {
 				}
 			}
 			if err := e.replayStmt(r.DB, string(r.Data)); err != nil {
-				if isNoTable(err) && snapLSN(snap, r.DB) >= 0 &&
-					snapLSN(snap, r.DB+"/"+r.Table) < 0 && r.LSN <= dbSpanEnd[r.DB] {
+				if isNoTable(err) && marked[r.DB] &&
+					snapLSN(snap, r.DB+"/"+r.Table) < 0 && r.LSN <= ckptEnd {
 					// The table died inside its checkpoint's fuzzy window: the
 					// database's marker filters the table's creation, and the
 					// table was dropped before an image of it could be taken —
@@ -525,6 +484,19 @@ func snapLSN(snap map[string]int64, key string) int64 {
 		return lsn
 	}
 	return -1
+}
+
+// restoreImage installs the table image carried by a checkpoint or restore
+// frame.
+func (e *Engine) restoreImage(r wal.RecordAt) error {
+	img, err := decodeTableImage(r.Data)
+	if err == nil {
+		err = e.RestoreTable(r.DB, img)
+	}
+	if err != nil {
+		return fmt.Errorf("sqldb: recover: %s.%s image: %w", r.DB, r.Table, err)
+	}
+	return nil
 }
 
 // replayStmt applies one logged statement in its own transaction.

@@ -8,8 +8,8 @@ import (
 	"sdp/internal/wal"
 )
 
-// Binary encoding of a checkpoint table image, carried as the Data of a
-// RecCheckpointTable frame:
+// Binary encoding of a table image — the one byte codec for TableDump —
+// carried as the Data of a RecCheckpointTable or RecRestoreTable frame:
 //
 //	image  := table(string) ncols(uvarint) col* pk(uvarint+1)
 //	          nidx(uvarint) idx* nrows(uvarint) row*
@@ -21,7 +21,7 @@ import (
 // Value payloads: NULL none, INT zigzag varint, FLOAT 8-byte IEEE bits,
 // TEXT length-prefixed bytes, BOOL one byte.
 
-// encodeTableImage serialises a table dump for a checkpoint frame.
+// encodeTableImage serialises a table dump for an image frame.
 func encodeTableImage(d TableDump) []byte {
 	buf := wal.AppendString(nil, d.Schema.Table)
 	buf = wal.AppendUvarint(buf, uint64(len(d.Schema.Cols)))
@@ -59,7 +59,7 @@ func encodeTableImage(d TableDump) []byte {
 	return buf
 }
 
-// decodeTableImage parses a checkpoint frame payload back into a table dump.
+// decodeTableImage parses an image frame payload back into a table dump.
 func decodeTableImage(data []byte) (TableDump, error) {
 	var d TableDump
 	table, rest, err := wal.TakeString(data)

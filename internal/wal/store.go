@@ -44,18 +44,67 @@ var ErrStoreFailed = fmt.Errorf("wal: simulated store failure")
 // makes appends error once the store holds n bytes, DuplicateLast re-appends
 // the bytes of the most recent append (a doubled final frame), and Chop
 // drops the last n durable bytes (a truncation mid-record).
+//
+// The buffer is a list of fixed-size chunks, not one slice: a log grows to
+// hundreds of megabytes, and re-allocating and copying a slice that size
+// stalls the append that triggers it for tens to hundreds of milliseconds —
+// a cost of the simulation, not of any disk.
 type MemStore struct {
 	mu        sync.Mutex
-	data      []byte
+	chunks    [][]byte // every chunk but the last holds memChunk bytes
+	size      int
 	durable   int
 	lastOff   int
 	failAfter int64 // <0 disabled
 	closed    bool
 }
 
+// memChunk is the MemStore's allocation unit.
+const memChunk = 1 << 20
+
 // NewMemStore creates an empty in-memory store.
 func NewMemStore() *MemStore {
 	return &MemStore{failAfter: -1}
+}
+
+// write appends p to the chunk list. Caller holds s.mu.
+func (s *MemStore) write(p []byte) {
+	s.size += len(p)
+	for len(p) > 0 {
+		n := len(s.chunks)
+		if n == 0 || len(s.chunks[n-1]) == memChunk {
+			s.chunks = append(s.chunks, make([]byte, 0, memChunk))
+			n++
+		}
+		k := min(len(p), memChunk-len(s.chunks[n-1]))
+		s.chunks[n-1] = append(s.chunks[n-1], p[:k]...)
+		p = p[k:]
+	}
+}
+
+// read copies out the bytes from off to the end. Caller holds s.mu.
+func (s *MemStore) read(off int) []byte {
+	out := make([]byte, 0, s.size-off)
+	for i := off / memChunk; i < len(s.chunks); i++ {
+		c := s.chunks[i]
+		if i == off/memChunk {
+			c = c[off%memChunk:]
+		}
+		out = append(out, c...)
+	}
+	return out
+}
+
+// cut discards the bytes at and after keep, clamping the durability
+// watermark and the last-append offset with it. Caller holds s.mu.
+func (s *MemStore) cut(keep int) {
+	s.chunks = s.chunks[:(keep+memChunk-1)/memChunk]
+	if rem := keep % memChunk; rem != 0 {
+		s.chunks[len(s.chunks)-1] = s.chunks[len(s.chunks)-1][:rem]
+	}
+	s.size = keep
+	s.durable = min(s.durable, keep)
+	s.lastOff = min(s.lastOff, keep)
 }
 
 // Append implements Store.
@@ -65,19 +114,17 @@ func (s *MemStore) Append(p []byte) (int64, error) {
 	if s.closed {
 		return 0, fmt.Errorf("wal: store closed")
 	}
-	if s.failAfter >= 0 && int64(len(s.data))+int64(len(p)) > s.failAfter {
+	if s.failAfter >= 0 && int64(s.size)+int64(len(p)) > s.failAfter {
 		// Model a disk that dies partway: the bytes up to the failure point
 		// are kept (unsynced), the rest is lost, and the write errors.
-		room := s.failAfter - int64(len(s.data))
-		if room > 0 {
-			s.data = append(s.data, p[:room]...)
+		if room := s.failAfter - int64(s.size); room > 0 {
+			s.write(p[:room])
 		}
 		return 0, ErrStoreFailed
 	}
-	off := int64(len(s.data))
-	s.lastOff = len(s.data)
-	s.data = append(s.data, p...)
-	return off, nil
+	s.lastOff = s.size
+	s.write(p)
+	return int64(s.lastOff), nil
 }
 
 // Sync implements Store.
@@ -87,10 +134,10 @@ func (s *MemStore) Sync() error {
 	if s.closed {
 		return fmt.Errorf("wal: store closed")
 	}
-	if s.failAfter >= 0 && int64(len(s.data)) > s.failAfter {
+	if s.failAfter >= 0 && int64(s.size) > s.failAfter {
 		return ErrStoreFailed
 	}
-	s.durable = len(s.data)
+	s.durable = s.size
 	return nil
 }
 
@@ -98,32 +145,24 @@ func (s *MemStore) Sync() error {
 func (s *MemStore) Size() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return int64(len(s.data))
+	return int64(s.size)
 }
 
 // Contents implements Store.
 func (s *MemStore) Contents() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]byte, len(s.data))
-	copy(out, s.data)
-	return out, nil
+	return s.read(0), nil
 }
 
 // Truncate implements Store.
 func (s *MemStore) Truncate(off int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if off < 0 || off > int64(len(s.data)) {
+	if off < 0 || off > int64(s.size) {
 		return fmt.Errorf("wal: truncate offset %d out of range", off)
 	}
-	s.data = s.data[:off]
-	if s.durable > int(off) {
-		s.durable = int(off)
-	}
-	if s.lastOff > int(off) {
-		s.lastOff = int(off)
-	}
+	s.cut(int(off))
 	return nil
 }
 
@@ -140,15 +179,8 @@ func (s *MemStore) Close() error {
 func (s *MemStore) Crash(tornBytes int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keep := s.durable + tornBytes
-	if keep > len(s.data) {
-		keep = len(s.data)
-	}
-	s.data = s.data[:keep]
-	s.durable = keep
-	if s.lastOff > keep {
-		s.lastOff = keep
-	}
+	s.cut(min(s.durable+tornBytes, s.size))
+	s.durable = s.size
 }
 
 // SetFailAfter arms the byte-budget fault: any append that would grow the
@@ -167,11 +199,8 @@ func (s *MemStore) SetFailAfter(n int64) {
 func (s *MemStore) DuplicateLast() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	last := s.data[s.lastOff:]
-	dup := make([]byte, len(last))
-	copy(dup, last)
-	s.data = append(s.data, dup...)
-	s.durable = len(s.data)
+	s.write(s.read(s.lastOff))
+	s.durable = s.size
 }
 
 // Chop drops the last n bytes of the store and marks the remainder durable —
@@ -179,15 +208,8 @@ func (s *MemStore) DuplicateLast() {
 func (s *MemStore) Chop(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keep := len(s.data) - n
-	if keep < 0 {
-		keep = 0
-	}
-	s.data = s.data[:keep]
-	s.durable = len(s.data)
-	if s.lastOff > keep {
-		s.lastOff = keep
-	}
+	s.cut(max(s.size-n, 0))
+	s.durable = s.size
 }
 
 // FileStore is a real-file Store used by tests that want crash injection

@@ -42,7 +42,8 @@ type RecordType uint8
 // Record types. Begin/Statement/Prepare/Commit/Abort frames carry the
 // transactional redo stream; CreateDB/DropDB frames log engine-level
 // namespace changes (auto-committed, like DDL); the three checkpoint frame
-// types bracket one fuzzy checkpoint.
+// types bracket one fuzzy checkpoint; a RestoreTable frame is a whole-table
+// redo record written outside any checkpoint.
 const (
 	// RecBegin marks the first write of a transaction.
 	RecBegin RecordType = iota + 1
@@ -70,6 +71,10 @@ const (
 	// RecCheckpointEnd closes a checkpoint; only checkpoints whose end
 	// frame made it to the log are used by recovery.
 	RecCheckpointEnd
+	// RecRestoreTable carries the image of one table installed in bulk (a
+	// replica copy landing on this machine). Replay replaces the table with
+	// the image; a later checkpoint that covers the table supersedes it.
+	RecRestoreTable
 )
 
 // String names the record type.
@@ -95,6 +100,8 @@ func (t RecordType) String() string {
 		return "ckpt_table"
 	case RecCheckpointEnd:
 		return "ckpt_end"
+	case RecRestoreTable:
+		return "restore_table"
 	default:
 		return fmt.Sprintf("rec(%d)", uint8(t))
 	}

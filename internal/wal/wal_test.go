@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -313,5 +314,61 @@ func TestSealSerializesWithConcurrentAppends(t *testing.T) {
 	wg.Wait()
 	if got := s.Size(); got != sizeAtSeal {
 		t.Fatalf("store grew after Seal returned: %d -> %d", sizeAtSeal, got)
+	}
+}
+
+// TestMemStoreAgainstFlatBuffer drives the chunked MemStore and a plain byte
+// slice through the same random appends, syncs, truncations and crash hooks,
+// with sizes chosen to land on, just before and well past chunk boundaries,
+// and requires identical contents after every step.
+func TestMemStoreAgainstFlatBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := NewMemStore()
+	var flat []byte
+	durable, lastOff := 0, 0
+	sizes := []int{1, 17, memChunk - 1, memChunk, memChunk + 1, 2*memChunk + 300, 300_000}
+	for step := 0; step < 100; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5:
+			p := make([]byte, sizes[rng.Intn(len(sizes))])
+			rng.Read(p)
+			off, err := s.Append(p)
+			if err != nil || off != int64(len(flat)) {
+				t.Fatalf("step %d: append at %d, err %v, want offset %d", step, off, err, len(flat))
+			}
+			lastOff = len(flat)
+			flat = append(flat, p...)
+		case op == 5:
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			durable = len(flat)
+		case op == 6:
+			keep := rng.Intn(len(flat) + 1)
+			if err := s.Truncate(int64(keep)); err != nil {
+				t.Fatal(err)
+			}
+			flat, durable, lastOff = flat[:keep], min(durable, keep), min(lastOff, keep)
+		case op == 7:
+			keep := min(durable+rng.Intn(3), len(flat))
+			s.Crash(keep - durable)
+			flat, durable, lastOff = flat[:keep], keep, min(lastOff, keep)
+		case op == 8:
+			s.DuplicateLast()
+			flat = append(flat, flat[lastOff:]...)
+			durable = len(flat)
+		default:
+			n := rng.Intn(memChunk + 2)
+			keep := max(len(flat)-n, 0)
+			s.Chop(n)
+			flat, durable, lastOff = flat[:keep], keep, min(lastOff, keep)
+		}
+		got, err := s.Contents()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Size() != int64(len(flat)) || !bytes.Equal(got, flat) {
+			t.Fatalf("step %d: store holds %d bytes, flat buffer %d, or contents differ", step, s.Size(), len(flat))
+		}
 	}
 }
