@@ -709,13 +709,9 @@ func (c *Cluster) Begin(db string) (*Txn, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoDatabase, db)
 	}
-	return &Txn{
-		c:        c,
-		db:       db,
-		gid:      c.gidSeq.Add(1),
-		start:    time.Now(),
-		sessions: make(map[string]*replicaSession),
-	}, nil
+	t := &Txn{c: c, db: db, gid: c.gidSeq.Add(1), start: time.Now()}
+	t.sessions = t.sessionBuf[:0]
+	return t, nil
 }
 
 // Exec runs a single statement in its own transaction (autocommit).

@@ -66,10 +66,7 @@ func (p *pairMirror) init() {
 
 func (p *pairMirror) begin(t *Txn) *inTransit {
 	p.init()
-	rec := &inTransit{gid: t.gid, stage: StagePreparing, done: make(chan struct{})}
-	for _, s := range t.sessions {
-		rec.sessions = append(rec.sessions, s)
-	}
+	rec := &inTransit{gid: t.gid, stage: StagePreparing, sessions: t.sessions, done: make(chan struct{})}
 	p.mu.Lock()
 	p.records[t.gid] = rec
 	p.mu.Unlock()

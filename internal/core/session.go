@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"sdp/internal/netsim"
@@ -16,14 +17,24 @@ type opResult struct {
 	err error
 }
 
-// future resolves to the result of an asynchronously executed operation.
-// It is safe for any number of goroutines to wait on it.
+// future resolves to the result of an operation on a replica session. It is
+// safe for any number of goroutines to wait on it.
 type future struct {
 	done chan struct{}
 	res  opResult
 }
 
 func newFuture() *future { return &future{done: make(chan struct{})} }
+
+// resolvedSignal is the done channel shared by every future born resolved.
+var resolvedSignal = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// resolved returns the future of an operation that already ran.
+func resolved(r opResult) *future { return &future{done: resolvedSignal, res: r} }
 
 // complete resolves the future. It must be called exactly once.
 func (f *future) complete(r opResult) {
@@ -84,26 +95,47 @@ func waitAny(futs []*future) opResult {
 }
 
 // replicaSession is the controller's connection to one machine on behalf of
-// one distributed transaction. Operations enqueue onto a FIFO queue drained
-// by a dedicated goroutine, exactly like statements written down one JDBC
-// connection: per-machine order is preserved, but machines run independently
-// of each other — the property that makes the aggressive controller's
-// anomaly (Table 1) possible. When the cluster runs with a simulated
-// network, every operation crosses the session's controller→machine link
-// inside the queue worker, so injected latency delays subsequent operations
-// on the same machine exactly as a slow connection would.
+// one distributed transaction. Operations on it execute strictly in the
+// order they were submitted, like statements written down one JDBC
+// connection, but machines run independently of each other — the property
+// that makes the aggressive controller's anomaly (Table 1) possible.
+//
+// An operation submitted while nothing is in flight runs on the submitting
+// goroutine: a read, a one-phase commit and one replica's share of every 2PC
+// phase cost a function call. The rest — anything behind an unfinished
+// operation, and what the transaction sends viaWorker: a write that goes to
+// several replicas, the other replicas of a 2PC phase, a PREPARE whose vote
+// is collected under a deadline — goes down a FIFO queue to the session's
+// worker goroutine, started by the first such operation, so one goroutine at
+// a time touches the sqldb branch.
+// With a simulated network every operation crosses the controller→machine
+// link wherever it executes, so injected latency delays later operations on
+// the same machine as a slow connection would.
 type replicaSession struct {
 	c       *Cluster
 	machine *Machine
 	txn     *sqldb.Txn
 	link    *netsim.Link // nil without a simulated network
-	ops     chan func()
-	closed  chan struct{}
+
+	// ops feeds the worker; nil until an operation needs it. queued counts
+	// the operations sent down ops that have not finished: the submitter
+	// raises it, the worker lowers it, and zero means the branch is the
+	// submitter's to use.
+	ops    chan queuedOp
+	queued atomic.Int32
+	// handOff is set while viaWorker submits: the operation goes to the
+	// worker even though the session is idle.
+	handOff bool
+}
+
+// queuedOp is one operation handed to the worker and the future it resolves.
+type queuedOp struct {
+	fn  func() opResult
+	fut *future
 }
 
 // newReplicaSession begins a transaction branch on the machine (across the
-// controller's link to it, when a network is simulated) and starts the
-// session's queue worker.
+// controller's link to it, when a network is simulated).
 func newReplicaSession(c *Cluster, m *Machine, db string, globalID uint64) (*replicaSession, error) {
 	if m.Failed() {
 		return nil, ErrMachineFailed
@@ -130,16 +162,7 @@ func newReplicaSession(c *Cluster, m *Machine, db string, globalID uint64) (*rep
 		}
 		return nil, err
 	}
-	s := &replicaSession{
-		c:       c,
-		machine: m,
-		txn:     txn,
-		link:    link,
-		ops:     make(chan func(), 64),
-		closed:  make(chan struct{}),
-	}
-	go s.run()
-	return s, nil
+	return &replicaSession{c: c, machine: m, txn: txn, link: link}, nil
 }
 
 // callLink delivers fn across link, or runs it directly on a nil link.
@@ -183,19 +206,55 @@ func (s *replicaSession) call(op string, idempotent bool, fn func() error) error
 	}
 }
 
-func (s *replicaSession) run() {
-	defer close(s.closed)
-	for f := range s.ops {
-		f()
+// submit schedules fn after every operation already submitted to this
+// machine and returns a future for its result. With nothing in flight, fn
+// runs on the caller before submit returns; otherwise, or under viaWorker, it
+// is queued for the worker. A session has one submitter at a time (the
+// transaction's goroutine, or the takeover that inherited it), so a session
+// found idle stays idle until that submitter's next call.
+func (s *replicaSession) submit(fn func() opResult) *future {
+	if !s.handOff && s.queued.Load() == 0 {
+		return resolved(s.guard(fn))
+	}
+	if s.ops == nil {
+		// Room for the writes an aggressive transaction leaves pending on a
+		// slow machine; beyond it the submitter waits for that machine.
+		s.ops = make(chan queuedOp, 64)
+		go s.work()
+	}
+	fut := newFuture()
+	s.queued.Add(1)
+	s.ops <- queuedOp{fn, fut}
+	return fut
+}
+
+// viaWorker submits one operation (op is a session method such as
+// (*replicaSession).prepare) to the worker even if the session is idle, for a
+// caller that must not execute it itself: it has other machines to dispatch
+// to first, or it waits for the result under a deadline.
+func (s *replicaSession) viaWorker(op func(*replicaSession) *future) *future {
+	s.handOff = true
+	fut := op(s)
+	s.handOff = false
+	return fut
+}
+
+// work is the worker: it executes queued operations in order until close.
+// An operation stops counting as queued before its future resolves, so
+// whoever waited for the last future finds the session idle.
+func (s *replicaSession) work() {
+	for op := range s.ops {
+		r := s.guard(op.fn)
+		s.queued.Add(-1)
+		op.fut.complete(r)
 	}
 }
 
-// enqueue schedules fn on the session's queue and returns a future for its
-// result. fn runs after every previously enqueued operation on this machine.
-func (s *replicaSession) enqueue(fn func() opResult) *future {
-	fut := newFuture()
-	s.ops <- func() { fut.complete(s.guard(fn)) }
-	return fut
+// close stops the worker, if one was started, once it has drained the queue.
+func (s *replicaSession) close() {
+	if s.ops != nil {
+		close(s.ops)
+	}
 }
 
 // guard fails fast when the machine has died instead of touching its engine.
@@ -206,18 +265,19 @@ func (s *replicaSession) guard(fn func() opResult) opResult {
 	return fn()
 }
 
-// setTrace enqueues a trace-context update for the branch. Routing it
-// through the queue keeps the sqldb transaction single-goroutine (only the
-// session worker touches it) and orders the update behind any operations
-// already in flight, so the context applies exactly to the statements
-// enqueued after it.
+// setTrace updates the branch's trace context, ordered behind any operations
+// already in flight so it applies exactly to the statements submitted after
+// it.
 func (s *replicaSession) setTrace(tc obs.SpanContext) {
-	s.ops <- func() { s.txn.SetTraceContext(tc) }
+	s.submit(func() opResult {
+		s.txn.SetTraceContext(tc)
+		return opResult{}
+	})
 }
 
-// execStmt enqueues a statement execution.
+// execStmt submits a statement execution.
 func (s *replicaSession) execStmt(stmt sqldb.Statement, params []sqldb.Value) *future {
-	return s.enqueue(func() opResult {
+	return s.submit(func() opResult {
 		var res *sqldb.Result
 		err := s.call("exec", false, func() error {
 			var xerr error
@@ -228,29 +288,29 @@ func (s *replicaSession) execStmt(stmt sqldb.Statement, params []sqldb.Value) *f
 	})
 }
 
-// prepare enqueues the PREPARE action of 2PC. It runs after all previously
-// enqueued operations on this machine (FIFO), but independently of the
+// prepare submits the PREPARE action of 2PC. It runs after all previously
+// submitted operations on this machine (FIFO), but independently of the
 // transaction's pending operations on other machines. PREPARE is
 // idempotent at the engine (a prepared transaction re-prepares as a no-op),
 // so lost votes are retried.
 func (s *replicaSession) prepare() *future {
-	return s.enqueue(func() opResult {
+	return s.submit(func() opResult {
 		return opResult{err: s.call("prepare", true, s.txn.Prepare)}
 	})
 }
 
-// commitPrepared enqueues the COMMIT action of 2PC. Idempotent: a second
+// commitPrepared submits the COMMIT action of 2PC. Idempotent: a second
 // delivery finds the transaction committed and returns ErrTxnDone, which
 // is normalised to success here so duplicated deliveries are transparent.
 func (s *replicaSession) commitPrepared() *future {
-	return s.enqueue(func() opResult {
+	return s.submit(func() opResult {
 		return opResult{err: alreadyDone(s.call("commit", true, s.txn.CommitPrepared))}
 	})
 }
 
-// commit enqueues a one-phase commit (read-only branches).
+// commit submits a one-phase commit (read-only branches).
 func (s *replicaSession) commit() *future {
-	return s.enqueue(func() opResult {
+	return s.submit(func() opResult {
 		return opResult{err: alreadyDone(s.call("commit1p", true, s.txn.Commit))}
 	})
 }
@@ -264,16 +324,10 @@ func alreadyDone(err error) error {
 	return err
 }
 
-// rollback enqueues a rollback. Idempotent: rolling back an aborted
+// rollback submits a rollback. Idempotent: rolling back an aborted
 // transaction is a no-op.
 func (s *replicaSession) rollback() *future {
-	return s.enqueue(func() opResult {
+	return s.submit(func() opResult {
 		return opResult{err: s.call("rollback", true, s.txn.Rollback)}
 	})
-}
-
-// close shuts the queue down after all enqueued work drains.
-func (s *replicaSession) close() {
-	close(s.ops)
-	<-s.closed
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"sdp/internal/netsim"
@@ -22,8 +21,13 @@ type Txn struct {
 	gid   uint64
 	start time.Time // for the SLA monitor's commit-latency accounting
 
-	sessions map[string]*replicaSession
-	readHome string // Option 2's per-transaction read replica
+	// sessions holds one branch per machine touched, in the order the routes
+	// first named them, so every 2PC fan-out visits machines in the same
+	// order. It starts out backed by sessionBuf: a transaction on two
+	// replicas allocates nothing for it.
+	sessions   []*replicaSession
+	sessionBuf [2]*replicaSession
+	readHome   string // Option 2's per-transaction read replica
 
 	wrote    bool
 	finished bool
@@ -46,8 +50,8 @@ type Txn struct {
 
 // SetTraceContext installs (or, with the zero value, clears) the trace
 // context the transaction's core-layer spans parent under. The context is
-// forwarded to every replica session — ordered behind any operations already
-// enqueued there — so engine-side statement and WAL-flush spans join the
+// forwarded to every replica session — ordered behind any operations still
+// in flight there — so engine-side statement and WAL-flush spans join the
 // same trace.
 func (t *Txn) SetTraceContext(tc obs.SpanContext) {
 	if t.trace == tc {
@@ -79,8 +83,10 @@ func (t *Txn) GlobalID() uint64 { return t.gid }
 
 // session returns (creating if needed) the replica session on machine id.
 func (t *Txn) session(id string) (*replicaSession, error) {
-	if s, ok := t.sessions[id]; ok {
-		return s, nil
+	for _, s := range t.sessions {
+		if s.machine.ID() == id {
+			return s, nil
+		}
 	}
 	m, err := t.c.Machine(id)
 	if err != nil {
@@ -93,7 +99,7 @@ func (t *Txn) session(id string) (*replicaSession, error) {
 	if t.trace.Traced() {
 		s.setTrace(t.trace)
 	}
-	t.sessions[id] = s
+	t.sessions = append(t.sessions, s)
 	return s, nil
 }
 
@@ -220,7 +226,10 @@ func (t *Txn) execWrite(stmt sqldb.Statement, table string, params []sqldb.Value
 	}
 	t.wrote = true
 
-	futs := make([]*future, 0, len(targets))
+	// Open every branch before dispatching to any, so an unreachable machine
+	// fails the write with nothing in flight for release to wait on.
+	var buf [4]*replicaSession
+	ss := buf[:0]
 	for _, id := range targets {
 		s, serr := t.session(id)
 		if serr != nil {
@@ -228,20 +237,24 @@ func (t *Txn) execWrite(stmt sqldb.Statement, table string, params []sqldb.Value
 			t.abort()
 			return nil, serr
 		}
-		futs = append(futs, s.execStmt(stmt, params))
+		ss = append(ss, s)
 	}
 
-	// The copy process may only proceed past this write once every replica
-	// has executed it.
-	go func(fs []*future) {
-		for _, f := range fs {
-			f.wait()
-		}
-		release()
-	}(append([]*future{}, futs...))
+	// A write to several replicas runs on none of them on this goroutine.
+	// Executing one replica's share first would hold its row locks for a
+	// whole statement before the next replica sees the request — the window
+	// in which a conflicting writer locks the replicas in the opposite order,
+	// a cross-machine deadlock only the lock timeout breaks — and an
+	// aggressive caller must not be held by a machine slower than the first
+	// to answer.
+	futs := fanOut(ss, len(ss) == 1, func(s *replicaSession) *future {
+		return s.execStmt(stmt, params)
+	})
 
 	if t.c.opts.AckMode == Conservative {
-		// Wait for all replicas; any failure aborts.
+		// Wait for all replicas; any failure aborts. The copy process may
+		// only proceed past this write once every replica has executed it,
+		// which is exactly when the wait ends.
 		var res *sqldb.Result
 		var firstErr error
 		for _, f := range futs {
@@ -253,6 +266,7 @@ func (t *Txn) execWrite(stmt sqldb.Statement, table string, params []sqldb.Value
 				res = r.res
 			}
 		}
+		release()
 		if firstErr != nil {
 			t.abort()
 			return nil, firstErr
@@ -261,6 +275,12 @@ func (t *Txn) execWrite(stmt sqldb.Statement, table string, params []sqldb.Value
 	}
 
 	// Aggressive: return on the first replica's answer; remember the rest.
+	go func() {
+		for _, f := range futs {
+			f.wait()
+		}
+		release()
+	}()
 	r := waitAny(futs)
 	t.async = append(t.async, futs...)
 	if r.err != nil {
@@ -270,9 +290,29 @@ func (t *Txn) execWrite(stmt sqldb.Statement, table string, params []sqldb.Value
 	return r.res, nil
 }
 
+// fanOut submits one operation to every session in ss and returns their
+// futures in the same order. The sessions after the first are dispatched to
+// their workers before the first is submitted, so the machines work in
+// parallel; with firstOnCaller the first session's share then runs on this
+// goroutine (if that session is idle) and costs no hand-off.
+func fanOut(ss []*replicaSession, firstOnCaller bool, op func(*replicaSession) *future) []*future {
+	futs := make([]*future, len(ss))
+	for i := 1; i < len(ss); i++ {
+		futs[i] = ss[i].viaWorker(op)
+	}
+	if len(ss) > 0 {
+		if firstOnCaller {
+			futs[0] = op(ss[0])
+		} else {
+			futs[0] = ss[0].viaWorker(op)
+		}
+	}
+	return futs
+}
+
 // Commit finishes the transaction. Read-only transactions commit in one
 // phase on each replica they touched; transactions with writes run 2PC: the
-// PREPARE action is enqueued on every session (behind any still-pending
+// PREPARE action is submitted to every session (behind any still-pending
 // writes on that machine, but concurrently across machines) and the
 // transaction commits only if every participant votes yes.
 func (t *Txn) Commit() error {
@@ -330,16 +370,16 @@ func (t *Txn) Commit() error {
 	}
 	m.reg.TraceEvent("2pc", gid, "prepare", fmt.Sprintf("%d participants", len(t.sessions)))
 	prepStart := time.Now()
-	votes := make(map[string]*future, len(t.sessions))
-	for id, s := range t.sessions {
-		votes[id] = s.prepare()
-	}
+	// A vote collected under a deadline must not run on this goroutine: a
+	// stalled machine would hold the coordinator past the deadline it is
+	// supposed to enforce.
+	deadline := t.c.opts.CallTimeout
+	votes := fanOut(t.sessions, deadline <= 0, (*replicaSession).prepare)
 	// Collect votes under the per-call deadline. A missing vote is a NO by
 	// the presumed-abort rule: the coordinator logs nothing for aborts, so
 	// deciding abort on a timeout is always safe — a participant that did
 	// prepare will be rolled back by the abort phase (or, if it crashed, by
 	// restart-time presumed abort).
-	deadline := t.c.opts.CallTimeout
 	var voteErr error
 	timedOut := false
 	for _, f := range votes {
@@ -405,11 +445,7 @@ func (t *Txn) Commit() error {
 			s.setTrace(ctc)
 		}
 	}
-	commits := make(map[string]*future, len(t.sessions))
-	for id, s := range t.sessions {
-		commits[id] = s.commitPrepared()
-	}
-	for id, f := range commits {
+	for i, f := range fanOut(t.sessions, true, (*replicaSession).commitPrepared) {
 		// A machine that dies between prepare and commit is repaired by
 		// recovery (re-replication), not by blocking the commit. A live
 		// machine whose commit delivery failed on network faults keeps a
@@ -418,7 +454,7 @@ func (t *Txn) Commit() error {
 		r := f.wait()
 		if r.err != nil && netsim.IsTransient(r.err) {
 			m.twopcTimeout.With("commit").Inc()
-			t.c.resolveOutcome(t.sessions[id], t.gid, true)
+			t.c.resolveOutcome(t.sessions[i], t.gid, true)
 		}
 	}
 	m.commitSeconds.ObserveDuration(time.Since(commitStart))
@@ -475,23 +511,16 @@ func (t *Txn) abort() {
 }
 
 func (t *Txn) rollbackAll() {
-	var wg sync.WaitGroup
-	for _, s := range t.sessions {
-		wg.Add(1)
-		go func(s *replicaSession, f *future) {
-			defer wg.Done()
-			r := f.wait()
-			if r.err != nil && netsim.IsTransient(r.err) {
-				// The abort decision must still reach this participant or
-				// its prepared/active branch would hold locks forever.
-				t.c.resolveOutcome(s, t.gid, false)
-			}
-		}(s, s.rollback())
+	for i, f := range fanOut(t.sessions, true, (*replicaSession).rollback) {
+		if r := f.wait(); r.err != nil && netsim.IsTransient(r.err) {
+			// The abort decision must still reach this participant or its
+			// prepared/active branch would hold locks forever.
+			t.c.resolveOutcome(t.sessions[i], t.gid, false)
+		}
 	}
-	wg.Wait()
 }
 
-// cleanup closes all sessions and marks the transaction finished.
+// cleanup stops the sessions' workers and marks the transaction finished.
 func (t *Txn) cleanup() {
 	for _, s := range t.sessions {
 		s.close()

@@ -540,11 +540,23 @@ func (cc *clientConn) quit() {
 	cc.close()
 }
 
+// waiter is what one in-flight call blocks on: the channel readLoop delivers
+// the response into and the timer that bounds the wait. A call that got its
+// response with the timer still pending hands the pair to the next call.
+type waiter struct {
+	ch    chan frame
+	timer *time.Timer
+}
+
+var waiters = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan frame, 1), timer: t}
+}}
+
 // roundTrip sends one frame and waits (under the call timeout) for the
 // response with the same sequence ID.
 func (cc *clientConn) roundTrip(typ byte, payload []byte) (frame, error) {
-	ch := make(chan frame, 1)
-
 	cc.pmu.Lock()
 	if cc.err != nil {
 		err := cc.err
@@ -553,11 +565,12 @@ func (cc *clientConn) roundTrip(typ byte, payload []byte) (frame, error) {
 	}
 	cc.pmu.Unlock()
 
+	w := waiters.Get().(*waiter)
 	cc.wmu.Lock()
 	cc.seq++
 	seq := cc.seq
 	cc.pmu.Lock()
-	cc.pending[seq] = ch
+	cc.pending[seq] = w.ch
 	cc.pmu.Unlock()
 	_, werr := writeFrame(cc.bw, typ, seq, payload)
 	if werr == nil {
@@ -565,20 +578,27 @@ func (cc *clientConn) roundTrip(typ byte, payload []byte) (frame, error) {
 	}
 	cc.wmu.Unlock()
 	if werr != nil {
+		// fail closes w.ch (or readLoop may still deliver into it): either
+		// way the pair is spent.
 		cc.fail(fmt.Errorf("%w: %v", errConnDead, werr))
 		return frame{}, cc.connErr()
 	}
 
 	timeout := cc.c.cfg.CallTimeout
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	w.timer.Reset(timeout)
 	select {
-	case f, ok := <-ch:
+	case f, ok := <-w.ch:
+		// Reuse the pair only when the timer was stopped before it fired:
+		// then nothing is, or ever will be, in either channel.
+		stopped := w.timer.Stop()
 		if !ok {
 			return frame{}, cc.connErr()
 		}
+		if stopped {
+			waiters.Put(w)
+		}
 		return f, nil
-	case <-timer.C:
+	case <-w.timer.C:
 		// The response never came inside the deadline: the connection is
 		// unusable (its stream position is unknown). Kill it; the waiter
 		// map entry is cleared by fail.

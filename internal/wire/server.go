@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -58,13 +59,9 @@ type ServerConfig struct {
 	Metrics *obs.Registry
 	// Banner is the server identification sent in MsgWelcome.
 	Banner string
-	// QueueDepth bounds each connection's pipelined-request queue; a full
-	// queue blocks the connection's reader, pushing backpressure into the
-	// client's TCP window (default 64).
-	QueueDepth int
 	// DrainTimeout bounds graceful shutdown: how long Close waits for
-	// in-flight and queued requests to finish before force-closing
-	// connections (default 5s).
+	// in-flight and already-received requests to finish before
+	// force-closing connections (default 5s).
 	DrainTimeout time.Duration
 	// StmtCacheSize caps the server's shared text→AST statement cache
 	// (default 512; see sqldb.NewStmtCache).
@@ -105,9 +102,6 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
@@ -174,8 +168,8 @@ func (s *Server) acceptLoop() {
 }
 
 // Close gracefully drains the server: it stops accepting, lets every
-// connection finish its in-flight and queued requests, sends each client a
-// MsgBye, and force-closes whatever remains after DrainTimeout.
+// connection finish its in-flight and already-received requests, sends each
+// client a MsgBye, and force-closes whatever remains after DrainTimeout.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.draining {
@@ -212,30 +206,46 @@ func (s *Server) Close() error {
 	return err
 }
 
-// request is one decoded frame queued for the session executor.
-type request struct {
-	f frame
-}
-
 // preparedStmt is one session-registered statement.
 type preparedStmt struct {
 	sql  string
 	stmt sqldb.Statement
 }
 
-// session serves one client connection: a reader goroutine decodes frames
-// into a bounded queue (backpressure = blocked reads = client's TCP
-// window), and one executor goroutine runs them strictly in order and
-// writes responses tagged with the request's sequence ID. Responses are
-// flushed when the queue runs empty, so pipelined bursts are answered in
-// batched writes.
+// writeTimeout bounds how long a reply may sit in a socket whose client has
+// stopped reading before the session gives the connection up.
+const writeTimeout = 30 * time.Second
+
+// deadlineWriter is the socket side of a session's buffered writer. Every
+// write runs under a deadline between writeTimeout/2 and writeTimeout away,
+// re-armed only once less than that remains — one clock read per batch of
+// replies instead of two timer updates per reply.
+type deadlineWriter struct {
+	conn  net.Conn
+	rearm time.Time // when the armed deadline has less than writeTimeout/2 left
+}
+
+// Write sends p to the socket under the rolling deadline.
+func (w *deadlineWriter) Write(p []byte) (int, error) {
+	if now := time.Now(); now.After(w.rearm) {
+		_ = w.conn.SetWriteDeadline(now.Add(writeTimeout))
+		w.rearm = now.Add(writeTimeout / 2)
+	}
+	return w.conn.Write(p)
+}
+
+// session serves one client connection on one goroutine: read a frame,
+// execute it, write the response tagged with the request's sequence ID, and
+// flush once no further whole request is already buffered — so requests run
+// strictly in order and a pipelined burst is answered in batched writes.
+// While a request executes nothing is read: what the client keeps sending
+// fills the read buffer and then the socket (backpressure = the client's TCP
+// window).
 type session struct {
 	srv  *Server
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-
-	reqs chan request
 
 	closeOnce sync.Once
 
@@ -245,7 +255,7 @@ type session struct {
 	stmts  map[uint32]preparedStmt
 	nextID uint32
 
-	draining atomic.Bool // set by startDrain; executor sends MsgBye when idle
+	draining atomic.Bool // set by startDrain; the session says MsgBye when idle
 }
 
 func newSession(s *Server, c net.Conn) *session {
@@ -253,21 +263,20 @@ func newSession(s *Server, c net.Conn) *session {
 		srv:   s,
 		conn:  c,
 		br:    bufio.NewReaderSize(c, 4096),
-		bw:    bufio.NewWriterSize(c, 4096),
-		reqs:  make(chan request, s.cfg.QueueDepth),
+		bw:    bufio.NewWriterSize(&deadlineWriter{conn: c}, 4096),
 		stmts: make(map[uint32]preparedStmt),
 	}
 }
 
-// startDrain asks the session to finish queued work and say goodbye: the
-// read side is unblocked by an immediate deadline, so the reader exits
-// after at most one more frame and the executor drains what is queued.
+// startDrain asks the session to finish received work and say goodbye: an
+// immediate read deadline fails the next read from the socket, so the session
+// still executes the requests already in its read buffer and then stops.
 func (c *session) startDrain() {
 	c.draining.Store(true)
 	_ = c.conn.SetReadDeadline(time.Now())
 }
 
-// forceClose tears the connection down, unblocking both goroutines.
+// forceClose tears the connection down, unblocking the session's goroutine.
 func (c *session) forceClose() {
 	c.closeOnce.Do(func() { _ = c.conn.Close() })
 }
@@ -282,12 +291,6 @@ func (c *session) serve() {
 		c.srv.metrics.stmtsActive.Add(-float64(len(c.stmts)))
 	}()
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.execLoop()
-	}()
-
 	for {
 		f, n, err := readFrame(c.br)
 		if err != nil {
@@ -295,60 +298,45 @@ func (c *session) serve() {
 				// A malformed frame is unrecoverable: framing sync is lost.
 				// Report once (seq 0: the request's seq is unknowable) and
 				// hang up.
-				c.reqs <- request{f: frame{typ: 0, seq: 0, payload: []byte(err.Error())}}
+				c.sendError(0, ErrCodeProtocol, err.Error())
 			}
 			break
 		}
 		c.srv.metrics.bytesRead.Add(uint64(n))
-		c.reqs <- request{f: f}
-		if f.typ == MsgQuit {
+		if !c.handle(f) {
 			break
 		}
-	}
-	close(c.reqs)
-	<-done
-}
-
-// execLoop drains the request queue in order.
-func (c *session) execLoop() {
-	for req := range c.reqs {
-		if !c.handle(req.f) {
-			break
-		}
-		if len(c.reqs) == 0 {
+		if !c.nextFrameBuffered() {
 			c.flush()
 			if c.draining.Load() && c.txn == nil {
 				break
 			}
 		}
 	}
-	if c.srv.isDraining() || c.draining.Load() {
+	if c.draining.Load() {
 		c.send(MsgBye, 0, nil)
 		c.srv.metrics.drainedConns.Inc()
 	}
 	c.flush()
-	c.forceClose()
-	// The reader may still be pushing requests; drain them so it cannot
-	// block forever on a full queue.
-	for range c.reqs {
-	}
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+// nextFrameBuffered reports whether the read buffer holds the next request
+// whole, so reading it cannot wait on the client. A frame that has only
+// started to arrive does not count: the replies written so far must not sit
+// behind the rest of its transfer.
+func (c *session) nextFrameBuffered() bool {
+	n := c.br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := c.br.Peek(4)
+	return uint64(n-4) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
 // handle executes one frame; a false return closes the session.
 func (c *session) handle(f frame) bool {
 	c.srv.metrics.msgs.With(msgName(f.typ)).Inc()
 	switch f.typ {
-	case 0:
-		// Synthetic frame from the reader: a framing error already rendered
-		// into the payload.
-		c.sendError(0, ErrCodeProtocol, string(f.payload))
-		return false
 	case MsgHello:
 		return c.handleHello(f)
 	case MsgPing:
@@ -672,9 +660,7 @@ func (c *session) send(typ byte, seq uint64, payload []byte) {
 }
 
 func (c *session) flush() {
-	_ = c.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
 	if err := c.bw.Flush(); err != nil && err != io.ErrShortWrite {
 		c.forceClose()
 	}
-	_ = c.conn.SetWriteDeadline(time.Time{})
 }

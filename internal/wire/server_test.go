@@ -1,9 +1,13 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -483,3 +487,217 @@ func (t flakyTxn) ExecStmt(sql string, stmt sqldb.Statement, params ...sqldb.Val
 
 func (t flakyTxn) Commit() error   { return nil }
 func (t flakyTxn) Rollback() error { return nil }
+
+// gateBackend answers every statement with one row once its gate is closed.
+type gateBackend struct{ gate chan struct{} }
+
+func (b gateBackend) Authenticate(db, token string) error { return nil }
+func (b gateBackend) Begin(db string) (Txn, error)        { return b, nil }
+func (b gateBackend) Commit() error                       { return nil }
+func (b gateBackend) Rollback() error                     { return nil }
+
+func (b gateBackend) ExecStmt(sql string, stmt sqldb.Statement, params ...sqldb.Value) (*sqldb.Result, error) {
+	<-b.gate
+	return &sqldb.Result{Affected: 1}, nil
+}
+
+// writeCountingConn counts the writes that reach the connection.
+type writeCountingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// helloFrame is the handshake of a test client on database "app".
+func helloFrame(t *testing.T, w io.Writer) {
+	t.Helper()
+	payload := appendString(appendString([]byte{ProtoVersion}, "app"), testToken)
+	if _, err := writeFrame(w, MsgHello, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// expectReplies reads count frames of type typ from r, checking that their
+// sequence IDs run upward from firstSeq: requests were answered in order.
+func expectReplies(t *testing.T, r io.Reader, typ byte, firstSeq uint64, count int) {
+	t.Helper()
+	for i := 0; i < count; i++ {
+		f, _, err := readFrame(r)
+		if err != nil {
+			t.Fatalf("reply %d of %d: %v", i, count, err)
+		}
+		if f.typ != typ || f.seq != firstSeq+uint64(i) {
+			t.Fatalf("reply %d: type %#x seq %d, want type %#x seq %d", i, f.typ, f.seq, typ, firstSeq+uint64(i))
+		}
+	}
+}
+
+// pipeSession serves one session of a server over gateBackend{gate} on the
+// far end of an in-memory pipe and completes the handshake. A pipe write
+// returns once the session has taken every byte, so a burst written in one
+// call sits whole in the session's read buffer. served closes when the
+// session ends.
+func pipeSession(t *testing.T, gate chan struct{}) (client net.Conn, sess *session, conn *writeCountingConn, served chan struct{}) {
+	t.Helper()
+	srv, err := Serve("127.0.0.1:0", ServerConfig{Backend: gateBackend{gate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	client, serverSide := net.Pipe()
+	t.Cleanup(func() { _ = client.Close() })
+	conn = &writeCountingConn{Conn: serverSide}
+	sess = newSession(srv, conn)
+	served = make(chan struct{})
+	go func() {
+		defer close(served)
+		sess.serve()
+	}()
+	helloFrame(t, client)
+	expectReplies(t, client, MsgWelcome, 1, 1)
+	return client, sess, conn, served
+}
+
+// queryBurst encodes count MsgQuery frames with sequence IDs from firstSeq.
+func queryBurst(t *testing.T, firstSeq uint64, count int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	payload := appendU16(appendString(nil, "SELECT v FROM t WHERE id = 1"), 0)
+	for i := 0; i < count; i++ {
+		if _, err := writeFrame(&buf, MsgQuery, firstSeq+uint64(i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestSessionBatchesPipelinedBurst hands a session a burst of requests in
+// one segment: each must be answered, in order, and the replies must leave
+// in a few writes rather than one per request.
+func TestSessionBatchesPipelinedBurst(t *testing.T) {
+	gate := make(chan struct{})
+	close(gate)
+	client, _, conn, served := pipeSession(t, gate)
+	conn.writes.Store(0)
+
+	const burst = 64
+	requests := queryBurst(t, 2, burst)
+	go func() { _, _ = client.Write(requests) }()
+	expectReplies(t, client, MsgResult, 2, burst)
+	if w := conn.writes.Load(); w > 4 {
+		t.Fatalf("%d replies left in %d writes, want them batched into at most 4", burst, w)
+	}
+
+	if _, err := writeFrame(client, MsgQuit, 2+burst, nil); err != nil {
+		t.Fatal(err)
+	}
+	expectReplies(t, client, MsgBye, 2+burst, 1)
+	<-served
+}
+
+// TestSessionFlushesBeforePartialFrame sends a request followed by the first
+// half of the next one: the first reply must arrive while the session waits
+// for the rest of the second frame, not after it.
+func TestSessionFlushesBeforePartialFrame(t *testing.T) {
+	gate := make(chan struct{})
+	close(gate)
+	client, _, _, served := pipeSession(t, gate)
+
+	requests := queryBurst(t, 2, 2)
+	cut := len(requests) * 3 / 4
+	if _, err := client.Write(requests[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	expectReplies(t, client, MsgResult, 2, 1)
+	if _, err := client.Write(requests[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	expectReplies(t, client, MsgResult, 3, 1)
+
+	if _, err := writeFrame(client, MsgQuit, 4, nil); err != nil {
+		t.Fatal(err)
+	}
+	expectReplies(t, client, MsgBye, 4, 1)
+	<-served
+}
+
+// TestSessionDrainAnswersReceivedRequests starts a drain while a session is
+// executing the first request of a burst it has already received: every
+// request of the burst must still be answered, in order, before the
+// unsolicited goodbye.
+func TestSessionDrainAnswersReceivedRequests(t *testing.T) {
+	gate := make(chan struct{})
+	client, sess, _, served := pipeSession(t, gate)
+
+	const burst = 64
+	if _, err := client.Write(queryBurst(t, 2, burst)); err != nil {
+		t.Fatal(err)
+	}
+	sess.startDrain()
+	close(gate)
+	expectReplies(t, client, MsgResult, 2, burst)
+	expectReplies(t, client, MsgBye, 0, 1)
+	<-served
+}
+
+// TestFullSocketBlocksSender stalls the backend and keeps sending: with
+// nothing reading the socket the sender must block once the buffers between
+// it and the session are full, and every request that was sent must still be
+// answered, in order, once the backend moves again.
+func TestFullSocketBlocksSender(t *testing.T) {
+	gate := make(chan struct{})
+	srv, err := Serve("127.0.0.1:0", ServerConfig{Backend: gateBackend{gate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	helloFrame(t, nc)
+	expectReplies(t, nc, MsgWelcome, 1, 1)
+
+	// 1 KB requests, so the kernel's socket buffers fill after thousands of
+	// frames rather than hundreds of thousands.
+	sql := "SELECT v FROM t WHERE v = '" + strings.Repeat("x", 1024) + "'"
+	payload := appendU16(appendString(nil, sql), 0)
+	const limit = 1 << 20 // frames: far more than any socket buffer holds
+	sent := 0
+	var partial []byte // unsent tail of the frame the blocked write cut
+	for ; sent < limit; sent++ {
+		var buf bytes.Buffer
+		if _, err := writeFrame(&buf, MsgQuery, uint64(2+sent), payload); err != nil {
+			t.Fatal(err)
+		}
+		_ = nc.SetWriteDeadline(time.Now().Add(300 * time.Millisecond))
+		n, err := nc.Write(buf.Bytes())
+		if err != nil {
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Fatal(err)
+			}
+			if n > 0 {
+				partial = buf.Bytes()[n:]
+				sent++
+			}
+			break
+		}
+	}
+	if sent == limit {
+		t.Fatalf("sent %d requests to a stalled session without blocking", limit)
+	}
+
+	close(gate)
+	_ = nc.SetWriteDeadline(time.Time{})
+	if _, err := nc.Write(partial); err != nil {
+		t.Fatal(err)
+	}
+	expectReplies(t, bufio.NewReader(nc), MsgResult, 2, sent)
+}
