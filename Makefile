@@ -121,8 +121,9 @@ bench-net:
 bench-consensus:
 	$(GO) run ./cmd/experiments -bench-consensus
 
-# Quick perf regression gate: fail if the measured point-read latency is more
-# than 20% above the committed BENCH_sqldb.json baseline.
+# Quick perf regression gate: fail if the measured point-read or
+# replicated-write latency is more than 20% above the committed
+# BENCH_sqldb.json baseline.
 bench-gate:
 	$(GO) run ./cmd/experiments -bench-gate
 

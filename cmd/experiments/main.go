@@ -53,11 +53,11 @@
 // adaptive run is worse than static or the balanced phase was not inert.
 // CI runs this gate (quick mode) on every push.
 //
-// -bench-gate re-runs the point-read benchmark at the committed baseline's
-// iteration count and compares the measured latency against the baseline in
-// the file given by -bench-baseline (default BENCH_sqldb.json), exiting 1 if
-// it regressed by more than -bench-gate-pct percent. CI runs this on every
-// push.
+// -bench-gate re-runs the query-engine benchmark at the committed baseline's
+// iteration count and compares the measured point-read and replicated-write
+// latencies against the baseline in the file given by -bench-baseline
+// (default BENCH_sqldb.json), exiting 1 if either regressed by more than
+// -bench-gate-pct percent. CI runs this on every push.
 //
 // -metrics drives a TPC-W mix with a replica creation mid-run and dumps the
 // platform's unified observability snapshot — every family described in
@@ -121,9 +121,9 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve the wire protocol with a demo database on this address (e.g. 127.0.0.1:8346) until interrupted")
 	benchPlacement := flag.Bool("bench-placement", false, "run the adaptive-placement experiment (static vs adaptive under Zipfian skew, balanced-load inertness) and write JSON results")
 	benchPlacementOut := flag.String("bench-placement-out", "BENCH_placement.json", "output path for -bench-placement results")
-	benchGate := flag.Bool("bench-gate", false, "re-run the point-read bench and fail if it regressed vs the committed baseline")
+	benchGate := flag.Bool("bench-gate", false, "re-run the query-engine bench and fail if the point read or the replicated write regressed vs the committed baseline")
 	benchBaseline := flag.String("bench-baseline", "BENCH_sqldb.json", "baseline file for -bench-gate")
-	benchGatePct := flag.Float64("bench-gate-pct", 20, "allowed point-read regression for -bench-gate, in percent")
+	benchGatePct := flag.Float64("bench-gate-pct", 20, "allowed regression of each gated latency for -bench-gate, in percent")
 	metrics := flag.Bool("metrics", false, "run a TPC-W mix with a mid-run replica copy and dump the unified metrics snapshot")
 	traceScope := flag.String("trace-scope", "", "with -metrics: only print trace events of this scope (2pc, copy, recovery, repl, dr, sla)")
 	slaReport := flag.Bool("sla-report", false, "with -metrics or -admin: print the SLA compliance report")

@@ -189,6 +189,8 @@ func NewCluster(name string, opts Options) *Cluster {
 		// same ring the controller uses, so one trace ID finds all layers.
 		opts.EngineConfig.Spans = reg.Spans()
 	}
+	metrics := newClusterMetrics(reg)
+	opts.EngineConfig.PoolWritebacks = metrics.poolWritebacks
 	c := &Cluster{
 		name:     name,
 		opts:     opts,
@@ -196,7 +198,7 @@ func NewCluster(name string, opts Options) *Cluster {
 		machines: make(map[string]*Machine),
 		dbs:      make(map[string]*dbState),
 		stmts:    sqldb.NewStmtCache(0),
-		metrics:  newClusterMetrics(reg),
+		metrics:  metrics,
 		slamon:   opts.SLAMonitor,
 	}
 	if opts.WAL != nil {

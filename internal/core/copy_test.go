@@ -163,11 +163,18 @@ func TestCopyReplicaCases(t *testing.T) {
 				marks := target.usableMarks("app", c.dbs["app"].epoch)
 				c.mu.Unlock()
 				copiedBefore := c.metrics.copyPhase.With("table_copied").Value()
+				writebacksBefore := c.metrics.poolWritebacks.Value()
 				if err := c.copyReplica("app", target, marks); err != nil {
 					t.Fatalf("copyReplica: %v", err)
 				}
 				if got := c.metrics.copyPhase.With("table_copied").Value() - copiedBefore; got != tc.wantCopied {
 					t.Errorf("tables copied = %d, want %d", got, tc.wantCopied)
+				}
+				// Nothing was ever evicted from the source's pool, so every sealed
+				// page it holds is still dirty, its newest rows unencoded: a full
+				// copy writes each back exactly once, as it dumps it.
+				if got := c.metrics.poolWritebacks.Value() - writebacksBefore; tc.wantCopied == 3 && got != 3*(rows/64) {
+					t.Errorf("sqldb_pool_writebacks_total rose by %d during a full copy, want %d", got, 3*(rows/64))
 				}
 				if reps, _ := c.Replicas("app"); !contains(reps, target.ID()) {
 					t.Fatalf("replicas = %v, want %s among them", reps, target.ID())

@@ -57,6 +57,9 @@ type clusterMetrics struct {
 	readDegraded  *obs.Counter
 	bgResolved    *obs.CounterVec
 
+	// Counted by the machines' engines themselves (sqldb.Config.PoolWritebacks).
+	poolWritebacks *obs.Counter
+
 	// Gauges refreshed by the snapshot hook.
 	machineUtil *obs.GaugeVec
 	machineDBs  *obs.GaugeVec
@@ -128,6 +131,8 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 			"Fraction of a machine's capacity reserved by SLA placement", "machine", "resource"),
 		machineDBs: reg.GaugeVec("core_machine_dbs",
 			"Databases hosted per machine", "machine"),
+		poolWritebacks: reg.Counter("sqldb_pool_writebacks_total",
+			"Dirty buffer-pool pages encoded into their disk image, on eviction or when a dump, checkpoint or replica copy flushes them"),
 		engineStat: reg.GaugeVec("sqldb_engine_stat",
 			"Per-engine DBMS counters aggregated over a cluster's machines (commits, aborts, deadlocks, pool and plan-cache activity, compiled-execution and optimistic read-path counters)", "cluster", "stat"),
 	}

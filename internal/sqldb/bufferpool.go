@@ -20,6 +20,10 @@ type PoolStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
+	// Writebacks counts dirty pages encoded into their disk image: on
+	// eviction, when a bulk reader flushes them, or at once by a pool that
+	// cannot hold pages.
+	Writebacks uint64
 }
 
 // HitRate returns hits/(hits+misses), or 0 when no accesses were made.
@@ -46,6 +50,20 @@ const (
 // makes the paper's read-routing options (1/2/3) perform differently — routing
 // all of a database's reads to one replica keeps that replica's pool warm.
 //
+// The pool is write-back: a row change edits the resident decoded image
+// (Update) and marks it dirty, and the page is encoded into its sealedPage
+// only when it leaves the pool (eviction, DROP), when a bulk reader needs the
+// disk image (Flush), or at once when the pool cannot hold pages. The decoded
+// image of a resident page is therefore the page's newest contents and its
+// disk image may be stale; durability is the WAL's job, and a crash loses the
+// pool with the rest of the engine's memory.
+//
+// Lock order: a table's latch, then a stripe mutex, then the publication of a
+// page image (atomic, never waits). Every reader and writer of a table's
+// decoded images holds that table's latch; only eviction touches an image
+// without it — holding the stripe mutex, under which images are also edited
+// — so it can encode a page of a table whose latch someone else holds.
+//
 // The pool is sharded into lock stripes keyed by PageKey hash so concurrent
 // clients do not serialise on a single mutex. Capacity is partitioned across
 // stripes (each stripe runs its own LRU over its share), and the stripe count
@@ -61,8 +79,10 @@ type BufferPool struct {
 	// Stats() returns a pair that was simultaneously true — a concurrent
 	// reader can never observe a hit whose matching access is missing from
 	// the total (see obs.Pair).
-	hitMiss   obs.Pair
-	evictions atomic.Uint64
+	hitMiss       obs.Pair
+	evictions     atomic.Uint64
+	writebacks    atomic.Uint64
+	writebackSink *obs.Counter // Config.PoolWritebacks; may be nil
 }
 
 // poolStripe is one lock-striped LRU segment of the pool.
@@ -77,7 +97,9 @@ type poolStripe struct {
 
 type poolEntry struct {
 	key   PageKey
+	page  *sealedPage // where a dirty image is written back to
 	slots []pageSlot
+	dirty bool // slots is newer than page's disk image
 }
 
 // poolStripeCount picks the stripe count for a capacity.
@@ -140,103 +162,152 @@ func (p *BufferPool) stripe(key PageKey) *poolStripe {
 	return &p.stripes[h%uint64(len(p.stripes))]
 }
 
-// disabled reports whether the pool caches at all.
-func (p *BufferPool) disabled() bool {
-	return len(p.stripes) == 1 && p.stripes[0].capacity <= 0
-}
-
-// Get returns the decoded slots for key, loading and decoding via load on a
-// miss. The returned slice is shared with the pool; callers must not mutate
-// it (the table layer copies rows before handing them to transactions).
-func (p *BufferPool) Get(key PageKey, load func() []byte) ([]pageSlot, error) {
-	s := p.stripe(key)
+// resident returns key's entry with s.mu held, reading and decoding the page
+// on a miss. The stripe mutex is released for the read so concurrent misses
+// overlap, exactly as concurrent disk reads would; the evict→reload race on
+// one key stays closed because a page's image is published before its entry
+// leaves the stripe's map, under the same mutex the miss was observed under.
+// A pool without capacity returns an entry it does not keep. On error the
+// mutex is not held.
+func (p *BufferPool) resident(s *poolStripe, key PageKey, page *sealedPage) (*poolEntry, error) {
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {
 		s.lru.MoveToFront(el)
-		slots := el.Value.(*poolEntry).slots
-		s.mu.Unlock()
 		p.hitMiss.IncA()
-		return slots, nil
+		return el.Value.(*poolEntry), nil
 	}
 	s.mu.Unlock()
 
-	// Miss: decode outside the stripe mutex so concurrent misses overlap,
-	// exactly as concurrent disk reads would.
 	p.hitMiss.IncB()
 	if p.missLatency > 0 {
 		time.Sleep(p.missLatency)
 	}
-	encoded := load()
-	slots, err := decodePage(encoded)
+	slots, err := decodePage(page.image())
 	if err != nil {
 		return nil, err
 	}
-
-	if s.capacity <= 0 {
-		return slots, nil
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if el, ok := s.entries[key]; ok {
 		// Raced with another loader; keep the resident copy.
 		s.lru.MoveToFront(el)
-		return el.Value.(*poolEntry).slots, nil
+		return el.Value.(*poolEntry), nil
 	}
-	el := s.lru.PushFront(&poolEntry{key: key, slots: slots})
-	s.entries[key] = el
-	p.evictOverflow(s)
+	en := &poolEntry{key: key, page: page, slots: slots}
+	if s.capacity > 0 {
+		s.entries[key] = s.lru.PushFront(en)
+		p.evictOverflow(s)
+	}
+	return en, nil
+}
+
+// Get returns the decoded slots of the page, loading them from the page's
+// disk image on a miss. The slice is the pool's own image: the caller reads
+// it under the owning table's latch and copies out what it keeps.
+func (p *BufferPool) Get(key PageKey, page *sealedPage) ([]pageSlot, error) {
+	s := p.stripe(key)
+	en, err := p.resident(s, key, page)
+	if err != nil {
+		return nil, err
+	}
+	slots := en.slots
+	s.mu.Unlock()
 	return slots, nil
+}
+
+// Update applies edit to the page's resident decoded image — loading it on a
+// miss, like Get — and marks the page dirty. edit runs under the stripe
+// mutex, which is what keeps it apart from an eviction encoding the same
+// image; it returns the slots the page now holds. The caller holds the owning
+// table's latch, as for every access to the table's images.
+func (p *BufferPool) Update(key PageKey, page *sealedPage, edit func([]pageSlot) []pageSlot) error {
+	s := p.stripe(key)
+	en, err := p.resident(s, key, page)
+	if err != nil {
+		return err
+	}
+	en.slots = edit(en.slots)
+	if s.capacity > 0 {
+		en.dirty = true
+	} else {
+		p.writeBack(en) // nothing keeps the image: write it through
+	}
+	s.mu.Unlock()
+	return nil
+}
+
+// Put installs the decoded image of a page that has no disk image yet: the
+// table's tail page, sealed. The page starts its residency dirty.
+func (p *BufferPool) Put(key PageKey, page *sealedPage, slots []pageSlot) {
+	s := p.stripe(key)
+	en := &poolEntry{key: key, page: page, slots: slots, dirty: true}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.capacity <= 0 {
+		p.writeBack(en)
+		return
+	}
+	if el, ok := s.entries[key]; ok {
+		// Left by a statement still using a dropped table of this name.
+		p.evict(s, el)
+	}
+	s.entries[key] = s.lru.PushFront(en)
+	p.evictOverflow(s)
+}
+
+// Flush writes the page back if it is resident and dirty, leaving it
+// resident: afterwards the page's disk image is current. Bulk readers that
+// bypass the pool (dump, checkpoint, Algorithm 1 copy) call it per page.
+func (p *BufferPool) Flush(key PageKey) {
+	s := p.stripe(key)
+	s.mu.Lock()
+	if el, ok := s.entries[key]; ok && el.Value.(*poolEntry).dirty {
+		p.writeBack(el.Value.(*poolEntry))
+	}
+	s.mu.Unlock()
+}
+
+// writeBack encodes a dirty entry's image into its page. Called with the
+// entry's stripe mutex held.
+func (p *BufferPool) writeBack(en *poolEntry) {
+	en.page.store(encodePage(en.slots))
+	en.dirty = false
+	p.writebacks.Add(1)
+	if p.writebackSink != nil {
+		p.writebackSink.Inc()
+	}
+}
+
+// evict removes an entry from its stripe, writing it back first if dirty.
+// Called with s.mu held.
+func (p *BufferPool) evict(s *poolStripe, el *list.Element) {
+	en := s.lru.Remove(el).(*poolEntry)
+	delete(s.entries, en.key)
+	if en.dirty {
+		p.writeBack(en)
+	}
 }
 
 // evictOverflow trims a stripe to its capacity. Called with s.mu held.
 func (p *BufferPool) evictOverflow(s *poolStripe) {
 	for s.lru.Len() > s.capacity {
-		oldest := s.lru.Back()
-		s.lru.Remove(oldest)
-		delete(s.entries, oldest.Value.(*poolEntry).key)
+		p.evict(s, s.lru.Back())
 		p.evictions.Add(1)
 	}
 }
 
-// Put installs (or replaces) the decoded image of a page, used by the write
-// path so that writes keep the cache coherent (write-through).
-func (p *BufferPool) Put(key PageKey, slots []pageSlot) {
-	s := p.stripe(key)
-	if s.capacity <= 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*poolEntry).slots = slots
-		s.lru.MoveToFront(el)
-		return
-	}
-	el := s.lru.PushFront(&poolEntry{key: key, slots: slots})
-	s.entries[key] = el
-	p.evictOverflow(s)
-}
-
-// Invalidate drops a page from the pool.
-func (p *BufferPool) Invalidate(key PageKey) {
-	s := p.stripe(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.Remove(el)
-		delete(s.entries, key)
-	}
-}
-
-// InvalidateTable drops every cached page of a table (used by DROP TABLE).
+// InvalidateTable removes every cached page of a table (DROP TABLE, DROP
+// DATABASE, a restore replacing the table). Dirty pages are written back like
+// evicted ones, not discarded: dropping takes no table lock, so a statement
+// that resolved the table before the drop may still be reading it, and what
+// it reads — possibly on behalf of a transaction that commits on the
+// database's other replicas — must be the table's newest rows.
 func (p *BufferPool) InvalidateTable(table string) {
 	for i := range p.stripes {
 		s := &p.stripes[i]
 		s.mu.Lock()
 		for key, el := range s.entries {
 			if key.Table == table {
-				s.lru.Remove(el)
-				delete(s.entries, key)
+				p.evict(s, el)
 			}
 		}
 		s.mu.Unlock()
@@ -261,8 +332,9 @@ func (p *BufferPool) Len() int {
 func (p *BufferPool) Stats() PoolStats {
 	hits, misses := p.hitMiss.Load()
 	return PoolStats{
-		Hits:      hits,
-		Misses:    misses,
-		Evictions: p.evictions.Load(),
+		Hits:       hits,
+		Misses:     misses,
+		Evictions:  p.evictions.Load(),
+		Writebacks: p.writebacks.Load(),
 	}
 }

@@ -136,7 +136,7 @@ func (e *Engine) RestoreTable(db string, d TableDump) error {
 	}
 	key := lower(d.Schema.Table)
 	if old, exists := tables[key]; exists {
-		e.pool.InvalidateTable(old.poolName)
+		e.pool.InvalidateTable(old.qname)
 	}
 	tbl := newTable(e, qualified(db, d.Schema.Table), d.Schema.Clone())
 	tables[key] = tbl

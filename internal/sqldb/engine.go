@@ -57,6 +57,11 @@ type Config struct {
 	// disables engine-side span recording; unsampled transactions never
 	// touch it either way.
 	Spans *obs.SpanRing
+
+	// PoolWritebacks, when set, also receives the buffer pool's writeback
+	// count (PoolStats.Writebacks), so a cluster can point all its machines'
+	// engines — each restart builds a new one — at one registry counter.
+	PoolWritebacks *obs.Counter
 }
 
 // DefaultConfig returns the configuration used throughout the evaluation:
@@ -184,6 +189,7 @@ func NewEngine(cfg Config) *Engine {
 		plans: newPlanCache(cfg.PlanCacheSize),
 		dbs:   make(map[string]map[string]*Table),
 	}
+	e.pool.writebackSink = cfg.PoolWritebacks
 	if cfg.Workers > 0 {
 		e.workers = make(chan struct{}, cfg.Workers)
 	}
@@ -303,7 +309,7 @@ func (e *Engine) DropDatabase(name string) error {
 		return fmt.Errorf("sqldb: database %s does not exist", name)
 	}
 	for _, t := range tables {
-		e.pool.InvalidateTable(t.poolName)
+		e.pool.InvalidateTable(t.qname)
 	}
 	delete(e.dbs, name)
 	e.plans.invalidateDB(name)

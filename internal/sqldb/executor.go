@@ -189,7 +189,7 @@ func (e *Engine) execDropTable(t *Txn, s *DropTableStmt) (*Result, error) {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoTable, t.db, s.Table)
 	}
 	delete(tables, key)
-	e.pool.InvalidateTable(tbl.poolName)
+	e.pool.InvalidateTable(tbl.qname)
 	e.plans.invalidateTables(t.db, key)
 	// Logged under the catalog mutex, ordering the drop after every record
 	// of the dropped table.

@@ -10,7 +10,7 @@ import (
 // (table, access, detail): access is one of "point" (primary-key lookup),
 // "index" (secondary-index equality), "range" (ordered index or primary-key
 // traversal for <, <=, >, >=, BETWEEN), "scan" (full table scan), "insert",
-// or the join strategy "hash-join"/"nested-loop" for joined tables.
+// or the join strategy "hash-join"/"pk-probe"/"nested-loop" for joined tables.
 func (e *Engine) execExplain(t *Txn, s *ExplainStmt, params []Value) (*Result, error) {
 	res := &Result{Cols: []string{"table", "access", "detail"}}
 	add := func(table, access, detail string) {
@@ -32,21 +32,29 @@ func (e *Engine) execExplain(t *Txn, s *ExplainStmt, params []Value) (*Result, e
 			add(tbl.Name(), access, detail+" exec=compiled")
 			return res, nil
 		}
+		bs, err := bindSelect(e, t.db, inner)
+		if err != nil {
+			return nil, err
+		}
 		add(tbl.Name(), "scan", "join build side")
-		bindings := bindingsFor(tbl.schema, inner.From.Name())
-		for _, j := range inner.Joins {
+		for i, j := range inner.Joins {
 			jt, err := e.Table(t.db, j.Table.Table)
 			if err != nil {
 				return nil, err
 			}
-			rightBind := bindingsFor(jt.schema, j.Table.Name())
-			if bindJoin(bindings, rightBind, j).li >= 0 {
-				lc, rc, _ := equiJoinCols(j.On)
-				add(jt.Name(), "hash-join", fmt.Sprintf("ON %s = %s", exprName(lc), exprName(rc)))
-			} else {
+			bj := bs.joins[i]
+			if bj.li < 0 {
 				add(jt.Name(), "nested-loop", "general ON predicate")
+				continue
 			}
-			bindings = append(bindings, rightBind...)
+			lc, rc, _ := equiJoinCols(j.On)
+			on := fmt.Sprintf("ON %s = %s", exprName(lc), exprName(rc))
+			if bj.probe {
+				// The strategy is settled per execution, from the row counts.
+				add(jt.Name(), "pk-probe", fmt.Sprintf("%s; hash-join when joining more than %d rows", on, jt.RowCount()/probeJoinRatio))
+			} else {
+				add(jt.Name(), "hash-join", on)
+			}
 		}
 		return res, nil
 

@@ -75,7 +75,10 @@ func bindStatement(e *Engine, db string, stmt Statement) (*stmtPlan, error) {
 				plan.tables = append(plan.tables, lower(j.Table.Table))
 			}
 		}
-		plan.exec, err = bindSelect(e, db, s)
+		var bs *boundSelect
+		if bs, err = bindSelect(e, db, s); err == nil {
+			plan.exec = bs.exec
+		}
 	case *InsertStmt:
 		plan.tables = []string{lower(s.Table)}
 		plan.exec, err = bindInsert(e, db, s)

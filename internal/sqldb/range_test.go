@@ -188,14 +188,14 @@ func TestPoolStripeScaling(t *testing.T) {
 func TestPoolCountersExactUnderConcurrency(t *testing.T) {
 	const capacity = 256
 	p := NewBufferPool(capacity, 0)
-	encoded := encodePage([]pageSlot{})
+	page := sealedWith()
 
 	// Phase 1: populate `capacity` distinct pages sequentially — all misses,
 	// no evictions possible at exactly full... stripes partition capacity, so
 	// stay well under any single stripe's share by using half the capacity.
 	const pages = capacity / 2
 	for i := 0; i < pages; i++ {
-		if _, err := p.Get(PageKey{Table: "t", Page: i}, func() []byte { return encoded }); err != nil {
+		if _, err := p.Get(PageKey{Table: "t", Page: i}, page); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +215,7 @@ func TestPoolCountersExactUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				key := PageKey{Table: "t", Page: (w*131 + i) % pages}
-				if _, err := p.Get(key, func() []byte { return encoded }); err != nil {
+				if _, err := p.Get(key, page); err != nil {
 					t.Error(err)
 					return
 				}
@@ -238,10 +238,10 @@ func TestPoolCountersExactUnderConcurrency(t *testing.T) {
 func TestPoolEvictionAccounting(t *testing.T) {
 	const capacity = 64 // 2 stripes
 	p := NewBufferPool(capacity, 0)
-	encoded := encodePage([]pageSlot{})
+	page := sealedWith()
 	const inserts = 500
 	for i := 0; i < inserts; i++ {
-		if _, err := p.Get(PageKey{Table: "t", Page: i}, func() []byte { return encoded }); err != nil {
+		if _, err := p.Get(PageKey{Table: "t", Page: i}, page); err != nil {
 			t.Fatal(err)
 		}
 	}

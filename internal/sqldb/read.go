@@ -226,18 +226,18 @@ func (r *tableRead) lockPoint(t *Txn, tbl *Table, en *env, pk Value) ([]Row, []u
 // re-fetch it under the lock (it was an unlocked guess; the row may have
 // changed or vanished in between), and keep it if it still matches.
 func (r *tableRead) lockCandidates(t *Txn, tbl *Table, en *env, ids []uint64, match func(Row) bool) (rows []Row, kept []uint64, err error) {
-	pkIdx := tbl.schema.PKIdx
 	for _, id := range ids {
-		row, found := tbl.getRow(id)
+		pk, found := tbl.pkValue(id)
 		if !found {
 			continue
 		}
-		key := keyString(row[pkIdx])
+		key := keyString(pk)
 		if err := t.lockRow(tbl, key, r.rowMode()); err != nil {
 			return nil, nil, err
 		}
 		t.engine.record(t, r.write, tbl.qname+":"+key)
-		if row, found = tbl.getRow(id); !found {
+		row, found := tbl.getRow(id)
+		if !found {
 			continue
 		}
 		en.row = row

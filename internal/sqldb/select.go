@@ -21,18 +21,38 @@ type boundSelect struct {
 	out output
 }
 
-// boundJoin is one [INNER|LEFT] JOIN: a hash join when ON is an equality of
-// one column from each side, a nested loop over the bound ON otherwise.
+// boundJoin is one [INNER|LEFT] JOIN: a hash join — or, see probe, a
+// primary-key probe — when ON is an equality of one column from each side, a
+// nested loop over the bound ON otherwise.
 type boundJoin struct {
 	left   bool
 	width  int    // columns of the right table, for LEFT JOIN null extension
-	li, ri int    // hash keys: offsets in the left and right rows; li < 0 without
+	li, ri int    // equality keys: offsets in the left and right rows; li < 0 without
 	on     predFn // nested loop: ON over the concatenated row
+
+	// probe marks an equality on the joined table's primary key whose read has
+	// no filter, and so no access path, of its own. Such a join need not read
+	// the joined table in full: while the rows so far are few against it (see
+	// probeJoinRatio) each of them is matched by a point read instead.
+	probe bool
+}
+
+// probeJoinRatio picks the strategy of a probe-able join at run time, from
+// the two row counts. A probe costs a row lock and a latched point read per
+// outer row; the hash join clones every row of the joined table under a table
+// S lock, which also blocks that table's writers for the rest of the
+// transaction. The probe is used while the joined table holds at least this
+// many rows per outer row.
+const probeJoinRatio = 8
+
+// probes reports whether joining outer rows against tbl is done by probing.
+func (j *boundJoin) probes(outer int, tbl *Table) bool {
+	return j.probe && outer*probeJoinRatio <= tbl.RowCount()
 }
 
 // bindSelect binds a SELECT. Only an unknown table fails the bind; column
 // errors are kept for execution (see boundSelect.invalid).
-func bindSelect(e *Engine, db string, s *SelectStmt) (func(*Txn, []Value, *Result) (*Result, error), error) {
+func bindSelect(e *Engine, db string, s *SelectStmt) (*boundSelect, error) {
 	bs := &boundSelect{}
 	if s.From == nil {
 		// No source: the items evaluate once, against an empty row; the other
@@ -47,7 +67,7 @@ func bindSelect(e *Engine, db string, s *SelectStmt) (func(*Txn, []Value, *Resul
 			}
 			bs.out.cols = append(bs.out.cols, itemName(item))
 		}
-		return bs.exec, nil
+		return bs, nil
 	}
 
 	base, err := e.Table(db, s.From.Table)
@@ -82,7 +102,9 @@ func bindSelect(e *Engine, db string, s *SelectStmt) (func(*Txn, []Value, *Resul
 				pushed = pushdownFilter(conjuncts, consumed, right)
 			}
 			bs.reads = append(bs.reads, bindRead(jt, j.Table.Table, j.Table.Name(), pushed))
-			bs.joins = append(bs.joins, bindJoin(cols, right, j))
+			bj := bindJoin(cols, right, j)
+			bj.probe = bj.li >= 0 && bj.ri == jt.schema.PKIdx && pushed == nil
+			bs.joins = append(bs.joins, bj)
 			cols = append(cols[:len(cols):len(cols)], right...)
 		}
 		var rest []Expr
@@ -166,7 +188,7 @@ func bindSelect(e *Engine, db string, s *SelectStmt) (func(*Txn, []Value, *Resul
 	if bs.invalid = b.err; bs.invalid == nil {
 		bs.invalid = starErr
 	}
-	return bs.exec, nil
+	return bs, nil
 }
 
 // pushdownFilter selects the not-yet-consumed conjuncts that resolve
@@ -253,6 +275,12 @@ func (bs *boundSelect) source(t *Txn, en *env) ([]Row, error) {
 			}
 			// Validation kept failing: take locks instead.
 		}
+		if i > 0 && bs.joins[i-1].probes(len(cur), tbl) {
+			if cur, err = bs.joins[i-1].probeJoin(t, r, tbl, en, cur); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		rows, _, err := r.rows(t, tbl, en)
 		if err != nil {
 			return nil, err
@@ -319,6 +347,33 @@ func (j *boundJoin) join(en *env, left, right []Row) ([]Row, error) {
 			}
 		}
 		if !matched && j.left {
+			out = append(out, concatRows(lr, nullRow(j.width)))
+		}
+	}
+	return out, nil
+}
+
+// probeJoin combines the rows so far with the joined table by one primary-key
+// point read per row: the locks (IS on the table, S on each key, present or
+// absent) and history records of that many point SELECTs, in place of the
+// table S lock and full read of the hash join. The output is the hash join's:
+// left order, a NULL key matches nothing.
+func (j *boundJoin) probeJoin(t *Txn, r *tableRead, tbl *Table, en *env, left []Row) ([]Row, error) {
+	if err := t.lockTable(tbl, LockIS); err != nil {
+		return nil, err
+	}
+	var out []Row
+	for _, lr := range left {
+		var match []Row
+		if k := lr[j.li]; !k.IsNull() {
+			var err error
+			if match, _, err = r.lockPoint(t, tbl, en, k); err != nil {
+				return nil, err
+			}
+		}
+		if len(match) > 0 {
+			out = append(out, concatRows(lr, match[0]))
+		} else if j.left {
 			out = append(out, concatRows(lr, nullRow(j.width)))
 		}
 	}

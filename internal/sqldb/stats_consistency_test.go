@@ -15,7 +15,7 @@ func TestPoolStatsNeverTorn(t *testing.T) {
 	const goroutines = 8
 	const perG = 3000
 	p := NewBufferPool(64, 0)
-	load := func() []byte { return encodePage(nil) }
+	page := sealedWith()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -55,7 +55,7 @@ func TestPoolStatsNeverTorn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				key := PageKey{Table: fmt.Sprintf("t%d", i%4), Page: i % 128}
-				if _, err := p.Get(key, load); err != nil {
+				if _, err := p.Get(key, page); err != nil {
 					t.Errorf("get: %v", err)
 					return
 				}

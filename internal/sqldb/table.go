@@ -35,21 +35,21 @@ func (ix *index) add(key string, v Value, rowID uint64) {
 	}
 }
 
-// Table holds the physical storage of one table: sealed encoded pages (the
-// "disk"), an open tail page of decoded rows, a primary-key index, and any
-// secondary indexes. Reads of sealed pages go through the engine's buffer
-// pool. The per-table mutex is a short-duration latch protecting physical
-// structures; transactional isolation is provided by the lock manager, not
-// by this mutex.
+// Table holds the physical storage of one table: sealed pages (the "disk"),
+// an open tail page of decoded rows, a primary-key index, and any secondary
+// indexes. Reads and writes of sealed pages go through the engine's
+// write-back buffer pool: the newest contents of a resident page are its
+// decoded image in the pool, not the sealed page's disk image. The per-table
+// mutex is a short-duration latch protecting physical structures — the
+// decoded images of this table's pages included; transactional isolation is
+// provided by the lock manager, not by this mutex.
 type Table struct {
-	schema   *Schema
-	engine   *Engine
-	qname    string // qualified "db/table" name used for locks and pool keys
-	poolName string // "<qname>@<version>": the pool key prefix, precomputed
+	schema *Schema
+	engine *Engine
+	qname  string // qualified "db/table" name used for locks and pool keys
 
 	mu        sync.Mutex
-	pages     [][]byte // sealed, encoded
-	pageLive  []int    // live (non-deleted) slot count per sealed page
+	pages     []*sealedPage
 	tail      []pageSlot
 	loc       map[uint64]rowLoc
 	pk        map[string]uint64 // pk key -> rowID; nil when no primary key
@@ -58,7 +58,6 @@ type Table struct {
 	nextRowID uint64
 	liveRows  int
 	byteSize  int64
-	version   uint64 // bumped on every page rewrite, for pool coherence
 
 	// epoch counts physical row mutations (insert/delete/update). Optimistic
 	// readers load it before and after their latched reads: an unchanged
@@ -83,7 +82,6 @@ func newTable(e *Engine, qname string, schema *Schema) *Table {
 		loc:     make(map[uint64]rowLoc),
 		indexes: make(map[string]*index),
 	}
-	t.poolName = fmt.Sprintf("%s@%d", t.qname, t.version)
 	if schema.PKIdx >= 0 {
 		t.pk = make(map[string]uint64)
 		t.pkOrd = newOrderedKeys()
@@ -284,32 +282,35 @@ func (t *Table) insertRowPhysical(rowID uint64, r Row) {
 		idx.add(keyString(r[idx.col]), r[idx.col], rowID)
 	}
 	t.liveRows++
-	t.byteSize += int64(len(encodeRow(nil, r)))
+	t.byteSize += int64(encodedRowSize(r))
 	if len(t.tail) >= pageCapacity {
 		t.sealTail()
 	}
 }
 
-// sealTail encodes the tail page and appends it to the sealed pages. Called
-// with t.mu held.
+// sealTail turns the full tail page into a sealed page. Nothing is encoded
+// here: the page starts out resident and dirty, and gets its disk image when
+// it first leaves the pool. Called with t.mu held.
 func (t *Table) sealTail() {
-	page := len(t.pages)
-	enc := encodePage(t.tail)
-	t.pages = append(t.pages, enc)
-	t.pageLive = append(t.pageLive, len(t.tail))
+	n := len(t.pages)
+	page := &sealedPage{}
+	t.pages = append(t.pages, page)
 	for i, s := range t.tail {
-		t.loc[s.rowID] = rowLoc{page: page, slot: i}
+		t.loc[s.rowID] = rowLoc{page: n, slot: i}
 	}
-	// Warm the pool with the decoded image we already have.
-	t.engine.pool.Put(t.pageKey(page), t.tail)
+	t.engine.pool.Put(t.pageKey(n), page, t.tail)
 	t.tail = nil
 }
 
-// pageKey builds the buffer-pool key of a sealed page. Called with t.mu held
-// or on an immutable version. Anything that bumps t.version must refresh
-// t.poolName.
+// pageKey builds the buffer-pool key of a sealed page.
 func (t *Table) pageKey(page int) PageKey {
-	return PageKey{Table: t.poolName, Page: page}
+	return PageKey{Table: t.qname, Page: page}
+}
+
+// corruptPagePanic reports a sealed page that does not decode. Disk images
+// are written only by encodePage, so this is a bug, never input.
+func (t *Table) corruptPagePanic(page int, err error) {
+	panic(fmt.Sprintf("sqldb: corrupt page %s/%d: %v", t.schema.Table, page, err))
 }
 
 // deleteRowPhysical removes a row from storage and indexes. Missing rows are
@@ -323,19 +324,23 @@ func (t *Table) deleteRowPhysical(rowID uint64) {
 	}
 	t.epoch.Add(1)
 	var old Row
+	var moved []pageSlot // the slots behind the deleted one, now one position up
 	if l.page == -1 {
 		old = t.tail[l.slot].row
 		t.tail = append(t.tail[:l.slot], t.tail[l.slot+1:]...)
-		for i := l.slot; i < len(t.tail); i++ {
-			t.loc[t.tail[i].rowID] = rowLoc{page: -1, slot: i}
-		}
+		moved = t.tail[l.slot:]
 	} else {
-		slots := t.decodePageLocked(l.page)
-		old = slots[l.slot].row
-		newSlots := make([]pageSlot, 0, len(slots)-1)
-		newSlots = append(newSlots, slots[:l.slot]...)
-		newSlots = append(newSlots, slots[l.slot+1:]...)
-		t.rewritePageLocked(l.page, newSlots)
+		t.updatePageLocked(l.page, func(slots []pageSlot) []pageSlot {
+			old = slots[l.slot].row
+			last := len(slots) - 1
+			copy(slots[l.slot:], slots[l.slot+1:])
+			slots[last] = pageSlot{}
+			moved = slots[l.slot:last]
+			return slots[:last]
+		})
+	}
+	for i, s := range moved {
+		t.loc[s.rowID] = rowLoc{page: l.page, slot: l.slot + i}
 	}
 	delete(t.loc, rowID)
 	if t.pk != nil {
@@ -347,7 +352,7 @@ func (t *Table) deleteRowPhysical(rowID uint64) {
 		idx.remove(keyString(old[idx.col]), rowID)
 	}
 	t.liveRows--
-	t.byteSize -= int64(len(encodeRow(nil, old)))
+	t.byteSize -= int64(encodedRowSize(old))
 }
 
 // updateRowPhysical replaces the image of a row in place, maintaining
@@ -361,16 +366,16 @@ func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 	}
 	t.epoch.Add(1)
 	var old Row
+	stored := newRow.Clone()
 	if l.page == -1 {
 		old = t.tail[l.slot].row
-		t.tail[l.slot].row = newRow.Clone()
+		t.tail[l.slot].row = stored
 	} else {
-		slots := t.decodePageLocked(l.page)
-		old = slots[l.slot].row
-		newSlots := make([]pageSlot, len(slots))
-		copy(newSlots, slots)
-		newSlots[l.slot] = pageSlot{rowID: rowID, row: newRow.Clone()}
-		t.rewritePageLocked(l.page, newSlots)
+		t.updatePageLocked(l.page, func(slots []pageSlot) []pageSlot {
+			old = slots[l.slot].row
+			slots[l.slot].row = stored
+			return slots
+		})
 	}
 	if t.pk != nil {
 		oldKey, newKey := t.pkKey(old), t.pkKey(newRow)
@@ -388,31 +393,26 @@ func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 			idx.add(nk, newRow[idx.col], rowID)
 		}
 	}
-	t.byteSize += int64(len(encodeRow(nil, newRow))) - int64(len(encodeRow(nil, old)))
+	t.byteSize += int64(encodedRowSize(newRow) - encodedRowSize(old))
 }
 
 // decodePageLocked fetches the decoded slots of a sealed page via the buffer
-// pool. Called with t.mu held; the pool load callback reads the encoded page
-// directly since the latch is already held.
+// pool. Called with t.mu held, which is what makes the pool's own image safe
+// to read: every edit of it holds this latch too.
 func (t *Table) decodePageLocked(page int) []pageSlot {
-	enc := t.pages[page]
-	slots, err := t.engine.pool.Get(t.pageKey(page), func() []byte { return enc })
+	slots, err := t.engine.pool.Get(t.pageKey(page), t.pages[page])
 	if err != nil {
-		// Pages are written only by encodePage; corruption indicates a bug.
-		panic(fmt.Sprintf("sqldb: corrupt page %s/%d: %v", t.schema.Table, page, err))
+		t.corruptPagePanic(page, err)
 	}
 	return slots
 }
 
-// rewritePageLocked replaces a sealed page's contents, updating row
-// locations and keeping the pool coherent. Called with t.mu held.
-func (t *Table) rewritePageLocked(page int, slots []pageSlot) {
-	t.pages[page] = encodePage(slots)
-	t.pageLive[page] = len(slots)
-	for i, s := range slots {
-		t.loc[s.rowID] = rowLoc{page: page, slot: i}
+// updatePageLocked edits the resident decoded image of a sealed page (see
+// BufferPool.Update). Called with t.mu held.
+func (t *Table) updatePageLocked(page int, edit func([]pageSlot) []pageSlot) {
+	if err := t.engine.pool.Update(t.pageKey(page), t.pages[page], edit); err != nil {
+		t.corruptPagePanic(page, err)
 	}
-	t.engine.pool.Put(t.pageKey(page), slots)
 }
 
 // appendKey appends keyString(v) to buf, avoiding allocation for the common
@@ -446,6 +446,15 @@ func containsQuote(s string) bool {
 	return false
 }
 
+// rowAtLocked returns the stored image of the row at l: the table's own, not
+// a copy. Called with t.mu held; the image is only stable while it is.
+func (t *Table) rowAtLocked(l rowLoc) Row {
+	if l.page == -1 {
+		return t.tail[l.slot].row
+	}
+	return t.decodePageLocked(l.page)[l.slot].row
+}
+
 // readPKRowInto looks up a primary-key row and copies its values into dst
 // under a single latch acquisition, returning the (possibly grown)
 // destination slice, the rowID, and whether the key exists. key is the
@@ -465,13 +474,7 @@ func (t *Table) readPKRowInto(key []byte, dst Row) (Row, uint64, bool) {
 	if !ok {
 		return dst, 0, false
 	}
-	var src Row
-	if l.page == -1 {
-		src = t.tail[l.slot].row
-	} else {
-		src = t.decodePageLocked(l.page)[l.slot].row
-	}
-	return append(dst[:0], src...), id, true
+	return append(dst[:0], t.rowAtLocked(l)...), id, true
 }
 
 // getRowsBatch appends clones of the rows with the given IDs to dst under a
@@ -482,14 +485,8 @@ func (t *Table) getRowsBatch(ids []uint64, dst []Row) []Row {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, id := range ids {
-		l, ok := t.loc[id]
-		if !ok {
-			continue
-		}
-		if l.page == -1 {
-			dst = append(dst, t.tail[l.slot].row.Clone())
-		} else {
-			dst = append(dst, t.decodePageLocked(l.page)[l.slot].row.Clone())
+		if l, ok := t.loc[id]; ok {
+			dst = append(dst, t.rowAtLocked(l).Clone())
 		}
 	}
 	return dst
@@ -503,11 +500,19 @@ func (t *Table) getRow(rowID uint64) (Row, bool) {
 	if !ok {
 		return nil, false
 	}
-	if l.page == -1 {
-		return t.tail[l.slot].row.Clone(), true
+	return t.rowAtLocked(l).Clone(), true
+}
+
+// pkValue returns the primary-key value of the row with the given ID without
+// copying the row, or ok=false. The table has a primary key.
+func (t *Table) pkValue(rowID uint64) (Value, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	l, ok := t.loc[rowID]
+	if !ok {
+		return Value{}, false
 	}
-	slots := t.decodePageLocked(l.page)
-	return slots[l.slot].row.Clone(), true
+	return t.rowAtLocked(l)[t.schema.PKIdx], true
 }
 
 // lookupPK returns the rowID for a primary-key value.
@@ -695,9 +700,10 @@ func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64,
 }
 
 // scanCold is scan for bulk readers like the dump tool: it reads the sealed
-// pages "from disk" — paying the engine's miss latency per page and
-// bypassing the buffer pool — because a bulk copy neither benefits from nor
-// should pollute the cache. This is what makes replica-creation time
+// pages "from disk" — paying the engine's miss latency per page and not
+// loading them into the buffer pool (a dirty resident page is written back
+// first, so the disk image is current) — because a bulk copy neither benefits
+// from nor should pollute the cache. This is what makes replica-creation time
 // proportional to database size, as in the paper (a 200 MB copy took about
 // two minutes on their hardware).
 func (t *Table) scanCold(fn func(rowID uint64, r Row) bool) {
@@ -711,14 +717,17 @@ func (t *Table) scanCold(fn func(rowID uint64, r Row) bool) {
 			t.mu.Unlock()
 			break
 		}
-		enc := t.pages[p]
+		// The resident image may be newer than the disk image: write it back
+		// first, so the bytes carry every row change made so far.
+		t.engine.pool.Flush(t.pageKey(p))
+		enc := t.pages[p].image()
 		t.mu.Unlock()
 		if lat > 0 {
 			time.Sleep(lat)
 		}
 		slots, err := decodePage(enc)
 		if err != nil {
-			panic(fmt.Sprintf("sqldb: corrupt page %s/%d: %v", t.schema.Table, p, err))
+			t.corruptPagePanic(p, err)
 		}
 		for _, s := range slots {
 			t.mu.Lock()

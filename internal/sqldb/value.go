@@ -3,8 +3,9 @@
 // the off-the-shelf MySQL instances in the CIDR 2009 paper: it provides a
 // SQL subset (DDL, DML, SELECT with joins and aggregates), strict two-phase
 // locking with deadlock detection, transactions with a two-phase-commit
-// participant API, an LRU buffer pool over paged row storage, and a
-// mysqldump-style table-locking copy tool.
+// participant API, a write-back LRU buffer pool over paged row storage (a
+// row change edits the resident page; the WAL, not the page image, is what a
+// crash recovers from), and a mysqldump-style table-locking copy tool.
 package sqldb
 
 import (
