@@ -12,13 +12,18 @@ test:
 
 # Race-detector pass over the packages with lock-sensitive hot paths: the
 # query engine (plan cache, striped buffer pool, lock manager, optimistic
-# read validation), the cluster controller (2PC, replica management), the
-# consensus log (elections, lease hand-off, kill/restart lifecycle), the
-# write-ahead log's group-commit pipeline, the TPC-W client whose
-# read-only profiles drive the optimistic path concurrently, and the wire
-# protocol's pipelined sessions (multiplexed client pool vs concurrent DDL).
+# read validation), the cluster controller (2PC, replica management,
+# fault-injected sessions, the adaptive placement loop vs concurrent
+# Algorithm 1 copies and controller failover), the consensus log (elections,
+# lease hand-off, kill/restart lifecycle), the write-ahead log's
+# group-commit pipeline, the wait-free metrics registry, the SLA monitor,
+# the placement selector and planners, the TPC-W client whose read-only
+# profiles drive the optimistic path concurrently, and the wire protocol's
+# pipelined sessions (multiplexed client pool vs concurrent DDL). This is
+# the one list: CI's race job runs `make race`.
+RACE_PKGS = ./internal/sqldb/... ./internal/core/... ./internal/consensus/... ./internal/wal/... ./internal/obs/... ./internal/sla/... ./internal/tpcw/... ./internal/wire/... ./internal/placement/...
 race:
-	$(GO) test -race ./internal/sqldb/... ./internal/core/... ./internal/consensus/... ./internal/wal/... ./internal/tpcw/... ./internal/wire/... ./internal/placement/...
+	$(GO) test -race $(RACE_PKGS)
 
 # vet also smoke-tests the wait-free metrics instruments, the SLA monitor's
 # epoch-recycled windows, the admin plane, and the write-ahead log under the

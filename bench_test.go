@@ -21,6 +21,7 @@ import (
 
 	"sdp/internal/core"
 	"sdp/internal/experiments"
+	"sdp/internal/placement"
 	"sdp/internal/sla"
 	"sdp/internal/sqldb"
 	"sdp/internal/tpcw"
@@ -191,15 +192,15 @@ func BenchmarkAblationPlacement(b *testing.B) {
 					Replicas: 1,
 				}
 			}
-			a, _, err := sla.PlaceAll(dbs)
+			a, _, err := placement.PlaceAll(dbs)
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, _, err := sla.PlaceAllFirstFitDecreasing(dbs)
+			c, _, err := placement.PlaceAllFirstFitDecreasing(dbs)
 			if err != nil {
 				b.Fatal(err)
 			}
-			d, _, err := sla.PlaceAllBestFit(dbs)
+			d, _, err := placement.PlaceAllBestFit(dbs)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,9 @@
 // Multitenant: the paper's headline scenario — many small applications,
-// each with its own database and SLA, packed onto shared machines by
-// First-Fit placement. The example creates a fleet of differently sized
+// each with its own database and SLA, packed onto shared machines by the
+// paper's Algorithm 2: First-Fit, which is internal/placement's Pick in
+// arrival order against each machine's declared reservations (the same
+// selector, with a different ordering, later chooses recovery, grow and
+// migration targets). The example creates a fleet of differently sized
 // application databases, shows where their replicas landed, and runs all
 // the applications concurrently.
 package main
@@ -46,7 +49,9 @@ func main() {
 		}
 	}
 
-	// Show the resulting packing: which machines host which replicas.
+	// Show the resulting packing: which machines host which replicas. Each
+	// app's two replicas sit on distinct machines, the earliest two whose
+	// reservations still had room when the app arrived.
 	west, err := p.System().Colo("west")
 	if err != nil {
 		log.Fatal(err)

@@ -70,7 +70,6 @@ type Controller struct {
 	clusters   []*core.Cluster
 	free       int // size of the free machine pool
 	dbCluster  map[string]*core.Cluster
-	dbReq      map[string]sla.Resources
 	machineSeq int
 	clusterSeq int
 }
@@ -89,7 +88,6 @@ func New(name string, opts Options) *Controller {
 		opts:      opts,
 		metrics:   newColoMetrics(reg, name),
 		dbCluster: make(map[string]*core.Cluster),
-		dbReq:     make(map[string]sla.Resources),
 	}
 	reg.OnSnapshot(func() { c.metrics.freeMachines.Set(float64(c.FreeMachines())) })
 	return c
@@ -152,7 +150,6 @@ func (c *Controller) CreateDatabase(db string, req sla.Resources, replicas int) 
 		if _, err := cl.PlaceWithSLA(db, req, replicas); err == nil {
 			c.mu.Lock()
 			c.dbCluster[db] = cl
-			c.dbReq[db] = req
 			c.mu.Unlock()
 			c.metrics.placements.With(c.name, "placed").Inc()
 			return nil
@@ -176,7 +173,6 @@ func (c *Controller) CreateDatabase(db string, req sla.Resources, replicas int) 
 		if perr == nil {
 			c.mu.Lock()
 			c.dbCluster[db] = cl
-			c.dbReq[db] = req
 			c.mu.Unlock()
 			c.metrics.placements.With(c.name, "placed_after_growth").Inc()
 			return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"time"
 
@@ -13,8 +14,9 @@ import (
 // This file closes the loop from the SLA monitor into placement: a periodic
 // decision loop samples the monitor's per-database windows, classifies
 // tenants hot/warm/cold (internal/placement), grows hot tenants' replica
-// degree and shrinks cold ones within a per-tenant budget, and corrects
-// load skew through the shared rebalancer candidate path (rebalance.go).
+// degree and shrinks cold ones within the replica budget, and corrects load
+// skew by migration. Every target is chosen by placement.Pick over the one
+// view placementView builds per round.
 // Decisions execute through the same replicated control-plane primitives as
 // manual operations (GrowReplica → Algorithm 1 copy, ShrinkReplica →
 // replicated retire, MigrateReplica), so they survive controller failover;
@@ -29,20 +31,12 @@ type AdaptiveConfig struct {
 	// re-plan from scratch, so the interval bounds reaction time, not
 	// correctness.
 	Interval time.Duration
-	// Classifier tunes the hot/warm/cold thresholds.
-	Classifier placement.ClassifierConfig
-	// Budget bounds per-tenant replica degrees (TCDRM-style).
+	// Budget bounds every tenant's replica degree (TCDRM-style).
 	Budget placement.Budget
 	// MaxConcurrentMoves caps Algorithm 1 copies in flight from this
 	// controller (K in the issue); actions beyond it wait for the next
 	// round. Zero selects 2.
 	MaxConcurrentMoves int
-	// MaxActionsPerRound caps grow/shrink actions planned per round.
-	// Zero selects 4.
-	MaxActionsPerRound int
-	// RebalanceMoves caps skew-correcting migrations per round. Zero
-	// selects 1; negative disables migration.
-	RebalanceMoves int
 	// RebalanceMinGain is the relative peak-utilisation reduction a
 	// skew-correcting migration must achieve before the loop launches it.
 	// Observed loads jitter window to window; without a margin the
@@ -52,12 +46,6 @@ type AdaptiveConfig struct {
 	// negative selects any strict improvement, the manual Rebalance
 	// semantics.
 	RebalanceMinGain float64
-	// LoadSmoothing is the EWMA coefficient applied to observed per-replica
-	// loads across rounds (new = α·observed + (1−α)·previous). One SLA
-	// window is a noisy throughput sample; smoothing is what lets the
-	// migration planner see the persistent skew through the jitter. Zero
-	// selects 0.3; values ≥ 1 disable smoothing.
-	LoadSmoothing float64
 }
 
 func (cfg AdaptiveConfig) withDefaults() AdaptiveConfig {
@@ -67,24 +55,19 @@ func (cfg AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if cfg.MaxConcurrentMoves <= 0 {
 		cfg.MaxConcurrentMoves = 2
 	}
-	if cfg.MaxActionsPerRound <= 0 {
-		cfg.MaxActionsPerRound = 4
-	}
-	if cfg.RebalanceMoves == 0 {
-		cfg.RebalanceMoves = 1
-	}
 	if cfg.RebalanceMinGain == 0 {
 		cfg.RebalanceMinGain = 0.1
 	} else if cfg.RebalanceMinGain < 0 {
 		cfg.RebalanceMinGain = 0
 	}
-	if cfg.LoadSmoothing <= 0 {
-		cfg.LoadSmoothing = 0.3
-	} else if cfg.LoadSmoothing > 1 {
-		cfg.LoadSmoothing = 1
-	}
 	return cfg
 }
+
+// loadSmoothing is the EWMA coefficient applied to observed per-replica
+// loads across rounds (new = α·observed + (1−α)·previous). One SLA window is
+// a noisy throughput sample; smoothing is what lets the migration planner
+// see the persistent skew through the jitter.
+const loadSmoothing = 0.3
 
 // placementMetrics carries the adaptive controller's instruments, resolved
 // once at construction like clusterMetrics.
@@ -96,9 +79,6 @@ type placementMetrics struct {
 }
 
 func newPlacementMetrics(reg *obs.Registry) *placementMetrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	return &placementMetrics{
 		rounds: reg.CounterVec("placement_rounds_total",
 			"Adaptive placement decision rounds by result (acted, noop, skipped_not_leader).", "result"),
@@ -133,14 +113,12 @@ type AdaptiveController struct {
 	// skew-correcting move only launches when two consecutive rounds plan
 	// the identical move, so a single noisy load sample never triggers an
 	// Algorithm 1 copy. Same access discipline as loadEWMA.
-	pendingMove Move
+	pendingMove placement.Action
 
 	mu               sync.Mutex
 	rounds           uint64
 	skippedNotLeader uint64
-	grows            uint64
-	shrinks          uint64
-	migrates         uint64
+	done             map[placement.ActionKind]uint64 // successful actions by kind
 	tenants          []placement.TenantStatus
 	recent           []placement.ActionRecord
 }
@@ -160,6 +138,7 @@ func (c *Cluster) NewAdaptiveController(cfg AdaptiveConfig) *AdaptiveController 
 		sem:      make(chan struct{}, cfg.MaxConcurrentMoves),
 		stopCh:   make(chan struct{}),
 		loadEWMA: map[string]sla.Resources{},
+		done:     map[placement.ActionKind]uint64{},
 	}
 }
 
@@ -221,14 +200,9 @@ func (a *AdaptiveController) RunOnce() int {
 		return 0
 	}
 
-	tenants, machines, loads := a.c.placementView(a.loadEWMA, a.cfg.LoadSmoothing)
-	a.loadEWMA = loads
-	res := placement.Plan(tenants, machines, placement.PlanConfig{
-		Classifier: a.cfg.Classifier,
-		Budget:     a.cfg.Budget,
-		MaxActions: a.cfg.MaxActionsPerRound,
-	})
-	a.publishRound(tenants, res)
+	view := a.c.placementView(a.loadEWMA)
+	res := placement.Plan(view, a.cfg.Budget)
+	a.publishRound(view.Tenants, res)
 
 	launched := 0
 	for _, act := range res.Actions {
@@ -236,23 +210,21 @@ func (a *AdaptiveController) RunOnce() int {
 			launched++
 		}
 	}
-	if a.cfg.RebalanceMoves > 0 && launched == 0 && len(a.sem) == 0 {
+	if launched == 0 && len(a.sem) == 0 {
 		// Degree changes settle first, and skew correction runs only on
 		// fully quiet rounds (nothing planned, nothing in flight), so a
 		// grow and a migration never chase the same hotspot and copies
 		// never stack up behind each other. A move must also be planned
 		// identically by two consecutive rounds before it launches.
-		move, ok := a.c.planMove(loads, a.cfg.RebalanceMinGain)
-		switch {
-		case ok && move == a.pendingMove:
-			if a.launch(placement.Action{Kind: placement.Migrate, DB: move.DB, From: move.From, To: move.To, Reason: "skew: peak improvement confirmed twice"}) {
+		move, ok := placement.PlanMove(view, a.cfg.RebalanceMinGain)
+		confirmed := ok && move == a.pendingMove
+		a.pendingMove = move
+		if confirmed {
+			move.Reason = "skew: peak improvement confirmed twice"
+			if a.launch(move) {
 				launched++
-				a.pendingMove = Move{}
+				a.pendingMove = placement.Action{}
 			}
-		case ok:
-			a.pendingMove = move
-		default:
-			a.pendingMove = Move{}
 		}
 	}
 	if launched > 0 {
@@ -316,19 +288,8 @@ func (a *AdaptiveController) execute(act placement.Action) {
 		rec.Err = err.Error()
 	}
 	a.mu.Lock()
-	switch act.Kind {
-	case placement.Grow:
-		if err == nil {
-			a.grows++
-		}
-	case placement.Shrink:
-		if err == nil {
-			a.shrinks++
-		}
-	case placement.Migrate:
-		if err == nil {
-			a.migrates++
-		}
+	if err == nil {
+		a.done[act.Kind]++
 	}
 	a.recent = append(a.recent, rec)
 	if len(a.recent) > 32 {
@@ -338,7 +299,7 @@ func (a *AdaptiveController) execute(act placement.Action) {
 }
 
 // publishRound updates the per-round report state and class gauges.
-func (a *AdaptiveController) publishRound(tenants []placement.TenantView, res placement.PlanResult) {
+func (a *AdaptiveController) publishRound(tenants []placement.Tenant, res placement.PlanResult) {
 	counts := map[placement.Class]int{}
 	statuses := make([]placement.TenantStatus, 0, len(tenants))
 	for _, t := range tenants {
@@ -366,7 +327,7 @@ func (a *AdaptiveController) publishRound(tenants []placement.TenantView, res pl
 func (a *AdaptiveController) Actions() (grows, shrinks, migrates uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.grows, a.shrinks, a.migrates
+	return a.done[placement.Grow], a.done[placement.Shrink], a.done[placement.Migrate]
 }
 
 // Report assembles the controller's public state for /placementz.
@@ -384,17 +345,28 @@ func (a *AdaptiveController) Report() placement.Report {
 	}
 }
 
-// placementView samples the cluster into the planner's input: one
-// TenantView per database (SLA signals where the monitor tracks them), one
-// MachineView per live machine with effective utilisation, plus the
-// observed per-replica load map shared with the rebalancer. prev and alpha
-// EWMA-smooth the observed loads across calls (alpha 1 takes the raw
-// sample); the returned map is the new smoothed state.
-func (c *Cluster) placementView(prev map[string]sla.Resources, alpha float64) ([]placement.TenantView, []placement.MachineView, map[string]sla.Resources) {
+// nominalDBLoad is the effective footprint assumed for a database with
+// neither an observed load nor a declared reservation. Non-zero so that a
+// machine buried under hundreds of unmanaged databases still reads as
+// loaded; small so one such database never looks worth moving on its own.
+var nominalDBLoad = sla.Resources{CPU: 0.02, Memory: 0.02, Disk: 0.005, DiskBW: 0.01}
+
+// placementView samples the cluster into the planners' one input: the live
+// machines, and every database with its replica set, declared reservation
+// and effective per-replica load — so SLA-managed and unmanaged databases
+// alike are visible to skew correction. Partitioned databases are left out
+// (replica copies are unsupported there).
+//
+// ewma, when non-nil, is the caller's smoothed observed-load state: each
+// tenant's last SLA window is profiled into a per-replica load, blended in,
+// and preferred over the declared reservation, so the planners chase
+// traffic rather than paper reservations; the map is updated in place. Nil
+// plans over declared reservations alone and samples no monitor (the manual
+// Rebalance).
+func (c *Cluster) placementView(ewma map[string]sla.Resources) placement.View {
 	// Sample the monitor outside c.mu (it has its own locking).
 	signals := map[string]placement.TenantSignal{}
-	loads := map[string]sla.Resources{}
-	if c.slamon != nil {
+	if ewma != nil && c.slamon != nil {
 		rep := c.slamon.Report()
 		for _, db := range rep.Databases {
 			sig := placement.TenantSignal{
@@ -413,59 +385,98 @@ func (c *Cluster) placementView(prev map[string]sla.Resources, alpha float64) ([
 	}
 
 	c.mu.Lock()
-	cands := c.movementCandidatesLocked(nil)
-	// Observed per-replica load: profile the last window's committed TPS
-	// share across the replicas, so skew math chases traffic, not
-	// reservations, EWMA-blended with the previous round's estimate — one
-	// window is a noisy sample. Computed before effective loads so both
-	// views agree.
-	for _, cand := range cands {
-		est, hasPrev := prev[cand.db]
-		sig, ok := signals[cand.db]
-		if ok && sig.HasWindow && sig.Window.TPS > 0 && len(cand.replicas) > 0 {
-			raw := sla.Profile(0, sig.Window.TPS/float64(len(cand.replicas)))
-			if hasPrev {
-				est = est.Scale(1 - alpha).Add(raw.Scale(alpha))
-			} else {
-				est = raw
-			}
-		}
-		if est != (sla.Resources{}) {
-			loads[cand.db] = est
+	defer c.mu.Unlock()
+	var view placement.View
+	view.Machines, _ = c.liveMachinesLocked(nil)
+	at := make(map[string]int, len(view.Machines))
+	for i, m := range view.Machines {
+		at[m.ID] = i
+	}
+	for name := range ewma {
+		if _, ok := c.dbs[name]; !ok {
+			delete(ewma, name)
 		}
 	}
-	cands = c.movementCandidatesLocked(loads)
-	eff := c.effectiveLoadsLocked(cands)
-
-	tenants := make([]placement.TenantView, 0, len(cands))
-	for _, cand := range cands {
-		sig, ok := signals[cand.db]
-		if !ok {
-			// Untracked database: no SLA evidence, so the classifier
-			// holds it warm and only budget repair / skew moves apply.
-			sig = placement.TenantSignal{DB: cand.db}
-		}
-		tenants = append(tenants, placement.TenantView{
-			Signal:   sig,
-			Replicas: cand.replicas,
-			Copying:  cand.copying,
-		})
+	names := make([]string, 0, len(c.dbs))
+	for name := range c.dbs {
+		names = append(names, name)
 	}
-
-	machines := make([]placement.MachineView, 0, len(eff))
-	for _, id := range c.order {
-		m := c.machines[id]
-		if m == nil || m.Failed() {
+	sort.Strings(names)
+	for _, name := range names {
+		ds := c.dbs[name]
+		if ds.partitioned() {
 			continue
 		}
-		mv := placement.MachineView{ID: id, Util: utilOf(eff[id], m.Capacity()), Hosts: map[string]bool{}}
-		for _, cand := range cands {
-			if contains(cand.replicas, id) {
-				mv.Hosts[cand.db] = true
+		sig, tracked := signals[name]
+		if !tracked {
+			// No SLA, so nothing to violate: the classifier holds it warm
+			// and only budget repair and skew moves apply.
+			sig = placement.TenantSignal{DB: name, Compliant: true}
+		}
+		load := ds.req
+		if sig.HasWindow && sig.Window.TPS > 0 && len(ds.replicas) > 0 {
+			observed := sla.Profile(0, sig.Window.TPS/float64(len(ds.replicas)))
+			if prev, ok := ewma[name]; ok {
+				observed = prev.Scale(1 - loadSmoothing).Add(observed.Scale(loadSmoothing))
+			}
+			ewma[name] = observed
+		}
+		if est, ok := ewma[name]; ok {
+			load = est
+		} else if load == (sla.Resources{}) {
+			load = nominalDBLoad
+		}
+		view.Tenants = append(view.Tenants, placement.Tenant{
+			Signal:   sig,
+			Replicas: append([]string(nil), ds.replicas...),
+			Copying:  ds.copying != nil,
+			Req:      ds.req,
+			Load:     load,
+		})
+		for _, id := range ds.replicas {
+			if i, ok := at[id]; ok {
+				view.Machines[i].Load = view.Machines[i].Load.Add(load)
 			}
 		}
-		machines = append(machines, mv)
 	}
-	c.mu.Unlock()
-	return tenants, machines, loads
+	return view
+}
+
+// RebalanceReport summarises a Rebalance run.
+type RebalanceReport struct {
+	// Moves are the migrations performed, in order.
+	Moves []placement.Action
+	// PeakBefore and PeakAfter are the maximum machine utilisations (the
+	// dominant resource dimension of the machines' effective loads, as a
+	// fraction of capacity) before and after.
+	PeakBefore float64
+	PeakAfter  float64
+}
+
+// Rebalance migrates up to maxMoves replicas to reduce the cluster's peak
+// machine utilisation — the "more sophisticated methods for allocating
+// databases to machines" the paper leaves as future work, as repeated
+// placement.PlanMove rounds over declared reservations (and nominal
+// footprints for unmanaged databases). A move is performed only when the
+// peak strictly decreases and the target has reservation capacity; each
+// goes through MigrateReplica, so serving transactions are never interrupted
+// and each counts against the SLA's reallocation_rate.
+func (c *Cluster) Rebalance(maxMoves int) (RebalanceReport, error) {
+	view := c.placementView(nil)
+	peak := view.Peak()
+	report := RebalanceReport{PeakBefore: peak, PeakAfter: peak}
+	for len(report.Moves) < maxMoves {
+		move, ok := placement.PlanMove(view, 0)
+		if !ok {
+			break
+		}
+		if err := c.MigrateReplica(move.DB, move.From, move.To); err != nil {
+			// Capacity may have changed under us; stop rather than loop.
+			return report, err
+		}
+		report.Moves = append(report.Moves, move)
+		view = c.placementView(nil)
+		report.PeakAfter = view.Peak()
+	}
+	return report, nil
 }

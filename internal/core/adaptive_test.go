@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,6 +92,50 @@ func TestAdaptiveGrowsHotTenant(t *testing.T) {
 	rep := a.Report()
 	if len(rep.Tenants) != 1 || rep.Tenants[0].Class != "hot" || rep.Tenants[0].Replicas != 3 {
 		t.Fatalf("report tenants = %+v, want one hot tenant at 3 replicas", rep.Tenants)
+	}
+}
+
+// TestAdaptiveGrowSkipsReservationFullMachine: the coldest machine that
+// does not host the hot tenant has no room left for the tenant's declared
+// reservation; a warmer one has. The grow must land on the latter. Chosen by
+// load alone it went to the former, the copy failed with ErrNoCapacity, and
+// every later round planned the same grow again.
+func TestAdaptiveGrowSkipsReservationFullMachine(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(1_000_000, 0)}
+	mon := sla.NewMonitor(obs.NewRegistry(), sla.MonitorOptions{Window: time.Second, Windows: 16, Now: clk.Now})
+	c := NewCluster("adapt", Options{Replicas: 2, SLAMonitor: mon})
+	if _, err := c.AddMachines(4); err != nil {
+		t.Fatal(err)
+	}
+	// app reserves half a machine's memory on m1 and m2.
+	if reps, err := c.PlaceWithSLA("app", sla.Resources{Memory: 0.5}, 2); err != nil || !reflect.DeepEqual(reps, []string{"m1", "m2"}) {
+		t.Fatalf("app placed on %v (%v), want m1 m2", reps, err)
+	}
+	// m3: lightly loaded, but with too little memory left for app.
+	// m4: heavily loaded in CPU, memory untouched.
+	for _, other := range []struct {
+		db, on string
+		req    sla.Resources
+	}{{"memhog", "m3", sla.Resources{Memory: 0.6}}, {"cpuhog", "m4", sla.Resources{CPU: 0.9}}} {
+		m, _ := c.Machine(other.on)
+		if !m.reserve(other.req) {
+			t.Fatalf("%s does not fit %s", other.db, other.on)
+		}
+		if err := c.createDatabaseOn(other.db, []string{other.on}, other.req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mon.Track("app", sla.SLA{MinThroughput: 10, MaxRejectFraction: 0.5, MaxMeanLatency: 5 * time.Millisecond})
+	feedWindow(mon, clk, "app", 50, 20*time.Millisecond)
+
+	a := c.NewAdaptiveController(AdaptiveConfig{Budget: placement.Budget{MinReplicas: 1, MaxReplicas: 3}})
+	launched := a.RunOnce()
+	a.WaitIdle()
+	if grows, _, _ := a.Actions(); launched != 1 || grows != 1 {
+		t.Fatalf("launched %d actions, %d grows succeeded, want one grow: %+v", launched, grows, a.Report().Recent)
+	}
+	if reps, _ := c.Replicas("app"); !reflect.DeepEqual(reps, []string{"m1", "m2", "m4"}) {
+		t.Fatalf("replicas after grow = %v, want the new one on m4", reps)
 	}
 }
 

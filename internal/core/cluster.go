@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sdp/internal/obs"
+	"sdp/internal/placement"
 	"sdp/internal/sla"
 	"sdp/internal/sqldb"
 	"sdp/internal/wal"
@@ -336,36 +337,32 @@ func (c *Cluster) Replicas(db string) ([]string, error) {
 	return out, nil
 }
 
-// CreateDatabase creates a database on Options.Replicas machines, chosen by
-// least current database count (the cluster-internal default; SLA-aware
-// placement lives in the sla package and uses CreateDatabaseOn).
+// CreateDatabase creates a database without an SLA on Options.Replicas
+// machines: the coldest ones, which with no load signal means those hosting
+// the fewest databases.
 func (c *Cluster) CreateDatabase(db string) error {
 	c.mu.Lock()
-	type cand struct {
-		id string
-		n  int32
-	}
-	var cands []cand
-	for _, id := range c.order {
-		m := c.machines[id]
-		if !m.Failed() {
-			cands = append(cands, cand{id: id, n: m.dbCount.Load()})
-		}
-	}
+	view, _ := c.liveMachinesLocked(nil)
 	c.mu.Unlock()
-	if len(cands) < c.opts.Replicas {
-		return fmt.Errorf("%w: need %d machines for %s, have %d live", ErrNoReplicas, c.opts.Replicas, db, len(cands))
+	picked, _ := placement.Pick(view, sla.Resources{}, c.opts.Replicas, placement.Coldest)
+	if len(picked) < c.opts.Replicas {
+		return fmt.Errorf("%w: need %d machines for %s, have %d live", ErrNoReplicas, c.opts.Replicas, db, len(view))
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].n < cands[j].n })
-	ids := make([]string, c.opts.Replicas)
-	for i := range ids {
-		ids[i] = cands[i].id
+	ids := make([]string, len(picked))
+	for i, idx := range picked {
+		ids[i] = view[idx].ID
 	}
 	return c.CreateDatabaseOn(db, ids)
 }
 
 // CreateDatabaseOn creates a database hosted on the given machines.
 func (c *Cluster) CreateDatabaseOn(db string, machineIDs []string) error {
+	return c.createDatabaseOn(db, machineIDs, sla.Resources{})
+}
+
+// createDatabaseOn is CreateDatabaseOn for a database whose per-replica SLA
+// reservation req the caller has already taken on every given machine.
+func (c *Cluster) createDatabaseOn(db string, machineIDs []string, req sla.Resources) error {
 	if len(machineIDs) == 0 {
 		return fmt.Errorf("%w: no machines given for %s", ErrNoReplicas, db)
 	}
@@ -422,6 +419,7 @@ func (c *Cluster) CreateDatabaseOn(db string, machineIDs []string) error {
 		ds.replicas = append([]string{}, machineIDs...)
 		ds.readHome = cr.ReadHome
 		ds.epoch = cr.Epoch
+		ds.req = req
 		return nil
 	}
 
@@ -437,6 +435,7 @@ func (c *Cluster) CreateDatabaseOn(db string, machineIDs []string) error {
 		replicas: append([]string{}, machineIDs...),
 		readHome: home,
 		epoch:    c.epochSeq.Add(1),
+		req:      req,
 	}
 	return nil
 }
@@ -462,11 +461,14 @@ func (c *Cluster) DropDatabase(db string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoDatabase, db)
 	}
-	replicas := append([]string{}, ds.replicas...)
 	delete(c.dbs, db)
-	ms := make([]*Machine, 0, len(replicas))
-	for _, id := range replicas {
-		ms = append(ms, c.machines[id])
+	ms := make([]*Machine, 0, len(ds.replicas))
+	for _, id := range ds.replicas {
+		m := c.machines[id]
+		// ds.replicas holds live hosts only (FailMachine released a dead
+		// one's share), so each gives back exactly what it holds.
+		m.release(ds.req)
+		ms = append(ms, m)
 	}
 	c.mu.Unlock()
 	for _, m := range ms {

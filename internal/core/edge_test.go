@@ -109,7 +109,7 @@ func TestUtilisationOfFreshMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u := m.utilisation(); u != 0 {
+	if u := m.Used().Dominant(); u != 0 {
 		t.Errorf("fresh machine utilisation = %v", u)
 	}
 	cap := m.Capacity()

@@ -30,11 +30,9 @@ type Machine struct {
 	engCfg     sqldb.Config
 	rec        sqldb.Recorder
 
-	mu       sync.Mutex
-	failed   bool
-	capacity sla.Resources
-	hasCap   bool
-	used     sla.Resources
+	mu     sync.Mutex
+	failed bool
+	used   sla.Resources // SLA reservations held here (see slaplace.go)
 
 	// marks records, per database this machine hosted when it failed, the
 	// cluster's per-table write sequence numbers at the moment of failure
@@ -44,8 +42,9 @@ type Machine struct {
 	// the set of tables the fast recovery path must copy.
 	marks map[string]dbMarks
 
-	// dbCount tracks how many databases are hosted here, for the cluster's
-	// internal least-loaded placement.
+	// dbCount tracks how many databases are hosted here: the tie-breaker of
+	// the selector's coldest ordering, and all of it where the caller has no
+	// load signal (CreateDatabase, recovery).
 	dbCount atomic.Int32
 }
 

@@ -30,7 +30,7 @@ func TestRebalanceReducesPeak(t *testing.T) {
 		}
 	}
 	m1, _ := c.Machine("m1")
-	if got := m1.utilisation(); got < 0.79 {
+	if got := m1.Used().Dominant(); got < 0.79 {
 		t.Fatalf("m1 utilisation = %v, want ~0.8 (all dbs on m1)", got)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"sdp/internal/placement"
 	"sdp/internal/sqldb"
 )
 
@@ -209,9 +210,9 @@ func (c *Cluster) RestartMachine(id string) (*sqldb.RecoveryStats, error) {
 	return stats, nil
 }
 
-// pickRecoveryTarget returns the live machine with the fewest hosted
-// databases that does not already host db and has room for its SLA
-// reservation.
+// pickRecoveryTarget returns the coldest live machine — with no load signal
+// here, the one hosting the fewest databases — that does not already host
+// db and has room for its SLA reservation.
 func (c *Cluster) pickRecoveryTarget(db string) (*Machine, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -219,18 +220,10 @@ func (c *Cluster) pickRecoveryTarget(db string) (*Machine, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoDatabase, db)
 	}
-	var best *Machine
-	for _, id := range c.order {
-		m := c.machines[id]
-		if m.Failed() || contains(ds.replicas, id) || !m.Used().Add(ds.req).Fits(m.Capacity()) {
-			continue
-		}
-		if best == nil || m.dbCount.Load() < best.dbCount.Load() {
-			best = m
-		}
-	}
-	if best == nil {
+	view, ms := c.liveMachinesLocked(ds.replicas)
+	picked, _ := placement.Pick(view, ds.req, 1, placement.Coldest)
+	if len(picked) == 0 {
 		return nil, fmt.Errorf("%w: no machine can host a new replica of %s", ErrNoReplicas, db)
 	}
-	return best, nil
+	return ms[picked[0]], nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sdp/internal/placement"
 	"sdp/internal/sla"
 )
 
@@ -12,24 +13,9 @@ import (
 // controller reacts by adding machines from the free pool.
 var ErrNoCapacity = errors.New("core: insufficient capacity for SLA placement")
 
-// SetCapacity assigns a machine's resource capacity R[i] (paper Section 4).
-// Machines default to the unit capacity.
-func (m *Machine) SetCapacity(cap sla.Resources) {
-	m.mu.Lock()
-	m.capacity = cap
-	m.hasCap = true
-	m.mu.Unlock()
-}
-
-// Capacity returns the machine's resource capacity.
-func (m *Machine) Capacity() sla.Resources {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.hasCap {
-		return sla.UnitMachine(m.id).Cap
-	}
-	return m.capacity
-}
+// Capacity returns the machine's resource capacity R[i] (paper Section 4):
+// every machine is the normalised unit machine.
+func (m *Machine) Capacity() sla.Resources { return sla.UnitMachine(m.id).Cap }
 
 // Used returns the resources reserved on the machine by SLA placement.
 func (m *Machine) Used() sla.Resources {
@@ -39,15 +25,13 @@ func (m *Machine) Used() sla.Resources {
 }
 
 // reserve adds req to the machine's reservation if it fits; it reports
-// whether the reservation succeeded.
+// whether the reservation succeeded. The selector only proposes a machine;
+// this check-and-add under the machine mutex is what keeps concurrent
+// placements from oversubscribing it.
 func (m *Machine) reserve(req sla.Resources) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cap := m.capacity
-	if !m.hasCap {
-		cap = sla.UnitMachine(m.id).Cap
-	}
-	if !m.used.Add(req).Fits(cap) {
+	if !m.used.Add(req).Fits(m.Capacity()) {
 		return false
 	}
 	m.used = m.used.Add(req)
@@ -61,6 +45,31 @@ func (m *Machine) release(req sla.Resources) {
 	m.mu.Unlock()
 }
 
+// liveMachinesLocked returns the live machines in arrival order, as the
+// selector's view and as the machines themselves (same indexes). hosts are
+// the machines already holding a replica of the database being placed.
+// O(machines); the per-database loads only the adaptive round needs are
+// added by placementView. Caller holds c.mu.
+func (c *Cluster) liveMachinesLocked(hosts []string) ([]placement.Machine, []*Machine) {
+	view := make([]placement.Machine, 0, len(c.order))
+	ms := make([]*Machine, 0, len(c.order))
+	for _, id := range c.order {
+		m := c.machines[id]
+		if m.Failed() {
+			continue
+		}
+		view = append(view, placement.Machine{
+			ID:    id,
+			Cap:   m.Capacity(),
+			Used:  m.Used(),
+			DBs:   int(m.dbCount.Load()),
+			Hosts: contains(hosts, id),
+		})
+		ms = append(ms, m)
+	}
+	return view, ms
+}
+
 // PlaceWithSLA creates a database whose replicas are placed by First-Fit
 // (the paper's Algorithm 2) against the machines' capacities and current
 // reservations. req is the per-replica resource requirement r[j] observed
@@ -70,60 +79,51 @@ func (c *Cluster) PlaceWithSLA(db string, req sla.Resources, replicas int) ([]st
 		replicas = c.opts.Replicas
 	}
 	c.mu.Lock()
-	order := append([]string{}, c.order...)
-	machines := make(map[string]*Machine, len(c.machines))
-	for id, m := range c.machines {
-		machines[id] = m
-	}
+	view, ms := c.liveMachinesLocked(nil)
 	c.mu.Unlock()
-
-	var chosen []string
-	var reserved []*Machine
-	undo := func() {
-		for _, m := range reserved {
-			m.release(req)
-		}
-	}
-	probes := uint64(0)
-	for _, id := range order {
-		if len(chosen) == replicas {
-			break
-		}
-		m := machines[id]
-		if m.Failed() {
-			continue
-		}
-		probes++
-		if m.reserve(req) {
-			chosen = append(chosen, id)
-			reserved = append(reserved, m)
-		}
-	}
-	c.metrics.slaProbes.Add(probes)
-	if len(chosen) < replicas {
-		undo()
+	reserved := c.reserveFirstFit(view, ms, req, replicas)
+	if reserved == nil {
 		c.metrics.slaPlacements.With("no_capacity").Inc()
 		return nil, fmt.Errorf("%w: %s needs %d replicas of %s", ErrNoCapacity, db, replicas, req)
 	}
-	if err := c.CreateDatabaseOn(db, chosen); err != nil {
-		undo()
+	chosen := make([]string, len(reserved))
+	for i, m := range reserved {
+		chosen[i] = m.id
+	}
+	if err := c.createDatabaseOn(db, chosen, req); err != nil {
+		for _, m := range reserved {
+			m.release(req)
+		}
 		c.metrics.slaPlacements.With("error").Inc()
 		return nil, err
 	}
 	c.metrics.slaPlacements.With("placed").Inc()
-	c.mu.Lock()
-	if ds, ok := c.dbs[db]; ok {
-		ds.req = req
-	}
-	c.mu.Unlock()
 	return chosen, nil
 }
 
-// ReleaseSLA drops the reservations of a database after it is dropped.
-func (c *Cluster) ReleaseSLA(db string, machineIDs []string, req sla.Resources) {
-	for _, id := range machineIDs {
-		if m, err := c.Machine(id); err == nil {
-			m.release(req)
+// reserveFirstFit reserves req on n machines, taken in First-Fit order from
+// view (ms are the same machines, same indexes), and returns them; it
+// returns nil, holding nothing, when fewer than n machines take it. The
+// view may be stale — other placements reserve concurrently — so a machine
+// that refuses the reservation is dropped and the rest picked again.
+func (c *Cluster) reserveFirstFit(view []placement.Machine, ms []*Machine, req sla.Resources, n int) []*Machine {
+	var reserved []*Machine
+	for len(reserved) < n {
+		need := n - len(reserved)
+		picked, probes := placement.Pick(view, req, need, placement.Arrival)
+		c.metrics.slaProbes.Add(uint64(probes))
+		if len(picked) < need {
+			for _, m := range reserved {
+				m.release(req)
+			}
+			return nil
+		}
+		for _, i := range picked {
+			view[i].Hosts = true // taken or full: either way out of the next pick
+			if ms[i].reserve(req) {
+				reserved = append(reserved, ms[i])
+			}
 		}
 	}
+	return reserved
 }

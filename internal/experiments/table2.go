@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"sdp/internal/placement"
 	"sdp/internal/sla"
 	"sdp/internal/workload"
 )
@@ -53,19 +54,19 @@ func RunTable2(cfg Config) Table2Result {
 				Replicas: 1,
 			}
 		}
-		ff, _, err := sla.PlaceAll(dbs)
+		ff, _, err := placement.PlaceAll(dbs)
 		if err != nil {
 			panic(err)
 		}
-		ffd, _, err := sla.PlaceAllFirstFitDecreasing(dbs)
+		ffd, _, err := placement.PlaceAllFirstFitDecreasing(dbs)
 		if err != nil {
 			panic(err)
 		}
-		bf, _, err := sla.PlaceAllBestFit(dbs)
+		bf, _, err := placement.PlaceAllBestFit(dbs)
 		if err != nil {
 			panic(err)
 		}
-		opt := sla.Optimal(dbs, sla.UnitMachine("m").Cap, budget)
+		opt := placement.Optimal(dbs, sla.UnitMachine("m").Cap, budget)
 		res.Rows = append(res.Rows, Table2Row{
 			Skew:         skew,
 			AvgSizeMB:    w.AvgSizeMB(),

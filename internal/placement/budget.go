@@ -1,70 +1,43 @@
 package placement
 
-// Budget bounds each tenant's replica degree, in the style of TCDRM's
-// tenant-budget-aware replication: hot tenants grow only up to their
-// budget, cold tenants shrink only down to the availability floor. The
-// zero value selects the platform defaults (min 2 for availability, max 3).
+// Budget bounds every tenant's replica degree, in the style of TCDRM's
+// tenant-budget-aware replication: hot tenants grow only up to the budget,
+// cold tenants shrink only down to the availability floor. It is a clamp
+// on the one policy, not a policy of its own. The zero value selects the
+// platform defaults (min 2 for availability, max 3).
 type Budget struct {
 	// MinReplicas is the floor every tenant's degree is held at or above;
 	// shrinks never go below it. Zero selects 2 — the smallest degree
 	// that survives a single machine failure.
 	MinReplicas int
-	// MaxReplicas is the default per-tenant ceiling. Zero selects 3.
+	// MaxReplicas is the ceiling. Zero selects 3; a value below
+	// MinReplicas is raised to it.
 	MaxReplicas int
-	// PerTenant overrides MaxReplicas for individual tenants (the
-	// replica budget a tenant has paid for). Entries below MinReplicas
-	// are clamped up to it.
-	PerTenant map[string]int
-}
-
-func (b Budget) withDefaults() Budget {
-	if b.MinReplicas <= 0 {
-		b.MinReplicas = 2
-	}
-	if b.MaxReplicas <= 0 {
-		b.MaxReplicas = 3
-	}
-	if b.MaxReplicas < b.MinReplicas {
-		b.MaxReplicas = b.MinReplicas
-	}
-	return b
-}
-
-// Max returns the replica ceiling for db: its PerTenant budget if present,
-// the default MaxReplicas otherwise, never below the floor.
-func (b Budget) Max(db string) int {
-	b = b.withDefaults()
-	max := b.MaxReplicas
-	if per, ok := b.PerTenant[db]; ok && per > 0 {
-		max = per
-	}
-	if max < b.MinReplicas {
-		max = b.MinReplicas
-	}
-	return max
 }
 
 // Min returns the replica floor (the defaulted MinReplicas).
-func (b Budget) Min() int { return b.withDefaults().MinReplicas }
-
-// Clamp bounds a desired replica degree for db into [Min, Max(db)].
-func (b Budget) Clamp(db string, want int) int {
-	if min := b.Min(); want < min {
-		return min
+func (b Budget) Min() int {
+	if b.MinReplicas <= 0 {
+		return 2
 	}
-	if max := b.Max(db); want > max {
-		return max
-	}
-	return want
+	return b.MinReplicas
 }
 
-// Target returns the replica degree the controller should steer db toward,
-// given its class and current degree: hot tenants step up one replica,
-// cold tenants step down one, warm tenants hold — all clamped into the
-// budget. The clamp also repairs out-of-budget degrees regardless of
-// class: a tenant left under the floor by a machine failure grows back
+// Max returns the replica ceiling, never below the floor.
+func (b Budget) Max() int {
+	if b.MaxReplicas <= 0 {
+		return max(3, b.Min())
+	}
+	return max(b.MaxReplicas, b.Min())
+}
+
+// Target returns the replica degree the controller should steer a tenant
+// toward, given its class and current degree: hot tenants step up one
+// replica, cold tenants step down one, warm tenants hold — all clamped
+// into [Min, Max]. The clamp also repairs out-of-budget degrees regardless
+// of class: a tenant left under the floor by a machine failure grows back
 // even while warm, and one over a lowered budget shrinks back.
-func (b Budget) Target(db string, class Class, current int) int {
+func (b Budget) Target(class Class, current int) int {
 	want := current
 	switch class {
 	case Hot:
@@ -72,5 +45,5 @@ func (b Budget) Target(db string, class Class, current int) int {
 	case Cold:
 		want--
 	}
-	return b.Clamp(db, want)
+	return min(max(want, b.Min()), b.Max())
 }

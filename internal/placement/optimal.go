@@ -1,8 +1,9 @@
-package sla
+package placement
 
 import (
 	"math"
-	"sort"
+
+	"sdp/internal/sla"
 )
 
 // OptimalResult is the outcome of the exhaustive placement search.
@@ -25,31 +26,29 @@ type OptimalResult struct {
 // first unopened machine is ever considered for opening) and a per-dimension
 // volume lower bound. nodeBudget caps the search (<=0 means a default of
 // 2 million nodes).
-func Optimal(dbs []Database, cap Resources, nodeBudget int) OptimalResult {
+func Optimal(dbs []sla.Database, cap sla.Resources, nodeBudget int) OptimalResult {
 	if nodeBudget <= 0 {
 		nodeBudget = 2_000_000
 	}
 	// Greedy FFD gives the initial upper bound.
-	upper, _, err := PlaceAllFirstFitDecreasing(withUnitReplicas(dbs))
+	upper, _, err := PlaceAllFirstFitDecreasing(dbs)
 	if err != nil {
 		// Some database exceeds a machine; no feasible packing.
 		return OptimalResult{Machines: 0, Exact: false}
 	}
 
-	// Sort by decreasing dominant requirement: big items first prunes best.
-	sorted := append([]Database{}, dbs...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return maxDim(sorted[i].Req) > maxDim(sorted[j].Req)
-	})
+	// Big items first prunes best.
+	sorted := largestFirst(dbs)
+	for i := range sorted {
+		if sorted[i].Replicas <= 0 {
+			sorted[i].Replicas = 1
+		}
+	}
 
 	// Suffix resource sums for the volume lower bound.
-	suffix := make([]Resources, len(sorted)+1)
+	suffix := make([]sla.Resources, len(sorted)+1)
 	for i := len(sorted) - 1; i >= 0; i-- {
-		reps := sorted[i].Replicas
-		if reps <= 0 {
-			reps = 1
-		}
-		suffix[i] = suffix[i+1].Add(sorted[i].Req.Scale(float64(reps)))
+		suffix[i] = suffix[i+1].Add(sorted[i].Req.Scale(float64(sorted[i].Replicas)))
 	}
 
 	s := &optSolver{dbs: sorted, cap: cap, suffix: suffix, best: upper, budget: nodeBudget, exact: true}
@@ -57,28 +56,17 @@ func Optimal(dbs []Database, cap Resources, nodeBudget int) OptimalResult {
 	return OptimalResult{Machines: s.best, Exact: s.exact, Nodes: s.nodes}
 }
 
-func withUnitReplicas(dbs []Database) []Database {
-	out := make([]Database, len(dbs))
-	for i, d := range dbs {
-		if d.Replicas <= 0 {
-			d.Replicas = 1
-		}
-		out[i] = d
-	}
-	return out
-}
-
 type optSolver struct {
-	dbs    []Database
-	cap    Resources
-	suffix []Resources
+	dbs    []sla.Database
+	cap    sla.Resources
+	suffix []sla.Resources
 	best   int
 	nodes  int
 	budget int
 	exact  bool
 }
 
-func (s *optSolver) solve(i int, open []Resources) {
+func (s *optSolver) solve(i int, open []sla.Resources) {
 	if s.nodes >= s.budget {
 		s.exact = false
 		return
@@ -95,18 +83,14 @@ func (s *optSolver) solve(i int, open []Resources) {
 	if len(open)+s.extraMachinesNeeded(i, open) >= s.best {
 		return
 	}
-	d := s.dbs[i]
-	if d.Replicas <= 0 {
-		d.Replicas = 1
-	}
-	s.assign(i, d, 0, nil, open)
+	s.assign(i, s.dbs[i], 0, nil, open)
 }
 
 // extraMachinesNeeded lower-bounds how many new machines the remaining
 // databases force, by per-dimension volume.
-func (s *optSolver) extraMachinesNeeded(i int, open []Resources) int {
+func (s *optSolver) extraMachinesNeeded(i int, open []sla.Resources) int {
 	demand := s.suffix[i]
-	var slack Resources
+	var slack sla.Resources
 	for _, r := range open {
 		slack = slack.Add(r)
 	}
@@ -123,18 +107,15 @@ func (s *optSolver) extraMachinesNeeded(i int, open []Resources) int {
 	check(demand.Memory, slack.Memory, s.cap.Memory)
 	check(demand.Disk, slack.Disk, s.cap.Disk)
 	check(demand.DiskBW, slack.DiskBW, s.cap.DiskBW)
-	if need < 0 {
-		need = 0
-	}
 	return need
 }
 
 // assign enumerates machine sets for the replicas of database i. Replicas
 // go on distinct machines; chosen holds machine indexes picked so far, in
 // increasing order (replicas of one database are interchangeable).
-func (s *optSolver) assign(i int, d Database, fromIdx int, chosen []int, open []Resources) {
+func (s *optSolver) assign(i int, d sla.Database, fromIdx int, chosen []int, open []sla.Resources) {
 	if len(chosen) == d.Replicas {
-		next := make([]Resources, len(open))
+		next := make([]sla.Resources, len(open))
 		copy(next, open)
 		for _, idx := range chosen {
 			next[idx] = next[idx].Sub(d.Req)
@@ -160,7 +141,7 @@ func (s *optSolver) assign(i int, d Database, fromIdx int, chosen []int, open []
 	if !d.Req.Fits(s.cap) {
 		return
 	}
-	next := make([]Resources, len(open), len(open)+remainingReplicas)
+	next := make([]sla.Resources, len(open), len(open)+remainingReplicas)
 	copy(next, open)
 	full := append([]int{}, chosen...)
 	for r := 0; r < remainingReplicas; r++ {

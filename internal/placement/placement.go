@@ -1,16 +1,25 @@
-// Package placement implements the decision layer of adaptive replica
-// provisioning: classifying tenants hot/warm/cold against their declared
-// SLA headroom, choosing per-tenant replica-degree targets under a
-// TCDRM-style replica budget, and planning grow/shrink actions against the
-// current machine loads.
+// Package placement is the one module that decides where a replica goes.
 //
-// The package is deliberately pure — it imports only internal/sla and the
-// standard library, holds no locks, and touches no cluster state. The core
-// package's AdaptiveController feeds it signals sampled from the SLA
-// monitor and executes the returned actions through the replicated control
-// plane (Algorithm 1 copies for grows and migrations, replicated retires
-// for shrinks). Keeping the policy side-effect free is what makes the
-// classifier and planner unit-testable as plain tables.
+// Pick is the only target selector: every caller describes its live
+// machines as []Machine and states an ordering — arrival order for the
+// paper's Algorithm 2 (First-Fit), least slack for the Best-Fit ablation,
+// coldest for everything that balances load. Database creation, SLA
+// placement, recovery, the adaptive controller's grows and migrations and
+// the offline Allocator behind Table 2 all go through it, so "does the
+// requirement fit the reservation, and is the machine already hosting this
+// database" is answered in one place.
+//
+// On top of the selector sit the adaptive policy — Classify (hot/warm/cold
+// against the declared SLA), Budget (the TCDRM-style replica-degree clamp),
+// Plan (grow/shrink) and PlanMove (Lion-style skew correction gated by a
+// minimum gain), all over one View of the cluster — and the offline
+// Allocator and Optimal solver of Table 2.
+//
+// The package is pure: it imports only internal/sla (the model) and the
+// standard library, holds no locks and touches no cluster state, which is
+// what makes the selector and the planners testable as plain tables. The
+// core package builds the views and executes the decisions through the
+// replicated control plane.
 package placement
 
 import "sdp/internal/sla"
@@ -112,38 +121,26 @@ func (s TenantSignal) overloaded() bool {
 	return offered >= s.SLA.MinThroughput
 }
 
-// ClassifierConfig tunes the hot/warm/cold classifier.
-type ClassifierConfig struct {
-	// HotLatencyFraction is the fraction of the declared MaxMeanLatency
-	// at which a still-compliant tenant is classified hot: growth starts
-	// before the violation, not after. Zero selects 0.8. Ignored for
-	// tenants that declare no latency bound.
-	HotLatencyFraction float64
-	// ColdFraction is the fraction of the declared MinThroughput below
-	// which a compliant tenant's offered load classifies it cold. Zero
-	// selects 0.25. Ignored for tenants that declare no throughput floor
-	// (without a floor there is no headroom to measure shrink against).
-	ColdFraction float64
-}
-
-func (cfg ClassifierConfig) withDefaults() ClassifierConfig {
-	if cfg.HotLatencyFraction <= 0 {
-		cfg.HotLatencyFraction = 0.8
-	}
-	if cfg.ColdFraction <= 0 {
-		cfg.ColdFraction = 0.25
-	}
-	return cfg
-}
+// The classifier's thresholds. Both are fractions of a bound the tenant
+// declared, so they need no per-deployment tuning.
+const (
+	// hotLatencyFraction is the fraction of the declared MaxMeanLatency at
+	// which a still-compliant tenant is classified hot: growth starts
+	// before the violation, not after.
+	hotLatencyFraction = 0.8
+	// coldFraction is the fraction of the declared MinThroughput below
+	// which a compliant tenant's offered load classifies it cold.
+	coldFraction = 0.25
+)
 
 // Classify maps one tenant signal to a class:
 //
 //   - non-compliant with an overload violation (latency, availability, or
 //     a throughput miss while offered load was at the declared floor) →
 //     Hot,
-//   - the last window's mean latency is within HotLatencyFraction of the
+//   - the last window's mean latency is within hotLatencyFraction of the
 //     declared ceiling → Hot (pre-violation growth),
-//   - offered load under ColdFraction of the declared throughput floor
+//   - offered load under coldFraction of the declared throughput floor
 //     and no latency pressure → Cold,
 //   - no completed window yet, or anything else → Warm.
 //
@@ -153,8 +150,7 @@ func (cfg ClassifierConfig) withDefaults() ClassifierConfig {
 // so it does not classify hot (and typically falls through to cold). An
 // idle tenant whose SLA declares no throughput floor is Warm, never Cold:
 // with no floor declared there is no headroom measure.
-func Classify(s TenantSignal, cfg ClassifierConfig) Class {
-	cfg = cfg.withDefaults()
+func Classify(s TenantSignal) Class {
 	if !s.Compliant && s.overloaded() {
 		return Hot
 	}
@@ -162,12 +158,12 @@ func Classify(s TenantSignal, cfg ClassifierConfig) Class {
 		return Warm
 	}
 	if s.SLA.MaxMeanLatency > 0 {
-		pressure := cfg.HotLatencyFraction * s.SLA.MaxMeanLatency.Seconds()
+		pressure := hotLatencyFraction * s.SLA.MaxMeanLatency.Seconds()
 		if s.Window.Attempts() > 0 && s.Window.MeanLatencySeconds >= pressure {
 			return Hot
 		}
 	}
-	if s.SLA.MinThroughput > 0 && s.OfferedTPS() <= cfg.ColdFraction*s.SLA.MinThroughput {
+	if s.SLA.MinThroughput > 0 && s.OfferedTPS() <= coldFraction*s.SLA.MinThroughput {
 		return Cold
 	}
 	return Warm

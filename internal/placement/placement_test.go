@@ -30,7 +30,6 @@ func TestClassify(t *testing.T) {
 	cases := []struct {
 		name string
 		sig  TenantSignal
-		cfg  ClassifierConfig
 		want Class
 	}{
 		{
@@ -125,18 +124,10 @@ func TestClassify(t *testing.T) {
 			sig:  TenantSignal{DB: "a", SLA: decl, Compliant: true, HasWindow: true, Window: window(10, 0, 60, time.Millisecond), WindowSeconds: 1},
 			want: Warm,
 		},
-		{
-			// Custom thresholds: with ColdFraction 0.8, 60 offered against
-			// a floor of 100 is cold.
-			name: "custom cold fraction",
-			sig:  TenantSignal{DB: "a", SLA: decl, Compliant: true, HasWindow: true, Window: window(60, 0, 0, time.Millisecond), WindowSeconds: 1},
-			cfg:  ClassifierConfig{ColdFraction: 0.8},
-			want: Cold,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := Classify(tc.sig, tc.cfg); got != tc.want {
+			if got := Classify(tc.sig); got != tc.want {
 				t.Fatalf("Classify = %v, want %v", got, tc.want)
 			}
 		})
@@ -147,143 +138,25 @@ func TestBudgetTargetAndClamp(t *testing.T) {
 	cases := []struct {
 		name    string
 		b       Budget
-		db      string
 		class   Class
 		current int
 		want    int
 	}{
-		{name: "hot grows by one", b: Budget{MinReplicas: 2, MaxReplicas: 4}, db: "a", class: Hot, current: 2, want: 3},
-		{name: "hot at budget stays clamped", b: Budget{MinReplicas: 2, MaxReplicas: 3}, db: "a", class: Hot, current: 3, want: 3},
-		{name: "hot respects per-tenant budget", b: Budget{MinReplicas: 2, MaxReplicas: 5, PerTenant: map[string]int{"a": 3}}, db: "a", class: Hot, current: 3, want: 3},
-		{name: "per-tenant budget only binds its tenant", b: Budget{MinReplicas: 2, MaxReplicas: 5, PerTenant: map[string]int{"a": 3}}, db: "b", class: Hot, current: 3, want: 4},
-		{name: "cold shrinks by one", b: Budget{MinReplicas: 2, MaxReplicas: 4}, db: "a", class: Cold, current: 4, want: 3},
-		{name: "cold at floor stays clamped", b: Budget{MinReplicas: 2, MaxReplicas: 4}, db: "a", class: Cold, current: 2, want: 2},
-		{name: "warm holds", b: Budget{MinReplicas: 2, MaxReplicas: 4}, db: "a", class: Warm, current: 3, want: 3},
-		{name: "warm under floor repairs upward", b: Budget{MinReplicas: 2, MaxReplicas: 4}, db: "a", class: Warm, current: 1, want: 2},
-		{name: "warm over budget repairs downward", b: Budget{MinReplicas: 2, MaxReplicas: 3}, db: "a", class: Warm, current: 5, want: 3},
-		{name: "zero value defaults to min 2 max 3", b: Budget{}, db: "a", class: Hot, current: 3, want: 3},
-		{name: "per-tenant budget below floor clamps to floor", b: Budget{MinReplicas: 2, MaxReplicas: 4, PerTenant: map[string]int{"a": 1}}, db: "a", class: Cold, current: 2, want: 2},
-		{name: "max below min clamps to min", b: Budget{MinReplicas: 3, MaxReplicas: 1}, db: "a", class: Hot, current: 3, want: 3},
+		{name: "hot grows by one", b: Budget{MinReplicas: 2, MaxReplicas: 4}, class: Hot, current: 2, want: 3},
+		{name: "hot at budget stays clamped", b: Budget{MinReplicas: 2, MaxReplicas: 3}, class: Hot, current: 3, want: 3},
+		{name: "cold shrinks by one", b: Budget{MinReplicas: 2, MaxReplicas: 4}, class: Cold, current: 4, want: 3},
+		{name: "cold at floor stays clamped", b: Budget{MinReplicas: 2, MaxReplicas: 4}, class: Cold, current: 2, want: 2},
+		{name: "warm holds", b: Budget{MinReplicas: 2, MaxReplicas: 4}, class: Warm, current: 3, want: 3},
+		{name: "warm under floor repairs upward", b: Budget{MinReplicas: 2, MaxReplicas: 4}, class: Warm, current: 1, want: 2},
+		{name: "warm over budget repairs downward", b: Budget{MinReplicas: 2, MaxReplicas: 3}, class: Warm, current: 5, want: 3},
+		{name: "zero value defaults to min 2 max 3", b: Budget{}, class: Hot, current: 3, want: 3},
+		{name: "max below min clamps to min", b: Budget{MinReplicas: 3, MaxReplicas: 1}, class: Hot, current: 3, want: 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.b.Target(tc.db, tc.class, tc.current); got != tc.want {
+			if got := tc.b.Target(tc.class, tc.current); got != tc.want {
 				t.Fatalf("Target = %d, want %d", got, tc.want)
 			}
 		})
 	}
-}
-
-// machines3 is a three-machine view with m1 hot and m3 cold.
-func machines3(hosts map[string][]string) []MachineView {
-	utils := map[string]float64{"m1": 0.9, "m2": 0.5, "m3": 0.1}
-	out := make([]MachineView, 0, 3)
-	for _, id := range []string{"m1", "m2", "m3"} {
-		h := map[string]bool{}
-		for db, ms := range hosts {
-			for _, m := range ms {
-				if m == id {
-					h[db] = true
-				}
-			}
-		}
-		out = append(out, MachineView{ID: id, Util: utils[id], Hosts: h})
-	}
-	return out
-}
-
-func TestPlanGrowShrink(t *testing.T) {
-	decl := sla.SLA{MinThroughput: 100, MaxRejectFraction: 0.1}
-	hotSig := TenantSignal{DB: "hotdb", SLA: decl, Compliant: false, HasWindow: true, Window: window(200, 0, 0, time.Millisecond), WindowSeconds: 1}
-	coldSig := TenantSignal{DB: "colddb", SLA: decl, Compliant: true, HasWindow: true, Window: window(2, 0, 0, time.Millisecond), WindowSeconds: 1}
-	warmSig := TenantSignal{DB: "warmdb", SLA: decl, Compliant: true, HasWindow: true, Window: window(60, 0, 0, time.Millisecond), WindowSeconds: 1}
-
-	t.Run("hot grows onto coldest non-hosting machine", func(t *testing.T) {
-		hosts := map[string][]string{"hotdb": {"m1", "m2"}}
-		res := Plan([]TenantView{{Signal: hotSig, Replicas: hosts["hotdb"]}}, machines3(hosts), PlanConfig{})
-		if len(res.Actions) != 1 || res.Actions[0].Kind != Grow || res.Actions[0].To != "m3" {
-			t.Fatalf("actions = %+v, want one grow onto m3", res.Actions)
-		}
-		if res.Classes["hotdb"] != Hot || res.Targets["hotdb"] != 3 {
-			t.Fatalf("class=%v target=%d, want Hot/3", res.Classes["hotdb"], res.Targets["hotdb"])
-		}
-	})
-
-	t.Run("cold shrinks off hottest hosting machine", func(t *testing.T) {
-		hosts := map[string][]string{"colddb": {"m1", "m2", "m3"}}
-		res := Plan([]TenantView{{Signal: coldSig, Replicas: hosts["colddb"]}}, machines3(hosts), PlanConfig{})
-		if len(res.Actions) != 1 || res.Actions[0].Kind != Shrink || res.Actions[0].From != "m1" {
-			t.Fatalf("actions = %+v, want one shrink off m1", res.Actions)
-		}
-	})
-
-	t.Run("balanced warm load plans nothing", func(t *testing.T) {
-		hosts := map[string][]string{"warmdb": {"m1", "m2"}}
-		res := Plan([]TenantView{{Signal: warmSig, Replicas: hosts["warmdb"]}}, machines3(hosts), PlanConfig{})
-		if len(res.Actions) != 0 {
-			t.Fatalf("actions = %+v, want none", res.Actions)
-		}
-	})
-
-	t.Run("in-flight copy suppresses new actions", func(t *testing.T) {
-		hosts := map[string][]string{"hotdb": {"m1", "m2"}}
-		res := Plan([]TenantView{{Signal: hotSig, Replicas: hosts["hotdb"], Copying: true}}, machines3(hosts), PlanConfig{})
-		if len(res.Actions) != 0 {
-			t.Fatalf("actions = %+v, want none while copying", res.Actions)
-		}
-	})
-
-	t.Run("at-budget hot tenant plans nothing", func(t *testing.T) {
-		hosts := map[string][]string{"hotdb": {"m1", "m2", "m3"}}
-		res := Plan([]TenantView{{Signal: hotSig, Replicas: hosts["hotdb"]}}, machines3(hosts), PlanConfig{Budget: Budget{MinReplicas: 2, MaxReplicas: 3}})
-		if len(res.Actions) != 0 {
-			t.Fatalf("actions = %+v, want none at budget", res.Actions)
-		}
-	})
-
-	t.Run("last replica never shrinks", func(t *testing.T) {
-		hosts := map[string][]string{"colddb": {"m1"}}
-		// Even with a floor of... the floor already forbids this, so force
-		// the pathological config: min clamped to 1 via MinReplicas 1.
-		res := Plan([]TenantView{{Signal: coldSig, Replicas: hosts["colddb"]}}, machines3(hosts), PlanConfig{Budget: Budget{MinReplicas: 1, MaxReplicas: 3}})
-		if len(res.Actions) != 0 {
-			t.Fatalf("actions = %+v, want none for single-replica tenant", res.Actions)
-		}
-	})
-
-	t.Run("max actions caps the round hottest-first", func(t *testing.T) {
-		hotA := hotSig
-		hotA.DB = "a-hot"
-		hotB := hotSig
-		hotB.DB = "b-hot"
-		coldC := coldSig
-		coldC.DB = "c-cold"
-		hosts := map[string][]string{
-			"a-hot": {"m1", "m2"}, "b-hot": {"m1", "m2"}, "c-cold": {"m1", "m2", "m3"},
-		}
-		res := Plan([]TenantView{
-			{Signal: coldC, Replicas: hosts["c-cold"]},
-			{Signal: hotB, Replicas: hosts["b-hot"]},
-			{Signal: hotA, Replicas: hosts["a-hot"]},
-		}, machines3(hosts), PlanConfig{MaxActions: 2})
-		if len(res.Actions) != 2 {
-			t.Fatalf("actions = %+v, want exactly 2", res.Actions)
-		}
-		for _, a := range res.Actions {
-			if a.Kind != Grow {
-				t.Fatalf("capped round should spend its actions on hot tenants first, got %+v", res.Actions)
-			}
-		}
-		if res.Actions[0].DB != "a-hot" || res.Actions[1].DB != "b-hot" {
-			t.Fatalf("hot tenants should be ordered by name, got %+v", res.Actions)
-		}
-	})
-
-	t.Run("grow without a free machine is a no-op", func(t *testing.T) {
-		hosts := map[string][]string{"hotdb": {"m1", "m2", "m3"}}
-		res := Plan([]TenantView{{Signal: hotSig, Replicas: hosts["hotdb"]}}, machines3(hosts), PlanConfig{Budget: Budget{MinReplicas: 2, MaxReplicas: 4}})
-		if len(res.Actions) != 0 {
-			t.Fatalf("actions = %+v, want none when every machine hosts the tenant", res.Actions)
-		}
-	})
 }

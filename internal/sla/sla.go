@@ -1,9 +1,9 @@
-// Package sla implements the paper's Section 4: the formal model of
-// database Service Level Agreements, the mapping of SLAs to measurable
-// resource requirements, the availability constraint, and the SLA-based
-// placement of database replicas onto the minimum number of machines
-// (First-Fit and friends, plus an exhaustive optimal solver used offline as
-// the baseline of Table 2).
+// Package sla implements the model half of the paper's Section 4: database
+// Service Level Agreements, the mapping of SLAs to measurable resource
+// requirement vectors, the availability constraint, and the compliance
+// monitor that compares declared SLAs against delivered service. Deciding
+// which machine hosts a replica is internal/placement's job; this package
+// imports nothing from it.
 package sla
 
 import (
@@ -49,6 +49,13 @@ func (r Resources) Fits(c Resources) bool {
 // NonNegative reports whether every component is >= 0.
 func (r Resources) NonNegative() bool {
 	return r.CPU >= 0 && r.Memory >= 0 && r.Disk >= 0 && r.DiskBW >= 0
+}
+
+// Dominant returns r's largest component. Machines are normalised to unit
+// capacity (UnitMachine), so the dominant component of a load vector is the
+// machine's utilisation and that of a requirement its size.
+func (r Resources) Dominant() float64 {
+	return max(r.CPU, r.Memory, r.Disk, r.DiskBW)
 }
 
 // Scale returns r scaled by f.

@@ -1,6 +1,8 @@
 package sdp
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -160,5 +162,36 @@ func TestPlatformConfigKnobs(t *testing.T) {
 	}
 	if res.Rows[0][0].Int != 1 {
 		t.Errorf("count = %v", res.Rows[0][0])
+	}
+}
+
+// TestPlatformPlacementPinned pins where a 4-machine, two-replica platform
+// puts 16 equal-SLA tenants — the benchmark's set-up. The expected machines
+// were recorded at the commit before placement moved behind one selector
+// (First-Fit fills a machine pair with eight 125 MB tenants, then the next);
+// a change here moves every benchmark number with it.
+func TestPlatformPlacementPinned(t *testing.T) {
+	p := New(Config{ClusterSize: 4, Replicas: 2})
+	co := p.AddColo("local", "local", 4)
+	for i := 0; i < 16; i++ {
+		db := fmt.Sprintf("shop%02d", i)
+		if err := p.CreateDatabase(db, SLA{SizeMB: 125, MinTPS: 0.1, MaxRejectFraction: 0.05}, "local"); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := co.Route(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.Replicas(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"local-m1", "local-m2"}
+		if i >= 8 {
+			want = []string{"local-m3", "local-m4"}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s placed on %v, want %v", db, got, want)
+		}
 	}
 }

@@ -8,7 +8,7 @@
 //   - a cluster controller replicates each database over two or more
 //     machines with read-one-write-all + two-phase commit, recovers from
 //     machine failures by online re-replication, and enforces SLAs by
-//     First-Fit placement (internal/core, internal/sla),
+//     First-Fit placement (internal/core, internal/sla, internal/placement),
 //   - colo and system controllers route connections and asynchronously
 //     replicate databases across colos for disaster recovery
 //     (internal/colo, internal/system).
