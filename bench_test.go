@@ -246,6 +246,64 @@ func BenchmarkSQLPointRead(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolMiss measures a cold primary-key read: a one-page pool and a
+// key stride of one page, so every read misses, maps the page and decodes its
+// one row. A miss must not cost more on a wide table (22 columns, as TPC-W's
+// item) than on a narrow one beyond that one row.
+func BenchmarkPoolMiss(b *testing.B) {
+	const pages, perPage = 8, 64
+	for _, tbl := range []struct {
+		name string
+		cols int
+	}{{"narrow", 2}, {"wide", 22}} {
+		b.Run(tbl.name, func(b *testing.B) {
+			cfg := sqldb.DefaultConfig()
+			cfg.PoolPages = 1
+			e := sqldb.NewEngine(cfg)
+			if err := e.CreateDatabase("app"); err != nil {
+				b.Fatal(err)
+			}
+			ddl, marks := "CREATE TABLE t (id INT PRIMARY KEY", "?"
+			row := []sqldb.Value{sqldb.NewInt(0)}
+			for c := 1; c < tbl.cols; c++ {
+				ddl += fmt.Sprintf(", c%d TEXT", c)
+				marks += ", ?"
+				row = append(row, sqldb.NewText(fmt.Sprintf("column %d's text", c)))
+			}
+			if _, err := e.Exec("app", ddl+")"); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < pages*perPage; i++ {
+				row[0] = sqldb.NewInt(int64(i))
+				if _, err := e.Exec("app", "INSERT INTO t VALUES ("+marks+")", row...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			stmt, err := sqldb.Parse("SELECT c1 FROM t WHERE id = ?")
+			if err != nil {
+				b.Fatal(err)
+			}
+			var res sqldb.Result
+			params := []sqldb.Value{sqldb.NewInt(0)}
+			before := e.Stats().Pool.Misses
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tx, _ := e.BeginReadOnly("app")
+				params[0] = sqldb.NewInt(int64(i % pages * perPage))
+				if err := tx.ExecStmtInto(&res, stmt, params...); err != nil {
+					b.Fatal(err)
+				}
+				_ = tx.Commit()
+			}
+			b.StopTimer()
+			if got := e.Stats().Pool.Misses - before; got != uint64(b.N) {
+				b.Fatalf("%d misses in %d reads: the benchmark is not cold", got, b.N)
+			}
+		})
+	}
+}
+
 // BenchmarkClusterReplicatedWrite measures a replicated single-row update
 // through the cluster controller (2 replicas, conservative, 2PC).
 func BenchmarkClusterReplicatedWrite(b *testing.B) {

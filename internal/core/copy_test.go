@@ -164,6 +164,10 @@ func TestCopyReplicaCases(t *testing.T) {
 				c.mu.Unlock()
 				copiedBefore := c.metrics.copyPhase.With("table_copied").Value()
 				writebacksBefore := c.metrics.poolWritebacks.Value()
+				rowsDecoded := func() float64 {
+					return c.Metrics().Snapshot().Gauge("sqldb_engine_stat", "cluster", c.name, "stat", "pool_rows_decoded")
+				}
+				decodedBefore := rowsDecoded()
 				if err := c.copyReplica("app", target, marks); err != nil {
 					t.Fatalf("copyReplica: %v", err)
 				}
@@ -175,6 +179,11 @@ func TestCopyReplicaCases(t *testing.T) {
 				// copy writes each back exactly once, as it dumps it.
 				if got := c.metrics.poolWritebacks.Value() - writebacksBefore; tc.wantCopied == 3 && got != 3*(rows/64) {
 					t.Errorf("sqldb_pool_writebacks_total rose by %d during a full copy, want %d", got, 3*(rows/64))
+				}
+				// The dump reads those pages cold and decodes each of their rows
+				// once; the target, loading decoded rows, decodes none.
+				if got := rowsDecoded() - decodedBefore; tc.wantCopied == 3 && got != 3*(rows/64)*64 {
+					t.Errorf("pool_rows_decoded rose by %v during a full copy, want %d", got, 3*(rows/64)*64)
 				}
 				if reps, _ := c.Replicas("app"); !contains(reps, target.ID()) {
 					t.Fatalf("replicas = %v, want %s among them", reps, target.ID())

@@ -174,7 +174,7 @@ func (c *Cluster) bridgeStats() {
 
 	m := c.metrics
 	var commits, aborts, deadlocks uint64
-	var poolHits, poolMisses, poolEvict uint64
+	var poolHits, poolMisses, poolEvict, poolRowsDecoded uint64
 	var planHits, planMisses uint64
 	var planCompiles, compiledExecs, stmtExecs uint64
 	var optHits, optRetries, optFallbacks, optConflicts uint64
@@ -206,6 +206,7 @@ func (c *Cluster) bridgeStats() {
 		poolHits += st.Pool.Hits
 		poolMisses += st.Pool.Misses
 		poolEvict += st.Pool.Evictions
+		poolRowsDecoded += st.Pool.RowsDecoded
 		planHits += st.PlanCache.Hits
 		planMisses += st.PlanCache.Misses
 		planCompiles += st.PlanCompiles
@@ -222,6 +223,7 @@ func (c *Cluster) bridgeStats() {
 	set("deadlocks", float64(deadlocks))
 	set("pool_hits", float64(poolHits))
 	set("pool_misses", float64(poolMisses))
+	set("pool_rows_decoded", float64(poolRowsDecoded))
 	set("pool_evictions", float64(poolEvict))
 	set("pool_hit_rate", ratio(poolHits, poolMisses))
 	set("plan_cache_hits", float64(planHits))

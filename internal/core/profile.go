@@ -100,6 +100,6 @@ func (c *Cluster) ObserveDatabase(db, machineID string, window time.Duration, dr
 	return rep, nil
 }
 
-// pageSizeMBEstimate is the rough in-memory size of one decoded page, used
+// pageSizeMBEstimate is the rough in-memory size of one resident page, used
 // to convert touched-page counts into a working-set estimate.
 const pageSizeMBEstimate = 0.004 // ~4 KB

@@ -114,6 +114,7 @@ func bridgeEngine(reg *obs.Registry, name string, e *sqldb.Engine) {
 		set("deadlocks", float64(st.Deadlocks))
 		set("pool_hits", float64(st.Pool.Hits))
 		set("pool_misses", float64(st.Pool.Misses))
+		set("pool_rows_decoded", float64(st.Pool.RowsDecoded))
 		set("pool_evictions", float64(st.Pool.Evictions))
 		set("pool_hit_rate", st.Pool.HitRate())
 		set("plan_cache_hits", float64(st.PlanCache.Hits))

@@ -24,6 +24,11 @@ type PoolStats struct {
 	// eviction, when a bulk reader flushes them, or at once by a pool that
 	// cannot hold pages.
 	Writebacks uint64
+	// RowsDecoded counts rows decoded from a page image: on first touch of a
+	// resident page's row, a page at a time by scans, and by the cold scans of
+	// dump, checkpoint and copy. A miss decodes nothing by itself, so rows
+	// decoded per miss tells point reads (about one) from scans (a page-full).
+	RowsDecoded uint64
 }
 
 // HitRate returns hits/(hits+misses), or 0 when no accesses were made.
@@ -43,26 +48,29 @@ const (
 	maxPoolStripes   = 16
 )
 
-// BufferPool is a fixed-capacity LRU cache of decoded pages, one per engine.
-// It models the DBMS buffer pool of the paper's MySQL instances: a hit serves
-// already-decoded rows, a miss pays the decode cost of the page's disk format
-// plus an optional simulated disk latency. The pool is the mechanism that
-// makes the paper's read-routing options (1/2/3) perform differently — routing
-// all of a database's reads to one replica keeps that replica's pool warm.
+// BufferPool is a fixed-capacity LRU cache of resident pages, one per engine.
+// It models the DBMS buffer pool of the paper's MySQL instances: a hit finds
+// the page mapped and the rows read before already decoded, a miss pays the
+// simulated disk latency and maps the page's image (mapPage), decoding no row.
+// The pool is the mechanism that makes the paper's read-routing options
+// (1/2/3) perform differently — routing all of a database's reads to one
+// replica keeps that replica's pool warm.
 //
-// The pool is write-back: a row change edits the resident decoded image
-// (Update) and marks it dirty, and the page is encoded into its sealedPage
-// only when it leaves the pool (eviction, DROP), when a bulk reader needs the
-// disk image (Flush), or at once when the pool cannot hold pages. The decoded
-// image of a resident page is therefore the page's newest contents and its
-// disk image may be stale; durability is the WAL's job, and a crash loses the
-// pool with the rest of the engine's memory.
+// The pool is write-back: a row change edits the resident page (Update) and
+// marks it dirty, and the page is encoded into its sealedPage only when it
+// leaves the pool (eviction, DROP), when a bulk reader needs the image
+// (Flush), or at once when the pool cannot hold pages. A resident page is
+// therefore the page's newest contents and its sealed image may be stale;
+// durability is the WAL's job, and a crash loses the pool with the rest of
+// the engine's memory.
 //
 // Lock order: a table's latch, then a stripe mutex, then the publication of a
 // page image (atomic, never waits). Every reader and writer of a table's
-// decoded images holds that table's latch; only eviction touches an image
-// without it — holding the stripe mutex, under which images are also edited
-// — so it can encode a page of a table whose latch someone else holds.
+// resident pages holds that table's latch; only eviction touches a page
+// without it — holding the stripe mutex, under which pages are also edited
+// — so it can encode a page of a table whose latch someone else holds. What
+// a reader does to a page under the latch alone, decoding a row on first
+// touch, an eviction therefore never looks at (see pageSlot).
 //
 // The pool is sharded into lock stripes keyed by PageKey hash so concurrent
 // clients do not serialise on a single mutex. Capacity is partitioned across
@@ -82,7 +90,8 @@ type BufferPool struct {
 	hitMiss       obs.Pair
 	evictions     atomic.Uint64
 	writebacks    atomic.Uint64
-	writebackSink *obs.Counter // Config.PoolWritebacks; may be nil
+	rowsDecoded   atomic.Uint64 // added to by the tables, which do the decoding
+	writebackSink *obs.Counter  // Config.PoolWritebacks; may be nil
 }
 
 // poolStripe is one lock-striped LRU segment of the pool.
@@ -96,10 +105,10 @@ type poolStripe struct {
 }
 
 type poolEntry struct {
-	key   PageKey
-	page  *sealedPage // where a dirty image is written back to
-	slots []pageSlot
-	dirty bool // slots is newer than page's disk image
+	key  PageKey
+	page *sealedPage // where a dirty page is written back to
+	residentPage
+	dirty bool // the resident page is newer than page's image
 }
 
 // poolStripeCount picks the stripe count for a capacity.
@@ -114,7 +123,7 @@ func poolStripeCount(capacity int) int {
 	return n
 }
 
-// NewBufferPool creates a pool holding at most capacity decoded pages.
+// NewBufferPool creates a pool holding at most capacity resident pages.
 // A capacity of 0 or less disables caching entirely (every access is a miss).
 // missLatency is added to every miss to simulate disk I/O; zero disables it.
 func NewBufferPool(capacity int, missLatency time.Duration) *BufferPool {
@@ -162,7 +171,7 @@ func (p *BufferPool) stripe(key PageKey) *poolStripe {
 	return &p.stripes[h%uint64(len(p.stripes))]
 }
 
-// resident returns key's entry with s.mu held, reading and decoding the page
+// resident returns key's entry with s.mu held, reading and mapping the page
 // on a miss. The stripe mutex is released for the read so concurrent misses
 // overlap, exactly as concurrent disk reads would; the evict→reload race on
 // one key stays closed because a page's image is published before its entry
@@ -182,7 +191,8 @@ func (p *BufferPool) resident(s *poolStripe, key PageKey, page *sealedPage) (*po
 	if p.missLatency > 0 {
 		time.Sleep(p.missLatency)
 	}
-	slots, err := decodePage(page.image())
+	img := page.image()
+	slots, err := mapPage(img)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +202,7 @@ func (p *BufferPool) resident(s *poolStripe, key PageKey, page *sealedPage) (*po
 		s.lru.MoveToFront(el)
 		return el.Value.(*poolEntry), nil
 	}
-	en := &poolEntry{key: key, page: page, slots: slots}
+	en := &poolEntry{key: key, page: page, residentPage: residentPage{img: img, slots: slots}}
 	if s.capacity > 0 {
 		s.entries[key] = s.lru.PushFront(en)
 		p.evictOverflow(s)
@@ -200,46 +210,45 @@ func (p *BufferPool) resident(s *poolStripe, key PageKey, page *sealedPage) (*po
 	return en, nil
 }
 
-// Get returns the decoded slots of the page, loading them from the page's
-// disk image on a miss. The slice is the pool's own image: the caller reads
-// it under the owning table's latch and copies out what it keeps.
-func (p *BufferPool) Get(key PageKey, page *sealedPage) ([]pageSlot, error) {
+// Get returns the resident page, mapping it from the page's image on a miss.
+// It is the pool's own: the caller reads it — and decodes rows into it —
+// under the owning table's latch, and copies out what it keeps.
+func (p *BufferPool) Get(key PageKey, page *sealedPage) (*residentPage, error) {
 	s := p.stripe(key)
 	en, err := p.resident(s, key, page)
 	if err != nil {
 		return nil, err
 	}
-	slots := en.slots
 	s.mu.Unlock()
-	return slots, nil
+	return &en.residentPage, nil
 }
 
-// Update applies edit to the page's resident decoded image — loading it on a
-// miss, like Get — and marks the page dirty. edit runs under the stripe
-// mutex, which is what keeps it apart from an eviction encoding the same
-// image; it returns the slots the page now holds. The caller holds the owning
-// table's latch, as for every access to the table's images.
-func (p *BufferPool) Update(key PageKey, page *sealedPage, edit func([]pageSlot) []pageSlot) error {
+// Update applies edit to the resident page — mapping it on a miss, like Get —
+// and marks the page dirty. edit runs under the stripe mutex, which is what
+// keeps it apart from an eviction encoding the same page; a slot whose row it
+// replaces loses its extent. The caller holds the owning table's latch, as
+// for every access to the table's pages.
+func (p *BufferPool) Update(key PageKey, page *sealedPage, edit func(*residentPage)) error {
 	s := p.stripe(key)
 	en, err := p.resident(s, key, page)
 	if err != nil {
 		return err
 	}
-	en.slots = edit(en.slots)
+	edit(&en.residentPage)
 	if s.capacity > 0 {
 		en.dirty = true
 	} else {
-		p.writeBack(en) // nothing keeps the image: write it through
+		p.writeBack(en) // nothing keeps the page: write it through
 	}
 	s.mu.Unlock()
 	return nil
 }
 
-// Put installs the decoded image of a page that has no disk image yet: the
-// table's tail page, sealed. The page starts its residency dirty.
+// Put installs a page that has no image yet: the table's tail page, sealed.
+// The page starts its residency dirty.
 func (p *BufferPool) Put(key PageKey, page *sealedPage, slots []pageSlot) {
 	s := p.stripe(key)
-	en := &poolEntry{key: key, page: page, slots: slots, dirty: true}
+	en := &poolEntry{key: key, page: page, residentPage: residentPage{slots: slots}, dirty: true}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.capacity <= 0 {
@@ -255,7 +264,7 @@ func (p *BufferPool) Put(key PageKey, page *sealedPage, slots []pageSlot) {
 }
 
 // Flush writes the page back if it is resident and dirty, leaving it
-// resident: afterwards the page's disk image is current. Bulk readers that
+// resident: afterwards the page's image is current. Bulk readers that
 // bypass the pool (dump, checkpoint, Algorithm 1 copy) call it per page.
 func (p *BufferPool) Flush(key PageKey) {
 	s := p.stripe(key)
@@ -266,10 +275,11 @@ func (p *BufferPool) Flush(key PageKey) {
 	s.mu.Unlock()
 }
 
-// writeBack encodes a dirty entry's image into its page. Called with the
-// entry's stripe mutex held.
+// writeBack encodes a dirty entry into its page's image. The entry keeps the
+// image it was mapped from, which its remaining extents point into. Called
+// with the entry's stripe mutex held.
 func (p *BufferPool) writeBack(en *poolEntry) {
-	en.page.store(encodePage(en.slots))
+	en.page.store(en.encode())
 	en.dirty = false
 	p.writebacks.Add(1)
 	if p.writebackSink != nil {
@@ -332,9 +342,10 @@ func (p *BufferPool) Len() int {
 func (p *BufferPool) Stats() PoolStats {
 	hits, misses := p.hitMiss.Load()
 	return PoolStats{
-		Hits:       hits,
-		Misses:     misses,
-		Evictions:  p.evictions.Load(),
-		Writebacks: p.writebacks.Load(),
+		Hits:        hits,
+		Misses:      misses,
+		Evictions:   p.evictions.Load(),
+		Writebacks:  p.writebacks.Load(),
+		RowsDecoded: p.rowsDecoded.Load(),
 	}
 }

@@ -267,6 +267,90 @@ func TestCompiledPointReadZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestLockedPointReadAllocs pins the allocations of a point read that takes
+// its row lock (a read-write transaction): 3 — the lock's key string and the
+// lock table's two records of the hold. The history recorder's object name,
+// which only a test harness with a recorder installed ever reads, is not among
+// them: it is built after the recorder check.
+func TestLockedPointReadAllocs(t *testing.T) {
+	e := diffEngine(t)
+	defer e.Close()
+	stmt, err := Parse("SELECT title FROM item WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	params := []Value{NewInt(1)}
+	run := func() {
+		tx, err := e.Begin("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.ExecStmtInto(&res, stmt, params...); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // warm plan memo, txn pool, scratch buffers
+		run()
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs > 3 {
+		t.Fatalf("locked point read allocates %.1f objects/op, budget is 3", allocs)
+	}
+}
+
+// opLog is a Recorder that keeps each event's object and direction.
+type opLog struct{ ops []string }
+
+func (l *opLog) RecordOp(ev OpEvent) {
+	dir := "r "
+	if ev.Write {
+		dir = "w "
+	}
+	l.ops = append(l.ops, dir+ev.Object)
+}
+
+// TestRecordedObjectNames pins the object names the history checker sees, one
+// statement per way a lock is taken: "db/table:key" for a row, "db/table" for
+// a whole table.
+func TestRecordedObjectNames(t *testing.T) {
+	e := diffEngine(t)
+	defer e.Close()
+	log := &opLog{}
+	e.SetRecorder(log)
+	for _, c := range []struct {
+		sql  string
+		want []string
+	}{
+		{"SELECT title FROM item WHERE id = 1", []string{"r app/item:1"}},
+		{"SELECT id FROM item WHERE subject = 'SCIENCE'", []string{"r app/item:9", "r app/item:10"}},
+		{"SELECT id FROM item WHERE title LIKE 'a%'", []string{"r app/item"}},
+		{"INSERT INTO item VALUES (11, 'new', 1.0, 1, 'ART')", []string{"w app/item:11"}},
+		{"INSERT INTO nopk VALUES (4, 'z')", []string{"w app/nopk"}},
+		{"UPDATE item SET id = 12 WHERE id = 11", []string{"w app/item:11", "w app/item:12"}},
+		{"UPDATE item SET qty = 0 WHERE qty = 12", []string{"w app/item:9"}},
+		{"DELETE FROM author WHERE name = 'Bo'", []string{"w app/author:2"}},
+		{"DELETE FROM nopk WHERE a = 4", []string{"w app/nopk"}},
+	} {
+		log.ops = nil
+		tx, err := e.Begin("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Exec(c.sql); err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(log.ops, c.want) {
+			t.Errorf("%s recorded %q, want %q", c.sql, log.ops, c.want)
+		}
+	}
+}
+
 // TestCompiledExplainExecMode checks EXPLAIN's access path and exec marker
 // for every statement shape, grouped ones included.
 func TestCompiledExplainExecMode(t *testing.T) {

@@ -92,9 +92,9 @@ func (t *Txn) dumpTables(tables []string, fn func(TableDump) error) error {
 // copyTable snapshots a table's schema, rows and index definitions. The
 // caller holds a table S lock, so the image is transactionally consistent.
 func copyTable(tbl *Table) TableDump {
-	d := TableDump{Schema: tbl.Schema().Clone()}
+	d := TableDump{Schema: tbl.Schema().Clone(), Rows: make([]Row, 0, tbl.RowCount())}
 	tbl.scanCold(func(_ uint64, r Row) bool {
-		d.Rows = append(d.Rows, r)
+		d.Rows = append(d.Rows, r) // r was decoded for this call: the dump's own
 		return true
 	})
 	tbl.mu.Lock()

@@ -207,19 +207,24 @@ func (e *Engine) SetRecorder(r Recorder) {
 	e.recorder.Store(&recorderBox{r: r})
 }
 
-// record emits an operation event if a recorder is installed. Log replay is
-// never recorded: it re-applies operations that were recorded when they
-// first executed, and re-recording them would give the replayed
-// transactions a second, later position in the site's conflict order —
-// manufacturing serialization-graph edges that contradict the real
-// execution.
-func (e *Engine) record(t *Txn, write bool, object string) {
+// record emits an operation event on a row of tbl (by its primary-key string)
+// or, with key "", on the whole table, if a recorder is installed; the
+// event's object name is only built then. Log replay is never recorded: it
+// re-applies operations that were recorded when they first executed, and
+// re-recording them would give the replayed transactions a second, later
+// position in the site's conflict order — manufacturing serialization-graph
+// edges that contradict the real execution.
+func (e *Engine) record(t *Txn, write bool, tbl *Table, key string) {
 	if e.recovering.Load() {
 		return
 	}
 	box := e.recorder.Load()
 	if box == nil || box.r == nil {
 		return
+	}
+	object := tbl.qname
+	if key != "" {
+		object += ":" + key
 	}
 	box.r.RecordOp(OpEvent{
 		Seq:       e.seq.Add(1),

@@ -307,9 +307,9 @@ func (bi *boundInsert) exec(t *Txn, params []Value, _ *Result) (*Result, error) 
 			if _, dup := tbl.lookupPK(full[schema.PKIdx]); dup {
 				return nil, fmt.Errorf("%w: %s=%s in %s", ErrDuplicateKey, schema.Cols[schema.PKIdx].Name, full[schema.PKIdx], bi.table)
 			}
-			e.record(t, true, tbl.qname+":"+key)
+			e.record(t, true, tbl, key)
 		} else {
-			e.record(t, true, tbl.qname)
+			e.record(t, true, tbl, "")
 		}
 		for i, c := range schema.Cols {
 			if c.Unique && !c.PrimaryKey {
@@ -407,7 +407,7 @@ func (bw *boundWrite) exec(t *Txn, params []Value, _ *Result) (*Result, error) {
 				if _, dup := tbl.lookupPK(newRow[schema.PKIdx]); dup {
 					return nil, fmt.Errorf("%w: %s", ErrDuplicateKey, newRow[schema.PKIdx])
 				}
-				t.engine.record(t, true, tbl.qname+":"+newKey)
+				t.engine.record(t, true, tbl, newKey)
 			}
 		}
 		tbl.updateRowPhysical(ids[i], newRow)

@@ -5,37 +5,57 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 	"sync/atomic"
 )
 
-// Rows are stored on disk-format pages: a compact binary encoding of up to
-// pageCapacity (rowID, row) pairs. The buffer pool caches *decoded* pages;
-// serving a read from an encoded page pays a real decode cost (plus an
-// optional simulated disk latency), which is what makes buffer-pool locality
-// — and therefore the paper's read-routing options — performance-visible.
+// Rows live on pages of up to pageCapacity rows. Outside the buffer pool a
+// page is its image, an immutable string:
+//
+//	slot count   uint32
+//	directory    one (row id uint64, end uint32) per slot
+//	rows         one encodeRow encoding per slot, back to back
+//
+// little-endian; end is the offset in the image just past the slot's row, so
+// row i occupies [end of row i-1, end of row i) and the first row starts where
+// the directory stops. The format is this package's own business: the log,
+// checkpoints and replica copies carry rows in walcodec.go's encoding.
+//
+// The buffer pool holds pages in resident form: the image itself plus a slot
+// array that points each row at its extent. Bringing a page in (mapPage)
+// parses no row; a row is decoded when something first asks for it, and
+// written back, if nothing changed it, as the bytes it came from. What a miss
+// costs beyond that is Config.MissLatency, the modelled disk — which is what
+// makes buffer-pool locality, and so the paper's read-routing options,
+// visible in throughput.
 
 // pageCapacity is the number of row slots per page.
 const pageCapacity = 64
 
-// sealedPage is a full page's home outside the buffer pool: its disk image.
-// The pool is write-back, so the image is the page's contents only while the
-// page is not resident and dirty; it is nil until the page is first written
-// back. Images are immutable once published and replaced whole, atomically:
-// the pool writes an evicted page back under its own stripe mutex, possibly
-// while some other table's latch is held, so storing an image must not need
-// the owning table's latch.
+const (
+	pageHeaderSize = 4  // slot count
+	dirEntrySize   = 12 // row id, end offset
+)
+
+// sealedPage is a full page's home outside the buffer pool: its image. The
+// pool is write-back, so the image is the page's contents only while the
+// page is not resident and dirty; it is empty until the page is first written
+// back. Images are immutable and replaced whole, atomically: the pool writes
+// an evicted page back under its own stripe mutex, possibly while some other
+// table's latch is held, so storing an image must not need the owning table's
+// latch.
 type sealedPage struct {
-	enc atomic.Pointer[[]byte]
+	enc atomic.Pointer[string]
 }
 
-func (p *sealedPage) image() []byte {
-	if b := p.enc.Load(); b != nil {
-		return *b
+func (p *sealedPage) image() string {
+	if s := p.enc.Load(); s != nil {
+		return *s
 	}
-	return nil
+	return ""
 }
 
-func (p *sealedPage) store(enc []byte) { p.enc.Store(&enc) }
+func (p *sealedPage) store(img string) { p.enc.Store(&img) }
 
 // encodeRow appends the binary encoding of a row to buf.
 func encodeRow(buf []byte, r Row) []byte {
@@ -88,102 +108,258 @@ func encodedRowSize(r Row) int {
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// pageSlot is one occupied slot on a decoded page.
+// pageSlot is one occupied slot of a resident page (or of a table's open
+// tail page, whose slots only ever have rows). A slot mapped from an image
+// has an extent and, once something has read it, the decoded row as well; an
+// edit gives the slot a new row and clears the extent.
+//
+// Who may touch what: row is read and written under the owning table's latch.
+// An eviction holds only the pool's stripe mutex, so it reads row only when
+// the extent is clear — which, like everything else about a slot, changes
+// only under latch and stripe mutex together.
 type pageSlot struct {
-	rowID uint64
-	row   Row
+	rowID    uint64
+	row      Row    // nil: not decoded yet
+	off, end uint32 // the row's bytes in the image; end == 0: none, row is all there is
 }
 
-// encodePage serialises the occupied slots of a page.
-func encodePage(slots []pageSlot) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(slots)))
-	for _, s := range slots {
-		buf = binary.AppendUvarint(buf, s.rowID)
-		buf = encodeRow(buf, s.row)
+// encodedSize is what the slot's row takes in an image. Safe where encode is.
+func (s *pageSlot) encodedSize() int {
+	if s.end != 0 {
+		return int(s.end - s.off)
 	}
-	return buf
+	return encodedRowSize(s.row)
+}
+
+// residentPage is a page in the buffer pool: the image it was mapped from
+// ("" for a page that never had one) and its slots.
+type residentPage struct {
+	img   string
+	slots []pageSlot
+}
+
+// encode builds the page's image in one exactly sized allocation: a slot that
+// still has its extent is copied byte for byte from the old image, and only
+// rows an edit replaced are encoded. It runs under the stripe mutex alone, so
+// it indexes the slots — copying a slot would read its row (see pageSlot).
+func (pg *residentPage) encode() string {
+	end := pageHeaderSize + len(pg.slots)*dirEntrySize
+	total := end
+	for i := range pg.slots {
+		total += pg.slots[i].encodedSize()
+	}
+	var img strings.Builder
+	img.Grow(total)
+	var scratch [512]byte // directory entries, and the edited rows that fit
+	binary.LittleEndian.PutUint32(scratch[:], uint32(len(pg.slots)))
+	img.Write(scratch[:pageHeaderSize])
+	for i := range pg.slots {
+		end += pg.slots[i].encodedSize()
+		binary.LittleEndian.PutUint64(scratch[:], pg.slots[i].rowID)
+		binary.LittleEndian.PutUint32(scratch[8:], uint32(end))
+		img.Write(scratch[:dirEntrySize])
+	}
+	for i := range pg.slots {
+		if s := &pg.slots[i]; s.end != 0 {
+			img.WriteString(pg.img[s.off:s.end])
+		} else {
+			img.Write(encodeRow(scratch[:0], s.row))
+		}
+	}
+	return img.String()
 }
 
 func corruptPage(what string) error { return fmt.Errorf("sqldb: corrupt page: %s", what) }
 
-// decodePage parses a page encoding back into slots, in a constant number of
-// allocations whatever the page holds: the slot array, one copy of the page
-// as a string that every text value is a substring of, and one []Value slab
-// that the rows are cut from. Each row's capacity ends where the next row
-// begins, so appending to a decoded row reallocates it instead of running
-// into its neighbour. (A row of another arity than the first, which a table's
-// pages never hold, only costs a further slab.) A reader that retains a
-// decoded text value retains the page's string with it.
-func decodePage(buf []byte) ([]pageSlot, error) {
-	n, pos := binary.Uvarint(buf)
-	// A slot takes at least two bytes (row id, arity) and a value at least one,
-	// so counts the buffer cannot hold are rejected before anything is sized
-	// by them.
-	if pos <= 0 || n > uint64(len(buf)-pos)/2 {
+// mapPage checks an image's directory and returns its slots, each pointing
+// at its row's extent: no row is parsed and nothing but the slot array is
+// allocated, whatever the rows hold. The directory must fit the image, and
+// the extents must be non-empty (a row is at least its arity byte), in order,
+// inside the image, and end exactly where it ends.
+func mapPage(img string) ([]pageSlot, error) {
+	if len(img) < pageHeaderSize {
+		return nil, corruptPage("no slot count")
+	}
+	n := uint64(le32(img, 0))
+	if n > uint64(len(img)-pageHeaderSize)/(dirEntrySize+1) {
 		return nil, corruptPage("bad slot count")
 	}
-	str := string(buf)
 	slots := make([]pageSlot, n)
-	var slab []Value
+	dir := img[pageHeaderSize : pageHeaderSize+len(slots)*dirEntrySize]
+	off := uint32(pageHeaderSize + len(dir))
 	for i := range slots {
-		id, sz := binary.Uvarint(buf[pos:])
-		if sz <= 0 {
-			return nil, corruptPage("bad row id")
+		d := dir[i*dirEntrySize : (i+1)*dirEntrySize]
+		end := le32(d, 8)
+		if end <= off || uint64(end) > uint64(len(img)) {
+			return nil, corruptPage("bad row extent")
 		}
-		pos += sz
-		arity, sz := binary.Uvarint(buf[pos:])
-		if sz <= 0 || arity > uint64(len(buf)-pos-sz) {
-			return nil, corruptPage("bad row arity")
-		}
-		pos += sz
-		width := int(arity)
-		if width > len(slab) {
-			slab = make([]Value, min(width*(len(slots)-i), len(buf)-pos))
-		}
-		row := Row(slab[:width:width])
-		slab = slab[width:]
-		for c := range row {
-			if pos >= len(buf) {
-				return nil, corruptPage("truncated row")
-			}
-			typ := Type(buf[pos])
-			pos++
-			switch typ {
-			case TypeNull:
-				row[c] = Null
-			case TypeInt:
-				v, sz := binary.Varint(buf[pos:])
-				if sz <= 0 {
-					return nil, corruptPage("bad int")
-				}
-				pos += sz
-				row[c] = NewInt(v)
-			case TypeFloat:
-				b, sz := binary.Uvarint(buf[pos:])
-				if sz <= 0 {
-					return nil, corruptPage("bad float")
-				}
-				pos += sz
-				row[c] = NewFloat(math.Float64frombits(b))
-			case TypeText:
-				l, sz := binary.Uvarint(buf[pos:])
-				if sz <= 0 || l > uint64(len(buf)-pos-sz) {
-					return nil, corruptPage("bad string")
-				}
-				pos += sz
-				row[c] = NewText(str[pos : pos+int(l)])
-				pos += int(l)
-			case TypeBool:
-				if pos >= len(buf) {
-					return nil, corruptPage("bad bool")
-				}
-				row[c] = NewBool(buf[pos] != 0)
-				pos++
-			default:
-				return nil, corruptPage(fmt.Sprintf("unknown type %d", typ))
-			}
-		}
-		slots[i] = pageSlot{rowID: id, row: row}
+		// Field by field: storing a whole slot would store its (nil) row, a
+		// pointer write the collector has to be told about.
+		s := &slots[i]
+		s.rowID, s.off, s.end = uint64(le32(d, 0))|uint64(le32(d, 4))<<32, off, end
+		off = end
+	}
+	if int(off) != len(img) {
+		return nil, corruptPage("bytes after the last row")
 	}
 	return slots, nil
+}
+
+// materialise decodes the rows of slots[lo:hi] that are still only extents,
+// cutting them from one slab, and returns how many it decoded. Each row's
+// capacity ends where the next begins, so appending to one reallocates it
+// instead of running into its neighbour. Text values are substrings of the
+// image: whoever retains a row retains the image with it. The caller holds
+// the owning table's latch.
+func (pg *residentPage) materialise(lo, hi int) (int, error) {
+	rows, width := 0, 0
+	for i := lo; i < hi; i++ {
+		if s := &pg.slots[i]; s.row == nil {
+			arity, _, err := rowArity(pg.img[s.off:s.end])
+			if err != nil {
+				return 0, err
+			}
+			rows++
+			width += arity
+		}
+	}
+	if rows == 0 {
+		return 0, nil
+	}
+	slab := make([]Value, width) // not nil even when empty: a nil row means not decoded
+	for i := lo; i < hi; i++ {
+		s := &pg.slots[i]
+		if s.row != nil {
+			continue
+		}
+		row, err := decodeRow(pg.img[s.off:s.end], slab)
+		if err != nil {
+			return 0, err
+		}
+		s.row, slab = row, slab[len(row):]
+	}
+	return rows, nil
+}
+
+// rowArity reads the value count that starts a row encoding and the position
+// of the first value. A value takes at least its tag byte, so a count the
+// encoding cannot hold is rejected before anything is sized by it.
+func rowArity(enc string) (arity, pos int, err error) {
+	n, sz := uvarint(enc)
+	if sz <= 0 || n > uint64(len(enc)-sz) {
+		return 0, 0, corruptPage("bad row arity")
+	}
+	return int(n), sz, nil
+}
+
+// decodeRow decodes a row encoding, which must fill enc exactly, into the
+// front of dst, or into a fresh slice when dst is too short. The row's
+// capacity is its length.
+func decodeRow(enc string, dst []Value) (Row, error) {
+	n, pos, err := rowArity(enc)
+	if err != nil {
+		return nil, err
+	}
+	if len(dst) < n {
+		dst = make([]Value, n)
+	}
+	row := Row(dst[:n:n])
+	for c := range row {
+		if pos, err = decodeValue(enc, pos, &row[c]); err != nil {
+			return nil, err
+		}
+	}
+	if pos != len(enc) {
+		return nil, corruptPage("row ends short of its extent")
+	}
+	return row, nil
+}
+
+// decodeCol decodes the one value at position col of a row encoding.
+func decodeCol(enc string, col int) (v Value, err error) {
+	n, pos, err := rowArity(enc)
+	if err != nil {
+		return Value{}, err
+	}
+	if col >= n {
+		return Value{}, corruptPage("row has too few values")
+	}
+	for c := 0; c <= col; c++ {
+		if pos, err = decodeValue(enc, pos, &v); err != nil {
+			return Value{}, err
+		}
+	}
+	return v, nil
+}
+
+// decodeValue decodes the value at enc[pos:] into v and returns the position
+// after it.
+func decodeValue(enc string, pos int, v *Value) (int, error) {
+	if pos >= len(enc) {
+		return 0, corruptPage("truncated row")
+	}
+	typ := Type(enc[pos])
+	pos++
+	switch typ {
+	case TypeNull:
+		*v = Null
+	case TypeInt:
+		ux, sz := uvarint(enc[pos:])
+		if sz <= 0 {
+			return 0, corruptPage("bad int")
+		}
+		pos += sz
+		x := int64(ux >> 1) // zig-zag, as binary.Varint
+		if ux&1 != 0 {
+			x = ^x
+		}
+		*v = NewInt(x)
+	case TypeFloat:
+		b, sz := uvarint(enc[pos:])
+		if sz <= 0 {
+			return 0, corruptPage("bad float")
+		}
+		pos += sz
+		*v = NewFloat(math.Float64frombits(b))
+	case TypeText:
+		l, sz := uvarint(enc[pos:])
+		if sz <= 0 || l > uint64(len(enc)-pos-sz) {
+			return 0, corruptPage("bad string")
+		}
+		pos += sz
+		*v = NewText(enc[pos : pos+int(l)])
+		pos += int(l)
+	case TypeBool:
+		if pos >= len(enc) {
+			return 0, corruptPage("bad bool")
+		}
+		*v = NewBool(enc[pos] != 0)
+		pos++
+	default:
+		return 0, corruptPage(fmt.Sprintf("unknown type %d", typ))
+	}
+	return pos, nil
+}
+
+// le32 reads a little-endian uint32 at s[i:].
+func le32(s string, i int) uint32 {
+	_ = s[i+3]
+	return uint32(s[i]) | uint32(s[i+1])<<8 | uint32(s[i+2])<<16 | uint32(s[i+3])<<24
+}
+
+// uvarint is binary.Uvarint for a string: the value and the number of bytes
+// it took, or 0 if s ends inside the value or the value overflows 64 bits.
+func uvarint(s string) (uint64, int) {
+	var x uint64
+	for i := 0; i < len(s) && i < binary.MaxVarintLen64; i++ {
+		b := s[i]
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, 0
+			}
+			return x | uint64(b)<<(7*i), i + 1
+		}
+		x |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, 0
 }

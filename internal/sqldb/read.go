@@ -206,7 +206,7 @@ func (r *tableRead) lockPoint(t *Txn, tbl *Table, en *env, pk Value) ([]Row, []u
 	if err := t.lockRow(tbl, key, r.rowMode()); err != nil {
 		return nil, nil, err
 	}
-	t.engine.record(t, r.write, tbl.qname+":"+key)
+	t.engine.record(t, r.write, tbl, key)
 	row, id, found, err := r.fetchPoint(t, tbl, en)
 	if err != nil || !found {
 		return nil, nil, err
@@ -221,46 +221,54 @@ func (r *tableRead) lockPoint(t *Txn, tbl *Table, en *env, pk Value) ([]Row, []u
 	return t.rowsScratch, t.idBuf[:], nil
 }
 
-// lockCandidates is the row-collection loop of the index-equality and range
-// steps, and of a scanning write: lock each candidate by its primary key,
-// re-fetch it under the lock (it was an unlocked guess; the row may have
-// changed or vanished in between), and keep it if it still matches.
+// lockCandidates is the row-collection step of the index-equality and range
+// steps, and of a scanning write: read the candidates' primary keys, lock each
+// candidate by its key in candidate order, fetch the rows once their locks
+// are held (the candidates were an unlocked guess; a row may have changed or
+// vanished in between), and keep those that still match. It takes the
+// candidates a page's run at a time (see Table.pkValues), one latch
+// acquisition for the keys and one for the rows. ids is overwritten.
 func (r *tableRead) lockCandidates(t *Txn, tbl *Table, en *env, ids []uint64, match func(Row) bool) (rows []Row, kept []uint64, err error) {
-	for _, id := range ids {
-		pk, found := tbl.pkValue(id)
-		if !found {
-			continue
-		}
-		key := keyString(pk)
-		if err := t.lockRow(tbl, key, r.rowMode()); err != nil {
-			return nil, nil, err
-		}
-		t.engine.record(t, r.write, tbl.qname+":"+key)
-		row, found := tbl.getRow(id)
-		if !found {
-			continue
-		}
-		en.row = row
-		keep := true
-		switch {
-		case r.write:
-			if r.where != nil {
-				keep, err = r.where(en)
+	var (
+		n       int
+		batch   []uint64
+		pks     []Value // reused from batch to batch, as fetched is
+		fetched []Row
+	)
+	for len(ids) > 0 {
+		n, batch, pks = tbl.pkValues(ids, pks[:0])
+		ids = ids[n:]
+		for _, pk := range pks {
+			key := keyString(pk)
+			if err := t.lockRow(tbl, key, r.rowMode()); err != nil {
+				return nil, nil, err
 			}
-		case !match(row):
-			keep = false
-		case r.residual != nil:
-			keep, err = r.residual(en)
+			t.engine.record(t, r.write, tbl, key)
 		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if !keep {
-			continue
-		}
-		rows = append(rows, row)
-		if r.write {
-			kept = append(kept, id)
+		fetched = tbl.getRowsBatch(batch, fetched[:0])
+		for i, row := range fetched {
+			en.row = row
+			keep := true
+			switch {
+			case r.write:
+				if r.where != nil {
+					keep, err = r.where(en)
+				}
+			case !match(row):
+				keep = false
+			case r.residual != nil:
+				keep, err = r.residual(en)
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+			if !keep {
+				continue
+			}
+			rows = append(rows, row)
+			if r.write {
+				kept = append(kept, batch[i])
+			}
 		}
 	}
 	return rows, kept, nil
@@ -288,7 +296,7 @@ func (r *tableRead) lockScan(t *Txn, tbl *Table, en *env) ([]Row, []uint64, erro
 	if err := t.lockTable(tbl, tableMode); err != nil {
 		return nil, nil, err
 	}
-	t.engine.record(t, r.write, tbl.qname)
+	t.engine.record(t, r.write, tbl, "")
 	return r.scan(tbl, en)
 }
 
@@ -408,11 +416,11 @@ func (e *Engine) recordOptimisticReads(t *Txn, tbl *Table, kind pathKind, rows [
 		return
 	}
 	if kind == pathScan {
-		e.record(t, false, tbl.qname)
+		e.record(t, false, tbl, "")
 		return
 	}
 	pkIdx := tbl.schema.PKIdx
 	for _, r := range rows {
-		e.record(t, false, tbl.qname+":"+keyString(r[pkIdx]))
+		e.record(t, false, tbl, keyString(r[pkIdx]))
 	}
 }

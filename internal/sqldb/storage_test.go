@@ -10,16 +10,44 @@ import (
 	"time"
 )
 
-// sealedWith returns a sealed page whose disk image holds slots.
+// encodePage builds the image of a page holding slots, which carry rows only.
+func encodePage(slots []pageSlot) string {
+	return (&residentPage{slots: slots}).encode()
+}
+
+// sealedWith returns a sealed page whose image holds slots.
 func sealedWith(slots ...pageSlot) *sealedPage {
 	p := &sealedPage{}
 	p.store(encodePage(slots))
 	return p
 }
 
-// refDecodeRow is the row-at-a-time decoder decodePage replaced — one
-// allocation per row and per text value — kept as the reference the page
-// decoder is checked against.
+// decodeAll maps an image and decodes every row, as a scan of the page does.
+func decodeAll(img string) ([]pageSlot, error) {
+	slots, err := mapPage(img)
+	if err != nil {
+		return nil, err
+	}
+	pg := &residentPage{img: img, slots: slots}
+	if _, err := pg.materialise(0, len(slots)); err != nil {
+		return nil, err
+	}
+	return pg.slots, nil
+}
+
+// rowsOnly copies slots without their extents, as if every row had been
+// edited: encoding them encodes every row instead of copying its bytes.
+func rowsOnly(slots []pageSlot) []pageSlot {
+	out := make([]pageSlot, len(slots))
+	for i, s := range slots {
+		out[i] = pageSlot{rowID: s.rowID, row: s.row}
+	}
+	return out
+}
+
+// refDecodeRow is a row-at-a-time decoder — one allocation per row and per
+// text value, over bytes, with the standard library's varints — written apart
+// from page.go as the reference its decoder is checked against.
 func refDecodeRow(buf []byte) (Row, []byte, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 || n > uint64(len(buf)) {
@@ -71,25 +99,35 @@ func refDecodeRow(buf []byte) (Row, []byte, error) {
 	return r, buf, nil
 }
 
-// refDecodePage decodes a page with refDecodeRow.
+// refDecodePage decodes a page image with refDecodeRow: a slot's row is the
+// bytes from the previous slot's end offset to its own, all of them.
 func refDecodePage(buf []byte) ([]pageSlot, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > uint64(len(buf)) {
-		return nil, fmt.Errorf("bad slot count")
+	if len(buf) < 4 {
+		return nil, fmt.Errorf("no slot count")
 	}
-	buf = buf[sz:]
+	n := uint64(binary.LittleEndian.Uint32(buf))
+	off := 4 + 12*n
+	if off > uint64(len(buf)) {
+		return nil, fmt.Errorf("directory past the end")
+	}
 	slots := make([]pageSlot, 0, n)
-	for i := uint64(0); i < n; i++ {
-		id, sz := binary.Uvarint(buf)
-		if sz <= 0 {
-			return nil, fmt.Errorf("bad row id")
+	for d := uint64(4); d < 4+12*n; d += 12 {
+		end := uint64(binary.LittleEndian.Uint32(buf[d+8:]))
+		if end < off || end > uint64(len(buf)) {
+			return nil, fmt.Errorf("bad end offset")
 		}
-		row, rest, err := refDecodeRow(buf[sz:])
+		row, rest, err := refDecodeRow(buf[off:end])
 		if err != nil {
 			return nil, err
 		}
-		buf = rest
-		slots = append(slots, pageSlot{rowID: id, row: row})
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("row shorter than its extent")
+		}
+		slots = append(slots, pageSlot{rowID: binary.LittleEndian.Uint64(buf[d:]), row: row})
+		off = end
+	}
+	if off != uint64(len(buf)) {
+		return nil, fmt.Errorf("trailing bytes")
 	}
 	return slots, nil
 }
@@ -116,8 +154,13 @@ func randomRow(r *rand.Rand, maxCols int) Row {
 	return row
 }
 
-// sameSlots reports whether two decoded pages hold the same rows, comparing
-// values exactly (type included; NaN payloads by bit pattern).
+func sameValue(v, w Value) bool {
+	return v.Typ == w.Typ && v.Int == w.Int && v.Str == w.Str && v.Bool == w.Bool &&
+		math.Float64bits(v.Float) == math.Float64bits(w.Float)
+}
+
+// sameSlots reports whether two pages hold the same rows under the same IDs,
+// comparing values exactly (type included; NaN payloads by bit pattern).
 func sameSlots(a, b []pageSlot) bool {
 	if len(a) != len(b) {
 		return false
@@ -127,14 +170,68 @@ func sameSlots(a, b []pageSlot) bool {
 			return false
 		}
 		for c, v := range a[i].row {
-			w := b[i].row[c]
-			if v.Typ != w.Typ || v.Int != w.Int || v.Str != w.Str || v.Bool != w.Bool ||
-				math.Float64bits(v.Float) != math.Float64bits(w.Float) {
+			if !sameValue(v, b[i].row[c]) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// checkImage holds every way of reading an image against the reference: all
+// of them fail, or all succeed and agree — the whole page in one slab, row by
+// row on first touch, one column at a time — and the page encodes back to an
+// image that reads the same, whether its rows are copied by extent or encoded
+// anew. It returns the decoded slots, or nil for an image that is rejected.
+func checkImage(t *testing.T, data []byte) []pageSlot {
+	t.Helper()
+	img := string(data)
+	got, err := decodeAll(img)
+	want, refErr := refDecodePage(data)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("decode err = %v, reference err = %v", err, refErr)
+	}
+	if err != nil {
+		return nil
+	}
+	if !sameSlots(got, want) {
+		t.Fatalf("page decoder disagrees with the reference:\n got %v\nwant %v", got, want)
+	}
+	// Appending to a decoded row must not reach into its neighbour's values.
+	for i := range got {
+		if got[i].row == nil {
+			t.Fatalf("slot %d: a decoded row is nil, which means not decoded", i)
+		}
+		_ = append(got[i].row, NewText("overflow"))
+	}
+	if !sameSlots(got, want) {
+		t.Fatal("appending to a decoded row changed a neighbour")
+	}
+	slots, _ := mapPage(img)
+	single := &residentPage{img: img, slots: slots}
+	for i := len(slots) - 1; i >= 0; i-- {
+		for c, v := range want[i].row {
+			if col, err := decodeCol(img[slots[i].off:slots[i].end], c); err != nil || !sameValue(col, v) {
+				t.Fatalf("slot %d column %d alone: %v, %v; want %v", i, c, col, err, v)
+			}
+		}
+		if _, err := decodeCol(img[slots[i].off:slots[i].end], len(want[i].row)); err == nil {
+			t.Fatalf("slot %d: decoded a column past the row's last", i)
+		}
+		if n, err := single.materialise(i, i+1); n != 1 || err != nil {
+			t.Fatalf("slot %d on first touch: %d rows, %v", i, n, err)
+		}
+	}
+	if n, err := single.materialise(0, len(slots)); n != 0 || err != nil || !sameSlots(single.slots, want) {
+		t.Fatalf("row-by-row decode: %d rows left, %v; got %v, want %v", n, err, single.slots, want)
+	}
+	for _, pg := range []*residentPage{single, {slots: rowsOnly(got)}} {
+		again, err := decodeAll(pg.encode())
+		if err != nil || !sameSlots(again, want) {
+			t.Fatalf("re-encoded page does not round-trip: %v", err)
+		}
+	}
+	return got
 }
 
 func TestRowCodecRoundTrip(t *testing.T) {
@@ -152,26 +249,30 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		if got := encodedRowSize(r); got != len(enc) {
 			t.Errorf("encodedRowSize(%v) = %d, encoding is %d bytes", r, got, len(enc))
 		}
-		dec, err := decodePage(encodePage([]pageSlot{{rowID: 1, row: r}}))
+		dec, err := decodeRow(string(enc), nil)
 		if err != nil {
 			t.Fatalf("decode %v: %v", r, err)
 		}
-		if !sameSlots(dec, []pageSlot{{rowID: 1, row: r}}) {
-			t.Errorf("round trip %v -> %v", r, dec[0].row)
+		if !sameSlots([]pageSlot{{row: dec}}, []pageSlot{{row: r}}) {
+			t.Errorf("round trip %v -> %v", r, dec)
 		}
 	}
 }
 
-// TestPageCodecProperty checks the one-slab page decoder against the
-// row-at-a-time reference on random pages — uniform arity as a table's pages
-// are, and mixed arity, which only costs the decoder further slabs — and that
-// the rows it cuts from one slab do not share capacity, and that the size
-// function agrees with the encoder.
+// TestPageCodecProperty checks the page codec against the row-at-a-time
+// reference on random pages — uniform arity as a table's pages are, zero
+// arity, and mixed arity — through every read path (see checkImage), and
+// that the size function agrees with the encoder and the image is exactly
+// header, directory and rows.
 func TestPageCodecProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 300; iter++ {
 		slots := make([]pageSlot, rng.Intn(pageCapacity+1))
 		width := rng.Intn(8)
+		if iter%10 == 0 {
+			width = 0
+		}
+		size := pageHeaderSize + len(slots)*dirEntrySize
 		for i := range slots {
 			row := randomRow(rng, 8)
 			if iter%2 == 0 { // uniform arity
@@ -183,61 +284,113 @@ func TestPageCodecProperty(t *testing.T) {
 			if got, want := encodedRowSize(row), len(encodeRow(nil, row)); got != want {
 				t.Fatalf("encodedRowSize(%v) = %d, want %d", row, got, want)
 			}
+			size += encodedRowSize(row)
 		}
-		enc := encodePage(slots)
-		got, err := decodePage(enc)
-		if err != nil {
-			t.Fatalf("iter %d: decodePage: %v", iter, err)
+		img := encodePage(slots)
+		if len(img) != size {
+			t.Fatalf("iter %d: image is %d bytes, want %d", iter, len(img), size)
 		}
-		want, err := refDecodePage(enc)
-		if err != nil {
-			t.Fatalf("iter %d: reference decode: %v", iter, err)
-		}
-		if !sameSlots(got, want) || !sameSlots(got, slots) {
-			t.Fatalf("iter %d: decodePage disagrees with the reference\n got %v\nwant %v", iter, got, want)
-		}
-		// Appending to a decoded row must not reach into its neighbour.
-		for i := range got {
-			_ = append(got[i].row, NewText("overflow"))
-		}
-		if !sameSlots(got, want) {
-			t.Fatalf("iter %d: appending to a decoded row changed a neighbour", iter)
+		if got := checkImage(t, []byte(img)); got == nil || !sameSlots(got, slots) {
+			t.Fatalf("iter %d: page does not decode to what was encoded: %v", iter, got)
 		}
 	}
 }
 
-// TestDecodePageAllocs pins the miss path's allocation count: it must not
-// grow with the number of rows or text values on the page.
-func TestDecodePageAllocs(t *testing.T) {
+// wideRow is a row of cols values, ints and texts alternating.
+func wideRow(id, cols int) Row {
+	row := make(Row, cols)
+	for c := range row {
+		if c%2 == 0 {
+			row[c] = NewInt(int64(id*100 + c))
+		} else {
+			row[c] = NewText(fmt.Sprintf("text value %d of row %d", c, id))
+		}
+	}
+	return row
+}
+
+// fullPage returns a page-full of rows of cols columns with row IDs 1..64.
+func fullPage(cols int) []pageSlot {
 	slots := make([]pageSlot, pageCapacity)
 	for i := range slots {
-		slots[i] = pageSlot{rowID: uint64(i), row: Row{NewInt(int64(i)), NewText("title"), NewText("subject"), NewFloat(1.5)}}
+		slots[i] = pageSlot{rowID: uint64(i + 1), row: wideRow(i, cols)}
 	}
-	enc := encodePage(slots)
-	if n := testing.AllocsPerRun(50, func() {
-		if _, err := decodePage(enc); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 3 {
-		t.Errorf("decodePage of a full page allocates %v times, want 3 (slots, string, slab)", n)
+	return slots
+}
+
+// TestPoolMissAllocs pins what a miss costs: mapping a page allocates its
+// slot array and its pool entry, whatever the rows hold — a 22-column page
+// costs what a 2-column page does — and decodes nothing; the point read that
+// caused the miss then decodes its one row. (The pool here keeps no pages, so
+// every Get is a miss; a pool that keeps the page adds its LRU list node.)
+func TestPoolMissAllocs(t *testing.T) {
+	k := PageKey{Table: "t", Page: 0}
+	miss := func(cols int) float64 {
+		p := NewBufferPool(0, 0)
+		page := sealedWith(fullPage(cols)...)
+		return testing.AllocsPerRun(50, func() {
+			if _, err := p.Get(k, page); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	narrow, wide := miss(2), miss(22)
+	if narrow > 2 || wide != narrow {
+		t.Errorf("a miss allocates %v times on a 2-column page and %v on a 22-column page, want the same and at most 2 (slots, entry)", narrow, wide)
+	}
+
+	cfg := DefaultConfig()
+	cfg.PoolPages = 1
+	e := NewEngine(cfg)
+	if err := e.CreateDatabase("app"); err != nil {
+		t.Fatal(err)
+	}
+	fillPages(t, e, "app", "a", 3*pageCapacity)
+	mustExec(t, e, "SELECT v FROM a WHERE id = 150") // page 2 takes the pool's one slot
+	before := e.Stats().Pool
+	if res := mustExec(t, e, "SELECT s FROM a WHERE id = 5"); len(res.Rows) != 1 || res.Rows[0][0].Str != "row 5" {
+		t.Fatalf("row 5 = %v", res.Rows)
+	}
+	after := e.Stats().Pool
+	if after.Misses-before.Misses != 1 || after.RowsDecoded-before.RowsDecoded != 1 {
+		t.Errorf("a cold point read: %d misses, %d rows decoded; want 1 and 1", after.Misses-before.Misses, after.RowsDecoded-before.RowsDecoded)
+	}
+	mustExec(t, e, "SELECT s FROM a WHERE id = 5")
+	if again := e.Stats().Pool; again.Misses != after.Misses || again.RowsDecoded != after.RowsDecoded {
+		t.Errorf("the same read again: stats %+v after %+v, want a hit on the decoded row", again, after)
+	}
+	mustExec(t, e, "SELECT COUNT(*) FROM a WHERE v >= 0") // a scan decodes what is left of each page
+	if got := e.Stats().Pool.RowsDecoded - after.RowsDecoded; got != 3*pageCapacity-1 {
+		t.Errorf("a scan after one point read decoded %d rows, want %d", got, 3*pageCapacity-1)
 	}
 }
 
+// TestPageCodecCorruption cuts a page image short at every length: none may
+// decode.
 func TestPageCodecCorruption(t *testing.T) {
-	enc := encodePage([]pageSlot{{rowID: 1, row: Row{NewText("hello")}}})
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := decodePage(enc[:cut]); err == nil {
-			t.Errorf("truncated page at %d decoded without error", cut)
+	img := encodePage([]pageSlot{
+		{rowID: 1, row: Row{NewText("hello"), NewInt(-300)}},
+		{rowID: 2, row: Row{NewBool(true), NewFloat(1.75), Null}},
+	})
+	if checkImage(t, []byte(img)) == nil {
+		t.Fatal("the whole image does not decode")
+	}
+	for cut := 0; cut < len(img); cut++ {
+		if checkImage(t, []byte(img[:cut])) != nil {
+			t.Errorf("page truncated at %d decoded without error", cut)
 		}
 	}
 }
 
-// FuzzDecodePage feeds arbitrary bytes to the page decoder: every input
-// either fails with an error or decodes to what the row-at-a-time reference
-// decodes and re-encodes to a page that decodes the same — never a panic, an
-// over-read, or an allocation sized by a length the input only claims. The
-// committed corpus (testdata/fuzz/FuzzDecodePage) holds truncated pages and
-// oversized slot counts, arities and string lengths; it runs as a plain test.
+// FuzzDecodePage feeds arbitrary bytes to the page codec: every input is
+// either rejected or reads — whole, row by row, column by column — as the
+// row-at-a-time reference reads it, and re-encodes to an image that reads the
+// same (see checkImage); never a panic, an over-read, or an allocation sized
+// by a count or length the input only claims. The committed corpus
+// (testdata/fuzz/FuzzDecodePage) holds arbitrary bytes — the previous format's
+// malformed pages — and, as dir-*, directories that point past the end, run
+// backwards, stop short of the image, or give a row more or fewer bytes than
+// its values take; it runs as a plain test.
 func FuzzDecodePage(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 8; i++ {
@@ -245,27 +398,63 @@ func FuzzDecodePage(f *testing.F) {
 		for j := range slots {
 			slots[j] = pageSlot{rowID: uint64(j), row: randomRow(rng, 5)}
 		}
-		enc := encodePage(slots)
-		f.Add(enc)
-		f.Add(enc[:len(enc)/2])
+		img := []byte(encodePage(slots))
+		f.Add(img)
+		f.Add(img[:len(img)/2])
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := decodePage(data)
-		want, refErr := refDecodePage(data)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("decodePage err = %v, reference err = %v", err, refErr)
+	f.Fuzz(func(t *testing.T, data []byte) { checkImage(t, data) })
+}
+
+// TestWriteBackCopiesCleanExtents changes one row of a full page and evicts
+// it: write-back must carry the other 63 rows into the new image as the bytes
+// they were, without decoding them, and a reload must see the change.
+func TestWriteBackCopiesCleanExtents(t *testing.T) {
+	const changed = 7
+	p := NewBufferPool(1, 0)
+	k := PageKey{Table: "t", Page: 0}
+	page := sealedWith(fullPage(5)...)
+	oldImg := page.image()
+	newRow := Row{NewText("a row of another size"), Null}
+	var resident *residentPage
+	if err := p.Update(k, page, func(pg *residentPage) {
+		resident = pg
+		pg.slots[changed] = pageSlot{rowID: pg.slots[changed].rowID, row: newRow}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Get(PageKey{Table: "u", Page: 0}, sealedWith()); err != nil { // takes the pool's one slot
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Writebacks != 1 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want the changed page evicted and written back", st)
+	}
+	newImg := page.image()
+	was, err := mapPage(oldImg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := mapPage(newImg)
+	if err != nil || len(now) != len(was) {
+		t.Fatalf("new image: %d slots, %v", len(now), err)
+	}
+	for i := range now {
+		if i == changed {
+			continue
 		}
-		if err != nil {
-			return
+		if now[i].rowID != was[i].rowID || newImg[now[i].off:now[i].end] != oldImg[was[i].off:was[i].end] {
+			t.Errorf("slot %d: row bytes differ between the old image and the new", i)
 		}
-		if !sameSlots(got, want) {
-			t.Fatalf("decodePage disagrees with the reference:\n got %v\nwant %v", got, want)
+		if resident.slots[i].row != nil {
+			t.Errorf("slot %d: write-back decoded a row nothing had read", i)
 		}
-		again, err := decodePage(encodePage(got))
-		if err != nil || !sameSlots(again, got) {
-			t.Fatalf("re-encoded page does not round-trip: %v", err)
-		}
-	})
+	}
+	pg, err := p.Get(k, page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pg.materialise(changed, changed+1); err != nil || !sameSlots(pg.slots[changed:changed+1], []pageSlot{{rowID: changed + 1, row: newRow}}) {
+		t.Fatalf("changed row after reload = %v, %v", pg.slots[changed].row, err)
+	}
 }
 
 func TestBufferPoolLRU(t *testing.T) {
@@ -317,14 +506,13 @@ func TestBufferPoolDisabled(t *testing.T) {
 		t.Errorf("stats = %+v", s)
 	}
 	// Nothing holds an edited image, so it is written through at once.
-	err := p.Update(k, page, func(slots []pageSlot) []pageSlot {
-		slots[0].row = Row{NewInt(2)}
-		return slots
+	err := p.Update(k, page, func(pg *residentPage) {
+		pg.slots[0] = pageSlot{rowID: 1, row: Row{NewInt(2)}}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Get(k, page)
+	got, err := decodeAll(page.image())
 	if err != nil || len(got) != 1 || got[0].row[0].Int != 2 {
 		t.Fatalf("after update: %v, %v", got, err)
 	}
@@ -342,32 +530,31 @@ func TestBufferPoolWriteBack(t *testing.T) {
 	page := &sealedPage{}
 	p.Put(k, page, []pageSlot{{rowID: 5, row: Row{NewInt(5)}}})
 	got, err := p.Get(k, page)
-	if err != nil || len(got) != 1 || got[0].rowID != 5 {
+	if err != nil || len(got.slots) != 1 || got.slots[0].rowID != 5 {
 		t.Fatalf("got %v, %v", got, err)
 	}
-	if page.image() != nil || p.Stats().Writebacks != 0 {
+	if page.image() != "" || p.Stats().Writebacks != 0 {
 		t.Fatal("a resident page was encoded")
 	}
 	setTo := func(v int64) {
 		t.Helper()
-		if err := p.Update(k, page, func(slots []pageSlot) []pageSlot {
-			slots[0].row = Row{NewInt(v)}
-			return slots
+		if err := p.Update(k, page, func(pg *residentPage) {
+			pg.slots[0] = pageSlot{rowID: 5, row: Row{NewInt(v)}}
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	imageValue := func() int64 {
 		t.Helper()
-		dec, err := decodePage(page.image())
+		dec, err := decodeAll(page.image())
 		if err != nil || len(dec) != 1 {
-			t.Fatalf("disk image: %v, %v", dec, err)
+			t.Fatalf("image: %v, %v", dec, err)
 		}
 		return dec[0].row[0].Int
 	}
 	setTo(6)
 	setTo(7)
-	if page.image() != nil {
+	if page.image() != "" {
 		t.Fatal("an update encoded the page")
 	}
 	p.Flush(k)
@@ -390,7 +577,7 @@ func TestBufferPoolWriteBack(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	// The reload sees the written-back image; a clean eviction writes nothing.
-	if got, err := p.Get(k, page); err != nil || got[0].row[0].Int != 8 {
+	if got, err := p.Get(k, page); err != nil || got.img != page.image() || imageValue() != 8 {
 		t.Fatalf("reload: %v, %v", got, err)
 	}
 	if s := p.Stats(); s.Writebacks != 2 || s.Evictions != 2 {

@@ -36,13 +36,12 @@ func (ix *index) add(key string, v Value, rowID uint64) {
 }
 
 // Table holds the physical storage of one table: sealed pages (the "disk"),
-// an open tail page of decoded rows, a primary-key index, and any secondary
-// indexes. Reads and writes of sealed pages go through the engine's
-// write-back buffer pool: the newest contents of a resident page are its
-// decoded image in the pool, not the sealed page's disk image. The per-table
-// mutex is a short-duration latch protecting physical structures — the
-// decoded images of this table's pages included; transactional isolation is
-// provided by the lock manager, not by this mutex.
+// an open tail page of rows, a primary-key index, and any secondary indexes.
+// Reads and writes of sealed pages go through the engine's write-back buffer
+// pool: the newest contents of a resident page are the pool's, not the sealed
+// page's image. The per-table mutex is a short-duration latch protecting
+// physical structures — this table's resident pages included; transactional
+// isolation is provided by the lock manager, not by this mutex.
 type Table struct {
 	schema *Schema
 	engine *Engine
@@ -307,8 +306,8 @@ func (t *Table) pageKey(page int) PageKey {
 	return PageKey{Table: t.qname, Page: page}
 }
 
-// corruptPagePanic reports a sealed page that does not decode. Disk images
-// are written only by encodePage, so this is a bug, never input.
+// corruptPagePanic reports a sealed page that does not decode. Images are
+// written only by residentPage.encode, so this is a bug, never input.
 func (t *Table) corruptPagePanic(page int, err error) {
 	panic(fmt.Sprintf("sqldb: corrupt page %s/%d: %v", t.schema.Table, page, err))
 }
@@ -330,13 +329,13 @@ func (t *Table) deleteRowPhysical(rowID uint64) {
 		t.tail = append(t.tail[:l.slot], t.tail[l.slot+1:]...)
 		moved = t.tail[l.slot:]
 	} else {
-		t.updatePageLocked(l.page, func(slots []pageSlot) []pageSlot {
-			old = slots[l.slot].row
-			last := len(slots) - 1
-			copy(slots[l.slot:], slots[l.slot+1:])
-			slots[last] = pageSlot{}
-			moved = slots[l.slot:last]
-			return slots[:last]
+		t.updatePageLocked(l.page, func(pg *residentPage) {
+			old = t.slotRowLocked(l.page, pg, l.slot)
+			last := len(pg.slots) - 1
+			copy(pg.slots[l.slot:], pg.slots[l.slot+1:])
+			pg.slots[last] = pageSlot{}
+			pg.slots = pg.slots[:last]
+			moved = pg.slots[l.slot:]
 		})
 	}
 	for i, s := range moved {
@@ -371,10 +370,9 @@ func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 		old = t.tail[l.slot].row
 		t.tail[l.slot].row = stored
 	} else {
-		t.updatePageLocked(l.page, func(slots []pageSlot) []pageSlot {
-			old = slots[l.slot].row
-			slots[l.slot].row = stored
-			return slots
+		t.updatePageLocked(l.page, func(pg *residentPage) {
+			old = t.slotRowLocked(l.page, pg, l.slot)
+			pg.slots[l.slot] = pageSlot{rowID: rowID, row: stored}
 		})
 	}
 	if t.pk != nil {
@@ -396,23 +394,53 @@ func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 	t.byteSize += int64(encodedRowSize(newRow) - encodedRowSize(old))
 }
 
-// decodePageLocked fetches the decoded slots of a sealed page via the buffer
-// pool. Called with t.mu held, which is what makes the pool's own image safe
-// to read: every edit of it holds this latch too.
-func (t *Table) decodePageLocked(page int) []pageSlot {
-	slots, err := t.engine.pool.Get(t.pageKey(page), t.pages[page])
+// residentLocked fetches a sealed page via the buffer pool. Called with t.mu
+// held, which is what makes the pool's own page safe to read and to decode
+// rows into: every edit of it holds this latch too.
+func (t *Table) residentLocked(page int) *residentPage {
+	pg, err := t.engine.pool.Get(t.pageKey(page), t.pages[page])
 	if err != nil {
 		t.corruptPagePanic(page, err)
 	}
-	return slots
+	return pg
 }
 
-// updatePageLocked edits the resident decoded image of a sealed page (see
-// BufferPool.Update). Called with t.mu held.
-func (t *Table) updatePageLocked(page int, edit func([]pageSlot) []pageSlot) {
+// updatePageLocked edits a sealed page in the pool (see BufferPool.Update).
+// Called with t.mu held.
+func (t *Table) updatePageLocked(page int, edit func(*residentPage)) {
 	if err := t.engine.pool.Update(t.pageKey(page), t.pages[page], edit); err != nil {
 		t.corruptPagePanic(page, err)
 	}
+}
+
+// materialiseLocked decodes the rows of pg.slots[lo:hi] that nothing has
+// read since the page was mapped (see residentPage.materialise). Called with
+// t.mu held.
+func (t *Table) materialiseLocked(page int, pg *residentPage, lo, hi int) {
+	n, err := pg.materialise(lo, hi)
+	if err != nil {
+		t.corruptPagePanic(page, err)
+	}
+	if n > 0 {
+		t.engine.pool.rowsDecoded.Add(uint64(n))
+	}
+}
+
+// slotRowLocked returns the row in a slot of a resident page, decoding it —
+// it alone — if this is its first touch. Called with t.mu held.
+func (t *Table) slotRowLocked(page int, pg *residentPage, slot int) Row {
+	if pg.slots[slot].row == nil {
+		t.materialiseLocked(page, pg, slot, slot+1)
+	}
+	return pg.slots[slot].row
+}
+
+// pageRowsLocked returns the slots of a sealed page with every row decoded,
+// those still missing cut from one slab. Called with t.mu held.
+func (t *Table) pageRowsLocked(page int) []pageSlot {
+	pg := t.residentLocked(page)
+	t.materialiseLocked(page, pg, 0, len(pg.slots))
+	return pg.slots
 }
 
 // appendKey appends keyString(v) to buf, avoiding allocation for the common
@@ -452,7 +480,7 @@ func (t *Table) rowAtLocked(l rowLoc) Row {
 	if l.page == -1 {
 		return t.tail[l.slot].row
 	}
-	return t.decodePageLocked(l.page)[l.slot].row
+	return t.slotRowLocked(l.page, t.residentLocked(l.page), l.slot)
 }
 
 // readPKRowInto looks up a primary-key row and copies its values into dst
@@ -478,41 +506,66 @@ func (t *Table) readPKRowInto(key []byte, dst Row) (Row, uint64, bool) {
 }
 
 // getRowsBatch appends clones of the rows with the given IDs to dst under a
-// single latch acquisition, skipping IDs that no longer exist. Optimistic
-// readers pair it with an epoch validation; locking readers call it only
-// after the row locks are held.
+// single latch acquisition. IDs that no longer exist are skipped and the
+// others moved to the front of ids, so the appended rows line up with the
+// IDs they were read by. Optimistic readers pair it with an epoch
+// validation; locking readers call it only after the row locks are held.
 func (t *Table) getRowsBatch(ids []uint64, dst []Row) []Row {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	n := 0
 	for _, id := range ids {
 		if l, ok := t.loc[id]; ok {
+			ids[n] = id
+			n++
 			dst = append(dst, t.rowAtLocked(l).Clone())
 		}
 	}
 	return dst
 }
 
-// getRow returns a copy of the row with the given ID, or ok=false.
-func (t *Table) getRow(rowID uint64) (Row, bool) {
+// pkValues reads, under a single latch acquisition, the primary-key values of
+// the leading ids whose rows share a page, and returns how many ids that
+// covers, the ones among them that exist — moved to the front of ids — and
+// their keys, appended to dst, in step. Stopping at the page boundary keeps the order in which
+// a caller that goes on to fetch those rows touches pages what it would be
+// one row at a time, so the pool sees the same hits and misses. The key of a
+// row nothing has read yet is decoded from its bytes alone; the row stays
+// undecoded. The table has a primary key.
+func (t *Table) pkValues(ids []uint64, dst []Value) (n int, live []uint64, pks []Value) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	l, ok := t.loc[rowID]
-	if !ok {
-		return nil, false
+	pk := t.schema.PKIdx
+	live, pks = ids[:0], dst
+	var first rowLoc
+	for ; n < len(ids); n++ {
+		l, ok := t.loc[ids[n]]
+		if !ok {
+			continue
+		}
+		if len(live) == 0 {
+			first = l
+		} else if l.page != first.page {
+			break
+		}
+		live = append(live, ids[n])
+		if l.page == -1 {
+			pks = append(pks, t.tail[l.slot].row[pk])
+			continue
+		}
+		pg := t.residentLocked(l.page)
+		s := &pg.slots[l.slot]
+		if s.row != nil {
+			pks = append(pks, s.row[pk])
+			continue
+		}
+		v, err := decodeCol(pg.img[s.off:s.end], pk)
+		if err != nil {
+			t.corruptPagePanic(l.page, err)
+		}
+		pks = append(pks, v)
 	}
-	return t.rowAtLocked(l).Clone(), true
-}
-
-// pkValue returns the primary-key value of the row with the given ID without
-// copying the row, or ok=false. The table has a primary key.
-func (t *Table) pkValue(rowID uint64) (Value, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	l, ok := t.loc[rowID]
-	if !ok {
-		return Value{}, false
-	}
-	return t.rowAtLocked(l)[t.schema.PKIdx], true
+	return n, live, pks
 }
 
 // lookupPK returns the rowID for a primary-key value.
@@ -583,85 +636,51 @@ func (t *Table) lookupIndexRange(col string, b rangeBounds) ([]uint64, bool) {
 	return out, true
 }
 
-// scan invokes fn for every live row (a copy) until fn returns false. It
-// snapshots page identity under the latch but decodes outside of it page by
-// page, so concurrent writers latch in between pages.
+// scan invokes fn for every live row (a copy) until fn returns false.
 func (t *Table) scan(fn func(rowID uint64, r Row) bool) {
-	t.mu.Lock()
-	numPages := len(t.pages)
-	t.mu.Unlock()
-	for p := 0; p < numPages; p++ {
-		t.mu.Lock()
-		if p >= len(t.pages) {
-			t.mu.Unlock()
-			break
-		}
-		slots := t.decodePageLocked(p)
-		// Copy out under the latch: the pool entry may be rewritten.
-		copied := make([]pageSlot, len(slots))
-		for i, s := range slots {
-			copied[i] = pageSlot{rowID: s.rowID, row: s.row.Clone()}
-		}
-		t.mu.Unlock()
-		for _, s := range copied {
-			// Skip rows that moved or died since the snapshot.
-			t.mu.Lock()
-			l, live := t.loc[s.rowID]
-			t.mu.Unlock()
-			if !live || l.page != p {
-				continue
-			}
-			if !fn(s.rowID, s.row) {
-				return
-			}
-		}
-	}
-	t.mu.Lock()
-	tailCopy := make([]pageSlot, len(t.tail))
-	for i, s := range t.tail {
-		tailCopy[i] = pageSlot{rowID: s.rowID, row: s.row.Clone()}
-	}
-	t.mu.Unlock()
-	for _, s := range tailCopy {
-		if !fn(s.rowID, s.row) {
-			return
-		}
-	}
+	_ = t.scanWhere(nil, fn) // only a predicate can fail
 }
 
-// scanWhere is scan with a predicate evaluated under the page latch, so
-// non-matching rows are skipped without being cloned. match receives the
-// pool's shared row image and must neither retain nor mutate it (expression
-// evaluation does neither); matching rows are cloned and re-checked for
-// liveness before fn sees them, exactly as in scan. A nil match accepts
-// every row.
+// scanWhere invokes fn for every live row (a copy) that match accepts, until
+// fn returns false. It snapshots page identity under the latch and then
+// works page by page, so concurrent writers latch in between pages. match is
+// evaluated under the page latch, so non-matching rows are skipped without
+// being cloned: it receives the pool's own row and must neither retain nor
+// mutate it (expression evaluation does neither). Matching rows are cloned
+// under the latch — the resident page may be edited once it is released — and
+// re-checked for liveness before fn sees them. A nil match accepts every row.
 func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64, r Row) bool) error {
 	t.mu.Lock()
 	numPages := len(t.pages)
 	t.mu.Unlock()
 	var matched []pageSlot
+	// collect clones the rows of slots that match accepts into matched.
+	// Called with t.mu held.
+	collect := func(slots []pageSlot) error {
+		matched = matched[:0]
+		for _, s := range slots {
+			if match != nil {
+				if ok, err := match(s.row); err != nil {
+					return err
+				} else if !ok {
+					continue
+				}
+			}
+			matched = append(matched, pageSlot{rowID: s.rowID, row: s.row.Clone()})
+		}
+		return nil
+	}
 	for p := 0; p < numPages; p++ {
 		t.mu.Lock()
 		if p >= len(t.pages) {
 			t.mu.Unlock()
 			break
 		}
-		slots := t.decodePageLocked(p)
-		matched = matched[:0]
-		for _, s := range slots {
-			if match != nil {
-				ok, err := match(s.row)
-				if err != nil {
-					t.mu.Unlock()
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			matched = append(matched, pageSlot{rowID: s.rowID, row: s.row.Clone()})
-		}
+		err := collect(t.pageRowsLocked(p))
 		t.mu.Unlock()
+		if err != nil {
+			return err
+		}
 		for _, s := range matched {
 			// Skip rows that moved or died since the snapshot.
 			t.mu.Lock()
@@ -676,21 +695,11 @@ func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64,
 		}
 	}
 	t.mu.Lock()
-	matched = matched[:0]
-	for _, s := range t.tail {
-		if match != nil {
-			ok, err := match(s.row)
-			if err != nil {
-				t.mu.Unlock()
-				return err
-			}
-			if !ok {
-				continue
-			}
-		}
-		matched = append(matched, pageSlot{rowID: s.rowID, row: s.row.Clone()})
-	}
+	err := collect(t.tail)
 	t.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	for _, s := range matched {
 		if !fn(s.rowID, s.row) {
 			return nil
@@ -702,10 +711,11 @@ func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64,
 // scanCold is scan for bulk readers like the dump tool: it reads the sealed
 // pages "from disk" — paying the engine's miss latency per page and not
 // loading them into the buffer pool (a dirty resident page is written back
-// first, so the disk image is current) — because a bulk copy neither benefits
-// from nor should pollute the cache. This is what makes replica-creation time
-// proportional to database size, as in the paper (a 200 MB copy took about
-// two minutes on their hardware).
+// first, so the image is current) — because a bulk copy neither benefits
+// from nor should pollute the cache. Each row is decoded from the image
+// straight into the Row fn receives and may keep. This is what makes
+// replica-creation time proportional to database size, as in the paper (a
+// 200 MB copy took about two minutes on their hardware).
 func (t *Table) scanCold(fn func(rowID uint64, r Row) bool) {
 	t.mu.Lock()
 	numPages := len(t.pages)
@@ -717,26 +727,34 @@ func (t *Table) scanCold(fn func(rowID uint64, r Row) bool) {
 			t.mu.Unlock()
 			break
 		}
-		// The resident image may be newer than the disk image: write it back
-		// first, so the bytes carry every row change made so far.
+		// The resident page may be newer than the image: write it back first,
+		// so the bytes carry every row change made so far.
 		t.engine.pool.Flush(t.pageKey(p))
-		enc := t.pages[p].image()
+		img := t.pages[p].image()
 		t.mu.Unlock()
 		if lat > 0 {
 			time.Sleep(lat)
 		}
-		slots, err := decodePage(enc)
+		slots, err := mapPage(img)
 		if err != nil {
 			t.corruptPagePanic(p, err)
 		}
+		// Keep the rows that have not moved or died since the snapshot.
+		live := slots[:0]
+		t.mu.Lock()
 		for _, s := range slots {
-			t.mu.Lock()
-			l, live := t.loc[s.rowID]
-			t.mu.Unlock()
-			if !live || l.page != p {
-				continue
+			if l, ok := t.loc[s.rowID]; ok && l.page == p {
+				live = append(live, s)
 			}
-			if !fn(s.rowID, s.row.Clone()) {
+		}
+		t.mu.Unlock()
+		for _, s := range live {
+			row, err := decodeRow(img[s.off:s.end], nil)
+			if err != nil {
+				t.corruptPagePanic(p, err)
+			}
+			t.engine.pool.rowsDecoded.Add(1)
+			if !fn(s.rowID, row) {
 				return
 			}
 		}
@@ -775,7 +793,7 @@ func (t *Table) createIndex(name string, colIdx int, unique bool) error {
 		return nil
 	}
 	for p := range t.pages {
-		for _, s := range t.decodePageLocked(p) {
+		for _, s := range t.pageRowsLocked(p) {
 			if _, live := t.loc[s.rowID]; !live {
 				continue
 			}

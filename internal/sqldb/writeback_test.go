@@ -128,8 +128,11 @@ func TestDirtyPagesReachDumpAndCheckpoint(t *testing.T) {
 // TestCrossTableEvictionStress writes two tables alternately from two
 // goroutines through a one-page pool: every page access of one table evicts —
 // and, the pages being dirty, encodes — a page of the other, under the stripe
-// mutex and while the other goroutine may hold that table's latch. It must
-// not deadlock, and afterwards every row reads back and the byte-size
+// mutex and while the other goroutine may hold that table's latch. A third
+// goroutine point-reads and scans table a the whole time, decoding rows into
+// a's resident pages under a's latch while b's writer evicts and encodes those
+// same pages under the stripe mutex alone. It must not deadlock (nor, under
+// -race, race), and afterwards every row reads back and the byte-size
 // accounting is exact.
 func TestCrossTableEvictionStress(t *testing.T) {
 	cfg := DefaultConfig()
@@ -144,7 +147,29 @@ func TestCrossTableEvictionStress(t *testing.T) {
 	for _, name := range tables {
 		fillPages(t, e, "app", name, rows)
 	}
-	var wg sync.WaitGroup
+	var wg, reader sync.WaitGroup
+	writersDone := make(chan struct{})
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-writersDone:
+				return
+			default:
+			}
+			var err error
+			if i%8 == 0 {
+				_, err = e.Exec("app", "SELECT COUNT(*) FROM a WHERE v >= 0")
+			} else {
+				_, err = e.Exec("app", "SELECT v, s FROM a WHERE id = ?", NewInt(int64(i*13%rows)))
+			}
+			if err != nil {
+				t.Errorf("reader statement %d: %v", i, err)
+				return
+			}
+		}
+	}()
 	for g, name := range tables {
 		wg.Add(1)
 		go func(g int, name string) {
@@ -170,6 +195,8 @@ func TestCrossTableEvictionStress(t *testing.T) {
 		}(g, name)
 	}
 	wg.Wait()
+	close(writersDone)
+	reader.Wait()
 	for _, name := range tables {
 		if _, count := tableSum(t, e, "app", name); count != rows {
 			t.Errorf("%s: %d rows, want %d", name, count, rows)
@@ -188,6 +215,51 @@ func TestCrossTableEvictionStress(t *testing.T) {
 	}
 	if held := e.Stats().LocksHeld; held != 0 {
 		t.Errorf("locks held = %d", held)
+	}
+}
+
+// TestLockCandidatesPageOrder reads, under row locks, index candidates that
+// alternate between two pages through a one-page pool. Keys are read before
+// the locks are taken and rows after, but a page's run of candidates at a
+// time: each candidate costs the one miss it costs read row by row, not the
+// two it would cost if every key were read before any row.
+func TestLockCandidatesPageOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PoolPages = 1
+	e := NewEngine(cfg)
+	if err := e.CreateDatabase("app"); err != nil {
+		t.Fatal(err)
+	}
+	fillPages(t, e, "app", "a", 3*pageCapacity)
+	mustExec(t, e, "CREATE INDEX idx_v ON a (v)")
+	ids := []int{0, 64, 1, 65, 2, 66} // pages 0, 1, 0, 1, 0, 1
+	for _, id := range ids {
+		mustExec(t, e, "UPDATE a SET v = -7 WHERE id = ?", NewInt(int64(id)))
+	}
+	for sql, wantMisses := range map[string]uint64{
+		"SELECT id FROM a WHERE v = -7":        uint64(len(ids)),
+		"UPDATE a SET s = 'seen' WHERE v = -7": 2 * uint64(len(ids)), // and one per row then changed
+	} {
+		mustExec(t, e, "SELECT id FROM a WHERE id = 150") // page 2 takes the pool's one slot
+		before := e.Stats().Pool
+		tx, err := e.Begin("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tx.Exec(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(res.Rows) + res.Affected; got != len(ids) {
+			t.Fatalf("%s: %d rows, want %d", sql, got, len(ids))
+		}
+		after := e.Stats().Pool
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if misses := after.Misses - before.Misses; misses != wantMisses {
+			t.Errorf("%s: %d misses for %d candidates on alternating pages, want %d", sql, misses, len(ids), wantMisses)
+		}
 	}
 }
 
@@ -309,7 +381,7 @@ func TestDroppedTableStillReadable(t *testing.T) {
 	if !ok {
 		t.Fatal("row 3 not indexed")
 	}
-	if row, ok := tbl.getRow(id); !ok || row[1].Int != 7 {
-		t.Errorf("row 3 of the dropped table = %v, want the updated image", row)
+	if rows := tbl.getRowsBatch([]uint64{id}, nil); len(rows) != 1 || rows[0][1].Int != 7 {
+		t.Errorf("row 3 of the dropped table = %v, want the updated image", rows)
 	}
 }
