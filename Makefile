@@ -11,16 +11,16 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the packages with lock-sensitive hot paths: the
-# query engine (plan cache, striped buffer pool, lock manager, optimistic
-# read validation), the cluster controller (2PC, replica management,
+# query engine (plan cache, striped buffer pool, lock manager, 2PL readers
+# against writers and DDL), the cluster controller (2PC, replica management,
 # fault-injected sessions, the adaptive placement loop vs concurrent
 # Algorithm 1 copies and controller failover), the consensus log (elections,
 # lease hand-off, kill/restart lifecycle), the write-ahead log's
 # group-commit pipeline, the wait-free metrics registry, the SLA monitor,
-# the placement selector and planners, the TPC-W client whose read-only
-# profiles drive the optimistic path concurrently, and the wire protocol's
-# pipelined sessions (multiplexed client pool vs concurrent DDL). This is
-# the one list: CI's race job runs `make race`.
+# the placement selector and planners, the TPC-W client's concurrent
+# sessions, and the wire protocol's pipelined sessions (multiplexed client
+# pool vs concurrent DDL). This is the one list: CI's race job runs
+# `make race`.
 RACE_PKGS = ./internal/sqldb/... ./internal/core/... ./internal/consensus/... ./internal/wal/... ./internal/obs/... ./internal/sla/... ./internal/tpcw/... ./internal/wire/... ./internal/placement/...
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -36,8 +36,8 @@ vet:
 # and wire packages carries a doc comment, that PROTOCOL.md names exactly
 # the Msg*/ErrCode* constants internal/wire declares, and that
 # OBSERVABILITY.md names exactly the metric families a representative
-# platform run registers (see OBSERVABILITY.md and the package docs citing
-# paper sections).
+# platform run registers and the sqldb_engine_stat statistics it sets (see
+# OBSERVABILITY.md and the package docs citing paper sections).
 doc-check:
 	$(GO) run ./cmd/doccheck -proto PROTOCOL.md -metrics OBSERVABILITY.md ./internal/core ./internal/system ./internal/obs ./internal/admin ./internal/sla ./internal/wal ./internal/sqldb ./internal/wire ./internal/consensus ./internal/placement
 
@@ -126,9 +126,9 @@ bench-net:
 bench-consensus:
 	$(GO) run ./cmd/experiments -bench-consensus
 
-# Quick perf regression gate: fail if the measured point-read or
-# replicated-write latency is more than 20% above the committed
-# BENCH_sqldb.json baseline.
+# Perf regression gate: fail if the point-read or replicated-write latency
+# (median of three runs) is more than 20% above the committed
+# BENCH_sqldb.json baseline, or a point read allocates one object more.
 bench-gate:
 	$(GO) run ./cmd/experiments -bench-gate
 

@@ -214,7 +214,9 @@ func BenchmarkAblationPlacement(b *testing.B) {
 
 // --- micro benchmarks of the substrate -------------------------------------
 
-// BenchmarkSQLPointRead measures single-machine point-read latency.
+// BenchmarkSQLPointRead measures single-machine point-read latency through the
+// calls a cluster controller's replica session makes (core/session.go):
+// BeginWithID, ExecStmt, Commit.
 func BenchmarkSQLPointRead(b *testing.B) {
 	e := sqldb.NewEngine(sqldb.DefaultConfig())
 	if err := e.CreateDatabase("app"); err != nil {
@@ -232,14 +234,16 @@ func BenchmarkSQLPointRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var res sqldb.Result
 	params := []sqldb.Value{sqldb.NewInt(0)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx, _ := e.BeginReadOnly("app")
+		tx, err := e.BeginWithID("app", uint64(i)+1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		params[0] = sqldb.NewInt(int64(i % 1000))
-		if err := tx.ExecStmtInto(&res, stmt, params...); err != nil {
+		if _, err := tx.ExecStmt(stmt, params...); err != nil {
 			b.Fatal(err)
 		}
 		_ = tx.Commit()
@@ -248,8 +252,9 @@ func BenchmarkSQLPointRead(b *testing.B) {
 
 // BenchmarkPoolMiss measures a cold primary-key read: a one-page pool and a
 // key stride of one page, so every read misses, maps the page and decodes its
-// one row. A miss must not cost more on a wide table (22 columns, as TPC-W's
-// item) than on a narrow one beyond that one row.
+// one row, through the same calls as BenchmarkSQLPointRead. A miss must not
+// cost more on a wide table (22 columns, as TPC-W's item) than on a narrow one
+// beyond that one row.
 func BenchmarkPoolMiss(b *testing.B) {
 	const pages, perPage = 8, 64
 	for _, tbl := range []struct {
@@ -283,15 +288,17 @@ func BenchmarkPoolMiss(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var res sqldb.Result
 			params := []sqldb.Value{sqldb.NewInt(0)}
 			before := e.Stats().Pool.Misses
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tx, _ := e.BeginReadOnly("app")
+				tx, err := e.BeginWithID("app", uint64(i)+1)
+				if err != nil {
+					b.Fatal(err)
+				}
 				params[0] = sqldb.NewInt(int64(i % pages * perPage))
-				if err := tx.ExecStmtInto(&res, stmt, params...); err != nil {
+				if _, err := tx.ExecStmt(stmt, params...); err != nil {
 					b.Fatal(err)
 				}
 				_ = tx.Commit()
@@ -357,11 +364,11 @@ func BenchmarkTPCWMixSingleEngine(b *testing.B) {
 	b.ReportMetric(st.TPS(), "tps")
 }
 
-// BenchmarkPlanCache contrasts repeated Session.Exec statement text with the
+// BenchmarkPlanCache contrasts repeated Engine.Exec statement text with the
 // plan cache on (default) and off: the cached path skips the lexer, parser
 // and planner on every iteration after the first.
 func BenchmarkPlanCache(b *testing.B) {
-	setup := func(b *testing.B, cacheSize int) *sqldb.Session {
+	setup := func(b *testing.B, cacheSize int) *sqldb.Engine {
 		cfg := sqldb.DefaultConfig()
 		cfg.PlanCacheSize = cacheSize
 		e := sqldb.NewEngine(cfg)
@@ -376,22 +383,22 @@ func BenchmarkPlanCache(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		return e.Session("app")
+		return e
 	}
 	b.Run("hit", func(b *testing.B) {
-		s := setup(b, 0)
+		e := setup(b, 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Exec("SELECT v FROM t WHERE id = ?", sqldb.NewInt(int64(i%1000))); err != nil {
+			if _, err := e.Exec("app", "SELECT v FROM t WHERE id = ?", sqldb.NewInt(int64(i%1000))); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("off", func(b *testing.B) {
-		s := setup(b, -1)
+		e := setup(b, -1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Exec("SELECT v FROM t WHERE id = ?", sqldb.NewInt(int64(i%1000))); err != nil {
+			if _, err := e.Exec("app", "SELECT v FROM t WHERE id = ?", sqldb.NewInt(int64(i%1000))); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -457,10 +464,6 @@ type engineDB struct {
 }
 
 func (d engineDB) Begin() (tpcw.Txn, error) { return d.e.Begin(d.db) }
-
-// BeginReadOnly lets the TPC-W client run its read-only profiles on the
-// engine's optimistic lock-free fast path.
-func (d engineDB) BeginReadOnly() (tpcw.Txn, error) { return d.e.BeginReadOnly(d.db) }
 
 // runAnomalyTrials runs adversarial transaction pairs against a 2-machine
 // aggressive Option-3 cluster and returns the number of serializability

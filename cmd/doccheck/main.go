@@ -15,7 +15,8 @@
 // metric families a representative in-process platform run registers:
 // every family named in FILE (layer-prefixed backtick tokens) must exist
 // in the registry after the run, and every registered family must be
-// named in FILE.
+// named in FILE; likewise the `stat` label values FILE's table lists for
+// sqldb_engine_stat and the ones the run sets.
 //
 // Usage:
 //

@@ -133,9 +133,10 @@ type copyState struct {
 	copied   map[string]bool
 	inFlight map[string]bool
 	// aborted is set by FailMachine when the copy's source or target dies
-	// mid-copy: the copy process abandons at its next step boundary, the
-	// router stops rejecting writes, and the half-copied destination is
-	// never registered in the replica set.
+	// mid-copy, and when the leader controller driving it is killed: the copy
+	// process abandons at its next step boundary, the router stops rejecting
+	// writes, and the half-copied destination is never registered in the
+	// replica set.
 	aborted bool
 }
 

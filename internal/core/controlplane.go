@@ -150,34 +150,33 @@ func (cp *controlPlane) propose(cmd ctlCmd) (any, error) {
 // onLeader runs on a fresh goroutine each time controller replica idx wins
 // an election: it is the process-pair takeover of the paper generalized to a
 // replicated group. The new leader first commits a barrier so its state
-// machine reflects every decision the old leader committed, reconciles the
-// materialized routing state against the replicated state, aborts Algorithm 1
-// copies orphaned by the crash, and drives in-transit 2PC outcomes to a safe
-// conclusion (TakeOver).
+// machine reflects every decision the old leader committed and reconciles the
+// materialized routing state against the replicated state. What was in flight
+// is resolved only when the old primary actually died (its commit path is
+// halted by the crash hook): Algorithm 1 copies orphaned by the crash are
+// aborted and in-transit 2PC outcomes driven to a safe conclusion (TakeOver).
+// After a purely electoral change — the bootstrap election, or a leader that
+// lost its lease to a transient partition but is still running — copies and
+// commits are still being driven by their own goroutines and complete on
+// their own; a takeover would abort a healthy copy and wrestle the sessions
+// away mid-commit.
 func (cp *controlPlane) onLeader(idx int, term uint64) {
 	n := cp.nodes[idx]
 	if err := n.Barrier(cp.deadline); err != nil {
 		return // lost leadership before the barrier committed
 	}
+	died := cp.c.pair.dead()
 	cp.mu.Lock()
 	if !n.IsLeader() {
 		cp.mu.Unlock()
 		return
 	}
-	abortCopies := cp.adoptLocked(cp.states[idx])
+	abortCopies := cp.adoptLocked(cp.states[idx], died)
 	cp.mu.Unlock()
-	// Copies the replicated state still records in flight died with the old
-	// leader's copy goroutine; abort them so a fresh CreateReplica can run.
 	for _, db := range abortCopies {
 		_, _ = cp.propose(ctlCmd{Op: ctlOpCopyAbort, DB: db})
 	}
-	// Resolve in-transit 2PC outcomes only when the old primary actually
-	// died (its commit path is halted by the crash hook). After a purely
-	// electoral change — the bootstrap election, or a leader that lost its
-	// lease to a transient partition but is still running — in-flight
-	// commits are still being driven by their own goroutines and complete
-	// on their own; a takeover would wrestle the sessions away mid-commit.
-	if cp.c.pair.dead() {
+	if died {
 		cp.c.TakeOver()
 	}
 	cp.mu.Lock()
@@ -196,9 +195,10 @@ func (cp *controlPlane) onLeader(idx int, term uint64) {
 // drain counters, SLA reservations, partition layouts) is preserved
 // in place. Local state the log never committed is discarded, and machines
 // the log records as failed are failed locally. Returns the databases whose
-// replicated record still shows a copy in flight (the caller aborts them).
-// Caller holds cp.mu.
-func (cp *controlPlane) adoptLocked(st *ctlState) (abortCopies []string) {
+// replicated copy record nobody is driving any more (the caller aborts them,
+// so a fresh CreateReplica can run): every recorded copy when the old primary
+// died, else only one with no local copy state. Caller holds cp.mu.
+func (cp *controlPlane) adoptLocked(st *ctlState, died bool) (abortCopies []string) {
 	view := st.view()
 	c := cp.c
 	var toFail []*Machine
@@ -214,13 +214,13 @@ func (cp *controlPlane) adoptLocked(st *ctlState) (abortCopies []string) {
 			ds.readHome = rec.ReadHome
 		}
 		ds.epoch = rec.Epoch
-		// Any copy running when the old leader died lost its driving
-		// goroutine (or is racing takeover): force it to abandon at its next
-		// step boundary rather than registering a half-copied replica.
-		if cs := ds.copying; cs != nil {
+		// A copy running when the old leader died lost its driving goroutine
+		// (or is racing takeover): force it to abandon at its next step
+		// boundary rather than registering a half-copied replica.
+		if cs := ds.copying; cs != nil && died {
 			cs.aborted = true
 		}
-		if rec.Copy != nil {
+		if rec.Copy != nil && (died || ds.copying == nil) {
 			abortCopies = append(abortCopies, name)
 		}
 	}

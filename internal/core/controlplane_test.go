@@ -220,23 +220,23 @@ func TestControllerKillAfterCommitDecision(t *testing.T) {
 	}
 }
 
-// TestControllerKillMidCopyAborts kills the leader while an Algorithm 1 copy
-// is streaming tables: the copy must abort without registering the
-// half-copied replica, the replicated copy record must clear, and a retry
-// after recovery must succeed.
-func TestControllerKillMidCopyAborts(t *testing.T) {
+// midCopyCluster builds a 3-machine cluster over a simulated network with a
+// 50-row table on two replicas, and arranges for onApply to run once, on the
+// copy's goroutine, when the first table image reaches the copy's target. It
+// returns the cluster and the machine that holds no replica yet.
+func midCopyCluster(t *testing.T, onApply func(c *Cluster)) (c *Cluster, target string) {
+	t.Helper()
 	net := netsim.New(7, nil)
 	opts := ctlOpts()
 	opts.Network = net
 	opts.CallTimeout = 100 * time.Millisecond
-	c := newTestCluster(t, 3, opts)
-	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, n INT)")
+	c = newTestCluster(t, 3, opts)
+	// execRetry: on a starved box the 20 ms quorum lease can lapse mid-load.
+	execRetry(t, c, "app", "CREATE TABLE t (id INT PRIMARY KEY, n INT)")
 	for i := 1; i <= 50; i++ {
-		clusterExec(t, c, "INSERT INTO t VALUES (?, ?)", intv(int64(i)), intv(int64(i)))
+		execRetry(t, c, "app", "INSERT INTO t VALUES (?, ?)", intv(int64(i)), intv(int64(i)))
 	}
-
 	reps, _ := c.Replicas("app")
-	target := ""
 	for _, id := range c.LiveMachineIDs() {
 		if !contains(reps, id) {
 			target = id
@@ -245,18 +245,28 @@ func TestControllerKillMidCopyAborts(t *testing.T) {
 	var once sync.Once
 	net.OnDeliver(func(ci netsim.CallInfo) {
 		if ci.Op == "copy_apply" {
-			once.Do(func() {
-				if _, err := c.KillLeaderController(); err != nil {
-					t.Errorf("KillLeaderController: %v", err)
-				}
-			})
+			once.Do(func() { onApply(c) })
+		}
+	})
+	return c, target
+}
+
+// TestControllerKillMidCopyAborts kills the leader while an Algorithm 1 copy
+// is streaming tables: the copy must abort without registering the
+// half-copied replica, the replicated copy record must clear, and a retry
+// after recovery must succeed.
+func TestControllerKillMidCopyAborts(t *testing.T) {
+	c, target := midCopyCluster(t, func(c *Cluster) {
+		if _, err := c.KillLeaderController(); err != nil {
+			t.Errorf("KillLeaderController: %v", err)
 		}
 	})
 
 	if err := c.CreateReplica("app", target); !errors.Is(err, ErrCopyAborted) {
 		t.Fatalf("CreateReplica = %v, want ErrCopyAborted", err)
 	}
-	if reps, _ = c.Replicas("app"); len(reps) != 2 || contains(reps, target) {
+	reps, _ := c.Replicas("app")
+	if len(reps) != 2 || contains(reps, target) {
 		t.Fatalf("replicas = %v after aborted copy", reps)
 	}
 	if err := c.WaitControllerConvergence(2 * time.Second); err != nil {
@@ -277,6 +287,50 @@ func TestControllerKillMidCopyAborts(t *testing.T) {
 	}
 	if err := c.WaitControllerConvergence(2 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestElectoralLeaderChangeMidCopyCompletes moves the controller leadership
+// while an Algorithm 1 copy is streaming tables, without killing anything: a
+// follower campaigns, the old leader steps down alive, and the new leader's
+// adoption runs to the end while the copy is held at its first table. The
+// copy's goroutine is still driving it, so it must complete and register the
+// replica on every controller — the bootstrap election racing a first
+// CreateReplica is the same case.
+func TestElectoralLeaderChangeMidCopyCompletes(t *testing.T) {
+	c, target := midCopyCluster(t, func(c *Cluster) {
+		_, oldTerm := c.LeaderController()
+		deadline := time.Now().Add(2 * time.Second)
+		for term := oldTerm; term <= oldTerm; _, term = c.LeaderController() {
+			if time.Now().After(deadline) {
+				t.Errorf("no leader change within 2s of term %d", oldTerm)
+				return
+			}
+			for _, n := range c.ctl.nodes {
+				if !n.IsLeader() && n.Campaign() {
+					break
+				}
+			}
+		}
+		if err := c.WaitControllerSettled(2 * time.Second); err != nil {
+			t.Error(err)
+		}
+	})
+
+	if err := c.CreateReplica("app", target); err != nil {
+		t.Fatalf("CreateReplica across an electoral leader change: %v", err)
+	}
+	reps, _ := c.Replicas("app")
+	if len(reps) != 3 || !contains(reps, target) {
+		t.Fatalf("replicas = %v, want %s registered", reps, target)
+	}
+	if err := c.WaitControllerConvergence(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for id, fp := range c.ControllerFingerprints() {
+		if strings.Contains(fp, "copy=") || !strings.Contains(fp, "replicas="+strings.Join(reps, ",")+",") {
+			t.Errorf("%s does not record %s as a full replica: %s", id, target, fp)
+		}
 	}
 }
 

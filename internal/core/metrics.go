@@ -134,7 +134,7 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 		poolWritebacks: reg.Counter("sqldb_pool_writebacks_total",
 			"Dirty buffer-pool pages encoded into their disk image, on eviction or when a dump, checkpoint or replica copy flushes them"),
 		engineStat: reg.GaugeVec("sqldb_engine_stat",
-			"Per-engine DBMS counters aggregated over a cluster's machines (commits, aborts, deadlocks, pool and plan-cache activity, compiled-execution and optimistic read-path counters)", "cluster", "stat"),
+			"Per-engine DBMS counters aggregated over a cluster's machines (commits, aborts, deadlocks, pool and plan-cache activity and compiled-execution counters)", "cluster", "stat"),
 	}
 }
 
@@ -177,7 +177,6 @@ func (c *Cluster) bridgeStats() {
 	var poolHits, poolMisses, poolEvict, poolRowsDecoded uint64
 	var planHits, planMisses uint64
 	var planCompiles, compiledExecs, stmtExecs uint64
-	var optHits, optRetries, optFallbacks, optConflicts uint64
 	for _, mach := range ms {
 		m.machineDBs.With(mach.ID()).Set(float64(mach.dbCount.Load()))
 		used, capacity := mach.Used(), mach.Capacity()
@@ -212,10 +211,6 @@ func (c *Cluster) bridgeStats() {
 		planCompiles += st.PlanCompiles
 		compiledExecs += st.CompiledExecs
 		stmtExecs += st.StmtExecs
-		optHits += st.OptimisticHits
-		optRetries += st.OptimisticRetries
-		optFallbacks += st.OptimisticFallbacks
-		optConflicts += st.OptimisticConflicts
 	}
 	set := func(stat string, v float64) { m.engineStat.With(c.name, stat).Set(v) }
 	set("commits", float64(commits))
@@ -232,10 +227,6 @@ func (c *Cluster) bridgeStats() {
 	set("plan_compile_total", float64(planCompiles))
 	set("compiled_exec_total", float64(compiledExecs))
 	set("stmt_exec_total", float64(stmtExecs))
-	set("readpath_optimistic_hits", float64(optHits))
-	set("readpath_optimistic_retries", float64(optRetries))
-	set("readpath_optimistic_fallbacks", float64(optFallbacks))
-	set("readpath_optimistic_conflicts", float64(optConflicts))
 }
 
 // ratio returns hits/(hits+misses), or 0 with no accesses.

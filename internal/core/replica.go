@@ -209,8 +209,8 @@ func (c *Cluster) runCopy(ds *dbState, cs *copyState, source, target *Machine) e
 }
 
 // abortedErr is the copy's one abort check: a copy whose source or target
-// failed mid-flight (FailMachine sets aborted), or whose controller lost
-// leadership, must not register the half-copied destination. Called with the
+// failed mid-flight (FailMachine sets aborted), or whose controller died,
+// must not register the half-copied destination. Called with the
 // cluster mutex held.
 func (cs *copyState) abortedErr(target *Machine) error {
 	if cs.aborted || target.Failed() {

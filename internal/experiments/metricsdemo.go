@@ -123,9 +123,5 @@ func bridgeEngine(reg *obs.Registry, name string, e *sqldb.Engine) {
 		set("plan_compile_total", float64(st.PlanCompiles))
 		set("compiled_exec_total", float64(st.CompiledExecs))
 		set("stmt_exec_total", float64(st.StmtExecs))
-		set("readpath_optimistic_hits", float64(st.OptimisticHits))
-		set("readpath_optimistic_retries", float64(st.OptimisticRetries))
-		set("readpath_optimistic_fallbacks", float64(st.OptimisticFallbacks))
-		set("readpath_optimistic_conflicts", float64(st.OptimisticConflicts))
 	})
 }

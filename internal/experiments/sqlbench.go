@@ -44,10 +44,6 @@ type benchEngineDB struct {
 
 func (d benchEngineDB) Begin() (tpcw.Txn, error) { return d.e.Begin(d.db) }
 
-// BeginReadOnly routes the read-only TPC-W profiles onto the engine's
-// optimistic lock-free read path, as the benchmark harness does.
-func (d benchEngineDB) BeginReadOnly() (tpcw.Txn, error) { return d.e.BeginReadOnly(d.db) }
-
 // sqlBenchIters picks the per-benchmark iteration count.
 func (c Config) sqlBenchIters() int {
 	if c.Quick {
@@ -59,7 +55,9 @@ func (c Config) sqlBenchIters() int {
 // RunSQLBench measures the three headline hot-path latencies: a single-engine
 // primary-key point read, a replicated single-row update through the cluster
 // controller (2 replicas, 2PC), and one mix-weighted TPC-W transaction on a
-// single engine. Each is reported as mean ns/op over the configured number of
+// single engine. The point read is the call sequence a cluster controller's
+// replica session makes for one (core/session.go): BeginWithID, ExecStmt,
+// Commit. Each is reported as mean ns/op over the configured number of
 // iterations, after a warmup that fills the buffer pool and the plan caches.
 // The returned snapshot carries every engine's and the bench cluster's
 // metrics; cmd/experiments writes it next to BENCH_sqldb.json.
@@ -86,15 +84,14 @@ func RunSQLBench(cfg Config) (SQLBench, obs.Snapshot, error) {
 	if err != nil {
 		return res, obs.Snapshot{}, err
 	}
-	var pointRes sqldb.Result
 	params := []sqldb.Value{sqldb.NewInt(0)}
 	point := func(i int) error {
-		tx, err := e.BeginReadOnly("app")
+		tx, err := e.BeginWithID("app", uint64(i)+1)
 		if err != nil {
 			return err
 		}
 		params[0] = sqldb.NewInt(int64(i % 1000))
-		if err := tx.ExecStmtInto(&pointRes, stmt, params...); err != nil {
+		if _, err := tx.ExecStmt(stmt, params...); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -136,13 +133,13 @@ func RunSQLBench(cfg Config) (SQLBench, obs.Snapshot, error) {
 		}
 	}
 	tracedPoint := func(i int, tc obs.SpanContext) error {
-		tx, err := et.BeginReadOnly("app")
+		tx, err := et.BeginWithID("app", uint64(i)+1)
 		if err != nil {
 			return err
 		}
 		tx.SetTraceContext(tc)
 		params[0] = sqldb.NewInt(int64(i % 1000))
-		if err := tx.ExecStmtInto(&pointRes, stmt, params...); err != nil {
+		if _, err := tx.ExecStmt(stmt, params...); err != nil {
 			return err
 		}
 		return tx.Commit()

@@ -29,8 +29,7 @@ type SlowEntry struct {
 	Duration time.Duration `json:"duration_ns"`
 	// TraceID is the call's trace, 0 when the call was not sampled.
 	TraceID uint64 `json:"trace_id,omitempty"`
-	// Mode is how the bound plan ran ("compiled" under locks, "optimistic"
-	// on the latch-free read path), "-" when unknown.
+	// Mode is how the bound plan ran ("compiled"), "-" when unknown.
 	Mode string `json:"mode"`
 	// Spans is the span breakdown captured at record time for traced
 	// calls.

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -154,8 +153,7 @@ func loadGolden(t testing.TB) []goldenCase {
 // interpreter of the parent commit produced for the hand-written and the
 // 400-statement random differential corpora, plus joins, aggregates,
 // grouping, DISTINCT, DML through every access path and INSERT expressions.
-// Columns, row order, values and error text must all match, in locking and in
-// read-only (optimistic) transactions.
+// Columns, row order, values and error text must all match.
 func TestExecGolden(t *testing.T) {
 	e := diffEngine(t)
 	defer e.Close()
@@ -170,25 +168,14 @@ func TestExecGolden(t *testing.T) {
 		for i, p := range c.Params {
 			params[i] = decodeGoldenValue(t, p)
 		}
-		if c.Verify == "" {
-			for _, readOnly := range []bool{false, true} {
-				begin, mode := e.Begin, "locking"
-				if readOnly {
-					begin, mode = e.BeginReadOnly, "read-only"
-				}
-				tx, err := begin("app")
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := goldenOf(tx.Exec(c.SQL, params...))
-				_ = tx.Rollback()
-				same(c, mode, got, c.Want)
-			}
-			continue
-		}
 		tx, err := e.Begin("app")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if c.Verify == "" {
+			same(c, "query", goldenOf(tx.Exec(c.SQL, params...)), c.Want)
+			_ = tx.Rollback()
+			continue
 		}
 		same(c, "dml", goldenOf(tx.Exec(c.SQL, params...)), c.Want)
 		if active := tx.State() == TxnActive; active != (c.After != nil) {
@@ -232,44 +219,9 @@ func FuzzParseBind(f *testing.F) {
 	})
 }
 
-// TestCompiledPointReadZeroAllocs enforces the allocation budget of the hot
-// path: a point read through a recycled read-only transaction must not
-// allocate at all in steady state.
-func TestCompiledPointReadZeroAllocs(t *testing.T) {
-	e := diffEngine(t)
-	defer e.Close()
-	stmt, err := Parse("SELECT title FROM item WHERE id = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res Result
-	params := []Value{NewInt(1)}
-	run := func() {
-		tx, err := e.BeginReadOnly("app")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.ExecStmtInto(&res, stmt, params...); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 100; i++ { // warm plan memo, txn pool, scratch buffers
-		run()
-	}
-	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-		t.Fatalf("compiled point read allocates %.1f objects/op, budget is 0", allocs)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Str != "alpha" {
-		t.Fatalf("unexpected result %v", res.Rows)
-	}
-}
-
-// TestLockedPointReadAllocs pins the allocations of a point read that takes
-// its row lock (a read-write transaction): 3 — the lock's key string and the
-// lock table's two records of the hold. The history recorder's object name,
+// TestLockedPointReadAllocs is the engine's point-read budget, begin to
+// commit with a caller-owned result: 3 allocations — the lock's key string and
+// the lock table's two records of the hold. The history recorder's object name,
 // which only a test harness with a recorder installed ever reads, is not among
 // them: it is built after the recorder check.
 func TestLockedPointReadAllocs(t *testing.T) {
@@ -293,11 +245,14 @@ func TestLockedPointReadAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 100; i++ { // warm plan memo, txn pool, scratch buffers
+	for i := 0; i < 100; i++ { // warm the plan memo
 		run()
 	}
 	if allocs := testing.AllocsPerRun(200, run); allocs > 3 {
 		t.Fatalf("locked point read allocates %.1f objects/op, budget is 3", allocs)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Str != "alpha" {
+		t.Fatalf("unexpected result %v", res.Rows)
 	}
 }
 
@@ -384,12 +339,12 @@ func TestCompiledExplainExecMode(t *testing.T) {
 
 // TestCompiledStatementCounters checks the observability wiring: binding a
 // plan bumps plan_compile_total, executing it bumps compiled_exec_total and
-// (for a read-only point read) the optimistic hit counter.
+// stmt_exec_total.
 func TestCompiledStatementCounters(t *testing.T) {
 	e := diffEngine(t)
 	defer e.Close()
 	before := e.Stats()
-	tx, err := e.BeginReadOnly("app")
+	tx, err := e.Begin("app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,9 +358,6 @@ func TestCompiledStatementCounters(t *testing.T) {
 	if after.CompiledExecs <= before.CompiledExecs {
 		t.Errorf("compiled_exec_total did not advance: %d -> %d", before.CompiledExecs, after.CompiledExecs)
 	}
-	if after.OptimisticHits <= before.OptimisticHits {
-		t.Errorf("readpath_optimistic_hits did not advance: %d -> %d", before.OptimisticHits, after.OptimisticHits)
-	}
 	if after.PlanCompiles == 0 {
 		t.Error("plan_compile_total is zero after compiling plans")
 	}
@@ -414,29 +366,13 @@ func TestCompiledStatementCounters(t *testing.T) {
 	}
 }
 
-// TestReadOnlyTxnRejectsWrites pins the read-only transaction contract.
-func TestReadOnlyTxnRejectsWrites(t *testing.T) {
-	e := diffEngine(t)
-	defer e.Close()
-	tx, err := e.BeginReadOnly("app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tx.Rollback() }()
-	if _, err := tx.Exec("UPDATE item SET qty = 1 WHERE id = 1"); !errors.Is(err, ErrReadOnlyTxn) {
-		t.Fatalf("UPDATE in read-only txn: err=%v, want ErrReadOnlyTxn", err)
-	}
-	if _, err := tx.Exec("SELECT id FROM item WHERE id = 1"); err != nil {
-		t.Fatalf("SELECT after rejected write: %v", err)
-	}
-}
-
-// TestOptimisticReadRaceStress races optimistic read-only transactions
-// against writers that continuously update, insert, and delete rows. Run
-// with -race this exercises the epoch/dirty validation protocol: readers
-// must always observe committed images (qty is only ever written as an even
-// number, so an odd qty means a torn or uncommitted read).
-func TestOptimisticReadRaceStress(t *testing.T) {
+// TestLockedReadRaceStress races reading transactions against writers that
+// continuously update, insert, and delete rows, and against DDL that retires
+// the readers' cached plans. A reader under strict 2PL must observe committed
+// images only: a writer raises qty by 2 in two steps of 1 inside one
+// transaction, so an odd qty is a torn or an uncommitted read. Deadlock
+// victims and lock time-outs are retried, not failures.
+func TestLockedReadRaceStress(t *testing.T) {
 	e := newTestDB(t)
 	defer e.Close()
 	mustExec(t, e, "CREATE TABLE acct (id INT PRIMARY KEY, qty INT, tag TEXT)")
@@ -452,19 +388,31 @@ func TestOptimisticReadRaceStress(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	var writers, readers sync.WaitGroup
-	var conflicts, reads atomic.Uint64
+	var aborts, reads atomic.Uint64
 
-	// Writers: bump qty by 2 (keeping it even), plus insert/delete churn in
-	// a high key range the readers' range queries cover.
+	// Writers: bump qty by 1 twice in one transaction (odd only in between),
+	// plus insert/delete churn in a high key range the readers' range queries
+	// cover.
+	bump := func(id int64) error {
+		tx, err := e.Begin("app")
+		if err != nil {
+			return err
+		}
+		for step := 0; step < 2; step++ {
+			if _, err := tx.Exec("UPDATE acct SET qty = qty + 1 WHERE id = ?", NewInt(id)); err != nil {
+				_ = tx.Rollback()
+				return err
+			}
+		}
+		return tx.Commit()
+	}
 	for w := 0; w < 2; w++ {
 		writers.Add(1)
 		go func(w int) {
 			defer writers.Done()
 			rng := rand.New(rand.NewSource(int64(w) + 99))
 			for i := 0; i < iters; i++ {
-				id := rng.Intn(nRows)
-				if _, err := e.Exec("app",
-					"UPDATE acct SET qty = qty + 2 WHERE id = ?", NewInt(int64(id))); err != nil && !isAbortError(err) {
+				if err := bump(int64(rng.Intn(nRows))); err != nil && !isAbortError(err) {
 					t.Errorf("writer: %v", err)
 					return
 				}
@@ -475,7 +423,7 @@ func TestOptimisticReadRaceStress(t *testing.T) {
 		}(w)
 	}
 
-	// Readers: point, index-eq, and range statements on the optimistic path.
+	// Readers: point, index-eq, and range statements.
 	queries := []string{
 		"SELECT qty FROM acct WHERE id = 5",
 		"SELECT id, qty FROM acct WHERE tag = 'tag1'",
@@ -491,7 +439,7 @@ func TestOptimisticReadRaceStress(t *testing.T) {
 					return
 				default:
 				}
-				tx, err := e.BeginReadOnly("app")
+				tx, err := e.Begin("app")
 				if err != nil {
 					t.Errorf("reader begin: %v", err)
 					return
@@ -499,8 +447,8 @@ func TestOptimisticReadRaceStress(t *testing.T) {
 				res, err := tx.Exec(queries[r%len(queries)])
 				if err != nil {
 					_ = tx.Rollback()
-					if errors.Is(err, ErrOptimisticConflict) {
-						conflicts.Add(1)
+					if isAbortError(err) {
+						aborts.Add(1)
 						continue
 					}
 					t.Errorf("reader: %v", err)
@@ -553,12 +501,7 @@ func TestOptimisticReadRaceStress(t *testing.T) {
 	readers.Wait()
 
 	if reads.Load() == 0 {
-		t.Fatal("no successful optimistic reads")
+		t.Fatal("no read committed")
 	}
-	st := e.Stats()
-	if st.OptimisticHits == 0 {
-		t.Error("stress run never took the optimistic fast path")
-	}
-	t.Logf("reads=%d conflicts=%d hits=%d retries=%d fallbacks=%d",
-		reads.Load(), conflicts.Load(), st.OptimisticHits, st.OptimisticRetries, st.OptimisticFallbacks)
+	t.Logf("reads=%d retried aborts=%d", reads.Load(), aborts.Load())
 }

@@ -111,14 +111,6 @@ type Stats struct {
 	CompiledExecs uint64
 	StmtExecs     uint64
 
-	// Optimistic read-path counters: validated lock-free reads
-	// (readpath_optimistic_hits), epoch-validation retries, falls back to the
-	// locking path, and read-only transactions aborted on validation failure.
-	OptimisticHits      uint64
-	OptimisticRetries   uint64
-	OptimisticFallbacks uint64
-	OptimisticConflicts uint64
-
 	Pool      PoolStats
 	PlanCache PlanCacheStats
 }
@@ -163,19 +155,10 @@ type Engine struct {
 	// word so Stats() cannot observe one without the other (see obs.Pair).
 	commitAbort obs.Pair
 
-	// Compiled-execution and optimistic-read counters (see Stats).
+	// Compiled-execution counters (see Stats).
 	statPlanCompiles  atomic.Uint64
 	statCompiledExecs atomic.Uint64
 	statStmtExecs     atomic.Uint64
-	statOptHits       atomic.Uint64
-	statOptRetries    atomic.Uint64
-	statOptFallbacks  atomic.Uint64
-	statOptConflicts  atomic.Uint64
-
-	// roPool recycles read-only transactions that finished without touching
-	// the lock manager or the WAL, keeping the optimistic point-read loop
-	// allocation-free (the recycled Txn retains its grown scratch buffers).
-	roPool sync.Pool
 }
 
 type recorderBox struct{ r Recorder }
@@ -258,19 +241,15 @@ func (e *Engine) Closed() bool {
 func (e *Engine) Stats() Stats {
 	commits, aborts := e.commitAbort.Load()
 	return Stats{
-		Commits:             commits,
-		Aborts:              aborts,
-		Deadlocks:           e.locks.deadlockCount(),
-		LocksHeld:           e.locks.heldCount(),
-		PlanCompiles:        e.statPlanCompiles.Load(),
-		CompiledExecs:       e.statCompiledExecs.Load(),
-		StmtExecs:           e.statStmtExecs.Load(),
-		OptimisticHits:      e.statOptHits.Load(),
-		OptimisticRetries:   e.statOptRetries.Load(),
-		OptimisticFallbacks: e.statOptFallbacks.Load(),
-		OptimisticConflicts: e.statOptConflicts.Load(),
-		Pool:                e.pool.Stats(),
-		PlanCache:           e.plans.stats(),
+		Commits:       commits,
+		Aborts:        aborts,
+		Deadlocks:     e.locks.deadlockCount(),
+		LocksHeld:     e.locks.heldCount(),
+		PlanCompiles:  e.statPlanCompiles.Load(),
+		CompiledExecs: e.statCompiledExecs.Load(),
+		StmtExecs:     e.statStmtExecs.Load(),
+		Pool:          e.pool.Stats(),
+		PlanCache:     e.plans.stats(),
 	}
 }
 
@@ -410,51 +389,8 @@ func (e *Engine) BeginWithID(db string, globalID uint64) (*Txn, error) {
 		engine:   e,
 	}
 	t.locks = t.locksBuf[:0]
-	t.optReads = t.optBuf[:0]
-	t.writeTables = t.writeBuf[:0]
 	t.rowsScratch = t.rowsBuf[:0]
 	t.db = db
-	return t, nil
-}
-
-// BeginReadOnly starts a transaction that may only read. Single-table
-// SELECTs in a read-only transaction use the optimistic
-// lock-free fast path, validated against per-table mutation epochs; when
-// validation cannot be satisfied the transaction aborts with
-// ErrOptimisticConflict, which — like a deadlock — is retryable by the
-// application.
-// A read-only Txn handle must not be used after Commit or Rollback returns:
-// the engine may recycle it for a later BeginReadOnly caller.
-func (e *Engine) BeginReadOnly(db string) (*Txn, error) {
-	if c, ok := e.roPool.Get().(*Txn); ok {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		if e.closed {
-			return nil, ErrEngineClosed
-		}
-		if _, ok := e.dbs[db]; !ok {
-			return nil, fmt.Errorf("%w: database %s", ErrNoTable, db)
-		}
-		c.GlobalID = 0
-		c.id = e.nextTxn.Add(1)
-		c.db = db
-		c.state = TxnActive
-		c.walBegun = false
-		c.locks = c.locksBuf[:0]
-		c.optReads = c.optBuf[:0]
-		c.writeTables = c.writeBuf[:0]
-		c.rowsScratch = c.rowsBuf[:0]
-		c.readOnly = true
-		c.optHandled = false
-		c.undo = nil
-		c.trace = obs.SpanContext{}
-		return c, nil
-	}
-	t, err := e.BeginWithID(db, 0)
-	if err != nil {
-		return nil, err
-	}
-	t.readOnly = true
 	return t, nil
 }
 

@@ -55,15 +55,10 @@ var (
 	// engine's configured lock wait timeout.
 	ErrLockTimeout = errors.New("sqldb: lock wait timeout exceeded")
 
-	// ErrOptimisticConflict is returned when a read-only transaction's
-	// optimistic (lock-free) reads could not be validated because a
-	// concurrent writer changed one of the tables read. Like a deadlock it is
-	// an application-retryable abort, not a hard failure.
+	// ErrOptimisticConflict is reserved: no engine code returns it since the
+	// lock-free read path was deleted. The name stays only because the
+	// benchmark's error classifier (bench/) still refers to it.
 	ErrOptimisticConflict = errors.New("sqldb: optimistic read validation failed, transaction aborted")
-
-	// ErrReadOnlyTxn is returned when a read-only transaction attempts a
-	// statement that modifies data or schema.
-	ErrReadOnlyTxn = errors.New("sqldb: statement not allowed in read-only transaction")
 )
 
 // ParseError describes a syntax error with its byte offset in the statement.

@@ -31,13 +31,6 @@ func (e *Engine) execute(t *Txn, stmt Statement, plan *stmtPlan, params []Value,
 	if !e.recovering.Load() {
 		e.statStmtExecs.Add(1)
 	}
-	if t.readOnly {
-		switch stmt.(type) {
-		case *SelectStmt, *ExplainStmt, *BeginStmt, *CommitStmt, *RollbackStmt:
-		default:
-			return nil, fmt.Errorf("%w: %T", ErrReadOnlyTxn, stmt)
-		}
-	}
 	switch s := stmt.(type) {
 	case *CreateTableStmt:
 		return e.execCreateTable(t, s)
@@ -278,9 +271,6 @@ func (bi *boundInsert) exec(t *Txn, params []Value, _ *Result) (*Result, error) 
 	if err := t.lockTable(tbl, bi.tableMode); err != nil {
 		return nil, err
 	}
-	// Raise the dirty-writer mark before the first physical change so
-	// optimistic readers never trust row images this transaction is adding.
-	t.touchWrite(tbl)
 
 	en := t.newEnv(params)
 	affected := 0
@@ -376,9 +366,6 @@ func (bw *boundWrite) exec(t *Txn, params []Value, _ *Result) (*Result, error) {
 	rows, ids, err := bw.read.rows(t, tbl, en)
 	if err != nil {
 		return nil, err
-	}
-	if len(rows) > 0 {
-		t.touchWrite(tbl)
 	}
 	schema := tbl.schema
 	for i, old := range rows {

@@ -228,18 +228,17 @@ func TestDDLConcurrentWithSelects(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			s := e.Session("app")
 			for j := 0; ; j++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if _, err := s.Exec("SELECT n FROM t WHERE id = ?", NewInt(int64((c*31+j)%100))); err != nil {
+				if _, err := e.Exec("app", "SELECT n FROM t WHERE id = ?", NewInt(int64((c*31+j)%100))); err != nil {
 					errc <- fmt.Errorf("client %d point read: %w", c, err)
 					return
 				}
-				if res, err := s.Exec("SELECT id FROM t WHERE id BETWEEN 10 AND 19"); err != nil {
+				if res, err := e.Exec("app", "SELECT id FROM t WHERE id BETWEEN 10 AND 19"); err != nil {
 					errc <- fmt.Errorf("client %d range read: %w", c, err)
 					return
 				} else if len(res.Rows) != 10 {
@@ -248,7 +247,7 @@ func TestDDLConcurrentWithSelects(t *testing.T) {
 				}
 				// Queries against the churned tables may race a DROP; only
 				// a missing table is an acceptable failure.
-				if _, err := s.Exec("SELECT * FROM churn WHERE v = 'x'"); err != nil && !errors.Is(err, ErrNoTable) {
+				if _, err := e.Exec("app", "SELECT * FROM churn WHERE v = 'x'"); err != nil && !errors.Is(err, ErrNoTable) {
 					errc <- fmt.Errorf("client %d churn read: %w", c, err)
 					return
 				}

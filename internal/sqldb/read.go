@@ -306,121 +306,3 @@ func (r *tableRead) rowMode() LockMode {
 	}
 	return LockS
 }
-
-// optMaxAttempts bounds optimistic re-reads before the read takes locks.
-const optMaxAttempts = 3
-
-// optimistic serves a read-only transaction's single-table read without the
-// lock manager: it reads under per-access table latches only and validates
-// consistency with the table's mutation epoch. The read is only attempted
-// when no writer holds uncommitted changes on the table (tbl.dirty == 0),
-// which — together with an unchanged epoch across the read window — proves
-// every row image seen was committed and stable. done=false means the read
-// could not be validated and the caller takes locks instead.
-func (r *tableRead) optimistic(t *Txn, tbl *Table, en *env) (rows []Row, done bool, err error) {
-	e := t.engine
-	// Constants evaluate once, outside the retry loop.
-	a, err := r.prepare(tbl, en)
-	if err != nil {
-		return nil, true, err
-	}
-	for attempt := 0; attempt < optMaxAttempts; attempt++ {
-		if attempt > 0 {
-			e.statOptRetries.Add(1)
-		}
-		ep := tbl.epoch.Load()
-		if prev, seen := t.optEpochFor(tbl); seen && prev != ep {
-			// A statement earlier in this transaction read this table at a
-			// different epoch; the snapshot can no longer be made consistent.
-			e.statOptConflicts.Add(1)
-			return nil, true, ErrOptimisticConflict
-		}
-		if tbl.dirty.Load() != 0 {
-			break
-		}
-		rows, err := r.gather(t, tbl, en, a)
-		if tbl.epoch.Load() != ep {
-			continue // possibly a torn read; retry cleanly
-		}
-		if err != nil {
-			return nil, true, err
-		}
-		// This statement's reads were consistent at epoch ep. Other tables
-		// read by earlier statements must not have moved during this window,
-		// or the transaction's combined snapshot is broken.
-		if !t.validateOptEpochs(tbl) {
-			e.statOptConflicts.Add(1)
-			return nil, true, ErrOptimisticConflict
-		}
-		t.noteOptEpoch(tbl, ep)
-		t.optHandled = true
-		e.statOptHits.Add(1)
-		e.recordOptimisticReads(t, tbl, a.kind, rows)
-		return rows, true, nil
-	}
-	e.statOptFallbacks.Add(1)
-	return nil, false, nil
-}
-
-// gather collects the rows of one optimistic attempt without lock-manager
-// calls: the same steps as rows, with index candidates fetched in one batched
-// latch acquisition. The caller owns epoch validation.
-func (r *tableRead) gather(t *Txn, tbl *Table, en *env, a access) ([]Row, error) {
-	switch a.kind {
-	case pathScan:
-		rows, _, err := r.scan(tbl, en)
-		return rows, err
-	case pathPoint:
-		t.keyBuf = appendKey(t.keyBuf[:0], a.eq)
-		row, _, found, err := r.fetchPoint(t, tbl, en)
-		if err != nil || !found {
-			return nil, err
-		}
-		t.rowsScratch = append(t.rowsScratch[:0], row)
-		return t.rowsScratch, nil
-	}
-	ids, match, err := r.candidates(tbl, a)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Row
-	for _, row := range tbl.getRowsBatch(ids, nil) {
-		if !match(row) {
-			continue
-		}
-		if r.residual != nil {
-			en.row = row
-			ok, err := r.residual(en)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// recordOptimisticReads emits history-recorder events for a validated
-// optimistic read, mirroring the objects the locking steps record. The
-// object strings are only built when a recorder is installed, keeping the
-// hot path allocation-free.
-func (e *Engine) recordOptimisticReads(t *Txn, tbl *Table, kind pathKind, rows []Row) {
-	if e.recovering.Load() {
-		return
-	}
-	box := e.recorder.Load()
-	if box == nil || box.r == nil {
-		return
-	}
-	if kind == pathScan {
-		e.record(t, false, tbl, "")
-		return
-	}
-	pkIdx := tbl.schema.PKIdx
-	for _, r := range rows {
-		e.record(t, false, tbl, keyString(r[pkIdx]))
-	}
-}

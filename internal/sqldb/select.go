@@ -257,7 +257,7 @@ func (bs *boundSelect) exec(t *Txn, params []Value, reuse *Result) (*Result, err
 }
 
 // source produces the filtered, joined source rows, acquiring read locks
-// along the way — or, for a read-only transaction's single-table read, none.
+// along the way.
 func (bs *boundSelect) source(t *Txn, en *env) ([]Row, error) {
 	if len(bs.reads) == 0 {
 		return []Row{nil}, nil
@@ -267,13 +267,6 @@ func (bs *boundSelect) source(t *Txn, en *env) ([]Row, error) {
 		tbl, err := t.boundTable(r.name, r.schema)
 		if err != nil {
 			return nil, err
-		}
-		if t.readOnly && len(bs.reads) == 1 {
-			rows, done, err := r.optimistic(t, tbl, en)
-			if done {
-				return rows, err
-			}
-			// Validation kept failing: take locks instead.
 		}
 		if i > 0 && bs.joins[i-1].probes(len(cur), tbl) {
 			if cur, err = bs.joins[i-1].probeJoin(t, r, tbl, en, cur); err != nil {
@@ -422,7 +415,7 @@ type orderKey struct {
 
 // resultRow returns an output-row buffer of capacity ≥ n, reusing the i-th
 // row buffer of a previous use of res when possible, so steady-state point
-// reads through ExecStmtInto allocate nothing.
+// reads through ExecStmtInto allocate no result.
 func resultRow(res *Result, i, n int) Row {
 	prev := res.Rows[:cap(res.Rows)]
 	if i < len(prev) && cap(prev[i]) >= n {

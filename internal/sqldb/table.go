@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -57,20 +56,6 @@ type Table struct {
 	nextRowID uint64
 	liveRows  int
 	byteSize  int64
-
-	// epoch counts physical row mutations (insert/delete/update). Optimistic
-	// readers load it before and after their latched reads: an unchanged
-	// epoch proves no writer committed a row change in between, so the reads
-	// are consistent without lock-manager involvement. Bumped with t.mu held;
-	// read without it.
-	epoch atomic.Uint64
-
-	// dirty counts transactions holding uncommitted physical changes to this
-	// table (raised before a transaction's first change, dropped once its
-	// outcome — including any undo — is fully applied). Optimistic readers
-	// require dirty == 0 before trusting an epoch-validated read: physical
-	// row images with a writer in flight may be uncommitted.
-	dirty atomic.Int64
 }
 
 func newTable(e *Engine, qname string, schema *Schema) *Table {
@@ -269,7 +254,6 @@ func (t *Table) allocRowID() uint64 {
 func (t *Table) insertRowPhysical(rowID uint64, r Row) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.epoch.Add(1)
 	t.tail = append(t.tail, pageSlot{rowID: rowID, row: r.Clone()})
 	t.loc[rowID] = rowLoc{page: -1, slot: len(t.tail) - 1}
 	if t.pk != nil {
@@ -321,7 +305,6 @@ func (t *Table) deleteRowPhysical(rowID uint64) {
 	if !ok {
 		return
 	}
-	t.epoch.Add(1)
 	var old Row
 	var moved []pageSlot // the slots behind the deleted one, now one position up
 	if l.page == -1 {
@@ -363,7 +346,6 @@ func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 	if !ok {
 		return
 	}
-	t.epoch.Add(1)
 	var old Row
 	stored := newRow.Clone()
 	if l.page == -1 {
@@ -508,8 +490,7 @@ func (t *Table) readPKRowInto(key []byte, dst Row) (Row, uint64, bool) {
 // getRowsBatch appends clones of the rows with the given IDs to dst under a
 // single latch acquisition. IDs that no longer exist are skipped and the
 // others moved to the front of ids, so the appended rows line up with the
-// IDs they were read by. Optimistic readers pair it with an epoch
-// validation; locking readers call it only after the row locks are held.
+// IDs they were read by. Readers call it only after the row locks are held.
 func (t *Table) getRowsBatch(ids []uint64, dst []Row) []Row {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -85,30 +85,9 @@ type Txn struct {
 	locks    []lockID
 	locksBuf [8]lockID
 
-	// readOnly marks a transaction started with BeginReadOnly: writes are
-	// rejected and single-table SELECTs may use the optimistic lock-free path.
-	// optHandled is set while a statement is served by the optimistic path,
-	// whose in-window validation subsumes the end-of-statement check.
-	readOnly   bool
-	optHandled bool
-
-	// optReads records, per table, the epoch at which this read-only
-	// transaction's optimistic reads observed that table. Re-validated at the
-	// end of every statement; a mismatch aborts with ErrOptimisticConflict.
-	// Only the transaction's own goroutine touches it.
-	optReads []optRead
-	optBuf   [4]optRead
-
-	// writeTables lists the tables whose dirty-writer counter this
-	// transaction holds (incremented before its first physical change to the
-	// table, released at commit/abort). Only the transaction's own goroutine
-	// appends; releaseWrites may run under mu during rollback.
-	writeTables []*Table
-	writeBuf    [4]*Table
-
-	// Per-transaction scratch that keeps the point-read path allocation-free
-	// across statements: the evaluation environment of the running statement,
-	// and the key, row, one-row list and one-ID list of a point step.
+	// Per-transaction scratch, reused from statement to statement: the
+	// evaluation environment of the running statement, and the key, row,
+	// one-row list and one-ID list of a point step.
 	env         env
 	keyBuf      []byte
 	rowBuf      Row
@@ -128,12 +107,6 @@ type Txn struct {
 func (t *Txn) newEnv(params []Value) *env {
 	t.env = env{params: params}
 	return &t.env
-}
-
-// optRead is one table's recorded optimistic-read epoch.
-type optRead struct {
-	tbl   *Table
-	epoch uint64
 }
 
 // ID returns the engine-local transaction identifier.
@@ -159,66 +132,6 @@ func (t *Txn) noteLock(id lockID) { t.locks = append(t.locks, id) }
 // heldLocks lists the held lock IDs. Called by the lock manager with its
 // mutex held.
 func (t *Txn) heldLocks() []lockID { return t.locks }
-
-// optEpochFor returns the epoch previously recorded for tbl.
-func (t *Txn) optEpochFor(tbl *Table) (uint64, bool) {
-	for _, r := range t.optReads {
-		if r.tbl == tbl {
-			return r.epoch, true
-		}
-	}
-	return 0, false
-}
-
-// noteOptEpoch records that an optimistic read observed tbl at epoch ep.
-func (t *Txn) noteOptEpoch(tbl *Table, ep uint64) {
-	for _, r := range t.optReads {
-		if r.tbl == tbl {
-			return // first observation wins; mismatches fail validation
-		}
-	}
-	t.optReads = append(t.optReads, optRead{tbl: tbl, epoch: ep})
-}
-
-// validateOptEpochs re-checks every recorded optimistic read (except skip,
-// which the caller has already validated within its read window) against the
-// table's current epoch. Any movement means a writer committed a physical
-// change after this transaction read the table, so the read snapshot can no
-// longer be placed consistently in the serial order.
-func (t *Txn) validateOptEpochs(skip *Table) bool {
-	for _, r := range t.optReads {
-		if r.tbl != skip && r.tbl.epoch.Load() != r.epoch {
-			return false
-		}
-	}
-	return true
-}
-
-// touchWrite marks tbl as dirtied by this transaction, once per table,
-// before its first physical change. Optimistic readers observe the raised
-// dirty counter and fall back to the locking path rather than risk reading
-// uncommitted row images.
-func (t *Txn) touchWrite(tbl *Table) {
-	for _, w := range t.writeTables {
-		if w == tbl {
-			return
-		}
-	}
-	if t.writeTables == nil {
-		t.writeTables = t.writeBuf[:0]
-	}
-	t.writeTables = append(t.writeTables, tbl)
-	tbl.dirty.Add(1)
-}
-
-// releaseWrites drops the dirty-writer marks once the transaction's outcome
-// is decided (and, on abort, its undo fully applied). Idempotent.
-func (t *Txn) releaseWrites() {
-	for _, w := range t.writeTables {
-		w.dirty.Add(-1)
-	}
-	t.writeTables = t.writeTables[:0]
-}
 
 // logUndo appends an undo record.
 func (t *Txn) logUndo(rec undoRec) {
@@ -263,8 +176,8 @@ func (t *Txn) ExecStmt(stmt Statement, params ...Value) (*Result, error) {
 }
 
 // ExecStmtInto is ExecStmt with a caller-owned result: res and its row
-// buffers are reused across calls, so a point read executes with
-// zero steady-state allocations. On error res is left in an undefined state.
+// buffers are reused across calls, so in steady state a point read allocates
+// nothing for its result. On error res is left in an undefined state.
 func (t *Txn) ExecStmtInto(res *Result, stmt Statement, params ...Value) error {
 	out, err := t.execPlanned(stmt, t.engine.plannedStmt(t.db, stmt), params, res)
 	if err != nil {
@@ -292,22 +205,12 @@ func (t *Txn) execPlanned(stmt Statement, plan *stmtPlan, params []Value, reuse 
 		}
 		<-w
 	}
-	t.optHandled = false
 	traced := t.trace.Traced() && t.engine.cfg.Spans != nil
 	var spanStart time.Time
 	if traced {
 		spanStart = time.Now()
 	}
 	res, err := t.engine.execute(t, stmt, plan, params, reuse)
-	if err == nil && t.readOnly && !t.optHandled && len(t.optReads) > 0 &&
-		!t.validateOptEpochs(nil) {
-		// A statement served under locks completed after a writer moved a
-		// table this transaction had read optimistically: the combined reads
-		// no longer form one consistent snapshot. Optimistic statements
-		// validate within their own read window instead.
-		t.engine.statOptConflicts.Add(1)
-		res, err = nil, ErrOptimisticConflict
-	}
 	if err != nil && errors.Is(err, ErrNoTable) && !t.engine.HasDatabase(t.db) {
 		// Not a missing table: the whole database was dropped underneath the
 		// open transaction (a replica being shrunk away, or an aborted copy
@@ -329,13 +232,8 @@ func (t *Txn) execPlanned(stmt Statement, plan *stmtPlan, params []Value, reuse 
 }
 
 // recordSQLSpan emits the "sql"-scope span of one traced statement: what
-// kind of statement, which tenant, how long, and whether it ran under locks
-// or on the optimistic read path.
+// kind of statement, which tenant and how long.
 func (t *Txn) recordSQLSpan(stmt Statement, start time.Time) {
-	detail := "exec=compiled"
-	if t.optHandled {
-		detail = "exec=optimistic"
-	}
 	t.engine.cfg.Spans.Record(obs.Span{
 		TraceID:  t.trace.TraceID,
 		SpanID:   obs.NewTraceID(),
@@ -345,7 +243,7 @@ func (t *Txn) recordSQLSpan(stmt Statement, start time.Time) {
 		DB:       t.db,
 		Start:    start,
 		Duration: time.Since(start),
-		Detail:   detail,
+		Detail:   "exec=compiled",
 	})
 }
 
@@ -371,8 +269,7 @@ func stmtKind(stmt Statement) string {
 
 // isAbortError reports whether the error forces a transaction rollback.
 func isAbortError(err error) bool {
-	return err == ErrDeadlock || err == ErrLockTimeout || err == ErrTxnAborted ||
-		err == ErrOptimisticConflict
+	return err == ErrDeadlock || err == ErrLockTimeout || err == ErrTxnAborted
 }
 
 // Prepare enters the PREPARED state of two-phase commit: the transaction can
@@ -435,7 +332,6 @@ func (t *Txn) CommitPrepared() error {
 	t.state = TxnCommitted
 	t.undo = nil
 	t.mu.Unlock()
-	t.releaseWrites()
 	t.engine.locks.releaseAll(t)
 	t.engine.finishTxn(t, true)
 	return nil
@@ -458,16 +354,6 @@ func (t *Txn) Commit() error {
 		t.state = TxnCommitted
 		t.undo = nil
 		t.mu.Unlock()
-		t.releaseWrites()
-		// A read-only transaction that stayed on the optimistic path touched
-		// neither the lock manager nor the WAL; recycle it (with its grown
-		// scratch buffers) for the next BeginReadOnly. The handle contract —
-		// no calls after Commit returns — makes this safe.
-		if t.readOnly && !t.walBegun && len(t.locks) == 0 {
-			t.engine.finishTxn(t, true)
-			t.engine.roPool.Put(t)
-			return nil
-		}
 		t.engine.locks.releaseAll(t)
 		t.engine.finishTxn(t, true)
 		return nil
@@ -523,9 +409,6 @@ func (t *Txn) rollbackLocked() {
 			rec.table.updateRowPhysical(rec.rowID, rec.before)
 		}
 	}
-	// Dirty-writer marks drop only after the undo images are back in place,
-	// so optimistic readers never observe the aborted transaction's writes.
-	t.releaseWrites()
 	t.engine.locks.releaseAll(t)
 	t.engine.finishTxn(t, false)
 }

@@ -35,8 +35,7 @@ func DefaultClassifier(err error) ErrorClass {
 	switch {
 	case errors.Is(err, sqldb.ErrDeadlock),
 		errors.Is(err, sqldb.ErrLockTimeout),
-		errors.Is(err, sqldb.ErrTxnAborted),
-		errors.Is(err, sqldb.ErrOptimisticConflict):
+		errors.Is(err, sqldb.ErrTxnAborted):
 		return ClassAborted
 	default:
 		return ClassFatal
@@ -175,17 +174,9 @@ func (c *Client) RunN(seed int64, n int) Stats {
 	return st
 }
 
-// runOne executes one transaction with commit/rollback handling. Read-only
-// profiles use the database's read-only begin when it offers one, so engines
-// with an optimistic lock-free read path can serve them without latching.
+// runOne executes one transaction with commit/rollback handling.
 func (c *Client) runOne(kind TxKind, rng *rand.Rand) error {
-	var tx Txn
-	var err error
-	if ro, ok := c.DB.(interface{ BeginReadOnly() (Txn, error) }); ok && !kind.IsWrite() {
-		tx, err = ro.BeginReadOnly()
-	} else {
-		tx, err = c.DB.Begin()
-	}
+	tx, err := c.DB.Begin()
 	if err != nil {
 		return err
 	}

@@ -33,7 +33,7 @@ type ClientConfig struct {
 	// 30s).
 	CallTimeout time.Duration
 	// RetryLimit is how many times autocommit calls retry retryable
-	// errors (ErrOptimisticConflict, ErrStaleRoute, deadlock victims, …)
+	// errors (ErrStaleRoute, deadlock victims, lock time-outs, …)
 	// before giving up (default 5). Explicit transactions never retry:
 	// the application owns their statement sequence.
 	RetryLimit int

@@ -22,8 +22,6 @@ func codeFor(err error) uint16 {
 		return ErrCodeDeadlock
 	case errors.Is(err, sqldb.ErrLockTimeout):
 		return ErrCodeLockTimeout
-	case errors.Is(err, sqldb.ErrOptimisticConflict):
-		return ErrCodeOptimisticConflict
 	case errors.Is(err, core.ErrStaleRoute):
 		return ErrCodeStaleRoute
 	case errors.Is(err, core.ErrMachineFailed):

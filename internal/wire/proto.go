@@ -102,8 +102,9 @@ const (
 	ErrCodeDeadlock = 101
 	// ErrCodeLockTimeout: lock wait exceeded the engine bound. Retryable.
 	ErrCodeLockTimeout = 102
-	// ErrCodeOptimisticConflict: lock-free read validation failed.
-	// Retryable.
+	// ErrCodeOptimisticConflict is reserved: the lock-free read path that
+	// produced it is gone and no server sends it. A client still decodes it
+	// (as retryable) so the number is never reused for something else.
 	ErrCodeOptimisticConflict = 103
 	// ErrCodeStaleRoute: routed to a machine that no longer hosts the
 	// database. Retryable — a retry re-routes.

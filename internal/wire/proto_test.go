@@ -147,7 +147,9 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestErrorRoundTrip checks code+message encoding and sentinel unwrapping.
+// TestErrorRoundTrip checks code+message encoding and sentinel unwrapping, on
+// the reserved code 103: no server sends it, a client must still decode it as
+// retryable.
 func TestErrorRoundTrip(t *testing.T) {
 	buf := encodeError(nil, ErrCodeOptimisticConflict, "row moved")
 	e, err := decodeError(buf)
@@ -179,7 +181,6 @@ func TestErrorCodeMappingInverse(t *testing.T) {
 	for _, sentinel := range []error{
 		sqldb.ErrDeadlock,
 		sqldb.ErrLockTimeout,
-		sqldb.ErrOptimisticConflict,
 		core.ErrStaleRoute,
 		core.ErrMachineFailed,
 		core.ErrNoDatabase,

@@ -480,7 +480,7 @@ func (t flakyTxn) ExecStmt(sql string, stmt sqldb.Statement, params ...sqldb.Val
 		return nil, errors.New("hard failure")
 	}
 	if t.fail {
-		return nil, sqldb.ErrOptimisticConflict
+		return nil, sqldb.ErrDeadlock
 	}
 	return &sqldb.Result{Affected: 1}, nil
 }
