@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet doc-check crash chaos obs-dump admin-demo net-demo trace-demo consensus-demo bench bench-sqldb bench-wal bench-net bench-consensus bench-gate bench-placement placement-gate experiments clean
+.PHONY: all build test race vet doc-check reach crash chaos obs-dump admin-demo net-demo trace-demo consensus-demo bench bench-sqldb bench-wal bench-net bench-consensus bench-gate bench-placement placement-gate experiments clean
 
 all: build test
 
@@ -41,6 +41,16 @@ vet:
 doc-check:
 	$(GO) run ./cmd/doccheck -proto PROTOCOL.md -metrics OBSERVABILITY.md ./internal/core ./internal/system ./internal/obs ./internal/admin ./internal/sla ./internal/wal ./internal/sqldb ./internal/wire ./internal/consensus ./internal/placement
 
+# Reachability audit: merge one coverage profile over the paths that are the
+# system — the root and internal/experiments tests, the bench/ smoke test,
+# and cmd/experiments, cmd/sdpsh and cmd/doccheck run the way the verify
+# skill runs them — and fail on any function of internal/... or the root
+# package that none of them executes and REACH.allow does not excuse, or that
+# REACH.allow excuses without need. A package's own unit tests and examples/
+# do not count as callers.
+reach:
+	bash scripts/reach.sh
+
 # Crash-recovery soak: the randomized log-cut property test, 20 runs with
 # distinct injection seeds. Any failure reproduces with
 # SDP_CRASH_SEED=<seed> go test -run TestCrashRandomizedCut ./internal/sqldb/
@@ -74,8 +84,9 @@ obs-dump:
 # the operator surface end to end.
 admin-demo:
 	@set -e; \
-	$(GO) build -o /tmp/sdp-experiments ./cmd/experiments; \
-	/tmp/sdp-experiments -admin 127.0.0.1:8344 -admin-duration 6s -sla-report & pid=$$!; \
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o $$dir/sdp-experiments ./cmd/experiments; \
+	$$dir/sdp-experiments -admin 127.0.0.1:8344 -admin-duration 6s -sla-report & pid=$$!; \
 	sleep 2; \
 	curl -fsS http://127.0.0.1:8344/metrics | grep -m1 '^core_txn_committed_total'; \
 	curl -fsS http://127.0.0.1:8344/healthz; echo; \
@@ -100,8 +111,9 @@ trace-demo:
 # the per-kill failover timings it recorded.
 consensus-demo:
 	@set -e; \
-	$(GO) run ./cmd/experiments -bench-consensus -quick -bench-consensus-out /tmp/sdp-consensus-demo.json; \
-	cat /tmp/sdp-consensus-demo.json
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/experiments -bench-consensus -quick -bench-consensus-out $$dir/consensus-demo.json; \
+	cat $$dir/consensus-demo.json
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
@@ -142,7 +154,9 @@ bench-placement:
 # and fail unless adaptive provisioning beats the static baseline and stays
 # inert under balanced load. CI runs this on every push.
 placement-gate:
-	$(GO) run ./cmd/experiments -bench-placement -quick -bench-placement-out /tmp/sdp-placement-gate.json
+	@set -e; \
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/experiments -bench-placement -quick -bench-placement-out $$dir/placement-gate.json
 
 experiments:
 	$(GO) run ./cmd/experiments -quick

@@ -125,6 +125,34 @@ func TestAdminPlaneIntegration(t *testing.T) {
 		t.Error("/tracez?scope=sla should carry violation events")
 	}
 
+	// The index names every endpoint, and each of the remaining ones answers.
+	_, index := get("/")
+	for _, path := range []string{"/metrics", "/slowz", "/placementz", "/tracez"} {
+		if !strings.Contains(index, path) {
+			t.Errorf("/ does not list %s", path)
+		}
+	}
+	if rec, _ := get("/nope"); rec.Code != http.StatusNotFound {
+		t.Errorf("/nope = %d", rec.Code)
+	}
+	if rec, body := get("/slowz"); rec.Code != http.StatusOK || !strings.Contains(body, `"count": 0`) {
+		t.Errorf("/slowz with no threshold set = %d %s", rec.Code, body)
+	}
+	p.StartPlacement(PlacementOptions{Interval: 10 * time.Millisecond})
+	time.Sleep(50 * time.Millisecond)
+	_, body = get("/placementz?format=text")
+	p.StopPlacement()
+	if !strings.Contains(body, "adaptive placement: enabled") || !strings.Contains(body, "shop") {
+		t.Errorf("/placementz?format=text with the loop running:\n%s", body)
+	}
+	om := httptest.NewRecorder()
+	req := httptest.NewRequest("GET", "/metrics", nil)
+	req.Header.Set("Accept", "application/openmetrics-text")
+	h.ServeHTTP(om, req)
+	if body := om.Body.String(); !strings.HasSuffix(body, "# EOF\n") || !strings.Contains(body, "core_2pc_commit_seconds_bucket") {
+		t.Errorf("OpenMetrics exposition lacks its histograms or its terminator:\n%.500s", body)
+	}
+
 	// ServeAdmin binds a real port and serves the same handler.
 	srv, err := p.ServeAdmin("127.0.0.1:0")
 	if err != nil {

@@ -452,9 +452,6 @@ func BenchmarkBufferPoolParallel(b *testing.B) {
 			_ = tx.Commit()
 		}
 	})
-	if got := e.Pool().Stripes(); got != 16 {
-		b.Fatalf("expected 16 pool stripes for 4096 pages, got %d", got)
-	}
 }
 
 // engineDB adapts one database of a single engine to tpcw.DB.

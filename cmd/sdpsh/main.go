@@ -87,14 +87,24 @@ func main() {
 		west.Name(), *machines)
 
 	var current *sdp.Conn
-	var tx *sdp.Tx
 	currentName := ""
+	sess := &session{
+		begin: func() (sqlTx, error) {
+			tx, err := current.Begin()
+			if err != nil {
+				return nil, err
+			}
+			return tx, nil
+		},
+		exec:      func(sql string) (*sdp.Result, error) { return current.Exec(sql) },
+		retryable: sdp.IsRetryable,
+	}
 	scanner := bufio.NewScanner(os.Stdin)
 	prompt := func() {
 		switch {
 		case currentName == "":
 			fmt.Print("sdp> ")
-		case tx != nil:
+		case sess.tx != nil:
 			fmt.Printf("sdp:%s*> ", currentName)
 		default:
 			fmt.Printf("sdp:%s> ", currentName)
@@ -106,7 +116,7 @@ func main() {
 			continue
 		}
 		if strings.HasPrefix(line, "\\") {
-			if tx != nil {
+			if sess.tx != nil {
 				fmt.Println("finish the open transaction first (COMMIT or ROLLBACK)")
 				continue
 			}
@@ -119,62 +129,76 @@ func main() {
 			fmt.Println("no database selected; \\create <db> or \\use <db> first")
 			continue
 		}
-		switch strings.ToUpper(strings.TrimSuffix(line, ";")) {
-		case "BEGIN":
-			if tx != nil {
-				fmt.Println("transaction already open")
-				continue
-			}
-			t, err := current.Begin()
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			tx = t
-			fmt.Println("transaction started")
-			continue
-		case "COMMIT":
-			if tx == nil {
-				fmt.Println("no open transaction")
-				continue
-			}
-			if err := tx.Commit(); err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Println("committed")
-			}
-			tx = nil
-			continue
-		case "ROLLBACK":
-			if tx == nil {
-				fmt.Println("no open transaction")
-				continue
-			}
-			if err := tx.Rollback(); err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Println("rolled back")
-			}
-			tx = nil
-			continue
-		}
-		var res *sdp.Result
-		var err error
-		if tx != nil {
-			res, err = tx.Exec(line)
-		} else {
-			res, err = current.Exec(line)
-		}
-		if err != nil {
-			fmt.Println("error:", err)
-			if tx != nil && sdp.IsRetryable(err) {
-				fmt.Println("transaction aborted; start a new one with BEGIN")
-				tx = nil
-			}
-			continue
-		}
-		printResult(res)
+		sess.statement(line)
 	}
+}
+
+// sqlTx is what the platform's in-process transaction and the wire client's
+// have in common.
+type sqlTx interface {
+	Exec(sql string, params ...sdp.Value) (*sdp.Result, error)
+	Commit() error
+	Rollback() error
+}
+
+// session is the SQL half of a shell, local or remote: where statements go,
+// and the open transaction if there is one.
+type session struct {
+	begin     func() (sqlTx, error)
+	exec      func(sql string) (*sdp.Result, error)
+	retryable func(error) bool
+	tx        sqlTx
+}
+
+// statement runs one line — BEGIN, COMMIT, ROLLBACK, or SQL in the open
+// transaction or in its own — and prints the outcome. It reports whether a
+// result set or row count was printed.
+func (s *session) statement(line string) bool {
+	switch word := strings.ToUpper(strings.TrimSuffix(line, ";")); word {
+	case "BEGIN":
+		if s.tx != nil {
+			fmt.Println("transaction already open")
+		} else if tx, err := s.begin(); err != nil {
+			fmt.Println("error:", err)
+		} else {
+			s.tx = tx
+			fmt.Println("transaction started")
+		}
+		return false
+	case "COMMIT", "ROLLBACK":
+		if s.tx == nil {
+			fmt.Println("no open transaction")
+			return false
+		}
+		finish, done := s.tx.Commit, "committed"
+		if word == "ROLLBACK" {
+			finish, done = s.tx.Rollback, "rolled back"
+		}
+		if err := finish(); err != nil {
+			fmt.Println("error:", err)
+		} else {
+			fmt.Println(done)
+		}
+		s.tx = nil
+		return false
+	}
+	var res *sdp.Result
+	var err error
+	if s.tx != nil {
+		res, err = s.tx.Exec(line)
+	} else {
+		res, err = s.exec(line)
+	}
+	if err != nil {
+		fmt.Println("error:", err)
+		if s.tx != nil && s.retryable(err) {
+			fmt.Println("transaction aborted; start a new one with BEGIN")
+			s.tx = nil
+		}
+		return false
+	}
+	printResult(res)
+	return true
 }
 
 func command(p *sdp.Platform, line string, current **sdp.Conn, currentName *string) bool {
@@ -474,10 +498,20 @@ func remoteShell(addr, db, token string, traced bool) {
 		}
 	}
 
-	var tx *wire.Tx
+	sess := &session{
+		begin: func() (sqlTx, error) {
+			tx, err := client.Begin()
+			if err != nil {
+				return nil, err
+			}
+			return tx, nil
+		},
+		exec:      func(sql string) (*sdp.Result, error) { return client.Exec(sql) },
+		retryable: wire.IsRetryable,
+	}
 	scanner := bufio.NewScanner(os.Stdin)
 	prompt := func() {
-		if tx != nil {
+		if sess.tx != nil {
 			fmt.Printf("sdp:%s*> ", db)
 		} else {
 			fmt.Printf("sdp:%s> ", db)
@@ -491,61 +525,9 @@ func remoteShell(addr, db, token string, traced bool) {
 		if line == "\\quit" || line == "\\q" {
 			return
 		}
-		switch strings.ToUpper(strings.TrimSuffix(line, ";")) {
-		case "BEGIN":
-			if tx != nil {
-				fmt.Println("transaction already open")
-				continue
-			}
-			t, err := client.Begin()
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			tx = t
-			fmt.Println("transaction started")
-			continue
-		case "COMMIT":
-			if tx == nil {
-				fmt.Println("no open transaction")
-				continue
-			}
-			if err := tx.Commit(); err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Println("committed")
-			}
-			tx = nil
-			continue
-		case "ROLLBACK":
-			if tx == nil {
-				fmt.Println("no open transaction")
-				continue
-			}
-			if err := tx.Rollback(); err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Println("rolled back")
-			}
-			tx = nil
-			continue
+		if sess.statement(line) {
+			lastTrace()
 		}
-		var res *sdp.Result
-		if tx != nil {
-			res, err = tx.Exec(line)
-		} else {
-			res, err = client.Exec(line)
-		}
-		if err != nil {
-			fmt.Println("error:", err)
-			if tx != nil && wire.IsRetryable(err) {
-				fmt.Println("transaction aborted; start a new one with BEGIN")
-				tx = nil
-			}
-			continue
-		}
-		printResult(res)
-		lastTrace()
 	}
 }
 

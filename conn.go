@@ -51,11 +51,6 @@ func (t *Tx) Exec(sql string, params ...Value) (*Result, error) {
 	return t.inner.Exec(sql, params...)
 }
 
-// Query is Exec for SELECT statements.
-func (t *Tx) Query(sql string, params ...Value) (*Result, error) {
-	return t.inner.Exec(sql, params...)
-}
-
 // Commit makes the transaction durable on every replica (2PC).
 func (t *Tx) Commit() error { return t.inner.Commit() }
 

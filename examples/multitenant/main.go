@@ -57,12 +57,11 @@ func main() {
 		log.Fatal(err)
 	}
 	placement := map[string][]string{}
-	for _, cl := range west.Clusters() {
-		for _, db := range cl.Databases() {
-			reps, _ := cl.Replicas(db)
-			for _, m := range reps {
-				placement[m] = append(placement[m], db)
-			}
+	for _, db := range west.Databases() {
+		cl, _ := west.Route(db)
+		reps, _ := cl.Replicas(db)
+		for _, m := range reps {
+			placement[m] = append(placement[m], db)
 		}
 	}
 	machines := make([]string, 0, len(placement))

@@ -43,7 +43,7 @@ func main() {
 	// One shared Workload: its order-ID allocator spans all sessions and
 	// mixes against this database.
 	w := tpcw.NewWorkload(scale)
-	fmt.Printf("%-10s %10s %10s %10s %8s  %s\n", "mix", "committed", "aborted", "tps", "writes", "latency")
+	fmt.Printf("%-10s %10s %10s %10s %8s\n", "mix", "committed", "aborted", "tps", "writes")
 	for _, mix := range tpcw.Mixes {
 		client := &tpcw.Client{
 			DB:       db,
@@ -55,8 +55,8 @@ func main() {
 			log.Fatalf("%s mix: %d fatal errors", mix.Name, st.Fatal)
 		}
 		writes := st.ByKind[tpcw.TxCartUpdate] + st.ByKind[tpcw.TxBuyConfirm] + st.ByKind[tpcw.TxAdminUpdate]
-		fmt.Printf("%-10s %10d %10d %10.1f %7.1f%%  %s\n",
+		fmt.Printf("%-10s %10d %10d %10.1f %7.1f%%\n",
 			mix.Name, st.Committed, st.Aborted, st.TPS(),
-			float64(writes)/float64(st.Committed)*100, st.Latency)
+			float64(writes)/float64(st.Committed)*100)
 	}
 }

@@ -96,9 +96,6 @@ func New(name string, opts Options) *Controller {
 // Name returns the colo's name.
 func (c *Controller) Name() string { return c.name }
 
-// Metrics returns the registry the colo and its clusters report into.
-func (c *Controller) Metrics() *obs.Registry { return c.metrics.reg }
-
 // AddFreeMachines adds n machines to the free pool.
 func (c *Controller) AddFreeMachines(n int) {
 	c.mu.Lock()
@@ -277,38 +274,51 @@ func (c *Controller) Begin(db string) (*core.Txn, error) {
 	return cl.Begin(db)
 }
 
+// clusterOf finds the cluster that owns machine id.
+func (c *Controller) clusterOf(id string) (*core.Cluster, *core.Machine, error) {
+	for _, cl := range c.Clusters() {
+		if m, err := cl.Machine(id); err == nil {
+			return cl, m, nil
+		}
+	}
+	return nil, nil, fmt.Errorf("colo: machine %s not found in any cluster", id)
+}
+
+// fail fails machine id in whichever cluster owns it and records the event.
+func (c *Controller) fail(id, event string) (*core.Cluster, []string, error) {
+	cl, _, err := c.clusterOf(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	affected, err := cl.FailMachine(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.metrics.machineFailures.Inc()
+	c.metrics.reg.TraceEvent("recovery", id, event, fmt.Sprintf("%d databases affected", len(affected)))
+	return cl, affected, nil
+}
+
 // FailMachine fails a machine in whichever cluster owns it and immediately
 // runs recovery (re-replication) with the configured number of recovery
 // threads, drawing a replacement machine from the free pool into the
 // cluster when one is available.
 func (c *Controller) FailMachine(id string) (core.RecoveryReport, error) {
-	c.mu.Lock()
-	clusters := append([]*core.Cluster{}, c.clusters...)
-	c.mu.Unlock()
-	for _, cl := range clusters {
-		if _, err := cl.Machine(id); err != nil {
-			continue
-		}
-		affected, err := cl.FailMachine(id)
-		if err != nil {
-			return core.RecoveryReport{}, err
-		}
-		c.metrics.machineFailures.Inc()
-		c.metrics.reg.TraceEvent("recovery", id, "machine_failed",
-			fmt.Sprintf("%d databases affected", len(affected)))
-		// Replace the dead machine from the free pool if possible.
-		c.mu.Lock()
-		if c.free > 0 {
-			c.machineSeq++
-			if _, err := cl.AddMachine(fmt.Sprintf("%s-m%d", c.name, c.machineSeq)); err == nil {
-				c.free--
-				c.metrics.machinesProvisioned.Inc()
-			}
-		}
-		c.mu.Unlock()
-		return cl.RecoverDatabases(affected, c.opts.RecoveryThreads), nil
+	cl, affected, err := c.fail(id, "machine_failed")
+	if err != nil {
+		return core.RecoveryReport{}, err
 	}
-	return core.RecoveryReport{}, fmt.Errorf("colo: machine %s not found in any cluster", id)
+	// Replace the dead machine from the free pool if possible.
+	c.mu.Lock()
+	if c.free > 0 {
+		c.machineSeq++
+		if _, err := cl.AddMachine(fmt.Sprintf("%s-m%d", c.name, c.machineSeq)); err == nil {
+			c.free--
+			c.metrics.machinesProvisioned.Inc()
+		}
+	}
+	c.mu.Unlock()
+	return cl.RecoverDatabases(affected, c.opts.RecoveryThreads), nil
 }
 
 // CrashMachine fails a machine without re-replicating its databases — the
@@ -317,23 +327,8 @@ func (c *Controller) FailMachine(id string) (core.RecoveryReport, error) {
 // use FailMachine when the machine is gone for good. Returns the affected
 // databases.
 func (c *Controller) CrashMachine(id string) ([]string, error) {
-	c.mu.Lock()
-	clusters := append([]*core.Cluster{}, c.clusters...)
-	c.mu.Unlock()
-	for _, cl := range clusters {
-		if _, err := cl.Machine(id); err != nil {
-			continue
-		}
-		affected, err := cl.FailMachine(id)
-		if err != nil {
-			return nil, err
-		}
-		c.metrics.machineFailures.Inc()
-		c.metrics.reg.TraceEvent("recovery", id, "machine_crashed",
-			fmt.Sprintf("%d databases affected", len(affected)))
-		return affected, nil
-	}
-	return nil, fmt.Errorf("colo: machine %s not found in any cluster", id)
+	_, affected, err := c.fail(id, "machine_crashed")
+	return affected, err
 }
 
 // RestartMachine brings a crashed machine back: its engine recovers from its
@@ -341,20 +336,13 @@ func (c *Controller) CrashMachine(id string) ([]string, error) {
 // log-replay-plus-delta path when the machine's recovered state is usable,
 // by a full copy otherwise. Requires the clusters to run with a WAL.
 func (c *Controller) RestartMachine(id string) (*sqldb.RecoveryStats, core.RecoveryReport, error) {
-	c.mu.Lock()
-	clusters := append([]*core.Cluster{}, c.clusters...)
-	c.mu.Unlock()
-	for _, cl := range clusters {
-		m, err := cl.Machine(id)
-		if err != nil {
-			continue
-		}
-		stats, err := cl.RestartMachine(id)
-		if err != nil {
-			return nil, core.RecoveryReport{}, err
-		}
-		report := cl.RecoverDatabases(m.Engine().Databases(), c.opts.RecoveryThreads)
-		return stats, report, nil
+	cl, m, err := c.clusterOf(id)
+	if err != nil {
+		return nil, core.RecoveryReport{}, err
 	}
-	return nil, core.RecoveryReport{}, fmt.Errorf("colo: machine %s not found in any cluster", id)
+	stats, err := cl.RestartMachine(id)
+	if err != nil {
+		return nil, core.RecoveryReport{}, err
+	}
+	return stats, cl.RecoverDatabases(m.Engine().Databases(), c.opts.RecoveryThreads), nil
 }

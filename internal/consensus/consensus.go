@@ -31,7 +31,7 @@ import (
 
 // Errors surfaced by proposals and group operations.
 var (
-	// ErrNotLeader is returned by Propose/ProposeWait on a node that is not
+	// ErrNotLeader is returned by ProposeWait on a node that is not
 	// the current leader; the caller should redirect to the leader hint.
 	ErrNotLeader = errors.New("consensus: not the leader")
 
@@ -87,8 +87,8 @@ type Config struct {
 	// Seed seeds the node's private PRNG (election-timeout randomization).
 	Seed int64
 	// Manual disables the background ticker and apply goroutines: tests
-	// drive the node deterministically with Campaign, Heartbeat, and
-	// DrainApply.
+	// drive the node deterministically with Campaign, Heartbeat and their
+	// own calls of the apply step.
 	Manual bool
 	// OnLeader, when non-nil, is called from a fresh goroutine each time
 	// this node wins an election, with the term it won.
@@ -198,13 +198,6 @@ func (g *Group) LeaderID() (string, uint64) {
 		return n.id, t
 	}
 	return "", 0
-}
-
-// Stop stops every node in the group.
-func (g *Group) Stop() {
-	for _, n := range g.Nodes() {
-		n.Stop()
-	}
 }
 
 // rpc delivers one RPC from node `from` to node `to` across the simulated

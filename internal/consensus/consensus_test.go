@@ -45,6 +45,44 @@ func (s *testSM) fingerprint() string {
 	return strings.Join(s.applied, ",")
 }
 
+// The drivers of Manual groups, and the whole-group stop: only these tests
+// call them, so they live here.
+
+// Propose appends cmd to the log if this node is leader, returning the
+// entry's index and term. The entry commits (or is lost to a competing
+// leader) asynchronously; use ProposeWait to observe the outcome.
+func (n *Node) Propose(cmd []byte) (index, term uint64, err error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped {
+		n.g.metrics.proposals.With(resultStopped).Inc()
+		return 0, 0, ErrStopped
+	}
+	if n.role != leader {
+		n.g.metrics.proposals.With(resultNotLeader).Inc()
+		return 0, 0, fmt.Errorf("%w (leader hint: %s)", ErrNotLeader, n.leaderID)
+	}
+	idx := n.log.appendCmd(n.term, cmd)
+	n.pushPending = true
+	n.kick()
+	return idx, n.term, nil
+}
+
+// DrainApply applies everything outstanding (staged snapshot installs and
+// committed entries) synchronously. Manual tests call it between rounds;
+// timed nodes drain from the apply goroutine.
+func (n *Node) DrainApply() {
+	for n.applyOnce() {
+	}
+}
+
+// Stop stops every node in the group.
+func (g *Group) Stop() {
+	for _, n := range g.Nodes() {
+		n.Stop()
+	}
+}
+
 // newTestGroup builds an n-node group. Manual groups are driven explicitly
 // by Campaign/Heartbeat/DrainApply; timed groups run their own tickers.
 func newTestGroup(n int, seed int64, net *netsim.Network, manual bool, threshold int) (*Group, []*Node, []*testSM) {

@@ -135,16 +135,6 @@ func (n *Node) Stopped() bool {
 	return n.stopped
 }
 
-// LeaderHint returns the id of the last known leader ("" if unknown).
-func (n *Node) LeaderHint() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.role == leader {
-		return n.id
-	}
-	return n.leaderID
-}
-
 // CommitIndex returns the node's current commit index.
 func (n *Node) CommitIndex() uint64 {
 	n.mu.Lock()
@@ -543,26 +533,6 @@ func (n *Node) advanceCommitLocked() {
 	}
 }
 
-// Propose appends cmd to the log if this node is leader, returning the
-// entry's index and term. The entry commits (or is lost to a competing
-// leader) asynchronously; use ProposeWait to observe the outcome.
-func (n *Node) Propose(cmd []byte) (index, term uint64, err error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopped {
-		n.g.metrics.proposals.With(resultStopped).Inc()
-		return 0, 0, ErrStopped
-	}
-	if n.role != leader {
-		n.g.metrics.proposals.With(resultNotLeader).Inc()
-		return 0, 0, fmt.Errorf("%w (leader hint: %s)", ErrNotLeader, n.leaderID)
-	}
-	idx := n.log.appendCmd(n.term, cmd)
-	n.pushPending = true
-	n.kick()
-	return idx, n.term, nil
-}
-
 // ProposeWait proposes cmd and blocks until the entry applies locally
 // (returning the state machine's Apply result), is lost to a new leader
 // (ErrProposalLost), or the timeout elapses (ErrProposalTimeout — outcome
@@ -629,14 +599,6 @@ func (n *Node) applyLoop() {
 			return
 		}
 		n.applyOnce()
-	}
-}
-
-// DrainApply applies everything outstanding (staged snapshot installs and
-// committed entries) synchronously. Manual tests call it between rounds;
-// timed nodes drain from the apply goroutine.
-func (n *Node) DrainApply() {
-	for n.applyOnce() {
 	}
 }
 

@@ -181,10 +181,6 @@ func (a *AdaptiveController) Stop() {
 	a.moveWG.Wait()
 }
 
-// WaitIdle blocks until every action launched by previous rounds has
-// finished executing — for tests that drive RunOnce directly.
-func (a *AdaptiveController) WaitIdle() { a.moveWG.Wait() }
-
 // RunOnce executes one decision round synchronously (the planning; action
 // execution is handed to bounded workers) and returns the number of
 // actions launched. Rounds on a controller that does not hold the quorum
@@ -354,8 +350,7 @@ var nominalDBLoad = sla.Resources{CPU: 0.02, Memory: 0.02, Disk: 0.005, DiskBW: 
 // placementView samples the cluster into the planners' one input: the live
 // machines, and every database with its replica set, declared reservation
 // and effective per-replica load — so SLA-managed and unmanaged databases
-// alike are visible to skew correction. Partitioned databases are left out
-// (replica copies are unsupported there).
+// alike are visible to skew correction.
 //
 // ewma, when non-nil, is the caller's smoothed observed-load state: each
 // tenant's last SLA window is profiled into a per-replica load, blended in,
@@ -404,9 +399,6 @@ func (c *Cluster) placementView(ewma map[string]sla.Resources) placement.View {
 	sort.Strings(names)
 	for _, name := range names {
 		ds := c.dbs[name]
-		if ds.partitioned() {
-			continue
-		}
 		sig, tracked := signals[name]
 		if !tracked {
 			// No SLA, so nothing to violate: the classifier holds it warm

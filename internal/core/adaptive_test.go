@@ -71,7 +71,7 @@ func TestAdaptiveGrowsHotTenant(t *testing.T) {
 
 	a := c.NewAdaptiveController(AdaptiveConfig{Budget: placement.Budget{MinReplicas: 2, MaxReplicas: 3}})
 	launched := a.RunOnce()
-	a.WaitIdle()
+	a.moveWG.Wait()
 	if launched != 1 {
 		t.Fatalf("launched = %d, want 1 grow", launched)
 	}
@@ -130,7 +130,7 @@ func TestAdaptiveGrowSkipsReservationFullMachine(t *testing.T) {
 
 	a := c.NewAdaptiveController(AdaptiveConfig{Budget: placement.Budget{MinReplicas: 1, MaxReplicas: 3}})
 	launched := a.RunOnce()
-	a.WaitIdle()
+	a.moveWG.Wait()
 	if grows, _, _ := a.Actions(); launched != 1 || grows != 1 {
 		t.Fatalf("launched %d actions, %d grows succeeded, want one grow: %+v", launched, grows, a.Report().Recent)
 	}
@@ -150,7 +150,7 @@ func TestAdaptiveShrinksColdTenant(t *testing.T) {
 
 	a := c.NewAdaptiveController(AdaptiveConfig{Budget: placement.Budget{MinReplicas: 2, MaxReplicas: 3}})
 	launched := a.RunOnce()
-	a.WaitIdle()
+	a.moveWG.Wait()
 	if launched != 1 {
 		t.Fatalf("launched = %d, want 1 shrink", launched)
 	}

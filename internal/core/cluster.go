@@ -94,11 +94,6 @@ type dbState struct {
 	// by the outstanding writes rather than starving under load.
 	pending map[string]*drainCounter
 	req     sla.Resources // per-replica SLA reservation (zero if unmanaged)
-
-	// partitions and tableAt are set only for table-partitioned databases
-	// (the paper's larger-than-one-machine extension; see partition.go).
-	partitions []partitionState
-	tableAt    map[string]int
 }
 
 // bumpWrite advances a table's write sequence number. Called with the
@@ -297,31 +292,6 @@ func (c *Cluster) MachineIDs() []string {
 	defer c.mu.Unlock()
 	out := make([]string, len(c.order))
 	copy(out, c.order)
-	return out
-}
-
-// LiveMachineIDs lists the IDs of machines that have not failed.
-func (c *Cluster) LiveMachineIDs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []string
-	for _, id := range c.order {
-		if !c.machines[id].Failed() {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Databases lists database names in sorted order.
-func (c *Cluster) Databases() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.dbs))
-	for n := range c.dbs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -535,21 +505,6 @@ func (c *Cluster) FailMachine(id string) ([]string, error) {
 			cs.aborted = true
 			affected = append(affected, ds.name)
 		}
-		// Partitioned databases: drop the machine from its partition; the
-		// remaining replicas of that partition keep serving.
-		for pi := range ds.partitions {
-			p := &ds.partitions[pi]
-			for i, rid := range p.replicas {
-				if rid == id {
-					p.replicas = append(p.replicas[:i], p.replicas[i+1:]...)
-					affected = append(affected, ds.name)
-					if p.readHome == id && len(p.replicas) > 0 {
-						p.readHome = p.replicas[0]
-					}
-					break
-				}
-			}
-		}
 	}
 	sort.Strings(affected)
 	affected = dedupSorted(affected)
@@ -580,24 +535,18 @@ func (c *Cluster) reachable(id string) bool {
 // pickReadMachine chooses the replica that serves a read for txn t,
 // implementing the paper's three read-routing options. The copy target of an
 // in-progress replica creation is never chosen because it only joins
-// ds.replicas once the copy completes. tables lists the tables the read
-// touches; it only matters for partitioned databases, where all tables must
-// live in one partition.
+// ds.replicas once the copy completes.
 //
 // Under a simulated network the read path degrades gracefully: replicas
 // behind a partitioned controller link are routed around (the preferred
 // home keeps its role and resumes service when the partition heals), and
 // only when every replica is unreachable does the read fail.
-func (c *Cluster) pickReadMachine(t *Txn, tables []string) (string, error) {
+func (c *Cluster) pickReadMachine(t *Txn) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ds, ok := c.dbs[t.db]
 	if !ok {
 		return "", fmt.Errorf("%w: %s", ErrNoDatabase, t.db)
-	}
-	if ds.partitioned() {
-		c.metrics.readRoutePart.Inc()
-		return c.partitionReadRoute(ds, tables)
 	}
 	if len(ds.replicas) == 0 {
 		return "", ErrNoReplicas
@@ -660,16 +609,6 @@ func (c *Cluster) writeRoute(db, table string) ([]string, func(), error) {
 	ds, ok := c.dbs[db]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNoDatabase, db)
-	}
-	if ds.partitioned() {
-		targets, err := ds.partitionWriteRoute(table)
-		if err != nil {
-			return nil, nil, err
-		}
-		ds.bumpWrite(table)
-		d := ds.pendingFor(table)
-		d.inc()
-		return targets, d.dec, nil
 	}
 	if len(ds.replicas) == 0 {
 		return nil, nil, ErrNoReplicas

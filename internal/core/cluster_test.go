@@ -17,7 +17,11 @@ func newTestCluster(t *testing.T, n int, opts Options) *Cluster {
 	if c.ctl != nil {
 		// Controller replicas tick until stopped; left running they starve
 		// the leases of the clusters a repeated (-count) run builds later.
-		t.Cleanup(c.ctl.group.Stop)
+		t.Cleanup(func() {
+			for _, n := range c.ctl.nodes {
+				n.Stop()
+			}
+		})
 	}
 	if _, err := c.AddMachines(n); err != nil {
 		t.Fatal(err)

@@ -192,7 +192,7 @@ func (cp *controlPlane) onLeader(idx int, term uint64) {
 // the replicated state machine st (the new leader's, caught up past a
 // barrier). Replica sets, read homes, and epochs are overwritten from the
 // replicated record; leader-local soft state (write-sequence counters,
-// drain counters, SLA reservations, partition layouts) is preserved
+// drain counters, SLA reservations) is preserved
 // in place. Local state the log never committed is discarded, and machines
 // the log records as failed are failed locally. Returns the databases whose
 // replicated copy record nobody is driving any more (the caller aborts them,
@@ -209,10 +209,8 @@ func (cp *controlPlane) adoptLocked(st *ctlState, died bool) (abortCopies []stri
 			ds = &dbState{name: name}
 			c.dbs[name] = ds
 		}
-		if !ds.partitioned() {
-			ds.replicas = append([]string(nil), rec.Replicas...)
-			ds.readHome = rec.ReadHome
-		}
+		ds.replicas = append([]string(nil), rec.Replicas...)
+		ds.readHome = rec.ReadHome
 		ds.epoch = rec.Epoch
 		// A copy running when the old leader died lost its driving goroutine
 		// (or is racing takeover): force it to abandon at its next step
@@ -383,23 +381,6 @@ func (c *Cluster) RestartControllers() int {
 	return restarted
 }
 
-// ControllerFingerprints returns each live controller replica's state
-// machine fingerprint, keyed by replica id. Converged replicas — same
-// committed prefix applied — have identical fingerprints.
-func (c *Cluster) ControllerFingerprints() map[string]string {
-	cp := c.ctl
-	if cp == nil {
-		return nil
-	}
-	out := make(map[string]string)
-	for i, n := range cp.nodes {
-		if !n.Stopped() {
-			out[n.ID()] = cp.states[i].Fingerprint()
-		}
-	}
-	return out
-}
-
 // WaitControllerSettled blocks until the control plane has a leader whose
 // failover processing (barrier, state adoption, orphaned-copy aborts, 2PC
 // takeover) has fully completed, or the timeout elapses. Callers start
@@ -477,25 +458,4 @@ func (cp *controlPlane) convergenceCheck() error {
 		}
 	}
 	return nil
-}
-
-// BeginAt starts a transaction through a specific controller replica,
-// modelling clients that connect to any member of the replicated control
-// plane: a replica that is not the leaseholding leader refuses with the
-// retryable ErrNotLeader (carrying its leader hint), and the client retries
-// against the hinted leader. Without a replicated control plane it is plain
-// Begin.
-func (c *Cluster) BeginAt(controllerID, db string) (*Txn, error) {
-	cp := c.ctl
-	if cp == nil {
-		return c.Begin(db)
-	}
-	n := cp.group.Node(controllerID)
-	if n == nil {
-		return nil, fmt.Errorf("core: no controller replica %s", controllerID)
-	}
-	if n.Stopped() || !n.IsLeader() || !n.HasLease() {
-		return nil, fmt.Errorf("%w (leader hint: %s)", ErrNotLeader, n.LeaderHint())
-	}
-	return c.Begin(db)
 }

@@ -2,13 +2,16 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sdp/internal/consensus"
 	"sdp/internal/netsim"
 	"sdp/internal/sqldb"
+	"sdp/internal/wal"
 )
 
 // ctlOpts builds cluster options with a 3-replica control plane and fast
@@ -65,7 +68,7 @@ func TestControlPlaneReplicatesPlacement(t *testing.T) {
 	if err := c.WaitControllerConvergence(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	fps := c.ControllerFingerprints()
+	fps := controllerFingerprints(c)
 	if len(fps) != 3 {
 		t.Fatalf("fingerprints = %v", fps)
 	}
@@ -119,7 +122,7 @@ func TestControllerFailoverResumesCommits(t *testing.T) {
 	if err := c.WaitControllerConvergence(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	fps := c.ControllerFingerprints()
+	fps := controllerFingerprints(c)
 	if len(fps) != 3 {
 		t.Fatalf("fingerprints after restart = %v", fps)
 	}
@@ -168,7 +171,7 @@ func TestControllerKillInPrepareWindow(t *testing.T) {
 	if res.Rows[0][0].Int != 0 {
 		t.Errorf("v = %v, want 0 (rolled back)", res.Rows[0][0])
 	}
-	for _, id := range c.LiveMachineIDs() {
+	for _, id := range liveMachineIDs(c) {
 		m, _ := c.Machine(id)
 		if locks := m.Engine().Stats().LocksHeld; locks != 0 {
 			t.Errorf("%s: %d locks held, want 0", id, locks)
@@ -237,7 +240,7 @@ func midCopyCluster(t *testing.T, onApply func(c *Cluster)) (c *Cluster, target 
 		execRetry(t, c, "app", "INSERT INTO t VALUES (?, ?)", intv(int64(i)), intv(int64(i)))
 	}
 	reps, _ := c.Replicas("app")
-	for _, id := range c.LiveMachineIDs() {
+	for _, id := range liveMachineIDs(c) {
 		if !contains(reps, id) {
 			target = id
 		}
@@ -272,7 +275,7 @@ func TestControllerKillMidCopyAborts(t *testing.T) {
 	if err := c.WaitControllerConvergence(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for id, fp := range c.ControllerFingerprints() {
+	for id, fp := range controllerFingerprints(c) {
 		if strings.Contains(fp, "copy=") {
 			t.Errorf("%s still records a copy in flight: %s", id, fp)
 		}
@@ -327,33 +330,9 @@ func TestElectoralLeaderChangeMidCopyCompletes(t *testing.T) {
 	if err := c.WaitControllerConvergence(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for id, fp := range c.ControllerFingerprints() {
+	for id, fp := range controllerFingerprints(c) {
 		if strings.Contains(fp, "copy=") || !strings.Contains(fp, "replicas="+strings.Join(reps, ",")+",") {
 			t.Errorf("%s does not record %s as a full replica: %s", id, target, fp)
-		}
-	}
-}
-
-func TestBeginAtRedirectsToLeader(t *testing.T) {
-	c := newTestCluster(t, 2, ctlOpts())
-	leader, _ := c.LeaderController()
-	for _, id := range c.ControllerIDs() {
-		tx, err := c.BeginAt(id, "app")
-		if id == leader {
-			if err != nil {
-				t.Fatalf("BeginAt(leader): %v", err)
-			}
-			_ = tx.Rollback()
-			continue
-		}
-		if !errors.Is(err, ErrNotLeader) {
-			t.Fatalf("BeginAt(%s) = %v, want ErrNotLeader", id, err)
-		}
-		if !IsRetryable(err) {
-			t.Errorf("ErrNotLeader should be retryable")
-		}
-		if !strings.Contains(err.Error(), leader) {
-			t.Errorf("redirect lacks leader hint: %v", err)
 		}
 	}
 }
@@ -428,7 +407,7 @@ func TestFailMachineReplicated(t *testing.T) {
 	if err := c.WaitControllerConvergence(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for id, fp := range c.ControllerFingerprints() {
+	for id, fp := range controllerFingerprints(c) {
 		if !strings.Contains(fp, "failed="+victim) {
 			t.Errorf("%s does not record %s failed: %s", id, victim, fp)
 		}
@@ -444,7 +423,7 @@ func TestFailMachineReplicated(t *testing.T) {
 	if err := c.WaitControllerConvergence(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for id, fp := range c.ControllerFingerprints() {
+	for id, fp := range controllerFingerprints(c) {
 		if strings.Contains(fp, "failed="+victim) {
 			t.Errorf("%s still records %s failed: %s", id, victim, fp)
 		}
@@ -454,5 +433,111 @@ func TestFailMachineReplicated(t *testing.T) {
 	}
 	if reps, _ = c.Replicas("app"); len(reps) != 2 {
 		t.Fatalf("replicas = %v after recovery", reps)
+	}
+}
+
+// controllerFingerprints returns each live controller replica's state
+// machine fingerprint, keyed by replica id. Converged replicas — same
+// committed prefix applied — have identical fingerprints.
+func controllerFingerprints(c *Cluster) map[string]string {
+	out := make(map[string]string)
+	for i, n := range c.ctl.nodes {
+		if !n.Stopped() {
+			out[n.ID()] = c.ctl.states[i].Fingerprint()
+		}
+	}
+	return out
+}
+
+// liveMachineIDs lists the IDs of machines that have not failed.
+func liveMachineIDs(c *Cluster) []string {
+	var out []string
+	for _, id := range c.MachineIDs() {
+		if m, _ := c.Machine(id); !m.Failed() {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TestControllerRejoinsFromSnapshot keeps a follower down across more control
+// operations than the consensus log retains (SnapshotThreshold = 256), so it
+// can only rejoin through ctlState's snapshot codec: the leader compacts with
+// Snapshot, ships the image, and the follower's Restore must rebuild every
+// field the fingerprint reads — machines, the failed set, both sequence
+// counters, and per database the replicas, read home, epoch and an open copy
+// record.
+func TestControllerRejoinsFromSnapshot(t *testing.T) {
+	opts := ctlOpts()
+	opts.WAL = &wal.Config{} // a failed machine restarts from its log
+	c := newTestCluster(t, 4, opts)
+	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY)")
+	leader, _ := c.LeaderController()
+	var follower *consensus.Node
+	for _, n := range c.ctl.nodes {
+		if n.ID() != leader {
+			follower = n
+			break
+		}
+	}
+	follower.Stop()
+	snapshots := c.metrics.reg.Counter("consensus_snapshots_total", "")
+	before := snapshots.Value()
+
+	reps, _ := c.Replicas("app")
+	var spare []string
+	for _, id := range c.MachineIDs() {
+		if !contains(reps, id) {
+			spare = append(spare, id)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ { // 8 control operations a round
+		scratch := fmt.Sprintf("scratch%d", i)
+		must(c.CreateDatabase(scratch))
+		must(c.DropDatabase(scratch))
+		must(c.GrowReplica("app", spare[0])) // copy_begin, copy_complete
+		must(c.ShrinkReplica("app", spare[0]))
+		_, err := c.FailMachine(spare[1])
+		must(err)
+		_, err = c.RestartMachine(spare[1])
+		must(err)
+	}
+	// Leave something in every field: a second database, a failed machine
+	// (which moves that database's read home), an open copy record.
+	must(c.CreateDatabase("kept"))
+	_, err := c.FailMachine(spare[1])
+	must(err)
+	kept, _ := c.Replicas("kept")
+	c.ctl.mu.Lock()
+	_, err = c.ctl.propose(ctlCmd{Op: ctlOpCopyBegin, DB: "app", Source: reps[0], Target: spare[0]})
+	c.ctl.mu.Unlock()
+	must(err)
+	if snapshots.Value() == before {
+		t.Fatalf("no snapshot taken after 320+ control operations")
+	}
+
+	follower.Restart()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		fps := controllerFingerprints(c)
+		want := fps[leader]
+		if got := fps[follower.ID()]; got == want {
+			for _, field := range []string{"failed=" + spare[1], "db=kept{replicas=" + strings.Join(kept, ","), "copy=" + reps[0] + "->" + spare[0]} {
+				if !strings.Contains(got, field) {
+					t.Errorf("fingerprint lacks %q: %s", field, got)
+				}
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower did not converge:\n follower %s\n leader   %s", fps[follower.ID()], want)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

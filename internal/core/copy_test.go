@@ -165,7 +165,7 @@ func TestCopyReplicaCases(t *testing.T) {
 				copiedBefore := c.metrics.copyPhase.With("table_copied").Value()
 				writebacksBefore := c.metrics.poolWritebacks.Value()
 				rowsDecoded := func() float64 {
-					return c.Metrics().Snapshot().Gauge("sqldb_engine_stat", "cluster", c.name, "stat", "pool_rows_decoded")
+					return c.metrics.reg.Snapshot().Gauge("sqldb_engine_stat", "cluster", c.name, "stat", "pool_rows_decoded")
 				}
 				decodedBefore := rowsDecoded()
 				if err := c.copyReplica("app", target, marks); err != nil {

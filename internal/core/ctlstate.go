@@ -28,7 +28,6 @@ const (
 	ctlOpCopyBegin      = "copy_begin"
 	ctlOpCopyAbort      = "copy_abort"
 	ctlOpCopyComplete   = "copy_complete"
-	ctlOpSetReadHome    = "set_read_home"
 	ctlOpRetireReplica  = "retire_replica"
 )
 
@@ -36,13 +35,12 @@ const (
 // consensus log. Every command is idempotent: a proposal whose outcome was
 // lost to a timeout can be re-proposed safely.
 type ctlCmd struct {
-	Op          string   `json:"op"`
-	DB          string   `json:"db,omitempty"`
-	Machine     string   `json:"machine,omitempty"`
-	Replicas    []string `json:"replicas,omitempty"`
-	Source      string   `json:"source,omitempty"`
-	Target      string   `json:"target,omitempty"`
-	Partitioned bool     `json:"partitioned,omitempty"`
+	Op       string   `json:"op"`
+	DB       string   `json:"db,omitempty"`
+	Machine  string   `json:"machine,omitempty"`
+	Replicas []string `json:"replicas,omitempty"`
+	Source   string   `json:"source,omitempty"`
+	Target   string   `json:"target,omitempty"`
 }
 
 // ctlDB is the replicated record of one database.
@@ -53,11 +51,22 @@ type ctlDB struct {
 	ReadHome string `json:"read_home"`
 	// Epoch is the namespace incarnation (see dbState.epoch).
 	Epoch uint64 `json:"epoch"`
-	// Partitioned marks a table-partitioned database, whose partition
-	// layout is leader-local (replica copies are unsupported there).
-	Partitioned bool `json:"partitioned,omitempty"`
 	// Copy, when non-nil, records an Algorithm 1 copy in flight.
 	Copy *ctlCopy `json:"copy,omitempty"`
+}
+
+// dropReplica takes machine out of the replica set, moving the read home off
+// it onto the first replica left.
+func (db *ctlDB) dropReplica(machine string) {
+	for i, rid := range db.Replicas {
+		if rid == machine {
+			db.Replicas = append(db.Replicas[:i], db.Replicas[i+1:]...)
+			if db.ReadHome == machine && len(db.Replicas) > 0 {
+				db.ReadHome = db.Replicas[0]
+			}
+			return
+		}
+	}
 }
 
 // ctlCopy is the replicated record of an in-flight replica copy.
@@ -124,15 +133,7 @@ func (st *ctlState) Apply(index uint64, data []byte) any {
 		st.s.Failed[cmd.Machine] = true
 		for _, name := range st.dbNamesLocked() {
 			db := st.s.DBs[name]
-			for i, rid := range db.Replicas {
-				if rid == cmd.Machine {
-					db.Replicas = append(db.Replicas[:i], db.Replicas[i+1:]...)
-					if db.ReadHome == cmd.Machine && len(db.Replicas) > 0 {
-						db.ReadHome = db.Replicas[0]
-					}
-					break
-				}
-			}
+			db.dropReplica(cmd.Machine)
 			if cp := db.Copy; cp != nil && (cp.Source == cmd.Machine || cp.Target == cmd.Machine) {
 				db.Copy = nil
 			}
@@ -151,10 +152,9 @@ func (st *ctlState) Apply(index uint64, data []byte) any {
 			st.s.HomeSeq++
 		}
 		st.s.DBs[cmd.DB] = &ctlDB{
-			Replicas:    append([]string(nil), cmd.Replicas...),
-			ReadHome:    home,
-			Epoch:       st.s.EpochSeq,
-			Partitioned: cmd.Partitioned,
+			Replicas: append([]string(nil), cmd.Replicas...),
+			ReadHome: home,
+			Epoch:    st.s.EpochSeq,
 		}
 		return ctlCreateResult{Epoch: st.s.EpochSeq, ReadHome: home}
 	case ctlOpDropDB:
@@ -174,10 +174,6 @@ func (st *ctlState) Apply(index uint64, data []byte) any {
 			}
 			db.Copy = nil
 		}
-	case ctlOpSetReadHome:
-		if db, ok := st.s.DBs[cmd.DB]; ok && contains(db.Replicas, cmd.Machine) {
-			db.ReadHome = cmd.Machine
-		}
 	case ctlOpRetireReplica:
 		// Replica retirement (adaptive shrink, migration tail) must be
 		// replicated: the retired machine's engine copy is dropped, so a
@@ -186,15 +182,7 @@ func (st *ctlState) Apply(index uint64, data []byte) any {
 		// Idempotent, and never drops the last replica — a retried retire
 		// racing a machine failure must not empty the set.
 		if db, ok := st.s.DBs[cmd.DB]; ok && len(db.Replicas) > 1 {
-			for i, rid := range db.Replicas {
-				if rid == cmd.Machine {
-					db.Replicas = append(db.Replicas[:i], db.Replicas[i+1:]...)
-					if db.ReadHome == cmd.Machine && len(db.Replicas) > 0 {
-						db.ReadHome = db.Replicas[0]
-					}
-					break
-				}
-			}
+			db.dropReplica(cmd.Machine)
 		}
 	}
 	return nil
@@ -238,9 +226,6 @@ func (st *ctlState) Fingerprint() string {
 	for _, name := range st.dbNamesLocked() {
 		db := st.s.DBs[name]
 		fmt.Fprintf(&b, ";db=%s{replicas=%s,home=%s,epoch=%d", name, strings.Join(db.Replicas, ","), db.ReadHome, db.Epoch)
-		if db.Partitioned {
-			b.WriteString(",partitioned")
-		}
 		if cp := db.Copy; cp != nil {
 			fmt.Fprintf(&b, ",copy=%s->%s", cp.Source, cp.Target)
 		}

@@ -36,8 +36,8 @@ func TestDropDatabaseWithFailedReplica(t *testing.T) {
 	if err := c.DropDatabase("app"); err != nil {
 		t.Fatalf("drop with failed replica: %v", err)
 	}
-	if dbs := c.Databases(); len(dbs) != 0 {
-		t.Errorf("databases = %v", dbs)
+	if len(c.dbs) != 0 {
+		t.Errorf("databases = %v", c.dbs)
 	}
 }
 
@@ -95,10 +95,10 @@ func TestGlobalIDsAreUnique(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seen[tx.GlobalID()] {
-			t.Fatalf("duplicate global ID %d", tx.GlobalID())
+		if seen[tx.gid] {
+			t.Fatalf("duplicate global ID %d", tx.gid)
 		}
-		seen[tx.GlobalID()] = true
+		seen[tx.gid] = true
 		_ = tx.Rollback()
 	}
 }

@@ -29,10 +29,9 @@ type clusterMetrics struct {
 	commitSeconds  *obs.Histogram
 
 	// Read routing, resolved per option so routing pays one atomic add.
-	readRoute1    *obs.Counter
-	readRoute2    *obs.Counter
-	readRoute3    *obs.Counter
-	readRoutePart *obs.Counter
+	readRoute1 *obs.Counter
+	readRoute2 *obs.Counter
+	readRoute3 *obs.Counter
 
 	// Algorithm 1 replica creation.
 	copyPhase     *obs.CounterVec
@@ -93,9 +92,8 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 
 		readRoute1: reg.CounterVec("core_read_route_total",
 			"Read operations routed, by read option", "option").With("option1"),
-		readRoute2:    reg.CounterVec("core_read_route_total", "", "option").With("option2"),
-		readRoute3:    reg.CounterVec("core_read_route_total", "", "option").With("option3"),
-		readRoutePart: reg.CounterVec("core_read_route_total", "", "option").With("partitioned"),
+		readRoute2: reg.CounterVec("core_read_route_total", "", "option").With("option2"),
+		readRoute3: reg.CounterVec("core_read_route_total", "", "option").With("option3"),
 
 		copyPhase: reg.CounterVec("core_copy_phase_total",
 			"Algorithm 1 replica-copy phase transitions (Figures 8-9)", "phase"),
@@ -137,12 +135,6 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 			"Per-engine DBMS counters aggregated over a cluster's machines (commits, aborts, deadlocks, pool and plan-cache activity and compiled-execution counters)", "cluster", "stat"),
 	}
 }
-
-// Metrics returns the cluster's observability registry. When Options.Metrics
-// is unset each cluster owns a private registry; the colo controller injects
-// a shared one so that every layer of the platform reports into a single
-// unified snapshot.
-func (c *Cluster) Metrics() *obs.Registry { return c.metrics.reg }
 
 // gidString renders a transaction's trace correlation ID.
 func gidString(gid uint64) string { return fmt.Sprintf("gid:%d", gid) }

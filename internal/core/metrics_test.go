@@ -53,7 +53,7 @@ func TestCommitMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := c.Metrics().Snapshot()
+	s := c.metrics.reg.Snapshot()
 	prepares := s.Counter("core_2pc_prepare_total")
 	if prepares == 0 {
 		t.Fatal("no 2PC prepares recorded")
@@ -84,11 +84,11 @@ func TestCommitMetrics(t *testing.T) {
 		t.Fatal("bridged engine commit gauge is zero")
 	}
 	// 2PC trace events must correlate by gid.
-	trace := c.Metrics().Trace().ByScope("2pc")
+	trace := c.metrics.reg.Trace().EventsFiltered("2pc", "")
 	if len(trace) == 0 {
 		t.Fatal("no 2pc trace events")
 	}
-	if got := c.Metrics().Trace().ByID(trace[0].ID); len(got) == 0 {
+	if got := c.metrics.reg.Trace().EventsFiltered("", trace[0].ID); len(got) == 0 {
 		t.Fatal("correlation ID lookup returned nothing")
 	}
 }
@@ -191,7 +191,7 @@ func TestAbortCountedOnceOnVoteNo(t *testing.T) {
 	if got := st.Aborted - base.Aborted; got != 1 {
 		t.Fatalf("aborted delta = %d, want exactly 1", got)
 	}
-	s := c.Metrics().Snapshot()
+	s := c.metrics.reg.Snapshot()
 	if got := s.Counter("core_2pc_vote_no_total"); got != 1 {
 		t.Fatalf("vote-no rounds = %d, want 1", got)
 	}
@@ -219,7 +219,7 @@ func TestCopyMetrics(t *testing.T) {
 	if err := c.CreateReplica("app", target); err != nil {
 		t.Fatal(err)
 	}
-	s := c.Metrics().Snapshot()
+	s := c.metrics.reg.Snapshot()
 	if got := s.Counter("core_copy_phase_total", "phase", "start"); got != 1 {
 		t.Fatalf("copy starts = %d, want 1", got)
 	}
@@ -236,7 +236,7 @@ func TestCopyMetrics(t *testing.T) {
 	if got := s.Gauge("core_copies_running"); got != 0 {
 		t.Fatalf("copies running gauge = %v after completion, want 0", got)
 	}
-	if evs := c.Metrics().Trace().ByID("app"); len(evs) < 3 {
+	if evs := c.metrics.reg.Trace().EventsFiltered("", "app"); len(evs) < 3 {
 		t.Fatalf("copy trace events = %d, want >= 3", len(evs))
 	}
 }

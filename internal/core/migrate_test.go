@@ -223,7 +223,7 @@ func TestReadRoutingPolicies(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 8; i++ {
 		tx, _ := c.Begin("app")
-		id, err := c.pickReadMachine(tx, nil)
+		id, err := c.pickReadMachine(tx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,8 +239,8 @@ func TestReadRoutingPolicies(t *testing.T) {
 	seen = map[string]bool{}
 	for i := 0; i < 8; i++ {
 		tx, _ := c2.Begin("app")
-		first, _ := c2.pickReadMachine(tx, nil)
-		second, _ := c2.pickReadMachine(tx, nil)
+		first, _ := c2.pickReadMachine(tx)
+		second, _ := c2.pickReadMachine(tx)
 		if first != second {
 			t.Errorf("option2 changed machine within a transaction: %s -> %s", first, second)
 		}
@@ -256,7 +256,7 @@ func TestReadRoutingPolicies(t *testing.T) {
 	tx, _ := c3.Begin("app")
 	seen = map[string]bool{}
 	for i := 0; i < 8; i++ {
-		id, _ := c3.pickReadMachine(tx, nil)
+		id, _ := c3.pickReadMachine(tx)
 		seen[id] = true
 	}
 	_ = tx.Rollback()

@@ -99,7 +99,7 @@ func (c *Cluster) fastRecoveryCandidate(db string) (*Machine, map[string]uint64)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ds, ok := c.dbs[db]
-	if !ok || ds.partitioned() {
+	if !ok {
 		return nil, nil
 	}
 	for _, id := range c.order {

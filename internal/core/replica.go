@@ -54,8 +54,6 @@ func (c *Cluster) copyReplica(db string, target *Machine, marks map[string]uint6
 	switch {
 	case !ok:
 		err = fmt.Errorf("%w: %s", ErrNoDatabase, db)
-	case ds.partitioned():
-		err = fmt.Errorf("core: replica creation is not supported for partitioned database %s", db)
 	case ds.copying != nil:
 		err = fmt.Errorf("%w: %s", ErrCopyInProgress, db)
 	case contains(ds.replicas, targetID):

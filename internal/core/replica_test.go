@@ -218,7 +218,7 @@ func TestFailMachineRemovesReplicas(t *testing.T) {
 	if res.Rows[0][0].Int != 50 {
 		t.Errorf("count = %v", res.Rows[0][0])
 	}
-	if live := c.LiveMachineIDs(); len(live) != 2 {
+	if live := liveMachineIDs(c); len(live) != 2 {
 		t.Errorf("live = %v", live)
 	}
 }

@@ -78,9 +78,6 @@ func (t *Txn) recordSpan(name, detail string, start time.Time) {
 	})
 }
 
-// GlobalID returns the controller-assigned global transaction ID.
-func (t *Txn) GlobalID() uint64 { return t.gid }
-
 // session returns (creating if needed) the replica session on machine id.
 func (t *Txn) session(id string) (*replicaSession, error) {
 	for _, s := range t.sessions {
@@ -134,15 +131,9 @@ func (t *Txn) ExecStmt(stmt sqldb.Statement, params ...sqldb.Value) (*sqldb.Resu
 		return nil, err
 	}
 	switch s := stmt.(type) {
-	case *sqldb.SelectStmt:
-		return t.execRead(stmt, selectTables(s), params)
-	case *sqldb.ExplainStmt:
+	case *sqldb.SelectStmt, *sqldb.ExplainStmt:
 		// EXPLAIN is a read: route it like the statement it describes.
-		var tables []string
-		if sel, ok := s.Inner.(*sqldb.SelectStmt); ok {
-			tables = selectTables(sel)
-		}
-		return t.execRead(stmt, tables, params)
+		return t.execRead(stmt, params)
 	case *sqldb.InsertStmt:
 		return t.execWrite(stmt, s.Table, params)
 	case *sqldb.UpdateStmt:
@@ -186,8 +177,8 @@ func (t *Txn) checkAsync() error {
 }
 
 // execRead routes a read-only statement to one replica.
-func (t *Txn) execRead(stmt sqldb.Statement, tables []string, params []sqldb.Value) (*sqldb.Result, error) {
-	id, err := t.c.pickReadMachine(t, tables)
+func (t *Txn) execRead(stmt sqldb.Statement, params []sqldb.Value) (*sqldb.Result, error) {
+	id, err := t.c.pickReadMachine(t)
 	if err != nil {
 		t.abort()
 		return nil, err

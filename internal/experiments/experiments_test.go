@@ -65,6 +65,12 @@ func TestThroughputShape(t *testing.T) {
 	}
 	if last("option1") < last("option3")*0.8 {
 		t.Errorf("option1 (%0.1f) unexpectedly slower than option3 (%0.1f)", last("option1"), last("option3"))
+		for _, name := range res.Order {
+			for _, pt := range res.Series[name] {
+				t.Logf("%-14s conc=%d: %8.1f tps, %d aborted, %d deadlocks, %d lock time-outs",
+					name, pt.Concurrency, pt.TPS, pt.Aborted, pt.Deadlocks, pt.LockTimeouts)
+			}
+		}
 	}
 	var buf bytes.Buffer
 	res.Render("Figure 2").Write(&buf)

@@ -257,10 +257,6 @@ func (g *Graph) Cycle() []uint64 {
 	return nil
 }
 
-// Serializable reports whether the graph is acyclic, i.e. the execution was
-// one-copy serializable.
-func (g *Graph) Serializable() bool { return g.Cycle() == nil }
-
 // Describe renders a cycle with the conflicts along it, for diagnostics.
 func (g *Graph) Describe(cycle []uint64) string {
 	if len(cycle) < 2 {

@@ -34,7 +34,7 @@ func TestAcyclicSerialExecution(t *testing.T) {
 		{Site: "m1", Seq: 4, Txn: 2, Write: true, Object: "db/t:x"},
 	}
 	g := BuildGraph(ops, map[uint64]bool{1: true, 2: true})
-	if !g.Serializable() {
+	if g.Cycle() != nil {
 		t.Fatalf("serial execution reported non-serializable: %v", g.Cycle())
 	}
 	// There must be edges T1->T2 on both objects.
@@ -62,7 +62,7 @@ func TestPaperAnomaly(t *testing.T) {
 	if cycle == nil {
 		t.Fatal("paper's anomaly not detected as a cycle")
 	}
-	if g.Serializable() {
+	if g.Cycle() == nil {
 		t.Error("Serializable() inconsistent with Cycle()")
 	}
 	if desc := g.Describe(cycle); desc == "no cycle" {
@@ -79,12 +79,12 @@ func TestUncommittedTxnsIgnored(t *testing.T) {
 	}
 	// Both committed: cycle.
 	g := BuildGraph(ops, map[uint64]bool{1: true, 2: true})
-	if g.Serializable() {
+	if g.Cycle() == nil {
 		t.Fatal("expected cycle with both committed")
 	}
 	// Only T1 committed: T2's aborted ops must not contribute.
 	g = BuildGraph(ops, map[uint64]bool{1: true})
-	if !g.Serializable() {
+	if g.Cycle() != nil {
 		t.Fatal("aborted transaction contributed to the graph")
 	}
 	if len(g.Nodes) != 1 {

@@ -114,8 +114,6 @@ type linkState struct {
 // concurrent use. A nil *Network is a valid perfect network on which Link
 // returns nil links whose Call runs the function directly.
 type Network struct {
-	seed int64
-
 	mu       sync.Mutex
 	rng      *rand.Rand
 	defaults Faults
@@ -142,7 +140,6 @@ func New(seed int64, reg *obs.Registry) *Network {
 		reg = obs.NewRegistry()
 	}
 	return &Network{
-		seed:  seed,
 		rng:   rand.New(rand.NewSource(seed)),
 		links: make(map[linkKey]*linkState),
 		sleep: time.Sleep,
@@ -161,14 +158,6 @@ func New(seed int64, reg *obs.Registry) *Network {
 		partitions: reg.Gauge("netsim_partitions_active",
 			"Directed links currently partitioned"),
 	}
-}
-
-// Seed returns the seed the network was created with, for replay reporting.
-func (n *Network) Seed() int64 {
-	if n == nil {
-		return 0
-	}
-	return n.seed
 }
 
 // SetDefaults installs the network-wide fault rates used by links without a
@@ -190,19 +179,6 @@ func (n *Network) SetFaults(from, to string, f Faults) {
 	}
 	n.mu.Lock()
 	n.state(from, to).faults = &f
-	n.mu.Unlock()
-}
-
-// ClearFaults removes the per-link override of from→to, reverting the link
-// to the network defaults.
-func (n *Network) ClearFaults(from, to string) {
-	if n == nil {
-		return
-	}
-	n.mu.Lock()
-	if st, ok := n.links[linkKey{from, to}]; ok {
-		st.faults = nil
-	}
 	n.mu.Unlock()
 }
 
@@ -338,12 +314,6 @@ type Link struct {
 	net      *Network
 	from, to string
 }
-
-// From returns the sending endpoint name.
-func (l *Link) From() string { return l.from }
-
-// To returns the receiving endpoint name.
-func (l *Link) To() string { return l.to }
 
 // decision is the set of fault draws for one delivery, taken under the
 // network mutex in a fixed order so a seed reproduces the same stream.

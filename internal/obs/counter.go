@@ -66,20 +66,11 @@ type Pair struct {
 	v atomic.Uint64
 }
 
-// AddA adds n to the first (high) side.
-func (p *Pair) AddA(n uint64) { p.v.Add(n << 32) }
-
-// AddB adds n to the second (low) side.
-func (p *Pair) AddB(n uint64) { p.v.Add(n & 0xffffffff) }
-
 // IncA adds one to the first side.
 func (p *Pair) IncA() { p.v.Add(1 << 32) }
 
 // IncB adds one to the second side.
 func (p *Pair) IncB() { p.v.Add(1) }
-
-// Add adds to both sides in one atomic update.
-func (p *Pair) Add(a, b uint64) { p.v.Add(a<<32 | b&0xffffffff) }
 
 // Load returns both sides from a single atomic read — the consistent
 // snapshot the pair exists for.

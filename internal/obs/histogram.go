@@ -20,12 +20,8 @@ var LatencyBuckets = []float64{
 	1, 2.5, 5, 10,
 }
 
-// CountBuckets are histogram bounds for small cardinalities (probe counts,
-// batch sizes, machines examined).
-var CountBuckets = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144}
-
 // Histogram is a lock-free bounded histogram: a fixed set of buckets with
-// atomic counts, plus an exact observation count and sum. Recording is
+// atomic counts, plus an exact sum. Recording is
 // wait-free except for the sum, which uses a CAS loop (uncontended in
 // practice because concurrent recorders rarely collide on the same family).
 // Quantiles are estimated by linear interpolation within the bucket that
@@ -34,8 +30,7 @@ var CountBuckets = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144}
 type Histogram struct {
 	bounds []float64       // upper bounds, increasing
 	counts []atomic.Uint64 // len(bounds)+1; last is the overflow bucket
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits
+	sum    atomic.Uint64   // float64 bits
 
 	// exemplars holds one recent traced observation per bucket (see
 	// ObserveWithExemplar). Guarded by emu; only traced observations —
@@ -79,7 +74,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		val := math.Float64frombits(old) + v
@@ -112,9 +106,6 @@ func (h *Histogram) ObserveWithExemplar(v float64, traceID uint64) {
 	h.exemplars[i] = Exemplar{TraceID: traceID, Value: v, Time: time.Now()}
 	h.emu.Unlock()
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }

@@ -52,11 +52,10 @@ type Registry struct {
 // familyVec is a labeled family: a map from joined label values to an
 // instrument of one kind.
 type familyVec struct {
-	kind    string // "counter", "gauge", or "histogram"
-	labels  []string
-	buckets []float64 // histogram families only
-	mu      sync.RWMutex
-	byKey   map[string]any
+	kind   string // "counter" or "gauge"
+	labels []string
+	mu     sync.RWMutex
+	byKey  map[string]any
 }
 
 // NewRegistry creates an empty registry with trace rings of the default
@@ -146,29 +145,23 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 // CounterVec returns (creating if needed) a counter family labeled by the
 // given label names.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{fam: r.vec(name, help, "counter", nil, labels)}
+	return &CounterVec{fam: r.vec(name, help, "counter", labels)}
 }
 
 // GaugeVec returns (creating if needed) a gauge family labeled by the given
 // label names.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{fam: r.vec(name, help, "gauge", nil, labels)}
-}
-
-// HistogramVec returns (creating if needed) a histogram family labeled by
-// the given label names. nil buckets selects LatencyBuckets.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{fam: r.vec(name, help, "histogram", buckets, labels)}
+	return &GaugeVec{fam: r.vec(name, help, "gauge", labels)}
 }
 
 // vec returns (creating if needed) the labeled family name of a kind.
-func (r *Registry) vec(name, help, kind string, buckets []float64, labels []string) *familyVec {
+func (r *Registry) vec(name, help, kind string, labels []string) *familyVec {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	v, ok := r.vecs[name]
 	if !ok {
 		r.checkFree(name, kind)
-		v = &familyVec{kind: kind, labels: labels, buckets: buckets, byKey: make(map[string]any)}
+		v = &familyVec{kind: kind, labels: labels, byKey: make(map[string]any)}
 		r.vecs[name] = v
 		r.setHelp(name, help)
 	} else if v.kind != kind {

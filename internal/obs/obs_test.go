@@ -29,9 +29,6 @@ func TestHistogramConcurrentTotal(t *testing.T) {
 	}
 	wg.Wait()
 	want := uint64(goroutines * perG)
-	if h.Count() != want {
-		t.Fatalf("count = %d, want %d", h.Count(), want)
-	}
 	s := h.Snapshot()
 	if s.Count != want {
 		t.Fatalf("snapshot count = %d, want %d", s.Count, want)
@@ -92,13 +89,15 @@ func TestHistogramSnapshotDuringRecording(t *testing.T) {
 }
 
 // TestPairNeverTorn is the consistency guarantee behind the Engine.Stats
-// fix: concurrent readers of a Pair whose writers keep both sides equal can
-// never observe the sides apart.
+// fix: each writer bumps side A, then side B, so a reader that sees both
+// sides at one instant finds B at most A and at most one event per writer
+// behind it; two separately read counters could show B ahead.
 func TestPairNeverTorn(t *testing.T) {
 	var p Pair
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	const writers = 8
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -107,14 +106,15 @@ func TestPairNeverTorn(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					p.Add(1, 1) // one event increments both sides at once
+					p.IncA()
+					p.IncB()
 				}
 			}
 		}()
 	}
 	for i := 0; i < 100000; i++ {
 		a, b := p.Load()
-		if a != b {
+		if b > a || a-b > writers {
 			t.Fatalf("torn pair: a=%d b=%d", a, b)
 		}
 	}
@@ -214,9 +214,6 @@ func TestTracerRingAndCorrelation(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tr.Record("2pc", fmt.Sprintf("gid:%d", i%2), "prepare", "")
 	}
-	if tr.Len() != 8 {
-		t.Fatalf("len = %d, want 8", tr.Len())
-	}
 	evs := tr.Events()
 	if len(evs) != 8 {
 		t.Fatalf("events = %d, want 8", len(evs))
@@ -229,7 +226,7 @@ func TestTracerRingAndCorrelation(t *testing.T) {
 	if evs[len(evs)-1].Seq != 20 {
 		t.Fatalf("newest seq = %d, want 20", evs[len(evs)-1].Seq)
 	}
-	byID := tr.ByID("gid:1")
+	byID := tr.EventsFiltered("", "gid:1")
 	if len(byID) != 4 {
 		t.Fatalf("gid:1 events = %d, want 4", len(byID))
 	}
@@ -253,10 +250,10 @@ func TestTracerConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if tr.Len() != 128 {
-		t.Fatalf("len = %d, want 128", tr.Len())
-	}
 	evs := tr.Events()
+	if len(evs) != 128 {
+		t.Fatalf("len = %d, want 128", len(evs))
+	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq <= evs[i-1].Seq {
 			t.Fatalf("events out of order at %d", i)

@@ -19,39 +19,7 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 // and label names are emitted in sorted order, so the output is
 // deterministic and scrapable by a stock Prometheus server. All samples of
 // one family are contiguous, as the format requires.
-func (s Snapshot) WritePrometheus(w io.Writer) {
-	lastName := ""
-	for _, p := range s.Metrics {
-		if p.Name != lastName {
-			if p.Help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", p.Name, escapeHelp(p.Help))
-			}
-			fmt.Fprintf(w, "# TYPE %s %s\n", p.Name, p.Kind)
-			lastName = p.Name
-		}
-		if p.Kind == "histogram" {
-			writePromHistogram(w, p)
-			continue
-		}
-		fmt.Fprintf(w, "%s%s %s\n", p.Name, promLabels(p.Labels, ""), promFloat(p.Value))
-	}
-}
-
-// writePromHistogram emits one histogram point: cumulative buckets (the
-// overflow bucket folds into `le="+Inf"`), then the exact sum and count.
-func writePromHistogram(w io.Writer, p MetricPoint) {
-	h := p.Histogram
-	var cum uint64
-	for i, bound := range h.Bounds {
-		if i < len(h.Buckets) {
-			cum += h.Buckets[i]
-		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", p.Name, promLabels(p.Labels, promFloat(bound)), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", p.Name, promLabels(p.Labels, "+Inf"), h.Count)
-	fmt.Fprintf(w, "%s_sum%s %s\n", p.Name, promLabels(p.Labels, ""), promFloat(h.Sum))
-	fmt.Fprintf(w, "%s_count%s %d\n", p.Name, promLabels(p.Labels, ""), h.Count)
-}
+func (s Snapshot) WritePrometheus(w io.Writer) { s.writeExposition(w, false) }
 
 // OpenMetricsContentType is the Content-Type an HTTP handler should declare
 // when serving WriteOpenMetrics output.
@@ -66,11 +34,17 @@ const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 // stack jump from a latency histogram straight to the trace of one request
 // that hit the slow bucket.
 func (s Snapshot) WriteOpenMetrics(w io.Writer) {
+	s.writeExposition(w, true)
+	fmt.Fprintln(w, "# EOF")
+}
+
+// writeExposition is the one renderer behind both formats.
+func (s Snapshot) writeExposition(w io.Writer, openMetrics bool) {
 	lastName := ""
 	for _, p := range s.Metrics {
 		if p.Name != lastName {
 			family := p.Name
-			if p.Kind == "counter" {
+			if openMetrics && p.Kind == "counter" {
 				family = strings.TrimSuffix(family, "_total")
 			}
 			if p.Help != "" {
@@ -80,21 +54,20 @@ func (s Snapshot) WriteOpenMetrics(w io.Writer) {
 			lastName = p.Name
 		}
 		if p.Kind == "histogram" {
-			writeOpenMetricsHistogram(w, p)
+			writeHistogram(w, p, openMetrics)
 			continue
 		}
 		fmt.Fprintf(w, "%s%s %s\n", p.Name, promLabels(p.Labels, ""), promFloat(p.Value))
 	}
-	fmt.Fprintln(w, "# EOF")
 }
 
-// writeOpenMetricsHistogram emits one histogram point with per-bucket
-// exemplars. The overflow bucket folds into `le="+Inf"`, carrying its own
-// exemplar if the bound buckets left the slot empty.
-func writeOpenMetricsHistogram(w io.Writer, p MetricPoint) {
+// writeHistogram emits one histogram point: cumulative buckets (the overflow
+// bucket folds into `le="+Inf"`), then the exact sum and count. With
+// exemplars each bucket line carries the bucket's exemplar, if it has one.
+func writeHistogram(w io.Writer, p MetricPoint, exemplars bool) {
 	h := p.Histogram
 	exemplar := func(i int) string {
-		if i >= len(h.Exemplars) || h.Exemplars[i].TraceID == 0 {
+		if !exemplars || i >= len(h.Exemplars) || h.Exemplars[i].TraceID == 0 {
 			return ""
 		}
 		e := h.Exemplars[i]

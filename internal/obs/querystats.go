@@ -119,18 +119,3 @@ func (q *QueryStats) TopK(db string, k int) []QueryStat {
 	}
 	return out
 }
-
-// Tenants returns the tenant databases with recorded stats, sorted.
-func (q *QueryStats) Tenants() []string {
-	if q == nil {
-		return nil
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]string, 0, len(q.tenants))
-	for db := range q.tenants {
-		out = append(out, db)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -85,19 +85,6 @@ func (l *SlowLog) Record(e SlowEntry) {
 	}
 }
 
-// Len returns the number of buffered entries.
-func (l *SlowLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.full {
-		return len(l.buf)
-	}
-	return l.next
-}
-
 // Entries returns the buffered slow queries, oldest first.
 func (l *SlowLog) Entries() []SlowEntry {
 	if l == nil {

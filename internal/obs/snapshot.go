@@ -79,9 +79,6 @@ func (r *Registry) Snapshot() Snapshot {
 				add(MetricPoint{Name: name, Kind: "counter", Labels: labels, Value: float64(v.Value())})
 			case *Gauge:
 				add(MetricPoint{Name: name, Kind: "gauge", Labels: labels, Value: v.Value()})
-			case *Histogram:
-				hs := v.Snapshot()
-				add(MetricPoint{Name: name, Kind: "histogram", Labels: labels, Histogram: &hs})
 			}
 		})
 	}

@@ -48,15 +48,6 @@ type SpanContext struct {
 // Traced reports whether the context carries a sampled trace.
 func (c SpanContext) Traced() bool { return c.Sampled && c.TraceID != 0 }
 
-// Child returns a context for a new span under this one, minting a fresh
-// span ID. The zero (unsampled) context returns itself.
-func (c SpanContext) Child() SpanContext {
-	if !c.Traced() {
-		return c
-	}
-	return SpanContext{TraceID: c.TraceID, SpanID: NewTraceID(), Sampled: true}
-}
-
 // TraceIDString renders a trace or span ID the way operators see it in
 // /tracez, the slow-query log, and Prometheus exemplars.
 func TraceIDString(id uint64) string { return fmt.Sprintf("%016x", id) }
@@ -134,27 +125,6 @@ func (r *SpanRing) Record(sp Span) {
 	}
 }
 
-// Cap returns the ring's capacity.
-func (r *SpanRing) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
-// Len returns the number of buffered spans.
-func (r *SpanRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
 // eachLocked visits the buffered spans oldest first. Caller holds r.mu.
 func (r *SpanRing) eachLocked(fn func(*Span)) {
 	if r.full {
@@ -204,12 +174,6 @@ func (r *SpanRing) ByTrace(traceID uint64) []Span {
 		}
 	})
 	return out
-}
-
-// WriteTrace renders one trace's span tree (see WriteSpanTree) from the
-// ring's current contents.
-func (r *SpanRing) WriteTrace(w io.Writer, traceID uint64) {
-	WriteSpanTree(w, r.ByTrace(traceID))
 }
 
 // spanNode is one tree position during rendering.

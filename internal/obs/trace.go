@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sync"
 	"time"
 )
@@ -79,20 +77,7 @@ func (t *Tracer) Record(scope, id, phase, detail string) {
 }
 
 // Events returns the buffered events in recording order (oldest first).
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.full {
-		return append([]Event{}, t.buf[:t.next]...)
-	}
-	out := make([]Event, 0, len(t.buf))
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
-	return out
-}
+func (t *Tracer) Events() []Event { return t.EventsFiltered("", "") }
 
 // eventMatches is the one filter predicate shared by EventsFiltered,
 // FilterEvents, and the admin plane's /tracez endpoint: an empty scope or id
@@ -153,53 +138,5 @@ func (t *Tracer) eachLocked(fn func(*Event)) {
 	}
 	for i := 0; i < t.next; i++ {
 		fn(&t.buf[i])
-	}
-}
-
-// ByID returns the buffered events with the given correlation ID, oldest
-// first — the reassembled timeline of one transaction or one copy.
-func (t *Tracer) ByID(id string) []Event {
-	var out []Event
-	for _, e := range t.Events() {
-		if e.ID == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// ByScope returns the buffered events of one subsystem, oldest first.
-func (t *Tracer) ByScope(scope string) []Event {
-	var out []Event
-	for _, e := range t.Events() {
-		if e.Scope == scope {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Len returns the number of buffered events.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.full {
-		return len(t.buf)
-	}
-	return t.next
-}
-
-// WriteText dumps the buffered events, one per line, oldest first.
-func (t *Tracer) WriteText(w io.Writer) {
-	for _, e := range t.Events() {
-		detail := ""
-		if e.Detail != "" {
-			detail = " " + e.Detail
-		}
-		fmt.Fprintf(w, "%6d %s %-8s %-16s %s%s\n",
-			e.Seq, e.Time.Format("15:04:05.000000"), e.Scope, e.ID, e.Phase, detail)
 	}
 }

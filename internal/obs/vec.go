@@ -77,15 +77,3 @@ type GaugeVec struct {
 func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.fam.get(values, func() any { return &Gauge{} }).(*Gauge)
 }
-
-// HistogramVec is a histogram family partitioned by label values.
-type HistogramVec struct {
-	fam *familyVec
-}
-
-// With returns the histogram for the given label values, creating it on
-// first use.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	f := v.fam
-	return f.get(values, func() any { return NewHistogram(f.buckets) }).(*Histogram)
-}

@@ -16,7 +16,6 @@ import (
 type Allocator struct {
 	machines []Machine
 	placed   map[string][]string
-	probes   int
 }
 
 // NewAllocator creates an allocator over an initial (possibly empty) set of
@@ -42,8 +41,7 @@ func (a *Allocator) Place(d sla.Database, order Order) ([]string, error) {
 	if !d.Req.NonNegative() {
 		return nil, fmt.Errorf("placement: negative resource requirement for %s", d.Name)
 	}
-	picked, probes := Pick(a.machines, d.Req, d.Replicas, order)
-	a.probes += probes
+	picked, _ := Pick(a.machines, d.Req, d.Replicas, order)
 	for len(picked) < d.Replicas {
 		m := Machine{ID: fmt.Sprintf("m%d", len(a.machines)+1), Cap: sla.UnitMachine("").Cap}
 		if !d.Req.Fits(m.Cap) {
@@ -77,11 +75,6 @@ func (a *Allocator) MachineCount() int {
 
 // Placement returns the machine names hosting each placed database.
 func (a *Allocator) Placement() map[string][]string { return a.placed }
-
-// Probes returns how many machine-fit examinations the allocator has
-// performed — the work done by Algorithm 2's greedy scan. First-Fit's
-// advantage over Best-Fit (which always scans every machine) shows up here.
-func (a *Allocator) Probes() int { return a.probes }
 
 func placeAll(dbs []sla.Database, order Order) (int, map[string][]string, error) {
 	a := NewAllocator(nil)

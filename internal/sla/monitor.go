@@ -152,9 +152,6 @@ func NewMonitor(reg *obs.Registry, opts MonitorOptions) *Monitor {
 	return m
 }
 
-// Window returns the monitor's window width.
-func (m *Monitor) Window() time.Duration { return m.window }
-
 // Track declares db's SLA and starts monitoring it. Observations for
 // untracked databases are dropped, so controllers can feed the monitor
 // unconditionally. Tracking the same name again replaces the declaration

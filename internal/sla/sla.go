@@ -136,11 +136,10 @@ func (s SLA) MaxRecoveryTime(in AvailabilityInputs) time.Duration {
 	return time.Duration(seconds * float64(time.Second))
 }
 
-// Database describes one database to place: its identity, SLA, and the
+// Database describes one database to place: its identity and the
 // per-replica resource requirement observed during the profiling period.
 type Database struct {
 	Name string
-	SLA  SLA
 	// Req is r[j]: the resources one replica needs to meet the throughput
 	// SLA, measured while the database ran on a dedicated machine.
 	Req Resources

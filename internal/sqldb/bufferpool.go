@@ -153,9 +153,6 @@ func NewBufferPool(capacity int, missLatency time.Duration) *BufferPool {
 	return p
 }
 
-// Stripes returns the number of lock stripes (for tests and diagnostics).
-func (p *BufferPool) Stripes() int { return len(p.stripes) }
-
 // stripe maps a key to its owning stripe by FNV-1a hash.
 func (p *BufferPool) stripe(key PageKey) *poolStripe {
 	if len(p.stripes) == 1 {

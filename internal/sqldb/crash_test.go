@@ -328,8 +328,8 @@ func TestCrashStoreFailureDuringCommit(t *testing.T) {
 	if err := tx.Commit(); err == nil {
 		t.Fatal("commit succeeded on a failing log device")
 	}
-	if tx.State() != TxnAborted {
-		t.Fatalf("transaction state = %v, want aborted", tx.State())
+	if tx.state != TxnAborted {
+		t.Fatalf("transaction state = %v, want aborted", tx.state)
 	}
 	// The failed transaction's effects are rolled back live, pre-recovery.
 	wantIDs(t, e, "bank", "accounts", 1, 2)

@@ -101,7 +101,10 @@ type Stats struct {
 	Commits   uint64
 	Aborts    uint64
 	Deadlocks uint64
-	LocksHeld uint64
+	// LockTimeouts counts lock waits that ran into Config.LockTimeout — the
+	// only thing that breaks a deadlock whose cycle spans two machines.
+	LockTimeouts uint64
+	LocksHeld    uint64
 
 	// Execution counters: plans bound to closures (plan_compile_total),
 	// SELECT and DML statements executed through a bound plan
@@ -179,9 +182,6 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Pool exposes the engine's buffer pool (for statistics and experiments).
 func (e *Engine) Pool() *BufferPool { return e.pool }
 
@@ -226,13 +226,6 @@ func (e *Engine) Close() {
 	e.mu.Unlock()
 }
 
-// Closed reports whether Close was called.
-func (e *Engine) Closed() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.closed
-}
-
 // Stats returns a snapshot of the engine counters. Counter pairs that
 // readers combine (commits/aborts, pool hits/misses, plan-cache
 // hits/misses) are each packed into a single atomic word, so a concurrent
@@ -240,10 +233,12 @@ func (e *Engine) Closed() bool {
 // is missing from the miss side's total.
 func (e *Engine) Stats() Stats {
 	commits, aborts := e.commitAbort.Load()
+	deadlocks, timeouts := e.locks.failedWaits()
 	return Stats{
 		Commits:       commits,
 		Aborts:        aborts,
-		Deadlocks:     e.locks.deadlockCount(),
+		Deadlocks:     deadlocks,
+		LockTimeouts:  timeouts,
 		LocksHeld:     e.locks.heldCount(),
 		PlanCompiles:  e.statPlanCompiles.Load(),
 		CompiledExecs: e.statCompiledExecs.Load(),

@@ -25,9 +25,8 @@ func (t *Txn) lockRow(tbl *Table, key string, mode LockMode) error {
 
 // execute dispatches a parsed statement. The transaction's state has already
 // been validated by the caller. plan, when non-nil, is the statement's cached
-// bound form; reuse, when non-nil, is a caller-owned Result a SELECT may fill
-// in place.
-func (e *Engine) execute(t *Txn, stmt Statement, plan *stmtPlan, params []Value, reuse *Result) (*Result, error) {
+// bound form.
+func (e *Engine) execute(t *Txn, stmt Statement, plan *stmtPlan, params []Value) (*Result, error) {
 	if !e.recovering.Load() {
 		e.statStmtExecs.Add(1)
 	}
@@ -45,16 +44,16 @@ func (e *Engine) execute(t *Txn, stmt Statement, plan *stmtPlan, params []Value,
 	case *DropTableStmt:
 		return e.execDropTable(t, s)
 	case *InsertStmt:
-		res, err := e.runBound(t, stmt, plan, params, nil)
+		res, err := e.runBound(t, stmt, plan, params)
 		return e.logWrite(t, s.Table, stmt, params, res, err)
 	case *UpdateStmt:
-		res, err := e.runBound(t, stmt, plan, params, nil)
+		res, err := e.runBound(t, stmt, plan, params)
 		return e.logWrite(t, s.Table, stmt, params, res, err)
 	case *DeleteStmt:
-		res, err := e.runBound(t, stmt, plan, params, nil)
+		res, err := e.runBound(t, stmt, plan, params)
 		return e.logWrite(t, s.Table, stmt, params, res, err)
 	case *SelectStmt:
-		return e.runBound(t, stmt, plan, params, reuse)
+		return e.runBound(t, stmt, plan, params)
 	case *ExplainStmt:
 		return e.execExplain(t, s, params)
 	case *BeginStmt, *CommitStmt, *RollbackStmt:
@@ -68,7 +67,7 @@ func (e *Engine) execute(t *Txn, stmt Statement, plan *stmtPlan, params []Value,
 // missing plan (the statement did not bind when it was cached) is bound now,
 // which reports why; a plan the catalog moved under since it was fetched is
 // re-bound against the current catalog and run again.
-func (e *Engine) runBound(t *Txn, stmt Statement, plan *stmtPlan, params []Value, reuse *Result) (*Result, error) {
+func (e *Engine) runBound(t *Txn, stmt Statement, plan *stmtPlan, params []Value) (*Result, error) {
 	if !e.recovering.Load() {
 		e.statCompiledExecs.Add(1)
 	}
@@ -79,7 +78,7 @@ func (e *Engine) runBound(t *Txn, stmt Statement, plan *stmtPlan, params []Value
 				return nil, err
 			}
 		}
-		res, err := plan.exec(t, params, reuse)
+		res, err := plan.exec(t, params)
 		if err != errStalePlan {
 			return res, err
 		}
@@ -211,7 +210,7 @@ type boundInsert struct {
 	bound  [][]exprFn
 }
 
-func bindInsert(e *Engine, db string, s *InsertStmt) (func(*Txn, []Value, *Result) (*Result, error), error) {
+func bindInsert(e *Engine, db string, s *InsertStmt) (func(*Txn, []Value) (*Result, error), error) {
 	tbl, err := e.Table(db, s.Table)
 	if err != nil {
 		return nil, err
@@ -261,7 +260,7 @@ func bindInsert(e *Engine, db string, s *InsertStmt) (func(*Txn, []Value, *Resul
 	return bi.exec, nil
 }
 
-func (bi *boundInsert) exec(t *Txn, params []Value, _ *Result) (*Result, error) {
+func (bi *boundInsert) exec(t *Txn, params []Value) (*Result, error) {
 	e, schema := t.engine, bi.schema
 	tbl, err := t.boundTable(bi.table, schema)
 	if err != nil {
@@ -327,7 +326,7 @@ type boundWrite struct {
 	set    []exprFn
 }
 
-func bindUpdate(e *Engine, db string, s *UpdateStmt) (func(*Txn, []Value, *Result) (*Result, error), error) {
+func bindUpdate(e *Engine, db string, s *UpdateStmt) (func(*Txn, []Value) (*Result, error), error) {
 	tbl, err := e.Table(db, s.Table)
 	if err != nil {
 		return nil, err
@@ -347,7 +346,7 @@ func bindUpdate(e *Engine, db string, s *UpdateStmt) (func(*Txn, []Value, *Resul
 	return bw.exec, nil
 }
 
-func bindDelete(e *Engine, db string, s *DeleteStmt) (func(*Txn, []Value, *Result) (*Result, error), error) {
+func bindDelete(e *Engine, db string, s *DeleteStmt) (func(*Txn, []Value) (*Result, error), error) {
 	tbl, err := e.Table(db, s.Table)
 	if err != nil {
 		return nil, err
@@ -357,7 +356,7 @@ func bindDelete(e *Engine, db string, s *DeleteStmt) (func(*Txn, []Value, *Resul
 	return bw.exec, nil
 }
 
-func (bw *boundWrite) exec(t *Txn, params []Value, _ *Result) (*Result, error) {
+func (bw *boundWrite) exec(t *Txn, params []Value) (*Result, error) {
 	tbl, err := t.boundTable(bw.read.name, bw.read.schema)
 	if err != nil {
 		return nil, err

@@ -143,12 +143,3 @@ func exprName(ce *ColumnExpr) string {
 	}
 	return ce.Col
 }
-
-// ExplainString renders an EXPLAIN result as aligned text.
-func ExplainString(res *Result) string {
-	var sb strings.Builder
-	for _, r := range res.Rows {
-		fmt.Fprintf(&sb, "%-14s %-12s %s\n", r[0].Str, r[1].Str, r[2].Str)
-	}
-	return sb.String()
-}

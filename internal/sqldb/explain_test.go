@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -105,4 +106,13 @@ func TestExplainErrors(t *testing.T) {
 	if _, err := e.Exec("app", "EXPLAIN BEGIN"); err == nil {
 		t.Error("EXPLAIN BEGIN succeeded")
 	}
+}
+
+// ExplainString renders an EXPLAIN result as aligned text.
+func ExplainString(res *Result) string {
+	var sb strings.Builder
+	for _, r := range res.Rows {
+		fmt.Fprintf(&sb, "%-14s %-12s %s\n", r[0].Str, r[1].Str, r[2].Str)
+	}
+	return sb.String()
 }

@@ -85,7 +85,7 @@ type lockManager struct {
 	// and released per statement — does not allocate. Guarded by mu.
 	free []*lockEntry
 
-	deadlocks uint64 // guarded by mu
+	deadlocks, timeouts uint64 // guarded by mu
 }
 
 // lockEntryFreeMax bounds the entry freelist.
@@ -178,6 +178,7 @@ func (lm *lockManager) block(txn *Txn, id lockID, e *lockEntry, req *lockRequest
 			return err
 		default:
 		}
+		lm.timeouts++
 		lm.removeRequest(e, req)
 		lm.clearEdges(txn)
 		lm.grantWaiters(id, e)
@@ -346,11 +347,12 @@ func (lm *lockManager) removeRequest(e *lockEntry, req *lockRequest) {
 	}
 }
 
-// deadlockCount returns the number of deadlocks detected so far.
-func (lm *lockManager) deadlockCount() uint64 {
+// failedWaits returns the number of deadlocks detected and of lock waits
+// timed out so far.
+func (lm *lockManager) failedWaits() (deadlocks, timeouts uint64) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	return lm.deadlocks
+	return lm.deadlocks, lm.timeouts
 }
 
 // heldCount returns the number of (transaction, resource) lock holds

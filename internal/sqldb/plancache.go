@@ -181,13 +181,6 @@ func (pc *planCache) invalidateDB(db string) {
 	}
 }
 
-// len returns the number of resident text-cache entries.
-func (pc *planCache) len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.lru.Len()
-}
-
 // stats returns a snapshot of the counters. The hit/miss pair comes from
 // one atomic word and is never torn.
 func (pc *planCache) stats() PlanCacheStats {
@@ -290,11 +283,4 @@ func (c *StmtCache) Parse(sql string) (Statement, error) {
 		delete(c.entries, oldest.Value.(*stmtEntry).sql)
 	}
 	return stmt, nil
-}
-
-// Len returns the number of cached statements.
-func (c *StmtCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }

@@ -43,7 +43,7 @@ func TestPlanCacheHitCounter(t *testing.T) {
 	if misses := st.Misses - base.Misses; misses != 1 {
 		t.Errorf("misses = %d, want 1", misses)
 	}
-	if e.plans.len() == 0 {
+	if e.plans.lru.Len() == 0 {
 		t.Error("no resident text-cache entries")
 	}
 }
@@ -55,7 +55,7 @@ func TestPlanCacheParameterisedSharesOnePlan(t *testing.T) {
 
 	const q = "SELECT v FROM t WHERE id = ?"
 	mustExec(t, e, q, NewInt(1))
-	before := e.plans.len()
+	before := e.plans.lru.Len()
 	first := cachedPlan(t, e, q)
 	for i := int64(1); i <= 3; i++ {
 		res := mustExec(t, e, q, NewInt(i))
@@ -63,8 +63,8 @@ func TestPlanCacheParameterisedSharesOnePlan(t *testing.T) {
 			t.Fatalf("id=%d: rows = %d", i, len(res.Rows))
 		}
 	}
-	if e.plans.len() != before {
-		t.Errorf("cache grew from %d to %d entries across bindings", before, e.plans.len())
+	if e.plans.lru.Len() != before {
+		t.Errorf("cache grew from %d to %d entries across bindings", before, e.plans.lru.Len())
 	}
 	if got := cachedPlan(t, e, q); got != first {
 		t.Error("plan was re-derived between bindings of one statement")
@@ -151,7 +151,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustExec(t, e, fmt.Sprintf("SELECT * FROM t WHERE id = %d", i))
 	}
-	if n := e.plans.len(); n > 2 {
+	if n := e.plans.lru.Len(); n > 2 {
 		t.Errorf("resident entries = %d, want <= 2", n)
 	}
 	if ev := e.Stats().PlanCache.Evictions; ev == 0 {
@@ -175,8 +175,8 @@ func TestPlanCacheDisabled(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 0 {
 		t.Errorf("disabled cache counted hits=%d misses=%d", st.Hits, st.Misses)
 	}
-	if e.plans.len() != 0 {
-		t.Errorf("disabled cache holds %d entries", e.plans.len())
+	if e.plans.lru.Len() != 0 {
+		t.Errorf("disabled cache holds %d entries", e.plans.lru.Len())
 	}
 }
 
@@ -203,8 +203,8 @@ func TestStmtCacheSharesParsedStatements(t *testing.T) {
 	if _, err := c.Parse("SELECT 3"); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want capacity 2", c.Len())
+	if c.lru.Len() != 2 {
+		t.Errorf("Len = %d, want capacity 2", c.lru.Len())
 	}
 }
 

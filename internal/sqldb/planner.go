@@ -15,20 +15,6 @@ const (
 	pathIndexRange                 // ordered index/PK traversal for range predicates
 )
 
-// String names the access path as EXPLAIN reports it.
-func (k pathKind) String() string {
-	switch k {
-	case pathPoint:
-		return "point"
-	case pathIndexEq:
-		return "index"
-	case pathIndexRange:
-		return "range"
-	default:
-		return "scan"
-	}
-}
-
 // accessPath is a parameter-independent access plan for a single-table
 // predicate: one plan serves every execution of a parameterised statement.
 // The bound expressions (eq, lo, hi) are constant with respect to the row —
@@ -56,7 +42,7 @@ type accessPath struct {
 type stmtPlan struct {
 	gen    uint64   // planCache generation this plan was bound under
 	tables []string // lower-cased referenced table names
-	exec   func(t *Txn, params []Value, reuse *Result) (*Result, error)
+	exec   func(t *Txn, params []Value) (*Result, error)
 }
 
 // bindStatement binds stmt against db's current catalog. A nil plan with a

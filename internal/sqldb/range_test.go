@@ -169,7 +169,7 @@ func TestPoolStripeScaling(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := NewBufferPool(c.capacity, 0)
-		if got := p.Stripes(); got != c.stripes {
+		if got := len(p.stripes); got != c.stripes {
 			t.Errorf("capacity %d: stripes = %d, want %d", c.capacity, got, c.stripes)
 		}
 		if c.capacity <= 0 {

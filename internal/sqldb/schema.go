@@ -57,15 +57,6 @@ func (s *Schema) ColIndex(name string) int {
 	return -1
 }
 
-// ColNames returns the column names in declaration order.
-func (s *Schema) ColNames() []string {
-	names := make([]string, len(s.Cols))
-	for i, c := range s.Cols {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // CheckRow validates a full-width row against the schema: arity, NOT NULL,
 // and type compatibility (INT values are accepted into FLOAT columns and are
 // widened in place).
@@ -111,33 +102,4 @@ func (s *Schema) Clone() *Schema {
 	copy(cols, s.Cols)
 	out, _ := NewSchema(s.Table, cols)
 	return out
-}
-
-// DDL renders the schema as a CREATE TABLE statement, usable to recreate the
-// table on another engine (the dump tool uses this).
-func (s *Schema) DDL() string {
-	var sb strings.Builder
-	sb.WriteString("CREATE TABLE ")
-	sb.WriteString(s.Table)
-	sb.WriteString(" (")
-	for i, c := range s.Cols {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(c.Name)
-		sb.WriteByte(' ')
-		sb.WriteString(c.Typ.String())
-		if c.PrimaryKey {
-			sb.WriteString(" PRIMARY KEY")
-		} else {
-			if c.NotNull {
-				sb.WriteString(" NOT NULL")
-			}
-			if c.Unique {
-				sb.WriteString(" UNIQUE")
-			}
-		}
-	}
-	sb.WriteString(")")
-	return sb.String()
 }

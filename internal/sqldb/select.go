@@ -244,7 +244,7 @@ func equiJoinCols(on Expr) (l, r *ColumnExpr, ok bool) {
 }
 
 // exec runs the bound SELECT: source, validation error, output stage.
-func (bs *boundSelect) exec(t *Txn, params []Value, reuse *Result) (*Result, error) {
+func (bs *boundSelect) exec(t *Txn, params []Value) (*Result, error) {
 	en := t.newEnv(params)
 	rows, err := bs.source(t, en)
 	if err != nil {
@@ -253,7 +253,7 @@ func (bs *boundSelect) exec(t *Txn, params []Value, reuse *Result) (*Result, err
 	if bs.invalid != nil {
 		return nil, bs.invalid
 	}
-	return bs.out.emit(en, rows, reuse)
+	return bs.out.emit(en, rows)
 }
 
 // source produces the filtered, joined source rows, acquiring read locks
@@ -413,35 +413,17 @@ type orderKey struct {
 	desc bool
 }
 
-// resultRow returns an output-row buffer of capacity ≥ n, reusing the i-th
-// row buffer of a previous use of res when possible, so steady-state point
-// reads through ExecStmtInto allocate no result.
-func resultRow(res *Result, i, n int) Row {
-	prev := res.Rows[:cap(res.Rows)]
-	if i < len(prev) && cap(prev[i]) >= n {
-		return prev[i][:0]
-	}
-	return make(Row, 0, n)
-}
-
-// emit turns source rows into the result. reuse, when non-nil, is filled in
-// place with its backing slices reused. Each output row is projected and its
+// emit turns source rows into the result. Each output row is projected and its
 // ORDER BY keys evaluated before the next source row (or group) is looked at,
 // and every one of them before the LIMIT cut, so evaluation errors surface in
 // source order.
-func (o *output) emit(en *env, src []Row, reuse *Result) (*Result, error) {
-	res := reuse
-	if res == nil {
-		res = &Result{}
-	}
-	res.Cols, res.Affected = o.cols, 0
-	out := res.Rows[:0]
-	var keys []Row
+func (o *output) emit(en *env, src []Row) (*Result, error) {
+	var out, keys []Row
 
 	if !o.grouped {
 		for _, r := range src {
 			en.row = r
-			pr, k, err := o.project(en, res, len(out))
+			pr, k, err := o.project(en)
 			if err != nil {
 				return nil, err
 			}
@@ -473,7 +455,7 @@ func (o *output) emit(en *env, src []Row, reuse *Result) (*Result, error) {
 					continue
 				}
 			}
-			pr, k, err := o.project(en, res, len(out))
+			pr, k, err := o.project(en)
 			if err != nil {
 				return nil, err
 			}
@@ -514,8 +496,7 @@ func (o *output) emit(en *env, src []Row, reuse *Result) (*Result, error) {
 	if o.limit >= 0 && o.limit < len(out) {
 		out = out[:o.limit]
 	}
-	res.Rows = out
-	return res, nil
+	return &Result{Cols: o.cols, Rows: out}, nil
 }
 
 // groups partitions the source rows by the GROUP BY keys, in order of first
@@ -550,10 +531,10 @@ func (o *output) groups(en *env, src []Row) ([][]Row, error) {
 }
 
 // project evaluates the projection and the ORDER BY keys of the row (or
-// group) en holds, into the i-th row buffer of res.
-func (o *output) project(en *env, res *Result, i int) (pr, keys Row, err error) {
+// group) en holds.
+func (o *output) project(en *env) (pr, keys Row, err error) {
 	if o.flat != nil {
-		pr = resultRow(res, i, len(o.flat))
+		pr = make(Row, 0, len(o.flat))
 		for _, off := range o.flat {
 			if off < len(en.row) {
 				pr = append(pr, en.row[off])
@@ -562,7 +543,7 @@ func (o *output) project(en *env, res *Result, i int) (pr, keys Row, err error) 
 			}
 		}
 	} else {
-		pr = resultRow(res, i, len(o.items))
+		pr = make(Row, 0, len(o.items))
 		for _, f := range o.items {
 			v, err := f(en)
 			if err != nil {

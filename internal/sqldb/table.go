@@ -93,17 +93,6 @@ func (t *Table) ByteSize() int64 {
 	return t.byteSize
 }
 
-// PageCount returns the number of sealed pages plus the open tail page.
-func (t *Table) PageCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := len(t.pages)
-	if len(t.tail) > 0 {
-		n++
-	}
-	return n
-}
-
 // maxExactInt is the largest magnitude exactly representable as both int64
 // and float64 (2^53); below it, integer formatting preserves the INT/FLOAT
 // key-equality invariant without paying for float formatting.

@@ -34,7 +34,6 @@ func TestPointReadUnsampledZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var res Result
 		params := []Value{NewInt(0)}
 		i := 0
 		point := func() {
@@ -45,7 +44,7 @@ func TestPointReadUnsampledZeroAlloc(t *testing.T) {
 			tx.SetTraceContext(obs.SpanContext{}) // sampling off: zero context
 			params[0] = NewInt(int64(i % 100))
 			i++
-			if err := tx.ExecStmtInto(&res, stmt, params...); err != nil {
+			if _, err := tx.ExecStmt(stmt, params...); err != nil {
 				t.Fatal(err)
 			}
 			if err := tx.Commit(); err != nil {

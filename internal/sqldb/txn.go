@@ -109,20 +109,10 @@ func (t *Txn) newEnv(params []Value) *env {
 	return &t.env
 }
 
-// ID returns the engine-local transaction identifier.
-func (t *Txn) ID() uint64 { return t.id }
-
 // SetTraceContext attributes the transaction's subsequent statement and
 // WAL-flush work to a distributed trace (the zero context clears it). The
 // context names the parent span engine-side spans link under.
 func (t *Txn) SetTraceContext(tc obs.SpanContext) { t.trace = tc }
-
-// State returns the current lifecycle state.
-func (t *Txn) State() TxnState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state
-}
 
 // noteLock records that the transaction holds id. Called by the lock manager
 // with its mutex held, only when the transaction is newly granted the lock
@@ -166,30 +156,16 @@ func (t *Txn) Exec(sql string, params ...Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.execPlanned(stmt, plan, params, nil)
+	return t.execPlanned(stmt, plan, params)
 }
 
 // ExecStmt executes a pre-parsed statement inside the transaction, memoising
 // its access-path plan by AST identity.
 func (t *Txn) ExecStmt(stmt Statement, params ...Value) (*Result, error) {
-	return t.execPlanned(stmt, t.engine.plannedStmt(t.db, stmt), params, nil)
+	return t.execPlanned(stmt, t.engine.plannedStmt(t.db, stmt), params)
 }
 
-// ExecStmtInto is ExecStmt with a caller-owned result: res and its row
-// buffers are reused across calls, so in steady state a point read allocates
-// nothing for its result. On error res is left in an undefined state.
-func (t *Txn) ExecStmtInto(res *Result, stmt Statement, params ...Value) error {
-	out, err := t.execPlanned(stmt, t.engine.plannedStmt(t.db, stmt), params, res)
-	if err != nil {
-		return err
-	}
-	if out != nil && out != res {
-		*res = *out
-	}
-	return nil
-}
-
-func (t *Txn) execPlanned(stmt Statement, plan *stmtPlan, params []Value, reuse *Result) (*Result, error) {
+func (t *Txn) execPlanned(stmt Statement, plan *stmtPlan, params []Value) (*Result, error) {
 	if err := t.checkActive(); err != nil {
 		return nil, err
 	}
@@ -210,7 +186,7 @@ func (t *Txn) execPlanned(stmt Statement, plan *stmtPlan, params []Value, reuse 
 	if traced {
 		spanStart = time.Now()
 	}
-	res, err := t.engine.execute(t, stmt, plan, params, reuse)
+	res, err := t.engine.execute(t, stmt, plan, params)
 	if err != nil && errors.Is(err, ErrNoTable) && !t.engine.HasDatabase(t.db) {
 		// Not a missing table: the whole database was dropped underneath the
 		// open transaction (a replica being shrunk away, or an aborted copy
@@ -411,9 +387,4 @@ func (t *Txn) rollbackLocked() {
 	}
 	t.engine.locks.releaseAll(t)
 	t.engine.finishTxn(t, false)
-}
-
-// String identifies the transaction for diagnostics.
-func (t *Txn) String() string {
-	return fmt.Sprintf("txn(%d)", t.id)
 }

@@ -445,8 +445,8 @@ func TestDroppedDatabaseAbortsOpenTxn(t *testing.T) {
 			if _, err := tx.Exec("SELECT v FROM nosuch"); !errors.Is(err, ErrNoTable) {
 				t.Fatalf("unknown table in a live database: err = %v, want ErrNoTable", err)
 			}
-			if tx.State() != TxnActive {
-				t.Fatalf("unknown table aborted the transaction: state %v", tx.State())
+			if tx.state != TxnActive {
+				t.Fatalf("unknown table aborted the transaction: state %v", tx.state)
 			}
 			if err := e.DropDatabase("app"); err != nil {
 				t.Fatal(err)
@@ -455,8 +455,8 @@ func TestDroppedDatabaseAbortsOpenTxn(t *testing.T) {
 			if !errors.Is(err, ErrTxnAborted) || errors.Is(err, ErrNoTable) {
 				t.Fatalf("statement on a dropped database: err = %v, want ErrTxnAborted", err)
 			}
-			if tx.State() != TxnAborted {
-				t.Errorf("state after the abort = %v, want aborted", tx.State())
+			if tx.state != TxnAborted {
+				t.Errorf("state after the abort = %v, want aborted", tx.state)
 			}
 			if held := e.Stats().LocksHeld; held != 0 {
 				t.Errorf("%d locks still held after the abort", held)

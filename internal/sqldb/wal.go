@@ -179,7 +179,7 @@ func (e *Engine) Checkpoint() error {
 				})
 				return err
 			})
-			if err != nil && !isNoTable(err) {
+			if err != nil && !errors.Is(err, ErrNoTable) {
 				// A table (or the database) dropped while checkpointing is
 				// skipped: its drop record replays.
 				return err
@@ -195,11 +195,6 @@ func (e *Engine) Checkpoint() error {
 		}
 	}
 	return nil
-}
-
-// isNoTable reports whether err is a missing-table/database error.
-func isNoTable(err error) bool {
-	return errors.Is(err, ErrNoTable)
 }
 
 // RecoveryStats summarises one Engine.Recover run.
@@ -421,7 +416,7 @@ func (e *Engine) Recover() (*RecoveryStats, error) {
 				}
 			}
 			if err := e.replayStmt(r.DB, string(r.Data)); err != nil {
-				if isNoTable(err) && marked[r.DB] &&
+				if errors.Is(err, ErrNoTable) && marked[r.DB] &&
 					snapLSN(snap, r.DB+"/"+r.Table) < 0 && r.LSN <= ckptEnd {
 					// The table died inside its checkpoint's fuzzy window: the
 					// database's marker filters the table's creation, and the

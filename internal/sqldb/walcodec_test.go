@@ -25,8 +25,8 @@ func TestTableImageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := img.Schema.DDL(), src.Schema.DDL(); got != want {
-		t.Fatalf("decoded schema %q, want %q", got, want)
+	if got, want := img.Schema, src.Schema; got.Table != want.Table || !reflect.DeepEqual(got.Cols, want.Cols) {
+		t.Fatalf("decoded schema %+v, want %+v", got, want)
 	}
 	if !reflect.DeepEqual(img.Indexes, src.Indexes) {
 		t.Fatalf("decoded indexes %+v, want %+v", img.Indexes, src.Indexes)

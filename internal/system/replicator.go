@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"sdp/internal/colo"
 )
 
 // replicator ships committed write batches to the DR colos of each
 // database, asynchronously but in commit order per database (one worker per
 // database drains a FIFO). A batch that fails to apply at a DR colo is
-// dropped after recording the error; cross-colo replication is best-effort
-// by design.
+// dropped and the error recorded as a "repl" trace event; cross-colo
+// replication is best-effort by design.
 type replicator struct {
 	sys *Controller
 
@@ -19,7 +21,6 @@ type replicator struct {
 	running map[string]bool
 	pending map[string]int
 	cond    *sync.Cond
-	errs    []error
 }
 
 func newReplicator(s *Controller) *replicator {
@@ -74,48 +75,36 @@ func (r *replicator) drain(db string) {
 func (r *replicator) apply(db string, batch []capturedWrite) {
 	m := r.sys.metrics
 	start := time.Now()
-	ok := true
+	var firstErr error
 	for _, co := range r.sys.drTargets(db) {
-		tx, err := co.Begin(db)
-		if err != nil {
-			r.recordErr(err)
-			ok = false
-			continue
+		if err := applyAt(co, db, batch, m); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		failed := false
-		for _, w := range batch {
-			if _, err := tx.Exec(w.sql, w.params...); err != nil {
-				r.recordErr(err)
-				_ = tx.Rollback()
-				failed = true
-				break
-			}
-			m.replStatements.Inc()
-		}
-		if !failed {
-			if err := tx.Commit(); err != nil {
-				r.recordErr(err)
-				failed = true
-			}
-		}
-		ok = ok && !failed
 	}
 	m.replApply.ObserveDuration(time.Since(start))
-	if ok {
+	if firstErr == nil {
 		m.replBatches.With("applied").Inc()
 		m.reg.TraceEvent("repl", db, "applied", "")
 	} else {
 		m.replBatches.With("failed").Inc()
-		m.reg.TraceEvent("repl", db, "failed", "")
+		m.reg.TraceEvent("repl", db, "failed", firstErr.Error())
 	}
 }
 
-func (r *replicator) recordErr(err error) {
-	r.mu.Lock()
-	if len(r.errs) < 100 {
-		r.errs = append(r.errs, err)
+// applyAt replays one batch at one DR colo in one transaction.
+func applyAt(co *colo.Controller, db string, batch []capturedWrite, m *systemMetrics) error {
+	tx, err := co.Begin(db)
+	if err != nil {
+		return err
 	}
-	r.mu.Unlock()
+	for _, w := range batch {
+		if _, err := tx.Exec(w.sql, w.params...); err != nil {
+			_ = tx.Rollback()
+			return err
+		}
+		m.replStatements.Inc()
+	}
+	return tx.Commit()
 }
 
 // flush blocks until db's queue is fully applied.
@@ -125,13 +114,6 @@ func (r *replicator) flush(db string) {
 		r.cond.Wait()
 	}
 	r.mu.Unlock()
-}
-
-// lag returns the number of unapplied batches for db.
-func (r *replicator) lag(db string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pending[db]
 }
 
 // totalPending returns the number of unapplied batches across all
@@ -144,11 +126,4 @@ func (r *replicator) totalPending() int {
 		n += p
 	}
 	return n
-}
-
-// errors returns the recorded replication errors.
-func (r *replicator) errors() []error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]error{}, r.errs...)
 }

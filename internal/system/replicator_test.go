@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"sdp/internal/obs"
 	"sdp/internal/sla"
 )
 
@@ -99,8 +100,8 @@ func TestReplicatorRecordsErrorsAndContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Flush("app")
-	if errs := s.repl.errors(); len(errs) == 0 {
-		t.Error("conflicting replay recorded no error")
+	if s.metrics.replBatches.With("failed").Value() == 0 {
+		t.Error("conflicting replay recorded no failed batch")
 	}
 	// Later batches still applied (best-effort, per batch).
 	res, err := eastCl.Exec("app", "SELECT COUNT(*) FROM t")
@@ -110,13 +111,13 @@ func TestReplicatorRecordsErrorsAndContinues(t *testing.T) {
 	if res.Rows[0][0].Int != 2 {
 		t.Errorf("east count = %v, want 2", res.Rows[0][0])
 	}
-	if lag := s.ReplicationLag("app"); lag != 0 {
+	if lag := s.repl.totalPending(); lag != 0 {
 		t.Errorf("lag = %d", lag)
 	}
 }
 
 func TestFailColoUnknown(t *testing.T) {
-	s := New()
+	s := NewWithRegistry(obs.NewRegistry())
 	if _, err := s.FailColo("nope"); err == nil {
 		t.Error("failing unknown colo succeeded")
 	}

@@ -59,10 +59,6 @@ type dbEntry struct {
 	req     sla.Resources
 }
 
-// New creates an empty system controller with a private observability
-// registry.
-func New() *Controller { return NewWithRegistry(obs.NewRegistry()) }
-
 // NewWithRegistry creates a system controller reporting into reg. The
 // platform passes one shared registry here and to every colo it creates, so
 // a single Snapshot covers all layers.
@@ -76,9 +72,6 @@ func NewWithRegistry(reg *obs.Registry) *Controller {
 	reg.OnSnapshot(func() { s.metrics.replPending.Set(float64(s.repl.totalPending())) })
 	return s
 }
-
-// Metrics returns the registry the system controller reports into.
-func (s *Controller) Metrics() *obs.Registry { return s.metrics.reg }
 
 // AddColo registers a colo controller under a region label used for
 // proximity routing.
@@ -316,9 +309,6 @@ func (s *Controller) PromoteDR(db, coloName string) error {
 // Flush blocks until all pending asynchronous replication for db has been
 // applied (used by tests and controlled failovers).
 func (s *Controller) Flush(db string) { s.repl.flush(db) }
-
-// ReplicationLag returns the number of write batches queued for db.
-func (s *Controller) ReplicationLag(db string) int { return s.repl.lag(db) }
 
 // drTargets returns the DR colo controllers of db.
 func (s *Controller) drTargets(db string) []*colo.Controller {

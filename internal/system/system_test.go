@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"sdp/internal/colo"
+	"sdp/internal/obs"
 	"sdp/internal/sla"
 )
 
 func newSystem(t *testing.T) (*Controller, *colo.Controller, *colo.Controller) {
 	t.Helper()
-	s := New()
+	s := NewWithRegistry(obs.NewRegistry())
 	west := colo.New("west", colo.Options{ClusterSize: 2})
 	west.AddFreeMachines(4)
 	east := colo.New("east", colo.Options{ClusterSize: 2})
@@ -87,7 +88,7 @@ func TestAsyncReplicationToDR(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Flush("app")
-	if lag := s.ReplicationLag("app"); lag != 0 {
+	if lag := s.repl.totalPending(); lag != 0 {
 		t.Errorf("lag after flush = %d", lag)
 	}
 	eastCl, err := east.Route("app")

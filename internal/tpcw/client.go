@@ -50,8 +50,6 @@ type Stats struct {
 	Fatal     uint64
 	// ByKind counts committed transactions per profile.
 	ByKind [numTxKinds]uint64
-	// Latency is the histogram of committed-transaction latencies.
-	Latency Histogram
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
 }
@@ -73,7 +71,6 @@ func (s *Stats) merge(o Stats) {
 	for k := range s.ByKind {
 		s.ByKind[k] += o.ByKind[k]
 	}
-	s.Latency.Merge(o.Latency)
 }
 
 // Client drives TPC-W sessions against a database.
@@ -82,9 +79,6 @@ type Client struct {
 	Mix      Mix
 	Workload *Workload
 	Classify Classifier
-	// ThinkTime, when positive, is slept between transactions (emulated
-	// browser think time); zero drives the database flat out.
-	ThinkTime time.Duration
 	// RejectBackoff, when positive, is slept after a proactively rejected
 	// transaction before retrying, like a well-behaved application server.
 	RejectBackoff time.Duration
@@ -93,54 +87,28 @@ type Client struct {
 // RunSession executes transactions until stop closes, using a session-local
 // PRNG derived from seed.
 func (c *Client) RunSession(seed int64, stop <-chan struct{}) Stats {
-	classify := c.Classify
-	if classify == nil {
-		classify = DefaultClassifier
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var st Stats
-	start := time.Now()
-	for {
+	return c.run(seed, c.RejectBackoff, func(int) bool {
 		select {
 		case <-stop:
-			st.Elapsed = time.Since(start)
-			return st
+			return false
 		default:
+			return true
 		}
-		kind := c.Mix.pick(rng)
-		txStart := time.Now()
-		err := c.runOne(kind, rng)
-		switch {
-		case err == nil:
-			st.Committed++
-			st.ByKind[kind]++
-			st.Latency.Observe(time.Since(txStart))
-		default:
-			switch classify(err) {
-			case ClassAborted:
-				st.Aborted++
-			case ClassRejected:
-				st.Rejected++
-				if c.RejectBackoff > 0 {
-					time.Sleep(c.RejectBackoff)
-				}
-			default:
-				st.Fatal++
-				st.Elapsed = time.Since(start)
-				return st
-			}
-		}
-		if c.ThinkTime > 0 {
-			time.Sleep(c.ThinkTime)
-		}
-	}
+	})
 }
 
 // RunN executes exactly n mix-weighted transactions and returns the
 // statistics. Unlike RunSession it is driven by a count rather than a stop
 // channel, which makes it suitable for benchmark loops that charge each
-// transaction to one iteration. A fatal error ends the run early.
+// transaction to one iteration, and it never backs off. A fatal error ends
+// the run early.
 func (c *Client) RunN(seed int64, n int) Stats {
+	return c.run(seed, 0, func(done int) bool { return done < n })
+}
+
+// run is the one session loop: transactions drawn from the mix while more
+// says so, each outcome classified and counted.
+func (c *Client) run(seed int64, backoff time.Duration, more func(done int) bool) Stats {
 	classify := c.Classify
 	if classify == nil {
 		classify = DefaultClassifier
@@ -148,26 +116,24 @@ func (c *Client) RunN(seed int64, n int) Stats {
 	rng := rand.New(rand.NewSource(seed))
 	var st Stats
 	start := time.Now()
-	for i := 0; i < n; i++ {
+	for i := 0; st.Fatal == 0 && more(i); i++ {
 		kind := c.Mix.pick(rng)
-		txStart := time.Now()
 		err := c.runOne(kind, rng)
-		switch {
-		case err == nil:
+		if err == nil {
 			st.Committed++
 			st.ByKind[kind]++
-			st.Latency.Observe(time.Since(txStart))
-		default:
-			switch classify(err) {
-			case ClassAborted:
-				st.Aborted++
-			case ClassRejected:
-				st.Rejected++
-			default:
-				st.Fatal++
-				st.Elapsed = time.Since(start)
-				return st
+			continue
+		}
+		switch classify(err) {
+		case ClassAborted:
+			st.Aborted++
+		case ClassRejected:
+			st.Rejected++
+			if backoff > 0 {
+				time.Sleep(backoff)
 			}
+		default:
+			st.Fatal++
 		}
 	}
 	st.Elapsed = time.Since(start)

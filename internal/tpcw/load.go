@@ -168,20 +168,3 @@ func randWord(rng *rand.Rand, n int) string {
 	}
 	return string(b)
 }
-
-// CountRows returns the row count of a table, for sanity checks.
-func CountRows(db DB, table string) (int64, error) {
-	tx, err := db.Begin()
-	if err != nil {
-		return 0, err
-	}
-	defer func() { _ = tx.Rollback() }()
-	res, err := tx.Exec("SELECT COUNT(*) FROM " + table)
-	if err != nil {
-		return 0, err
-	}
-	if err := tx.Commit(); err != nil {
-		return 0, err
-	}
-	return res.Rows[0][0].Int, nil
-}

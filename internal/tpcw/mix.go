@@ -52,31 +52,10 @@ func (k TxKind) String() string {
 	}
 }
 
-// IsWrite reports whether the profile updates the database.
-func (k TxKind) IsWrite() bool {
-	return k == TxCartUpdate || k == TxBuyConfirm || k == TxAdminUpdate
-}
-
 // Mix is a weighted distribution over transaction profiles.
 type Mix struct {
 	Name    string
 	Weights [numTxKinds]int
-}
-
-// WriteFraction returns the fraction of updating transactions in the mix —
-// the write_mix(j) parameter of the paper's availability constraint.
-func (m Mix) WriteFraction() float64 {
-	total, writes := 0, 0
-	for k, w := range m.Weights {
-		total += w
-		if TxKind(k).IsWrite() {
-			writes += w
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(writes) / float64(total)
 }
 
 // pick draws a profile according to the weights.

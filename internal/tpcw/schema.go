@@ -95,9 +95,6 @@ var Indexes = []string{
 	`CREATE INDEX idx_ol_iid ON order_line (ol_i_id)`,
 }
 
-// Tables lists the table names in load order.
-var Tables = []string{"country", "address", "customer", "author", "item", "orders", "order_line", "cc_xacts"}
-
 // Subjects are the item subject categories used for browsing.
 var Subjects = []string{"ARTS", "BIOGRAPHIES", "BUSINESS", "CHILDREN", "COMPUTERS", "COOKING", "HEALTH", "HISTORY", "HOME", "HUMOR", "LITERATURE", "MYSTERY", "NON-FICTION", "PARENTING", "POLITICS", "REFERENCE", "RELIGION", "ROMANCE", "SELF-HELP", "SCIENCE-NATURE", "SCIENCE-FICTION", "SPORTS", "YOUTH", "TRAVEL"}
 
@@ -117,11 +114,4 @@ func execAll(db DB, stmts []string) error {
 		}
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -176,47 +176,43 @@ func TestClassifierDefaults(t *testing.T) {
 	}
 }
 
-func TestLatencyHistogram(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-	for i := 0; i < 90; i++ {
-		h.Observe(200 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(50 * time.Millisecond)
-	}
-	if h.Count() != 100 {
-		t.Errorf("count = %d", h.Count())
-	}
-	p50 := h.Quantile(0.50)
-	p99 := h.Quantile(0.99)
-	if p50 > time.Millisecond {
-		t.Errorf("p50 = %v, want <= 1ms bound", p50)
-	}
-	if p99 < 10*time.Millisecond {
-		t.Errorf("p99 = %v, want >= 10ms", p99)
-	}
-	var other Histogram
-	other.Observe(time.Second)
-	h.Merge(other)
-	if h.Count() != 101 {
-		t.Errorf("merged count = %d", h.Count())
-	}
-	if h.String() == "" {
-		t.Error("empty String()")
-	}
+// IsWrite reports whether the profile updates the database.
+func (k TxKind) IsWrite() bool {
+	return k == TxCartUpdate || k == TxBuyConfirm || k == TxAdminUpdate
 }
 
-func TestClientRecordsLatency(t *testing.T) {
-	db := newLoadedDB(t, SmallScale(8))
-	c := &Client{DB: db, Mix: BrowsingMix, Workload: NewWorkload(SmallScale(8))}
-	st := c.RunConcurrent(2, 100*time.Millisecond, 3)
-	if st.Committed > 0 && st.Latency.Count() != st.Committed {
-		t.Errorf("latency samples %d != committed %d", st.Latency.Count(), st.Committed)
+// WriteFraction returns the fraction of updating transactions in the mix —
+// the write_mix(j) parameter of the paper's availability constraint.
+func (m Mix) WriteFraction() float64 {
+	total, writes := 0, 0
+	for k, w := range m.Weights {
+		total += w
+		if TxKind(k).IsWrite() {
+			writes += w
+		}
 	}
-	if st.Committed > 0 && st.Latency.Quantile(0.5) == 0 {
-		t.Error("p50 = 0 with committed transactions")
+	if total == 0 {
+		return 0
 	}
+	return float64(writes) / float64(total)
 }
+
+// CountRows returns the row count of a table, for sanity checks.
+func CountRows(db DB, table string) (int64, error) {
+	tx, err := db.Begin()
+	if err != nil {
+		return 0, err
+	}
+	defer func() { _ = tx.Rollback() }()
+	res, err := tx.Exec("SELECT COUNT(*) FROM " + table)
+	if err != nil {
+		return 0, err
+	}
+	if err := tx.Commit(); err != nil {
+		return 0, err
+	}
+	return res.Rows[0][0].Int, nil
+}
+
+// Tables lists the table names in load order.
+var Tables = []string{"country", "address", "customer", "author", "item", "orders", "order_line", "cc_xacts"}

@@ -107,16 +107,6 @@ func New(store Store, cfg Config, metrics *Metrics) *Log {
 // Config returns the log's configuration.
 func (l *Log) Config() Config { return l.cfg }
 
-// Store exposes the underlying store (crash injection in tests).
-func (l *Log) Store() Store { return l.store }
-
-// Size returns the number of bytes appended so far.
-func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
-}
-
 // Append encodes rec as a frame and appends it, buffered: the record is not
 // durable until a later Sync covers it. It returns the record's LSN.
 func (l *Log) Append(rec Record) (int64, error) {

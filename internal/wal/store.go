@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"os"
 	"sync"
 )
 
@@ -22,8 +21,6 @@ type Store interface {
 	Contents() ([]byte, error)
 	// Truncate discards the bytes at and after off.
 	Truncate(off int64) error
-	// Close releases the store.
-	Close() error
 }
 
 // Crasher is implemented by stores that can simulate a process or machine
@@ -56,7 +53,6 @@ type MemStore struct {
 	durable   int
 	lastOff   int
 	failAfter int64 // <0 disabled
-	closed    bool
 }
 
 // memChunk is the MemStore's allocation unit.
@@ -111,9 +107,6 @@ func (s *MemStore) cut(keep int) {
 func (s *MemStore) Append(p []byte) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, fmt.Errorf("wal: store closed")
-	}
 	if s.failAfter >= 0 && int64(s.size)+int64(len(p)) > s.failAfter {
 		// Model a disk that dies partway: the bytes up to the failure point
 		// are kept (unsynced), the rest is lost, and the write errors.
@@ -131,9 +124,6 @@ func (s *MemStore) Append(p []byte) (int64, error) {
 func (s *MemStore) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("wal: store closed")
-	}
 	if s.failAfter >= 0 && int64(s.size) > s.failAfter {
 		return ErrStoreFailed
 	}
@@ -163,14 +153,6 @@ func (s *MemStore) Truncate(off int64) error {
 		return fmt.Errorf("wal: truncate offset %d out of range", off)
 	}
 	s.cut(int(off))
-	return nil
-}
-
-// Close implements Store.
-func (s *MemStore) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
 	return nil
 }
 
@@ -210,83 +192,4 @@ func (s *MemStore) Chop(n int) {
 	defer s.mu.Unlock()
 	s.cut(max(s.size-n, 0))
 	s.durable = s.size
-}
-
-// FileStore is a real-file Store used by tests that want crash injection
-// against an actual filesystem: appends go through the OS page cache and
-// Sync calls File.Sync.
-type FileStore struct {
-	mu   sync.Mutex
-	f    *os.File
-	size int64
-}
-
-// OpenFile opens (creating if needed) the log file at path and positions
-// appends at its current end.
-func OpenFile(path string) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileStore{f: f, size: st.Size()}, nil
-}
-
-// Append implements Store.
-func (s *FileStore) Append(p []byte) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	off := s.size
-	if _, err := s.f.WriteAt(p, off); err != nil {
-		return 0, err
-	}
-	s.size += int64(len(p))
-	return off, nil
-}
-
-// Sync implements Store.
-func (s *FileStore) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.f.Sync()
-}
-
-// Size implements Store.
-func (s *FileStore) Size() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
-}
-
-// Contents implements Store.
-func (s *FileStore) Contents() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]byte, s.size)
-	if _, err := s.f.ReadAt(out, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Truncate implements Store.
-func (s *FileStore) Truncate(off int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.f.Truncate(off); err != nil {
-		return err
-	}
-	s.size = off
-	return nil
-}
-
-// Close implements Store.
-func (s *FileStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.f.Close()
 }

@@ -77,36 +77,6 @@ const (
 	RecRestoreTable
 )
 
-// String names the record type.
-func (t RecordType) String() string {
-	switch t {
-	case RecBegin:
-		return "begin"
-	case RecStatement:
-		return "statement"
-	case RecPrepare:
-		return "prepare"
-	case RecCommit:
-		return "commit"
-	case RecAbort:
-		return "abort"
-	case RecCreateDB:
-		return "create_db"
-	case RecDropDB:
-		return "drop_db"
-	case RecCheckpointBegin:
-		return "ckpt_begin"
-	case RecCheckpointTable:
-		return "ckpt_table"
-	case RecCheckpointEnd:
-		return "ckpt_end"
-	case RecRestoreTable:
-		return "restore_table"
-	default:
-		return fmt.Sprintf("rec(%d)", uint8(t))
-	}
-}
-
 // Record is one decoded log record. Txn is the engine-local transaction ID
 // (0 for auto-committed records such as DDL); GID is the caller-assigned
 // global transaction ID correlating 2PC branches across machines. DB and

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -201,44 +200,6 @@ func TestMemStoreFailAfterStopsLog(t *testing.T) {
 	}
 	if !torn || len(recs) != 1 || recs[0].Txn != 1 {
 		t.Fatalf("recover after fault: torn=%v records=%d", torn, len(recs))
-	}
-}
-
-func TestFileStore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	s, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := New(s, Config{}, nil)
-	for i := 0; i < 10; i++ {
-		if _, err := l.AppendSync(Record{Type: RecCommit, Txn: uint64(i + 1), DB: "db"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen, as a restart would, and scan.
-	s2, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	recs, torn, err := New(s2, Config{}, nil).Recover()
-	if err != nil || torn {
-		t.Fatalf("reopen: err=%v torn=%v", err, torn)
-	}
-	if len(recs) != 10 || recs[9].Txn != 10 {
-		t.Fatalf("reopen: %d records", len(recs))
-	}
-	// Truncate mid-record on the real file; recovery repairs it.
-	if err := s2.Truncate(s2.Size() - 3); err != nil {
-		t.Fatal(err)
-	}
-	recs, torn, err = New(s2, Config{}, nil).Recover()
-	if err != nil || !torn || len(recs) != 9 {
-		t.Fatalf("after file truncate: err=%v torn=%v records=%d", err, torn, len(recs))
 	}
 }
 

@@ -417,11 +417,6 @@ func (t *Tx) Exec(sql string, params ...sqldb.Value) (*sqldb.Result, error) {
 	return res, err
 }
 
-// Query is Exec for SELECT statements.
-func (t *Tx) Query(sql string, params ...sqldb.Value) (*sqldb.Result, error) {
-	return t.Exec(sql, params...)
-}
-
 // ExecPrepared runs a prepared statement inside the transaction.
 func (t *Tx) ExecPrepared(s *Stmt, params ...sqldb.Value) (*sqldb.Result, error) {
 	if t.done {

@@ -34,9 +34,6 @@ func NewZipf(seed int64, n int, s float64) *Zipf {
 	return &Zipf{rng: rand.New(rand.NewSource(seed)), cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Rank samples a rank in [1, N]; rank 1 is the most probable.
 func (z *Zipf) Rank() int {
 	u := z.rng.Float64()
@@ -63,9 +60,6 @@ func (z *Zipf) InRange(lo, hi float64) float64 {
 	frac := float64(k-1) / float64(len(z.cdf)-1)
 	return lo + (hi-lo)*frac
 }
-
-// Rand exposes the underlying deterministic PRNG for auxiliary draws.
-func (z *Zipf) Rand() *rand.Rand { return z.rng }
 
 // SLAWorkload is one synthesised multi-tenant workload for the Table 2
 // experiment: per-database sizes (MB) and throughput requirements (TPS).

@@ -1,10 +1,14 @@
 package sdp
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"testing"
 
+	"sdp/internal/sqldb"
 	"sdp/internal/wire"
 )
 
@@ -162,5 +166,106 @@ func TestPlatformPreparedStatements(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Str != "lin" {
 		t.Fatalf("prepared insert lost: %+v", res.Rows)
+	}
+}
+
+// TestWireRollbackAndErrors drives, over a real socket, what the smoke test
+// does not: ROLLBACK, a prepared statement inside a transaction, and a
+// statement error, which must reach the client with its code and text.
+func TestWireRollbackAndErrors(t *testing.T) {
+	_, srv := newWirePlatform(t)
+	client, err := wire.Dial(wire.ClientConfig{Addr: srv.Addr(), Database: "app", Token: "s3cret"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	ins, err := client.Prepare("INSERT INTO users VALUES (?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := client.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.ExecPrepared(ins, Int(7), Text("rolled back")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.Query("SELECT COUNT(*) FROM users WHERE id = 7")
+	if err != nil || res.Rows[0][0].Int != 0 {
+		t.Fatalf("rolled-back insert is visible: %v, err = %v", res, err)
+	}
+
+	_, err = client.Exec("INSERT INTO users VALUES (1, 'again')")
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.ErrCodeExec || wire.IsRetryable(err) {
+		t.Fatalf("duplicate key over the wire: %v", err)
+	}
+	if errors.Is(err, sqldb.ErrDeadlock) || !strings.Contains(err.Error(), sqldb.ErrDuplicateKey.Error()) {
+		t.Fatalf("duplicate key changed its meaning over the wire: %v", err)
+	}
+}
+
+// TestWireCloseStmt speaks the protocol by hand, frame by frame as
+// PROTOCOL.md lays them out, because the Go client never closes a statement:
+// prepare, close, and the ID is gone; a truncated payload ends the session.
+func TestWireCloseStmt(t *testing.T) {
+	_, srv := newWirePlatform(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	str := func(s string) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(s))), s...)
+	}
+	var seq uint64
+	call := func(typ byte, payload []byte) (byte, []byte) {
+		t.Helper()
+		seq++
+		out := binary.BigEndian.AppendUint32(nil, uint32(9+len(payload)))
+		out = binary.BigEndian.AppendUint64(append(out, typ), seq)
+		if _, err := conn.Write(append(out, payload...)); err != nil {
+			t.Fatal(err)
+		}
+		var n [4]byte
+		if _, err := io.ReadFull(conn, n[:]); err != nil {
+			t.Fatal(err)
+		}
+		in := make([]byte, binary.BigEndian.Uint32(n[:]))
+		if _, err := io.ReadFull(conn, in); err != nil {
+			t.Fatal(err)
+		}
+		if got := binary.BigEndian.Uint64(in[1:9]); got != seq {
+			t.Fatalf("reply to seq %d carries seq %d", seq, got)
+		}
+		return in[0], in[9:]
+	}
+	hello := append(append([]byte{wire.ProtoVersion}, str("app")...), str("s3cret")...)
+	if typ, _ := call(wire.MsgHello, hello); typ != wire.MsgWelcome {
+		t.Fatalf("hello answered with 0x%02x", typ)
+	}
+	typ, id := call(wire.MsgPrepare, str("SELECT name FROM users WHERE id = ?"))
+	if typ != wire.MsgStmt || len(id) != 4 {
+		t.Fatalf("prepare answered with 0x%02x %x", typ, id)
+	}
+	exec := append(append([]byte{}, id...), 0, 0) // no parameters: fails in the engine, not the session
+	if typ, body := call(wire.MsgExec, exec); typ != wire.MsgError || binary.BigEndian.Uint16(body) == wire.ErrCodeStmt {
+		t.Fatalf("exec of a live statement answered with 0x%02x %x", typ, body)
+	}
+	if typ, _ := call(wire.MsgCloseStmt, id); typ != wire.MsgResult {
+		t.Fatalf("close answered with 0x%02x", typ)
+	}
+	if typ, body := call(wire.MsgExec, exec); typ != wire.MsgError || binary.BigEndian.Uint16(body) != wire.ErrCodeStmt {
+		t.Fatalf("exec of a closed statement answered with 0x%02x %x", typ, body)
+	}
+	if typ, body := call(wire.MsgCloseStmt, id[:2]); typ != wire.MsgError || binary.BigEndian.Uint16(body) != wire.ErrCodeProtocol {
+		t.Fatalf("truncated close answered with 0x%02x %x", typ, body)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("session survived a malformed frame: %v", err)
 	}
 }

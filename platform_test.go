@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"sdp/internal/placement"
 )
 
 // TestPlatformDisasterRecovery exercises the full public-API DR flow: a
@@ -193,5 +195,156 @@ func TestPlatformPlacementPinned(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s placed on %v, want %v", db, got, want)
 		}
+	}
+}
+
+// TestPlatformSQLSurface sends, through the platform to a database on two
+// replicas, the statement shapes no experiment or benchmark happens to use:
+// DELETE, DROP TABLE, BETWEEN on the primary key and on a secondary index,
+// NOT, unary minus, a constant on the left of a comparison, joins on non-key
+// columns, IN on the primary key, a text key holding a quote, a UNIQUE
+// column and an ambiguous one. Every machine logs, so each write is also
+// rendered back to SQL; the writes are then read back from each replica's
+// own engine.
+func TestPlatformSQLSurface(t *testing.T) {
+	p := New(Config{ClusterSize: 2, WAL: &WALConfig{}})
+	west := p.AddColo("west", "us-west", 2)
+	if err := p.CreateDatabase("app", SLA{SizeMB: 100, MinTPS: 1}, "west"); err != nil {
+		t.Fatal(err)
+	}
+	conn := p.Open("app")
+	exec := func(sql string, params ...Value) *Result {
+		t.Helper()
+		res, err := conn.Exec(sql, params...)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	ints := func(res *Result) []int64 {
+		out := []int64{}
+		for _, r := range res.Rows {
+			out = append(out, r[0].Int)
+		}
+		return out
+	}
+	exec("CREATE TABLE item (id INT PRIMARY KEY, grp INT, price INT)")
+	exec("CREATE INDEX item_price ON item (price)")
+	exec("CREATE TABLE tag (name TEXT PRIMARY KEY, grp INT UNIQUE)")
+	for i := 1; i <= 8; i++ {
+		exec("INSERT INTO item VALUES (?, ?, ?)", Int(int64(i)), Int(int64(i%3)), Int(int64(i*10)))
+	}
+	exec("INSERT INTO tag VALUES ('it''s', 1), ('plain', 2)")
+
+	for _, c := range []struct {
+		sql  string
+		want []int64
+	}{
+		{"SELECT id FROM item WHERE id BETWEEN 3 AND 5 ORDER BY id", []int64{3, 4, 5}},
+		{"SELECT id FROM item WHERE price BETWEEN 20 AND 40 ORDER BY id", []int64{2, 3, 4}},
+		{"SELECT id FROM item WHERE 70 <= price ORDER BY id", []int64{7, 8}},
+		{"SELECT id FROM item WHERE NOT (grp = 0 OR grp = 1) ORDER BY id", []int64{2, 5, 8}},
+		{"SELECT id FROM item WHERE -price < -60 ORDER BY id", []int64{7, 8}},
+		{"SELECT id FROM item WHERE id IN (2, 9, 4) ORDER BY id", []int64{2, 4}},
+		{"SELECT i.id FROM item i JOIN tag g ON i.grp = g.grp WHERE g.name = 'it''s' ORDER BY i.id", []int64{1, 4, 7}},
+		{"SELECT i.id FROM item i JOIN tag g ON i.grp < g.grp WHERE i.id <= 3 AND g.name = 'plain' ORDER BY i.id", []int64{1, 3}},
+		{"SELECT COUNT(*) FROM tag WHERE name = 'it''s'", []int64{1}},
+	} {
+		if got := ints(exec(c.sql)); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: got %v, want %v", c.sql, got, c.want)
+		}
+	}
+	if _, err := conn.Exec("SELECT grp FROM item i JOIN tag g ON i.grp = g.grp"); err == nil {
+		t.Error("ambiguous column was accepted")
+	}
+	if _, err := conn.Exec("INSERT INTO tag VALUES ('other', 2)"); err == nil {
+		t.Error("a second row with grp = 2 passed the UNIQUE column")
+	}
+	if _, err := conn.Exec("DELETE FROM"); err == nil {
+		t.Error("truncated DELETE parsed")
+	}
+
+	if n := exec("DELETE FROM item WHERE id BETWEEN 1 AND 2").Affected; n != 2 {
+		t.Errorf("DELETE affected %d rows, want 2", n)
+	}
+	exec("DROP TABLE tag")
+	for _, cl := range west.Clusters() {
+		reps, _ := cl.Replicas("app")
+		if len(reps) != 2 {
+			t.Fatalf("replicas = %v", reps)
+		}
+		for _, id := range reps {
+			m, _ := cl.Machine(id)
+			res, err := m.Engine().Exec("app", "SELECT COUNT(*), SUM(price) FROM item")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rows[0][0].Int != 6 || res.Rows[0][1].Int != 330 {
+				t.Errorf("%s: item holds %v after the DELETE", id, res.Rows[0])
+			}
+			if _, err := m.Engine().Exec("app", "SELECT COUNT(*) FROM tag"); err == nil {
+				t.Errorf("%s: tag survived the DROP", id)
+			}
+		}
+	}
+}
+
+// TestPlatformAggressiveSecondStatement runs a two-statement transaction
+// under the aggressive controller: the second statement is the first point at
+// which a write answered by one replica is checked on the other.
+func TestPlatformAggressiveSecondStatement(t *testing.T) {
+	p := New(Config{ClusterSize: 2, AckMode: Aggressive})
+	p.AddColo("west", "us-west", 2)
+	if err := p.CreateDatabase("app", SLA{SizeMB: 100, MinTPS: 1}, "west"); err != nil {
+		t.Fatal(err)
+	}
+	conn := p.Open("app")
+	if _, err := conn.Exec("CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := conn.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := tx.Exec("INSERT INTO t VALUES (?)", Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := conn.Query("SELECT COUNT(*) FROM t")
+	if err != nil || res.Rows[0][0].Int != 3 {
+		t.Fatalf("count = %v, err = %v", res, err)
+	}
+}
+
+// TestPlatformPlacementShrinksToBudget lowers the replica budget under a
+// database that holds two replicas: the adaptive loop must retire one, and
+// say why, whatever the tenant's load class.
+func TestPlatformPlacementShrinksToBudget(t *testing.T) {
+	p := New(Config{ClusterSize: 2})
+	west := p.AddColo("west", "us-west", 2)
+	if err := p.CreateDatabase("app", SLA{SizeMB: 100, MinTPS: 1}, "west"); err != nil {
+		t.Fatal(err)
+	}
+	p.StartPlacement(PlacementOptions{Interval: 5 * time.Millisecond, MinReplicas: 1, MaxReplicas: 1})
+	defer p.StopPlacement()
+	var recent []placement.ActionRecord
+	for deadline := time.Now().Add(5 * time.Second); len(recent) == 0; time.Sleep(5 * time.Millisecond) {
+		if recent = p.PlacementReport().Recent; time.Now().After(deadline) {
+			t.Fatal("the loop recorded no action")
+		}
+	}
+	if recent[0].Kind != placement.Shrink || recent[0].Err != "" || recent[0].Reason != "cold: offered load far under declared floor" {
+		t.Errorf("recent actions = %+v", recent)
+	}
+	cl, err := west.Route("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reps, _ := cl.Replicas("app"); len(reps) != 1 {
+		t.Errorf("replicas = %v, want one", reps)
 	}
 }

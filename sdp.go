@@ -269,9 +269,6 @@ func (p *Platform) Open(name string) *Conn {
 // (fail-over drills, DR promotion).
 func (p *Platform) System() *system.Controller { return p.sys }
 
-// SLAMonitor exposes the platform's SLA compliance monitor.
-func (p *Platform) SLAMonitor() *sla.Monitor { return p.mon }
-
 // SLAReport evaluates all pending compliance windows and returns the
 // current report.
 func (p *Platform) SLAReport() sla.ComplianceReport { return p.mon.Report() }

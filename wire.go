@@ -9,9 +9,6 @@ import (
 	"sdp/internal/wire"
 )
 
-// WireConfig re-exports the wire server's tuning knobs for ServeWire.
-type WireConfig = wire.ServerConfig
-
 // ErrBadToken is returned by the wire handshake when a token does not
 // match the one registered for the database.
 var ErrBadToken = errors.New("sdp: bad auth token")
