@@ -366,7 +366,7 @@ func BenchmarkTPCWMixSingleEngine(b *testing.B) {
 
 // BenchmarkPlanCache contrasts repeated Engine.Exec statement text with the
 // plan cache on (default) and off: the cached path skips the lexer, parser
-// and planner on every iteration after the first.
+// and planner on every iteration after the second.
 func BenchmarkPlanCache(b *testing.B) {
 	setup := func(b *testing.B, cacheSize int) *sqldb.Engine {
 		cfg := sqldb.DefaultConfig()

@@ -51,9 +51,9 @@ type Cluster struct {
 	// process pair (see pair.go).
 	pair pairMirror
 
-	// stmts caches parsed statements by SQL text so the controller parses
-	// each distinct statement once, no matter how many replicas (or
-	// transactions) execute it.
+	// stmts caches parsed statements by SQL text so the controller parses a
+	// statement that repeats once, no matter how many replicas (or
+	// transactions) execute it (Options.Stmts, or a private cache).
 	stmts *sqldb.StmtCache
 
 	// metrics holds the controller's resolved observability instruments
@@ -194,9 +194,12 @@ func NewCluster(name string, opts Options) *Cluster {
 		endpoint: "ctl:" + name,
 		machines: make(map[string]*Machine),
 		dbs:      make(map[string]*dbState),
-		stmts:    sqldb.NewStmtCache(0),
+		stmts:    opts.Stmts,
 		metrics:  metrics,
 		slamon:   opts.SLAMonitor,
+	}
+	if c.stmts == nil {
+		c.stmts = sqldb.NewStmtCache()
 	}
 	if opts.WAL != nil {
 		c.walMetrics = wal.NewMetrics(reg)

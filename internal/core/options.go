@@ -102,6 +102,11 @@ type Options struct {
 	// a replica-location source, so declared SLAs are checked against what
 	// this cluster actually delivers (see sla.Monitor).
 	SLAMonitor *sla.Monitor
+	// Stmts, when non-nil, is the text→AST statement cache the controller
+	// parses through; the platform hands one cache to every cluster, its
+	// wire server and its connections, so a statement that repeats is parsed
+	// once for all of them. Nil gives the cluster a private cache.
+	Stmts *sqldb.StmtCache
 	// WAL, when non-nil, gives every machine a write-ahead log over a
 	// simulated durable disk: commits are forced (with group commit) before
 	// acknowledgement, and a failed machine can Restart and recover its

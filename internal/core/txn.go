@@ -115,8 +115,8 @@ func (t *Txn) Exec(sql string, params ...sqldb.Value) (*sqldb.Result, error) {
 // Parse returns the parsed form of sql from the controller's shared
 // statement cache. Callers that need the statement before executing it (the
 // system layer decides from its kind whether to capture it for DR) get the
-// same AST every time, so the replica engines' plan memos — keyed by AST
-// identity — keep hitting.
+// same AST for a text that repeats, and with it the plans every replica
+// engine has bound from it.
 func (t *Txn) Parse(sql string) (sqldb.Statement, error) {
 	return t.c.stmts.Parse(sql)
 }

@@ -3,7 +3,10 @@ package sqldb
 // This file defines the abstract syntax tree produced by the parser and
 // consumed by the executor.
 
-// Statement is any parsed SQL statement.
+// Statement is any parsed SQL statement. The four kinds that bind to an
+// access plan (SELECT, INSERT, UPDATE, DELETE) carry the plans bound from
+// them (see planTable); everything else about a node is immutable once
+// parsed, so one node may execute on any number of engines at once.
 type Statement interface{ stmt() }
 
 // CreateTableStmt is CREATE TABLE name (col type [PRIMARY KEY] [NOT NULL], ...).
@@ -41,6 +44,8 @@ type InsertStmt struct {
 	Table string
 	Cols  []string
 	Rows  [][]Expr
+
+	plans planTable
 }
 
 // UpdateStmt is UPDATE table SET col = expr, ... [WHERE pred].
@@ -48,6 +53,8 @@ type UpdateStmt struct {
 	Table string
 	Set   []Assignment
 	Where Expr // nil means all rows
+
+	plans planTable
 }
 
 // Assignment is one col = expr pair in an UPDATE SET clause.
@@ -60,6 +67,8 @@ type Assignment struct {
 type DeleteStmt struct {
 	Table string
 	Where Expr
+
+	plans planTable
 }
 
 // SelectStmt is SELECT [DISTINCT] items FROM table [JOIN ...] [WHERE]
@@ -75,6 +84,8 @@ type SelectStmt struct {
 	OrderBy  []OrderItem
 	Limit    int // -1 when absent
 	Offset   int
+
+	plans planTable
 }
 
 // SelectItem is one projected expression, possibly aliased; Star marks "*"

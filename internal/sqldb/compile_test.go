@@ -245,7 +245,7 @@ func TestLockedPointReadAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 100; i++ { // warm the plan memo
+	for i := 0; i < 100; i++ { // bind the plan
 		run()
 	}
 	if allocs := testing.AllocsPerRun(200, run); allocs > 6 {

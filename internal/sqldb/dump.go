@@ -143,7 +143,7 @@ func (e *Engine) RestoreTable(db string, d TableDump) error {
 	e.mu.Unlock()
 	// Plans bound to the replaced table, and cached "no such table" knowledge
 	// derived before the restore, must not outlive it.
-	e.plans.invalidateTables(db, key)
+	e.planGen.Add(1)
 
 	for _, r := range d.Rows {
 		rowID := tbl.allocRowID()

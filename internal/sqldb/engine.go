@@ -47,9 +47,11 @@ type Config struct {
 	// and 3 with an aggressive cluster controller.
 	ReleaseReadLocksAtPrepare bool
 
-	// PlanCacheSize is the number of SQL-text plan-cache entries kept per
-	// engine. Zero selects the default (512); a negative value disables the
-	// cache (every Exec re-parses and re-plans).
+	// PlanCacheSize, when negative, turns statement and plan caching off:
+	// every Exec re-parses and every execution re-binds its plan (what
+	// BenchmarkPlanCache compares against). Any other value is ignored —
+	// the cache is bounded by a constant byte budget, not an entry count
+	// (see StmtCache).
 	PlanCacheSize int
 
 	// Spans, when set, receives distributed-tracing spans for sampled
@@ -126,7 +128,17 @@ type Engine struct {
 	cfg   Config
 	pool  *BufferPool
 	locks *lockManager
-	plans *planCache
+
+	// stmts caches the statements that arrive as text (Engine.Exec, Txn.Exec,
+	// log replay); nil when caching is off. planGen is the DDL generation:
+	// every catalog change bumps it, and a plan bound under an older one is
+	// re-bound before use — what guarantees a stale plan never reads a
+	// dropped table or misses a new index. planHitMiss packs plan look-up
+	// hits (A) and misses (B) into one word so a stats snapshot is never
+	// torn (see obs.Pair).
+	stmts       *StmtCache
+	planGen     atomic.Uint64
+	planHitMiss obs.Pair
 
 	// workers is the capacity-model semaphore (nil when Config.Workers is
 	// zero). A statement holds one slot for StmtServiceTime before it
@@ -172,8 +184,10 @@ func NewEngine(cfg Config) *Engine {
 		cfg:   cfg,
 		pool:  NewBufferPool(cfg.PoolPages, cfg.MissLatency),
 		locks: newLockManager(cfg.LockTimeout),
-		plans: newPlanCache(cfg.PlanCacheSize),
 		dbs:   make(map[string]map[string]*Table),
+	}
+	if cfg.PlanCacheSize >= 0 {
+		e.stmts = NewStmtCache()
 	}
 	e.pool.writebackSink = cfg.PoolWritebacks
 	if cfg.Workers > 0 {
@@ -224,6 +238,9 @@ func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
 	e.mu.Unlock()
+	// Retire every plan bound here, so the statements that hold them let go
+	// of this engine at their next bind anywhere (see planTable.store).
+	e.planGen.Add(1)
 }
 
 // Stats returns a snapshot of the engine counters. Counter pairs that
@@ -234,6 +251,7 @@ func (e *Engine) Close() {
 func (e *Engine) Stats() Stats {
 	commits, aborts := e.commitAbort.Load()
 	deadlocks, timeouts := e.locks.failedWaits()
+	planHits, planMisses := e.planHitMiss.Load()
 	return Stats{
 		Commits:       commits,
 		Aborts:        aborts,
@@ -244,7 +262,7 @@ func (e *Engine) Stats() Stats {
 		CompiledExecs: e.statCompiledExecs.Load(),
 		StmtExecs:     e.statStmtExecs.Load(),
 		Pool:          e.pool.Stats(),
-		PlanCache:     e.plans.stats(),
+		PlanCache:     PlanCacheStats{Hits: planHits, Misses: planMisses},
 	}
 }
 
@@ -272,7 +290,7 @@ func (e *Engine) CreateDatabase(name string) error {
 	e.dbs[name] = make(map[string]*Table)
 	// A name can be reused after a drop; retire plans derived against any
 	// earlier incarnation of this namespace.
-	e.plans.bumpGen()
+	e.planGen.Add(1)
 	return e.walNamespace(wal.RecCreateDB, name)
 }
 
@@ -291,7 +309,7 @@ func (e *Engine) DropDatabase(name string) error {
 		e.pool.InvalidateTable(t.qname)
 	}
 	delete(e.dbs, name)
-	e.plans.invalidateDB(name)
+	e.planGen.Add(1)
 	return e.walNamespace(wal.RecDropDB, name)
 }
 
@@ -406,59 +424,31 @@ func (e *Engine) Exec(db, sql string, params ...Value) (*Result, error) {
 	return res, nil
 }
 
-// cachedStatement returns the parsed statement and its bound plan for
-// (db, sql), consulting the engine's plan cache. A hit whose plan generation
-// is current skips the parser, the planner and the binder; a hit whose plan
-// was made stale by DDL keeps the parse (the AST cannot change) and re-binds
-// just the plan. A statement that does not bind (DDL, EXPLAIN, an unknown
-// table) comes back with a nil plan and is not cached.
-func (e *Engine) cachedStatement(db, sql string) (Statement, *stmtPlan, error) {
-	pc := e.plans
-	if pc.disabled() {
-		stmt, err := Parse(sql)
-		if err != nil {
-			return nil, nil, err
-		}
-		plan, _ := bindStatement(e, db, stmt)
-		return stmt, plan, nil
-	}
-	stmt, plan, ok := pc.get(db, sql)
-	if ok && plan.gen == pc.gen.Load() {
-		pc.hitMiss.IncA()
-		return stmt, plan, nil
-	}
-	pc.hitMiss.IncB()
-	if !ok {
-		var err error
-		if stmt, err = Parse(sql); err != nil {
-			return nil, nil, err
-		}
-	}
-	if plan, _ = bindStatement(e, db, stmt); plan != nil {
-		pc.put(db, sql, stmt, plan)
-	}
-	return stmt, plan, nil
-}
+// StmtCache returns the engine's text cache (nil when caching is off), for
+// statistics.
+func (e *Engine) StmtCache() *StmtCache { return e.stmts }
 
-// plannedStmt returns the memoised bound plan for a pre-parsed statement,
-// keyed by AST identity. This is the fast path for the cluster controller,
-// which parses a statement once and executes the same AST against every
-// replica engine.
+// plannedStmt returns stmt's plan bound against db's catalog: the one kept on
+// the statement node if no DDL has retired it, else a fresh bind, kept there
+// for the next execution. A statement kind that does not bind (DDL, EXPLAIN)
+// has no plan; one that fails to bind (an unknown table) comes back nil and
+// runBound reports why.
 func (e *Engine) plannedStmt(db string, stmt Statement) *stmtPlan {
-	pc := e.plans
-	if pc.disabled() {
+	pt := plansOf(stmt)
+	if pt == nil {
+		return nil
+	}
+	if e.stmts == nil {
 		plan, _ := bindStatement(e, db, stmt)
 		return plan
 	}
-	if plan, ok := pc.memoLoad(db, stmt); ok {
-		pc.hitMiss.IncA()
+	if plan := pt.load(e, db); plan != nil {
+		e.planHitMiss.IncA()
 		return plan
 	}
-	pc.hitMiss.IncB()
+	e.planHitMiss.IncB()
 	plan, _ := bindStatement(e, db, stmt)
-	if plan != nil {
-		pc.memoStore(db, stmt, plan)
-	}
+	pt.store(e, db, plan)
 	return plan
 }
 

@@ -131,7 +131,7 @@ func (e *Engine) execCreateTable(t *Txn, s *CreateTableStmt) (*Result, error) {
 		return nil, fmt.Errorf("%w: %s", ErrTableExists, s.Table)
 	}
 	tables[key] = newTable(e, qualified(t.db, s.Table), schema)
-	e.plans.invalidateTables(t.db, key)
+	e.planGen.Add(1)
 	// Logged under the catalog mutex: a write to the new table can only start
 	// after this mutex is released, so its record lands after this one.
 	if err := e.walDDL(t.db, s.Table, s); err != nil {
@@ -158,7 +158,7 @@ func (e *Engine) execCreateIndex(t *Txn, s *CreateIndexStmt) (*Result, error) {
 	}
 	// Cached plans for this table may be full scans that should now use the
 	// index; force re-derivation.
-	e.plans.invalidateTables(t.db, lower(s.Table))
+	e.planGen.Add(1)
 	return &Result{}, nil
 }
 
@@ -182,7 +182,7 @@ func (e *Engine) execDropTable(t *Txn, s *DropTableStmt) (*Result, error) {
 	}
 	delete(tables, key)
 	e.pool.InvalidateTable(tbl.qname)
-	e.plans.invalidateTables(t.db, key)
+	e.planGen.Add(1)
 	// Logged under the catalog mutex, ordering the drop after every record
 	// of the dropped table.
 	if err := e.walDDL(t.db, s.Table, s); err != nil {

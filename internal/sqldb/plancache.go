@@ -2,20 +2,26 @@ package sqldb
 
 import (
 	"container/list"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
-
-	"sdp/internal/obs"
 )
 
-// PlanCacheStats reports plan-cache activity counters. A hit means the
-// engine skipped the lexer, the parser and access-path planning for a
-// statement; a miss paid for at least re-planning (and, for text lookups,
-// a full re-parse).
+// One rule governs every statement cache from the socket to the engine:
+// keep what repeats, for as long as it repeats. A StmtCache maps SQL text to
+// its parsed statement; a statement's bound plans live in a table on the
+// statement node itself (planTable), so whatever drops the statement — an
+// eviction, or never admitting it — drops its text, its AST and every plan
+// bound from it, on every engine, at once. DESIGN.md, "Statement and plan
+// caching", has the reasoning and the measurements.
+
+// PlanCacheStats counts look-ups of a statement's bound plan. A hit skipped
+// access-path planning and closure binding; a miss paid for them — the first
+// two executions of a text on a database (see StmtCache), and the first after
+// any DDL on the engine.
 type PlanCacheStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
+	Hits   uint64
+	Misses uint64
 }
 
 // HitRate returns hits/(hits+misses), or 0 when no lookups were made.
@@ -27,260 +33,223 @@ func (s PlanCacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// defaultPlanCacheSize is the text-cache capacity used when the engine
-// configuration does not specify one.
-const defaultPlanCacheSize = 512
+// StmtCacheStats is what a StmtCache retains right now: Bytes in the unit
+// its budget is kept in (see stmtCost), over Entries statements.
+type StmtCacheStats struct {
+	Bytes   int
+	Entries int
+}
 
-// memoCapacity bounds the pointer-keyed plan memo. The memo is cleared
-// wholesale when it overflows; it only ever holds plans that can be
-// recomputed from the statement.
-const memoCapacity = 4096
+const (
+	// stmtCacheBudget bounds what one StmtCache retains. The unit is SQL
+	// text bytes: the length is known before anything is parsed, and the
+	// parser builds every AST node from at least one token, so an AST is a
+	// bounded multiple of its text — 8.9× for the TPC-W load's literal
+	// INSERTs, less for parameterised statements, ≈ 32× at worst (a
+	// one-digit literal and its comma become a 64-byte node). 256 KiB is
+	// some 800 statements of OLTP size.
+	stmtCacheBudget = 256 << 10
 
-// planCache is the engine's statement cache: a concurrency-safe LRU mapping
-// (database, SQL text) to the parsed statement plus its precomputed
-// access-path plan, and a pointer-keyed memo for callers that hold
-// pre-parsed statements (the cluster controller parses once and executes the
-// same Statement on every replica engine).
+	// stmtEntryOverhead is charged per statement on top of its text: the
+	// entry, its map and queue slots and the fixed part of the AST. It also
+	// caps the entry count (2 048) whatever the texts' lengths.
+	stmtEntryOverhead = 128
+
+	// doorSlots sizes the doorkeeper, the table of text hashes that
+	// remembers a first sighting without keeping the statement (4 KiB).
+	doorSlots = 1024
+)
+
+// stmtCost is the budget charge of caching sql.
+func stmtCost(sql string) int { return len(sql) + stmtEntryOverhead }
+
+// StmtCache is a concurrency-safe cache of parsed statements keyed by SQL
+// text. It holds no catalog reference, so one cache serves statements routed
+// to any number of engines and databases: the platform parses each repeating
+// statement once and executes the shared, immutable AST on every replica.
 //
-// Invalidation is two-layered. Every DDL statement bumps gen, and a plan
-// whose generation does not match is re-derived before use — this is what
-// guarantees a stale plan never reads a dropped table or misses a newly
-// created index. Additionally, DDL on a table evicts every cached entry
-// referencing that table, so dropped-table plans do not linger in memory.
-type planCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recently used
-
-	memo     atomic.Pointer[sync.Map]
-	memoSize atomic.Int64
-
-	gen atomic.Uint64 // bumped by every DDL / catalog change
-
-	// hitMiss packs hits (A) and misses (B) into one word so stats
-	// snapshots are never torn (see obs.Pair).
-	hitMiss   obs.Pair
-	evictions atomic.Uint64
-}
-
-// planEntry is one resident text-cache entry.
-type planEntry struct {
-	key  string
-	stmt Statement
-	plan *stmtPlan
-}
-
-// memoKey keys the pointer memo: the same parsed statement may execute
-// against different databases of one engine with different plans.
-type memoKey struct {
-	stmt Statement
-	db   string
-}
-
-func newPlanCache(capacity int) *planCache {
-	if capacity == 0 {
-		capacity = defaultPlanCacheSize
-	}
-	pc := &planCache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-	}
-	pc.memo.Store(&sync.Map{})
-	return pc
-}
-
-// disabled reports whether plan caching is off (negative configured size).
-func (pc *planCache) disabled() bool { return pc.capacity < 0 }
-
-func planKey(db, sql string) string { return db + "\x00" + sql }
-
-// get returns the cached statement and plan for (db, sql).
-func (pc *planCache) get(db, sql string) (Statement, *stmtPlan, bool) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	el, ok := pc.entries[planKey(db, sql)]
-	if !ok {
-		return nil, nil, false
-	}
-	pc.lru.MoveToFront(el)
-	e := el.Value.(*planEntry)
-	return e.stmt, e.plan, true
-}
-
-// put installs (or refreshes) the entry for (db, sql), evicting the least
-// recently used entry when the cache is full.
-func (pc *planCache) put(db, sql string, stmt Statement, plan *stmtPlan) {
-	key := planKey(db, sql)
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el, ok := pc.entries[key]; ok {
-		e := el.Value.(*planEntry)
-		e.stmt, e.plan = stmt, plan
-		pc.lru.MoveToFront(el)
-		return
-	}
-	el := pc.lru.PushFront(&planEntry{key: key, stmt: stmt, plan: plan})
-	pc.entries[key] = el
-	for pc.lru.Len() > pc.capacity {
-		oldest := pc.lru.Back()
-		pc.lru.Remove(oldest)
-		delete(pc.entries, oldest.Value.(*planEntry).key)
-		pc.evictions.Add(1)
-	}
-}
-
-// bumpGen invalidates every cached plan (they re-derive lazily on next use).
-func (pc *planCache) bumpGen() { pc.gen.Add(1) }
-
-// invalidateTables evicts every text-cache entry of db that references one
-// of the given (lower-cased) table names, and bumps the generation so memoed
-// plans re-derive too.
-func (pc *planCache) invalidateTables(db string, tables ...string) {
-	pc.bumpGen()
-	prefix := db + "\x00"
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	var victims []*list.Element
-	for key, el := range pc.entries {
-		if len(key) < len(prefix) || key[:len(prefix)] != prefix {
-			continue
-		}
-		e := el.Value.(*planEntry)
-		if e.plan == nil {
-			continue
-		}
-		for _, ref := range e.plan.tables {
-			for _, t := range tables {
-				if ref == t {
-					victims = append(victims, el)
-				}
-			}
-		}
-	}
-	for _, el := range victims {
-		delete(pc.entries, el.Value.(*planEntry).key)
-		pc.lru.Remove(el)
-		pc.evictions.Add(1)
-	}
-}
-
-// invalidateDB evicts every text-cache entry of db (DROP DATABASE).
-func (pc *planCache) invalidateDB(db string) {
-	pc.bumpGen()
-	prefix := db + "\x00"
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	for key, el := range pc.entries {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			delete(pc.entries, key)
-			pc.lru.Remove(el)
-			pc.evictions.Add(1)
-		}
-	}
-}
-
-// stats returns a snapshot of the counters. The hit/miss pair comes from
-// one atomic word and is never torn.
-func (pc *planCache) stats() PlanCacheStats {
-	hits, misses := pc.hitMiss.Load()
-	return PlanCacheStats{
-		Hits:      hits,
-		Misses:    misses,
-		Evictions: pc.evictions.Load(),
-	}
-}
-
-// memoLoad returns the memoed plan for (stmt, db) if it is current.
-func (pc *planCache) memoLoad(db string, stmt Statement) (*stmtPlan, bool) {
-	v, ok := pc.memo.Load().Load(memoKey{stmt: stmt, db: db})
-	if !ok {
-		return nil, false
-	}
-	p := v.(*stmtPlan)
-	if p.gen != pc.gen.Load() {
-		return nil, false
-	}
-	return p, true
-}
-
-// memoStore installs a plan in the pointer memo, clearing the memo wholesale
-// if it grew past its capacity (plans are recomputable; losing them is only
-// a performance event).
-func (pc *planCache) memoStore(db string, stmt Statement, plan *stmtPlan) {
-	m := pc.memo.Load()
-	key := memoKey{stmt: stmt, db: db}
-	if _, loaded := m.LoadOrStore(key, plan); loaded {
-		m.Store(key, plan)
-		return
-	}
-	if pc.memoSize.Add(1) > memoCapacity {
-		pc.memo.Store(&sync.Map{})
-		pc.memoSize.Store(0)
-	}
-}
-
-// StmtCache is a concurrency-safe LRU cache of parsed statements keyed by
-// SQL text. It carries no access-path plans and no catalog references, so
-// one cache can serve statements routed to any number of engines — the
-// cluster controller uses it to parse each distinct statement once and
-// execute the shared (immutable) AST on every replica.
+// Admission is on the second sighting. The first time a text is seen it is
+// parsed and returned, and only a hash of it is remembered, in a fixed
+// direct-mapped table; a text whose hash is found there is admitted. A bulk
+// load, a log replay, or an application that formats literals into its SQL
+// therefore leaves nothing behind, at the price of parsing a statement that
+// does repeat twice in its life. Retention is bounded by stmtCacheBudget and
+// eviction is second-chance FIFO: a hit only sets a flag on the entry (under
+// the read lock), and the sweep that makes room passes over flagged entries
+// once, so a statement stays for as long as it keeps being used.
 type StmtCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	lru      *list.List
+	budget   int
+	seed     maphash.Seed
+	door     [doorSlots]atomic.Uint32
+	bypassed atomic.Uint64
+
+	mu      sync.RWMutex
+	entries map[string]*stmtEntry
+	queue   list.List // of *stmtEntry, front = next eviction candidate
+	bytes   int
 }
 
-// stmtEntry is one resident statement-cache entry.
+// stmtEntry is one resident statement.
 type stmtEntry struct {
 	sql  string
 	stmt Statement
+	used atomic.Bool // hit since the eviction sweep last passed
 }
 
-// NewStmtCache creates a statement cache holding at most capacity parsed
-// statements; capacity <= 0 selects a default.
-func NewStmtCache(capacity int) *StmtCache {
-	if capacity <= 0 {
-		capacity = defaultPlanCacheSize
-	}
+// NewStmtCache creates an empty statement cache.
+func NewStmtCache() *StmtCache { return newStmtCache(stmtCacheBudget) }
+
+func newStmtCache(budget int) *StmtCache {
 	return &StmtCache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
+		budget:  budget,
+		seed:    maphash.MakeSeed(),
+		entries: make(map[string]*stmtEntry),
 	}
 }
 
-// Parse returns the parsed form of sql, serving repeats from the cache.
-// Parse errors are not cached (they are not hot paths).
+// Parse returns the parsed form of sql, serving a text that repeats from the
+// cache. A nil cache parses every time. Parse errors are not remembered (they
+// are not hot paths).
 func (c *StmtCache) Parse(sql string) (Statement, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[sql]; ok {
-		c.lru.MoveToFront(el)
-		stmt := el.Value.(*stmtEntry).stmt
-		c.mu.Unlock()
-		return stmt, nil
+	if c == nil {
+		return Parse(sql)
 	}
-	c.mu.Unlock()
+	c.mu.RLock()
+	e := c.entries[sql]
+	c.mu.RUnlock()
+	if e != nil {
+		if !e.used.Load() { // keep a hot entry's cache line shared
+			e.used.Store(true)
+		}
+		return e.stmt, nil
+	}
 
 	stmt, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
+	h := maphash.String(c.seed, sql)
+	tag := uint32(h>>32) | 1 // never the empty slot's zero
+	if c.door[h%doorSlots].Swap(tag) != tag || stmtCost(sql) > c.budget {
+		c.bypassed.Add(1)
+		return stmt, nil
+	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[sql]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*stmtEntry).stmt, nil
+	if e := c.entries[sql]; e != nil {
+		return e.stmt, nil // admitted by a concurrent caller
 	}
-	el := c.lru.PushFront(&stmtEntry{sql: sql, stmt: stmt})
-	c.entries[sql] = el
-	for c.lru.Len() > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*stmtEntry).sql)
+	e = &stmtEntry{sql: sql, stmt: stmt}
+	c.entries[sql] = e
+	c.queue.PushBack(e)
+	c.bytes += stmtCost(sql)
+	for c.bytes > c.budget {
+		front := c.queue.Front()
+		victim := front.Value.(*stmtEntry)
+		if victim.used.Swap(false) {
+			c.queue.MoveToBack(front)
+			continue
+		}
+		c.queue.Remove(front)
+		delete(c.entries, victim.sql)
+		c.bytes -= stmtCost(victim.sql)
 	}
 	return stmt, nil
+}
+
+// Stats returns what the cache retains. A nil cache retains nothing.
+func (c *StmtCache) Stats() StmtCacheStats {
+	if c == nil {
+		return StmtCacheStats{}
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return StmtCacheStats{Bytes: c.bytes, Entries: len(c.entries)}
+}
+
+// TakeBypassed returns how many parsed statements were not admitted since
+// the last call, and resets the count: several snapshot hooks, or a hook
+// that outlives a restarted engine's cache, can each add what they take to
+// one counter without counting a bypass twice.
+func (c *StmtCache) TakeBypassed() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.bypassed.Swap(0)
+}
+
+// planKey names one database of one engine. A parsed statement is shared by
+// every tenant running the same application, so its plans are looked up by
+// hash, not by scanning.
+type planKey struct {
+	e  *Engine
+	db string
+}
+
+// planTable holds the plans bound from one statement, one per (engine,
+// database) that executed it. It is a field of the statement node, so a plan
+// is reachable only through its statement and goes where the statement goes.
+// Readers load an immutable map; a bind — once per key and DDL generation —
+// copies it.
+type planTable struct {
+	cur atomic.Pointer[map[planKey]*stmtPlan]
+	mu  sync.Mutex // serialises writers
+}
+
+// plansOf returns the plan table of a statement kind that binds, nil for the
+// rest (DDL, EXPLAIN, transaction control).
+func plansOf(stmt Statement) *planTable {
+	switch s := stmt.(type) {
+	case *SelectStmt:
+		return &s.plans
+	case *InsertStmt:
+		return &s.plans
+	case *UpdateStmt:
+		return &s.plans
+	case *DeleteStmt:
+		return &s.plans
+	}
+	return nil
+}
+
+// load returns the plan bound for (e, db), unless DDL on e has retired it.
+func (pt *planTable) load(e *Engine, db string) *stmtPlan {
+	m := pt.cur.Load()
+	if m == nil {
+		return nil
+	}
+	p := (*m)[planKey{e, db}]
+	if p == nil || p.gen != e.planGen.Load() {
+		return nil
+	}
+	return p
+}
+
+// store publishes plan for (e, db); a nil plan (the statement no longer
+// binds) removes what was there. Every plan its own engine has retired since
+// — DDL, a dropped database, Close — is dropped on the way: a key holds its
+// engine, and through it every table the engine had, so a statement that
+// stays cached must not keep the entry of a closed engine past its next bind.
+func (pt *planTable) store(e *Engine, db string, plan *stmtPlan) {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	var old map[planKey]*stmtPlan
+	if m := pt.cur.Load(); m != nil {
+		old = *m
+	}
+	key := planKey{e, db}
+	if plan == nil && old[key] == nil {
+		return
+	}
+	next := make(map[planKey]*stmtPlan, len(old)+1)
+	for k, p := range old {
+		if k != key && p.gen == k.e.planGen.Load() {
+			next[k] = p
+		}
+	}
+	if plan != nil {
+		next[key] = plan
+	}
+	pt.cur.Store(&next)
 }

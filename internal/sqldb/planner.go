@@ -34,15 +34,13 @@ type accessPath struct {
 	residual Expr // conjuncts not consumed by the access path, nil if none
 }
 
-// stmtPlan is the cached, bound form of one statement against one database:
-// the referenced table names (for targeted invalidation) and, for SELECT and
-// DML, the closure pipeline that executes it. It lives and dies with the
-// plan-cache generation: DDL bumps the generation and the next use re-binds
-// against the new catalog.
+// stmtPlan is the bound form of one statement against one database of one
+// engine: the closure pipeline that executes it. It is kept on the statement
+// node (planTable) and is good for one DDL generation: DDL bumps the engine's
+// generation and the next use re-binds against the new catalog.
 type stmtPlan struct {
-	gen    uint64   // planCache generation this plan was bound under
-	tables []string // lower-cased referenced table names
-	exec   func(t *Txn, params []Value) (*Result, error)
+	gen  uint64 // Engine.planGen this plan was bound under
+	exec func(t *Txn, params []Value) (*Result, error)
 }
 
 // bindStatement binds stmt against db's current catalog. A nil plan with a
@@ -51,32 +49,20 @@ type stmtPlan struct {
 // statement reports. The generation is captured before catalog inspection, so
 // a concurrent DDL makes the plan stale rather than silently wrong.
 func bindStatement(e *Engine, db string, stmt Statement) (*stmtPlan, error) {
-	plan := &stmtPlan{gen: e.plans.gen.Load()}
+	plan := &stmtPlan{gen: e.planGen.Load()}
 	var err error
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		if s.From != nil {
-			plan.tables = append(plan.tables, lower(s.From.Table))
-			for _, j := range s.Joins {
-				plan.tables = append(plan.tables, lower(j.Table.Table))
-			}
-		}
 		var bs *boundSelect
 		if bs, err = bindSelect(e, db, s); err == nil {
 			plan.exec = bs.exec
 		}
 	case *InsertStmt:
-		plan.tables = []string{lower(s.Table)}
 		plan.exec, err = bindInsert(e, db, s)
 	case *UpdateStmt:
-		plan.tables = []string{lower(s.Table)}
 		plan.exec, err = bindUpdate(e, db, s)
 	case *DeleteStmt:
-		plan.tables = []string{lower(s.Table)}
 		plan.exec, err = bindDelete(e, db, s)
-	case *BeginStmt, *CommitStmt, *RollbackStmt:
-		// Nothing to bind, but caching still skips the parser.
-		return plan, nil
 	default:
 		return nil, nil
 	}

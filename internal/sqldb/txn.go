@@ -147,20 +147,20 @@ func (t *Txn) checkActive() error {
 	}
 }
 
-// Exec parses and executes a statement inside the transaction, serving
-// repeated statement text from the engine's plan cache. Params bind to ?
+// Exec parses and executes a statement inside the transaction, serving a
+// text that repeats from the engine's statement cache. Params bind to ?
 // placeholders in order; parameterised statements share one cached plan
 // across all bindings.
 func (t *Txn) Exec(sql string, params ...Value) (*Result, error) {
-	stmt, plan, err := t.engine.cachedStatement(t.db, sql)
+	stmt, err := t.engine.stmts.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return t.execPlanned(stmt, plan, params)
+	return t.ExecStmt(stmt, params...)
 }
 
-// ExecStmt executes a pre-parsed statement inside the transaction, memoising
-// its access-path plan by AST identity.
+// ExecStmt executes a pre-parsed statement inside the transaction, through
+// the plan the statement carries for this engine and database.
 func (t *Txn) ExecStmt(stmt Statement, params ...Value) (*Result, error) {
 	return t.execPlanned(stmt, t.engine.plannedStmt(t.db, stmt), params)
 }

@@ -59,6 +59,7 @@ func (r *replicator) drain(db string) {
 			return
 		}
 		batch := q[0]
+		q[0] = nil // the backing array outlives the reslice; the batch must not
 		r.queues[db] = q[1:]
 		r.mu.Unlock()
 

@@ -38,6 +38,46 @@ func TestReplicatorOrderingPerDatabase(t *testing.T) {
 	}
 }
 
+// TestReplicatorDrainReleasesBatches checks that an applied batch — SQL text
+// and parameter values — is not kept reachable by the queue it was taken from.
+func TestReplicatorDrainReleasesBatches(t *testing.T) {
+	s, _, _ := newSystem(t)
+	if err := s.CreateDatabase("app", sla.Profile(300, 1), 2, "west", "east"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("app", "CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush("app")
+	r := s.repl
+	r.mu.Lock()
+	for r.running["app"] {
+		r.cond.Wait()
+	}
+	r.running["app"] = true // hold the worker off while batches queue up
+	r.mu.Unlock()
+	for i := 0; i < 4; i++ {
+		if _, err := s.Exec("app", fmt.Sprintf("INSERT INTO t VALUES (%d)", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.mu.Lock()
+	queued := r.queues["app"] // shares the backing array drain reslices
+	r.mu.Unlock()
+	if len(queued) != 4 {
+		t.Fatalf("queued %d batches, want 4", len(queued))
+	}
+	go r.drain("app")
+	s.Flush("app")
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, batch := range queued {
+		if batch != nil {
+			t.Errorf("slot %d still holds its applied batch (%d statements)", i, len(batch))
+		}
+	}
+}
+
 func TestReplicatorConcurrentDatabases(t *testing.T) {
 	s, _, east := newSystem(t)
 	for i := 0; i < 3; i++ {

@@ -63,9 +63,10 @@ type ServerConfig struct {
 	// in-flight and already-received requests to finish before
 	// force-closing connections (default 5s).
 	DrainTimeout time.Duration
-	// StmtCacheSize caps the server's shared text→AST statement cache
-	// (default 512; see sqldb.NewStmtCache).
-	StmtCacheSize int
+	// Stmts is the text→AST statement cache sessions parse through; the
+	// platform passes the one its clusters and connections use. Nil gives
+	// the server a private cache.
+	Stmts *sqldb.StmtCache
 	// TraceSample is the server-initiated head-sampling fraction, applied
 	// per tenant database to requests that arrive without a client trace
 	// context (a client-sampled request is always traced end to end).
@@ -80,7 +81,6 @@ type ServerConfig struct {
 type Server struct {
 	cfg     ServerConfig
 	metrics *serverMetrics
-	stmts   *sqldb.StmtCache
 	lis     net.Listener
 	sampler *obs.Sampler  // server-initiated head sampling, nil-safe
 	spans   *obs.SpanRing // platform span ring ("wire"-scope spans)
@@ -109,6 +109,9 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.Banner == "" {
 		cfg.Banner = "sdp"
 	}
+	if cfg.Stmts == nil {
+		cfg.Stmts = sqldb.NewStmtCache()
+	}
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -116,7 +119,6 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		metrics: newServerMetrics(cfg.Metrics),
-		stmts:   sqldb.NewStmtCache(cfg.StmtCacheSize),
 		lis:     lis,
 		spans:   cfg.Metrics.Spans(),
 		slow:    cfg.Metrics.SlowLog(),
@@ -411,7 +413,7 @@ func (c *session) handleQuery(f frame) bool {
 		c.sendError(f.seq, ErrCodeProtocol, err.Error())
 		return false
 	}
-	stmt, err := c.srv.stmts.Parse(sql)
+	stmt, err := c.srv.cfg.Stmts.Parse(sql)
 	if err != nil {
 		c.sendErr(f.seq, err)
 		return true
@@ -427,7 +429,7 @@ func (c *session) handlePrepare(f frame) bool {
 		c.sendError(f.seq, ErrCodeProtocol, err.Error())
 		return false
 	}
-	stmt, err := c.srv.stmts.Parse(sql)
+	stmt, err := c.srv.cfg.Stmts.Parse(sql)
 	if err != nil {
 		c.sendErr(f.seq, err)
 		return true

@@ -348,3 +348,89 @@ func TestPlatformPlacementShrinksToBudget(t *testing.T) {
 		t.Errorf("replicas = %v, want one", reps)
 	}
 }
+
+// TestOneShotStatementsAreNotRetained loads a replicated, logged database
+// with statements that each run once — literal multi-row INSERTs, the shape
+// of a bulk load — and restarts a replica so its engine replays them from the
+// log: neither the platform's statement cache nor any replica engine's keeps
+// one of them, while a statement that does repeat is cached on its second
+// sighting and served, plan included, from its third.
+func TestOneShotStatementsAreNotRetained(t *testing.T) {
+	p := New(Config{ClusterSize: 3, WAL: &WALConfig{}})
+	co := p.AddColo("west", "us-west", 3)
+	if err := p.CreateDatabase("app", SLA{SizeMB: 300, MinTPS: 2}, "west"); err != nil {
+		t.Fatal(err)
+	}
+	conn := p.Open("app")
+	if _, err := conn.Exec("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	const loads = 2000
+	for i := 0; i < loads; i++ {
+		sql := fmt.Sprintf("INSERT INTO t VALUES (%d, 'a%d'), (%d, 'b%d'), (%d, 'c%d')", 3*i, i, 3*i+1, i, 3*i+2, i)
+		if _, err := conn.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl, err := co.Route("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicas, err := cl.Replicas("app")
+	if err != nil || len(replicas) != 2 {
+		t.Fatalf("replicas = %v, %v", replicas, err)
+	}
+	if _, err := co.CrashMachine(replicas[0]); err != nil {
+		t.Fatal(err)
+	}
+	if stats, _, err := co.RestartMachine(replicas[0]); err != nil || stats.Applied < loads {
+		t.Fatalf("restart replayed %+v, %v", stats, err)
+	}
+
+	planHits := func() (hits uint64) {
+		for _, id := range replicas {
+			m, err := cl.Machine(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := m.Engine().StmtCache().Stats(); st.Entries != 0 {
+				t.Errorf("replica %s's engine retains %+v after a load and a replay", id, st)
+			}
+			hits += m.Engine().Stats().PlanCache.Hits
+		}
+		return hits
+	}
+	before := planHits()
+	if st := p.stmts.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("platform cache retains %+v after %d one-shot statements", st, loads)
+	}
+	snap := p.Metrics().Snapshot()
+	for _, cache := range []string{"platform", "engine"} {
+		if n := snap.Counter("sqldb_stmt_cache_bypass_total", "cache", cache); n < loads {
+			t.Errorf("sqldb_stmt_cache_bypass_total{cache=%q} = %d, want >= %d", cache, n, loads)
+		}
+	}
+
+	const q = "SELECT v FROM t WHERE id = ?"
+	for call := 1; call <= 3; call++ {
+		res, err := conn.Query(q, Int(4))
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Str != "b1" {
+			t.Fatalf("call %d: %v, %v", call, res, err)
+		}
+		wantEntries := 1
+		if call == 1 {
+			wantEntries = 0
+		}
+		if st := p.stmts.Stats(); st.Entries != wantEntries {
+			t.Errorf("after call %d the platform cache holds %+v, want %d entries", call, st, wantEntries)
+		}
+		// A plan hit means the replica was handed the statement it had bound
+		// before: the cached one.
+		if hits := planHits() - before; (hits > 0) != (call == 3) {
+			t.Errorf("after call %d: %d plan hits", call, hits)
+		}
+	}
+	if got := p.Metrics().Snapshot().Gauge("sqldb_stmt_cache_entries", "cache", "platform"); got != 1 {
+		t.Errorf("sqldb_stmt_cache_entries{cache=\"platform\"} = %v, want 1", got)
+	}
+}

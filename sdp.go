@@ -200,6 +200,10 @@ type Platform struct {
 	mon  *sla.Monitor
 	auth wireAuth
 
+	// stmts is the platform's one text→AST statement cache: every cluster
+	// controller, the wire server and Conn.Prepare parse through it.
+	stmts *sqldb.StmtCache
+
 	plMu sync.Mutex
 	pl   []*core.AdaptiveController
 }
@@ -211,11 +215,51 @@ func New(cfg Config) *Platform {
 		ring = obs.DefaultTraceCapacity
 	}
 	reg := obs.NewRegistrySized(ring)
-	return &Platform{
-		cfg: cfg,
-		reg: reg,
-		sys: system.NewWithRegistry(reg),
-		mon: sla.NewMonitor(reg, sla.MonitorOptions{Window: cfg.SLAWindow}),
+	p := &Platform{
+		cfg:   cfg,
+		reg:   reg,
+		sys:   system.NewWithRegistry(reg),
+		mon:   sla.NewMonitor(reg, sla.MonitorOptions{Window: cfg.SLAWindow}),
+		stmts: sqldb.NewStmtCache(),
+	}
+	reg.OnSnapshot(p.bridgeStmtCaches(
+		reg.GaugeVec("sqldb_stmt_cache_bytes",
+			"Bytes retained by statement caches, in the unit of their budget (SQL text plus a fixed charge per statement)", "cache"),
+		reg.GaugeVec("sqldb_stmt_cache_entries",
+			"Parsed statements retained by statement caches", "cache"),
+		reg.CounterVec("sqldb_stmt_cache_bypass_total",
+			"Statements parsed and not cached: a first sighting, or a text larger than the budget", "cache")))
+	return p
+}
+
+// bridgeStmtCaches returns the snapshot hook that reports the statement
+// caches: cache="platform" is the one text cache every layer parses through,
+// cache="engine" sums the live machines' own caches, which only log replay
+// goes through.
+func (p *Platform) bridgeStmtCaches(bytes, entries *obs.GaugeVec, bypass *obs.CounterVec) func() {
+	report := func(cache string, st sqldb.StmtCacheStats, bypassed uint64) {
+		bytes.With(cache).Set(float64(st.Bytes))
+		entries.With(cache).Set(float64(st.Entries))
+		bypass.With(cache).Add(bypassed)
+	}
+	return func() {
+		report("platform", p.stmts.Stats(), p.stmts.TakeBypassed())
+		var sum sqldb.StmtCacheStats
+		var bypassed uint64
+		for _, co := range p.sys.Colos() {
+			for _, cl := range co.Clusters() {
+				for _, id := range cl.MachineIDs() {
+					if m, err := cl.Machine(id); err == nil && !m.Failed() {
+						c := m.Engine().StmtCache()
+						st := c.Stats()
+						sum.Bytes += st.Bytes
+						sum.Entries += st.Entries
+						bypassed += c.TakeBypassed()
+					}
+				}
+			}
+		}
+		report("engine", sum, bypassed)
 	}
 }
 
@@ -230,6 +274,7 @@ func (p *Platform) AddColo(name, region string, freeMachines int) *colo.Controll
 	opts := p.cfg.coloOptions()
 	opts.Metrics = p.reg
 	opts.Cluster.SLAMonitor = p.mon
+	opts.Cluster.Stmts = p.stmts
 	co := colo.New(name, opts)
 	co.AddFreeMachines(freeMachines)
 	p.sys.AddColo(co, region)

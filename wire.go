@@ -74,6 +74,7 @@ func (p *Platform) ServeWire() (*wire.Server, error) {
 	return wire.Serve(p.cfg.Listen, wire.ServerConfig{
 		Backend:     wireBackend{p: p},
 		Metrics:     p.reg,
+		Stmts:       p.stmts,
 		Banner:      "sdp/" + wireBannerVersion,
 		TraceSample: p.cfg.TraceSample,
 		SlowQuery:   p.cfg.SlowQuery,
@@ -84,18 +85,20 @@ func (p *Platform) ServeWire() (*wire.Server, error) {
 const wireBannerVersion = "8"
 
 // Stmt is a prepared statement on an in-process connection: parsed once,
-// executed many times. Each execution skips the parser and hits the
-// engine's pointer-keyed plan cache, the same hot path the wire server's
-// MsgExec takes.
+// executed many times. Each execution skips the parser and runs the plan
+// the statement carries for the replica it lands on, the same hot path the
+// wire server's MsgExec takes.
 type Stmt struct {
 	c    *Conn
 	sql  string
 	stmt sqldb.Statement
 }
 
-// Prepare parses sql once and returns a reusable statement handle.
+// Prepare parses sql through the platform's statement cache and returns a
+// reusable statement handle: connections preparing one text share one
+// parsed statement and the plans bound from it.
 func (c *Conn) Prepare(sql string) (*Stmt, error) {
-	stmt, err := sqldb.Parse(sql)
+	stmt, err := c.p.stmts.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
