@@ -28,6 +28,12 @@ type Cluster struct {
 	// controller→machine link originates here.
 	endpoint string
 
+	// overlap says a transaction's fan-outs dispatch to all machines at once
+	// (Txn.fanOut): a machine operation can take simulated time — a network,
+	// a modelled disk miss or log force — that working in parallel hides, or
+	// the controller is aggressive. Derived from opts once.
+	overlap bool
+
 	// resolvers tracks background 2PC outcome deliveries (commit or
 	// rollback retried out-of-band after in-band delivery failed), so
 	// tests and the chaos driver can wait for full quiescence.
@@ -192,6 +198,8 @@ func NewCluster(name string, opts Options) *Cluster {
 		name:     name,
 		opts:     opts,
 		endpoint: "ctl:" + name,
+		overlap: opts.AckMode == Aggressive || opts.Network != nil ||
+			opts.EngineConfig.MissLatency > 0 || (opts.WAL != nil && opts.WAL.FlushLatency > 0),
 		machines: make(map[string]*Machine),
 		dbs:      make(map[string]*dbState),
 		stmts:    opts.Stmts,

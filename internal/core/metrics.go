@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"sdp/internal/obs"
 )
@@ -137,7 +137,7 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 }
 
 // gidString renders a transaction's trace correlation ID.
-func gidString(gid uint64) string { return fmt.Sprintf("gid:%d", gid) }
+func gidString(gid uint64) string { return "gid:" + strconv.FormatUint(gid, 10) }
 
 // readRouteCounter returns the routing counter for the configured option.
 func (m *clusterMetrics) readRouteCounter(o ReadOption) *obs.Counter {

@@ -164,7 +164,7 @@ func (c *Cluster) TakeOver() (committed, rolledBack int) {
 		// hold locks indefinitely.
 		if rec.stage == StageCommitting {
 			for _, s := range rec.sessions {
-				if r := s.commitPrepared().wait(); r.err != nil && netsim.IsTransient(r.err) {
+				if r := s.do((*replicaSession).commitPrepared); r.err != nil && netsim.IsTransient(r.err) {
 					c.resolveOutcome(s, rec.gid, true)
 				}
 			}
@@ -176,7 +176,7 @@ func (c *Cluster) TakeOver() (committed, rolledBack int) {
 			committed++
 		} else {
 			for _, s := range rec.sessions {
-				if r := s.rollback().wait(); r.err != nil && netsim.IsTransient(r.err) {
+				if r := s.do((*replicaSession).rollback); r.err != nil && netsim.IsTransient(r.err) {
 					c.resolveOutcome(s, rec.gid, false)
 				}
 			}

@@ -100,14 +100,13 @@ func waitAny(futs []*future) opResult {
 // connection, but machines run independently of each other — the property
 // that makes the aggressive controller's anomaly (Table 1) possible.
 //
-// An operation submitted while nothing is in flight runs on the submitting
-// goroutine: a read, a one-phase commit and one replica's share of every 2PC
-// phase cost a function call. The rest — anything behind an unfinished
-// operation, and what the transaction sends viaWorker: a write that goes to
-// several replicas, the other replicas of a 2PC phase, a PREPARE whose vote
-// is collected under a deadline — goes down a FIFO queue to the session's
-// worker goroutine, started by the first such operation, so one goroutine at
-// a time touches the sqldb branch.
+// An operation is a function call: do runs it on the submitting goroutine
+// whenever nothing is in flight on the session, which under a conservative
+// controller with no simulated time is always (Txn.fanOut). Only what send
+// hands over — the shares of a fan-out that overlaps machines, and anything
+// submitted behind one of those that has not finished — goes down a FIFO
+// queue to the session's worker goroutine, started by the first send, so one
+// goroutine at a time touches the sqldb branch.
 // With a simulated network every operation crosses the controller→machine
 // link wherever it executes, so injected latency delays later operations on
 // the same machine as a slow connection would.
@@ -117,20 +116,21 @@ type replicaSession struct {
 	txn     *sqldb.Txn
 	link    *netsim.Link // nil without a simulated network
 
-	// ops feeds the worker; nil until an operation needs it. queued counts
-	// the operations sent down ops that have not finished: the submitter
-	// raises it, the worker lowers it, and zero means the branch is the
-	// submitter's to use.
+	// ops feeds the worker; nil until a send needs it. queued counts the
+	// operations sent down ops that have not finished: the submitter raises
+	// it, the worker lowers it, and zero means the branch is the submitter's
+	// to use.
 	ops    chan queuedOp
 	queued atomic.Int32
-	// handOff is set while viaWorker submits: the operation goes to the
-	// worker even though the session is idle.
-	handOff bool
 }
+
+// An op is one operation on a replica session: a session method such as
+// (*replicaSession).prepare, or execOp's closure over a statement.
+type op func(*replicaSession) opResult
 
 // queuedOp is one operation handed to the worker and the future it resolves.
 type queuedOp struct {
-	fn  func() opResult
+	op  op
 	fut *future
 }
 
@@ -206,16 +206,22 @@ func (s *replicaSession) call(op string, idempotent bool, fn func() error) error
 	}
 }
 
-// submit schedules fn after every operation already submitted to this
-// machine and returns a future for its result. With nothing in flight, fn
-// runs on the caller before submit returns; otherwise, or under viaWorker, it
-// is queued for the worker. A session has one submitter at a time (the
+// do runs o after every operation already submitted to this machine and
+// returns its outcome: a plain call when nothing is in flight, else a trip
+// through the worker's queue. A session has one submitter at a time (the
 // transaction's goroutine, or the takeover that inherited it), so a session
 // found idle stays idle until that submitter's next call.
-func (s *replicaSession) submit(fn func() opResult) *future {
-	if !s.handOff && s.queued.Load() == 0 {
-		return resolved(s.guard(fn))
+func (s *replicaSession) do(o op) opResult {
+	if s.queued.Load() == 0 {
+		return s.run(o)
 	}
+	return s.send(o).wait()
+}
+
+// send queues o for the worker even if the session is idle, for a caller
+// that must not execute it itself: it has other machines to dispatch to
+// first, or it waits for the result under a deadline.
+func (s *replicaSession) send(o op) *future {
 	if s.ops == nil {
 		// Room for the writes an aggressive transaction leaves pending on a
 		// slow machine; beyond it the submitter waits for that machine.
@@ -224,18 +230,7 @@ func (s *replicaSession) submit(fn func() opResult) *future {
 	}
 	fut := newFuture()
 	s.queued.Add(1)
-	s.ops <- queuedOp{fn, fut}
-	return fut
-}
-
-// viaWorker submits one operation (op is a session method such as
-// (*replicaSession).prepare) to the worker even if the session is idle, for a
-// caller that must not execute it itself: it has other machines to dispatch
-// to first, or it waits for the result under a deadline.
-func (s *replicaSession) viaWorker(op func(*replicaSession) *future) *future {
-	s.handOff = true
-	fut := op(s)
-	s.handOff = false
+	s.ops <- queuedOp{o, fut}
 	return fut
 }
 
@@ -243,10 +238,10 @@ func (s *replicaSession) viaWorker(op func(*replicaSession) *future) *future {
 // An operation stops counting as queued before its future resolves, so
 // whoever waited for the last future finds the session idle.
 func (s *replicaSession) work() {
-	for op := range s.ops {
-		r := s.guard(op.fn)
+	for q := range s.ops {
+		r := s.run(q.op)
 		s.queued.Add(-1)
-		op.fut.complete(r)
+		q.fut.complete(r)
 	}
 }
 
@@ -257,27 +252,33 @@ func (s *replicaSession) close() {
 	}
 }
 
-// guard fails fast when the machine has died instead of touching its engine.
-func (s *replicaSession) guard(fn func() opResult) opResult {
+// run executes o here and now, failing fast when the machine has died
+// instead of touching its engine.
+func (s *replicaSession) run(o op) opResult {
 	if s.machine.Failed() {
 		return opResult{err: ErrMachineFailed}
 	}
-	return fn()
+	return o(s)
 }
 
 // setTrace updates the branch's trace context, ordered behind any operations
 // already in flight so it applies exactly to the statements submitted after
 // it.
 func (s *replicaSession) setTrace(tc obs.SpanContext) {
-	s.submit(func() opResult {
+	o := func(s *replicaSession) opResult {
 		s.txn.SetTraceContext(tc)
 		return opResult{}
-	})
+	}
+	if s.queued.Load() == 0 {
+		s.run(o)
+	} else {
+		s.send(o)
+	}
 }
 
-// execStmt submits a statement execution.
-func (s *replicaSession) execStmt(stmt sqldb.Statement, params []sqldb.Value) *future {
-	return s.submit(func() opResult {
+// execOp is the execution of one statement.
+func execOp(stmt sqldb.Statement, params []sqldb.Value) op {
+	return func(s *replicaSession) opResult {
 		var res *sqldb.Result
 		err := s.call("exec", false, func() error {
 			var xerr error
@@ -285,34 +286,34 @@ func (s *replicaSession) execStmt(stmt sqldb.Statement, params []sqldb.Value) *f
 			return xerr
 		})
 		return opResult{res: res, err: err}
-	})
+	}
 }
 
-// prepare submits the PREPARE action of 2PC. It runs after all previously
+// prepare is the PREPARE action of 2PC. It runs after all previously
 // submitted operations on this machine (FIFO), but independently of the
 // transaction's pending operations on other machines. PREPARE is
 // idempotent at the engine (a prepared transaction re-prepares as a no-op),
 // so lost votes are retried.
-func (s *replicaSession) prepare() *future {
-	return s.submit(func() opResult {
-		return opResult{err: s.call("prepare", true, s.txn.Prepare)}
-	})
+func (s *replicaSession) prepare() opResult {
+	return opResult{err: s.call("prepare", true, s.txn.Prepare)}
 }
 
-// commitPrepared submits the COMMIT action of 2PC. Idempotent: a second
+// commitPrepared is the COMMIT action of 2PC. Idempotent: a second
 // delivery finds the transaction committed and returns ErrTxnDone, which
 // is normalised to success here so duplicated deliveries are transparent.
-func (s *replicaSession) commitPrepared() *future {
-	return s.submit(func() opResult {
-		return opResult{err: alreadyDone(s.call("commit", true, s.txn.CommitPrepared))}
-	})
+func (s *replicaSession) commitPrepared() opResult {
+	return opResult{err: alreadyDone(s.call("commit", true, s.txn.CommitPrepared))}
 }
 
-// commit submits a one-phase commit (read-only branches).
-func (s *replicaSession) commit() *future {
-	return s.submit(func() opResult {
-		return opResult{err: alreadyDone(s.call("commit1p", true, s.txn.Commit))}
-	})
+// commit is a one-phase commit (read-only branches).
+func (s *replicaSession) commit() opResult {
+	return opResult{err: alreadyDone(s.call("commit1p", true, s.txn.Commit))}
+}
+
+// rollback aborts the branch. Idempotent: rolling back an aborted
+// transaction is a no-op.
+func (s *replicaSession) rollback() opResult {
+	return opResult{err: s.call("rollback", true, s.txn.Rollback)}
 }
 
 // alreadyDone maps the engine's "transaction already committed" answer to
@@ -322,12 +323,4 @@ func alreadyDone(err error) error {
 		return nil
 	}
 	return err
-}
-
-// rollback submits a rollback. Idempotent: rolling back an aborted
-// transaction is a no-op.
-func (s *replicaSession) rollback() *future {
-	return s.submit(func() opResult {
-		return opResult{err: s.call("rollback", true, s.txn.Rollback)}
-	})
 }

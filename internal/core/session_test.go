@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"sdp/internal/netsim"
+	"sdp/internal/sqldb"
+	"sdp/internal/wal"
 )
 
 // pointReadAllocCeiling bounds the allocations of one conservative
@@ -62,6 +65,178 @@ func TestPointReadRunsOnCaller(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() { pointRead(func() {}) })
 	if allocs > pointReadAllocCeiling {
 		t.Fatalf("point read transaction allocates %.0f objects, ceiling %d", allocs, pointReadAllocCeiling)
+	}
+}
+
+// replicatedWriteAllocCeiling is what one conservative autocommit UPDATE of
+// one row on two replicas allocates through the controller: 11 in each engine
+// (branch, lock records, undo, row images, result), 13 in the controller
+// (transaction, two branches and their begins, route, statement closure, pair
+// record, gid). It was 49 with a worker goroutine, a queue and a future per
+// operation.
+const replicatedWriteAllocCeiling = 24
+
+// TestReplicatedWriteAllocs is the machine-independent half of the replicated
+// write's gate (bench-gate's replicated_write_ns_per_op is the other).
+func TestReplicatedWriteAllocs(t *testing.T) {
+	c := newTestCluster(t, 2, Options{Replicas: 2})
+	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	clusterExec(t, c, "INSERT INTO t VALUES (1, 0)")
+	write := func() { clusterExec(t, c, "UPDATE t SET v = v + 1 WHERE id = 1") }
+	for i := 0; i < 100; i++ { // cache the statement, bind the plan
+		write()
+	}
+	if allocs := testing.AllocsPerRun(500, write); allocs > replicatedWriteAllocCeiling {
+		t.Fatalf("replicated write allocates %.1f objects, ceiling %d", allocs, replicatedWriteAllocCeiling)
+	}
+}
+
+// TestFanOutRunsOnCallerWithoutSimulatedTime pins the dispatch rule: after a
+// two-statement write transaction and its commit, no session has started a
+// worker exactly when the controller is conservative and no machine operation
+// can take simulated time; in every other configuration every session has.
+func TestFanOutRunsOnCallerWithoutSimulatedTime(t *testing.T) {
+	cases := []struct {
+		name     string
+		opts     func() Options
+		onCaller bool
+	}{
+		{"conservative", func() Options { return Options{} }, true},
+		{"conservative+wal", func() Options { return Options{WAL: &wal.Config{}} }, true},
+		{"aggressive", func() Options { return Options{AckMode: Aggressive} }, false},
+		{"miss latency", func() Options {
+			cfg := sqldb.DefaultConfig()
+			cfg.MissLatency = 10 * time.Microsecond
+			return Options{EngineConfig: cfg}
+		}, false},
+		{"flush latency", func() Options {
+			return Options{WAL: &wal.Config{FlushLatency: 10 * time.Microsecond}}
+		}, false},
+		{"network", func() Options { return Options{Network: netsim.New(1, nil)} }, false},
+	}
+	for _, tc := range cases {
+		for _, targets := range []int{2, 3} {
+			opts := tc.opts()
+			opts.Replicas = 2
+			c := newTestCluster(t, 3, opts)
+			clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+			clusterExec(t, c, "INSERT INTO t VALUES (1, 0), (2, 0)")
+			if targets == 3 {
+				// A replica copy that has already copied t: writes go to the
+				// copy target too, after the replicas.
+				reps, _ := c.Replicas("app")
+				var free string
+				for _, id := range c.MachineIDs() {
+					if !contains(reps, id) {
+						free = id
+					}
+				}
+				m, _ := c.Machine(free)
+				if err := m.Engine().CreateDatabase("app"); err != nil {
+					t.Fatal(err)
+				}
+				for _, sql := range []string{"CREATE TABLE t (id INT PRIMARY KEY, v INT)", "INSERT INTO t VALUES (1, 0), (2, 0)"} {
+					if _, err := m.Engine().Exec("app", sql); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c.mu.Lock()
+				c.dbs["app"].copying = &copyState{target: free, copied: map[string]bool{"t": true}}
+				c.mu.Unlock()
+			}
+			tx, err := c.Begin("app")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := int64(1); id <= 2; id++ {
+				if _, err := tx.Exec("UPDATE t SET v = v + 1 WHERE id = ?", intv(id)); err != nil {
+					t.Fatalf("%s/%d: %v", tc.name, targets, err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("%s/%d: %v", tc.name, targets, err)
+			}
+			if len(tx.sessions) != targets {
+				t.Fatalf("%s: %d sessions, want %d", tc.name, len(tx.sessions), targets)
+			}
+			for _, s := range tx.sessions {
+				if onCaller := s.ops == nil; onCaller != tc.onCaller {
+					t.Errorf("%s/%d targets: session on %s ran on the caller = %v, want %v",
+						tc.name, targets, s.machine.ID(), onCaller, tc.onCaller)
+				}
+			}
+		}
+	}
+}
+
+// TestWriteWriteConflictIsLocalDeadlock is the invariant sequential dispatch
+// buys: every writer takes a row's lock at the head replica first, so two
+// writers of the same rows in opposite orders deadlock there, where the
+// engine's detector sees the whole cycle and picks a victim at once. With the
+// write sent to both replicas at once each writer could win a different
+// machine, a cycle no engine sees and only the lock time-out (2 s here)
+// breaks.
+func TestWriteWriteConflictIsLocalDeadlock(t *testing.T) {
+	const workers, perWorker, rows = 4, 150, 8
+	c := newTestCluster(t, 2, Options{Replicas: 2})
+	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	for id := int64(0); id < rows; id++ {
+		clusterExec(t, c, "INSERT INTO t VALUES (?, 0)", intv(id))
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	committed := 0
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				// Two distinct rows, ascending on even workers, descending on odd.
+				a := int64((i + w) % rows)
+				b := (a + 1 + int64(i%(rows-1))) % rows
+				if (a > b) != (w%2 == 1) {
+					a, b = b, a
+				}
+				tx, err := c.Begin("app")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, err = tx.Exec("UPDATE t SET v = v + 1 WHERE id = ?", intv(a))
+				if err == nil {
+					_, err = tx.Exec("UPDATE t SET v = v + 1 WHERE id = ?", intv(b))
+				}
+				if err == nil {
+					err = tx.Commit()
+				}
+				switch {
+				case err == nil:
+					mu.Lock()
+					committed++
+					mu.Unlock()
+				case errors.Is(err, sqldb.ErrDeadlock):
+				default:
+					t.Errorf("abort that is not a local deadlock: %v", err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if committed == 0 {
+		t.Fatal("nothing committed")
+	}
+	for _, id := range c.MachineIDs() {
+		m, _ := c.Machine(id)
+		if n := m.Engine().Stats().LockTimeouts; n != 0 {
+			t.Errorf("%s: %d lock time-outs", id, n)
+		}
+		res, err := m.Engine().Exec("app", "SELECT SUM(v) FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].Int; got != int64(2*committed) {
+			t.Errorf("%s: SUM(v) = %d, want %d (two updates in each of %d commits)", id, got, 2*committed, committed)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -60,7 +61,25 @@ func TestTPCWSerializableUnderConservative(t *testing.T) {
 				}
 				return tpcw.DefaultClassifier(err)
 			}}
-			st := client.RunConcurrent(6, 300*time.Millisecond, 17)
+			// A fixed count per session, not a fixed time: the graph check is
+			// quadratic in the operations recorded, and how many a time slice
+			// holds varies 30-fold with how many conflicts end in a lock
+			// time-out.
+			var wg sync.WaitGroup
+			stats := make([]tpcw.Stats, 6)
+			for i := range stats {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					stats[i] = client.RunN(17+int64(i)*7919, 150)
+				}(i)
+			}
+			wg.Wait()
+			var st tpcw.Stats
+			for _, s := range stats {
+				st.Committed += s.Committed
+				st.Fatal += s.Fatal
+			}
 			if st.Fatal > 0 {
 				t.Fatalf("fatal client errors: %+v", st)
 			}

@@ -27,7 +27,8 @@ type Txn struct {
 	// replicas allocates nothing for it.
 	sessions   []*replicaSession
 	sessionBuf [2]*replicaSession
-	readHome   string // Option 2's per-transaction read replica
+	resultBuf  [3]opResult // backs fanOut's outcomes: two replicas and a copy target
+	readHome   string      // Option 2's per-transaction read replica
 
 	wrote    bool
 	finished bool
@@ -193,7 +194,7 @@ func (t *Txn) execRead(stmt sqldb.Statement, params []sqldb.Value) (*sqldb.Resul
 	if traced {
 		readStart = time.Now()
 	}
-	r := s.execStmt(stmt, params).wait()
+	r := s.do(execOp(stmt, params))
 	if traced {
 		t.recordSpan("read", "machine="+id, readStart)
 	}
@@ -231,41 +232,26 @@ func (t *Txn) execWrite(stmt sqldb.Statement, table string, params []sqldb.Value
 		ss = append(ss, s)
 	}
 
-	// A write to several replicas runs on none of them on this goroutine.
-	// Executing one replica's share first would hold its row locks for a
-	// whole statement before the next replica sees the request — the window
-	// in which a conflicting writer locks the replicas in the opposite order,
-	// a cross-machine deadlock only the lock timeout breaks — and an
-	// aggressive caller must not be held by a machine slower than the first
-	// to answer.
-	futs := fanOut(ss, len(ss) == 1, func(s *replicaSession) *future {
-		return s.execStmt(stmt, params)
-	})
-
+	o := execOp(stmt, params)
 	if t.c.opts.AckMode == Conservative {
-		// Wait for all replicas; any failure aborts. The copy process may
-		// only proceed past this write once every replica has executed it,
-		// which is exactly when the wait ends.
-		var res *sqldb.Result
-		var firstErr error
-		for _, f := range futs {
-			r := f.wait()
-			if r.err != nil && firstErr == nil {
-				firstErr = r.err
-			}
-			if res == nil && r.res != nil {
-				res = r.res
-			}
-		}
+		// Every replica has executed the write, or one has refused it, when
+		// fanOut returns — which is exactly when the copy process may proceed
+		// past it. Any failure aborts.
+		rs := t.fanOut(ss, o, acquire)
 		release()
-		if firstErr != nil {
-			t.abort()
-			return nil, firstErr
+		for _, r := range rs {
+			if r.err != nil {
+				t.abort()
+				return nil, r.err
+			}
 		}
-		return res, nil
+		return rs[0].res, nil
 	}
 
 	// Aggressive: return on the first replica's answer; remember the rest.
+	// The caller must not be held by a machine slower than the first to
+	// answer, so with several replicas it executes none of their shares.
+	futs := sendAll(ss, o, len(ss) == 1)
 	go func() {
 		for _, f := range futs {
 			f.wait()
@@ -281,21 +267,76 @@ func (t *Txn) execWrite(stmt sqldb.Statement, table string, params []sqldb.Value
 	return r.res, nil
 }
 
-// fanOut submits one operation to every session in ss and returns their
-// futures in the same order. The sessions after the first are dispatched to
-// their workers before the first is submitted, so the machines work in
-// parallel; with firstOnCaller the first session's share then runs on this
-// goroutine (if that session is idle) and costs no hand-off.
-func fanOut(ss []*replicaSession, firstOnCaller bool, op func(*replicaSession) *future) []*future {
+// phase is what a fan-out is for, which decides how it may be dispatched.
+type phase int
+
+const (
+	acquire phase = iota // a write: takes locks, so a refusal ends it
+	vote                 // PREPARE: collected under CallTimeout, and one NO decides
+	decide               // COMMIT or ROLLBACK: reaches every session whatever the others answer
+)
+
+// fanOut runs o on every session in ss and returns the outcomes in ss's
+// order, in a buffer the next fanOut reuses. This is the one place that
+// decides where a replica operation runs.
+//
+// When no machine operation can take simulated time and the controller is
+// conservative (Cluster.overlap is false), or there is one session, each
+// share is a call on this goroutine, one machine after another in ss's order
+// — writeRoute's replica list, copy target last — and an acquire or a vote
+// stops at the first error. Every transaction then takes a row's lock at
+// the head replica first: two writers of one row meet there and nowhere
+// else, so a write–write cycle is whole in the head's wait-for graph and its
+// deadlock detector, not the lock timeout, breaks it.
+//
+// Otherwise the machines work in parallel: the sessions after the first are
+// sent to their workers before the first is, and the first share runs on
+// this goroutine (if that session is idle) only where that delays nobody —
+// not for a write, which would hold one replica's row locks for a whole
+// statement before the next replica saw the request, and not for a vote
+// under a deadline, which a stalled machine would hold the coordinator past.
+// A vote that misses the deadline reads ErrPrepareTimeout.
+func (t *Txn) fanOut(ss []*replicaSession, o op, ph phase) []opResult {
+	var deadline time.Duration
+	if ph == vote {
+		deadline = t.c.opts.CallTimeout
+	}
+	rs := t.resultBuf[:0]
+	if deadline <= 0 && (len(ss) == 1 || !t.c.overlap) {
+		for _, s := range ss {
+			r := s.do(o)
+			rs = append(rs, r)
+			if r.err != nil && ph != decide {
+				break
+			}
+		}
+		return rs
+	}
+	for _, f := range sendAll(ss, o, ph != acquire && deadline <= 0) {
+		r, ok := f.waitTimeout(deadline)
+		if !ok {
+			r.err = ErrPrepareTimeout
+		}
+		rs = append(rs, r)
+	}
+	return rs
+}
+
+// sendAll starts o on every session in ss and returns the futures in the
+// same order. The sessions after the first are sent to their workers before
+// the first is, so the machines work in parallel; with firstOnCaller the
+// first session's share then runs on this goroutine (if that session is
+// idle) and costs no hand-off.
+func sendAll(ss []*replicaSession, o op, firstOnCaller bool) []*future {
 	futs := make([]*future, len(ss))
 	for i := 1; i < len(ss); i++ {
-		futs[i] = ss[i].viaWorker(op)
+		futs[i] = ss[i].send(o)
 	}
 	if len(ss) > 0 {
-		if firstOnCaller {
-			futs[0] = op(ss[0])
+		if firstOnCaller && ss[0].queued.Load() == 0 {
+			futs[0] = resolved(ss[0].run(o))
 		} else {
-			futs[0] = ss[0].viaWorker(op)
+			futs[0] = ss[0].send(o)
 		}
 	}
 	return futs
@@ -303,9 +344,9 @@ func fanOut(ss []*replicaSession, firstOnCaller bool, op func(*replicaSession) *
 
 // Commit finishes the transaction. Read-only transactions commit in one
 // phase on each replica they touched; transactions with writes run 2PC: the
-// PREPARE action is submitted to every session (behind any still-pending
-// writes on that machine, but concurrently across machines) and the
-// transaction commits only if every participant votes yes.
+// PREPARE action goes to every session (behind any still-pending writes on
+// that machine; across machines as fanOut decides) and the transaction
+// commits only if every participant votes yes.
 func (t *Txn) Commit() error {
 	if t.finished {
 		return ErrTxnDone
@@ -315,7 +356,7 @@ func (t *Txn) Commit() error {
 	if !t.wrote {
 		var firstErr error
 		for _, s := range t.sessions {
-			r := s.commit().wait()
+			r := s.do((*replicaSession).commit)
 			if r.err == nil {
 				continue
 			}
@@ -350,7 +391,7 @@ func (t *Txn) Commit() error {
 	rec := t.c.pair.begin(t)
 	gid := gidString(t.gid)
 
-	// Phase 1: prepare everywhere, concurrently.
+	// Phase 1: prepare everywhere.
 	m.prepareTotal.Inc()
 	if t.c.opts.AckMode == Aggressive && t.c.opts.ReadOption != ReadOption1 &&
 		t.c.opts.EngineConfig.ReleaseReadLocksAtPrepare {
@@ -359,29 +400,18 @@ func (t *Txn) Commit() error {
 		// transaction or per operation under an aggressive controller.
 		m.unsafePrepare.Inc()
 	}
-	m.reg.TraceEvent("2pc", gid, "prepare", fmt.Sprintf("%d participants", len(t.sessions)))
+	m.reg.TraceEvent("2pc", gid, "prepare", t.db)
 	prepStart := time.Now()
-	// A vote collected under a deadline must not run on this goroutine: a
-	// stalled machine would hold the coordinator past the deadline it is
-	// supposed to enforce.
-	deadline := t.c.opts.CallTimeout
-	votes := fanOut(t.sessions, deadline <= 0, (*replicaSession).prepare)
-	// Collect votes under the per-call deadline. A missing vote is a NO by
-	// the presumed-abort rule: the coordinator logs nothing for aborts, so
-	// deciding abort on a timeout is always safe — a participant that did
-	// prepare will be rolled back by the abort phase (or, if it crashed, by
-	// restart-time presumed abort).
+	// A missing vote is a NO by the presumed-abort rule: the coordinator logs
+	// nothing for aborts, so deciding abort on a timeout is always safe — a
+	// participant that did prepare will be rolled back by the abort phase
+	// (or, if it crashed, by restart-time presumed abort).
 	var voteErr error
 	timedOut := false
-	for _, f := range votes {
-		r, ok := f.waitTimeout(deadline)
-		if !ok {
+	for _, r := range t.fanOut(t.sessions, (*replicaSession).prepare, vote) {
+		if r.err == ErrPrepareTimeout {
 			timedOut = true
 			m.twopcTimeout.With("prepare").Inc()
-			if voteErr == nil {
-				voteErr = ErrPrepareTimeout
-			}
-			continue
 		}
 		if r.err != nil && voteErr == nil {
 			voteErr = r.err
@@ -436,13 +466,12 @@ func (t *Txn) Commit() error {
 			s.setTrace(ctc)
 		}
 	}
-	for i, f := range fanOut(t.sessions, true, (*replicaSession).commitPrepared) {
+	for i, r := range t.fanOut(t.sessions, (*replicaSession).commitPrepared, decide) {
 		// A machine that dies between prepare and commit is repaired by
 		// recovery (re-replication), not by blocking the commit. A live
 		// machine whose commit delivery failed on network faults keeps a
 		// prepared branch holding locks — hand it to a background resolver
 		// that re-delivers the decision until it lands.
-		r := f.wait()
 		if r.err != nil && netsim.IsTransient(r.err) {
 			m.twopcTimeout.With("commit").Inc()
 			t.c.resolveOutcome(t.sessions[i], t.gid, true)
@@ -502,8 +531,8 @@ func (t *Txn) abort() {
 }
 
 func (t *Txn) rollbackAll() {
-	for i, f := range fanOut(t.sessions, true, (*replicaSession).rollback) {
-		if r := f.wait(); r.err != nil && netsim.IsTransient(r.err) {
+	for i, r := range t.fanOut(t.sessions, (*replicaSession).rollback, decide) {
+		if r.err != nil && netsim.IsTransient(r.err) {
 			// The abort decision must still reach this participant or its
 			// prepared/active branch would hold locks forever.
 			t.c.resolveOutcome(t.sessions[i], t.gid, false)

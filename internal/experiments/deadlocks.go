@@ -9,12 +9,15 @@ import (
 )
 
 // DeadlockPoint is one measurement of Figures 5–7: database size vs
-// deadlock rate (deadlocks per 1000 committed transactions).
+// deadlock rate (deadlocks per 1000 committed transactions). LockTimeouts
+// counts the lock waits that ran into the lock time-out instead: the
+// cross-replica cycles no single engine's detector sees.
 type DeadlockPoint struct {
-	SizeMB    float64
-	Rate      float64
-	Deadlocks uint64
-	Committed uint64
+	SizeMB       float64
+	Rate         float64
+	Deadlocks    uint64
+	LockTimeouts uint64
+	Committed    uint64
 }
 
 // DeadlockResult holds the series of one of Figures 5–7.
@@ -77,6 +80,10 @@ func runDeadlockPoint(mix tpcw.Mix, opt core.ReadOption, sizeMB float64, session
 
 	deadlocks := after.Deadlocks - before.Deadlocks
 	pt := DeadlockPoint{SizeMB: sizeMB, Deadlocks: deadlocks, Committed: st.Committed}
+	for _, id := range c.MachineIDs() {
+		m, _ := c.Machine(id)
+		pt.LockTimeouts += m.Engine().Stats().LockTimeouts // none during the single-session load
+	}
 	if st.Committed > 0 {
 		pt.Rate = float64(deadlocks) / float64(st.Committed) * 1000
 	}
@@ -92,12 +99,19 @@ func (r DeadlockResult) Render(figure string) *Table {
 			t.Header = append(t.Header, fmt.Sprintf("%.0fMB", pt.SizeMB))
 		}
 	}
-	for _, name := range r.Order {
-		row := []string{name}
-		for _, pt := range r.Series[name] {
-			row = append(row, f2(pt.Rate))
+	rows := func(per1000 func(DeadlockPoint) float64) {
+		for _, name := range r.Order {
+			row := []string{name}
+			for _, pt := range r.Series[name] {
+				row = append(row, f2(per1000(pt)))
+			}
+			t.AddRow(row...)
 		}
-		t.AddRow(row...)
 	}
+	rows(func(pt DeadlockPoint) float64 { return pt.Rate })
+	t.AddRow("lock time-outs/1000 txns")
+	rows(func(pt DeadlockPoint) float64 {
+		return float64(pt.LockTimeouts) / float64(max(pt.Committed, 1)) * 1000
+	})
 	return t
 }
