@@ -29,9 +29,10 @@ type Cluster struct {
 	endpoint string
 
 	// overlap says a transaction's fan-outs dispatch to all machines at once
-	// (Txn.fanOut): a machine operation can take simulated time — a network,
-	// a modelled disk miss or log force — that working in parallel hides, or
-	// the controller is aggressive. Derived from opts once.
+	// (Txn.fanOut): a machine operation can sleep to model a cost — a network,
+	// a disk miss, a log force, a statement's turn in a worker slot — that
+	// working in parallel hides, or the controller is aggressive. Derived
+	// from opts once.
 	overlap bool
 
 	// resolvers tracks background 2PC outcome deliveries (commit or
@@ -199,7 +200,9 @@ func NewCluster(name string, opts Options) *Cluster {
 		opts:     opts,
 		endpoint: "ctl:" + name,
 		overlap: opts.AckMode == Aggressive || opts.Network != nil ||
-			opts.EngineConfig.MissLatency > 0 || (opts.WAL != nil && opts.WAL.FlushLatency > 0),
+			opts.EngineConfig.MissLatency > 0 ||
+			(opts.EngineConfig.Workers > 0 && opts.EngineConfig.StmtServiceTime > 0) ||
+			(opts.WAL != nil && opts.WAL.FlushLatency > 0),
 		machines: make(map[string]*Machine),
 		dbs:      make(map[string]*dbState),
 		stmts:    opts.Stmts,

@@ -218,6 +218,15 @@ func (s *replicaSession) do(o op) opResult {
 	return s.send(o).wait()
 }
 
+// start is do for a caller that collects the outcome later, or never: the
+// future is born resolved when o ran here.
+func (s *replicaSession) start(o op) *future {
+	if s.queued.Load() == 0 {
+		return resolved(s.run(o))
+	}
+	return s.send(o)
+}
+
 // send queues o for the worker even if the session is idle, for a caller
 // that must not execute it itself: it has other machines to dispatch to
 // first, or it waits for the result under a deadline.
@@ -265,15 +274,10 @@ func (s *replicaSession) run(o op) opResult {
 // already in flight so it applies exactly to the statements submitted after
 // it.
 func (s *replicaSession) setTrace(tc obs.SpanContext) {
-	o := func(s *replicaSession) opResult {
+	s.start(func(s *replicaSession) opResult {
 		s.txn.SetTraceContext(tc)
 		return opResult{}
-	}
-	if s.queued.Load() == 0 {
-		s.run(o)
-	} else {
-		s.send(o)
-	}
+	})
 }
 
 // execOp is the execution of one statement.

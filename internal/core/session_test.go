@@ -109,6 +109,16 @@ func TestFanOutRunsOnCallerWithoutSimulatedTime(t *testing.T) {
 			cfg.MissLatency = 10 * time.Microsecond
 			return Options{EngineConfig: cfg}
 		}, false},
+		{"stmt service time", func() Options {
+			cfg := sqldb.DefaultConfig()
+			cfg.Workers, cfg.StmtServiceTime = 2, 10*time.Microsecond
+			return Options{EngineConfig: cfg}
+		}, false},
+		{"stmt service time, no worker slots", func() Options {
+			cfg := sqldb.DefaultConfig()
+			cfg.StmtServiceTime = 10 * time.Microsecond // never charged
+			return Options{EngineConfig: cfg}
+		}, true},
 		{"flush latency", func() Options {
 			return Options{WAL: &wal.Config{FlushLatency: 10 * time.Microsecond}}
 		}, false},

@@ -61,10 +61,8 @@ func TestTPCWSerializableUnderConservative(t *testing.T) {
 				}
 				return tpcw.DefaultClassifier(err)
 			}}
-			// A fixed count per session, not a fixed time: the graph check is
-			// quadratic in the operations recorded, and how many a time slice
-			// holds varies 30-fold with how many conflicts end in a lock
-			// time-out.
+			// Six sessions of a fixed count, not a fixed time: the graph check
+			// is quadratic in the operations recorded.
 			var wg sync.WaitGroup
 			stats := make([]tpcw.Stats, 6)
 			for i := range stats {

@@ -322,19 +322,17 @@ func (t *Txn) fanOut(ss []*replicaSession, o op, ph phase) []opResult {
 	return rs
 }
 
-// sendAll starts o on every session in ss and returns the futures in the
-// same order. The sessions after the first are sent to their workers before
-// the first is, so the machines work in parallel; with firstOnCaller the
-// first session's share then runs on this goroutine (if that session is
-// idle) and costs no hand-off.
+// sendAll starts o on every session in ss, the first one last, and returns
+// the futures in ss's order; with firstOnCaller the first session's share
+// runs on this goroutine if that session is idle.
 func sendAll(ss []*replicaSession, o op, firstOnCaller bool) []*future {
 	futs := make([]*future, len(ss))
 	for i := 1; i < len(ss); i++ {
 		futs[i] = ss[i].send(o)
 	}
 	if len(ss) > 0 {
-		if firstOnCaller && ss[0].queued.Load() == 0 {
-			futs[0] = resolved(ss[0].run(o))
+		if firstOnCaller {
+			futs[0] = ss[0].start(o)
 		} else {
 			futs[0] = ss[0].send(o)
 		}
