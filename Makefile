@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet doc-check reach crash chaos obs-dump admin-demo net-demo trace-demo consensus-demo bench bench-sqldb bench-wal bench-net bench-consensus bench-gate bench-placement placement-gate experiments clean
+.PHONY: all build test race vet doc-check reach crash chaos obs-dump admin-demo net-demo trace-demo consensus-demo bench bench-sqldb bench-wal bench-net bench-consensus bench-gate bench-placement placement-gate heap-comp experiments clean
 
 all: build test
 
@@ -157,6 +157,13 @@ placement-gate:
 	@set -e; \
 	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/experiments -bench-placement -quick -bench-placement-out $$dir/placement-gate.json
+
+# Live heap by allocation site where bench/ reads resident_mb (EXPERIMENTS.md,
+# "Heap composition"): make heap-comp WORKLOAD=replica_churn SEED=2
+WORKLOAD ?= tpcw_tenants
+SEED ?= 1
+heap-comp:
+	bash scripts/heapcomp.sh $(WORKLOAD) $(SEED)
 
 experiments:
 	$(GO) run ./cmd/experiments -quick

@@ -311,6 +311,62 @@ func BenchmarkPoolMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkRangeAfterInsert measures a ten-row range query on the primary key
+// (INT) plus one on an indexed TEXT column: in steady state, and as the first
+// range query after an INSERT of a key in the middle of both orders — when an
+// index's sorted view, once a range traversal has built it, has to be kept
+// current (a binary-search insert) and not sorted again from every key. The
+// INSERT, and the DELETE that keeps the table at its size, are untimed.
+func BenchmarkRangeAfterInsert(b *testing.B) {
+	for _, rows := range []int{200, 10000} {
+		for _, mutate := range []bool{false, true} {
+			name := fmt.Sprintf("%d/steady", rows)
+			if mutate {
+				name = fmt.Sprintf("%d/after-insert", rows)
+			}
+			b.Run(name, func(b *testing.B) {
+				e := sqldb.NewEngine(sqldb.DefaultConfig())
+				if err := e.CreateDatabase("app"); err != nil {
+					b.Fatal(err)
+				}
+				exec := func(sql string, params ...sqldb.Value) *sqldb.Result {
+					res, err := e.Exec("app", sql, params...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					return res
+				}
+				label := func(id int) sqldb.Value { return sqldb.NewText(fmt.Sprintf("n%06d", id)) }
+				exec("CREATE TABLE t (id INT PRIMARY KEY, name TEXT)")
+				exec("CREATE INDEX t_name ON t (name)")
+				for i := 0; i < rows; i++ { // even ids; the benchmark inserts odd ones
+					exec("INSERT INTO t VALUES (?, ?)", sqldb.NewInt(int64(2*i)), label(2*i))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					mid := 2*((i*7919)%(rows-20)) + 1
+					if mutate {
+						b.StopTimer()
+						exec("INSERT INTO t VALUES (?, ?)", sqldb.NewInt(int64(mid)), label(mid))
+						b.StartTimer()
+					}
+					byPK := exec("SELECT id FROM t WHERE id >= ? AND id < ?", sqldb.NewInt(int64(mid+1)), sqldb.NewInt(int64(mid+21)))
+					byName := exec("SELECT id FROM t WHERE name >= ? AND name < ?", label(mid+1), label(mid+21))
+					if len(byPK.Rows) != 10 || len(byName.Rows) != 10 {
+						b.Fatalf("range queries returned %d and %d rows, want 10 and 10", len(byPK.Rows), len(byName.Rows))
+					}
+					if mutate {
+						b.StopTimer()
+						exec("DELETE FROM t WHERE id = ?", sqldb.NewInt(int64(mid)))
+						b.StartTimer()
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkClusterReplicatedWrite measures a replicated single-row update
 // through the cluster controller (2 replicas, conservative, 2PC).
 func BenchmarkClusterReplicatedWrite(b *testing.B) {

@@ -383,15 +383,13 @@ func (bw *boundWrite) exec(t *Txn, params []Value) (*Result, error) {
 		if err := schema.CheckRow(newRow); err != nil {
 			return nil, err
 		}
-		if schema.PKIdx >= 0 {
-			oldKey := keyString(old[schema.PKIdx])
-			newKey := keyString(newRow[schema.PKIdx])
-			if oldKey != newKey {
+		if pk := schema.PKIdx; pk >= 0 {
+			if _, newKey, changed := keyChange(old[pk], newRow[pk]); changed {
 				if err := t.lockRow(tbl, newKey, LockX); err != nil {
 					return nil, err
 				}
-				if _, dup := tbl.lookupPK(newRow[schema.PKIdx]); dup {
-					return nil, fmt.Errorf("%w: %s", ErrDuplicateKey, newRow[schema.PKIdx])
+				if _, dup := tbl.lookupPK(newRow[pk]); dup {
+					return nil, fmt.Errorf("%w: %s", ErrDuplicateKey, newRow[pk])
 				}
 				t.engine.record(t, true, tbl, newKey)
 			}

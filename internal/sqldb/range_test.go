@@ -2,7 +2,10 @@ package sqldb
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -255,5 +258,208 @@ func TestPoolEvictionAccounting(t *testing.T) {
 	}
 	if st.Misses != inserts {
 		t.Errorf("misses = %d, want %d", st.Misses, inserts)
+	}
+}
+
+// --- the derived ordered view ------------------------------------------------
+
+// FuzzKeyRoundTrip checks that keyValue is keyString's inverse: the value a key
+// parses back to orders where the value that produced the key does, and
+// formats to the same key. The seed corpus is testdata/fuzz/FuzzKeyRoundTrip.
+func FuzzKeyRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, typ uint8, i int64, fl float64, s string, b bool) {
+		var v Value
+		switch Type(typ % 5) {
+		case TypeInt:
+			v = NewInt(i)
+		case TypeFloat:
+			v = NewFloat(fl)
+		case TypeText:
+			v = NewText(s)
+		case TypeBool:
+			v = NewBool(b)
+		}
+		k := keyString(v)
+		back := keyValue(k)
+		if Compare(back, v) != 0 {
+			t.Fatalf("keyValue(%q) = %#v does not compare equal to %#v", k, back, v)
+		}
+		if got := keyString(back); got != k {
+			t.Fatalf("keyString(keyValue(%q)) = %q", k, got)
+		}
+		if got := string(appendKey(nil, v)); got != k {
+			t.Fatalf("appendKey(%#v) = %q, keyString %q", v, got, k)
+		}
+	})
+}
+
+// rangeModelKinds are the key populations of TestRangeModel: each draws PK
+// and indexed-column values from a small domain, so inserts collide, deletes
+// empty keys and bounds fall on, between and outside live keys.
+var rangeModelKinds = []struct {
+	name, typ string
+	gen       func(rng *rand.Rand) Value
+}{
+	{"int", "INT", func(rng *rand.Rand) Value { return NewInt(int64(rng.Intn(120) - 60)) }},
+	{"int-float", "FLOAT", func(rng *rand.Rand) Value {
+		n := rng.Intn(60) - 30
+		switch rng.Intn(4) {
+		case 0:
+			return NewInt(int64(n)) // stored as FLOAT, keyed as a decimal
+		case 1:
+			return NewFloat(float64(n))
+		case 2:
+			return NewFloat(float64(n) + 0.5)
+		default:
+			return NewFloat(float64(n) * 1e15) // some beyond 2^53
+		}
+	}},
+	{"quoted-text", "TEXT", func(rng *rand.Rand) Value {
+		n := rng.Intn(40)
+		switch rng.Intn(5) {
+		case 0:
+			return NewText(fmt.Sprintf("it's %d", n))
+		case 1:
+			return NewText(strings.Repeat("'", n%4)) // "", ', '', '''
+		case 2:
+			return NewText(strconv.Itoa(n)) // digits only
+		case 3:
+			return NewText([]string{"NULL", "TRUE", "''", "a''b"}[n%4])
+		default:
+			return NewText(fmt.Sprintf("k%02d", n))
+		}
+	}},
+}
+
+// TestRangeModel interleaves INSERT, DELETE and UPDATEs of the key with range
+// queries on the primary key (id) and an indexed column (k), and checks every
+// range result against the scan plan on the unindexed twins (idt, kt). With
+// warm, range queries run before the first mutation, so the sorted views are
+// derived from the loaded table and every later change goes through the
+// incremental path; without, the views are first derived mid-run.
+func TestRangeModel(t *testing.T) {
+	for _, kind := range rangeModelKinds {
+		for _, warm := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/warm=%v", kind.name, warm), func(t *testing.T) {
+				runRangeModel(t, kind.typ, kind.gen, warm)
+			})
+		}
+	}
+}
+
+func runRangeModel(t *testing.T, typ string, gen func(*rand.Rand) Value, warm bool) {
+	rng := rand.New(rand.NewSource(24))
+	e := newTestDB(t)
+	mustExec(t, e, fmt.Sprintf("CREATE TABLE r (id %s PRIMARY KEY, k %s, idt %s, kt %s)", typ, typ, typ, typ))
+	mustExec(t, e, "CREATE INDEX r_k ON r (k)")
+	live := map[string]Value{} // by key string: the model only picks victims and avoids duplicates
+
+	insert := func() {
+		id, k := gen(rng), gen(rng)
+		if _, dup := live[keyString(id)]; dup {
+			return
+		}
+		mustExec(t, e, "INSERT INTO r VALUES (?, ?, ?, ?)", id, k, id, k)
+		live[keyString(id)] = id
+	}
+	victim := func() (Value, bool) {
+		keys := make([]string, 0, len(live))
+		for k := range live {
+			keys = append(keys, k)
+		}
+		if len(keys) == 0 {
+			return Null, false
+		}
+		sort.Strings(keys)
+		return live[keys[rng.Intn(len(keys))]], true
+	}
+	rendered := func(sql string, params ...Value) string {
+		res := mustExec(t, e, sql, params...)
+		out := make([]string, 0, len(res.Rows))
+		for _, row := range res.Rows {
+			out = append(out, row[0].String())
+		}
+		sort.Strings(out)
+		return fmt.Sprint(out)
+	}
+	preds := []string{"%s >= ? AND %s < ?", "%s BETWEEN ? AND ?", "%s > ? AND %s <= ?"}
+	checkRanges := func(step int) {
+		lo, hi := gen(rng), gen(rng)
+		if Compare(lo, hi) > 0 && rng.Intn(4) > 0 { // keep some inverted ranges
+			lo, hi = hi, lo
+		}
+		pred := preds[rng.Intn(len(preds))]
+		for _, cols := range [][2]string{{"id", "idt"}, {"k", "kt"}} {
+			q := "SELECT id FROM r WHERE " + sprintfPred(pred, cols[0])
+			if got := explainAccessOf(t, e, q, lo, hi); got != "range" {
+				t.Fatalf("%s: access %v, want range", q, got)
+			}
+			got := rendered(q, lo, hi)
+			want := rendered("SELECT id FROM r WHERE "+sprintfPred(pred, cols[1]), lo, hi)
+			if got != want {
+				t.Fatalf("step %d: %s [%s, %s]: range plan %s, scan plan %s", step, q, lo, hi, got, want)
+			}
+			got = rendered("SELECT id FROM r WHERE "+cols[0]+" < ?", hi) // one-sided
+			want = rendered("SELECT id FROM r WHERE "+cols[1]+" < ?", hi)
+			if got != want {
+				t.Fatalf("step %d: %s < %s: range plan %s, scan plan %s", step, cols[0], hi, got, want)
+			}
+		}
+	}
+
+	for len(live) < 40 {
+		insert()
+	}
+	if warm {
+		checkRanges(0)
+	}
+	for step := 1; step <= 400; step++ {
+		switch op := rng.Intn(10); {
+		case op < 3:
+			insert()
+		case op < 5:
+			if id, ok := victim(); ok {
+				mustExec(t, e, "DELETE FROM r WHERE id = ?", id)
+				delete(live, keyString(id))
+			}
+		case op < 6:
+			id, ok := victim()
+			to := gen(rng)
+			if _, dup := live[keyString(to)]; ok && !dup {
+				mustExec(t, e, "UPDATE r SET id = ?, idt = ? WHERE id = ?", to, to, id)
+				delete(live, keyString(id))
+				live[keyString(to)] = to
+			}
+		case op < 7:
+			if id, ok := victim(); ok {
+				to := gen(rng)
+				mustExec(t, e, "UPDATE r SET k = ?, kt = ? WHERE id = ?", to, to, id)
+			}
+		default:
+			checkRanges(step)
+		}
+	}
+	checkRanges(401)
+
+	// What add and drop kept current is what a fresh derivation would build.
+	tbl := e.dbs["app"]["r"]
+	tbl.mu.Lock()
+	defer tbl.mu.Unlock()
+	sameKeys(t, "primary key", tbl.pkOrd.ord, deriveKeys(tbl.pk))
+	sameKeys(t, "index k", tbl.indexes["k"].ord.ord, deriveKeys(tbl.indexes["k"].m))
+}
+
+func sameKeys(t *testing.T, what string, kept, derived []keyVal) {
+	t.Helper()
+	if kept == nil {
+		t.Fatalf("%s: sorted view was never built", what)
+	}
+	if len(kept) != len(derived) {
+		t.Fatalf("%s: %d keys kept, %d in the hash index", what, len(kept), len(derived))
+	}
+	for i := range kept {
+		if kept[i].k != derived[i].k || Compare(kept[i].v, derived[i].v) != 0 {
+			t.Fatalf("%s: position %d holds %q (%s), derived %q (%s)", what, i, kept[i].k, kept[i].v, derived[i].k, derived[i].v)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -842,3 +843,37 @@ func TestDatabaseByteSizeGrows(t *testing.T) {
 }
 
 func timeAfter50ms() <-chan time.Time { return time.After(50 * time.Millisecond) }
+
+// indexBytesPerRowCeiling is what a loaded row may keep on the heap in a
+// table with an INT primary key and one TEXT index: the row itself in its
+// page, its loc entry, one hash-map entry per index with its key string, and
+// the index's one-element rowID list — 344 B at 20 000 rows. A second map per
+// index shadowing every key with its value, which the sorted view used to be
+// built from, made it 583 B; like the allocation ceilings this does not
+// depend on the box.
+const indexBytesPerRowCeiling = 400
+
+// TestIndexBytesPerRow is the machine-independent footprint gate: an index
+// holds each key once.
+func TestIndexBytesPerRow(t *testing.T) {
+	const rows = 20000
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, name TEXT)")
+	mustExec(t, e, "CREATE INDEX t_name ON t (name)")
+	before := heap()
+	for i := 0; i < rows; i++ {
+		mustExec(t, e, "INSERT INTO t VALUES (?, ?)", NewInt(int64(i)), NewText(fmt.Sprintf("name-%05d", i)))
+	}
+	perRow := float64(heap()-before) / rows
+	runtime.KeepAlive(e)
+	t.Logf("%.0f heap bytes per row", perRow)
+	if perRow > indexBytesPerRowCeiling {
+		t.Fatalf("%.0f heap bytes per loaded row, ceiling %d", perRow, indexBytesPerRowCeiling)
+	}
+}

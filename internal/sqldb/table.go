@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -14,18 +15,18 @@ type rowLoc struct {
 	slot int
 }
 
-// index is a secondary (or unique) hash index on one column, with an
-// ordered view of its keys for range traversal.
+// index is a secondary (or unique) hash index on one column. m is the only
+// holder of its keys; ord is the sorted view a range traversal derives from m.
 type index struct {
 	name   string
 	col    int // column position
 	unique bool
 	m      map[string][]uint64 // key -> rowIDs
-	ord    *orderedKeys
+	ord    orderedKeys
 }
 
-// add registers a rowID under key (ordering value v), maintaining the
-// ordered key view. Called with the table latch held.
+// add registers a rowID under key (ordering value v). Called with the table
+// latch held.
 func (ix *index) add(key string, v Value, rowID uint64) {
 	ids := ix.m[key]
 	ix.m[key] = append(ids, rowID)
@@ -51,7 +52,7 @@ type Table struct {
 	tail      []pageSlot
 	loc       map[uint64]rowLoc
 	pk        map[string]uint64 // pk key -> rowID; nil when no primary key
-	pkOrd     *orderedKeys      // ordered view of pk keys; nil when no primary key
+	pkOrd     orderedKeys       // sorted view of pk's keys
 	indexes   map[string]*index // by lower-cased column name
 	nextRowID uint64
 	liveRows  int
@@ -68,7 +69,6 @@ func newTable(e *Engine, qname string, schema *Schema) *Table {
 	}
 	if schema.PKIdx >= 0 {
 		t.pk = make(map[string]uint64)
-		t.pkOrd = newOrderedKeys()
 	}
 	return t
 }
@@ -102,14 +102,16 @@ const maxExactInt = int64(1) << 53
 // compare equal (Compare is numeric across the two types) must map to the
 // same key. Integers — and floats holding exact integers — take a fast
 // integer-formatting path; everything else falls back to the SQL literal
-// form, matching how values outside the exact range compare (as float64).
+// form, matching how values outside the exact range compare (as float64): an
+// integer beyond it is keyed as the float it compares as, which for ±(2^53+1)
+// is ±2^53 itself.
 func keyString(v Value) string {
 	switch v.Typ {
 	case TypeInt:
 		if v.Int >= -maxExactInt && v.Int <= maxExactInt {
 			return strconv.FormatInt(v.Int, 10)
 		}
-		return NewFloat(float64(v.Int)).String()
+		return keyString(NewFloat(float64(v.Int)))
 	case TypeFloat:
 		if i := int64(v.Float); float64(i) == v.Float && i >= -maxExactInt && i <= maxExactInt {
 			return strconv.FormatInt(i, 10)
@@ -118,39 +120,90 @@ func keyString(v Value) string {
 	return v.String()
 }
 
+// keyChange returns the index keys of a column's value before and after an
+// update, and whether they differ. An identical value has an identical key,
+// so only a column that changed pays for its two key strings.
+func keyChange(was, now Value) (oldKey, newKey string, changed bool) {
+	if was == now {
+		return "", "", false
+	}
+	oldKey, newKey = keyString(was), keyString(now)
+	return oldKey, newKey, oldKey != newKey
+}
+
+// keyValue recovers the value an index key orders by: the exact inverse of
+// keyString. A decimal key is an INT; any other numeric key is the FLOAT
+// keyString formatted, so integers beyond 2^53, NaN and the infinities order
+// under Compare as the values that produced them; a quoted key is TEXT.
+func keyValue(k string) Value {
+	switch {
+	case k[0] == '\'':
+		return NewText(strings.ReplaceAll(k[1:len(k)-1], "''", "'"))
+	case k == "NULL":
+		return Null
+	case k == "TRUE" || k == "FALSE":
+		return NewBool(k == "TRUE")
+	}
+	if i, err := strconv.ParseInt(k, 10, 64); err == nil {
+		return NewInt(i)
+	}
+	f, _ := strconv.ParseFloat(k, 64) // keyString wrote it
+	return NewFloat(f)
+}
+
 // keyVal pairs an index key with the value it orders by.
 type keyVal struct {
 	v Value
 	k string
 }
 
-// orderedKeys maintains the distinct keys of an index in value order. The
-// sorted view is built lazily: mutations invalidate it and the next range
-// traversal re-sorts, so workloads without range queries never pay for
-// ordering. Guarded by the owning table's latch.
+// orderedKeys is the sorted view of a hash index's distinct keys. It holds
+// nothing until the first range traversal derives it from the index's own
+// map; from then on add and drop keep it current, so an index nothing
+// range-scans pays no memory or time for ordering, and one that is scanned
+// sorts once. Guarded by the owning table's latch.
 type orderedKeys struct {
-	vals map[string]Value
-	ord  []keyVal // ascending by value; nil when stale
+	ord []keyVal // ascending by value; nil until a range traversal builds it
 }
 
-func newOrderedKeys() *orderedKeys {
-	return &orderedKeys{vals: make(map[string]Value)}
+// deriveKeys builds the sorted view from the keys of the hash index m.
+func deriveKeys[V any](m map[string]V) []keyVal {
+	ord := make([]keyVal, 0, len(m))
+	for k := range m {
+		ord = append(ord, keyVal{v: keyValue(k), k: k})
+	}
+	sort.Slice(ord, func(i, j int) bool { return Compare(ord[i].v, ord[j].v) < 0 })
+	return ord
 }
 
+// search returns the position of the first key whose value is not below v.
+func (o *orderedKeys) search(v Value) int {
+	return sort.Search(len(o.ord), func(i int) bool { return Compare(o.ord[i].v, v) >= 0 })
+}
+
+// add records that key k (ordering value v) entered the index.
 func (o *orderedKeys) add(k string, v Value) {
-	if _, ok := o.vals[k]; ok {
+	if o.ord == nil {
 		return
 	}
-	o.vals[k] = v
-	o.ord = nil
+	i := o.search(v)
+	o.ord = append(o.ord, keyVal{})
+	copy(o.ord[i+1:], o.ord[i:])
+	o.ord[i] = keyVal{v: v, k: k}
 }
 
-func (o *orderedKeys) drop(k string) {
-	if _, ok := o.vals[k]; !ok {
+// drop records that key k (ordering value v) left the index.
+func (o *orderedKeys) drop(k string, v Value) {
+	if o.ord == nil {
 		return
 	}
-	delete(o.vals, k)
-	o.ord = nil
+	for i := o.search(v); i < len(o.ord) && Compare(o.ord[i].v, v) == 0; i++ {
+		if o.ord[i].k == k {
+			o.ord = append(o.ord[:i], o.ord[i+1:]...)
+			return
+		}
+	}
+	o.ord = nil // NaN compares equal to everything: no position is its own
 }
 
 // rangeBounds is a concrete one-column range: [lo, hi] with per-side
@@ -182,15 +235,12 @@ func (b rangeBounds) match(v Value) bool {
 	return true
 }
 
-// scanRange calls fn for every key whose value lies within bounds, in
-// ascending value order, rebuilding the sorted view if it is stale.
-func (o *orderedKeys) scanRange(b rangeBounds, fn func(k string)) {
+// scanRange calls fn for every key of the hash index m whose value lies
+// within bounds, in ascending value order, deriving o — m's sorted view — on
+// first use.
+func scanRange[V any](o *orderedKeys, m map[string]V, b rangeBounds, fn func(k string)) {
 	if o.ord == nil {
-		o.ord = make([]keyVal, 0, len(o.vals))
-		for k, v := range o.vals {
-			o.ord = append(o.ord, keyVal{v: v, k: k})
-		}
-		sort.Slice(o.ord, func(i, j int) bool { return Compare(o.ord[i].v, o.ord[j].v) < 0 })
+		o.ord = deriveKeys(m)
 	}
 	start := 0
 	if b.hasLo {
@@ -317,10 +367,10 @@ func (t *Table) deleteRowPhysical(rowID uint64) {
 	if t.pk != nil {
 		k := t.pkKey(old)
 		delete(t.pk, k)
-		t.pkOrd.drop(k)
+		t.pkOrd.drop(k, old[t.schema.PKIdx])
 	}
 	for _, idx := range t.indexes {
-		idx.remove(keyString(old[idx.col]), rowID)
+		idx.remove(keyString(old[idx.col]), old[idx.col], rowID)
 	}
 	t.liveRows--
 	t.byteSize -= int64(encodedRowSize(old))
@@ -346,19 +396,17 @@ func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 			pg.slots[l.slot] = pageSlot{rowID: rowID, row: stored}
 		})
 	}
-	if t.pk != nil {
-		oldKey, newKey := t.pkKey(old), t.pkKey(newRow)
-		if oldKey != newKey {
+	if pk := t.schema.PKIdx; t.pk != nil {
+		if oldKey, newKey, changed := keyChange(old[pk], newRow[pk]); changed {
 			delete(t.pk, oldKey)
-			t.pkOrd.drop(oldKey)
+			t.pkOrd.drop(oldKey, old[pk])
 			t.pk[newKey] = rowID
-			t.pkOrd.add(newKey, newRow[t.schema.PKIdx])
+			t.pkOrd.add(newKey, newRow[pk])
 		}
 	}
 	for _, idx := range t.indexes {
-		ok, nk := keyString(old[idx.col]), keyString(newRow[idx.col])
-		if ok != nk {
-			idx.remove(ok, rowID)
+		if ok, nk, changed := keyChange(old[idx.col], newRow[idx.col]); changed {
+			idx.remove(ok, old[idx.col], rowID)
 			idx.add(nk, newRow[idx.col], rowID)
 		}
 	}
@@ -582,10 +630,8 @@ func (t *Table) lookupPKRange(b rangeBounds) []uint64 {
 		return nil
 	}
 	var out []uint64
-	t.pkOrd.scanRange(b, func(k string) {
-		if id, ok := t.pk[k]; ok {
-			out = append(out, id)
-		}
+	scanRange(&t.pkOrd, t.pk, b, func(k string) {
+		out = append(out, t.pk[k])
 	})
 	return out
 }
@@ -600,7 +646,7 @@ func (t *Table) lookupIndexRange(col string, b rangeBounds) ([]uint64, bool) {
 		return nil, false
 	}
 	var out []uint64
-	idx.ord.scanRange(b, func(k string) {
+	scanRange(&idx.ord, idx.m, b, func(k string) {
 		out = append(out, idx.m[k]...)
 	})
 	return out, true
@@ -753,7 +799,7 @@ func (t *Table) createIndex(name string, colIdx int, unique bool) error {
 	if _, exists := t.indexes[colName]; exists {
 		return fmt.Errorf("sqldb: index on %s.%s already exists", t.schema.Table, colName)
 	}
-	idx := &index{name: name, col: colIdx, unique: unique, m: make(map[string][]uint64), ord: newOrderedKeys()}
+	idx := &index{name: name, col: colIdx, unique: unique, m: make(map[string][]uint64)}
 	collect := func(s pageSlot) error {
 		k := keyString(s.row[colIdx])
 		if unique && len(idx.m[k]) > 0 {
@@ -781,7 +827,8 @@ func (t *Table) createIndex(name string, colIdx int, unique bool) error {
 	return nil
 }
 
-func (ix *index) remove(key string, rowID uint64) {
+// remove unregisters a rowID from under key (ordering value v).
+func (ix *index) remove(key string, v Value, rowID uint64) {
 	ids := ix.m[key]
 	for i, id := range ids {
 		if id == rowID {
@@ -791,7 +838,7 @@ func (ix *index) remove(key string, rowID uint64) {
 	}
 	if len(ids) == 0 {
 		delete(ix.m, key)
-		ix.ord.drop(key)
+		ix.ord.drop(key, v)
 	} else {
 		ix.m[key] = ids
 	}
