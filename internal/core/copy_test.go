@@ -180,10 +180,11 @@ func TestCopyReplicaCases(t *testing.T) {
 				if got := c.metrics.poolWritebacks.Value() - writebacksBefore; tc.wantCopied == 3 && got != 3*(rows/64) {
 					t.Errorf("sqldb_pool_writebacks_total rose by %d during a full copy, want %d", got, 3*(rows/64))
 				}
-				// The dump reads those pages cold and decodes each of their rows
-				// once; the target, loading decoded rows, decodes none.
-				if got := rowsDecoded() - decodedBefore; tc.wantCopied == 3 && got != 3*(rows/64)*64 {
-					t.Errorf("pool_rows_decoded rose by %v during a full copy, want %d", got, 3*(rows/64)*64)
+				// The dump decodes every row once: those of the pages it reads cold
+				// and those of each table's open tail page, which are encodings
+				// too. The target, loading decoded rows, decodes none.
+				if got := rowsDecoded() - decodedBefore; tc.wantCopied == 3 && got != 3*rows {
+					t.Errorf("pool_rows_decoded rose by %v during a full copy, want %d", got, 3*rows)
 				}
 				if reps, _ := c.Replicas("app"); !contains(reps, target.ID()) {
 					t.Fatalf("replicas = %v, want %s among them", reps, target.ID())

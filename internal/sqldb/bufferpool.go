@@ -24,10 +24,12 @@ type PoolStats struct {
 	// eviction, when a bulk reader flushes them, or at once by a pool that
 	// cannot hold pages.
 	Writebacks uint64
-	// RowsDecoded counts rows decoded from a page image: on first touch of a
-	// resident page's row, a page at a time by scans, and by the cold scans of
-	// dump, checkpoint and copy. A miss decodes nothing by itself, so rows
-	// decoded per miss tells point reads (about one) from scans (a page-full).
+	// RowsDecoded counts every decode of a stored row into values. Nothing
+	// keeps a decoded row, so it is the rows storage read: one per point
+	// read, fetched index candidate, row a scan examines, row an UPDATE or
+	// DELETE replaces, and row a cold scan (dump, checkpoint, copy) reads.
+	// Reading one column of a row (a candidate's key, an index build)
+	// decodes no row.
 	RowsDecoded uint64
 }
 
@@ -50,8 +52,8 @@ const (
 
 // BufferPool is a fixed-capacity LRU cache of resident pages, one per engine.
 // It models the DBMS buffer pool of the paper's MySQL instances: a hit finds
-// the page mapped and the rows read before already decoded, a miss pays the
-// simulated disk latency and maps the page's image (mapPage), decoding no row.
+// the page mapped, a miss pays the simulated disk latency and maps the page's
+// image (mapPage), decoding no row.
 // The pool is the mechanism that makes the paper's read-routing options
 // (1/2/3) perform differently — routing all of a database's reads to one
 // replica keeps that replica's pool warm.
@@ -68,9 +70,9 @@ const (
 // page image (atomic, never waits). Every reader and writer of a table's
 // resident pages holds that table's latch; only eviction touches a page
 // without it — holding the stripe mutex, under which pages are also edited
-// — so it can encode a page of a table whose latch someone else holds. What
-// a reader does to a page under the latch alone, decoding a row on first
-// touch, an eviction therefore never looks at (see pageSlot).
+// — so it can encode a page of a table whose latch someone else holds. A
+// reader under the latch alone only reads slots, and an edit replaces them
+// under both, so the two never conflict.
 //
 // The pool is sharded into lock stripes keyed by PageKey hash so concurrent
 // clients do not serialise on a single mutex. Capacity is partitioned across
@@ -188,8 +190,7 @@ func (p *BufferPool) resident(s *poolStripe, key PageKey, page *sealedPage) (*po
 	if p.missLatency > 0 {
 		time.Sleep(p.missLatency)
 	}
-	img := page.image()
-	slots, err := mapPage(img)
+	slots, err := mapPage(page.image())
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +200,7 @@ func (p *BufferPool) resident(s *poolStripe, key PageKey, page *sealedPage) (*po
 		s.lru.MoveToFront(el)
 		return el.Value.(*poolEntry), nil
 	}
-	en := &poolEntry{key: key, page: page, residentPage: residentPage{img: img, slots: slots}}
+	en := &poolEntry{key: key, page: page, residentPage: residentPage{slots: slots}}
 	if s.capacity > 0 {
 		s.entries[key] = s.lru.PushFront(en)
 		p.evictOverflow(s)
@@ -208,8 +209,8 @@ func (p *BufferPool) resident(s *poolStripe, key PageKey, page *sealedPage) (*po
 }
 
 // Get returns the resident page, mapping it from the page's image on a miss.
-// It is the pool's own: the caller reads it — and decodes rows into it —
-// under the owning table's latch, and copies out what it keeps.
+// It is the pool's own: the caller reads its slots under the owning table's
+// latch.
 func (p *BufferPool) Get(key PageKey, page *sealedPage) (*residentPage, error) {
 	s := p.stripe(key)
 	en, err := p.resident(s, key, page)
@@ -222,9 +223,8 @@ func (p *BufferPool) Get(key PageKey, page *sealedPage) (*residentPage, error) {
 
 // Update applies edit to the resident page — mapping it on a miss, like Get —
 // and marks the page dirty. edit runs under the stripe mutex, which is what
-// keeps it apart from an eviction encoding the same page; a slot whose row it
-// replaces loses its extent. The caller holds the owning table's latch, as
-// for every access to the table's pages.
+// keeps it apart from an eviction encoding the same page. The caller holds
+// the owning table's latch, as for every access to the table's pages.
 func (p *BufferPool) Update(key PageKey, page *sealedPage, edit func(*residentPage)) error {
 	s := p.stripe(key)
 	en, err := p.resident(s, key, page)
@@ -272,9 +272,8 @@ func (p *BufferPool) Flush(key PageKey) {
 	s.mu.Unlock()
 }
 
-// writeBack encodes a dirty entry into its page's image. The entry keeps the
-// image it was mapped from, which its remaining extents point into. Called
-// with the entry's stripe mutex held.
+// writeBack encodes a dirty entry into its page's image. The entry's slots
+// keep whatever strings they hold. Called with the entry's stripe mutex held.
 func (p *BufferPool) writeBack(en *poolEntry) {
 	en.page.store(en.encode())
 	en.dirty = false

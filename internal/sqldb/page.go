@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"strings"
 	"sync/atomic"
 )
@@ -21,13 +20,14 @@ import (
 // the directory stops. The format is this package's own business: the log,
 // checkpoints and replica copies carry rows in walcodec.go's encoding.
 //
-// The buffer pool holds pages in resident form: the image itself plus a slot
-// array that points each row at its extent. Bringing a page in (mapPage)
-// parses no row; a row is decoded when something first asks for it, and
-// written back, if nothing changed it, as the bytes it came from. What a miss
-// costs beyond that is Config.MissLatency, the modelled disk — which is what
-// makes buffer-pool locality, and so the paper's read-routing options,
-// visible in throughput.
+// Inside the pool a page is its slots, and a slot is its row's encoding: a
+// substring of the image for a row the page was mapped with, the row's own
+// encodeRow string for one inserted or edited since. Nothing keeps a decoded
+// row: a reader decodes the slots it needs into a buffer of its own.
+// Bringing a page in (mapPage) parses no row, and writing it back copies each
+// slot's bytes. What a miss costs beyond that is Config.MissLatency, the
+// modelled disk — which is what makes buffer-pool locality, and so the
+// paper's read-routing options, visible in throughput.
 
 // pageCapacity is the number of row slots per page.
 const pageCapacity = 64
@@ -82,100 +82,59 @@ func encodeRow(buf []byte, r Row) []byte {
 	return buf
 }
 
-// encodedRowSize is len(encodeRow(nil, r)) without building the encoding; the
-// table's byte-size accounting calls it on every row change.
-func encodedRowSize(r Row) int {
-	n := uvarintLen(uint64(len(r)))
-	for _, v := range r {
-		n++ // type tag
-		switch v.Typ {
-		case TypeInt:
-			ux := uint64(v.Int) << 1 // zig-zag, as binary.AppendVarint
-			if v.Int < 0 {
-				ux = ^ux
-			}
-			n += uvarintLen(ux)
-		case TypeFloat:
-			n += uvarintLen(math.Float64bits(v.Float))
-		case TypeText:
-			n += uvarintLen(uint64(len(v.Str))) + len(v.Str)
-		case TypeBool:
-			n++
-		}
-	}
-	return n
+// encodeRowString is encodeRow as the string a slot keeps: one allocation,
+// the string itself.
+func encodeRowString(r Row) string {
+	var buf [512]byte
+	return string(encodeRow(buf[:0], r))
 }
 
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// pageSlot is one occupied slot of a resident page (or of a table's open
-// tail page, whose slots only ever have rows). A slot mapped from an image
-// has an extent and, once something has read it, the decoded row as well; an
-// edit gives the slot a new row and clears the extent.
-//
-// Who may touch what: row is read and written under the owning table's latch.
-// An eviction holds only the pool's stripe mutex, so it reads row only when
-// the extent is clear — which, like everything else about a slot, changes
-// only under latch and stripe mutex together.
+// pageSlot is one occupied slot of a resident page, or of a table's open
+// tail page. A slot is immutable: an edit replaces it whole, under the owning
+// table's latch and the pool's stripe mutex together, so holding either is
+// enough to read it.
 type pageSlot struct {
-	rowID    uint64
-	row      Row    // nil: not decoded yet
-	off, end uint32 // the row's bytes in the image; end == 0: none, row is all there is
+	rowID uint64
+	enc   string // the row's encodeRow encoding
 }
 
-// encodedSize is what the slot's row takes in an image. Safe where encode is.
-func (s *pageSlot) encodedSize() int {
-	if s.end != 0 {
-		return int(s.end - s.off)
-	}
-	return encodedRowSize(s.row)
-}
-
-// residentPage is a page in the buffer pool: the image it was mapped from
-// ("" for a page that never had one) and its slots.
+// residentPage is a page in the buffer pool: its slots.
 type residentPage struct {
-	img   string
 	slots []pageSlot
 }
 
-// encode builds the page's image in one exactly sized allocation: a slot that
-// still has its extent is copied byte for byte from the old image, and only
-// rows an edit replaced are encoded. It runs under the stripe mutex alone, so
-// it indexes the slots — copying a slot would read its row (see pageSlot).
+// encode builds the page's image in one exactly sized allocation: the
+// directory, then each slot's bytes. It runs under the stripe mutex alone.
 func (pg *residentPage) encode() string {
 	end := pageHeaderSize + len(pg.slots)*dirEntrySize
 	total := end
-	for i := range pg.slots {
-		total += pg.slots[i].encodedSize()
+	for _, s := range pg.slots {
+		total += len(s.enc)
 	}
 	var img strings.Builder
 	img.Grow(total)
-	var scratch [512]byte // directory entries, and the edited rows that fit
-	binary.LittleEndian.PutUint32(scratch[:], uint32(len(pg.slots)))
-	img.Write(scratch[:pageHeaderSize])
-	for i := range pg.slots {
-		end += pg.slots[i].encodedSize()
-		binary.LittleEndian.PutUint64(scratch[:], pg.slots[i].rowID)
-		binary.LittleEndian.PutUint32(scratch[8:], uint32(end))
-		img.Write(scratch[:dirEntrySize])
+	var dir [dirEntrySize]byte
+	binary.LittleEndian.PutUint32(dir[:], uint32(len(pg.slots)))
+	img.Write(dir[:pageHeaderSize])
+	for _, s := range pg.slots {
+		end += len(s.enc)
+		binary.LittleEndian.PutUint64(dir[:], s.rowID)
+		binary.LittleEndian.PutUint32(dir[8:], uint32(end))
+		img.Write(dir[:])
 	}
-	for i := range pg.slots {
-		if s := &pg.slots[i]; s.end != 0 {
-			img.WriteString(pg.img[s.off:s.end])
-		} else {
-			img.Write(encodeRow(scratch[:0], s.row))
-		}
+	for _, s := range pg.slots {
+		img.WriteString(s.enc)
 	}
 	return img.String()
 }
 
 func corruptPage(what string) error { return fmt.Errorf("sqldb: corrupt page: %s", what) }
 
-// mapPage checks an image's directory and returns its slots, each pointing
-// at its row's extent: no row is parsed and nothing but the slot array is
-// allocated, whatever the rows hold. The directory must fit the image, and
-// the extents must be non-empty (a row is at least its arity byte), in order,
-// inside the image, and end exactly where it ends.
+// mapPage checks an image's directory and returns its slots, each the
+// substring of the image its row occupies: no row is parsed and nothing but
+// the slot array is allocated, whatever the rows hold. The directory must fit
+// the image, and the extents must be non-empty (a row is at least its arity
+// byte), in order, inside the image, and end exactly where it ends.
 func mapPage(img string) ([]pageSlot, error) {
 	if len(img) < pageHeaderSize {
 		return nil, corruptPage("no slot count")
@@ -193,52 +152,13 @@ func mapPage(img string) ([]pageSlot, error) {
 		if end <= off || uint64(end) > uint64(len(img)) {
 			return nil, corruptPage("bad row extent")
 		}
-		// Field by field: storing a whole slot would store its (nil) row, a
-		// pointer write the collector has to be told about.
-		s := &slots[i]
-		s.rowID, s.off, s.end = uint64(le32(d, 0))|uint64(le32(d, 4))<<32, off, end
+		slots[i] = pageSlot{rowID: uint64(le32(d, 0)) | uint64(le32(d, 4))<<32, enc: img[off:end]}
 		off = end
 	}
 	if int(off) != len(img) {
 		return nil, corruptPage("bytes after the last row")
 	}
 	return slots, nil
-}
-
-// materialise decodes the rows of slots[lo:hi] that are still only extents,
-// cutting them from one slab, and returns how many it decoded. Each row's
-// capacity ends where the next begins, so appending to one reallocates it
-// instead of running into its neighbour. Text values are substrings of the
-// image: whoever retains a row retains the image with it. The caller holds
-// the owning table's latch.
-func (pg *residentPage) materialise(lo, hi int) (int, error) {
-	rows, width := 0, 0
-	for i := lo; i < hi; i++ {
-		if s := &pg.slots[i]; s.row == nil {
-			arity, _, err := rowArity(pg.img[s.off:s.end])
-			if err != nil {
-				return 0, err
-			}
-			rows++
-			width += arity
-		}
-	}
-	if rows == 0 {
-		return 0, nil
-	}
-	slab := make([]Value, width) // not nil even when empty: a nil row means not decoded
-	for i := lo; i < hi; i++ {
-		s := &pg.slots[i]
-		if s.row != nil {
-			continue
-		}
-		row, err := decodeRow(pg.img[s.off:s.end], slab)
-		if err != nil {
-			return 0, err
-		}
-		s.row, slab = row, slab[len(row):]
-	}
-	return rows, nil
 }
 
 // rowArity reads the value count that starts a row encoding and the position
@@ -253,17 +173,18 @@ func rowArity(enc string) (arity, pos int, err error) {
 }
 
 // decodeRow decodes a row encoding, which must fill enc exactly, into the
-// front of dst, or into a fresh slice when dst is too short. The row's
-// capacity is its length.
+// front of dst's backing array, or into a fresh slice when dst has no room
+// for it. Text values are substrings of enc: whoever keeps the row keeps the
+// encoding, never more than the page image it was cut from.
 func decodeRow(enc string, dst []Value) (Row, error) {
 	n, pos, err := rowArity(enc)
 	if err != nil {
 		return nil, err
 	}
-	if len(dst) < n {
+	if cap(dst) < n {
 		dst = make([]Value, n)
 	}
-	row := Row(dst[:n:n])
+	row := Row(dst[:n])
 	for c := range row {
 		if pos, err = decodeValue(enc, pos, &row[c]); err != nil {
 			return nil, err

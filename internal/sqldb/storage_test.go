@@ -12,39 +12,63 @@ import (
 	"time"
 )
 
-// encodePage builds the image of a page holding slots, which carry rows only.
-func encodePage(slots []pageSlot) string {
-	return (&residentPage{slots: slots}).encode()
+// rowSlot is a decoded slot: a row and its ID.
+type rowSlot struct {
+	rowID uint64
+	row   Row
 }
 
-// sealedWith returns a sealed page whose image holds slots.
-func sealedWith(slots ...pageSlot) *sealedPage {
+// stored returns the slots a page holding rows keeps: each row's encoding.
+func stored(rows ...rowSlot) []pageSlot {
+	slots := make([]pageSlot, len(rows))
+	for i, r := range rows {
+		slots[i] = pageSlot{rowID: r.rowID, enc: encodeRowString(r.row)}
+	}
+	return slots
+}
+
+// encodePage builds the image of a page holding rows.
+func encodePage(rows ...rowSlot) string {
+	return (&residentPage{slots: stored(rows...)}).encode()
+}
+
+// sealedWith returns a sealed page whose image holds rows.
+func sealedWith(rows ...rowSlot) *sealedPage {
 	p := &sealedPage{}
-	p.store(encodePage(slots))
+	p.store(encodePage(rows...))
 	return p
 }
 
-// decodeAll maps an image and decodes every row, as a scan of the page does.
-func decodeAll(img string) ([]pageSlot, error) {
+// decodeSlots decodes every slot into one slab, a row's room as wide as the
+// widest row, as getRowsBatch decodes a batch.
+func decodeSlots(slots []pageSlot) ([]rowSlot, error) {
+	width := 0
+	for _, s := range slots {
+		n, _, err := rowArity(s.enc)
+		if err != nil {
+			return nil, err
+		}
+		width = max(width, n)
+	}
+	slab := make([]Value, len(slots)*width)
+	out := make([]rowSlot, len(slots))
+	for i, s := range slots {
+		row, err := decodeRow(s.enc, slab[:width:width])
+		if err != nil {
+			return nil, err
+		}
+		out[i], slab = rowSlot{s.rowID, row}, slab[width:]
+	}
+	return out, nil
+}
+
+// decodeAll maps an image and decodes every row.
+func decodeAll(img string) ([]rowSlot, error) {
 	slots, err := mapPage(img)
 	if err != nil {
 		return nil, err
 	}
-	pg := &residentPage{img: img, slots: slots}
-	if _, err := pg.materialise(0, len(slots)); err != nil {
-		return nil, err
-	}
-	return pg.slots, nil
-}
-
-// rowsOnly copies slots without their extents, as if every row had been
-// edited: encoding them encodes every row instead of copying its bytes.
-func rowsOnly(slots []pageSlot) []pageSlot {
-	out := make([]pageSlot, len(slots))
-	for i, s := range slots {
-		out[i] = pageSlot{rowID: s.rowID, row: s.row}
-	}
-	return out
+	return decodeSlots(slots)
 }
 
 // refDecodeRow is a row-at-a-time decoder — one allocation per row and per
@@ -103,7 +127,7 @@ func refDecodeRow(buf []byte) (Row, []byte, error) {
 
 // refDecodePage decodes a page image with refDecodeRow: a slot's row is the
 // bytes from the previous slot's end offset to its own, all of them.
-func refDecodePage(buf []byte) ([]pageSlot, error) {
+func refDecodePage(buf []byte) ([]rowSlot, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("no slot count")
 	}
@@ -112,7 +136,7 @@ func refDecodePage(buf []byte) ([]pageSlot, error) {
 	if off > uint64(len(buf)) {
 		return nil, fmt.Errorf("directory past the end")
 	}
-	slots := make([]pageSlot, 0, n)
+	slots := make([]rowSlot, 0, n)
 	for d := uint64(4); d < 4+12*n; d += 12 {
 		end := uint64(binary.LittleEndian.Uint32(buf[d+8:]))
 		if end < off || end > uint64(len(buf)) {
@@ -125,7 +149,7 @@ func refDecodePage(buf []byte) ([]pageSlot, error) {
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("row shorter than its extent")
 		}
-		slots = append(slots, pageSlot{rowID: binary.LittleEndian.Uint64(buf[d:]), row: row})
+		slots = append(slots, rowSlot{binary.LittleEndian.Uint64(buf[d:]), row})
 		off = end
 	}
 	if off != uint64(len(buf)) {
@@ -163,7 +187,7 @@ func sameValue(v, w Value) bool {
 
 // sameSlots reports whether two pages hold the same rows under the same IDs,
 // comparing values exactly (type included; NaN payloads by bit pattern).
-func sameSlots(a, b []pageSlot) bool {
+func sameSlots(a, b []rowSlot) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -181,11 +205,11 @@ func sameSlots(a, b []pageSlot) bool {
 }
 
 // checkImage holds every way of reading an image against the reference: all
-// of them fail, or all succeed and agree — the whole page in one slab, row by
-// row on first touch, one column at a time — and the page encodes back to an
-// image that reads the same, whether its rows are copied by extent or encoded
-// anew. It returns the decoded slots, or nil for an image that is rejected.
-func checkImage(t *testing.T, data []byte) []pageSlot {
+// of them fail, or all succeed and agree — every row into one slab, one
+// column at a time — and the page encodes back to an image that reads the
+// same, whether its slots are the image's bytes or each row encoded anew. It
+// returns the decoded slots, or nil for an image that is rejected.
+func checkImage(t *testing.T, data []byte) []rowSlot {
 	t.Helper()
 	img := string(data)
 	got, err := decodeAll(img)
@@ -199,35 +223,26 @@ func checkImage(t *testing.T, data []byte) []pageSlot {
 	if !sameSlots(got, want) {
 		t.Fatalf("page decoder disagrees with the reference:\n got %v\nwant %v", got, want)
 	}
-	// Appending to a decoded row must not reach into its neighbour's values.
+	// Appending to a row decoded into a slab must not reach into its
+	// neighbour's values.
 	for i := range got {
-		if got[i].row == nil {
-			t.Fatalf("slot %d: a decoded row is nil, which means not decoded", i)
-		}
 		_ = append(got[i].row, NewText("overflow"))
 	}
 	if !sameSlots(got, want) {
 		t.Fatal("appending to a decoded row changed a neighbour")
 	}
 	slots, _ := mapPage(img)
-	single := &residentPage{img: img, slots: slots}
-	for i := len(slots) - 1; i >= 0; i-- {
+	for i := range slots {
 		for c, v := range want[i].row {
-			if col, err := decodeCol(img[slots[i].off:slots[i].end], c); err != nil || !sameValue(col, v) {
+			if col, err := decodeCol(slots[i].enc, c); err != nil || !sameValue(col, v) {
 				t.Fatalf("slot %d column %d alone: %v, %v; want %v", i, c, col, err, v)
 			}
 		}
-		if _, err := decodeCol(img[slots[i].off:slots[i].end], len(want[i].row)); err == nil {
+		if _, err := decodeCol(slots[i].enc, len(want[i].row)); err == nil {
 			t.Fatalf("slot %d: decoded a column past the row's last", i)
 		}
-		if n, err := single.materialise(i, i+1); n != 1 || err != nil {
-			t.Fatalf("slot %d on first touch: %d rows, %v", i, n, err)
-		}
 	}
-	if n, err := single.materialise(0, len(slots)); n != 0 || err != nil || !sameSlots(single.slots, want) {
-		t.Fatalf("row-by-row decode: %d rows left, %v; got %v, want %v", n, err, single.slots, want)
-	}
-	for _, pg := range []*residentPage{single, {slots: rowsOnly(got)}} {
+	for _, pg := range []*residentPage{{slots: slots}, {slots: stored(got...)}} {
 		again, err := decodeAll(pg.encode())
 		if err != nil || !sameSlots(again, want) {
 			t.Fatalf("re-encoded page does not round-trip: %v", err)
@@ -247,16 +262,27 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		{Null, NewInt(7), NewFloat(2.5), NewText("mix"), NewBool(true)},
 	}
 	for _, r := range rows {
-		enc := encodeRow(nil, r)
-		if got := encodedRowSize(r); got != len(enc) {
-			t.Errorf("encodedRowSize(%v) = %d, encoding is %d bytes", r, got, len(enc))
+		enc := encodeRowString(r)
+		if enc != string(encodeRow(nil, r)) {
+			t.Errorf("encodeRowString(%v) differs from encodeRow", r)
 		}
-		dec, err := decodeRow(string(enc), nil)
+		dec, err := decodeRow(enc, nil)
 		if err != nil {
 			t.Fatalf("decode %v: %v", r, err)
 		}
-		if !sameSlots([]pageSlot{{row: dec}}, []pageSlot{{row: r}}) {
+		if !sameSlots([]rowSlot{{row: dec}}, []rowSlot{{row: r}}) {
 			t.Errorf("round trip %v -> %v", r, dec)
+		}
+		if len(r) == 0 {
+			continue
+		}
+		// A buffer with room takes the row in place; one without is left alone.
+		room, short := make(Row, len(r)), make(Row, len(r)-1)
+		if in, _ := decodeRow(enc, room[:0]); &in[0] != &room[0] {
+			t.Errorf("%v: not decoded into a buffer with room for it", r)
+		}
+		if in, _ := decodeRow(enc, short[:0]); len(short) > 0 && &in[0] == &short[0] {
+			t.Errorf("%v: decoded into a buffer too short for it", r)
 		}
 	}
 }
@@ -269,7 +295,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 func TestPageCodecProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 300; iter++ {
-		slots := make([]pageSlot, rng.Intn(pageCapacity+1))
+		slots := make([]rowSlot, rng.Intn(pageCapacity+1))
 		width := rng.Intn(8)
 		if iter%10 == 0 {
 			width = 0
@@ -282,13 +308,10 @@ func TestPageCodecProperty(t *testing.T) {
 					row = randomRow(rng, 8)
 				}
 			}
-			slots[i] = pageSlot{rowID: rng.Uint64(), row: row}
-			if got, want := encodedRowSize(row), len(encodeRow(nil, row)); got != want {
-				t.Fatalf("encodedRowSize(%v) = %d, want %d", row, got, want)
-			}
-			size += encodedRowSize(row)
+			slots[i] = rowSlot{rng.Uint64(), row}
+			size += len(encodeRow(nil, row))
 		}
-		img := encodePage(slots)
+		img := encodePage(slots...)
 		if len(img) != size {
 			t.Fatalf("iter %d: image is %d bytes, want %d", iter, len(img), size)
 		}
@@ -312,10 +335,10 @@ func wideRow(id, cols int) Row {
 }
 
 // fullPage returns a page-full of rows of cols columns with row IDs 1..64.
-func fullPage(cols int) []pageSlot {
-	slots := make([]pageSlot, pageCapacity)
+func fullPage(cols int) []rowSlot {
+	slots := make([]rowSlot, pageCapacity)
 	for i := range slots {
-		slots[i] = pageSlot{rowID: uint64(i + 1), row: wideRow(i, cols)}
+		slots[i] = rowSlot{uint64(i + 1), wideRow(i, cols)}
 	}
 	return slots
 }
@@ -323,8 +346,9 @@ func fullPage(cols int) []pageSlot {
 // TestPoolMissAllocs pins what a miss costs: mapping a page allocates its
 // slot array and its pool entry, whatever the rows hold — a 22-column page
 // costs what a 2-column page does — and decodes nothing; the point read that
-// caused the miss then decodes its one row. (The pool here keeps no pages, so
-// every Get is a miss; a pool that keeps the page adds its LRU list node.)
+// caused the miss then decodes its one row, as every read of it does. (The
+// pool here keeps no pages, so every Get is a miss; a pool that keeps the
+// page adds its LRU list node.)
 func TestPoolMissAllocs(t *testing.T) {
 	k := PageKey{Table: "t", Page: 0}
 	miss := func(cols int) float64 {
@@ -358,22 +382,23 @@ func TestPoolMissAllocs(t *testing.T) {
 		t.Errorf("a cold point read: %d misses, %d rows decoded; want 1 and 1", after.Misses-before.Misses, after.RowsDecoded-before.RowsDecoded)
 	}
 	mustExec(t, e, "SELECT s FROM a WHERE id = 5")
-	if again := e.Stats().Pool; again.Misses != after.Misses || again.RowsDecoded != after.RowsDecoded {
-		t.Errorf("the same read again: stats %+v after %+v, want a hit on the decoded row", again, after)
+	again := e.Stats().Pool
+	if again.Misses != after.Misses || again.RowsDecoded != after.RowsDecoded+1 {
+		t.Errorf("the same read again: stats %+v after %+v, want a hit that decodes the row again", again, after)
 	}
-	mustExec(t, e, "SELECT COUNT(*) FROM a WHERE v >= 0") // a scan decodes what is left of each page
-	if got := e.Stats().Pool.RowsDecoded - after.RowsDecoded; got != 3*pageCapacity-1 {
-		t.Errorf("a scan after one point read decoded %d rows, want %d", got, 3*pageCapacity-1)
+	mustExec(t, e, "SELECT COUNT(*) FROM a WHERE v >= 0") // a scan decodes every row once
+	if got := e.Stats().Pool.RowsDecoded - again.RowsDecoded; got != 3*pageCapacity {
+		t.Errorf("a scan decoded %d rows, want %d", got, 3*pageCapacity)
 	}
 }
 
 // TestPageCodecCorruption cuts a page image short at every length: none may
 // decode.
 func TestPageCodecCorruption(t *testing.T) {
-	img := encodePage([]pageSlot{
-		{rowID: 1, row: Row{NewText("hello"), NewInt(-300)}},
-		{rowID: 2, row: Row{NewBool(true), NewFloat(1.75), Null}},
-	})
+	img := encodePage(
+		rowSlot{1, Row{NewText("hello"), NewInt(-300)}},
+		rowSlot{2, Row{NewBool(true), NewFloat(1.75), Null}},
+	)
 	if checkImage(t, []byte(img)) == nil {
 		t.Fatal("the whole image does not decode")
 	}
@@ -385,7 +410,7 @@ func TestPageCodecCorruption(t *testing.T) {
 }
 
 // FuzzDecodePage feeds arbitrary bytes to the page codec: every input is
-// either rejected or reads — whole, row by row, column by column — as the
+// either rejected or reads — row by row, column by column — as the
 // row-at-a-time reference reads it, and re-encodes to an image that reads the
 // same (see checkImage); never a panic, an over-read, or an allocation sized
 // by a count or length the input only claims. The committed corpus
@@ -396,11 +421,11 @@ func TestPageCodecCorruption(t *testing.T) {
 func FuzzDecodePage(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 8; i++ {
-		slots := make([]pageSlot, rng.Intn(5))
+		slots := make([]rowSlot, rng.Intn(5))
 		for j := range slots {
-			slots[j] = pageSlot{rowID: uint64(j), row: randomRow(rng, 5)}
+			slots[j] = rowSlot{uint64(j), randomRow(rng, 5)}
 		}
-		img := []byte(encodePage(slots))
+		img := []byte(encodePage(slots...))
 		f.Add(img)
 		f.Add(img[:len(img)/2])
 	}
@@ -408,61 +433,56 @@ func FuzzDecodePage(f *testing.F) {
 }
 
 // TestWriteBackCopiesCleanExtents changes one row of a full page and evicts
-// it: write-back must carry the other 63 rows into the new image as the bytes
-// they were, without decoding them, and a reload must see the change.
+// it: write-back must carry the other 63 slots into the new image as the
+// bytes they were, the changed slot as its new encoding, and a reload must
+// see the change.
 func TestWriteBackCopiesCleanExtents(t *testing.T) {
 	const changed = 7
 	p := NewBufferPool(1, 0)
 	k := PageKey{Table: "t", Page: 0}
 	page := sealedWith(fullPage(5)...)
-	oldImg := page.image()
+	was, err := mapPage(page.image())
+	if err != nil {
+		t.Fatal(err)
+	}
 	newRow := Row{NewText("a row of another size"), Null}
-	var resident *residentPage
 	if err := p.Update(k, page, func(pg *residentPage) {
-		resident = pg
-		pg.slots[changed] = pageSlot{rowID: pg.slots[changed].rowID, row: newRow}
+		pg.slots[changed] = pageSlot{rowID: pg.slots[changed].rowID, enc: encodeRowString(newRow)}
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Get(PageKey{Table: "u", Page: 0}, sealedWith()); err != nil { // takes the pool's one slot
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Writebacks != 1 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want the changed page evicted and written back", st)
+	if st := p.Stats(); st.Writebacks != 1 || st.Evictions != 1 || st.RowsDecoded != 0 {
+		t.Fatalf("stats = %+v, want the changed page evicted and written back, no row decoded", st)
 	}
-	newImg := page.image()
-	was, err := mapPage(oldImg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := mapPage(newImg)
+	now, err := mapPage(page.image())
 	if err != nil || len(now) != len(was) {
 		t.Fatalf("new image: %d slots, %v", len(now), err)
 	}
 	for i := range now {
+		want := was[i]
 		if i == changed {
-			continue
+			want.enc = encodeRowString(newRow)
 		}
-		if now[i].rowID != was[i].rowID || newImg[now[i].off:now[i].end] != oldImg[was[i].off:was[i].end] {
-			t.Errorf("slot %d: row bytes differ between the old image and the new", i)
-		}
-		if resident.slots[i].row != nil {
-			t.Errorf("slot %d: write-back decoded a row nothing had read", i)
+		if now[i] != want {
+			t.Errorf("slot %d: %q, want %q", i, now[i].enc, want.enc)
 		}
 	}
 	pg, err := p.Get(k, page)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pg.materialise(changed, changed+1); err != nil || !sameSlots(pg.slots[changed:changed+1], []pageSlot{{rowID: changed + 1, row: newRow}}) {
-		t.Fatalf("changed row after reload = %v, %v", pg.slots[changed].row, err)
+	if got, err := decodeSlots(pg.slots[changed : changed+1]); err != nil || !sameSlots(got, []rowSlot{{changed + 1, newRow}}) {
+		t.Fatalf("changed row after reload = %v, %v", got, err)
 	}
 }
 
 func TestBufferPoolLRU(t *testing.T) {
 	p := NewBufferPool(2, 0)
 	page := func(id int) *sealedPage {
-		return sealedWith(pageSlot{rowID: uint64(id), row: Row{NewInt(int64(id))}})
+		return sealedWith(rowSlot{uint64(id), Row{NewInt(int64(id))}})
 	}
 	k := func(i int) PageKey { return PageKey{Table: "t", Page: i} }
 
@@ -497,7 +517,7 @@ func TestBufferPoolLRU(t *testing.T) {
 
 func TestBufferPoolDisabled(t *testing.T) {
 	p := NewBufferPool(0, 0)
-	page := sealedWith(pageSlot{rowID: 1, row: Row{NewInt(1)}})
+	page := sealedWith(rowSlot{1, Row{NewInt(1)}})
 	k := PageKey{Table: "t", Page: 0}
 	for i := 0; i < 3; i++ {
 		if _, err := p.Get(k, page); err != nil {
@@ -509,7 +529,7 @@ func TestBufferPoolDisabled(t *testing.T) {
 	}
 	// Nothing holds an edited image, so it is written through at once.
 	err := p.Update(k, page, func(pg *residentPage) {
-		pg.slots[0] = pageSlot{rowID: 1, row: Row{NewInt(2)}}
+		pg.slots[0] = stored(rowSlot{1, Row{NewInt(2)}})[0]
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -530,7 +550,7 @@ func TestBufferPoolWriteBack(t *testing.T) {
 	p := NewBufferPool(1, 0)
 	k := PageKey{Table: "t", Page: 0}
 	page := &sealedPage{}
-	p.Put(k, page, []pageSlot{{rowID: 5, row: Row{NewInt(5)}}})
+	p.Put(k, page, stored(rowSlot{5, Row{NewInt(5)}}))
 	got, err := p.Get(k, page)
 	if err != nil || len(got.slots) != 1 || got.slots[0].rowID != 5 {
 		t.Fatalf("got %v, %v", got, err)
@@ -541,7 +561,7 @@ func TestBufferPoolWriteBack(t *testing.T) {
 	setTo := func(v int64) {
 		t.Helper()
 		if err := p.Update(k, page, func(pg *residentPage) {
-			pg.slots[0] = pageSlot{rowID: 5, row: Row{NewInt(v)}}
+			pg.slots[0] = stored(rowSlot{5, Row{NewInt(v)}})[0]
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -579,8 +599,12 @@ func TestBufferPoolWriteBack(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	// The reload sees the written-back image; a clean eviction writes nothing.
-	if got, err := p.Get(k, page); err != nil || got.img != page.image() || imageValue() != 8 {
+	got, err = p.Get(k, page)
+	if err != nil || imageValue() != 8 {
 		t.Fatalf("reload: %v, %v", got, err)
+	}
+	if dec, err := decodeSlots(got.slots); err != nil || len(dec) != 1 || dec[0].row[0].Int != 8 {
+		t.Fatalf("reloaded page: %v, %v", dec, err)
 	}
 	if s := p.Stats(); s.Writebacks != 2 || s.Evictions != 2 {
 		t.Fatalf("stats = %+v", s)
@@ -845,13 +869,13 @@ func TestDatabaseByteSizeGrows(t *testing.T) {
 func timeAfter50ms() <-chan time.Time { return time.After(50 * time.Millisecond) }
 
 // indexBytesPerRowCeiling is what a loaded row may keep on the heap in a
-// table with an INT primary key and one TEXT index: the row itself in its
-// page, its loc entry, one hash-map entry per index with its key string, and
-// the index's one-element rowID list — 344 B at 20 000 rows. A second map per
-// index shadowing every key with its value, which the sorted view used to be
-// built from, made it 583 B; like the allocation ceilings this does not
-// depend on the box.
-const indexBytesPerRowCeiling = 400
+// table with an INT primary key and one TEXT index: the row's encoding in its
+// page slot, its loc entry, one hash-map entry per index with its key string,
+// and the index's one-element rowID list — 254 B at 20 000 rows. A stored row
+// kept decoded (48 B a value, its TEXT a string of its own) made it 342 B,
+// and a second map per index shadowing every key with its value 583 B; like
+// the allocation ceilings this does not depend on the box.
+const indexBytesPerRowCeiling = 280
 
 // TestIndexBytesPerRow is the machine-independent footprint gate: an index
 // holds each key once.
@@ -875,5 +899,49 @@ func TestIndexBytesPerRow(t *testing.T) {
 	t.Logf("%.0f heap bytes per row", perRow)
 	if perRow > indexBytesPerRowCeiling {
 		t.Fatalf("%.0f heap bytes per loaded row, ceiling %d", perRow, indexBytesPerRowCeiling)
+	}
+}
+
+// storedRowObjectsCeiling is how many heap objects a loaded row may keep in a
+// table with an INT primary key and one TEXT index, every page resident and
+// a tenth of the rows updated: its slot's encoding, its primary-key and index
+// key strings and its index rowID list, the small ones sharing tiny-allocator
+// blocks, and its share of the maps and slot arrays — 3.6 at 20 000 rows. A
+// stored row kept decoded, a []Value pointing at strings of their own, made
+// it 5.6; like the allocation ceilings this does not depend on the box.
+const storedRowObjectsCeiling = 4.5
+
+// TestStoredRowObjects is the machine-independent half of what a tenant
+// keeps resident: a stored row is one object, its encoding, not a decoded
+// row and the strings its values point at.
+func TestStoredRowObjects(t *testing.T) {
+	const rows, updated = 20000, 2000
+	objects := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	cfg := DefaultConfig()
+	cfg.PoolPages = 2 * rows / pageCapacity // every page stays resident
+	e := NewEngine(cfg)
+	if err := e.CreateDatabase("app"); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, name TEXT, addr TEXT)")
+	mustExec(t, e, "CREATE INDEX t_name ON t (name)")
+	before := objects()
+	for i := 0; i < rows; i++ {
+		mustExec(t, e, "INSERT INTO t VALUES (?, ?, ?)", NewInt(int64(i)), NewText(fmt.Sprintf("name-%05d", i)), NewText(fmt.Sprintf("%d Long Street, Some Town", i)))
+	}
+	for i := 0; i < updated; i++ {
+		id := i * (rows / updated)
+		mustExec(t, e, "UPDATE t SET name = ? WHERE id = ?", NewText(fmt.Sprintf("renamed-%05d", id)), NewInt(int64(id)))
+	}
+	perRow := float64(objects()-before) / rows
+	runtime.KeepAlive(e)
+	t.Logf("%.2f heap objects per row", perRow)
+	if perRow > storedRowObjectsCeiling {
+		t.Fatalf("%.2f heap objects per stored row, ceiling %.1f", perRow, storedRowObjectsCeiling)
 	}
 }

@@ -57,6 +57,7 @@ type Table struct {
 	nextRowID uint64
 	liveRows  int
 	byteSize  int64
+	oldRow    Row // the row an update or delete replaces, decoded under mu
 }
 
 func newTable(e *Engine, qname string, schema *Schema) *Table {
@@ -291,9 +292,10 @@ func (t *Table) allocRowID() uint64 {
 // insertRowPhysical places a row (with a pre-assigned ID) into storage and
 // maintains all indexes. The caller guarantees uniqueness was checked.
 func (t *Table) insertRowPhysical(rowID uint64, r Row) {
+	enc := encodeRowString(r)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.tail = append(t.tail, pageSlot{rowID: rowID, row: r.Clone()})
+	t.tail = append(t.tail, pageSlot{rowID: rowID, enc: enc})
 	t.loc[rowID] = rowLoc{page: -1, slot: len(t.tail) - 1}
 	if t.pk != nil {
 		k := t.pkKey(r)
@@ -304,7 +306,7 @@ func (t *Table) insertRowPhysical(rowID uint64, r Row) {
 		idx.add(keyString(r[idx.col]), r[idx.col], rowID)
 	}
 	t.liveRows++
-	t.byteSize += int64(encodedRowSize(r))
+	t.byteSize += int64(len(enc))
 	if len(t.tail) >= pageCapacity {
 		t.sealTail()
 	}
@@ -344,15 +346,15 @@ func (t *Table) deleteRowPhysical(rowID uint64) {
 	if !ok {
 		return
 	}
-	var old Row
+	var oldEnc string
 	var moved []pageSlot // the slots behind the deleted one, now one position up
 	if l.page == -1 {
-		old = t.tail[l.slot].row
+		oldEnc = t.tail[l.slot].enc
 		t.tail = append(t.tail[:l.slot], t.tail[l.slot+1:]...)
 		moved = t.tail[l.slot:]
 	} else {
 		t.updatePageLocked(l.page, func(pg *residentPage) {
-			old = t.slotRowLocked(l.page, pg, l.slot)
+			oldEnc = pg.slots[l.slot].enc
 			last := len(pg.slots) - 1
 			copy(pg.slots[l.slot:], pg.slots[l.slot+1:])
 			pg.slots[last] = pageSlot{}
@@ -364,6 +366,8 @@ func (t *Table) deleteRowPhysical(rowID uint64) {
 		t.loc[s.rowID] = rowLoc{page: l.page, slot: l.slot + i}
 	}
 	delete(t.loc, rowID)
+	old := t.decodeOldLocked(l.page, oldEnc)
+	defer clear(old)
 	if t.pk != nil {
 		k := t.pkKey(old)
 		delete(t.pk, k)
@@ -373,29 +377,29 @@ func (t *Table) deleteRowPhysical(rowID uint64) {
 		idx.remove(keyString(old[idx.col]), old[idx.col], rowID)
 	}
 	t.liveRows--
-	t.byteSize -= int64(encodedRowSize(old))
+	t.byteSize -= int64(len(oldEnc))
 }
 
 // updateRowPhysical replaces the image of a row in place, maintaining
 // indexes.
 func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
+	enc := encodeRowString(newRow)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	l, ok := t.loc[rowID]
 	if !ok {
 		return
 	}
-	var old Row
-	stored := newRow.Clone()
+	var oldEnc string
 	if l.page == -1 {
-		old = t.tail[l.slot].row
-		t.tail[l.slot].row = stored
+		oldEnc, t.tail[l.slot].enc = t.tail[l.slot].enc, enc
 	} else {
 		t.updatePageLocked(l.page, func(pg *residentPage) {
-			old = t.slotRowLocked(l.page, pg, l.slot)
-			pg.slots[l.slot] = pageSlot{rowID: rowID, row: stored}
+			oldEnc, pg.slots[l.slot].enc = pg.slots[l.slot].enc, enc
 		})
 	}
+	old := t.decodeOldLocked(l.page, oldEnc)
+	defer clear(old)
 	if pk := t.schema.PKIdx; t.pk != nil {
 		if oldKey, newKey, changed := keyChange(old[pk], newRow[pk]); changed {
 			delete(t.pk, oldKey)
@@ -410,12 +414,12 @@ func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 			idx.add(nk, newRow[idx.col], rowID)
 		}
 	}
-	t.byteSize += int64(encodedRowSize(newRow) - encodedRowSize(old))
+	t.byteSize += int64(len(enc) - len(oldEnc))
 }
 
 // residentLocked fetches a sealed page via the buffer pool. Called with t.mu
-// held, which is what makes the pool's own page safe to read and to decode
-// rows into: every edit of it holds this latch too.
+// held, which is what makes the pool's own page safe to read: every edit of
+// it holds this latch too.
 func (t *Table) residentLocked(page int) *residentPage {
 	pg, err := t.engine.pool.Get(t.pageKey(page), t.pages[page])
 	if err != nil {
@@ -432,34 +436,33 @@ func (t *Table) updatePageLocked(page int, edit func(*residentPage)) {
 	}
 }
 
-// materialiseLocked decodes the rows of pg.slots[lo:hi] that nothing has
-// read since the page was mapped (see residentPage.materialise). Called with
-// t.mu held.
-func (t *Table) materialiseLocked(page int, pg *residentPage, lo, hi int) {
-	n, err := pg.materialise(lo, hi)
+// encAtLocked returns the stored encoding of the row at l. Called with t.mu
+// held.
+func (t *Table) encAtLocked(l rowLoc) string {
+	if l.page == -1 {
+		return t.tail[l.slot].enc
+	}
+	return t.residentLocked(l.page).slots[l.slot].enc
+}
+
+// decode decodes a stored row of page (-1: the tail) into dst as decodeRow
+// does, counting it in PoolStats.RowsDecoded.
+func (t *Table) decode(page int, enc string, dst Row) Row {
+	row, err := decodeRow(enc, dst)
 	if err != nil {
 		t.corruptPagePanic(page, err)
 	}
-	if n > 0 {
-		t.engine.pool.rowsDecoded.Add(uint64(n))
-	}
+	t.engine.pool.rowsDecoded.Add(1)
+	return row
 }
 
-// slotRowLocked returns the row in a slot of a resident page, decoding it —
-// it alone — if this is its first touch. Called with t.mu held.
-func (t *Table) slotRowLocked(page int, pg *residentPage, slot int) Row {
-	if pg.slots[slot].row == nil {
-		t.materialiseLocked(page, pg, slot, slot+1)
-	}
-	return pg.slots[slot].row
-}
-
-// pageRowsLocked returns the slots of a sealed page with every row decoded,
-// those still missing cut from one slab. Called with t.mu held.
-func (t *Table) pageRowsLocked(page int) []pageSlot {
-	pg := t.residentLocked(page)
-	t.materialiseLocked(page, pg, 0, len(pg.slots))
-	return pg.slots
+// decodeOldLocked decodes the encoding an update or delete just replaced
+// into the table's own scratch row, for the index and size bookkeeping that
+// follows. The caller clears the row before releasing t.mu, so it keeps no
+// encoding alive. Called with t.mu held.
+func (t *Table) decodeOldLocked(page int, enc string) Row {
+	t.oldRow = t.decode(page, enc, t.oldRow)
+	return t.oldRow
 }
 
 // appendKey appends keyString(v) to buf, avoiding allocation for the common
@@ -493,20 +496,11 @@ func containsQuote(s string) bool {
 	return false
 }
 
-// rowAtLocked returns the stored image of the row at l: the table's own, not
-// a copy. Called with t.mu held; the image is only stable while it is.
-func (t *Table) rowAtLocked(l rowLoc) Row {
-	if l.page == -1 {
-		return t.tail[l.slot].row
-	}
-	return t.slotRowLocked(l.page, t.residentLocked(l.page), l.slot)
-}
-
-// readPKRowInto looks up a primary-key row and copies its values into dst
-// under a single latch acquisition, returning the (possibly grown)
-// destination slice, the rowID, and whether the key exists. key is the
-// canonical keyString form as raw bytes so hot callers can reuse one scratch
-// buffer — indexing the map with string(key) does not allocate.
+// readPKRowInto looks up a primary-key row and decodes it into dst under a
+// single latch acquisition, returning the (possibly grown) destination slice,
+// the rowID, and whether the key exists. key is the canonical keyString form
+// as raw bytes so hot callers can reuse one scratch buffer — indexing the map
+// with string(key) does not allocate.
 func (t *Table) readPKRowInto(key []byte, dst Row) (Row, uint64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -521,14 +515,17 @@ func (t *Table) readPKRowInto(key []byte, dst Row) (Row, uint64, bool) {
 	if !ok {
 		return dst, 0, false
 	}
-	return append(dst[:0], t.rowAtLocked(l)...), id, true
+	return t.decode(l.page, t.encAtLocked(l), dst), id, true
 }
 
-// getRowsBatch appends clones of the rows with the given IDs to dst under a
-// single latch acquisition. IDs that no longer exist are skipped and the
-// others moved to the front of ids, so the appended rows line up with the
-// IDs they were read by. Readers call it only after the row locks are held.
+// getRowsBatch decodes the rows with the given IDs under a single latch
+// acquisition and appends them to dst, all cut from one slab. IDs that no
+// longer exist are skipped and the others moved to the front of ids, so the
+// appended rows line up with the IDs they were read by. Readers call it only
+// after the row locks are held.
 func (t *Table) getRowsBatch(ids []uint64, dst []Row) []Row {
+	w := len(t.schema.Cols)
+	slab := make([]Value, len(ids)*w)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
@@ -536,7 +533,8 @@ func (t *Table) getRowsBatch(ids []uint64, dst []Row) []Row {
 		if l, ok := t.loc[id]; ok {
 			ids[n] = id
 			n++
-			dst = append(dst, t.rowAtLocked(l).Clone())
+			dst = append(dst, t.decode(l.page, t.encAtLocked(l), slab[:w:w]))
+			slab = slab[w:]
 		}
 	}
 	return dst
@@ -545,11 +543,11 @@ func (t *Table) getRowsBatch(ids []uint64, dst []Row) []Row {
 // pkValues reads, under a single latch acquisition, the primary-key values of
 // the leading ids whose rows share a page, and returns how many ids that
 // covers, the ones among them that exist — moved to the front of ids — and
-// their keys, appended to dst, in step. Stopping at the page boundary keeps the order in which
-// a caller that goes on to fetch those rows touches pages what it would be
-// one row at a time, so the pool sees the same hits and misses. The key of a
-// row nothing has read yet is decoded from its bytes alone; the row stays
-// undecoded. The table has a primary key.
+// their keys, appended to dst, in step. Stopping at the page boundary keeps
+// the order in which a caller that goes on to fetch those rows touches pages
+// what it would be one row at a time, so the pool sees the same hits and
+// misses. A key is decoded from its row's encoding alone. The table has a
+// primary key.
 func (t *Table) pkValues(ids []uint64, dst []Value) (n int, live []uint64, pks []Value) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -567,17 +565,7 @@ func (t *Table) pkValues(ids []uint64, dst []Value) (n int, live []uint64, pks [
 			break
 		}
 		live = append(live, ids[n])
-		if l.page == -1 {
-			pks = append(pks, t.tail[l.slot].row[pk])
-			continue
-		}
-		pg := t.residentLocked(l.page)
-		s := &pg.slots[l.slot]
-		if s.row != nil {
-			pks = append(pks, s.row[pk])
-			continue
-		}
-		v, err := decodeCol(pg.img[s.off:s.end], pk)
+		v, err := decodeCol(t.encAtLocked(l), pk)
 		if err != nil {
 			t.corruptPagePanic(l.page, err)
 		}
@@ -652,37 +640,47 @@ func (t *Table) lookupIndexRange(col string, b rangeBounds) ([]uint64, bool) {
 	return out, true
 }
 
-// scan invokes fn for every live row (a copy) until fn returns false.
+// scan invokes fn for every live row (a row of its own) until fn returns
+// false.
 func (t *Table) scan(fn func(rowID uint64, r Row) bool) {
 	_ = t.scanWhere(nil, fn) // only a predicate can fail
 }
 
-// scanWhere invokes fn for every live row (a copy) that match accepts, until
-// fn returns false. It snapshots page identity under the latch and then
-// works page by page, so concurrent writers latch in between pages. match is
-// evaluated under the page latch, so non-matching rows are skipped without
-// being cloned: it receives the pool's own row and must neither retain nor
-// mutate it (expression evaluation does neither). Matching rows are cloned
-// under the latch — the resident page may be edited once it is released — and
-// re-checked for liveness before fn sees them. A nil match accepts every row.
+// scanWhere invokes fn for every live row that match accepts, until fn
+// returns false. It snapshots page identity under the latch and then works
+// page by page, so concurrent writers latch in between pages. Each row is
+// decoded under the page latch and match evaluated on it there: a row match
+// rejects was decoded into a scratch row the next one reuses, so only
+// matching rows cost an allocation. match must not retain the row
+// (expression evaluation does not). Matching rows are re-checked for
+// liveness before fn sees them, and are fn's to keep. A nil match accepts
+// every row.
 func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64, r Row) bool) error {
 	t.mu.Lock()
 	numPages := len(t.pages)
 	t.mu.Unlock()
-	var matched []pageSlot
-	// collect clones the rows of slots that match accepts into matched.
+	type idRow struct {
+		id  uint64
+		row Row
+	}
+	var matched []idRow
+	var scratch Row
+	// collect decodes the rows of slots that match accepts into matched.
 	// Called with t.mu held.
-	collect := func(slots []pageSlot) error {
+	collect := func(page int, slots []pageSlot) error {
 		matched = matched[:0]
 		for _, s := range slots {
+			row := t.decode(page, s.enc, scratch)
 			if match != nil {
-				if ok, err := match(s.row); err != nil {
+				if ok, err := match(row); err != nil {
 					return err
 				} else if !ok {
+					scratch = row
 					continue
 				}
 			}
-			matched = append(matched, pageSlot{rowID: s.rowID, row: s.row.Clone()})
+			matched = append(matched, idRow{s.rowID, row})
+			scratch = nil
 		}
 		return nil
 	}
@@ -692,32 +690,32 @@ func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64,
 			t.mu.Unlock()
 			break
 		}
-		err := collect(t.pageRowsLocked(p))
+		err := collect(p, t.residentLocked(p).slots)
 		t.mu.Unlock()
 		if err != nil {
 			return err
 		}
-		for _, s := range matched {
+		for _, m := range matched {
 			// Skip rows that moved or died since the snapshot.
 			t.mu.Lock()
-			l, live := t.loc[s.rowID]
+			l, live := t.loc[m.id]
 			t.mu.Unlock()
 			if !live || l.page != p {
 				continue
 			}
-			if !fn(s.rowID, s.row) {
+			if !fn(m.id, m.row) {
 				return nil
 			}
 		}
 	}
 	t.mu.Lock()
-	err := collect(t.tail)
+	err := collect(-1, t.tail)
 	t.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	for _, s := range matched {
-		if !fn(s.rowID, s.row) {
+	for _, m := range matched {
+		if !fn(m.id, m.row) {
 			return nil
 		}
 	}
@@ -728,7 +726,7 @@ func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64,
 // pages "from disk" — paying the engine's miss latency per page and not
 // loading them into the buffer pool (a dirty resident page is written back
 // first, so the image is current) — because a bulk copy neither benefits
-// from nor should pollute the cache. Each row is decoded from the image
+// from nor should pollute the cache. Each row is decoded from its encoding
 // straight into the Row fn receives and may keep. This is what makes
 // replica-creation time proportional to database size, as in the paper (a
 // 200 MB copy took about two minutes on their hardware).
@@ -765,27 +763,19 @@ func (t *Table) scanCold(fn func(rowID uint64, r Row) bool) {
 		}
 		t.mu.Unlock()
 		for _, s := range live {
-			row, err := decodeRow(img[s.off:s.end], nil)
-			if err != nil {
-				t.corruptPagePanic(p, err)
-			}
-			t.engine.pool.rowsDecoded.Add(1)
-			if !fn(s.rowID, row) {
+			if !fn(s.rowID, t.decode(p, s.enc, nil)) {
 				return
 			}
 		}
 	}
 	t.mu.Lock()
-	tailCopy := make([]pageSlot, len(t.tail))
-	for i, s := range t.tail {
-		tailCopy[i] = pageSlot{rowID: s.rowID, row: s.row.Clone()}
-	}
+	tail := append([]pageSlot(nil), t.tail...) // slots are immutable: their bytes need no copy
 	t.mu.Unlock()
-	if lat > 0 && len(tailCopy) > 0 {
+	if lat > 0 && len(tail) > 0 {
 		time.Sleep(lat)
 	}
-	for _, s := range tailCopy {
-		if !fn(s.rowID, s.row) {
+	for _, s := range tail {
+		if !fn(s.rowID, t.decode(-1, s.enc, nil)) {
 			return
 		}
 	}
@@ -800,26 +790,30 @@ func (t *Table) createIndex(name string, colIdx int, unique bool) error {
 		return fmt.Errorf("sqldb: index on %s.%s already exists", t.schema.Table, colName)
 	}
 	idx := &index{name: name, col: colIdx, unique: unique, m: make(map[string][]uint64)}
-	collect := func(s pageSlot) error {
-		k := keyString(s.row[colIdx])
+	collect := func(page int, s pageSlot) error {
+		v, err := decodeCol(s.enc, colIdx)
+		if err != nil {
+			t.corruptPagePanic(page, err)
+		}
+		k := keyString(v)
 		if unique && len(idx.m[k]) > 0 {
 			return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, k, name)
 		}
-		idx.add(k, s.row[colIdx], s.rowID)
+		idx.add(k, v, s.rowID)
 		return nil
 	}
 	for p := range t.pages {
-		for _, s := range t.pageRowsLocked(p) {
+		for _, s := range t.residentLocked(p).slots {
 			if _, live := t.loc[s.rowID]; !live {
 				continue
 			}
-			if err := collect(s); err != nil {
+			if err := collect(p, s); err != nil {
 				return err
 			}
 		}
 	}
 	for _, s := range t.tail {
-		if err := collect(s); err != nil {
+		if err := collect(-1, s); err != nil {
 			return err
 		}
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // These tests cover the write-back buffer pool from the table's side: a row
-// change on a sealed page lives only in the resident decoded image until the
-// page leaves the pool, so everything that reads a table some other way —
+// change on a sealed page lives only in the resident page until the page
+// leaves the pool, so everything that reads a table some other way —
 // dump, checkpoint, a reload after eviction, rollback — must still see it.
 
 // fillPages creates table name (id INT PRIMARY KEY, v INT, s TEXT) holding
@@ -53,7 +53,7 @@ func checkByteSize(t testing.TB, e *Engine, db, name string) {
 	}
 	var want int64
 	tbl.scan(func(_ uint64, r Row) bool {
-		want += int64(encodedRowSize(r))
+		want += int64(len(encodeRow(nil, r)))
 		return true
 	})
 	if got := tbl.ByteSize(); got != want {
@@ -129,9 +129,9 @@ func TestDirtyPagesReachDumpAndCheckpoint(t *testing.T) {
 // goroutines through a one-page pool: every page access of one table evicts —
 // and, the pages being dirty, encodes — a page of the other, under the stripe
 // mutex and while the other goroutine may hold that table's latch. A third
-// goroutine point-reads and scans table a the whole time, decoding rows into
-// a's resident pages under a's latch while b's writer evicts and encodes those
-// same pages under the stripe mutex alone. It must not deadlock (nor, under
+// goroutine point-reads and scans table a the whole time, decoding the slots
+// of a's resident pages under a's latch while b's writer evicts and encodes
+// those same pages under the stripe mutex alone. It must not deadlock (nor, under
 // -race, race), and afterwards every row reads back and the byte-size
 // accounting is exact.
 func TestCrossTableEvictionStress(t *testing.T) {

@@ -492,8 +492,10 @@ func (cc *clientConn) readLoop() {
 			return
 		}
 		if f.typ == MsgBye && f.seq == 0 {
-			// Unsolicited goodbye: the server is draining.
-			cc.fail(fmt.Errorf("%w: %v", errConnDead, ErrServerShutdown))
+			// Unsolicited goodbye: the server is draining. It answers in order
+			// and says goodbye after its last reply, so no call still pending
+			// was executed: each may be sent again, writes included.
+			cc.fail(&Error{Code: ErrCodeShutdown, Msg: "server drained the connection before executing the call"})
 			return
 		}
 		cc.pmu.Lock()

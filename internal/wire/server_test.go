@@ -427,6 +427,66 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestDrainByeRetriesPendingWrite has a draining server say goodbye instead
+// of answering an UPDATE: the call provably did not execute, so the client
+// must send it again on a new connection — once — and succeed.
+func TestDrainByeRetriesPendingWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var updates atomic.Int64 // UPDATEs the second connection received
+	go func() {
+		for conn := 0; ; conn++ {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn int, nc net.Conn) {
+				defer nc.Close()
+				br := bufio.NewReader(nc)
+				for {
+					f, _, err := readFrame(br)
+					if err != nil {
+						return
+					}
+					switch {
+					case f.typ == MsgHello:
+						_, err = writeFrame(nc, MsgWelcome, f.seq, nil)
+					case conn == 0:
+						_, _ = writeFrame(nc, MsgBye, 0, nil) // drained: f was never executed
+						return
+					default:
+						if f.typ == MsgQuery && bytes.Contains(f.payload, []byte("UPDATE")) {
+							updates.Add(1)
+						}
+						var payload []byte
+						if payload, err = encodeResult(nil, &sqldb.Result{Affected: 1}); err == nil {
+							_, err = writeFrame(nc, MsgResult, f.seq, payload)
+						}
+					}
+					if err != nil {
+						return
+					}
+				}
+			}(conn, nc)
+		}
+	}()
+	client, err := Dial(ClientConfig{Addr: ln.Addr().String(), Database: "app", PoolSize: 1, RetryLimit: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	res, err := client.Exec("UPDATE t SET v = 1 WHERE id = 1")
+	if err != nil || res.Affected != 1 {
+		t.Fatalf("UPDATE pending at the goodbye: %v, %v; want it retried on a new connection", res, err)
+	}
+	if n := updates.Load(); n != 1 {
+		t.Fatalf("the second connection received the UPDATE %d times, want once", n)
+	}
+}
+
 // TestClientRetry exercises the autocommit retry loop against a backend
 // that fails with retryable errors before succeeding.
 func TestClientRetry(t *testing.T) {
