@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet doc-check reach crash chaos obs-dump admin-demo net-demo trace-demo consensus-demo bench bench-sqldb bench-wal bench-net bench-consensus bench-gate bench-placement placement-gate heap-comp experiments clean
+.PHONY: all build test race vet doc-check reach crash chaos obs-dump admin-demo net-demo trace-demo consensus-demo bench bench-sqldb bench-wal bench-net bench-consensus bench-gate bench-placement placement-gate heap-comp kind-lat experiments clean
 
 all: build test
 
@@ -164,6 +164,12 @@ WORKLOAD ?= tpcw_tenants
 SEED ?= 1
 heap-comp:
 	bash scripts/heapcomp.sh $(WORKLOAD) $(SEED)
+
+# Share, p50, p90 and p99 of each TPC-W transaction kind in the measured
+# window, and the window's CPU profile (EXPERIMENTS.md, "LIKE in linear time"):
+# make kind-lat WORKLOAD=replica_churn SEED=2
+kind-lat:
+	bash scripts/kindlat.sh $(WORKLOAD) $(SEED)
 
 experiments:
 	$(GO) run ./cmd/experiments -quick

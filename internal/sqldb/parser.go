@@ -3,7 +3,6 @@ package sqldb
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Parse parses a single SQL statement.
@@ -867,44 +866,49 @@ func (p *parser) parsePrimary() (Expr, error) {
 	return nil, p.errorf("unexpected token %q in expression", t)
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any single char).
-func likeMatch(s, pattern string) bool {
-	// Dynamic programming over the pattern; patterns here are short.
-	return likeRec(s, pattern)
-}
-
-func likeRec(s, p string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			// Collapse consecutive %.
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			s, p = s[1:], p[1:]
+// likeMatch implements SQL LIKE: % matches any run of bytes, _ exactly one
+// byte, and any other pattern byte one equal byte, with case folded (ASCII
+// letters, and high bytes as the Latin-1 characters of the same code). It
+// scans once and, on a mismatch, backtracks only to the last % seen: the
+// run that % absorbs grows by one byte and the rest of the pattern is tried
+// again from there. An earlier % never needs a retry, since anything the
+// later one could match from an earlier position it can also match from a
+// later one. The worst case is O(len(s)·len(pattern)).
+func likeMatch(s, p string) bool {
+	si, pi := 0, 0
+	star, mark := -1, 0 // pattern index after the last %, and where its run ends in s
+	for si < len(s) {
+		switch {
+		case pi < len(p) && p[pi] == '%':
+			star, mark = pi+1, si
+			pi++
+		case pi < len(p) && (p[pi] == '_' || equalFoldByte(s[si], p[pi])):
+			si, pi = si+1, pi+1
+		case star >= 0:
+			mark++
+			si, pi = mark, star
 		default:
-			if len(s) == 0 || !equalFoldByte(s[0], p[0]) {
-				return false
-			}
-			s, p = s[1:], p[1:]
+			return false
 		}
 	}
-	return len(s) == 0
+	for pi < len(p) && p[pi] == '%' {
+		pi++
+	}
+	return pi == len(p)
 }
 
+// equalFoldByte reports whether two bytes are equal under case folding: an
+// ASCII letter folds with its other case, and a high byte as the Latin-1
+// character of the same code, whose simple folds within Latin-1 are the same
+// 0x20 apart (0xC3 Ã and 0xE3 ã match, 0xD7 × and 0xF7 ÷ do not). It is what
+// strings.EqualFold says of the two characters, without the call.
 func equalFoldByte(a, b byte) bool {
-	return a == b || strings.EqualFold(string(a), string(b))
+	if a == b {
+		return true
+	}
+	if a|0x20 != b|0x20 {
+		return false
+	}
+	a |= 0x20
+	return 'a' <= a && a <= 'z' || 0xe0 <= a && a <= 0xfe && a != 0xf7
 }

@@ -273,10 +273,26 @@ func TestLikeMatch(t *testing.T) {
 		{"abc", "%b%", true},
 		{"abc", "%%c", true},
 		{"ABC", "abc", true}, // case-insensitive, like MySQL's default collation
+		{"", "", true},
+		{"a", "", false},
+		{"", "%%", true},
+		{"abc", "a%%%c", true},
+		{"abc", "_%_", true},
+		{"ab", "___", false},
+		{"mississippi", "%iss%ppi", true},
+		{"mississippi", "%iss%ipi", false},
+		{"@", "`", false}, // 0x40 and 0x60 differ in the case bit but are no letters
+		{"[", "{", false},
+		{"\xc3", "\xe3", true},  // Latin-1 Ã, ã
+		{"\xd7", "\xf7", false}, // Latin-1 ×, ÷
+		{"k", "\xe2", false},
 	}
 	for _, c := range cases {
 		if got := likeMatch(c.s, c.p); got != c.want {
 			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.s, c.p, got, c.want)
+		}
+		if ref := likeRef(c.s, c.p); ref != c.want {
+			t.Errorf("likeRef(%q, %q) = %v, want %v", c.s, c.p, ref, c.want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -11,7 +12,15 @@ import (
 // the log is human-readable. Statements round-trip through Parse: the
 // renderer emits only syntax the parser accepts.
 func RenderStmt(stmt Statement, params []Value) (string, error) {
-	r := &sqlRenderer{params: params}
+	b, err := AppendStmt(nil, stmt, params)
+	return string(b), err
+}
+
+// AppendStmt appends RenderStmt's text for stmt to dst and returns the
+// extended buffer; on error it returns dst unchanged. A literal's text is
+// Value.String()'s.
+func AppendStmt(dst []byte, stmt Statement, params []Value) ([]byte, error) {
+	r := sqlRenderer{b: dst, params: params}
 	switch s := stmt.(type) {
 	case *InsertStmt:
 		r.renderInsert(s)
@@ -26,25 +35,37 @@ func RenderStmt(stmt Statement, params []Value) (string, error) {
 	case *DropTableStmt:
 		r.renderDropTable(s)
 	default:
-		return "", fmt.Errorf("sqldb: cannot render %T", stmt)
+		return dst, fmt.Errorf("sqldb: cannot render %T", stmt)
 	}
 	if r.err != nil {
-		return "", r.err
+		return dst, r.err
 	}
-	return r.sb.String(), nil
+	return r.b, nil
 }
 
-// sqlRenderer accumulates rendered SQL; the first error wins and later
-// writes are ignored.
+// sqlRenderer appends rendered SQL to b. The first error wins; AppendStmt
+// drops the text once one is set.
 type sqlRenderer struct {
-	sb     strings.Builder
+	b      []byte
 	params []Value
 	err    error
 }
 
-func (r *sqlRenderer) str(s string) {
-	if r.err == nil {
-		r.sb.WriteString(s)
+func (r *sqlRenderer) str(s string) { r.b = append(r.b, s...) }
+
+// value appends v as the literal Value.String() renders.
+func (r *sqlRenderer) value(v Value) {
+	switch v.Typ {
+	case TypeInt:
+		r.b = strconv.AppendInt(r.b, v.Int, 10)
+	case TypeFloat:
+		r.b = strconv.AppendFloat(r.b, v.Float, 'g', -1, 64)
+	case TypeText: // ReplaceAll allocates only for a text holding a quote
+		r.b = append(r.b, '\'')
+		r.b = append(r.b, strings.ReplaceAll(v.Str, "'", "''")...)
+		r.b = append(r.b, '\'')
+	default:
+		r.str(v.String())
 	}
 }
 
@@ -59,7 +80,12 @@ func (r *sqlRenderer) renderInsert(s *InsertStmt) {
 	r.str(s.Table)
 	if len(s.Cols) > 0 {
 		r.str(" (")
-		r.str(strings.Join(s.Cols, ", "))
+		for i, c := range s.Cols {
+			if i > 0 {
+				r.str(", ")
+			}
+			r.str(c)
+		}
 		r.str(")")
 	}
 	r.str(" VALUES ")
@@ -161,13 +187,13 @@ func (r *sqlRenderer) where(e Expr) {
 func (r *sqlRenderer) expr(e Expr) {
 	switch ex := e.(type) {
 	case *LiteralExpr:
-		r.str(ex.Val.String())
+		r.value(ex.Val)
 	case *ParamExpr:
 		if ex.Index < 0 || ex.Index >= len(r.params) {
 			r.fail("sqldb: render: parameter %d out of range (%d bound)", ex.Index, len(r.params))
 			return
 		}
-		r.str(r.params[ex.Index].String())
+		r.value(r.params[ex.Index])
 	case *ColumnExpr:
 		if ex.Table != "" {
 			r.str(ex.Table)

@@ -76,6 +76,8 @@ type Txn struct {
 	// statement) was logged, so commit/prepare must force an outcome record.
 	// Only the transaction's own goroutine touches it.
 	walBegun bool
+	// walBuf is where walStmt renders the transaction's redo records.
+	walBuf []byte
 
 	// locks is guarded by the engine's lock-manager mutex, not mu: all
 	// mutation happens inside lockManager methods. The manager appends an

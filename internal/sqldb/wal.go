@@ -35,16 +35,21 @@ func (e *Engine) walLogging() bool {
 }
 
 // walStmt appends the redo record for one executed DML statement, preceded by
-// the transaction's begin record on its first write. Called while the
-// statement's locks are held.
+// the transaction's begin record on its first write. The statement is
+// rendered into the transaction's walBuf, which the log copies before Append
+// returns. Called while the statement's locks are held.
 func (e *Engine) walStmt(t *Txn, table string, stmt Statement, params []Value) error {
 	if !e.walLogging() {
 		return nil
 	}
-	sql, err := RenderStmt(stmt, params)
+	if t.walBuf == nil {
+		t.walBuf = make([]byte, 0, 256)
+	}
+	sql, err := AppendStmt(t.walBuf[:0], stmt, params)
 	if err != nil {
 		return err
 	}
+	t.walBuf = sql
 	if !t.walBegun {
 		t.walBegun = true
 		if _, err := e.wal.Append(wal.Record{Type: wal.RecBegin, Txn: t.id, GID: t.GlobalID, DB: t.db}); err != nil {
@@ -53,7 +58,7 @@ func (e *Engine) walStmt(t *Txn, table string, stmt Statement, params []Value) e
 	}
 	_, err = e.wal.Append(wal.Record{
 		Type: wal.RecStatement, Txn: t.id, GID: t.GlobalID,
-		DB: t.db, Table: lower(table), Data: []byte(sql),
+		DB: t.db, Table: lower(table), Data: sql,
 	})
 	return err
 }

@@ -94,7 +94,13 @@ type Log struct {
 	waiting  int    // Sync calls currently batched or waiting
 	gen      uint64 // bumped by Compact; invalidates waiters' byte targets
 	err      error  // sticky store error
+	frame    []byte // Append encodes each frame here; the store copies it
 }
+
+// maxKeptFrame is the largest frame buffer Append keeps for the next frame:
+// a table image can be megabytes, and a statement frame is a few hundred
+// bytes.
+const maxKeptFrame = 64 << 10
 
 // New creates a log over store. Existing store contents are retained:
 // appends continue at the current end. metrics may be nil.
@@ -116,7 +122,11 @@ func (l *Log) Append(rec Record) (int64, error) {
 		return 0, l.err
 	}
 	lsn := l.size
-	frame := encodeFrame(nil, lsn, rec)
+	frame := encodeFrame(l.frame[:0], lsn, rec)
+	l.frame = frame
+	if cap(frame) > maxKeptFrame {
+		l.frame = nil
+	}
 	if _, err := l.store.Append(frame); err != nil {
 		l.err = err
 		return 0, err

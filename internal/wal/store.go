@@ -11,6 +11,7 @@ import (
 // during recovery). Implementations must be safe for concurrent use.
 type Store interface {
 	// Append appends p and returns the offset its first byte was written at.
+	// It must not keep p: the Log reuses p's array for its next frame.
 	Append(p []byte) (int64, error)
 	// Sync makes all appended bytes durable.
 	Sync() error
@@ -94,7 +95,9 @@ func (s *MemStore) read(off int) []byte {
 // cut discards the bytes at and after keep, clamping the durability
 // watermark and the last-append offset with it. Caller holds s.mu.
 func (s *MemStore) cut(keep int) {
-	s.chunks = s.chunks[:(keep+memChunk-1)/memChunk]
+	n := (keep + memChunk - 1) / memChunk
+	clear(s.chunks[n:]) // or the dropped chunks stay reachable through the array
+	s.chunks = s.chunks[:n]
 	if rem := keep % memChunk; rem != 0 {
 		s.chunks[len(s.chunks)-1] = s.chunks[len(s.chunks)-1][:rem]
 	}

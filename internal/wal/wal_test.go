@@ -333,3 +333,51 @@ func TestMemStoreAgainstFlatBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestMemStoreCutReleasesChunks checks that a cut clears the slots of the
+// chunks it drops: a slot left behind the slice's length keeps its 1 MB chunk
+// reachable until the log grows back past it.
+func TestMemStoreCutReleasesChunks(t *testing.T) {
+	s := NewMemStore()
+	if _, err := s.Append(make([]byte, 3*memChunk+memChunk/2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range s.chunks[len(s.chunks):cap(s.chunks)] {
+		if c != nil {
+			t.Fatalf("slot %d past the store's %d chunks still holds a %d-byte chunk", len(s.chunks)+i, len(s.chunks), cap(c))
+		}
+	}
+}
+
+// TestAppendReusesFrameBuffer checks that frames encoded into the log's reused
+// buffer reach the store intact, and that a buffer grown past maxKeptFrame by
+// a table image is dropped after use.
+func TestAppendReusesFrameBuffer(t *testing.T) {
+	l := New(NewMemStore(), Config{}, nil)
+	recs := []Record{
+		{Type: RecStatement, Txn: 1, DB: "d", Table: "t", Data: []byte("INSERT INTO t VALUES (1)")},
+		{Type: RecCheckpointTable, DB: "d", Table: "t", Data: bytes.Repeat([]byte{7}, 2*maxKeptFrame)},
+		{Type: RecCommit, Txn: 1, DB: "d"},
+	}
+	for i, r := range recs {
+		if _, err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if cap(l.frame) > maxKeptFrame || (i == 1) != (l.frame == nil) {
+			t.Fatalf("after record %d the log keeps a %d-byte frame buffer", i, cap(l.frame))
+		}
+	}
+	data, _ := l.store.Contents()
+	got, _, torn := Scan(data)
+	if torn || len(got) != len(recs) {
+		t.Fatalf("scanned %d records (torn %v), want %d", len(got), torn, len(recs))
+	}
+	for i, r := range got {
+		if r.Type != recs[i].Type || !bytes.Equal(r.Data, recs[i].Data) {
+			t.Fatalf("record %d: %v %d bytes, want %v %d bytes", i, r.Type, len(r.Data), recs[i].Type, len(recs[i].Data))
+		}
+	}
+}
