@@ -163,7 +163,7 @@ func TestElectionAndReplication(t *testing.T) {
 	if c := nodes[0].CommitIndex(); c != 4 { // no-op barrier + 3 commands
 		t.Fatalf("commit index = %d, want 4", c)
 	}
-	if !nodes[0].HasLease() {
+	if nodes[0].LeaseTerm() == 0 {
 		t.Fatal("leader should hold the quorum lease after an acked round")
 	}
 }

@@ -64,9 +64,11 @@ type Node struct {
 	applyCond        *sync.Cond
 
 	// Atomic mirrors of the hot-path fields so the cluster's Begin gate
-	// reads leadership and lease state without touching n.mu.
+	// reads leadership and lease state without touching n.mu. aTerm is the
+	// term of the node's latest leadership.
 	aLeader atomic.Bool
 	aLease  atomic.Int64
+	aTerm   atomic.Uint64
 
 	stopCh chan struct{}
 	kickCh chan struct{}
@@ -121,11 +123,16 @@ func (n *Node) Term() uint64 {
 // free; safe on the data path.
 func (n *Node) IsLeader() bool { return n.aLeader.Load() }
 
-// HasLease reports whether the node is leader and holds a live quorum
+// LeaseTerm returns the term the node leads in while it holds a live quorum
 // lease — a majority acknowledged a heartbeat round recently enough that no
-// other leader can have been elected. Lock free; safe on the data path.
-func (n *Node) HasLease() bool {
-	return n.aLeader.Load() && time.Now().UnixNano() < n.aLease.Load()
+// other leader can have been elected — and 0 otherwise. Terms have one
+// leader each, so a caller that recorded the term can later ask whether that
+// same lease still holds. Lock free; safe on the data path.
+func (n *Node) LeaseTerm() uint64 {
+	if !n.aLeader.Load() || time.Now().UnixNano() >= n.aLease.Load() {
+		return 0
+	}
+	return n.aTerm.Load()
 }
 
 // Stopped reports whether the node is stopped.
@@ -357,6 +364,7 @@ func (n *Node) becomeLeaderLocked() {
 	}
 	n.log.appendCmd(n.term, nil)
 	n.pushPending = true
+	n.aTerm.Store(n.term)
 	n.aLeader.Store(true)
 	n.g.metrics.leaderChanges.Inc()
 }

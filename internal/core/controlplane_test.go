@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,13 +27,15 @@ func ctlOpts() Options {
 }
 
 // execRetry runs one autocommit statement, retrying through controller
-// failovers (ErrNotLeader while leaderless) and other transient aborts.
+// failovers (ErrNotLeader while leaderless, or a COMMIT withheld because the
+// lease lapsed) and other transient aborts. A CREATE TABLE that a retry finds
+// done landed in the failed attempt: DDL takes effect at once.
 func execRetry(t *testing.T, c *Cluster, db, sql string, params ...sqldb.Value) *sqldb.Result {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
+	for retried := false; ; retried = true {
 		res, err := c.Exec(db, sql, params...)
-		if err == nil {
+		if err == nil || (retried && errors.Is(err, sqldb.ErrTableExists)) {
 			return res
 		}
 		if !IsRetryable(err) || time.Now().After(deadline) {
@@ -131,96 +134,168 @@ func TestControllerFailoverResumesCommits(t *testing.T) {
 	}
 }
 
-// TestControllerKillInPrepareWindow kills the controller leader after 2PC
-// prepares were issued but before the commit decision: the new leader's
-// takeover must roll the transaction back everywhere and release its locks.
-func TestControllerKillInPrepareWindow(t *testing.T) {
-	c := newTestCluster(t, 3, ctlOpts())
-	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-	clusterExec(t, c, "INSERT INTO t VALUES (1, 0)")
+// forEachAckMode runs body as one subtest per acknowledgement mode.
+func forEachAckMode(t *testing.T, body func(t *testing.T, mode AckMode)) {
+	for _, mode := range []AckMode{Conservative, Aggressive} {
+		t.Run(mode.String(), func(t *testing.T) { body(t, mode) })
+	}
+}
 
-	// The crash hook halts the commit path exactly where the leader's death
-	// would; KillLeaderController then stops the consensus node for real.
-	c.SetCrashHook(func(stage CommitStage, _ uint64) bool { return stage == StagePreparing })
-	tx, err := c.Begin("app")
-	if err != nil {
-		t.Fatal(err)
+// failoverCluster builds three machines under a 3-replica control plane and a
+// simulated network, with t holding (1, 0) on two replicas. Its leases are
+// longer than ctlOpts' so a busy box does not lapse one mid-commit.
+func failoverCluster(t *testing.T, mode AckMode) (*Cluster, *netsim.Network, []*Machine) {
+	t.Helper()
+	n := netsim.New(1, nil)
+	opts := ctlOpts()
+	opts.AckMode = mode
+	opts.Network = n
+	opts.CallTimeout = 500 * time.Millisecond
+	opts.ControllerElectionTimeout = 100 * time.Millisecond
+	c := newTestCluster(t, 3, opts)
+	execRetry(t, c, "app", "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	execRetry(t, c, "app", "INSERT INTO t VALUES (1, 0)")
+	ids, _ := c.Replicas("app")
+	reps := make([]*Machine, len(ids))
+	for i, id := range ids {
+		reps[i], _ = c.Machine(id)
 	}
-	if _, err := tx.Exec("UPDATE t SET v = 9 WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); !errors.Is(err, ErrMachineFailed) {
-		t.Fatalf("commit err = %v, want primary-failure", err)
-	}
-	if c.InTransit() != 1 {
-		t.Fatalf("in transit = %d, want 1", c.InTransit())
-	}
-	if _, err := c.KillLeaderController(); err != nil {
-		t.Fatal(err)
-	}
+	return c, n, reps
+}
 
-	// The new leader's takeover resolves the in-transit transaction.
-	deadline := time.Now().Add(2 * time.Second)
-	for c.InTransit() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("in transit = %d after failover", c.InTransit())
+// settleAndCheck waits out the failover and every background resolution,
+// then requires each replica to hold v for row 1, no lock and no prepared
+// branch.
+func settleAndCheck(t *testing.T, c *Cluster, reps []*Machine, v int64) {
+	t.Helper()
+	if err := c.WaitControllerSettled(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.DrainResolvers()
+	for _, m := range reps {
+		if gids := m.Engine().PreparedGIDs(); len(gids) != 0 {
+			t.Errorf("%s: prepared branches %v after settle", m.ID(), gids)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	res := execRetry(t, c, "app", "SELECT v FROM t WHERE id = 1")
-	if res.Rows[0][0].Int != 0 {
-		t.Errorf("v = %v, want 0 (rolled back)", res.Rows[0][0])
-	}
-	for _, id := range liveMachineIDs(c) {
-		m, _ := c.Machine(id)
 		if locks := m.Engine().Stats().LocksHeld; locks != 0 {
-			t.Errorf("%s: %d locks held, want 0", id, locks)
+			t.Errorf("%s: %d locks held, want 0", m.ID(), locks)
+		}
+		res, err := m.Engine().Exec("app", "SELECT v FROM t WHERE id = 1")
+		if err != nil {
+			t.Fatalf("%s: %v", m.ID(), err)
+		}
+		if got := res.Rows[0][0].Int; got != v {
+			t.Errorf("%s: v = %d, want %d", m.ID(), got, v)
 		}
 	}
 }
 
-// TestControllerKillAfterCommitDecision kills the leader after the commit
-// decision was mirrored: the new leader's takeover must drive the commit to
-// completion on every participant.
-func TestControllerKillAfterCommitDecision(t *testing.T) {
-	c := newTestCluster(t, 3, ctlOpts())
-	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-	clusterExec(t, c, "INSERT INTO t VALUES (1, 0)")
-
-	c.SetCrashHook(func(stage CommitStage, _ uint64) bool { return stage == StageCommitting })
-	tx, err := c.Begin("app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Exec("UPDATE t SET v = 7 WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); !errors.Is(err, ErrMachineFailed) {
-		t.Fatalf("commit err = %v, want primary-failure", err)
-	}
-	if _, err := c.KillLeaderController(); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	for c.InTransit() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("in transit = %d after failover", c.InTransit())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// The decision survived the controller crash: committed on all replicas.
-	reps, _ := c.Replicas("app")
-	for _, id := range reps {
-		m, _ := c.Machine(id)
-		res, err := m.Engine().Exec("app", "SELECT v FROM t WHERE id = 1")
+// TestControllerKillInPrepareWindow kills the controller leader, from a
+// delivery hook, once every participant has acknowledged PREPARE and before
+// any COMMIT: the coordinator finds its lease gone and sends no COMMIT, the
+// client hears a retryable error, and the in-doubt rule aborts every branch.
+func TestControllerKillInPrepareWindow(t *testing.T) {
+	forEachAckMode(t, func(t *testing.T, mode AckMode) {
+		c, n, reps := failoverCluster(t, mode)
+		var prepared atomic.Int32
+		n.OnDeliver(func(ci netsim.CallInfo) {
+			if ci.Op == "prepare" && prepared.Add(1) == int32(len(reps)) {
+				if _, err := c.KillLeaderController(); err != nil {
+					t.Errorf("KillLeaderController: %v", err)
+				}
+			}
+		})
+		tx, err := c.Begin("app")
 		if err != nil {
-			t.Fatalf("replica %s: %v", id, err)
+			t.Fatal(err)
 		}
-		if res.Rows[0][0].Int != 7 {
-			t.Errorf("replica %s: v = %v, want 7", id, res.Rows[0][0])
+		if _, err := tx.Exec("UPDATE t SET v = 9 WHERE id = 1"); err != nil {
+			t.Fatal(err)
 		}
-	}
+		err = tx.Commit()
+		n.ClearHooks()
+		if err == nil || !IsRetryable(err) {
+			t.Fatalf("commit = %v, want a retryable error", err)
+		}
+		settleAndCheck(t, c, reps, 0)
+	})
+}
+
+// TestControllerKillAfterCommitDecision kills the leader, from a delivery
+// hook, right after the first COMMIT executed: the client hears "committed",
+// and every branch the dead coordinator did not reach commits, because the
+// first participant's log holds the commit frame.
+func TestControllerKillAfterCommitDecision(t *testing.T) {
+	forEachAckMode(t, func(t *testing.T, mode AckMode) {
+		c, n, reps := failoverCluster(t, mode)
+		var once sync.Once
+		n.OnDeliver(func(ci netsim.CallInfo) {
+			if ci.Op == "commit" {
+				once.Do(func() {
+					if _, err := c.KillLeaderController(); err != nil {
+						t.Errorf("KillLeaderController: %v", err)
+					}
+				})
+			}
+		})
+		tx, err := c.Begin("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Exec("UPDATE t SET v = 7 WHERE id = 1"); err != nil {
+			t.Fatal(err)
+		}
+		err = tx.Commit()
+		n.ClearHooks()
+		if err != nil {
+			t.Fatalf("commit after an acknowledged COMMIT = %v, want nil", err)
+		}
+		settleAndCheck(t, c, reps, 7)
+	})
+}
+
+// TestClaimBetweenLeaseCheckAndCommit lands a resolver's claim on the second
+// replica's branch after its COMMIT passed the lease check and while the
+// COMMIT is still on the wire: the branch refuses it, and the resolver, which
+// sees the head's acknowledged commit, commits it instead. Both replicas end
+// committed.
+func TestClaimBetweenLeaseCheckAndCommit(t *testing.T) {
+	forEachAckMode(t, func(t *testing.T, mode AckMode) {
+		c, n, reps := failoverCluster(t, mode)
+		head, second := reps[0], reps[1]
+		tx, err := c.Begin("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Exec("UPDATE t SET v = 7 WHERE id = 1"); err != nil {
+			t.Fatal(err)
+		}
+		// The second replica's COMMIT sleeps on the link after its lease
+		// check; the head's executes at once, and its delivery hook claims
+		// the second branch meanwhile.
+		n.SetFaults(c.Endpoint(), second.ID(), netsim.Faults{Latency: 50 * time.Millisecond})
+		var claimed atomic.Bool
+		n.OnDeliver(func(ci netsim.CallInfo) {
+			if ci.Op == "commit" && ci.To == head.ID() && !claimed.Load() {
+				claimed.Store(second.Engine().ClaimPrepared(tx.gid))
+			}
+		})
+		err = tx.Commit()
+		n.Quiesce()
+		if err != nil {
+			t.Fatalf("commit = %v, want nil (the head acknowledged)", err)
+		}
+		if !claimed.Load() {
+			t.Fatal("the second branch was not prepared when the head committed")
+		}
+		settleAndCheck(t, c, reps, 7)
+		resolved := false
+		for _, ev := range c.metrics.reg.Trace().Events() {
+			resolved = resolved || (ev.ID == gidString(tx.gid) && ev.Phase == "resolve_commit")
+		}
+		if !resolved {
+			t.Error("no resolver committed the claimed branch")
+		}
+	})
 }
 
 // midCopyCluster builds a 3-machine cluster over a simulated network with a

@@ -83,11 +83,11 @@ func TestCopyReplicaCases(t *testing.T) {
 				})
 				return f.m2
 			}},
-		{name: "restarted_in_doubt_dirtied", wantCopied: 1,
+		{name: "restarted_in_doubt_committed", wantCopied: 0,
 			prepare: func(t *testing.T, f fixture) *Machine {
-				// m2 dies between acking PREPARE and receiving COMMIT: cold's
-				// write counter is already past the write, so only the
-				// in-doubt mark keeps the table out of the clean set.
+				// m2 dies between acking PREPARE and receiving COMMIT: its
+				// restart commits the in-doubt branch from m1's commit frame,
+				// so cold is as clean as its write counter says.
 				f.n.OnDeliver(func(ci netsim.CallInfo) {
 					if ci.Op == "prepare" && ci.To == "m2" {
 						if _, err := f.c.FailMachine("m2"); err != nil {

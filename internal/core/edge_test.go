@@ -15,17 +15,6 @@ func TestAddMachineDuplicate(t *testing.T) {
 	}
 }
 
-func TestTakeOverIdleIsNoop(t *testing.T) {
-	c := newTestCluster(t, 2, Options{})
-	if n := c.InTransit(); n != 0 {
-		t.Errorf("in transit = %d", n)
-	}
-	committed, rolledBack := c.TakeOver()
-	if committed != 0 || rolledBack != 0 {
-		t.Errorf("idle takeover = (%d, %d)", committed, rolledBack)
-	}
-}
-
 func TestDropDatabaseWithFailedReplica(t *testing.T) {
 	c := newTestCluster(t, 2, Options{Replicas: 2})
 	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY)")
@@ -81,9 +70,12 @@ func TestReadOnlyTransactionCommit(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("read-only commit: %v", err)
 	}
-	// Read-only commits bypass 2PC, so nothing should be in transit.
-	if n := c.InTransit(); n != 0 {
-		t.Errorf("in transit after read-only commit = %d", n)
+	// Read-only commits bypass 2PC, so no branch is left prepared.
+	for _, id := range c.MachineIDs() {
+		m, _ := c.Machine(id)
+		if gids := m.Engine().PreparedGIDs(); len(gids) != 0 {
+			t.Errorf("%s: prepared branches %v after a read-only commit", id, gids)
+		}
 	}
 }
 

@@ -23,8 +23,8 @@ type ClusterHealth struct {
 	// fault-injecting network.
 	DegradedLinks int `json:"degraded_links,omitempty"`
 	// Controllers counts configured control-plane replicas; zero when the
-	// cluster runs the single-controller process-pair model and the three
-	// fields below are then meaningless.
+	// cluster runs one controller, and the three fields below are then
+	// meaningless.
 	Controllers int `json:"controllers,omitempty"`
 	// ControllerLeader is the current consensus leader's replica id, empty
 	// while leaderless (an election or quorum loss in progress).
@@ -64,7 +64,7 @@ func (c *Cluster) Health() ClusterHealth {
 	if cp := c.ctl; cp != nil {
 		h.Controllers = len(cp.nodes)
 		h.ControllerLeader, h.ControllerTerm = cp.group.LeaderID()
-		h.ControllerQuorum = cp.leaseOK()
+		h.ControllerQuorum = cp.leaseTerm() != 0
 	} else {
 		h.ControllerQuorum = true
 	}

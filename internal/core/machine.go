@@ -174,21 +174,6 @@ func (m *Machine) usableMarks(db string, epoch uint64) map[string]uint64 {
 	return nil
 }
 
-// dirtyMarks removes tables from a database's snapshot, forcing them into
-// the fast recovery path's delta-copy set (used for tables touched by
-// in-doubt transactions, whose local effects were presumed aborted).
-func (m *Machine) dirtyMarks(db string, tables []string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	dm, ok := m.marks[db]
-	if !ok {
-		return
-	}
-	for _, t := range tables {
-		delete(dm.tables, lowerName(t))
-	}
-}
-
 // clearMarks discards the snapshot for db.
 func (m *Machine) clearMarks(db string) {
 	m.mu.Lock()

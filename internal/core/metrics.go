@@ -110,7 +110,7 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 			"Databases re-replicated by recovery, by path: fast (a restarted machine caught up, only tables written since copied) or full (every table copied onto the least-loaded machine)", "path"),
 
 		twopcTimeout: reg.CounterVec("twopc_timeout_total",
-			"2PC deliveries that exceeded the coordinator's deadline or exhausted retries, by phase (prepare: vote missing, presumed abort; commit: decision delivery handed to a background resolver)", "phase"),
+			"2PC deliveries that exceeded the coordinator's deadline or exhausted retries, by phase (prepare: vote missing, presumed abort; commit: COMMIT lost to the network, its branch settled by the in-doubt resolver)", "phase"),
 		presumedAbort: reg.Counter("core_2pc_presumed_abort_total",
 			"Transactions aborted by the presumed-abort rule after a PREPARE vote timeout"),
 		netRetry: reg.CounterVec("core_net_retry_total",
@@ -118,7 +118,7 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 		readDegraded: reg.Counter("core_read_route_degraded_total",
 			"Reads routed away from their preferred replica because the controller link to it is partitioned"),
 		bgResolved: reg.CounterVec("core_2pc_background_resolution_total",
-			"Out-of-band 2PC outcome deliveries after in-band delivery failed, by result", "result"),
+			"Background in-doubt resolutions and ROLLBACK re-deliveries after in-band delivery failed, by result", "result"),
 
 		slaProbes: reg.Counter("core_sla_probe_total",
 			"First-Fit machine probes during SLA placement (Algorithm 2)"),

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sdp/internal/sqldb"
 )
@@ -272,71 +271,5 @@ func TestRecoveryRestoresReplicationFactor(t *testing.T) {
 				t.Errorf("%s on %s has %v rows", db, id, res.Rows[0][0])
 			}
 		}
-	}
-}
-
-func TestProcessPairTakeOverCommitting(t *testing.T) {
-	c := newTestCluster(t, 2, Options{Replicas: 2})
-	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-	clusterExec(t, c, "INSERT INTO t VALUES (1, 0)")
-
-	// Crash the primary after the commit decision.
-	c.SetCrashHook(func(stage CommitStage, _ uint64) bool { return stage == StageCommitting })
-	tx, _ := c.Begin("app")
-	if _, err := tx.Exec("UPDATE t SET v = 7 WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); !errors.Is(err, ErrMachineFailed) {
-		t.Fatalf("commit err = %v, want primary-failure", err)
-	}
-	if c.InTransit() != 1 {
-		t.Fatalf("in transit = %d", c.InTransit())
-	}
-	committed, rolledBack := c.TakeOver()
-	if committed != 1 || rolledBack != 0 {
-		t.Fatalf("takeover = (%d, %d)", committed, rolledBack)
-	}
-	// The decision survived: the update is durable on all replicas.
-	res := clusterExec(t, c, "SELECT v FROM t WHERE id = 1")
-	if res.Rows[0][0].Int != 7 {
-		t.Errorf("v = %v, want 7", res.Rows[0][0])
-	}
-}
-
-func TestProcessPairTakeOverPreparing(t *testing.T) {
-	c := newTestCluster(t, 2, Options{Replicas: 2})
-	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-	clusterExec(t, c, "INSERT INTO t VALUES (1, 0)")
-
-	c.SetCrashHook(func(stage CommitStage, _ uint64) bool { return stage == StagePreparing })
-	tx, _ := c.Begin("app")
-	if _, err := tx.Exec("UPDATE t SET v = 9 WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); !errors.Is(err, ErrMachineFailed) {
-		t.Fatalf("commit err = %v", err)
-	}
-	committed, rolledBack := c.TakeOver()
-	if committed != 0 || rolledBack != 1 {
-		t.Fatalf("takeover = (%d, %d)", committed, rolledBack)
-	}
-	// No decision was reached: the update must be rolled back everywhere,
-	// and locks released so new writers proceed.
-	res := clusterExec(t, c, "SELECT v FROM t WHERE id = 1")
-	if res.Rows[0][0].Int != 0 {
-		t.Errorf("v = %v, want 0", res.Rows[0][0])
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Exec("app", "UPDATE t SET v = 1 WHERE id = 1")
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("write after takeover: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("write after takeover blocked (locks not released)")
 	}
 }

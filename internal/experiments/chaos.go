@@ -43,8 +43,8 @@ type ChaosConfig struct {
 	// (default 3); the scheduler then also kills and restarts controllers —
 	// including leader kills armed to fire mid-2PC and mid-replica-copy —
 	// and the invariant check requires the surviving replicas' control
-	// state machines to converge. Negative runs the paper's original
-	// single process-pair controller with no controller chaos.
+	// state machines to converge. Negative runs a single controller with no
+	// controller chaos.
 	Controllers int
 	// Placement additionally runs the adaptive provisioning controller
 	// during the soak: an SLA monitor feeds the decision loop, which grows,
@@ -120,8 +120,8 @@ type ChaosReport struct {
 	BgResolved      uint64
 
 	// Violations lists every invariant breach: a serialization-graph
-	// cycle, replica divergence, or leaked locks. Empty means the run
-	// passed.
+	// cycle, replica or controller divergence, leaked locks, or a prepared
+	// branch left undecided. Empty means the run passed.
 	Violations []string
 	// FatalErrors samples the first few errors classified as fatal, for
 	// diagnosing failing seeds without a debugger.
@@ -150,7 +150,7 @@ func (r *ChaosReport) WriteText(w io.Writer) {
 			r.PlacementGrows, r.PlacementShrinks, r.PlacementMigrates)
 	}
 	if r.Passed() {
-		fmt.Fprintf(w, "  invariants: serializable, replicas converged, no leaked locks\n")
+		fmt.Fprintf(w, "  invariants: serializable, replicas converged, no leaked locks, no prepared branches\n")
 		return
 	}
 	fmt.Fprintf(w, "  VIOLATIONS (%d):\n", len(r.Violations))
@@ -309,7 +309,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	for _, op := range []string{"begin", "exec", "prepare", "commit", "commit1p", "rollback"} {
 		report.Retries += reg.CounterVec("core_net_retry_total", "", "op").With(op).Value()
 	}
-	for _, res := range []string{"delivered", "machine_failed", "abandoned"} {
+	for _, res := range []string{"delivered", "machine_failed"} {
 		report.BgResolved += reg.CounterVec("core_2pc_background_resolution_total", "", "result").With(res).Value()
 	}
 	report.CtlElections = reg.Counter("consensus_elections_total", "").Value()
@@ -326,7 +326,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		fmt.Fprintf(os.Stderr, "DEBUG final replicas: %v\n", reps)
 		for _, ev := range reg.Trace().Events() {
 			interesting := ev.Scope == "copy" || ev.Scope == "recovery" || ev.Scope == "placement" ||
-				(ev.Scope == "2pc" && strings.HasPrefix(ev.Phase, "takeover")) ||
 				(ev.Scope == "2pc" && strings.HasPrefix(ev.Phase, "resolve")) ||
 				(ev.Scope == "2pc" && ev.Phase == "presumed_abort")
 			if interesting {
@@ -578,15 +577,11 @@ func (s *chaosScheduler) restoreAll() {
 		// recovery work: a leader whose adoption is still running sweeps
 		// up fresh copies as failover orphans and aborts them.
 		_ = s.c.WaitControllerSettled(5 * time.Second)
-		// A controller kill near the end of the run leaves commits parked
-		// in the pair mirror until that takeover resolves them; parked
-		// commits hold locks that would both fail the leaked-lock
-		// invariant and block the recovery copy below.
-		deadline := time.Now().Add(5 * time.Second)
-		for s.c.InTransit() > 0 && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
-		}
 	}
+	// Prepared branches a resolution could not reach under faults hold locks
+	// that would block the recovery copy below; on the quiet network their
+	// background resolutions finish.
+	s.c.DrainResolvers()
 	if s.down != "" {
 		s.restartDown()
 	}
@@ -605,13 +600,22 @@ func (s *chaosScheduler) restoreAll() {
 	}
 }
 
-// checkChaosInvariants verifies, over the settled cluster, the three
-// properties no fault schedule may break: one-copy serializability of the
-// recorded history, byte-identical replicas, and zero leaked locks.
+// checkChaosInvariants verifies, over the settled cluster, the properties no
+// fault schedule may break: one-copy serializability of the recorded history,
+// converged controller state machines, byte-identical replicas, zero leaked
+// locks, and no prepared branch left undecided on a live machine.
 func checkChaosInvariants(c *core.Cluster, rec *history.Recorder, report *ChaosReport) {
 	if ok, cycle, g := history.Check(rec); !ok {
 		report.Violations = append(report.Violations,
 			"serialization graph has a cycle:\n"+g.Describe(cycle))
+	}
+	for _, id := range c.MachineIDs() {
+		if m, err := c.Machine(id); err == nil && !m.Failed() {
+			if gids := m.Engine().PreparedGIDs(); len(gids) > 0 {
+				report.Violations = append(report.Violations,
+					fmt.Sprintf("%s: prepared branches %v undecided after settle", id, gids))
+			}
+		}
 	}
 
 	// With a replicated control plane, every controller replica's state

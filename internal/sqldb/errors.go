@@ -29,6 +29,11 @@ var (
 	// never entered the PREPARED state.
 	ErrNotPrepared = errors.New("sqldb: transaction is not prepared")
 
+	// ErrClaimed is returned by COMMIT and ROLLBACK on a prepared branch the
+	// in-doubt resolver has claimed (Engine.ClaimPrepared): its outcome is no
+	// longer the preparing session's to decide.
+	ErrClaimed = errors.New("sqldb: prepared branch claimed by the in-doubt resolver")
+
 	// ErrTableExists is returned by CREATE TABLE for a duplicate name.
 	ErrTableExists = errors.New("sqldb: table already exists")
 
