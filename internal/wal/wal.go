@@ -176,36 +176,8 @@ func encodeFrame(buf []byte, lsn int64, rec Record) []byte {
 // that disagrees with the frame's position — is reported as an error; the
 // caller treats the error position as the log's torn tail.
 func decodeFrame(data []byte, off int64) (Record, int64, error) {
-	var rec Record
-	if int64(len(data))-off < frameHeaderSize {
-		return rec, off, fmt.Errorf("wal: truncated frame header at %d", off)
-	}
-	length := binary.LittleEndian.Uint32(data[off:])
-	crc := binary.LittleEndian.Uint32(data[off+4:])
-	if length == 0 || length > maxFrameSize {
-		return rec, off, fmt.Errorf("wal: implausible frame length %d at %d", length, off)
-	}
-	end := off + frameHeaderSize + int64(length)
-	if end > int64(len(data)) {
-		return rec, off, fmt.Errorf("wal: truncated frame payload at %d", off)
-	}
-	payload := data[off+frameHeaderSize : end]
-	if crc32.Checksum(payload, crcTable) != crc {
-		return rec, off, fmt.Errorf("wal: CRC mismatch at %d", off)
-	}
-	rec.Type = RecordType(payload[0])
-	rest := payload[1:]
-	selfLSN, rest, err := Uvarint(rest)
+	rec, rest, end, err := decodeHead(data, off)
 	if err != nil {
-		return rec, off, err
-	}
-	if int64(selfLSN) != off {
-		return rec, off, fmt.Errorf("wal: frame at %d claims LSN %d (duplicated or displaced frame)", off, selfLSN)
-	}
-	if rec.Txn, rest, err = Uvarint(rest); err != nil {
-		return rec, off, err
-	}
-	if rec.GID, rest, err = Uvarint(rest); err != nil {
 		return rec, off, err
 	}
 	if rec.DB, rest, err = TakeString(rest); err != nil {
@@ -218,6 +190,41 @@ func decodeFrame(data []byte, off int64) (Record, int64, error) {
 		return rec, off, err
 	}
 	return rec, end, nil
+}
+
+// decodeHead checks the frame at data[off] as decodeFrame does and decodes
+// the head of its record — type, transaction and GID — without allocating.
+// It returns the rest of the payload and the offset just past the frame.
+func decodeHead(data []byte, off int64) (rec Record, rest []byte, end int64, err error) {
+	if int64(len(data))-off < frameHeaderSize {
+		return rec, nil, off, fmt.Errorf("wal: truncated frame header at %d", off)
+	}
+	length := binary.LittleEndian.Uint32(data[off:])
+	crc := binary.LittleEndian.Uint32(data[off+4:])
+	if length == 0 || length > maxFrameSize {
+		return rec, nil, off, fmt.Errorf("wal: implausible frame length %d at %d", length, off)
+	}
+	end = off + frameHeaderSize + int64(length)
+	if end > int64(len(data)) {
+		return rec, nil, off, fmt.Errorf("wal: truncated frame payload at %d", off)
+	}
+	payload := data[off+frameHeaderSize : end]
+	if crc32.Checksum(payload, crcTable) != crc {
+		return rec, nil, off, fmt.Errorf("wal: CRC mismatch at %d", off)
+	}
+	rec.Type = RecordType(payload[0])
+	selfLSN, rest, err := Uvarint(payload[1:])
+	if err != nil {
+		return rec, nil, off, err
+	}
+	if int64(selfLSN) != off {
+		return rec, nil, off, fmt.Errorf("wal: frame at %d claims LSN %d (duplicated or displaced frame)", off, selfLSN)
+	}
+	if rec.Txn, rest, err = Uvarint(rest); err != nil {
+		return rec, nil, off, err
+	}
+	rec.GID, rest, err = Uvarint(rest)
+	return rec, rest, end, err
 }
 
 // Scan decodes every complete, checksummed frame in data. It returns the
