@@ -125,7 +125,7 @@ func main() {
 	benchBaseline := flag.String("bench-baseline", "BENCH_sqldb.json", "baseline file for -bench-gate")
 	benchGatePct := flag.Float64("bench-gate-pct", 20, "allowed regression of each gated latency for -bench-gate, in percent")
 	metrics := flag.Bool("metrics", false, "run a TPC-W mix with a mid-run replica copy and dump the unified metrics snapshot")
-	traceScope := flag.String("trace-scope", "", "with -metrics: only print trace events of this scope (2pc, copy, recovery, repl, dr, sla)")
+	traceScope := flag.String("trace-scope", "", "with -metrics: only print control events of this scope (copy, recovery, consensus, 2pc, repl, dr, sla)")
 	slaReport := flag.Bool("sla-report", false, "with -metrics or -admin: print the SLA compliance report")
 	adminAddr := flag.String("admin", "", "serve the HTTP admin plane on this address (e.g. 127.0.0.1:8344) while driving a demo workload")
 	adminDur := flag.Duration("admin-duration", 10*time.Second, "how long the -admin demo workload runs")
@@ -175,7 +175,7 @@ func main() {
 	}
 
 	if *metrics {
-		snap, rep, err := experiments.RunMetricsDemo(cfg)
+		reg, snap, rep, err := experiments.RunMetricsDemo(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
 			os.Exit(1)
@@ -189,17 +189,10 @@ func main() {
 			os.Stdout.Write(append(data, '\n'))
 		} else {
 			snap.WriteText(os.Stdout)
-			// Same filter predicate as the admin plane's /tracez endpoint.
-			trace := obs.FilterEvents(snap.Trace, *traceScope, "")
-			if n := len(trace); n > 0 {
-				tail := trace
-				if len(tail) > 20 {
-					tail = tail[len(tail)-20:]
-				}
-				fmt.Printf("\n# trace: last %d of %d span events (scope/id/phase)\n", len(tail), n)
-				for _, ev := range tail {
-					fmt.Printf("%6d %-8s %-12s %-16s %s\n", ev.Seq, ev.Scope, ev.ID, ev.Phase, ev.Detail)
-				}
+			// The live control ring, through the admin plane's /tracez selector.
+			if trace := reg.Control().Select(0, *traceScope, ""); len(trace) > 0 {
+				fmt.Printf("\n# control events: the last %d of %d\n", min(len(trace), 20), len(trace))
+				obs.WriteSpanTree(os.Stdout, trace[max(len(trace)-20, 0):])
 			}
 		}
 		if *slaReport {

@@ -67,9 +67,9 @@ func runTraceDemo(slowOnly bool) error {
 	if !slowOnly {
 		fmt.Println("# span trees, one per traced client call (client → wire → system → core/sql → wal):")
 		fmt.Println()
-		for _, s := range reg.Spans().Spans() {
-			if s.Parent == 0 && s.Scope == "client" {
-				obs.WriteSpanTree(os.Stdout, reg.Spans().ByTrace(s.TraceID))
+		for _, s := range reg.Spans().Select(0, "client", "") {
+			if s.Parent == 0 {
+				obs.WriteSpanTree(os.Stdout, reg.Spans().Select(s.TraceID, "", ""))
 				fmt.Println()
 			}
 		}

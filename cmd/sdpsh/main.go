@@ -488,13 +488,9 @@ func remoteShell(addr, db, token string, traced bool) {
 		if reg == nil {
 			return
 		}
-		spans := reg.Spans().Spans()
-		for i := len(spans) - 1; i >= 0; i-- {
-			if spans[i].Scope == "client" {
-				fmt.Printf("trace %s (server: /tracez?trace=%s&format=text)\n",
-					obs.TraceIDString(spans[i].TraceID), obs.TraceIDString(spans[i].TraceID))
-				return
-			}
+		if spans := reg.Spans().Select(0, "client", ""); len(spans) > 0 {
+			id := obs.TraceIDString(spans[len(spans)-1].TraceID)
+			fmt.Printf("trace %s (server: /tracez?trace=%s&format=text)\n", id, id)
 		}
 	}
 

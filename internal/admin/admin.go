@@ -181,63 +181,52 @@ func serveReadyz(w http.ResponseWriter, plat Platform) {
 	writeJSON(w, code, body)
 }
 
-// tracezBody is the JSON body of /tracez.
+// tracezBody is the JSON body of /tracez, both forms.
 type tracezBody struct {
+	// TraceID is the requested trace in 16-hex-digit form, "" when the
+	// control ring was read.
+	TraceID string `json:"trace_id,omitempty"`
 	// Scope is the scope filter applied ("" = all).
 	Scope string `json:"scope,omitempty"`
 	// ID is the correlation-ID filter applied ("" = all).
 	ID string `json:"id,omitempty"`
-	// Count is len(Events).
-	Count int `json:"count"`
-	// Events are the matching ring events, oldest first.
-	Events []obs.Event `json:"events"`
-}
-
-// spanTreeBody is the JSON body of /tracez?trace=<id>.
-type spanTreeBody struct {
-	// TraceID is the requested trace, in 16-hex-digit form.
-	TraceID string `json:"trace_id"`
 	// Count is len(Spans).
 	Count int `json:"count"`
-	// Spans are the trace's spans, oldest first. Parent links reconstruct
-	// the tree; format=text renders it server-side.
+	// Spans are the selected spans, oldest first. Parent links reconstruct
+	// a trace's tree; format=text renders it server-side.
 	Spans []obs.Span `json:"spans"`
 }
 
-// serveTracez serves the trace ring, filtered by the scope and gid query
-// parameters using the same predicate as the experiments CLI's -trace-scope.
-// With trace=<16-hex trace id> it instead serves that distributed trace's
-// span tree: JSON spans by default, the indented rendering (children under
-// parents, per-span durations) with format=text.
+// serveTracez serves the control ring — controller events, filtered by the
+// scope and id (or gid) query parameters — or, with trace=<16-hex trace id>,
+// that distributed trace's spans from the sampled span ring. Both forms are
+// JSON by default and the indented span rendering with format=text.
 func serveTracez(w http.ResponseWriter, r *http.Request, reg *obs.Registry) {
-	if tid := r.URL.Query().Get("trace"); tid != "" {
-		id, err := strconv.ParseUint(tid, 16, 64)
-		if err != nil {
+	q := r.URL.Query()
+	body := tracezBody{Scope: q.Get("scope"), ID: q.Get("id")}
+	if body.ID == "" {
+		body.ID = q.Get("gid")
+	}
+	ring, trace := reg.Control(), uint64(0)
+	if tid := q.Get("trace"); tid != "" {
+		var err error
+		if trace, err = strconv.ParseUint(tid, 16, 64); err != nil {
 			http.Error(w, "bad trace id (want 16 hex digits): "+tid, http.StatusBadRequest)
 			return
 		}
-		spans := reg.Spans().ByTrace(id)
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			obs.WriteSpanTree(w, spans)
-			return
-		}
-		if spans == nil {
-			spans = []obs.Span{}
-		}
-		writeJSON(w, http.StatusOK, spanTreeBody{TraceID: obs.TraceIDString(id), Count: len(spans), Spans: spans})
+		ring, body.TraceID = reg.Spans(), obs.TraceIDString(trace)
+	}
+	body.Spans = ring.Select(trace, body.Scope, body.ID)
+	if q.Get("format") == "text" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		obs.WriteSpanTree(w, body.Spans)
 		return
 	}
-	scope := r.URL.Query().Get("scope")
-	id := r.URL.Query().Get("gid")
-	if id == "" {
-		id = r.URL.Query().Get("id")
+	if body.Spans == nil {
+		body.Spans = []obs.Span{}
 	}
-	events := reg.Trace().EventsFiltered(scope, id)
-	if events == nil {
-		events = []obs.Event{}
-	}
-	writeJSON(w, http.StatusOK, tracezBody{Scope: scope, ID: id, Count: len(events), Events: events})
+	body.Count = len(body.Spans)
+	writeJSON(w, http.StatusOK, body)
 }
 
 // slowzBody is the JSON body of /slowz.

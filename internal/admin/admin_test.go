@@ -157,14 +157,16 @@ func TestReadyz(t *testing.T) {
 
 func TestTracez(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.TraceEvent("2pc", "gid:7", "prepare", "")
+	reg.TraceEvent("2pc", "gid:7", "resolve_commit", "2 branches")
 	reg.TraceEvent("copy", "shop", "table_copied", "item")
-	reg.TraceEvent("2pc", "gid:8", "commit", "")
+	reg.TraceEvent("2pc", "gid:8", "resolve_abort", "2 branches")
+	// A sampled span lives in the span ring: the control form never lists it.
+	reg.Spans().Record(obs.Span{TraceID: 1, SpanID: 2, Scope: "2pc", Name: "sampled"})
 	h := Handler(reg, nil)
 
 	var body struct {
-		Count  int         `json:"count"`
-		Events []obs.Event `json:"events"`
+		Count int        `json:"count"`
+		Spans []obs.Span `json:"spans"`
 	}
 	decode := func(path string) {
 		rec := get(t, h, path)
@@ -185,11 +187,11 @@ func TestTracez(t *testing.T) {
 		t.Errorf("scope filter count = %d, want 2", body.Count)
 	}
 	decode("/tracez?scope=2pc&gid=gid:7")
-	if body.Count != 1 || body.Events[0].Phase != "prepare" {
+	if body.Count != 1 || body.Spans[0].Name != "resolve_commit" || body.Spans[0].Duration != 0 {
 		t.Errorf("scope+gid filter = %+v", body)
 	}
 	decode("/tracez?scope=recovery")
-	if body.Count != 0 || body.Events == nil {
+	if body.Count != 0 || body.Spans == nil {
 		t.Errorf("no-match should serve an empty array, got %+v", body)
 	}
 }

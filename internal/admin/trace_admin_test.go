@@ -17,9 +17,9 @@ func seedTrace(reg *obs.Registry) uint64 {
 	tid := obs.NewTraceID()
 	root := obs.NewTraceID()
 	reg.Spans().Record(obs.Span{TraceID: tid, SpanID: root, Scope: "client", Name: "exec",
-		DB: "shop", Start: time.Unix(1000, 0), Duration: time.Millisecond})
+		ID: "shop", Start: time.Unix(1000, 0), Duration: time.Millisecond})
 	reg.Spans().Record(obs.Span{TraceID: tid, SpanID: obs.NewTraceID(), Parent: root,
-		Scope: "wire", Name: "exec", DB: "shop", Start: time.Unix(1000, 0), Duration: time.Millisecond / 2})
+		Scope: "wire", Name: "exec", ID: "shop", Start: time.Unix(1000, 0), Duration: time.Millisecond / 2})
 	return tid
 }
 

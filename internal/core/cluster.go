@@ -632,7 +632,6 @@ func (c *Cluster) writeRoute(db, table string) ([]string, func(), error) {
 		case cs.inFlight[table]:
 			// Algorithm 1, line 11: write on a table being copied.
 			c.metrics.rejected.Inc()
-			c.metrics.reg.TraceEvent("copy", db, "write_rejected", table)
 			return nil, nil, ErrRejected
 		case cs.copied[table]:
 			// Algorithm 1, line 9: table already copied — include target.

@@ -289,8 +289,8 @@ func TestClaimBetweenLeaseCheckAndCommit(t *testing.T) {
 		}
 		settleAndCheck(t, c, reps, 7)
 		resolved := false
-		for _, ev := range c.metrics.reg.Trace().Events() {
-			resolved = resolved || (ev.ID == gidString(tx.gid) && ev.Phase == "resolve_commit")
+		for _, ev := range c.metrics.reg.Control().Select(0, "2pc", gidString(tx.gid)) {
+			resolved = resolved || ev.Name == "resolve_commit"
 		}
 		if !resolved {
 			t.Error("no resolver committed the claimed branch")

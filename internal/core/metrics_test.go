@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sdp/internal/obs"
 	"sdp/internal/sqldb"
 )
 
@@ -32,8 +33,9 @@ func newMetricsTestCluster(t *testing.T, n, replicas int) *Cluster {
 }
 
 // TestCommitMetrics checks that committed transactions show up in the
-// registry with matching 2PC phase latencies, and that Stats() agrees with
-// the snapshot.
+// registry with matching 2PC phase latencies, that Stats() agrees with the
+// snapshot, and that a commit's trace is its sampled spans: none lands on the
+// control ring.
 func TestCommitMetrics(t *testing.T) {
 	c := newMetricsTestCluster(t, 2, 2)
 	for i := 0; i < 5; i++ {
@@ -83,13 +85,36 @@ func TestCommitMetrics(t *testing.T) {
 	if got := s.Gauge("sqldb_engine_stat", "cluster", "obs-test", "stat", "commits"); got == 0 {
 		t.Fatal("bridged engine commit gauge is zero")
 	}
-	// 2PC trace events must correlate by gid.
-	trace := c.metrics.reg.Trace().EventsFiltered("2pc", "")
-	if len(trace) == 0 {
-		t.Fatal("no 2pc trace events")
+	// A plain replicated commit records no control event.
+	if evs := c.metrics.reg.Control().Select(0, "", ""); len(evs) != 0 {
+		t.Fatalf("plain commits recorded control events: %+v", evs)
 	}
-	if got := c.metrics.reg.Trace().EventsFiltered("", trace[0].ID); len(got) == 0 {
-		t.Fatal("correlation ID lookup returned nothing")
+	// A sampled commit records its two 2PC phases as spans of its trace.
+	tx, err = c.Begin("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := obs.SpanContext{TraceID: obs.NewTraceID(), SpanID: obs.NewTraceID(), Sampled: true}
+	tx.SetTraceContext(tc)
+	if _, err := tx.Exec("UPDATE t SET v = v + 1 WHERE id = 2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []string{"2pc_prepare", "2pc_commit"} {
+		n := 0
+		for _, sp := range c.metrics.reg.Spans().Select(tc.TraceID, "core", "app") {
+			if sp.Name == phase {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("sampled commit recorded %d %s spans, want 1", n, phase)
+		}
+	}
+	if evs := c.metrics.reg.Control().Select(0, "", ""); len(evs) != 0 {
+		t.Fatalf("a sampled commit recorded control events: %+v", evs)
 	}
 }
 
@@ -202,23 +227,7 @@ func TestAbortCountedOnceOnVoteNo(t *testing.T) {
 // durations.
 func TestCopyMetrics(t *testing.T) {
 	c := newMetricsTestCluster(t, 3, 2)
-	target := ""
-	for _, id := range c.MachineIDs() {
-		hosts, err := c.Replicas("app")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !contains(hosts, id) {
-			target = id
-			break
-		}
-	}
-	if target == "" {
-		t.Fatal("no free machine for the copy target")
-	}
-	if err := c.CreateReplica("app", target); err != nil {
-		t.Fatal(err)
-	}
+	growReplica(t, c)
 	s := c.metrics.reg.Snapshot()
 	if got := s.Counter("core_copy_phase_total", "phase", "start"); got != 1 {
 		t.Fatalf("copy starts = %d, want 1", got)
@@ -236,7 +245,56 @@ func TestCopyMetrics(t *testing.T) {
 	if got := s.Gauge("core_copies_running"); got != 0 {
 		t.Fatalf("copies running gauge = %v after completion, want 0", got)
 	}
-	if evs := c.metrics.reg.Trace().EventsFiltered("", "app"); len(evs) < 3 {
-		t.Fatalf("copy trace events = %d, want >= 3", len(evs))
+	if evs := c.metrics.reg.Control().Select(0, "copy", "app"); len(evs) < 3 {
+		t.Fatalf("copy control events = %d, want >= 3", len(evs))
+	}
+}
+
+// growReplica copies "app" onto the first machine not hosting it.
+func growReplica(t *testing.T, c *Cluster) {
+	t.Helper()
+	hosts, err := c.Replicas("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range c.MachineIDs() {
+		if !contains(hosts, id) {
+			if err := c.CreateReplica("app", id); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatal("no free machine for the copy target")
+}
+
+// TestCopyEventsOutliveCommitTraffic grows a replica, then runs 10 000
+// replicated commits, half of them sampled. The copy's control events, start
+// to done, must still be on the control ring: no commit records one, and the
+// sampled spans, which wrap their own ring, never evict one.
+func TestCopyEventsOutliveCommitTraffic(t *testing.T) {
+	c := newMetricsTestCluster(t, 3, 2)
+	growReplica(t, c)
+	for i := 0; i < 10000; i++ {
+		tx, err := c.Begin("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			tx.SetTraceContext(obs.SpanContext{TraceID: obs.NewTraceID(), SpanID: obs.NewTraceID(), Sampled: true})
+		}
+		if _, err := tx.Exec("UPDATE t SET v = v + 1 WHERE id = ?", sqldb.NewInt(int64(i%4+1))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.metrics.reg.Snapshot().Counter("trace_dropped_total") == 0 {
+		t.Fatal("the sampled commits did not wrap the span ring; the test exerts no eviction pressure")
+	}
+	evs := c.metrics.reg.Control().Select(0, "copy", "app")
+	if len(evs) < 3 || evs[0].Name != "start" || evs[len(evs)-1].Name != "done" {
+		t.Fatalf("copy events after 10 000 commits = %+v, want start ... done", evs)
 	}
 }

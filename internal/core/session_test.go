@@ -71,19 +71,20 @@ func TestPointReadRunsOnCaller(t *testing.T) {
 // replicatedWriteAllocCeiling is what one conservative autocommit UPDATE of
 // one row on two replicas allocates through the controller: 8 in each engine
 // (branch, the row's lock key and lock record, the row read, the new image and
-// its stored copy, undo record, result), 8 in the controller (transaction,
-// two branches and their begins, route, statement closure, gid).
+// its stored copy, undo record, result), 6 in the controller (transaction,
+// two branches, the route and its release, statement closure).
 // The key has four digits, as the bench workloads' ids do: a one-digit key's
 // decimal string is a static and hides every key string built per statement.
-// It was 49 with a worker goroutine, a queue and a future per operation, and
-// 26 while a process-pair mirror recorded every commit in transit.
-const replicatedWriteAllocCeiling = 24
+// It was 49 with a worker goroutine, a queue and a future per operation, 26
+// while a process-pair mirror recorded every commit in transit, and 24 while
+// every commit rendered its gid for two trace events.
+const replicatedWriteAllocCeiling = 22
 
 // loggedWriteAllocCeiling is the same write with a WAL on each replica: each
 // engine adds the buffer its transaction renders redo records into and little
 // else, since the log frames every record into one reused buffer (62 when the
 // record was rendered into a growing builder, copied, and framed into a fresh
-// slice; 26 here).
+// slice; 24 here).
 const loggedWriteAllocCeiling = 36
 
 // TestReplicatedWriteAllocs is the machine-independent half of the replicated

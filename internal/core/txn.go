@@ -74,7 +74,7 @@ func (t *Txn) recordSpan(id uint64, name, detail string, start time.Time) {
 		Parent:   t.trace.SpanID,
 		Scope:    "core",
 		Name:     name,
-		DB:       t.db,
+		ID:       t.db,
 		Start:    start,
 		Duration: time.Since(start),
 		Detail:   detail,
@@ -379,8 +379,6 @@ func (t *Txn) Commit() error {
 		return firstErr
 	}
 
-	gid := gidString(t.gid)
-
 	// Phase 1: prepare everywhere.
 	m.prepareTotal.Inc()
 	if t.c.opts.AckMode == Aggressive && t.c.opts.ReadOption != ReadOption1 &&
@@ -390,7 +388,6 @@ func (t *Txn) Commit() error {
 		// transaction or per operation under an aggressive controller.
 		m.unsafePrepare.Inc()
 	}
-	m.reg.TraceEvent("2pc", gid, "prepare", t.db)
 	prepStart := time.Now()
 	// A missing vote is a NO by the presumed-abort rule: the coordinator logs
 	// nothing for aborts, so deciding abort on a timeout is always safe — a
@@ -417,9 +414,8 @@ func (t *Txn) Commit() error {
 		m.voteNoTotal.Inc()
 		if timedOut {
 			m.presumedAbort.Inc()
-			m.reg.TraceEvent("2pc", gid, "presumed_abort", voteErr.Error())
+			m.reg.TraceEvent("2pc", gidString(t.gid), "presumed_abort", voteErr.Error())
 		}
-		m.reg.TraceEvent("2pc", gid, "abort", voteErr.Error())
 		t.rollbackAll()
 		t.finish(false)
 		return fmt.Errorf("core: transaction aborted by 2PC: %w", voteErr)
@@ -481,7 +477,7 @@ func (t *Txn) Commit() error {
 		t.recordSpan(commitSpanID, "2pc_commit", "", commitStart)
 	}
 	if !committed {
-		m.reg.TraceEvent("2pc", gid, "unacknowledged", commitErr.Error())
+		m.reg.TraceEvent("2pc", gidString(t.gid), "unacknowledged", commitErr.Error())
 		t.finish(false)
 		if unsure {
 			// A COMMIT ran unanswered, and no log could be read yet to say
@@ -490,7 +486,6 @@ func (t *Txn) Commit() error {
 		}
 		return fmt.Errorf("core: no participant committed: %w", commitErr)
 	}
-	m.reg.TraceEvent("2pc", gid, "commit", "")
 	t.finish(true)
 	return nil
 }

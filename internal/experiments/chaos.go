@@ -320,18 +320,12 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				st.Fatal, strings.Join(report.FatalErrors, "; ")))
 	}
 
-	checkChaosInvariants(c, rec, report)
+	report.CtlKills -= int(sched.missedKills.Load())
+	checkChaosInvariants(c, reg.Control(), rec, report)
 	if len(report.Violations) > 0 && os.Getenv("SDP_CHAOS_DEBUG") == "1" {
 		reps, _ := c.Replicas("app")
 		fmt.Fprintf(os.Stderr, "DEBUG final replicas: %v\n", reps)
-		for _, ev := range reg.Trace().Events() {
-			interesting := ev.Scope == "copy" || ev.Scope == "recovery" || ev.Scope == "placement" ||
-				(ev.Scope == "2pc" && strings.HasPrefix(ev.Phase, "resolve")) ||
-				(ev.Scope == "2pc" && ev.Phase == "presumed_abort")
-			if interesting {
-				fmt.Fprintf(os.Stderr, "DEBUG %s %s %s %s %s\n", ev.Time.Format("15:04:05.000"), ev.Scope, ev.ID, ev.Phase, ev.Detail)
-			}
-		}
+		obs.WriteSpanTree(os.Stderr, reg.Control().Select(0, "", ""))
 	}
 	return report, nil
 }
@@ -357,6 +351,8 @@ type chaosScheduler struct {
 	ctlDown    bool         // a controller kill is outstanding (fired or armed)
 	ctlArmed   *atomic.Bool // pending armed leader kill, nil if none
 	ctlArmedOp string       // delivery op the armed kill triggers on
+	// missedKills counts armed kills that fired with no leader to kill.
+	missedKills atomic.Int64
 }
 
 func newChaosScheduler(c *core.Cluster, net *netsim.Network, seed int64, report *ChaosReport) *chaosScheduler {
@@ -504,7 +500,11 @@ func (s *chaosScheduler) armCtlKill(op string) {
 	cl := s.c
 	s.net.OnDeliver(func(ci netsim.CallInfo) {
 		if ci.Op == op && armed.CompareAndSwap(true, false) {
-			go func() { _, _ = cl.KillLeaderController() }()
+			go func() {
+				if _, err := cl.KillLeaderController(); err != nil {
+					s.missedKills.Add(1)
+				}
+			}()
 		}
 	})
 }
@@ -603,8 +603,10 @@ func (s *chaosScheduler) restoreAll() {
 // checkChaosInvariants verifies, over the settled cluster, the properties no
 // fault schedule may break: one-copy serializability of the recorded history,
 // converged controller state machines, byte-identical replicas, zero leaked
-// locks, and no prepared branch left undecided on a live machine.
-func checkChaosInvariants(c *core.Cluster, rec *history.Recorder, report *ChaosReport) {
+// locks, no prepared branch left undecided on a live machine, and a control
+// event for every machine crash, machine restart and controller kill the
+// scheduler injected.
+func checkChaosInvariants(c *core.Cluster, control *obs.SpanRing, rec *history.Recorder, report *ChaosReport) {
 	if ok, cycle, g := history.Check(rec); !ok {
 		report.Violations = append(report.Violations,
 			"serialization graph has a cycle:\n"+g.Describe(cycle))
@@ -624,6 +626,28 @@ func checkChaosInvariants(c *core.Cluster, rec *history.Recorder, report *ChaosR
 	if len(c.ControllerIDs()) > 0 {
 		if err := c.WaitControllerConvergence(5 * time.Second); err != nil {
 			report.Violations = append(report.Violations, err.Error())
+		}
+	}
+
+	// No transaction records a control event, so a soak cannot wrap the
+	// control ring past the record of what the controllers did.
+	for _, f := range []struct {
+		scope, phase string
+		injected     int
+	}{
+		{"recovery", "machine_failed", report.Crashes},
+		{"recovery", "machine_restarted", report.Restarts},
+		{"consensus", "leader_killed", report.CtlKills},
+	} {
+		n := 0
+		for _, ev := range control.Select(0, f.scope, "") {
+			if ev.Name == f.phase {
+				n++
+			}
+		}
+		if n < f.injected {
+			report.Violations = append(report.Violations, fmt.Sprintf(
+				"control ring holds %d %s/%s events for %d injected", n, f.scope, f.phase, f.injected))
 		}
 	}
 

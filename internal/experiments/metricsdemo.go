@@ -12,8 +12,8 @@ import (
 )
 
 // RunMetricsDemo drives a representative workload against one cluster and
-// returns the unified observability snapshot — the `experiments -metrics`
-// artefact. The run covers every instrumented path at once:
+// returns its registry and the unified observability snapshot — the
+// `experiments -metrics` artefact. The run covers every instrumented path at once:
 //
 //   - a TPC-W shopping mix on a 2-replica database (2PC phase latencies,
 //     read routing, buffer-pool and plan-cache activity),
@@ -25,7 +25,7 @@ import (
 // so the resulting snapshot prints non-zero values for the families that
 // back the paper's Figures 2–4 and 8–9. OBSERVABILITY.md walks through
 // reading the output.
-func RunMetricsDemo(cfg Config) (obs.Snapshot, sla.ComplianceReport, error) {
+func RunMetricsDemo(cfg Config) (*obs.Registry, obs.Snapshot, sla.ComplianceReport, error) {
 	reg := obs.NewRegistry()
 	mon := sla.NewMonitor(reg, sla.MonitorOptions{Window: 100 * time.Millisecond})
 	c := core.NewCluster("demo", core.Options{
@@ -35,10 +35,10 @@ func RunMetricsDemo(cfg Config) (obs.Snapshot, sla.ComplianceReport, error) {
 		SLAMonitor:   mon,
 	})
 	if _, err := c.AddMachines(3); err != nil {
-		return obs.Snapshot{}, sla.ComplianceReport{}, err
+		return nil, obs.Snapshot{}, sla.ComplianceReport{}, err
 	}
 	if err := c.CreateDatabase("tpcw"); err != nil {
-		return obs.Snapshot{}, sla.ComplianceReport{}, err
+		return nil, obs.Snapshot{}, sla.ComplianceReport{}, err
 	}
 	// A deliberately tight mean-latency bound: the demo is meant to show the
 	// violation machinery firing, not a healthy report.
@@ -46,14 +46,14 @@ func RunMetricsDemo(cfg Config) (obs.Snapshot, sla.ComplianceReport, error) {
 	db := clusterDB{c: c, db: "tpcw"}
 	scale := tpcw.SmallScale(cfg.Seed)
 	if err := tpcw.Load(db, scale); err != nil {
-		return obs.Snapshot{}, sla.ComplianceReport{}, err
+		return nil, obs.Snapshot{}, sla.ComplianceReport{}, err
 	}
 	workload := tpcw.NewWorkload(scale)
 
 	// Find the machine not hosting the database: the replica-copy target.
 	hosts, err := c.Replicas("tpcw")
 	if err != nil {
-		return obs.Snapshot{}, sla.ComplianceReport{}, err
+		return nil, obs.Snapshot{}, sla.ComplianceReport{}, err
 	}
 	target := ""
 	for _, id := range c.MachineIDs() {
@@ -67,7 +67,7 @@ func RunMetricsDemo(cfg Config) (obs.Snapshot, sla.ComplianceReport, error) {
 		}
 	}
 	if target == "" {
-		return obs.Snapshot{}, sla.ComplianceReport{}, fmt.Errorf("experiments: no free machine for the copy target")
+		return nil, obs.Snapshot{}, sla.ComplianceReport{}, fmt.Errorf("experiments: no free machine for the copy target")
 	}
 
 	const concurrency = 4
@@ -91,12 +91,12 @@ func RunMetricsDemo(cfg Config) (obs.Snapshot, sla.ComplianceReport, error) {
 		<-results
 	}
 	if copyErr != nil {
-		return obs.Snapshot{}, sla.ComplianceReport{}, fmt.Errorf("experiments: replica creation during demo: %w", copyErr)
+		return nil, obs.Snapshot{}, sla.ComplianceReport{}, fmt.Errorf("experiments: replica creation during demo: %w", copyErr)
 	}
 	// Snapshot first: its OnSnapshot hook evaluates the pending compliance
 	// windows, so the snapshot and the report agree on the violation counts.
 	snap := reg.Snapshot()
-	return snap, mon.Report(), nil
+	return reg, snap, mon.Report(), nil
 }
 
 // bridgeEngine registers a snapshot hook exposing one standalone engine's

@@ -1,7 +1,7 @@
 // Package obs is the platform's observability layer: a dependency-free
-// metrics registry plus a lightweight structured trace facility. Every
-// controller tier (cluster, colo, system) and the embedded DBMS feed one
-// shared Registry, so a single Snapshot answers the paper's quantitative
+// metrics registry plus one trace record, the span, kept in bounded rings.
+// Every controller tier (cluster, colo, system) and the embedded DBMS feed
+// one shared Registry, so a single Snapshot answers the paper's quantitative
 // questions — 2PC outcome counts and phase latencies (Table 1, Figures 2–4),
 // Algorithm 1 copy phases and rejected writes (Figures 8–9), First-Fit
 // placement probes and machine utilization (Table 2, Algorithm 2) — without
@@ -28,9 +28,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 )
 
-// Registry holds named metric families and an event tracer. All methods are
+// Registry holds named metric families and the trace rings. All methods are
 // safe for concurrent use. Instrument lookups take the registry mutex, so
 // callers on hot paths should resolve instruments once and keep the
 // returned pointer; updates on the instruments themselves are lock-free.
@@ -43,10 +44,10 @@ type Registry struct {
 	help       map[string]string
 	hooks      []func()
 
-	tracer *Tracer
-	spans  *SpanRing
-	slow   *SlowLog
-	qstats *QueryStats
+	spans   *SpanRing // sampled request spans
+	control *SpanRing // control events
+	slow    *SlowLog
+	qstats  *QueryStats
 }
 
 // familyVec is a labeled family: a map from joined label values to an
@@ -58,18 +59,11 @@ type familyVec struct {
 	byKey  map[string]any
 }
 
-// NewRegistry creates an empty registry with trace rings of the default
-// capacity.
+// NewRegistry creates an empty registry with its trace rings. The trace_*
+// and slowlog_* meta-counters are registered eagerly so ring overflow is
+// visible in every snapshot, even one taken before the first span is
+// recorded.
 func NewRegistry() *Registry {
-	return NewRegistrySized(DefaultTraceCapacity)
-}
-
-// NewRegistrySized creates an empty registry whose event tracer and span
-// ring hold up to traceCap entries each (<= 0 selects
-// DefaultTraceCapacity). The trace_* and slowlog_* meta-counters are
-// registered eagerly so ring overflow is visible in every snapshot, even
-// one taken before the first span is recorded.
-func NewRegistrySized(traceCap int) *Registry {
 	r := &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
@@ -83,10 +77,9 @@ func NewRegistrySized(traceCap int) *Registry {
 		"Spans recorded into the registry's span ring.")
 	recorded := r.Counter("slowlog_recorded_total",
 		"Slow queries captured into the slow-query log.")
-	r.tracer = NewTracer(traceCap)
-	r.tracer.dropped = dropped
-	r.spans = NewSpanRing(traceCap, total, dropped)
-	r.slow = NewSlowLog(0, recorded)
+	r.spans = newSpanRing(SpanRingCapacity, total, dropped)
+	r.control = newSpanRing(ControlRingCapacity, nil, dropped)
+	r.slow = &SlowLog{ring: newRing[SlowEntry](SlowLogCapacity, recorded, nil)}
 	r.qstats = NewQueryStats()
 	return r
 }
@@ -198,11 +191,11 @@ func (r *Registry) OnSnapshot(hook func()) {
 	r.mu.Unlock()
 }
 
-// Trace returns the registry's event tracer.
-func (r *Registry) Trace() *Tracer { return r.tracer }
-
-// Spans returns the registry's span ring.
+// Spans returns the registry's ring of sampled request spans.
 func (r *Registry) Spans() *SpanRing { return r.spans }
+
+// Control returns the registry's ring of control events.
+func (r *Registry) Control() *SpanRing { return r.control }
 
 // SlowLog returns the registry's slow-query log.
 func (r *Registry) SlowLog() *SlowLog { return r.slow }
@@ -233,10 +226,15 @@ func (r *Registry) Families() map[string]string {
 	return out
 }
 
-// TraceEvent records one span event on the registry's tracer; a
-// convenience for instrumented code that holds only the registry.
+// TraceEvent records a control event — a controller action an operator
+// reconstructs afterwards: a copy phase, a recovery, an election or leader
+// kill, an SLA violation, a DR promotion, an in-doubt verdict — on the
+// control ring, as a span with TraceID 0 and Duration 0. scope names the
+// subsystem, id the correlation ID, phase the transition. No transaction
+// records one: per-transaction facts are counters, histograms and sampled
+// spans.
 func (r *Registry) TraceEvent(scope, id, phase, detail string) {
-	r.tracer.Record(scope, id, phase, detail)
+	r.control.Record(Span{Scope: scope, ID: id, Name: phase, Start: time.Now(), Detail: detail})
 }
 
 // sortedKeys returns the keys of a string-keyed map in sorted order.

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -207,58 +206,6 @@ func TestRegistryIdempotentAndHooks(t *testing.T) {
 		}
 	}()
 	r.Gauge("c", "wrong kind")
-}
-
-func TestTracerRingAndCorrelation(t *testing.T) {
-	tr := NewTracer(8)
-	for i := 0; i < 20; i++ {
-		tr.Record("2pc", fmt.Sprintf("gid:%d", i%2), "prepare", "")
-	}
-	evs := tr.Events()
-	if len(evs) != 8 {
-		t.Fatalf("events = %d, want 8", len(evs))
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq != evs[i-1].Seq+1 {
-			t.Fatalf("ring not in order: %d after %d", evs[i].Seq, evs[i-1].Seq)
-		}
-	}
-	if evs[len(evs)-1].Seq != 20 {
-		t.Fatalf("newest seq = %d, want 20", evs[len(evs)-1].Seq)
-	}
-	byID := tr.EventsFiltered("", "gid:1")
-	if len(byID) != 4 {
-		t.Fatalf("gid:1 events = %d, want 4", len(byID))
-	}
-	for _, e := range byID {
-		if e.ID != "gid:1" {
-			t.Fatalf("wrong ID in filtered events: %q", e.ID)
-		}
-	}
-}
-
-func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(128)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				tr.Record("scope", fmt.Sprintf("g%d", g), "phase", "")
-			}
-		}(g)
-	}
-	wg.Wait()
-	evs := tr.Events()
-	if len(evs) != 128 {
-		t.Fatalf("len = %d, want 128", len(evs))
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq {
-			t.Fatalf("events out of order at %d", i)
-		}
-	}
 }
 
 func TestQuantiles(t *testing.T) {

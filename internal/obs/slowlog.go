@@ -3,14 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sync"
+	"sync/atomic"
 	"time"
 )
-
-// DefaultSlowLogCapacity bounds the slow-query log when no explicit size is
-// given. Slow queries are by definition rare; a few hundred entries cover
-// an investigation window without unbounded growth.
-const DefaultSlowLogCapacity = 256
 
 // SlowEntry is one captured slow query: what ran, for which tenant, how it
 // executed, and — when the call was traced — its span breakdown, so an
@@ -38,31 +33,16 @@ type SlowEntry struct {
 
 // SlowLog is a bounded ring of slow-query captures. Like the span ring it
 // overwrites oldest-first when full; unlike it, entries are expected to be
-// rare, so Record also snapshots the trace's spans eagerly — by the time an
+// rare, so a capture carries its trace's spans eagerly — by the time an
 // operator looks, the span ring may have wrapped past them. A nil SlowLog
 // is valid and discards entries.
 type SlowLog struct {
-	mu   sync.Mutex
-	buf  []SlowEntry
-	next int
-	full bool
-	seq  uint64
-
-	// recorded, when set, counts every slow query captured.
-	recorded *Counter
+	ring[SlowEntry]
+	seq atomic.Uint64
 }
 
-// NewSlowLog creates a slow-query log holding up to capacity entries;
-// capacity <= 0 selects DefaultSlowLogCapacity. recorded may be nil.
-func NewSlowLog(capacity int, recorded *Counter) *SlowLog {
-	if capacity <= 0 {
-		capacity = DefaultSlowLogCapacity
-	}
-	return &SlowLog{buf: make([]SlowEntry, capacity), recorded: recorded}
-}
-
-// Record captures one slow query. spans should be the call's span
-// breakdown (nil for untraced calls); the entry keeps its own copy.
+// Record captures one slow query. e.Spans should be the call's span
+// breakdown (nil for untraced calls).
 func (l *SlowLog) Record(e SlowEntry) {
 	if l == nil {
 		return
@@ -70,19 +50,8 @@ func (l *SlowLog) Record(e SlowEntry) {
 	if e.Mode == "" {
 		e.Mode = "-"
 	}
-	l.mu.Lock()
-	l.seq++
-	e.Seq = l.seq
-	l.buf[l.next] = e
-	l.next++
-	if l.next == len(l.buf) {
-		l.next = 0
-		l.full = true
-	}
-	l.mu.Unlock()
-	if l.recorded != nil {
-		l.recorded.Inc()
-	}
+	e.Seq = l.seq.Add(1)
+	l.record(e)
 }
 
 // Entries returns the buffered slow queries, oldest first.
@@ -90,14 +59,7 @@ func (l *SlowLog) Entries() []SlowEntry {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SlowEntry, 0, len(l.buf))
-	if l.full {
-		out = append(out, l.buf[l.next:]...)
-	}
-	out = append(out, l.buf[:l.next]...)
-	return out
+	return l.filter(nil)
 }
 
 // WriteText renders the slow-query log for terminals: one header line per

@@ -26,20 +26,16 @@ type MetricPoint struct {
 }
 
 // Snapshot is a consistent-enough point-in-time dump of a registry: every
-// instrument's value, sorted by family name then label values, plus the
-// trace ring. Counters packed in Pairs are consistent by construction;
+// instrument's value, sorted by family name then label values. The trace
+// rings are read live, through SpanRing.Select, not copied here. Counters packed in Pairs are consistent by construction;
 // independent families are read one after another, as in any metrics pull.
 type Snapshot struct {
 	// Metrics lists every instrument's reading, sorted by name then labels.
 	Metrics []MetricPoint `json:"metrics"`
-	// Trace is the buffered span-event ring, oldest first.
-	Trace []Event `json:"trace,omitempty"`
-	// Spans is the buffered distributed-tracing span ring, oldest first.
-	Spans []Span `json:"spans,omitempty"`
 }
 
 // Snapshot runs the registered hooks (bridging external statistics into
-// gauges), then captures every instrument and the trace ring.
+// gauges), then captures every instrument.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	hooks := append([]func(){}, r.hooks...)
@@ -82,8 +78,6 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 		})
 	}
-	s.Trace = r.tracer.Events()
-	s.Spans = r.spans.Spans()
 	return s
 }
 

@@ -52,128 +52,65 @@ func (c SpanContext) Traced() bool { return c.Sampled && c.TraceID != 0 }
 // /tracez, the slow-query log, and Prometheus exemplars.
 func TraceIDString(id uint64) string { return fmt.Sprintf("%016x", id) }
 
-// Span is one completed timed operation inside a trace: where the request
-// spent part of its time. Spans are recorded at completion (start + measured
-// duration), so a ring holds only finished work.
+// Span is the one trace record. A sampled request span is a completed timed
+// operation inside a trace: where the request spent part of its time,
+// recorded at completion (start + measured duration), so a ring holds only
+// finished work. A control event — a controller action such as a copy phase,
+// a recovery or an election — is a span with TraceID 0 and Duration 0.
 type Span struct {
-	// TraceID ties the span to its trace.
+	// TraceID ties the span to its trace; 0 for a control event.
 	TraceID uint64 `json:"trace_id"`
 	// SpanID identifies this span within the trace.
 	SpanID uint64 `json:"span_id"`
 	// Parent is the enclosing span's ID, 0 for a root span.
 	Parent uint64 `json:"parent,omitempty"`
-	// Scope names the layer that recorded the span: "client", "wire",
-	// "txn", "2pc", "read", "sql", "wal".
+	// Scope names the layer or subsystem that recorded the span: "client",
+	// "wire", "system", "core", "sql", "wal" for request spans; "copy",
+	// "recovery", "consensus", "sla", "dr", "repl", "2pc" for control
+	// events.
 	Scope string `json:"scope"`
-	// Name is the operation within the scope (statement kind, machine ID,
-	// 2PC phase).
+	// Name is the operation within the scope (statement kind, 2PC phase) or
+	// the control event's phase ("start", "machine_failed").
 	Name string `json:"name"`
-	// DB is the tenant database the span worked for.
-	DB string `json:"db,omitempty"`
-	// Start is when the operation began.
+	// ID is the correlation ID: the tenant database for request spans and
+	// copy, recovery, SLA and DR events; a machine, cluster or "gid:<n>"
+	// for the events of those.
+	ID string `json:"id,omitempty"`
+	// Start is when the operation began, or when the event happened.
 	Start time.Time `json:"start"`
-	// Duration is how long it took.
+	// Duration is how long it took; 0 for a control event.
 	Duration time.Duration `json:"duration_ns"`
-	// Detail is optional free-form context (exec mode, participant count).
+	// Detail is optional free-form context (exec mode, target machine,
+	// error text).
 	Detail string `json:"detail,omitempty"`
 }
 
-// SpanRing is a bounded ring of completed spans, the span-tree counterpart
-// of the event Tracer: recording takes one short mutex-guarded append, a
-// full ring overwrites its oldest span (counting the overwrite on the
-// dropped counter so overflow is visible), and reads are wrap-aware. A nil
-// SpanRing is valid and discards spans.
-type SpanRing struct {
-	mu   sync.Mutex
-	buf  []Span
-	next int
-	full bool
+// SpanRing is a bounded ring of spans: a registry keeps one of sampled
+// request spans and one of control events, so sampled traffic never evicts
+// a controller's record. A nil SpanRing is valid and discards spans.
+type SpanRing struct{ ring[Span] }
 
-	// total and dropped, when set, count every span recorded and every
-	// span overwritten before it was read out (ring overflow).
-	total   *Counter
-	dropped *Counter
+func newSpanRing(capacity int, total, dropped *Counter) *SpanRing {
+	return &SpanRing{newRing[Span](capacity, total, dropped)}
 }
 
-// NewSpanRing creates a ring holding up to capacity spans; capacity <= 0
-// selects DefaultTraceCapacity. total and dropped may be nil.
-func NewSpanRing(capacity int, total, dropped *Counter) *SpanRing {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &SpanRing{buf: make([]Span, capacity), total: total, dropped: dropped}
-}
-
-// Record appends one completed span to the ring.
+// Record appends one span to the ring.
 func (r *SpanRing) Record(sp Span) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.full && r.dropped != nil {
-		r.dropped.Inc()
-	}
-	r.buf[r.next] = sp
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-	if r.total != nil {
-		r.total.Inc()
+	if r != nil {
+		r.record(sp)
 	}
 }
 
-// eachLocked visits the buffered spans oldest first. Caller holds r.mu.
-func (r *SpanRing) eachLocked(fn func(*Span)) {
-	if r.full {
-		for i := r.next; i < len(r.buf); i++ {
-			fn(&r.buf[i])
-		}
-	}
-	for i := 0; i < r.next; i++ {
-		fn(&r.buf[i])
-	}
-}
-
-// Spans returns the buffered spans in recording order (oldest first).
-func (r *SpanRing) Spans() []Span {
+// Select returns the buffered spans of one trace, scope and correlation ID,
+// oldest first; a zero trace or an empty scope or id matches any. It
+// allocates only its result, nil when nothing matches.
+func (r *SpanRing) Select(trace uint64, scope, id string) []Span {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, 0, len(r.buf))
-	r.eachLocked(func(s *Span) { out = append(out, *s) })
-	return out
-}
-
-// ByTrace returns the buffered spans of one trace, oldest first. Like
-// Tracer.EventsFiltered, a counting pass sizes the result exactly so the
-// only allocation is the returned slice (nil when the trace is unknown).
-func (r *SpanRing) ByTrace(traceID uint64) []Span {
-	if r == nil || traceID == 0 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	r.eachLocked(func(s *Span) {
-		if s.TraceID == traceID {
-			n++
-		}
+	return r.filter(func(s *Span) bool {
+		return (trace == 0 || s.TraceID == trace) && (scope == "" || s.Scope == scope) && (id == "" || s.ID == id)
 	})
-	if n == 0 {
-		return nil
-	}
-	out := make([]Span, 0, n)
-	r.eachLocked(func(s *Span) {
-		if s.TraceID == traceID {
-			out = append(out, *s)
-		}
-	})
-	return out
 }
 
 // spanNode is one tree position during rendering.
@@ -184,19 +121,23 @@ type spanNode struct {
 
 // buildSpanTree links spans into parent→child trees. A span whose parent is
 // 0 or absent from the set (evicted from the ring, or recorded by a process
-// whose ring we cannot see) becomes a root, so partial traces still render.
+// whose ring we cannot see) becomes a root, so partial traces still render;
+// a control event (span ID 0) is always a root.
 func buildSpanTree(spans []Span) []*spanNode {
+	all := make([]spanNode, len(spans))
 	nodes := make(map[uint64]*spanNode, len(spans))
 	for i := range spans {
-		nodes[spans[i].SpanID] = &spanNode{span: &spans[i]}
+		all[i].span = &spans[i]
+		if spans[i].SpanID != 0 {
+			nodes[spans[i].SpanID] = &all[i]
+		}
 	}
 	var roots []*spanNode
-	for i := range spans {
-		n := nodes[spans[i].SpanID]
-		if p, ok := nodes[spans[i].Parent]; ok && spans[i].Parent != spans[i].SpanID {
-			p.children = append(p.children, n)
+	for i := range all {
+		if p, ok := nodes[spans[i].Parent]; ok && p != &all[i] {
+			p.children = append(p.children, &all[i])
 		} else {
-			roots = append(roots, n)
+			roots = append(roots, &all[i])
 		}
 	}
 	byStart := func(ns []*spanNode) {
@@ -210,14 +151,19 @@ func buildSpanTree(spans []Span) []*spanNode {
 }
 
 // WriteSpanTree renders spans as an indented tree, children under parents,
-// each line carrying the span's scope:name, tenant database, duration, and
-// detail — the "where did these microseconds go" view of one request.
+// each line carrying the span's scope:name, correlation ID, duration, and
+// detail — the "where did these microseconds go" view of one request. A
+// control event shows when it happened in place of a duration.
 func WriteSpanTree(w io.Writer, spans []Span) {
 	if len(spans) == 0 {
 		fmt.Fprintln(w, "(no spans)")
 		return
 	}
-	fmt.Fprintf(w, "trace %s (%d spans)\n", TraceIDString(spans[0].TraceID), len(spans))
+	head := "trace " + TraceIDString(spans[0].TraceID)
+	if spans[0].TraceID == 0 {
+		head = "control events"
+	}
+	fmt.Fprintf(w, "%s (%d spans)\n", head, len(spans))
 	var walk func(n *spanNode, depth int)
 	walk = func(n *spanNode, depth int) {
 		sp := n.span
@@ -225,11 +171,15 @@ func WriteSpanTree(w io.Writer, spans []Span) {
 		if sp.Detail != "" {
 			detail = "  " + sp.Detail
 		}
-		db := ""
-		if sp.DB != "" {
-			db = " db=" + sp.DB
+		id := ""
+		if sp.ID != "" {
+			id = " id=" + sp.ID
 		}
-		fmt.Fprintf(w, "%*s%s:%s%s %s%s\n", 2*depth+2, "", sp.Scope, sp.Name, db, sp.Duration, detail)
+		took := sp.Duration.String()
+		if sp.TraceID == 0 {
+			took = sp.Start.Format(time.StampMicro)
+		}
+		fmt.Fprintf(w, "%*s%s:%s%s %s%s\n", 2*depth+2, "", sp.Scope, sp.Name, id, took, detail)
 		for _, c := range n.children {
 			walk(c, depth+1)
 		}

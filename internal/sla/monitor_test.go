@@ -240,9 +240,9 @@ func TestMonitorSnapshotBridge(t *testing.T) {
 	if got := snap.Gauge("sla_tracked_databases"); got != 1 {
 		t.Errorf("sla_tracked_databases = %g, want 1", got)
 	}
-	// The violation also lands in the trace ring under scope "sla".
-	if evs := reg.Trace().EventsFiltered("sla", "shop"); len(evs) == 0 {
-		t.Error("violation should emit a trace event with the db as correlation ID")
+	// The violation also lands in the control ring under scope "sla".
+	if evs := reg.Control().Select(0, "sla", "shop"); len(evs) == 0 {
+		t.Error("violation should emit a control event with the db as correlation ID")
 	}
 }
 

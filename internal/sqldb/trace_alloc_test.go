@@ -61,22 +61,3 @@ func TestPointReadUnsampledZeroAlloc(t *testing.T) {
 		t.Fatalf("unsampled point read allocates %.2f allocs/op with a span ring attached, %.2f without", with, without)
 	}
 }
-
-// TestSpanRingDropCounter verifies the bounded ring accounts every span it
-// evicts in trace_dropped_total rather than losing them silently.
-func TestSpanRingDropCounter(t *testing.T) {
-	reg := obs.NewRegistrySized(4)
-	for i := 0; i < 10; i++ {
-		reg.Spans().Record(obs.Span{TraceID: obs.NewTraceID(), SpanID: obs.NewTraceID()})
-	}
-	snap := reg.Snapshot()
-	var dropped float64
-	for _, p := range snap.Metrics {
-		if p.Name == "trace_dropped_total" {
-			dropped = p.Value
-		}
-	}
-	if dropped != 6 {
-		t.Fatalf("trace_dropped_total = %v, want 6 (10 spans into a 4-slot ring)", dropped)
-	}
-}

@@ -221,7 +221,7 @@ func (t *Txn) recordSQLSpan(stmt Statement, start time.Time) {
 		Parent:   t.trace.SpanID,
 		Scope:    "sql",
 		Name:     stmtKind(stmt),
-		DB:       t.db,
+		ID:       t.db,
 		Start:    start,
 		Duration: time.Since(start),
 		Detail:   "exec=compiled",

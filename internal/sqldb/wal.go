@@ -110,7 +110,7 @@ func (e *Engine) walCommit(t *Txn) error {
 			Parent:   t.trace.SpanID,
 			Scope:    "wal",
 			Name:     "flush",
-			DB:       t.db,
+			ID:       t.db,
 			Start:    start,
 			Duration: time.Since(start),
 		})

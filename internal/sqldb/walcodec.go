@@ -66,7 +66,8 @@ func decodeTableImage(data []byte) (TableDump, error) {
 	if err != nil {
 		return d, err
 	}
-	ncols, rest, err := wal.Uvarint(rest)
+	// A column takes at least 3 bytes, an index 3, a row one per column.
+	ncols, rest, err := takeCount(rest, 3)
 	if err != nil {
 		return d, err
 	}
@@ -92,7 +93,7 @@ func decodeTableImage(data []byte) (TableDump, error) {
 	if d.Schema, err = NewSchema(table, cols); err != nil {
 		return d, err
 	}
-	nidx, rest, err := wal.Uvarint(rest)
+	nidx, rest, err := takeCount(rest, 3)
 	if err != nil {
 		return d, err
 	}
@@ -110,7 +111,7 @@ func decodeTableImage(data []byte) (TableDump, error) {
 		d.Indexes[i].Unique = rest[0] != 0
 		rest = rest[1:]
 	}
-	nrows, rest, err := wal.Uvarint(rest)
+	nrows, rest, err := takeCount(rest, ncols)
 	if err != nil {
 		return d, err
 	}
@@ -125,6 +126,20 @@ func decodeTableImage(data []byte) (TableDump, error) {
 		d.Rows[i] = row
 	}
 	return d, nil
+}
+
+// takeCount reads an element count and rejects one the remaining bytes cannot
+// hold at minSize bytes an element, so a damaged count fails here and never
+// sizes an allocation.
+func takeCount(buf []byte, minSize int) (int, []byte, error) {
+	n, rest, err := wal.Uvarint(buf)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > uint64(len(rest)/minSize) {
+		return 0, nil, fmt.Errorf("sqldb: checkpoint count %d exceeds the %d bytes left", n, len(rest))
+	}
+	return int(n), rest, nil
 }
 
 // appendValue serialises one value.

@@ -1,7 +1,6 @@
 package system
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -44,7 +43,6 @@ func (r *replicator) enqueue(db string, batch []capturedWrite) {
 		go r.drain(db)
 	}
 	r.mu.Unlock()
-	r.sys.metrics.reg.TraceEvent("repl", db, "enqueued", fmt.Sprintf("%d statements", len(batch)))
 }
 
 // drain applies queued batches for db until the queue empties.
@@ -85,7 +83,6 @@ func (r *replicator) apply(db string, batch []capturedWrite) {
 	m.replApply.ObserveDuration(time.Since(start))
 	if firstErr == nil {
 		m.replBatches.With("applied").Inc()
-		m.reg.TraceEvent("repl", db, "applied", "")
 	} else {
 		m.replBatches.With("failed").Inc()
 		m.reg.TraceEvent("repl", db, "failed", firstErr.Error())

@@ -373,7 +373,7 @@ func (t *Txn) finishSpan(name string) {
 		Parent:   t.parent.SpanID,
 		Scope:    "system",
 		Name:     name,
-		DB:       t.db,
+		ID:       t.db,
 		Start:    t.traceStart,
 		Duration: time.Since(t.traceStart),
 	})

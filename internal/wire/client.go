@@ -268,7 +268,7 @@ func (c *Client) traceFinish(tc obs.SpanContext, start time.Time, name, detail s
 		SpanID:   tc.SpanID,
 		Scope:    "client",
 		Name:     name,
-		DB:       c.cfg.Database,
+		ID:       c.cfg.Database,
 		Start:    start,
 		Duration: time.Since(start),
 		Detail:   detail,

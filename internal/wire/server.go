@@ -546,7 +546,7 @@ func (c *session) finishStmt(seq uint64, kind, sql string, start time.Time, sctx
 			Parent:   parent,
 			Scope:    "wire",
 			Name:     kind,
-			DB:       c.db,
+			ID:       c.db,
 			Start:    start,
 			Duration: dur,
 			Detail:   sql,
@@ -554,7 +554,10 @@ func (c *session) finishStmt(seq uint64, kind, sql string, start time.Time, sctx
 	}
 	c.srv.qstats.Record(c.db, sql, dur)
 	if c.srv.cfg.SlowQuery > 0 && dur >= c.srv.cfg.SlowQuery {
-		spans := c.srv.spans.ByTrace(sctx.TraceID)
+		var spans []obs.Span
+		if sctx.Traced() {
+			spans = c.srv.spans.Select(sctx.TraceID, "", "")
+		}
 		c.srv.slow.Record(obs.SlowEntry{
 			Time:     time.Now(),
 			DB:       c.db,

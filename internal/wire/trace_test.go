@@ -91,7 +91,7 @@ func TestTracePropagationAcrossWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	wtid := lastClientTrace(t, reg, "UPDATE")
-	wt := newTraceTree(reg.Spans().ByTrace(wtid))
+	wt := newTraceTree(reg.Spans().Select(wtid, "", ""))
 
 	root := wt.find(t, "client", "exec")
 	if root.Parent != 0 {
@@ -141,7 +141,7 @@ func TestTracePropagationAcrossWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtid := lastClientTrace(t, reg, "SELECT")
-	rt := newTraceTree(reg.Spans().ByTrace(rtid))
+	rt := newTraceTree(reg.Spans().Select(rtid, "", ""))
 	rSys := rt.find(t, "system", "txn")
 	read := rt.find(t, "core", "read")
 	if read.Parent != rSys.SpanID {
@@ -175,10 +175,10 @@ func TestTracePropagationAcrossWire(t *testing.T) {
 // whose statement contains the given SQL fragment.
 func lastClientTrace(t *testing.T, reg *obs.Registry, frag string) uint64 {
 	t.Helper()
-	spans := reg.Spans().Spans()
+	spans := reg.Spans().Select(0, "client", "")
 	for i := len(spans) - 1; i >= 0; i-- {
 		s := spans[i]
-		if s.Scope == "client" && s.Parent == 0 && strings.Contains(s.Detail, frag) {
+		if s.Parent == 0 && strings.Contains(s.Detail, frag) {
 			return s.TraceID
 		}
 	}

@@ -126,10 +126,6 @@ type Config struct {
 	// Client-sampled requests are always traced regardless of this setting.
 	// See OBSERVABILITY.md, "Distributed tracing".
 	TraceSample float64
-	// TraceRing is the capacity of the span ring shared by every layer
-	// (default 4096). Overflow evicts the oldest spans and increments
-	// trace_dropped_total.
-	TraceRing int
 	// SlowQuery, when positive, records statements that take at least this
 	// long into the bounded slow-query log served at /slowz, with the span
 	// breakdown for sampled calls.
@@ -211,11 +207,7 @@ type Platform struct {
 
 // New creates an empty platform with the given configuration.
 func New(cfg Config) *Platform {
-	ring := cfg.TraceRing
-	if ring <= 0 {
-		ring = obs.DefaultTraceCapacity
-	}
-	reg := obs.NewRegistrySized(ring)
+	reg := obs.NewRegistry()
 	p := &Platform{
 		cfg:   cfg,
 		reg:   reg,
