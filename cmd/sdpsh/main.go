@@ -54,7 +54,7 @@ import (
 func main() {
 	machines := flag.Int("machines", 6, "free machines in the colo")
 	durable := flag.Bool("wal", true, "write-ahead logging: group commit, \\crash/\\restart recovery")
-	controllers := flag.Int("controllers", 0, "replicate the cluster controller across this many consensus replicas (3-5); enables \\leader and \\killleader")
+	controllers := flag.Int("controllers", 0, "replicate the cluster controller across this many consensus replicas (3-5; 0 or 1 runs one controller); enables \\leader and \\killleader")
 	listen := flag.String("listen", "", "also serve the wire protocol on this address (e.g. 127.0.0.1:8346)")
 	connect := flag.String("connect", "", "connect to a wire server at this address instead of booting a platform")
 	dbFlag := flag.String("db", "", "database to bind the -connect session to")

@@ -188,7 +188,7 @@ func (a *AdaptiveController) Stop() {
 // stand by — after failover the new leader's loop takes over seamlessly
 // because every prior action was replicated.
 func (a *AdaptiveController) RunOnce() int {
-	if cp := a.c.ctl; cp != nil && cp.leaseTerm() == 0 {
+	if a.c.ctl.leaseTerm() == 0 {
 		a.mu.Lock()
 		a.skippedNotLeader++
 		a.mu.Unlock()

@@ -45,10 +45,8 @@ type Cluster struct {
 	order    []string // machine IDs in registration order
 	dbs      map[string]*dbState
 
-	gidSeq   atomic.Uint64
-	rrSeq    atomic.Uint64
-	epochSeq atomic.Uint64
-	homeSeq  uint64 // guarded by mu; rotates Option-1 read homes
+	gidSeq atomic.Uint64
+	rrSeq  atomic.Uint64
 
 	// walMetrics is the shared instrument set for every machine's write-ahead
 	// log; nil when the cluster runs without WAL (Options.WAL == nil).
@@ -69,10 +67,11 @@ type Cluster struct {
 	// (see sla.Monitor; all its methods are nil-receiver safe).
 	slamon *sla.Monitor
 
-	// ctl, when non-nil, is the replicated control plane: every control
-	// mutation commits to a consensus log across Options.Controllers
-	// replicas before materializing into the routing state above (see
-	// controlplane.go). Nil runs one controller, with no failover.
+	// ctl is the control plane, the one editor of the database→replica map
+	// above: every control mutation is decided by its state machine — in
+	// place with one controller, through a consensus log across
+	// Options.Controllers replicas with more — before it materializes into
+	// the routing state (see controlplane.go).
 	ctl *controlPlane
 }
 
@@ -212,9 +211,7 @@ func NewCluster(name string, opts Options) *Cluster {
 		c.walMetrics = wal.NewMetrics(reg)
 	}
 	reg.OnSnapshot(c.bridgeStats)
-	if opts.Controllers > 0 {
-		c.ctl = newControlPlane(c, opts.Controllers, reg)
-	}
+	c.ctl = newControlPlane(c, opts.Controllers, reg)
 	if c.slamon != nil {
 		// Let the monitor resolve which machines host a violating
 		// database's replicas (the re-placement hook).
@@ -243,32 +240,26 @@ func (c *Cluster) Options() Options { return c.opts }
 // AddMachine registers a new machine (from the colo's free pool) and returns
 // it.
 func (c *Cluster) AddMachine(id string) (*Machine, error) {
-	if cp := c.ctl; cp != nil {
-		c.mu.Lock()
-		_, dup := c.machines[id]
-		c.mu.Unlock()
-		if dup {
-			return nil, fmt.Errorf("core: machine %s already in cluster %s", id, c.name)
-		}
-		cp.mu.Lock()
-		defer cp.mu.Unlock()
-		if _, err := cp.propose(ctlCmd{Op: ctlOpAddMachine, Machine: id}); err != nil {
-			return nil, err
-		}
-	}
+	cp := c.ctl
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.machines[id]; dup {
+	_, dup := c.machines[id]
+	c.mu.Unlock()
+	if dup {
 		return nil, fmt.Errorf("core: machine %s already in cluster %s", id, c.name)
 	}
-	var rec sqldb.Recorder
-	if c.opts.Recorder != nil {
-		rec = c.opts.Recorder.ForSite(id)
-	}
-	m := newMachine(id, c.opts.EngineConfig, rec, c.opts.WAL, c.walMetrics)
-	c.machines[id] = m
-	c.order = append(c.order, id)
-	return m, nil
+	var m *Machine
+	err := cp.apply(ctlCmd{Op: ctlOpAddMachine, Machine: id}, func() {
+		var rec sqldb.Recorder
+		if c.opts.Recorder != nil {
+			rec = c.opts.Recorder.ForSite(id)
+		}
+		m = newMachine(id, c.opts.EngineConfig, rec, c.opts.WAL, c.walMetrics)
+		c.machines[id] = m
+		c.order = append(c.order, id)
+	})
+	return m, err
 }
 
 // AddMachines registers n machines named m1..mn (continuing any existing
@@ -367,91 +358,62 @@ func (c *Cluster) createDatabaseOn(db string, machineIDs []string, req sla.Resou
 	}
 	c.mu.Unlock()
 
+	var made []*Machine
+	drop := func() {
+		for _, m := range made {
+			if m.Engine().DropDatabase(db) == nil {
+				m.dbCount.Add(-1)
+			}
+		}
+	}
 	for _, m := range ms {
 		if err := m.Engine().CreateDatabase(db); err != nil {
+			drop()
 			return err
 		}
 		m.dbCount.Add(1)
+		made = append(made, m)
 	}
-
-	if cp := c.ctl; cp != nil {
-		// The placement decision commits to the replicated log; the state
-		// machine assigns the epoch and the rotated Option-1 read home so
-		// every controller replica derives the same values.
-		cp.mu.Lock()
-		defer cp.mu.Unlock()
-		res, err := cp.propose(ctlCmd{Op: ctlOpCreateDB, DB: db, Replicas: machineIDs})
-		if err != nil {
-			for _, m := range ms {
-				if derr := m.Engine().DropDatabase(db); derr == nil {
-					m.dbCount.Add(-1)
-				}
-			}
-			return err
-		}
-		cr, _ := res.(ctlCreateResult)
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		ds, ok := c.dbs[db]
-		if !ok {
-			ds = &dbState{name: db}
-			c.dbs[db] = ds
-		}
-		ds.replicas = append([]string{}, machineIDs...)
-		ds.readHome = cr.ReadHome
-		ds.epoch = cr.Epoch
-		ds.req = req
-		return nil
+	// The state machine decides the placement, the epoch and the rotated
+	// Option-1 read home. A concurrent create of the same name loses there,
+	// and its caller discards the copies it made.
+	cp := c.ctl
+	cp.mu.Lock()
+	err := cp.apply(ctlCmd{Op: ctlOpCreateDB, DB: db, Replicas: machineIDs}, func() {
+		c.dbs[db].req = req
+	})
+	cp.mu.Unlock()
+	if err != nil {
+		drop()
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Rotate each database's Option-1 read home across its replicas so
-	// read load balances over the machines even though any one database's
-	// reads all go to one place.
-	home := machineIDs[int(c.homeSeq)%len(machineIDs)]
-	c.homeSeq++
-	c.dbs[db] = &dbState{
-		name:     db,
-		replicas: append([]string{}, machineIDs...),
-		readHome: home,
-		epoch:    c.epochSeq.Add(1),
-		req:      req,
-	}
-	return nil
+	return err
 }
 
 // DropDatabase removes a database from every replica.
 func (c *Cluster) DropDatabase(db string) error {
-	if cp := c.ctl; cp != nil {
-		c.mu.Lock()
-		_, ok := c.dbs[db]
-		c.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNoDatabase, db)
-		}
-		cp.mu.Lock()
-		defer cp.mu.Unlock()
-		if _, err := cp.propose(ctlCmd{Op: ctlOpDropDB, DB: db}); err != nil {
-			return err
-		}
-	}
+	cp := c.ctl
+	cp.mu.Lock()
 	c.mu.Lock()
 	ds, ok := c.dbs[db]
+	c.mu.Unlock()
 	if !ok {
-		c.mu.Unlock()
+		cp.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoDatabase, db)
 	}
-	delete(c.dbs, db)
-	ms := make([]*Machine, 0, len(ds.replicas))
-	for _, id := range ds.replicas {
-		m := c.machines[id]
-		// ds.replicas holds live hosts only (FailMachine released a dead
-		// one's share), so each gives back exactly what it holds.
-		m.release(ds.req)
-		ms = append(ms, m)
+	var ms []*Machine
+	err := cp.apply(ctlCmd{Op: ctlOpDropDB, DB: db}, func() {
+		for _, id := range ds.replicas {
+			m := c.machines[id]
+			// ds.replicas holds live hosts only (FailMachine released a dead
+			// one's share), so each gives back exactly what it holds.
+			m.release(ds.req)
+			ms = append(ms, m)
+		}
+	})
+	cp.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	c.mu.Unlock()
 	for _, m := range ms {
 		if m.Failed() {
 			continue
@@ -469,41 +431,30 @@ func (c *Cluster) DropDatabase(db string) error {
 // (the recovery work list). It models the paper's machine failure within a
 // colo.
 func (c *Cluster) FailMachine(id string) ([]string, error) {
-	if cp := c.ctl; cp != nil {
-		c.mu.Lock()
-		_, ok := c.machines[id]
-		c.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNoMachine, id)
-		}
-		cp.mu.Lock()
-		defer cp.mu.Unlock()
-		if _, err := cp.propose(ctlCmd{Op: ctlOpFailMachine, Machine: id}); err != nil {
-			return nil, err
-		}
-	}
+	cp := c.ctl
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
 	c.mu.Lock()
 	m, ok := c.machines[id]
+	var hosted []*dbState
+	for _, ds := range c.dbs {
+		if contains(ds.replicas, id) {
+			hosted = append(hosted, ds)
+		}
+	}
+	c.mu.Unlock()
 	if !ok {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNoMachine, id)
 	}
 	var affected []string
-	for _, ds := range c.dbs {
-		for i, rid := range ds.replicas {
-			if rid == id {
-				ds.replicas = append(ds.replicas[:i], ds.replicas[i+1:]...)
-				affected = append(affected, ds.name)
-				if ds.readHome == id && len(ds.replicas) > 0 {
-					ds.readHome = ds.replicas[0]
-				}
-				m.release(ds.req)
-				// Snapshot the database's write counters so a restart can
-				// tell which tables changed while the machine was down.
-				if m.walStore != nil {
-					m.setMarks(ds.name, ds.epoch, ds.writeSeq)
-				}
-				break
+	err := cp.apply(ctlCmd{Op: ctlOpFailMachine, Machine: id}, func() {
+		for _, ds := range hosted {
+			affected = append(affected, ds.name)
+			m.release(ds.req)
+			// Snapshot the database's write counters so a restart can
+			// tell which tables changed while the machine was down.
+			if m.walStore != nil {
+				m.setMarks(ds.name, ds.epoch, ds.writeSeq)
 			}
 		}
 		// A machine hosting an in-flight Algorithm 1 copy (as source or
@@ -511,14 +462,18 @@ func (c *Cluster) FailMachine(id string) ([]string, error) {
 		// step, and the half-copied destination never joins the replica
 		// set. The database is reported affected so the caller can requeue
 		// the copy onto a live target.
-		if cs := ds.copying; cs != nil && !cs.aborted && (cs.target == id || cs.source == id) {
-			cs.aborted = true
-			affected = append(affected, ds.name)
+		for _, ds := range c.dbs {
+			if cs := ds.copying; cs != nil && !cs.aborted && (cs.target == id || cs.source == id) {
+				cs.aborted = true
+				affected = append(affected, ds.name)
+			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Strings(affected)
 	affected = dedupSorted(affected)
-	c.mu.Unlock()
 	m.fail()
 	c.metrics.reg.TraceEvent("recovery", id, "machine_failed", fmt.Sprintf("affected=%v", affected))
 	return affected, nil
@@ -577,9 +532,6 @@ func (c *Cluster) pickReadMachine(t *Txn) (string, error) {
 	switch c.opts.ReadOption {
 	case ReadOption1:
 		// All reads of the database go to its designated home replica.
-		if !contains(ds.replicas, ds.readHome) {
-			ds.readHome = ds.replicas[0]
-		}
 		if contains(up, ds.readHome) {
 			return ds.readHome, nil
 		}
@@ -648,17 +600,15 @@ func (c *Cluster) writeRoute(db, table string) ([]string, func(), error) {
 
 // Begin starts a distributed transaction on db.
 func (c *Cluster) Begin(db string) (*Txn, error) {
-	// With a replicated control plane the data path serves only under a
-	// leader's quorum lease: routes read from materialized state are then
-	// guaranteed current (no competing leader can have committed a
-	// conflicting placement). The check is two atomic loads per live
-	// replica — no locks, no log round trip. The transaction keeps the
-	// lease's term: it delivers a COMMIT only while that lease holds.
-	var term uint64
-	if cp := c.ctl; cp != nil {
-		if term = cp.leaseTerm(); term == 0 {
-			return nil, fmt.Errorf("%w: no controller holds the quorum lease", ErrNotLeader)
-		}
+	// The data path serves only under a leader's quorum lease: routes read
+	// from materialized state are then guaranteed current (no competing
+	// leader can have committed a conflicting placement). The check is two
+	// atomic loads per live replica — no locks, no log round trip. The
+	// transaction keeps the lease's term: it delivers a COMMIT only while
+	// that lease holds.
+	term := c.ctl.leaseTerm()
+	if term == 0 {
+		return nil, fmt.Errorf("%w: no controller holds the quorum lease", ErrNotLeader)
 	}
 	c.mu.Lock()
 	_, ok := c.dbs[db]

@@ -14,15 +14,7 @@ import (
 func newTestCluster(t *testing.T, n int, opts Options) *Cluster {
 	t.Helper()
 	c := NewCluster("test", opts)
-	if c.ctl != nil {
-		// Controller replicas tick until stopped; left running they starve
-		// the leases of the clusters a repeated (-count) run builds later.
-		t.Cleanup(func() {
-			for _, n := range c.ctl.nodes {
-				n.Stop()
-			}
-		})
-	}
+	t.Cleanup(func() { stopControllers(c) })
 	if _, err := c.AddMachines(n); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -12,12 +13,16 @@ import (
 	"sync/atomic"
 )
 
-// controlPlane replicates the cluster controller's control decisions across
-// Options.Controllers consensus nodes (see internal/consensus). Every control
+// controlPlane is the cluster controller's one control path. Every control
 // mutation — machine membership, database placement, Algorithm 1 copy
-// lifecycle — is proposed to the consensus log and materialized into the
-// controller's routing state only after it commits, so any controller replica
-// can take over after a crash and reconstruct the same decisions.
+// lifecycle, replica retirement — is one ctlCmd that the state machine
+// (ctlState) decides, and only then is the decision materialized into the
+// controller's routing state (apply). With Options.Controllers ≤ 1 the
+// plane holds one ctlState and applies each command in place. With more it
+// replicates the commands across that many consensus nodes (see
+// internal/consensus), so any controller replica can take over after a
+// crash and reconstruct the same decisions. Only this file knows which of
+// the two a cluster has.
 //
 // The transaction data path stays off consensus: reads and writes route from
 // the leader's materialized state under a quorum lease (refreshed each
@@ -27,10 +32,13 @@ import (
 // refuses with the retryable ErrNotLeader and clients retry into the new
 // term; the gap is the failover window BENCH_consensus.json measures.
 type controlPlane struct {
-	c     *Cluster
+	c *Cluster
+	// group and nodes are the consensus group of a replicated controller,
+	// nil with one controller.
 	group *consensus.Group
 	nodes []*consensus.Node
-	// states[i] is nodes[i]'s replicated state machine.
+	// states[i] is nodes[i]'s replicated state machine; with one controller
+	// states[0] is the only one.
 	states []*ctlState
 
 	// electionTimeout mirrors the nodes' configured timeout, for deadlines.
@@ -39,9 +47,10 @@ type controlPlane struct {
 	// the control plane reports quorum loss (tests shorten it).
 	deadline time.Duration
 
-	// mu serializes propose+materialize sections against failover adoption,
-	// so a new leader's full-state reconciliation never interleaves with a
-	// half-materialized mutation. Never held while holding c.mu.
+	// mu serializes apply sections — a command and its materialization —
+	// against each other and against failover adoption, so the routing
+	// state a holder reads is the state machine's. Never taken while
+	// holding c.mu.
 	mu sync.Mutex
 
 	// adoptedTerm is the highest term whose new-leader adoption (barrier,
@@ -60,16 +69,21 @@ const (
 	proposeDeadline    = 5 * time.Second
 )
 
-// newControlPlane builds the consensus group for c with n controller
-// replicas, registering consensus_* metrics on reg, and elects a bootstrap
-// leader so the cluster is serviceable on return.
+// newControlPlane builds the control plane for c with n controllers. From
+// two on it builds the consensus group, registering consensus_* metrics on
+// reg, and elects a bootstrap leader so the cluster is serviceable on
+// return.
 func newControlPlane(c *Cluster, n int, reg *obs.Registry) *controlPlane {
 	cp := &controlPlane{
 		c:               c,
-		group:           consensus.NewGroup(c.opts.Network, reg),
 		electionTimeout: c.opts.ControllerElectionTimeout,
 		deadline:        proposeDeadline,
 	}
+	if n < 2 {
+		cp.states = []*ctlState{newCtlState()}
+		return cp
+	}
+	cp.group = consensus.NewGroup(c.opts.Network, reg)
 	if cp.electionTimeout <= 0 {
 		cp.electionTimeout = 60 * time.Millisecond
 	}
@@ -109,9 +123,13 @@ func newControlPlane(c *Cluster, n int, reg *obs.Registry) *controlPlane {
 }
 
 // leaseTerm returns the term of the controller replica that leads under a
-// live quorum lease, or 0 when none does. Lock free (atomic reads only);
-// called on every Begin and before every COMMIT.
+// live quorum lease, or 0 when none does. One controller always holds its
+// lease, at term 1. Lock free (atomic reads only); called on every Begin and
+// before every COMMIT.
 func (cp *controlPlane) leaseTerm() uint64 {
+	if cp.group == nil {
+		return 1
+	}
 	for _, n := range cp.nodes {
 		if term := n.LeaseTerm(); term != 0 {
 			return term
@@ -133,12 +151,73 @@ func (cp *controlPlane) holdsLease(term uint64) bool {
 	return cp.leaseTerm() == term
 }
 
-// propose submits one control command to the replicated log and waits for it
-// to commit and apply, retrying across leader changes. It returns the state
-// machine's Apply result. All commands are idempotent, so retrying a
-// timed-out proposal (whose outcome is unknown) is safe. When no leader
-// emerges before the deadline the control plane has lost quorum.
-func (cp *controlPlane) propose(cmd ctlCmd) (any, error) {
+// apply is every control mutation's one path: it has the state machine
+// decide cmd and copies the records cmd can change into the routing state,
+// then runs then (when non-nil) in the same c.mu section, for the caller's
+// local bookkeeping. It returns the proposal's failure or the state
+// machine's refusal, and then runs only on success. Caller holds cp.mu.
+func (cp *controlPlane) apply(cmd ctlCmd, then func()) error {
+	st, err := cp.propose(cmd)
+	if err != nil {
+		return err
+	}
+	c := cp.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	names := []string{cmd.DB}
+	if cmd.Op == ctlOpFailMachine {
+		names = nil
+	}
+	cp.materializeLocked(st, names)
+	if then != nil {
+		then()
+	}
+	return nil
+}
+
+// materializeLocked copies st's record of each named database — nil names
+// every database either side knows — into the routing state: its replicas,
+// read home and epoch. A new record gets a dbState, a dropped one loses it.
+// It is the only writer of dbState.replicas and readHome; the rest of a
+// dbState (SLA reservation, write sequences, drains, copy progress) is
+// local. Caller holds c.mu.
+func (cp *controlPlane) materializeLocked(st *ctlState, names []string) {
+	c := cp.c
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if names == nil {
+		names = st.dbNamesLocked()
+		for name := range c.dbs {
+			names = append(names, name)
+		}
+	}
+	for _, name := range names {
+		rec, ok := st.s.DBs[name]
+		if !ok {
+			delete(c.dbs, name)
+			continue
+		}
+		ds := c.dbs[name]
+		if ds == nil {
+			ds = &dbState{name: name}
+			c.dbs[name] = ds
+		}
+		ds.replicas = append([]string(nil), rec.Replicas...)
+		ds.readHome = rec.ReadHome
+		ds.epoch = rec.Epoch
+	}
+}
+
+// propose has the state machine decide cmd and returns the state machine
+// that applied it. One controller applies it in place. A replicated one
+// submits it to the consensus log and waits for it to commit and apply on
+// the leader, retrying across leader changes. All commands are idempotent,
+// so retrying a timed-out proposal (whose outcome is unknown) is safe. When
+// no leader emerges before the deadline the control plane has lost quorum.
+func (cp *controlPlane) propose(cmd ctlCmd) (*ctlState, error) {
+	if cp.group == nil {
+		return cp.states[0], cp.states[0].apply(cmd)
+	}
 	data, err := json.Marshal(cmd)
 	if err != nil {
 		return nil, err
@@ -155,7 +234,10 @@ func (cp *controlPlane) propose(cmd ctlCmd) (any, error) {
 		}
 		res, err := n.ProposeWait(data, proposeCallTimeout)
 		if err == nil {
-			return res, nil
+			if refused, ok := res.(error); ok {
+				return nil, refused
+			}
+			return cp.states[slices.Index(cp.nodes, n)], nil
 		}
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("%w: %s op did not commit: %v", ErrNoQuorum, cmd.Op, err)
@@ -190,11 +272,10 @@ func (cp *controlPlane) onLeader(idx int, term uint64) {
 		cp.mu.Unlock()
 		return
 	}
-	abortCopies := cp.adoptLocked(cp.states[idx])
-	cp.mu.Unlock()
-	for _, db := range abortCopies {
-		_, _ = cp.propose(ctlCmd{Op: ctlOpCopyAbort, DB: db})
+	for _, db := range cp.adoptLocked(cp.states[idx]) {
+		_ = cp.apply(ctlCmd{Op: ctlOpCopyAbort, DB: db}, nil)
 	}
+	cp.mu.Unlock()
 	cp.c.resolveAll(horizon)
 	cp.mu.Lock()
 	if term > cp.adoptedTerm.Load() {
@@ -207,42 +288,31 @@ func (cp *controlPlane) onLeader(idx int, term uint64) {
 
 // adoptLocked reconciles the controller's materialized routing state with
 // the replicated state machine st (the new leader's, caught up past a
-// barrier). Replica sets, read homes, and epochs are overwritten from the
-// replicated record; leader-local soft state (write-sequence counters,
-// drain counters, SLA reservations) is preserved
-// in place. Local state the log never committed is discarded, and machines
-// the log records as failed are failed locally. Returns the databases whose
-// replicated copy record nobody is driving any more (the caller aborts them,
-// so a fresh CreateReplica can run): no local copy runs, or the one that
-// does is aborted. Caller holds cp.mu.
+// barrier) through the one materialize function: replica sets, read homes,
+// and epochs come from the replicated record, local state (write-sequence
+// counters, drain counters, SLA reservations) is kept, databases the log
+// never committed are discarded, and machines the log records as failed are
+// failed locally. Returns the databases whose replicated copy record nobody
+// is driving any more (the caller aborts them, so a fresh CreateReplica can
+// run): no local copy runs, or the one that does is aborted. Caller holds
+// cp.mu.
 func (cp *controlPlane) adoptLocked(st *ctlState) (abortCopies []string) {
-	view := st.view()
 	c := cp.c
 	var toFail []*Machine
 	c.mu.Lock()
-	for name, rec := range view.DBs {
-		ds, ok := c.dbs[name]
-		if !ok {
-			ds = &dbState{name: name}
-			c.dbs[name] = ds
-		}
-		ds.replicas = append([]string(nil), rec.Replicas...)
-		ds.readHome = rec.ReadHome
-		ds.epoch = rec.Epoch
-		if cs := ds.copying; rec.Copy != nil && (cs == nil || cs.aborted) {
+	cp.materializeLocked(st, nil)
+	st.mu.Lock()
+	for name, rec := range st.s.DBs {
+		if ds := c.dbs[name]; ds != nil && rec.Copy != nil && (ds.copying == nil || ds.copying.aborted) {
 			abortCopies = append(abortCopies, name)
 		}
 	}
-	for name := range c.dbs {
-		if _, ok := view.DBs[name]; !ok {
-			delete(c.dbs, name)
-		}
-	}
 	for id, m := range c.machines {
-		if view.Failed[id] && !m.Failed() {
+		if st.s.Failed[id] && !m.Failed() {
 			toFail = append(toFail, m)
 		}
 	}
+	st.mu.Unlock()
 	c.mu.Unlock()
 	for _, m := range toFail {
 		m.fail()
@@ -269,12 +339,8 @@ type ControllerStatus struct {
 // ControllerStatus reports every controller replica's view, in group order.
 // Nil without a replicated control plane.
 func (c *Cluster) ControllerStatus() []ControllerStatus {
-	cp := c.ctl
-	if cp == nil {
-		return nil
-	}
-	out := make([]ControllerStatus, 0, len(cp.nodes))
-	for _, n := range cp.nodes {
+	var out []ControllerStatus
+	for _, n := range c.ctl.nodes {
 		out = append(out, ControllerStatus{
 			ID:      n.ID(),
 			Leader:  n.IsLeader(),
@@ -286,14 +352,11 @@ func (c *Cluster) ControllerStatus() []ControllerStatus {
 	return out
 }
 
-// ControllerIDs lists the controller replica ids, in group order.
+// ControllerIDs lists the controller replica ids, in group order; none
+// without a replicated control plane.
 func (c *Cluster) ControllerIDs() []string {
-	cp := c.ctl
-	if cp == nil {
-		return nil
-	}
-	out := make([]string, 0, len(cp.nodes))
-	for _, n := range cp.nodes {
+	var out []string
+	for _, n := range c.ctl.nodes {
 		out = append(out, n.ID())
 	}
 	return out
@@ -303,7 +366,7 @@ func (c *Cluster) ControllerIDs() []string {
 // leader, or ("", 0) when the control plane is leaderless (or not
 // replicated).
 func (c *Cluster) LeaderController() (string, uint64) {
-	if c.ctl == nil {
+	if c.ctl.group == nil {
 		return "", 0
 	}
 	return c.ctl.group.LeaderID()
@@ -319,7 +382,7 @@ func (c *Cluster) LeaderController() (string, uint64) {
 // killed replica's id.
 func (c *Cluster) KillLeaderController() (string, error) {
 	cp := c.ctl
-	if cp == nil {
+	if cp.group == nil {
 		return "", fmt.Errorf("core: cluster %s has no replicated control plane", c.name)
 	}
 	n := cp.group.Leader()
@@ -339,15 +402,21 @@ func (c *Cluster) KillLeaderController() (string, error) {
 	return n.ID(), nil
 }
 
+// controller returns the named controller replica.
+func (c *Cluster) controller(id string) (*consensus.Node, error) {
+	for _, n := range c.ctl.nodes {
+		if n.ID() == id {
+			return n, nil
+		}
+	}
+	return nil, fmt.Errorf("core: cluster %s has no controller replica %s", c.name, id)
+}
+
 // StopController kills the named controller replica (leader or follower).
 func (c *Cluster) StopController(id string) error {
-	cp := c.ctl
-	if cp == nil {
-		return fmt.Errorf("core: cluster %s has no replicated control plane", c.name)
-	}
-	n := cp.group.Node(id)
-	if n == nil {
-		return fmt.Errorf("core: no controller replica %s", id)
+	n, err := c.controller(id)
+	if err != nil {
+		return err
 	}
 	if n.IsLeader() {
 		_, err := c.KillLeaderController()
@@ -361,13 +430,9 @@ func (c *Cluster) StopController(id string) error {
 // catches up from the leader's log (or a snapshot, when the log compacted
 // past it).
 func (c *Cluster) RestartController(id string) error {
-	cp := c.ctl
-	if cp == nil {
-		return fmt.Errorf("core: cluster %s has no replicated control plane", c.name)
-	}
-	n := cp.group.Node(id)
-	if n == nil {
-		return fmt.Errorf("core: no controller replica %s", id)
+	n, err := c.controller(id)
+	if err != nil {
+		return err
 	}
 	n.Restart()
 	return nil
@@ -376,9 +441,6 @@ func (c *Cluster) RestartController(id string) error {
 // RestartControllers revives every killed controller replica and returns
 // how many it restarted.
 func (c *Cluster) RestartControllers() int {
-	if c.ctl == nil {
-		return 0
-	}
 	restarted := 0
 	for _, n := range c.ctl.nodes {
 		if n.Stopped() {
@@ -394,39 +456,30 @@ func (c *Cluster) RestartControllers() int {
 // in-doubt resolution) has fully completed, or the timeout elapses. Callers
 // start long-running control operations — a replica copy, a recovery sweep —
 // after this to avoid having them swept up as failover orphans. Trivially
-// settled without a replicated control plane.
+// settled with one controller.
 func (c *Cluster) WaitControllerSettled(timeout time.Duration) error {
 	cp := c.ctl
-	if cp == nil {
-		return nil
-	}
 	deadline := time.Now().Add(timeout)
-	for {
-		if _, term := cp.group.LeaderID(); term > 0 {
-			adopted := cp.adoptedTerm.Load()
-			if adopted >= term {
-				return nil
-			}
+	for cp.group != nil {
+		if _, term := cp.group.LeaderID(); term > 0 && cp.adoptedTerm.Load() >= term {
+			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("core: controller failover did not settle in %s", timeout)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	return nil
 }
 
 // WaitControllerConvergence blocks until every live controller replica has
 // applied the full committed log and their state machines agree, or the
 // timeout elapses. Chaos and tests call it before asserting control-plane
-// invariants. A cluster without a replicated control plane converges
-// trivially.
+// invariants. One controller converges trivially.
 func (c *Cluster) WaitControllerConvergence(timeout time.Duration) error {
 	cp := c.ctl
-	if cp == nil {
-		return nil
-	}
 	deadline := time.Now().Add(timeout)
-	for {
+	for cp.group != nil {
 		if err := cp.convergenceCheck(); err == nil {
 			return nil
 		} else if time.Now().After(deadline) {
@@ -434,6 +487,7 @@ func (c *Cluster) WaitControllerConvergence(timeout time.Duration) error {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	return nil
 }
 
 // convergenceCheck performs one convergence probe: commit a barrier on the

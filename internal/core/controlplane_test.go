@@ -26,6 +26,15 @@ func ctlOpts() Options {
 	}
 }
 
+// stopControllers stops every controller replica of c. Replicas tick until
+// stopped; left running they starve the leases of the clusters a repeated
+// (-count) run builds later.
+func stopControllers(c *Cluster) {
+	for _, n := range c.ctl.nodes {
+		n.Stop()
+	}
+}
+
 // execRetry runs one autocommit statement, retrying through controller
 // failovers (ErrNotLeader while leaderless, or a COMMIT withheld because the
 // lease lapsed) and other transient aborts. A CREATE TABLE that a retry finds

@@ -3,20 +3,23 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 )
 
-// This file defines the deterministic state machine the replicated control
-// plane applies from the consensus log. The consensus domain holds exactly
-// the controller decisions that must survive a controller crash: machine
-// membership and liveness, each database's replica placement, read home and
-// namespace epoch, and the begin/abort/complete lifecycle of Algorithm 1
-// replica copies. Everything else the controller tracks — per-table write
-// sequence counters, in-flight write drains, the statement cache, SLA
-// reservations — is leader-local soft state that a new leader rebuilds or
-// conservatively discards at failover (see controlplane.go).
+// This file defines the controller's deterministic state machine, the one
+// editor of the control decisions: a cluster with one controller applies
+// each command to it in place, a replicated one applies the consensus log to
+// one instance per controller replica. It holds exactly the decisions that
+// must survive a controller crash: machine membership and liveness, each
+// database's replica placement, read home and namespace epoch, and the
+// begin/abort/complete lifecycle of Algorithm 1 replica copies. Everything
+// else the controller tracks — per-table write sequence counters, in-flight
+// write drains, the statement cache, SLA reservations — is leader-local soft
+// state that a new leader rebuilds or conservatively discards at failover
+// (see controlplane.go).
 
 // Control-plane command opcodes.
 const (
@@ -31,9 +34,9 @@ const (
 	ctlOpRetireReplica  = "retire_replica"
 )
 
-// ctlCmd is one replicated control-plane command, JSON-encoded into the
-// consensus log. Every command is idempotent: a proposal whose outcome was
-// lost to a timeout can be re-proposed safely.
+// ctlCmd is one control-plane command, JSON-encoded into the consensus log
+// of a replicated controller. Every command is idempotent: a proposal whose
+// outcome was lost to a timeout can be re-proposed safely.
 type ctlCmd struct {
 	Op       string   `json:"op"`
 	DB       string   `json:"db,omitempty"`
@@ -56,7 +59,7 @@ type ctlDB struct {
 }
 
 // dropReplica takes machine out of the replica set, moving the read home off
-// it onto the first replica left.
+// it onto the first replica left: a non-empty set always holds its read home.
 func (db *ctlDB) dropReplica(machine string) {
 	for i, rid := range db.Replicas {
 		if rid == machine {
@@ -75,14 +78,7 @@ type ctlCopy struct {
 	Target string `json:"target"`
 }
 
-// ctlCreateResult is the Apply result of a create_db command, carrying the
-// decisions the state machine made deterministically.
-type ctlCreateResult struct {
-	Epoch    uint64
-	ReadHome string
-}
-
-// ctlState is the replicated controller state machine. It implements
+// ctlState is the controller state machine. It implements
 // consensus.StateMachine; every controller replica holds one instance and
 // applies the identical committed command sequence, so any replica can be
 // promoted and reconstruct the cluster's control decisions.
@@ -114,15 +110,22 @@ func newCtlState() *ctlState {
 	}}
 }
 
-// Apply applies one committed command. All mutations are deterministic
-// functions of the command and current state (map iteration is sorted).
+// Apply decodes one committed command from the consensus log and applies it.
 func (st *ctlState) Apply(index uint64, data []byte) any {
 	var cmd ctlCmd
 	if err := json.Unmarshal(data, &cmd); err != nil {
 		return err
 	}
+	return st.apply(cmd)
+}
+
+// apply applies one command and returns the state machine's refusal, if it
+// refuses it. All mutations are deterministic functions of the command and
+// current state (map iteration is sorted), and every command is idempotent.
+func (st *ctlState) apply(cmd ctlCmd) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	db := st.s.DBs[cmd.DB]
 	switch cmd.Op {
 	case ctlOpAddMachine:
 		if !contains(st.s.Machines, cmd.Machine) {
@@ -132,23 +135,29 @@ func (st *ctlState) Apply(index uint64, data []byte) any {
 	case ctlOpFailMachine:
 		st.s.Failed[cmd.Machine] = true
 		for _, name := range st.dbNamesLocked() {
-			db := st.s.DBs[name]
-			db.dropReplica(cmd.Machine)
-			if cp := db.Copy; cp != nil && (cp.Source == cmd.Machine || cp.Target == cmd.Machine) {
-				db.Copy = nil
+			rec := st.s.DBs[name]
+			rec.dropReplica(cmd.Machine)
+			if cpy := rec.Copy; cpy != nil && (cpy.Source == cmd.Machine || cpy.Target == cmd.Machine) {
+				rec.Copy = nil
 			}
 		}
 	case ctlOpRestartMachine:
 		delete(st.s.Failed, cmd.Machine)
 	case ctlOpCreateDB:
-		if db, ok := st.s.DBs[cmd.DB]; ok {
-			// Idempotent re-apply of a retried proposal.
-			return ctlCreateResult{Epoch: db.Epoch, ReadHome: db.ReadHome}
+		if db != nil {
+			// A retried proposal re-applies; another create of the name loses.
+			if !slices.Equal(db.Replicas, cmd.Replicas) {
+				return fmt.Errorf("%w: %s", ErrDatabaseExists, cmd.DB)
+			}
+			return nil
 		}
 		st.s.EpochSeq++
 		home := ""
 		if len(cmd.Replicas) > 0 {
-			home = cmd.Replicas[int(st.s.HomeSeq)%len(cmd.Replicas)]
+			// Rotate each database's Option-1 read home across its replicas
+			// so read load balances over the machines even though any one
+			// database's reads all go to one place.
+			home = cmd.Replicas[st.s.HomeSeq%uint64(len(cmd.Replicas))]
 			st.s.HomeSeq++
 		}
 		st.s.DBs[cmd.DB] = &ctlDB{
@@ -156,34 +165,41 @@ func (st *ctlState) Apply(index uint64, data []byte) any {
 			ReadHome: home,
 			Epoch:    st.s.EpochSeq,
 		}
-		return ctlCreateResult{Epoch: st.s.EpochSeq, ReadHome: home}
 	case ctlOpDropDB:
 		delete(st.s.DBs, cmd.DB)
 	case ctlOpCopyBegin:
-		if db, ok := st.s.DBs[cmd.DB]; ok {
+		if db != nil {
 			db.Copy = &ctlCopy{Source: cmd.Source, Target: cmd.Target}
 		}
 	case ctlOpCopyAbort:
-		if db, ok := st.s.DBs[cmd.DB]; ok {
+		if db != nil {
 			db.Copy = nil
 		}
 	case ctlOpCopyComplete:
-		if db, ok := st.s.DBs[cmd.DB]; ok {
-			if db.Copy != nil && !contains(db.Replicas, db.Copy.Target) {
-				db.Replicas = append(db.Replicas, db.Copy.Target)
+		switch {
+		case db != nil && db.Copy != nil && db.Copy.Target == cmd.Target:
+			if !contains(db.Replicas, cmd.Target) {
+				db.Replicas = append(db.Replicas, cmd.Target)
 			}
 			db.Copy = nil
+		case db == nil || !contains(db.Replicas, cmd.Target):
+			// A machine failure or a takeover retired the copy record.
+			return fmt.Errorf("%w: %s -> %s", ErrCopyAborted, cmd.DB, cmd.Target)
 		}
 	case ctlOpRetireReplica:
 		// Replica retirement (adaptive shrink, migration tail) must be
 		// replicated: the retired machine's engine copy is dropped, so a
 		// failover that resurrected the machine into the replica set from
 		// an older record would route reads to a machine without the data.
-		// Idempotent, and never drops the last replica — a retried retire
-		// racing a machine failure must not empty the set.
-		if db, ok := st.s.DBs[cmd.DB]; ok && len(db.Replicas) > 1 {
-			db.dropReplica(cmd.Machine)
+		// Idempotent, and never drops the last replica — a retire racing a
+		// machine failure must not empty the set.
+		if db == nil || !contains(db.Replicas, cmd.Machine) {
+			return nil
 		}
+		if len(db.Replicas) == 1 {
+			return fmt.Errorf("%w: cannot retire the last replica of %s", ErrNoReplicas, cmd.DB)
+		}
+		db.dropReplica(cmd.Machine)
 	}
 	return nil
 }
@@ -226,38 +242,12 @@ func (st *ctlState) Fingerprint() string {
 	for _, name := range st.dbNamesLocked() {
 		db := st.s.DBs[name]
 		fmt.Fprintf(&b, ";db=%s{replicas=%s,home=%s,epoch=%d", name, strings.Join(db.Replicas, ","), db.ReadHome, db.Epoch)
-		if cp := db.Copy; cp != nil {
-			fmt.Fprintf(&b, ",copy=%s->%s", cp.Source, cp.Target)
+		if cpy := db.Copy; cpy != nil {
+			fmt.Fprintf(&b, ",copy=%s->%s", cpy.Source, cpy.Target)
 		}
 		b.WriteString("}")
 	}
 	return b.String()
-}
-
-// view returns a deep copy of the state for failover reconciliation.
-func (st *ctlState) view() ctlStateData {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := ctlStateData{
-		Machines: append([]string(nil), st.s.Machines...),
-		Failed:   make(map[string]bool, len(st.s.Failed)),
-		DBs:      make(map[string]*ctlDB, len(st.s.DBs)),
-		EpochSeq: st.s.EpochSeq,
-		HomeSeq:  st.s.HomeSeq,
-	}
-	for id, v := range st.s.Failed {
-		out.Failed[id] = v
-	}
-	for name, db := range st.s.DBs {
-		cp := *db
-		cp.Replicas = append([]string(nil), db.Replicas...)
-		if db.Copy != nil {
-			c := *db.Copy
-			cp.Copy = &c
-		}
-		out.DBs[name] = &cp
-	}
-	return out
 }
 
 // dbNamesLocked returns database names sorted, for deterministic iteration.

@@ -23,8 +23,7 @@ type ClusterHealth struct {
 	// fault-injecting network.
 	DegradedLinks int `json:"degraded_links,omitempty"`
 	// Controllers counts configured control-plane replicas; zero when the
-	// cluster runs one controller, and the three fields below are then
-	// meaningless.
+	// cluster runs one controller, which always holds its quorum.
 	Controllers int `json:"controllers,omitempty"`
 	// ControllerLeader is the current consensus leader's replica id, empty
 	// while leaderless (an election or quorum loss in progress).
@@ -61,12 +60,8 @@ func (c *Cluster) Health() ClusterHealth {
 			h.ActiveCopies++
 		}
 	}
-	if cp := c.ctl; cp != nil {
-		h.Controllers = len(cp.nodes)
-		h.ControllerLeader, h.ControllerTerm = cp.group.LeaderID()
-		h.ControllerQuorum = cp.leaseTerm() != 0
-	} else {
-		h.ControllerQuorum = true
-	}
+	h.Controllers = len(c.ControllerIDs())
+	h.ControllerLeader, h.ControllerTerm = c.LeaderController()
+	h.ControllerQuorum = c.ctl.leaseTerm() != 0
 	return h
 }

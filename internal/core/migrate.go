@@ -43,92 +43,49 @@ func (c *Cluster) ShrinkReplica(db, fromID string) error {
 	return c.RetireReplica(db, fromID)
 }
 
-// RetireReplica removes one replica of db from a machine through the
-// replicated control plane: the removal commits to the consensus log before
-// the machine's copy is dropped, so a controller failover never resurrects
-// the retired machine into the replica set after its data is gone. Refuses
-// to retire during an in-flight copy or down to zero replicas. Retryable
-// with ErrNotLeader/ErrNoQuorum like every control mutation.
+// RetireReplica removes one replica of db from a machine: the state
+// machine takes the machine out of the replica set, the machine gives back
+// the replica's SLA reservation, and only then is its copy dropped, so a
+// controller failover never resurrects the retired machine into the replica
+// set after its data is gone. Refuses to retire during an in-flight copy,
+// and the state machine refuses to retire the last replica. Retryable with
+// ErrNotLeader/ErrNoQuorum like every control mutation.
 func (c *Cluster) RetireReplica(db, machineID string) error {
+	cp := c.ctl
+	cp.mu.Lock()
 	c.mu.Lock()
 	ds, ok := c.dbs[db]
+	var err error
 	switch {
 	case !ok:
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoDatabase, db)
+		err = fmt.Errorf("%w: %s", ErrNoDatabase, db)
 	case ds.copying != nil:
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrCopyInProgress, db)
+		err = fmt.Errorf("%w: %s", ErrCopyInProgress, db)
 	case !contains(ds.replicas, machineID):
-		c.mu.Unlock()
-		return fmt.Errorf("core: %s does not host %s", machineID, db)
-	case len(ds.replicas) <= 1:
-		c.mu.Unlock()
-		return fmt.Errorf("%w: cannot retire the last replica of %s", ErrNoReplicas, db)
-	}
-	c.mu.Unlock()
-
-	if cp := c.ctl; cp != nil {
-		// Hold cp.mu across propose and materialization (the
-		// CreateDatabaseOn pattern) so no other proposal interleaves
-		// between the log accepting the retire and the local state
-		// reflecting it.
-		cp.mu.Lock()
-		defer cp.mu.Unlock()
-		if _, err := cp.propose(ctlCmd{Op: ctlOpRetireReplica, DB: db, Machine: machineID}); err != nil {
-			return err
-		}
-	}
-	return c.retireReplica(db, machineID)
-}
-
-// retireReplica removes one replica of db from a machine: the machine stops
-// receiving the database's operations, gives back the replica's SLA
-// reservation, then drops its copy.
-func (c *Cluster) retireReplica(db, machineID string) error {
-	c.mu.Lock()
-	ds, ok := c.dbs[db]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoDatabase, db)
-	}
-	found := false
-	for i, id := range ds.replicas {
-		if id == machineID {
-			ds.replicas = append(ds.replicas[:i], ds.replicas[i+1:]...)
-			found = true
-			break
-		}
-	}
-	if !found {
-		c.mu.Unlock()
-		return fmt.Errorf("core: %s does not host %s", machineID, db)
-	}
-	if len(ds.replicas) == 0 {
-		// Never retire the last replica.
-		ds.replicas = append(ds.replicas, machineID)
-		c.mu.Unlock()
-		return fmt.Errorf("%w: cannot retire the last replica of %s", ErrNoReplicas, db)
-	}
-	if ds.readHome == machineID {
-		ds.readHome = ds.replicas[0]
+		err = fmt.Errorf("core: %s does not host %s", machineID, db)
 	}
 	m := c.machines[machineID]
-	m.release(ds.req)
 	c.mu.Unlock()
-
-	if !m.Failed() {
-		// In-flight transactions may still hold branches on the retiring
-		// machine; they complete normally (their sessions were created
-		// before removal). New transactions no longer route here. The
-		// copy is dropped once the engine has no open transactions on it;
-		// dropping immediately is safe for our engine because scans and
-		// locks are per-table objects that survive catalog removal, but
-		// we keep it simple and drop right away.
-		if err := m.Engine().DropDatabase(db); err != nil {
-			return err
-		}
-		m.dbCount.Add(-1)
+	retired := false
+	if err == nil {
+		err = cp.apply(ctlCmd{Op: ctlOpRetireReplica, DB: db, Machine: machineID}, func() {
+			if retired = !contains(ds.replicas, machineID); retired {
+				m.release(ds.req)
+			}
+		})
 	}
+	cp.mu.Unlock()
+	if !retired || m.Failed() {
+		return err
+	}
+	// In-flight transactions may still hold branches on the retiring
+	// machine; they complete normally (their sessions were created before
+	// removal). New transactions no longer route here. Dropping right away
+	// is safe for our engine because scans and locks are per-table objects
+	// that survive catalog removal.
+	if err := m.Engine().DropDatabase(db); err != nil {
+		return err
+	}
+	m.dbCount.Add(-1)
 	return nil
 }

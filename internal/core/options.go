@@ -133,15 +133,16 @@ type Options struct {
 	// RetryBackoff is the initial retry backoff, doubling per attempt.
 	// Default 1ms.
 	RetryBackoff time.Duration
-	// Controllers, when ≥ 1, replicates the cluster controller's control
-	// plane across this many consensus-backed replicas (see
-	// internal/consensus): control mutations — machine membership, database
-	// placement, Algorithm 1 copy lifecycle — commit to a replicated log
-	// before taking effect, the leader serves the data path under a quorum
-	// lease, and killing the leader fails over to a surviving replica.
-	// Zero (the default) runs one controller with no failover. With any
-	// replicas, every machine gets a write-ahead log even when WAL is nil:
-	// the in-doubt rule that settles a failover reads the participants' logs.
+	// Controllers is the number of cluster controller replicas. Every
+	// control mutation — machine membership, database placement, Algorithm 1
+	// copy lifecycle — is decided by the controller's state machine before
+	// it takes effect. Zero or one (the default) runs one controller that
+	// applies each decision in place, with no failover. From two on the
+	// decisions commit to a consensus log across this many replicas (see
+	// internal/consensus), the leader serves the data path under a quorum
+	// lease, killing the leader fails over to a surviving replica, and every
+	// machine gets a write-ahead log even when WAL is nil: the in-doubt rule
+	// that settles a failover reads the participants' logs.
 	Controllers int
 	// ControllerSeed seeds the controller replicas' election-timeout
 	// randomization, for reproducible failover schedules.
@@ -172,7 +173,7 @@ func (o Options) withDefaults() Options {
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = time.Millisecond
 	}
-	if o.Controllers > 0 && o.WAL == nil {
+	if o.Controllers > 1 && o.WAL == nil {
 		o.WAL = &wal.Config{}
 	}
 	return o

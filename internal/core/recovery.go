@@ -184,13 +184,11 @@ func (c *Cluster) RestartMachine(id string) (*sqldb.RecoveryStats, error) {
 	// conservatively still says failed, and a takeover re-fails the machine
 	// (the operator retries the restart) rather than ever trusting a
 	// machine the log says is dead.
-	if cp := c.ctl; cp != nil {
-		cp.mu.Lock()
-		_, perr := cp.propose(ctlCmd{Op: ctlOpRestartMachine, Machine: id})
-		cp.mu.Unlock()
-		if perr != nil {
-			return stats, perr
-		}
+	c.ctl.mu.Lock()
+	err = c.ctl.apply(ctlCmd{Op: ctlOpRestartMachine, Machine: id}, nil)
+	c.ctl.mu.Unlock()
+	if err != nil {
+		return stats, err
 	}
 	c.metrics.reg.TraceEvent("recovery", id, "machine_restarted",
 		fmt.Sprintf("replayed=%d in_doubt=%d", stats.Applied, stats.InDoubt))

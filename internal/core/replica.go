@@ -96,16 +96,16 @@ func (c *Cluster) copyReplica(db string, target *Machine, marks map[string]uint6
 
 	err = c.runCopy(ds, cs, source, target)
 	if err != nil {
+		// Best effort: a takeover's reconciliation retires orphaned copy
+		// records anyway. The record goes first, so no next copy's record
+		// is what this abort clears.
+		cp := c.ctl
+		cp.mu.Lock()
+		_ = cp.apply(ctlCmd{Op: ctlOpCopyAbort, DB: db}, nil)
 		c.mu.Lock()
 		ds.copying = nil
 		c.mu.Unlock()
-		if cp := c.ctl; cp != nil {
-			// Best effort: a takeover's reconciliation retires orphaned copy
-			// records anyway.
-			cp.mu.Lock()
-			_, _ = cp.propose(ctlCmd{Op: ctlOpCopyAbort, DB: db})
-			cp.mu.Unlock()
-		}
+		cp.mu.Unlock()
 		target.dropDatabase(db)
 		target.release(req)
 		m.copyPhase.With("abandoned").Inc()
@@ -117,27 +117,25 @@ func (c *Cluster) copyReplica(db string, target *Machine, marks map[string]uint6
 	return nil
 }
 
-// runCopy performs the copy proper: the copy_begin/copy_complete proposal
+// runCopy performs the copy proper: the copy_begin/copy_complete command
 // pair, the target's preparation, one copyTables step per table (or one for
 // the whole database), and the registration of the new replica. The caller
 // abandons the copy on error.
 func (c *Cluster) runCopy(ds *dbState, cs *copyState, source, target *Machine) error {
 	db := ds.name
 	cp := c.ctl
-	if cp != nil {
-		// The copy's existence commits to the replicated log before any data
-		// moves, so a controller taking over mid-copy knows to abort it
-		// rather than leave the router rejecting writes forever.
-		cp.mu.Lock()
-		_, err := cp.propose(ctlCmd{Op: ctlOpCopyBegin, DB: db, Source: cs.source, Target: cs.target})
-		cp.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	// The copy's existence is recorded before any data moves, so a
+	// controller taking over mid-copy knows to abort it rather than leave
+	// the router rejecting writes forever.
+	cp.mu.Lock()
+	err := cp.apply(ctlCmd{Op: ctlOpCopyBegin, DB: db, Source: cs.source, Target: cs.target}, nil)
+	cp.mu.Unlock()
+	if err != nil {
+		return err
 	}
 
 	tables := source.Engine().Tables(db)
-	err := c.netCall(c.endpoint, cs.target, "copy_create_db", func() error {
+	err = c.netCall(c.endpoint, cs.target, "copy_create_db", func() error {
 		eng := target.Engine()
 		if !eng.HasDatabase(db) {
 			if err := eng.CreateDatabase(db); err != nil {
@@ -177,33 +175,24 @@ func (c *Cluster) runCopy(ds *dbState, cs *copyState, source, target *Machine) e
 		}
 	}
 
-	// Registration commits to the replicated log first: a takeover after the
-	// commit sees the target as a full replica; before it, the copy is
-	// aborted and the target discarded. Either way no controller ever routes
-	// to a half-copied replica. cp.mu is held from the abort check to the
-	// local registration, so a machine failure (which takes it) falls
-	// entirely before — and aborts the copy — or entirely after, and removes
-	// a registered replica.
-	if cp != nil {
-		cp.mu.Lock()
-		defer cp.mu.Unlock()
-	}
+	// Registration is the state machine's: a takeover after it sees the
+	// target as a full replica; before it, the copy is aborted and the
+	// target discarded. Either way no controller ever routes to a
+	// half-copied replica. cp.mu is held from the abort check to the
+	// registration, so a machine failure (which takes it) falls entirely
+	// before — and aborts the copy — or entirely after, and removes a
+	// registered replica.
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := cs.abortedErr(target); err != nil {
+	err = cs.abortedErr(target)
+	c.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	if cp != nil {
-		c.mu.Unlock()
-		_, err := cp.propose(ctlCmd{Op: ctlOpCopyComplete, DB: db})
-		c.mu.Lock()
-		if err != nil {
-			return err
-		}
-	}
-	ds.replicas = append(ds.replicas, cs.target)
-	ds.copying = nil
-	return nil
+	return cp.apply(ctlCmd{Op: ctlOpCopyComplete, DB: db, Target: cs.target}, func() {
+		ds.copying = nil
+	})
 }
 
 // abortedErr is the copy's one abort check: a copy whose source or target

@@ -319,7 +319,7 @@ func (s *replicaSession) prepare() opResult {
 // ErrTxnDone, which is normalised to success here so duplicated deliveries
 // are transparent.
 func (s *replicaSession) commitPrepared() opResult {
-	if cp := s.c.ctl; cp != nil && !cp.holdsLease(s.term) {
+	if !s.c.ctl.holdsLease(s.term) {
 		return opResult{err: errDeposed}
 	}
 	return opResult{err: alreadyDone(s.call("commit", true, s.txn.CommitPrepared))}

@@ -19,7 +19,7 @@ type Txn struct {
 	c     *Cluster
 	db    string
 	gid   uint64
-	term  uint64    // the controller lease term it began under (0: no control plane)
+	term  uint64    // the controller lease term it began under
 	start time.Time // for the SLA monitor's commit-latency accounting
 
 	// sessions holds one branch per machine touched, in the order the routes

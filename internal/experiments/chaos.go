@@ -40,11 +40,10 @@ type ChaosConfig struct {
 	// Quick shrinks the default duration for CI smoke runs.
 	Quick bool
 	// Controllers is the number of replicated cluster-controller replicas
-	// (default 3); the scheduler then also kills and restarts controllers —
+	// (default 3); the scheduler also kills and restarts controllers —
 	// including leader kills armed to fire mid-2PC and mid-replica-copy —
 	// and the invariant check requires the surviving replicas' control
-	// state machines to converge. Negative runs a single controller with no
-	// controller chaos.
+	// state machines to converge.
 	Controllers int
 	// Placement additionally runs the adaptive provisioning controller
 	// during the soak: an SLA monitor feeds the decision loop, which grows,
@@ -66,8 +65,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if c.Controllers == 0 {
 		c.Controllers = 3
-	} else if c.Controllers < 0 {
-		c.Controllers = 0
 	}
 	return c
 }
@@ -97,7 +94,7 @@ type ChaosReport struct {
 	Duplicated     uint64
 	PartitionDrops uint64
 
-	// Controller chaos (Controllers > 0 only).
+	// Controller chaos.
 	CtlKills         int // controller replicas killed (leader or follower)
 	CtlPhaseKills    int // leader kills armed on a 2PC PREPARE delivery
 	CtlMidCopyKills  int // leader kills armed on an Algorithm 1 copy delivery
@@ -461,9 +458,6 @@ func (s *chaosScheduler) toggleCrash() {
 // the window right after a 2PC PREPARE (commits in transit) or mid
 // Algorithm 1 copy (a copy in flight the next leader must abort).
 func (s *chaosScheduler) toggleCtlCrash() {
-	if len(s.c.ControllerIDs()) == 0 {
-		return // legacy single-controller mode
-	}
 	if s.ctlDown {
 		s.restoreControllers()
 		return
@@ -572,12 +566,10 @@ func (s *chaosScheduler) restoreAll() {
 		// have stopped a controller after the last scheduler tick.
 		s.report.CtlRestarts += s.c.RestartControllers()
 	}
-	if len(s.c.ControllerIDs()) > 0 {
-		// Let the restarted control plane finish its failover before any
-		// recovery work: a leader whose adoption is still running sweeps
-		// up fresh copies as failover orphans and aborts them.
-		_ = s.c.WaitControllerSettled(5 * time.Second)
-	}
+	// Let the restarted control plane finish its failover before any
+	// recovery work: a leader whose adoption is still running sweeps up
+	// fresh copies as failover orphans and aborts them.
+	_ = s.c.WaitControllerSettled(5 * time.Second)
 	// Prepared branches a resolution could not reach under faults hold locks
 	// that would block the recovery copy below; on the quiet network their
 	// background resolutions finish.
@@ -620,13 +612,11 @@ func checkChaosInvariants(c *core.Cluster, control *obs.SpanRing, rec *history.R
 		}
 	}
 
-	// With a replicated control plane, every controller replica's state
-	// machine must converge to the same committed control state once the
-	// network settles — divergence means the consensus log forked.
-	if len(c.ControllerIDs()) > 0 {
-		if err := c.WaitControllerConvergence(5 * time.Second); err != nil {
-			report.Violations = append(report.Violations, err.Error())
-		}
+	// Every controller replica's state machine must converge to the same
+	// committed control state once the network settles — divergence means
+	// the consensus log forked.
+	if err := c.WaitControllerConvergence(5 * time.Second); err != nil {
+		report.Violations = append(report.Violations, err.Error())
 	}
 
 	// No transaction records a control event, so a soak cannot wrap the

@@ -130,13 +130,13 @@ type Config struct {
 	// long into the bounded slow-query log served at /slowz, with the span
 	// breakdown for sampled calls.
 	SlowQuery time.Duration
-	// Controllers, when >= 1, replicates each cluster controller's state
+	// Controllers, when >= 2, replicates each cluster controller's state
 	// machine across that many consensus replicas (3 or 5 are sensible);
 	// controller state changes commit through a Raft-style log and the
 	// cluster survives controller crashes by leader failover (see DESIGN.md,
-	// "Control plane replication"). Zero runs one controller with no
-	// failover. With any, every machine keeps a write-ahead log even when
-	// WAL is nil.
+	// "Control plane replication"), and every machine keeps a write-ahead
+	// log even when WAL is nil. Zero or one runs one controller, which
+	// applies the same state machine in place, with no failover.
 	Controllers int
 	// ControllerSeed seeds the consensus layer's randomized election
 	// timeouts, for reproducible failover tests (default 1).
