@@ -63,10 +63,30 @@ type lockRequest struct {
 	ready chan error // closed with nil on grant; receives error on abort
 }
 
-// lockEntry is the state of one lockable resource.
+// holder is one transaction's grant on a resource.
+type holder struct {
+	txn  *Txn
+	mode LockMode
+}
+
+// lockEntry is the state of one lockable resource. Its holders are few, so a
+// slice searched linearly serves where a map would hash. A transaction's held
+// list points at the entries it holds, which stay in the manager's table
+// while held.
 type lockEntry struct {
-	granted map[*Txn]LockMode
+	id      lockID
+	granted []holder
 	queue   []*lockRequest
+}
+
+// find returns the position of txn among e's holders, or -1.
+func (e *lockEntry) find(txn *Txn) int {
+	for i := range e.granted {
+		if e.granted[i].txn == txn {
+			return i
+		}
+	}
+	return -1
 }
 
 // lockManager implements strict two-phase locking with multi-granularity
@@ -80,7 +100,7 @@ type lockManager struct {
 	waitFor map[*Txn]map[*Txn]bool // edges: waiter -> holders blocking it
 	timeout time.Duration
 
-	// free recycles lockEntry values (and their granted maps) so the hot
+	// free recycles lockEntry values (and their holder slices) so the hot
 	// path of short transactions — a handful of uncontended locks acquired
 	// and released per statement — does not allocate. Guarded by mu.
 	free []*lockEntry
@@ -111,21 +131,22 @@ func (lm *lockManager) acquire(txn *Txn, id lockID, mode LockMode) error {
 			e = lm.free[n-1]
 			lm.free = lm.free[:n-1]
 		} else {
-			e = &lockEntry{granted: make(map[*Txn]LockMode, 2)}
+			e = &lockEntry{granted: make([]holder, 0, 2)}
 		}
+		e.id = id
 		lm.locks[id] = e
 	}
 
-	if held, ok := e.granted[txn]; ok {
-		target := upgradeMode(held, mode)
-		if target == held {
+	if i := e.find(txn); i >= 0 {
+		target := upgradeMode(e.granted[i].mode, mode)
+		if target == e.granted[i].mode {
 			lm.mu.Unlock()
 			return nil
 		}
-		// Upgrade: compatible with every *other* holder? The id is already
+		// Upgrade: compatible with every *other* holder? The entry is already
 		// in the transaction's held list from the original grant.
 		if lm.compatibleWithHolders(e, txn, target) {
-			e.granted[txn] = target
+			e.granted[i].mode = target
 			lm.mu.Unlock()
 			return nil
 		}
@@ -133,23 +154,23 @@ func (lm *lockManager) acquire(txn *Txn, id lockID, mode LockMode) error {
 		// priority so two upgraders deadlock promptly rather than starve).
 		req := &lockRequest{txn: txn, mode: target, ready: make(chan error, 1)}
 		e.queue = append([]*lockRequest{req}, e.queue...)
-		return lm.block(txn, id, e, req)
+		return lm.block(txn, e, req)
 	}
 
 	if len(e.queue) == 0 && lm.compatibleWithHolders(e, txn, mode) {
-		e.granted[txn] = mode
-		txn.noteLock(id)
+		e.granted = append(e.granted, holder{txn, mode})
+		txn.noteLock(e)
 		lm.mu.Unlock()
 		return nil
 	}
 	req := &lockRequest{txn: txn, mode: mode, ready: make(chan error, 1)}
 	e.queue = append(e.queue, req)
-	return lm.block(txn, id, e, req)
+	return lm.block(txn, e, req)
 }
 
 // block parks txn on req after installing wait-for edges and checking for a
 // deadlock cycle. Called with lm.mu held; always releases it.
-func (lm *lockManager) block(txn *Txn, id lockID, e *lockEntry, req *lockRequest) error {
+func (lm *lockManager) block(txn *Txn, e *lockEntry, req *lockRequest) error {
 	lm.refreshEdges(txn, e)
 	if lm.cycleFrom(txn) {
 		lm.deadlocks++
@@ -181,7 +202,7 @@ func (lm *lockManager) block(txn *Txn, id lockID, e *lockEntry, req *lockRequest
 		lm.timeouts++
 		lm.removeRequest(e, req)
 		lm.clearEdges(txn)
-		lm.grantWaiters(id, e)
+		lm.grantWaiters(e)
 		lm.mu.Unlock()
 		return ErrLockTimeout
 	}
@@ -204,18 +225,17 @@ func (lm *lockManager) release(txn *Txn, drop func(LockMode) bool) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	lm.clearEdges(txn)
-	held := txn.heldLocks()
+	held := txn.locks
 	kept := held[:0]
-	for _, id := range held {
-		e := lm.locks[id]
-		if e == nil {
-			continue
-		}
-		if mode, ok := e.granted[txn]; ok {
-			if drop(mode) {
-				delete(e.granted, txn)
+	for _, e := range held {
+		if i := e.find(txn); i >= 0 {
+			if drop(e.granted[i].mode) {
+				// Clear the vacated slot: the entry keeps no txn alive.
+				last := len(e.granted) - 1
+				e.granted[i], e.granted[last] = e.granted[last], holder{}
+				e.granted = e.granted[:last]
 			} else {
-				kept = append(kept, id)
+				kept = append(kept, e)
 			}
 		}
 		// Cancel any waits by this transaction (abort path).
@@ -228,32 +248,33 @@ func (lm *lockManager) release(txn *Txn, drop func(LockMode) bool) {
 				}
 			}
 		}
-		lm.grantWaiters(id, e)
+		lm.grantWaiters(e)
 		if len(e.granted) == 0 && len(e.queue) == 0 {
-			delete(lm.locks, id)
+			delete(lm.locks, e.id)
 			if len(lm.free) < lockEntryFreeMax {
-				e.queue = nil
+				*e = lockEntry{granted: e.granted}
 				lm.free = append(lm.free, e)
 			}
 		}
 	}
+	clear(held[len(kept):]) // the released entries may be recycled
 	txn.locks = kept
 }
 
 // grantWaiters admits queued requests in FIFO order while they are
 // compatible. Called with lm.mu held.
-func (lm *lockManager) grantWaiters(id lockID, e *lockEntry) {
+func (lm *lockManager) grantWaiters(e *lockEntry) {
 	for len(e.queue) > 0 {
 		req := e.queue[0]
 		if !lm.compatibleWithHolders(e, req.txn, req.mode) {
 			break
 		}
 		e.queue = e.queue[1:]
-		if held, ok := e.granted[req.txn]; ok {
-			e.granted[req.txn] = upgradeMode(held, req.mode)
+		if i := e.find(req.txn); i >= 0 {
+			e.granted[i].mode = upgradeMode(e.granted[i].mode, req.mode)
 		} else {
-			e.granted[req.txn] = req.mode
-			req.txn.noteLock(id)
+			e.granted = append(e.granted, holder{req.txn, req.mode})
+			req.txn.noteLock(e)
 		}
 		lm.clearEdges(req.txn)
 		req.ready <- nil
@@ -267,11 +288,8 @@ func (lm *lockManager) grantWaiters(id lockID, e *lockEntry) {
 // compatibleWithHolders reports whether txn may hold mode on e alongside all
 // *other* current holders. Called with lm.mu held.
 func (lm *lockManager) compatibleWithHolders(e *lockEntry, txn *Txn, mode LockMode) bool {
-	for holder, held := range e.granted {
-		if holder == txn {
-			continue
-		}
-		if !lockCompat[held][mode] {
+	for _, h := range e.granted {
+		if h.txn != txn && !lockCompat[h.mode][mode] {
 			return false
 		}
 	}
@@ -295,9 +313,9 @@ func (lm *lockManager) refreshEdges(txn *Txn, e *lockEntry) {
 		return
 	}
 	edges := make(map[*Txn]bool)
-	for holder, held := range e.granted {
-		if holder != txn && !lockCompat[held][want] {
-			edges[holder] = true
+	for _, h := range e.granted {
+		if h.txn != txn && !lockCompat[h.mode][want] {
+			edges[h.txn] = true
 		}
 	}
 	// Also wait for earlier incompatible waiters (FIFO fairness).

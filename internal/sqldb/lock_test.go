@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -276,9 +277,100 @@ func TestUpgradeModeLattice(t *testing.T) {
 	}
 }
 
+// TestLockEntryInvariants drives the lock manager through a seeded random
+// sequence of acquisitions, upgrades, releases and timed-out waits, and checks
+// after every step that each transaction's held list points at the live
+// entries, that the entries hold exactly the modes a model predicts, that no
+// recycled entry keeps a holder, a request or a transaction alive, and that
+// heldCount agrees with the held lists.
+func TestLockEntryInvariants(t *testing.T) {
+	lm, newTxn := newLockFixture(t, 200*time.Microsecond)
+	txns := []*Txn{newTxn(), newTxn(), newTxn(), newTxn()}
+	ids := []lockID{{Table: "d/t"}, {Table: "d/t", Key: "1"}, {Table: "d/t", Key: "2"}}
+	model := map[*Txn]map[lockID]LockMode{}
+	for _, tx := range txns {
+		model[tx] = map[lockID]LockMode{}
+	}
+	rng := rand.New(rand.NewSource(1))
+	upgrades, freed := 0, 0
+	for step := 0; step < 400; step++ {
+		tx := txns[rng.Intn(len(txns))]
+		switch op := rng.Intn(10); {
+		case op < 7: // acquire; an upgrade when tx already holds the id
+			id, mode := ids[rng.Intn(len(ids))], LockMode(rng.Intn(4))
+			err := lm.acquire(tx, id, mode)
+			if err == nil {
+				held, ok := model[tx][id]
+				if !ok {
+					held = mode
+				} else if upgradeMode(held, mode) != held {
+					upgrades++
+				}
+				model[tx][id] = upgradeMode(held, mode)
+			} else if !errors.Is(err, ErrLockTimeout) {
+				t.Fatalf("step %d: acquire %s on %v: %v", step, mode, id, err)
+			}
+		case op < 9:
+			lm.releaseShared(tx)
+			for id, mode := range model[tx] {
+				if mode.shared() {
+					delete(model[tx], id)
+				}
+			}
+		default:
+			lm.releaseAll(tx)
+			clear(model[tx])
+		}
+
+		lm.mu.Lock()
+		held := 0
+		for _, tx := range txns {
+			held += len(tx.locks)
+			if len(tx.locks) != len(model[tx]) {
+				t.Fatalf("step %d: txn %d holds %d locks, model %d", step, tx.id, len(tx.locks), len(model[tx]))
+			}
+			for _, e := range tx.locks {
+				if lm.locks[e.id] != e {
+					t.Fatalf("step %d: txn %d holds %v through an entry that is not the live one", step, tx.id, e.id)
+				}
+				if i := e.find(tx); i < 0 || e.granted[i].mode != model[tx][e.id] {
+					t.Fatalf("step %d: txn %d holds %v in mode %v, model %v", step, tx.id, e.id, e.granted, model[tx][e.id])
+				}
+			}
+		}
+		for id, e := range lm.locks {
+			for i, a := range e.granted {
+				for _, b := range e.granted[i+1:] {
+					if a.txn == b.txn || !lockCompat[a.mode][b.mode] {
+						t.Fatalf("step %d: %v has conflicting holders %v", step, id, e.granted)
+					}
+				}
+			}
+		}
+		freed += len(lm.free)
+		for _, e := range lm.free {
+			if len(e.granted) != 0 || e.queue != nil || e.id != (lockID{}) {
+				t.Fatalf("step %d: free entry %v has holders %v or requests %v", step, e.id, e.granted, e.queue)
+			}
+			for _, h := range e.granted[:cap(e.granted)] {
+				if h.txn != nil {
+					t.Fatalf("step %d: free entry keeps txn %d alive", step, h.txn.id)
+				}
+			}
+		}
+		lm.mu.Unlock()
+		if n := lm.heldCount(); n != uint64(held) {
+			t.Fatalf("step %d: heldCount %d, held lists %d", step, n, held)
+		}
+	}
+	if _, timeouts := lm.failedWaits(); upgrades == 0 || timeouts == 0 || freed == 0 {
+		t.Fatalf("sequence made %d upgrades, %d timed-out waits, %d free entries; want each > 0", upgrades, timeouts, freed)
+	}
+}
+
 // heldLocksForTest exposes the held set under the lock-manager mutex.
-func (t *Txn) heldLocksForTest() []lockID {
+func (t *Txn) heldLocksForTest() []*lockEntry {
 	t.engine.locks.mu.Lock()
 	defer t.engine.locks.mu.Unlock()
-	return t.heldLocks()
+	return t.locks
 }

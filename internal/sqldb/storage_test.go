@@ -870,12 +870,13 @@ func timeAfter50ms() <-chan time.Time { return time.After(50 * time.Millisecond)
 
 // indexBytesPerRowCeiling is what a loaded row may keep on the heap in a
 // table with an INT primary key and one TEXT index: the row's encoding in its
-// page slot, its loc entry, one hash-map entry per index with its key string,
-// and the index's one-element rowID list — 254 B at 20 000 rows. A stored row
-// kept decoded (48 B a value, its TEXT a string of its own) made it 342 B,
-// and a second map per index shadowing every key with its value 583 B; like
-// the allocation ceilings this does not depend on the box.
-const indexBytesPerRowCeiling = 280
+// page slot, its 8-byte row-directory entry, one hash-map entry per index
+// with its key string, and the index's one-element rowID list — 217 B at
+// 20 000 rows. A rowID → slot hash map in place of the directory made it
+// 254 B, a stored row kept decoded (48 B a value, its TEXT a string of its
+// own) 342 B, and a second map per index shadowing every key with its value
+// 583 B; like the allocation ceilings this does not depend on the box.
+const indexBytesPerRowCeiling = 240
 
 // TestIndexBytesPerRow is the machine-independent footprint gate: an index
 // holds each key once.

@@ -11,9 +11,12 @@ import (
 
 // rowLoc locates a row: either a sealed page slot or the open tail page.
 type rowLoc struct {
-	page int // -1 means the tail page
-	slot int
+	page int32 // -1 means the tail page
+	slot int32
 }
+
+// noRow is the row directory's entry for a row ID with no live row.
+var noRow = rowLoc{page: -2, slot: -2}
 
 // index is a secondary (or unique) hash index on one column. m is the only
 // holder of its keys; ord is the sorted view a range traversal derives from m.
@@ -50,7 +53,7 @@ type Table struct {
 	mu        sync.Mutex
 	pages     []*sealedPage
 	tail      []pageSlot
-	loc       map[uint64]rowLoc
+	loc       []rowLoc          // row directory, indexed by row ID
 	pk        map[string]uint64 // pk key -> rowID; nil when no primary key
 	pkOrd     orderedKeys       // sorted view of pk's keys
 	indexes   map[string]*index // by lower-cased column name
@@ -65,7 +68,6 @@ func newTable(e *Engine, qname string, schema *Schema) *Table {
 		schema:  schema,
 		engine:  e,
 		qname:   qname,
-		loc:     make(map[uint64]rowLoc),
 		indexes: make(map[string]*index),
 	}
 	if schema.PKIdx >= 0 {
@@ -265,6 +267,24 @@ func scanRange[V any](o *orderedKeys, m map[string]V, b rangeBounds, fn func(k s
 	}
 }
 
+// locOf returns where row id lives, and whether it is live. An ID past the
+// end of the directory was never stored. Called with t.mu held.
+func (t *Table) locOf(id uint64) (rowLoc, bool) {
+	if id >= uint64(len(t.loc)) || t.loc[id] == noRow {
+		return noRow, false
+	}
+	return t.loc[id], true
+}
+
+// setLoc points row id's directory entry at l (noRow: no live row), growing
+// the directory over IDs minted but not yet stored. Called with t.mu held.
+func (t *Table) setLoc(id uint64, l rowLoc) {
+	for uint64(len(t.loc)) <= id {
+		t.loc = append(t.loc, noRow)
+	}
+	t.loc[id] = l
+}
+
 // pkKey returns the primary-key index key of a row, or "" when the table has
 // no primary key.
 func (t *Table) pkKey(r Row) string {
@@ -296,7 +316,7 @@ func (t *Table) insertRowPhysical(rowID uint64, r Row) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.tail = append(t.tail, pageSlot{rowID: rowID, enc: enc})
-	t.loc[rowID] = rowLoc{page: -1, slot: len(t.tail) - 1}
+	t.setLoc(rowID, rowLoc{page: -1, slot: int32(len(t.tail) - 1)})
 	if t.pk != nil {
 		k := t.pkKey(r)
 		t.pk[k] = rowID
@@ -320,7 +340,7 @@ func (t *Table) sealTail() {
 	page := &sealedPage{}
 	t.pages = append(t.pages, page)
 	for i, s := range t.tail {
-		t.loc[s.rowID] = rowLoc{page: n, slot: i}
+		t.setLoc(s.rowID, rowLoc{page: int32(n), slot: int32(i)})
 	}
 	t.engine.pool.Put(t.pageKey(n), page, t.tail)
 	t.tail = nil
@@ -342,7 +362,7 @@ func (t *Table) corruptPagePanic(page int, err error) {
 func (t *Table) deleteRowPhysical(rowID uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	l, ok := t.loc[rowID]
+	l, ok := t.locOf(rowID)
 	if !ok {
 		return
 	}
@@ -353,7 +373,7 @@ func (t *Table) deleteRowPhysical(rowID uint64) {
 		t.tail = append(t.tail[:l.slot], t.tail[l.slot+1:]...)
 		moved = t.tail[l.slot:]
 	} else {
-		t.updatePageLocked(l.page, func(pg *residentPage) {
+		t.updatePageLocked(int(l.page), func(pg *residentPage) {
 			oldEnc = pg.slots[l.slot].enc
 			last := len(pg.slots) - 1
 			copy(pg.slots[l.slot:], pg.slots[l.slot+1:])
@@ -363,10 +383,10 @@ func (t *Table) deleteRowPhysical(rowID uint64) {
 		})
 	}
 	for i, s := range moved {
-		t.loc[s.rowID] = rowLoc{page: l.page, slot: l.slot + i}
+		t.setLoc(s.rowID, rowLoc{page: l.page, slot: l.slot + int32(i)})
 	}
-	delete(t.loc, rowID)
-	old := t.decodeOldLocked(l.page, oldEnc)
+	t.setLoc(rowID, noRow)
+	old := t.decodeOldLocked(int(l.page), oldEnc)
 	defer clear(old)
 	if t.pk != nil {
 		k := t.pkKey(old)
@@ -386,7 +406,7 @@ func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 	enc := encodeRowString(newRow)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	l, ok := t.loc[rowID]
+	l, ok := t.locOf(rowID)
 	if !ok {
 		return
 	}
@@ -394,11 +414,11 @@ func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 	if l.page == -1 {
 		oldEnc, t.tail[l.slot].enc = t.tail[l.slot].enc, enc
 	} else {
-		t.updatePageLocked(l.page, func(pg *residentPage) {
+		t.updatePageLocked(int(l.page), func(pg *residentPage) {
 			oldEnc, pg.slots[l.slot].enc = pg.slots[l.slot].enc, enc
 		})
 	}
-	old := t.decodeOldLocked(l.page, oldEnc)
+	old := t.decodeOldLocked(int(l.page), oldEnc)
 	defer clear(old)
 	if pk := t.schema.PKIdx; t.pk != nil {
 		if oldKey, newKey, changed := keyChange(old[pk], newRow[pk]); changed {
@@ -442,7 +462,7 @@ func (t *Table) encAtLocked(l rowLoc) string {
 	if l.page == -1 {
 		return t.tail[l.slot].enc
 	}
-	return t.residentLocked(l.page).slots[l.slot].enc
+	return t.residentLocked(int(l.page)).slots[l.slot].enc
 }
 
 // decode decodes a stored row of page (-1: the tail) into dst as decodeRow
@@ -511,11 +531,11 @@ func (t *Table) readPKRowInto(key []byte, dst Row) (Row, uint64, bool) {
 	if !ok {
 		return dst, 0, false
 	}
-	l, ok := t.loc[id]
+	l, ok := t.locOf(id)
 	if !ok {
 		return dst, 0, false
 	}
-	return t.decode(l.page, t.encAtLocked(l), dst), id, true
+	return t.decode(int(l.page), t.encAtLocked(l), dst), id, true
 }
 
 // getRowsBatch decodes the rows with the given IDs under a single latch
@@ -530,10 +550,10 @@ func (t *Table) getRowsBatch(ids []uint64, dst []Row) []Row {
 	defer t.mu.Unlock()
 	n := 0
 	for _, id := range ids {
-		if l, ok := t.loc[id]; ok {
+		if l, ok := t.locOf(id); ok {
 			ids[n] = id
 			n++
-			dst = append(dst, t.decode(l.page, t.encAtLocked(l), slab[:w:w]))
+			dst = append(dst, t.decode(int(l.page), t.encAtLocked(l), slab[:w:w]))
 			slab = slab[w:]
 		}
 	}
@@ -555,7 +575,7 @@ func (t *Table) pkValues(ids []uint64, dst []Value) (n int, live []uint64, pks [
 	live, pks = ids[:0], dst
 	var first rowLoc
 	for ; n < len(ids); n++ {
-		l, ok := t.loc[ids[n]]
+		l, ok := t.locOf(ids[n])
 		if !ok {
 			continue
 		}
@@ -567,7 +587,7 @@ func (t *Table) pkValues(ids []uint64, dst []Value) (n int, live []uint64, pks [
 		live = append(live, ids[n])
 		v, err := decodeCol(t.encAtLocked(l), pk)
 		if err != nil {
-			t.corruptPagePanic(l.page, err)
+			t.corruptPagePanic(int(l.page), err)
 		}
 		pks = append(pks, v)
 	}
@@ -698,9 +718,9 @@ func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64,
 		for _, m := range matched {
 			// Skip rows that moved or died since the snapshot.
 			t.mu.Lock()
-			l, live := t.loc[m.id]
+			l, live := t.locOf(m.id)
 			t.mu.Unlock()
-			if !live || l.page != p {
+			if !live || int(l.page) != p {
 				continue
 			}
 			if !fn(m.id, m.row) {
@@ -757,7 +777,7 @@ func (t *Table) scanCold(fn func(rowID uint64, r Row) bool) {
 		live := slots[:0]
 		t.mu.Lock()
 		for _, s := range slots {
-			if l, ok := t.loc[s.rowID]; ok && l.page == p {
+			if l, ok := t.locOf(s.rowID); ok && int(l.page) == p {
 				live = append(live, s)
 			}
 		}
@@ -804,7 +824,7 @@ func (t *Table) createIndex(name string, colIdx int, unique bool) error {
 	}
 	for p := range t.pages {
 		for _, s := range t.residentLocked(p).slots {
-			if _, live := t.loc[s.rowID]; !live {
+			if _, live := t.locOf(s.rowID); !live {
 				continue
 			}
 			if err := collect(p, s); err != nil {

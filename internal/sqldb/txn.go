@@ -84,11 +84,12 @@ type Txn struct {
 
 	// locks is guarded by the engine's lock-manager mutex, not mu: all
 	// mutation happens inside lockManager methods. The manager appends an
-	// id exactly once per hold (on first grant; upgrades do not re-append),
-	// so the slice stays duplicate-free without a set. locksBuf keeps short
+	// entry exactly once per hold (on first grant; upgrades do not
+	// re-append), so the slice stays duplicate-free without a set, and
+	// release reaches each entry without a lookup. locksBuf keeps short
 	// transactions — the common point read/write — allocation-free.
-	locks    []lockID
-	locksBuf [8]lockID
+	locks    []*lockEntry
+	locksBuf [8]*lockEntry
 
 	// Per-transaction scratch, reused from statement to statement: the
 	// evaluation environment of the running statement, and the key, row,
@@ -119,14 +120,10 @@ func (t *Txn) newEnv(params []Value) *env {
 // context names the parent span engine-side spans link under.
 func (t *Txn) SetTraceContext(tc obs.SpanContext) { t.trace = tc }
 
-// noteLock records that the transaction holds id. Called by the lock manager
-// with its mutex held, only when the transaction is newly granted the lock
-// (never on upgrades of an already-held lock).
-func (t *Txn) noteLock(id lockID) { t.locks = append(t.locks, id) }
-
-// heldLocks lists the held lock IDs. Called by the lock manager with its
-// mutex held.
-func (t *Txn) heldLocks() []lockID { return t.locks }
+// noteLock records that the transaction holds e's lock. Called by the lock
+// manager with its mutex held, only when the transaction is newly granted the
+// lock (never on upgrades of an already-held lock).
+func (t *Txn) noteLock(e *lockEntry) { t.locks = append(t.locks, e) }
 
 // logUndo appends an undo record.
 func (t *Txn) logUndo(rec undoRec) {

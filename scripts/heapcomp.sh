@@ -49,7 +49,7 @@ row 'sqldb.Parse (ASTs and the texts'"'"' literals)' "$(mb 'sqldb\.Parse$')"
 row 'bindStatement (bound plans)' "$(mb bindStatement)"
 row 'tenant data (rows, pages, indexes)' "$(mb "$storage|residentPage|sealedPage|encodeRowString|decodeRow|mapPage")"
 row '  orderedKeys (sorted views of index keys)' "$(mb 'orderedKeys|deriveKeys')"
-row '  loc (rowID -> page slot)' "$(line "$storage|sealTail" 't\.loc\[.*\] = ')"
+row '  loc (row directory: rowID -> page slot)' "$(mb 'sqldb\.\(\*Table\)\.setLoc$')"
 row '  pk (primary key -> rowID)' "$(line "$storage" 't\.pk\[.*\] = ')"
 row '  secondary indexes (key -> rowIDs)' "$(line 'sqldb\.\(\*index\)\.add' 'ix\.m\[key\] = ')"
 row '  key strings' "$(mb 'keyString|pkKey' 'orderedKeys|deriveKeys')"

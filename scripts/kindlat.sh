@@ -6,15 +6,20 @@
 # its end, runs one workload, and prints each kind's share of the committed
 # transactions with its p50, p90 and p99 over the whole window (not the best
 # quartile of slices bench/ reports), then the profile's share of a few hot
-# spots and its top functions. The profile is kept for `go tool pprof`. To
-# compare commits, run the copy of this script in each checkout.
+# spots and its top functions. It also records the window's mutex profile
+# (one contention in mutexFraction sampled) and prints the share of the
+# contention delay released by each of the engine's and controller's hot
+# mutexes. Both profiles are kept for `go tool pprof`. To compare commits, run
+# the copy of this script in each checkout.
 #
 #   bash scripts/kindlat.sh [workload] [seed] [seconds] [profile]
-#   (default: tpcw_tenants 1 10 kindlat-<workload>-<seed>.pprof)
+#   (default: tpcw_tenants 1 10 kindlat-<workload>-<seed>.pprof; the mutex
+#   profile is written next to it as <profile>.mutex)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workload=${1:-tpcw_tenants} seed=${2:-1} seconds=${3:-10}
 prof=$(realpath -m "${4:-kindlat-$workload-$seed.pprof}")
+mprof=$prof.mutex
 case $workload in
 tpcw_tenants | replica_churn) ;;
 *) echo "kindlat: $workload runs no TPC-W transactions" >&2; exit 1 ;;
@@ -35,6 +40,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"slices"
 	"sync"
@@ -42,6 +48,9 @@ import (
 
 	"sdp/internal/tpcw"
 )
+
+// mutexFraction samples one mutex contention in this many.
+const mutexFraction = 5
 
 var kinds struct {
 	sync.Mutex
@@ -59,6 +68,7 @@ func startKindLat() {
 		fatal(err)
 	}
 	kinds.prof = f
+	runtime.SetMutexProfileFraction(mutexFraction)
 }
 
 func noteKind(c client, lat time.Duration) {
@@ -72,6 +82,15 @@ func noteKind(c client, lat time.Duration) {
 func stopKindLat() {
 	pprof.StopCPUProfile()
 	kinds.prof.Close()
+	m, err := os.Create(os.Getenv("KIND_MUTEX"))
+	if err == nil {
+		err = pprof.Lookup("mutex").WriteTo(m, 0)
+		m.Close()
+	}
+	if err != nil {
+		fatal(err)
+	}
+	runtime.SetMutexProfileFraction(0)
 	out, err := os.Create(os.Getenv("KIND_OUT"))
 	if err != nil {
 		fatal(err)
@@ -94,7 +113,7 @@ func stopKindLat() {
 }
 EOF
 (cd "$tmp" && GOFLAGS=-mod=mod go build -o kb . &&
-	KIND_PROF="$prof" KIND_OUT="$tmp/kinds.txt" ./kb --workload "$workload" --seconds "$seconds" --seed "$seed" >"$tmp/run.json")
+	KIND_PROF="$prof" KIND_MUTEX="$mprof" KIND_OUT="$tmp/kinds.txt" ./kb --workload "$workload" --seconds "$seconds" --seed "$seed" >"$tmp/run.json")
 
 # share <focus regexp>: percent of the window's CPU samples with a matching
 # frame on the stack.
@@ -111,7 +130,24 @@ row 'LIKE (sqldb likeMatch, likeRec, equalFoldByte)' "$(share 'sqldb\.(likeMatch
 row 'redo records (sqldb Engine.walStmt)' "$(share 'sqldb\.\(\*Engine\)\.walStmt$')"
 row 'log appends (wal Log.Append)' "$(share 'wal\.\(\*Log\)\.Append$')"
 row 'garbage collection (runtime gcBgMarkWorker)' "$(share 'runtime\.gcBgMarkWorker$')"
+# released [<frame regexp>]: percent of the window's mutex contention delay
+# whose releasing call (the frame that called Unlock) matches; with no
+# argument, the delay itself in ms (the profile scales its samples up),
+# runtime-internal locks included.
+released() {
+	go tool pprof -traces -unit=ns "$tmp/kb" "$mprof" 2>/dev/null | PAT=${1:-} awk '
+		$1 ~ /^[0-9.]+ns$/ { d = $1 + 0; total += d; top = $2 ~ /^sync\.\(\*(RW)?Mutex\)\.R?Unlock$/; next }
+		top { if (ENVIRON["PAT"] != "" && $1 ~ ENVIRON["PAT"]) s += d; top = 0 }
+		END { if (ENVIRON["PAT"] == "") printf "%.1f ms\n", total / 1e6; else printf "%.1f%%\n", total ? 100 * s / total : 0 }'
+}
+echo "mutex contention delay of the window, one contention in $(sed -n 's/^const mutexFraction = //p' "$tmp"/kindlat.go) sampled:"
+row 'total' "$(released)"
+echo "share released by:"
+row 'lock manager (sqldb lockManager: lm.mu)' "$(released 'sqldb\.\(\*lockManager\)\.')"
+row 'table latch (sqldb Table methods: Table.mu)' "$(released 'sqldb\.\(\*Table\)\.')"
+row 'pool stripes (sqldb BufferPool methods: stripe mu)' "$(released 'sqldb\.\(\*BufferPool\)\.')"
+row 'controller (core Cluster methods: Cluster.mu)' "$(released 'core\.\(\*Cluster\)\.')"
 echo "top functions by own CPU:"
 go tool pprof -top -nodecount=15 "$prof" 2>/dev/null | sed -n '/^ *flat /,$p'
 awk '$2 ~ /^(txn_per_s|lat_p50_us|lat_p90_us)$/ { printf "bench %s %s\n", $2, $3 }' "$tmp/run.json"
-echo "profile: $prof"
+echo "profiles: $prof $mprof"
