@@ -95,7 +95,6 @@ func checkMetrics(file string) []string {
 func representativeRun() (families map[string]string, stats map[string]bool, err error) {
 	p := sdp.New(sdp.Config{
 		Listen:      "127.0.0.1:0",
-		WAL:         &sdp.WALConfig{},
 		TraceSample: 1,
 		SlowQuery:   time.Nanosecond,
 		Controllers: 3, // consensus_* families register with the control plane replicated

@@ -18,7 +18,6 @@ import (
 func runTraceDemo(slowOnly bool) error {
 	p := sdp.New(sdp.Config{
 		Listen:      "127.0.0.1:0",
-		WAL:         &sdp.WALConfig{},
 		TraceSample: 1,
 		SlowQuery:   time.Nanosecond, // record every statement for the demo
 	})

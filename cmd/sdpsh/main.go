@@ -53,7 +53,6 @@ import (
 
 func main() {
 	machines := flag.Int("machines", 6, "free machines in the colo")
-	durable := flag.Bool("wal", true, "write-ahead logging: group commit, \\crash/\\restart recovery")
 	controllers := flag.Int("controllers", 0, "replicate the cluster controller across this many consensus replicas (3-5; 0 or 1 runs one controller); enables \\leader and \\killleader")
 	listen := flag.String("listen", "", "also serve the wire protocol on this address (e.g. 127.0.0.1:8346)")
 	connect := flag.String("connect", "", "connect to a wire server at this address instead of booting a platform")
@@ -67,11 +66,7 @@ func main() {
 		return
 	}
 
-	cfg := sdp.Config{ClusterSize: 4, Listen: *listen, Controllers: *controllers}
-	if *durable {
-		cfg.WAL = &sdp.WALConfig{Compact: true}
-	}
-	p := sdp.New(cfg)
+	p := sdp.New(sdp.Config{ClusterSize: 4, Listen: *listen, Controllers: *controllers, WAL: &sdp.WALConfig{Compact: true}})
 	west := p.AddColo("local", "local", *machines)
 	if *listen != "" {
 		srv, err := p.ServeWire()

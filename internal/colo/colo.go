@@ -334,7 +334,8 @@ func (c *Controller) CrashMachine(id string) ([]string, error) {
 // RestartMachine brings a crashed machine back: its engine recovers from its
 // write-ahead log, and its databases rejoin their replica sets — by the fast
 // log-replay-plus-delta path when the machine's recovered state is usable,
-// by a full copy otherwise. Requires the clusters to run with a WAL.
+// by a full copy otherwise. Every machine logs, so any crashed machine can
+// restart.
 func (c *Controller) RestartMachine(id string) (*sqldb.RecoveryStats, core.RecoveryReport, error) {
 	cl, m, err := c.clusterOf(id)
 	if err != nil {

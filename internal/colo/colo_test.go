@@ -146,7 +146,7 @@ func TestFailMachineTriggersRecovery(t *testing.T) {
 // the restart recovers the machine from its log and rejoins its databases by
 // the fast path.
 func TestCrashRestartMachine(t *testing.T) {
-	c := New("colo1", Options{ClusterSize: 2, Cluster: core.Options{WAL: &wal.Config{Compact: true}}})
+	c := New("colo1", Options{ClusterSize: 2, Cluster: core.Options{WAL: wal.Config{Compact: true}}})
 	c.AddFreeMachines(4)
 	if err := c.CreateDatabase("app", smallReq(), 2); err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestCrashMachineAbortsInFlightCopy(t *testing.T) {
 	n := netsim.New(21, nil)
 	c := New("colo1", Options{
 		ClusterSize: 3,
-		Cluster:     core.Options{Replicas: 2, WAL: &wal.Config{}, Network: n},
+		Cluster:     core.Options{Replicas: 2, Network: n},
 	})
 	c.AddFreeMachines(3)
 	if err := c.CreateDatabase("app", smallReq(), 2); err != nil {

@@ -49,7 +49,7 @@ type Cluster struct {
 	rrSeq  atomic.Uint64
 
 	// walMetrics is the shared instrument set for every machine's write-ahead
-	// log; nil when the cluster runs without WAL (Options.WAL == nil).
+	// log.
 	walMetrics *wal.Metrics
 
 	// stmts caches parsed statements by SQL text so the controller parses a
@@ -197,18 +197,16 @@ func NewCluster(name string, opts Options) *Cluster {
 		overlap: opts.AckMode == Aggressive || opts.Network != nil ||
 			opts.EngineConfig.MissLatency > 0 ||
 			(opts.EngineConfig.Workers > 0 && opts.EngineConfig.StmtServiceTime > 0) ||
-			(opts.WAL != nil && opts.WAL.FlushLatency > 0),
-		machines: make(map[string]*Machine),
-		dbs:      make(map[string]*dbState),
-		stmts:    opts.Stmts,
-		metrics:  metrics,
-		slamon:   opts.SLAMonitor,
+			opts.WAL.FlushLatency > 0,
+		machines:   make(map[string]*Machine),
+		dbs:        make(map[string]*dbState),
+		walMetrics: wal.NewMetrics(reg),
+		stmts:      opts.Stmts,
+		metrics:    metrics,
+		slamon:     opts.SLAMonitor,
 	}
 	if c.stmts == nil {
 		c.stmts = sqldb.NewStmtCache()
-	}
-	if opts.WAL != nil {
-		c.walMetrics = wal.NewMetrics(reg)
 	}
 	reg.OnSnapshot(c.bridgeStats)
 	c.ctl = newControlPlane(c, opts.Controllers, reg)
@@ -453,9 +451,7 @@ func (c *Cluster) FailMachine(id string) ([]string, error) {
 			m.release(ds.req)
 			// Snapshot the database's write counters so a restart can
 			// tell which tables changed while the machine was down.
-			if m.walStore != nil {
-				m.setMarks(ds.name, ds.epoch, ds.writeSeq)
-			}
+			m.setMarks(ds.name, ds.epoch, ds.writeSeq)
 		}
 		// A machine hosting an in-flight Algorithm 1 copy (as source or
 		// target) aborts the copy: the copy process abandons at its next

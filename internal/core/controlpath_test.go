@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"sdp/internal/wal"
 )
 
 // controllerState returns the state machine the cluster routes by: the
@@ -130,7 +128,6 @@ func TestControlPathsAgree(t *testing.T) {
 	for i, controllers := range []int{0, 3} {
 		opts := ctlOpts()
 		opts.Controllers = controllers
-		opts.WAL = &wal.Config{}
 		c := NewCluster("agree", opts)
 		t.Cleanup(func() { stopControllers(c) })
 		must := func(err error) {

@@ -12,7 +12,6 @@ import (
 	"sdp/internal/consensus"
 	"sdp/internal/netsim"
 	"sdp/internal/sqldb"
-	"sdp/internal/wal"
 )
 
 // ctlOpts builds cluster options with a 3-replica control plane and fast
@@ -474,7 +473,6 @@ func TestControllerQuorumLoss(t *testing.T) {
 // agrees on liveness and placement afterwards.
 func TestFailMachineReplicated(t *testing.T) {
 	opts := ctlOpts()
-	opts.WAL = walOpts().WAL
 	c := newTestCluster(t, 3, opts)
 	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, n INT)")
 	clusterExec(t, c, "INSERT INTO t VALUES (1, 1)")
@@ -553,7 +551,6 @@ func liveMachineIDs(c *Cluster) []string {
 // record.
 func TestControllerRejoinsFromSnapshot(t *testing.T) {
 	opts := ctlOpts()
-	opts.WAL = &wal.Config{} // a failed machine restarts from its log
 	c := newTestCluster(t, 4, opts)
 	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY)")
 	leader, _ := c.LeaderController()

@@ -140,7 +140,6 @@ func TestCopyReplicaCases(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(g.String()+"/"+tc.name, func(t *testing.T) {
 				opts, n := netOpts(21)
-				opts.WAL = walOpts().WAL
 				opts.CopyGranularity = g
 				c := newTestCluster(t, 3, opts) // app lives on m1 and m2
 				for _, tbl := range []string{"hot", "cold", "doomed"} {
@@ -247,7 +246,6 @@ func TestCopyApplyFailureAbortsDatabaseCopy(t *testing.T) {
 // retryably — and succeed once the partition heals.
 func TestCatchUpCrossesTheNetwork(t *testing.T) {
 	opts, n := netOpts(22)
-	opts.WAL = walOpts().WAL
 	c := newTestCluster(t, 2, opts)
 	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, n INT)")
 	clusterExec(t, c, "INSERT INTO t VALUES (1, 1)")
@@ -288,7 +286,7 @@ func TestCatchUpCrossesTheNetwork(t *testing.T) {
 // machines that hold the replicas.
 func TestSLAReservationsFollowReplicas(t *testing.T) {
 	req := sla.Resources{CPU: 0.3, Memory: 0.2, Disk: 0.1, DiskBW: 0.1}
-	c := NewCluster("sla", walOpts())
+	c := NewCluster("sla", Options{Replicas: 2})
 	if _, err := c.AddMachines(4); err != nil {
 		t.Fatal(err)
 	}

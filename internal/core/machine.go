@@ -21,10 +21,10 @@ type Machine struct {
 	// machine's write-ahead log.
 	engine atomic.Pointer[sqldb.Engine]
 
-	// walStore is the machine's durable log device (nil when the cluster
-	// runs without WAL). It survives engine failures; walCfg/walMetrics and
-	// the engine construction inputs are kept so Restart can rebuild.
-	walStore   wal.Store
+	// walStore is the machine's durable log device. It survives engine
+	// failures; walCfg/walMetrics and the engine construction inputs are
+	// kept so Restart can rebuild.
+	walStore   *wal.MemStore
 	walCfg     wal.Config
 	walMetrics *wal.Metrics
 	engCfg     sqldb.Config
@@ -54,30 +54,23 @@ type dbMarks struct {
 	tables map[string]uint64
 }
 
-// newMachine creates a machine with a fresh engine. When walCfg is non-nil
-// the engine writes a WAL to an in-memory simulated disk that survives
-// machine failures, enabling Restart.
-func newMachine(id string, cfg sqldb.Config, rec sqldb.Recorder, walCfg *wal.Config, walMetrics *wal.Metrics) *Machine {
-	m := &Machine{id: id, engCfg: cfg, rec: rec, walMetrics: walMetrics}
-	if walCfg != nil {
-		m.walCfg = *walCfg
-		m.walStore = wal.NewMemStore()
-	}
+// newMachine creates a machine with a fresh engine, logging to an
+// in-memory simulated disk that survives the machine's failures.
+func newMachine(id string, cfg sqldb.Config, rec sqldb.Recorder, walCfg wal.Config, walMetrics *wal.Metrics) *Machine {
+	m := &Machine{id: id, walStore: wal.NewMemStore(), walCfg: walCfg, walMetrics: walMetrics, engCfg: cfg, rec: rec}
 	m.engine.Store(m.newEngine())
 	return m
 }
 
-// newEngine builds a fresh engine wired to the machine's recorder and (when
-// configured) a log over the machine's durable store.
+// newEngine builds a fresh engine wired to the machine's recorder and a log
+// over the machine's durable store.
 func (m *Machine) newEngine() *sqldb.Engine {
 	e := sqldb.NewEngine(m.engCfg)
 	if m.rec != nil {
 		e.SetRecorder(m.rec)
 	}
-	if m.walStore != nil {
-		e.AttachWAL(wal.New(m.walStore, m.walCfg, m.walMetrics))
-		e.SetWALMetrics(m.walMetrics)
-	}
+	e.AttachWAL(wal.New(m.walStore, m.walCfg, m.walMetrics))
+	e.SetWALMetrics(m.walMetrics)
 	return e
 }
 
@@ -111,12 +104,8 @@ func (m *Machine) fail() {
 	m.mu.Unlock()
 	eng := m.Engine()
 	eng.Close()
-	if w := eng.WAL(); w != nil {
-		w.Seal()
-	}
-	if cr, ok := m.walStore.(wal.Crasher); ok {
-		cr.Crash(0)
-	}
+	eng.WAL().Seal()
+	m.walStore.Crash(0)
 }
 
 // Restart brings a failed machine back: a fresh engine is built over the
@@ -131,9 +120,6 @@ func (m *Machine) Restart() (*sqldb.RecoveryStats, error) {
 		return nil, fmt.Errorf("core: machine %s has not failed", m.id)
 	}
 	m.mu.Unlock()
-	if m.walStore == nil {
-		return nil, fmt.Errorf("core: machine %s has no durable log to restart from", m.id)
-	}
 	e := m.newEngine()
 	stats, err := e.Recover()
 	if err != nil {

@@ -26,12 +26,11 @@ const resolveBackoffCap = 100 * time.Millisecond
 // ROLLBACK, one not yet prepared refuses its PREPARE — and only then looks
 // for a commit frame: after the claims none can appear that the lookups
 // miss. committed says the caller knows some participant committed: it holds
-// a COMMIT acknowledgment, or it is the coordinator of a cluster without
-// logs, the one place such a cluster's decision lives. A failed machine
-// answers from its log, which survives it. A commit frame found decides
-// commit even when some claim or lookup failed; abort needs them all. An
-// error means a machine could not be reached, or could not log the verdict;
-// the claims made stand, and a retry reaches the same verdict.
+// a COMMIT acknowledgment. A failed machine answers from its log, which
+// survives it. A commit frame found decides commit even when some claim or
+// lookup failed; abort needs them all. An error means a machine could not be
+// reached, or could not log the verdict; the claims made stand, and a retry
+// reaches the same verdict.
 func (c *Cluster) resolve(gid uint64, committed bool) (bool, error) {
 	ms := c.machinesInOrder()
 	var claimed []*Machine

@@ -107,11 +107,13 @@ type Options struct {
 	// wire server and its connections, so a statement that repeats is parsed
 	// once for all of them. Nil gives the cluster a private cache.
 	Stmts *sqldb.StmtCache
-	// WAL, when non-nil, gives every machine a write-ahead log over a
-	// simulated durable disk: commits are forced (with group commit) before
-	// acknowledgement, and a failed machine can Restart and recover its
-	// state by log replay instead of a full Algorithm-1 copy.
-	WAL *wal.Config
+	// WAL configures every machine's write-ahead log, kept on a simulated
+	// durable disk that survives the machine's failures: commits are forced
+	// (with group commit) before acknowledgement, the in-doubt rule reads
+	// the participants' logs, and a failed machine restarts by log replay
+	// instead of a full Algorithm-1 copy. The zero value is an in-memory
+	// device with no added flush latency.
+	WAL wal.Config
 	// Network, when non-nil, interposes a simulated network on every
 	// controller→machine call (statement execution, 2PC phases, Algorithm 1
 	// dump/apply): faults injected on its links surface as call errors, and
@@ -140,9 +142,8 @@ type Options struct {
 	// applies each decision in place, with no failover. From two on the
 	// decisions commit to a consensus log across this many replicas (see
 	// internal/consensus), the leader serves the data path under a quorum
-	// lease, killing the leader fails over to a surviving replica, and every
-	// machine gets a write-ahead log even when WAL is nil: the in-doubt rule
-	// that settles a failover reads the participants' logs.
+	// lease, and killing the leader fails over to a surviving replica; the
+	// in-doubt rule that settles a failover reads the machines' logs.
 	Controllers int
 	// ControllerSeed seeds the controller replicas' election-timeout
 	// randomization, for reproducible failover schedules.
@@ -172,9 +173,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = time.Millisecond
-	}
-	if o.Controllers > 1 && o.WAL == nil {
-		o.WAL = &wal.Config{}
 	}
 	return o
 }

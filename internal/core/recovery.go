@@ -114,15 +114,14 @@ func (c *Cluster) fastRecoveryCandidate(db string) (*Machine, map[string]uint64)
 	return nil, nil
 }
 
-// CheckpointMachines writes a fuzzy checkpoint on every live machine that
-// has a write-ahead log, bounding each machine's restart replay to the log
-// tail written since. A deployment runs this periodically (it blocks writers
-// only per table, one table at a time) so that RestartMachine restores table
-// images instead of replaying the machine's whole history statement by
-// statement. Machines without a WAL are skipped.
+// CheckpointMachines writes a fuzzy checkpoint on every live machine,
+// bounding each machine's restart replay to the log tail written since. A
+// deployment runs this periodically (it blocks writers only per table, one
+// table at a time) so that RestartMachine restores table images instead of
+// replaying the machine's whole history statement by statement.
 func (c *Cluster) CheckpointMachines() error {
 	for _, m := range c.machinesInOrder() {
-		if m.Failed() || m.walStore == nil {
+		if m.Failed() {
 			continue
 		}
 		if err := m.Engine().Checkpoint(); err != nil {

@@ -1,15 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"sdp/internal/wal"
-)
-
-// walOpts builds cluster options with the write-ahead log enabled.
-func walOpts() Options {
-	return Options{Replicas: 2, WAL: &wal.Config{}}
-}
+import "testing"
 
 // tableCount reads one table's row count directly from a machine's engine.
 func tableCount(t *testing.T, m *Machine, db, tbl string) int {
@@ -27,7 +18,7 @@ func tableCount(t *testing.T, m *Machine, db, tbl string) int {
 // replay alone, only the changed table is delta-copied, and the machine
 // serves reads again.
 func TestMachineRestartFastRecovery(t *testing.T) {
-	c := newTestCluster(t, 2, walOpts())
+	c := newTestCluster(t, 2, Options{Replicas: 2})
 	clusterExec(t, c, "CREATE TABLE hot (id INT PRIMARY KEY, n INT)")
 	clusterExec(t, c, "CREATE TABLE cold (id INT PRIMARY KEY, n INT)")
 	for i := 1; i <= 20; i++ {
@@ -126,7 +117,7 @@ func TestMachineRestartFastRecovery(t *testing.T) {
 // never comes back, recovery falls through to the full Algorithm-1 copy onto
 // a fresh target and counts it as such.
 func TestRecoveryFullPathWithoutRestart(t *testing.T) {
-	c := newTestCluster(t, 3, walOpts())
+	c := newTestCluster(t, 3, Options{Replicas: 2})
 	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY)")
 	for i := 1; i <= 10; i++ {
 		clusterExec(t, c, "INSERT INTO t VALUES (?)", intv(int64(i)))
@@ -152,7 +143,7 @@ func TestRecoveryFullPathWithoutRestart(t *testing.T) {
 // host was down is discarded on restart, and that a dropped-and-recreated
 // namespace is never fast-pathed from stale marks (the epoch guard).
 func TestRestartDropsOrphanedDatabase(t *testing.T) {
-	c := newTestCluster(t, 3, walOpts())
+	c := newTestCluster(t, 3, Options{Replicas: 2})
 	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY)")
 	clusterExec(t, c, "INSERT INTO t VALUES (1)")
 
@@ -214,18 +205,5 @@ func TestRestartDropsOrphanedDatabase(t *testing.T) {
 		if _, err := m.Engine().Table("app", "t"); err == nil {
 			t.Fatalf("replica %s resurrected old incarnation's table t", id)
 		}
-	}
-}
-
-// TestRestartWithoutWAL checks the guard: machines of a WAL-less cluster
-// cannot restart.
-func TestRestartWithoutWAL(t *testing.T) {
-	c := newTestCluster(t, 2, Options{Replicas: 2})
-	replicas, _ := c.Replicas("app")
-	if _, err := c.FailMachine(replicas[1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RestartMachine(replicas[1]); err == nil {
-		t.Fatal("restart succeeded without a durable log")
 	}
 }

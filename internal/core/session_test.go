@@ -68,49 +68,34 @@ func TestPointReadRunsOnCaller(t *testing.T) {
 	}
 }
 
-// replicatedWriteAllocCeiling is what one conservative autocommit UPDATE of
-// one row on two replicas allocates through the controller: 8 in each engine
+// loggedWriteAllocCeiling bounds what one conservative autocommit UPDATE of
+// one row on two replicas allocates through the controller: 9 in each engine
 // (branch, the row's lock key and lock record, the row read, the new image and
-// its stored copy, undo record, result), 6 in the controller (transaction,
-// two branches, the route and its release, statement closure).
-// The key has four digits, as the bench workloads' ids do: a one-digit key's
-// decimal string is a static and hides every key string built per statement.
-// It was 49 with a worker goroutine, a queue and a future per operation, 26
-// while a process-pair mirror recorded every commit in transit, and 24 while
-// every commit rendered its gid for two trace events.
-const replicatedWriteAllocCeiling = 22
-
-// loggedWriteAllocCeiling is the same write with a WAL on each replica: each
-// engine adds the buffer its transaction renders redo records into and little
-// else, since the log frames every record into one reused buffer (62 when the
-// record was rendered into a growing builder, copied, and framed into a fresh
-// slice; 24 here).
+// its stored copy, undo record, result, and the buffer the transaction renders
+// redo records into — the log frames every record into one reused buffer), 6
+// in the controller (transaction, two branches, the route and its release,
+// statement closure); 24 when this was written. The key has four digits, as
+// the bench workloads' ids do: a one-digit key's decimal string is a static
+// and hides every key string built per statement. It was 49 with a worker
+// goroutine, a queue and a future per operation, and 62 when each redo record
+// was rendered into a growing builder, copied, and framed into a fresh slice.
 const loggedWriteAllocCeiling = 36
 
 // TestReplicatedWriteAllocs is the machine-independent half of the replicated
 // write's gate (bench-gate's replicated_write_ns_per_op is the other).
 func TestReplicatedWriteAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		wal     *wal.Config
-		ceiling int
-	}{
-		{"no wal", nil, replicatedWriteAllocCeiling},
-		{"wal", &wal.Config{}, loggedWriteAllocCeiling},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := newTestCluster(t, 2, Options{Replicas: 2, WAL: tc.wal})
-			clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-			clusterExec(t, c, "INSERT INTO t VALUES (1000, 0)")
-			write := func() { clusterExec(t, c, "UPDATE t SET v = v + 1 WHERE id = 1000") }
-			for i := 0; i < 100; i++ { // cache the statement, bind the plan
-				write()
-			}
-			if allocs := testing.AllocsPerRun(500, write); allocs > float64(tc.ceiling) {
-				t.Fatalf("replicated write allocates %.1f objects, ceiling %d", allocs, tc.ceiling)
-			}
-		})
-	}
+	t.Run("wal", func(t *testing.T) {
+		c := newTestCluster(t, 2, Options{Replicas: 2})
+		clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+		clusterExec(t, c, "INSERT INTO t VALUES (1000, 0)")
+		write := func() { clusterExec(t, c, "UPDATE t SET v = v + 1 WHERE id = 1000") }
+		for i := 0; i < 100; i++ { // cache the statement, bind the plan
+			write()
+		}
+		if allocs := testing.AllocsPerRun(500, write); allocs > loggedWriteAllocCeiling {
+			t.Fatalf("replicated write allocates %.1f objects, ceiling %d", allocs, loggedWriteAllocCeiling)
+		}
+	})
 }
 
 // TestFanOutRunsOnCallerWithoutSimulatedTime pins the dispatch rule: after a
@@ -124,7 +109,6 @@ func TestFanOutRunsOnCallerWithoutSimulatedTime(t *testing.T) {
 		onCaller bool
 	}{
 		{"conservative", func() Options { return Options{} }, true},
-		{"conservative+wal", func() Options { return Options{WAL: &wal.Config{}} }, true},
 		{"aggressive", func() Options { return Options{AckMode: Aggressive} }, false},
 		{"miss latency", func() Options {
 			cfg := sqldb.DefaultConfig()
@@ -142,7 +126,7 @@ func TestFanOutRunsOnCallerWithoutSimulatedTime(t *testing.T) {
 			return Options{EngineConfig: cfg}
 		}, true},
 		{"flush latency", func() Options {
-			return Options{WAL: &wal.Config{FlushLatency: 10 * time.Microsecond}}
+			return Options{WAL: wal.Config{FlushLatency: 10 * time.Microsecond}}
 		}, false},
 		{"network", func() Options { return Options{Network: netsim.New(1, nil)} }, false},
 	}

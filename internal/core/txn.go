@@ -430,9 +430,6 @@ func (t *Txn) Commit() error {
 	// (commitPrepared); the resolver settles them when some COMMIT ran. A
 	// machine that died between prepare and commit is settled by the same
 	// rule at its restart.
-	// Without logs no participant can answer the resolver, and no one but
-	// this coordinator decides (a cluster with a control plane always logs),
-	// so its decision stands once every vote is yes.
 	commitStart := time.Now()
 	var commitSpanID uint64
 	if t.trace.Traced() {
@@ -445,7 +442,7 @@ func (t *Txn) Commit() error {
 			s.setTrace(ctc)
 		}
 	}
-	committed := t.c.opts.WAL == nil
+	committed := false
 	unsure := false // a COMMIT may have executed unanswered
 	var commitErr error
 	for _, r := range t.fanOut(t.sessions, (*replicaSession).commitPrepared, decide) {

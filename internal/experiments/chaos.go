@@ -20,7 +20,6 @@ import (
 	"sdp/internal/sla"
 	"sdp/internal/sqldb"
 	"sdp/internal/tpcw"
-	"sdp/internal/wal"
 )
 
 // ChaosConfig controls one chaos soak run: TPC-W traffic against a
@@ -209,7 +208,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		Recorder:     rec,
 		Metrics:      reg,
 		SLAMonitor:   mon,
-		WAL:          &wal.Config{},
 		Network:      net,
 		CallTimeout:  200 * time.Millisecond,
 		RetryLimit:   6,

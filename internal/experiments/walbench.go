@@ -115,7 +115,7 @@ func walCommitPoint(committers, commitsEach int, flushLat time.Duration, noGroup
 // walRecoveryCluster builds a WAL-enabled cluster with `machines` machines
 // and the "app" database holding a big table of `rows` rows.
 func walRecoveryCluster(machines, rows int) (*core.Cluster, error) {
-	c := core.NewCluster("walbench", core.Options{Replicas: 2, WAL: &wal.Config{Compact: true}})
+	c := core.NewCluster("walbench", core.Options{Replicas: 2, WAL: wal.Config{Compact: true}})
 	if _, err := c.AddMachines(machines); err != nil {
 		return nil, err
 	}

@@ -112,14 +112,14 @@ func copyTable(tbl *Table) TableDump {
 // RestoreTable installs a dump image as the table's contents, replacing any
 // table of that name, and bulk-loads its rows without transactional
 // bookkeeping (the table is not serving client traffic: it is a replica
-// copy's target, or the engine is recovering). With a log attached the
+// copy's target, or the engine is recovering). Outside recovery the
 // restore is durable when it returns: the image is forced to the log as one
 // redo frame after the rows are loaded. The whole restore holds ckptMu, so a
 // checkpoint images the table either before the restore began (and the later
 // frame replaces that image on replay) or after it completed (and the
 // checkpoint supersedes the frame) — never half loaded.
 func (e *Engine) RestoreTable(db string, d TableDump) error {
-	logged := e.walLogging()
+	logged := !e.recovering.Load()
 	if logged {
 		e.ckptMu.Lock()
 		defer e.ckptMu.Unlock()

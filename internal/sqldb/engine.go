@@ -154,7 +154,7 @@ type Engine struct {
 	nextTxn atomic.Uint64
 	seq     atomic.Uint64
 
-	// wal, when attached, receives logical redo records; recovering
+	// wal receives logical redo records (see AttachWAL); recovering
 	// suppresses logging (and counter updates) while the engine replays that
 	// same log. ckptMu serialises checkpoints.
 	wal        *wal.Log
@@ -182,13 +182,15 @@ type Engine struct {
 
 type recorderBox struct{ r Recorder }
 
-// NewEngine creates an engine with the given configuration.
+// NewEngine creates an engine with the given configuration, logging to an
+// in-memory write-ahead log until AttachWAL replaces it.
 func NewEngine(cfg Config) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		pool:     NewBufferPool(cfg.PoolPages, cfg.MissLatency),
 		locks:    newLockManager(cfg.LockTimeout),
 		dbs:      make(map[string]map[string]*Table),
+		wal:      wal.New(wal.NewMemStore(), wal.Config{}, nil),
 		branches: make(map[uint64]*Txn),
 	}
 	if cfg.PlanCacheSize >= 0 {

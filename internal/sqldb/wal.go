@@ -20,27 +20,22 @@ import (
 // and replayed unconditionally, matching their immediate, non-rollbackable
 // execution semantics.
 
-// AttachWAL installs the engine's write-ahead log. It must be called before
-// the engine serves any traffic; an engine without a WAL runs exactly as
-// before (volatile).
+// AttachWAL replaces the engine's write-ahead log — by default an
+// in-memory log with no flush latency (NewEngine) — with l, for a durable
+// device that outlives the engine or a timed one. It must be called before
+// the engine serves any traffic.
 func (e *Engine) AttachWAL(l *wal.Log) { e.wal = l }
 
-// WAL returns the attached log, or nil.
+// WAL returns the engine's log.
 func (e *Engine) WAL() *wal.Log { return e.wal }
-
-// walLogging reports whether write operations should append log records:
-// a WAL is attached and the engine is not replaying that same log.
-func (e *Engine) walLogging() bool {
-	return e.wal != nil && !e.recovering.Load()
-}
 
 // walStmt appends the redo record for one executed DML statement, preceded by
 // the transaction's begin record on its first write. The statement is
 // rendered into the transaction's walBuf, which the log copies before Append
 // returns. Called while the statement's locks are held.
 func (e *Engine) walStmt(t *Txn, table string, stmt Statement, params []Value) error {
-	if !e.walLogging() {
-		return nil
+	if e.recovering.Load() {
+		return nil // replaying this same log
 	}
 	if t.walBuf == nil {
 		t.walBuf = make([]byte, 0, 256)
@@ -70,8 +65,8 @@ func (e *Engine) walStmt(t *Txn, table string, stmt Statement, params []Value) e
 // it (the catalog mutex for CREATE/DROP TABLE, the table read lock for CREATE
 // INDEX).
 func (e *Engine) walDDL(db, table string, stmt Statement) error {
-	if !e.walLogging() {
-		return nil
+	if e.recovering.Load() {
+		return nil // replaying this same log
 	}
 	sql, err := RenderStmt(stmt, nil)
 	if err != nil {
@@ -85,8 +80,8 @@ func (e *Engine) walDDL(db, table string, stmt Statement) error {
 // catalog mutex, so namespace records are ordered against the DDL and DML of
 // the namespace they create or destroy.
 func (e *Engine) walNamespace(typ wal.RecordType, db string) error {
-	if !e.walLogging() {
-		return nil
+	if e.recovering.Load() {
+		return nil // replaying this same log
 	}
 	_, err := e.wal.Append(wal.Record{Type: typ, DB: db})
 	return err
@@ -98,7 +93,7 @@ func (e *Engine) walNamespace(typ wal.RecordType, db string) error {
 // Transactions that logged nothing (read-only, or replayed during recovery)
 // need no record: the log's durable prefix already decides them.
 func (e *Engine) walCommit(t *Txn) error {
-	if e.wal == nil || !t.walBegun {
+	if !t.walBegun {
 		return nil
 	}
 	if t.trace.Traced() && e.cfg.Spans != nil {
@@ -123,7 +118,7 @@ func (e *Engine) walCommit(t *Txn) error {
 // walPrepare forces the transaction's prepare record, making it an in-doubt
 // survivor of a crash until a commit or abort record resolves it.
 func (e *Engine) walPrepare(t *Txn) error {
-	if e.wal == nil || !t.walBegun {
+	if !t.walBegun {
 		return nil
 	}
 	_, err := e.wal.AppendSync(wal.Record{Type: wal.RecPrepare, Txn: t.id, GID: t.GlobalID, DB: t.db})
@@ -137,7 +132,7 @@ func (e *Engine) walPrepare(t *Txn) error {
 // flushes it anyway, so a resolved in-doubt branch is not re-instated by the
 // next recovery.
 func (e *Engine) walAbort(t *Txn, force bool) {
-	if e.wal == nil || !t.walBegun || e.recovering.Load() {
+	if !t.walBegun || e.recovering.Load() {
 		return
 	}
 	if _, err := e.wal.Append(wal.Record{Type: wal.RecAbort, Txn: t.id, GID: t.GlobalID, DB: t.db}); err == nil && force {
@@ -159,9 +154,6 @@ func (e *Engine) walAbort(t *Txn, force bool) {
 // table is imaged. When the log is configured for it, the dead head before
 // the checkpoint is compacted away.
 func (e *Engine) Checkpoint() error {
-	if e.wal == nil {
-		return fmt.Errorf("sqldb: no WAL attached")
-	}
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
 	if _, err := e.wal.Append(wal.Record{Type: wal.RecCheckpointBegin}); err != nil {
@@ -225,16 +217,13 @@ type RecoveryStats struct {
 	Duration time.Duration
 }
 
-// Recover rebuilds the engine's state from its attached log: it truncates any
+// Recover rebuilds the engine's state from its log: it truncates any
 // torn tail, restores the newest complete checkpoint, replays the statements
 // of committed transactions, all DDL and every table restore in log order,
 // and re-instates prepared in-doubt transactions among the engine's prepared
 // branches, for the in-doubt resolver. It must run on a fresh engine before it
 // serves traffic.
 func (e *Engine) Recover() (*RecoveryStats, error) {
-	if e.wal == nil {
-		return nil, fmt.Errorf("sqldb: no WAL attached")
-	}
 	start := time.Now()
 	recs, torn, err := e.wal.Recover()
 	if err != nil {
@@ -580,11 +569,7 @@ func (e *Engine) ResolvePrepared(gid uint64, commit bool) error {
 }
 
 // CommitLogged reports whether the engine's log holds a commit frame for
-// gid: the participant's own answer to the in-doubt resolver. An engine
-// without a log has no frames and answers no.
+// gid: the participant's own answer to the in-doubt resolver.
 func (e *Engine) CommitLogged(gid uint64) (bool, error) {
-	if e.wal == nil {
-		return false, nil
-	}
 	return e.wal.Contains(wal.RecCommit, gid)
 }

@@ -24,14 +24,6 @@ type Store interface {
 	Truncate(off int64) error
 }
 
-// Crasher is implemented by stores that can simulate a process or machine
-// crash: buffered-but-unsynced bytes are lost, except that the first
-// tornBytes of the unsynced tail survive — modelling a write torn mid-frame
-// by the failure.
-type Crasher interface {
-	Crash(tornBytes int)
-}
-
 // ErrStoreFailed is returned by a MemStore whose fault injection point has
 // been reached.
 var ErrStoreFailed = fmt.Errorf("wal: simulated store failure")
@@ -159,8 +151,9 @@ func (s *MemStore) Truncate(off int64) error {
 	return nil
 }
 
-// Crash implements Crasher: unsynced bytes are dropped, except the first
-// tornBytes of the unsynced tail, which survive as a torn final write.
+// Crash simulates a process or machine crash: unsynced bytes are dropped,
+// except the first tornBytes of the unsynced tail, which survive as a write
+// torn mid-frame by the failure.
 func (s *MemStore) Crash(tornBytes int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -49,7 +49,6 @@ func (tt traceTree) find(t *testing.T, scope, name string) obs.Span {
 func TestTracePropagationAcrossWire(t *testing.T) {
 	p := sdp.New(sdp.Config{
 		Listen:      "127.0.0.1:0",
-		WAL:         &sdp.WALConfig{},
 		TraceSample: 0, // server head sampling off: the client decision must carry
 	})
 	p.AddColo("local", "local", 4)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sdp/internal/colo"
 	"sdp/internal/placement"
 )
 
@@ -207,7 +208,7 @@ func TestPlatformPlacementPinned(t *testing.T) {
 // rendered back to SQL; the writes are then read back from each replica's
 // own engine.
 func TestPlatformSQLSurface(t *testing.T) {
-	p := New(Config{ClusterSize: 2, WAL: &WALConfig{}})
+	p := New(Config{ClusterSize: 2})
 	west := p.AddColo("west", "us-west", 2)
 	if err := p.CreateDatabase("app", SLA{SizeMB: 100, MinTPS: 1}, "west"); err != nil {
 		t.Fatal(err)
@@ -356,7 +357,7 @@ func TestPlatformPlacementShrinksToBudget(t *testing.T) {
 // one of them, while a statement that does repeat is cached on its second
 // sighting and served, plan included, from its third.
 func TestOneShotStatementsAreNotRetained(t *testing.T) {
-	p := New(Config{ClusterSize: 3, WAL: &WALConfig{}})
+	p := New(Config{ClusterSize: 3})
 	co := p.AddColo("west", "us-west", 3)
 	if err := p.CreateDatabase("app", SLA{SizeMB: 300, MinTPS: 2}, "west"); err != nil {
 		t.Fatal(err)
@@ -433,4 +434,132 @@ func TestOneShotStatementsAreNotRetained(t *testing.T) {
 	if got := p.Metrics().Snapshot().Gauge("sqldb_stmt_cache_entries", "cache", "platform"); got != 1 {
 		t.Errorf("sqldb_stmt_cache_entries{cache=\"platform\"} = %v, want 1", got)
 	}
+}
+
+// TestRestartOnDefaultPlatform restarts a crashed machine of a platform
+// configured with nothing about logs or controllers: every machine logs, so
+// the machine rejoins by log replay plus delta catch-up, and a branch it
+// left prepared is settled at its restart by the in-doubt rule.
+func TestRestartOnDefaultPlatform(t *testing.T) {
+	boot := func(t *testing.T) (*Platform, *colo.Controller, *Conn, []string) {
+		p := New(Config{ClusterSize: 2})
+		co := p.AddColo("west", "us-west", 2)
+		if err := p.CreateDatabase("app", SLA{SizeMB: 100, MinTPS: 1}, "west"); err != nil {
+			t.Fatal(err)
+		}
+		conn := p.Open("app")
+		for _, sql := range []string{
+			"CREATE TABLE hot (id INT PRIMARY KEY)",
+			"CREATE TABLE cold (id INT PRIMARY KEY)",
+			"INSERT INTO hot VALUES (1)",
+			"INSERT INTO cold VALUES (1)",
+		} {
+			if _, err := conn.Exec(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cl, err := co.Route("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicas, err := cl.Replicas("app")
+		if err != nil || len(replicas) != 2 {
+			t.Fatalf("replicas = %v, %v", replicas, err)
+		}
+		return p, co, conn, replicas
+	}
+	// rows reads a table's ids from each replica's own engine.
+	rows := func(t *testing.T, co *colo.Controller, replicas []string, table string) [][]int64 {
+		t.Helper()
+		cl, _ := co.Route("app")
+		var out [][]int64
+		for _, id := range replicas {
+			m, err := cl.Machine(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Engine().Exec("app", "SELECT id FROM "+table+" ORDER BY id")
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			var ids []int64
+			for _, r := range res.Rows {
+				ids = append(ids, r[0].Int)
+			}
+			out = append(out, ids)
+		}
+		return out
+	}
+
+	t.Run("replay plus delta", func(t *testing.T) {
+		p, co, conn, replicas := boot(t)
+		if _, err := co.CrashMachine(replicas[1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Exec("INSERT INTO hot VALUES (2)"); err != nil {
+			t.Fatal(err)
+		}
+		stats, report, err := co.RestartMachine(replicas[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Applied == 0 || len(report.Failed) != 0 {
+			t.Fatalf("restart replayed %+v, recovery %+v", stats, report)
+		}
+		snap := p.Metrics().Snapshot()
+		if fast, full := snap.Counter("wal_recovery_total", "path", "fast"), snap.Counter("wal_recovery_total", "path", "full"); fast != 1 || full != 0 {
+			t.Fatalf("wal_recovery_total fast=%d full=%d, want 1 and 0", fast, full)
+		}
+		if got := snap.Counter("core_copy_phase_total", "phase", "table_copied"); got != 1 {
+			t.Errorf("catch-up copied %d tables, want 1 (hot)", got)
+		}
+		want := [][]int64{{1, 2}, {1, 2}}
+		if got := rows(t, co, replicas, "hot"); !reflect.DeepEqual(got, want) {
+			t.Errorf("hot per replica = %v, want %v", got, want)
+		}
+	})
+
+	t.Run("in doubt at the crash", func(t *testing.T) {
+		_, co, _, replicas := boot(t)
+		cl, _ := co.Route("app")
+		// One transaction's branches prepare on both replicas; the first
+		// commits, and the second machine crashes before its COMMIT.
+		const gid = 1 << 40
+		for i, id := range replicas {
+			m, _ := cl.Machine(id)
+			tx, err := m.Engine().BeginWithID("app", gid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Exec("INSERT INTO cold VALUES (2)"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Prepare(); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				if err := tx.CommitPrepared(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := co.CrashMachine(replicas[1]); err != nil {
+			t.Fatal(err)
+		}
+		stats, report, err := co.RestartMachine(replicas[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.InDoubt != 1 || len(report.Failed) != 0 {
+			t.Fatalf("restart found %d in-doubt branches, recovery %+v; want 1", stats.InDoubt, report)
+		}
+		want := [][]int64{{1, 2}, {1, 2}}
+		if got := rows(t, co, replicas, "cold"); !reflect.DeepEqual(got, want) {
+			t.Errorf("cold per replica = %v, want %v", got, want)
+		}
+		m, _ := cl.Machine(replicas[1])
+		if gids := m.Engine().PreparedGIDs(); len(gids) != 0 {
+			t.Errorf("prepared branches %v after restart", gids)
+		}
+	})
 }

@@ -114,11 +114,12 @@ type Config struct {
 	// port). See PROTOCOL.md for the protocol and internal/wire for the
 	// client.
 	Listen string
-	// WAL, when non-nil, gives every machine a write-ahead log: commits are
-	// forced (with group commit) before acknowledgement, and a crashed
-	// machine can restart and rejoin by log replay plus delta catch-up
-	// instead of a full re-replication (see DESIGN.md, "Durability
-	// architecture").
+	// WAL configures every machine's write-ahead log: commits are forced
+	// (with group commit) before acknowledgement, and a crashed machine
+	// restarts and rejoins by log replay plus delta catch-up instead of a
+	// full re-replication (see DESIGN.md, "Durability architecture"). Every
+	// machine logs; nil is the zero config, an in-memory device with no
+	// added flush latency.
 	WAL *WALConfig
 	// TraceSample is the head-based per-tenant trace sampling fraction the
 	// wire server applies to requests that arrive without a client trace
@@ -134,8 +135,7 @@ type Config struct {
 	// machine across that many consensus replicas (3 or 5 are sensible);
 	// controller state changes commit through a Raft-style log and the
 	// cluster survives controller crashes by leader failover (see DESIGN.md,
-	// "Control plane replication"), and every machine keeps a write-ahead
-	// log even when WAL is nil. Zero or one runs one controller, which
+	// "Control plane replication"). Zero or one runs one controller, which
 	// applies the same state machine in place, with no failover.
 	Controllers int
 	// ControllerSeed seeds the consensus layer's randomized election
@@ -154,6 +154,10 @@ func (c Config) coloOptions() colo.Options {
 	if c.LockTimeout != 0 {
 		eng.LockTimeout = c.LockTimeout
 	}
+	var walCfg WALConfig
+	if w := c.WAL; w != nil {
+		walCfg = *w
+	}
 	return colo.Options{
 		ClusterSize:     c.ClusterSize,
 		RecoveryThreads: c.RecoveryThreads,
@@ -163,7 +167,7 @@ func (c Config) coloOptions() colo.Options {
 			Replicas:        c.Replicas,
 			CopyGranularity: c.CopyGranularity,
 			EngineConfig:    eng,
-			WAL:             c.WAL,
+			WAL:             walCfg,
 			Controllers:     c.Controllers,
 			ControllerSeed:  c.ControllerSeed,
 		},
