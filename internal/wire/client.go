@@ -554,19 +554,21 @@ var waiters = sync.Pool{New: func() any {
 // roundTrip sends one frame and waits (under the call timeout) for the
 // response with the same sequence ID.
 func (cc *clientConn) roundTrip(typ byte, payload []byte) (frame, error) {
-	cc.pmu.Lock()
-	if cc.err != nil {
-		err := cc.err
-		cc.pmu.Unlock()
-		return frame{}, err
-	}
-	cc.pmu.Unlock()
-
 	w := waiters.Get().(*waiter)
 	cc.wmu.Lock()
+	// The liveness check and the registration share one critical section:
+	// a waiter registered after fail swapped the pending map out would never
+	// be woken, though its request could still reach the socket before fail
+	// closes it.
+	cc.pmu.Lock()
+	if err := cc.err; err != nil {
+		cc.pmu.Unlock()
+		cc.wmu.Unlock()
+		waiters.Put(w)
+		return frame{}, err
+	}
 	cc.seq++
 	seq := cc.seq
-	cc.pmu.Lock()
 	cc.pending[seq] = w.ch
 	cc.pmu.Unlock()
 	_, werr := writeFrame(cc.bw, typ, seq, payload)
