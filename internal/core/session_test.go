@@ -71,7 +71,7 @@ func TestPointReadRunsOnCaller(t *testing.T) {
 // loggedWriteAllocCeiling bounds what one conservative autocommit UPDATE of
 // one row on two replicas allocates through the controller: 9 in each engine
 // (branch, the row's lock key and lock record, the row read, the new image and
-// its stored copy, undo record, result, and the buffer the transaction renders
+// its stored copy, undo record, result, and the buffer the transaction builds
 // redo records into — the log frames every record into one reused buffer), 6
 // in the controller (transaction, two branches, the route and its release,
 // statement closure); 24 when this was written. The key has four digits, as

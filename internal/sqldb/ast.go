@@ -6,7 +6,10 @@ package sqldb
 // Statement is any parsed SQL statement. The four kinds that bind to an
 // access plan (SELECT, INSERT, UPDATE, DELETE) carry the plans bound from
 // them (see planTable); everything else about a node is immutable once
-// parsed, so one node may execute on any number of engines at once.
+// parsed, so one node may execute on any number of engines at once. The six
+// kinds that write (INSERT, UPDATE, DELETE and the three DDL statements) keep
+// the text Parse was given: their redo record is that text plus the
+// statement's parameters.
 type Statement interface{ stmt() }
 
 // CreateTableStmt is CREATE TABLE name (col type [PRIMARY KEY] [NOT NULL], ...).
@@ -14,6 +17,8 @@ type CreateTableStmt struct {
 	Table       string
 	Cols        []ColumnDef
 	IfNotExists bool
+
+	text string
 }
 
 // ColumnDef describes one column in a CREATE TABLE statement.
@@ -31,12 +36,16 @@ type CreateIndexStmt struct {
 	Table  string
 	Col    string
 	Unique bool
+
+	text string
 }
 
 // DropTableStmt is DROP TABLE [IF EXISTS] name.
 type DropTableStmt struct {
 	Table    string
 	IfExists bool
+
+	text string
 }
 
 // InsertStmt is INSERT INTO table [(cols)] VALUES (exprs), (exprs)...
@@ -45,6 +54,7 @@ type InsertStmt struct {
 	Cols  []string
 	Rows  [][]Expr
 
+	text  string
 	plans planTable
 }
 
@@ -54,6 +64,7 @@ type UpdateStmt struct {
 	Set   []Assignment
 	Where Expr // nil means all rows
 
+	text  string
 	plans planTable
 }
 
@@ -68,6 +79,7 @@ type DeleteStmt struct {
 	Table string
 	Where Expr
 
+	text  string
 	plans planTable
 }
 

@@ -38,20 +38,20 @@ func (e *Engine) execute(t *Txn, stmt Statement, plan *stmtPlan, params []Value)
 		if err == nil {
 			// Logged while the table read lock is still held, so the record
 			// is ordered against every write to the indexed table.
-			err = e.walDDL(t.db, s.Table, s)
+			err = e.walDDL(t.db, s.Table, s.text)
 		}
 		return res, err
 	case *DropTableStmt:
 		return e.execDropTable(t, s)
 	case *InsertStmt:
 		res, err := e.runBound(t, stmt, plan, params)
-		return e.logWrite(t, s.Table, stmt, params, res, err)
+		return e.logWrite(t, s.Table, s.text, params, res, err)
 	case *UpdateStmt:
 		res, err := e.runBound(t, stmt, plan, params)
-		return e.logWrite(t, s.Table, stmt, params, res, err)
+		return e.logWrite(t, s.Table, s.text, params, res, err)
 	case *DeleteStmt:
 		res, err := e.runBound(t, stmt, plan, params)
-		return e.logWrite(t, s.Table, stmt, params, res, err)
+		return e.logWrite(t, s.Table, s.text, params, res, err)
 	case *SelectStmt:
 		return e.runBound(t, stmt, plan, params)
 	case *ExplainStmt:
@@ -90,11 +90,11 @@ func (e *Engine) runBound(t *Txn, stmt Statement, plan *stmtPlan, params []Value
 // locks are still held (the locks stay held until commit either way, so log
 // order equals lock-grant order for conflicting statements). Statements that
 // matched no rows are not logged: replaying them would redo nothing.
-func (e *Engine) logWrite(t *Txn, table string, stmt Statement, params []Value, res *Result, err error) (*Result, error) {
+func (e *Engine) logWrite(t *Txn, table, text string, params []Value, res *Result, err error) (*Result, error) {
 	if err != nil || res == nil || res.Affected == 0 {
 		return res, err
 	}
-	if werr := e.walStmt(t, table, stmt, params); werr != nil {
+	if werr := e.walStmt(t, table, text, params); werr != nil {
 		return res, werr
 	}
 	return res, nil
@@ -134,7 +134,7 @@ func (e *Engine) execCreateTable(t *Txn, s *CreateTableStmt) (*Result, error) {
 	e.planGen.Add(1)
 	// Logged under the catalog mutex: a write to the new table can only start
 	// after this mutex is released, so its record lands after this one.
-	if err := e.walDDL(t.db, s.Table, s); err != nil {
+	if err := e.walDDL(t.db, s.Table, s.text); err != nil {
 		return nil, err
 	}
 	return &Result{}, nil
@@ -185,7 +185,7 @@ func (e *Engine) execDropTable(t *Txn, s *DropTableStmt) (*Result, error) {
 	e.planGen.Add(1)
 	// Logged under the catalog mutex, ordering the drop after every record
 	// of the dropped table.
-	if err := e.walDDL(t.db, s.Table, s); err != nil {
+	if err := e.walDDL(t.db, s.Table, s.text); err != nil {
 		return nil, err
 	}
 	return &Result{}, nil

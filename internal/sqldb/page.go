@@ -17,8 +17,9 @@ import (
 //
 // little-endian; end is the offset in the image just past the slot's row, so
 // row i occupies [end of row i-1, end of row i) and the first row starts where
-// the directory stops. The format is this package's own business: the log,
-// checkpoints and replica copies carry rows in walcodec.go's encoding.
+// the directory stops. The page format is this package's own business, but
+// its row encoding is not: table images and redo records carry values in it
+// too (walcodec.go).
 //
 // Inside the pool a page is its slots, and a slot is its row's encoding: a
 // substring of the image for a row the page was mapped with, the row's own
@@ -177,9 +178,19 @@ func rowArity(enc string) (arity, pos int, err error) {
 // for it. Text values are substrings of enc: whoever keeps the row keeps the
 // encoding, never more than the page image it was cut from.
 func decodeRow(enc string, dst []Value) (Row, error) {
+	row, n, err := decodeRowPrefix(enc, dst)
+	if err == nil && n != len(enc) {
+		return nil, corruptPage("row ends short of its extent")
+	}
+	return row, err
+}
+
+// decodeRowPrefix decodes the row encoding that starts enc, as decodeRow
+// does, and returns the number of bytes it took.
+func decodeRowPrefix(enc string, dst []Value) (Row, int, error) {
 	n, pos, err := rowArity(enc)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if cap(dst) < n {
 		dst = make([]Value, n)
@@ -187,13 +198,10 @@ func decodeRow(enc string, dst []Value) (Row, error) {
 	row := Row(dst[:n])
 	for c := range row {
 		if pos, err = decodeValue(enc, pos, &row[c]); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	if pos != len(enc) {
-		return nil, corruptPage("row ends short of its extent")
-	}
-	return row, nil
+	return row, pos, nil
 }
 
 // decodeCol decodes the one value at position col of a row encoding.

@@ -152,7 +152,7 @@ func (p *parser) parseCreate() (Statement, error) {
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
-		return &CreateIndexStmt{Name: name, Table: table, Col: col, Unique: unique}, nil
+		return &CreateIndexStmt{Name: name, Table: table, Col: col, Unique: unique, text: p.src}, nil
 	}
 	if unique {
 		return nil, p.errorf("expected INDEX after UNIQUE")
@@ -177,7 +177,7 @@ func (p *parser) parseCreate() (Statement, error) {
 	if err := p.expectSymbol("("); err != nil {
 		return nil, err
 	}
-	stmt := &CreateTableStmt{Table: name, IfNotExists: ifNot}
+	stmt := &CreateTableStmt{Table: name, IfNotExists: ifNot, text: p.src}
 	for {
 		col, err := p.parseColumnDef()
 		if err != nil {
@@ -274,7 +274,7 @@ func (p *parser) parseDrop() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DropTableStmt{Table: name, IfExists: ifExists}, nil
+	return &DropTableStmt{Table: name, IfExists: ifExists, text: p.src}, nil
 }
 
 func (p *parser) parseInsert() (Statement, error) {
@@ -286,7 +286,7 @@ func (p *parser) parseInsert() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt := &InsertStmt{Table: table}
+	stmt := &InsertStmt{Table: table, text: p.src}
 	if p.acceptSymbol("(") {
 		for {
 			col, err := p.expectIdent()
@@ -343,7 +343,7 @@ func (p *parser) parseUpdate() (Statement, error) {
 	if err := p.expectKeyword("SET"); err != nil {
 		return nil, err
 	}
-	stmt := &UpdateStmt{Table: table}
+	stmt := &UpdateStmt{Table: table, text: p.src}
 	for {
 		col, err := p.expectIdent()
 		if err != nil {
@@ -381,7 +381,7 @@ func (p *parser) parseDelete() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt := &DeleteStmt{Table: table}
+	stmt := &DeleteStmt{Table: table, text: p.src}
 	if p.acceptKeyword("WHERE") {
 		w, err := p.parseExpr()
 		if err != nil {

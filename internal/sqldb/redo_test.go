@@ -11,13 +11,12 @@ import (
 	"sdp/internal/wal"
 )
 
-// A redo record is a write statement rendered back to SQL with its parameters
-// as literals; recovery parses it again. The texts below were captured from
-// the renderer that built statements in a strings.Builder out of
-// Value.String(), before AppendStmt rendered into a caller's buffer: a log
-// written by either one replays under the other.
+// A redo record is a write statement as it ran: the text Parse was given
+// plus its parameters in the row encoding. Recovery executes that text with
+// those parameters, so a value reaches the replayed row with the bits it was
+// bound with, including values no SQL literal spells.
 
-// negZero is IEEE −0, which FormatFloat renders with its sign.
+// negZero is IEEE −0.
 var negZero = math.Copysign(0, -1)
 
 // redoCases are DML statements with a parameter of every type: INT
@@ -26,7 +25,6 @@ var negZero = math.Copysign(0, -1)
 var redoCases = []struct {
 	sql    string
 	params []Value
-	want   string
 }{
 	{
 		sql: "INSERT INTO item (id, title, price, stock, live) VALUES (?, ?, ?, ?, ?), (?, ?, ?, ?, ?)",
@@ -34,43 +32,153 @@ var redoCases = []struct {
 			NewInt(-42), NewText("it's"), NewFloat(0.1), NewInt(1<<53 + 1), NewBool(true),
 			NewInt(7), NewText(""), NewFloat(1e21), Null, NewBool(false),
 		},
-		want: "INSERT INTO item (id, title, price, stock, live) VALUES (-42, 'it''s', 0.1, 9007199254740993, TRUE), (7, '', 1e+21, NULL, FALSE)",
 	},
 	{
 		sql:    "UPDATE item SET title = ?, price = ?, live = ?, stock = stock - 1 WHERE id = ? AND (stock IS NOT NULL OR title LIKE ?)",
 		params: []Value{NewText("\xff"), NewFloat(negZero), Null, NewInt(1<<53 + 1), NewText("a%'_")},
-		want:   "UPDATE item SET title = '\xff', price = -0, live = NULL, stock = (stock - 1) WHERE ((id = 9007199254740993) AND ((stock IS NOT NULL) OR (title LIKE 'a%''_')))",
 	},
 	{
 		sql:    "DELETE FROM item WHERE id IN (?, ?, 3) OR price NOT BETWEEN ? AND ? OR NOT (stock > 0) OR title = 'x''y'",
 		params: []Value{NewInt(-1), NewInt(1<<53 + 1), NewFloat(negZero), NewFloat(1e21)},
-		want:   "DELETE FROM item WHERE ((((id IN (-1, 9007199254740993, 3)) OR (price NOT BETWEEN -0 AND 1e+21)) OR (NOT (stock > 0))) OR (title = 'x''y'))",
 	},
 }
 
-func TestRedoRecordText(t *testing.T) {
+// edgeValues are values SQL text cannot spell, or spells as another value:
+// the literals NaN, Inf and -9223372036854775808 do not parse, and a
+// formatted −0 reads back as +0.
+var edgeValues = []Value{
+	NewFloat(math.NaN()), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(negZero),
+	NewInt(math.MinInt64), NewInt(math.MaxInt64), NewInt(1<<53 + 1),
+}
+
+// redoRoundTrip runs redoCases, and every edge value as a parameter of an
+// INSERT, of an UPDATE's SET and WHERE and of a DELETE's WHERE, in tx.
+func redoRoundTrip(t *testing.T, tx *Txn) {
+	t.Helper()
+	exec := func(sql string, params ...Value) {
+		t.Helper()
+		res, err := tx.Exec(sql, params...)
+		if err != nil {
+			t.Fatalf("%s %v: %v", sql, params, err)
+		}
+		if res.Affected == 0 {
+			t.Fatalf("%s %v: no row written, so nothing logged", sql, params)
+		}
+	}
+	exec("INSERT INTO item VALUES (9007199254740993, 'big', -2.25, 1, TRUE)")
 	for _, c := range redoCases {
-		stmt, err := Parse(c.sql)
-		if err != nil {
-			t.Fatalf("%s: %v", c.sql, err)
+		exec(c.sql, c.params...)
+	}
+	for i, v := range edgeValues {
+		col := "n"
+		if v.Typ == TypeFloat {
+			col = "f"
 		}
-		got, err := RenderStmt(stmt, c.params)
-		if err != nil {
-			t.Fatalf("%s: %v", c.sql, err)
+		id := int64(10 * i)
+		// Rows id and id+1 end holding v, set by INSERT and by UPDATE; v
+		// picks rows id+2 and id+3 in a WHERE that can only match NULL.
+		exec("INSERT INTO edge (id, "+col+") VALUES (?, ?), (?, NULL), (?, NULL), (?, NULL)",
+			NewInt(id), v, NewInt(id+1), NewInt(id+2), NewInt(id+3))
+		exec("UPDATE edge SET "+col+" = ? WHERE id = ?", v, NewInt(id+1))
+		exec("UPDATE edge SET g = TRUE WHERE id = ? AND ("+col+" IS NULL OR "+col+" <> ?)", NewInt(id+2), v)
+		exec("DELETE FROM edge WHERE id = ? AND ("+col+" IS NULL OR "+col+" <> ?)", NewInt(id+3), v)
+	}
+}
+
+// sameCells reports whether two rows hold the same values, floats compared
+// by their bits.
+func sameCells(a, b Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Typ != y.Typ || x.Int != y.Int || x.Str != y.Str || x.Bool != y.Bool ||
+			math.Float64bits(x.Float) != math.Float64bits(y.Float) {
+			return false
 		}
-		if got != c.want {
-			t.Errorf("%s:\n got %q\nwant %q", c.sql, got, c.want)
+	}
+	return true
+}
+
+// TestRedoValuesRoundTrip writes redoRoundTrip's statements through the log
+// twice: in a committed transaction, and in a 2PC branch that prepares
+// before the log is cut, comes back in doubt and is committed by
+// ResolvePrepared. A fresh engine recovered from that log must hold every
+// cell of the source, bit for bit.
+func TestRedoValuesRoundTrip(t *testing.T) {
+	src, s := newWALEngine(t)
+	for _, db := range []string{"done", "doubt"} {
+		if err := src.CreateDatabase(db); err != nil {
+			t.Fatal(err)
 		}
-		// AppendStmt appends after whatever the buffer holds.
-		buf, err := AppendStmt([]byte("prefix:"), stmt, c.params)
-		if err != nil || string(buf) != "prefix:"+c.want {
-			t.Errorf("AppendStmt(%s) = %q, %v", c.sql, buf, err)
+		crashExec(t, src, db, "CREATE TABLE item (id INT PRIMARY KEY, title TEXT, price FLOAT, stock INT, live BOOL)")
+		crashExec(t, src, db, "CREATE TABLE edge (id INT PRIMARY KEY, f FLOAT, n INT, g BOOL)")
+	}
+	tx, err := src.Begin("done")
+	if err != nil {
+		t.Fatal(err)
+	}
+	redoRoundTrip(t, tx)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	const gid = 77
+	branch, err := src.BeginWithID("doubt", gid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	redoRoundTrip(t, branch)
+	if err := branch.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	// The cut: the log as a crash right after PREPARE left it. The source
+	// then commits its branch, as the resolver will decide.
+	logged, _ := s.Contents()
+	cut := wal.NewMemStore()
+	if _, err := cut.Append(logged); err != nil {
+		t.Fatal(err)
+	}
+	if err := branch.CommitPrepared(); err != nil {
+		t.Fatal(err)
+	}
+
+	mid, stats := recoverEngine(t, cut)
+	if stats.InDoubt != 1 {
+		t.Fatalf("recovery re-instated %d branches, want 1", stats.InDoubt)
+	}
+	if err := mid.ResolvePrepared(gid, true); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := recoverEngine(t, cut)
+	for _, db := range []string{"done", "doubt"} {
+		for _, table := range []string{"item", "edge"} {
+			q := "SELECT * FROM " + table + " ORDER BY id"
+			want, have := mustQuery(t, src, db, q), mustQuery(t, got, db, q)
+			if len(want) != len(have) {
+				t.Fatalf("%s.%s: %d rows recovered, want %d", db, table, len(have), len(want))
+			}
+			for i := range want {
+				if !sameCells(want[i], have[i]) {
+					t.Errorf("%s.%s row %d: recovered %v, want %v", db, table, i, have[i], want[i])
+				}
+			}
 		}
 	}
 }
 
-// redoLogPath holds the log redoWorkload wrote before records were rendered
-// and framed into reused buffers.
+// mustQuery returns the rows of a query on e.
+func mustQuery(t *testing.T, e *Engine, db, sql string) []Row {
+	t.Helper()
+	res, err := e.Exec(db, sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return res.Rows
+}
+
+// redoLogPath holds the log redoWorkload writes: the committed form of a
+// redo record and of a checkpoint.
 var redoLogPath = filepath.Join("testdata", "redo_parent.log")
 
 // redoLogContents is what recovering redoLogPath must rebuild, one row per
@@ -156,10 +264,10 @@ func tableText(t *testing.T, e *Engine) string {
 	return b.String()
 }
 
-// TestRedoLogFromBeforeReusedBuffers replays a log written before records
-// were framed into reused buffers and checks the table it rebuilds; then it
-// writes the same history again and checks the log is byte for byte the
-// committed one.
+// TestRedoLogFromBeforeReusedBuffers replays the committed log and checks the
+// table it rebuilds; then it writes the same history again and checks the log
+// is byte for byte the committed one, so a change to what the engine writes
+// shows here.
 func TestRedoLogFromBeforeReusedBuffers(t *testing.T) {
 	old, err := os.ReadFile(redoLogPath)
 	if err != nil {

@@ -79,7 +79,7 @@ type Txn struct {
 	// statement) was logged, so commit/prepare must force an outcome record.
 	// Only the transaction's own goroutine touches it.
 	walBegun bool
-	// walBuf is where walStmt renders the transaction's redo records.
+	// walBuf is where walStmt builds the transaction's redo records.
 	walBuf []byte
 
 	// locks is guarded by the engine's lock-manager mutex, not mu: all

@@ -11,14 +11,14 @@ import (
 )
 
 // WAL integration. The engine logs logical redo: every successful write
-// statement is appended (as literal SQL, re-rendered from the bound AST) while
-// the statement's locks are still held, and the commit record is forced to the
-// log before any lock is released. Under strict two-phase locking this makes
-// log order equal lock-grant order for every pair of conflicting statements,
-// so replaying the committed statements in log order rebuilds the exact
-// pre-crash state. DDL and namespace changes are logged with transaction ID 0
-// and replayed unconditionally, matching their immediate, non-rollbackable
-// execution semantics.
+// statement is appended as it ran — the text Parse was given plus the bound
+// parameters (walcodec.go) — while the statement's locks are still held, and
+// the commit record is forced to the log before any lock is released. Under
+// strict two-phase locking this makes log order equal lock-grant order for
+// every pair of conflicting statements, so replaying the committed statements
+// in log order rebuilds the exact pre-crash state. DDL and namespace changes
+// are logged with transaction ID 0 and replayed unconditionally, matching
+// their immediate, non-rollbackable execution semantics.
 
 // AttachWAL replaces the engine's write-ahead log — by default an
 // in-memory log with no flush latency (NewEngine) — with l, for a durable
@@ -30,30 +30,26 @@ func (e *Engine) AttachWAL(l *wal.Log) { e.wal = l }
 func (e *Engine) WAL() *wal.Log { return e.wal }
 
 // walStmt appends the redo record for one executed DML statement, preceded by
-// the transaction's begin record on its first write. The statement is
-// rendered into the transaction's walBuf, which the log copies before Append
-// returns. Called while the statement's locks are held.
-func (e *Engine) walStmt(t *Txn, table string, stmt Statement, params []Value) error {
+// the transaction's begin record on its first write. The record is built in
+// the transaction's walBuf, which the log copies before Append returns.
+// Called while the statement's locks are held.
+func (e *Engine) walStmt(t *Txn, table, text string, params []Value) error {
 	if e.recovering.Load() {
 		return nil // replaying this same log
 	}
 	if t.walBuf == nil {
 		t.walBuf = make([]byte, 0, 256)
 	}
-	sql, err := AppendStmt(t.walBuf[:0], stmt, params)
-	if err != nil {
-		return err
-	}
-	t.walBuf = sql
+	t.walBuf = appendRedo(t.walBuf[:0], text, params)
 	if !t.walBegun {
 		t.walBegun = true
 		if _, err := e.wal.Append(wal.Record{Type: wal.RecBegin, Txn: t.id, GID: t.GlobalID, DB: t.db}); err != nil {
 			return err
 		}
 	}
-	_, err = e.wal.Append(wal.Record{
+	_, err := e.wal.Append(wal.Record{
 		Type: wal.RecStatement, Txn: t.id, GID: t.GlobalID,
-		DB: t.db, Table: lower(table), Data: sql,
+		DB: t.db, Table: lower(table), Data: t.walBuf,
 	})
 	return err
 }
@@ -64,15 +60,11 @@ func (e *Engine) walStmt(t *Txn, table string, stmt Statement, params []Value) e
 // Called while the schema change is still protected by whatever lock ordered
 // it (the catalog mutex for CREATE/DROP TABLE, the table read lock for CREATE
 // INDEX).
-func (e *Engine) walDDL(db, table string, stmt Statement) error {
+func (e *Engine) walDDL(db, table, text string) error {
 	if e.recovering.Load() {
 		return nil // replaying this same log
 	}
-	sql, err := RenderStmt(stmt, nil)
-	if err != nil {
-		return err
-	}
-	_, err = e.wal.Append(wal.Record{Type: wal.RecStatement, DB: db, Table: lower(table), Data: []byte(sql)})
+	_, err := e.wal.Append(wal.Record{Type: wal.RecStatement, DB: db, Table: lower(table), Data: appendRedo(nil, text, nil)})
 	return err
 }
 
@@ -356,11 +348,8 @@ func (e *Engine) Recover() (*RecoveryStats, error) {
 	// cannot conflict with anything: every conflicting transaction either
 	// committed before them or is also merely in doubt, and concurrently
 	// prepared transactions held compatible locks).
-	type doubtStmt struct {
-		db, sql string
-	}
 	doubtOrder := []uint64{}
-	doubtStmts := make(map[uint64][]doubtStmt)
+	doubtStmts := make(map[uint64][]wal.RecordAt)
 	for _, r := range recs {
 		switch r.Type {
 		case wal.RecCreateDB:
@@ -398,13 +387,13 @@ func (e *Engine) Recover() (*RecoveryStats, error) {
 					if _, seen := doubtStmts[r.Txn]; !seen {
 						doubtOrder = append(doubtOrder, r.Txn)
 					}
-					doubtStmts[r.Txn] = append(doubtStmts[r.Txn], doubtStmt{db: r.DB, sql: string(r.Data)})
+					doubtStmts[r.Txn] = append(doubtStmts[r.Txn], r)
 					continue
 				default:
 					continue // rolled back, presumed aborted, or unfinished
 				}
 			}
-			if err := e.replayStmt(r.DB, string(r.Data)); err != nil {
+			if err := e.replayStmt(r.DB, r.Data); err != nil {
 				if errors.Is(err, ErrNoTable) && marked[r.DB] &&
 					snapLSN(snap, r.DB+"/"+r.Table) < 0 && r.LSN <= ckptEnd {
 					// The table died inside its checkpoint's fuzzy window: the
@@ -414,7 +403,7 @@ func (e *Engine) Recover() (*RecoveryStats, error) {
 					// to lose: the drop made their effects moot.
 					continue
 				}
-				return nil, fmt.Errorf("sqldb: recover: replay %q: %w", r.Data, err)
+				return nil, fmt.Errorf("sqldb: recover: %w", err)
 			}
 			stats.Applied++
 		}
@@ -427,14 +416,14 @@ func (e *Engine) Recover() (*RecoveryStats, error) {
 	for _, id := range doubtOrder {
 		stmts := doubtStmts[id]
 		gid := txns[id].gid
-		t, err := e.BeginWithID(stmts[0].db, gid)
+		t, err := e.BeginWithID(stmts[0].DB, gid)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: recover: %w", err)
 		}
 		for _, s := range stmts {
-			if _, err := t.Exec(s.sql); err != nil {
+			if err := t.execRedo(s.Data); err != nil {
 				_ = t.Rollback()
-				return nil, fmt.Errorf("sqldb: recover: in-doubt replay %q: %w", s.sql, err)
+				return nil, fmt.Errorf("sqldb: recover: in doubt: %w", err)
 			}
 		}
 		if err := t.Prepare(); err != nil {
@@ -473,17 +462,30 @@ func (e *Engine) restoreImage(r wal.RecordAt) error {
 	return nil
 }
 
-// replayStmt applies one logged statement in its own transaction.
-func (e *Engine) replayStmt(db, sql string) error {
+// replayStmt applies one statement record in its own transaction.
+func (e *Engine) replayStmt(db string, data []byte) error {
 	t, err := e.Begin(db)
 	if err != nil {
 		return err
 	}
-	if _, err := t.Exec(sql); err != nil {
+	if err := t.execRedo(data); err != nil {
 		_ = t.Rollback()
 		return err
 	}
 	return t.Commit()
+}
+
+// execRedo executes a statement record in t: its text, through the engine's
+// statement cache, with its parameters.
+func (t *Txn) execRedo(data []byte) error {
+	text, params, err := decodeRedo(data)
+	if err != nil {
+		return err
+	}
+	if _, err := t.Exec(text, params...); err != nil {
+		return fmt.Errorf("replay %q: %w", text, err)
+	}
+	return nil
 }
 
 // SetWALMetrics installs the wal metric instruments the engine itself

@@ -1,25 +1,51 @@
 package sqldb
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"strings"
 
 	"sdp/internal/wal"
 )
 
-// Binary encoding of a table image — the one byte codec for TableDump —
-// carried as the Data of a RecCheckpointTable or RecRestoreTable frame:
+// The payloads this package puts in log frames. Both carry values in the
+// row encoding pages use (page.go's encodeRow), so one codec spells a value
+// everywhere: on a page, in a table image and as a statement's parameter.
 //
-//	image  := table(string) ncols(uvarint) col* pk(uvarint+1)
-//	          nidx(uvarint) idx* nrows(uvarint) row*
+// A RecStatement frame's Data is the statement as it ran:
+//
+//	redo   := text(string) params(row)
+//
+// text is what Parse was given, params the values bound to its ? markers
+// (none for DDL). A RecCheckpointTable or RecRestoreTable frame's Data is a
+// table image, the one byte codec for TableDump:
+//
+//	image  := table(string) ncols(uvarint) col* nidx(uvarint) idx*
+//	          nrows(uvarint) row*
 //	col    := name(string) type(uvarint) flags(uint8)   // 1 PK, 2 NOT NULL, 4 UNIQUE
 //	idx    := name(string) col(string) unique(uint8)
-//	row    := value*                                    // one per column
-//	value  := type(uint8) payload
-//
-// Value payloads: NULL none, INT zigzag varint, FLOAT 8-byte IEEE bits,
-// TEXT length-prefixed bytes, BOOL one byte.
+//	row    := encodeRow's encoding, ncols values
+//	string := len(uvarint) bytes
+
+// appendRedo appends a statement record's payload to buf.
+func appendRedo(buf []byte, text string, params []Value) []byte {
+	return encodeRow(wal.AppendString(buf, text), params)
+}
+
+// decodeRedo splits a statement record's payload into its text and its
+// parameters, which share one copy of the payload.
+func decodeRedo(data []byte) (string, []Value, error) {
+	s := string(data)
+	n, sz := uvarint(s)
+	if sz <= 0 || n > uint64(len(s)-sz) {
+		return "", nil, fmt.Errorf("sqldb: redo record: bad text length")
+	}
+	end := sz + int(n)
+	params, err := decodeRow(s[end:], nil)
+	if err != nil {
+		return "", nil, fmt.Errorf("sqldb: redo record: %w", err)
+	}
+	return s[sz:end], params, nil
+}
 
 // encodeTableImage serialises a table dump for an image frame.
 func encodeTableImage(d TableDump) []byte {
@@ -52,9 +78,7 @@ func encodeTableImage(d TableDump) []byte {
 	}
 	buf = wal.AppendUvarint(buf, uint64(len(d.Rows)))
 	for _, r := range d.Rows {
-		for _, v := range r {
-			buf = appendValue(buf, v)
-		}
+		buf = encodeRow(buf, r)
 	}
 	return buf
 }
@@ -66,7 +90,7 @@ func decodeTableImage(data []byte) (TableDump, error) {
 	if err != nil {
 		return d, err
 	}
-	// A column takes at least 3 bytes, an index 3, a row one per column.
+	// A column takes at least 3 bytes, an index 3.
 	ncols, rest, err := takeCount(rest, 3)
 	if err != nil {
 		return d, err
@@ -111,19 +135,29 @@ func decodeTableImage(data []byte) (TableDump, error) {
 		d.Indexes[i].Unique = rest[0] != 0
 		rest = rest[1:]
 	}
-	nrows, rest, err := takeCount(rest, ncols)
+	// A row is at least its arity byte and one type byte a value.
+	nrows, rest, err := takeCount(rest, ncols+1)
 	if err != nil {
 		return d, err
 	}
+	enc := string(rest)
 	d.Rows = make([]Row, nrows)
 	for i := range d.Rows {
-		row := make(Row, ncols)
-		for j := range row {
-			if row[j], rest, err = takeValue(rest); err != nil {
-				return d, err
+		row, n, err := decodeRowPrefix(enc, nil)
+		if err != nil {
+			return d, err
+		}
+		if len(row) != ncols {
+			return d, fmt.Errorf("sqldb: checkpoint row has %d values, want %d", len(row), ncols)
+		}
+		// A text would otherwise keep the whole image alive in the indexes.
+		for j, v := range row {
+			if v.Typ == TypeText {
+				row[j] = NewText(strings.Clone(v.Str))
 			}
 		}
 		d.Rows[i] = row
+		enc = enc[n:]
 	}
 	return d, nil
 }
@@ -140,61 +174,4 @@ func takeCount(buf []byte, minSize int) (int, []byte, error) {
 		return 0, nil, fmt.Errorf("sqldb: checkpoint count %d exceeds the %d bytes left", n, len(rest))
 	}
 	return int(n), rest, nil
-}
-
-// appendValue serialises one value.
-func appendValue(buf []byte, v Value) []byte {
-	buf = append(buf, byte(v.Typ))
-	switch v.Typ {
-	case TypeInt:
-		buf = binary.AppendVarint(buf, v.Int)
-	case TypeFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float))
-	case TypeText:
-		buf = wal.AppendString(buf, v.Str)
-	case TypeBool:
-		if v.Bool {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}
-
-// takeValue parses one value, returning the remaining bytes.
-func takeValue(buf []byte) (Value, []byte, error) {
-	if len(buf) == 0 {
-		return Null, nil, fmt.Errorf("sqldb: truncated checkpoint value")
-	}
-	typ := Type(buf[0])
-	buf = buf[1:]
-	switch typ {
-	case TypeNull:
-		return Null, buf, nil
-	case TypeInt:
-		v, n := binary.Varint(buf)
-		if n <= 0 {
-			return Null, nil, fmt.Errorf("sqldb: bad checkpoint int")
-		}
-		return NewInt(v), buf[n:], nil
-	case TypeFloat:
-		if len(buf) < 8 {
-			return Null, nil, fmt.Errorf("sqldb: truncated checkpoint float")
-		}
-		return NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf))), buf[8:], nil
-	case TypeText:
-		s, rest, err := wal.TakeString(buf)
-		if err != nil {
-			return Null, nil, err
-		}
-		return NewText(s), rest, nil
-	case TypeBool:
-		if len(buf) < 1 {
-			return Null, nil, fmt.Errorf("sqldb: truncated checkpoint bool")
-		}
-		return NewBool(buf[0] != 0), buf[1:], nil
-	default:
-		return Null, nil, fmt.Errorf("sqldb: unknown checkpoint value type %d", typ)
-	}
 }

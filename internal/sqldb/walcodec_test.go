@@ -117,3 +117,45 @@ func FuzzDecodeTableImage(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeRedo feeds arbitrary bytes to the statement record decoder: every
+// input is either rejected or decodes to a text and parameters whose record
+// decodes to the same text and the same values, bit for bit, and re-encodes
+// to the same bytes; never a panic or an allocation sized by a count the
+// input only claims. The committed corpus (testdata/fuzz/FuzzDecodeRedo)
+// holds a record for each of edgeValues and one whose parameter count is
+// 2^62; every prefix of a record holding all of edgeValues is a seed here.
+func FuzzDecodeRedo(f *testing.F) {
+	rec := appendRedo(nil, "UPDATE edge SET f = ?, n = ? WHERE id IN (?, ?, ?, ?, ?)", edgeValues)
+	for n := 0; n <= len(rec); n++ {
+		f.Add(rec[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		text, params, err := decodeRedo(data)
+		if err != nil {
+			return
+		}
+		again := appendRedo(nil, text, params)
+		text2, params2, err := decodeRedo(again)
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if text2 != text || !sameCells(params2, params) {
+			t.Fatalf("record changes across a second decode: %q %v, then %q %v", text, params, text2, params2)
+		}
+		if !bytes.Equal(appendRedo(nil, text2, params2), again) {
+			t.Fatal("record bytes change across a second decode")
+		}
+	})
+}
+
+// TestRedoRecordRejectsTruncation feeds the decoder every proper prefix of a
+// record: each must fail, never decode to fewer parameters or a shorter text.
+func TestRedoRecordRejectsTruncation(t *testing.T) {
+	rec := appendRedo(nil, "DELETE FROM edge WHERE f = ? OR n = ?", edgeValues[:5])
+	for n := 0; n < len(rec); n++ {
+		if text, params, err := decodeRedo(rec[:n]); err == nil {
+			t.Fatalf("record truncated to %d of %d bytes decoded to %q %v", n, len(rec), text, params)
+		}
+	}
+}

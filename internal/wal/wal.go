@@ -6,11 +6,12 @@
 // The paper's recovery story (Section 4.3, Figures 8-9) re-creates a lost
 // replica with a full dump-and-copy because the underlying MySQL redo log is
 // assumed but never modeled. This package supplies that missing layer for the
-// embedded engines in internal/sqldb: every write statement is logged before
-// its transaction commits, the commit record is forced to the log (one
-// simulated-fsync flush shared by all concurrently committing transactions)
-// before locks are released, and a restarted machine rebuilds its state from
-// the last complete checkpoint plus the log tail. Recovery cost becomes
+// embedded engines in internal/sqldb: every write statement is logged, as the
+// text it ran as plus its parameters, before its transaction commits, the
+// commit record is forced to the log (one simulated-fsync flush shared by all
+// concurrently committing transactions) before locks are released, and a
+// restarted machine rebuilds its state from the last complete checkpoint plus
+// the log tail. Recovery cost becomes
 // proportional to the log tail instead of the database size, which is what
 // lets the cluster controller choose a fast log-replay recovery path over the
 // paper's full Algorithm-1 copy.
@@ -47,7 +48,8 @@ type RecordType uint8
 const (
 	// RecBegin marks the first write of a transaction.
 	RecBegin RecordType = iota + 1
-	// RecStatement carries one executed write statement as literal SQL.
+	// RecStatement carries one executed write statement as it ran: its
+	// text and its bound parameters.
 	RecStatement
 	// RecPrepare marks a transaction entering the PREPARED state of 2PC;
 	// a prepared transaction with no later commit/abort record is in doubt
@@ -80,8 +82,8 @@ const (
 // Record is one decoded log record. Txn is the engine-local transaction ID
 // (0 for auto-committed records such as DDL); GID is the caller-assigned
 // global transaction ID correlating 2PC branches across machines. DB and
-// Table scope the record; Data carries the statement SQL or checkpoint
-// payload.
+// Table scope the record; Data carries the statement (text and parameters)
+// or the table image, in the writer's encoding: the log does not read it.
 type Record struct {
 	Type  RecordType
 	Txn   uint64

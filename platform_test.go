@@ -2,6 +2,7 @@ package sdp
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -560,6 +561,37 @@ func TestRestartOnDefaultPlatform(t *testing.T) {
 		m, _ := cl.Machine(replicas[1])
 		if gids := m.Engine().PreparedGIDs(); len(gids) != 0 {
 			t.Errorf("prepared branches %v after restart", gids)
+		}
+	})
+	t.Run("values no literal spells", func(t *testing.T) {
+		_, co, conn, replicas := boot(t)
+		if _, err := conn.Exec("CREATE TABLE m (id INT PRIMARY KEY, f FLOAT, n INT)"); err != nil {
+			t.Fatal(err)
+		}
+		ins, err := conn.Prepare("INSERT INTO m VALUES (?, ?, ?)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ins.Exec(Int(1), Float(math.NaN()), Int(math.MinInt64)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := co.CrashMachine(replicas[1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := co.RestartMachine(replicas[1]); err != nil {
+			t.Fatal(err)
+		}
+		cl, _ := co.Route("app")
+		for _, id := range replicas {
+			m, _ := cl.Machine(id)
+			res, err := m.Engine().Exec("app", "SELECT f, n FROM m WHERE id = 1")
+			if err != nil || len(res.Rows) != 1 {
+				t.Fatalf("%s: %v, %v", id, res, err)
+			}
+			f, n := res.Rows[0][0].Float, res.Rows[0][1].Int
+			if math.Float64bits(f) != math.Float64bits(math.NaN()) || n != math.MinInt64 {
+				t.Errorf("%s holds f=%#x n=%d, want f=%#x n=%d", id, math.Float64bits(f), n, math.Float64bits(math.NaN()), int64(math.MinInt64))
+			}
 		}
 	})
 }
