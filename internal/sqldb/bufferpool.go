@@ -26,10 +26,11 @@ type PoolStats struct {
 	Writebacks uint64
 	// RowsDecoded counts every decode of a stored row into values. Nothing
 	// keeps a decoded row, so it is the rows storage read: one per point
-	// read, fetched index candidate, row a scan examines, row an UPDATE or
-	// DELETE replaces, and row a cold scan (dump, checkpoint, copy) reads.
-	// Reading one column of a row (a candidate's key, an index build)
-	// decodes no row.
+	// read, fetched index candidate, row a scan examines, and row an UPDATE
+	// or DELETE replaces. A cold scan (dump, checkpoint, copy) decodes no
+	// row: it moves each row's encoding. Reading one column of a row (a
+	// candidate's key, an index build, a restore's key columns) decodes no
+	// row.
 	RowsDecoded uint64
 }
 

@@ -497,7 +497,7 @@ func idImage(t *testing.T, table string, lo, hi int64) TableDump {
 	}
 	d := TableDump{Schema: schema}
 	for id := lo; id <= hi; id++ {
-		d.Rows = append(d.Rows, Row{NewInt(id)})
+		d.Rows = append(d.Rows, encodeRows(Row{NewInt(id)})...)
 	}
 	return d
 }

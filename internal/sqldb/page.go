@@ -204,21 +204,22 @@ func decodeRowPrefix(enc string, dst []Value) (Row, int, error) {
 	return row, pos, nil
 }
 
-// decodeCol decodes the one value at position col of a row encoding.
-func decodeCol(enc string, col int) (v Value, err error) {
+// decodeLeading decodes the first len(dst) values of a row encoding into dst
+// in one pass, leaving the rest of the row unread.
+func decodeLeading(enc string, dst []Value) error {
 	n, pos, err := rowArity(enc)
 	if err != nil {
-		return Value{}, err
+		return err
 	}
-	if col >= n {
-		return Value{}, corruptPage("row has too few values")
+	if len(dst) > n {
+		return corruptPage("row has too few values")
 	}
-	for c := 0; c <= col; c++ {
-		if pos, err = decodeValue(enc, pos, &v); err != nil {
-			return Value{}, err
+	for c := range dst {
+		if pos, err = decodeValue(enc, pos, &dst[c]); err != nil {
+			return err
 		}
 	}
-	return v, nil
+	return nil
 }
 
 // decodeValue decodes the value at enc[pos:] into v and returns the position

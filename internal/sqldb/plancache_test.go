@@ -201,7 +201,7 @@ func TestPlanRebindsAfterRestoreAndDropDatabase(t *testing.T) {
 	if err := e.DumpTables("app", []string{"t"}, func(d TableDump) error { img = d; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	img.Rows = []Row{{NewInt(1), NewText("restored")}}
+	img.Rows = encodeRows(Row{NewInt(1), NewText("restored")})
 	if err := e.RestoreTable("app", img); err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,8 @@ func (s *Schema) ColIndex(name string) int {
 
 // CheckRow validates a full-width row against the schema: arity, NOT NULL,
 // and type compatibility (INT values are accepted into FLOAT columns and are
-// widened in place).
+// widened in place). A column of no type CREATE TABLE can declare takes no
+// row.
 func (s *Schema) CheckRow(r Row) error {
 	if len(r) != len(s.Cols) {
 		return fmt.Errorf("%w: table %s expects %d values, got %d", ErrTypeMismatch, s.Table, len(s.Cols), len(r))
@@ -91,6 +92,8 @@ func (s *Schema) CheckRow(r Row) error {
 			if v.Typ != TypeBool {
 				return fmt.Errorf("%w: column %s.%s wants BOOL, got %s", ErrTypeMismatch, s.Table, c.Name, v.Typ)
 			}
+		default:
+			return fmt.Errorf("%w: column %s.%s has no storable type %s", ErrTypeMismatch, s.Table, c.Name, c.Typ)
 		}
 	}
 	return nil

@@ -237,11 +237,12 @@ func checkImage(t *testing.T, data []byte) []rowSlot {
 	slots, _ := mapPage(img)
 	for i := range slots {
 		for c, v := range want[i].row {
-			if col, err := decodeCol(slots[i].enc, c); err != nil || !sameValue(col, v) {
-				t.Fatalf("slot %d column %d alone: %v, %v; want %v", i, c, col, err, v)
+			lead := make(Row, c+1)
+			if err := decodeLeading(slots[i].enc, lead); err != nil || !sameValue(lead[c], v) {
+				t.Fatalf("slot %d through column %d: %v, %v; want %v", i, c, lead[c], err, v)
 			}
 		}
-		if _, err := decodeCol(slots[i].enc, len(want[i].row)); err == nil {
+		if err := decodeLeading(slots[i].enc, make(Row, len(want[i].row)+1)); err == nil {
 			t.Fatalf("slot %d: decoded a column past the row's last", i)
 		}
 	}
@@ -677,6 +678,29 @@ func dumpAll(t *testing.T, e *Engine) []TableDump {
 		t.Fatal(err)
 	}
 	return dumps
+}
+
+// encodeRows spells rows as a TableDump carries them: their stored encodings.
+func encodeRows(rows ...Row) []string {
+	encs := make([]string, len(rows))
+	for i, r := range rows {
+		encs[i] = encodeRowString(r)
+	}
+	return encs
+}
+
+// dumpRows decodes the rows a TableDump carries.
+func dumpRows(t *testing.T, d TableDump) []Row {
+	t.Helper()
+	rows := make([]Row, len(d.Rows))
+	for i, enc := range d.Rows {
+		r, err := decodeRow(enc, nil)
+		if err != nil {
+			t.Fatalf("dumped row %d: %v", i, err)
+		}
+		rows[i] = r
+	}
+	return rows
 }
 
 func TestDumpRestoreRoundTrip(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // rowLoc locates a row: either a sealed page slot or the open tail page.
@@ -38,6 +37,17 @@ func (ix *index) add(key string, v Value, rowID uint64) {
 	}
 }
 
+// insert registers rowID under v's key, refusing a second row for a key of a
+// unique index. Called with the table latch held.
+func (ix *index) insert(v Value, rowID uint64) error {
+	k := keyString(v)
+	if ix.unique && len(ix.m[k]) > 0 {
+		return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, k, ix.name)
+	}
+	ix.add(k, v, rowID)
+	return nil
+}
+
 // Table holds the physical storage of one table: sealed pages (the "disk"),
 // an open tail page of rows, a primary-key index, and any secondary indexes.
 // Reads and writes of sealed pages go through the engine's write-back buffer
@@ -60,7 +70,7 @@ type Table struct {
 	nextRowID uint64
 	liveRows  int
 	byteSize  int64
-	oldRow    Row // the row an update or delete replaces, decoded under mu
+	oldRow    Row // scratch decoded into under mu: a replaced row, or a key's leading values
 }
 
 func newTable(e *Engine, qname string, schema *Schema) *Table {
@@ -75,9 +85,6 @@ func newTable(e *Engine, qname string, schema *Schema) *Table {
 	}
 	return t
 }
-
-// Schema returns the table's schema.
-func (t *Table) Schema() *Schema { return t.schema }
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.schema.Table }
@@ -332,6 +339,52 @@ func (t *Table) insertRowPhysical(rowID uint64, r Row) {
 	}
 }
 
+// load fills a new table, its indexes already created, with a dump's rows
+// under one latch hold. A row goes into its slot as the encoding it arrived
+// as; only its leading values through the last key column are read, in one
+// pass, for the primary-key and index maps. Tail pages are sealed and handed
+// to the pool as insertRowPhysical does. A unique index refuses a duplicate
+// as createIndex does.
+func (t *Table) load(rows []string) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pk := t.schema.PKIdx
+	if pk >= 0 {
+		t.pk = make(map[string]uint64, len(rows))
+	}
+	// Every row ranges over the indexes, so as a slice, not the map; keys
+	// holds a row's leading values through the last key column.
+	idxs := make([]*index, 0, len(t.indexes))
+	last := pk
+	for _, idx := range t.indexes {
+		idxs, last = append(idxs, idx), max(last, idx.col)
+	}
+	keys := make(Row, last+1)
+	for _, enc := range rows {
+		if err := decodeLeading(enc, keys); err != nil {
+			return err
+		}
+		t.nextRowID++
+		id := t.nextRowID
+		t.tail = append(t.tail, pageSlot{rowID: id, enc: enc})
+		t.setLoc(id, rowLoc{page: -1, slot: int32(len(t.tail) - 1)})
+		if pk >= 0 {
+			t.pk[keyString(keys[pk])] = id
+		}
+		for _, idx := range idxs {
+			if err := idx.insert(keys[idx.col], id); err != nil {
+				return err
+			}
+		}
+		t.liveRows++
+		t.byteSize += int64(len(enc))
+		if len(t.tail) >= pageCapacity {
+			t.sealTail()
+		}
+	}
+	return nil
+}
+
 // sealTail turns the full tail page into a sealed page. Nothing is encoded
 // here: the page starts out resident and dirty, and gets its disk image when
 // it first leaves the pool. Called with t.mu held.
@@ -572,6 +625,11 @@ func (t *Table) pkValues(ids []uint64, dst []Value) (n int, live []uint64, pks [
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	pk := t.schema.PKIdx
+	if len(t.oldRow) <= pk {
+		t.oldRow = make(Row, pk+1)
+	}
+	key := t.oldRow[:pk+1] // a row's leading values through the key
+	defer clear(key)
 	live, pks = ids[:0], dst
 	var first rowLoc
 	for ; n < len(ids); n++ {
@@ -585,11 +643,10 @@ func (t *Table) pkValues(ids []uint64, dst []Value) (n int, live []uint64, pks [
 			break
 		}
 		live = append(live, ids[n])
-		v, err := decodeCol(t.encAtLocked(l), pk)
-		if err != nil {
+		if err := decodeLeading(t.encAtLocked(l), key); err != nil {
 			t.corruptPagePanic(int(l.page), err)
 		}
-		pks = append(pks, v)
+		pks = append(pks, key[pk])
 	}
 	return n, live, pks
 }
@@ -742,65 +799,6 @@ func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64,
 	return nil
 }
 
-// scanCold is scan for bulk readers like the dump tool: it reads the sealed
-// pages "from disk" — paying the engine's miss latency per page and not
-// loading them into the buffer pool (a dirty resident page is written back
-// first, so the image is current) — because a bulk copy neither benefits
-// from nor should pollute the cache. Each row is decoded from its encoding
-// straight into the Row fn receives and may keep. This is what makes
-// replica-creation time proportional to database size, as in the paper (a
-// 200 MB copy took about two minutes on their hardware).
-func (t *Table) scanCold(fn func(rowID uint64, r Row) bool) {
-	t.mu.Lock()
-	numPages := len(t.pages)
-	t.mu.Unlock()
-	lat := t.engine.cfg.MissLatency
-	for p := 0; p < numPages; p++ {
-		t.mu.Lock()
-		if p >= len(t.pages) {
-			t.mu.Unlock()
-			break
-		}
-		// The resident page may be newer than the image: write it back first,
-		// so the bytes carry every row change made so far.
-		t.engine.pool.Flush(t.pageKey(p))
-		img := t.pages[p].image()
-		t.mu.Unlock()
-		if lat > 0 {
-			time.Sleep(lat)
-		}
-		slots, err := mapPage(img)
-		if err != nil {
-			t.corruptPagePanic(p, err)
-		}
-		// Keep the rows that have not moved or died since the snapshot.
-		live := slots[:0]
-		t.mu.Lock()
-		for _, s := range slots {
-			if l, ok := t.locOf(s.rowID); ok && int(l.page) == p {
-				live = append(live, s)
-			}
-		}
-		t.mu.Unlock()
-		for _, s := range live {
-			if !fn(s.rowID, t.decode(p, s.enc, nil)) {
-				return
-			}
-		}
-	}
-	t.mu.Lock()
-	tail := append([]pageSlot(nil), t.tail...) // slots are immutable: their bytes need no copy
-	t.mu.Unlock()
-	if lat > 0 && len(tail) > 0 {
-		time.Sleep(lat)
-	}
-	for _, s := range tail {
-		if !fn(s.rowID, t.decode(-1, s.enc, nil)) {
-			return
-		}
-	}
-}
-
 // createIndex builds a secondary index over col (position colIdx).
 func (t *Table) createIndex(name string, colIdx int, unique bool) error {
 	t.mu.Lock()
@@ -810,17 +808,12 @@ func (t *Table) createIndex(name string, colIdx int, unique bool) error {
 		return fmt.Errorf("sqldb: index on %s.%s already exists", t.schema.Table, colName)
 	}
 	idx := &index{name: name, col: colIdx, unique: unique, m: make(map[string][]uint64)}
+	key := make(Row, colIdx+1) // a row's leading values through col
 	collect := func(page int, s pageSlot) error {
-		v, err := decodeCol(s.enc, colIdx)
-		if err != nil {
+		if err := decodeLeading(s.enc, key); err != nil {
 			t.corruptPagePanic(page, err)
 		}
-		k := keyString(v)
-		if unique && len(idx.m[k]) > 0 {
-			return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, k, name)
-		}
-		idx.add(k, v, s.rowID)
-		return nil
+		return idx.insert(key[colIdx], s.rowID)
 	}
 	for p := range t.pages {
 		for _, s := range t.residentLocked(p).slots {

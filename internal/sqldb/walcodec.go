@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"strings"
 
 	"sdp/internal/wal"
 )
@@ -78,7 +77,7 @@ func encodeTableImage(d TableDump) []byte {
 	}
 	buf = wal.AppendUvarint(buf, uint64(len(d.Rows)))
 	for _, r := range d.Rows {
-		buf = encodeRow(buf, r)
+		buf = append(buf, r...)
 	}
 	return buf
 }
@@ -104,7 +103,9 @@ func decodeTableImage(data []byte) (TableDump, error) {
 		if typ, rest, err = wal.Uvarint(rest); err != nil {
 			return d, err
 		}
-		cols[i].Typ = Type(typ)
+		if cols[i].Typ = Type(typ); typ < uint64(TypeInt) || typ > uint64(TypeBool) {
+			return d, fmt.Errorf("sqldb: checkpoint column %s has type %s", cols[i].Name, cols[i].Typ)
+		}
 		if len(rest) == 0 {
 			return d, fmt.Errorf("sqldb: truncated checkpoint column flags")
 		}
@@ -140,24 +141,27 @@ func decodeTableImage(data []byte) (TableDump, error) {
 	if err != nil {
 		return d, err
 	}
-	enc := string(rest)
-	d.Rows = make([]Row, nrows)
+	enc := string(rest) // one private copy: the rows are cut from it
+	d.Rows = make([]string, nrows)
+	var row Row
 	for i := range d.Rows {
-		row, n, err := decodeRowPrefix(enc, nil)
-		if err != nil {
+		var n int
+		if row, n, err = decodeRowPrefix(enc, row); err != nil {
 			return d, err
 		}
-		if len(row) != ncols {
-			return d, fmt.Errorf("sqldb: checkpoint row has %d values, want %d", len(row), ncols)
-		}
-		// A text would otherwise keep the whole image alive in the indexes.
+		// Refuse a row the engine could not have stored: one CheckRow
+		// refuses, or one holding a value of another type than its column's
+		// (CheckRow takes an INT for a FLOAT column, but a stored row holds
+		// the widened value).
 		for j, v := range row {
-			if v.Typ == TypeText {
-				row[j] = NewText(strings.Clone(v.Str))
+			if j < ncols && !v.IsNull() && v.Typ != cols[j].Typ {
+				return d, fmt.Errorf("%w: column %s.%s wants %s, got %s", ErrTypeMismatch, table, cols[j].Name, cols[j].Typ, v.Typ)
 			}
 		}
-		d.Rows[i] = row
-		enc = enc[n:]
+		if err := d.Schema.CheckRow(row); err != nil {
+			return d, err
+		}
+		d.Rows[i], enc = enc[:n], enc[n:]
 	}
 	return d, nil
 }

@@ -74,6 +74,31 @@ func TestTableImageRejectsDamage(t *testing.T) {
 	if _, err := decodeTableImage([]byte("not a table image at all")); err == nil {
 		t.Error("garbage accepted")
 	}
+	// Well-formed images the engine could not have written: a column of a
+	// type no CREATE TABLE declares, and rows CheckRow refuses or that hold a
+	// value of another type than their column's.
+	image := func(typ Type, notNull bool, rows ...Row) []byte {
+		schema, err := NewSchema("t", []Column{{Name: "id", Typ: TypeInt, PrimaryKey: true}, {Name: "v", Typ: typ, NotNull: notNull}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encodeTableImage(TableDump{Schema: schema, Rows: encodeRows(rows...)})
+	}
+	for name, data := range map[string][]byte{
+		"bad-col-type":           image(Type(9), false, Row{NewInt(1), NewInt(5)}),
+		"bad-col-type-no-rows":   image(Type(9), false),
+		"row-type-mismatch":      image(TypeInt, false, Row{NewInt(1), NewText("x")}),
+		"int-in-float-column":    image(TypeFloat, false, Row{NewInt(1), NewInt(5)}),
+		"null-in-not-null":       image(TypeText, true, Row{NewInt(1), Null}),
+		"row-arity-one-too-many": image(TypeBool, false, Row{NewInt(1), NewBool(true), NewBool(false)}),
+	} {
+		if d, err := decodeTableImage(data); err == nil {
+			t.Errorf("%s: decoded to %+v", name, d)
+		}
+	}
+	if _, err := decodeTableImage(image(TypeFloat, true, Row{NewInt(1), NewFloat(5)})); err != nil {
+		t.Errorf("a valid image was refused: %v", err)
+	}
 }
 
 // FuzzDecodeTableImage feeds arbitrary bytes to the checkpoint table image
@@ -95,10 +120,10 @@ func FuzzDecodeTableImage(f *testing.F) {
 	img := encodeTableImage(TableDump{
 		Schema:  schema,
 		Indexes: []IndexDef{{Name: "idx_v", Col: "v", Unique: true}},
-		Rows: []Row{
-			{NewInt(1), NewText("x"), NewFloat(1.5), NewBool(true)},
-			{NewInt(-2), Null, Null, NewBool(false)},
-		},
+		Rows: encodeRows(
+			Row{NewInt(1), NewText("x"), NewFloat(1.5), NewBool(true)},
+			Row{NewInt(-2), Null, Null, NewBool(false)},
+		),
 	})
 	f.Add(img)
 	f.Add(img[:len(img)/2])

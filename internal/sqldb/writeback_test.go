@@ -308,7 +308,7 @@ func TestRollbackAcrossEviction(t *testing.T) {
 			// The restored image also survives leaving the pool once more.
 			var dumped int64
 			for _, d := range dumpAll(t, e) {
-				for _, r := range d.Rows {
+				for _, r := range dumpRows(t, d) {
 					dumped += r[1].Int
 				}
 			}
@@ -387,27 +387,30 @@ func TestDroppedTableStillReadable(t *testing.T) {
 }
 
 // checkRowViews checks that every way of reaching the rows of db.name, a
-// fillPages table with an index on s, agrees: the rows scan and scanCold
-// visit (by row ID), a point read of each by its primary key, a lookup of each
-// through the index on s, and a batch read by row ID. A row ID past the last
-// one minted reads as absent.
+// fillPages table with an index on s, agrees: the rows scan visits (by row
+// ID) and, in the same order, the decoded encodings the dump reads, a point
+// read of each by its primary key, a lookup of each through the index on s,
+// and a batch read by row ID. A row ID past the last one minted reads as
+// absent.
 func checkRowViews(t *testing.T, e *Engine, db, name string, wantRows int) {
 	t.Helper()
 	tbl, err := e.Table(db, name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	collect := func(scan func(func(uint64, Row) bool)) map[uint64]string {
-		rows := map[uint64]string{}
-		scan(func(id uint64, r Row) bool {
-			rows[id] = fmt.Sprint(r)
-			return true
-		})
-		return rows
+	hot := map[uint64]string{}
+	var scanned []string
+	tbl.scan(func(id uint64, r Row) bool {
+		hot[id] = fmt.Sprint(r)
+		scanned = append(scanned, hot[id])
+		return true
+	})
+	var cold []string
+	for _, r := range dumpRows(t, copyTable(tbl)) {
+		cold = append(cold, fmt.Sprint(r))
 	}
-	hot, cold := collect(tbl.scan), collect(tbl.scanCold)
-	if len(hot) != wantRows || fmt.Sprint(hot) != fmt.Sprint(cold) {
-		t.Fatalf("scan found %d rows, scanCold %d, want %d (equal: %v)", len(hot), len(cold), wantRows, fmt.Sprint(hot) == fmt.Sprint(cold))
+	if len(hot) != wantRows || fmt.Sprint(scanned) != fmt.Sprint(cold) {
+		t.Fatalf("scan found %d rows, the dump %d, want %d (equal: %v)", len(hot), len(cold), wantRows, fmt.Sprint(scanned) == fmt.Sprint(cold))
 	}
 	for id, want := range hot {
 		got := tbl.getRowsBatch([]uint64{id}, nil)

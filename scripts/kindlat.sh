@@ -6,7 +6,8 @@
 # its end, runs one workload, and prints each kind's share of the committed
 # transactions with its p50, p90 and p99 over the whole window (not the best
 # quartile of slices bench/ reports), then the profile's share of a few hot
-# spots and its top functions. It also records the window's mutex profile
+# spots (replica_churn's copy among them: the dump, which calls the restore on
+# the target, and the restore) and its top functions. It also records the window's mutex profile
 # (one contention in mutexFraction sampled) and prints the share of the
 # contention delay released by each of the engine's and controller's hot
 # mutexes. Both profiles are kept for `go tool pprof`. To compare commits, run
@@ -115,10 +116,10 @@ EOF
 (cd "$tmp" && GOFLAGS=-mod=mod go build -o kb . &&
 	KIND_PROF="$prof" KIND_MUTEX="$mprof" KIND_OUT="$tmp/kinds.txt" ./kb --workload "$workload" --seconds "$seconds" --seed "$seed" >"$tmp/run.json")
 
-# share <focus regexp>: percent of the window's CPU samples with a matching
-# frame on the stack.
+# share <focus regexp> [<ignore regexp>]: percent of the window's CPU samples
+# with a matching frame on the stack (and, given the second, none matching it).
 share() {
-	go tool pprof -top -nodecount=0 -nodefraction=0 -focus="$1" "$prof" 2>/dev/null |
+	go tool pprof -top -nodecount=0 -nodefraction=0 -focus="$1" ${2:+-ignore="$2"} "$prof" 2>/dev/null |
 		sed -n 's/^Showing nodes accounting for [^,]*, \([0-9.]*%\) of .*/\1/p; s/^Showing nodes accounting for 0, 0% of .*/0%/p'
 }
 row() { printf '%-58s %8s\n' "$1" "$2"; }
@@ -129,6 +130,8 @@ echo "CPU of the window, share of samples under:"
 row 'LIKE (sqldb likeMatch, likeRec, equalFoldByte)' "$(share 'sqldb\.(likeMatch|likeRec|equalFoldByte)$')"
 row 'redo records (sqldb Engine.walStmt)' "$(share 'sqldb\.\(\*Engine\)\.walStmt$')"
 row 'log appends (wal Log.Append)' "$(share 'wal\.\(\*Log\)\.Append$')"
+row 'replica copy dump, restore excluded (sqldb Txn.dumpTables)' "$(share 'sqldb\.\(\*Txn\)\.dumpTables$' 'sqldb\.\(\*Engine\)\.RestoreTable$')"
+row 'replica copy restore (sqldb Engine.RestoreTable)' "$(share 'sqldb\.\(\*Engine\)\.RestoreTable$')"
 row 'garbage collection (runtime gcBgMarkWorker)' "$(share 'runtime\.gcBgMarkWorker$')"
 # released [<frame regexp>]: percent of the window's mutex contention delay
 # whose releasing call (the frame that called Unlock) matches; with no
