@@ -420,45 +420,28 @@ func BenchmarkTPCWMixSingleEngine(b *testing.B) {
 	b.ReportMetric(st.TPS(), "tps")
 }
 
-// BenchmarkPlanCache contrasts repeated Engine.Exec statement text with the
-// plan cache on (default) and off: the cached path skips the lexer, parser
-// and planner on every iteration after the second.
+// BenchmarkPlanCache measures repeated Engine.Exec of one statement text: the
+// cached path skips the lexer, parser and planner on every iteration after
+// the second.
 func BenchmarkPlanCache(b *testing.B) {
-	setup := func(b *testing.B, cacheSize int) *sqldb.Engine {
-		cfg := sqldb.DefaultConfig()
-		cfg.PlanCacheSize = cacheSize
-		e := sqldb.NewEngine(cfg)
-		if err := e.CreateDatabase("app"); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Exec("app", "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 1000; i++ {
-			if _, err := e.Exec("app", fmt.Sprintf("INSERT INTO t VALUES (%d, 'val%d')", i, i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return e
+	e := sqldb.NewEngine(sqldb.DefaultConfig())
+	if err := e.CreateDatabase("app"); err != nil {
+		b.Fatal(err)
 	}
-	b.Run("hit", func(b *testing.B) {
-		e := setup(b, 0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Exec("app", "SELECT v FROM t WHERE id = ?", sqldb.NewInt(int64(i%1000))); err != nil {
-				b.Fatal(err)
-			}
+	if _, err := e.Exec("app", "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := e.Exec("app", fmt.Sprintf("INSERT INTO t VALUES (%d, 'val%d')", i, i)); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("off", func(b *testing.B) {
-		e := setup(b, -1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Exec("app", "SELECT v FROM t WHERE id = ?", sqldb.NewInt(int64(i%1000))); err != nil {
-				b.Fatal(err)
-			}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Exec("app", "SELECT v FROM t WHERE id = ?", sqldb.NewInt(int64(i%1000))); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
 // BenchmarkBufferPoolParallel hammers point reads from parallel goroutines

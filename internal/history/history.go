@@ -30,7 +30,7 @@ type Op struct {
 	Seq    uint64
 	Txn    uint64 // global transaction ID
 	Write  bool
-	Object string // "db/table:key" for a row, "db/table" for a whole table
+	Object string // "db/table:key" for a row (the key may be any bytes), "db/table" for a whole table
 }
 
 // Recorder accumulates operations from all sites of a cluster and tracks
@@ -265,7 +265,7 @@ func (g *Graph) Describe(cycle []uint64) string {
 	var sb strings.Builder
 	for i := 0; i+1 < len(cycle); i++ {
 		e := g.Edges[cycle[i]][cycle[i+1]]
-		fmt.Fprintf(&sb, "T%d -> T%d (site %s, object %s)\n", e.From, e.To, e.Site, e.Object)
+		fmt.Fprintf(&sb, "T%d -> T%d (site %s, object %q)\n", e.From, e.To, e.Site, e.Object)
 	}
 	return sb.String()
 }

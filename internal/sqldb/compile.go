@@ -275,7 +275,7 @@ func (a *accumulator) add(v Value) error {
 		return nil
 	}
 	if a.seen != nil {
-		k := keyString(v)
+		k := keyOf(v)
 		if a.seen[k] {
 			return nil
 		}

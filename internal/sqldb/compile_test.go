@@ -223,8 +223,21 @@ func FuzzParseBind(f *testing.F) {
 // commit: 6 allocations — the lock's key string, the lock table's two records
 // of the hold, the Result, its row slice and the row. The history recorder's
 // object name, which only a test harness with a recorder installed ever
-// reads, is not among them: it is built after the recorder check.
+// reads, is not among them: it is built after the recorder check. Key 1 and
+// key 10 both hold it: Go allocates no string of one byte, so a key whose
+// string form is that short would hide the key's allocation.
 func TestLockedPointReadAllocs(t *testing.T) {
+	for _, c := range []struct {
+		id    int64
+		title string
+	}{{1, "alpha"}, {10, "alphabet"}} {
+		t.Run(strconv.FormatInt(c.id, 10), func(t *testing.T) {
+			lockedPointReadAllocs(t, c.id, c.title)
+		})
+	}
+}
+
+func lockedPointReadAllocs(t *testing.T, id int64, title string) {
 	e := diffEngine(t)
 	defer e.Close()
 	stmt, err := Parse("SELECT title FROM item WHERE id = ?")
@@ -232,7 +245,7 @@ func TestLockedPointReadAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *Result
-	params := []Value{NewInt(1)}
+	params := []Value{NewInt(id)}
 	run := func() {
 		tx, err := e.Begin("app")
 		if err != nil {
@@ -251,7 +264,7 @@ func TestLockedPointReadAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, run); allocs > 6 {
 		t.Fatalf("locked point read allocates %.1f objects/op, budget is 6", allocs)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Str != "alpha" {
+	if len(res.Rows) != 1 || res.Rows[0][0].Str != title {
 		t.Fatalf("unexpected result %v", res.Rows)
 	}
 }
@@ -268,25 +281,26 @@ func (l *opLog) RecordOp(ev OpEvent) {
 }
 
 // TestRecordedObjectNames pins the object names the history checker sees, one
-// statement per way a lock is taken: "db/table:key" for a row, "db/table" for
-// a whole table.
+// statement per way a lock is taken: "db/table:" and the primary key's key
+// (appendKey) for a row, "db/table" for a whole table.
 func TestRecordedObjectNames(t *testing.T) {
 	e := diffEngine(t)
 	defer e.Close()
 	log := &opLog{}
 	e.SetRecorder(log)
+	row := func(op string, id int64) string { return op + ":" + keyOf(NewInt(id)) }
 	for _, c := range []struct {
 		sql  string
 		want []string
 	}{
-		{"SELECT title FROM item WHERE id = 1", []string{"r app/item:1"}},
-		{"SELECT id FROM item WHERE subject = 'SCIENCE'", []string{"r app/item:9", "r app/item:10"}},
+		{"SELECT title FROM item WHERE id = 1", []string{row("r app/item", 1)}},
+		{"SELECT id FROM item WHERE subject = 'SCIENCE'", []string{row("r app/item", 9), row("r app/item", 10)}},
 		{"SELECT id FROM item WHERE title LIKE 'a%'", []string{"r app/item"}},
-		{"INSERT INTO item VALUES (11, 'new', 1.0, 1, 'ART')", []string{"w app/item:11"}},
+		{"INSERT INTO item VALUES (11, 'new', 1.0, 1, 'ART')", []string{row("w app/item", 11)}},
 		{"INSERT INTO nopk VALUES (4, 'z')", []string{"w app/nopk"}},
-		{"UPDATE item SET id = 12 WHERE id = 11", []string{"w app/item:11", "w app/item:12"}},
-		{"UPDATE item SET qty = 0 WHERE qty = 12", []string{"w app/item:9"}},
-		{"DELETE FROM author WHERE name = 'Bo'", []string{"w app/author:2"}},
+		{"UPDATE item SET id = 12 WHERE id = 11", []string{row("w app/item", 11), row("w app/item", 12)}},
+		{"UPDATE item SET qty = 0 WHERE qty = 12", []string{row("w app/item", 9)}},
+		{"DELETE FROM author WHERE name = 'Bo'", []string{row("w app/author", 2)}},
 		{"DELETE FROM nopk WHERE a = 4", []string{"w app/nopk"}},
 	} {
 		log.ops = nil

@@ -47,13 +47,6 @@ type Config struct {
 	// and 3 with an aggressive cluster controller.
 	ReleaseReadLocksAtPrepare bool
 
-	// PlanCacheSize, when negative, turns statement and plan caching off:
-	// every Exec re-parses and every execution re-binds its plan (what
-	// BenchmarkPlanCache compares against). Any other value is ignored —
-	// the cache is bounded by a constant byte budget, not an entry count
-	// (see StmtCache).
-	PlanCacheSize int
-
 	// Spans, when set, receives distributed-tracing spans for sampled
 	// transactions ("sql" statement spans and "wal" flush spans). Nil
 	// disables engine-side span recording; unsampled transactions never
@@ -86,7 +79,7 @@ type OpEvent struct {
 	Txn       uint64 // engine-local transaction ID
 	GlobalTxn uint64 // caller-assigned global transaction ID (0 if none)
 	Write     bool
-	Object    string // "db/table:key" for a row, "db/table" for a whole table
+	Object    string // "db/table:" and the primary key's key (bytes) for a row, "db/table" for a whole table
 }
 
 // Recorder receives operation events for offline serializability checking.
@@ -192,9 +185,7 @@ func NewEngine(cfg Config) *Engine {
 		dbs:      make(map[string]map[string]*Table),
 		wal:      wal.New(wal.NewMemStore(), wal.Config{}, nil),
 		branches: make(map[uint64]*Txn),
-	}
-	if cfg.PlanCacheSize >= 0 {
-		e.stmts = NewStmtCache()
+		stmts:    NewStmtCache(),
 	}
 	e.pool.writebackSink = cfg.PoolWritebacks
 	if cfg.Workers > 0 {
@@ -211,7 +202,7 @@ func (e *Engine) SetRecorder(r Recorder) {
 	e.recorder.Store(&recorderBox{r: r})
 }
 
-// record emits an operation event on a row of tbl (by its primary-key string)
+// record emits an operation event on a row of tbl (by its primary-key key)
 // or, with key "", on the whole table, if a recorder is installed; the
 // event's object name is only built then. Log replay is never recorded: it
 // re-applies operations that were recorded when they first executed, and
@@ -437,8 +428,7 @@ func (e *Engine) Exec(db, sql string, params ...Value) (*Result, error) {
 	return res, nil
 }
 
-// StmtCache returns the engine's text cache (nil when caching is off), for
-// statistics.
+// StmtCache returns the engine's text cache, for statistics.
 func (e *Engine) StmtCache() *StmtCache { return e.stmts }
 
 // plannedStmt returns stmt's plan bound against db's catalog: the one kept on
@@ -450,10 +440,6 @@ func (e *Engine) plannedStmt(db string, stmt Statement) *stmtPlan {
 	pt := plansOf(stmt)
 	if pt == nil {
 		return nil
-	}
-	if e.stmts == nil {
-		plan, _ := bindStatement(e, db, stmt)
-		return plan
 	}
 	if plan := pt.load(e, db); plan != nil {
 		e.planHitMiss.IncA()

@@ -289,7 +289,7 @@ func (bi *boundInsert) exec(t *Txn, params []Value) (*Result, error) {
 			return nil, err
 		}
 		if schema.PKIdx >= 0 {
-			key := keyString(full[schema.PKIdx])
+			key := keyOf(full[schema.PKIdx])
 			if err := t.lockRow(tbl, key, LockX); err != nil {
 				return nil, err
 			}

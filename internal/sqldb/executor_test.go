@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -58,6 +59,20 @@ func TestInsertDuplicatePK(t *testing.T) {
 	_, err := e.Exec("app", "INSERT INTO t VALUES (1, 'y')")
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("err = %v, want ErrDuplicateKey", err)
+	}
+}
+
+// TestUniqueIndexDuplicateNamesValue checks that building a unique index over
+// a duplicate reports the value in SQL literal form, not its index key.
+func TestUniqueIndexDuplicateNamesValue(t *testing.T) {
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, a TEXT, f FLOAT)")
+	mustExec(t, e, "INSERT INTO t VALUES (1, 'it''s', 2.5), (2, 'it''s', 2.5)")
+	for col, want := range map[string]string{"a": "duplicate value 'it''s' building unique index u", "f": "duplicate value 2.5 building unique index u"} {
+		_, err := e.Exec("app", "CREATE UNIQUE INDEX u ON t ("+col+")")
+		if !errors.Is(err, ErrDuplicateKey) || !strings.Contains(err.Error(), want) {
+			t.Errorf("unique index on %s: err = %v, want %q", col, err, want)
+		}
 	}
 }
 

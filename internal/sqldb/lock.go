@@ -47,12 +47,12 @@ var lockCompat = [4][4]bool{
 }
 
 // lockID names a lockable resource: a whole table, or one row of it
-// identified by its canonical primary-key string. Keying row locks by the
+// identified by its primary key's key (appendKey). Keying row locks by the
 // logical key (rather than a physical row ID) makes lock identity stable
 // across replicas and across delete/re-insert of the same key.
 type lockID struct {
 	Table string // qualified "db/table" name
-	Key   string // canonical row key; "" for a table-level lock
+	Key   string // the row's primary-key key; "" for a table-level lock
 }
 
 // lockRequest is a queued lock acquisition.

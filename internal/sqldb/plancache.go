@@ -108,12 +108,8 @@ func newStmtCache(budget int) *StmtCache {
 }
 
 // Parse returns the parsed form of sql, serving a text that repeats from the
-// cache. A nil cache parses every time. Parse errors are not remembered (they
-// are not hot paths).
+// cache. Parse errors are not remembered (they are not hot paths).
 func (c *StmtCache) Parse(sql string) (Statement, error) {
-	if c == nil {
-		return Parse(sql)
-	}
 	c.mu.RLock()
 	e := c.entries[sql]
 	c.mu.RUnlock()
@@ -158,11 +154,8 @@ func (c *StmtCache) Parse(sql string) (Statement, error) {
 	return stmt, nil
 }
 
-// Stats returns what the cache retains. A nil cache retains nothing.
+// Stats returns what the cache retains.
 func (c *StmtCache) Stats() StmtCacheStats {
-	if c == nil {
-		return StmtCacheStats{}
-	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return StmtCacheStats{Bytes: c.bytes, Entries: len(c.entries)}
@@ -173,9 +166,6 @@ func (c *StmtCache) Stats() StmtCacheStats {
 // that outlives a restarted engine's cache, can each add what they take to
 // one counter without counting a bypass twice.
 func (c *StmtCache) TakeBypassed() uint64 {
-	if c == nil {
-		return 0
-	}
 	return c.bypassed.Swap(0)
 }
 

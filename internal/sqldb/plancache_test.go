@@ -258,42 +258,6 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 }
 
-func TestPlanCacheDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PlanCacheSize = -1
-	e := NewEngine(cfg)
-	if err := e.CreateDatabase("app"); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY)")
-	mustExec(t, e, "INSERT INTO t VALUES (1)")
-	for i := 0; i < 3; i++ {
-		mustExec(t, e, "SELECT * FROM t WHERE id = 1")
-	}
-	st := e.Stats().PlanCache
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("disabled cache counted hits=%d misses=%d", st.Hits, st.Misses)
-	}
-	if e.StmtCache() != nil {
-		t.Error("disabled cache exists")
-	}
-	stmt, err := Parse("SELECT * FROM t WHERE id = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	txn, err := e.Begin("app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer txn.Rollback()
-	if _, err := txn.ExecStmt(stmt); err != nil {
-		t.Fatal(err)
-	}
-	if plansOf(stmt).cur.Load() != nil {
-		t.Error("disabled cache kept a plan on the statement")
-	}
-}
-
 func TestStmtCacheSharesParsedStatements(t *testing.T) {
 	c := NewStmtCache()
 	const q = "SELECT 1"

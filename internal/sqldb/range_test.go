@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -263,10 +264,22 @@ func TestPoolEvictionAccounting(t *testing.T) {
 
 // --- the derived ordered view ------------------------------------------------
 
-// FuzzKeyRoundTrip checks that keyValue is keyString's inverse: the value a key
-// parses back to orders where the value that produced the key does, and
-// formats to the same key. The seed corpus is testdata/fuzz/FuzzKeyRoundTrip.
-func FuzzKeyRoundTrip(f *testing.F) {
+// keyEdges are the values FuzzKeyOrder pairs every fuzzed value with: NULL,
+// both zeros, the infinities and NaN, the integers around 2^53 as INT and as
+// FLOAT, a text and a bool.
+var keyEdges = []Value{
+	Null, NewInt(0), NewFloat(0), NewFloat(math.Copysign(0, -1)),
+	NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(math.NaN()),
+	NewInt(1<<53 - 1), NewInt(1<<53 + 1), NewInt(-1<<53 - 1), NewInt(-1<<53 + 1),
+	NewFloat(1<<53 - 1), NewFloat(1<<53 + 1), NewFloat(-1<<53 - 1), NewFloat(-1<<53 + 1),
+	NewText("k10"), NewBool(true),
+}
+
+// FuzzKeyOrder checks that keys sort as their values do: for the fuzzed value
+// and each of keyEdges and the fuzzed INT, FLOAT and TEXT, strings.Compare of
+// the two keys is Compare of the two values. The seed corpus is
+// testdata/fuzz/FuzzKeyOrder.
+func FuzzKeyOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, typ uint8, i int64, fl float64, s string, b bool) {
 		var v Value
 		switch Type(typ % 5) {
@@ -279,16 +292,11 @@ func FuzzKeyRoundTrip(f *testing.F) {
 		case TypeBool:
 			v = NewBool(b)
 		}
-		k := keyString(v)
-		back := keyValue(k)
-		if Compare(back, v) != 0 {
-			t.Fatalf("keyValue(%q) = %#v does not compare equal to %#v", k, back, v)
-		}
-		if got := keyString(back); got != k {
-			t.Fatalf("keyString(keyValue(%q)) = %q", k, got)
-		}
-		if got := string(appendKey(nil, v)); got != k {
-			t.Fatalf("appendKey(%#v) = %q, keyString %q", v, got, k)
+		k := keyOf(v)
+		for _, w := range append(keyEdges, NewInt(i), NewFloat(fl), NewText(s)) {
+			if got, want := strings.Compare(k, keyOf(w)), Compare(v, w); got != want {
+				t.Fatalf("keys %q of %#v and %q of %#v compare %d, values %d", k, v, keyOf(w), w, got, want)
+			}
 		}
 	})
 }
@@ -329,14 +337,29 @@ var rangeModelKinds = []struct {
 			return NewText(fmt.Sprintf("k%02d", n))
 		}
 	}},
+	{"float-edges", "FLOAT", func(rng *rand.Rand) Value {
+		n := float64(rng.Intn(20) - 10)
+		switch rng.Intn(6) {
+		case 0:
+			return NewFloat(math.NaN())
+		case 1:
+			return NewFloat(math.Inf(1 - 2*rng.Intn(2)))
+		case 2:
+			return NewFloat(math.Copysign(0, -1))
+		case 3:
+			return NewFloat(n + 0.5)
+		default:
+			return NewFloat(n)
+		}
+	}},
 }
 
 // TestRangeModel interleaves INSERT, DELETE and UPDATEs of the key with range
-// queries on the primary key (id) and an indexed column (k), and checks every
-// range result against the scan plan on the unindexed twins (idt, kt). With
-// warm, range queries run before the first mutation, so the sorted views are
-// derived from the loaded table and every later change goes through the
-// incremental path; without, the views are first derived mid-run.
+// queries and equality lookups on the primary key (id) and an indexed column
+// (k), and checks every result against the scan plan on the unindexed twins
+// (idt, kt). With warm, range queries run before the first mutation, so the
+// sorted views are derived from the loaded table and every later change goes
+// through the incremental path; without, the views are first derived mid-run.
 func TestRangeModel(t *testing.T) {
 	for _, kind := range rangeModelKinds {
 		for _, warm := range []bool{true, false} {
@@ -356,11 +379,11 @@ func runRangeModel(t *testing.T, typ string, gen func(*rand.Rand) Value, warm bo
 
 	insert := func() {
 		id, k := gen(rng), gen(rng)
-		if _, dup := live[keyString(id)]; dup {
+		if _, dup := live[keyOf(id)]; dup {
 			return
 		}
 		mustExec(t, e, "INSERT INTO r VALUES (?, ?, ?, ?)", id, k, id, k)
-		live[keyString(id)] = id
+		live[keyOf(id)] = id
 	}
 	victim := func() (Value, bool) {
 		keys := make([]string, 0, len(live))
@@ -404,6 +427,11 @@ func runRangeModel(t *testing.T, typ string, gen func(*rand.Rand) Value, warm bo
 			if got != want {
 				t.Fatalf("step %d: %s < %s: range plan %s, scan plan %s", step, cols[0], hi, got, want)
 			}
+			got = rendered("SELECT id FROM r WHERE "+cols[0]+" = ?", lo) // a point or index lookup
+			want = rendered("SELECT id FROM r WHERE "+cols[1]+" = ?", lo)
+			if got != want {
+				t.Fatalf("step %d: %s = %s: key lookup %s, scan plan %s", step, cols[0], lo, got, want)
+			}
 		}
 	}
 
@@ -420,15 +448,15 @@ func runRangeModel(t *testing.T, typ string, gen func(*rand.Rand) Value, warm bo
 		case op < 5:
 			if id, ok := victim(); ok {
 				mustExec(t, e, "DELETE FROM r WHERE id = ?", id)
-				delete(live, keyString(id))
+				delete(live, keyOf(id))
 			}
 		case op < 6:
 			id, ok := victim()
 			to := gen(rng)
-			if _, dup := live[keyString(to)]; ok && !dup {
+			if _, dup := live[keyOf(to)]; ok && !dup {
 				mustExec(t, e, "UPDATE r SET id = ?, idt = ? WHERE id = ?", to, to, id)
-				delete(live, keyString(id))
-				live[keyString(to)] = to
+				delete(live, keyOf(id))
+				live[keyOf(to)] = to
 			}
 		case op < 7:
 			if id, ok := victim(); ok {
@@ -449,7 +477,7 @@ func runRangeModel(t *testing.T, typ string, gen func(*rand.Rand) Value, warm bo
 	sameKeys(t, "index k", tbl.indexes["k"].ord.ord, deriveKeys(tbl.indexes["k"].m))
 }
 
-func sameKeys(t *testing.T, what string, kept, derived []keyVal) {
+func sameKeys(t *testing.T, what string, kept, derived []string) {
 	t.Helper()
 	if kept == nil {
 		t.Fatalf("%s: sorted view was never built", what)
@@ -458,8 +486,8 @@ func sameKeys(t *testing.T, what string, kept, derived []keyVal) {
 		t.Fatalf("%s: %d keys kept, %d in the hash index", what, len(kept), len(derived))
 	}
 	for i := range kept {
-		if kept[i].k != derived[i].k || Compare(kept[i].v, derived[i].v) != 0 {
-			t.Fatalf("%s: position %d holds %q (%s), derived %q (%s)", what, i, kept[i].k, kept[i].v, derived[i].k, derived[i].v)
+		if kept[i] != derived[i] {
+			t.Fatalf("%s: position %d holds %q, derived %q", what, i, kept[i], derived[i])
 		}
 	}
 }

@@ -131,15 +131,15 @@ func (r *tableRead) candidates(tbl *Table, a access) (ids []uint64, match func(R
 	return ids, match, nil
 }
 
-// fetchPoint reads the row under the primary key already rendered into
-// t.keyBuf — into the transaction's row buffer when the read may use it —
-// and applies the residual.
-func (r *tableRead) fetchPoint(t *Txn, tbl *Table, en *env) (row Row, id uint64, found bool, err error) {
+// fetchPoint reads the row under the primary key key — into the
+// transaction's row buffer when the read may use it — and applies the
+// residual.
+func (r *tableRead) fetchPoint(t *Txn, tbl *Table, en *env, key string) (row Row, id uint64, found bool, err error) {
 	if r.scratch {
-		row, id, found = tbl.readPKRowInto(t.keyBuf, t.rowBuf)
+		row, id, found = tbl.readPKRowInto(key, t.rowBuf)
 		t.rowBuf = row
 	} else {
-		row, id, found = tbl.readPKRowInto(t.keyBuf, nil) // a private copy
+		row, id, found = tbl.readPKRowInto(key, nil) // a private copy
 	}
 	if found && r.residual != nil {
 		en.row = row
@@ -199,15 +199,14 @@ func (r *tableRead) rows(t *Txn, tbl *Table, en *env) ([]Row, []uint64, error) {
 
 // lockPoint is the primary-key equality step: one row lock on the key itself
 // (not the row ID), so the lock also guards the key's absence against
-// concurrent inserts.
+// concurrent inserts. The row is then looked up by the same key string.
 func (r *tableRead) lockPoint(t *Txn, tbl *Table, en *env, pk Value) ([]Row, []uint64, error) {
-	t.keyBuf = appendKey(t.keyBuf[:0], pk)
-	key := string(t.keyBuf)
+	key := keyOf(pk)
 	if err := t.lockRow(tbl, key, r.rowMode()); err != nil {
 		return nil, nil, err
 	}
 	t.engine.record(t, r.write, tbl, key)
-	row, id, found, err := r.fetchPoint(t, tbl, en)
+	row, id, found, err := r.fetchPoint(t, tbl, en, key)
 	if err != nil || !found {
 		return nil, nil, err
 	}
@@ -239,7 +238,7 @@ func (r *tableRead) lockCandidates(t *Txn, tbl *Table, en *env, ids []uint64, ma
 		n, batch, pks = tbl.pkValues(ids, pks[:0])
 		ids = ids[n:]
 		for _, pk := range pks {
-			key := keyString(pk)
+			key := keyOf(pk)
 			if err := t.lockRow(tbl, key, r.rowMode()); err != nil {
 				return nil, nil, err
 			}

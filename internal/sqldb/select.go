@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -308,14 +309,14 @@ func (j *boundJoin) join(en *env, left, right []Row) ([]Row, error) {
 		ht := make(map[string][]Row, len(right))
 		for _, rr := range right {
 			if !rr[j.ri].IsNull() {
-				k := keyString(rr[j.ri])
+				k := keyOf(rr[j.ri])
 				ht[k] = append(ht[k], rr)
 			}
 		}
 		for _, lr := range left {
 			var matches []Row
 			if !lr[j.li].IsNull() {
-				matches = ht[keyString(lr[j.li])]
+				matches = ht[keyOf(lr[j.li])]
 			}
 			for _, rr := range matches {
 				out = append(out, concatRows(lr, rr))
@@ -468,12 +469,13 @@ func (o *output) emit(en *env, src []Row) (*Result, error) {
 
 	if o.distinct {
 		seen := make(map[string]bool, len(out))
-		var kb []byte
+		var kb, vb []byte
 		n := 0
 		for i, pr := range out {
 			kb = kb[:0]
 			for _, v := range pr {
-				kb = append(append(kb, keyString(v)...), 0)
+				vb = appendKey(vb[:0], v)
+				kb = append(binary.AppendUvarint(kb, uint64(len(vb))), vb...)
 			}
 			if seen[string(kb)] {
 				continue
@@ -508,7 +510,7 @@ func (o *output) groups(en *env, src []Row) ([][]Row, error) {
 	}
 	index := make(map[string]int)
 	var groups [][]Row
-	var kb []byte
+	var kb, vb []byte // the group's key: each value's key behind its length
 	for _, r := range src {
 		en.row = r
 		kb = kb[:0]
@@ -517,7 +519,8 @@ func (o *output) groups(en *env, src []Row) ([][]Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			kb = append(append(kb, keyString(v)...), 0)
+			vb = appendKey(vb[:0], v)
+			kb = append(binary.AppendUvarint(kb, uint64(len(vb))), vb...)
 		}
 		i, seen := index[string(kb)]
 		if !seen {

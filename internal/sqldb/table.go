@@ -2,9 +2,8 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -27,24 +26,23 @@ type index struct {
 	ord    orderedKeys
 }
 
-// add registers a rowID under key (ordering value v). Called with the table
-// latch held.
-func (ix *index) add(key string, v Value, rowID uint64) {
+// add registers a rowID under key. Called with the table latch held.
+func (ix *index) add(key string, rowID uint64) {
 	ids := ix.m[key]
 	ix.m[key] = append(ids, rowID)
 	if len(ids) == 0 {
-		ix.ord.add(key, v)
+		ix.ord.add(key)
 	}
 }
 
 // insert registers rowID under v's key, refusing a second row for a key of a
 // unique index. Called with the table latch held.
 func (ix *index) insert(v Value, rowID uint64) error {
-	k := keyString(v)
+	k := keyOf(v)
 	if ix.unique && len(ix.m[k]) > 0 {
-		return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, k, ix.name)
+		return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, v, ix.name)
 	}
-	ix.add(k, v, rowID)
+	ix.add(k, rowID)
 	return nil
 }
 
@@ -103,31 +101,61 @@ func (t *Table) ByteSize() int64 {
 	return t.byteSize
 }
 
-// maxExactInt is the largest magnitude exactly representable as both int64
-// and float64 (2^53); below it, integer formatting preserves the INT/FLOAT
-// key-equality invariant without paying for float formatting.
-const maxExactInt = int64(1) << 53
+// Key classes: a key's first byte, in the order Compare gives the types.
+const (
+	keyNull byte = iota
+	keyNumber
+	keyText
+	keyBool
+)
 
-// keyString canonicalises a value for index keys: INT and FLOAT values that
-// compare equal (Compare is numeric across the two types) must map to the
-// same key. Integers — and floats holding exact integers — take a fast
-// integer-formatting path; everything else falls back to the SQL literal
-// form, matching how values outside the exact range compare (as float64): an
-// integer beyond it is keyed as the float it compares as, which for ±(2^53+1)
-// is ±2^53 itself.
-func keyString(v Value) string {
+// appendKey appends v's key to buf. A key is the one form of a value that
+// every map in the engine is keyed by — the primary-key and index maps, a row
+// lock, the executor's hash joins and sets — and values Compare calls equal
+// have equal keys, whose bytes sort as Compare orders the values. It is a
+// class byte followed by the value: for a number, INT or FLOAT alike, the
+// float64 it compares as, big-endian with the sign bit set (every bit flipped
+// for a negative) so that it sorts as bytes, −0 folded into +0, every NaN
+// into one above +Inf, and trailing zero bytes dropped, so that a small
+// integer keys in a few bytes; for TEXT its bytes; for BOOL 0 or 1. A key is
+// never decoded: whoever needs the value reads it from the row.
+func appendKey(buf []byte, v Value) []byte {
 	switch v.Typ {
-	case TypeInt:
-		if v.Int >= -maxExactInt && v.Int <= maxExactInt {
-			return strconv.FormatInt(v.Int, 10)
+	case TypeInt, TypeFloat:
+		f := v.AsFloat()
+		bits := math.Float64bits(f)
+		switch {
+		case f != f:
+			bits = 0x7ff8 << 48
+		case f == 0:
+			bits = 0
 		}
-		return keyString(NewFloat(float64(v.Int)))
-	case TypeFloat:
-		if i := int64(v.Float); float64(i) == v.Float && i >= -maxExactInt && i <= maxExactInt {
-			return strconv.FormatInt(i, 10)
+		if bits>>63 == 0 {
+			bits |= 1 << 63
+		} else {
+			bits = ^bits
 		}
+		buf = append(buf, keyNumber)
+		for ; bits != 0; bits <<= 8 {
+			buf = append(buf, byte(bits>>56))
+		}
+		return buf
+	case TypeText:
+		return append(append(buf, keyText), v.Str...)
+	case TypeBool:
+		b := byte(0)
+		if v.Bool {
+			b = 1
+		}
+		return append(buf, keyBool, b)
 	}
-	return v.String()
+	return append(buf, keyNull)
+}
+
+// keyOf returns v's key (see appendKey) as a string.
+func keyOf(v Value) string {
+	var kb [32]byte
+	return string(appendKey(kb[:0], v))
 }
 
 // keyChange returns the index keys of a column's value before and after an
@@ -137,83 +165,49 @@ func keyChange(was, now Value) (oldKey, newKey string, changed bool) {
 	if was == now {
 		return "", "", false
 	}
-	oldKey, newKey = keyString(was), keyString(now)
+	oldKey, newKey = keyOf(was), keyOf(now)
 	return oldKey, newKey, oldKey != newKey
-}
-
-// keyValue recovers the value an index key orders by: the exact inverse of
-// keyString. A decimal key is an INT; any other numeric key is the FLOAT
-// keyString formatted, so integers beyond 2^53, NaN and the infinities order
-// under Compare as the values that produced them; a quoted key is TEXT.
-func keyValue(k string) Value {
-	switch {
-	case k[0] == '\'':
-		return NewText(strings.ReplaceAll(k[1:len(k)-1], "''", "'"))
-	case k == "NULL":
-		return Null
-	case k == "TRUE" || k == "FALSE":
-		return NewBool(k == "TRUE")
-	}
-	if i, err := strconv.ParseInt(k, 10, 64); err == nil {
-		return NewInt(i)
-	}
-	f, _ := strconv.ParseFloat(k, 64) // keyString wrote it
-	return NewFloat(f)
-}
-
-// keyVal pairs an index key with the value it orders by.
-type keyVal struct {
-	v Value
-	k string
 }
 
 // orderedKeys is the sorted view of a hash index's distinct keys. It holds
 // nothing until the first range traversal derives it from the index's own
 // map; from then on add and drop keep it current, so an index nothing
 // range-scans pays no memory or time for ordering, and one that is scanned
-// sorts once. Guarded by the owning table's latch.
+// sorts once. It shares its strings with the map. Guarded by the owning
+// table's latch.
 type orderedKeys struct {
-	ord []keyVal // ascending by value; nil until a range traversal builds it
+	ord []string // ascending; nil until a range traversal builds it
 }
 
 // deriveKeys builds the sorted view from the keys of the hash index m.
-func deriveKeys[V any](m map[string]V) []keyVal {
-	ord := make([]keyVal, 0, len(m))
+func deriveKeys[V any](m map[string]V) []string {
+	ord := make([]string, 0, len(m))
 	for k := range m {
-		ord = append(ord, keyVal{v: keyValue(k), k: k})
+		ord = append(ord, k)
 	}
-	sort.Slice(ord, func(i, j int) bool { return Compare(ord[i].v, ord[j].v) < 0 })
+	sort.Strings(ord)
 	return ord
 }
 
-// search returns the position of the first key whose value is not below v.
-func (o *orderedKeys) search(v Value) int {
-	return sort.Search(len(o.ord), func(i int) bool { return Compare(o.ord[i].v, v) >= 0 })
-}
-
-// add records that key k (ordering value v) entered the index.
-func (o *orderedKeys) add(k string, v Value) {
+// add records that key k entered the index.
+func (o *orderedKeys) add(k string) {
 	if o.ord == nil {
 		return
 	}
-	i := o.search(v)
-	o.ord = append(o.ord, keyVal{})
+	i := sort.SearchStrings(o.ord, k)
+	o.ord = append(o.ord, "")
 	copy(o.ord[i+1:], o.ord[i:])
-	o.ord[i] = keyVal{v: v, k: k}
+	o.ord[i] = k
 }
 
-// drop records that key k (ordering value v) left the index.
-func (o *orderedKeys) drop(k string, v Value) {
+// drop records that key k left the index.
+func (o *orderedKeys) drop(k string) {
 	if o.ord == nil {
 		return
 	}
-	for i := o.search(v); i < len(o.ord) && Compare(o.ord[i].v, v) == 0; i++ {
-		if o.ord[i].k == k {
-			o.ord = append(o.ord[:i], o.ord[i+1:]...)
-			return
-		}
+	if i := sort.SearchStrings(o.ord, k); i < len(o.ord) && o.ord[i] == k {
+		o.ord = append(o.ord[:i], o.ord[i+1:]...)
 	}
-	o.ord = nil // NaN compares equal to everything: no position is its own
 }
 
 // rangeBounds is a concrete one-column range: [lo, hi] with per-side
@@ -247,30 +241,33 @@ func (b rangeBounds) match(v Value) bool {
 
 // scanRange calls fn for every key of the hash index m whose value lies
 // within bounds, in ascending value order, deriving o — m's sorted view — on
-// first use.
+// first use. The bounds are keyed once and the view searched by bytes.
 func scanRange[V any](o *orderedKeys, m map[string]V, b rangeBounds, fn func(k string)) {
 	if o.ord == nil {
 		o.ord = deriveKeys(m)
 	}
-	start := 0
-	if b.hasLo {
-		start = sort.Search(len(o.ord), func(i int) bool {
-			c := Compare(o.ord[i].v, b.lo)
-			return c > 0 || (c == 0 && b.loIncl)
-		})
+	ord := o.ord
+	if len(ord) > 0 && ord[0][0] == keyNull {
+		ord = ord[1:] // NULL sorts first and matches no bound
 	}
-	for i := start; i < len(o.ord); i++ {
-		kv := o.ord[i]
-		if kv.v.IsNull() {
-			continue // NULL sorts first; only reachable without a low bound
+	if b.hasLo {
+		lo := keyOf(b.lo)
+		i := sort.SearchStrings(ord, lo)
+		if !b.loIncl && i < len(ord) && ord[i] == lo {
+			i++
 		}
-		if b.hasHi {
-			c := Compare(kv.v, b.hi)
-			if c > 0 || (c == 0 && !b.hiIncl) {
-				break
-			}
+		ord = ord[i:]
+	}
+	if b.hasHi {
+		hi := keyOf(b.hi)
+		i := sort.SearchStrings(ord, hi)
+		if b.hiIncl && i < len(ord) && ord[i] == hi {
+			i++
 		}
-		fn(kv.k)
+		ord = ord[:i]
+	}
+	for _, k := range ord {
+		fn(k)
 	}
 }
 
@@ -298,7 +295,7 @@ func (t *Table) pkKey(r Row) string {
 	if t.schema.PKIdx < 0 {
 		return ""
 	}
-	return keyString(r[t.schema.PKIdx])
+	return keyOf(r[t.schema.PKIdx])
 }
 
 // --- physical operations -------------------------------------------------
@@ -327,10 +324,10 @@ func (t *Table) insertRowPhysical(rowID uint64, r Row) {
 	if t.pk != nil {
 		k := t.pkKey(r)
 		t.pk[k] = rowID
-		t.pkOrd.add(k, r[t.schema.PKIdx])
+		t.pkOrd.add(k)
 	}
 	for _, idx := range t.indexes {
-		idx.add(keyString(r[idx.col]), r[idx.col], rowID)
+		idx.add(keyOf(r[idx.col]), rowID)
 	}
 	t.liveRows++
 	t.byteSize += int64(len(enc))
@@ -369,7 +366,7 @@ func (t *Table) load(rows []string) error {
 		t.tail = append(t.tail, pageSlot{rowID: id, enc: enc})
 		t.setLoc(id, rowLoc{page: -1, slot: int32(len(t.tail) - 1)})
 		if pk >= 0 {
-			t.pk[keyString(keys[pk])] = id
+			t.pk[keyOf(keys[pk])] = id
 		}
 		for _, idx := range idxs {
 			if err := idx.insert(keys[idx.col], id); err != nil {
@@ -444,10 +441,10 @@ func (t *Table) deleteRowPhysical(rowID uint64) {
 	if t.pk != nil {
 		k := t.pkKey(old)
 		delete(t.pk, k)
-		t.pkOrd.drop(k, old[t.schema.PKIdx])
+		t.pkOrd.drop(k)
 	}
 	for _, idx := range t.indexes {
-		idx.remove(keyString(old[idx.col]), old[idx.col], rowID)
+		idx.remove(keyOf(old[idx.col]), rowID)
 	}
 	t.liveRows--
 	t.byteSize -= int64(len(oldEnc))
@@ -476,15 +473,15 @@ func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 	if pk := t.schema.PKIdx; t.pk != nil {
 		if oldKey, newKey, changed := keyChange(old[pk], newRow[pk]); changed {
 			delete(t.pk, oldKey)
-			t.pkOrd.drop(oldKey, old[pk])
+			t.pkOrd.drop(oldKey)
 			t.pk[newKey] = rowID
-			t.pkOrd.add(newKey, newRow[pk])
+			t.pkOrd.add(newKey)
 		}
 	}
 	for _, idx := range t.indexes {
 		if ok, nk, changed := keyChange(old[idx.col], newRow[idx.col]); changed {
-			idx.remove(ok, old[idx.col], rowID)
-			idx.add(nk, newRow[idx.col], rowID)
+			idx.remove(ok, rowID)
+			idx.add(nk, rowID)
 		}
 	}
 	t.byteSize += int64(len(enc) - len(oldEnc))
@@ -538,49 +535,16 @@ func (t *Table) decodeOldLocked(page int, enc string) Row {
 	return t.oldRow
 }
 
-// appendKey appends keyString(v) to buf, avoiding allocation for the common
-// integer- and text-valued cases so hot paths can reuse one scratch buffer.
-func appendKey(buf []byte, v Value) []byte {
-	switch v.Typ {
-	case TypeInt:
-		if v.Int >= -maxExactInt && v.Int <= maxExactInt {
-			return strconv.AppendInt(buf, v.Int, 10)
-		}
-	case TypeFloat:
-		if i := int64(v.Float); float64(i) == v.Float && i >= -maxExactInt && i <= maxExactInt {
-			return strconv.AppendInt(buf, i, 10)
-		}
-	case TypeText:
-		if !containsQuote(v.Str) {
-			buf = append(buf, '\'')
-			buf = append(buf, v.Str...)
-			return append(buf, '\'')
-		}
-	}
-	return append(buf, keyString(v)...)
-}
-
-func containsQuote(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\'' {
-			return true
-		}
-	}
-	return false
-}
-
-// readPKRowInto looks up a primary-key row and decodes it into dst under a
-// single latch acquisition, returning the (possibly grown) destination slice,
-// the rowID, and whether the key exists. key is the canonical keyString form
-// as raw bytes so hot callers can reuse one scratch buffer — indexing the map
-// with string(key) does not allocate.
-func (t *Table) readPKRowInto(key []byte, dst Row) (Row, uint64, bool) {
+// readPKRowInto looks up the primary-key row with key and decodes it into dst
+// under a single latch acquisition, returning the (possibly grown) destination
+// slice, the rowID, and whether the key exists.
+func (t *Table) readPKRowInto(key string, dst Row) (Row, uint64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.pk == nil {
 		return dst, 0, false
 	}
-	id, ok := t.pk[string(key)]
+	id, ok := t.pk[key]
 	if !ok {
 		return dst, 0, false
 	}
@@ -658,7 +622,7 @@ func (t *Table) lookupPK(v Value) (uint64, bool) {
 	if t.pk == nil {
 		return 0, false
 	}
-	id, ok := t.pk[keyString(v)]
+	id, ok := t.pk[keyOf(v)]
 	return id, ok
 }
 
@@ -671,7 +635,7 @@ func (t *Table) lookupIndex(col string, v Value) ([]uint64, bool) {
 	if !ok {
 		return nil, false
 	}
-	ids := idx.m[keyString(v)]
+	ids := idx.m[keyOf(v)]
 	out := make([]uint64, len(ids))
 	copy(out, ids)
 	return out, true
@@ -834,8 +798,8 @@ func (t *Table) createIndex(name string, colIdx int, unique bool) error {
 	return nil
 }
 
-// remove unregisters a rowID from under key (ordering value v).
-func (ix *index) remove(key string, v Value, rowID uint64) {
+// remove unregisters a rowID from under key.
+func (ix *index) remove(key string, rowID uint64) {
 	ids := ix.m[key]
 	for i, id := range ids {
 		if id == rowID {
@@ -845,7 +809,7 @@ func (ix *index) remove(key string, v Value, rowID uint64) {
 	}
 	if len(ids) == 0 {
 		delete(ix.m, key)
-		ix.ord.drop(key, v)
+		ix.ord.drop(key)
 	} else {
 		ix.m[key] = ids
 	}

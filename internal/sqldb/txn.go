@@ -92,10 +92,9 @@ type Txn struct {
 	locksBuf [8]*lockEntry
 
 	// Per-transaction scratch, reused from statement to statement: the
-	// evaluation environment of the running statement, and the key, row,
-	// one-row list and one-ID list of a point step.
+	// evaluation environment of the running statement, and the row, one-row
+	// list and one-ID list of a point step.
 	env         env
-	keyBuf      []byte
 	rowBuf      Row
 	rowsScratch []Row
 	rowsBuf     [1]Row

@@ -111,8 +111,9 @@ func (v Value) numeric() bool { return v.Typ == TypeInt || v.Typ == TypeFloat }
 // Compare orders two values. NULL sorts before everything and equals only
 // NULL (three-valued logic for predicates is handled by the evaluator; this
 // is the total order used by indexes and ORDER BY). Cross-type numeric
-// comparisons (INT vs FLOAT) compare numerically; otherwise values of
-// different types order by type tag.
+// comparisons (INT vs FLOAT) compare numerically, with NaN equal to NaN and
+// above every other number, as in PostgreSQL; otherwise values of different
+// types order by type tag. appendKey's bytes sort in this order.
 func Compare(a, b Value) int {
 	if a.Typ == TypeNull || b.Typ == TypeNull {
 		switch {
@@ -131,8 +132,16 @@ func Compare(a, b Value) int {
 			return -1
 		case af > bf:
 			return 1
-		default:
+		case af == bf:
 			return 0
+		}
+		switch an, bn := af != af, bf != bf; {
+		case an == bn:
+			return 0
+		case an:
+			return 1
+		default:
+			return -1
 		}
 	}
 	if a.Typ != b.Typ {

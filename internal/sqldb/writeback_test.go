@@ -418,7 +418,7 @@ func checkRowViews(t *testing.T, e *Engine, db, name string, wantRows int) {
 			t.Fatalf("row %d: batch read %v, scan %s", id, got, want)
 		}
 		pk, s := got[0][0], got[0][2]
-		r, pid, ok := tbl.readPKRowInto([]byte(keyString(pk)), nil)
+		r, pid, ok := tbl.readPKRowInto(keyOf(pk), nil)
 		if !ok || pid != id || fmt.Sprint(r) != want {
 			t.Fatalf("row %d: point read of %v found row %d %v (%v), scan %s", id, pk, pid, r, ok, want)
 		}

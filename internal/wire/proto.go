@@ -297,6 +297,19 @@ func (r *reader) str() string {
 	return s
 }
 
+// valueCount checks a count of values read from the payload against the
+// bytes left, which hold at least a tag byte per value, so that a forged
+// count fails instead of sizing an allocation. It returns 0 on failure.
+func (r *reader) valueCount(n int) int {
+	if r.err == nil && n > len(r.buf)-r.off {
+		r.fail()
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
 // done reports whether the payload was consumed exactly; trailing garbage
 // is a protocol error.
 func (r *reader) done() error {
@@ -378,10 +391,7 @@ func appendParams(b []byte, params []sqldb.Value) ([]byte, error) {
 
 // params decodes a parameter list.
 func (r *reader) params() []sqldb.Value {
-	n := int(r.u16())
-	if r.err != nil {
-		return nil
-	}
+	n := r.valueCount(int(r.u16()))
 	if n == 0 {
 		return nil
 	}
@@ -468,7 +478,7 @@ func decodeResult(payload []byte) (*sqldb.Result, error) {
 	}
 	nrows := int(r.u32())
 	for i := 0; i < nrows && r.err == nil; i++ {
-		nvals := int(r.u16())
+		nvals := r.valueCount(int(r.u16()))
 		row := make(sqldb.Row, 0, nvals)
 		for j := 0; j < nvals && r.err == nil; j++ {
 			row = append(row, r.value())

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -230,6 +231,43 @@ func TestDecodeRandomGarbage(t *testing.T) {
 		_ = r.params()
 		if err := r.done(); err != nil && !protoClass(err) {
 			t.Fatalf("params: non-protocol error %v", err)
+		}
+	}
+}
+
+// TestForgedCountsAllocateNothing sends each decoder a value count of 65 535
+// with one value behind it: a MsgQuery's and a MsgExec's parameters (decoded
+// as the server's handlers do) and a MsgResult row. Each must be refused as
+// truncated before the count sizes a slice.
+func TestForgedCountsAllocateNothing(t *testing.T) {
+	forged := []byte{0xFF, 0xFF, tagNull}
+	decode := map[string]func() error{
+		"query params": func() error {
+			r := &reader{buf: append(appendString(nil, "SELECT 1"), forged...)}
+			_, _ = r.str(), r.params()
+			return r.done()
+		},
+		"exec params": func() error {
+			r := &reader{buf: append(appendU32(nil, 1), forged...)}
+			_, _ = r.u32(), r.params()
+			return r.done()
+		},
+		"result row": func() error {
+			// No columns, one row of 65 535 values.
+			_, err := decodeResult([]byte{0, 0, 0, 0, 0, 1, 0xFF, 0xFF})
+			return err
+		},
+	}
+	for name, fn := range decode {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := fn()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errShortPayload) {
+			t.Errorf("%s: got %v, want a truncated-payload error", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+			t.Errorf("%s: decoding allocated %d bytes", name, n)
 		}
 	}
 }

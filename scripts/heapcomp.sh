@@ -52,7 +52,7 @@ row '  orderedKeys (sorted views of index keys)' "$(mb 'orderedKeys|deriveKeys')
 row '  loc (row directory: rowID -> page slot)' "$(mb 'sqldb\.\(\*Table\)\.setLoc$')"
 row '  pk (primary key -> rowID)' "$(line "$storage" 't\.pk\[.*\] = ')"
 row '  secondary indexes (key -> rowIDs)' "$(line 'sqldb\.\(\*index\)\.add' 'ix\.m\[key\] = ')"
-row '  key strings' "$(mb 'keyString|pkKey' 'orderedKeys|deriveKeys')"
+row '  key strings' "$(mb 'keyOf|pkKey' 'orderedKeys|deriveKeys')"
 row '  rows' "$(mb 'encodeRowString|Row\.Clone|decodeRow|materialise')"
 row '    decoded rows kept (sqldb Row.Clone, materialise)' "$(mb 'sqldb\.Row\.Clone|sqldb\.\(\*residentPage\)\.materialise')"
 row '  page images and slot directories' "$(mb 'residentPage\)\.encode|encodePage|mapPage|sealTail')"
