@@ -154,7 +154,7 @@ func BenchmarkAblationPrepareLockRelease(b *testing.B) {
 // BenchmarkAblationBufferPool sweeps the buffer-pool size and reports the
 // Option1/Option3 throughput ratio. The interesting regime is a pool that
 // holds about one database's working set (the middle point): Option 1 then
-// serves each database from a warm home replica while Option 3 thrashes
+// serves each database from its warm head replica while Option 3 thrashes
 // both pools. With a tiny pool both options thrash and with a huge pool
 // both fit, so the ratio approaches 1 at the extremes.
 func BenchmarkAblationBufferPool(b *testing.B) {
@@ -555,10 +555,10 @@ func runAnomalyTrials(b *testing.B, engCfg sqldb.Config, trials int) int {
 }
 
 // option1Over3Ratio measures shopping-mix TPS under Option 1 divided by
-// Option 3 for a given buffer-pool size. Two databases spread Option 1's
-// rotated read homes over both machines, as in the paper's multi-tenant
-// setting, so the comparison isolates cache locality rather than machine
-// idling.
+// Option 3 for a given buffer-pool size. Two databases spread their rotated
+// heads, where Option 1 reads, over both machines, as in the paper's
+// multi-tenant setting, so the comparison isolates cache locality rather than
+// machine idling.
 func option1Over3Ratio(b *testing.B, poolPages int) float64 {
 	run := func(opt core.ReadOption) float64 {
 		engCfg := sqldb.DefaultConfig()

@@ -78,8 +78,7 @@ type Cluster struct {
 // dbState is the controller's bookkeeping for one client database.
 type dbState struct {
 	name     string
-	replicas []string   // live machines hosting the database
-	readHome string     // Option 1's designated read replica
+	replicas []string   // live machines hosting the database, head first
 	copying  *copyState // non-nil while a new replica is being created
 	// epoch uniquely identifies this incarnation of the namespace, so a
 	// machine's failure-time marks from a since-dropped-and-recreated
@@ -372,8 +371,8 @@ func (c *Cluster) createDatabaseOn(db string, machineIDs []string, req sla.Resou
 		m.dbCount.Add(1)
 		made = append(made, m)
 	}
-	// The state machine decides the placement, the epoch and the rotated
-	// Option-1 read home. A concurrent create of the same name loses there,
+	// The state machine decides the placement, the epoch and the head (it
+	// rotates the list). A concurrent create of the same name loses there,
 	// and its caller discards the copies it made.
 	cp := c.ctl
 	cp.mu.Lock()
@@ -499,8 +498,8 @@ func (c *Cluster) reachable(id string) bool {
 // ds.replicas once the copy completes.
 //
 // Under a simulated network the read path degrades gracefully: replicas
-// behind a partitioned controller link are routed around (the preferred
-// home keeps its role and resumes service when the partition heals), and
+// behind a partitioned controller link are routed around (the head keeps
+// its role and resumes service when the partition heals), and
 // only when every replica is unreachable does the read fail.
 func (c *Cluster) pickReadMachine(t *Txn) (string, error) {
 	c.mu.Lock()
@@ -527,13 +526,13 @@ func (c *Cluster) pickReadMachine(t *Txn) (string, error) {
 	c.metrics.readRouteCounter(c.opts.ReadOption).Inc()
 	switch c.opts.ReadOption {
 	case ReadOption1:
-		// All reads of the database go to its designated home replica.
-		if contains(up, ds.readHome) {
-			return ds.readHome, nil
+		// All reads of the database go to its head, where its writes take
+		// their locks first. Head unreachable: serve from another live
+		// replica without changing the head, so reads return once the
+		// partition heals.
+		if up[0] != ds.replicas[0] {
+			c.metrics.readDegraded.Inc()
 		}
-		// Home unreachable: serve from another live replica without
-		// reassigning the home, so reads return once the partition heals.
-		c.metrics.readDegraded.Inc()
 		return up[0], nil
 	case ReadOption2:
 		// All reads of this transaction go to one replica, chosen once.

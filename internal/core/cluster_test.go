@@ -87,7 +87,7 @@ func TestClusterOption1ReadsOneMachine(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		clusterExec(t, c, "SELECT n FROM t WHERE id = 1")
 	}
-	// With Option 1 every read goes to the home replica, so at most one
+	// With Option 1 every read goes to the head replica, so at most one
 	// machine's pool sees new traffic from reads. (Writes touched both
 	// earlier, so compare deltas.)
 	touched := 0

@@ -177,8 +177,8 @@ func (cp *controlPlane) apply(cmd ctlCmd, then func()) error {
 
 // materializeLocked copies st's record of each named database — nil names
 // every database either side knows — into the routing state: its replicas,
-// read home and epoch. A new record gets a dbState, a dropped one loses it.
-// It is the only writer of dbState.replicas and readHome; the rest of a
+// head first, and epoch. A new record gets a dbState, a dropped one loses it.
+// It is the only writer of dbState.replicas; the rest of a
 // dbState (SLA reservation, write sequences, drains, copy progress) is
 // local. Caller holds c.mu.
 func (cp *controlPlane) materializeLocked(st *ctlState, names []string) {
@@ -203,7 +203,6 @@ func (cp *controlPlane) materializeLocked(st *ctlState, names []string) {
 			c.dbs[name] = ds
 		}
 		ds.replicas = append([]string(nil), rec.Replicas...)
-		ds.readHome = rec.ReadHome
 		ds.epoch = rec.Epoch
 	}
 }
@@ -288,8 +287,8 @@ func (cp *controlPlane) onLeader(idx int, term uint64) {
 
 // adoptLocked reconciles the controller's materialized routing state with
 // the replicated state machine st (the new leader's, caught up past a
-// barrier) through the one materialize function: replica sets, read homes,
-// and epochs come from the replicated record, local state (write-sequence
+// barrier) through the one materialize function: replica lists and epochs
+// come from the replicated record, local state (write-sequence
 // counters, drain counters, SLA reservations) is kept, databases the log
 // never committed are discarded, and machines the log records as failed are
 // failed locally. Returns the databases whose replicated copy record nobody

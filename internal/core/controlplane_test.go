@@ -547,8 +547,7 @@ func liveMachineIDs(c *Cluster) []string {
 // can only rejoin through ctlState's snapshot codec: the leader compacts with
 // Snapshot, ships the image, and the follower's Restore must rebuild every
 // field the fingerprint reads — machines, the failed set, both sequence
-// counters, and per database the replicas, read home, epoch and an open copy
-// record.
+// counters, and per database the replicas, epoch and an open copy record.
 func TestControllerRejoinsFromSnapshot(t *testing.T) {
 	opts := ctlOpts()
 	c := newTestCluster(t, 4, opts)
@@ -590,7 +589,7 @@ func TestControllerRejoinsFromSnapshot(t *testing.T) {
 		must(err)
 	}
 	// Leave something in every field: a second database, a failed machine
-	// (which moves that database's read home), an open copy record.
+	// (which may move that database's head), an open copy record.
 	must(c.CreateDatabase("kept"))
 	_, err := c.FailMachine(spare[1])
 	must(err)

@@ -14,12 +14,13 @@ import (
 // each command to it in place, a replicated one applies the consensus log to
 // one instance per controller replica. It holds exactly the decisions that
 // must survive a controller crash: machine membership and liveness, each
-// database's replica placement, read home and namespace epoch, and the
-// begin/abort/complete lifecycle of Algorithm 1 replica copies. Everything
-// else the controller tracks — per-table write sequence counters, in-flight
-// write drains, the statement cache, SLA reservations — is leader-local soft
-// state that a new leader rebuilds or conservatively discards at failover
-// (see controlplane.go).
+// database's replica list (its first machine, the head, orders the
+// database's conflicts) and namespace epoch, and the begin/abort/complete
+// lifecycle of Algorithm 1 replica copies. Everything else the controller
+// tracks — per-table write sequence counters, in-flight write drains, the
+// statement cache, SLA reservations — is leader-local soft state that a new
+// leader rebuilds or conservatively discards at failover (see
+// controlplane.go).
 
 // Control-plane command opcodes.
 const (
@@ -48,27 +49,21 @@ type ctlCmd struct {
 
 // ctlDB is the replicated record of one database.
 type ctlDB struct {
-	// Replicas are the machines hosting the database, in join order.
+	// Replicas are the machines hosting the database: the head first, then
+	// the rest in join order. Every write takes its locks at the head before
+	// any other replica sees it, and Option 1 reads there.
 	Replicas []string `json:"replicas"`
-	// ReadHome is Option 1's designated read replica.
-	ReadHome string `json:"read_home"`
 	// Epoch is the namespace incarnation (see dbState.epoch).
 	Epoch uint64 `json:"epoch"`
 	// Copy, when non-nil, records an Algorithm 1 copy in flight.
 	Copy *ctlCopy `json:"copy,omitempty"`
 }
 
-// dropReplica takes machine out of the replica set, moving the read home off
-// it onto the first replica left: a non-empty set always holds its read home.
+// dropReplica takes machine out of the replica set; dropping the head makes
+// the next replica the head.
 func (db *ctlDB) dropReplica(machine string) {
-	for i, rid := range db.Replicas {
-		if rid == machine {
-			db.Replicas = append(db.Replicas[:i], db.Replicas[i+1:]...)
-			if db.ReadHome == machine && len(db.Replicas) > 0 {
-				db.ReadHome = db.Replicas[0]
-			}
-			return
-		}
+	if i := slices.Index(db.Replicas, machine); i >= 0 {
+		db.Replicas = slices.Delete(db.Replicas, i, i+1)
 	}
 }
 
@@ -98,7 +93,7 @@ type ctlStateData struct {
 	DBs map[string]*ctlDB `json:"dbs"`
 	// EpochSeq is the deterministic epoch counter.
 	EpochSeq uint64 `json:"epoch_seq"`
-	// HomeSeq rotates Option-1 read homes across create_db commands.
+	// HomeSeq rotates heads across create_db commands.
 	HomeSeq uint64 `json:"home_seq"`
 }
 
@@ -145,26 +140,25 @@ func (st *ctlState) apply(cmd ctlCmd) error {
 		delete(st.s.Failed, cmd.Machine)
 	case ctlOpCreateDB:
 		if db != nil {
-			// A retried proposal re-applies; another create of the name loses.
-			if !slices.Equal(db.Replicas, cmd.Replicas) {
+			// A retried proposal re-applies; another create of the name
+			// loses. The record holds the machines rotated, so a retry is
+			// known by its machine set.
+			other := func(id string) bool { return !slices.Contains(cmd.Replicas, id) }
+			if len(db.Replicas) != len(cmd.Replicas) || slices.ContainsFunc(db.Replicas, other) {
 				return fmt.Errorf("%w: %s", ErrDatabaseExists, cmd.DB)
 			}
 			return nil
 		}
 		st.s.EpochSeq++
-		home := ""
-		if len(cmd.Replicas) > 0 {
-			// Rotate each database's Option-1 read home across its replicas
-			// so read load balances over the machines even though any one
-			// database's reads all go to one place.
-			home = cmd.Replicas[st.s.HomeSeq%uint64(len(cmd.Replicas))]
+		// Rotate the list so heads, and with them Option 1's reads and the
+		// first lock of every write, spread over the machines.
+		var reps []string
+		if n := uint64(len(cmd.Replicas)); n > 0 {
+			k := st.s.HomeSeq % n
+			reps = append(slices.Clone(cmd.Replicas[k:]), cmd.Replicas[:k]...)
 			st.s.HomeSeq++
 		}
-		st.s.DBs[cmd.DB] = &ctlDB{
-			Replicas: append([]string(nil), cmd.Replicas...),
-			ReadHome: home,
-			Epoch:    st.s.EpochSeq,
-		}
+		st.s.DBs[cmd.DB] = &ctlDB{Replicas: reps, Epoch: st.s.EpochSeq}
 	case ctlOpDropDB:
 		delete(st.s.DBs, cmd.DB)
 	case ctlOpCopyBegin:
@@ -241,7 +235,7 @@ func (st *ctlState) Fingerprint() string {
 	fmt.Fprintf(&b, ";failed=%s", strings.Join(failed, ","))
 	for _, name := range st.dbNamesLocked() {
 		db := st.s.DBs[name]
-		fmt.Fprintf(&b, ";db=%s{replicas=%s,home=%s,epoch=%d", name, strings.Join(db.Replicas, ","), db.ReadHome, db.Epoch)
+		fmt.Fprintf(&b, ";db=%s{replicas=%s,epoch=%d", name, strings.Join(db.Replicas, ","), db.Epoch)
 		if cpy := db.Copy; cpy != nil {
 			fmt.Fprintf(&b, ",copy=%s->%s", cpy.Source, cpy.Target)
 		}

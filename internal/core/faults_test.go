@@ -541,9 +541,9 @@ func TestCommitWithoutAcknowledgedCommitFails(t *testing.T) {
 }
 
 // TestReadDegradationRoutesAroundPartition partitions the controller's link
-// to the read home of an Option 1 database: reads must degrade to the other
-// replica (counted), keep the home assignment, and return to the home once
-// the partition heals.
+// to the head of an Option 1 database: reads must degrade to the other
+// replica (counted), keep the head, and return to it once the partition
+// heals.
 func TestReadDegradationRoutesAroundPartition(t *testing.T) {
 	opts, n := netOpts(3)
 	opts.ReadOption = ReadOption1
@@ -552,7 +552,7 @@ func TestReadDegradationRoutesAroundPartition(t *testing.T) {
 	clusterExec(t, c, "INSERT INTO t VALUES (1, 42)")
 
 	c.mu.Lock()
-	home := c.dbs["app"].readHome
+	home := c.dbs["app"].replicas[0]
 	c.mu.Unlock()
 
 	n.Partition(c.Endpoint(), home)
@@ -575,10 +575,10 @@ func TestReadDegradationRoutesAroundPartition(t *testing.T) {
 	}
 	clusterExec(t, c, "SELECT n FROM t WHERE id = 1")
 	c.mu.Lock()
-	stillHome := c.dbs["app"].readHome
+	stillHome := c.dbs["app"].replicas[0]
 	c.mu.Unlock()
 	if stillHome != home {
-		t.Errorf("read home reassigned to %s during partition, want %s kept", stillHome, home)
+		t.Errorf("head reassigned to %s during partition, want %s kept", stillHome, home)
 	}
 	if got := c.metrics.readDegraded.Value(); got != 5 {
 		t.Errorf("healed read still counted degraded (total %d)", got)

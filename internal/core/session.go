@@ -82,19 +82,6 @@ func (f *future) waitTimeout(d time.Duration) (opResult, bool) {
 	}
 }
 
-// waitAny blocks until one of the futures resolves and returns its outcome —
-// the aggressive controller's "return as soon as one machine answers".
-func waitAny(futs []*future) opResult {
-	if len(futs) == 1 {
-		return futs[0].wait()
-	}
-	ch := make(chan opResult, len(futs))
-	for _, f := range futs {
-		go func(f *future) { ch <- f.wait() }(f)
-	}
-	return <-ch
-}
-
 // replicaSession is the controller's connection to one machine on behalf of
 // one distributed transaction. Operations on it execute strictly in the
 // order they were submitted, like statements written down one JDBC

@@ -98,39 +98,48 @@ func TestReplicatedWriteAllocs(t *testing.T) {
 	})
 }
 
-// TestFanOutRunsOnCallerWithoutSimulatedTime pins the dispatch rule: after a
-// two-statement write transaction and its commit, no session has started a
-// worker exactly when the controller is conservative and no machine operation
-// can take simulated time; in every other configuration every session has.
-func TestFanOutRunsOnCallerWithoutSimulatedTime(t *testing.T) {
-	cases := []struct {
-		name     string
-		opts     func() Options
-		onCaller bool
-	}{
-		{"conservative", func() Options { return Options{} }, true},
-		{"aggressive", func() Options { return Options{AckMode: Aggressive} }, false},
-		{"miss latency", func() Options {
-			cfg := sqldb.DefaultConfig()
-			cfg.MissLatency = 10 * time.Microsecond
-			return Options{EngineConfig: cfg}
-		}, false},
-		{"stmt service time", func() Options {
-			cfg := sqldb.DefaultConfig()
-			cfg.Workers, cfg.StmtServiceTime = 2, 10*time.Microsecond
-			return Options{EngineConfig: cfg}
-		}, false},
-		{"stmt service time, no worker slots", func() Options {
-			cfg := sqldb.DefaultConfig()
-			cfg.StmtServiceTime = 10 * time.Microsecond // never charged
-			return Options{EngineConfig: cfg}
-		}, true},
-		{"flush latency", func() Options {
-			return Options{WAL: wal.Config{FlushLatency: 10 * time.Microsecond}}
-		}, false},
-		{"network", func() Options { return Options{Network: netsim.New(1, nil)} }, false},
+// dispatchCase is one configuration that decides where Txn.fanOut runs a
+// replica operation. head and rest say whether, after a two-statement write
+// transaction and its commit, the head's session and every other session
+// ran everything on the caller, starting no worker.
+type dispatchCase struct {
+	name       string
+	opts       func() Options
+	head, rest bool
+}
+
+// dispatchCases are every way Cluster.overlap can be set, and the two
+// configurations where it is not. Each starts from the default engine
+// configuration.
+func dispatchCases() []dispatchCase {
+	with := func(edit func(*Options)) func() Options {
+		return func() Options {
+			o := Options{EngineConfig: sqldb.DefaultConfig()}
+			edit(&o)
+			return o
+		}
 	}
-	for _, tc := range cases {
+	return []dispatchCase{
+		{"conservative", with(func(*Options) {}), true, true},
+		{"aggressive", with(func(o *Options) { o.AckMode = Aggressive }), true, false},
+		{"miss latency", with(func(o *Options) { o.EngineConfig.MissLatency = 10 * time.Microsecond }), true, false},
+		{"stmt service time", with(func(o *Options) {
+			o.EngineConfig.Workers, o.EngineConfig.StmtServiceTime = 2, 10*time.Microsecond
+		}), true, false},
+		// Without worker slots the service time is never charged.
+		{"stmt service time, no worker slots", with(func(o *Options) { o.EngineConfig.StmtServiceTime = 10 * time.Microsecond }), true, true},
+		{"flush latency", with(func(o *Options) { o.WAL = wal.Config{FlushLatency: 10 * time.Microsecond} }), true, false},
+		// A vote under CallTimeout runs nothing on the caller.
+		{"network", with(func(o *Options) { o.Network = netsim.New(1, nil) }), false, false},
+	}
+}
+
+// TestFanOutRunsOnCallerWithoutSimulatedTime pins the dispatch rule: a
+// write's head share runs on the caller in every configuration; every other
+// share, and the commit's, do exactly when the controller is conservative
+// and no machine operation can take simulated time.
+func TestFanOutRunsOnCallerWithoutSimulatedTime(t *testing.T) {
+	for _, tc := range dispatchCases() {
 		for _, targets := range []int{2, 3} {
 			opts := tc.opts()
 			opts.Replicas = 2
@@ -169,108 +178,153 @@ func TestFanOutRunsOnCallerWithoutSimulatedTime(t *testing.T) {
 					t.Fatalf("%s/%d: %v", tc.name, targets, err)
 				}
 			}
-			if err := tx.Commit(); err != nil {
-				t.Fatalf("%s/%d: %v", tc.name, targets, err)
-			}
 			if len(tx.sessions) != targets {
 				t.Fatalf("%s: %d sessions, want %d", tc.name, len(tx.sessions), targets)
 			}
-			for _, s := range tx.sessions {
-				if onCaller := s.ops == nil; onCaller != tc.onCaller {
+			reps, _ := c.Replicas("app")
+			if head := tx.sessions[0]; head.machine.ID() != reps[0] || head.ops != nil {
+				t.Errorf("%s/%d targets: first session on %s (head %s) started a worker for a write = %v",
+					tc.name, targets, head.machine.ID(), reps[0], head.ops != nil)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("%s/%d: %v", tc.name, targets, err)
+			}
+			for i, s := range tx.sessions {
+				want := tc.rest
+				if i == 0 {
+					want = tc.head
+				}
+				if onCaller := s.ops == nil; onCaller != want {
 					t.Errorf("%s/%d targets: session on %s ran on the caller = %v, want %v",
-						tc.name, targets, s.machine.ID(), onCaller, tc.onCaller)
+						tc.name, targets, s.machine.ID(), onCaller, want)
 				}
 			}
 		}
 	}
 }
 
-// TestWriteWriteConflictIsLocalDeadlock is the invariant sequential dispatch
+// conflictLockTimeout bounds a lock wait in the conflict tests: long enough
+// that a wait the head's detector should break never reaches it on a loaded
+// machine, short enough that a run whose cycles span two replicas ends.
+const conflictLockTimeout = 250 * time.Millisecond
+
+// runConflicts drives workers transactions that each update two distinct
+// rows of one table, half of them in ascending and half in descending
+// order, in every dispatch configuration. With readFirst each transaction
+// first reads both rows under Option 1. Every abort must be a local
+// deadlock, no engine may count a lock time-out, and every replica must
+// hold every committed update.
+func runConflicts(t *testing.T, readFirst bool) {
+	const workers, perWorker, rows = 4, 150, 8
+	for _, tc := range dispatchCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts()
+			opts.Replicas = 2
+			opts.ReadOption = ReadOption1
+			opts.EngineConfig.LockTimeout = conflictLockTimeout
+			c := newTestCluster(t, 2, opts)
+			clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+			for id := int64(0); id < rows; id++ {
+				clusterExec(t, c, "INSERT INTO t VALUES (?, 0)", intv(id))
+			}
+			var wg sync.WaitGroup
+			var mu sync.Mutex
+			committed := 0
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perWorker; i++ {
+						// Two distinct rows, ascending on even workers, descending on odd.
+						a := int64((i + w) % rows)
+						b := (a + 1 + int64(i%(rows-1))) % rows
+						if (a > b) != (w%2 == 1) {
+							a, b = b, a
+						}
+						tx, err := c.Begin("app")
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if readFirst {
+							_, err = tx.Exec("SELECT v FROM t WHERE id = ?", intv(a))
+							if err == nil {
+								_, err = tx.Exec("SELECT v FROM t WHERE id = ?", intv(b))
+							}
+						}
+						if err == nil {
+							_, err = tx.Exec("UPDATE t SET v = v + 1 WHERE id = ?", intv(a))
+						}
+						if err == nil {
+							_, err = tx.Exec("UPDATE t SET v = v + 1 WHERE id = ?", intv(b))
+						}
+						if err == nil {
+							err = tx.Commit()
+						}
+						switch {
+						case err == nil:
+							mu.Lock()
+							committed++
+							mu.Unlock()
+						case errors.Is(err, sqldb.ErrDeadlock):
+						default:
+							t.Errorf("abort that is not a local deadlock: %v", err)
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if committed == 0 {
+				t.Fatal("nothing committed")
+			}
+			t.Logf("%d committed, %d deadlocks", committed, c.Stats().Deadlocks)
+			if n := opts.Network; n != nil {
+				n.Quiesce()
+			}
+			for _, id := range c.MachineIDs() {
+				m, _ := c.Machine(id)
+				if n := m.Engine().Stats().LockTimeouts; n != 0 {
+					t.Errorf("%s: %d lock time-outs", id, n)
+				}
+				res, err := m.Engine().Exec("app", "SELECT SUM(v) FROM t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Rows[0][0].Int; got != int64(2*committed) {
+					t.Errorf("%s: SUM(v) = %d, want %d (two updates in each of %d commits)", id, got, 2*committed, committed)
+				}
+			}
+		})
+	}
+}
+
+// TestWriteWriteConflictIsLocalDeadlock is the invariant head-first dispatch
 // buys: every writer takes a row's lock at the head replica first, so two
 // writers of the same rows in opposite orders deadlock there, where the
-// engine's detector sees the whole cycle and picks a victim at once. With the
-// write sent to both replicas at once each writer could win a different
-// machine, a cycle no engine sees and only the lock time-out (2 s here)
-// breaks.
-func TestWriteWriteConflictIsLocalDeadlock(t *testing.T) {
-	const workers, perWorker, rows = 4, 150, 8
-	c := newTestCluster(t, 2, Options{Replicas: 2})
-	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-	for id := int64(0); id < rows; id++ {
-		clusterExec(t, c, "INSERT INTO t VALUES (?, 0)", intv(id))
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	committed := 0
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				// Two distinct rows, ascending on even workers, descending on odd.
-				a := int64((i + w) % rows)
-				b := (a + 1 + int64(i%(rows-1))) % rows
-				if (a > b) != (w%2 == 1) {
-					a, b = b, a
-				}
-				tx, err := c.Begin("app")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				_, err = tx.Exec("UPDATE t SET v = v + 1 WHERE id = ?", intv(a))
-				if err == nil {
-					_, err = tx.Exec("UPDATE t SET v = v + 1 WHERE id = ?", intv(b))
-				}
-				if err == nil {
-					err = tx.Commit()
-				}
-				switch {
-				case err == nil:
-					mu.Lock()
-					committed++
-					mu.Unlock()
-				case errors.Is(err, sqldb.ErrDeadlock):
-				default:
-					t.Errorf("abort that is not a local deadlock: %v", err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if committed == 0 {
-		t.Fatal("nothing committed")
-	}
-	for _, id := range c.MachineIDs() {
-		m, _ := c.Machine(id)
-		if n := m.Engine().Stats().LockTimeouts; n != 0 {
-			t.Errorf("%s: %d lock time-outs", id, n)
-		}
-		res, err := m.Engine().Exec("app", "SELECT SUM(v) FROM t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Rows[0][0].Int; got != int64(2*committed) {
-			t.Errorf("%s: SUM(v) = %d, want %d (two updates in each of %d commits)", id, got, 2*committed, committed)
-		}
-	}
-}
+// engine's detector sees the whole cycle and picks a victim at once. With
+// the write sent to both replicas at once each writer could win a different
+// machine, a cycle no engine sees and only the lock time-out breaks.
+func TestWriteWriteConflictIsLocalDeadlock(t *testing.T) { runConflicts(t, false) }
 
-// TestAggressiveSessionFIFO holds one replica's link slow under the
-// aggressive controller, so the first write is acknowledged while it is
-// still pending there. A second write and then a read routed to that
-// replica, issued meanwhile, must execute there after the first write and in
-// issue order — queued behind it, never inline ahead of it.
+// TestReadThenUpdateIsLocalDeadlock adds Option 1's reads to the same
+// conflicts: they take their shared locks at the head too, so a cycle of a
+// read and two writes is whole there as well.
+func TestReadThenUpdateIsLocalDeadlock(t *testing.T) { runConflicts(t, true) }
+
+// TestAggressiveSessionFIFO holds the non-head replica's link slow under the
+// aggressive controller, so the first write is acknowledged, on the head's
+// answer, while it is still pending there. A second write and then a read
+// routed to that replica, issued meanwhile, must execute there after the
+// first write and in issue order — queued behind it, never inline ahead of
+// it.
 func TestAggressiveSessionFIFO(t *testing.T) {
 	n := netsim.New(3, nil)
-	c := newTestCluster(t, 2, Options{Replicas: 2, AckMode: Aggressive, Network: n})
+	c := newTestCluster(t, 2, Options{Replicas: 2, AckMode: Aggressive, Network: n, ReadOption: ReadOption2})
 	clusterExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, n INT)")
 	clusterExec(t, c, "INSERT INTO t VALUES (1, 1)")
 
-	// Reads go to the database's home replica (Option 1): slow that one.
-	c.mu.Lock()
-	slow := c.dbs["app"].readHome
-	c.mu.Unlock()
+	reps, _ := c.Replicas("app")
+	slow := reps[1]
 	var mu sync.Mutex
 	var slowExecs int
 	n.OnDeliver(func(ci netsim.CallInfo) {
@@ -286,6 +340,7 @@ func TestAggressiveSessionFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tx.readHome = slow // Option 2 reads this transaction at the slow replica
 	if _, err := tx.Exec("UPDATE t SET n = n + 1 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}

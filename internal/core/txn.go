@@ -235,7 +235,7 @@ func (t *Txn) execWrite(stmt sqldb.Statement, table string, params []sqldb.Value
 	}
 
 	o := execOp(stmt, params)
-	if t.c.opts.AckMode == Conservative {
+	if t.c.opts.AckMode == Conservative || len(ss) == 1 {
 		// Every replica has executed the write, or one has refused it, when
 		// fanOut returns — which is exactly when the copy process may proceed
 		// past it. Any failure aborts.
@@ -250,22 +250,23 @@ func (t *Txn) execWrite(stmt sqldb.Statement, table string, params []sqldb.Value
 		return rs[0].res, nil
 	}
 
-	// Aggressive: return on the first replica's answer; remember the rest.
-	// The caller must not be held by a machine slower than the first to
-	// answer, so with several replicas it executes none of their shares.
-	futs := sendAll(ss, o, len(ss) == 1)
+	// Aggressive: acknowledge on the head's answer and leave the rest
+	// pending on their workers, sent, as in fanOut, once the head holds the
+	// write's locks.
+	r := ss[0].do(o)
+	if r.err != nil {
+		release()
+		t.abort()
+		return nil, r.err
+	}
+	futs := sendAll(ss[1:], o, false)
 	go func() {
 		for _, f := range futs {
 			f.wait()
 		}
 		release()
 	}()
-	r := waitAny(futs)
 	t.async = append(t.async, futs...)
-	if r.err != nil {
-		t.abort()
-		return nil, r.err
-	}
 	return r.res, nil
 }
 
@@ -282,29 +283,37 @@ const (
 // order, in a buffer the next fanOut reuses. This is the one place that
 // decides where a replica operation runs.
 //
-// When no machine operation can take simulated time and the controller is
-// conservative (Cluster.overlap is false), or there is one session, each
-// share is a call on this goroutine, one machine after another in ss's order
-// — writeRoute's replica list, copy target last — and an acquire or a vote
-// stops at the first error. Every transaction then takes a row's lock at
-// the head replica first: two writers of one row meet there and nowhere
-// else, so a write–write cycle is whole in the head's wait-for graph and its
-// deadlock detector, not the lock timeout, breaks it.
+// An acquire runs the head's share first, on this goroutine, and sends the
+// rest only once the head holds the write's locks. ss is writeRoute's
+// replica list, head first and copy target last, so every transaction takes
+// a row's lock at the head before any other replica: two writers of one row
+// meet there and nowhere else, a write–write cycle is whole in the head's
+// wait-for graph, and its deadlock detector, not the lock timeout, breaks
+// it. The aggressive controller's writes (execWrite) keep the same order.
 //
-// Otherwise the machines work in parallel: the sessions after the first are
-// sent to their workers before the first is, and the first share runs on
-// this goroutine (if that session is idle) only where that delays nobody —
-// not for a write, which would hold one replica's row locks for a whole
-// statement before the next replica saw the request, and not for a vote
-// under a deadline, which a stalled machine would hold the coordinator past.
-// A vote that misses the deadline reads ErrPrepareTimeout.
+// The remaining shares, and every share of a vote or a decision, run one
+// machine after another in ss's order on this goroutine when no machine
+// operation can take simulated time (Cluster.overlap is false), or when one
+// session is left; an acquire or a vote stops at the first error. Otherwise
+// the machines work in parallel: the sessions after the first are sent to
+// their workers before the first runs here, if that session is idle. A vote
+// under a deadline runs nothing here, since a stalled machine would hold the
+// coordinator past it; a vote that misses it reads ErrPrepareTimeout.
 func (t *Txn) fanOut(ss []*replicaSession, o op, ph phase) []opResult {
+	rs := t.resultBuf[:0]
 	var deadline time.Duration
-	if ph == vote {
+	switch ph {
+	case acquire:
+		r := ss[0].do(o)
+		rs = append(rs, r)
+		if r.err != nil {
+			return rs
+		}
+		ss = ss[1:]
+	case vote:
 		deadline = t.c.opts.CallTimeout
 	}
-	rs := t.resultBuf[:0]
-	if deadline <= 0 && (len(ss) == 1 || !t.c.overlap) {
+	if deadline <= 0 && (len(ss) <= 1 || !t.c.overlap) {
 		for _, s := range ss {
 			r := s.do(o)
 			rs = append(rs, r)
@@ -314,7 +323,7 @@ func (t *Txn) fanOut(ss []*replicaSession, o op, ph phase) []opResult {
 		}
 		return rs
 	}
-	for _, f := range sendAll(ss, o, ph != acquire && deadline <= 0) {
+	for _, f := range sendAll(ss, o, deadline <= 0) {
 		r, ok := f.waitTimeout(deadline)
 		if !ok {
 			r.err = ErrPrepareTimeout

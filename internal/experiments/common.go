@@ -52,7 +52,7 @@ func (c Config) dbSizeMB() float64 {
 // misses cost what they cost on the paper's hardware, proportionally.
 func (c Config) engineConfig() sqldb.Config {
 	cfg := sqldb.DefaultConfig()
-	// Sized so that ONE database's hot working set fits (Option 1's home
+	// Sized so that ONE database's hot working set fits (Option 1's head
 	// replica stays warm) but two databases' do not (Options 2/3 thrash):
 	// the 2 GB pool vs 300 GB data regime of the paper, scaled down.
 	cfg.PoolPages = 64

@@ -63,6 +63,7 @@ func TestThroughputShape(t *testing.T) {
 		pts := res.Series[name]
 		return pts[len(pts)-1].TPS
 	}
+	t.Logf("option1/option3 at the highest concurrency: %.2f", last("option1")/last("option3"))
 	if last("option1") < last("option3")*0.8 {
 		t.Errorf("option1 (%0.1f) unexpectedly slower than option3 (%0.1f)", last("option1"), last("option3"))
 		for _, name := range res.Order {

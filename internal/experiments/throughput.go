@@ -74,9 +74,12 @@ func runThroughputPoint(mix tpcw.Mix, mode ReplicationMode, numDBs, concurrency 
 	engCfg := cfg.engineConfig()
 	if cfg.Quick {
 		// Only the lock time-out breaks a deadlock whose cycle spans two
-		// replicas, and a client waiting one out commits nothing. At the
-		// shared 250 ms that was the whole quick window, and the series that
-		// drew a time-out more than its neighbour dropped severalfold.
+		// replicas, and a client waiting one out commits nothing. Writes take
+		// their locks at the head first, so what is left of those cycles
+		// holds a read lock away from the head: Options 2 and 3 only. With
+		// the shared 250 ms, the whole quick window, option3 at conc=4 fell
+		// to 21–61k tps in the four of six runs that drew a time-out, against
+		// 72–99k with this.
 		engCfg.LockTimeout = cfg.measureDuration() / 10
 	}
 	c := core.NewCluster("tp", core.Options{

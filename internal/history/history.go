@@ -8,6 +8,7 @@ package history
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -112,25 +113,8 @@ func (r *Recorder) Reset() {
 	r.mu.Unlock()
 }
 
-// Conflicts reports whether two objects denote overlapping data: identical
-// objects, or a whole-table object covering a row of the same table.
-func Conflicts(a, b string) bool {
-	if a == b {
-		return true
-	}
-	if ta, ia := splitObject(a); ia == "" {
-		if tb, _ := splitObject(b); ta == tb {
-			return true
-		}
-	}
-	if tb, ib := splitObject(b); ib == "" {
-		if ta, _ := splitObject(a); ta == tb {
-			return true
-		}
-	}
-	return false
-}
-
+// splitObject splits an object into its table and its row key, "" for a
+// whole table.
 func splitObject(o string) (table, key string) {
 	if i := strings.IndexByte(o, ':'); i >= 0 {
 		return o[:i], o[i+1:]
@@ -138,68 +122,168 @@ func splitObject(o string) (table, key string) {
 	return o, ""
 }
 
-// Edge is one serialization-graph edge with the conflict that produced it.
-type Edge struct {
-	From, To uint64
-	Site     string
-	Object   string
-}
-
 // Graph is a serialization graph over committed transactions.
 type Graph struct {
 	Nodes []uint64
-	Edges map[uint64]map[uint64]Edge
+	// Edges maps From to To to the position in ops of an operation of From
+	// that produced the edge. The position keeps the maps free of pointers:
+	// a busy history has millions of edges.
+	Edges map[uint64]map[uint64]int32
+	ops   []Op
 }
 
 // BuildGraph constructs the global serialization graph from the recorded
 // operations of committed transactions. For each site, conflicting
 // operations of different transactions produce an edge in Seq order.
+//
+// Two objects conflict when they are one row, or one of them is the whole
+// table the other is in. Each object is split once and a site's operations
+// are grouped by table and row, and each group's operations by transaction,
+// so two transactions are compared once per row they share and once per
+// whole-table operation of a table they share.
 func BuildGraph(ops []Op, committed map[uint64]bool) *Graph {
-	bySite := make(map[string][]Op)
+	g := &Graph{Edges: make(map[uint64]map[uint64]int32)}
 	nodeSet := make(map[uint64]bool)
 	for _, op := range ops {
-		if !committed[op.Txn] {
-			continue
+		if committed[op.Txn] {
+			g.ops = append(g.ops, op)
+			nodeSet[op.Txn] = true
 		}
-		bySite[op.Site] = append(bySite[op.Site], op)
-		nodeSet[op.Txn] = true
 	}
-	g := &Graph{Edges: make(map[uint64]map[uint64]Edge)}
 	for n := range nodeSet {
 		g.Nodes = append(g.Nodes, n)
 	}
 	sort.Slice(g.Nodes, func(i, j int) bool { return g.Nodes[i] < g.Nodes[j] })
+	// One run of g.ops per site, each in Seq order.
+	sort.Slice(g.ops, func(i, j int) bool {
+		a, b := g.ops[i], g.ops[j]
+		return a.Site < b.Site || a.Site == b.Site && a.Seq < b.Seq
+	})
 
-	for site, siteOps := range bySite {
-		sort.Slice(siteOps, func(i, j int) bool { return siteOps[i].Seq < siteOps[j].Seq })
-		for i := 0; i < len(siteOps); i++ {
-			for j := i + 1; j < len(siteOps); j++ {
-				a, b := siteOps[i], siteOps[j]
-				if a.Txn == b.Txn {
-					continue
-				}
-				if !a.Write && !b.Write {
-					continue
-				}
-				if !Conflicts(a.Object, b.Object) {
-					continue
-				}
-				g.addEdge(Edge{From: a.Txn, To: b.Txn, Site: site, Object: a.Object})
+	// A table's operations as positions in its site's run of g.ops: every
+	// one, the whole-table ones, and each row's.
+	type tableOps struct {
+		all, whole []int
+		rows       map[string][]int
+	}
+	var spans []span
+	at := make(map[uint64]int)
+	for start := 0; start < len(g.ops); {
+		end := start + 1
+		for end < len(g.ops) && g.ops[end].Site == g.ops[start].Site {
+			end++
+		}
+		site := g.ops[start:end]
+		tables := make(map[string]*tableOps)
+		for i, op := range site {
+			table, key := splitObject(op.Object)
+			to := tables[table]
+			if to == nil {
+				to = &tableOps{rows: make(map[string][]int)}
+				tables[table] = to
+			}
+			to.all = append(to.all, start+i)
+			if key == "" {
+				to.whole = append(to.whole, start+i)
+			} else {
+				to.rows[key] = append(to.rows[key], start+i)
 			}
 		}
+		for _, to := range tables {
+			for _, row := range to.rows {
+				if len(row) < 2 {
+					continue
+				}
+				// A transaction with an operation before another's write,
+				// or a write before another's operation, precedes it.
+				spans = g.spans(spans[:0], at, row)
+				for _, a := range spans {
+					var out map[uint64]int32
+					for _, b := range spans {
+						if a.txn != b.txn && (a.firstW >= 0 && a.firstW < b.last || b.lastW >= 0 && a.first < b.lastW) {
+							if out == nil {
+								out = g.out(a.txn)
+							}
+							out[b.txn] = int32(a.first)
+						}
+					}
+				}
+			}
+			if len(to.whole) == 0 {
+				continue
+			}
+			// A whole-table operation conflicts with every operation on the
+			// table, if one of the two writes.
+			spans = g.spans(spans[:0], at, to.all)
+			for _, w := range to.whole {
+				x, write := g.ops[w].Txn, g.ops[w].Write
+				var out map[uint64]int32
+				for _, b := range spans {
+					if b.txn == x {
+						continue
+					}
+					if write && b.first < w || !write && b.firstW >= 0 && b.firstW < w {
+						g.out(b.txn)[x] = int32(b.first)
+					}
+					if write && b.last > w || !write && b.lastW > w {
+						if out == nil {
+							out = g.out(x)
+						}
+						out[b.txn] = int32(w)
+					}
+				}
+			}
+		}
+		start = end
 	}
 	return g
 }
 
-func (g *Graph) addEdge(e Edge) {
-	m := g.Edges[e.From]
+// span is one transaction's operations on one object: the positions of its
+// first and last operation and of its first and last write (-1 without a
+// write).
+type span struct {
+	txn                        uint64
+	first, last, firstW, lastW int
+}
+
+// spans appends to dst the spans of the transactions with operations at the
+// given positions, in order of their first operation. at is empty scratch
+// space, left empty.
+func (g *Graph) spans(dst []span, at map[uint64]int, positions []int) []span {
+	n := len(dst)
+	for _, p := range positions {
+		op := g.ops[p]
+		k, ok := at[op.Txn]
+		if !ok {
+			k = len(dst)
+			at[op.Txn] = k
+			dst = append(dst, span{txn: op.Txn, first: p, firstW: -1, lastW: -1})
+		}
+		s := &dst[k]
+		s.last = p
+		if op.Write {
+			if s.firstW < 0 {
+				s.firstW = p
+			}
+			s.lastW = p
+		}
+	}
+	for _, s := range dst[n:] {
+		delete(at, s.txn)
+	}
+	return dst
+}
+
+// out returns the edges out of a transaction, creating the set: To mapped
+// to the operation that produced the edge (the last one recorded).
+func (g *Graph) out(from uint64) map[uint64]int32 {
+	m := g.Edges[from]
 	if m == nil {
-		m = make(map[uint64]Edge)
-		g.Edges[e.From] = m
+		m = make(map[uint64]int32)
+		g.Edges[from] = m
 	}
-	if _, exists := m[e.To]; !exists {
-		m[e.To] = e
-	}
+	return m
 }
 
 // Cycle returns a cycle in the graph as a sequence of transaction IDs
@@ -222,7 +306,7 @@ func (g *Graph) Cycle() []uint64 {
 		for v := range g.Edges[u] {
 			succs = append(succs, v)
 		}
-		sort.Slice(succs, func(i, j int) bool { return succs[i] < succs[j] })
+		slices.Sort(succs)
 		for _, v := range succs {
 			switch color[v] {
 			case white:
@@ -264,8 +348,8 @@ func (g *Graph) Describe(cycle []uint64) string {
 	}
 	var sb strings.Builder
 	for i := 0; i+1 < len(cycle); i++ {
-		e := g.Edges[cycle[i]][cycle[i+1]]
-		fmt.Fprintf(&sb, "T%d -> T%d (site %s, object %q)\n", e.From, e.To, e.Site, e.Object)
+		op := g.ops[g.Edges[cycle[i]][cycle[i+1]]]
+		fmt.Fprintf(&sb, "T%d -> T%d (site %s, object %q)\n", cycle[i], cycle[i+1], op.Site, op.Object)
 	}
 	return sb.String()
 }

@@ -151,18 +151,26 @@ func (s *Controller) CreateDatabase(db string, req sla.Resources, replicas int, 
 // Route returns the colo a new connection for db should go to, preferring
 // the primary and falling back to a promoted DR colo.
 func (s *Controller) Route(db string) (*colo.Controller, error) {
+	co, _, err := s.route(db)
+	return co, err
+}
+
+// route is Route that also reports whether db has a DR colo. A DR list is
+// fixed at CreateDatabase (PromoteDR only swaps its members), so the answer
+// holds for the life of a transaction.
+func (s *Controller) route(db string) (*colo.Controller, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.dbs[db]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoDatabase, db)
+		return nil, false, fmt.Errorf("%w: %s", ErrNoDatabase, db)
 	}
 	pe := s.colos[e.primary]
 	if pe == nil || pe.down {
-		return nil, ErrColoDown
+		return nil, false, ErrColoDown
 	}
 	s.metrics.routes.With("primary").Inc()
-	return pe.ctrl, nil
+	return pe.ctrl, len(e.dr) > 0, nil
 }
 
 // RouteRead returns a colo suitable for a read-only connection from the
@@ -187,10 +195,10 @@ func (s *Controller) RouteRead(db, clientRegion string) (*colo.Controller, error
 }
 
 // Begin opens a read-write transaction on db, routed to the primary colo.
-// Writes are captured and, after a successful commit, shipped
-// asynchronously to the DR colos.
+// When db has DR colos, writes are captured and, after a successful commit,
+// shipped asynchronously to them.
 func (s *Controller) Begin(db string) (*Txn, error) {
-	co, err := s.Route(db)
+	co, dr, err := s.route(db)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +206,7 @@ func (s *Controller) Begin(db string) (*Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Txn{sys: s, db: db, inner: inner}, nil
+	return &Txn{sys: s, db: db, inner: inner, capture: dr}, nil
 }
 
 // Exec runs one autocommitted statement on db.
@@ -329,10 +337,13 @@ func (s *Controller) drTargets(db string) []*colo.Controller {
 
 // Txn is a client transaction routed through the system controller.
 type Txn struct {
-	sys    *Controller
-	db     string
-	inner  *core.Txn
-	writes []capturedWrite
+	sys   *Controller
+	db    string
+	inner *core.Txn
+	// capture says the database has DR colos to ship writes to; writes
+	// holds this transaction's, captured only then.
+	capture bool
+	writes  []capturedWrite
 
 	// Distributed-tracing state: parent is the caller's span (e.g. the wire
 	// server's), trace the child context this transaction's work runs under.
@@ -404,7 +415,7 @@ func (t *Txn) ExecStmt(sql string, stmt sqldb.Statement, params ...sqldb.Value) 
 	if err != nil {
 		return nil, err
 	}
-	if _, isSelect := stmt.(*sqldb.SelectStmt); !isSelect {
+	if _, isSelect := stmt.(*sqldb.SelectStmt); t.capture && !isSelect {
 		t.writes = append(t.writes, capturedWrite{sql: sql, params: params})
 	}
 	return res, nil

@@ -104,6 +104,42 @@ func TestAsyncReplicationToDR(t *testing.T) {
 	}
 }
 
+// TestNoDRColoCapturesNothing commits a write on a database with no DR colo:
+// nothing is captured, so no batch is queued, pending or counted.
+func TestNoDRColoCapturesNothing(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewWithRegistry(reg)
+	west := colo.New("west", colo.Options{ClusterSize: 2})
+	west.AddFreeMachines(2)
+	s.AddColo(west, "us-west")
+	if err := s.CreateDatabase("app", sla.Profile(300, 1), 2, "west"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("app", "CREATE TABLE t (id INT PRIMARY KEY, v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := s.Begin("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec("INSERT INTO t VALUES (1, 2)"); err != nil {
+		t.Fatal(err)
+	}
+	if len(tx.writes) != 0 {
+		t.Errorf("%d writes captured", len(tx.writes))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if g := reg.Snapshot().Gauge("system_repl_pending_batches"); g != 0 {
+		t.Errorf("system_repl_pending_batches = %v after the commit, want 0", g)
+	}
+	s.Flush("app")
+	if n := reg.Snapshot().Counter("system_repl_batches_total"); n != 0 {
+		t.Errorf("system_repl_batches_total = %d, want 0", n)
+	}
+}
+
 func TestRollbackNotReplicated(t *testing.T) {
 	s, _, east := newSystem(t)
 	if err := s.CreateDatabase("app", sla.Profile(300, 1), 2, "west", "east"); err != nil {
