@@ -315,6 +315,7 @@ func (cp *controlPlane) adoptLocked(st *ctlState) (abortCopies []string) {
 	c.mu.Unlock()
 	for _, m := range toFail {
 		m.fail()
+		c.metrics.reg.TraceEvent("recovery", m.ID(), "machine_failed", "adopted from the log")
 	}
 	sort.Strings(abortCopies)
 	return abortCopies

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -170,5 +171,129 @@ func TestAnomalyRequiresPrepareOptimisation(t *testing.T) {
 	}
 	if violations != 0 {
 		t.Errorf("without the prepare optimisation: %d violations, want 0", violations)
+	}
+}
+
+// TestDDLAndRestoreNeverReadDroppedIncarnation runs readers and writers on a
+// two-replica database while one loop drops and re-creates a table, every
+// incarnation holding its generation number in every row, and every few
+// generations fails, restarts and catches up a replica, whose table the
+// catch-up copy replaces by restore. A committed reader reads one
+// incarnation: its reads of two rows show one generation (or both rows
+// absent, from a table still being filled). The history check finds the
+// execution serializable, and the replicas converge.
+func TestDDLAndRestoreNeverReadDroppedIncarnation(t *testing.T) {
+	rec := history.NewRecorder()
+	cfg := sqldb.DefaultConfig()
+	cfg.LockTimeout = 100 * time.Millisecond
+	c := newTestCluster(t, 2, Options{Replicas: 2, Recorder: rec, EngineConfig: cfg})
+	// retry runs a statement in its own transaction until it commits.
+	retry := func(sql string, params ...sqldb.Value) {
+		t.Helper()
+		for {
+			_, err := c.Exec("app", sql, params...)
+			if err == nil {
+				return
+			}
+			if !IsRetryable(err) {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+	}
+	const fill = "INSERT INTO t VALUES (1, ?), (2, ?), (3, ?)"
+	retry("CREATE TABLE t (id INT PRIMARY KEY, g INT)")
+	retry(fill, intv(0), intv(0), intv(0))
+
+	stop := make(chan struct{})
+	errc := make(chan error, 4)
+	var wg sync.WaitGroup
+	gen := func(tx *Txn, id int64) (int64, error) {
+		res, err := tx.Exec("SELECT g FROM t WHERE id = ?", intv(id))
+		if err != nil || len(res.Rows) == 0 {
+			return -1, err
+		}
+		return res.Rows[0][0].Int, nil
+	}
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tx, err := c.Begin("app")
+				if err != nil {
+					continue
+				}
+				if w%2 == 1 { // a writer: rewrite a row's generation as it is
+					if _, err := tx.Exec("UPDATE t SET g = g WHERE id = ?", intv(1+i%3)); err != nil {
+						_ = tx.Rollback()
+						continue
+					}
+					_ = tx.Commit()
+					continue
+				}
+				first, err := gen(tx, 1)
+				if err == nil {
+					time.Sleep(50 * time.Microsecond) // room for a DDL statement
+					var second int64
+					if second, err = gen(tx, 2); err == nil && tx.Commit() == nil && first != second {
+						errc <- fmt.Errorf("a committed reader read generation %d, then %d", first, second)
+						return
+					}
+				}
+				_ = tx.Rollback()
+			}
+		}()
+	}
+	for g := int64(1); g <= 30; g++ {
+		retry("DROP TABLE t")
+		retry("CREATE TABLE t (id INT PRIMARY KEY, g INT)")
+		retry(fill, intv(g), intv(g), intv(g))
+		if g%6 != 0 {
+			continue
+		}
+		reps, err := c.Replicas("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.FailMachine(reps[1]); err != nil {
+			t.Fatal(err)
+		}
+		retry("UPDATE t SET g = g WHERE id = 1") // the table the restart's copy replaces
+		if _, err := c.RestartMachine(reps[1]); err != nil {
+			t.Fatal(err)
+		}
+		if r := c.RecoverDatabases([]string{"app"}, 1); len(r.Failed) != 0 {
+			t.Fatalf("recovery failures: %v", r.Failed)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if ok, cycle, g := history.Check(rec); !ok {
+		t.Errorf("history not serializable:\n%s", g.Describe(cycle))
+	}
+	reps, err := c.Replicas("app")
+	if err != nil || len(reps) != 2 {
+		t.Fatalf("replicas %v, %v", reps, err)
+	}
+	var images []string
+	for _, id := range reps {
+		m, _ := c.Machine(id)
+		res, err := m.Engine().Exec("app", "SELECT id, g FROM t ORDER BY id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, fmt.Sprint(res.Rows))
+	}
+	if images[0] != images[1] {
+		t.Errorf("replicas diverge: %s against %s", images[0], images[1])
 	}
 }

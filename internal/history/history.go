@@ -134,13 +134,19 @@ type Graph struct {
 
 // BuildGraph constructs the global serialization graph from the recorded
 // operations of committed transactions. For each site, conflicting
-// operations of different transactions produce an edge in Seq order.
+// operations of different transactions order their transactions in Seq
+// order.
 //
 // Two objects conflict when they are one row, or one of them is the whole
-// table the other is in. Each object is split once and a site's operations
-// are grouped by table and row, and each group's operations by transaction,
-// so two transactions are compared once per row they share and once per
-// whole-table operation of a table they share.
+// table the other is in. The graph does not hold an edge per conflicting
+// pair, which grows with the square of a hot row's history: it holds enough
+// of them that its transitive closure is the pairwise graph's, so the two
+// have the same cycles. On each object, an operation precedes the next write
+// after it, and a write the operations up to and including the next write;
+// whole-table writes do the same over every operation on their table; and
+// between two whole-table writes, a run of whole-table reads and a run of row
+// writes each precede the next run of the other kind. Every conflict is then
+// an edge or a path of them, and every edge is a conflict.
 func BuildGraph(ops []Op, committed map[uint64]bool) *Graph {
 	g := &Graph{Edges: make(map[uint64]map[uint64]int32)}
 	nodeSet := make(map[uint64]bool)
@@ -160,78 +166,57 @@ func BuildGraph(ops []Op, committed map[uint64]bool) *Graph {
 		return a.Site < b.Site || a.Site == b.Site && a.Seq < b.Seq
 	})
 
-	// A table's operations as positions in its site's run of g.ops: every
-	// one, the whole-table ones, and each row's.
+	// A table's operations as positions in g.ops: every one, and each row's.
 	type tableOps struct {
-		all, whole []int
-		rows       map[string][]int
+		all  []int
+		rows map[string][]int
 	}
-	var spans []span
-	at := make(map[uint64]int)
+	whole := make([]bool, len(g.ops)) // a whole-table operation
 	for start := 0; start < len(g.ops); {
 		end := start + 1
 		for end < len(g.ops) && g.ops[end].Site == g.ops[start].Site {
 			end++
 		}
-		site := g.ops[start:end]
 		tables := make(map[string]*tableOps)
-		for i, op := range site {
-			table, key := splitObject(op.Object)
+		var order []*tableOps
+		for i := start; i < end; i++ {
+			table, key := splitObject(g.ops[i].Object)
 			to := tables[table]
 			if to == nil {
 				to = &tableOps{rows: make(map[string][]int)}
 				tables[table] = to
+				order = append(order, to)
 			}
-			to.all = append(to.all, start+i)
-			if key == "" {
-				to.whole = append(to.whole, start+i)
-			} else {
-				to.rows[key] = append(to.rows[key], start+i)
+			to.all = append(to.all, i)
+			if whole[i] = key == ""; !whole[i] {
+				to.rows[key] = append(to.rows[key], i)
 			}
 		}
-		for _, to := range tables {
+		for _, to := range order {
 			for _, row := range to.rows {
-				if len(row) < 2 {
+				g.chain(row, func(p int) bool { return g.ops[p].Write })
+			}
+			g.chain(to.all, func(p int) bool { return whole[p] && g.ops[p].Write })
+			// Whole-table reads against row writes, run by run.
+			var prev, cur []int
+			curWhole := false
+			for _, p := range to.all {
+				op := g.ops[p]
+				switch {
+				case whole[p] && op.Write:
+					prev, cur = nil, nil
+					continue
+				case !whole[p] && !op.Write:
 					continue
 				}
-				// A transaction with an operation before another's write,
-				// or a write before another's operation, precedes it.
-				spans = g.spans(spans[:0], at, row)
-				for _, a := range spans {
-					var out map[uint64]int32
-					for _, b := range spans {
-						if a.txn != b.txn && (a.firstW >= 0 && a.firstW < b.last || b.lastW >= 0 && a.first < b.lastW) {
-							if out == nil {
-								out = g.out(a.txn)
-							}
-							out[b.txn] = int32(a.first)
-						}
-					}
+				if len(cur) > 0 && whole[p] != curWhole {
+					prev, cur = cur, nil
 				}
-			}
-			if len(to.whole) == 0 {
-				continue
-			}
-			// A whole-table operation conflicts with every operation on the
-			// table, if one of the two writes.
-			spans = g.spans(spans[:0], at, to.all)
-			for _, w := range to.whole {
-				x, write := g.ops[w].Txn, g.ops[w].Write
-				var out map[uint64]int32
-				for _, b := range spans {
-					if b.txn == x {
-						continue
-					}
-					if write && b.first < w || !write && b.firstW >= 0 && b.firstW < w {
-						g.out(b.txn)[x] = int32(b.first)
-					}
-					if write && b.last > w || !write && b.lastW > w {
-						if out == nil {
-							out = g.out(x)
-						}
-						out[b.txn] = int32(w)
-					}
+				curWhole = whole[p]
+				for _, q := range prev {
+					g.edge(q, p)
 				}
+				cur = append(cur, p)
 			}
 		}
 		start = end
@@ -239,51 +224,36 @@ func BuildGraph(ops []Op, committed map[uint64]bool) *Graph {
 	return g
 }
 
-// span is one transaction's operations on one object: the positions of its
-// first and last operation and of its first and last write (-1 without a
-// write).
-type span struct {
-	txn                        uint64
-	first, last, firstW, lastW int
-}
-
-// spans appends to dst the spans of the transactions with operations at the
-// given positions, in order of their first operation. at is empty scratch
-// space, left empty.
-func (g *Graph) spans(dst []span, at map[uint64]int, positions []int) []span {
-	n := len(dst)
-	for _, p := range positions {
-		op := g.ops[p]
-		k, ok := at[op.Txn]
-		if !ok {
-			k = len(dst)
-			at[op.Txn] = k
-			dst = append(dst, span{txn: op.Txn, first: p, firstW: -1, lastW: -1})
+// chain adds the edges that order one object's operations, at positions ps
+// in Seq order, where write tells which of them write it: each operation
+// precedes the next write after it, and each write the operations up to and
+// including the next write.
+func (g *Graph) chain(ps []int, write func(p int) bool) {
+	next := len(ps) // index in ps of the next write after i
+	for i := len(ps) - 1; i >= 0; i-- {
+		if next < len(ps) {
+			g.edge(ps[i], ps[next])
 		}
-		s := &dst[k]
-		s.last = p
-		if op.Write {
-			if s.firstW < 0 {
-				s.firstW = p
+		if write(ps[i]) {
+			for _, q := range ps[i+1 : min(next, len(ps)-1)+1] {
+				g.edge(ps[i], q)
 			}
-			s.lastW = p
+			next = i
 		}
 	}
-	for _, s := range dst[n:] {
-		delete(at, s.txn)
-	}
-	return dst
 }
 
-// out returns the edges out of a transaction, creating the set: To mapped
-// to the operation that produced the edge (the last one recorded).
-func (g *Graph) out(from uint64) map[uint64]int32 {
-	m := g.Edges[from]
-	if m == nil {
-		m = make(map[uint64]int32)
-		g.Edges[from] = m
+// edge orders the transaction of the operation at position a before that of
+// the one at b, unless they are one transaction; the edge keeps a.
+func (g *Graph) edge(a, b int) {
+	if from, to := g.ops[a].Txn, g.ops[b].Txn; from != to {
+		m := g.Edges[from]
+		if m == nil {
+			m = make(map[uint64]int32)
+			g.Edges[from] = m
+		}
+		m[to] = int32(a)
 	}
-	return m
 }
 
 // Cycle returns a cycle in the graph as a sequence of transaction IDs

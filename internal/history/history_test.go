@@ -3,6 +3,7 @@ package history
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -193,20 +194,23 @@ func conflicts(a, b string) bool {
 // operations of a site with conflicts.
 func buildGraphPairwise(ops []Op, committed map[uint64]bool) *Graph {
 	bySite := make(map[string][]Op)
+	g := &Graph{Edges: make(map[uint64]map[uint64]int32)}
 	for _, op := range ops {
 		if committed[op.Txn] {
 			bySite[op.Site] = append(bySite[op.Site], op)
+			if !slices.Contains(g.Nodes, op.Txn) {
+				g.Nodes = append(g.Nodes, op.Txn)
+			}
 		}
 	}
-	g := &Graph{Edges: make(map[uint64]map[uint64]int32)}
 	for _, siteOps := range bySite {
 		sort.Slice(siteOps, func(i, j int) bool { return siteOps[i].Seq < siteOps[j].Seq })
 		for i := 0; i < len(siteOps); i++ {
 			for j := i + 1; j < len(siteOps); j++ {
 				a, b := siteOps[i], siteOps[j]
 				if a.Txn != b.Txn && (a.Write || b.Write) && conflicts(a.Object, b.Object) {
-					g.out(a.Txn)[b.Txn] = int32(len(g.ops))
-					g.ops = append(g.ops, a)
+					g.ops = append(g.ops, a, b)
+					g.edge(len(g.ops)-2, len(g.ops)-1)
 				}
 			}
 		}
@@ -214,10 +218,27 @@ func buildGraphPairwise(ops []Op, committed map[uint64]bool) *Graph {
 	return g
 }
 
-// edgeSet renders a graph's (From, To) pairs, sorted.
-func edgeSet(g *Graph) []string {
+// closure renders the pairs (From, To) such that From reaches To in the
+// graph, over the given nodes, sorted.
+func closure(g *Graph, nodes []uint64) []string {
+	reach := make(map[uint64]map[uint64]bool)
+	for _, n := range nodes {
+		reach[n] = make(map[uint64]bool)
+		for to := range g.Edges[n] {
+			reach[n][to] = true
+		}
+	}
+	for _, k := range nodes {
+		for _, i := range nodes {
+			if reach[i][k] {
+				for j := range reach[k] {
+					reach[i][j] = true
+				}
+			}
+		}
+	}
 	var out []string
-	for from, tos := range g.Edges {
+	for from, tos := range reach {
 		for to := range tos {
 			out = append(out, fmt.Sprintf("%d->%d", from, to))
 		}
@@ -226,11 +247,12 @@ func edgeSet(g *Graph) []string {
 	return out
 }
 
-// TestBuildGraphMatchesPairwise checks the grouped BuildGraph against the
-// pairwise reference on random histories over two or three sites that mix
-// row and whole-table objects (an empty key included), reads and writes, and
-// committed and aborted transactions: the edge sets must be equal, and every
-// edge must name an operation of its source transaction.
+// TestBuildGraphMatchesPairwise checks BuildGraph against the pairwise
+// reference on random histories over two or three sites that mix row and
+// whole-table objects (an empty key included), reads and writes, and
+// committed and aborted transactions: the two graphs must have the same
+// transitive closure over the committed transactions and the same cycle
+// verdict, and every edge must name an operation of its source transaction.
 func TestBuildGraphMatchesPairwise(t *testing.T) {
 	objects := []string{"db/t", "db/t:", "db/t:1", "db/t:2", "db/t:1:x", "db/u", "db/u:1", "db2/t:1"}
 	for seed := int64(1); seed <= 300; seed++ {
@@ -253,8 +275,11 @@ func TestBuildGraphMatchesPairwise(t *testing.T) {
 			})
 		}
 		got, want := BuildGraph(ops, committed), buildGraphPairwise(ops, committed)
-		if g, w := fmt.Sprint(edgeSet(got)), fmt.Sprint(edgeSet(want)); g != w {
-			t.Fatalf("seed %d: edges %s, pairwise %s", seed, g, w)
+		if g, w := fmt.Sprint(closure(got, got.Nodes)), fmt.Sprint(closure(want, got.Nodes)); g != w {
+			t.Fatalf("seed %d: closure %s, pairwise %s", seed, g, w)
+		}
+		if g, w := got.Cycle() == nil, want.Cycle() == nil; g != w {
+			t.Fatalf("seed %d: acyclic %v, pairwise %v", seed, g, w)
 		}
 		for from, tos := range got.Edges {
 			for to, i := range tos {

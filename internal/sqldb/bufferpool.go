@@ -9,10 +9,11 @@ import (
 	"sdp/internal/obs"
 )
 
-// PageKey identifies a page across all tables of one engine.
+// PageKey identifies a page across all tables of one engine: the table's
+// incarnation (Table.inc) and the page's position in it.
 type PageKey struct {
-	Table string
-	Page  int
+	Table uint32
+	Page  uint32
 }
 
 // PoolStats reports buffer-pool activity counters.
@@ -61,8 +62,8 @@ const (
 //
 // The pool is write-back: a row change edits the resident page (Update) and
 // marks it dirty, and the page is encoded into its sealedPage only when it
-// leaves the pool (eviction, DROP), when a bulk reader needs the image
-// (Flush), or at once when the pool cannot hold pages. A resident page is
+// is evicted, when a bulk reader needs the image (Flush), or at once when the
+// pool cannot hold pages. A resident page is
 // therefore the page's newest contents and its sealed image may be stale;
 // durability is the WAL's job, and a crash loses the pool with the rest of
 // the engine's memory.
@@ -116,24 +117,14 @@ type poolEntry struct {
 
 // poolStripeCount picks the stripe count for a capacity.
 func poolStripeCount(capacity int) int {
-	n := capacity / poolStripeTarget
-	if n > maxPoolStripes {
-		n = maxPoolStripes
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return min(max(capacity/poolStripeTarget, 1), maxPoolStripes)
 }
 
 // NewBufferPool creates a pool holding at most capacity resident pages.
 // A capacity of 0 or less disables caching entirely (every access is a miss).
 // missLatency is added to every miss to simulate disk I/O; zero disables it.
 func NewBufferPool(capacity int, missLatency time.Duration) *BufferPool {
-	n := 1
-	if capacity > 0 {
-		n = poolStripeCount(capacity)
-	}
+	n := poolStripeCount(capacity)
 	p := &BufferPool{
 		stripes:     make([]poolStripe, n),
 		missLatency: missLatency,
@@ -156,19 +147,10 @@ func NewBufferPool(capacity int, missLatency time.Duration) *BufferPool {
 	return p
 }
 
-// stripe maps a key to its owning stripe by FNV-1a hash.
+// stripe maps a key to its owning stripe by a multiplicative hash.
 func (p *BufferPool) stripe(key PageKey) *poolStripe {
-	if len(p.stripes) == 1 {
-		return &p.stripes[0]
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key.Table); i++ {
-		h ^= uint64(key.Table[i])
-		h *= 1099511628211
-	}
-	h ^= uint64(uint32(key.Page))
-	h *= 1099511628211
-	return &p.stripes[h%uint64(len(p.stripes))]
+	h := (uint64(key.Table)<<32 | uint64(key.Page)) * 0x9e3779b97f4a7c15
+	return &p.stripes[(h>>32)%uint64(len(p.stripes))]
 }
 
 // resident returns key's entry with s.mu held, reading and mapping the page
@@ -253,10 +235,6 @@ func (p *BufferPool) Put(key PageKey, page *sealedPage, slots []pageSlot) {
 		p.writeBack(en)
 		return
 	}
-	if el, ok := s.entries[key]; ok {
-		// Left by a statement still using a dropped table of this name.
-		p.evict(s, el)
-	}
 	s.entries[key] = s.lru.PushFront(en)
 	p.evictOverflow(s)
 }
@@ -302,19 +280,18 @@ func (p *BufferPool) evictOverflow(s *poolStripe) {
 	}
 }
 
-// InvalidateTable removes every cached page of a table (DROP TABLE, DROP
-// DATABASE, a restore replacing the table). Dirty pages are written back like
-// evicted ones, not discarded: dropping takes no table lock, so a statement
-// that resolved the table before the drop may still be reading it, and what
-// it reads — possibly on behalf of a transaction that commits on the
-// database's other replicas — must be the table's newest rows.
-func (p *BufferPool) InvalidateTable(table string) {
+// InvalidateTable discards every cached page of a table incarnation, dirty
+// or not, writing none back: the table has left the catalog (DROP TABLE,
+// DROP DATABASE, a restore replacing it) under its X lock, so no statement
+// reads it again.
+func (p *BufferPool) InvalidateTable(table uint32) {
 	for i := range p.stripes {
 		s := &p.stripes[i]
 		s.mu.Lock()
 		for key, el := range s.entries {
 			if key.Table == table {
-				p.evict(s, el)
+				s.lru.Remove(el)
+				delete(s.entries, key)
 			}
 		}
 		s.mu.Unlock()

@@ -202,7 +202,7 @@ func TestCrashDDLDurability(t *testing.T) {
 	if e2.HasDatabase("scratch") {
 		t.Fatal("dropped database resurrected")
 	}
-	if _, err := e2.Table("bank", "doomed"); err == nil {
+	if _, err := tableOf(e2, "bank", "doomed"); err == nil {
 		t.Fatal("dropped table resurrected")
 	}
 	// The replayed index is live: an indexed lookup works.
@@ -735,7 +735,7 @@ func TestCrashRandomizedCut(t *testing.T) {
 				}
 				return
 			}
-			if _, err := e2.Table("bank", "log"); err != nil {
+			if _, err := tableOf(e2, "bank", "log"); err != nil {
 				if len(want) != 0 {
 					t.Fatalf("log table lost but %d commits survived", len(want))
 				}

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -58,31 +59,21 @@ func (g DumpGranularity) String() string {
 // the target machine from inside fn, so a copied table exists on the target
 // before writers on the source can resume — otherwise a write executing
 // right after the lock release could reach the source but miss the target.
-// Granularity is the caller's choice of how many tables one call names.
+// Granularity is the caller's choice of how many tables one call names. The
+// locks are a lock owner's (Engine.lockOwner): a DDL statement or restore on
+// a dumped table waits for the dump.
 func (e *Engine) DumpTables(db string, tables []string, fn func(TableDump) error) error {
-	t, err := e.Begin(db)
+	d, err := e.database(db)
 	if err != nil {
 		return err
 	}
-	if err := t.dumpTables(tables, fn); err != nil {
-		_ = t.Rollback()
-		return err
-	}
-	return t.Commit()
-}
-
-// dumpTables S-locks every named table, then images each for fn.
-func (t *Txn) dumpTables(tables []string, fn func(TableDump) error) error {
+	t := e.lockOwner(d)
+	defer e.locks.releaseAll(t)
 	locked := make([]*Table, len(tables))
 	for i, name := range tables {
-		tbl, err := t.engine.Table(t.db, name)
-		if err != nil {
+		if locked[i], err = t.lockNamed(name, LockS); err != nil {
 			return err
 		}
-		if err := t.lockTable(tbl, LockS); err != nil {
-			return err
-		}
-		locked[i] = tbl
 	}
 	for _, tbl := range locked {
 		if err := fn(copyTable(tbl)); err != nil {
@@ -105,7 +96,7 @@ func (t *Txn) dumpTables(tables []string, fn func(TableDump) error) error {
 // under the S lock no writer moves one.
 func copyTable(tbl *Table) TableDump {
 	tbl.mu.Lock()
-	d := TableDump{Schema: tbl.schema.Clone(), Rows: make([]string, 0, tbl.liveRows)}
+	d := TableDump{Schema: tbl.schema, Rows: make([]string, 0, tbl.liveRows)}
 	for _, idx := range tbl.indexes {
 		d.Indexes = append(d.Indexes, IndexDef{
 			Name:   idx.name,
@@ -146,40 +137,26 @@ func copyTable(tbl *Table) TableDump {
 
 // RestoreTable installs a dump image as the table's contents, replacing any
 // table of that name, and bulk-loads its rows without transactional
-// bookkeeping (the table is not serving client traffic: it is a replica
-// copy's target, or the engine is recovering). Outside recovery the
-// restore is durable when it returns: the image is forced to the log as one
-// redo frame after the rows are loaded. The whole restore holds ckptMu, so a
-// checkpoint images the table either before the restore began (and the later
-// frame replaces that image on replay) or after it completed (and the
-// checkpoint supersedes the frame) — never half loaded.
+// bookkeeping into a new incarnation that no one sees until it is full. It
+// then takes the new incarnation's X lock and the replaced one's as DROP
+// TABLE does (see lockManager.lock), swaps them in the catalog and, outside
+// recovery, forces the image to the log as one redo frame before it lets go
+// of the new incarnation: a writer of the table logs after that frame. The
+// whole restore holds ckptMu, so a checkpoint images the table either before
+// the restore began (and the later frame replaces that image on replay) or
+// after it completed (and the checkpoint supersedes the frame) — never half
+// loaded.
 func (e *Engine) RestoreTable(db string, d TableDump) error {
 	logged := !e.recovering.Load()
 	if logged {
 		e.ckptMu.Lock()
 		defer e.ckptMu.Unlock()
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrEngineClosed
+	cat, err := e.database(db)
+	if err != nil {
+		return err
 	}
-	tables, ok := e.dbs[db]
-	if !ok {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: database %s", ErrNoTable, db)
-	}
-	key := lower(d.Schema.Table)
-	if old, exists := tables[key]; exists {
-		e.pool.InvalidateTable(old.qname)
-	}
-	tbl := newTable(e, qualified(db, d.Schema.Table), d.Schema.Clone())
-	tables[key] = tbl
-	e.mu.Unlock()
-	// Plans bound to the replaced table, and cached "no such table" knowledge
-	// derived before the restore, must not outlive it.
-	e.planGen.Add(1)
-
+	tbl := newTable(e, db, d.Schema)
 	for _, idx := range d.Indexes {
 		colIdx := tbl.schema.ColIndex(idx.Col)
 		if colIdx < 0 {
@@ -189,10 +166,36 @@ func (e *Engine) RestoreTable(db string, d TableDump) error {
 			return err
 		}
 	}
-	if err := tbl.load(d.Rows); err != nil || !logged {
+	owner := e.lockOwner(cat)
+	defer e.locks.releaseAll(owner)
+	if err = tbl.load(d.Rows); err == nil {
+		err = owner.lockInc(tbl, LockX, false) // no one knows it yet: granted at once
+	}
+	key := lower(d.Schema.Table)
+	for done := false; err == nil && !done; {
+		old, lerr := owner.lockNamed(key, LockX)
+		e.mu.Lock()
+		switch {
+		case lerr != nil && !errors.Is(lerr, ErrNoTable):
+			err = lerr
+		case cat.dropped.Load():
+			err = fmt.Errorf("%w: database %s", ErrNoTable, db)
+		case cat.tables[key] == old: // nil, or alive under our X lock; else one was created meanwhile
+			if old != nil {
+				e.unpublish(cat, key, old)
+			}
+			cat.tables[key], done = tbl, true
+		}
+		e.mu.Unlock()
+	}
+	if err != nil {
+		e.pool.InvalidateTable(tbl.inc)
 		return err
 	}
-	_, err := e.wal.AppendSync(wal.Record{
+	if !logged {
+		return nil
+	}
+	_, err = e.wal.AppendSync(wal.Record{
 		Type: wal.RecRestoreTable, DB: db, Table: key, Data: encodeTableImage(d),
 	})
 	return err

@@ -123,14 +123,9 @@ type Engine struct {
 	locks *lockManager
 
 	// stmts caches the statements that arrive as text (Engine.Exec, Txn.Exec,
-	// log replay); nil when caching is off. planGen is the DDL generation:
-	// every catalog change bumps it, and a plan bound under an older one is
-	// re-bound before use — what guarantees a stale plan never reads a
-	// dropped table or misses a new index. planHitMiss packs plan look-up
-	// hits (A) and misses (B) into one word so a stats snapshot is never
-	// torn (see obs.Pair).
+	// log replay). planHitMiss packs plan look-up hits (A) and misses (B)
+	// into one word so a stats snapshot is never torn (see obs.Pair).
 	stmts       *StmtCache
-	planGen     atomic.Uint64
 	planHitMiss obs.Pair
 
 	// workers is the capacity-model semaphore (nil when Config.Workers is
@@ -141,11 +136,14 @@ type Engine struct {
 	workers chan struct{}
 
 	mu     sync.RWMutex // guards catalog
-	dbs    map[string]map[string]*Table
-	closed bool
+	dbs    map[string]*database
+	closed atomic.Bool
 
 	nextTxn atomic.Uint64
 	seq     atomic.Uint64
+	// incarnations numbers the tables: every CREATE TABLE, restore and
+	// replayed creation makes a new one (see Table.inc).
+	incarnations atomic.Uint32
 
 	// wal receives logical redo records (see AttachWAL); recovering
 	// suppresses logging (and counter updates) while the engine replays that
@@ -175,6 +173,33 @@ type Engine struct {
 
 type recorderBox struct{ r Recorder }
 
+// database is one incarnation of a database namespace. A transaction keeps
+// the one it began in, so once that is dropped the transaction aborts,
+// whatever namespace has since taken the name.
+type database struct {
+	e       *Engine
+	name    string
+	tables  map[string]*Table // by lower-cased name; guarded by Engine.mu
+	dropped atomic.Bool       // set under Engine.mu
+}
+
+// table returns the named table of d.
+func (d *database) table(name string) (*Table, error) {
+	d.e.mu.RLock()
+	defer d.e.mu.RUnlock()
+	if d.e.closed.Load() {
+		return nil, ErrEngineClosed
+	}
+	if d.dropped.Load() {
+		return nil, ErrTxnAborted // whoever looks in d began in it
+	}
+	t, ok := d.tables[lower(name)]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s.%s", ErrNoTable, d.name, name)
+	}
+	return t, nil
+}
+
 // NewEngine creates an engine with the given configuration, logging to an
 // in-memory write-ahead log until AttachWAL replaces it.
 func NewEngine(cfg Config) *Engine {
@@ -182,7 +207,7 @@ func NewEngine(cfg Config) *Engine {
 		cfg:      cfg,
 		pool:     NewBufferPool(cfg.PoolPages, cfg.MissLatency),
 		locks:    newLockManager(cfg.LockTimeout),
-		dbs:      make(map[string]map[string]*Table),
+		dbs:      make(map[string]*database),
 		wal:      wal.New(wal.NewMemStore(), wal.Config{}, nil),
 		branches: make(map[uint64]*Txn),
 		stmts:    NewStmtCache(),
@@ -233,12 +258,7 @@ func (e *Engine) record(t *Txn, write bool, tbl *Table, key string) {
 // Close marks the engine closed; subsequent operations fail with
 // ErrEngineClosed. It models a machine failure (power/disk) in the paper.
 func (e *Engine) Close() {
-	e.mu.Lock()
-	e.closed = true
-	e.mu.Unlock()
-	// Retire every plan bound here, so the statements that hold them let go
-	// of this engine at their next bind anywhere (see planTable.store).
-	e.planGen.Add(1)
+	e.closed.Store(true)
 }
 
 // Stats returns a snapshot of the engine counters. Counter pairs that
@@ -279,44 +299,79 @@ func (e *Engine) finishTxn(t *Txn, committed bool) {
 func (e *Engine) CreateDatabase(name string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return ErrEngineClosed
 	}
 	if _, ok := e.dbs[name]; ok {
 		return fmt.Errorf("sqldb: database %s already exists", name)
 	}
-	e.dbs[name] = make(map[string]*Table)
-	// A name can be reused after a drop; retire plans derived against any
-	// earlier incarnation of this namespace.
-	e.planGen.Add(1)
+	e.dbs[name] = &database{e: e, name: name, tables: make(map[string]*Table)}
 	return e.walNamespace(wal.RecCreateDB, name)
 }
 
-// DropDatabase removes a database and all its tables.
+// DropDatabase removes a database and all its tables. The namespace goes
+// first, so a transaction that began in it aborts at its next statement, and
+// then each table under its X lock, as DROP TABLE takes it (see
+// lockManager.lock). A prepared holder that outlasts the lock wait loses
+// nothing: its commit touches no page, and its table is gone either way.
 func (e *Engine) DropDatabase(name string) error {
+	d, err := e.database(name)
+	if err != nil {
+		return err
+	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrEngineClosed
-	}
-	tables, ok := e.dbs[name]
-	if !ok {
-		return fmt.Errorf("sqldb: database %s does not exist", name)
-	}
-	for _, t := range tables {
-		e.pool.InvalidateTable(t.qname)
+	if e.dbs[name] != d {
+		e.mu.Unlock()
+		return e.DropDatabase(name) // dropped, or dropped and created, meanwhile
 	}
 	delete(e.dbs, name)
-	e.planGen.Add(1)
+	d.dropped.Store(true)
+	e.mu.Unlock()
+	owner := e.lockOwner(nil)
+	defer e.locks.releaseAll(owner)
+	for _, tbl := range e.tablesOf(d) {
+		_ = owner.lockInc(tbl, LockX, true)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for key, tbl := range d.tables {
+		e.unpublish(d, key, tbl)
+	}
 	return e.walNamespace(wal.RecDropDB, name)
+}
+
+// tablesOf lists d's tables (none for nil).
+func (e *Engine) tablesOf(d *database) []*Table {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var tables []*Table
+	if d != nil {
+		for _, t := range d.tables {
+			tables = append(tables, t)
+		}
+	}
+	return tables
+}
+
+// lockOwner returns a transaction that only holds locks — a dump's, a
+// restore's, DROP DATABASE's — until e.locks.releaseAll. It counts as
+// prepared, so a DDL statement waits for it rather than rolling it back.
+func (e *Engine) lockOwner(d *database) *Txn {
+	return &Txn{id: e.nextTxn.Add(1), engine: e, catalog: d, state: TxnPrepared}
+}
+
+// unpublish removes tbl, which the caller holds X-locked, from d's catalog
+// and its pages from the pool. Called with e.mu held.
+func (e *Engine) unpublish(d *database, key string, tbl *Table) {
+	delete(d.tables, key)
+	tbl.dead.Store(true)
+	e.pool.InvalidateTable(tbl.inc)
 }
 
 // HasDatabase reports whether the named database exists.
 func (e *Engine) HasDatabase(name string) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	_, ok := e.dbs[name]
-	return ok
+	_, err := e.database(name)
+	return err == nil
 }
 
 // Databases lists database names in sorted order.
@@ -334,44 +389,35 @@ func (e *Engine) Databases() []string {
 // Tables lists the table names of a database in sorted order.
 func (e *Engine) Tables(db string) []string {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	tables := e.dbs[db]
-	names := make([]string, 0, len(tables))
-	for n := range tables {
-		names = append(names, n)
+	d := e.dbs[db] // listed on a closed engine too: a copy's source may just have failed
+	e.mu.RUnlock()
+	names := []string{}
+	for _, t := range e.tablesOf(d) {
+		names = append(names, lower(t.Name()))
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Table returns the named table of a database.
-func (e *Engine) Table(db, name string) (*Table, error) {
+// database returns the named database.
+func (e *Engine) database(name string) (*database, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.closed {
+	if e.closed.Load() {
 		return nil, ErrEngineClosed
 	}
-	tables, ok := e.dbs[db]
+	d, ok := e.dbs[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: database %s", ErrNoTable, db)
+		return nil, fmt.Errorf("%w: database %s", ErrNoTable, name)
 	}
-	t, ok := tables[lower(name)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s.%s", ErrNoTable, db, name)
-	}
-	return t, nil
+	return d, nil
 }
 
 // DatabaseByteSize returns the approximate total encoded size of a database.
 func (e *Engine) DatabaseByteSize(db string) int64 {
-	e.mu.RLock()
-	tables := make([]*Table, 0, len(e.dbs[db]))
-	for _, t := range e.dbs[db] {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
+	d, _ := e.database(db)
 	var total int64
-	for _, t := range tables {
+	for _, t := range e.tablesOf(d) {
 		total += t.ByteSize()
 	}
 	return total
@@ -387,18 +433,15 @@ func (e *Engine) Begin(db string) (*Txn, error) {
 // of a distributed transaction across replicas). A branch with a nonzero ID
 // is one of the engine's branches until it finishes.
 func (e *Engine) BeginWithID(db string, globalID uint64) (*Txn, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return nil, ErrEngineClosed
-	}
-	if _, ok := e.dbs[db]; !ok {
-		return nil, fmt.Errorf("%w: database %s", ErrNoTable, db)
+	d, err := e.database(db)
+	if err != nil {
+		return nil, err
 	}
 	t := &Txn{
 		GlobalID: globalID,
 		id:       e.nextTxn.Add(1),
 		engine:   e,
+		catalog:  d,
 	}
 	t.locks = t.locksBuf[:0]
 	t.rowsScratch = t.rowsBuf[:0]
@@ -430,28 +473,5 @@ func (e *Engine) Exec(db, sql string, params ...Value) (*Result, error) {
 
 // StmtCache returns the engine's text cache, for statistics.
 func (e *Engine) StmtCache() *StmtCache { return e.stmts }
-
-// plannedStmt returns stmt's plan bound against db's catalog: the one kept on
-// the statement node if no DDL has retired it, else a fresh bind, kept there
-// for the next execution. A statement kind that does not bind (DDL, EXPLAIN)
-// has no plan; one that fails to bind (an unknown table) comes back nil and
-// runBound reports why.
-func (e *Engine) plannedStmt(db string, stmt Statement) *stmtPlan {
-	pt := plansOf(stmt)
-	if pt == nil {
-		return nil
-	}
-	if plan := pt.load(e, db); plan != nil {
-		e.planHitMiss.IncA()
-		return plan
-	}
-	e.planHitMiss.IncB()
-	plan, _ := bindStatement(e, db, stmt)
-	pt.store(e, db, plan)
-	return plan
-}
-
-// qualified returns the lock/pool namespace name of a table.
-func qualified(db, table string) string { return db + "/" + lower(table) }
 
 func lower(s string) string { return strings.ToLower(s) }

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -15,12 +16,34 @@ type Result struct {
 
 // locking helpers ----------------------------------------------------------
 
-func (t *Txn) lockTable(tbl *Table, mode LockMode) error {
-	return t.engine.locks.acquire(t, lockID{Table: tbl.qname}, mode)
+// lockInc takes tbl's lock in mode, preempting as DDL does (see
+// lockManager.lock) if asked to. A table leaves the catalog only under its
+// X lock, so once the lock is held tbl is either alive until the transaction
+// ends, or already dead: errStalePlan.
+func (t *Txn) lockInc(tbl *Table, mode LockMode, preempt bool) error {
+	if err := t.engine.locks.lock(t, lockID{Table: tbl.inc}, mode, preempt); err != nil || !tbl.dead.Load() {
+		return err
+	}
+	return errStalePlan
+}
+
+// lockNamed looks name up in the transaction's database and locks it — in X,
+// for DDL, preempting — again if the table it found left the catalog before
+// the lock was granted.
+func (t *Txn) lockNamed(name string, mode LockMode) (*Table, error) {
+	for {
+		tbl, err := t.catalog.table(name)
+		if err != nil {
+			return nil, err
+		}
+		if err = t.lockInc(tbl, mode, mode == LockX); err != errStalePlan {
+			return tbl, err
+		}
+	}
 }
 
 func (t *Txn) lockRow(tbl *Table, key string, mode LockMode) error {
-	return t.engine.locks.acquire(t, lockID{Table: tbl.qname, Key: key}, mode)
+	return t.engine.locks.acquire(t, lockID{Table: tbl.inc, Key: key}, mode)
 }
 
 // execute dispatches a parsed statement. The transaction's state has already
@@ -65,8 +88,8 @@ func (e *Engine) execute(t *Txn, stmt Statement, plan *stmtPlan, params []Value)
 
 // runBound executes a SELECT or DML statement through its bound plan. A
 // missing plan (the statement did not bind when it was cached) is bound now,
-// which reports why; a plan the catalog moved under since it was fetched is
-// re-bound against the current catalog and run again.
+// which reports why; a plan whose table left the catalog since it was fetched
+// is re-bound against the current catalog and run again.
 func (e *Engine) runBound(t *Txn, stmt Statement, plan *stmtPlan, params []Value) (*Result, error) {
 	if !e.recovering.Load() {
 		e.statCompiledExecs.Add(1)
@@ -74,7 +97,7 @@ func (e *Engine) runBound(t *Txn, stmt Statement, plan *stmtPlan, params []Value
 	for {
 		if plan == nil {
 			var err error
-			if plan, err = bindStatement(e, t.db, stmt); err != nil {
+			if plan, err = bindStatement(t.catalog, stmt); err != nil {
 				return nil, err
 			}
 		}
@@ -116,22 +139,17 @@ func (e *Engine) execCreateTable(t *Txn, s *CreateTableStmt) (*Result, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return nil, ErrEngineClosed
-	}
-	tables, ok := e.dbs[t.db]
-	if !ok {
-		return nil, fmt.Errorf("%w: database %s", ErrNoTable, t.db)
+	if t.catalog.dropped.Load() {
+		return nil, ErrTxnAborted
 	}
 	key := lower(s.Table)
-	if _, exists := tables[key]; exists {
+	if _, exists := t.catalog.tables[key]; exists {
 		if s.IfNotExists {
 			return &Result{}, nil
 		}
 		return nil, fmt.Errorf("%w: %s", ErrTableExists, s.Table)
 	}
-	tables[key] = newTable(e, qualified(t.db, s.Table), schema)
-	e.planGen.Add(1)
+	t.catalog.tables[key] = newTable(e, t.db, schema)
 	// Logged under the catalog mutex: a write to the new table can only start
 	// after this mutex is released, so its record lands after this one.
 	if err := e.walDDL(t.db, s.Table, s.text); err != nil {
@@ -141,7 +159,8 @@ func (e *Engine) execCreateTable(t *Txn, s *CreateTableStmt) (*Result, error) {
 }
 
 func (e *Engine) execCreateIndex(t *Txn, s *CreateIndexStmt) (*Result, error) {
-	tbl, err := e.Table(t.db, s.Table)
+	// Build under a table S lock so the index sees a consistent image.
+	tbl, err := t.lockNamed(s.Table, LockS)
 	if err != nil {
 		return nil, err
 	}
@@ -149,41 +168,27 @@ func (e *Engine) execCreateIndex(t *Txn, s *CreateIndexStmt) (*Result, error) {
 	if colIdx < 0 {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, s.Table, s.Col)
 	}
-	// Build under a table S lock so the index sees a consistent image.
-	if err := t.lockTable(tbl, LockS); err != nil {
-		return nil, err
-	}
 	if err := tbl.createIndex(s.Name, colIdx, s.Unique); err != nil {
 		return nil, err
 	}
-	// Cached plans for this table may be full scans that should now use the
-	// index; force re-derivation.
-	e.planGen.Add(1)
 	return &Result{}, nil
 }
 
+// execDropTable drops a table under its X lock, taken preempting (see
+// lockManager.lock): the transactions that hold the table roll back or,
+// prepared, are waited for, and the ones that wait for it find it dead.
 func (e *Engine) execDropTable(t *Txn, s *DropTableStmt) (*Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, ErrEngineClosed
-	}
-	tables, ok := e.dbs[t.db]
-	if !ok {
-		return nil, fmt.Errorf("%w: database %s", ErrNoTable, t.db)
-	}
-	key := lower(s.Table)
-	tbl, exists := tables[key]
-	if !exists {
-		if s.IfExists {
+	tbl, err := t.lockNamed(s.Table, LockX)
+	if err != nil {
+		if s.IfExists && errors.Is(err, ErrNoTable) {
 			return &Result{}, nil
 		}
-		return nil, fmt.Errorf("%w: %s.%s", ErrNoTable, t.db, s.Table)
+		return nil, err
 	}
-	delete(tables, key)
-	e.pool.InvalidateTable(tbl.qname)
-	e.planGen.Add(1)
-	// Logged under the catalog mutex, ordering the drop after every record
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.unpublish(t.catalog, lower(s.Table), tbl)
+	// Logged under the table's X lock, ordering the drop after every record
 	// of the dropped table.
 	if err := e.walDDL(t.db, s.Table, s.text); err != nil {
 		return nil, err
@@ -196,8 +201,8 @@ func (e *Engine) execDropTable(t *Txn, s *DropTableStmt) (*Result, error) {
 // boundInsert is an INSERT bound against its table: the schema position of
 // every listed column and the value expressions of every row.
 type boundInsert struct {
-	table     string
-	schema    *Schema
+	table     string // as the statement names it
+	tbl       *Table
 	positions []int
 	tableMode LockMode
 
@@ -210,13 +215,13 @@ type boundInsert struct {
 	bound  [][]exprFn
 }
 
-func bindInsert(e *Engine, db string, s *InsertStmt) (func(*Txn, []Value) (*Result, error), error) {
-	tbl, err := e.Table(db, s.Table)
+func bindInsert(p *stmtPlan, s *InsertStmt) (func(*Txn, []Value) (*Result, error), error) {
+	tbl, err := p.table(s.Table)
 	if err != nil {
 		return nil, err
 	}
 	schema := tbl.schema
-	bi := &boundInsert{table: s.Table, schema: schema, tableMode: LockIX}
+	bi := &boundInsert{table: s.Table, tbl: tbl, tableMode: LockIX}
 
 	// Map the statement's column list to schema positions.
 	if len(s.Cols) == 0 {
@@ -261,18 +266,15 @@ func bindInsert(e *Engine, db string, s *InsertStmt) (func(*Txn, []Value) (*Resu
 }
 
 func (bi *boundInsert) exec(t *Txn, params []Value) (*Result, error) {
-	e, schema := t.engine, bi.schema
-	tbl, err := t.boundTable(bi.table, schema)
-	if err != nil {
-		return nil, err
-	}
+	e, tbl, schema := t.engine, bi.tbl, bi.tbl.schema
 	// Lock order: table intention lock first, then row locks.
-	if err := t.lockTable(tbl, bi.tableMode); err != nil {
+	if err := t.lockInc(tbl, bi.tableMode, false); err != nil {
 		return nil, err
 	}
 
 	en := t.newEnv(params)
 	affected := 0
+	var err error
 	for r, exprRow := range bi.values {
 		if len(exprRow) != len(bi.positions) {
 			return nil, fmt.Errorf("%w: INSERT has %d values for %d columns", ErrTypeMismatch, len(exprRow), len(bi.positions))
@@ -326,8 +328,8 @@ type boundWrite struct {
 	set    []exprFn
 }
 
-func bindUpdate(e *Engine, db string, s *UpdateStmt) (func(*Txn, []Value) (*Result, error), error) {
-	tbl, err := e.Table(db, s.Table)
+func bindUpdate(p *stmtPlan, s *UpdateStmt) (func(*Txn, []Value) (*Result, error), error) {
+	tbl, err := p.table(s.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -341,26 +343,23 @@ func bindUpdate(e *Engine, db string, s *UpdateStmt) (func(*Txn, []Value) (*Resu
 		bw.setIdx = append(bw.setIdx, idx)
 		bw.set = append(bw.set, b.expr(a.Expr))
 	}
-	bw.read = bindRead(tbl, s.Table, s.Table, s.Where)
+	bw.read = bindRead(tbl, s.Table, s.Where)
 	bw.read.write = true
 	return bw.exec, nil
 }
 
-func bindDelete(e *Engine, db string, s *DeleteStmt) (func(*Txn, []Value) (*Result, error), error) {
-	tbl, err := e.Table(db, s.Table)
+func bindDelete(p *stmtPlan, s *DeleteStmt) (func(*Txn, []Value) (*Result, error), error) {
+	tbl, err := p.table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	bw := &boundWrite{delete: true, read: bindRead(tbl, s.Table, s.Table, s.Where)}
+	bw := &boundWrite{delete: true, read: bindRead(tbl, s.Table, s.Where)}
 	bw.read.write = true
 	return bw.exec, nil
 }
 
 func (bw *boundWrite) exec(t *Txn, params []Value) (*Result, error) {
-	tbl, err := t.boundTable(bw.read.name, bw.read.schema)
-	if err != nil {
-		return nil, err
-	}
+	tbl := bw.read.tbl
 	en := t.newEnv(params)
 	rows, ids, err := bw.read.rows(t, tbl, en)
 	if err != nil {

@@ -23,7 +23,7 @@ func (e *Engine) execExplain(t *Txn, s *ExplainStmt, params []Value) (*Result, e
 			add("", "const", "no FROM clause")
 			return res, nil
 		}
-		tbl, err := e.Table(t.db, inner.From.Table)
+		tbl, err := t.catalog.table(inner.From.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -32,13 +32,13 @@ func (e *Engine) execExplain(t *Txn, s *ExplainStmt, params []Value) (*Result, e
 			add(tbl.Name(), access, detail+" exec=compiled")
 			return res, nil
 		}
-		bs, err := bindSelect(e, t.db, inner)
+		bs, err := bindSelect(&stmtPlan{db: t.catalog}, inner)
 		if err != nil {
 			return nil, err
 		}
 		add(tbl.Name(), "scan", "join build side")
 		for i, j := range inner.Joins {
-			jt, err := e.Table(t.db, j.Table.Table)
+			jt, err := t.catalog.table(j.Table.Table)
 			if err != nil {
 				return nil, err
 			}
@@ -59,25 +59,13 @@ func (e *Engine) execExplain(t *Txn, s *ExplainStmt, params []Value) (*Result, e
 		return res, nil
 
 	case *UpdateStmt:
-		tbl, err := e.Table(t.db, inner.Table)
-		if err != nil {
-			return nil, err
-		}
-		access, detail := e.explainAccess(tbl, inner.Where, params)
-		add(tbl.Name(), access, detail+" (update)")
-		return res, nil
+		return e.explainWrite(t, res, inner.Table, inner.Where, params, " (update)")
 
 	case *DeleteStmt:
-		tbl, err := e.Table(t.db, inner.Table)
-		if err != nil {
-			return nil, err
-		}
-		access, detail := e.explainAccess(tbl, inner.Where, params)
-		add(tbl.Name(), access, detail+" (delete)")
-		return res, nil
+		return e.explainWrite(t, res, inner.Table, inner.Where, params, " (delete)")
 
 	case *InsertStmt:
-		tbl, err := e.Table(t.db, inner.Table)
+		tbl, err := t.catalog.table(inner.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -87,6 +75,17 @@ func (e *Engine) execExplain(t *Txn, s *ExplainStmt, params []Value) (*Result, e
 	default:
 		return nil, fmt.Errorf("sqldb: EXPLAIN supports SELECT/INSERT/UPDATE/DELETE, not %T", s.Inner)
 	}
+}
+
+// explainWrite describes the row selection of an UPDATE or DELETE.
+func (e *Engine) explainWrite(t *Txn, res *Result, table string, where Expr, params []Value, kind string) (*Result, error) {
+	tbl, err := t.catalog.table(table)
+	if err != nil {
+		return nil, err
+	}
+	access, detail := e.explainAccess(tbl, where, params)
+	res.Rows = append(res.Rows, Row{NewText(tbl.Name()), NewText(access), NewText(detail + kind)})
+	return res, nil
 }
 
 // explainAccess mirrors the executor's access-path choice for one table by

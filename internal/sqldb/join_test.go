@@ -17,10 +17,8 @@ func sourceBy(t *testing.T, tx *Txn, bs *boundSelect, params []Value, probe bool
 	var cur []Row
 	probeable := false
 	for i, r := range bs.reads {
-		tbl, err := tx.boundTable(r.name, r.schema)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tbl := r.tbl
+		var err error
 		if i > 0 && bs.joins[i-1].probe {
 			probeable = true
 			if probe {
@@ -96,7 +94,11 @@ func TestJoinStrategiesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q.sql, err)
 		}
-		bs, err := bindSelect(e, "app", stmt.(*SelectStmt))
+		d, err := e.database("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, err := bindSelect(&stmtPlan{db: d}, stmt.(*SelectStmt))
 		if err != nil {
 			continue // an unknown table: nothing to join
 		}

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -20,18 +21,10 @@ const (
 
 // String returns the conventional name of the mode.
 func (m LockMode) String() string {
-	switch m {
-	case LockIS:
-		return "IS"
-	case LockIX:
-		return "IX"
-	case LockS:
-		return "S"
-	case LockX:
-		return "X"
-	default:
+	if m < LockIS || m > LockX {
 		return "?"
 	}
+	return [...]string{"IS", "IX", "S", "X"}[m]
 }
 
 // shared reports whether the mode is a read-side mode (released early when
@@ -46,12 +39,12 @@ var lockCompat = [4][4]bool{
 	LockX:  {LockIS: false, LockIX: false, LockS: false, LockX: false},
 }
 
-// lockID names a lockable resource: a whole table, or one row of it
-// identified by its primary key's key (appendKey). Keying row locks by the
+// lockID names a lockable resource: a whole table incarnation, or one row of
+// it identified by its primary key's key (appendKey). Keying row locks by the
 // logical key (rather than a physical row ID) makes lock identity stable
-// across replicas and across delete/re-insert of the same key.
+// across delete/re-insert of the same key.
 type lockID struct {
-	Table string // qualified "db/table" name
+	Table uint32 // the table's incarnation (Table.inc)
 	Key   string // the row's primary-key key; "" for a table-level lock
 }
 
@@ -123,6 +116,14 @@ func newLockManager(timeout time.Duration) *lockManager {
 // timeout, or transaction abort. Re-acquisitions and upgrades (e.g. S→X,
 // IS→IX) are handled.
 func (lm *lockManager) acquire(txn *Txn, id lockID, mode LockMode) error {
+	return lm.lock(txn, id, mode, false)
+}
+
+// lock is acquire, or with preempt — X for DDL and a restore replacing a
+// table — acquire ahead of every waiter, after wounding every holder that has
+// not prepared (see wound), so that its next call reads ErrTxnAborted; a
+// prepared holder is waited for.
+func (lm *lockManager) lock(txn *Txn, id lockID, mode LockMode, preempt bool) error {
 	lm.mu.Lock()
 
 	e := lm.locks[id]
@@ -135,6 +136,9 @@ func (lm *lockManager) acquire(txn *Txn, id lockID, mode LockMode) error {
 		}
 		e.id = id
 		lm.locks[id] = e
+	}
+	if preempt {
+		lm.wound(e, txn)
 	}
 
 	if i := e.find(txn); i >= 0 {
@@ -164,8 +168,44 @@ func (lm *lockManager) acquire(txn *Txn, id lockID, mode LockMode) error {
 		return nil
 	}
 	req := &lockRequest{txn: txn, mode: mode, ready: make(chan error, 1)}
-	e.queue = append(e.queue, req)
+	if preempt {
+		e.queue = append([]*lockRequest{req}, e.queue...)
+	} else {
+		e.queue = append(e.queue, req)
+	}
 	return lm.block(txn, e, req)
+}
+
+// wound dooms every holder of e other than txn that is active (neither
+// prepared nor finished): its pending lock request, if it has one, fails, it
+// starts no other statement, and a goroutine rolls it back as soon as the
+// statement it may be running ends (execMu), and then exits; the preempting
+// request waits for that rollback's release of e. Called with lm.mu held.
+func (lm *lockManager) wound(e *lockEntry, txn *Txn) {
+	for _, h := range e.granted {
+		v := h.txn
+		v.mu.Lock()
+		doom := v != txn && v.state == TxnActive && !v.doomed
+		v.doomed = v.doomed || doom
+		v.mu.Unlock()
+		if !doom {
+			continue
+		}
+		go func() {
+			v.execMu.Lock()
+			defer v.execMu.Unlock()
+			v.rollbackLocked()
+		}()
+		for _, w := range lm.locks {
+			if i := slices.IndexFunc(w.queue, func(r *lockRequest) bool { return r.txn == v }); i >= 0 {
+				w.queue[i].ready <- ErrTxnAborted
+				lm.removeRequest(w, w.queue[i])
+				lm.clearEdges(v)
+				lm.grantWaiters(w)
+				break
+			}
+		}
+	}
 }
 
 // block parks txn on req after installing wait-for edges and checking for a
@@ -300,18 +340,11 @@ func (lm *lockManager) compatibleWithHolders(e *lockEntry, txn *Txn, mode LockMo
 // Called with lm.mu held.
 func (lm *lockManager) refreshEdges(txn *Txn, e *lockEntry) {
 	// Find txn's queued request to know the mode it wants.
-	var want LockMode
-	found := false
-	for _, req := range e.queue {
-		if req.txn == txn {
-			want = req.mode
-			found = true
-			break
-		}
-	}
-	if !found {
+	i := slices.IndexFunc(e.queue, func(r *lockRequest) bool { return r.txn == txn })
+	if i < 0 {
 		return
 	}
+	want := e.queue[i].mode
 	edges := make(map[*Txn]bool)
 	for _, h := range e.granted {
 		if h.txn != txn && !lockCompat[h.mode][want] {
@@ -319,10 +352,7 @@ func (lm *lockManager) refreshEdges(txn *Txn, e *lockEntry) {
 		}
 	}
 	// Also wait for earlier incompatible waiters (FIFO fairness).
-	for _, req := range e.queue {
-		if req.txn == txn {
-			break
-		}
+	for _, req := range e.queue[:i] {
 		if !lockCompat[req.mode][want] || !lockCompat[want][req.mode] {
 			edges[req.txn] = true
 		}
@@ -357,11 +387,8 @@ func (lm *lockManager) cycleFrom(start *Txn) bool {
 
 // removeRequest deletes req from e's queue. Called with lm.mu held.
 func (lm *lockManager) removeRequest(e *lockEntry, req *lockRequest) {
-	for i, r := range e.queue {
-		if r == req {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			return
-		}
+	if i := slices.Index(e.queue, req); i >= 0 {
+		e.queue = slices.Delete(e.queue, i, i+1)
 	}
 }
 
@@ -388,25 +415,13 @@ func (lm *lockManager) heldCount() uint64 {
 }
 
 // upgradeMode returns the weakest mode at least as strong as both a and b.
-func upgradeMode(a, b LockMode) LockMode {
-	if a == b {
-		return a
-	}
-	// X dominates everything.
-	if a == LockX || b == LockX {
-		return LockX
-	}
-	// S+IX (and IX+S) needs SIX; we approximate with X, which is strictly
-	// stronger and therefore safe (may cost some concurrency, never
-	// correctness).
-	if (a == LockS && b == LockIX) || (a == LockIX && b == LockS) {
-		return LockX
-	}
-	if a == LockS || b == LockS {
-		return LockS
-	}
-	if a == LockIX || b == LockIX {
-		return LockIX
-	}
-	return LockIS
+// S+IX needs SIX, approximated by X: strictly stronger and therefore safe
+// (it may cost some concurrency, never correctness).
+func upgradeMode(a, b LockMode) LockMode { return lockUpgrade[a][b] }
+
+var lockUpgrade = [4][4]LockMode{
+	LockIS: {LockIS: LockIS, LockIX: LockIX, LockS: LockS, LockX: LockX},
+	LockIX: {LockIS: LockIX, LockIX: LockIX, LockS: LockX, LockX: LockX},
+	LockS:  {LockIS: LockS, LockIX: LockX, LockS: LockS, LockX: LockX},
+	LockX:  {LockIS: LockX, LockIX: LockX, LockS: LockX, LockX: LockX},
 }

@@ -57,7 +57,7 @@ func TestLockManagerStressInvariants(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						mode = LockX
 					}
-					err := lm.acquire(txn, lockID{Table: "d/t", Key: string(rune('a' + k))}, mode)
+					err := lm.acquire(txn, lockID{Table: 1, Key: string(rune('a' + k))}, mode)
 					switch {
 					case err == nil:
 						// Check and update the shadow state. Upgrades and

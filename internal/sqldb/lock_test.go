@@ -43,7 +43,7 @@ func TestLockCompatMatrix(t *testing.T) {
 
 func TestLockSharedConcurrent(t *testing.T) {
 	lm, newTxn := newLockFixture(t, time.Second)
-	id := lockID{Table: "d/t", Key: "1"}
+	id := lockID{Table: 1, Key: "1"}
 	t1, t2 := newTxn(), newTxn()
 	if err := lm.acquire(t1, id, LockS); err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestLockSharedConcurrent(t *testing.T) {
 
 func TestLockExclusiveBlocks(t *testing.T) {
 	lm, newTxn := newLockFixture(t, time.Second)
-	id := lockID{Table: "d/t", Key: "1"}
+	id := lockID{Table: 1, Key: "1"}
 	t1, t2 := newTxn(), newTxn()
 	if err := lm.acquire(t1, id, LockX); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestLockExclusiveBlocks(t *testing.T) {
 
 func TestLockUpgradeSToX(t *testing.T) {
 	lm, newTxn := newLockFixture(t, time.Second)
-	id := lockID{Table: "d/t", Key: "1"}
+	id := lockID{Table: 1, Key: "1"}
 	t1 := newTxn()
 	if err := lm.acquire(t1, id, LockS); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestLockUpgradeDeadlockDetected(t *testing.T) {
 	// Two transactions holding S both requesting X is the classic upgrade
 	// deadlock; one of them must be aborted, not both stuck.
 	lm, newTxn := newLockFixture(t, time.Second)
-	id := lockID{Table: "d/t", Key: "1"}
+	id := lockID{Table: 1, Key: "1"}
 	t1, t2 := newTxn(), newTxn()
 	if err := lm.acquire(t1, id, LockS); err != nil {
 		t.Fatal(err)
@@ -147,8 +147,8 @@ func TestLockUpgradeDeadlockDetected(t *testing.T) {
 
 func TestLockReleaseSharedKeepsExclusive(t *testing.T) {
 	lm, newTxn := newLockFixture(t, 50*time.Millisecond)
-	sID := lockID{Table: "d/t", Key: "s"}
-	xID := lockID{Table: "d/t", Key: "x"}
+	sID := lockID{Table: 1, Key: "s"}
+	xID := lockID{Table: 1, Key: "x"}
 	t1 := newTxn()
 	if err := lm.acquire(t1, sID, LockS); err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestLockFIFOFairness(t *testing.T) {
 	// X arrives while S held, then more S requests arrive — they must wait
 	// behind the X.
 	lm, newTxn := newLockFixture(t, time.Second)
-	id := lockID{Table: "d/t", Key: "1"}
+	id := lockID{Table: 1, Key: "1"}
 	r1, w, r2 := newTxn(), newTxn(), newTxn()
 	if err := lm.acquire(r1, id, LockS); err != nil {
 		t.Fatal(err)
@@ -204,9 +204,9 @@ func TestLockFIFOFairness(t *testing.T) {
 
 func TestLockThreeWayDeadlock(t *testing.T) {
 	lm, newTxn := newLockFixture(t, time.Second)
-	a := lockID{Table: "d/t", Key: "a"}
-	b := lockID{Table: "d/t", Key: "b"}
-	c := lockID{Table: "d/t", Key: "c"}
+	a := lockID{Table: 1, Key: "a"}
+	b := lockID{Table: 1, Key: "b"}
+	c := lockID{Table: 1, Key: "c"}
 	t1, t2, t3 := newTxn(), newTxn(), newTxn()
 	for _, pair := range []struct {
 		txn *Txn
@@ -241,7 +241,7 @@ func TestLockThreeWayDeadlock(t *testing.T) {
 
 func TestLockReacquireSameModeIsNoop(t *testing.T) {
 	lm, newTxn := newLockFixture(t, time.Second)
-	id := lockID{Table: "d/t", Key: "1"}
+	id := lockID{Table: 1, Key: "1"}
 	t1 := newTxn()
 	for i := 0; i < 3; i++ {
 		if err := lm.acquire(t1, id, LockS); err != nil {
@@ -286,7 +286,7 @@ func TestUpgradeModeLattice(t *testing.T) {
 func TestLockEntryInvariants(t *testing.T) {
 	lm, newTxn := newLockFixture(t, 200*time.Microsecond)
 	txns := []*Txn{newTxn(), newTxn(), newTxn(), newTxn()}
-	ids := []lockID{{Table: "d/t"}, {Table: "d/t", Key: "1"}, {Table: "d/t", Key: "2"}}
+	ids := []lockID{{Table: 1}, {Table: 1, Key: "1"}, {Table: 1, Key: "2"}}
 	model := map[*Txn]map[lockID]LockMode{}
 	for _, tx := range txns {
 		model[tx] = map[lockID]LockMode{}

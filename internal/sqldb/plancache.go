@@ -18,7 +18,7 @@ import (
 // PlanCacheStats counts look-ups of a statement's bound plan. A hit skipped
 // access-path planning and closure binding; a miss paid for them — the first
 // two executions of a text on a database (see StmtCache), and the first after
-// any DDL on the engine.
+// DDL or a restore changed a table the plan was bound to.
 type PlanCacheStats struct {
 	Hits   uint64
 	Misses uint64
@@ -180,8 +180,8 @@ type planKey struct {
 // planTable holds the plans bound from one statement, one per (engine,
 // database) that executed it. It is a field of the statement node, so a plan
 // is reachable only through its statement and goes where the statement goes.
-// Readers load an immutable map; a bind — once per key and DDL generation —
-// copies it.
+// Readers load an immutable map; a bind — once per key, and again after a
+// table the plan was bound to changed — copies it.
 type planTable struct {
 	cur atomic.Pointer[map[planKey]*stmtPlan]
 	mu  sync.Mutex // serialises writers
@@ -203,24 +203,24 @@ func plansOf(stmt Statement) *planTable {
 	return nil
 }
 
-// load returns the plan bound for (e, db), unless DDL on e has retired it.
+// load returns the plan bound for (e, db), if it is current.
 func (pt *planTable) load(e *Engine, db string) *stmtPlan {
 	m := pt.cur.Load()
 	if m == nil {
 		return nil
 	}
 	p := (*m)[planKey{e, db}]
-	if p == nil || p.gen != e.planGen.Load() {
+	if p == nil || !p.current() {
 		return nil
 	}
 	return p
 }
 
 // store publishes plan for (e, db); a nil plan (the statement no longer
-// binds) removes what was there. Every plan its own engine has retired since
-// — DDL, a dropped database, Close — is dropped on the way: a key holds its
-// engine, and through it every table the engine had, so a statement that
-// stays cached must not keep the entry of a closed engine past its next bind.
+// binds) removes what was there. Every other plan that is no longer current,
+// or whose engine is closed, is dropped on the way: a plan holds its tables,
+// and a key its engine, so a statement that stays cached must not keep a
+// dropped table or a closed engine past its next bind.
 func (pt *planTable) store(e *Engine, db string, plan *stmtPlan) {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
@@ -234,7 +234,7 @@ func (pt *planTable) store(e *Engine, db string, plan *stmtPlan) {
 	}
 	next := make(map[planKey]*stmtPlan, len(old)+1)
 	for k, p := range old {
-		if k != key && p.gen == k.e.planGen.Load() {
+		if k != key && p.current() && !k.e.closed.Load() {
 			next[k] = p
 		}
 	}

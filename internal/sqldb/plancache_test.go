@@ -421,8 +421,8 @@ func TestStmtCacheConcurrent(t *testing.T) {
 // TestDDLConcurrentWithSelects hammers cached SELECTs from 8 clients while a
 // DDL churn loop creates and drops tables and adds indexes on the engine.
 // Run under -race this exercises the catalog RWMutex paths and the plan
-// cache's generation-based invalidation: queries against the stable table
-// must always succeed and never observe a stale plan.
+// cache's per-table invalidation: queries against the stable table must
+// always succeed and never observe a stale plan.
 func TestDDLConcurrentWithSelects(t *testing.T) {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, cat TEXT, n INT)")
@@ -455,9 +455,10 @@ func TestDDLConcurrentWithSelects(t *testing.T) {
 					errc <- fmt.Errorf("client %d range read: %d rows, want 10", c, len(res.Rows))
 					return
 				}
-				// Queries against the churned tables may race a DROP; only
-				// a missing table is an acceptable failure.
-				if _, err := e.Exec("app", "SELECT * FROM churn WHERE v = 'x'"); err != nil && !errors.Is(err, ErrNoTable) {
+				// Queries against the churned tables may race a DROP: a
+				// missing table, or the retryable abort of a reader the
+				// DROP rolled back, are the acceptable failures.
+				if _, err := e.Exec("app", "SELECT * FROM churn WHERE v = 'x'"); err != nil && !errors.Is(err, ErrNoTable) && err != ErrTxnAborted {
 					errc <- fmt.Errorf("client %d churn read: %w", c, err)
 					return
 				}
@@ -512,5 +513,57 @@ func TestPlanCacheCrossDatabaseIsolation(t *testing.T) {
 	plans := plansOf(cachedStmt(e, q))
 	if a, b := plans.load(e, "app"), plans.load(e, "app2"); a == nil || b == nil || a == b {
 		t.Errorf("one text on two databases holds plans %p and %p, want two distinct", a, b)
+	}
+}
+
+// TestPlanCacheDDLLeavesOtherDatabasesPlans binds one statement on two
+// databases of one engine, then replaces, creates, indexes and drops tables
+// of the first: the second database's plan stays current and is the same
+// plan.
+func TestPlanCacheDDLLeavesOtherDatabasesPlans(t *testing.T) {
+	e := newTestDB(t)
+	if err := e.CreateDatabase("app2"); err != nil {
+		t.Fatal(err)
+	}
+	for _, db := range []string{"app", "app2"} {
+		for _, sql := range []string{"CREATE TABLE t (id INT PRIMARY KEY, v TEXT)", "INSERT INTO t VALUES (1, 'a')"} {
+			if _, err := e.Exec(db, sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stmt, err := Parse("SELECT v FROM t WHERE id = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, db := range []string{"app", "app2"} {
+		tx, err := e.Begin(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.ExecStmt(stmt); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := plansOf(stmt).load(e, "app2")
+	if other == nil {
+		t.Fatal("no plan bound on app2")
+	}
+	img := dumpAll(t, e)[0]
+	for _, change := range []func() error{
+		func() error { return e.RestoreTable("app", img) },
+		func() error { _, err := e.Exec("app", "CREATE TABLE u (id INT PRIMARY KEY)"); return err },
+		func() error { _, err := e.Exec("app", "CREATE INDEX t_v ON t (v)"); return err },
+		func() error { _, err := e.Exec("app", "DROP TABLE t"); return err },
+	} {
+		if err := change(); err != nil {
+			t.Fatal(err)
+		}
+		if got := plansOf(stmt).load(e, "app2"); got != other {
+			t.Fatalf("app2's plan after a change to app: %p, want %p", got, other)
+		}
 	}
 }

@@ -34,42 +34,70 @@ type accessPath struct {
 	residual Expr // conjuncts not consumed by the access path, nil if none
 }
 
-// stmtPlan is the bound form of one statement against one database of one
-// engine: the closure pipeline that executes it. It is kept on the statement
-// node (planTable) and is good for one DDL generation: DDL bumps the engine's
-// generation and the next use re-binds against the new catalog.
+// stmtPlan is the bound form of one statement against one incarnation of a
+// database: the closure pipeline that executes it, and the table incarnations
+// it was bound to. It is kept on the statement node (planTable) while it is
+// current: while each of its tables is still in the catalog, with the indexes
+// it was planned with.
 type stmtPlan struct {
-	gen  uint64 // Engine.planGen this plan was bound under
-	exec func(t *Txn, params []Value) (*Result, error)
+	db     *database
+	tables []boundTable
+	exec   func(t *Txn, params []Value) (*Result, error)
 }
 
-// bindStatement binds stmt against db's current catalog. A nil plan with a
+// boundTable is a table a plan was bound to, and its Table.indexGen then.
+type boundTable struct {
+	tbl      *Table
+	indexGen uint32
+}
+
+// current reports whether the plan is still what binding would give.
+func (p *stmtPlan) current() bool {
+	for _, b := range p.tables {
+		if b.tbl.dead.Load() || b.tbl.indexGen.Load() != b.indexGen {
+			return false
+		}
+	}
+	return true
+}
+
+// table resolves name in the plan's database and binds the plan to it. The
+// index generation is read before the planner looks at the indexes, so a
+// concurrent CREATE INDEX leaves the plan stale, never wrong.
+func (p *stmtPlan) table(name string) (*Table, error) {
+	tbl, err := p.db.table(name)
+	if err == nil {
+		p.tables = append(p.tables, boundTable{tbl, tbl.indexGen.Load()})
+	}
+	return tbl, err
+}
+
+// bindStatement binds stmt against d's current catalog. A nil plan with a
 // nil error means the statement kind is not planned (DDL, EXPLAIN); an error
 // (an unknown table, an unknown INSERT or SET column) is what executing the
-// statement reports. The generation is captured before catalog inspection, so
-// a concurrent DDL makes the plan stale rather than silently wrong.
-func bindStatement(e *Engine, db string, stmt Statement) (*stmtPlan, error) {
-	plan := &stmtPlan{gen: e.planGen.Load()}
+// statement reports.
+func bindStatement(d *database, stmt Statement) (*stmtPlan, error) {
+	plan := &stmtPlan{db: d}
 	var err error
 	switch s := stmt.(type) {
 	case *SelectStmt:
 		var bs *boundSelect
-		if bs, err = bindSelect(e, db, s); err == nil {
+		if bs, err = bindSelect(plan, s); err == nil {
 			plan.exec = bs.exec
 		}
 	case *InsertStmt:
-		plan.exec, err = bindInsert(e, db, s)
+		plan.exec, err = bindInsert(plan, s)
 	case *UpdateStmt:
-		plan.exec, err = bindUpdate(e, db, s)
+		plan.exec, err = bindUpdate(plan, s)
 	case *DeleteStmt:
-		plan.exec, err = bindDelete(e, db, s)
+		plan.exec, err = bindDelete(plan, s)
 	default:
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	e.statPlanCompiles.Add(1)
+	d.e.statPlanCompiles.Add(1)
 	return plan, nil
 }
 

@@ -199,7 +199,7 @@ func TestPoolCountersExactUnderConcurrency(t *testing.T) {
 	// stay well under any single stripe's share by using half the capacity.
 	const pages = capacity / 2
 	for i := 0; i < pages; i++ {
-		if _, err := p.Get(PageKey{Table: "t", Page: i}, page); err != nil {
+		if _, err := p.Get(PageKey{Table: 1, Page: uint32(i)}, page); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestPoolCountersExactUnderConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				key := PageKey{Table: "t", Page: (w*131 + i) % pages}
+				key := PageKey{Table: 1, Page: uint32((w*131 + i) % pages)}
 				if _, err := p.Get(key, page); err != nil {
 					t.Error(err)
 					return
@@ -245,7 +245,7 @@ func TestPoolEvictionAccounting(t *testing.T) {
 	page := sealedWith()
 	const inserts = 500
 	for i := 0; i < inserts; i++ {
-		if _, err := p.Get(PageKey{Table: "t", Page: i}, page); err != nil {
+		if _, err := p.Get(PageKey{Table: 1, Page: uint32(i)}, page); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -470,7 +470,7 @@ func runRangeModel(t *testing.T, typ string, gen func(*rand.Rand) Value, warm bo
 	checkRanges(401)
 
 	// What add and drop kept current is what a fresh derivation would build.
-	tbl := e.dbs["app"]["r"]
+	tbl := e.dbs["app"].tables["r"]
 	tbl.mu.Lock()
 	defer tbl.mu.Unlock()
 	sameKeys(t, "primary key", tbl.pkOrd.ord, deriveKeys(tbl.pk))

@@ -7,18 +7,17 @@ import "errors"
 // routines serve single-table SELECTs, join inputs, and the row-selection
 // step of UPDATE and DELETE; only the lock strength differs.
 
-// errStalePlan reports that the catalog moved between the plan-cache lookup
-// and execution (the table was dropped and re-created, or the index a step
-// uses is gone): the statement is re-bound against the current catalog and
-// run again. It never leaves the engine.
+// errStalePlan reports that a table a plan was bound to left the catalog
+// (dropped, or replaced by a restore) before the statement locked it: the
+// statement is re-bound against the current catalog and run again. It never
+// leaves the engine.
 var errStalePlan = errors.New("sqldb: plan is stale")
 
 // tableRead is one table access of a bound statement: the access path the
 // planner chose, its constants bound to the parameters, and the filter.
 type tableRead struct {
-	name   string  // table name as written, resolved per execution
-	schema *Schema // schema bound against; pointer-compared at execution
-	path   *accessPath
+	tbl  *Table
+	path *accessPath
 
 	eq, lo, hi exprFn // the path's constants
 	residual   predFn // conjuncts the path did not consume (point, index, range steps)
@@ -36,11 +35,11 @@ type tableRead struct {
 
 // bindRead plans and binds the read of tbl (visible as alias) filtered by
 // where.
-func bindRead(tbl *Table, name, alias string, where Expr) *tableRead {
+func bindRead(tbl *Table, alias string, where Expr) *tableRead {
 	p := planWhere(tbl, where)
 	b := &binder{cols: bindingsFor(tbl.schema, alias)}
 	r := &tableRead{
-		name: name, schema: tbl.schema, path: p,
+		tbl: tbl, path: p,
 		eq: bindConst(p.eq), lo: bindConst(p.lo), hi: bindConst(p.hi),
 	}
 	if where != nil {
@@ -50,19 +49,6 @@ func bindRead(tbl *Table, name, alias string, where Expr) *tableRead {
 		r.residual = b.pred(p.residual)
 	}
 	return r
-}
-
-// boundTable looks name up in the transaction's database and checks it is
-// still the table (by schema identity) a plan was bound against.
-func (t *Txn) boundTable(name string, schema *Schema) (*Table, error) {
-	tbl, err := t.engine.Table(t.db, name)
-	if err != nil {
-		return nil, err
-	}
-	if tbl.schema != schema {
-		return nil, errStalePlan
-	}
-	return tbl, nil
 }
 
 // access is the step one execution takes, with its constants evaluated.
@@ -110,25 +96,19 @@ func (r *tableRead) prepare(tbl *Table, en *env) (a access, err error) {
 
 // candidates returns the row IDs an index-equality or range step starts from,
 // and the re-check of the access column for a fetched candidate.
-func (r *tableRead) candidates(tbl *Table, a access) (ids []uint64, match func(Row) bool, err error) {
-	p, col, ok := r.path, r.path.colIdx, true
+func (r *tableRead) candidates(tbl *Table, a access) (ids []uint64, match func(Row) bool) {
+	p, col := r.path, r.path.colIdx
 	if a.kind == pathIndexEq {
 		v := a.eq
-		ids, ok = tbl.lookupIndex(p.col, v)
-		match = func(row Row) bool { return Equal(row[col], v) }
+		return tbl.lookupIndex(p.col, v), func(row Row) bool { return Equal(row[col], v) }
+	}
+	b := a.b
+	if p.onPK {
+		ids = tbl.lookupPKRange(b)
 	} else {
-		b := a.b
-		if p.onPK {
-			ids = tbl.lookupPKRange(b)
-		} else {
-			ids, ok = tbl.lookupIndexRange(p.col, b)
-		}
-		match = func(row Row) bool { return b.match(row[col]) }
+		ids = tbl.lookupIndexRange(p.col, b)
 	}
-	if !ok {
-		return nil, nil, errStalePlan
-	}
-	return ids, match, nil
+	return ids, func(row Row) bool { return b.match(row[col]) }
 }
 
 // fetchPoint reads the row under the primary key key — into the
@@ -184,16 +164,13 @@ func (r *tableRead) rows(t *Txn, tbl *Table, en *env) ([]Row, []uint64, error) {
 	if r.write {
 		tableMode = LockIX
 	}
-	if err := t.lockTable(tbl, tableMode); err != nil {
+	if err := t.lockInc(tbl, tableMode, false); err != nil {
 		return nil, nil, err
 	}
 	if a.kind == pathPoint {
 		return r.lockPoint(t, tbl, en, a.eq)
 	}
-	ids, match, err := r.candidates(tbl, a)
-	if err != nil {
-		return nil, nil, err
-	}
+	ids, match := r.candidates(tbl, a)
 	return r.lockCandidates(t, tbl, en, ids, match)
 }
 
@@ -279,7 +256,7 @@ func (r *tableRead) lockCandidates(t *Txn, tbl *Table, en *env, ids []uint64, ma
 // takes the whole table exclusively.
 func (r *tableRead) lockScan(t *Txn, tbl *Table, en *env) ([]Row, []uint64, error) {
 	if r.write && tbl.schema.PKIdx >= 0 {
-		if err := t.lockTable(tbl, LockIX); err != nil {
+		if err := t.lockInc(tbl, LockIX, false); err != nil {
 			return nil, nil, err
 		}
 		_, ids, err := r.scan(tbl, en)
@@ -292,7 +269,7 @@ func (r *tableRead) lockScan(t *Txn, tbl *Table, en *env) ([]Row, []uint64, erro
 	if r.write {
 		tableMode = LockX
 	}
-	if err := t.lockTable(tbl, tableMode); err != nil {
+	if err := t.lockInc(tbl, tableMode, false); err != nil {
 		return nil, nil, err
 	}
 	t.engine.record(t, r.write, tbl, "")

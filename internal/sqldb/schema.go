@@ -15,7 +15,8 @@ type Column struct {
 }
 
 // Schema is the immutable description of a table: its name, columns, and
-// primary-key column position.
+// primary-key column position. Tables share it freely: a dump image carries
+// its table's, and a restore installs that one.
 type Schema struct {
 	Table  string
 	Cols   []Column
@@ -97,12 +98,4 @@ func (s *Schema) CheckRow(r Row) error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the schema.
-func (s *Schema) Clone() *Schema {
-	cols := make([]Column, len(s.Cols))
-	copy(cols, s.Cols)
-	out, _ := NewSchema(s.Table, cols)
-	return out
 }

@@ -53,7 +53,7 @@ func (j *boundJoin) probes(outer int, tbl *Table) bool {
 
 // bindSelect binds a SELECT. Only an unknown table fails the bind; column
 // errors are kept for execution (see boundSelect.invalid).
-func bindSelect(e *Engine, db string, s *SelectStmt) (*boundSelect, error) {
+func bindSelect(p *stmtPlan, s *SelectStmt) (*boundSelect, error) {
 	bs := &boundSelect{}
 	if s.From == nil {
 		// No source: the items evaluate once, against an empty row; the other
@@ -71,13 +71,13 @@ func bindSelect(e *Engine, db string, s *SelectStmt) (*boundSelect, error) {
 		return bs, nil
 	}
 
-	base, err := e.Table(db, s.From.Table)
+	base, err := p.table(s.From.Table)
 	if err != nil {
 		return nil, err
 	}
 	cols := bindingsFor(base.schema, s.From.Name())
 	if len(s.Joins) == 0 {
-		r := bindRead(base, s.From.Table, s.From.Name(), s.Where)
+		r := bindRead(base, s.From.Name(), s.Where)
 		r.scratch = true
 		bs.reads = []*tableRead{r}
 	} else {
@@ -91,9 +91,9 @@ func bindSelect(e *Engine, db string, s *SelectStmt) (*boundSelect, error) {
 			conjuncts = splitAnd(s.Where)
 		}
 		consumed := make([]bool, len(conjuncts))
-		bs.reads = []*tableRead{bindRead(base, s.From.Table, s.From.Name(), pushdownFilter(conjuncts, consumed, cols))}
+		bs.reads = []*tableRead{bindRead(base, s.From.Name(), pushdownFilter(conjuncts, consumed, cols))}
 		for _, j := range s.Joins {
-			jt, err := e.Table(db, j.Table.Table)
+			jt, err := p.table(j.Table.Table)
 			if err != nil {
 				return nil, err
 			}
@@ -102,7 +102,7 @@ func bindSelect(e *Engine, db string, s *SelectStmt) (*boundSelect, error) {
 			if !j.Left {
 				pushed = pushdownFilter(conjuncts, consumed, right)
 			}
-			bs.reads = append(bs.reads, bindRead(jt, j.Table.Table, j.Table.Name(), pushed))
+			bs.reads = append(bs.reads, bindRead(jt, j.Table.Name(), pushed))
 			bj := bindJoin(cols, right, j)
 			bj.probe = bj.li >= 0 && bj.ri == jt.schema.PKIdx && pushed == nil
 			bs.joins = append(bs.joins, bj)
@@ -265,10 +265,8 @@ func (bs *boundSelect) source(t *Txn, en *env) ([]Row, error) {
 	}
 	var cur []Row
 	for i, r := range bs.reads {
-		tbl, err := t.boundTable(r.name, r.schema)
-		if err != nil {
-			return nil, err
-		}
+		tbl := r.tbl
+		var err error
 		if i > 0 && bs.joins[i-1].probes(len(cur), tbl) {
 			if cur, err = bs.joins[i-1].probeJoin(t, r, tbl, en, cur); err != nil {
 				return nil, err
@@ -353,7 +351,7 @@ func (j *boundJoin) join(en *env, left, right []Row) ([]Row, error) {
 // table S lock and full read of the hash join. The output is the hash join's:
 // left order, a NULL key matches nothing.
 func (j *boundJoin) probeJoin(t *Txn, r *tableRead, tbl *Table, en *env, left []Row) ([]Row, error) {
-	if err := t.lockTable(tbl, LockIS); err != nil {
+	if err := t.lockInc(tbl, LockIS, false); err != nil {
 		return nil, err
 	}
 	var out []Row

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -54,7 +53,7 @@ func TestPoolStatsNeverTorn(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				key := PageKey{Table: fmt.Sprintf("t%d", i%4), Page: i % 128}
+				key := PageKey{Table: uint32(i % 4), Page: uint32(i % 128)}
 				if _, err := p.Get(key, page); err != nil {
 					t.Errorf("get: %v", err)
 					return

@@ -354,7 +354,7 @@ func fullPage(cols int) []rowSlot {
 // pool here keeps no pages, so every Get is a miss; a pool that keeps the
 // page adds its LRU list node.)
 func TestPoolMissAllocs(t *testing.T) {
-	k := PageKey{Table: "t", Page: 0}
+	k := PageKey{Table: 1, Page: 0}
 	miss := func(cols int) float64 {
 		p := NewBufferPool(0, 0)
 		page := sealedWith(fullPage(cols)...)
@@ -443,7 +443,7 @@ func FuzzDecodePage(f *testing.F) {
 func TestWriteBackCopiesCleanExtents(t *testing.T) {
 	const changed = 7
 	p := NewBufferPool(1, 0)
-	k := PageKey{Table: "t", Page: 0}
+	k := PageKey{Table: 1, Page: 0}
 	page := sealedWith(fullPage(5)...)
 	was, err := mapPage(page.image())
 	if err != nil {
@@ -455,7 +455,7 @@ func TestWriteBackCopiesCleanExtents(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Get(PageKey{Table: "u", Page: 0}, sealedWith()); err != nil { // takes the pool's one slot
+	if _, err := p.Get(PageKey{Table: 2, Page: 0}, sealedWith()); err != nil { // takes the pool's one slot
 		t.Fatal(err)
 	}
 	if st := p.Stats(); st.Writebacks != 1 || st.Evictions != 1 || st.RowsDecoded != 0 {
@@ -488,7 +488,7 @@ func TestBufferPoolLRU(t *testing.T) {
 	page := func(id int) *sealedPage {
 		return sealedWith(rowSlot{uint64(id), Row{NewInt(int64(id))}})
 	}
-	k := func(i int) PageKey { return PageKey{Table: "t", Page: i} }
+	k := func(i int) PageKey { return PageKey{Table: 1, Page: uint32(i)} }
 
 	for _, id := range []int{
 		1,
@@ -522,7 +522,7 @@ func TestBufferPoolLRU(t *testing.T) {
 func TestBufferPoolDisabled(t *testing.T) {
 	p := NewBufferPool(0, 0)
 	page := sealedWith(rowSlot{1, Row{NewInt(1)}})
-	k := PageKey{Table: "t", Page: 0}
+	k := PageKey{Table: 1, Page: 0}
 	for i := 0; i < 3; i++ {
 		if _, err := p.Get(k, page); err != nil {
 			t.Fatal(err)
@@ -552,7 +552,7 @@ func TestBufferPoolDisabled(t *testing.T) {
 // exactly once when evicted dirty.
 func TestBufferPoolWriteBack(t *testing.T) {
 	p := NewBufferPool(1, 0)
-	k := PageKey{Table: "t", Page: 0}
+	k := PageKey{Table: 1, Page: 0}
 	page := &sealedPage{}
 	p.Put(k, page, stored(rowSlot{5, Row{NewInt(5)}}))
 	got, err := p.Get(k, page)
@@ -593,7 +593,7 @@ func TestBufferPoolWriteBack(t *testing.T) {
 	}
 	setTo(8)
 	// Another page takes the pool's only slot.
-	if _, err := p.Get(PageKey{Table: "u", Page: 0}, sealedWith()); err != nil {
+	if _, err := p.Get(PageKey{Table: 2, Page: 0}, sealedWith()); err != nil {
 		t.Fatal(err)
 	}
 	if v := imageValue(); v != 8 {
@@ -613,11 +613,11 @@ func TestBufferPoolWriteBack(t *testing.T) {
 	if s := p.Stats(); s.Writebacks != 2 || s.Evictions != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
-	// Dropping the table writes its dirty pages back as eviction does: a
-	// statement that resolved the table before the drop may still read it.
+	// Dropping the table discards its dirty pages: it left the catalog under
+	// its X lock, so no statement reads them again.
 	setTo(9)
-	p.InvalidateTable("t")
-	if v := imageValue(); v != 9 || p.Len() != 0 {
+	p.InvalidateTable(1)
+	if v := imageValue(); v != 8 || p.Len() != 0 {
 		t.Fatalf("after InvalidateTable: image %d, len %d", v, p.Len())
 	}
 }
@@ -650,11 +650,11 @@ func TestSchemaDDLRoundTrip(t *testing.T) {
 	}
 	crashExec(t, e, "app", "CREATE TABLE item (id INT PRIMARY KEY NOT NULL, title TEXT NOT NULL, cost FLOAT, sku TEXT UNIQUE)")
 	got, _ := recoverEngine(t, s)
-	want, err := e.Table("app", "item")
+	want, err := tableOf(e, "app", "item")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := got.Table("app", "item")
+	tbl, err := tableOf(got, "app", "item")
 	if err != nil {
 		t.Fatal(err)
 	}

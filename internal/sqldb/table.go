@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // rowLoc locates a row: either a sealed page slot or the open tail page.
@@ -56,7 +57,18 @@ func (ix *index) insert(v Value, rowID uint64) error {
 type Table struct {
 	schema *Schema
 	engine *Engine
-	qname  string // qualified "db/table" name used for locks and pool keys
+	qname  string // qualified "db/table" name, for the history recorder
+
+	// inc is the table's incarnation, the engine-wide number its pages and
+	// locks are keyed by: a table dropped and created again, or replaced by
+	// a restore, is a new incarnation that shares nothing with the old one.
+	// dead is set when the incarnation leaves the catalog, which takes its X
+	// lock, so a statement that holds any lock on it and finds it alive
+	// reads a live table. indexGen counts its CREATE INDEXes, for the plans
+	// bound to it (stmtPlan.current).
+	inc      uint32
+	dead     atomic.Bool
+	indexGen atomic.Uint32
 
 	mu        sync.Mutex
 	pages     []*sealedPage
@@ -71,11 +83,12 @@ type Table struct {
 	oldRow    Row // scratch decoded into under mu: a replaced row, or a key's leading values
 }
 
-func newTable(e *Engine, qname string, schema *Schema) *Table {
+func newTable(e *Engine, db string, schema *Schema) *Table {
 	t := &Table{
 		schema:  schema,
 		engine:  e,
-		qname:   qname,
+		qname:   db + "/" + lower(schema.Table),
+		inc:     e.incarnations.Add(1),
 		indexes: make(map[string]*index),
 	}
 	if schema.PKIdx >= 0 {
@@ -398,7 +411,7 @@ func (t *Table) sealTail() {
 
 // pageKey builds the buffer-pool key of a sealed page.
 func (t *Table) pageKey(page int) PageKey {
-	return PageKey{Table: t.qname, Page: page}
+	return PageKey{Table: t.inc, Page: uint32(page)}
 }
 
 // corruptPagePanic reports a sealed page that does not decode. Images are
@@ -626,19 +639,15 @@ func (t *Table) lookupPK(v Value) (uint64, bool) {
 	return id, ok
 }
 
-// lookupIndex returns the rowIDs matching v in the named column's index, and
-// whether such an index exists.
-func (t *Table) lookupIndex(col string, v Value) ([]uint64, bool) {
+// lookupIndex returns the rowIDs matching v in the named column's index,
+// which exists: a table never loses an index.
+func (t *Table) lookupIndex(col string, v Value) []uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx, ok := t.indexes[col]
-	if !ok {
-		return nil, false
-	}
-	ids := idx.m[keyOf(v)]
+	ids := t.indexes[col].m[keyOf(v)]
 	out := make([]uint64, len(ids))
 	copy(out, ids)
-	return out, true
+	return out
 }
 
 // hasIndex reports whether col has a secondary index (col is lower-cased by
@@ -666,19 +675,16 @@ func (t *Table) lookupPKRange(b rangeBounds) []uint64 {
 }
 
 // lookupIndexRange returns the rowIDs whose indexed column value lies within
-// bounds (ascending value order), and whether such an index exists.
-func (t *Table) lookupIndexRange(col string, b rangeBounds) ([]uint64, bool) {
+// bounds (ascending value order), from the named column's index.
+func (t *Table) lookupIndexRange(col string, b rangeBounds) []uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx, ok := t.indexes[col]
-	if !ok {
-		return nil, false
-	}
+	idx := t.indexes[col]
 	var out []uint64
 	scanRange(&idx.ord, idx.m, b, func(k string) {
 		out = append(out, idx.m[k]...)
 	})
-	return out, true
+	return out
 }
 
 // scan invokes fn for every live row (a row of its own) until fn returns
@@ -795,6 +801,7 @@ func (t *Table) createIndex(name string, colIdx int, unique bool) error {
 		}
 	}
 	t.indexes[colName] = idx
+	t.indexGen.Add(1)
 	return nil
 }
 

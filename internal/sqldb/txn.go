@@ -1,8 +1,6 @@
 package sqldb
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -23,18 +21,10 @@ const (
 
 // String returns the state name.
 func (s TxnState) String() string {
-	switch s {
-	case TxnActive:
-		return "active"
-	case TxnPrepared:
-		return "prepared"
-	case TxnCommitted:
-		return "committed"
-	case TxnAborted:
-		return "aborted"
-	default:
+	if s < TxnActive || s > TxnAborted {
 		return "unknown"
 	}
+	return [...]string{"active", "prepared", "committed", "aborted"}[s]
 }
 
 // undoKind classifies undo records.
@@ -64,9 +54,10 @@ type Txn struct {
 	// branches on every replica so that history checking can correlate them.
 	GlobalID uint64
 
-	id     uint64
-	engine *Engine
-	db     string // database namespace this transaction operates in
+	id      uint64
+	engine  *Engine
+	db      string    // database namespace this transaction operates in
+	catalog *database // the incarnation of db it began in
 
 	mu    sync.Mutex
 	state TxnState
@@ -74,6 +65,11 @@ type Txn struct {
 	// claimed marks a prepared branch handed to the in-doubt resolver
 	// (Engine.ClaimPrepared): only Engine.ResolvePrepared decides it now.
 	claimed bool
+	// doomed marks an active transaction a DDL statement or a restore
+	// wounded (see lockManager.wound). execMu is held while a statement
+	// runs, so the wound's rollback waits for it.
+	doomed bool
+	execMu sync.Mutex
 
 	// walBegun records that the transaction's begin record (and at least one
 	// statement) was logged, so commit/prepare must force an outcome record.
@@ -131,21 +127,23 @@ func (t *Txn) logUndo(rec undoRec) {
 	t.mu.Unlock()
 }
 
-// checkActive returns an error unless the transaction can accept data
-// operations.
-func (t *Txn) checkActive() error {
+// enter starts a statement: it fails unless the transaction is active and
+// its engine open. A wounded transaction, or one whose database was dropped,
+// is aborted, and execPlanned rolls it back.
+func (t *Txn) enter() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	switch t.state {
-	case TxnActive:
-		return nil
-	case TxnPrepared:
+	switch {
+	case t.state == TxnPrepared:
 		return ErrTxnPrepared
-	case TxnCommitted:
+	case t.state == TxnCommitted:
 		return ErrTxnDone
-	default:
+	case t.state != TxnActive || t.doomed || t.catalog.dropped.Load():
 		return ErrTxnAborted
+	case t.engine.closed.Load():
+		return ErrEngineClosed
 	}
+	return nil
 }
 
 // Exec parses and executes a statement inside the transaction, serving a
@@ -163,11 +161,37 @@ func (t *Txn) Exec(sql string, params ...Value) (*Result, error) {
 // ExecStmt executes a pre-parsed statement inside the transaction, through
 // the plan the statement carries for this engine and database.
 func (t *Txn) ExecStmt(stmt Statement, params ...Value) (*Result, error) {
-	return t.execPlanned(stmt, t.engine.plannedStmt(t.db, stmt), params)
+	return t.execPlanned(stmt, t.plannedStmt(stmt), params)
+}
+
+// plannedStmt returns stmt's plan bound against the transaction's database:
+// the one kept on the statement node while it is current, else a fresh bind,
+// kept there for the next execution. A statement kind that does not bind
+// (DDL, EXPLAIN) has no plan; one that fails to bind (an unknown table) comes
+// back nil and runBound reports why.
+func (t *Txn) plannedStmt(stmt Statement) *stmtPlan {
+	pt := plansOf(stmt)
+	if pt == nil {
+		return nil
+	}
+	e := t.engine
+	if plan := pt.load(e, t.db); plan != nil && plan.db == t.catalog {
+		e.planHitMiss.IncA()
+		return plan
+	}
+	e.planHitMiss.IncB()
+	plan, _ := bindStatement(t.catalog, stmt)
+	pt.store(e, t.db, plan)
+	return plan
 }
 
 func (t *Txn) execPlanned(stmt Statement, plan *stmtPlan, params []Value) (*Result, error) {
-	if err := t.checkActive(); err != nil {
+	t.execMu.Lock()
+	defer t.execMu.Unlock()
+	if err := t.enter(); err != nil {
+		if err == ErrTxnAborted {
+			t.rollbackLocked()
+		}
 		return nil, err
 	}
 	// Capacity model: occupy one of the machine's worker slots for the
@@ -188,15 +212,6 @@ func (t *Txn) execPlanned(stmt Statement, plan *stmtPlan, params []Value) (*Resu
 		spanStart = time.Now()
 	}
 	res, err := t.engine.execute(t, stmt, plan, params)
-	if err != nil && errors.Is(err, ErrNoTable) && !t.engine.HasDatabase(t.db) {
-		// Not a missing table: the whole database was dropped underneath the
-		// open transaction (a replica being shrunk away, or an aborted copy
-		// discarding its half-copied destination while branches were still
-		// routed there). The branch cannot proceed; the client sees a
-		// retryable abort rather than a missing-schema error.
-		res, err = nil, fmt.Errorf("%w: database %s was dropped", ErrTxnAborted, t.db)
-		t.rollbackLocked()
-	}
 	if err != nil && isAbortError(err) {
 		// Deadlock victims and lock-wait timeouts roll the whole
 		// transaction back, as InnoDB does for deadlocks.
@@ -271,6 +286,9 @@ func (t *Txn) Prepare() error {
 	case t.claimed:
 		t.abortLocked(false)
 		return ErrClaimed
+	case t.doomed:
+		t.abortLocked(false)
+		return ErrTxnAborted
 	}
 	t.state = TxnPrepared
 	// The prepare record is forced before any lock moves: an in-doubt
@@ -317,6 +335,9 @@ func (t *Txn) Commit() error {
 	case t.claimed:
 		t.mu.Unlock()
 		return ErrClaimed
+	case t.state == TxnActive && t.doomed:
+		t.abortLocked(false)
+		return ErrTxnAborted
 	case t.state == TxnActive, t.state == TxnPrepared:
 		return t.commitLocked()
 	case t.state == TxnCommitted:
@@ -391,13 +412,14 @@ func (t *Txn) abortLocked(force bool) {
 	t.engine.forgetBranch(t)
 
 	for i := len(undo) - 1; i >= 0; i-- {
-		rec := undo[i]
-		switch rec.kind {
-		case undoInsert:
+		switch rec := undo[i]; {
+		case rec.table.dead.Load():
+			// Its pages are gone (see DropDatabase): nothing to undo.
+		case rec.kind == undoInsert:
 			rec.table.deleteRowPhysical(rec.rowID)
-		case undoDelete:
+		case rec.kind == undoDelete:
 			rec.table.insertRowPhysical(rec.rowID, rec.before)
-		case undoUpdate:
+		case rec.kind == undoUpdate:
 			rec.table.updateRowPhysical(rec.rowID, rec.before)
 		}
 	}

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -501,5 +502,114 @@ func TestDroppedDatabaseRace(t *testing.T) {
 		if err := <-done; !errors.Is(err, ErrTxnAborted) {
 			t.Fatalf("iteration %d: err = %v, want ErrTxnAborted", i, err)
 		}
+	}
+}
+
+// TestRestoreKeepsReadsRepeatable reads a row, replaces its table by
+// RestoreTable with an image holding another value, lets a second
+// transaction update the row and commit, and reads the row again in the
+// first transaction: the second read repeats the first, or the first
+// transaction was rolled back by the restore and reads ErrTxnAborted.
+func TestRestoreKeepsReadsRepeatable(t *testing.T) {
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+	mustExec(t, e, "INSERT INTO t VALUES (1, 'a')")
+	img := dumpAll(t, e)[0]
+	img.Rows = encodeRows(Row{NewInt(1), NewText("restored")})
+	const q = "SELECT v FROM t WHERE id = 1"
+
+	tx, err := e.Begin("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	res, err := tx.Exec(q)
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("first read: %v, %v", res, err)
+	}
+	first := res.Rows[0][0].Str
+	if err := e.RestoreTable("app", img); err != nil {
+		t.Fatal(err)
+	}
+	updated := make(chan error, 1)
+	go func() {
+		_, err := e.Exec("app", "UPDATE t SET v = 'b' WHERE id = 1")
+		updated <- err
+	}()
+	select {
+	case err := <-updated:
+		if updated <- err; err != nil {
+			t.Fatalf("update after the restore: %v", err)
+		}
+	case <-time.After(time.Second): // waits for the reader: no harm done
+	}
+	res, err = tx.Exec(q)
+	switch {
+	case err == ErrTxnAborted:
+	case err != nil:
+		t.Fatalf("second read: %v", err)
+	case len(res.Rows) != 1 || res.Rows[0][0].Str != first:
+		t.Errorf("second read = %v, first read %q", res.Rows, first)
+	}
+	_ = tx.Rollback()
+	<-updated
+}
+
+// TestRestoreNeverShowsPartialTable counts a table's rows from several
+// readers while RestoreTable replaces it, again and again, with an image of
+// as many rows and sixteen indexes to build: a reader sees every row of one
+// incarnation or the other, or was rolled back by the restore, never a table
+// the restore is still building.
+func TestRestoreNeverShowsPartialTable(t *testing.T) {
+	e := newTestDB(t)
+	const rows, cols = 2 * pageCapacity, 16
+	var ddl, vals strings.Builder
+	ddl.WriteString("CREATE TABLE t (id INT PRIMARY KEY")
+	for c := 0; c < cols; c++ {
+		fmt.Fprintf(&ddl, ", c%d INT", c)
+		fmt.Fprintf(&vals, ", %d", c)
+	}
+	mustExec(t, e, ddl.String()+")")
+	for c := 0; c < cols; c++ {
+		mustExec(t, e, fmt.Sprintf("CREATE INDEX t_c%d ON t (c%d)", c, c))
+	}
+	for id := 0; id < rows; id++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO t VALUES (%d%s)", id, vals.String()))
+	}
+	img := dumpAll(t, e)[0]
+	stop := make(chan struct{})
+	errc := make(chan error, 4)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := e.Exec("app", "SELECT COUNT(*) FROM t")
+				if err == ErrTxnAborted {
+					continue
+				}
+				if err != nil || res.Rows[0][0].Int != rows {
+					errc <- fmt.Errorf("COUNT(*) = %v, %v; want %d", res, err, rows)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		if err := e.RestoreTable("app", img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
 	}
 }

@@ -172,7 +172,7 @@ func (e *Engine) Checkpoint() error {
 				})
 				return err
 			})
-			if err != nil && !errors.Is(err, ErrNoTable) {
+			if err != nil && !errors.Is(err, ErrNoTable) && err != ErrTxnAborted {
 				// A table (or the database) dropped while checkpointing is
 				// skipped: its drop record replays.
 				return err

