@@ -471,8 +471,8 @@ func (o *output) emit(en *env, src []Row) (*Result, error) {
 		n := 0
 		for i, pr := range out {
 			kb = kb[:0]
-			for _, v := range pr {
-				vb = appendKey(vb[:0], v)
+			for j := range pr {
+				vb = appendKey(vb[:0], &pr[j])
 				kb = append(binary.AppendUvarint(kb, uint64(len(vb))), vb...)
 			}
 			if seen[string(kb)] {
@@ -517,7 +517,7 @@ func (o *output) groups(en *env, src []Row) ([][]Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			vb = appendKey(vb[:0], v)
+			vb = appendKey(vb[:0], &v)
 			kb = append(binary.AppendUvarint(kb, uint64(len(vb))), vb...)
 		}
 		i, seen := index[string(kb)]

@@ -912,12 +912,6 @@ const indexBytesPerRowCeiling = 240
 // log's share is reported beside the gated number.
 func TestIndexBytesPerRow(t *testing.T) {
 	const rows = 20000
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	e := newTestDB(t)
 	emptyLog := func() { e.AttachWAL(wal.New(wal.NewMemStore(), wal.Config{}, nil)) }
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, name TEXT)")
@@ -935,6 +929,44 @@ func TestIndexBytesPerRow(t *testing.T) {
 	t.Logf("%.0f heap bytes per row, and %.0f in the log", perRow, float64(logged-after)/rows)
 	if perRow > indexBytesPerRowCeiling {
 		t.Fatalf("%.0f heap bytes per loaded row, ceiling %d", perRow, indexBytesPerRowCeiling)
+	}
+}
+
+// heap returns the bytes the heap holds after a collection.
+func heap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestRestoreBytesPerRow holds a restored table to the footprint of an
+// inserted one (TestIndexBytesPerRow's table and ceiling): a restore cuts an
+// index's keys from one string per column and its row lists from one array,
+// which stay whole while any of their keys or lists lives, and must not keep
+// more than a key string and a list per row would. The image the restore
+// logs is dropped with the log before measuring.
+func TestRestoreBytesPerRow(t *testing.T) {
+	const rows = 20000
+	e := newTestDB(t)
+	before := heap()
+	d := TableDump{Rows: make([]string, rows), Indexes: []IndexDef{{Name: "t_name", Col: "name"}}}
+	var err error
+	if d.Schema, err = NewSchema("t", []Column{{Name: "id", Typ: TypeInt, PrimaryKey: true}, {Name: "name", Typ: TypeText}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range d.Rows {
+		d.Rows[i] = encodeRowString(Row{NewInt(int64(i)), NewText(fmt.Sprintf("name-%05d", i))})
+	}
+	if err := e.RestoreTable("app", d); err != nil {
+		t.Fatal(err)
+	}
+	e.AttachWAL(wal.New(wal.NewMemStore(), wal.Config{}, nil))
+	perRow := float64(heap()-before) / rows
+	runtime.KeepAlive(e)
+	t.Logf("%.0f heap bytes per restored row", perRow)
+	if perRow > indexBytesPerRowCeiling {
+		t.Fatalf("%.0f heap bytes per restored row, ceiling %d", perRow, indexBytesPerRowCeiling)
 	}
 }
 

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,17 +35,6 @@ func (ix *index) add(key string, rowID uint64) {
 	if len(ids) == 0 {
 		ix.ord.add(key)
 	}
-}
-
-// insert registers rowID under v's key, refusing a second row for a key of a
-// unique index. Called with the table latch held.
-func (ix *index) insert(v Value, rowID uint64) error {
-	k := keyOf(v)
-	if ix.unique && len(ix.m[k]) > 0 {
-		return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, v, ix.name)
-	}
-	ix.add(k, rowID)
-	return nil
 }
 
 // Table holds the physical storage of one table: sealed pages (the "disk"),
@@ -132,7 +122,7 @@ const (
 // into one above +Inf, and trailing zero bytes dropped, so that a small
 // integer keys in a few bytes; for TEXT its bytes; for BOOL 0 or 1. A key is
 // never decoded: whoever needs the value reads it from the row.
-func appendKey(buf []byte, v Value) []byte {
+func appendKey(buf []byte, v *Value) []byte {
 	switch v.Typ {
 	case TypeInt, TypeFloat:
 		f := v.AsFloat()
@@ -168,7 +158,7 @@ func appendKey(buf []byte, v Value) []byte {
 // keyOf returns v's key (see appendKey) as a string.
 func keyOf(v Value) string {
 	var kb [32]byte
-	return string(appendKey(kb[:0], v))
+	return string(appendKey(kb[:0], &v))
 }
 
 // keyChange returns the index keys of a column's value before and after an
@@ -345,62 +335,121 @@ func (t *Table) insertRowPhysical(rowID uint64, r Row) {
 	t.liveRows++
 	t.byteSize += int64(len(enc))
 	if len(t.tail) >= pageCapacity {
-		t.sealTail()
+		t.sealTail(&sealedPage{})
 	}
 }
 
 // load fills a new table, its indexes already created, with a dump's rows
 // under one latch hold. A row goes into its slot as the encoding it arrived
-// as; only its leading values through the last key column are read, in one
-// pass, for the primary-key and index maps. Tail pages are sealed and handed
-// to the pool as insertRowPhysical does. A unique index refuses a duplicate
-// as createIndex does.
+// as, and buildKeys reads its key columns for the primary-key and index maps.
+// Tail pages are sealed and handed to the pool as insertRowPhysical does.
 func (t *Table) load(rows []string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pk := t.schema.PKIdx
-	if pk >= 0 {
-		t.pk = make(map[string]uint64, len(rows))
+	slots := make([]pageSlot, len(rows))
+	for i, enc := range rows {
+		slots[i] = pageSlot{rowID: t.nextRowID + uint64(i) + 1, enc: enc}
+		t.byteSize += int64(len(enc))
 	}
-	// Every row ranges over the indexes, so as a slice, not the map; keys
-	// holds a row's leading values through the last key column.
 	idxs := make([]*index, 0, len(t.indexes))
-	last := pk
 	for _, idx := range t.indexes {
-		idxs, last = append(idxs, idx), max(last, idx.col)
+		idxs = append(idxs, idx)
 	}
-	keys := make(Row, last+1)
-	for _, enc := range rows {
-		if err := decodeLeading(enc, keys); err != nil {
+	if err := t.buildKeys(slots, t.pk != nil, idxs); err != nil {
+		return err
+	}
+	t.nextRowID += uint64(len(rows))
+	t.liveRows += len(rows)
+	// A page's slots are an array of its own, so that evicting the page
+	// frees its rows; the pages are one array, which t.pages keeps whole.
+	pages := make([]sealedPage, len(slots)/pageCapacity)
+	t.loc = slices.Grow(t.loc, len(slots)+1)
+	for p := range pages {
+		t.tail, slots = slices.Clone(slots[:pageCapacity]), slots[pageCapacity:]
+		t.sealTail(&pages[p])
+	}
+	t.tail = append([]pageSlot(nil), slots...)
+	for i, s := range t.tail {
+		t.setLoc(s.rowID, rowLoc{page: -1, slot: int32(i)})
+	}
+	return nil
+}
+
+// buildKeys fills the primary-key map (when pk) and the empty indexes idxs
+// with the rows of slots, each map made once at its final size: a row is
+// decoded once, a column's keys are cut from one string, pinned while any of
+// them lives, and an index groups its rows by key in one map pass (where a
+// unique one refuses a repeat) and holds a key's IDs, in row order, as a
+// capped sub-slice of one array. Called with t.mu held.
+func (t *Table) buildKeys(slots []pageSlot, pk bool, idxs []*index) error {
+	cols := make([]int, 0, len(idxs)+1)
+	if pk {
+		cols = append(cols, t.schema.PKIdx)
+	}
+	for _, idx := range idxs {
+		cols = append(cols, idx.col)
+	}
+	n, vals := len(slots), make(Row, slices.Max(append(cols, 0))+1) // through the last key column, or one
+	bufs, offs := make([][]byte, len(cols)), make([]int, len(cols)*(n+1))
+	for i, s := range slots {
+		if err := decodeLeading(s.enc, vals); err != nil {
 			return err
 		}
-		t.nextRowID++
-		id := t.nextRowID
-		t.tail = append(t.tail, pageSlot{rowID: id, enc: enc})
-		t.setLoc(id, rowLoc{page: -1, slot: int32(len(t.tail) - 1)})
-		if pk >= 0 {
-			t.pk[keyOf(keys[pk])] = id
-		}
-		for _, idx := range idxs {
-			if err := idx.insert(keys[idx.col], id); err != nil {
-				return err
+		for c, col := range cols {
+			bufs[c] = appendKey(bufs[c], &vals[col])
+			offs[c*(n+1)+i+1] = len(bufs[c])
+			if i == 0 { // room for n keys as long as the first
+				bufs[c] = slices.Grow(bufs[c], (n-1)*len(bufs[c]))
 			}
 		}
-		t.liveRows++
-		t.byteSize += int64(len(enc))
-		if len(t.tail) >= pageCapacity {
-			t.sealTail()
+	}
+	for c, col := range cols {
+		keys, off := string(bufs[c]), offs[c*(n+1):]
+		if pk && c == 0 {
+			t.pk = make(map[string]uint64, n)
+			for i, s := range slots {
+				t.pk[keys[off[i]:off[i+1]]] = s.rowID
+			}
+			continue
+		}
+		idx := idxs[c-len(cols)+len(idxs)]
+		group, of := make(map[string]int32), make([]int32, n)
+		var distinct []string // group g's key
+		var end []int32       // group g's row count, then where its IDs end in all
+		for i := range slots {
+			k := keys[off[i]:off[i+1]]
+			g, seen := group[k]
+			if seen && idx.unique {
+				_ = decodeLeading(slots[i].enc, vals) // it decoded above
+				return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, vals[col], idx.name)
+			} else if !seen {
+				g = int32(len(end))
+				group[k], distinct, end = g, append(distinct, k), append(end, 0)
+			}
+			of[i] = g
+			end[g]++
+		}
+		for g := 1; g < len(end); g++ {
+			end[g] += end[g-1]
+		}
+		start, all := slices.Clone(end), make([]uint64, n)
+		for i := n - 1; i >= 0; i-- {
+			start[of[i]]--
+			all[start[of[i]]] = slots[i].rowID
+		}
+		idx.m = make(map[string][]uint64, len(distinct))
+		for g, k := range distinct {
+			idx.m[k] = all[start[g]:end[g]:end[g]]
 		}
 	}
 	return nil
 }
 
-// sealTail turns the full tail page into a sealed page. Nothing is encoded
-// here: the page starts out resident and dirty, and gets its disk image when
-// it first leaves the pool. Called with t.mu held.
-func (t *Table) sealTail() {
+// sealTail turns the full tail page into a sealed page, the empty one given.
+// Nothing is encoded here: the page starts out resident and dirty, and gets
+// its disk image when it first leaves the pool. Called with t.mu held.
+func (t *Table) sealTail(page *sealedPage) {
 	n := len(t.pages)
-	page := &sealedPage{}
 	t.pages = append(t.pages, page)
 	for i, s := range t.tail {
 		t.setLoc(s.rowID, rowLoc{page: int32(n), slot: int32(i)})
@@ -777,28 +826,13 @@ func (t *Table) createIndex(name string, colIdx int, unique bool) error {
 	if _, exists := t.indexes[colName]; exists {
 		return fmt.Errorf("sqldb: index on %s.%s already exists", t.schema.Table, colName)
 	}
-	idx := &index{name: name, col: colIdx, unique: unique, m: make(map[string][]uint64)}
-	key := make(Row, colIdx+1) // a row's leading values through col
-	collect := func(page int, s pageSlot) error {
-		if err := decodeLeading(s.enc, key); err != nil {
-			t.corruptPagePanic(page, err)
-		}
-		return idx.insert(key[colIdx], s.rowID)
-	}
+	var slots []pageSlot
 	for p := range t.pages {
-		for _, s := range t.residentLocked(p).slots {
-			if _, live := t.locOf(s.rowID); !live {
-				continue
-			}
-			if err := collect(p, s); err != nil {
-				return err
-			}
-		}
+		slots = append(slots, t.residentLocked(p).slots...)
 	}
-	for _, s := range t.tail {
-		if err := collect(-1, s); err != nil {
-			return err
-		}
+	idx := &index{name: name, col: colIdx, unique: unique}
+	if err := t.buildKeys(append(slots, t.tail...), false, []*index{idx}); err != nil {
+		return err
 	}
 	t.indexes[colName] = idx
 	t.indexGen.Add(1)

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 
 	"sdp/internal/wal"
 )
@@ -76,6 +77,11 @@ func encodeTableImage(d TableDump) []byte {
 		}
 	}
 	buf = wal.AppendUvarint(buf, uint64(len(d.Rows)))
+	rowBytes := 0
+	for _, r := range d.Rows {
+		rowBytes += len(r)
+	}
+	buf = slices.Grow(buf, rowBytes) // the rows' one growth
 	for _, r := range d.Rows {
 		buf = append(buf, r...)
 	}

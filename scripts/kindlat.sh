@@ -7,7 +7,8 @@
 # transactions with its p50, p90 and p99 over the whole window (not the best
 # quartile of slices bench/ reports), then the profile's share of a few hot
 # spots (replica_churn's copy among them: the dump, which calls the restore on
-# the target, and the restore) and its top functions. It also records the window's mutex profile
+# the target, the restore, and within it the row and index build) and its top
+# functions. It also records the window's mutex profile
 # (one contention in mutexFraction sampled) and prints the share of the
 # contention delay released by each of the engine's and controller's hot
 # mutexes. Both profiles are kept for `go tool pprof`. To compare commits, run
@@ -130,8 +131,9 @@ echo "CPU of the window, share of samples under:"
 row 'LIKE (sqldb likeMatch, likeRec, equalFoldByte)' "$(share 'sqldb\.(likeMatch|likeRec|equalFoldByte)$')"
 row 'redo records (sqldb Engine.walStmt)' "$(share 'sqldb\.\(\*Engine\)\.walStmt$')"
 row 'log appends (wal Log.Append)' "$(share 'wal\.\(\*Log\)\.Append$')"
-row 'replica copy dump, restore excluded (sqldb Txn.dumpTables)' "$(share 'sqldb\.\(\*Txn\)\.dumpTables$' 'sqldb\.\(\*Engine\)\.RestoreTable$')"
+row 'replica copy dump, restore excluded (sqldb Engine.DumpTables)' "$(share 'sqldb\.\(\*Engine\)\.DumpTables$' 'sqldb\.\(\*Engine\)\.RestoreTable$')"
 row 'replica copy restore (sqldb Engine.RestoreTable)' "$(share 'sqldb\.\(\*Engine\)\.RestoreTable$')"
+row 'restore: rows and index build (sqldb Table.load)' "$(share 'sqldb\.\(\*Table\)\.load$')"
 row 'garbage collection (runtime gcBgMarkWorker)' "$(share 'runtime\.gcBgMarkWorker$')"
 # released [<frame regexp>]: percent of the window's mutex contention delay
 # whose releasing call (the frame that called Unlock) matches; with no
