@@ -154,8 +154,8 @@ func (c *Cluster) RestartMachine(id string) (*sqldb.RecoveryStats, error) {
 	// still say which tables changed while the machine was down. Its
 	// coordinator may still be running; the resolver's claims refuse its
 	// PREPAREs and COMMITs from then on.
-	for _, gid := range eng.PreparedGIDs() {
-		_, _ = c.settle(gid, false)
+	if gids := eng.PreparedGIDs(); len(gids) > 0 {
+		_ = c.settle(gids, make([]bool, len(gids)))
 	}
 	c.mu.Lock()
 	var orphans []string

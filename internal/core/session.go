@@ -10,6 +10,7 @@ import (
 	"sdp/internal/netsim"
 	"sdp/internal/obs"
 	"sdp/internal/sqldb"
+	"sdp/internal/twopc"
 )
 
 // opResult is the outcome of one operation executed on a replica.
@@ -309,25 +310,16 @@ func (s *replicaSession) commitPrepared() opResult {
 	if !s.c.ctl.holdsLease(s.term) {
 		return opResult{err: errDeposed}
 	}
-	return opResult{err: alreadyDone(s.call("commit", true, s.txn.CommitPrepared))}
+	return opResult{err: twopc.Redelivered(s.call("commit", true, s.txn.CommitPrepared))}
 }
 
 // commit is a one-phase commit (read-only branches).
 func (s *replicaSession) commit() opResult {
-	return opResult{err: alreadyDone(s.call("commit1p", true, s.txn.Commit))}
+	return opResult{err: twopc.Redelivered(s.call("commit1p", true, s.txn.Commit))}
 }
 
 // rollback aborts the branch. Idempotent: rolling back an aborted
 // transaction is a no-op.
 func (s *replicaSession) rollback() opResult {
 	return opResult{err: s.call("rollback", true, s.txn.Rollback)}
-}
-
-// alreadyDone maps the engine's "transaction already committed" answer to
-// success: it is the expected result of re-delivering a commit.
-func alreadyDone(err error) error {
-	if errors.Is(err, sqldb.ErrTxnDone) {
-		return nil
-	}
-	return err
 }

@@ -79,12 +79,18 @@ func runTable1Cell(opt core.ReadOption, mode core.AckMode, trials int) Table1Cel
 	cell := Table1Cell{Option: opt, Mode: mode, Trials: trials}
 	for trial := 0; trial < trials; trial++ {
 		rec.Reset()
+		// The paper's §3.1 interleaving by construction: both transactions
+		// finish their read before either one writes.
+		var read sync.WaitGroup
+		read.Add(2)
 		run := func(readID, writeID int64) {
 			tx, err := c.Begin("app")
-			if err != nil {
-				return
+			if err == nil {
+				_, err = tx.Exec("SELECT v FROM obj WHERE id = ?", sqldb.NewInt(readID))
 			}
-			if _, err := tx.Exec("SELECT v FROM obj WHERE id = ?", sqldb.NewInt(readID)); err != nil {
+			read.Done()
+			read.Wait()
+			if err != nil {
 				return
 			}
 			if _, err := tx.Exec("UPDATE obj SET v = v + 1 WHERE id = ?", sqldb.NewInt(writeID)); err != nil {

@@ -3,6 +3,8 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+
+	"sdp/internal/twopc"
 )
 
 // Sentinel errors returned by the engine. Callers (in particular the cluster
@@ -16,23 +18,23 @@ var (
 
 	// ErrTxnAborted is returned by operations on a transaction that has
 	// already been rolled back.
-	ErrTxnAborted = errors.New("sqldb: transaction has been aborted")
+	ErrTxnAborted = twopc.ErrAborted
 
 	// ErrTxnDone is returned by operations on a committed transaction.
-	ErrTxnDone = errors.New("sqldb: transaction has already committed")
+	ErrTxnDone = twopc.ErrDone
 
 	// ErrTxnPrepared is returned when a data operation is attempted on a
 	// transaction that has entered the PREPARED state of 2PC.
-	ErrTxnPrepared = errors.New("sqldb: transaction is prepared; only commit or abort allowed")
+	ErrTxnPrepared = twopc.ErrPrepared
 
 	// ErrNotPrepared is returned by CommitPrepared on a transaction that
 	// never entered the PREPARED state.
-	ErrNotPrepared = errors.New("sqldb: transaction is not prepared")
+	ErrNotPrepared = twopc.ErrNotPrepared
 
 	// ErrClaimed is returned by COMMIT and ROLLBACK on a prepared branch the
 	// in-doubt resolver has claimed (Engine.ClaimPrepared): its outcome is no
 	// longer the preparing session's to decide.
-	ErrClaimed = errors.New("sqldb: prepared branch claimed by the in-doubt resolver")
+	ErrClaimed = twopc.ErrClaimed
 
 	// ErrTableExists is returned by CREATE TABLE for a duplicate name.
 	ErrTableExists = errors.New("sqldb: table already exists")

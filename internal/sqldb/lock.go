@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"sdp/internal/twopc"
 )
 
 // LockMode is a multi-granularity lock mode.
@@ -184,17 +186,20 @@ func (lm *lockManager) lock(txn *Txn, id lockID, mode LockMode, preempt bool) er
 func (lm *lockManager) wound(e *lockEntry, txn *Txn) {
 	for _, h := range e.granted {
 		v := h.txn
+		if v == txn {
+			continue
+		}
 		v.mu.Lock()
-		doom := v != txn && v.state == TxnActive && !v.doomed
-		v.doomed = v.doomed || doom
+		b, act, _ := twopc.Step(twopc.Branch{State: v.state, Claimed: v.claimed, Doomed: v.doomed}, twopc.Wound)
+		v.doomed = b.Doomed
 		v.mu.Unlock()
-		if !doom {
+		if act != twopc.Doom {
 			continue
 		}
 		go func() {
 			v.execMu.Lock()
 			defer v.execMu.Unlock()
-			v.rollbackLocked()
+			_ = v.step(twopc.Abort)
 		}()
 		for _, w := range lm.locks {
 			if i := slices.IndexFunc(w.queue, func(r *lockRequest) bool { return r.txn == v }); i >= 0 {
