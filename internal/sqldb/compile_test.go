@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"sdp/internal/twopc"
 )
 
 // diffEngine builds the tables the golden corpus runs against: mixed
@@ -178,7 +180,7 @@ func TestExecGolden(t *testing.T) {
 			continue
 		}
 		same(c, "dml", goldenOf(tx.Exec(c.SQL, params...)), c.Want)
-		if active := tx.state == TxnActive; active != (c.After != nil) {
+		if active := tx.state == twopc.Active; active != (c.After != nil) {
 			t.Errorf("dml %q: transaction active=%v after the statement, golden says %v", c.SQL, active, c.After != nil)
 		} else if active {
 			same(c, "verify "+c.Verify+" after", goldenOf(tx.Exec(c.Verify)), *c.After)

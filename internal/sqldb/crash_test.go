@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"testing"
 
+	"sdp/internal/twopc"
 	"sdp/internal/wal"
 )
 
@@ -423,7 +424,7 @@ func TestCrashStoreFailureDuringCommit(t *testing.T) {
 	if err := tx.Commit(); err == nil {
 		t.Fatal("commit succeeded on a failing log device")
 	}
-	if tx.state != TxnAborted {
+	if tx.state != twopc.Aborted {
 		t.Fatalf("transaction state = %v, want aborted", tx.state)
 	}
 	// The failed transaction's effects are rolled back live, pre-recovery.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sdp/internal/obs"
+	"sdp/internal/twopc"
 	"sdp/internal/wal"
 )
 
@@ -357,7 +358,7 @@ func (e *Engine) tablesOf(d *database) []*Table {
 // restore's, DROP DATABASE's — until e.locks.releaseAll. It counts as
 // prepared, so a DDL statement waits for it rather than rolling it back.
 func (e *Engine) lockOwner(d *database) *Txn {
-	return &Txn{id: e.nextTxn.Add(1), engine: e, catalog: d, state: TxnPrepared}
+	return &Txn{id: e.nextTxn.Add(1), engine: e, catalog: d, state: twopc.Prepared}
 }
 
 // unpublish removes tbl, which the caller holds X-locked, from d's catalog

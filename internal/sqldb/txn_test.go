@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sdp/internal/twopc"
 )
 
 func setupAccounts(t *testing.T, e *Engine) {
@@ -446,7 +448,7 @@ func TestDroppedDatabaseAbortsOpenTxn(t *testing.T) {
 			if _, err := tx.Exec("SELECT v FROM nosuch"); !errors.Is(err, ErrNoTable) {
 				t.Fatalf("unknown table in a live database: err = %v, want ErrNoTable", err)
 			}
-			if tx.state != TxnActive {
+			if tx.state != twopc.Active {
 				t.Fatalf("unknown table aborted the transaction: state %v", tx.state)
 			}
 			if err := e.DropDatabase("app"); err != nil {
@@ -456,7 +458,7 @@ func TestDroppedDatabaseAbortsOpenTxn(t *testing.T) {
 			if !errors.Is(err, ErrTxnAborted) || errors.Is(err, ErrNoTable) {
 				t.Fatalf("statement on a dropped database: err = %v, want ErrTxnAborted", err)
 			}
-			if tx.state != TxnAborted {
+			if tx.state != twopc.Aborted {
 				t.Errorf("state after the abort = %v, want aborted", tx.state)
 			}
 			if held := e.Stats().LocksHeld; held != 0 {
