@@ -74,9 +74,10 @@ chaos:
 		$(GO) run ./cmd/experiments -chaos -quick -seed $$seed; \
 	done; echo "chaos soak: 5 seeds passed"
 
-# Commit-protocol mutants: each patch in scripts/mutants/ breaks one claim
-# at the decision's one site in a temporary copy, and the check it names (a
-# package and a -run pattern) must fail; prints a kill table.
+# Mutants: each patch in scripts/mutants/ breaks one claim — of the commit
+# protocol, of Algorithm 1, of the copy's restore — at its one site in a
+# temporary copy, and the check it names (a package and a -run pattern) must
+# fail; prints a kill table and fails past a 900 s budget.
 mutants:
 	bash scripts/mutants/run.sh
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -392,12 +391,7 @@ func (c *Cluster) placementView(ewma map[string]sla.Resources) placement.View {
 			delete(ewma, name)
 		}
 	}
-	names := make([]string, 0, len(c.dbs))
-	for name := range c.dbs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(c.dbs) {
 		ds := c.dbs[name]
 		sig, tracked := signals[name]
 		if !tracked {

@@ -299,3 +299,12 @@ func TestClusterStats(t *testing.T) {
 		t.Errorf("stats = %+v", s)
 	}
 }
+
+func contains(list []string, s string) bool {
+	for _, x := range list {
+		if x == s {
+			return true
+		}
+	}
+	return false
+}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
+	"sdp/internal/replcopy"
 	"sdp/internal/sla"
 	"sdp/internal/sqldb"
 	"sdp/internal/wal"
@@ -136,9 +138,7 @@ func (m *Machine) Restart() (*sqldb.RecoveryStats, error) {
 // setMarks snapshots a database's write sequence numbers at failure time.
 func (m *Machine) setMarks(db string, epoch uint64, seqs map[string]uint64) {
 	cp := make(map[string]uint64, len(seqs))
-	for k, v := range seqs {
-		cp[k] = v
-	}
+	maps.Copy(cp, seqs)
 	m.mu.Lock()
 	if m.marks == nil {
 		m.marks = make(map[string]dbMarks)
@@ -154,7 +154,7 @@ func (m *Machine) setMarks(db string, epoch uint64, seqs map[string]uint64) {
 func (m *Machine) usableMarks(db string, epoch uint64) map[string]uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if dm, ok := m.marks[db]; ok && dm.epoch == epoch {
+	if dm, ok := m.marks[db]; replcopy.Usable(ok, dm.epoch, epoch) {
 		return dm.tables
 	}
 	return nil

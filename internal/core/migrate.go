@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // MigrateReplica moves one replica of db from one machine to another while
 // the database keeps serving transactions: a new replica is created on the
@@ -14,7 +17,7 @@ import "fmt"
 func (c *Cluster) MigrateReplica(db, fromID, toID string) error {
 	c.mu.Lock()
 	ds, ok := c.dbs[db]
-	hosts := ok && contains(ds.replicas, fromID)
+	hosts := ok && slices.Contains(ds.replicas, fromID)
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoDatabase, db)
@@ -61,7 +64,7 @@ func (c *Cluster) RetireReplica(db, machineID string) error {
 		err = fmt.Errorf("%w: %s", ErrNoDatabase, db)
 	case ds.copying != nil:
 		err = fmt.Errorf("%w: %s", ErrCopyInProgress, db)
-	case !contains(ds.replicas, machineID):
+	case !slices.Contains(ds.replicas, machineID):
 		err = fmt.Errorf("core: %s does not host %s", machineID, db)
 	}
 	m := c.machines[machineID]
@@ -69,7 +72,7 @@ func (c *Cluster) RetireReplica(db, machineID string) error {
 	retired := false
 	if err == nil {
 		err = cp.apply(ctlCmd{Op: ctlOpRetireReplica, DB: db, Machine: machineID}, func() {
-			if retired = !contains(ds.replicas, machineID); retired {
+			if retired = !slices.Contains(ds.replicas, machineID); retired {
 				m.release(ds.req)
 			}
 		})

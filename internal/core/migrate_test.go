@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sdp/internal/replcopy"
 	"sdp/internal/sla"
 )
 
@@ -167,9 +168,8 @@ func TestWriteRouteAlgorithm1(t *testing.T) {
 	c.mu.Lock()
 	ds := c.dbs["app"]
 	ds.copying = &copyState{
-		target:   "m3",
-		copied:   map[string]bool{"a": true},
-		inFlight: map[string]bool{"b": true},
+		Copy:   replcopy.Copy{Phase: replcopy.Running, Target: "m3"},
+		tables: map[string]replcopy.Table{"a": replcopy.Copied, "b": replcopy.InFlight},
 	}
 	c.mu.Unlock()
 
@@ -200,7 +200,7 @@ func TestWriteRouteAlgorithm1(t *testing.T) {
 
 	// Case: a database-granularity step has every uncopied table in flight.
 	c.mu.Lock()
-	ds.copying.inFlight["c"] = true
+	ds.copying.tables["c"] = replcopy.InFlight
 	c.mu.Unlock()
 	if _, _, err := c.writeRoute("app", "c"); !errors.Is(err, ErrRejected) {
 		t.Errorf("second in-flight table write err = %v", err)

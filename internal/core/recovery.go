@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -104,7 +105,7 @@ func (c *Cluster) fastRecoveryCandidate(db string) (*Machine, map[string]uint64)
 	}
 	for _, id := range c.order {
 		m := c.machines[id]
-		if m.Failed() || contains(ds.replicas, id) {
+		if m.Failed() || slices.Contains(ds.replicas, id) {
 			continue
 		}
 		if marks := m.usableMarks(db, ds.epoch); marks != nil && m.Engine().HasDatabase(db) {
@@ -160,17 +161,9 @@ func (c *Cluster) RestartMachine(id string) (*sqldb.RecoveryStats, error) {
 	c.mu.Lock()
 	var orphans []string
 	for _, db := range eng.Databases() {
-		ds, exists := c.dbs[db]
-		if !exists {
-			orphans = append(orphans, db)
-			continue
-		}
-		// A half-copied database left behind by an Algorithm 1 copy that
-		// aborted when this machine failed mid-copy, or a since dropped and
-		// re-created namespace: the machine never joined the replica set
-		// and has no catch-up marks for this incarnation (a failed replica
-		// always gets marks at FailMachine), so the state is useless.
-		if !contains(ds.replicas, id) && m.usableMarks(db, ds.epoch) == nil {
+		// A database dropped while the machine was down, or one it holds
+		// but is no replica of without usable marks (replcopy.Usable).
+		if ds, ok := c.dbs[db]; !ok || !slices.Contains(ds.replicas, id) && m.usableMarks(db, ds.epoch) == nil {
 			orphans = append(orphans, db)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sdp/internal/replcopy"
 	"sdp/internal/sqldb"
 )
 
@@ -180,7 +181,7 @@ func TestCopyInProgressExcludesSecondCopy(t *testing.T) {
 	// replica creation must be refused.
 	c.mu.Lock()
 	ds := c.dbs["app"]
-	ds.copying = &copyState{target: free[0], copied: map[string]bool{}}
+	ds.copying = &copyState{Copy: replcopy.Copy{Phase: replcopy.Running, Target: free[0]}}
 	c.mu.Unlock()
 	if err := c.CreateReplica("app", free[1]); !errors.Is(err, ErrCopyInProgress) {
 		t.Errorf("second copy err = %v, want ErrCopyInProgress", err)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sdp/internal/netsim"
+	"sdp/internal/replcopy"
 	"sdp/internal/sqldb"
 	"sdp/internal/wal"
 )
@@ -166,7 +167,10 @@ func TestFanOutRunsOnCallerWithoutSimulatedTime(t *testing.T) {
 					}
 				}
 				c.mu.Lock()
-				c.dbs["app"].copying = &copyState{target: free, copied: map[string]bool{"t": true}}
+				c.dbs["app"].copying = &copyState{
+					Copy:   replcopy.Copy{Phase: replcopy.Running, Target: free},
+					tables: map[string]replcopy.Table{"t": replcopy.Copied},
+				}
 				c.mu.Unlock()
 			}
 			tx, err := c.Begin("app")

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sdp/internal/placement"
 	"sdp/internal/sla"
@@ -63,7 +64,7 @@ func (c *Cluster) liveMachinesLocked(hosts []string) ([]placement.Machine, []*Ma
 			Cap:   m.Capacity(),
 			Used:  m.Used(),
 			DBs:   int(m.dbCount.Load()),
-			Hosts: contains(hosts, id),
+			Hosts: slices.Contains(hosts, id),
 		})
 		ms = append(ms, m)
 	}

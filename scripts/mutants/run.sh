@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
-# make mutants: applies each commit-protocol mutant (one patch per claim, in
-# this directory) to a temporary copy of the working tree, runs the check
-# its "# check:" line names (a package, then a -run pattern), and prints a
-# kill table. A mutant the check does not fail, or that does not build,
-# fails the run.
+# make mutants: applies each mutant (one patch per claim, in this directory:
+# the commit protocol, Algorithm 1's decisions, the copy's row and index
+# restore) to a temporary copy of the working tree, runs the check its
+# "# check:" line names (a package, then a -run pattern), and prints a kill
+# table and the run's wall time. A mutant the check does not fail, a patch
+# that does not build, or a run longer than budget seconds fails the run.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 root=$(pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 survived=0
-printf '%-32s %-8s %6s  %s\n' mutant result secs claim
+budget=900
+began=$(date +%s)
+printf '%-34s %-8s %6s  %s\n' mutant result secs claim
 for patch in scripts/mutants/*.patch; do
 	name=$(basename "$patch" .patch)
 	claim=$(sed -n 's/^# claim: //p' "$patch")
@@ -29,8 +32,14 @@ for patch in scripts/mutants/*.patch; do
 		result=BROKEN
 		survived=$((survived + 1))
 	fi
-	printf '%-32s %-8s %6s  %s\n' "$name" "$result" "$(($(date +%s) - start))" "$claim"
+	printf '%-34s %-8s %6s  %s\n' "$name" "$result" "$(($(date +%s) - start))" "$claim"
 done
+took=$(($(date +%s) - began))
+echo "mutants: ${took}s of a ${budget}s budget"
+if [ "$took" -gt "$budget" ]; then
+	echo "mutants: over budget"
+	exit 1
+fi
 if [ "$survived" -gt 0 ]; then
 	echo "mutants: $survived survived or did not build"
 	exit 1
