@@ -11,6 +11,7 @@ import (
 
 	"sdp/internal/consensus"
 	"sdp/internal/netsim"
+	"sdp/internal/replcopy"
 	"sdp/internal/sqldb"
 )
 
@@ -619,5 +620,142 @@ func TestControllerRejoinsFromSnapshot(t *testing.T) {
 			t.Fatalf("follower did not converge:\n follower %s\n leader   %s", fps[follower.ID()], want)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestControllerKillDuringRegistration kills the leader while a copy's
+// driver holds cp.mu from its registration guard to copy_complete, and then
+// commits a write. The kill waits for the registration, so the copy
+// registers and the write reaches every replica, the new one included
+// (replcopy's TestExploreKillMidRegistration pins what a kill inside that
+// window let through: a registered target missing a committed write).
+func TestControllerKillDuringRegistration(t *testing.T) {
+	c, target := midCopyCluster(t, func(*Cluster) {})
+	var once sync.Once
+	done := make(chan struct{})
+	c.opts.Network.OnDeliver(func(netsim.CallInfo) {
+		if registering(c, "t") {
+			once.Do(func() {
+				go func() {
+					defer close(done)
+					if _, err := c.KillLeaderController(); err != nil {
+						t.Error(err)
+					}
+					execRetry(t, c, "app", "INSERT INTO t VALUES (51, 51)")
+				}()
+			})
+		}
+	})
+	if err := c.CreateReplica("app", target); err != nil {
+		t.Fatalf("CreateReplica: %v", err)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no kill during the registration, or the write after it hung")
+	}
+	reps, _ := c.Replicas("app")
+	if len(reps) != 3 {
+		t.Fatalf("replicas = %v, want %s registered", reps, target)
+	}
+	for _, id := range reps {
+		m, _ := c.Machine(id)
+		res, err := m.Engine().Exec("app", "SELECT COUNT(*) FROM t")
+		if err != nil || res.Rows[0][0].Int != 51 {
+			t.Errorf("%s holds %v rows (%v), want 51", id, res, err)
+		}
+	}
+}
+
+// registering reports whether a copy's driver is inside its registration:
+// cp.mu is held, and the copy still runs with table copied.
+func registering(c *Cluster, table string) bool {
+	if c.ctl.mu.TryLock() {
+		c.ctl.mu.Unlock()
+		return false
+	}
+	if !c.mu.TryLock() {
+		return false
+	}
+	defer c.mu.Unlock()
+	cs := c.dbs["app"].copying
+	return cs != nil && cs.Phase == replcopy.Running && cs.tables[table] == replcopy.Copied
+}
+
+// TestStaleTargetWriteRetries replays replcopy's TestExploreStaleTableWrite
+// on a cluster: a write routed to a copy's target runs only after that copy
+// was abandoned and a next copy re-created the database there without the
+// table yet. The write must abort as a retryable stale route, not as a
+// schema error, and the next copy must then complete.
+func TestStaleTargetWriteRetries(t *testing.T) {
+	net := netsim.New(7, nil)
+	opts := ctlOpts()
+	opts.Network = net
+	opts.CallTimeout = 100 * time.Millisecond
+	c := newTestCluster(t, 3, opts)
+	for _, tbl := range []string{"a", "b"} {
+		execRetry(t, c, "app", "CREATE TABLE "+tbl+" (id INT PRIMARY KEY, n INT)")
+		execRetry(t, c, "app", "INSERT INTO "+tbl+" VALUES (1, 1)")
+	}
+	reps, _ := c.Replicas("app")
+	var target string
+	for _, id := range liveMachineIDs(c) {
+		if !contains(reps, id) {
+			target = id
+		}
+	}
+
+	// The first copy stops while it applies b, a copied; the write stops
+	// once its branch began on the second replica, before the target's.
+	copyAtB, copyGo := make(chan struct{}), make(chan struct{})
+	writeAt, writeGo := make(chan struct{}), make(chan struct{})
+	var applies atomic.Int32
+	var armed atomic.Bool
+	net.OnDeliver(func(ci netsim.CallInfo) {
+		switch {
+		case ci.Op == "copy_apply" && applies.Add(1) == 2:
+			close(copyAtB)
+			<-copyGo
+		case ci.Op == "begin" && ci.To == reps[1] && armed.CompareAndSwap(true, false):
+			close(writeAt)
+			<-writeGo
+		}
+	})
+	first := make(chan error, 1)
+	go func() { first <- c.CreateReplica("app", target) }()
+	<-copyAtB
+	armed.Store(true)
+	written := make(chan error, 1)
+	go func() {
+		_, err := c.Exec("app", "UPDATE a SET n = 2 WHERE id = 1")
+		written <- err
+	}()
+	<-writeAt
+
+	// The first copy's controller dies: the copy abandons and drops the
+	// target's database.
+	if _, err := c.KillLeaderController(); err != nil {
+		t.Fatal(err)
+	}
+	close(copyGo)
+	if err := <-first; !errors.Is(err, ErrCopyAborted) {
+		t.Fatalf("first CreateReplica = %v, want ErrCopyAborted", err)
+	}
+	// The next copy re-creates the database, then waits behind the write to
+	// drain a.
+	second := make(chan error, 1)
+	go func() { second <- c.CreateReplica("app", target) }()
+	m, _ := c.Machine(target)
+	for deadline := time.Now().Add(5 * time.Second); !m.Engine().HasDatabase("app"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the next copy never re-created the target's database")
+		}
+	}
+	close(writeGo)
+	if err := <-written; !errors.Is(err, ErrStaleRoute) || !IsRetryable(err) {
+		t.Fatalf("write = %v, want a retryable ErrStaleRoute", err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("next CreateReplica: %v", err)
 	}
 }

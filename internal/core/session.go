@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -105,6 +106,7 @@ type replicaSession struct {
 	txn     *sqldb.Txn
 	link    *netsim.Link // nil without a simulated network
 	term    uint64       // the controller lease term the transaction began under
+	db      string       // the database the transaction runs in
 
 	// ops feeds the worker; nil until a send needs it. queued counts the
 	// operations sent down ops that have not finished: the submitter raises
@@ -153,7 +155,7 @@ func newReplicaSession(t *Txn, m *Machine) (*replicaSession, error) {
 		}
 		return nil, err
 	}
-	return &replicaSession{c: c, machine: m, txn: txn, link: link, term: t.term}, nil
+	return &replicaSession{c: c, machine: m, txn: txn, link: link, term: t.term, db: t.db}, nil
 }
 
 // callLink delivers fn across link, or runs it directly on a nil link.
@@ -286,6 +288,15 @@ func execOp(stmt sqldb.Statement, params []sqldb.Value) op {
 			res, xerr = s.txn.ExecStmt(stmt, params...)
 			return xerr
 		})
+		if errors.Is(err, sqldb.ErrNoTable) {
+			// On a machine that is no replica, the table is missing because
+			// the machine's copy of the database was dropped after the write
+			// was routed there and a copy has re-created it without the
+			// table yet: a stale route, not a schema error.
+			if reps, _ := s.c.Replicas(s.db); !slices.Contains(reps, s.machine.ID()) {
+				err = fmt.Errorf("%w: %s (%v)", ErrStaleRoute, s.machine.ID(), err)
+			}
+		}
 		return opResult{res: res, err: err}
 	}
 }
