@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sdp/internal/netsim"
+	"sdp/internal/replcopy"
 	"sdp/internal/sla"
 	"sdp/internal/sqldb"
 )
@@ -475,4 +478,83 @@ func TestCopyKeepsValuesBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("replay", target)
+}
+
+// TestWriteAfterImageWaitsForApply holds a copy in its first apply, after
+// the written table's image was taken and before the dump lets go of its
+// read locks. A write on that table must wait at the head for them rather
+// than be rejected, and once the apply returns it must land on every
+// replica, the registered target included. At table granularity the held
+// apply is table a's, with b still pending; at database granularity every
+// table is copied once the last image is taken, so both already are, and
+// the write goes to b, whose image the target does not have yet.
+func TestWriteAfterImageWaitsForApply(t *testing.T) {
+	for _, gran := range []sqldb.DumpGranularity{sqldb.GranularityTable, sqldb.GranularityDatabase} {
+		t.Run(gran.String(), func(t *testing.T) {
+			opts, net := netOpts(5)
+			opts.CopyGranularity = gran
+			c := newTestCluster(t, 3, opts)
+			for _, tbl := range []string{"a", "b"} {
+				clusterExec(t, c, "CREATE TABLE "+tbl+" (id INT PRIMARY KEY, n INT)")
+				clusterExec(t, c, "INSERT INTO "+tbl+" VALUES (1, 1)")
+			}
+			reps, _ := c.Replicas("app")
+			var target string
+			for _, id := range c.MachineIDs() {
+				if !contains(reps, id) {
+					target = id
+				}
+			}
+			written, want := "a", map[string]replcopy.Table{"a": replcopy.Copied, "b": replcopy.Pending}
+			if gran == sqldb.GranularityDatabase {
+				written, want["b"] = "b", replcopy.Copied
+			}
+
+			atApply, applyGo := make(chan struct{}), make(chan struct{})
+			var applies atomic.Int32
+			net.OnDeliver(func(ci netsim.CallInfo) {
+				if ci.Op == "copy_apply" && applies.Add(1) == 1 {
+					close(atApply)
+					<-applyGo
+				}
+			})
+			copied := make(chan error, 1)
+			go func() { copied <- c.CreateReplica("app", target) }()
+			<-atApply
+			c.mu.Lock()
+			got := map[string]replcopy.Table{"a": c.dbs["app"].copying.tables["a"], "b": c.dbs["app"].copying.tables["b"]}
+			c.mu.Unlock()
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("table phases in the first apply = %v, want %v", got, want)
+			}
+
+			wrote := make(chan error, 1)
+			go func() {
+				_, err := c.Exec("app", "UPDATE "+written+" SET n = 2 WHERE id = 1")
+				wrote <- err
+			}()
+			select {
+			case err := <-wrote:
+				t.Fatalf("a write on %s returned %v while the copy held its apply; want it to wait", written, err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(applyGo)
+			if err := <-wrote; err != nil {
+				t.Fatalf("write on %s after the apply: %v", written, err)
+			}
+			if err := <-copied; err != nil {
+				t.Fatalf("CreateReplica: %v", err)
+			}
+			if reps, _ = c.Replicas("app"); len(reps) != 3 || !contains(reps, target) {
+				t.Fatalf("replicas = %v, want the target %s registered", reps, target)
+			}
+			for _, id := range reps {
+				m, _ := c.Machine(id)
+				res, err := m.Engine().Exec("app", "SELECT n FROM "+written+" WHERE id = 1")
+				if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int != 2 {
+					t.Fatalf("%s: %s holds %v (err %v), want the write's n = 2", id, written, res, err)
+				}
+			}
+		})
+	}
 }

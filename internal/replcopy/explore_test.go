@@ -25,25 +25,30 @@ import (
 // IDs. A write that runs on a machine that is down aborts, and so does one
 // that finds the database or the table missing on a machine that is no
 // replica: core reports a stale route. A copy runs core's steps at table
-// granularity: copy_begin, create the database on the target, then per table
-// in flight, dumped (once Dumpable) and applied, copied; then the
+// granularity: copy_begin, create the database on the target (unless the
+// copy is no longer Driven), then per table in flight, imaged under the
+// source's read lock (once Dumpable), copied, applied; then the
 // registration, which holds cp.mu from the driver's guard to copy_complete,
-// so no fault falls between them. Any error abandons the copy in core's four
-// steps: the copy aborts (writes stop reaching the target), copy_abort
-// retires its record, the target's copy is dropped, the copy state clears.
-// Each fault costs one from a budget k: a machine fails, the controller
-// driving a copy dies (the new leader's takeover then retires the copy
-// record nobody drives), a dump call is lost, an apply call runs with its
-// answer lost. A failed machine restarts; that is not a fault. Every marks
-// check passes one epoch: the database is never dropped and re-created, so
-// Usable's epoch rule is not explored.
+// so no fault falls between them. From the image to the apply the lock
+// holds every write on the table at the source, which is the head: a write
+// routed with the target then runs nowhere until the apply, or until the
+// source fails and the lock goes with it. A write's head share runs first,
+// and a write the head refuses runs nowhere else. Any error abandons the
+// copy in core's four steps: the copy aborts (writes stop reaching the
+// target), copy_abort retires its record, the target's copy is dropped, the
+// copy state clears. Each fault costs one from a budget k: a machine fails,
+// the controller driving a copy dies (the new leader's takeover then retires
+// the copy record nobody drives), a dump call is lost, an apply call runs
+// with its answer lost. A failed machine restarts; that is not a fault.
+// Every marks check passes one epoch: the database is never dropped and
+// re-created, so Usable's epoch rule is not explored.
 //
 // It checks:
 //   - at registration, each table of the target equals the source's;
 //   - no committed write is missing from a registered replica;
 //   - a rejected or aborted write is in no table;
-//   - no write is routed to a target that lacks its table, and none runs on
-//     a replica that lacks it;
+//   - no write is routed to a target that lacks its table, unless its image
+//     is taken and held, and none runs on a replica that lacks it;
 //   - once no step but a fault is left, no copy runs, no record is left, and
 //     a machine holds the database only as a replica or with usable marks.
 //
@@ -76,6 +81,7 @@ type machine struct {
 
 type writer struct {
 	phase, table, targets uint8 // targets: one bit per machine
+	head                  uint8 // the replica set's head when it was routed
 }
 
 type state struct {
@@ -90,7 +96,9 @@ type state struct {
 	phase    Phase
 	src, tgt uint8
 	tables   [nt]Table
-	dumped   uint8 // in flight tables whose image is applied, one bit per table
+	imaged   uint8     // tables whose image is taken and not yet applied, one bit per table
+	held     uint8     // imaged tables the dump still read-locks at the source
+	image    [nt]uint8 // each imaged table's image: its committed write IDs at the source
 	created  bool
 	proposed bool  // the driver's guard passed and copy_complete is proposed (before.killMidRegistration)
 	killed   bool  // a controller died; the new leader's takeover is pending
@@ -111,7 +119,8 @@ func (s *state) record() Copy {
 // idle clears the copy the router and driver hold, so states that differ
 // only in a finished copy's leftovers are one state.
 func (s *state) idle() {
-	s.phase, s.src, s.tgt, s.tables, s.dumped = Idle, 0, 0, [nt]Table{}, 0
+	s.phase, s.src, s.tgt, s.tables = Idle, 0, 0, [nt]Table{}
+	s.imaged, s.held, s.image = 0, 0, [nt]uint8{}
 	s.created, s.proposed, s.abandon = false, false, 0
 }
 
@@ -160,8 +169,9 @@ const (
 	aStart
 	aCreate
 	aInFlight
-	aDump
+	aImage
 	aCopied
+	aApply
 	aDumpLost
 	aApplyLost
 	aRegister
@@ -186,8 +196,9 @@ func (s step) String() string {
 		aStart:     fmt.Sprintf("recovery: copy to %s starts (marks %v)", m, s.v == 1),
 		aCreate:    "copy: the target's database is created",
 		aInFlight:  fmt.Sprintf("copy: table %d in flight", s.v),
-		aDump:      fmt.Sprintf("copy: table %d dumped and applied", s.v),
+		aImage:     fmt.Sprintf("copy: table %d imaged under its read lock", s.v),
 		aCopied:    fmt.Sprintf("copy: table %d copied", s.v),
+		aApply:     fmt.Sprintf("copy: table %d applied, its read lock released", s.v),
 		aDumpLost:  fmt.Sprintf("copy: the dump of table %d is lost", s.v),
 		aApplyLost: fmt.Sprintf("copy: table %d applied, its answer lost", s.v),
 		aRegister:  "copy: the target registers",
@@ -356,10 +367,10 @@ func successors(s state, b before, emit func(step, state, string)) {
 				case r == Reject:
 					tw.phase = wRejected
 				default:
-					tw.phase, tw.targets = wRouted, s.mask()
+					tw.phase, tw.targets, tw.head = wRouted, s.mask(), s.reps[0]
 					if r == WithTarget {
 						tw.targets |= 1 << s.tgt
-						if !s.ms[s.tgt].has[tb] {
+						if !s.ms[s.tgt].has[tb] && s.held&(1<<tb) == 0 {
 							why = "a write is routed to a target that lacks its table"
 						}
 					}
@@ -368,8 +379,18 @@ func successors(s state, b before, emit func(step, state, string)) {
 				emit(step{act: aRoute, i: i, v: tb}, t, why)
 			}
 		case wRouted:
+			if s.held&(1<<w.table) != 0 && w.targets&(1<<s.src) != 0 {
+				continue // it waits at the head for the dump's read lock
+			}
 			t, why := s, ""
 			t.ws[i].phase = wRan
+			if h := s.ms[w.head]; !h.up || !h.db || !h.has[w.table] {
+				// The head's share runs first, and one it refuses is sent
+				// nowhere else.
+				t.ws[i].phase = wAborted
+				emit(step{act: aRun, i: i}, t, "")
+				continue
+			}
 			for j := uint8(0); j < nm; j++ {
 				m := s.ms[j]
 				switch {
@@ -484,6 +505,9 @@ func failMachine(t *state, i uint8) {
 		t.reps, t.nreps = reps, n
 	}
 	m.up = false
+	if i == t.src {
+		t.held = 0 // the dump's locks die with the source's engine
+	}
 	if t.rec == Running && (t.recSrc == i || t.recTgt == i) {
 		t.rec = Idle
 	}
@@ -514,10 +538,11 @@ func drop(t *state, i uint8) {
 	m.marked, m.marks = false, [nt]uint8{}
 }
 
-// abandon starts the driver's one abandon path: the copy aborts, and
-// abandonSteps takes it on.
+// abandon starts the driver's one abandon path: the copy aborts, its dump
+// (if one runs) ends and lets go of its locks, and abandonSteps takes it on.
 func abandon(t *state) {
 	t.phase, t.abandon, t.proposed = Aborted, aRetire, false
+	t.imaged, t.held, t.image = 0, 0, [nt]uint8{}
 }
 
 // abandonSteps emits the abandon's next step.
@@ -544,7 +569,7 @@ func driverSteps(s state, b before, fault func(state) (state, bool), emit func(s
 	src, tgt := &s.ms[s.src], &s.ms[s.tgt]
 	if !s.created {
 		t := s
-		if !tgt.up {
+		if !Driven(s.copyOf()) || !tgt.up {
 			abandon(&t)
 			emit(step{act: aAbandon}, t, "")
 			return
@@ -554,13 +579,13 @@ func driverSteps(s state, b before, fault func(state) (state, bool), emit func(s
 		return
 	}
 	for tb := uint8(0); tb < nt; tb++ {
-		p := s.tables[tb]
-		if p == Copied {
+		p, imaged := s.tables[tb], s.imaged&(1<<tb) != 0
+		if p == Copied && !imaged {
 			continue
 		}
 		t := s
-		switch p {
-		case Pending:
+		switch {
+		case p == Pending:
 			next, ok := Next(s.phase, p)
 			if !ok {
 				abandon(&t)
@@ -569,18 +594,31 @@ func driverSteps(s state, b before, fault func(state) (state, bool), emit func(s
 			}
 			t.tables[tb] = next
 			emit(step{act: aInFlight, v: tb}, t, "")
-		case InFlight:
-			if s.dumped&(1<<tb) != 0 {
-				next, ok := Next(s.phase, p)
-				if !ok {
-					abandon(&t)
-					emit(step{act: aAbandon}, t, "")
-					return
-				}
-				t.tables[tb], t.dumped = next, s.dumped&^(1<<tb)
-				emit(step{act: aCopied, v: tb}, t, "")
+		case p == InFlight && imaged:
+			next, ok := Next(s.phase, p)
+			if !ok {
+				abandon(&t)
+				emit(step{act: aAbandon}, t, "")
 				return
 			}
+			t.tables[tb] = next
+			emit(step{act: aCopied, v: tb}, t, "")
+		case imaged:
+			// The apply runs whatever the copy's phase: the dump calls the
+			// target from under its locks, and only the next step asks Next.
+			if !tgt.up {
+				abandon(&t)
+				emit(step{act: aAbandon}, t, "")
+				return
+			}
+			t.ms[s.tgt].has[tb], t.ms[s.tgt].set[tb] = true, s.image[tb]
+			t.imaged, t.held = s.imaged&^(1<<tb), s.held&^(1<<tb)
+			emit(step{act: aApply, v: tb}, t, "")
+			if t, ok := fault(t); ok {
+				abandon(&t)
+				emit(step{act: aApplyLost, v: tb, fault: true}, t, "")
+			}
+		default: // in flight
 			if !Dumpable(s.outstanding(tb)) {
 				return // the drain waits
 			}
@@ -596,17 +634,11 @@ func driverSteps(s state, b before, fault func(state) (state, bool), emit func(s
 				emit(step{act: aAbandon}, t, "")
 				return
 			}
-			t.ms[s.tgt].has[tb], t.ms[s.tgt].set[tb] = true, src.set[tb]
-			applied := t
-			t.dumped |= 1 << tb
-			emit(step{act: aDump, v: tb}, t, "")
+			t.image[tb], t.imaged, t.held = src.set[tb], s.imaged|1<<tb, s.held|1<<tb
+			emit(step{act: aImage, v: tb}, t, "")
 			if t, ok := fault(s); ok {
 				abandon(&t)
 				emit(step{act: aDumpLost, v: tb, fault: true}, t, "")
-			}
-			if t, ok := fault(applied); ok {
-				abandon(&t)
-				emit(step{act: aApplyLost, v: tb, fault: true}, t, "")
 			}
 		}
 		return
@@ -710,22 +742,26 @@ func TestDecisionsAllocateNothing(t *testing.T) {
 }
 
 // TestExploreStaleTableWrite pins what a write did while core reported a
-// table missing on a machine that is no replica as a schema error: the
-// write is routed to a replica that then fails, restarts and is caught up
-// by a copy that aborts; the restart drops the orphaned database, the
-// aborted copy re-creates it, and the write runs there and finds the
-// database without its table. core's TestStaleTargetWriteRetries replays
-// the same meeting through a copy abandoned and a next copy to its target.
+// table missing on a machine that is no replica as a schema error: a copy
+// images table 0, a write is routed to the source and the target, and the
+// source fails and restarts before the write reaches it. The source's
+// failure aborts the copy and its lock dies with it, so the write runs on
+// the target before the image is applied there and finds the database
+// without its table. core's TestStaleTargetWriteRetries replays a write
+// meeting a target without its table through a copy abandoned and a next
+// copy to its target.
 func TestExploreStaleTableWrite(t *testing.T) {
 	ex := explore(2, 2, before{noTableFatal: true})
-	want := `  1. w0: routed on table 0
-  2. fault: m0 fails
-  3. m0 restarts
-  4. recovery: copy to m0 starts (marks true)
-  5. fault: m0 fails
-  6. m0 restarts
-  7. copy: the target's database is created
-  8. w0: runs on its targets
+	want := `  1. fault: m0 fails
+  2. recovery: copy to m2 starts (marks false)
+  3. copy: the target's database is created
+  4. copy: table 0 in flight
+  5. copy: table 0 imaged under its read lock
+  6. copy: table 0 copied
+  7. w0: routed on table 0
+  8. fault: m1 fails
+  9. m1 restarts
+ 10. w0: runs on its targets
 `
 	if got := formatSteps(ex.bad); got != want {
 		t.Errorf("the shortest run (%s):\n%swant:\n%s", ex.why, got, want)

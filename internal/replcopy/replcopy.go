@@ -25,8 +25,8 @@ type Table uint8
 // Table phases.
 const (
 	Pending  Table = iota // not copied yet
-	InFlight              // being copied; writes routed before it went in flight may still run
-	Copied                // on the target
+	InFlight              // draining and being imaged: writes routed before it went in flight may still run
+	Copied                // imaged: the source's read lock holds its writes at the head until the target has the image
 )
 
 // Copy is one copy of a database: its phase and its two ends.
@@ -66,9 +66,13 @@ func WriteRoute(p Phase, t Table) Route {
 func Dumpable(outstanding int) bool { return outstanding == 0 }
 
 // Next is a table's phase after one step of a copy in phase p: a pending
-// table goes in flight, and an in-flight one is copied once its image,
-// dumped when Dumpable allowed, is applied on the target. ok is false if the
-// copy no longer runs: it moves no table and abandons.
+// table goes in flight, and an in-flight one is copied as soon as its image
+// is taken, dumped when Dumpable allowed. The dump still holds the table's
+// read lock at the source, the head, and lets go of it only once the image
+// is applied on the target. A write routed with the target from then on
+// takes its locks at the head first, so it waits there and reaches the
+// target after the image. ok is false if the copy no longer runs: it moves
+// no table and abandons.
 func Next(p Phase, t Table) (next Table, ok bool) {
 	switch {
 	case p != Running:
@@ -88,6 +92,8 @@ func Fails(c Copy, machine string) bool {
 // Driven says whether copy c has a live driver. The death of the controller
 // driving a copy aborts the copy if it is driven, and a new leader retires
 // the replicated record of any copy that is not: nobody would finish it.
+// The driver asks it before it creates the target's database, so a copy
+// aborted since copy_begin makes nothing there for its abandon to drop.
 func Driven(c Copy) bool { return c.Phase == Running }
 
 // Register is the registration guard: copy c may admit target to the

@@ -53,16 +53,17 @@ func (g DumpGranularity) String() string {
 }
 
 // DumpTables copies the named tables of db under table read locks: one
-// transaction S-locks every table, in the order given, and then hands each
-// image to fn while all the locks are still held. The cluster controller's
-// online replica creation (the paper's Algorithm 1) installs each image on
-// the target machine from inside fn, so a copied table exists on the target
-// before writers on the source can resume — otherwise a write executing
-// right after the lock release could reach the source but miss the target.
-// Granularity is the caller's choice of how many tables one call names. The
-// locks are a lock owner's (Engine.lockOwner): a DDL statement or restore on
-// a dumped table waits for the dump.
-func (e *Engine) DumpTables(db string, tables []string, fn func(TableDump) error) error {
+// transaction S-locks every table, in the order given, takes every table's
+// image, and only then hands the images, in that order, to fn while all the
+// locks are still held. The cluster controller's online replica creation
+// (the paper's Algorithm 1) marks the tables copied and installs each image
+// on the target machine from inside fn: a write routed to the target after
+// that waits here for the locks, so it reaches the target after the image —
+// otherwise it could reach the source but miss, or precede, the target's
+// copy. Granularity is the caller's choice of how many tables one call
+// names. The locks are a lock owner's (Engine.lockOwner): a DDL statement
+// or restore on a dumped table waits for the dump.
+func (e *Engine) DumpTables(db string, tables []string, fn func([]TableDump) error) error {
 	d, err := e.database(db)
 	if err != nil {
 		return err
@@ -75,12 +76,11 @@ func (e *Engine) DumpTables(db string, tables []string, fn func(TableDump) error
 			return err
 		}
 	}
-	for _, tbl := range locked {
-		if err := fn(copyTable(tbl)); err != nil {
-			return err
-		}
+	images := make([]TableDump, len(locked))
+	for i, tbl := range locked {
+		images[i] = copyTable(tbl)
 	}
-	return nil
+	return fn(images)
 }
 
 // copyTable snapshots a table's schema, rows and index definitions. The

@@ -156,9 +156,11 @@ type Engine struct {
 
 	// branches holds every unfinished branch with a global ID — active,
 	// prepared live, or re-instated by Recover — keyed by that ID, for the
-	// in-doubt resolver (see ClaimPrepared). Guarded by branchMu.
-	branchMu sync.Mutex
-	branches map[uint64]*Txn
+	// in-doubt resolver (see ClaimPrepared). Guarded by branchMu;
+	// branchEnded is broadcast whenever one leaves (see AwaitBranches).
+	branchMu    sync.Mutex
+	branches    map[uint64]*Txn
+	branchEnded sync.Cond
 
 	recorder atomic.Pointer[recorderBox]
 
@@ -213,6 +215,7 @@ func NewEngine(cfg Config) *Engine {
 		branches: make(map[uint64]*Txn),
 		stmts:    NewStmtCache(),
 	}
+	e.branchEnded.L = &e.branchMu
 	e.pool.writebackSink = cfg.PoolWritebacks
 	if cfg.Workers > 0 {
 		e.workers = make(chan struct{}, cfg.Workers)

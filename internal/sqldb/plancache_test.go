@@ -200,7 +200,7 @@ func TestPlanRebindsAfterRestoreAndDropDatabase(t *testing.T) {
 	bound := plansOf(stmt).load(e, "app")
 
 	var img TableDump
-	if err := e.DumpTables("app", []string{"t"}, func(d TableDump) error { img = d; return nil }); err != nil {
+	if err := e.DumpTables("app", []string{"t"}, func(ds []TableDump) error { img = ds[0]; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	img.Rows = encodeRows(Row{NewInt(1), NewText("restored")})

@@ -670,8 +670,8 @@ func TestSchemaDDLRoundTrip(t *testing.T) {
 func dumpAll(t *testing.T, e *Engine) []TableDump {
 	t.Helper()
 	var dumps []TableDump
-	err := e.DumpTables("app", e.Tables("app"), func(d TableDump) error {
-		dumps = append(dumps, d)
+	err := e.DumpTables("app", e.Tables("app"), func(ds []TableDump) error {
+		dumps = ds
 		return nil
 	})
 	if err != nil {
@@ -745,8 +745,9 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 }
 
 // TestDumpTablesHoldsEveryLock checks the database-granularity use of
-// DumpTables: while the callback runs for the first table, writes to every
-// named table block — the last one's lock is already held.
+// DumpTables: the callback gets every named table's image at once, and
+// while it runs writes to every named table block — the last one's lock is
+// held too.
 func TestDumpTablesHoldsEveryLock(t *testing.T) {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE a (id INT PRIMARY KEY)")
@@ -756,12 +757,11 @@ func TestDumpTablesHoldsEveryLock(t *testing.T) {
 	release := make(chan struct{})
 	dumped := make(chan error, 1)
 	go func() {
-		first := true
-		dumped <- e.DumpTables("app", []string{"a", "b"}, func(TableDump) error {
-			if first {
-				first = false
-				close(inDump)
-				<-release
+		dumped <- e.DumpTables("app", []string{"a", "b"}, func(ds []TableDump) error {
+			close(inDump)
+			<-release
+			if len(ds) != 2 || ds[0].Schema.Table != "a" || ds[1].Schema.Table != "b" {
+				return fmt.Errorf("images = %d, want a then b", len(ds))
 			}
 			return nil
 		})
@@ -784,7 +784,7 @@ func TestDumpTablesHoldsEveryLock(t *testing.T) {
 	if err := <-dumped; err != nil {
 		t.Fatalf("dump: %v", err)
 	}
-	if err := e.DumpTables("app", []string{"a", "nope"}, func(TableDump) error { return nil }); !errors.Is(err, ErrNoTable) {
+	if err := e.DumpTables("app", []string{"a", "nope"}, func([]TableDump) error { return nil }); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("dump of a missing table: err = %v, want ErrNoTable", err)
 	}
 	if held := e.Stats().LocksHeld; held != 0 {
