@@ -81,6 +81,9 @@ type dbState struct {
 	name     string
 	replicas []string   // live machines hosting the database, head first
 	copying  *copyState // non-nil while a new replica is being created
+	// retiring lists the machines retired from replicas whose copy of the
+	// database RetireReplica has not yet dropped; no copy may target them.
+	retiring []string
 	// epoch uniquely identifies this incarnation of the namespace, so a
 	// machine's failure-time marks from a since-dropped-and-recreated
 	// database are never trusted.

@@ -189,7 +189,8 @@ func (c *Cluster) RestartMachine(id string) (*sqldb.RecoveryStats, error) {
 
 // pickRecoveryTarget returns the coldest live machine — with no load signal
 // here, the one hosting the fewest databases — that does not already host
-// db and has room for its SLA reservation.
+// db, is not dropping a retired copy of it, and has room for its SLA
+// reservation.
 func (c *Cluster) pickRecoveryTarget(db string) (*Machine, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -197,7 +198,7 @@ func (c *Cluster) pickRecoveryTarget(db string) (*Machine, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoDatabase, db)
 	}
-	view, ms := c.liveMachinesLocked(ds.replicas)
+	view, ms := c.liveMachinesLocked(slices.Concat(ds.replicas, ds.retiring))
 	picked, _ := placement.Pick(view, ds.req, 1, placement.Coldest)
 	if len(picked) == 0 {
 		return nil, fmt.Errorf("%w: no machine can host a new replica of %s", ErrNoReplicas, db)
