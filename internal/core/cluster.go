@@ -88,28 +88,13 @@ type dbState struct {
 	// machine's failure-time marks from a since-dropped-and-recreated
 	// database are never trusted.
 	epoch uint64
-	// writeSeq counts routed writes per table (lower-cased name), guarded by
-	// the cluster mutex. A restarted machine compares its failure-time
-	// snapshot of these counters against the current values: equal means the
-	// table is unchanged and log replay alone recovered it.
+	// writeSeq counts each table's writes (lower-cased name) whose targets
+	// are settled (writeRest), guarded by the cluster mutex. A restarted
+	// machine compares its failure-time snapshot of these counters against
+	// the current values: equal means no write has been sent since it
+	// failed, so log replay alone recovered the table.
 	writeSeq map[string]uint64
-	// pending holds each table's drain counter (lower-cased name). Once the
-	// table is in flight its writes are rejected, so a drain waits only for
-	// writes already routed and cannot starve under load.
-	pending map[string]*drainCounter
-	req     sla.Resources // per-replica SLA reservation (zero if unmanaged)
-}
-
-// pendingFor returns (creating if needed) the drain counter of a table.
-// Called with the cluster mutex held.
-func (ds *dbState) pendingFor(table string) *drainCounter {
-	d, ok := ds.pending[table]
-	if !ok {
-		d = &drainCounter{}
-		d.cond = sync.NewCond(&d.mu)
-		ds.pending[table] = d
-	}
-	return d
+	req      sla.Resources // per-replica SLA reservation (zero if unmanaged)
 }
 
 // copyState is an in-progress replica creation (Algorithm 1): the copy and
@@ -118,38 +103,6 @@ func (ds *dbState) pendingFor(table string) *drainCounter {
 type copyState struct {
 	replcopy.Copy
 	tables map[string]replcopy.Table
-}
-
-// drainCounter counts a table's writes that are routed and not yet
-// executed; the copy waits on it before dumping the table
-// (replcopy.Dumpable).
-type drainCounter struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-}
-
-func (d *drainCounter) inc() {
-	d.mu.Lock()
-	d.n++
-	d.mu.Unlock()
-}
-
-func (d *drainCounter) dec() {
-	d.mu.Lock()
-	d.n--
-	if d.n == 0 {
-		d.cond.Broadcast()
-	}
-	d.mu.Unlock()
-}
-
-func (d *drainCounter) wait() {
-	d.mu.Lock()
-	for !replcopy.Dumpable(d.n) {
-		d.cond.Wait()
-	}
-	d.mu.Unlock()
 }
 
 // NewCluster creates an empty cluster controller.
@@ -512,34 +465,49 @@ func (c *Cluster) pickReadMachine(t *Txn) (string, error) {
 	}
 }
 
-// writeRoute returns the machines a write on table executes on
-// (replcopy.WriteRoute while a copy runs) and the release to call once it
-// has executed on all of them, which the copy's drain waits for.
-func (c *Cluster) writeRoute(db, table string) ([]string, func(), error) {
+// writeRoute appends to route the machines a write on table is routed to,
+// the replica set with its head first, or rejects the write if a copy has
+// the table in flight (replcopy.WriteRoute, Algorithm 1 line 11).
+func (c *Cluster) writeRoute(db, table string, route []string) ([]string, error) {
 	table = strings.ToLower(table)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ds, ok := c.dbs[db]
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNoDatabase, db)
+		return nil, fmt.Errorf("%w: %s", ErrNoDatabase, db)
 	}
 	if len(ds.replicas) == 0 {
-		return nil, nil, ErrNoReplicas
+		return nil, ErrNoReplicas
 	}
-	targets := append([]string{}, ds.replicas...)
-	if cs := ds.copying; cs != nil {
-		switch replcopy.WriteRoute(cs.Phase, cs.tables[table]) {
-		case replcopy.Reject:
-			c.metrics.rejected.Inc()
-			return nil, nil, ErrRejected
-		case replcopy.WithTarget:
-			targets = append(targets, cs.Target)
-		}
+	if cs := ds.copying; cs != nil && replcopy.WriteRoute(cs.Phase, cs.tables[table]) == replcopy.Reject {
+		c.metrics.rejected.Inc()
+		return nil, ErrRejected
+	}
+	return append(route, ds.replicas...), nil
+}
+
+// writeRest appends to rest the machines besides its head that a write on
+// table goes to once its head share, on route[0], holds the table's lock
+// there (replcopy.Rest), and counts the write in the table's writeSeq. A
+// write whose head is no longer the replica set's fails as a stale route
+// (replcopy.Stale).
+func (c *Cluster) writeRest(db, table string, route, rest []string) ([]string, error) {
+	table = strings.ToLower(table)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ds, ok := c.dbs[db]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoDatabase, db)
+	}
+	if replcopy.Stale(route[0], ds.replicas) {
+		return nil, fmt.Errorf("%w: %s no longer heads %s", ErrStaleRoute, route[0], db)
+	}
+	var cs copyState
+	if ds.copying != nil {
+		cs = *ds.copying
 	}
 	ds.writeSeq[table]++
-	d := ds.pendingFor(table)
-	d.inc()
-	return targets, d.dec, nil
+	return replcopy.Rest(rest, route, ds.replicas, cs.Phase, cs.tables[table], cs.Target), nil
 }
 
 // Begin starts a distributed transaction on db.

@@ -180,7 +180,7 @@ func (cp *controlPlane) apply(cmd ctlCmd, then func()) error {
 // every database either side knows — into the routing state: its replicas,
 // head first, and epoch. A new record gets a dbState, a dropped one loses it.
 // It is the only writer of dbState.replicas; the rest of a
-// dbState (SLA reservation, write sequences, drains, copy progress) is
+// dbState (SLA reservation, write sequences, copy progress) is
 // local. Caller holds c.mu.
 func (cp *controlPlane) materializeLocked(st *ctlState, names []string) {
 	c := cp.c
@@ -200,7 +200,7 @@ func (cp *controlPlane) materializeLocked(st *ctlState, names []string) {
 		}
 		ds := c.dbs[name]
 		if ds == nil {
-			ds = &dbState{name: name, writeSeq: map[string]uint64{}, pending: map[string]*drainCounter{}}
+			ds = &dbState{name: name, writeSeq: map[string]uint64{}}
 			c.dbs[name] = ds
 		}
 		ds.replicas = append([]string(nil), rec.Replicas...)
@@ -290,7 +290,7 @@ func (cp *controlPlane) onLeader(idx int, term uint64) {
 // the replicated state machine st (the new leader's, caught up past a
 // barrier) through the one materialize function: replica lists and epochs
 // come from the replicated record, local state (write-sequence
-// counters, drain counters, SLA reservations) is kept, databases the log
+// counters, SLA reservations) is kept, databases the log
 // never committed are discarded, and machines the log records as failed are
 // failed locally. Returns the databases whose replicated copy record nobody
 // is driving any more (the caller aborts them, so a fresh CreateReplica can

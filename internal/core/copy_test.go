@@ -558,3 +558,213 @@ func TestWriteAfterImageWaitsForApply(t *testing.T) {
 		})
 	}
 }
+
+// otherMachine returns a machine of c that is no replica of app.
+func otherMachine(t *testing.T, c *Cluster) string {
+	t.Helper()
+	reps, _ := c.Replicas("app")
+	for _, id := range c.MachineIDs() {
+		if !contains(reps, id) {
+			return id
+		}
+	}
+	t.Fatal("every machine is a replica of app")
+	return ""
+}
+
+// holdHeadBegin installs a netsim hook that, once armed, stops the next
+// branch opening on head: it closes at and waits for release. Every other
+// call goes to also, if it is set.
+func holdHeadBegin(net *netsim.Network, head string, at, release chan struct{}, also func(netsim.CallInfo)) *atomic.Bool {
+	var armed atomic.Bool
+	net.OnDeliver(func(ci netsim.CallInfo) {
+		if ci.Op == "begin" && ci.To == head && armed.CompareAndSwap(true, false) {
+			close(at)
+			<-release
+			return
+		}
+		if also != nil {
+			also(ci)
+		}
+	})
+	return &armed
+}
+
+// TestPendingWriteWaitsForDumpLock routes a write on table b while a copy
+// applies table a, with b still pending, and holds the write's head share
+// until the dump holds b's read lock. The share must wait for the lock, and
+// the write must then commit and be on the registered target: its rest is
+// settled after b's image, so it goes there.
+func TestPendingWriteWaitsForDumpLock(t *testing.T) {
+	opts, net := netOpts(5)
+	c := newTestCluster(t, 3, opts)
+	for _, tbl := range []string{"a", "b"} {
+		clusterExec(t, c, "CREATE TABLE "+tbl+" (id INT PRIMARY KEY, n INT)")
+		clusterExec(t, c, "INSERT INTO "+tbl+" VALUES (1, 1)")
+	}
+	reps, _ := c.Replicas("app")
+	target := otherMachine(t, c)
+
+	atA, aGo := make(chan struct{}), make(chan struct{})
+	atB, bGo := make(chan struct{}), make(chan struct{})
+	writeAt := make(chan struct{})
+	var applies atomic.Int32
+	armed := holdHeadBegin(net, reps[0], writeAt, atB, func(ci netsim.CallInfo) {
+		if ci.Op != "copy_apply" {
+			return
+		}
+		switch applies.Add(1) {
+		case 1:
+			close(atA)
+			<-aGo
+		case 2:
+			close(atB)
+			<-bGo
+		}
+	})
+	copied := make(chan error, 1)
+	go func() { copied <- c.CreateReplica("app", target) }()
+	<-atA
+	c.mu.Lock()
+	phase := c.dbs["app"].copying.tables["b"]
+	c.mu.Unlock()
+	if phase != replcopy.Pending {
+		t.Fatalf("b is %v in a's apply, want pending", phase)
+	}
+	armed.Store(true)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := c.Exec("app", "UPDATE b SET n = 2 WHERE id = 1")
+		wrote <- err
+	}()
+	<-writeAt
+	close(aGo)
+	<-atB
+	select {
+	case err := <-wrote:
+		t.Fatalf("the write returned %v while the dump held b's lock; want it to wait", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(bGo)
+	if err := <-wrote; err != nil {
+		t.Fatalf("write on b: %v", err)
+	}
+	if err := <-copied; err != nil {
+		t.Fatalf("CreateReplica: %v", err)
+	}
+	if reps, _ = c.Replicas("app"); !contains(reps, target) {
+		t.Fatalf("replicas = %v, want the target %s registered", reps, target)
+	}
+	for _, id := range reps {
+		m, _ := c.Machine(id)
+		if got := tableDigest(t, m, "b"); got != "(1, 2)" {
+			t.Fatalf("%s: b's digest %s, want the write's (1, 2)", id, got)
+		}
+	}
+}
+
+// TestStaleHeadWriteRetries routes a write and retires its head before the
+// head share runs, while an open transaction keeps the retired copy from
+// being dropped. The head share runs there, but the write must then abort
+// as a retryable stale route rather than go anywhere else, and its retry
+// must commit on every replica.
+func TestStaleHeadWriteRetries(t *testing.T) {
+	opts, net := netOpts(6)
+	opts.Replicas = 3
+	c := newTestCluster(t, 3, opts)
+	for _, tbl := range []string{"a", "b"} {
+		clusterExec(t, c, "CREATE TABLE "+tbl+" (id INT PRIMARY KEY, n INT)")
+		clusterExec(t, c, "INSERT INTO "+tbl+" VALUES (1, 1)")
+	}
+	reps, _ := c.Replicas("app")
+	head := reps[0]
+	open, err := c.Begin("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := open.Exec("UPDATE b SET n = 2 WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+
+	writeAt, writeGo := make(chan struct{}), make(chan struct{})
+	holdHeadBegin(net, head, writeAt, writeGo, nil).Store(true)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := c.Exec("app", "UPDATE a SET n = 2 WHERE id = 1")
+		wrote <- err
+	}()
+	<-writeAt
+	retired := make(chan error, 1)
+	go func() { retired <- c.RetireReplica("app", head) }()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if reps, _ = c.Replicas("app"); !contains(reps, head) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the retire never took the head out of the replica set")
+		}
+	}
+	close(writeGo)
+	if err := <-wrote; !errors.Is(err, ErrStaleRoute) || !IsRetryable(err) {
+		t.Fatalf("write = %v, want a retryable ErrStaleRoute", err)
+	}
+	if err := open.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-retired; err != nil {
+		t.Fatalf("RetireReplica: %v", err)
+	}
+	execRetry(t, c, "app", "UPDATE a SET n = 2 WHERE id = 1")
+	for _, id := range reps {
+		m, _ := c.Machine(id)
+		if got := tableDigest(t, m, "a"); got != "(1, 2)" {
+			t.Fatalf("%s: a's digest %s, want the retry's (1, 2)", id, got)
+		}
+	}
+}
+
+// TestMarksCountOnlySentWrites routes a write and, before its head share
+// runs, registers a new replica by a copy, then fails and restarts it. The
+// write's rest is settled without the failed machine, so the machine's
+// failure-time marks must not count the write: the recovery that catches
+// the machine up copies the table again rather than trust its log.
+func TestMarksCountOnlySentWrites(t *testing.T) {
+	opts, net := netOpts(8)
+	c := newTestCluster(t, 3, opts)
+	clusterExec(t, c, "CREATE TABLE a (id INT PRIMARY KEY, n INT)")
+	clusterExec(t, c, "INSERT INTO a VALUES (1, 1)")
+	reps, _ := c.Replicas("app")
+	target := otherMachine(t, c)
+
+	writeAt, writeGo := make(chan struct{}), make(chan struct{})
+	holdHeadBegin(net, reps[0], writeAt, writeGo, nil).Store(true)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := c.Exec("app", "UPDATE a SET n = 2 WHERE id = 1")
+		wrote <- err
+	}()
+	<-writeAt
+	if err := c.CreateReplica("app", target); err != nil {
+		t.Fatalf("CreateReplica: %v", err)
+	}
+	if _, err := c.FailMachine(target); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RestartMachine(target); err != nil {
+		t.Fatal(err)
+	}
+	close(writeGo)
+	if err := <-wrote; err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if rep := c.RecoverDatabases([]string{"app"}, 1); len(rep.Recovered) != 1 {
+		t.Fatalf("recovery: %+v", rep)
+	}
+	if reps, _ = c.Replicas("app"); !contains(reps, target) {
+		t.Fatalf("replicas = %v, want %s caught up", reps, target)
+	}
+	m, _ := c.Machine(target)
+	if got := tableDigest(t, m, "a"); got != "(1, 2)" {
+		t.Fatalf("%s: a's digest %s, want the write's (1, 2)", target, got)
+	}
+}

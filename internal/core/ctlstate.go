@@ -18,7 +18,7 @@ import (
 // database's replica list (its first machine, the head, orders the
 // database's conflicts) and namespace epoch, and the begin/abort/complete
 // lifecycle of Algorithm 1 replica copies. Everything else the controller
-// tracks — per-table write sequence counters, in-flight write drains, the
+// tracks — per-table write sequence counters, the
 // statement cache, SLA reservations — is leader-local soft state that a new
 // leader rebuilds or conservatively discards at failover (see
 // controlplane.go).

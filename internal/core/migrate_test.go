@@ -174,28 +174,36 @@ func TestWriteRouteAlgorithm1(t *testing.T) {
 		tables: map[string]replcopy.Table{"a": replcopy.Copied, "b": replcopy.InFlight},
 	}
 	c.mu.Unlock()
+	// route is where a write on table goes: its head, then the rest settled
+	// once its head share holds the table's lock.
+	route := func(table string) ([]string, error) {
+		r, err := c.writeRoute("app", table, nil)
+		if err != nil {
+			return nil, err
+		}
+		rest, err := c.writeRest("app", table, r, nil)
+		return append(r[:1], rest...), err
+	}
 
 	// Case: write to a copied table goes to replicas + target.
-	targets, release, err := c.writeRoute("app", "A") // case-insensitive
+	targets, err := route("A") // case-insensitive
 	if err != nil {
 		t.Fatal(err)
 	}
-	release()
 	if len(targets) != 3 || !contains(targets, "m3") {
 		t.Errorf("copied-table targets = %v", targets)
 	}
 
 	// Case: write to the in-flight table is rejected.
-	if _, _, err := c.writeRoute("app", "b"); !errors.Is(err, ErrRejected) {
+	if _, err := route("b"); !errors.Is(err, ErrRejected) {
 		t.Errorf("in-flight write err = %v", err)
 	}
 
 	// Case: write to a not-yet-copied table excludes the target.
-	targets, release, err = c.writeRoute("app", "c")
+	targets, err = route("c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	release()
 	if len(targets) != 2 || contains(targets, "m3") {
 		t.Errorf("uncopied-table targets = %v (replicas %v)", targets, reps)
 	}
@@ -204,7 +212,7 @@ func TestWriteRouteAlgorithm1(t *testing.T) {
 	c.mu.Lock()
 	ds.copying.tables["c"] = replcopy.InFlight
 	c.mu.Unlock()
-	if _, _, err := c.writeRoute("app", "c"); !errors.Is(err, ErrRejected) {
+	if _, err := route("c"); !errors.Is(err, ErrRejected) {
 		t.Errorf("second in-flight table write err = %v", err)
 	}
 	if got := c.Stats().Rejected; got != 2 {

@@ -189,48 +189,40 @@ func (c *Cluster) runCopy(ds *dbState, cs *copyState, source, target *Machine) e
 }
 
 // stepTables moves each of tables one phase on (replcopy.Next) under the
-// cluster mutex, counts each move as event, and returns the tables' drain
-// counters.
-func (c *Cluster) stepTables(ds *dbState, cs *copyState, tables []string, event string) ([]*drainCounter, error) {
+// cluster mutex and counts each move as event.
+func (c *Cluster) stepTables(ds *dbState, cs *copyState, tables []string, event string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	drains := make([]*drainCounter, len(tables))
-	for i, tbl := range tables {
+	for _, tbl := range tables {
 		next, ok := replcopy.Next(cs.Phase, cs.tables[tbl])
 		if !ok {
-			return nil, fmt.Errorf("%w: %s -> %s", ErrCopyAborted, cs.Source, cs.Target)
+			return fmt.Errorf("%w: %s -> %s", ErrCopyAborted, cs.Source, cs.Target)
 		}
-		cs.tables[tbl], drains[i] = next, ds.pendingFor(tbl)
+		cs.tables[tbl] = next
 		c.metrics.copyPhase.With(event).Inc()
 		c.metrics.reg.TraceEvent("copy", ds.name, event, tbl)
 	}
-	return drains, nil
+	return nil
 }
 
 // copyTables is Algorithm 1's per-table step, for one table or — at database
-// granularity — for every table at once: in flight, drained, imaged under
-// the tables' read locks and copied, then applied on the target while the
-// locks are still held.
+// granularity — for every table at once: in flight, imaged under the
+// tables' read locks and copied, then applied on the target while the locks
+// are still held. Every write takes its locks at the head, the source,
+// first, so the dump's lock acquisition orders the image after each write
+// that holds the table's lock there (strict 2PL) and before every other.
 func (c *Cluster) copyTables(ds *dbState, cs *copyState, source, target *Machine, tables []string) error {
-	// The tables go in flight *before* their locks are taken, so once the
-	// writes already routed to them drain, the dump's lock acquisition
-	// races only with transactions that hold their locks (and strict 2PL
-	// orders the dump after them).
-	drains, err := c.stepTables(ds, cs, tables, "table_inflight")
-	if err != nil {
+	if err := c.stepTables(ds, cs, tables, "table_inflight"); err != nil {
 		return err
 	}
-	for _, d := range drains {
-		d.wait()
-	}
 	dumpStart := time.Now()
-	err = c.netCall(c.endpoint, cs.Source, "copy_dump", func() error {
+	err := c.netCall(c.endpoint, cs.Source, "copy_dump", func() error {
 		return source.Engine().DumpTables(ds.name, tables, func(images []sqldb.TableDump) error {
-			// Every image is taken, so the tables are copied: a write routed
-			// from here on goes to the target too, and waits at the head —
-			// the source — for these locks until the last apply returns
-			// with its restore frame logged.
-			if _, err := c.stepTables(ds, cs, tables, "table_copied"); err != nil {
+			// Every image is taken, so the tables are copied: a write's head
+			// share waits at the source for these locks until the last
+			// apply returns with its restore frame logged, and its rest
+			// then goes to the target too.
+			if err := c.stepTables(ds, cs, tables, "table_copied"); err != nil {
 				return err
 			}
 			for _, d := range images {

@@ -32,6 +32,8 @@ type Txn struct {
 	sessionBuf [2]*replicaSession
 	resultBuf  [3]opResult // backs fanOut's outcomes: two replicas and a copy target
 	readHome   string      // Option 2's per-transaction read replica
+	// targetBuf backs a write's route, three replicas, and then its rest.
+	targetBuf [6]string
 
 	wrote    bool
 	finished bool
@@ -209,10 +211,19 @@ func (t *Txn) execRead(stmt sqldb.Statement, params []sqldb.Value) (*sqldb.Resul
 	return r.res, nil
 }
 
-// execWrite routes a write to every replica, applying Algorithm 1 during
-// replica creation, and acknowledges it per the controller's AckMode.
+// execWrite runs a write on every replica, applying Algorithm 1 during
+// replica creation, and acknowledges it per the controller's AckMode. Its
+// head share runs first, on this goroutine, and the rest only once the head
+// holds the write's locks. So every transaction takes a row's lock at the
+// head before any other replica: two writers of one row meet there and
+// nowhere else, a write–write cycle is whole in the head's wait-for graph,
+// and its deadlock detector, not the lock timeout, breaks it. The head is
+// also a copy's source, so the share holds the table's lock against the
+// copy's dump: the rest, settled after it (writeRest), goes to the copy's
+// target if the table's image was taken before, and the image waits for the
+// write otherwise.
 func (t *Txn) execWrite(stmt sqldb.Statement, table string, params []sqldb.Value) (*sqldb.Result, error) {
-	targets, release, err := t.c.writeRoute(t.db, table)
+	route, err := t.c.writeRoute(t.db, table, t.targetBuf[:0:3])
 	if err != nil {
 		if IsRejection(err) {
 			t.rejected = true
@@ -221,54 +232,46 @@ func (t *Txn) execWrite(stmt sqldb.Statement, table string, params []sqldb.Value
 		return nil, err
 	}
 	t.wrote = true
-
-	// Open every branch before dispatching to any, so an unreachable machine
-	// fails the write with nothing in flight for release to wait on.
-	var buf [4]*replicaSession
+	o := execOp(stmt, params)
+	head, err := t.session(route[0])
+	if err != nil {
+		t.abort()
+		return nil, err
+	}
+	r := head.do(o)
+	if r.err != nil {
+		t.abort()
+		return nil, r.err
+	}
+	rest, err := t.c.writeRest(t.db, table, route, t.targetBuf[3:3])
+	if err != nil {
+		t.abort()
+		return nil, err
+	}
+	var buf [3]*replicaSession
 	ss := buf[:0]
-	for _, id := range targets {
-		s, serr := t.session(id)
-		if serr != nil {
-			release()
+	for _, id := range rest {
+		s, err := t.session(id)
+		if err != nil {
 			t.abort()
-			return nil, serr
+			return nil, err
 		}
 		ss = append(ss, s)
 	}
-
-	o := execOp(stmt, params)
-	if t.c.opts.AckMode == Conservative || len(ss) == 1 {
+	if t.c.opts.AckMode == Conservative {
 		// Every replica has executed the write, or one has refused it, when
-		// fanOut returns — which is exactly when the copy process may proceed
-		// past it. Any failure aborts.
-		rs := t.fanOut(ss, o, acquire)
-		release()
-		for _, r := range rs {
+		// fanOut returns. Any failure aborts.
+		for _, r := range t.fanOut(ss, o, acquire) {
 			if r.err != nil {
 				t.abort()
 				return nil, r.err
 			}
 		}
-		return rs[0].res, nil
+		return r.res, nil
 	}
-
 	// Aggressive: acknowledge on the head's answer and leave the rest
-	// pending on their workers, sent, as in fanOut, once the head holds the
-	// write's locks.
-	r := ss[0].do(o)
-	if r.err != nil {
-		release()
-		t.abort()
-		return nil, r.err
-	}
-	futs := sendAll(ss[1:], o, false)
-	go func() {
-		for _, f := range futs {
-			f.wait()
-		}
-		release()
-	}()
-	t.async = append(t.async, futs...)
+	// pending on their workers.
+	t.async = append(t.async, sendAll(ss, o, false)...)
 	return r.res, nil
 }
 
@@ -285,18 +288,10 @@ const (
 // order, in a buffer the next fanOut reuses. This is the one place that
 // decides where a replica operation runs.
 //
-// An acquire runs the head's share first, on this goroutine, and sends the
-// rest only once the head holds the write's locks. ss is writeRoute's
-// replica list, head first and copy target last, so every transaction takes
-// a row's lock at the head before any other replica: two writers of one row
-// meet there and nowhere else, a write–write cycle is whole in the head's
-// wait-for graph, and its deadlock detector, not the lock timeout, breaks
-// it. The aggressive controller's writes (execWrite) keep the same order.
-//
-// The remaining shares, and every share of a vote or a decision, run one
-// machine after another in ss's order on this goroutine when no machine
-// operation can take simulated time (Cluster.overlap is false), or when one
-// session is left; an acquire or a vote stops at the first error. Otherwise
+// The shares run one machine after another in ss's order on this goroutine
+// when no machine operation can take simulated time (Cluster.overlap is
+// false), or when one session is left; an acquire (the rest of a write,
+// after its head share) or a vote stops at the first error. Otherwise
 // the machines work in parallel: the sessions after the first are sent to
 // their workers before the first runs here, if that session is idle. A vote
 // under a deadline runs nothing here, since a stalled machine would hold the
@@ -304,15 +299,7 @@ const (
 func (t *Txn) fanOut(ss []*replicaSession, o op, ph phase) []opResult {
 	rs := t.resultBuf[:0]
 	var deadline time.Duration
-	switch ph {
-	case acquire:
-		r := ss[0].do(o)
-		rs = append(rs, r)
-		if r.err != nil {
-			return rs
-		}
-		ss = ss[1:]
-	case vote:
+	if ph == vote {
 		deadline = t.c.opts.CallTimeout
 	}
 	if deadline <= 0 && (len(ss) <= 1 || !t.c.overlap) {

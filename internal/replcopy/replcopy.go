@@ -3,10 +3,12 @@
 // moves through the copy, what aborts a copy, when a copy may register its
 // target, and what a restarted machine's failure-time marks are worth. It is
 // pure — no goroutines, no clock, no allocation — so the cluster controller
-// (core) keeps only transport, locks, drain counters and the dump around it,
-// and a test drives the same functions over every interleaving of a copy,
-// its writers and its faults (explore_test.go).
+// (core) keeps only transport, locks and the dump around it, and a test
+// drives the same functions over every interleaving of a copy, its writers
+// and its faults (explore_test.go).
 package replcopy
+
+import "slices"
 
 // Phase is a copy's phase as one controller view holds it.
 type Phase uint8
@@ -25,8 +27,8 @@ type Table uint8
 // Table phases.
 const (
 	Pending  Table = iota // not copied yet
-	InFlight              // draining and being imaged: writes routed before it went in flight may still run
-	Copied                // imaged: the source's read lock holds its writes at the head until the target has the image
+	InFlight              // being imaged: the dump waits at the head for the writes that hold the table's lock there
+	Copied                // imaged: the dump's read lock holds its writes at the head until the target has the image
 )
 
 // Copy is one copy of a database: its phase and its two ends.
@@ -59,20 +61,14 @@ func WriteRoute(p Phase, t Table) Route {
 	return routes[t]
 }
 
-// Dumpable says whether a table in flight with outstanding writes still
-// executing may be dumped: the dump takes the table's read locks, and a
-// write routed before the table went in flight but not yet executed holds
-// none, so the dump would miss it.
-func Dumpable(outstanding int) bool { return outstanding == 0 }
-
 // Next is a table's phase after one step of a copy in phase p: a pending
 // table goes in flight, and an in-flight one is copied as soon as its image
-// is taken, dumped when Dumpable allowed. The dump still holds the table's
-// read lock at the source, the head, and lets go of it only once the image
-// is applied on the target. A write routed with the target from then on
-// takes its locks at the head first, so it waits there and reaches the
-// target after the image. ok is false if the copy no longer runs: it moves
-// no table and abandons.
+// is taken. The dump still holds the table's read lock at the source, the
+// head, and lets go of it only once the image is applied on the target. A
+// write takes its locks at the head first, so one that reaches the table
+// from then on waits there, and Rest sends it to the target after the
+// image. ok is false if the copy no longer runs: it moves no table and
+// abandons.
 func Next(p Phase, t Table) (next Table, ok bool) {
 	switch {
 	case p != Running:
@@ -81,6 +77,41 @@ func Next(p Phase, t Table) (next Table, ok bool) {
 		return t, true
 	}
 	return t + 1, true
+}
+
+// Stale says whether a write whose head share ran on head must abort, as a
+// retryable stale route, before it goes anywhere else: head is no longer
+// the replica set's head. Only the head is a copy's source, so only a lock
+// held there orders the write against a copy's image.
+func Stale[M comparable](head M, replicas []M) bool {
+	return len(replicas) == 0 || replicas[0] != head
+}
+
+// Rest appends to dst where a write on a table in phase t goes once its head
+// share, route[0], holds the table's lock at the head, while the database's
+// copy to target is in phase p. route is the replica set when the write was
+// routed, head first; replicas is the set now. A machine in either gets the
+// write: one that has left since fails it or is dropped, one that joined
+// since holds the table. The target gets it if the table is copied: the
+// image was taken before the head share, which waited for the dump's lock
+// until the image was applied. A table not yet copied cannot be imaged
+// while the share holds the lock, so its image will hold the write.
+func Rest[M comparable](dst, route, replicas []M, p Phase, t Table, target M) []M {
+	add := func(m M) {
+		if m != route[0] && !slices.Contains(dst, m) {
+			dst = append(dst, m)
+		}
+	}
+	for _, m := range route[1:] {
+		add(m)
+	}
+	for _, m := range replicas {
+		add(m)
+	}
+	if WriteRoute(p, t) == WithTarget {
+		add(target)
+	}
+	return dst
 }
 
 // Fails says whether machine's failure aborts copy c: it does if c runs
