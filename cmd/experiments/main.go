@@ -226,8 +226,8 @@ func main() {
 			os.Exit(1)
 		}
 		last := res.Points[len(res.Points)-1]
-		fmt.Printf("wrote %s: prepared read %.0f ns/op vs simple %.0f ns/op (EXPLAIN exec=%s); at %d conns %.0f tps, p99 %.0f µs, %.0f bytes/op, %d sustained\n",
-			*benchNetOut, res.PreparedReadNsPerOp, res.SimpleReadNsPerOp, res.ExplainExec,
+		fmt.Printf("wrote %s: prepared read %.0f ns/op vs simple %.0f ns/op; at %d conns %.0f tps, p99 %.0f µs, %.0f bytes/op, %d sustained\n",
+			*benchNetOut, res.PreparedReadNsPerOp, res.SimpleReadNsPerOp,
 			last.Conns, last.TPS, last.P99Us, last.BytesPerOp, res.MaxConnsSustained)
 		return
 	}

@@ -75,7 +75,7 @@ func TestSlowz(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.SlowLog().Record(obs.SlowEntry{
 		Time: time.Unix(1000, 0), DB: "shop", SQL: "SELECT * FROM slow",
-		Duration: 40 * time.Millisecond, TraceID: 0xabc, Mode: "compiled",
+		Duration: 40 * time.Millisecond, TraceID: 0xabc,
 	})
 	h := Handler(reg, nil)
 

@@ -31,11 +31,9 @@ var (
 // Options configures a colo controller.
 type Options struct {
 	// ClusterSize is the number of machines a newly formed cluster starts
-	// with (the paper uses clusters of tens of machines on one rack).
+	// with (the paper uses clusters of tens of machines on one rack). A
+	// cluster grows to twice that; beyond it a new cluster is formed.
 	ClusterSize int
-	// MaxClusterSize caps cluster growth; beyond it a new cluster is
-	// formed instead. Zero means 2*ClusterSize.
-	MaxClusterSize int
 	// Cluster configures every cluster controller this colo creates.
 	Cluster core.Options
 	// RecoveryThreads is the number of concurrent copy processes used when
@@ -50,9 +48,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.ClusterSize <= 0 {
 		o.ClusterSize = 4
-	}
-	if o.MaxClusterSize <= 0 {
-		o.MaxClusterSize = 2 * o.ClusterSize
 	}
 	if o.RecoveryThreads <= 0 {
 		o.RecoveryThreads = 2
@@ -133,7 +128,7 @@ func (c *Controller) Databases() []string {
 // CreateDatabase places a new database with the given per-replica resource
 // requirement somewhere in the colo: each existing cluster is tried with
 // First-Fit placement; if none has capacity, machines from the free pool
-// grow an existing cluster (up to MaxClusterSize) or form a new one.
+// grow an existing cluster (up to twice ClusterSize) or form a new one.
 func (c *Controller) CreateDatabase(db string, req sla.Resources, replicas int) error {
 	c.mu.Lock()
 	if _, dup := c.dbCluster[db]; dup {
@@ -181,7 +176,7 @@ func (c *Controller) CreateDatabase(db string, req sla.Resources, replicas int) 
 	}
 }
 
-// provisionCluster grows the most recent cluster if below MaxClusterSize,
+// provisionCluster grows the most recent cluster if below twice ClusterSize,
 // else forms a new cluster, drawing machines from the free pool.
 func (c *Controller) provisionCluster(minMachines int) (*core.Cluster, error) {
 	c.mu.Lock()
@@ -193,8 +188,8 @@ func (c *Controller) provisionCluster(minMachines int) (*core.Cluster, error) {
 	// Grow the last cluster when allowed.
 	if len(c.clusters) > 0 {
 		last := c.clusters[len(c.clusters)-1]
-		if n := len(last.MachineIDs()); n < c.opts.MaxClusterSize {
-			room := c.opts.MaxClusterSize - n
+		if n := len(last.MachineIDs()); n < 2*c.opts.ClusterSize {
+			room := 2*c.opts.ClusterSize - n
 			if grow > room {
 				grow = room
 			}

@@ -37,14 +37,14 @@ func TestCreateDatabaseFormsClusters(t *testing.T) {
 }
 
 func TestCreateDatabaseGrowsWhenFull(t *testing.T) {
-	c := New("colo1", Options{ClusterSize: 2, MaxClusterSize: 3})
+	c := New("colo1", Options{ClusterSize: 2})
 	c.AddFreeMachines(8)
 	big := sla.Resources{CPU: 0.9, Memory: 0.9, Disk: 0.4, DiskBW: 0.4}
 	if err := c.CreateDatabase("db1", big, 2); err != nil {
 		t.Fatal(err)
 	}
 	// db2 cannot share machines with db1 (0.9+0.9 > 1): the cluster grows
-	// to MaxClusterSize, then a new cluster forms.
+	// to twice ClusterSize, then a new cluster forms.
 	if err := c.CreateDatabase("db2", big, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +53,9 @@ func TestCreateDatabaseGrowsWhenFull(t *testing.T) {
 	}
 	if got := len(c.Clusters()); got < 2 {
 		t.Errorf("clusters = %d, want >= 2", got)
+	}
+	if got := len(c.Clusters()[0].MachineIDs()); got != 4 {
+		t.Errorf("first cluster has %d machines, want 4 (twice ClusterSize)", got)
 	}
 }
 

@@ -45,6 +45,9 @@ type Cluster struct {
 	machines map[string]*Machine
 	order    []string // machine IDs in registration order
 	dbs      map[string]*dbState
+	// createEnded is broadcast, on mu, when a database's CREATE TABLE
+	// statements in flight drop to none (awaitCreates).
+	createEnded sync.Cond
 
 	gidSeq atomic.Uint64
 	rrSeq  atomic.Uint64
@@ -94,6 +97,9 @@ type dbState struct {
 	// the current values: equal means no write has been sent since it
 	// failed, so log replay alone recovered the table.
 	writeSeq map[string]uint64
+	// creating counts the CREATE TABLE statements routed to the database
+	// that have not returned (createRoute); a copy begins only at 0.
+	creating int
 	req      sla.Resources // per-replica SLA reservation (zero if unmanaged)
 }
 
@@ -134,6 +140,7 @@ func NewCluster(name string, opts Options) *Cluster {
 		metrics:    metrics,
 		slamon:     opts.SLAMonitor,
 	}
+	c.createEnded.L = &c.mu
 	if c.stmts == nil {
 		c.stmts = sqldb.NewStmtCache()
 	}
@@ -484,6 +491,62 @@ func (c *Cluster) writeRoute(db, table string, route []string) ([]string, error)
 		return nil, ErrRejected
 	}
 	return append(route, ds.replicas...), nil
+}
+
+// createRoute routes a CREATE TABLE on db as writeRoute routes a write,
+// except that while a copy of db runs it refuses the create, as retryable
+// ErrCopyInProgress: the copy listed the source's tables when it began, so
+// a table created now would never reach its target. A create it routes
+// counts in the database's creating until done, which the caller calls once
+// the statement returns; a copy waits for that count to reach 0 before it
+// begins (awaitCreates). So a create lands wholly before a copy's listing
+// or after the copy.
+func (c *Cluster) createRoute(db string, route []string) (_ []string, done func(), err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ds, ok := c.dbs[db]
+	switch {
+	case !ok:
+		return nil, nil, fmt.Errorf("%w: %s", ErrNoDatabase, db)
+	case len(ds.replicas) == 0:
+		return nil, nil, ErrNoReplicas
+	case ds.copying != nil && ds.copying.Phase == replcopy.Running:
+		return nil, nil, fmt.Errorf("%w: %s; retry the CREATE TABLE after it", ErrCopyInProgress, db)
+	}
+	ds.creating++
+	return append(route, ds.replicas...), func() {
+		c.mu.Lock()
+		if ds.creating--; ds.creating == 0 {
+			c.createEnded.Broadcast()
+		}
+		c.mu.Unlock()
+	}, nil
+}
+
+// awaitCreates waits, with c.mu held, until no CREATE TABLE routed to db is
+// in flight (createRoute), for at most the engines' LockTimeout and without
+// bound when it is zero. A create lasts one statement.
+func (c *Cluster) awaitCreates(db string) {
+	creating := func() bool {
+		ds, ok := c.dbs[db]
+		return ok && ds.creating > 0
+	}
+	if !creating() {
+		return
+	}
+	expired := false
+	if d := c.opts.EngineConfig.LockTimeout; d > 0 {
+		timer := time.AfterFunc(d, func() {
+			c.mu.Lock()
+			expired = true
+			c.createEnded.Broadcast()
+			c.mu.Unlock()
+		})
+		defer timer.Stop()
+	}
+	for creating() && !expired {
+		c.createEnded.Wait()
+	}
 }
 
 // writeRest appends to rest the machines besides its head that a write on

@@ -559,6 +559,184 @@ func TestWriteAfterImageWaitsForApply(t *testing.T) {
 	}
 }
 
+// TestCreateTableDuringCopyReachesTarget creates a table while a copy holds
+// its first apply: the copy listed the source's tables before the create, so
+// a create let through then would never reach the target. It is refused as
+// retryable and succeeds once retried after the copy, and the registered
+// target holds the table and takes its writes like every replica.
+func TestCreateTableDuringCopyReachesTarget(t *testing.T) {
+	opts, net := netOpts(5)
+	c := newTestCluster(t, 3, opts)
+	clusterExec(t, c, "CREATE TABLE a (id INT PRIMARY KEY, n INT)")
+	clusterExec(t, c, "INSERT INTO a VALUES (1, 1)")
+	target := otherMachine(t, c)
+
+	atApply, applyGo := make(chan struct{}), make(chan struct{})
+	var applies atomic.Int32
+	net.OnDeliver(func(ci netsim.CallInfo) {
+		if ci.Op == "copy_apply" && applies.Add(1) == 1 {
+			close(atApply)
+			<-applyGo
+		}
+	})
+	copied := make(chan error, 1)
+	go func() { copied <- c.CreateReplica("app", target) }()
+	<-atApply
+	const create = "CREATE TABLE z (id INT PRIMARY KEY, n INT)"
+	_, err := c.Exec("app", create)
+	if err != nil && !IsRetryable(err) {
+		t.Fatalf("CREATE TABLE during the copy: %v, want success or a retryable refusal", err)
+	}
+	close(applyGo)
+	if err := <-copied; err != nil {
+		t.Fatalf("CreateReplica: %v", err)
+	}
+	if err != nil {
+		clusterExec(t, c, create)
+	}
+	reps, _ := c.Replicas("app")
+	if len(reps) != 3 || !contains(reps, target) {
+		t.Fatalf("replicas = %v, want the target %s registered", reps, target)
+	}
+	for i := 1; i <= 4; i++ {
+		if _, err := c.Exec("app", "INSERT INTO z VALUES (?, 1)", sqldb.NewInt(int64(i))); err != nil {
+			t.Fatalf("INSERT INTO z after the copy: %v", err)
+		}
+	}
+	head, _ := c.Machine(reps[0])
+	for _, id := range reps[1:] {
+		m, _ := c.Machine(id)
+		wantSameTables(t, head, m)
+	}
+}
+
+// holdCreate starts CREATE TABLE z on app and returns once it is routed
+// but has not run anywhere: a netsim hook holds its head session's begin
+// until release is called. done yields the statement's error.
+func holdCreate(t *testing.T, c *Cluster, net *netsim.Network) (release func(), done <-chan error) {
+	t.Helper()
+	var armed atomic.Bool
+	atBegin, beginGo := make(chan struct{}), make(chan struct{})
+	net.OnDeliver(func(ci netsim.CallInfo) {
+		if ci.Op == "begin" && armed.CompareAndSwap(true, false) {
+			close(atBegin)
+			<-beginGo
+		}
+	})
+	armed.Store(true)
+	created := make(chan error, 1)
+	go func() {
+		_, err := c.Exec("app", "CREATE TABLE z (id INT PRIMARY KEY, n INT)")
+		created <- err
+	}()
+	<-atBegin
+	return func() { close(beginGo) }, created
+}
+
+// TestCopyWaitsForCreateInFlight routes a CREATE TABLE and holds it before
+// its head share, then asks for a copy. A copy that began now would list
+// the source's tables without z, and the create, let go while the copy
+// runs, would settle its rest without the target. The copy waits for the
+// create instead, and carries z to its target.
+func TestCopyWaitsForCreateInFlight(t *testing.T) {
+	opts, net := netOpts(5)
+	c := newTestCluster(t, 3, opts)
+	clusterExec(t, c, "CREATE TABLE a (id INT PRIMARY KEY, n INT)")
+	target := otherMachine(t, c)
+
+	release, created := holdCreate(t, c, net)
+	atApply, applyGo := make(chan struct{}), make(chan struct{})
+	var applies atomic.Int32
+	net.OnDeliver(func(ci netsim.CallInfo) {
+		if ci.Op == "copy_apply" && applies.Add(1) == 1 {
+			close(atApply)
+			<-applyGo
+		}
+	})
+	copied := make(chan error, 1)
+	go func() { copied <- c.CreateReplica("app", target) }()
+	select {
+	case <-atApply:
+		t.Error("the copy reached its first apply with a create in flight")
+	case <-time.After(200 * time.Millisecond):
+	}
+	release()
+	if err := <-created; err != nil {
+		t.Fatalf("CREATE TABLE: %v", err)
+	}
+	close(applyGo)
+	if err := <-copied; err != nil {
+		t.Fatalf("CreateReplica after the create: %v", err)
+	}
+	clusterExec(t, c, "INSERT INTO z VALUES (1, 1)")
+	reps, _ := c.Replicas("app")
+	if !contains(reps, target) {
+		t.Fatalf("replicas = %v, want the target %s registered", reps, target)
+	}
+	head, _ := c.Machine(reps[0])
+	for _, id := range reps[1:] {
+		m, _ := c.Machine(id)
+		wantSameTables(t, head, m)
+	}
+}
+
+// TestRecoveryWaitsForCreateInFlight fails a replica and re-replicates its
+// database while a CREATE TABLE is in flight: the recovery's copy waits for
+// the create rather than failing, and the database is back at two replicas
+// that both hold z.
+func TestRecoveryWaitsForCreateInFlight(t *testing.T) {
+	opts, net := netOpts(5)
+	c := newTestCluster(t, 3, opts)
+	clusterExec(t, c, "CREATE TABLE a (id INT PRIMARY KEY, n INT)")
+	reps, _ := c.Replicas("app")
+	affected, err := c.FailMachine(reps[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release, created := holdCreate(t, c, net)
+	recovered := make(chan RecoveryReport, 1)
+	go func() { recovered <- c.RecoverDatabases(affected, 1) }()
+	time.Sleep(20 * time.Millisecond)
+	release()
+	if err := <-created; err != nil {
+		t.Fatalf("CREATE TABLE: %v", err)
+	}
+	if report := <-recovered; len(report.Failed) != 0 {
+		t.Fatalf("recovery with a create in flight: %v", report.Failed)
+	}
+	clusterExec(t, c, "INSERT INTO z VALUES (1, 1)")
+	reps, _ = c.Replicas("app")
+	if len(reps) != 2 {
+		t.Fatalf("replicas = %v after recovery, want 2", reps)
+	}
+	head, _ := c.Machine(reps[0])
+	m, _ := c.Machine(reps[1])
+	wantSameTables(t, head, m)
+}
+
+// TestCopyGivesUpOnCreatePastLockTimeout holds a create past the engines'
+// lock timeout: the copy stops waiting and is refused as in progress.
+func TestCopyGivesUpOnCreatePastLockTimeout(t *testing.T) {
+	opts, net := netOpts(5)
+	opts.EngineConfig = sqldb.DefaultConfig()
+	opts.EngineConfig.LockTimeout = 50 * time.Millisecond
+	c := newTestCluster(t, 3, opts)
+	clusterExec(t, c, "CREATE TABLE a (id INT PRIMARY KEY, n INT)")
+	target := otherMachine(t, c)
+
+	release, created := holdCreate(t, c, net)
+	start := time.Now()
+	err := c.CreateReplica("app", target)
+	if !errors.Is(err, ErrCopyInProgress) || time.Since(start) < opts.EngineConfig.LockTimeout {
+		t.Errorf("CreateReplica after %v with a create held: %v, want ErrCopyInProgress after the lock timeout", time.Since(start), err)
+	}
+	release()
+	if err := <-created; err != nil {
+		t.Fatalf("CREATE TABLE: %v", err)
+	}
+}
+
 // otherMachine returns a machine of c that is no replica of app.
 func otherMachine(t *testing.T, c *Cluster) string {
 	t.Helper()

@@ -34,7 +34,9 @@ var (
 	ErrTxnDone = errors.New("core: transaction already finished")
 
 	// ErrCopyInProgress is returned when a second replica creation is
-	// requested for a database that is already being copied.
+	// requested for a database that is already being copied, and to a
+	// CREATE TABLE on a database while a copy of it runs (the copy would
+	// miss the table). Retryable: the copy ends.
 	ErrCopyInProgress = errors.New("core: replica creation already in progress")
 
 	// ErrCopyAborted is returned by CreateReplica when the copy was

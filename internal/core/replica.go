@@ -40,11 +40,14 @@ func (c *Cluster) CreateReplica(db, targetID string) error {
 func (c *Cluster) copyReplica(db string, target *Machine, marks map[string]uint64) error {
 	targetID := target.ID()
 	c.mu.Lock()
+	c.awaitCreates(db)
 	ds, ok := c.dbs[db]
 	var err error
 	switch {
 	case !ok:
 		err = fmt.Errorf("%w: %s", ErrNoDatabase, db)
+	case ds.creating > 0:
+		err = fmt.Errorf("%w: a CREATE TABLE on %s is in flight", ErrCopyInProgress, db)
 	case ds.copying != nil:
 		err = fmt.Errorf("%w: %s", ErrCopyInProgress, db)
 	case slices.Contains(ds.replicas, targetID):

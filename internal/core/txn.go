@@ -148,7 +148,7 @@ func (t *Txn) ExecStmt(stmt sqldb.Statement, params ...sqldb.Value) (*sqldb.Resu
 	case *sqldb.DeleteStmt:
 		return t.execWrite(stmt, s.Table, params)
 	case *sqldb.CreateTableStmt:
-		return t.execWrite(stmt, s.Table, params)
+		return t.execCreate(s, params)
 	case *sqldb.CreateIndexStmt:
 		return t.execWrite(stmt, s.Table, params)
 	case *sqldb.DropTableStmt:
@@ -231,6 +231,25 @@ func (t *Txn) execWrite(stmt sqldb.Statement, table string, params []sqldb.Value
 		t.abort()
 		return nil, err
 	}
+	return t.runWrite(stmt, table, params, route)
+}
+
+// execCreate runs a CREATE TABLE as execWrite runs a write, routed by
+// createRoute: refused while a copy of the database runs, and counted until
+// it returns, so that no copy begins meanwhile.
+func (t *Txn) execCreate(s *sqldb.CreateTableStmt, params []sqldb.Value) (*sqldb.Result, error) {
+	route, done, err := t.c.createRoute(t.db, t.targetBuf[:0:3])
+	if err != nil {
+		t.abort()
+		return nil, err
+	}
+	defer done()
+	return t.runWrite(s, s.Table, params, route)
+}
+
+// runWrite runs a write routed to route, head first: the head share here,
+// then the rest (writeRest).
+func (t *Txn) runWrite(stmt sqldb.Statement, table string, params []sqldb.Value, route []string) (*sqldb.Result, error) {
 	t.wrote = true
 	o := execOp(stmt, params)
 	head, err := t.session(route[0])
@@ -537,10 +556,11 @@ func (t *Txn) finish(committed bool) {
 func IsRejection(err error) bool { return errors.Is(err, ErrRejected) }
 
 // IsRetryable reports whether the error is transient from the client's
-// perspective: deadlock victim, lock timeout, rejection during copy, a
-// machine failure mid-transaction, a branch abort surfacing through a 2PC
-// vote (the aggressive controller learns of an asynchronous write failure
-// only when the prepare vote comes back), a controller failover in progress
+// perspective: deadlock victim, lock timeout, rejection during copy (and a
+// CREATE TABLE refused while one runs), a machine failure mid-transaction, a
+// branch abort surfacing through a 2PC vote (the aggressive controller
+// learns of an asynchronous write failure only when the prepare vote comes
+// back), a controller failover in progress
 // (not-leader redirects and quorum loss heal once a leader re-emerges; a
 // COMMIT refused because the in-doubt resolver claimed its branch is one), or
 // any simulated-network fault — dropped or delayed messages, lost replies,
@@ -555,6 +575,7 @@ func IsRetryable(err error) bool {
 		errors.Is(err, sqldb.ErrTxnAborted) ||
 		errors.Is(err, sqldb.ErrClaimed) ||
 		errors.Is(err, ErrRejected) ||
+		errors.Is(err, ErrCopyInProgress) ||
 		errors.Is(err, ErrMachineFailed) ||
 		errors.Is(err, wal.ErrSealed) ||
 		errors.Is(err, sqldb.ErrEngineClosed) ||

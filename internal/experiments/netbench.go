@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,10 +27,6 @@ type NetBench struct {
 	// SimpleReadNsPerOp is the same read sent as SQL text (MsgQuery),
 	// which the server answers through its text→AST statement cache.
 	SimpleReadNsPerOp float64 `json:"simple_point_read_ns_per_op"`
-	// ExplainExec is the executor EXPLAIN reports for the benchmark's
-	// point read over the wire — "compiled" proves the network hop does
-	// not knock the statement off the compiled hot path.
-	ExplainExec string `json:"explain_exec"`
 	// Points is the throughput curve: one entry per connection count.
 	Points []NetPoint `json:"throughput_vs_conns"`
 	// MaxConnsSustained is the largest connection count whose measurement
@@ -254,22 +249,6 @@ func runNetLatency(res *NetBench, addr string) error {
 		}
 	}
 	res.SimpleReadNsPerOp = float64(time.Since(start).Nanoseconds()) / float64(iters)
-
-	// Prove the wire hop stays on the compiled executor: EXPLAIN carries
-	// an exec= marker in its detail column (see internal/sqldb/explain.go).
-	ex, err := client.Query("EXPLAIN SELECT v FROM t WHERE id = 7")
-	if err != nil {
-		return err
-	}
-	res.ExplainExec = "unknown"
-	for _, row := range ex.Rows {
-		for _, v := range row {
-			s := v.String()
-			if i := strings.Index(s, "exec="); i >= 0 {
-				res.ExplainExec = strings.Trim(strings.Fields(s[i+len("exec="):])[0], "'\")")
-			}
-		}
-	}
 	return nil
 }
 

@@ -24,8 +24,6 @@ type SlowEntry struct {
 	Duration time.Duration `json:"duration_ns"`
 	// TraceID is the call's trace, 0 when the call was not sampled.
 	TraceID uint64 `json:"trace_id,omitempty"`
-	// Mode is how the bound plan ran ("compiled"), "-" when unknown.
-	Mode string `json:"mode"`
 	// Spans is the span breakdown captured at record time for traced
 	// calls.
 	Spans []Span `json:"spans,omitempty"`
@@ -46,9 +44,6 @@ type SlowLog struct {
 func (l *SlowLog) Record(e SlowEntry) {
 	if l == nil {
 		return
-	}
-	if e.Mode == "" {
-		e.Mode = "-"
 	}
 	e.Seq = l.seq.Add(1)
 	l.record(e)
@@ -76,8 +71,8 @@ func (l *SlowLog) WriteText(w io.Writer) {
 		if e.TraceID != 0 {
 			trace = TraceIDString(e.TraceID)
 		}
-		fmt.Fprintf(w, "#%d %s db=%s dur=%s mode=%s trace=%s sql=%q\n",
-			e.Seq, e.Time.Format(time.RFC3339Nano), e.DB, e.Duration, e.Mode, trace, e.SQL)
+		fmt.Fprintf(w, "#%d %s db=%s dur=%s trace=%s sql=%q\n",
+			e.Seq, e.Time.Format(time.RFC3339Nano), e.DB, e.Duration, trace, e.SQL)
 		if len(e.Spans) > 0 {
 			WriteSpanTree(w, e.Spans)
 		}

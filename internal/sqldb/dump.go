@@ -14,11 +14,11 @@ import (
 // (the paper's Algorithm 1) on DumpTables and RestoreTable.
 
 // TableDump is the copied image of one table. A row travels as its stored
-// encoding, the bytes a page slot holds (encodeRow's), from the source's
+// encoding, the bytes a page slot holds (EncodeRow's), from the source's
 // pages to the target's pages and log: a copy decodes and re-encodes no row.
 type TableDump struct {
 	Schema  *Schema
-	Rows    []string // one encodeRow encoding a row
+	Rows    []string // one EncodeRow encoding a row
 	Indexes []IndexDef
 }
 

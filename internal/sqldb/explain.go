@@ -29,7 +29,7 @@ func (e *Engine) execExplain(t *Txn, s *ExplainStmt, params []Value) (*Result, e
 		}
 		if len(inner.Joins) == 0 {
 			access, detail := e.explainAccess(tbl, inner.Where, params)
-			add(tbl.Name(), access, detail+" exec=compiled")
+			add(tbl.Name(), access, detail)
 			return res, nil
 		}
 		bs, err := bindSelect(&stmtPlan{db: t.catalog}, inner)

@@ -13,7 +13,7 @@ import (
 //
 //	slot count   uint32
 //	directory    one (row id uint64, end uint32) per slot
-//	rows         one encodeRow encoding per slot, back to back
+//	rows         one EncodeRow encoding per slot, back to back
 //
 // little-endian; end is the offset in the image just past the slot's row, so
 // row i occupies [end of row i-1, end of row i) and the first row starts where
@@ -23,7 +23,7 @@ import (
 //
 // Inside the pool a page is its slots, and a slot is its row's encoding: a
 // substring of the image for a row the page was mapped with, the row's own
-// encodeRow string for one inserted or edited since. Nothing keeps a decoded
+// EncodeRow string for one inserted or edited since. Nothing keeps a decoded
 // row: a reader decodes the slots it needs into a buffer of its own.
 // Bringing a page in (mapPage) parses no row, and writing it back copies each
 // slot's bytes. What a miss costs beyond that is Config.MissLatency, the
@@ -58,8 +58,19 @@ func (p *sealedPage) image() string {
 
 func (p *sealedPage) store(img string) { p.enc.Store(&img) }
 
-// encodeRow appends the binary encoding of a row to buf.
-func encodeRow(buf []byte, r Row) []byte {
+// EncodeRow appends a row's encoding to buf: the value count, then each
+// value as its Type byte and a payload,
+//
+//	row   := n(uvarint) value*n
+//	value := 0                               NULL
+//	       | 1 zig-zag varint                INT
+//	       | 2 uvarint of math.Float64bits   FLOAT
+//	       | 3 len(uvarint) bytes            TEXT
+//	       | 4 0|1                           BOOL
+//
+// It is the one value codec: page slots, table images, redo records and the
+// wire protocol's parameters and result rows all carry values this way.
+func EncodeRow(buf []byte, r Row) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(r)))
 	for _, v := range r {
 		buf = append(buf, byte(v.Typ))
@@ -83,11 +94,11 @@ func encodeRow(buf []byte, r Row) []byte {
 	return buf
 }
 
-// encodeRowString is encodeRow as the string a slot keeps: one allocation,
+// encodeRowString is EncodeRow as the string a slot keeps: one allocation,
 // the string itself.
 func encodeRowString(r Row) string {
 	var buf [512]byte
-	return string(encodeRow(buf[:0], r))
+	return string(EncodeRow(buf[:0], r))
 }
 
 // pageSlot is one occupied slot of a resident page, or of a table's open
@@ -96,7 +107,7 @@ func encodeRowString(r Row) string {
 // enough to read it.
 type pageSlot struct {
 	rowID uint64
-	enc   string // the row's encodeRow encoding
+	enc   string // the row's EncodeRow encoding
 }
 
 // residentPage is a page in the buffer pool: its slots.
@@ -129,7 +140,8 @@ func (pg *residentPage) encode() string {
 	return img.String()
 }
 
-func corruptPage(what string) error { return fmt.Errorf("sqldb: corrupt page: %s", what) }
+// corrupt reports an encoding, what (a page or a row), that does not decode.
+func corrupt(what, why string) error { return fmt.Errorf("sqldb: corrupt %s: %s", what, why) }
 
 // mapPage checks an image's directory and returns its slots, each the
 // substring of the image its row occupies: no row is parsed and nothing but
@@ -138,11 +150,11 @@ func corruptPage(what string) error { return fmt.Errorf("sqldb: corrupt page: %s
 // byte), in order, inside the image, and end exactly where it ends.
 func mapPage(img string) ([]pageSlot, error) {
 	if len(img) < pageHeaderSize {
-		return nil, corruptPage("no slot count")
+		return nil, corrupt("page", "no slot count")
 	}
 	n := uint64(le32(img, 0))
 	if n > uint64(len(img)-pageHeaderSize)/(dirEntrySize+1) {
-		return nil, corruptPage("bad slot count")
+		return nil, corrupt("page", "bad slot count")
 	}
 	slots := make([]pageSlot, n)
 	dir := img[pageHeaderSize : pageHeaderSize+len(slots)*dirEntrySize]
@@ -151,13 +163,13 @@ func mapPage(img string) ([]pageSlot, error) {
 		d := dir[i*dirEntrySize : (i+1)*dirEntrySize]
 		end := le32(d, 8)
 		if end <= off || uint64(end) > uint64(len(img)) {
-			return nil, corruptPage("bad row extent")
+			return nil, corrupt("page", "bad row extent")
 		}
 		slots[i] = pageSlot{rowID: uint64(le32(d, 0)) | uint64(le32(d, 4))<<32, enc: img[off:end]}
 		off = end
 	}
 	if int(off) != len(img) {
-		return nil, corruptPage("bytes after the last row")
+		return nil, corrupt("page", "bytes after the last row")
 	}
 	return slots, nil
 }
@@ -168,26 +180,28 @@ func mapPage(img string) ([]pageSlot, error) {
 func rowArity(enc string) (arity, pos int, err error) {
 	n, sz := uvarint(enc)
 	if sz <= 0 || n > uint64(len(enc)-sz) {
-		return 0, 0, corruptPage("bad row arity")
+		return 0, 0, corrupt("row", "bad arity")
 	}
 	return int(n), sz, nil
 }
 
-// decodeRow decodes a row encoding, which must fill enc exactly, into the
-// front of dst's backing array, or into a fresh slice when dst has no room
-// for it. Text values are substrings of enc: whoever keeps the row keeps the
-// encoding, never more than the page image it was cut from.
-func decodeRow(enc string, dst []Value) (Row, error) {
-	row, n, err := decodeRowPrefix(enc, dst)
+// DecodeRow decodes an EncodeRow encoding, which must fill enc exactly, into
+// the front of dst's backing array, or into a fresh slice when dst has no
+// room for it. Text values are substrings of enc: whoever keeps the row keeps
+// the encoding, never more than the page image it was cut from. enc may come
+// from an untrusted peer: a malformed encoding is an error, and no count in it
+// sizes an allocation beyond what its bytes could hold.
+func DecodeRow(enc string, dst []Value) (Row, error) {
+	row, n, err := DecodeRowPrefix(enc, dst)
 	if err == nil && n != len(enc) {
-		return nil, corruptPage("row ends short of its extent")
+		return nil, corrupt("row", "bytes after the last value")
 	}
 	return row, err
 }
 
-// decodeRowPrefix decodes the row encoding that starts enc, as decodeRow
+// DecodeRowPrefix decodes the row encoding that starts enc, as DecodeRow
 // does, and returns the number of bytes it took.
-func decodeRowPrefix(enc string, dst []Value) (Row, int, error) {
+func DecodeRowPrefix(enc string, dst []Value) (Row, int, error) {
 	n, pos, err := rowArity(enc)
 	if err != nil {
 		return nil, 0, err
@@ -212,7 +226,7 @@ func decodeLeading(enc string, dst []Value) error {
 		return err
 	}
 	if len(dst) > n {
-		return corruptPage("row has too few values")
+		return corrupt("row", "too few values")
 	}
 	for c := range dst {
 		if pos, err = decodeValue(enc, pos, &dst[c]); err != nil {
@@ -226,7 +240,7 @@ func decodeLeading(enc string, dst []Value) error {
 // after it.
 func decodeValue(enc string, pos int, v *Value) (int, error) {
 	if pos >= len(enc) {
-		return 0, corruptPage("truncated row")
+		return 0, corrupt("row", "truncated")
 	}
 	typ := Type(enc[pos])
 	pos++
@@ -236,7 +250,7 @@ func decodeValue(enc string, pos int, v *Value) (int, error) {
 	case TypeInt:
 		ux, sz := uvarint(enc[pos:])
 		if sz <= 0 {
-			return 0, corruptPage("bad int")
+			return 0, corrupt("row", "bad int")
 		}
 		pos += sz
 		x := int64(ux >> 1) // zig-zag, as binary.Varint
@@ -247,26 +261,26 @@ func decodeValue(enc string, pos int, v *Value) (int, error) {
 	case TypeFloat:
 		b, sz := uvarint(enc[pos:])
 		if sz <= 0 {
-			return 0, corruptPage("bad float")
+			return 0, corrupt("row", "bad float")
 		}
 		pos += sz
 		*v = NewFloat(math.Float64frombits(b))
 	case TypeText:
 		l, sz := uvarint(enc[pos:])
 		if sz <= 0 || l > uint64(len(enc)-pos-sz) {
-			return 0, corruptPage("bad string")
+			return 0, corrupt("row", "bad string")
 		}
 		pos += sz
 		*v = NewText(enc[pos : pos+int(l)])
 		pos += int(l)
 	case TypeBool:
 		if pos >= len(enc) {
-			return 0, corruptPage("bad bool")
+			return 0, corrupt("row", "bad bool")
 		}
 		*v = NewBool(enc[pos] != 0)
 		pos++
 	default:
-		return 0, corruptPage(fmt.Sprintf("unknown type %d", typ))
+		return 0, corrupt("row", fmt.Sprintf("unknown type %d", typ))
 	}
 	return pos, nil
 }

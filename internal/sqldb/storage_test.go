@@ -56,7 +56,7 @@ func decodeSlots(slots []pageSlot) ([]rowSlot, error) {
 	slab := make([]Value, len(slots)*width)
 	out := make([]rowSlot, len(slots))
 	for i, s := range slots {
-		row, err := decodeRow(s.enc, slab[:width:width])
+		row, err := DecodeRow(s.enc, slab[:width:width])
 		if err != nil {
 			return nil, err
 		}
@@ -267,10 +267,10 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	}
 	for _, r := range rows {
 		enc := encodeRowString(r)
-		if enc != string(encodeRow(nil, r)) {
-			t.Errorf("encodeRowString(%v) differs from encodeRow", r)
+		if enc != string(EncodeRow(nil, r)) {
+			t.Errorf("encodeRowString(%v) differs from EncodeRow", r)
 		}
-		dec, err := decodeRow(enc, nil)
+		dec, err := DecodeRow(enc, nil)
 		if err != nil {
 			t.Fatalf("decode %v: %v", r, err)
 		}
@@ -282,10 +282,10 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		}
 		// A buffer with room takes the row in place; one without is left alone.
 		room, short := make(Row, len(r)), make(Row, len(r)-1)
-		if in, _ := decodeRow(enc, room[:0]); &in[0] != &room[0] {
+		if in, _ := DecodeRow(enc, room[:0]); &in[0] != &room[0] {
 			t.Errorf("%v: not decoded into a buffer with room for it", r)
 		}
-		if in, _ := decodeRow(enc, short[:0]); len(short) > 0 && &in[0] == &short[0] {
+		if in, _ := DecodeRow(enc, short[:0]); len(short) > 0 && &in[0] == &short[0] {
 			t.Errorf("%v: decoded into a buffer too short for it", r)
 		}
 	}
@@ -313,7 +313,7 @@ func TestPageCodecProperty(t *testing.T) {
 				}
 			}
 			slots[i] = rowSlot{rng.Uint64(), row}
-			size += len(encodeRow(nil, row))
+			size += len(EncodeRow(nil, row))
 		}
 		img := encodePage(slots...)
 		if len(img) != size {
@@ -694,7 +694,7 @@ func dumpRows(t *testing.T, d TableDump) []Row {
 	t.Helper()
 	rows := make([]Row, len(d.Rows))
 	for i, enc := range d.Rows {
-		r, err := decodeRow(enc, nil)
+		r, err := DecodeRow(enc, nil)
 		if err != nil {
 			t.Fatalf("dumped row %d: %v", i, err)
 		}

@@ -577,10 +577,10 @@ func (t *Table) encAtLocked(l rowLoc) string {
 	return t.residentLocked(int(l.page)).slots[l.slot].enc
 }
 
-// decode decodes a stored row of page (-1: the tail) into dst as decodeRow
+// decode decodes a stored row of page (-1: the tail) into dst as DecodeRow
 // does, counting it in PoolStats.RowsDecoded.
 func (t *Table) decode(page int, enc string, dst Row) Row {
-	row, err := decodeRow(enc, dst)
+	row, err := DecodeRow(enc, dst)
 	if err != nil {
 		t.corruptPagePanic(page, err)
 	}

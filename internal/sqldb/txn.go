@@ -244,7 +244,6 @@ func (t *Txn) recordSQLSpan(stmt Statement, start time.Time) {
 		ID:       t.db,
 		Start:    start,
 		Duration: time.Since(start),
-		Detail:   "exec=compiled",
 	})
 }
 

@@ -8,8 +8,10 @@ import (
 )
 
 // The payloads this package puts in log frames. Both carry values in the
-// row encoding pages use (page.go's encodeRow), so one codec spells a value
-// everywhere: on a page, in a table image and as a statement's parameter.
+// row encoding pages use (page.go's EncodeRow), so one codec spells a value
+// everywhere: on a page, in a table image, as a logged statement's parameter
+// and on the wire, where internal/wire sends parameter lists and result rows
+// as EncodeRow rows.
 //
 // A RecStatement frame's Data is the statement as it ran:
 //
@@ -23,12 +25,12 @@ import (
 //	          nrows(uvarint) row*
 //	col    := name(string) type(uvarint) flags(uint8)   // 1 PK, 2 NOT NULL, 4 UNIQUE
 //	idx    := name(string) col(string) unique(uint8)
-//	row    := encodeRow's encoding, ncols values
+//	row    := EncodeRow's encoding, ncols values
 //	string := len(uvarint) bytes
 
 // appendRedo appends a statement record's payload to buf.
 func appendRedo(buf []byte, text string, params []Value) []byte {
-	return encodeRow(wal.AppendString(buf, text), params)
+	return EncodeRow(wal.AppendString(buf, text), params)
 }
 
 // decodeRedo splits a statement record's payload into its text and its
@@ -40,7 +42,7 @@ func decodeRedo(data []byte) (string, []Value, error) {
 		return "", nil, fmt.Errorf("sqldb: redo record: bad text length")
 	}
 	end := sz + int(n)
-	params, err := decodeRow(s[end:], nil)
+	params, err := DecodeRow(s[end:], nil)
 	if err != nil {
 		return "", nil, fmt.Errorf("sqldb: redo record: %w", err)
 	}
@@ -152,7 +154,7 @@ func decodeTableImage(data []byte) (TableDump, error) {
 	var row Row
 	for i := range d.Rows {
 		var n int
-		if row, n, err = decodeRowPrefix(enc, row); err != nil {
+		if row, n, err = DecodeRowPrefix(enc, row); err != nil {
 			return d, err
 		}
 		// Refuse a row the engine could not have stored: one CheckRow

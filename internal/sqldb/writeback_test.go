@@ -62,7 +62,7 @@ func checkByteSize(t testing.TB, e *Engine, db, name string) {
 	}
 	var want int64
 	tbl.scan(func(_ uint64, r Row) bool {
-		want += int64(len(encodeRow(nil, r)))
+		want += int64(len(EncodeRow(nil, r)))
 		return true
 	})
 	if got := tbl.ByteSize(); got != want {

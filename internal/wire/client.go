@@ -26,8 +26,6 @@ type ClientConfig struct {
 	// autocommit calls pipeline over (default 4). Explicit transactions
 	// pin dedicated connections drawn from a separate idle list.
 	PoolSize int
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
 	// CallTimeout is the per-call deadline: how long one request may wait
 	// for its response before the connection is declared dead (default
 	// 30s).
@@ -54,9 +52,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	if c.PoolSize <= 0 {
 		c.PoolSize = 4
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 30 * time.Second
 	}
@@ -68,6 +63,9 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	return c
 }
+
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
 
 // ErrClientClosed is returned by operations on a closed client.
 var ErrClientClosed = errors.New("wire: client closed")
@@ -138,7 +136,7 @@ func (c *Client) Close() error {
 
 // dial opens and handshakes one connection.
 func (c *Client) dial() (*clientConn, error) {
-	nc, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.cfg.Addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -282,15 +280,17 @@ func (c *Client) Exec(sql string, params ...sqldb.Value) (*sqldb.Result, error) 
 	tc := c.traceStart()
 	start := time.Now()
 	res, err := c.withRetry(isReadSQL(sql), func(cc *clientConn) (*sqldb.Result, error) {
-		payload, err := appendParams(appendString(nil, sql), params)
-		if err != nil {
-			return nil, err
-		}
+		payload := sqldb.EncodeRow(appendString(requestBuf(len(sql)), sql), params)
 		return cc.execFrame(MsgQuery, appendTraceContext(payload, tc))
 	})
 	c.traceFinish(tc, start, "query", sql)
 	return res, err
 }
+
+// requestBuf is an empty MsgQuery/MsgExec payload with room for n bytes of
+// SQL text beside the fixed fields, a few small parameters and the trace
+// context, so a typical request is built in one allocation.
+func requestBuf(n int) []byte { return make([]byte, 0, n+64) }
 
 // Query is Exec for SELECT statements; provided for readability.
 func (c *Client) Query(sql string, params ...sqldb.Value) (*sqldb.Result, error) {
@@ -408,10 +408,7 @@ func (t *Tx) Exec(sql string, params ...sqldb.Value) (*sqldb.Result, error) {
 	}
 	tc := t.c.traceStart()
 	start := time.Now()
-	payload, err := appendParams(appendString(nil, sql), params)
-	if err != nil {
-		return nil, err
-	}
+	payload := sqldb.EncodeRow(appendString(requestBuf(len(sql)), sql), params)
 	res, err := t.cc.execFrame(MsgQuery, appendTraceContext(payload, tc))
 	t.c.traceFinish(tc, start, "query", sql)
 	return res, err
@@ -631,10 +628,7 @@ func (cc *clientConn) execPrepared(s *Stmt, params []sqldb.Value, tc obs.SpanCon
 	if err != nil {
 		return nil, err
 	}
-	payload, err := appendParams(appendU32(nil, id), params)
-	if err != nil {
-		return nil, err
-	}
+	payload := sqldb.EncodeRow(appendU32(requestBuf(0), id), params)
 	return cc.execFrame(MsgExec, appendTraceContext(payload, tc))
 }
 
@@ -653,7 +647,7 @@ func (cc *clientConn) stmtID(s *Stmt) (uint32, error) {
 	}
 	switch f.typ {
 	case MsgStmt:
-		r := &reader{buf: f.payload}
+		r := &reader{buf: string(f.payload)}
 		id = r.u32()
 		if err := r.done(); err != nil {
 			return 0, err

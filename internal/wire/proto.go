@@ -21,8 +21,8 @@ import (
 )
 
 // ProtoVersion is the protocol revision carried in the handshake. A server
-// refuses a client with a different major version.
-const ProtoVersion = 1
+// refuses a client that speaks any other.
+const ProtoVersion = 2
 
 // MaxFrameSize bounds one frame (length prefix excluded). A peer announcing
 // a larger frame is protocol-broken and the connection is closed.
@@ -222,10 +222,13 @@ func readFrame(r io.Reader) (frame, int, error) {
 
 // ---------------------------------------------------------------------------
 // Payload encoding primitives. All integers are big-endian; strings are
-// u32 length + UTF-8 bytes; values are a one-byte type tag + payload.
+// u32 length + UTF-8 bytes; values travel as rows in the row encoding the
+// engine stores (sqldb.EncodeRow): a parameter list is one row, and so is
+// each row of a result.
 
-// errShortPayload reports a truncated payload.
-var errShortPayload = errors.New("wire: truncated payload")
+// errShortPayload reports a payload that does not decode: it ends short of
+// what it announces, or holds a row encoding sqldb.DecodeRowPrefix refuses.
+var errShortPayload = errors.New("wire: malformed payload")
 
 func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
@@ -236,78 +239,55 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// reader is a cursor over a payload; decode methods record the first error
-// and become no-ops after it, so call sites stay linear.
+// reader is a cursor over a payload, held as one string: the strings and
+// text values decoded from it are substrings of it, not copies, so each
+// keeps the whole payload alive; what outlives the request is cloned.
+// Decode methods record the first error and become no-ops after it, so call
+// sites stay linear.
 type reader struct {
-	buf []byte
+	buf string
 	off int
 	err error
 }
 
-func (r *reader) fail() { r.err = errShortPayload }
-
-func (r *reader) u8() byte {
-	if r.err != nil || r.off+1 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) str() string {
-	n := r.u32()
-	if r.err != nil || int(n) > len(r.buf)-r.off {
-		r.fail()
+// take returns the next n bytes of the payload, or "" once it runs short.
+func (r *reader) take(n int) string {
+	if r.err != nil || n > len(r.buf)-r.off {
+		r.err = errShortPayload
 		return ""
 	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
+	s := r.buf[r.off : r.off+n]
+	r.off += n
 	return s
 }
 
-// valueCount checks a count of values read from the payload against the
-// bytes left, which hold at least a tag byte per value, so that a forged
-// count fails instead of sizing an allocation. It returns 0 on failure.
-func (r *reader) valueCount(n int) int {
-	if r.err == nil && n > len(r.buf)-r.off {
-		r.fail()
+// uint reads an n-byte big-endian integer.
+func (r *reader) uint(n int) uint64 {
+	var v uint64
+	for _, b := range []byte(r.take(n)) {
+		v = v<<8 | uint64(b)
 	}
+	return v
+}
+
+func (r *reader) u8() byte    { return byte(r.uint(1)) }
+func (r *reader) u16() uint16 { return uint16(r.uint(2)) }
+func (r *reader) u32() uint32 { return uint32(r.uint(4)) }
+func (r *reader) u64() uint64 { return r.uint(8) }
+func (r *reader) str() string { return r.take(int(r.u32())) }
+
+// row decodes the row encoding at the cursor; its values share the payload.
+func (r *reader) row() sqldb.Row {
 	if r.err != nil {
-		return 0
+		return nil
 	}
-	return n
+	row, n, err := sqldb.DecodeRowPrefix(r.buf[r.off:], nil)
+	if err != nil {
+		r.err = fmt.Errorf("%w: %v", errShortPayload, err)
+		return nil
+	}
+	r.off += n
+	return row
 }
 
 // done reports whether the payload was consumed exactly; trailing garbage
@@ -322,99 +302,14 @@ func (r *reader) done() error {
 	return nil
 }
 
-// Value type tags on the wire; they deliberately match sqldb.Type.
-const (
-	tagNull  = 0
-	tagInt   = 1
-	tagFloat = 2
-	tagText  = 3
-	tagBool  = 4
-)
-
-// appendValue encodes one SQL value.
-func appendValue(b []byte, v sqldb.Value) ([]byte, error) {
-	switch v.Typ {
-	case sqldb.TypeNull:
-		return append(b, tagNull), nil
-	case sqldb.TypeInt:
-		return appendU64(append(b, tagInt), uint64(v.Int)), nil
-	case sqldb.TypeFloat:
-		return appendU64(append(b, tagFloat), math.Float64bits(v.Float)), nil
-	case sqldb.TypeText:
-		return appendString(append(b, tagText), v.Str), nil
-	case sqldb.TypeBool:
-		bit := byte(0)
-		if v.Bool {
-			bit = 1
-		}
-		return append(b, tagBool, bit), nil
-	default:
-		return b, fmt.Errorf("%w: unencodable value type %v", errProtocol, v.Typ)
-	}
-}
-
-// value decodes one SQL value.
-func (r *reader) value() sqldb.Value {
-	switch tag := r.u8(); tag {
-	case tagNull:
-		return sqldb.Null
-	case tagInt:
-		return sqldb.NewInt(int64(r.u64()))
-	case tagFloat:
-		return sqldb.NewFloat(math.Float64frombits(r.u64()))
-	case tagText:
-		return sqldb.NewText(r.str())
-	case tagBool:
-		return sqldb.NewBool(r.u8() != 0)
-	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("%w: unknown value tag %d", errProtocol, tag)
-		}
-		return sqldb.Null
-	}
-}
-
-// appendParams encodes a parameter list: u16 count + values.
-func appendParams(b []byte, params []sqldb.Value) ([]byte, error) {
-	if len(params) > math.MaxUint16 {
-		return b, fmt.Errorf("%w: %d parameters", errProtocol, len(params))
-	}
-	b = appendU16(b, uint16(len(params)))
-	var err error
-	for _, p := range params {
-		if b, err = appendValue(b, p); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
-}
-
-// params decodes a parameter list.
-func (r *reader) params() []sqldb.Value {
-	n := r.valueCount(int(r.u16()))
-	if n == 0 {
-		return nil
-	}
-	out := make([]sqldb.Value, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.value())
-		if r.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
 // traceFlagSampled marks the trace context as head-sampled; it is the only
-// flag bit defined in protocol version 1.
+// flag bit defined.
 const traceFlagSampled = 0x01
 
 // appendTraceContext appends the optional trailing trace-context field of
 // MsgQuery/MsgExec: u8 flags (bit0 = sampled), u64 trace_id, u64 span_id.
-// An unsampled context appends nothing — the sampled-off wire image is
-// byte-identical to a client that predates tracing, which is also what
-// keeps old servers interoperable (they never see the field) and the hot
-// path free of the 17 extra bytes.
+// An unsampled context appends nothing, which keeps the hot path free of
+// the 17 extra bytes.
 func appendTraceContext(b []byte, tc obs.SpanContext) []byte {
 	if !tc.Traced() {
 		return b
@@ -440,7 +335,7 @@ func (r *reader) traceContext() obs.SpanContext {
 }
 
 // encodeResult encodes a MsgResult payload: u16 column count + names, u32
-// row count + rows (each u16 value count + values), u32 affected.
+// row count + rows (each a row encoding), u32 affected.
 func encodeResult(b []byte, res *sqldb.Result) ([]byte, error) {
 	if res == nil {
 		res = &sqldb.Result{}
@@ -453,37 +348,23 @@ func encodeResult(b []byte, res *sqldb.Result) ([]byte, error) {
 		b = appendString(b, c)
 	}
 	b = appendU32(b, uint32(len(res.Rows)))
-	var err error
 	for _, row := range res.Rows {
-		if len(row) > math.MaxUint16 {
-			return b, fmt.Errorf("%w: %d values in row", errProtocol, len(row))
-		}
-		b = appendU16(b, uint16(len(row)))
-		for _, v := range row {
-			if b, err = appendValue(b, v); err != nil {
-				return b, err
-			}
-		}
+		b = sqldb.EncodeRow(b, row)
 	}
 	return appendU32(b, uint32(res.Affected)), nil
 }
 
-// decodeResult decodes a MsgResult payload.
+// decodeResult decodes a MsgResult payload. The counts only bound loops: each
+// column name and row takes bytes of the payload, so a forged count fails
+// instead of sizing an allocation.
 func decodeResult(payload []byte) (*sqldb.Result, error) {
-	r := &reader{buf: payload}
+	r := &reader{buf: string(payload)}
 	res := &sqldb.Result{}
-	ncols := int(r.u16())
-	for i := 0; i < ncols && r.err == nil; i++ {
+	for n := r.u16(); n > 0 && r.err == nil; n-- {
 		res.Cols = append(res.Cols, r.str())
 	}
-	nrows := int(r.u32())
-	for i := 0; i < nrows && r.err == nil; i++ {
-		nvals := r.valueCount(int(r.u16()))
-		row := make(sqldb.Row, 0, nvals)
-		for j := 0; j < nvals && r.err == nil; j++ {
-			row = append(row, r.value())
-		}
-		res.Rows = append(res.Rows, row)
+	for n := r.u32(); n > 0 && r.err == nil; n-- {
+		res.Rows = append(res.Rows, r.row())
 	}
 	res.Affected = int(r.u32())
 	if err := r.done(); err != nil {
@@ -499,7 +380,7 @@ func encodeError(b []byte, code uint16, msg string) []byte {
 
 // decodeError decodes a MsgError payload into a *Error.
 func decodeError(payload []byte) (*Error, error) {
-	r := &reader{buf: payload}
+	r := &reader{buf: string(payload)}
 	e := &Error{Code: r.u16(), Msg: r.str()}
 	if err := r.done(); err != nil {
 		return nil, err

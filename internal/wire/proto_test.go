@@ -73,7 +73,7 @@ func TestFrameShortRead(t *testing.T) {
 	}
 }
 
-// valueCorpus covers every tag including edge values.
+// valueCorpus covers every value type, edge values included.
 func valueCorpus() []sqldb.Value {
 	return []sqldb.Value{
 		{},
@@ -82,30 +82,38 @@ func valueCorpus() []sqldb.Value {
 		sqldb.NewInt(math.MaxInt64),
 		sqldb.NewInt(math.MinInt64),
 		sqldb.NewFloat(0),
+		sqldb.NewFloat(math.Copysign(0, -1)),
 		sqldb.NewFloat(math.Inf(-1)),
+		sqldb.NewFloat(math.Inf(1)),
+		sqldb.NewFloat(math.NaN()),
 		sqldb.NewFloat(3.25),
 		sqldb.NewText(""),
 		sqldb.NewText("héllo \x00 wörld"),
-		sqldb.NewText(strings.Repeat("x", 70000)), // needs a u32 length
+		sqldb.NewText(strings.Repeat("x", 70000)), // a multi-byte length
 		sqldb.NewBool(true),
 		sqldb.NewBool(false),
 	}
 }
 
-// TestValueRoundTrip encodes every corpus value and decodes it back.
+// sameValue compares values bit for bit, so NaN equals NaN and -0 is not 0.
+func sameValue(a, b sqldb.Value) bool {
+	if a.Typ == sqldb.TypeFloat && b.Typ == sqldb.TypeFloat {
+		return math.Float64bits(a.Float) == math.Float64bits(b.Float)
+	}
+	return a == b
+}
+
+// TestValueRoundTrip sends every corpus value as a MsgExec parameter list and
+// decodes it as the server's handler does.
 func TestValueRoundTrip(t *testing.T) {
 	for _, v := range valueCorpus() {
-		buf, err := appendValue(nil, v)
-		if err != nil {
-			t.Fatalf("appendValue(%v): %v", v, err)
-		}
-		r := &reader{buf: buf}
-		got := r.value()
+		r := &reader{buf: string(sqldb.EncodeRow(appendU32(nil, 5), sqldb.Row{v, v}))}
+		id, got := r.u32(), r.row()
 		if err := r.done(); err != nil {
 			t.Fatalf("decode %v: %v", v, err)
 		}
-		if got != v {
-			t.Fatalf("round trip: got %#v want %#v", got, v)
+		if id != 5 || len(got) != 2 || !sameValue(got[0], v) || !sameValue(got[1], v) {
+			t.Fatalf("round trip: got %d %#v want %#v twice", id, got, v)
 		}
 	}
 }
@@ -133,7 +141,7 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 	for i, row := range res.Rows {
 		for j, v := range row {
-			if got.Rows[i][j] != v {
+			if !sameValue(got.Rows[i][j], v) {
 				t.Fatalf("row %d col %d: got %#v want %#v", i, j, got.Rows[i][j], v)
 			}
 		}
@@ -204,7 +212,7 @@ func TestErrorCodeMappingInverse(t *testing.T) {
 func TestReaderRejectsTrailingBytes(t *testing.T) {
 	buf := appendString(nil, "x")
 	buf = append(buf, 0xFF)
-	r := &reader{buf: buf}
+	r := &reader{buf: string(buf)}
 	_ = r.str()
 	if err := r.done(); !errors.Is(err, errProtocol) {
 		t.Fatalf("trailing byte: got %v, want errProtocol", err)
@@ -227,8 +235,8 @@ func TestDecodeRandomGarbage(t *testing.T) {
 		if _, err := decodeError(buf); err != nil && !protoClass(err) {
 			t.Fatalf("decodeError: non-protocol error %v", err)
 		}
-		r := &reader{buf: buf}
-		_ = r.params()
+		r := &reader{buf: string(buf)}
+		_ = r.row()
 		if err := r.done(); err != nil && !protoClass(err) {
 			t.Fatalf("params: non-protocol error %v", err)
 		}
@@ -240,21 +248,21 @@ func TestDecodeRandomGarbage(t *testing.T) {
 // as the server's handlers do) and a MsgResult row. Each must be refused as
 // truncated before the count sizes a slice.
 func TestForgedCountsAllocateNothing(t *testing.T) {
-	forged := []byte{0xFF, 0xFF, tagNull}
+	forged := []byte{0xFF, 0xFF, 0x03, byte(sqldb.TypeNull)} // uvarint 65 535, one NULL
 	decode := map[string]func() error{
 		"query params": func() error {
-			r := &reader{buf: append(appendString(nil, "SELECT 1"), forged...)}
-			_, _ = r.str(), r.params()
+			r := &reader{buf: string(append(appendString(nil, "SELECT 1"), forged...))}
+			_, _ = r.str(), r.row()
 			return r.done()
 		},
 		"exec params": func() error {
-			r := &reader{buf: append(appendU32(nil, 1), forged...)}
-			_, _ = r.u32(), r.params()
+			r := &reader{buf: string(append(appendU32(nil, 1), forged...))}
+			_, _ = r.u32(), r.row()
 			return r.done()
 		},
 		"result row": func() error {
 			// No columns, one row of 65 535 values.
-			_, err := decodeResult([]byte{0, 0, 0, 0, 0, 1, 0xFF, 0xFF})
+			_, err := decodeResult(append([]byte{0, 0, 0, 0, 0, 1}, forged...))
 			return err
 		},
 	}

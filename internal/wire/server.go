@@ -59,10 +59,6 @@ type ServerConfig struct {
 	Metrics *obs.Registry
 	// Banner is the server identification sent in MsgWelcome.
 	Banner string
-	// DrainTimeout bounds graceful shutdown: how long Close waits for
-	// in-flight and already-received requests to finish before
-	// force-closing connections (default 5s).
-	DrainTimeout time.Duration
 	// Stmts is the text→AST statement cache sessions parse through; the
 	// platform passes the one its clusters and connections use. Nil gives
 	// the server a private cache.
@@ -102,9 +98,6 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 5 * time.Second
 	}
 	if cfg.Banner == "" {
 		cfg.Banner = "sdp"
@@ -171,7 +164,7 @@ func (s *Server) acceptLoop() {
 
 // Close gracefully drains the server: it stops accepting, lets every
 // connection finish its in-flight and already-received requests, sends each
-// client a MsgBye, and force-closes whatever remains after DrainTimeout.
+// client a MsgBye, and force-closes whatever remains after drainTimeout.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.draining {
@@ -197,7 +190,7 @@ func (s *Server) Close() error {
 	}()
 	select {
 	case <-done:
-	case <-time.After(s.cfg.DrainTimeout):
+	case <-time.After(drainTimeout):
 		s.mu.Lock()
 		for c := range s.conns {
 			c.forceClose()
@@ -207,6 +200,10 @@ func (s *Server) Close() error {
 	}
 	return err
 }
+
+// drainTimeout bounds graceful shutdown: how long Close waits for in-flight
+// and already-received requests to finish before force-closing connections.
+const drainTimeout = 5 * time.Second
 
 // preparedStmt is one session-registered statement.
 type preparedStmt struct {
@@ -374,9 +371,9 @@ func (c *session) handle(f frame) bool {
 }
 
 func (c *session) handleHello(f frame) bool {
-	r := &reader{buf: f.payload}
+	r := &reader{buf: string(f.payload)}
 	ver := r.u8()
-	db := r.str()
+	db := strings.Clone(r.str()) // kept for the session, as a stats key
 	token := r.str()
 	if err := r.done(); err != nil {
 		c.sendError(f.seq, ErrCodeProtocol, err.Error())
@@ -405,13 +402,17 @@ func (c *session) handleHello(f frame) bool {
 }
 
 func (c *session) handleQuery(f frame) bool {
-	r := &reader{buf: f.payload}
-	sql := r.str()
-	params := r.params()
+	r := &reader{buf: string(f.payload)}
+	// The statement cache, the query stats and the slow log keep the text:
+	// a copy, so that the rest of the payload is not kept with it.
+	sql := strings.Clone(r.str())
+	params := r.row()
 	tc := r.traceContext()
 	if err := r.done(); err != nil {
+		// The frame was whole, so the stream is still in step: refuse
+		// the request and keep serving.
 		c.sendError(f.seq, ErrCodeProtocol, err.Error())
-		return false
+		return true
 	}
 	stmt, err := c.srv.cfg.Stmts.Parse(sql)
 	if err != nil {
@@ -423,8 +424,8 @@ func (c *session) handleQuery(f frame) bool {
 }
 
 func (c *session) handlePrepare(f frame) bool {
-	r := &reader{buf: f.payload}
-	sql := r.str()
+	r := &reader{buf: string(f.payload)}
+	sql := strings.Clone(r.str()) // kept, as in handleQuery
 	if err := r.done(); err != nil {
 		c.sendError(f.seq, ErrCodeProtocol, err.Error())
 		return false
@@ -444,13 +445,15 @@ func (c *session) handlePrepare(f frame) bool {
 }
 
 func (c *session) handleExec(f frame) bool {
-	r := &reader{buf: f.payload}
+	r := &reader{buf: string(f.payload)}
 	id := r.u32()
-	params := r.params()
+	params := r.row()
 	tc := r.traceContext()
 	if err := r.done(); err != nil {
+		// The frame was whole, so the stream is still in step: refuse
+		// the request and keep serving.
 		c.sendError(f.seq, ErrCodeProtocol, err.Error())
-		return false
+		return true
 	}
 	ps, ok := c.stmts[id]
 	if !ok {
@@ -485,17 +488,6 @@ func setTxnTrace(txn Txn, sctx obs.SpanContext) {
 	if carrier, ok := txn.(TraceCarrier); ok {
 		carrier.SetTraceContext(sctx)
 	}
-}
-
-// modeFromSpans extracts the plan execution mode recorded by the engine's
-// "sql" span, "" when the breakdown carries none.
-func modeFromSpans(spans []obs.Span) string {
-	for i := range spans {
-		if spans[i].Scope == "sql" && strings.HasPrefix(spans[i].Detail, "exec=") {
-			return strings.TrimPrefix(spans[i].Detail, "exec=")
-		}
-	}
-	return ""
 }
 
 // runStmt executes one statement in the open transaction, or in a
@@ -564,7 +556,6 @@ func (c *session) finishStmt(seq uint64, kind, sql string, start time.Time, sctx
 			SQL:      sql,
 			Duration: dur,
 			TraceID:  sctx.TraceID,
-			Mode:     modeFromSpans(spans),
 			Spans:    spans,
 		})
 	}
@@ -621,7 +612,7 @@ func (c *session) handleRollback(f frame) bool {
 }
 
 func (c *session) handleCloseStmt(f frame) bool {
-	r := &reader{buf: f.payload}
+	r := &reader{buf: string(f.payload)}
 	id := r.u32()
 	if err := r.done(); err != nil {
 		c.sendError(f.seq, ErrCodeProtocol, err.Error())

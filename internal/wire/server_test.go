@@ -66,10 +66,7 @@ func newTestServer(t *testing.T) (*Server, *core.Cluster) {
 			t.Fatal(err)
 		}
 	}
-	srv, err := Serve("127.0.0.1:0", ServerConfig{
-		Backend:      clusterBackend{c: c, token: testToken},
-		DrainTimeout: 2 * time.Second,
-	})
+	srv, err := Serve("127.0.0.1:0", ServerConfig{Backend: clusterBackend{c: c, token: testToken}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +216,7 @@ func TestServerAuth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	payload, _ := appendParams(appendString(nil, "SELECT 1"), nil)
+	payload := sqldb.EncodeRow(appendString(nil, "SELECT 1"), nil)
 	if _, err := writeFrame(nc, MsgQuery, 1, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -232,22 +229,25 @@ func TestServerAuth(t *testing.T) {
 		t.Fatalf("pre-handshake query: got frame %v err %v", f.typ, derr)
 	}
 
-	// Wrong protocol version is refused.
-	nc2, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc2.Close()
-	hello := appendString(appendString([]byte{99}, "app"), testToken)
-	if _, err := writeFrame(nc2, MsgHello, 1, hello); err != nil {
-		t.Fatal(err)
-	}
-	f, _, err = readFrame(nc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, _ := decodeError(f.payload); f.typ != MsgError || e == nil || e.Code != ErrCodeProtocol {
-		t.Fatalf("bad version: got frame type %#x", f.typ)
+	// Any other protocol version is refused, version 1's value format
+	// included.
+	for _, ver := range []byte{1, 99} {
+		nc2, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc2.Close()
+		hello := appendString(appendString([]byte{ver}, "app"), testToken)
+		if _, err := writeFrame(nc2, MsgHello, 1, hello); err != nil {
+			t.Fatal(err)
+		}
+		f, _, err = readFrame(nc2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, _ := decodeError(f.payload); f.typ != MsgError || e == nil || e.Code != ErrCodeProtocol {
+			t.Fatalf("version %d: got frame type %#x", ver, f.typ)
+		}
 	}
 }
 
@@ -626,7 +626,7 @@ func pipeSession(t *testing.T, gate chan struct{}) (client net.Conn, sess *sessi
 func queryBurst(t *testing.T, firstSeq uint64, count int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	payload := appendU16(appendString(nil, "SELECT v FROM t WHERE id = 1"), 0)
+	payload := sqldb.EncodeRow(appendString(nil, "SELECT v FROM t WHERE id = 1"), nil)
 	for i := 0; i < count; i++ {
 		if _, err := writeFrame(&buf, MsgQuery, firstSeq+uint64(i), payload); err != nil {
 			t.Fatal(err)
@@ -727,7 +727,7 @@ func TestFullSocketBlocksSender(t *testing.T) {
 	// 1 KB requests, so the kernel's socket buffers fill after thousands of
 	// frames rather than hundreds of thousands.
 	sql := "SELECT v FROM t WHERE v = '" + strings.Repeat("x", 1024) + "'"
-	payload := appendU16(appendString(nil, sql), 0)
+	payload := sqldb.EncodeRow(appendString(nil, sql), nil)
 	const limit = 1 << 20 // frames: far more than any socket buffer holds
 	sent := 0
 	var partial []byte // unsent tail of the frame the blocked write cut

@@ -47,13 +47,13 @@ row 'span waste (HeapInuse - HeapAlloc)' "$(memstat '$1 - $2')"
 echo "live heap by allocation site:"
 row 'sqldb.Parse (ASTs and the texts'"'"' literals)' "$(mb 'sqldb\.Parse$')"
 row 'bindStatement (bound plans)' "$(mb bindStatement)"
-row 'tenant data (rows, pages, indexes)' "$(mb "$storage|residentPage|sealedPage|encodeRowString|decodeRow|mapPage")"
+row 'tenant data (rows, pages, indexes)' "$(mb "$storage|residentPage|sealedPage|encodeRowString|DecodeRow|mapPage")"
 row '  orderedKeys (sorted views of index keys)' "$(mb 'orderedKeys|deriveKeys')"
 row '  loc (row directory: rowID -> page slot)' "$(mb 'sqldb\.\(\*Table\)\.setLoc$')"
 row '  pk (primary key -> rowID)' "$(line "$storage" 't\.pk\[.*\] = ')"
 row '  secondary indexes (key -> rowIDs)' "$(line 'sqldb\.\(\*index\)\.add' 'ix\.m\[key\] = ')"
 row '  key strings' "$(mb 'keyOf|pkKey' 'orderedKeys|deriveKeys')"
-row '  rows' "$(mb 'encodeRowString|Row\.Clone|decodeRow|materialise')"
+row '  rows' "$(mb 'encodeRowString|Row\.Clone|DecodeRow|materialise')"
 row '    decoded rows kept (sqldb Row.Clone, materialise)' "$(mb 'sqldb\.Row\.Clone|sqldb\.\(\*residentPage\)\.materialise')"
 row '  page images and slot directories' "$(mb 'residentPage\)\.encode|encodePage|mapPage|sealTail')"
 row 'wal.MemStore (the in-memory log device)' "$(mb MemStore)"
