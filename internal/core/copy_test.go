@@ -946,3 +946,92 @@ func TestMarksCountOnlySentWrites(t *testing.T) {
 		t.Fatalf("%s: a's digest %s, want the write's (1, 2)", target, got)
 	}
 }
+
+// TestWritesBetweenApplyAndIndexBuild writes to a copied table after the
+// dump has released the source's locks and before the target builds the
+// indexes its restore left pending (a netsim hook on copy_dump's delivery
+// runs them), at both granularities: the writes reach the target while its
+// index on k is pending, and the target registers with that index built and
+// answering every lookup as the source's does.
+func TestWritesBetweenApplyAndIndexBuild(t *testing.T) {
+	for _, gran := range []sqldb.DumpGranularity{sqldb.GranularityTable, sqldb.GranularityDatabase} {
+		t.Run(gran.String(), func(t *testing.T) {
+			opts, net := netOpts(5)
+			opts.CopyGranularity = gran
+			c := newTestCluster(t, 3, opts)
+			clusterExec(t, c, "CREATE TABLE a (id INT PRIMARY KEY, k INT)")
+			clusterExec(t, c, "CREATE INDEX a_k ON a (k)")
+			for id := 1; id <= 40; id++ {
+				clusterExec(t, c, "INSERT INTO a VALUES (?, ?)", sqldb.NewInt(int64(id)), sqldb.NewInt(int64(id%4)))
+			}
+			target := otherMachine(t, c)
+			tm, _ := c.Machine(target)
+			var pending atomic.Bool
+			net.OnDeliver(func(ci netsim.CallInfo) {
+				if ci.Op != "copy_dump" {
+					return
+				}
+				pending.Store(!tm.Engine().IndexesBuilt("app"))
+				for _, w := range []string{
+					"INSERT INTO a VALUES (41, 1)",
+					"UPDATE a SET k = 9 WHERE id = 2",
+					"DELETE FROM a WHERE id = 3",
+					"UPDATE a SET k = 1 WHERE id = 41",
+				} {
+					clusterExec(t, c, w)
+				}
+			})
+			if err := c.CreateReplica("app", target); err != nil {
+				t.Fatalf("CreateReplica: %v", err)
+			}
+			net.ClearHooks()
+			if !pending.Load() {
+				t.Fatal("the target's index was built before the source's locks were released")
+			}
+			if reps, _ := c.Replicas("app"); len(reps) != 3 || !contains(reps, target) {
+				t.Fatalf("replicas = %v, want the target %s registered", reps, target)
+			}
+			if !tm.Engine().IndexesBuilt("app") {
+				t.Fatal("the target registered with an index pending")
+			}
+			reps, _ := c.Replicas("app")
+			src, _ := c.Machine(reps[0])
+			for k := 0; k <= 9; k++ {
+				q := "SELECT id FROM a WHERE k = ? ORDER BY id"
+				want, werr := src.Engine().Exec("app", q, sqldb.NewInt(int64(k)))
+				got, err := tm.Engine().Exec("app", q, sqldb.NewInt(int64(k)))
+				if err != nil || werr != nil || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+					t.Fatalf("k = %d: the target finds %v (%v), the source %v (%v)", k, got, err, want, werr)
+				}
+			}
+		})
+	}
+}
+
+// TestTargetCrashBeforeIndexBuildAborts fails the target after the dump
+// has released the source's locks and before its index build: the copy
+// aborts with ErrCopyAborted and the replica set stays as it was.
+func TestTargetCrashBeforeIndexBuildAborts(t *testing.T) {
+	opts, net := netOpts(5)
+	c := newTestCluster(t, 3, opts)
+	clusterExec(t, c, "CREATE TABLE a (id INT PRIMARY KEY, k INT)")
+	clusterExec(t, c, "CREATE INDEX a_k ON a (k)")
+	clusterExec(t, c, "INSERT INTO a VALUES (1, 1), (2, 2)")
+	target := otherMachine(t, c)
+	net.OnDeliver(func(ci netsim.CallInfo) {
+		if ci.Op == "copy_dump" {
+			if _, err := c.FailMachine(target); err != nil {
+				t.Errorf("FailMachine: %v", err)
+			}
+		}
+	})
+	err := c.CreateReplica("app", target)
+	net.ClearHooks()
+	if !errors.Is(err, ErrCopyAborted) {
+		t.Fatalf("CreateReplica = %v, want ErrCopyAborted", err)
+	}
+	if reps, _ := c.Replicas("app"); len(reps) != 2 || contains(reps, target) {
+		t.Fatalf("replicas = %v, want the two before the copy", reps)
+	}
+	clusterExec(t, c, "INSERT INTO a VALUES (3, 3)")
+}

@@ -186,6 +186,9 @@ func (c *Cluster) runCopy(ds *dbState, cs *copyState, source, target *Machine) e
 	if !ok {
 		return fmt.Errorf("%w: %s -> %s", ErrCopyAborted, cs.Source, cs.Target)
 	}
+	if !target.Engine().IndexesBuilt(db) {
+		return fmt.Errorf("%w: %s -> %s: an index is not built", ErrCopyAborted, cs.Source, cs.Target)
+	}
 	return cp.apply(ctlCmd{Op: ctlOpCopyComplete, DB: db, Target: cs.Target}, func() {
 		ds.copying = nil
 	})
@@ -211,9 +214,10 @@ func (c *Cluster) stepTables(ds *dbState, cs *copyState, tables []string, event 
 // copyTables is Algorithm 1's per-table step, for one table or — at database
 // granularity — for every table at once: in flight, imaged under the
 // tables' read locks and copied, then applied on the target while the locks
-// are still held. Every write takes its locks at the head, the source,
-// first, so the dump's lock acquisition orders the image after each write
-// that holds the table's lock there (strict 2PL) and before every other.
+// are still held, and then indexed on the target once they are released.
+// Every write takes its locks at the head, the source, first, so the dump's
+// lock acquisition orders the image after each write that holds the table's
+// lock there (strict 2PL) and before every other.
 func (c *Cluster) copyTables(ds *dbState, cs *copyState, source, target *Machine, tables []string) error {
 	if err := c.stepTables(ds, cs, tables, "table_inflight"); err != nil {
 		return err
@@ -240,5 +244,26 @@ func (c *Cluster) copyTables(ds *dbState, cs *copyState, source, target *Machine
 		})
 	})
 	c.metrics.copyDump.ObserveDuration(time.Since(dumpStart))
-	return err
+	if err != nil {
+		return err
+	}
+	// The source's locks are released: the target builds the indexes its
+	// restores left pending while writes reach it (sqldb.BuildIndexes).
+	err = c.netCall(c.endpoint, cs.Target, "copy_build", func() error {
+		return target.Engine().BuildIndexes(ds.name, tables)
+	})
+	if err != nil {
+		c.mu.Lock()
+		driven := replcopy.Driven(cs.Copy)
+		c.mu.Unlock()
+		if !driven { // a target crash aborted the copy and closed its engine
+			return fmt.Errorf("%w: %s -> %s: %v", ErrCopyAborted, cs.Source, cs.Target, err)
+		}
+		return err
+	}
+	for _, tbl := range tables {
+		c.metrics.copyPhase.With("table_indexed").Inc()
+		c.metrics.reg.TraceEvent("copy", ds.name, "table_indexed", tbl)
+	}
+	return nil
 }

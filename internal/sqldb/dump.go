@@ -142,10 +142,16 @@ func copyTable(tbl *Table) TableDump {
 // TABLE does (see lockManager.lock), swaps them in the catalog and, outside
 // recovery, forces the image to the log as one redo frame before it lets go
 // of the new incarnation: a writer of the table logs after that frame. The
-// whole restore holds ckptMu, so a checkpoint images the table either before
-// the restore began (and the later frame replaces that image on replay) or
-// after it completed (and the checkpoint supersedes the frame) — never half
-// loaded.
+// replaced incarnation's pages leave the buffer pool at the swap, before the
+// new one's go in, so none is written back only to be discarded. The whole
+// restore holds ckptMu, so a checkpoint images the table either before the
+// restore began (and the later frame replaces that image on replay) or after
+// it completed (and the checkpoint supersedes the frame) — never half loaded.
+//
+// Outside recovery a restore builds the primary-key map but leaves each
+// secondary index pending (see BuildIndexes), so that a copy holding the
+// source's lock while it restores holds it for the rows alone. Recovery
+// builds every index at once.
 func (e *Engine) RestoreTable(db string, d TableDump) error {
 	logged := !e.recovering.Load()
 	if logged {
@@ -168,7 +174,11 @@ func (e *Engine) RestoreTable(db string, d TableDump) error {
 	}
 	owner := e.lockOwner(cat)
 	defer e.locks.releaseAll(owner)
-	if err = tbl.load(d.Rows); err == nil {
+	pages, err := tbl.load(d.Rows)
+	if err == nil && !logged {
+		err = tbl.buildPending() // recovery builds at once
+	}
+	if err == nil {
 		err = owner.lockInc(tbl, LockX, false) // no one knows it yet: granted at once
 	}
 	key := lower(d.Schema.Table)
@@ -189,14 +199,61 @@ func (e *Engine) RestoreTable(db string, d TableDump) error {
 		e.mu.Unlock()
 	}
 	if err != nil {
-		e.pool.InvalidateTable(tbl.inc)
 		return err
 	}
+	tbl.place(pages)
 	if !logged {
 		return nil
 	}
 	_, err = e.wal.AppendSync(wal.Record{
-		Type: wal.RecRestoreTable, DB: db, Table: key, Data: encodeTableImage(d),
-	})
+		Type: wal.RecRestoreTable, DB: db, Table: key, Data: imageHead(d),
+	}, d.Rows...)
 	return err
+}
+
+// BuildIndexes builds the secondary indexes RestoreTable left pending on the
+// named tables of db: each table's from its image, outside the table latch,
+// and then, under the latch, with the edits that writes (and their undo)
+// made since the restore, before it installs the maps — the online index
+// build of Mohan and Narang (SIGMOD 1992). A copy calls it once the source's
+// locks are released; a statement that reads a pending index first builds
+// that one from the table's current rows. A unique index whose image repeats
+// a key fails the build with ErrDuplicateKey. A table that is gone has
+// nothing to build.
+func (e *Engine) BuildIndexes(db string, tables []string) error {
+	cat, err := e.database(db)
+	if err != nil {
+		return err
+	}
+	for _, name := range tables {
+		e.mu.RLock()
+		tbl := cat.tables[lower(name)]
+		e.mu.RUnlock()
+		if tbl == nil {
+			continue
+		}
+		if err := tbl.buildPending(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// IndexesBuilt reports whether no index of db is pending; false when db
+// cannot be read (a closed engine, a dropped database). A copy's target
+// registers only when it is true.
+func (e *Engine) IndexesBuilt(db string) bool {
+	cat, err := e.database(db)
+	if err != nil {
+		return false
+	}
+	built := true
+	for _, tbl := range e.tablesOf(cat) {
+		tbl.mu.Lock()
+		for _, idx := range tbl.indexes {
+			built = built && idx.pending == nil
+		}
+		tbl.mu.Unlock()
+	}
+	return built
 }

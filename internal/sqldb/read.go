@@ -96,19 +96,20 @@ func (r *tableRead) prepare(tbl *Table, en *env) (a access, err error) {
 
 // candidates returns the row IDs an index-equality or range step starts from,
 // and the re-check of the access column for a fetched candidate.
-func (r *tableRead) candidates(tbl *Table, a access) (ids []uint64, match func(Row) bool) {
+func (r *tableRead) candidates(tbl *Table, a access) (ids []uint64, match func(Row) bool, err error) {
 	p, col := r.path, r.path.colIdx
 	if a.kind == pathIndexEq {
 		v := a.eq
-		return tbl.lookupIndex(p.col, v), func(row Row) bool { return Equal(row[col], v) }
+		ids, err = tbl.lookupIndex(p.col, v)
+		return ids, func(row Row) bool { return Equal(row[col], v) }, err
 	}
 	b := a.b
 	if p.onPK {
 		ids = tbl.lookupPKRange(b)
 	} else {
-		ids = tbl.lookupIndexRange(p.col, b)
+		ids, err = tbl.lookupIndexRange(p.col, b)
 	}
-	return ids, func(row Row) bool { return b.match(row[col]) }
+	return ids, func(row Row) bool { return b.match(row[col]) }, err
 }
 
 // fetchPoint reads the row under the primary key key — into the
@@ -170,7 +171,10 @@ func (r *tableRead) rows(t *Txn, tbl *Table, en *env) ([]Row, []uint64, error) {
 	if a.kind == pathPoint {
 		return r.lockPoint(t, tbl, en, a.eq)
 	}
-	ids, match := r.candidates(tbl, a)
+	ids, match, err := r.candidates(tbl, a)
+	if err != nil {
+		return nil, nil, err
+	}
 	return r.lockCandidates(t, tbl, en, ids, match)
 }
 

@@ -20,16 +20,40 @@ var noRow = rowLoc{page: -2, slot: -2}
 
 // index is a secondary (or unique) hash index on one column. m is the only
 // holder of its keys; ord is the sorted view a range traversal derives from m.
+// A restored index is pending until it is built (Engine.BuildIndexes, or the
+// first statement that reads it): m is nil and pending holds what the build
+// starts from.
 type index struct {
-	name   string
-	col    int // column position
-	unique bool
-	m      map[string][]uint64 // key -> rowIDs
-	ord    orderedKeys
+	name    string
+	col     int // column position
+	unique  bool
+	m       map[string][]uint64 // key -> rowIDs
+	ord     orderedKeys
+	pending *pendingIndex
+}
+
+// pendingIndex is an index a restore left to be built online, after the copy
+// that restored its table has let go of the source's lock (Mohan and Narang's
+// online index build): the image's slots, which nothing edits, and every
+// add and remove that writes and their undo made since, in order.
+type pendingIndex struct {
+	image []pageSlot
+	edits []indexEdit
+}
+
+// indexEdit is one add (or remove) of rowID under key.
+type indexEdit struct {
+	key   string
+	rowID uint64
+	add   bool
 }
 
 // add registers a rowID under key. Called with the table latch held.
 func (ix *index) add(key string, rowID uint64) {
+	if p := ix.pending; p != nil {
+		p.edits = append(p.edits, indexEdit{key, rowID, true})
+		return
+	}
 	ids := ix.m[key]
 	ix.m[key] = append(ids, rowID)
 	if len(ids) == 0 {
@@ -341,9 +365,11 @@ func (t *Table) insertRowPhysical(rowID uint64, r Row) {
 
 // load fills a new table, its indexes already created, with a dump's rows
 // under one latch hold. A row goes into its slot as the encoding it arrived
-// as, and buildKeys reads its key columns for the primary-key and index maps.
-// Tail pages are sealed and handed to the pool as insertRowPhysical does.
-func (t *Table) load(rows []string) error {
+// as, and buildKeys reads its key columns for the primary-key map; each index
+// is left pending on the image's slots (see buildPending). Full pages are
+// sealed as sealTail seals them but not yet put into the buffer pool: load
+// returns their slots for place.
+func (t *Table) load(rows []string) ([][]pageSlot, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	slots := make([]pageSlot, len(rows))
@@ -351,28 +377,105 @@ func (t *Table) load(rows []string) error {
 		slots[i] = pageSlot{rowID: t.nextRowID + uint64(i) + 1, enc: enc}
 		t.byteSize += int64(len(enc))
 	}
-	idxs := make([]*index, 0, len(t.indexes))
 	for _, idx := range t.indexes {
-		idxs = append(idxs, idx)
+		idx.m, idx.pending = nil, &pendingIndex{image: slots}
 	}
-	if err := t.buildKeys(slots, t.pk != nil, idxs); err != nil {
-		return err
+	if err := t.buildKeys(slots, t.pk != nil, nil); err != nil {
+		return nil, err
 	}
 	t.nextRowID += uint64(len(rows))
 	t.liveRows += len(rows)
 	// A page's slots are an array of its own, so that evicting the page
 	// frees its rows; the pages are one array, which t.pages keeps whole.
-	pages := make([]sealedPage, len(slots)/pageCapacity)
+	sealed := make([]sealedPage, len(slots)/pageCapacity)
+	pages := make([][]pageSlot, len(sealed))
 	t.loc = slices.Grow(t.loc, len(slots)+1)
-	for p := range pages {
-		t.tail, slots = slices.Clone(slots[:pageCapacity]), slots[pageCapacity:]
-		t.sealTail(&pages[p])
+	for p := range sealed {
+		pages[p], slots = slices.Clone(slots[:pageCapacity]), slots[pageCapacity:]
+		for i, s := range pages[p] {
+			t.setLoc(s.rowID, rowLoc{page: int32(p), slot: int32(i)})
+		}
+		t.pages = append(t.pages, &sealed[p])
 	}
 	t.tail = append([]pageSlot(nil), slots...)
 	for i, s := range t.tail {
 		t.setLoc(s.rowID, rowLoc{page: -1, slot: int32(i)})
 	}
+	return pages, nil
+}
+
+// place puts the pages load sealed into the buffer pool, resident and dirty.
+func (t *Table) place(pages [][]pageSlot) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for p, slots := range pages {
+		t.engine.pool.Put(t.pageKey(p), t.pages[p], slots)
+	}
+}
+
+// buildPending builds the table's pending indexes online: from the image,
+// outside the latch, and then, under it, replays the edits made meanwhile and
+// installs the maps. An index a statement built in between (builtLocked) is
+// left as it is.
+func (t *Table) buildPending() error {
+	t.mu.Lock()
+	var waiting, built []*index
+	var from []*pendingIndex // each waiting index's state as the build began
+	for _, idx := range t.indexes {
+		if idx.pending != nil {
+			waiting, from = append(waiting, idx), append(from, idx.pending)
+			built = append(built, &index{name: idx.name, col: idx.col, unique: idx.unique})
+		}
+	}
+	t.mu.Unlock()
+	if len(built) == 0 {
+		return nil
+	}
+	if err := t.buildKeys(from[0].image, false, built); err != nil { // one restore left them all
+		return err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, idx := range waiting {
+		if idx.pending != from[i] {
+			continue
+		}
+		for _, ed := range from[i].edits {
+			if ed.add {
+				built[i].add(ed.key, ed.rowID)
+			} else {
+				built[i].remove(ed.key, ed.rowID)
+			}
+		}
+		idx.m, idx.pending = built[i].m, nil
+	}
 	return nil
+}
+
+// builtLocked returns the index on col, first building it from the table's
+// current rows if it is still pending: a statement never reads an index
+// short of the rows. A unique index whose rows repeat a key stays pending,
+// and the statement fails as the build does. Called with t.mu held.
+func (t *Table) builtLocked(col string) (*index, error) {
+	idx := t.indexes[col]
+	if idx.pending == nil {
+		return idx, nil
+	}
+	if err := t.buildKeys(t.slotsLocked(), false, []*index{idx}); err != nil {
+		return nil, err
+	}
+	idx.pending = nil
+	return idx, nil
+}
+
+// slotsLocked returns the slots of every live row, page by page and then the
+// tail. Called with t.mu held.
+func (t *Table) slotsLocked() []pageSlot {
+	var slots []pageSlot
+	for p := range t.pages {
+		slots = append(slots, t.residentLocked(p).slots...)
+	}
+	return append(slots, t.tail...)
 }
 
 // buildKeys fills the primary-key map (when pk) and the empty indexes idxs
@@ -690,13 +793,14 @@ func (t *Table) lookupPK(v Value) (uint64, bool) {
 
 // lookupIndex returns the rowIDs matching v in the named column's index,
 // which exists: a table never loses an index.
-func (t *Table) lookupIndex(col string, v Value) []uint64 {
+func (t *Table) lookupIndex(col string, v Value) ([]uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ids := t.indexes[col].m[keyOf(v)]
-	out := make([]uint64, len(ids))
-	copy(out, ids)
-	return out
+	idx, err := t.builtLocked(col)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(idx.m[keyOf(v)]), nil
 }
 
 // hasIndex reports whether col has a secondary index (col is lower-cased by
@@ -725,15 +829,18 @@ func (t *Table) lookupPKRange(b rangeBounds) []uint64 {
 
 // lookupIndexRange returns the rowIDs whose indexed column value lies within
 // bounds (ascending value order), from the named column's index.
-func (t *Table) lookupIndexRange(col string, b rangeBounds) []uint64 {
+func (t *Table) lookupIndexRange(col string, b rangeBounds) ([]uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx := t.indexes[col]
+	idx, err := t.builtLocked(col)
+	if err != nil {
+		return nil, err
+	}
 	var out []uint64
 	scanRange(&idx.ord, idx.m, b, func(k string) {
 		out = append(out, idx.m[k]...)
 	})
-	return out
+	return out, nil
 }
 
 // scan invokes fn for every live row (a row of its own) until fn returns
@@ -826,12 +933,8 @@ func (t *Table) createIndex(name string, colIdx int, unique bool) error {
 	if _, exists := t.indexes[colName]; exists {
 		return fmt.Errorf("sqldb: index on %s.%s already exists", t.schema.Table, colName)
 	}
-	var slots []pageSlot
-	for p := range t.pages {
-		slots = append(slots, t.residentLocked(p).slots...)
-	}
 	idx := &index{name: name, col: colIdx, unique: unique}
-	if err := t.buildKeys(append(slots, t.tail...), false, []*index{idx}); err != nil {
+	if err := t.buildKeys(t.slotsLocked(), false, []*index{idx}); err != nil {
 		return err
 	}
 	t.indexes[colName] = idx
@@ -841,6 +944,10 @@ func (t *Table) createIndex(name string, colIdx int, unique bool) error {
 
 // remove unregisters a rowID from under key.
 func (ix *index) remove(key string, rowID uint64) {
+	if p := ix.pending; p != nil {
+		p.edits = append(p.edits, indexEdit{key, rowID, false})
+		return
+	}
 	ids := ix.m[key]
 	for i, id := range ids {
 		if id == rowID {

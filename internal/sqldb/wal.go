@@ -164,8 +164,8 @@ func (e *Engine) Checkpoint() error {
 				// image) or after it (and replayed).
 				_, err := e.wal.Append(wal.Record{
 					Type: wal.RecCheckpointTable, DB: db, Table: table,
-					Data: encodeTableImage(ds[0]),
-				})
+					Data: imageHead(ds[0]),
+				}, ds[0].Rows...)
 				return err
 			})
 			if err != nil && !errors.Is(err, ErrNoTable) && err != ErrTxnAborted {

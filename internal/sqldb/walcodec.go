@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"slices"
 
 	"sdp/internal/wal"
 )
@@ -49,8 +48,9 @@ func decodeRedo(data []byte) (string, []Value, error) {
 	return s[sz:end], params, nil
 }
 
-// encodeTableImage serialises a table dump for an image frame.
-func encodeTableImage(d TableDump) []byte {
+// imageHead serialises a table dump for an image frame up to its rows, which
+// follow it in the frame: the log appends them as they are (see wal.Log.Append).
+func imageHead(d TableDump) []byte {
 	buf := wal.AppendString(nil, d.Schema.Table)
 	buf = wal.AppendUvarint(buf, uint64(len(d.Schema.Cols)))
 	for _, c := range d.Schema.Cols {
@@ -78,16 +78,7 @@ func encodeTableImage(d TableDump) []byte {
 			buf = append(buf, 0)
 		}
 	}
-	buf = wal.AppendUvarint(buf, uint64(len(d.Rows)))
-	rowBytes := 0
-	for _, r := range d.Rows {
-		rowBytes += len(r)
-	}
-	buf = slices.Grow(buf, rowBytes) // the rows' one growth
-	for _, r := range d.Rows {
-		buf = append(buf, r...)
-	}
-	return buf
+	return wal.AppendUvarint(buf, uint64(len(d.Rows)))
 }
 
 // decodeTableImage parses an image frame payload back into a table dump.

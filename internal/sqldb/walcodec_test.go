@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// encodeTableImage is an image frame's whole payload, as the log writes it:
+// the image's head and then its rows.
+func encodeTableImage(d TableDump) []byte {
+	buf := imageHead(d)
+	for _, r := range d.Rows {
+		buf = append(buf, r...)
+	}
+	return buf
+}
+
 // TestTableImageRoundTrip pushes a table with every value type, NULLs, a
 // deleted row and a secondary index through the image codec and checks that
 // the decoded image, restored into a second engine, answers like the source.

@@ -409,7 +409,7 @@ func checkRowViews(t *testing.T, e *Engine, db, name string, wantRows int) {
 		if !ok || pid != id || fmt.Sprint(r) != want {
 			t.Fatalf("row %d: point read of %v found row %d %v (%v), scan %s", id, pk, pid, r, ok, want)
 		}
-		if ids := tbl.lookupIndex("s", s); len(ids) != 1 || ids[0] != id {
+		if ids, err := tbl.lookupIndex("s", s); err != nil || len(ids) != 1 || ids[0] != id {
 			t.Fatalf("row %d: index lookup of %v found %v", id, s, ids)
 		}
 	}

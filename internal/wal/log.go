@@ -115,15 +115,18 @@ func New(store Store, cfg Config, metrics *Metrics) *Log {
 func (l *Log) Config() Config { return l.cfg }
 
 // Append encodes rec as a frame and appends it, buffered: the record is not
-// durable until a later Sync covers it. It returns the record's LSN.
-func (l *Log) Append(rec Record) (int64, error) {
+// durable until a later Sync covers it. It returns the record's LSN. The
+// record's data is rec.Data followed by the strings of rest, each copied
+// once, straight into the frame: a table image's rows need not be joined
+// first.
+func (l *Log) Append(rec Record, rest ...string) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
 		return 0, l.err
 	}
 	lsn := l.size
-	frame := encodeFrame(l.frame[:0], lsn, rec)
+	frame := encodeFrame(l.frame[:0], lsn, rec, rest...)
 	l.frame = frame
 	if cap(frame) > maxKeptFrame {
 		l.frame = nil
@@ -139,10 +142,11 @@ func (l *Log) Append(rec Record) (int64, error) {
 	return lsn, nil
 }
 
-// AppendSync appends rec and forces it (and everything before it) to durable
-// storage via the group-commit pipeline.
-func (l *Log) AppendSync(rec Record) (int64, error) {
-	lsn, err := l.Append(rec)
+// AppendSync appends rec, its data followed by rest as Append does, and
+// forces it (and everything before it) to durable storage via the
+// group-commit pipeline.
+func (l *Log) AppendSync(rec Record, rest ...string) (int64, error) {
+	lsn, err := l.Append(rec, rest...)
 	if err != nil {
 		return 0, err
 	}

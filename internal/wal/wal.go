@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // RecordType identifies what a log record describes.
@@ -120,12 +121,6 @@ func AppendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// AppendBytes appends a length-prefixed byte slice.
-func AppendBytes(buf []byte, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
 // Uvarint decodes an unsigned varint from buf, returning the value and the
 // remaining bytes.
 func Uvarint(buf []byte) (uint64, []byte, error) {
@@ -155,8 +150,12 @@ func TakeBytes(buf []byte) ([]byte, []byte, error) {
 }
 
 // encodeFrame appends the full frame (header + payload) for rec at the given
-// LSN to buf.
-func encodeFrame(buf []byte, lsn int64, rec Record) []byte {
+// LSN to buf. The record's data is rec.Data followed by the strings of rest.
+func encodeFrame(buf []byte, lsn int64, rec Record, rest ...string) []byte {
+	size := len(rec.Data)
+	for _, s := range rest {
+		size += len(s)
+	}
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
 	buf = append(buf, byte(rec.Type))
@@ -165,7 +164,11 @@ func encodeFrame(buf []byte, lsn int64, rec Record) []byte {
 	buf = binary.AppendUvarint(buf, rec.GID)
 	buf = AppendString(buf, rec.DB)
 	buf = AppendString(buf, rec.Table)
-	buf = AppendBytes(buf, rec.Data)
+	buf = binary.AppendUvarint(buf, uint64(size))
+	buf = append(slices.Grow(buf, size), rec.Data...)
+	for _, s := range rest {
+		buf = append(buf, s...)
+	}
 	payload := buf[start+frameHeaderSize:]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))

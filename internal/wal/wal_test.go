@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -380,6 +381,51 @@ func TestAppendReusesFrameBuffer(t *testing.T) {
 	for i, r := range got {
 		if r.Type != recs[i].Type || !bytes.Equal(r.Data, recs[i].Data) {
 			t.Fatalf("record %d: %v %d bytes, want %v %d bytes", i, r.Type, len(r.Data), recs[i].Type, len(recs[i].Data))
+		}
+	}
+}
+
+// TestAppendWritesRestIntoFrame appends records whose data continues with
+// rest strings — none, empty ones, and a table image's worth of rows past
+// maxKeptFrame — and checks that Scan reads every frame back, checksummed,
+// with rec.Data and the rest as one payload, and that each frame is the one
+// encodeFrame writes for the joined data.
+func TestAppendWritesRestIntoFrame(t *testing.T) {
+	rows := make([]string, 3000)
+	for i := range rows {
+		rows[i] = string(bytes.Repeat([]byte{byte(i)}, 1+i%60))
+	}
+	cases := []struct {
+		rec  Record
+		rest []string
+	}{
+		{Record{Type: RecStatement, Txn: 1, DB: "d", Table: "t", Data: []byte("INSERT INTO t VALUES (1)")}, nil},
+		{Record{Type: RecRestoreTable, DB: "d", Table: "t", Data: []byte{1, 't', 0}}, rows},
+		{Record{Type: RecCheckpointTable, DB: "d", Table: "u"}, []string{"", "ab", "", "c"}},
+		{Record{Type: RecCommit, Txn: 1, DB: "d"}, nil},
+	}
+	l := New(NewMemStore(), Config{}, nil)
+	var want []byte
+	for _, c := range cases {
+		if _, err := l.AppendSync(c.rec, c.rest...); err != nil {
+			t.Fatal(err)
+		}
+		joined := c.rec
+		joined.Data = []byte(string(c.rec.Data) + strings.Join(c.rest, ""))
+		want = encodeFrame(want, int64(len(want)), joined)
+	}
+	data, _ := l.store.Contents()
+	if !bytes.Equal(data, want) {
+		t.Fatalf("the log holds %d bytes, unlike the %d of frames encoded from joined data", len(data), len(want))
+	}
+	got, end, torn := Scan(data)
+	if torn || end != int64(len(data)) || len(got) != len(cases) {
+		t.Fatalf("scanned %d records to %d of %d bytes (torn %v), want %d", len(got), end, len(data), torn, len(cases))
+	}
+	for i, r := range got {
+		c := cases[i]
+		if r.Type != c.rec.Type || string(r.Data) != string(c.rec.Data)+strings.Join(c.rest, "") {
+			t.Fatalf("record %d: %v with %d bytes of data, want %v with %d + %d rest strings", i, r.Type, len(r.Data), c.rec.Type, len(c.rec.Data), len(c.rest))
 		}
 	}
 }

@@ -647,7 +647,7 @@ func (cc *clientConn) stmtID(s *Stmt) (uint32, error) {
 	}
 	switch f.typ {
 	case MsgStmt:
-		r := &reader{buf: string(f.payload)}
+		r := &reader{buf: f.payload}
 		id = r.u32()
 		if err := r.done(); err != nil {
 			return 0, err

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"sdp/internal/obs"
 	"sdp/internal/sqldb"
@@ -163,11 +164,12 @@ func IsRetryable(err error) bool {
 	return false
 }
 
-// frame is one decoded protocol frame.
+// frame is one decoded protocol frame. Its payload is the string a reader
+// decodes (see reader).
 type frame struct {
 	typ     byte
 	seq     uint64
-	payload []byte
+	payload string
 }
 
 // writeFrame encodes one frame to w: u32 length (type+seq+payload), u8
@@ -213,10 +215,12 @@ func readFrame(r io.Reader) (frame, int, error) {
 		}
 		return frame{}, 4, err
 	}
+	// The payload string shares the frame's one allocation: nothing writes
+	// buf after this.
 	return frame{
 		typ:     buf[0],
 		seq:     binary.BigEndian.Uint64(buf[1:9]),
-		payload: buf[9:],
+		payload: unsafe.String(unsafe.SliceData(buf), len(buf))[9:],
 	}, 4 + int(n), nil
 }
 
@@ -357,8 +361,8 @@ func encodeResult(b []byte, res *sqldb.Result) ([]byte, error) {
 // decodeResult decodes a MsgResult payload. The counts only bound loops: each
 // column name and row takes bytes of the payload, so a forged count fails
 // instead of sizing an allocation.
-func decodeResult(payload []byte) (*sqldb.Result, error) {
-	r := &reader{buf: string(payload)}
+func decodeResult(payload string) (*sqldb.Result, error) {
+	r := &reader{buf: payload}
 	res := &sqldb.Result{}
 	for n := r.u16(); n > 0 && r.err == nil; n-- {
 		res.Cols = append(res.Cols, r.str())
@@ -379,8 +383,8 @@ func encodeError(b []byte, code uint16, msg string) []byte {
 }
 
 // decodeError decodes a MsgError payload into a *Error.
-func decodeError(payload []byte) (*Error, error) {
-	r := &reader{buf: string(payload)}
+func decodeError(payload string) (*Error, error) {
+	r := &reader{buf: payload}
 	e := &Error{Code: r.u16(), Msg: r.str()}
 	if err := r.done(); err != nil {
 		return nil, err

@@ -35,7 +35,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if rn != n {
 			t.Fatalf("readFrame reported %d bytes, frame was %d", rn, n)
 		}
-		if f.typ != MsgQuery || f.seq != uint64(i)+7 || !bytes.Equal(f.payload, p) {
+		if f.typ != MsgQuery || f.seq != uint64(i)+7 || f.payload != string(p) {
 			t.Fatalf("frame mismatch: %+v", f)
 		}
 	}
@@ -132,7 +132,7 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeResult(buf)
+	got, err := decodeResult(string(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err = decodeResult(buf); err != nil || len(got.Cols) != 0 || len(got.Rows) != 0 {
+	if got, err = decodeResult(string(buf)); err != nil || len(got.Cols) != 0 || len(got.Rows) != 0 {
 		t.Fatalf("nil result round trip: %+v, %v", got, err)
 	}
 }
@@ -161,7 +161,7 @@ func TestResultRoundTrip(t *testing.T) {
 // retryable.
 func TestErrorRoundTrip(t *testing.T) {
 	buf := encodeError(nil, ErrCodeOptimisticConflict, "row moved")
-	e, err := decodeError(buf)
+	e, err := decodeError(string(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +229,10 @@ func TestDecodeRandomGarbage(t *testing.T) {
 		}
 		buf := make([]byte, rng.Intn(64))
 		rng.Read(buf)
-		if _, err := decodeResult(buf); err != nil && !protoClass(err) {
+		if _, err := decodeResult(string(buf)); err != nil && !protoClass(err) {
 			t.Fatalf("decodeResult: non-protocol error %v", err)
 		}
-		if _, err := decodeError(buf); err != nil && !protoClass(err) {
+		if _, err := decodeError(string(buf)); err != nil && !protoClass(err) {
 			t.Fatalf("decodeError: non-protocol error %v", err)
 		}
 		r := &reader{buf: string(buf)}
@@ -262,7 +262,7 @@ func TestForgedCountsAllocateNothing(t *testing.T) {
 		},
 		"result row": func() error {
 			// No columns, one row of 65 535 values.
-			_, err := decodeResult(append([]byte{0, 0, 0, 0, 0, 1}, forged...))
+			_, err := decodeResult(string(append([]byte{0, 0, 0, 0, 0, 1}, forged...)))
 			return err
 		},
 	}
@@ -294,7 +294,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		// Whatever decodes must re-encode to an identical stream.
 		var out bytes.Buffer
-		if _, err := writeFrame(&out, fr.typ, fr.seq, fr.payload); err != nil {
+		if _, err := writeFrame(&out, fr.typ, fr.seq, []byte(fr.payload)); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
 		consumed := frameHeaderSize + len(fr.payload) + 4
@@ -309,7 +309,7 @@ func FuzzDecodeResult(f *testing.F) {
 	seed, _ := encodeResult(nil, &sqldb.Result{Cols: []string{"a"}, Rows: []sqldb.Row{{sqldb.NewInt(1)}}})
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := decodeResult(data)
+		res, err := decodeResult(string(data))
 		if err != nil {
 			return
 		}

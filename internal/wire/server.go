@@ -371,7 +371,7 @@ func (c *session) handle(f frame) bool {
 }
 
 func (c *session) handleHello(f frame) bool {
-	r := &reader{buf: string(f.payload)}
+	r := &reader{buf: f.payload}
 	ver := r.u8()
 	db := strings.Clone(r.str()) // kept for the session, as a stats key
 	token := r.str()
@@ -402,7 +402,7 @@ func (c *session) handleHello(f frame) bool {
 }
 
 func (c *session) handleQuery(f frame) bool {
-	r := &reader{buf: string(f.payload)}
+	r := &reader{buf: f.payload}
 	// The statement cache, the query stats and the slow log keep the text:
 	// a copy, so that the rest of the payload is not kept with it.
 	sql := strings.Clone(r.str())
@@ -424,7 +424,7 @@ func (c *session) handleQuery(f frame) bool {
 }
 
 func (c *session) handlePrepare(f frame) bool {
-	r := &reader{buf: string(f.payload)}
+	r := &reader{buf: f.payload}
 	sql := strings.Clone(r.str()) // kept, as in handleQuery
 	if err := r.done(); err != nil {
 		c.sendError(f.seq, ErrCodeProtocol, err.Error())
@@ -445,7 +445,7 @@ func (c *session) handlePrepare(f frame) bool {
 }
 
 func (c *session) handleExec(f frame) bool {
-	r := &reader{buf: string(f.payload)}
+	r := &reader{buf: f.payload}
 	id := r.u32()
 	params := r.row()
 	tc := r.traceContext()
@@ -612,7 +612,7 @@ func (c *session) handleRollback(f frame) bool {
 }
 
 func (c *session) handleCloseStmt(f frame) bool {
-	r := &reader{buf: string(f.payload)}
+	r := &reader{buf: f.payload}
 	id := r.u32()
 	if err := r.done(); err != nil {
 		c.sendError(f.seq, ErrCodeProtocol, err.Error())

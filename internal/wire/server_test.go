@@ -458,7 +458,7 @@ func TestDrainByeRetriesPendingWrite(t *testing.T) {
 						_, _ = writeFrame(nc, MsgBye, 0, nil) // drained: f was never executed
 						return
 					default:
-						if f.typ == MsgQuery && bytes.Contains(f.payload, []byte("UPDATE")) {
+						if f.typ == MsgQuery && strings.Contains(f.payload, "UPDATE") {
 							updates.Add(1)
 						}
 						var payload []byte

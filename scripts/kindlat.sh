@@ -7,8 +7,9 @@
 # transactions with its p50, p90 and p99 over the whole window (not the best
 # quartile of slices bench/ reports), then the profile's share of a few hot
 # spots (replica_churn's copy among them: the dump, which calls the restore on
-# the target, the restore, and within it the row and index build) and its top
-# functions. It also records the window's mutex profile
+# the target, the restore, and within it the rows and primary key, then the
+# online index build after the dump, and the index lookups that build a
+# pending index on the spot) and its top functions. It also records the window's mutex profile
 # (one contention in mutexFraction sampled) and prints the share of the
 # contention delay released by each of the engine's and controller's hot
 # mutexes. Both profiles are kept for `go tool pprof`. To compare commits, run
@@ -133,7 +134,9 @@ row 'redo records (sqldb Engine.walStmt)' "$(share 'sqldb\.\(\*Engine\)\.walStmt
 row 'log appends (wal Log.Append)' "$(share 'wal\.\(\*Log\)\.Append$')"
 row 'replica copy dump, restore excluded (sqldb Engine.DumpTables)' "$(share 'sqldb\.\(\*Engine\)\.DumpTables$' 'sqldb\.\(\*Engine\)\.RestoreTable$')"
 row 'replica copy restore (sqldb Engine.RestoreTable)' "$(share 'sqldb\.\(\*Engine\)\.RestoreTable$')"
-row 'restore: rows and index build (sqldb Table.load)' "$(share 'sqldb\.\(\*Table\)\.load$')"
+row 'restore: rows and primary key (sqldb Table.load)' "$(share 'sqldb\.\(\*Table\)\.load$')"
+row 'online index build, after the dump (sqldb Engine.BuildIndexes)' "$(share 'sqldb\.\(\*Engine\)\.BuildIndexes$')"
+row 'index lookups, a pending one built (sqldb Table.builtLocked)' "$(share 'sqldb\.\(\*Table\)\.builtLocked$')"
 row 'garbage collection (runtime gcBgMarkWorker)' "$(share 'runtime\.gcBgMarkWorker$')"
 # released [<frame regexp>]: percent of the window's mutex contention delay
 # whose releasing call (the frame that called Unlock) matches; with no
