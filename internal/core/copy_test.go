@@ -212,23 +212,30 @@ func TestCopyReplicaCases(t *testing.T) {
 }
 
 // TestCopyApplyFailureAbortsDatabaseCopy makes one table's restore fail on
-// the target after the table is registered there (the engine does not police
-// a unique index once built, so the source can hold duplicates the target's
-// index build refuses). Under database granularity the apply error used to be
-// dropped and the existence check passed: the copy must instead abort, leave
-// the replica set alone and leave nothing on the target.
+// the target after another's was applied there: a netsim hook partitions
+// the source from the target once a's apply is delivered, so b's fails.
+// Under database granularity the apply error used to be dropped and the
+// existence check passed: the copy must instead abort, leave the replica
+// set alone and leave nothing on the target.
 func TestCopyApplyFailureAbortsDatabaseCopy(t *testing.T) {
-	c := newTestCluster(t, 3, Options{Replicas: 2, CopyGranularity: sqldb.GranularityDatabase})
+	opts, net := netOpts(5)
+	opts.CopyGranularity = sqldb.GranularityDatabase
+	c := newTestCluster(t, 3, opts)
 	clusterExec(t, c, "CREATE TABLE a (id INT PRIMARY KEY, n INT)")
 	clusterExec(t, c, "CREATE TABLE b (id INT PRIMARY KEY, n INT)")
-	clusterExec(t, c, "CREATE UNIQUE INDEX b_n ON b (n)")
 	clusterExec(t, c, "INSERT INTO a VALUES (1, 1)")
 	clusterExec(t, c, "INSERT INTO b VALUES (1, 7)")
-	clusterExec(t, c, "INSERT INTO b VALUES (2, 7)")
+	net.OnDeliver(func(ci netsim.CallInfo) {
+		if ci.Op == "copy_apply" {
+			net.Partition(ci.From, ci.To)
+		}
+	})
 
 	err := c.CreateReplica("app", "m3")
-	if !errors.Is(err, sqldb.ErrDuplicateKey) {
-		t.Fatalf("CreateReplica err = %v, want the restore's ErrDuplicateKey", err)
+	net.ClearHooks()
+	net.HealAll()
+	if !errors.Is(err, netsim.ErrPartitioned) {
+		t.Fatalf("CreateReplica err = %v, want b's apply's ErrPartitioned", err)
 	}
 	if reps, _ := c.Replicas("app"); len(reps) != 2 || contains(reps, "m3") {
 		t.Fatalf("replicas after failed copy = %v", reps)
@@ -1034,4 +1041,80 @@ func TestTargetCrashBeforeIndexBuildAborts(t *testing.T) {
 		t.Fatalf("replicas = %v, want the two before the copy", reps)
 	}
 	clusterExec(t, c, "INSERT INTO a VALUES (3, 3)")
+}
+
+// TestCreateIndexOrderedAgainstCopy starts a copy of app while the head
+// holds the share of a CREATE INDEX on a: a netsim hook on the head's exec
+// of the statement starts CreateReplica, and returns once the target has
+// applied a's image or, if the dump waits for the statement instead, after
+// 200 ms. CREATE INDEX holds the IX lock writers hold, which the dump's read
+// lock waits for, so the image is taken after the statement commits, with
+// the index in it, and the statement's rest does not go to the target. The
+// statement succeeds, the copy registers, and every replica holds the one
+// index a_k, answering k = 1 as the source does.
+func TestCreateIndexOrderedAgainstCopy(t *testing.T) {
+	opts, net := netOpts(5)
+	c := newTestCluster(t, 3, opts)
+	clusterExec(t, c, "CREATE TABLE a (id INT PRIMARY KEY, k INT)")
+	for id := 1; id <= 30; id++ {
+		clusterExec(t, c, "INSERT INTO a VALUES (?, ?)", sqldb.NewInt(int64(id)), sqldb.NewInt(int64(id%3)))
+	}
+	reps, _ := c.Replicas("app")
+	target := otherMachine(t, c)
+	var armed, shareHeld atomic.Bool
+	applied, copied := make(chan struct{}), make(chan error, 1)
+	var applies atomic.Int32
+	net.OnDeliver(func(ci netsim.CallInfo) {
+		switch {
+		case ci.Op == "copy_apply":
+			if shareHeld.Load() {
+				t.Error("the target applied a's image while the head's CREATE INDEX was running")
+			}
+			if applies.Add(1) == 1 {
+				close(applied)
+			}
+		case ci.Op == "exec" && ci.To == reps[0] && armed.CompareAndSwap(true, false):
+			shareHeld.Store(true)
+			go func() { copied <- c.CreateReplica("app", target) }()
+			select {
+			case <-applied:
+			case <-time.After(200 * time.Millisecond):
+			}
+			shareHeld.Store(false)
+		}
+	})
+	armed.Store(true)
+	if _, err := c.Exec("app", "CREATE INDEX a_k ON a (k)"); err != nil {
+		t.Fatalf("CREATE INDEX beside the copy: %v", err)
+	}
+	if err := <-copied; err != nil {
+		t.Fatalf("CreateReplica: %v", err)
+	}
+	net.ClearHooks()
+	if reps, _ = c.Replicas("app"); len(reps) != 3 || !contains(reps, target) {
+		t.Fatalf("replicas = %v, want the target %s registered", reps, target)
+	}
+	src, _ := c.Machine(reps[0])
+	const q = "SELECT id FROM a WHERE k = 1 ORDER BY id"
+	want, err := src.Engine().Exec("app", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range reps {
+		m, _ := c.Machine(id)
+		var indexes []sqldb.IndexDef
+		if err := m.Engine().DumpTables("app", []string{"a"}, func(ds []sqldb.TableDump) error {
+			indexes = ds[0].Indexes
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(indexes) != 1 || indexes[0].Name != "a_k" {
+			t.Fatalf("%s: a's indexes %v, want the one a_k", id, indexes)
+		}
+		got, err := m.Engine().Exec("app", q)
+		if err != nil || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+			t.Fatalf("%s: k = 1 finds %v (%v), the source %v", id, got, err, want.Rows)
+		}
+	}
 }

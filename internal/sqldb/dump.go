@@ -168,15 +168,13 @@ func (e *Engine) RestoreTable(db string, d TableDump) error {
 		if colIdx < 0 {
 			return fmt.Errorf("%w: %s.%s", ErrNoColumn, d.Schema.Table, idx.Col)
 		}
-		if err := tbl.createIndex(idx.Name, colIdx, idx.Unique); err != nil {
-			return err
-		}
+		tbl.indexes[lower(idx.Col)] = &index{name: idx.Name, col: colIdx, unique: idx.Unique}
 	}
 	owner := e.lockOwner(cat)
 	defer e.locks.releaseAll(owner)
 	pages, err := tbl.load(d.Rows)
 	if err == nil && !logged {
-		err = tbl.buildPending() // recovery builds at once
+		err = tbl.buildRestored() // recovery builds at once
 	}
 	if err == nil {
 		err = owner.lockInc(tbl, LockX, false) // no one knows it yet: granted at once
@@ -215,11 +213,11 @@ func (e *Engine) RestoreTable(db string, d TableDump) error {
 // named tables of db: each table's from its image, outside the table latch,
 // and then, under the latch, with the edits that writes (and their undo)
 // made since the restore, before it installs the maps — the online index
-// build of Mohan and Narang (SIGMOD 1992). A copy calls it once the source's
-// locks are released; a statement that reads a pending index first builds
-// that one from the table's current rows. A unique index whose image repeats
-// a key fails the build with ErrDuplicateKey. A table that is gone has
-// nothing to build.
+// build of Mohan and Narang (SIGMOD 1992), through Table.buildPending as
+// CREATE INDEX builds. A copy calls it once the source's locks are released;
+// until then no plan reads the pending indexes, so a statement scans. A
+// unique index whose rows repeat a key fails the build with ErrDuplicateKey
+// and stays pending. A table that is gone has nothing to build.
 func (e *Engine) BuildIndexes(db string, tables []string) error {
 	cat, err := e.database(db)
 	if err != nil {
@@ -232,7 +230,7 @@ func (e *Engine) BuildIndexes(db string, tables []string) error {
 		if tbl == nil {
 			continue
 		}
-		if err := tbl.buildPending(); err != nil {
+		if err := tbl.buildRestored(); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -59,8 +60,11 @@ func (e *Engine) execute(t *Txn, stmt Statement, plan *stmtPlan, params []Value)
 	case *CreateIndexStmt:
 		res, err := e.execCreateIndex(t, s)
 		if err == nil {
-			// Logged while the table read lock is still held, so the record
-			// is ordered against every write to the indexed table.
+			// Logged at the install, under the table IX lock the statement's
+			// transaction holds to its end: recovery builds from the rows it
+			// has at the record, and later records keep the index as they
+			// kept it here, so the record needs no order against the writes
+			// that ran beside the build.
 			err = e.walDDL(t.db, s.Table, s.text)
 		}
 		return res, err
@@ -158,9 +162,16 @@ func (e *Engine) execCreateTable(t *Txn, s *CreateTableStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
+// execCreateIndex builds the index online (Table.createIndex) under the
+// table IX lock that writers take: writers go on beside the build, and the
+// dump's and a checkpoint's S lock wait for the statement's transaction as
+// they wait for any writer's, so an image holds the index whole or not at
+// all. A unique index installs under the table's X lock: every writer that
+// ran beside the build has then ended, its keys among the edits the install
+// checks, and every later one locks and probes its keys (lockUnique,
+// uniqueViolation).
 func (e *Engine) execCreateIndex(t *Txn, s *CreateIndexStmt) (*Result, error) {
-	// Build under a table S lock so the index sees a consistent image.
-	tbl, err := t.lockNamed(s.Table, LockS)
+	tbl, err := t.lockNamed(s.Table, LockIX)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +179,11 @@ func (e *Engine) execCreateIndex(t *Txn, s *CreateIndexStmt) (*Result, error) {
 	if colIdx < 0 {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, s.Table, s.Col)
 	}
-	if err := tbl.createIndex(s.Name, colIdx, s.Unique); err != nil {
+	var beforeInstall func() error
+	if s.Unique {
+		beforeInstall = func() error { return t.lockInc(tbl, LockX, false) }
+	}
+	if err := tbl.createIndex(s.Name, colIdx, s.Unique, beforeInstall); err != nil {
 		return nil, err
 	}
 	return &Result{}, nil
@@ -205,6 +220,8 @@ type boundInsert struct {
 	tbl       *Table
 	positions []int
 	tableMode LockMode
+	unique    []int  // the columns whose values lockUnique locks and uniqueViolation probes
+	gen       uint32 // tbl's indexGen when unique was read
 
 	// bound[r][i] evaluates values[r][i], except that a literal is taken
 	// straight from its node: bulk loads are 50-row all-literal statements
@@ -236,15 +253,10 @@ func bindInsert(p *stmtPlan, s *InsertStmt) (func(*Txn, []Value) (*Result, error
 		}
 		bi.positions = append(bi.positions, idx)
 	}
-	// Without a primary key there is no row-lock identity; with a unique
-	// secondary index the uniqueness probe needs a stable view.
+	// Without a primary key there is no row-lock identity.
+	bi.unique, bi.gen = tbl.uniqueAmong(nil) // a column left out is NULL, which an index counts
 	if schema.PKIdx < 0 {
 		bi.tableMode = LockX
-	}
-	for _, c := range schema.Cols {
-		if c.Unique && !c.PrimaryKey {
-			bi.tableMode = LockX
-		}
 	}
 	var b binder // VALUES see no columns
 	bi.values = s.Rows
@@ -270,6 +282,9 @@ func (bi *boundInsert) exec(t *Txn, params []Value) (*Result, error) {
 	// Lock order: table intention lock first, then row locks.
 	if err := t.lockInc(tbl, bi.tableMode, false); err != nil {
 		return nil, err
+	}
+	if tbl.indexGen.Load() != bi.gen { // an index installed since: lock and probe it too
+		return nil, errStalePlan
 	}
 
 	en := t.newEnv(params)
@@ -302,12 +317,11 @@ func (bi *boundInsert) exec(t *Txn, params []Value) (*Result, error) {
 		} else {
 			e.record(t, true, tbl, "")
 		}
-		for i, c := range schema.Cols {
-			if c.Unique && !c.PrimaryKey {
-				if dup := tbl.uniqueViolation(i, full[i]); dup {
-					return nil, fmt.Errorf("%w: %s=%s in %s", ErrDuplicateKey, c.Name, full[i], bi.table)
-				}
-			}
+		if err := t.lockUnique(tbl, bi.unique, full); err != nil {
+			return nil, err
+		}
+		if err := tbl.uniqueViolation(bi.unique, full, 0); err != nil {
+			return nil, err
 		}
 		rowID := tbl.allocRowID()
 		tbl.insertRowPhysical(rowID, full)
@@ -326,6 +340,8 @@ type boundWrite struct {
 	delete bool
 	setIdx []int
 	set    []exprFn
+	unique []int  // the columns it sets (UPDATE) or drops (DELETE) that lockUnique locks
+	gen    uint32 // the table's indexGen when unique was read
 }
 
 func bindUpdate(p *stmtPlan, s *UpdateStmt) (func(*Txn, []Value) (*Result, error), error) {
@@ -343,6 +359,7 @@ func bindUpdate(p *stmtPlan, s *UpdateStmt) (func(*Txn, []Value) (*Result, error
 		bw.setIdx = append(bw.setIdx, idx)
 		bw.set = append(bw.set, b.expr(a.Expr))
 	}
+	bw.unique, bw.gen = tbl.uniqueAmong(bw.setIdx)
 	bw.read = bindRead(tbl, s.Table, s.Where)
 	bw.read.write = true
 	return bw.exec, nil
@@ -354,6 +371,7 @@ func bindDelete(p *stmtPlan, s *DeleteStmt) (func(*Txn, []Value) (*Result, error
 		return nil, err
 	}
 	bw := &boundWrite{delete: true, read: bindRead(tbl, s.Table, s.Where)}
+	bw.unique, bw.gen = tbl.uniqueAmong(nil)
 	bw.read.write = true
 	return bw.exec, nil
 }
@@ -365,8 +383,14 @@ func (bw *boundWrite) exec(t *Txn, params []Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if tbl.indexGen.Load() != bw.gen { // as boundInsert does
+		return nil, errStalePlan
+	}
 	schema := tbl.schema
 	for i, old := range rows {
+		if err := t.lockUnique(tbl, bw.unique, old); err != nil {
+			return nil, err
+		}
 		if bw.delete {
 			tbl.deleteRowPhysical(ids[i])
 			t.logUndo(undoRec{table: tbl, kind: undoDelete, rowID: ids[i], before: old})
@@ -392,6 +416,12 @@ func (bw *boundWrite) exec(t *Txn, params []Value) (*Result, error) {
 				}
 				t.engine.record(t, true, tbl, newKey)
 			}
+		}
+		if err := t.lockUnique(tbl, bw.unique, newRow); err != nil {
+			return nil, err
+		}
+		if err := tbl.uniqueViolation(bw.unique, newRow, ids[i]); err != nil {
+			return nil, err
 		}
 		tbl.updateRowPhysical(ids[i], newRow)
 		t.logUndo(undoRec{table: tbl, kind: undoUpdate, rowID: ids[i], before: old})
@@ -460,20 +490,64 @@ func resolveBinding(bindings []colBinding, ce *ColumnExpr) int {
 	return match
 }
 
-// uniqueViolation reports whether value v already exists in column col.
-func (t *Table) uniqueViolation(col int, v Value) bool {
-	if v.IsNull() {
-		return false
-	}
-	found := false
-	t.scan(func(_ uint64, r Row) bool {
-		if Equal(r[col], v) {
-			found = true
-			return false
+// uniqueAmong returns those of cols, schema positions (nil: every column),
+// whose values must be unique apart from the primary key — a UNIQUE column,
+// or one an installed unique index covers — and the indexGen they were read
+// at: a plan that locks and probes them runs only while it stands.
+func (t *Table) uniqueAmong(cols []int) (unique []int, gen uint32) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for c, col := range t.schema.Cols {
+		idx := t.indexes[lower(col.Name)]
+		if (cols == nil || slices.Contains(cols, c)) && !col.PrimaryKey && (col.Unique || idx != nil && idx.unique && idx.pending == nil) {
+			unique = append(unique, c)
 		}
-		return true
-	})
-	return found
+	}
+	return unique, t.indexGen.Load()
+}
+
+// lockUnique takes in X the lock on the value row holds in each column of
+// unique, keyed apart from every primary key (no key starts with 0xff): a
+// write that stores, changes or removes a value of a unique column holds
+// the value's lock to its end, as a row lock guards its primary key, so no
+// other writer's probe passes on a value this one stores or its undo could
+// restore.
+func (t *Txn) lockUnique(tbl *Table, unique []int, row Row) error {
+	for _, c := range unique {
+		if err := t.lockRow(tbl, string(appendKey([]byte{0xff, byte(c)}, &row[c])), LockX); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// uniqueViolation refuses row, about to be stored as row self (0: a new
+// one), if another live row holds its value in a column of unique: read
+// from the column's installed unique index, which holds one NULL as
+// buildKeys builds it, and found by a scan otherwise, where NULL repeats
+// nothing. The caller holds the values' locks (lockUnique).
+func (t *Table) uniqueViolation(unique []int, row Row, self uint64) error {
+	for _, c := range unique {
+		v, dup := row[c], false
+		t.mu.Lock()
+		idx := t.indexes[lower(t.schema.Cols[c].Name)]
+		scan := idx == nil || !idx.unique || idx.pending != nil
+		if !scan {
+			ids := idx.m[keyOf(v)]
+			dup = len(ids) > 1 || len(ids) == 1 && ids[0] != self
+		}
+		t.mu.Unlock()
+		if scan && !v.IsNull() {
+			t.scan(func(id uint64, r Row) bool {
+				dup = id != self && Equal(r[c], v)
+				return !dup
+			})
+		}
+		if dup {
+			return fmt.Errorf("%w: %s=%s in %s", ErrDuplicateKey, t.schema.Cols[c].Name, v, t.schema.Table)
+		}
+	}
+	return nil
 }
 
 // errAmbiguous wraps an ambiguous column reference.

@@ -351,6 +351,7 @@ func TestStmtCacheConcurrent(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
+	var ran sync.Map // every node a hot text ran as, to its text
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -388,6 +389,9 @@ func TestStmtCacheConcurrent(t *testing.T) {
 					}
 					continue
 				}
+				if sql == hot[r%len(hot)] {
+					ran.Store(stmt, sql)
+				}
 				if _, isRead := stmt.(*SelectStmt); isRead {
 					if len(res.Rows) != 1 || res.Rows[0][0].Str != want(ei, d) {
 						t.Errorf("%s on e%d/%s = %v, want %s", sql, ei, db, res.Rows, want(ei, d))
@@ -412,12 +416,16 @@ func TestStmtCacheConcurrent(t *testing.T) {
 	if st := c.Stats(); st.Bytes > c.budget || st.Entries == 0 {
 		t.Errorf("retained %+v with a %d-byte budget", st, c.budget)
 	}
-	for _, sql := range hot {
-		stmt, _ := c.Parse(sql)
-		if m := plansOf(stmt).cur.Load(); m == nil || len(*m) > engines*dbs {
+	// A node that ran holds a plan table, one plan at most per (engine,
+	// database). The node the cache holds now may be none of them: once
+	// few workers are left, a hot text can be evicted, and its next Parse
+	// returns a fresh node that holds no plans.
+	ran.Range(func(stmt, sql any) bool {
+		if m := plansOf(stmt.(Statement)).cur.Load(); m == nil || len(*m) > engines*dbs {
 			t.Errorf("%q holds a plan table of unexpected size", sql)
 		}
-	}
+		return true
+	})
 }
 
 // TestDDLConcurrentWithSelects hammers cached SELECTs from 8 clients while a

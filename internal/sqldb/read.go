@@ -96,20 +96,19 @@ func (r *tableRead) prepare(tbl *Table, en *env) (a access, err error) {
 
 // candidates returns the row IDs an index-equality or range step starts from,
 // and the re-check of the access column for a fetched candidate.
-func (r *tableRead) candidates(tbl *Table, a access) (ids []uint64, match func(Row) bool, err error) {
+func (r *tableRead) candidates(tbl *Table, a access) (ids []uint64, match func(Row) bool) {
 	p, col := r.path, r.path.colIdx
 	if a.kind == pathIndexEq {
 		v := a.eq
-		ids, err = tbl.lookupIndex(p.col, v)
-		return ids, func(row Row) bool { return Equal(row[col], v) }, err
+		return tbl.lookupIndex(p.col, v), func(row Row) bool { return Equal(row[col], v) }
 	}
 	b := a.b
 	if p.onPK {
 		ids = tbl.lookupPKRange(b)
 	} else {
-		ids, err = tbl.lookupIndexRange(p.col, b)
+		ids = tbl.lookupIndexRange(p.col, b)
 	}
-	return ids, func(row Row) bool { return b.match(row[col]) }, err
+	return ids, func(row Row) bool { return b.match(row[col]) }
 }
 
 // fetchPoint reads the row under the primary key key — into the
@@ -171,10 +170,7 @@ func (r *tableRead) rows(t *Txn, tbl *Table, en *env) ([]Row, []uint64, error) {
 	if a.kind == pathPoint {
 		return r.lockPoint(t, tbl, en, a.eq)
 	}
-	ids, match, err := r.candidates(tbl, a)
-	if err != nil {
-		return nil, nil, err
-	}
+	ids, match := r.candidates(tbl, a)
 	return r.lockCandidates(t, tbl, en, ids, match)
 }
 

@@ -20,9 +20,8 @@ var noRow = rowLoc{page: -2, slot: -2}
 
 // index is a secondary (or unique) hash index on one column. m is the only
 // holder of its keys; ord is the sorted view a range traversal derives from m.
-// A restored index is pending until it is built (Engine.BuildIndexes, or the
-// first statement that reads it): m is nil and pending holds what the build
-// starts from.
+// An index is pending until buildPending installs it: m is nil, no plan sees
+// it (hasIndex), and pending logs the edits the build replays.
 type index struct {
 	name    string
 	col     int // column position
@@ -32,10 +31,11 @@ type index struct {
 	pending *pendingIndex
 }
 
-// pendingIndex is an index a restore left to be built online, after the copy
-// that restored its table has let go of the source's lock (Mohan and Narang's
-// online index build): the image's slots, which nothing edits, and every
-// add and remove that writes and their undo made since, in order.
+// pendingIndex is an index being built online, as Mohan and Narang build one
+// without quiescing updates: every add and remove that writes and their
+// undo made since the slots the build starts from were taken, in order, and
+// for an index a restore left pending, those slots — its image, which nothing
+// edits (CREATE INDEX keeps its snapshot itself).
 type pendingIndex struct {
 	image []pageSlot
 	edits []indexEdit
@@ -78,7 +78,7 @@ type Table struct {
 	// a restore, is a new incarnation that shares nothing with the old one.
 	// dead is set when the incarnation leaves the catalog, which takes its X
 	// lock, so a statement that holds any lock on it and finds it alive
-	// reads a live table. indexGen counts its CREATE INDEXes, for the plans
+	// reads a live table. indexGen counts its index installs, for the plans
 	// bound to it (stmtPlan.current).
 	inc      uint32
 	dead     atomic.Bool
@@ -363,7 +363,7 @@ func (t *Table) insertRowPhysical(rowID uint64, r Row) {
 	}
 }
 
-// load fills a new table, its indexes already created, with a dump's rows
+// load fills a new table, its indexes already registered, with a dump's rows
 // under one latch hold. A row goes into its slot as the encoding it arrived
 // as, and buildKeys reads its key columns for the primary-key map; each index
 // is left pending on the image's slots (see buildPending). Full pages are
@@ -378,7 +378,7 @@ func (t *Table) load(rows []string) ([][]pageSlot, error) {
 		t.byteSize += int64(len(enc))
 	}
 	for _, idx := range t.indexes {
-		idx.m, idx.pending = nil, &pendingIndex{image: slots}
+		idx.pending = &pendingIndex{image: slots}
 	}
 	if err := t.buildKeys(slots, t.pk != nil, nil); err != nil {
 		return nil, err
@@ -413,38 +413,47 @@ func (t *Table) place(pages [][]pageSlot) {
 	}
 }
 
-// buildPending builds the table's pending indexes online: from the image,
-// outside the latch, and then, under it, replays the edits made meanwhile and
-// installs the maps. An index a statement built in between (builtLocked) is
-// left as it is.
-func (t *Table) buildPending() error {
-	t.mu.Lock()
-	var waiting, built []*index
-	var from []*pendingIndex // each waiting index's state as the build began
-	for _, idx := range t.indexes {
-		if idx.pending != nil {
-			waiting, from = append(waiting, idx), append(from, idx.pending)
-			built = append(built, &index{name: idx.name, col: idx.col, unique: idx.unique})
-		}
+// buildPending is the one index build: it builds idxs, pending indexes of
+// the table registered together on image, online — from image's slots and
+// outside the latch, and then, under it, replays the edits that writes and
+// their undo made meanwhile, checks that a unique index's replayed keys name
+// one row each (the image's were checked as they were grouped), and
+// installs each map, bumping indexGen so that the plans bound before see
+// them. beforeInstall, unless nil, runs between the build and the install.
+// An index another build installed in between is left as it is; one that
+// fails its check stays pending.
+func (t *Table) buildPending(idxs []*index, image []pageSlot, beforeInstall func() error) error {
+	built := make([]*index, len(idxs))
+	for i, idx := range idxs {
+		built[i] = &index{name: idx.name, col: idx.col, unique: idx.unique}
 	}
-	t.mu.Unlock()
-	if len(built) == 0 {
-		return nil
-	}
-	if err := t.buildKeys(from[0].image, false, built); err != nil { // one restore left them all
+	if err := t.buildKeys(image, false, built); err != nil {
 		return err
+	}
+	if beforeInstall != nil {
+		if err := beforeInstall(); err != nil {
+			return err
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i, idx := range waiting {
-		if idx.pending != from[i] {
+	defer t.indexGen.Add(1)
+	for i, idx := range idxs {
+		if idx.pending == nil {
 			continue
 		}
-		for _, ed := range from[i].edits {
+		for _, ed := range idx.pending.edits {
 			if ed.add {
 				built[i].add(ed.key, ed.rowID)
 			} else {
 				built[i].remove(ed.key, ed.rowID)
+			}
+		}
+		for _, ed := range idx.pending.edits {
+			if ids := built[i].m[ed.key]; idx.unique && len(ids) > 1 {
+				l, _ := t.locOf(ids[0])
+				row := t.decode(int(l.page), t.encAtLocked(l), nil) // buildKeys's text
+				return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, row[idx.col], idx.name)
 			}
 		}
 		idx.m, idx.pending = built[i].m, nil
@@ -452,20 +461,22 @@ func (t *Table) buildPending() error {
 	return nil
 }
 
-// builtLocked returns the index on col, first building it from the table's
-// current rows if it is still pending: a statement never reads an index
-// short of the rows. A unique index whose rows repeat a key stays pending,
-// and the statement fails as the build does. Called with t.mu held.
-func (t *Table) builtLocked(col string) (*index, error) {
-	idx := t.indexes[col]
-	if idx.pending == nil {
-		return idx, nil
+// buildRestored builds the indexes a restore left pending on the table, all
+// from its image, in one pass (buildPending).
+func (t *Table) buildRestored() error {
+	var idxs []*index
+	var image []pageSlot
+	t.mu.Lock()
+	for _, idx := range t.indexes {
+		if idx.pending != nil && idx.pending.image != nil {
+			idxs, image = append(idxs, idx), idx.pending.image
+		}
 	}
-	if err := t.buildKeys(t.slotsLocked(), false, []*index{idx}); err != nil {
-		return nil, err
+	t.mu.Unlock()
+	if len(idxs) == 0 {
+		return nil
 	}
-	idx.pending = nil
-	return idx, nil
+	return t.buildPending(idxs, image, nil)
 }
 
 // slotsLocked returns the slots of every live row, page by page and then the
@@ -792,24 +803,20 @@ func (t *Table) lookupPK(v Value) (uint64, bool) {
 }
 
 // lookupIndex returns the rowIDs matching v in the named column's index,
-// which exists: a table never loses an index.
-func (t *Table) lookupIndex(col string, v Value) ([]uint64, error) {
+// which a plan saw installed: a table never loses an installed index.
+func (t *Table) lookupIndex(col string, v Value) []uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx, err := t.builtLocked(col)
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(idx.m[keyOf(v)]), nil
+	return slices.Clone(t.indexes[col].m[keyOf(v)])
 }
 
-// hasIndex reports whether col has a secondary index (col is lower-cased by
-// the caller).
+// hasIndex reports whether col has an installed secondary index (col is
+// lower-cased by the caller): while it is pending, plans scan.
 func (t *Table) hasIndex(col string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, ok := t.indexes[col]
-	return ok
+	idx, ok := t.indexes[col]
+	return ok && idx.pending == nil
 }
 
 // lookupPKRange returns the rowIDs whose primary key lies within bounds, in
@@ -828,19 +835,17 @@ func (t *Table) lookupPKRange(b rangeBounds) []uint64 {
 }
 
 // lookupIndexRange returns the rowIDs whose indexed column value lies within
-// bounds (ascending value order), from the named column's index.
-func (t *Table) lookupIndexRange(col string, b rangeBounds) ([]uint64, error) {
+// bounds (ascending value order), from the named column's index, installed
+// as for lookupIndex.
+func (t *Table) lookupIndexRange(col string, b rangeBounds) []uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx, err := t.builtLocked(col)
-	if err != nil {
-		return nil, err
-	}
+	idx := t.indexes[col]
 	var out []uint64
 	scanRange(&idx.ord, idx.m, b, func(k string) {
 		out = append(out, idx.m[k]...)
 	})
-	return out, nil
+	return out
 }
 
 // scan invokes fn for every live row (a row of its own) until fn returns
@@ -925,21 +930,28 @@ func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64,
 	return nil
 }
 
-// createIndex builds a secondary index over col (position colIdx).
-func (t *Table) createIndex(name string, colIdx int, unique bool) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// createIndex builds a secondary index over col (position colIdx) online:
+// it registers the index pending on a snapshot of the table's slots, which
+// buildPending builds from while writers go on (beforeInstall as there), and
+// takes it out again if the build fails.
+func (t *Table) createIndex(name string, colIdx int, unique bool, beforeInstall func() error) error {
 	colName := lower(t.schema.Cols[colIdx].Name)
+	t.mu.Lock()
 	if _, exists := t.indexes[colName]; exists {
+		t.mu.Unlock()
 		return fmt.Errorf("sqldb: index on %s.%s already exists", t.schema.Table, colName)
 	}
-	idx := &index{name: name, col: colIdx, unique: unique}
-	if err := t.buildKeys(t.slotsLocked(), false, []*index{idx}); err != nil {
-		return err
-	}
+	idx := &index{name: name, col: colIdx, unique: unique, pending: &pendingIndex{}}
 	t.indexes[colName] = idx
-	t.indexGen.Add(1)
-	return nil
+	image := t.slotsLocked()
+	t.mu.Unlock()
+	err := t.buildPending([]*index{idx}, image, beforeInstall)
+	if err != nil {
+		t.mu.Lock()
+		delete(t.indexes, colName)
+		t.mu.Unlock()
+	}
+	return err
 }
 
 // remove unregisters a rowID from under key.

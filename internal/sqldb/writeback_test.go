@@ -409,7 +409,7 @@ func checkRowViews(t *testing.T, e *Engine, db, name string, wantRows int) {
 		if !ok || pid != id || fmt.Sprint(r) != want {
 			t.Fatalf("row %d: point read of %v found row %d %v (%v), scan %s", id, pk, pid, r, ok, want)
 		}
-		if ids, err := tbl.lookupIndex("s", s); err != nil || len(ids) != 1 || ids[0] != id {
+		if ids := tbl.lookupIndex("s", s); len(ids) != 1 || ids[0] != id {
 			t.Fatalf("row %d: index lookup of %v found %v", id, s, ids)
 		}
 	}
@@ -480,7 +480,7 @@ func TestRowDirectoryCases(t *testing.T) {
 		checkRowViews(t, e, "app", "a", pageCapacity+2)
 		mustExec(t, e, "DELETE FROM a WHERE id = 5")
 		for _, d := range dumpAll(t, e) {
-			if err := e.RestoreTable("app", d); err != nil {
+			if err := restoreAndBuild(e, d); err != nil {
 				t.Fatal(err)
 			}
 		}

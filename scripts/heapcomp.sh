@@ -39,7 +39,7 @@ row() { printf '%-58s %8s\n' "$1" "$2"; }
 # memstat <awk expression over $1 = HeapInuse, $2 = HeapAlloc>: MB.
 memstat() { awk "{ printf \"%.1f\", ($1) / 1048576 }" "$tmp/heap.pb.gz.ms"; }
 
-storage='insertRowPhysical|updateRowPhysical|createIndex|RestoreTable'
+storage='insertRowPhysical|updateRowPhysical|buildPending|RestoreTable'
 echo "heap at the resident_mb point, MB: $workload, seed $seed"
 row 'heap in use (MemStats.HeapInuse)' "$(memstat '$1')"
 row 'live heap (MemStats.HeapAlloc)' "$(memstat '$2')"

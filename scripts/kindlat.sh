@@ -136,7 +136,7 @@ row 'replica copy dump, restore excluded (sqldb Engine.DumpTables)' "$(share 'sq
 row 'replica copy restore (sqldb Engine.RestoreTable)' "$(share 'sqldb\.\(\*Engine\)\.RestoreTable$')"
 row 'restore: rows and primary key (sqldb Table.load)' "$(share 'sqldb\.\(\*Table\)\.load$')"
 row 'online index build, after the dump (sqldb Engine.BuildIndexes)' "$(share 'sqldb\.\(\*Engine\)\.BuildIndexes$')"
-row 'index lookups, a pending one built (sqldb Table.builtLocked)' "$(share 'sqldb\.\(\*Table\)\.builtLocked$')"
+row 'the one index build, CREATE INDEX and copy (sqldb Table.buildPending)' "$(share 'sqldb\.\(\*Table\)\.buildPending$')"
 row 'garbage collection (runtime gcBgMarkWorker)' "$(share 'runtime\.gcBgMarkWorker$')"
 # released [<frame regexp>]: percent of the window's mutex contention delay
 # whose releasing call (the frame that called Unlock) matches; with no
