@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,8 +53,9 @@ const (
 
 // BufferPool is a fixed-capacity LRU cache of resident pages, one per engine.
 // It models the DBMS buffer pool of the paper's MySQL instances: a hit finds
-// the page mapped, a miss pays the simulated disk latency and maps the page's
-// image (mapPage), decoding no row.
+// the page resident, a miss pays the simulated disk latency and takes the
+// page's image as it is (sealedPage.mapped), decoding no row and allocating
+// nothing.
 // The pool is the mechanism that makes the paper's read-routing options
 // (1/2/3) perform differently — routing all of a database's reads to one
 // replica keeps that replica's pool warm.
@@ -73,8 +73,9 @@ const (
 // resident pages holds that table's latch; only eviction touches a page
 // without it — holding the stripe mutex, under which pages are also edited
 // — so it can encode a page of a table whose latch someone else holds. A
-// reader under the latch alone only reads slots, and an edit replaces them
-// under both, so the two never conflict.
+// reader under the latch alone reads the copy of the page Get returned, whose
+// image and slots no one changes: an edit replaces slots under both, and an
+// evicted entry is reused for another page without touching them.
 //
 // The pool is sharded into lock stripes keyed by PageKey hash so concurrent
 // clients do not serialise on a single mutex. Capacity is partitioned across
@@ -98,21 +99,30 @@ type BufferPool struct {
 	writebackSink *obs.Counter  // Config.PoolWritebacks; may be nil
 }
 
-// poolStripe is one lock-striped LRU segment of the pool.
+// poolStripe is one lock-striped LRU segment of the pool. Its entries are
+// one fixed array, linked by index into the LRU list (front = most recently
+// used) and, while unused, into a free list; index finds a key's entry. A
+// stripe that keeps no pages has one entry, lent to each access in turn.
 type poolStripe struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[PageKey]*list.Element
-	lru      *list.List // front = most recently used
+	mu          sync.Mutex
+	capacity    int
+	index       map[PageKey]int32
+	entries     []poolEntry
+	front, back int32 // the LRU list's ends; none when it is empty
+	free        int32 // the first unused entry; none when every one is used
 
 	_ [32]byte // pad to keep neighbouring stripe mutexes off one cache line
 }
+
+// none is the index of no entry.
+const none int32 = -1
 
 type poolEntry struct {
 	key  PageKey
 	page *sealedPage // where a dirty page is written back to
 	residentPage
-	dirty bool // the resident page is newer than page's image
+	dirty      bool  // the resident page is newer than page's image
+	prev, next int32 // LRU neighbours (towards front, towards back), or next unused
 }
 
 // poolStripeCount picks the stripe count for a capacity.
@@ -138,10 +148,12 @@ func NewBufferPool(capacity int, missLatency time.Duration) *BufferPool {
 		if i < extra {
 			cap++
 		}
-		p.stripes[i] = poolStripe{
-			capacity: cap,
-			entries:  make(map[PageKey]*list.Element),
-			lru:      list.New(),
+		s := &p.stripes[i]
+		s.capacity, s.index = cap, make(map[PageKey]int32, cap)
+		s.entries = make([]poolEntry, max(cap, 1))
+		s.front, s.back, s.free = none, none, none
+		for e := len(s.entries) - 1; e >= 0 && cap > 0; e-- {
+			s.entries[e].next, s.free = s.free, int32(e)
 		}
 	}
 	return p
@@ -153,67 +165,119 @@ func (p *BufferPool) stripe(key PageKey) *poolStripe {
 	return &p.stripes[(h>>32)%uint64(len(p.stripes))]
 }
 
-// resident returns key's entry with s.mu held, reading and mapping the page
-// on a miss. The stripe mutex is released for the read so concurrent misses
-// overlap, exactly as concurrent disk reads would; the evict→reload race on
-// one key stays closed because a page's image is published before its entry
-// leaves the stripe's map, under the same mutex the miss was observed under.
-// A pool without capacity returns an entry it does not keep. On error the
-// mutex is not held.
-func (p *BufferPool) resident(s *poolStripe, key PageKey, page *sealedPage) (*poolEntry, error) {
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
-		p.hitMiss.IncA()
-		return el.Value.(*poolEntry), nil
+// unlink takes entry i out of the LRU list. Called with s.mu held.
+func (s *poolStripe) unlink(i int32) {
+	en := &s.entries[i]
+	if en.prev != none {
+		s.entries[en.prev].next = en.next
+	} else {
+		s.front = en.next
 	}
-	s.mu.Unlock()
-
-	p.hitMiss.IncB()
-	if p.missLatency > 0 {
-		time.Sleep(p.missLatency)
+	if en.next != none {
+		s.entries[en.next].prev = en.prev
+	} else {
+		s.back = en.prev
 	}
-	slots, err := mapPage(page.image())
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		// Raced with another loader; keep the resident copy.
-		s.lru.MoveToFront(el)
-		return el.Value.(*poolEntry), nil
-	}
-	en := &poolEntry{key: key, page: page, residentPage: residentPage{slots: slots}}
-	if s.capacity > 0 {
-		s.entries[key] = s.lru.PushFront(en)
-		p.evictOverflow(s)
-	}
-	return en, nil
 }
 
-// Get returns the resident page, mapping it from the page's image on a miss.
-// It is the pool's own: the caller reads its slots under the owning table's
-// latch.
-func (p *BufferPool) Get(key PageKey, page *sealedPage) (*residentPage, error) {
+// pushFront puts entry i at the front of the LRU list. Called with s.mu held.
+func (s *poolStripe) pushFront(i int32) {
+	en := &s.entries[i]
+	en.prev, en.next = none, s.front
+	if s.front != none {
+		s.entries[s.front].prev = i
+	} else {
+		s.back = i
+	}
+	s.front = i
+}
+
+// touch makes entry i the most recently used. Called with s.mu held.
+func (s *poolStripe) touch(i int32) {
+	if s.front != i {
+		s.unlink(i)
+		s.pushFront(i)
+	}
+}
+
+// resident returns key's entry with s.mu held, taking the page's checked
+// image on a miss. A modelled disk read (missLatency) releases the stripe
+// mutex, so that concurrent misses overlap as concurrent disk reads would;
+// the image is taken after it is held again, so a page evicted meanwhile is
+// read as its eviction wrote it back. A pool without capacity returns its
+// stripe's one entry, which it does not keep. On error the mutex is not held.
+func (p *BufferPool) resident(s *poolStripe, key PageKey, page *sealedPage) (*poolEntry, error) {
+	s.mu.Lock()
+	if i, ok := s.index[key]; ok {
+		s.touch(i)
+		p.hitMiss.IncA()
+		return &s.entries[i], nil
+	}
+	p.hitMiss.IncB()
+	if p.missLatency > 0 {
+		s.mu.Unlock()
+		time.Sleep(p.missLatency)
+		s.mu.Lock()
+		if i, ok := s.index[key]; ok {
+			// Raced with another loader; keep the resident copy.
+			s.touch(i)
+			return &s.entries[i], nil
+		}
+	}
+	img, err := page.mapped()
+	if err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
+	return p.install(s, key, page, residentPage{img: img}, false), nil
+}
+
+// install makes pg key's entry, the most recently used, evicting the least
+// recently used entry of a full stripe for its room. A stripe that keeps no
+// pages lends it its one entry. Called with s.mu held.
+func (p *BufferPool) install(s *poolStripe, key PageKey, page *sealedPage, pg residentPage, dirty bool) *poolEntry {
+	en := poolEntry{key: key, page: page, residentPage: pg, dirty: dirty, prev: none, next: none}
+	if s.capacity <= 0 {
+		s.entries[0] = en
+		return &s.entries[0]
+	}
+	if s.free == none {
+		p.evict(s, s.back)
+		p.evictions.Add(1)
+	}
+	i := s.free
+	s.free = s.entries[i].next
+	s.entries[i] = en
+	s.pushFront(i)
+	s.index[key] = i
+	return &s.entries[i]
+}
+
+// Get returns the resident page, taking it from the page's image on a miss.
+// The caller reads it under the owning table's latch.
+func (p *BufferPool) Get(key PageKey, page *sealedPage) (residentPage, error) {
 	s := p.stripe(key)
 	en, err := p.resident(s, key, page)
 	if err != nil {
-		return nil, err
+		return residentPage{}, err
 	}
+	pg := en.residentPage
 	s.mu.Unlock()
-	return &en.residentPage, nil
+	return pg, nil
 }
 
-// Update applies edit to the resident page — mapping it on a miss, like Get —
-// and marks the page dirty. edit runs under the stripe mutex, which is what
-// keeps it apart from an eviction encoding the same page. The caller holds
-// the owning table's latch, as for every access to the table's pages.
+// Update applies edit to the resident page — taking it on a miss, like Get,
+// and giving it slots of its own on its first edit — and marks the page
+// dirty. edit runs under the stripe mutex, which is what keeps it apart from
+// an eviction encoding the same page. The caller holds the owning table's
+// latch, as for every access to the table's pages.
 func (p *BufferPool) Update(key PageKey, page *sealedPage, edit func(*residentPage)) error {
 	s := p.stripe(key)
 	en, err := p.resident(s, key, page)
 	if err != nil {
 		return err
 	}
+	en.own()
 	edit(&en.residentPage)
 	if s.capacity > 0 {
 		en.dirty = true
@@ -224,19 +288,16 @@ func (p *BufferPool) Update(key PageKey, page *sealedPage, edit func(*residentPa
 	return nil
 }
 
-// Put installs a page that has no image yet: the table's tail page, sealed.
-// The page starts its residency dirty.
+// Put installs a page that has no image yet, as its slots: the table's tail
+// page, sealed. The page starts its residency dirty.
 func (p *BufferPool) Put(key PageKey, page *sealedPage, slots []pageSlot) {
 	s := p.stripe(key)
-	en := &poolEntry{key: key, page: page, residentPage: residentPage{slots: slots}, dirty: true}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	en := p.install(s, key, page, residentPage{slots: slots}, true)
 	if s.capacity <= 0 {
 		p.writeBack(en)
-		return
 	}
-	s.entries[key] = s.lru.PushFront(en)
-	p.evictOverflow(s)
 }
 
 // Flush writes the page back if it is resident and dirty, leaving it
@@ -245,8 +306,8 @@ func (p *BufferPool) Put(key PageKey, page *sealedPage, slots []pageSlot) {
 func (p *BufferPool) Flush(key PageKey) {
 	s := p.stripe(key)
 	s.mu.Lock()
-	if el, ok := s.entries[key]; ok && el.Value.(*poolEntry).dirty {
-		p.writeBack(el.Value.(*poolEntry))
+	if i, ok := s.index[key]; ok && s.entries[i].dirty {
+		p.writeBack(&s.entries[i])
 	}
 	s.mu.Unlock()
 }
@@ -262,22 +323,23 @@ func (p *BufferPool) writeBack(en *poolEntry) {
 	}
 }
 
-// evict removes an entry from its stripe, writing it back first if dirty.
-// Called with s.mu held.
-func (p *BufferPool) evict(s *poolStripe, el *list.Element) {
-	en := s.lru.Remove(el).(*poolEntry)
-	delete(s.entries, en.key)
+// evict removes entry i from its stripe, writing it back first if dirty, and
+// frees it. Called with s.mu held.
+func (p *BufferPool) evict(s *poolStripe, i int32) {
+	en := &s.entries[i]
 	if en.dirty {
 		p.writeBack(en)
 	}
+	s.drop(i)
 }
 
-// evictOverflow trims a stripe to its capacity. Called with s.mu held.
-func (p *BufferPool) evictOverflow(s *poolStripe) {
-	for s.lru.Len() > s.capacity {
-		p.evict(s, s.lru.Back())
-		p.evictions.Add(1)
-	}
+// drop unlinks entry i, forgets its page and puts it on the free list.
+// Called with s.mu held.
+func (s *poolStripe) drop(i int32) {
+	s.unlink(i)
+	delete(s.index, s.entries[i].key)
+	s.entries[i] = poolEntry{next: s.free}
+	s.free = i
 }
 
 // InvalidateTable discards every cached page of a table incarnation, dirty
@@ -288,10 +350,9 @@ func (p *BufferPool) InvalidateTable(table uint32) {
 	for i := range p.stripes {
 		s := &p.stripes[i]
 		s.mu.Lock()
-		for key, el := range s.entries {
+		for key, e := range s.index {
 			if key.Table == table {
-				s.lru.Remove(el)
-				delete(s.entries, key)
+				s.drop(e)
 			}
 		}
 		s.mu.Unlock()
@@ -304,7 +365,7 @@ func (p *BufferPool) Len() int {
 	for i := range p.stripes {
 		s := &p.stripes[i]
 		s.mu.Lock()
-		n += s.lru.Len()
+		n += len(s.index)
 		s.mu.Unlock()
 	}
 	return n

@@ -110,17 +110,18 @@ func copyTable(tbl *Table) TableDump {
 	for p := 0; p < numPages; p++ {
 		tbl.mu.Lock()
 		tbl.engine.pool.Flush(tbl.pageKey(p))
-		img := tbl.pages[p].image()
+		page := tbl.pages[p]
 		tbl.mu.Unlock()
-		if lat > 0 {
-			time.Sleep(lat)
-		}
-		slots, err := mapPage(img)
+		img, err := page.mapped()
 		if err != nil {
 			tbl.corruptPagePanic(p, err)
 		}
-		for _, s := range slots {
-			d.Rows = append(d.Rows, s.enc)
+		if lat > 0 {
+			time.Sleep(lat)
+		}
+		pg := residentPage{img: img}
+		for i := range pg.len() {
+			d.Rows = append(d.Rows, pg.slot(i).enc)
 		}
 	}
 	tbl.mu.Lock()

@@ -523,12 +523,15 @@ func (t *Txn) lockUnique(tbl *Table, unique []int, row Row) error {
 
 // uniqueViolation refuses row, about to be stored as row self (0: a new
 // one), if another live row holds its value in a column of unique: read
-// from the column's installed unique index, which holds one NULL as
-// buildKeys builds it, and found by a scan otherwise, where NULL repeats
-// nothing. The caller holds the values' locks (lockUnique).
+// from the column's installed unique index, and found by a scan otherwise.
+// NULL repeats nothing, as in SQL, so a NULL is never refused. The caller
+// holds the values' locks (lockUnique).
 func (t *Table) uniqueViolation(unique []int, row Row, self uint64) error {
 	for _, c := range unique {
 		v, dup := row[c], false
+		if v.IsNull() {
+			continue
+		}
 		t.mu.Lock()
 		idx := t.indexes[lower(t.schema.Cols[c].Name)]
 		scan := idx == nil || !idx.unique || idx.pending != nil
@@ -537,7 +540,7 @@ func (t *Table) uniqueViolation(unique []int, row Row, self uint64) error {
 			dup = len(ids) > 1 || len(ids) == 1 && ids[0] != self
 		}
 		t.mu.Unlock()
-		if scan && !v.IsNull() {
+		if scan {
 			t.scan(func(id uint64, r Row) bool {
 				dup = id != self && Equal(r[c], v)
 				return !dup

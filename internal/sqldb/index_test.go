@@ -114,6 +114,44 @@ func TestUniqueIndexRefusesLaterRepeats(t *testing.T) {
 	}
 }
 
+// TestUniqueNullNeverRepeats: NULL repeats nothing, as in SQL, so a unique
+// column takes a second NULL — probed by a scan without an index, read from a
+// unique index with one — and CREATE UNIQUE INDEX, like a restore's build,
+// accepts a column holding two, while a repeated value is still refused.
+func TestUniqueNullNeverRepeats(t *testing.T) {
+	for _, ddl := range [][]string{
+		{"CREATE TABLE t (id INT PRIMARY KEY, u INT UNIQUE)"},
+		{"CREATE TABLE t (id INT PRIMARY KEY, u INT)", "CREATE UNIQUE INDEX t_u ON t (u)"},
+	} {
+		e := newTestDB(t)
+		for _, sql := range ddl {
+			mustExec(t, e, sql)
+		}
+		mustExec(t, e, "INSERT INTO t VALUES (1, NULL), (2, 7)")
+		mustExec(t, e, "INSERT INTO t VALUES (3, NULL)")
+		mustExec(t, e, "UPDATE t SET u = NULL WHERE id = 2")
+		if _, err := e.Exec("app", "INSERT INTO t VALUES (4, 8), (5, 8)"); !errors.Is(err, ErrDuplicateKey) {
+			t.Fatalf("%s: INSERT repeating u = 8: %v, want ErrDuplicateKey", ddl[len(ddl)-1], err)
+		}
+		if got := fmt.Sprint(mustExec(t, e, "SELECT id FROM t WHERE u IS NULL ORDER BY id").Rows); got != "[(1) (2) (3)]" {
+			t.Fatalf("%s: rows with u NULL: %s", ddl[len(ddl)-1], got)
+		}
+	}
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, u INT)")
+	mustExec(t, e, "INSERT INTO t VALUES (1, NULL), (2, NULL), (3, 7)")
+	img := dumpAll(t, e)[0]
+	mustExec(t, e, "CREATE UNIQUE INDEX t_u ON t (u)")
+	img.Indexes = append(img.Indexes, IndexDef{Name: "t_u", Col: "u", Unique: true})
+	if err := restoreAndBuild(newTestDB(t), img); err != nil {
+		t.Fatalf("restoring a unique index over two NULLs: %v", err)
+	}
+	mustExec(t, e, "INSERT INTO t VALUES (4, NULL)")
+	if _, err := e.Exec("app", "INSERT INTO t VALUES (5, 7)"); !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("INSERT repeating u = 7 through the index: %v, want ErrDuplicateKey", err)
+	}
+}
+
 // TestUniqueColumnRefusesUpdateRepeat: an UPDATE that sets a UNIQUE
 // column to the value another row holds is refused, as an INSERT is; one
 // that keeps the row's own value is not.

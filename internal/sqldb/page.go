@@ -21,14 +21,17 @@ import (
 // its row encoding is not: table images and redo records carry values in it
 // too (walcodec.go).
 //
-// Inside the pool a page is its slots, and a slot is its row's encoding: a
-// substring of the image for a row the page was mapped with, the row's own
-// EncodeRow string for one inserted or edited since. Nothing keeps a decoded
-// row: a reader decodes the slots it needs into a buffer of its own.
-// Bringing a page in (mapPage) parses no row, and writing it back copies each
-// slot's bytes. What a miss costs beyond that is Config.MissLatency, the
-// modelled disk — which is what makes buffer-pool locality, and so the
-// paper's read-routing options, visible in throughput.
+// Inside the pool a page is its image until its first edit: a reader finds
+// slot i's row ID and extent in the image's directory, which was checked once
+// when the image was first mapped (sealedPage.mapped). An edit gives the page
+// slots of its own, each its row's encoding — a substring of the image for a
+// row the page was mapped with, the row's own EncodeRow string for one edited
+// since. Nothing keeps a decoded row: a reader decodes the slots it needs into
+// a buffer of its own. Bringing a page in parses no row and allocates
+// nothing, and writing it back copies each slot's bytes. What a miss costs
+// beyond that is Config.MissLatency, the modelled disk — which is what makes
+// buffer-pool locality, and so the paper's read-routing options, visible in
+// throughput.
 
 // pageCapacity is the number of row slots per page.
 const pageCapacity = 64
@@ -40,23 +43,41 @@ const (
 
 // sealedPage is a full page's home outside the buffer pool: its image. The
 // pool is write-back, so the image is the page's contents only while the
-// page is not resident and dirty; it is empty until the page is first written
-// back. Images are immutable and replaced whole, atomically: the pool writes
-// an evicted page back under its own stripe mutex, possibly while some other
-// table's latch is held, so storing an image must not need the owning table's
-// latch.
+// page is not resident and dirty; there is none until the page is first
+// written back. Images are immutable and replaced whole, atomically: the pool
+// writes an evicted page back under its own stripe mutex, possibly while some
+// other table's latch is held, so storing an image must not need the owning
+// table's latch.
 type sealedPage struct {
-	enc atomic.Pointer[string]
+	img atomic.Pointer[pageImage]
 }
 
-func (p *sealedPage) image() string {
-	if s := p.enc.Load(); s != nil {
-		return *s
+// pageImage is one image of a page and whether its directory has passed
+// checkDirectory: an image is checked the first time it is mapped, and never
+// again, since it never changes.
+type pageImage struct {
+	enc     string
+	checked atomic.Bool
+}
+
+func (p *sealedPage) store(enc string) { p.img.Store(&pageImage{enc: enc}) }
+
+// mapped returns the page's image with its directory checked, so that
+// imageSlot may read it without checking anything. Concurrent first mappers
+// may both run the check; it gives both the same verdict.
+func (p *sealedPage) mapped() (string, error) {
+	im := p.img.Load()
+	if im == nil {
+		return "", corrupt("page", "no image")
 	}
-	return ""
+	if !im.checked.Load() {
+		if err := checkDirectory(im.enc); err != nil {
+			return "", err
+		}
+		im.checked.Store(true)
+	}
+	return im.enc, nil
 }
-
-func (p *sealedPage) store(img string) { p.enc.Store(&img) }
 
 // EncodeRow appends a row's encoding to buf: the value count, then each
 // value as its Type byte and a payload,
@@ -101,22 +122,57 @@ func encodeRowString(r Row) string {
 	return string(EncodeRow(buf[:0], r))
 }
 
-// pageSlot is one occupied slot of a resident page, or of a table's open
-// tail page. A slot is immutable: an edit replaces it whole, under the owning
-// table's latch and the pool's stripe mutex together, so holding either is
-// enough to read it.
+// pageSlot is one occupied slot of a page, or of a table's open tail page.
+// A resident page's slots are immutable: an edit replaces one whole, under the
+// owning table's latch and the pool's stripe mutex together, so holding
+// either is enough to read it.
 type pageSlot struct {
 	rowID uint64
 	enc   string // the row's EncodeRow encoding
 }
 
-// residentPage is a page in the buffer pool: its slots.
+// residentPage is a page in the buffer pool: its checked image until its
+// first edit (BufferPool.Update), its own slots from then on, or from the
+// start for a page the pool was given as slots (BufferPool.Put). It is a
+// value: what Get returns stays readable under the owning table's latch
+// after the pool has reused the entry it came from.
 type residentPage struct {
-	slots []pageSlot
+	img   string     // the checked image the page is read from; "" once it has slots
+	slots []pageSlot // the page's own slots, when img is ""
 }
 
-// encode builds the page's image in one exactly sized allocation: the
-// directory, then each slot's bytes. It runs under the stripe mutex alone.
+// len returns the page's slot count.
+func (pg residentPage) len() int {
+	if pg.img == "" {
+		return len(pg.slots)
+	}
+	return int(le32(pg.img, 0))
+}
+
+// slot returns slot i.
+func (pg residentPage) slot(i int) pageSlot {
+	if pg.img == "" {
+		return pg.slots[i]
+	}
+	return imageSlot(pg.img, i)
+}
+
+// own gives a page that is read from its image a slot array of its own,
+// each slot's string the image's bytes, so that an edit can replace a slot.
+func (pg *residentPage) own() {
+	if pg.img == "" {
+		return
+	}
+	pg.slots = make([]pageSlot, pg.len())
+	for i := range pg.slots {
+		pg.slots[i] = imageSlot(pg.img, i)
+	}
+	pg.img = ""
+}
+
+// encode builds the image of a page with slots of its own in one exactly
+// sized allocation: the directory, then each slot's bytes. It runs under the
+// stripe mutex alone.
 func (pg *residentPage) encode() string {
 	end := pageHeaderSize + len(pg.slots)*dirEntrySize
 	total := end
@@ -143,35 +199,43 @@ func (pg *residentPage) encode() string {
 // corrupt reports an encoding, what (a page or a row), that does not decode.
 func corrupt(what, why string) error { return fmt.Errorf("sqldb: corrupt %s: %s", what, why) }
 
-// mapPage checks an image's directory and returns its slots, each the
-// substring of the image its row occupies: no row is parsed and nothing but
-// the slot array is allocated, whatever the rows hold. The directory must fit
+// checkDirectory checks an image's directory, parsing no row: it must fit
 // the image, and the extents must be non-empty (a row is at least its arity
 // byte), in order, inside the image, and end exactly where it ends.
-func mapPage(img string) ([]pageSlot, error) {
+func checkDirectory(img string) error {
 	if len(img) < pageHeaderSize {
-		return nil, corrupt("page", "no slot count")
+		return corrupt("page", "no slot count")
 	}
 	n := uint64(le32(img, 0))
 	if n > uint64(len(img)-pageHeaderSize)/(dirEntrySize+1) {
-		return nil, corrupt("page", "bad slot count")
+		return corrupt("page", "bad slot count")
 	}
-	slots := make([]pageSlot, n)
-	dir := img[pageHeaderSize : pageHeaderSize+len(slots)*dirEntrySize]
-	off := uint32(pageHeaderSize + len(dir))
-	for i := range slots {
-		d := dir[i*dirEntrySize : (i+1)*dirEntrySize]
-		end := le32(d, 8)
+	off := uint32(pageHeaderSize + n*dirEntrySize)
+	for d := pageHeaderSize; d < pageHeaderSize+int(n)*dirEntrySize; d += dirEntrySize {
+		end := le32(img, d+8)
 		if end <= off || uint64(end) > uint64(len(img)) {
-			return nil, corrupt("page", "bad row extent")
+			return corrupt("page", "bad row extent")
 		}
-		slots[i] = pageSlot{rowID: uint64(le32(d, 0)) | uint64(le32(d, 4))<<32, enc: img[off:end]}
 		off = end
 	}
 	if int(off) != len(img) {
-		return nil, corrupt("page", "bytes after the last row")
+		return corrupt("page", "bytes after the last row")
 	}
-	return slots, nil
+	return nil
+}
+
+// imageSlot returns slot i of an image checkDirectory accepted: its row ID
+// and the substring of the image its row occupies, read from the directory.
+func imageSlot(img string, i int) pageSlot {
+	d := pageHeaderSize + i*dirEntrySize
+	start := uint32(pageHeaderSize + int(le32(img, 0))*dirEntrySize)
+	if i > 0 {
+		start = le32(img, d-4) // the previous row's end
+	}
+	return pageSlot{
+		rowID: uint64(le32(img, d)) | uint64(le32(img, d+4))<<32,
+		enc:   img[start:le32(img, d+8)],
+	}
 }
 
 // rowArity reads the value count that starts a row encoding and the position

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"container/list"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -85,7 +84,7 @@ type StmtCache struct {
 
 	mu      sync.RWMutex
 	entries map[string]*stmtEntry
-	queue   list.List // of *stmtEntry, front = next eviction candidate
+	queue   []*stmtEntry // FIFO, front = next eviction candidate
 	bytes   int
 }
 
@@ -138,16 +137,15 @@ func (c *StmtCache) Parse(sql string) (Statement, error) {
 	}
 	e = &stmtEntry{sql: sql, stmt: stmt}
 	c.entries[sql] = e
-	c.queue.PushBack(e)
+	c.queue = append(c.queue, e)
 	c.bytes += stmtCost(sql)
 	for c.bytes > c.budget {
-		front := c.queue.Front()
-		victim := front.Value.(*stmtEntry)
+		victim := c.queue[0]
+		c.queue[0], c.queue = nil, c.queue[1:]
 		if victim.used.Swap(false) {
-			c.queue.MoveToBack(front)
+			c.queue = append(c.queue, victim)
 			continue
 		}
-		c.queue.Remove(front)
 		delete(c.entries, victim.sql)
 		c.bytes -= stmtCost(victim.sql)
 	}

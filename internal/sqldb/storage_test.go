@@ -35,6 +35,14 @@ func encodePage(rows ...rowSlot) string {
 	return (&residentPage{slots: stored(rows...)}).encode()
 }
 
+// imageBytes returns the page's image, or "" before its first write-back.
+func (p *sealedPage) imageBytes() string {
+	if im := p.img.Load(); im != nil {
+		return im.enc
+	}
+	return ""
+}
+
 // sealedWith returns a sealed page whose image holds rows.
 func sealedWith(rows ...rowSlot) *sealedPage {
 	p := &sealedPage{}
@@ -65,9 +73,55 @@ func decodeSlots(slots []pageSlot) ([]rowSlot, error) {
 	return out, nil
 }
 
-// decodeAll maps an image and decodes every row.
+// walkPage maps an image as the pool does on a miss, its directory checked,
+// and then reads every slot from the directory as the pool's readers do.
+func walkPage(img string) ([]pageSlot, error) {
+	page := &sealedPage{}
+	page.store(img)
+	img, err := page.mapped()
+	if err != nil {
+		return nil, err
+	}
+	pg := residentPage{img: img}
+	slots := make([]pageSlot, pg.len())
+	for i := range slots {
+		slots[i] = pg.slot(i)
+	}
+	return slots, nil
+}
+
+// refMapPage is the reference walkPage is held to: a directory check and
+// slot walk in one loop, each slot the substring of the image its row
+// occupies. The directory must fit the image, and the extents must be
+// non-empty, in order, inside the image, and end exactly where it ends.
+func refMapPage(img string) ([]pageSlot, error) {
+	if len(img) < 4 {
+		return nil, fmt.Errorf("no slot count")
+	}
+	n := uint64(binary.LittleEndian.Uint32([]byte(img)))
+	if n > uint64(len(img)-4)/13 {
+		return nil, fmt.Errorf("bad slot count")
+	}
+	slots := make([]pageSlot, n)
+	off := uint64(4 + 12*n)
+	for i := range slots {
+		d := []byte(img[4+12*i : 4+12*(i+1)])
+		end := uint64(binary.LittleEndian.Uint32(d[8:]))
+		if end <= off || end > uint64(len(img)) {
+			return nil, fmt.Errorf("bad row extent")
+		}
+		slots[i] = pageSlot{rowID: binary.LittleEndian.Uint64(d), enc: img[off:end]}
+		off = end
+	}
+	if off != uint64(len(img)) {
+		return nil, fmt.Errorf("bytes after the last row")
+	}
+	return slots, nil
+}
+
+// decodeAll walks an image and decodes every row.
 func decodeAll(img string) ([]rowSlot, error) {
-	slots, err := mapPage(img)
+	slots, err := walkPage(img)
 	if err != nil {
 		return nil, err
 	}
@@ -207,14 +261,21 @@ func sameSlots(a, b []rowSlot) bool {
 	return true
 }
 
-// checkImage holds every way of reading an image against the reference: all
-// of them fail, or all succeed and agree — every row into one slab, one
-// column at a time — and the page encodes back to an image that reads the
-// same, whether its slots are the image's bytes or each row encoded anew. It
-// returns the decoded slots, or nil for an image that is rejected.
+// checkImage holds every way of reading an image against the references: the
+// directory walk yields exactly refMapPage's row IDs and extents, or both
+// reject the image; and all reads fail, or all succeed and agree with
+// refDecodePage — every row into one slab, one column at a time — and the
+// page encodes back to an image that reads the same, whether its slots are
+// the image's bytes or each row encoded anew. It returns the decoded slots,
+// or nil for an image that is rejected.
 func checkImage(t *testing.T, data []byte) []rowSlot {
 	t.Helper()
 	img := string(data)
+	walked, werr := walkPage(img)
+	mapped, merr := refMapPage(img)
+	if (werr == nil) != (merr == nil) || !reflect.DeepEqual(walked, mapped) {
+		t.Fatalf("directory walk %v, %v; reference %v, %v", walked, werr, mapped, merr)
+	}
 	got, err := decodeAll(img)
 	want, refErr := refDecodePage(data)
 	if (err == nil) != (refErr == nil) {
@@ -234,7 +295,7 @@ func checkImage(t *testing.T, data []byte) []rowSlot {
 	if !sameSlots(got, want) {
 		t.Fatal("appending to a decoded row changed a neighbour")
 	}
-	slots, _ := mapPage(img)
+	slots := walked
 	for i := range slots {
 		for c, v := range want[i].row {
 			lead := make(Row, c+1)
@@ -347,26 +408,53 @@ func fullPage(cols int) []rowSlot {
 	return slots
 }
 
-// TestPoolMissAllocs pins what a miss costs: mapping a page allocates its
-// slot array and its pool entry, whatever the rows hold — a 22-column page
-// costs what a 2-column page does — and decodes nothing; the point read that
-// caused the miss then decodes its one row, as every read of it does. (The
-// pool here keeps no pages, so every Get is a miss; a pool that keeps the
-// page adds its LRU list node.)
+// TestPoolMissAllocs pins what a miss costs: a clean miss into a full pool
+// takes the page's image as it is and reuses the evicted page's entry, so it
+// allocates nothing, whatever the rows hold — a 22-column page costs what a
+// 2-column page does — and decodes nothing; a page's first edit allocates its
+// slot array and nothing else. The point read that caused a miss then decodes
+// its one row, as every read of it does.
 func TestPoolMissAllocs(t *testing.T) {
-	k := PageKey{Table: 1, Page: 0}
-	miss := func(cols int) float64 {
-		p := NewBufferPool(0, 0)
-		page := sealedWith(fullPage(cols)...)
-		return testing.AllocsPerRun(50, func() {
-			if _, err := p.Get(k, page); err != nil {
-				t.Fatal(err)
+	for _, cols := range []int{2, 22} {
+		p := NewBufferPool(1, 0)
+		pages := []*sealedPage{sealedWith(fullPage(cols)...), sealedWith(fullPage(cols)...)}
+		keys := []PageKey{{Table: 1, Page: 0}, {Table: 2, Page: 0}}
+		if _, err := p.Get(keys[1], pages[1]); err != nil { // the pool is full
+			t.Fatal(err)
+		}
+		const runs = 50
+		allocs := testing.AllocsPerRun(runs, func() {
+			for i := range pages { // each Get evicts the other page
+				if _, err := p.Get(keys[i], pages[i]); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
-	}
-	narrow, wide := miss(2), miss(22)
-	if narrow > 2 || wide != narrow {
-		t.Errorf("a miss allocates %v times on a 2-column page and %v on a 22-column page, want the same and at most 2 (slots, entry)", narrow, wide)
+		if st := p.Stats(); allocs != 0 || st.Hits != 0 || st.Evictions != 2*(runs+1) || st.RowsDecoded != 0 {
+			t.Errorf("%d columns: a clean miss into a full pool allocates %v times (stats %+v), want 0, every Get a miss that evicts", cols, allocs, st)
+		}
+
+		edited := make([]*sealedPage, runs+1)
+		p = NewBufferPool(len(edited), 0)
+		for i := range edited {
+			edited[i] = sealedWith(fullPage(cols)...)
+			if _, err := p.Get(PageKey{Table: 1, Page: uint32(i)}, edited[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		enc, next := encodeRowString(wideRow(99, cols)), 0
+		allocs = testing.AllocsPerRun(runs, func() {
+			err := p.Update(PageKey{Table: 1, Page: uint32(next)}, edited[next], func(pg *residentPage) {
+				pg.slots[0].enc = enc
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if allocs != 1 {
+			t.Errorf("%d columns: a page's first edit allocates %v times, want 1 (its slot array)", cols, allocs)
+		}
 	}
 
 	cfg := DefaultConfig()
@@ -421,7 +509,8 @@ func TestPageCodecCorruption(t *testing.T) {
 // (testdata/fuzz/FuzzDecodePage) holds arbitrary bytes — the previous format's
 // malformed pages — and, as dir-*, directories that point past the end, run
 // backwards, stop short of the image, or give a row more or fewer bytes than
-// its values take; it runs as a plain test.
+// its values take; it runs as a plain test, with seeds for a directory cut
+// short and an extent that ends past the image.
 func FuzzDecodePage(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 8; i++ {
@@ -433,6 +522,11 @@ func FuzzDecodePage(f *testing.F) {
 		f.Add(img)
 		f.Add(img[:len(img)/2])
 	}
+	img := []byte(encodePage(rowSlot{1, Row{NewInt(1)}}, rowSlot{2, Row{NewText("two")}}, rowSlot{3, Row{Null}}))
+	f.Add(img[:pageHeaderSize+dirEntrySize+5]) // the directory cut inside its second entry
+	past := append([]byte(nil), img...)
+	binary.LittleEndian.PutUint32(past[pageHeaderSize+2*dirEntrySize+8:], uint32(len(img)+1))
+	f.Add(past) // the last extent ends one byte past the image
 	f.Fuzz(func(t *testing.T, data []byte) { checkImage(t, data) })
 }
 
@@ -445,7 +539,7 @@ func TestWriteBackCopiesCleanExtents(t *testing.T) {
 	p := NewBufferPool(1, 0)
 	k := PageKey{Table: 1, Page: 0}
 	page := sealedWith(fullPage(5)...)
-	was, err := mapPage(page.image())
+	was, err := walkPage(page.imageBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +555,7 @@ func TestWriteBackCopiesCleanExtents(t *testing.T) {
 	if st := p.Stats(); st.Writebacks != 1 || st.Evictions != 1 || st.RowsDecoded != 0 {
 		t.Fatalf("stats = %+v, want the changed page evicted and written back, no row decoded", st)
 	}
-	now, err := mapPage(page.image())
+	now, err := walkPage(page.imageBytes())
 	if err != nil || len(now) != len(was) {
 		t.Fatalf("new image: %d slots, %v", len(now), err)
 	}
@@ -478,7 +572,7 @@ func TestWriteBackCopiesCleanExtents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := decodeSlots(pg.slots[changed : changed+1]); err != nil || !sameSlots(got, []rowSlot{{changed + 1, newRow}}) {
+	if got, err := decodeSlots([]pageSlot{pg.slot(changed)}); err != nil || !sameSlots(got, []rowSlot{{changed + 1, newRow}}) {
 		t.Fatalf("changed row after reload = %v, %v", got, err)
 	}
 }
@@ -538,7 +632,7 @@ func TestBufferPoolDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeAll(page.image())
+	got, err := decodeAll(page.imageBytes())
 	if err != nil || len(got) != 1 || got[0].row[0].Int != 2 {
 		t.Fatalf("after update: %v, %v", got, err)
 	}
@@ -556,10 +650,10 @@ func TestBufferPoolWriteBack(t *testing.T) {
 	page := &sealedPage{}
 	p.Put(k, page, stored(rowSlot{5, Row{NewInt(5)}}))
 	got, err := p.Get(k, page)
-	if err != nil || len(got.slots) != 1 || got.slots[0].rowID != 5 {
+	if err != nil || got.len() != 1 || got.slot(0).rowID != 5 {
 		t.Fatalf("got %v, %v", got, err)
 	}
-	if page.image() != "" || p.Stats().Writebacks != 0 {
+	if page.imageBytes() != "" || p.Stats().Writebacks != 0 {
 		t.Fatal("a resident page was encoded")
 	}
 	setTo := func(v int64) {
@@ -572,7 +666,7 @@ func TestBufferPoolWriteBack(t *testing.T) {
 	}
 	imageValue := func() int64 {
 		t.Helper()
-		dec, err := decodeAll(page.image())
+		dec, err := decodeAll(page.imageBytes())
 		if err != nil || len(dec) != 1 {
 			t.Fatalf("image: %v, %v", dec, err)
 		}
@@ -580,7 +674,7 @@ func TestBufferPoolWriteBack(t *testing.T) {
 	}
 	setTo(6)
 	setTo(7)
-	if page.image() != "" {
+	if page.imageBytes() != "" {
 		t.Fatal("an update encoded the page")
 	}
 	p.Flush(k)
@@ -607,7 +701,7 @@ func TestBufferPoolWriteBack(t *testing.T) {
 	if err != nil || imageValue() != 8 {
 		t.Fatalf("reload: %v, %v", got, err)
 	}
-	if dec, err := decodeSlots(got.slots); err != nil || len(dec) != 1 || dec[0].row[0].Int != 8 {
+	if dec, err := decodeSlots([]pageSlot{got.slot(0)}); err != nil || got.len() != 1 || len(dec) != 1 || dec[0].row[0].Int != 8 {
 		t.Fatalf("reloaded page: %v, %v", dec, err)
 	}
 	if s := p.Stats(); s.Writebacks != 2 || s.Evictions != 2 {
@@ -1011,5 +1105,60 @@ func TestStoredRowObjects(t *testing.T) {
 	t.Logf("%.2f heap objects per row", perRow)
 	if perRow > storedRowObjectsCeiling {
 		t.Fatalf("%.2f heap objects per stored row, ceiling %.1f", perRow, storedRowObjectsCeiling)
+	}
+}
+
+// TestPoolCountersPinned replays one seeded single-goroutine sequence of
+// Gets, edits, Puts, Flushes and InvalidateTables over a three-stripe pool
+// and holds the counters to the ones the list-based LRU pool this one
+// replaced gave for the same sequence: the LRU order, and so every hit,
+// miss, eviction and write-back, is the same.
+func TestPoolCountersPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := NewBufferPool(3*poolStripeTarget, 0)
+	pages := make(map[PageKey]*sealedPage)
+	var keys []PageKey
+	for tbl := uint32(1); tbl <= 3; tbl++ {
+		for pg := uint32(0); pg < 60; pg++ {
+			k := PageKey{Table: tbl, Page: pg}
+			pages[k], keys = sealedWith(rowSlot{uint64(pg) + 1, Row{NewInt(int64(pg))}}), append(keys, k)
+		}
+	}
+	next := uint32(4)
+	enc := encodeRowString(Row{NewInt(-1)})
+	for step := 0; step < 20000; step++ {
+		// A skewed pick: low pages are hot.
+		k := keys[int(float64(len(keys))*rng.Float64()*rng.Float64())]
+		switch r := rng.Intn(1000); {
+		case r < 600:
+			if _, err := p.Get(k, pages[k]); err != nil {
+				t.Fatal(err)
+			}
+		case r < 850:
+			if err := p.Update(k, pages[k], func(pg *residentPage) { pg.slots[0].enc = enc }); err != nil {
+				t.Fatal(err)
+			}
+		case r < 990:
+			p.Flush(k)
+		case r < 998:
+			k := PageKey{Table: next, Page: uint32(step)}
+			pages[k], keys = &sealedPage{}, append(keys, k)
+			p.Put(k, pages[k], stored(rowSlot{1, Row{NewInt(1)}}))
+		default:
+			p.InvalidateTable(k.Table)
+			for i, kk := range keys {
+				if kk.Table == k.Table {
+					keys[i] = PageKey{Table: next, Page: uint32(i)}
+					pages[keys[i]] = &sealedPage{}
+					p.Put(keys[i], pages[keys[i]], stored(rowSlot{1, Row{NewInt(2)}}))
+				}
+			}
+			next++
+		}
+	}
+	st := p.Stats()
+	got := fmt.Sprintf("hits %d misses %d evictions %d writebacks %d len %d", st.Hits, st.Misses, st.Evictions, st.Writebacks, p.Len())
+	if want := "hits 9565 misses 7305 evictions 9290 writebacks 6057 len 96"; got != want {
+		t.Errorf("counters: %s\nwant      %s", got, want)
 	}
 }

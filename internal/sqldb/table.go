@@ -416,10 +416,10 @@ func (t *Table) place(pages [][]pageSlot) {
 // buildPending is the one index build: it builds idxs, pending indexes of
 // the table registered together on image, online — from image's slots and
 // outside the latch, and then, under it, replays the edits that writes and
-// their undo made meanwhile, checks that a unique index's replayed keys name
-// one row each (the image's were checked as they were grouped), and
-// installs each map, bumping indexGen so that the plans bound before see
-// them. beforeInstall, unless nil, runs between the build and the install.
+// their undo made meanwhile, checks that a unique index's replayed keys other
+// than NULL name one row each (the image's were checked as they were
+// grouped), and installs each map, bumping indexGen so that the plans bound
+// before see them. beforeInstall, unless nil, runs between the build and the install.
 // An index another build installed in between is left as it is; one that
 // fails its check stays pending.
 func (t *Table) buildPending(idxs []*index, image []pageSlot, beforeInstall func() error) error {
@@ -450,7 +450,7 @@ func (t *Table) buildPending(idxs []*index, image []pageSlot, beforeInstall func
 			}
 		}
 		for _, ed := range idx.pending.edits {
-			if ids := built[i].m[ed.key]; idx.unique && len(ids) > 1 {
+			if ids := built[i].m[ed.key]; idx.unique && len(ids) > 1 && ed.key[0] != keyNull {
 				l, _ := t.locOf(ids[0])
 				row := t.decode(int(l.page), t.encAtLocked(l), nil) // buildKeys's text
 				return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, row[idx.col], idx.name)
@@ -482,9 +482,12 @@ func (t *Table) buildRestored() error {
 // slotsLocked returns the slots of every live row, page by page and then the
 // tail. Called with t.mu held.
 func (t *Table) slotsLocked() []pageSlot {
-	var slots []pageSlot
+	slots := make([]pageSlot, 0, t.liveRows)
 	for p := range t.pages {
-		slots = append(slots, t.residentLocked(p).slots...)
+		pg := t.residentLocked(p)
+		for i := range pg.len() {
+			slots = append(slots, pg.slot(i))
+		}
 	}
 	return append(slots, t.tail...)
 }
@@ -493,8 +496,8 @@ func (t *Table) slotsLocked() []pageSlot {
 // with the rows of slots, each map made once at its final size: a row is
 // decoded once, a column's keys are cut from one string, pinned while any of
 // them lives, and an index groups its rows by key in one map pass (where a
-// unique one refuses a repeat) and holds a key's IDs, in row order, as a
-// capped sub-slice of one array. Called with t.mu held.
+// unique one refuses a repeat of any key but NULL's) and holds a key's IDs,
+// in row order, as a capped sub-slice of one array. Called with t.mu held.
 func (t *Table) buildKeys(slots []pageSlot, pk bool, idxs []*index) error {
 	cols := make([]int, 0, len(idxs)+1)
 	if pk {
@@ -533,7 +536,7 @@ func (t *Table) buildKeys(slots []pageSlot, pk bool, idxs []*index) error {
 		for i := range slots {
 			k := keys[off[i]:off[i+1]]
 			g, seen := group[k]
-			if seen && idx.unique {
+			if seen && idx.unique && k[0] != keyNull { // NULL repeats nothing, as in SQL
 				_ = decodeLeading(slots[i].enc, vals) // it decoded above
 				return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, vals[col], idx.name)
 			} else if !seen {
@@ -664,9 +667,9 @@ func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 }
 
 // residentLocked fetches a sealed page via the buffer pool. Called with t.mu
-// held, which is what makes the pool's own page safe to read: every edit of
-// it holds this latch too.
-func (t *Table) residentLocked(page int) *residentPage {
+// held, which is what makes the page safe to read: every edit of it holds
+// this latch too.
+func (t *Table) residentLocked(page int) residentPage {
 	pg, err := t.engine.pool.Get(t.pageKey(page), t.pages[page])
 	if err != nil {
 		t.corruptPagePanic(page, err)
@@ -688,7 +691,7 @@ func (t *Table) encAtLocked(l rowLoc) string {
 	if l.page == -1 {
 		return t.tail[l.slot].enc
 	}
-	return t.residentLocked(int(l.page)).slots[l.slot].enc
+	return t.residentLocked(int(l.page)).slot(int(l.slot)).enc
 }
 
 // decode decodes a stored row of page (-1: the tail) into dst as DecodeRow
@@ -873,11 +876,12 @@ func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64,
 	}
 	var matched []idRow
 	var scratch Row
-	// collect decodes the rows of slots that match accepts into matched.
+	// collect decodes the rows of pg that match accepts into matched.
 	// Called with t.mu held.
-	collect := func(page int, slots []pageSlot) error {
+	collect := func(page int, pg residentPage) error {
 		matched = matched[:0]
-		for _, s := range slots {
+		for i := range pg.len() {
+			s := pg.slot(i)
 			row := t.decode(page, s.enc, scratch)
 			if match != nil {
 				if ok, err := match(row); err != nil {
@@ -898,7 +902,7 @@ func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64,
 			t.mu.Unlock()
 			break
 		}
-		err := collect(p, t.residentLocked(p).slots)
+		err := collect(p, t.residentLocked(p))
 		t.mu.Unlock()
 		if err != nil {
 			return err
@@ -917,7 +921,7 @@ func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64,
 		}
 	}
 	t.mu.Lock()
-	err := collect(-1, t.tail)
+	err := collect(-1, residentPage{slots: t.tail})
 	t.mu.Unlock()
 	if err != nil {
 		return err

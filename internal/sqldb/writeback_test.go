@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -225,6 +226,77 @@ func TestCrossTableEvictionStress(t *testing.T) {
 	if held := e.Stats().LocksHeld; held != 0 {
 		t.Errorf("locks held = %d", held)
 	}
+}
+
+// TestReaderOutlivesEntryReuse holds a page that Get returned under its
+// table's latch while misses on another table evict it and reuse its pool
+// entry for their own pages: what the reader holds must read the same before
+// and after, whether the page was read from its image or has slots of its own
+// since an edit made under the same latch between reads. Run under -race.
+func TestReaderOutlivesEntryReuse(t *testing.T) {
+	p := NewBufferPool(2, 0)
+	rows := make([]rowSlot, pageCapacity)
+	for i := range rows {
+		rows[i] = rowSlot{uint64(i + 1), Row{NewInt(int64(i + 1)), NewInt(0)}}
+	}
+	held, heldKey := sealedWith(rows...), PageKey{Table: 1, Page: 0}
+	others := make([]*sealedPage, 4)
+	for i := range others {
+		others[i] = sealedWith(rowSlot{1, Row{NewInt(int64(i))}})
+	}
+	var latch sync.Mutex // table 1's latch
+	stop := make(chan struct{})
+	var evictor sync.WaitGroup
+	evictor.Add(1)
+	go func() { // table 2's misses: every Get evicts, and reuses an entry
+		defer evictor.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := p.Get(PageKey{Table: 2, Page: uint32(i % len(others))}, others[i%len(others)]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	read := func(pg residentPage) string {
+		var b []byte
+		vals := make(Row, 2)
+		for i := range pg.len() {
+			s := pg.slot(i)
+			if err := decodeLeading(s.enc, vals); err != nil || s.rowID != uint64(i+1) || vals[0].Int != int64(i+1) {
+				t.Fatalf("slot %d: row %d %v, %v", i, s.rowID, vals, err)
+			}
+			b = fmt.Appendf(b, "%d ", vals[1].Int)
+		}
+		return string(b)
+	}
+	for round := 0; round < 200; round++ {
+		latch.Lock()
+		if round%3 == 2 { // an edit gives the page slots of its own
+			enc := encodeRowString(Row{NewInt(int64(round%pageCapacity + 1)), NewInt(int64(round))})
+			if err := p.Update(heldKey, held, func(pg *residentPage) { pg.slots[round%pageCapacity].enc = enc }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pg, err := p.Get(heldKey, held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, evicted := read(pg), p.Stats().Evictions
+		for p.Stats().Evictions < evicted+2*uint64(p.Len()) { // the held page's entry has been reused
+			runtime.Gosched()
+		}
+		if after := read(pg); after != before {
+			t.Fatalf("round %d: the held page changed under its latch:\n%s\n%s", round, before, after)
+		}
+		latch.Unlock()
+	}
+	close(stop)
+	evictor.Wait()
 }
 
 // TestLockCandidatesPageOrder reads, under row locks, index candidates that

@@ -47,7 +47,7 @@ row 'span waste (HeapInuse - HeapAlloc)' "$(memstat '$1 - $2')"
 echo "live heap by allocation site:"
 row 'sqldb.Parse (ASTs and the texts'"'"' literals)' "$(mb 'sqldb\.Parse$')"
 row 'bindStatement (bound plans)' "$(mb bindStatement)"
-row 'tenant data (rows, pages, indexes)' "$(mb "$storage|residentPage|sealedPage|encodeRowString|DecodeRow|mapPage")"
+row 'tenant data (rows, pages, indexes)' "$(mb "$storage|residentPage|sealedPage|encodeRowString|DecodeRow")"
 row '  orderedKeys (sorted views of index keys)' "$(mb 'orderedKeys|deriveKeys')"
 row '  loc (row directory: rowID -> page slot)' "$(mb 'sqldb\.\(\*Table\)\.setLoc$')"
 row '  pk (primary key -> rowID)' "$(line "$storage" 't\.pk\[.*\] = ')"
@@ -55,7 +55,7 @@ row '  secondary indexes (key -> rowIDs)' "$(line 'sqldb\.\(\*index\)\.add' 'ix\
 row '  key strings' "$(mb 'keyOf|pkKey' 'orderedKeys|deriveKeys')"
 row '  rows' "$(mb 'encodeRowString|Row\.Clone|DecodeRow|materialise')"
 row '    decoded rows kept (sqldb Row.Clone, materialise)' "$(mb 'sqldb\.Row\.Clone|sqldb\.\(\*residentPage\)\.materialise')"
-row '  page images and slot directories' "$(mb 'residentPage\)\.encode|encodePage|mapPage|sealTail')"
+row '  page images and slot directories' "$(mb 'residentPage\)\.(encode|own)|sealedPage\)\.store|sealTail')"
 row 'wal.MemStore (the in-memory log device)' "$(mb MemStore)"
 row 'obs.New* (span ring, tracer)' "$(mb 'obs\.New')"
 row 'total live heap' "$(mb '')"
