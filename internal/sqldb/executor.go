@@ -537,7 +537,12 @@ func (t *Table) uniqueViolation(unique []int, row Row, self uint64) error {
 		scan := idx == nil || !idx.unique || idx.pending != nil
 		if !scan {
 			ids := idx.m[keyOf(v)]
-			dup = len(ids) > 1 || len(ids) == 1 && ids[0] != self
+			if len(ids) == 1 {
+				id, _ := t.rowIDOf(ids[0])
+				dup = id != self
+			} else {
+				dup = len(ids) > 1
+			}
 		}
 		t.mu.Unlock()
 		if scan {

@@ -8,7 +8,9 @@ import (
 // execExplain describes the access paths the executor would choose for the
 // inner statement, without executing it. The result has columns
 // (table, access, detail): access is one of "point" (primary-key lookup),
-// "index" (secondary-index equality), "range" (ordered index or primary-key
+// "index" (secondary-index equality; the detail names the ordered stop,
+// "by <primary key> desc, first <n>", when the read takes only its first
+// rows), "range" (ordered index or primary-key
 // traversal for <, <=, >, >=, BETWEEN), "scan" (full table scan), "insert",
 // or the join strategy "hash-join"/"pk-probe"/"nested-loop" for joined tables.
 func (e *Engine) execExplain(t *Txn, s *ExplainStmt, params []Value) (*Result, error) {
@@ -27,14 +29,22 @@ func (e *Engine) execExplain(t *Txn, s *ExplainStmt, params []Value) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		if len(inner.Joins) == 0 {
-			access, detail := e.explainAccess(tbl, inner.Where, params)
-			add(tbl.Name(), access, detail)
-			return res, nil
-		}
 		bs, err := bindSelect(&stmtPlan{db: t.catalog}, inner)
 		if err != nil {
 			return nil, err
+		}
+		if len(inner.Joins) == 0 {
+			r := bs.reads[0]
+			access, detail := explainAccess(tbl, r.path, inner.Where, params)
+			if r.first > 0 {
+				dir := "asc"
+				if r.desc {
+					dir = "desc"
+				}
+				detail += fmt.Sprintf(", by %s %s, first %d", tbl.schema.Cols[tbl.schema.PKIdx].Name, dir, r.first)
+			}
+			add(tbl.Name(), access, detail)
+			return res, nil
 		}
 		add(tbl.Name(), "scan", "join build side")
 		for i, j := range inner.Joins {
@@ -83,15 +93,14 @@ func (e *Engine) explainWrite(t *Txn, res *Result, table string, where Expr, par
 	if err != nil {
 		return nil, err
 	}
-	access, detail := e.explainAccess(tbl, where, params)
+	access, detail := explainAccess(tbl, planWhere(tbl, where), where, params)
 	res.Rows = append(res.Rows, Row{NewText(tbl.Name()), NewText(access), NewText(detail + kind)})
 	return res, nil
 }
 
-// explainAccess mirrors the executor's access-path choice for one table by
-// running the same planner the execution path caches.
-func (e *Engine) explainAccess(tbl *Table, where Expr, params []Value) (access, detail string) {
-	path := planWhere(tbl, where)
+// explainAccess describes path, the access path the planner chose for one
+// table filtered by where.
+func explainAccess(tbl *Table, path *accessPath, where Expr, params []Value) (access, detail string) {
 	switch path.kind {
 	case pathPoint:
 		return "point", fmt.Sprintf("%s = %s", tbl.schema.Cols[tbl.schema.PKIdx].Name, constString(path.eq, params))

@@ -61,6 +61,27 @@ func TestExplainRangeDetail(t *testing.T) {
 	}
 }
 
+// TestExplainOrderedStop names the ordered stop in an index read's detail —
+// the primary key, the direction and how many rows the read takes — and
+// leaves it out where the read takes every row.
+func TestExplainOrderedStop(t *testing.T) {
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE orders (o_id INT PRIMARY KEY, o_c_id INT, o_total FLOAT)")
+	mustExec(t, e, "CREATE INDEX idx_cid ON orders (o_c_id)")
+	for _, c := range []struct{ sql, detail string }{
+		{"SELECT o_id, o_total FROM orders WHERE o_c_id = 7 ORDER BY o_id DESC LIMIT 1", "o_c_id = 7, by o_id desc, first 1"},
+		{"SELECT o_id FROM orders WHERE o_c_id = ? ORDER BY o_id LIMIT 2 OFFSET 3", "o_c_id = 7, by o_id asc, first 5"},
+		{"SELECT o_id FROM orders WHERE o_c_id = 7 ORDER BY o_total DESC LIMIT 1", "o_c_id = 7"},
+		{"SELECT o_id FROM orders WHERE o_c_id = 7 ORDER BY o_id DESC", "o_c_id = 7"},
+		{"SELECT COUNT(*) FROM orders WHERE o_c_id = 7 ORDER BY o_id LIMIT 1", "o_c_id = 7"},
+	} {
+		res := mustExec(t, e, "EXPLAIN "+c.sql, NewInt(7))
+		if access, detail := res.Rows[0][1].Str, res.Rows[0][2].Str; access != "index" || detail != c.detail {
+			t.Errorf("%s: %s %q, want index %q", c.sql, access, detail, c.detail)
+		}
+	}
+}
+
 func TestExplainJoinStrategies(t *testing.T) {
 	e := newTestDB(t)
 	mustExec(t, e, "CREATE TABLE a (id INT PRIMARY KEY, v INT)")

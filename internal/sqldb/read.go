@@ -23,6 +23,12 @@ type tableRead struct {
 	residual   predFn // conjuncts the path did not consume (point, index, range steps)
 	where      predFn // the whole predicate (scan step)
 
+	// first, when positive, marks the one read that stops early (see
+	// orderedStop): an index-equality step whose statement needs only its
+	// first rows in primary-key order, ascending or, with desc, descending.
+	first int
+	desc  bool
+
 	// write marks the row-selection step of UPDATE/DELETE: IX/X locks instead
 	// of IS/S, row IDs are returned, and index candidates are re-checked
 	// against the whole predicate once locked.
@@ -94,21 +100,22 @@ func (r *tableRead) prepare(tbl *Table, en *env) (a access, err error) {
 	return a, err
 }
 
-// candidates returns the row IDs an index-equality or range step starts from,
-// and the re-check of the access column for a fetched candidate.
-func (r *tableRead) candidates(tbl *Table, a access) (ids []uint64, match func(Row) bool) {
+// candidates returns the primary-key keys of the rows an index-equality or
+// range step starts from, and the re-check of the access column for a
+// fetched candidate.
+func (r *tableRead) candidates(tbl *Table, a access) (keys []string, match func(Row) bool) {
 	p, col := r.path, r.path.colIdx
 	if a.kind == pathIndexEq {
 		v := a.eq
-		return tbl.lookupIndex(p.col, v), func(row Row) bool { return Equal(row[col], v) }
+		return tbl.lookupIndex(p.col, v, "", false, -1), func(row Row) bool { return Equal(row[col], v) }
 	}
 	b := a.b
 	if p.onPK {
-		ids = tbl.lookupPKRange(b)
+		keys = tbl.lookupPKRange(b)
 	} else {
-		ids = tbl.lookupIndexRange(p.col, b)
+		keys = tbl.lookupIndexRange(p.col, b)
 	}
-	return ids, func(row Row) bool { return b.match(row[col]) }
+	return keys, func(row Row) bool { return b.match(row[col]) }
 }
 
 // fetchPoint reads the row under the primary key key — into the
@@ -170,8 +177,12 @@ func (r *tableRead) rows(t *Txn, tbl *Table, en *env) ([]Row, []uint64, error) {
 	if a.kind == pathPoint {
 		return r.lockPoint(t, tbl, en, a.eq)
 	}
-	ids, match := r.candidates(tbl, a)
-	return r.lockCandidates(t, tbl, en, ids, match)
+	if r.first > 0 {
+		rows, err := r.lockFirst(t, tbl, en, a.eq)
+		return rows, nil, err
+	}
+	keys, match := r.candidates(tbl, a)
+	return r.lockCandidates(t, tbl, en, keys, match)
 }
 
 // lockPoint is the primary-key equality step: one row lock on the key itself
@@ -198,56 +209,76 @@ func (r *tableRead) lockPoint(t *Txn, tbl *Table, en *env, pk Value) ([]Row, []u
 }
 
 // lockCandidates is the row-collection step of the index-equality and range
-// steps, and of a scanning write: read the candidates' primary keys, lock each
-// candidate by its key in candidate order, fetch the rows once their locks
-// are held (the candidates were an unlocked guess; a row may have changed or
-// vanished in between), and keep those that still match. It takes the
-// candidates a page's run at a time (see Table.pkValues), one latch
-// acquisition for the keys and one for the rows. ids is overwritten.
-func (r *tableRead) lockCandidates(t *Txn, tbl *Table, en *env, ids []uint64, match func(Row) bool) (rows []Row, kept []uint64, err error) {
-	var (
-		n       int
-		batch   []uint64
-		pks     []Value // reused from batch to batch, as fetched is
-		fetched []Row
-	)
-	for len(ids) > 0 {
-		n, batch, pks = tbl.pkValues(ids, pks[:0])
-		ids = ids[n:]
-		for _, pk := range pks {
-			key := keyOf(pk)
-			if err := t.lockRow(tbl, key, r.rowMode()); err != nil {
-				return nil, nil, err
-			}
-			t.engine.record(t, r.write, tbl, key)
+// steps, and of a scanning write: lock each candidate under its primary-key
+// key, in candidate order, then fetch the rows those keys name now, under one
+// latch acquisition, and keep those that still match — the candidates were
+// an unlocked guess, and a row may have changed, taken another key or
+// vanished in between.
+func (r *tableRead) lockCandidates(t *Txn, tbl *Table, en *env, keys []string, match func(Row) bool) (rows []Row, kept []uint64, err error) {
+	for _, key := range keys {
+		if err := t.lockRow(tbl, key, r.rowMode()); err != nil {
+			return nil, nil, err
 		}
-		fetched = tbl.getRowsBatch(batch, fetched[:0])
-		for i, row := range fetched {
-			en.row = row
-			keep := true
-			switch {
-			case r.write:
-				if r.where != nil {
-					keep, err = r.where(en)
-				}
-			case !match(row):
-				keep = false
-			case r.residual != nil:
-				keep, err = r.residual(en)
+		t.engine.record(t, r.write, tbl, key)
+	}
+	var ids *[]uint64
+	if r.write {
+		ids = &kept
+	}
+	fetched := tbl.getRowsBatch(keys, nil, ids)
+	rows = fetched[:0]
+	for i, row := range fetched {
+		en.row = row
+		keep := true
+		switch {
+		case r.write:
+			if r.where != nil {
+				keep, err = r.where(en)
 			}
-			if err != nil {
-				return nil, nil, err
-			}
-			if !keep {
-				continue
-			}
-			rows = append(rows, row)
-			if r.write {
-				kept = append(kept, batch[i])
-			}
+		case !match(row):
+			keep = false
+		case r.residual != nil:
+			keep, err = r.residual(en)
 		}
+		if err != nil {
+			return nil, nil, err
+		}
+		if !keep {
+			continue
+		}
+		if r.write {
+			kept[len(rows)] = kept[i]
+		}
+		rows = append(rows, row)
+	}
+	if r.write {
+		kept = kept[:len(rows)]
 	}
 	return rows, kept, nil
+}
+
+// lockFirst is the index-equality step of a read that needs only its first
+// r.first rows in primary-key order: it takes the key's postings from the end
+// r.desc names, and locks, fetches and re-checks only as many as it still
+// needs, until it holds r.first rows or the postings run out. A candidate
+// that fails its re-check costs another round for the rows it left missing.
+func (r *tableRead) lockFirst(t *Txn, tbl *Table, en *env, v Value) (rows []Row, err error) {
+	col := r.path.colIdx
+	match := func(row Row) bool { return Equal(row[col], v) }
+	for after := ""; len(rows) < r.first; {
+		want := r.first - len(rows)
+		keys := tbl.lookupIndex(r.path.col, v, after, r.desc, want)
+		got, _, err := r.lockCandidates(t, tbl, en, keys, match)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, got...)
+		if len(keys) < want {
+			break
+		}
+		after = keys[len(keys)-1]
+	}
+	return rows, nil
 }
 
 // lockScan is the scan step. A query reads under a shared table lock. A write
@@ -259,11 +290,15 @@ func (r *tableRead) lockScan(t *Txn, tbl *Table, en *env) ([]Row, []uint64, erro
 		if err := t.lockInc(tbl, LockIX, false); err != nil {
 			return nil, nil, err
 		}
-		_, ids, err := r.scan(tbl, en)
+		rows, _, err := r.scan(tbl, en)
 		if err != nil {
 			return nil, nil, err
 		}
-		return r.lockCandidates(t, tbl, en, ids, nil)
+		keys := make([]string, len(rows))
+		for i, row := range rows {
+			keys[i] = keyOf(row[tbl.schema.PKIdx])
+		}
+		return r.lockCandidates(t, tbl, en, keys, nil)
 	}
 	tableMode := LockS
 	if r.write {

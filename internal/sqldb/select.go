@@ -3,6 +3,7 @@ package sqldb
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -189,7 +190,34 @@ func bindSelect(p *stmtPlan, s *SelectStmt) (*boundSelect, error) {
 	if bs.invalid = b.err; bs.invalid == nil {
 		bs.invalid = starErr
 	}
+	if len(s.Joins) == 0 && bs.invalid == nil {
+		r := bs.reads[0]
+		r.first, r.desc = orderedStop(r, o, s, cols)
+	}
 	return bs, nil
+}
+
+// orderedStop returns how many rows the single-table read r needs to give
+// the output stage, in primary-key order (desc: descending), for it to give
+// its result unchanged — LIMIT + OFFSET — when it can stop there: r is an
+// index equality with no residual filter, the output plain columns with no
+// grouping or DISTINCT, LIMIT is above 0, and the one ORDER BY key is the
+// primary-key column. It returns 0 otherwise: the read takes every row.
+func orderedStop(r *tableRead, o *output, s *SelectStmt, cols []colBinding) (first int, desc bool) {
+	if r.path.kind != pathIndexEq || r.residual != nil || o.flat == nil || o.distinct || // flat: plain columns, ungrouped
+		o.limit <= 0 || o.offset > math.MaxInt-o.limit || len(o.order) != 1 {
+		return 0, false
+	}
+	k, off := o.order[0], -1
+	if k.proj >= 0 {
+		off = o.flat[k.proj]
+	} else if ce, ok := s.OrderBy[0].Expr.(*ColumnExpr); ok {
+		off = resolveBinding(cols, ce)
+	}
+	if off != r.tbl.schema.PKIdx {
+		return 0, false
+	}
+	return o.limit + o.offset, k.desc
 }
 
 // pushdownFilter selects the not-yet-consumed conjuncts that resolve

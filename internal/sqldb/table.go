@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -20,13 +21,16 @@ var noRow = rowLoc{page: -2, slot: -2}
 
 // index is a secondary (or unique) hash index on one column. m is the only
 // holder of its keys; ord is the sorted view a range traversal derives from m.
+// A key's postings are its rows' identities (Table.identity), kept in
+// ascending order, so that a read takes a key's first rows in primary-key
+// order from the index alone, opening no page.
 // An index is pending until buildPending installs it: m is nil, no plan sees
 // it (hasIndex), and pending logs the edits the build replays.
 type index struct {
 	name    string
 	col     int // column position
 	unique  bool
-	m       map[string][]uint64 // key -> rowIDs
+	m       map[string][]string // key -> postings, ascending
 	ord     orderedKeys
 	pending *pendingIndex
 }
@@ -41,23 +45,42 @@ type pendingIndex struct {
 	edits []indexEdit
 }
 
-// indexEdit is one add (or remove) of rowID under key.
+// indexEdit is one add (or remove) of the posting id under key.
 type indexEdit struct {
-	key   string
-	rowID uint64
-	add   bool
+	key, id string
+	add     bool
 }
 
-// add registers a rowID under key. Called with the table latch held.
-func (ix *index) add(key string, rowID uint64) {
+// add registers the posting id under key, in order. Called with the table
+// latch held.
+func (ix *index) add(key, id string) {
 	if p := ix.pending; p != nil {
-		p.edits = append(p.edits, indexEdit{key, rowID, true})
+		p.edits = append(p.edits, indexEdit{key, id, true})
 		return
 	}
 	ids := ix.m[key]
-	ix.m[key] = append(ids, rowID)
+	i, _ := slices.BinarySearch(ids, id)
+	ix.m[key] = slices.Insert(ids, i, id)
 	if len(ids) == 0 {
 		ix.ord.add(key)
+	}
+}
+
+// remove unregisters the posting id from under key.
+func (ix *index) remove(key, id string) {
+	if p := ix.pending; p != nil {
+		p.edits = append(p.edits, indexEdit{key, id, false})
+		return
+	}
+	ids := ix.m[key]
+	if i, found := slices.BinarySearch(ids, id); found {
+		ids = slices.Delete(ids, i, i+1)
+	}
+	if len(ids) == 0 {
+		delete(ix.m, key)
+		ix.ord.drop(key)
+	} else {
+		ix.m[key] = ids
 	}
 }
 
@@ -94,7 +117,7 @@ type Table struct {
 	nextRowID uint64
 	liveRows  int
 	byteSize  int64
-	oldRow    Row // scratch decoded into under mu: a replaced row, or a key's leading values
+	oldRow    Row // scratch decoded into under mu: a replaced row
 }
 
 func newTable(e *Engine, db string, schema *Schema) *Table {
@@ -316,13 +339,29 @@ func (t *Table) setLoc(id uint64, l rowLoc) {
 	t.loc[id] = l
 }
 
-// pkKey returns the primary-key index key of a row, or "" when the table has
-// no primary key.
-func (t *Table) pkKey(r Row) string {
-	if t.schema.PKIdx < 0 {
-		return ""
+// identity returns the posting that names row r, stored as rowID, in the
+// secondary indexes: its primary key's key, the string the pk map holds it
+// by, or, in a table without a primary key, its row ID, 8 bytes big-endian.
+// Postings sort as the primary key orders its values.
+func (t *Table) identity(r Row, rowID uint64) string {
+	if pk := t.schema.PKIdx; pk >= 0 {
+		return keyOf(r[pk])
 	}
-	return keyOf(r[t.schema.PKIdx])
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], rowID)
+	return string(b[:])
+}
+
+// rowIDOf returns the row ID of the live row the posting id names. Called
+// with t.mu held.
+func (t *Table) rowIDOf(id string) (uint64, bool) {
+	if t.pk != nil {
+		rowID, ok := t.pk[id]
+		return rowID, ok
+	}
+	rowID := binary.BigEndian.Uint64([]byte(id))
+	_, ok := t.locOf(rowID)
+	return rowID, ok
 }
 
 // --- physical operations -------------------------------------------------
@@ -348,13 +387,15 @@ func (t *Table) insertRowPhysical(rowID uint64, r Row) {
 	defer t.mu.Unlock()
 	t.tail = append(t.tail, pageSlot{rowID: rowID, enc: enc})
 	t.setLoc(rowID, rowLoc{page: -1, slot: int32(len(t.tail) - 1)})
-	if t.pk != nil {
-		k := t.pkKey(r)
-		t.pk[k] = rowID
-		t.pkOrd.add(k)
-	}
-	for _, idx := range t.indexes {
-		idx.add(keyOf(r[idx.col]), rowID)
+	if t.pk != nil || len(t.indexes) > 0 {
+		id := t.identity(r, rowID) // one string, for the pk map and every posting
+		if t.pk != nil {
+			t.pk[id] = rowID
+			t.pkOrd.add(id)
+		}
+		for _, idx := range t.indexes {
+			idx.add(keyOf(r[idx.col]), id)
+		}
 	}
 	t.liveRows++
 	t.byteSize += int64(len(enc))
@@ -444,14 +485,15 @@ func (t *Table) buildPending(idxs []*index, image []pageSlot, beforeInstall func
 		}
 		for _, ed := range idx.pending.edits {
 			if ed.add {
-				built[i].add(ed.key, ed.rowID)
+				built[i].add(ed.key, ed.id)
 			} else {
-				built[i].remove(ed.key, ed.rowID)
+				built[i].remove(ed.key, ed.id)
 			}
 		}
 		for _, ed := range idx.pending.edits {
 			if ids := built[i].m[ed.key]; idx.unique && len(ids) > 1 && ed.key[0] != keyNull {
-				l, _ := t.locOf(ids[0])
+				rowID, _ := t.rowIDOf(ids[0])
+				l, _ := t.locOf(rowID)
 				row := t.decode(int(l.page), t.encAtLocked(l), nil) // buildKeys's text
 				return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, row[idx.col], idx.name)
 			}
@@ -496,11 +538,13 @@ func (t *Table) slotsLocked() []pageSlot {
 // with the rows of slots, each map made once at its final size: a row is
 // decoded once, a column's keys are cut from one string, pinned while any of
 // them lives, and an index groups its rows by key in one map pass (where a
-// unique one refuses a repeat of any key but NULL's) and holds a key's IDs,
-// in row order, as a capped sub-slice of one array. Called with t.mu held.
+// unique one refuses a repeat of any key but NULL's) and holds a key's
+// postings (Table.identity: the primary-key keys, cut as a column's are, or
+// the row IDs, cut from one string of them), in ascending order, as a capped
+// sub-slice of one array. Called with t.mu held.
 func (t *Table) buildKeys(slots []pageSlot, pk bool, idxs []*index) error {
 	cols := make([]int, 0, len(idxs)+1)
-	if pk {
+	if t.schema.PKIdx >= 0 && (pk || len(idxs) > 0) {
 		cols = append(cols, t.schema.PKIdx)
 	}
 	for _, idx := range idxs {
@@ -520,25 +564,37 @@ func (t *Table) buildKeys(slots []pageSlot, pk bool, idxs []*index) error {
 			}
 		}
 	}
-	for c, col := range cols {
-		keys, off := string(bufs[c]), offs[c*(n+1):]
-		if pk && c == 0 {
-			t.pk = make(map[string]uint64, n)
-			for i, s := range slots {
-				t.pk[keys[off[i]:off[i+1]]] = s.rowID
-			}
-			continue
+	keys := make([]string, len(cols))
+	for c := range cols {
+		keys[c] = string(bufs[c])
+	}
+	key := func(c, i int) string { return keys[c][offs[c*(n+1)+i]:offs[c*(n+1)+i+1]] }
+	ident := func(i int) string { return key(0, i) }
+	if t.schema.PKIdx < 0 && len(idxs) > 0 {
+		ids := make([]byte, 0, 8*n)
+		for _, s := range slots {
+			ids = binary.BigEndian.AppendUint64(ids, s.rowID)
 		}
-		idx := idxs[c-len(cols)+len(idxs)]
+		rowIDs := string(ids)
+		ident = func(i int) string { return rowIDs[8*i : 8*i+8] }
+	}
+	if pk {
+		t.pk = make(map[string]uint64, n)
+		for i, s := range slots {
+			t.pk[key(0, i)] = s.rowID
+		}
+	}
+	for x, idx := range idxs {
+		c := len(cols) - len(idxs) + x
 		group, of := make(map[string]int32), make([]int32, n)
 		var distinct []string // group g's key
-		var end []int32       // group g's row count, then where its IDs end in all
+		var end []int32       // group g's row count, then where its postings end in all
 		for i := range slots {
-			k := keys[off[i]:off[i+1]]
+			k := key(c, i)
 			g, seen := group[k]
 			if seen && idx.unique && k[0] != keyNull { // NULL repeats nothing, as in SQL
 				_ = decodeLeading(slots[i].enc, vals) // it decoded above
-				return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, vals[col], idx.name)
+				return fmt.Errorf("%w: duplicate value %s building unique index %s", ErrDuplicateKey, vals[idx.col], idx.name)
 			} else if !seen {
 				g = int32(len(end))
 				group[k], distinct, end = g, append(distinct, k), append(end, 0)
@@ -549,14 +605,18 @@ func (t *Table) buildKeys(slots []pageSlot, pk bool, idxs []*index) error {
 		for g := 1; g < len(end); g++ {
 			end[g] += end[g-1]
 		}
-		start, all := slices.Clone(end), make([]uint64, n)
+		start, all := slices.Clone(end), make([]string, n)
 		for i := n - 1; i >= 0; i-- {
 			start[of[i]]--
-			all[start[of[i]]] = slots[i].rowID
+			all[start[of[i]]] = ident(i)
 		}
-		idx.m = make(map[string][]uint64, len(distinct))
+		idx.m = make(map[string][]string, len(distinct))
 		for g, k := range distinct {
-			idx.m[k] = all[start[g]:end[g]:end[g]]
+			ids := all[start[g]:end[g]:end[g]]
+			if !slices.IsSorted(ids) { // sorted already where rows were stored in key order
+				slices.Sort(ids)
+			}
+			idx.m[k] = ids
 		}
 	}
 	return nil
@@ -617,20 +677,23 @@ func (t *Table) deleteRowPhysical(rowID uint64) {
 	t.setLoc(rowID, noRow)
 	old := t.decodeOldLocked(int(l.page), oldEnc)
 	defer clear(old)
-	if t.pk != nil {
-		k := t.pkKey(old)
-		delete(t.pk, k)
-		t.pkOrd.drop(k)
-	}
-	for _, idx := range t.indexes {
-		idx.remove(keyOf(old[idx.col]), rowID)
+	if t.pk != nil || len(t.indexes) > 0 {
+		id := t.identity(old, rowID)
+		if t.pk != nil {
+			delete(t.pk, id)
+			t.pkOrd.drop(id)
+		}
+		for _, idx := range t.indexes {
+			idx.remove(keyOf(old[idx.col]), id)
+		}
 	}
 	t.liveRows--
 	t.byteSize -= int64(len(oldEnc))
 }
 
 // updateRowPhysical replaces the image of a row in place, maintaining
-// indexes.
+// indexes: a changed column's posting moves to its new key, and when the
+// primary key changes, every index re-keys the row's posting.
 func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 	enc := encodeRowString(newRow)
 	t.mu.Lock()
@@ -649,19 +712,31 @@ func (t *Table) updateRowPhysical(rowID uint64, newRow Row) {
 	}
 	old := t.decodeOldLocked(int(l.page), oldEnc)
 	defer clear(old)
+	var id, newID string // the row's identity before and after, once needed
 	if pk := t.schema.PKIdx; t.pk != nil {
 		if oldKey, newKey, changed := keyChange(old[pk], newRow[pk]); changed {
 			delete(t.pk, oldKey)
 			t.pkOrd.drop(oldKey)
 			t.pk[newKey] = rowID
 			t.pkOrd.add(newKey)
+			id, newID = oldKey, newKey
 		}
 	}
 	for _, idx := range t.indexes {
-		if ok, nk, changed := keyChange(old[idx.col], newRow[idx.col]); changed {
-			idx.remove(ok, rowID)
-			idx.add(nk, rowID)
+		oldKey, newKey, changed := keyChange(old[idx.col], newRow[idx.col])
+		if !changed {
+			if id == newID {
+				continue
+			}
+			oldKey = keyOf(old[idx.col])
+			newKey = oldKey
 		}
+		if id == "" {
+			id = t.identity(old, rowID)
+			newID = id
+		}
+		idx.remove(oldKey, id)
+		idx.add(newKey, newID)
 	}
 	t.byteSize += int64(len(enc) - len(oldEnc))
 }
@@ -734,64 +809,28 @@ func (t *Table) readPKRowInto(key string, dst Row) (Row, uint64, bool) {
 	return t.decode(int(l.page), t.encAtLocked(l), dst), id, true
 }
 
-// getRowsBatch decodes the rows with the given IDs under a single latch
-// acquisition and appends them to dst, all cut from one slab. IDs that no
-// longer exist are skipped and the others moved to the front of ids, so the
-// appended rows line up with the IDs they were read by. Readers call it only
-// after the row locks are held.
-func (t *Table) getRowsBatch(ids []uint64, dst []Row) []Row {
+// getRowsBatch decodes the rows the primary-key keys name now under a single
+// latch acquisition and appends them to dst, all cut from one slab, and, when
+// ids is not nil, their row IDs to *ids in step. Keys no row holds are
+// skipped. Readers call it only after the keys' row locks are held.
+func (t *Table) getRowsBatch(keys []string, dst []Row, ids *[]uint64) []Row {
 	w := len(t.schema.Cols)
-	slab := make([]Value, len(ids)*w)
+	slab := make([]Value, len(keys)*w)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for _, id := range ids {
-		if l, ok := t.locOf(id); ok {
-			ids[n] = id
-			n++
-			dst = append(dst, t.decode(int(l.page), t.encAtLocked(l), slab[:w:w]))
-			slab = slab[w:]
-		}
-	}
-	return dst
-}
-
-// pkValues reads, under a single latch acquisition, the primary-key values of
-// the leading ids whose rows share a page, and returns how many ids that
-// covers, the ones among them that exist — moved to the front of ids — and
-// their keys, appended to dst, in step. Stopping at the page boundary keeps
-// the order in which a caller that goes on to fetch those rows touches pages
-// what it would be one row at a time, so the pool sees the same hits and
-// misses. A key is decoded from its row's encoding alone. The table has a
-// primary key.
-func (t *Table) pkValues(ids []uint64, dst []Value) (n int, live []uint64, pks []Value) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	pk := t.schema.PKIdx
-	if len(t.oldRow) <= pk {
-		t.oldRow = make(Row, pk+1)
-	}
-	key := t.oldRow[:pk+1] // a row's leading values through the key
-	defer clear(key)
-	live, pks = ids[:0], dst
-	var first rowLoc
-	for ; n < len(ids); n++ {
-		l, ok := t.locOf(ids[n])
+	for _, k := range keys {
+		id, ok := t.pk[k]
 		if !ok {
 			continue
 		}
-		if len(live) == 0 {
-			first = l
-		} else if l.page != first.page {
-			break
+		l, _ := t.locOf(id)
+		dst = append(dst, t.decode(int(l.page), t.encAtLocked(l), slab[:w:w]))
+		slab = slab[w:]
+		if ids != nil {
+			*ids = append(*ids, id)
 		}
-		live = append(live, ids[n])
-		if err := decodeLeading(t.encAtLocked(l), key); err != nil {
-			t.corruptPagePanic(int(l.page), err)
-		}
-		pks = append(pks, key[pk])
 	}
-	return n, live, pks
+	return dst
 }
 
 // lookupPK returns the rowID for a primary-key value.
@@ -805,12 +844,37 @@ func (t *Table) lookupPK(v Value) (uint64, bool) {
 	return id, ok
 }
 
-// lookupIndex returns the rowIDs matching v in the named column's index,
-// which a plan saw installed: a table never loses an installed index.
-func (t *Table) lookupIndex(col string, v Value) []uint64 {
+// lookupIndex returns the postings — primary-key keys — of v in the named
+// column's index, which a plan saw installed (a table never loses an
+// installed index), in ascending order or, with desc, descending: at most n
+// of them (n < 0: every one), starting past the posting after ("": at the
+// first).
+func (t *Table) lookupIndex(col string, v Value, after string, desc bool, n int) []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return slices.Clone(t.indexes[col].m[keyOf(v)])
+	ids := t.indexes[col].m[keyOf(v)]
+	if after != "" {
+		i, found := slices.BinarySearch(ids, after)
+		if desc {
+			ids = ids[:i]
+		} else if found {
+			ids = ids[i+1:]
+		} else {
+			ids = ids[i:]
+		}
+	}
+	if n >= 0 && n < len(ids) {
+		if desc {
+			ids = ids[len(ids)-n:]
+		} else {
+			ids = ids[:n]
+		}
+	}
+	out := slices.Clone(ids)
+	if desc {
+		slices.Reverse(out)
+	}
+	return out
 }
 
 // hasIndex reports whether col has an installed secondary index (col is
@@ -822,29 +886,29 @@ func (t *Table) hasIndex(col string) bool {
 	return ok && idx.pending == nil
 }
 
-// lookupPKRange returns the rowIDs whose primary key lies within bounds, in
-// ascending key order.
-func (t *Table) lookupPKRange(b rangeBounds) []uint64 {
+// lookupPKRange returns the primary-key keys that lie within bounds, in
+// ascending order.
+func (t *Table) lookupPKRange(b rangeBounds) []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.pk == nil {
 		return nil
 	}
-	var out []uint64
+	var out []string
 	scanRange(&t.pkOrd, t.pk, b, func(k string) {
-		out = append(out, t.pk[k])
+		out = append(out, k)
 	})
 	return out
 }
 
-// lookupIndexRange returns the rowIDs whose indexed column value lies within
-// bounds (ascending value order), from the named column's index, installed
-// as for lookupIndex.
-func (t *Table) lookupIndexRange(col string, b rangeBounds) []uint64 {
+// lookupIndexRange returns the postings whose indexed column value lies
+// within bounds (ascending value order, then primary-key order), from the
+// named column's index, installed as for lookupIndex.
+func (t *Table) lookupIndexRange(col string, b rangeBounds) []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	idx := t.indexes[col]
-	var out []uint64
+	var out []string
 	scanRange(&idx.ord, idx.m, b, func(k string) {
 		out = append(out, idx.m[k]...)
 	})
@@ -956,25 +1020,4 @@ func (t *Table) createIndex(name string, colIdx int, unique bool, beforeInstall 
 		t.mu.Unlock()
 	}
 	return err
-}
-
-// remove unregisters a rowID from under key.
-func (ix *index) remove(key string, rowID uint64) {
-	if p := ix.pending; p != nil {
-		p.edits = append(p.edits, indexEdit{key, rowID, false})
-		return
-	}
-	ids := ix.m[key]
-	for i, id := range ids {
-		if id == rowID {
-			ids = append(ids[:i], ids[i+1:]...)
-			break
-		}
-	}
-	if len(ids) == 0 {
-		delete(ix.m, key)
-		ix.ord.drop(key)
-	} else {
-		ix.m[key] = ids
-	}
 }

@@ -300,10 +300,11 @@ func TestReaderOutlivesEntryReuse(t *testing.T) {
 }
 
 // TestLockCandidatesPageOrder reads, under row locks, index candidates that
-// alternate between two pages through a one-page pool. Keys are read before
-// the locks are taken and rows after, but a page's run of candidates at a
-// time: each candidate costs the one miss it costs read row by row, not the
-// two it would cost if every key were read before any row.
+// alternate between two pages, in key order, through a one-page pool. The
+// candidates' keys come from the index, and the rows are fetched once their
+// locks are held, in key order: each candidate costs the one miss it costs
+// read row by row, not the two it would cost if each key were read from its
+// page before any row.
 func TestLockCandidatesPageOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PoolPages = 1
@@ -311,9 +312,22 @@ func TestLockCandidatesPageOrder(t *testing.T) {
 	if err := e.CreateDatabase("app"); err != nil {
 		t.Fatal(err)
 	}
-	fillPages(t, e, "app", "a", 3*pageCapacity)
+	mustExec(t, e, "CREATE TABLE a (id INT PRIMARY KEY, v INT, s TEXT)")
+	var order []int // page 0 holds the even keys below 128, page 1 the odd ones, page 2 the rest
+	for id := 0; id < 2*pageCapacity; id += 2 {
+		order = append(order, id)
+	}
+	for id := 1; id < 2*pageCapacity; id += 2 {
+		order = append(order, id)
+	}
+	for id := 2 * pageCapacity; id < 3*pageCapacity; id++ {
+		order = append(order, id)
+	}
+	for _, id := range order {
+		mustExec(t, e, "INSERT INTO a VALUES (?, ?, 'x')", NewInt(int64(id)), NewInt(int64(id)))
+	}
 	mustExec(t, e, "CREATE INDEX idx_v ON a (v)")
-	ids := []int{0, 64, 1, 65, 2, 66} // pages 0, 1, 0, 1, 0, 1
+	ids := []int{0, 1, 2, 3, 4, 5} // pages 0, 1, 0, 1, 0, 1
 	for _, id := range ids {
 		mustExec(t, e, "UPDATE a SET v = -7 WHERE id = ?", NewInt(int64(id)))
 	}
@@ -447,20 +461,19 @@ func TestDropAndReplaceWithDirtyPages(t *testing.T) {
 
 // checkRowViews checks that every way of reaching the rows of db.name, a
 // fillPages table with an index on s, agrees: the rows scan visits (by row
-// ID) and, in the same order, the decoded encodings the dump reads, a point
-// read of each by its primary key, a lookup of each through the index on s,
-// and a batch read by row ID. A row ID past the last one minted reads as
-// absent.
+// ID) and, in the same order, the decoded encodings the dump reads, a batch
+// read and a point read of each by its primary key, and a lookup of each
+// through the index on s. A key no row holds reads as absent.
 func checkRowViews(t *testing.T, e *Engine, db, name string, wantRows int) {
 	t.Helper()
 	tbl, err := tableOf(e, db, name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot := map[uint64]string{}
+	hot, rows := map[uint64]string{}, map[uint64]Row{}
 	var scanned []string
 	tbl.scan(func(id uint64, r Row) bool {
-		hot[id] = fmt.Sprint(r)
+		hot[id], rows[id] = fmt.Sprint(r), r
 		scanned = append(scanned, hot[id])
 		return true
 	})
@@ -472,25 +485,23 @@ func checkRowViews(t *testing.T, e *Engine, db, name string, wantRows int) {
 		t.Fatalf("scan found %d rows, the dump %d, want %d (equal: %v)", len(hot), len(cold), wantRows, fmt.Sprint(scanned) == fmt.Sprint(cold))
 	}
 	for id, want := range hot {
-		got := tbl.getRowsBatch([]uint64{id}, nil)
-		if len(got) != 1 || fmt.Sprint(got[0]) != want {
-			t.Fatalf("row %d: batch read %v, scan %s", id, got, want)
+		pk, s := rows[id][0], rows[id][2]
+		var ids []uint64
+		got := tbl.getRowsBatch([]string{keyOf(pk)}, nil, &ids)
+		if len(got) != 1 || fmt.Sprint(got[0]) != want || ids[0] != id {
+			t.Fatalf("row %d: batch read of %v found rows %v %v, scan %s", id, pk, ids, got, want)
 		}
-		pk, s := got[0][0], got[0][2]
 		r, pid, ok := tbl.readPKRowInto(keyOf(pk), nil)
 		if !ok || pid != id || fmt.Sprint(r) != want {
 			t.Fatalf("row %d: point read of %v found row %d %v (%v), scan %s", id, pk, pid, r, ok, want)
 		}
-		if ids := tbl.lookupIndex("s", s); len(ids) != 1 || ids[0] != id {
-			t.Fatalf("row %d: index lookup of %v found %v", id, s, ids)
+		if keys := tbl.lookupIndex("s", s, "", false, -1); len(keys) != 1 || keys[0] != keyOf(pk) {
+			t.Fatalf("row %d: index lookup of %v found %q", id, s, keys)
 		}
 	}
-	tbl.mu.Lock()
-	minted := tbl.nextRowID
-	tbl.mu.Unlock()
-	for _, id := range []uint64{minted + 1, minted + 1000} {
-		if got := tbl.getRowsBatch([]uint64{id}, nil); len(got) != 0 {
-			t.Fatalf("row %d was never minted, read %v", id, got)
+	for _, pk := range []Value{NewInt(-1), NewInt(1 << 40)} {
+		if got := tbl.getRowsBatch([]string{keyOf(pk)}, nil, nil); len(got) != 0 {
+			t.Fatalf("no row has key %v, read %v", pk, got)
 		}
 	}
 }

@@ -6,7 +6,8 @@
 # its end, runs one workload, and prints each kind's share of the committed
 # transactions with its p50, p90 and p99 over the whole window (not the best
 # quartile of slices bench/ reports), then the profile's share of a few hot
-# spots (replica_churn's copy among them: the dump, which calls the restore on
+# spots (order-status and every index read, lockCandidates, among them;
+# replica_churn's copy too: the dump, which calls the restore on
 # the target, the restore, and within it the rows and primary key, then the
 # online index build after the dump, and the index lookups that build a
 # pending index on the spot) and its top functions. It also records the window's mutex profile
@@ -129,6 +130,8 @@ row() { printf '%-58s %8s\n' "$1" "$2"; }
 echo "latency by transaction kind in the measured window: $workload, seed $seed, ${seconds}s"
 cat "$tmp/kinds.txt"
 echo "CPU of the window, share of samples under:"
+row 'order-status transactions (tpcw Workload.txOrderStatus)' "$(share 'tpcw\.\(\*Workload\)\.txOrderStatus$')"
+row 'index reads (sqldb tableRead.lockCandidates)' "$(share 'sqldb\.\(\*tableRead\)\.lockCandidates$')"
 row 'LIKE (sqldb likeMatch, likeRec, equalFoldByte)' "$(share 'sqldb\.(likeMatch|likeRec|equalFoldByte)$')"
 row 'redo records (sqldb Engine.walStmt)' "$(share 'sqldb\.\(\*Engine\)\.walStmt$')"
 row 'log appends (wal Log.Append)' "$(share 'wal\.\(\*Log\)\.Append$')"
