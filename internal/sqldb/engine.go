@@ -164,6 +164,10 @@ type Engine struct {
 
 	recorder atomic.Pointer[recorderBox]
 
+	// arenas recycles the transactions' arenas (see arena): finishTxn puts
+	// one back, and a transaction's first statement takes one.
+	arenas sync.Pool
+
 	// commitAbort packs the commit (A) and abort (B) counters into one
 	// word so Stats() cannot observe one without the other (see obs.Pair).
 	commitAbort obs.Pair
@@ -216,6 +220,7 @@ func NewEngine(cfg Config) *Engine {
 		stmts:    NewStmtCache(),
 	}
 	e.branchEnded.L = &e.branchMu
+	e.arenas.New = func() any { return new(arena) }
 	e.pool.writebackSink = cfg.PoolWritebacks
 	if cfg.Workers > 0 {
 		e.workers = make(chan struct{}, cfg.Workers)
@@ -289,6 +294,13 @@ func (e *Engine) Stats() Stats {
 }
 
 func (e *Engine) finishTxn(t *Txn, committed bool) {
+	if a := t.vals; a != nil {
+		t.vals = nil
+		if max(cap(a.vals), cap(a.lists), cap(a.ids)) <= arenaMaxValues {
+			a.reset()
+			e.arenas.Put(a)
+		}
+	}
 	if e.recovering.Load() {
 		return // replayed transactions were already counted before the crash
 	}
@@ -448,7 +460,6 @@ func (e *Engine) BeginWithID(db string, globalID uint64) (*Txn, error) {
 		catalog:  d,
 	}
 	t.locks = t.locksBuf[:0]
-	t.rowsScratch = t.rowsBuf[:0]
 	t.db = db
 	if globalID != 0 {
 		e.branchMu.Lock()

@@ -90,15 +90,21 @@ func (e *Engine) execute(t *Txn, stmt Statement, plan *stmtPlan, params []Value)
 	}
 }
 
-// runBound executes a SELECT or DML statement through its bound plan. A
-// missing plan (the statement did not bind when it was cached) is bound now,
-// which reports why; a plan whose table left the catalog since it was fetched
-// is re-bound against the current catalog and run again.
+// runBound executes a SELECT or DML statement through its bound plan, in the
+// transaction's arena, which it takes from the engine at the transaction's
+// first such statement and resets for each run. A missing plan (the
+// statement did not bind when it was cached) is bound now, which reports
+// why; a plan whose table left the catalog since it was fetched is re-bound
+// against the current catalog and run again.
 func (e *Engine) runBound(t *Txn, stmt Statement, plan *stmtPlan, params []Value) (*Result, error) {
 	if !e.recovering.Load() {
 		e.statCompiledExecs.Add(1)
 	}
+	if t.vals == nil {
+		t.vals = e.arenas.Get().(*arena)
+	}
 	for {
+		t.vals.reset()
 		if plan == nil {
 			var err error
 			if plan, err = bindStatement(t.catalog, stmt); err != nil {
@@ -294,7 +300,7 @@ func (bi *boundInsert) exec(t *Txn, params []Value) (*Result, error) {
 		if len(exprRow) != len(bi.positions) {
 			return nil, fmt.Errorf("%w: INSERT has %d values for %d columns", ErrTypeMismatch, len(exprRow), len(bi.positions))
 		}
-		full := nullRow(len(schema.Cols))
+		full := t.vals.nulls(len(schema.Cols))
 		for i, ex := range exprRow {
 			if lit, ok := ex.(*LiteralExpr); ok {
 				full[bi.positions[i]] = lit.Val
@@ -391,13 +397,15 @@ func (bw *boundWrite) exec(t *Txn, params []Value) (*Result, error) {
 		if err := t.lockUnique(tbl, bw.unique, old); err != nil {
 			return nil, err
 		}
+		// old is an arena row: its undo record keeps a copy of its own.
 		if bw.delete {
 			tbl.deleteRowPhysical(ids[i])
-			t.logUndo(undoRec{table: tbl, kind: undoDelete, rowID: ids[i], before: old})
+			t.logUndo(undoRec{table: tbl, kind: undoDelete, rowID: ids[i], before: old.Clone()})
 			continue
 		}
 		en.row = old
-		newRow := old.Clone()
+		newRow := t.vals.row(len(old))
+		copy(newRow, old)
 		for k, f := range bw.set {
 			if newRow[bw.setIdx[k]], err = f(en); err != nil {
 				return nil, err
@@ -424,7 +432,7 @@ func (bw *boundWrite) exec(t *Txn, params []Value) (*Result, error) {
 			return nil, err
 		}
 		tbl.updateRowPhysical(ids[i], newRow)
-		t.logUndo(undoRec{table: tbl, kind: undoUpdate, rowID: ids[i], before: old})
+		t.logUndo(undoRec{table: tbl, kind: undoUpdate, rowID: ids[i], before: old.Clone()})
 	}
 	return &Result{Affected: len(rows)}, nil
 }
@@ -546,8 +554,9 @@ func (t *Table) uniqueViolation(unique []int, row Row, self uint64) error {
 		}
 		t.mu.Unlock()
 		if scan {
-			t.scan(func(id uint64, r Row) bool {
-				dup = id != self && Equal(r[c], v)
+			holds := func(r Row) (bool, error) { return Equal(r[c], v), nil }
+			_ = t.scanWhere(new(arena), holds, func(id uint64, _ Row) bool {
+				dup = id != self
 				return !dup
 			})
 		}

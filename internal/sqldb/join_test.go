@@ -14,6 +14,9 @@ import (
 func sourceBy(t *testing.T, tx *Txn, bs *boundSelect, params []Value, probe bool) ([]Row, error) {
 	t.Helper()
 	en := tx.newEnv(params)
+	if tx.vals == nil {
+		tx.vals = new(arena) // what a statement's start gives it
+	}
 	var cur []Row
 	probeable := false
 	for i, r := range bs.reads {
@@ -34,17 +37,18 @@ func sourceBy(t *testing.T, tx *Txn, bs *boundSelect, params []Value, probe bool
 		}
 		if i == 0 {
 			cur = rows
-		} else if cur, err = bs.joins[i-1].join(en, cur, rows); err != nil {
+		} else if cur, err = bs.joins[i-1].join(tx.vals, en, cur, rows); err != nil {
 			return nil, err
 		}
 	}
 	if !probeable {
 		return nil, nil
 	}
-	if cur == nil {
-		cur = []Row{}
+	out := []Row{} // copies: the rows in the arena die with the transaction
+	for _, r := range cur {
+		out = append(out, r.Clone())
 	}
-	return cur, nil
+	return out, nil
 }
 
 // TestJoinStrategiesAgree runs the join stage of every golden-corpus join —

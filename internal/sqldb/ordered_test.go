@@ -15,8 +15,7 @@ import (
 // table with a primary key and one without, each with an index on k and an
 // unindexed twin kt, take random inserts, deletes, primary-key updates and
 // updates of k, over few enough k values that they repeat, NULL among them
-// (the queries ask for the others: an index equality with NULL finds the
-// rows holding NULL, where a scan finds none).
+// (and among the values the queries ask for: = NULL holds for no row).
 // After each step every index must list each key's rows, and only those, in
 // ascending identity order; and, on the table with a primary key,
 // "WHERE k = ? ORDER BY id [DESC] LIMIT n [OFFSET m]" — which stops at
@@ -70,7 +69,10 @@ func runOrderedStop(t *testing.T, pk bool) {
 		return fmt.Sprint(mustExec(t, e, sql, params...).Rows)
 	}
 	query := func(step int) {
-		k := NewInt(int64(rng.Intn(5))) // not NULL: an index equality with NULL finds the NULL rows, a scan none
+		k := NewInt(int64(rng.Intn(5)))
+		if rng.Intn(6) == 0 {
+			k = Null
+		}
 		dir := ""
 		if rng.Intn(2) == 0 {
 			dir = " DESC"
@@ -239,6 +241,37 @@ func TestOrderedStopTakesOneRow(t *testing.T) {
 	}
 }
 
+// TestIndexEqualityWithNullFindsNoRow runs "k = ?" with a NULL parameter
+// through k's index — an index equality, and the ordered stop — and against
+// its unindexed twin kt, which the scan step reads: = NULL holds for no row,
+// whichever plan reads, though two rows hold NULL. So does UPDATE's.
+func TestIndexEqualityWithNullFindsNoRow(t *testing.T) {
+	e := newTestDB(t)
+	mustExec(t, e, "CREATE TABLE o (id INT PRIMARY KEY, k INT, kt INT, v INT)")
+	mustExec(t, e, "CREATE INDEX o_k ON o (k)")
+	mustExec(t, e, "INSERT INTO o VALUES (1, NULL, NULL, 0), (2, 5, 5, 0), (3, NULL, NULL, 0), (4, 5, 5, 0)")
+	for _, q := range []struct{ sql, access string }{
+		{"SELECT id FROM o WHERE %s = ?", "index"},
+		{"SELECT id FROM o WHERE %s = ? ORDER BY id LIMIT 2", "index"},
+		{"SELECT id FROM o WHERE %s = ? ORDER BY id DESC LIMIT 1", "index"},
+		{"UPDATE o SET v = v + 1 WHERE %s = ?", "index"},
+	} {
+		indexed, twin := fmt.Sprintf(q.sql, "k"), fmt.Sprintf(q.sql, "kt")
+		if plan := mustExec(t, e, "EXPLAIN "+indexed, Null).Rows[0][1].Str; plan != q.access {
+			t.Fatalf("%s: access %q, want %q", indexed, plan, q.access)
+		}
+		for _, v := range []Value{Null, NewInt(5)} {
+			got, want := mustExec(t, e, indexed, v), mustExec(t, e, twin, v)
+			if fmt.Sprint(got.Rows, got.Affected) != fmt.Sprint(want.Rows, want.Affected) {
+				t.Errorf("%s [%v]: %v (affected %d), the scan plan %v (affected %d)", indexed, v, got.Rows, got.Affected, want.Rows, want.Affected)
+			}
+			if v.IsNull() && (len(got.Rows) > 0 || got.Affected > 0) {
+				t.Errorf("%s [NULL]: %v (affected %d), want no row", indexed, got.Rows, got.Affected)
+			}
+		}
+	}
+}
+
 // TestLockCandidatesReadUnderLockedKey passes lockCandidates candidates taken
 // from the index before a committed UPDATE moved one of their rows to another
 // primary key: every row it returns is one whose key the reader holds locked,
@@ -272,10 +305,11 @@ func TestLockCandidatesReadUnderLockedKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tx.Rollback()
+	tx.vals = new(arena) // what a statement's start gives it
 	if err := tx.lockInc(tbl, LockIS, false); err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := bs.reads[0].lockCandidates(tx, tbl, tx.newEnv(nil), stale, func(r Row) bool { return r[1].Int == 7 })
+	rows, _, err := bs.reads[0].lockCandidates(tx, tbl, tx.newEnv(nil), stale, &access{kind: pathIndexEq, eq: NewInt(7)})
 	if err != nil {
 		t.Fatal(err)
 	}

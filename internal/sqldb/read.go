@@ -33,10 +33,6 @@ type tableRead struct {
 	// of IS/S, row IDs are returned, and index candidates are re-checked
 	// against the whole predicate once locked.
 	write bool
-	// scratch lets the point step return its row in the transaction's reusable
-	// buffer. Only a single-table SELECT sets it: its output stage copies the
-	// values out before anything else reads a row.
-	scratch bool
 }
 
 // bindRead plans and binds the read of tbl (visible as alias) filtered by
@@ -101,33 +97,33 @@ func (r *tableRead) prepare(tbl *Table, en *env) (a access, err error) {
 }
 
 // candidates returns the primary-key keys of the rows an index-equality or
-// range step starts from, and the re-check of the access column for a
-// fetched candidate.
-func (r *tableRead) candidates(tbl *Table, a access) (keys []string, match func(Row) bool) {
-	p, col := r.path, r.path.colIdx
-	if a.kind == pathIndexEq {
-		v := a.eq
-		return tbl.lookupIndex(p.col, v, "", false, -1), func(row Row) bool { return Equal(row[col], v) }
+// range step starts from.
+func (r *tableRead) candidates(tbl *Table, a *access) []string {
+	p := r.path
+	switch {
+	case a.kind == pathIndexEq:
+		return tbl.lookupIndex(p.col, a.eq, "", false, -1)
+	case p.onPK:
+		return tbl.lookupPKRange(a.b)
+	default:
+		return tbl.lookupIndexRange(p.col, a.b)
 	}
-	b := a.b
-	if p.onPK {
-		keys = tbl.lookupPKRange(b)
-	} else {
-		keys = tbl.lookupIndexRange(p.col, b)
-	}
-	return keys, func(row Row) bool { return b.match(row[col]) }
 }
 
-// fetchPoint reads the row under the primary key key — into the
-// transaction's row buffer when the read may use it — and applies the
-// residual.
-func (r *tableRead) fetchPoint(t *Txn, tbl *Table, en *env, key string) (row Row, id uint64, found bool, err error) {
-	if r.scratch {
-		row, id, found = tbl.readPKRowInto(key, t.rowBuf)
-		t.rowBuf = row
-	} else {
-		row, id, found = tbl.readPKRowInto(key, nil) // a private copy
+// holds re-checks the access column of a fetched candidate against the
+// step's equality or range.
+func (r *tableRead) holds(a *access, row Row) bool {
+	v := row[r.path.colIdx]
+	if a.kind == pathIndexEq {
+		return Equal(v, a.eq)
 	}
+	return a.b.match(v)
+}
+
+// fetchPoint reads the row under the primary key key into the transaction's
+// arena and applies the residual.
+func (r *tableRead) fetchPoint(t *Txn, tbl *Table, en *env, key string) (row Row, id uint64, found bool, err error) {
+	row, id, found = tbl.readPKRow(key, t.vals)
 	if found && r.residual != nil {
 		en.row = row
 		found, err = r.residual(en)
@@ -136,8 +132,9 @@ func (r *tableRead) fetchPoint(t *Txn, tbl *Table, en *env, key string) (row Row
 }
 
 // scan reads every row matching the whole predicate, which is evaluated under
-// the page latch so non-matching rows are never cloned.
-func (r *tableRead) scan(tbl *Table, en *env) (rows []Row, ids []uint64, err error) {
+// the page latch on the row as it is decoded into the arena, where a row it
+// rejects gives its room to the next.
+func (r *tableRead) scan(t *Txn, tbl *Table, en *env) (rows []Row, ids []uint64, err error) {
 	var match func(Row) (bool, error)
 	if r.where != nil {
 		match = func(row Row) (bool, error) {
@@ -145,7 +142,7 @@ func (r *tableRead) scan(tbl *Table, en *env) (rows []Row, ids []uint64, err err
 			return r.where(en)
 		}
 	}
-	err = tbl.scanWhere(match, func(id uint64, row Row) bool {
+	err = tbl.scanWhere(t.vals, match, func(id uint64, row Row) bool {
 		rows = append(rows, row)
 		if r.write {
 			ids = append(ids, id)
@@ -177,12 +174,14 @@ func (r *tableRead) rows(t *Txn, tbl *Table, en *env) ([]Row, []uint64, error) {
 	if a.kind == pathPoint {
 		return r.lockPoint(t, tbl, en, a.eq)
 	}
+	if a.kind == pathIndexEq && a.eq.IsNull() {
+		return nil, nil, nil // = NULL holds for no row, as the scan step finds
+	}
 	if r.first > 0 {
 		rows, err := r.lockFirst(t, tbl, en, a.eq)
 		return rows, nil, err
 	}
-	keys, match := r.candidates(tbl, a)
-	return r.lockCandidates(t, tbl, en, keys, match)
+	return r.lockCandidates(t, tbl, en, r.candidates(tbl, &a), &a)
 }
 
 // lockPoint is the primary-key equality step: one row lock on the key itself
@@ -198,23 +197,21 @@ func (r *tableRead) lockPoint(t *Txn, tbl *Table, en *env, pk Value) ([]Row, []u
 	if err != nil || !found {
 		return nil, nil, err
 	}
-	if !r.scratch && !r.write {
-		return []Row{row}, nil, nil
+	rows := append(t.vals.list(1), row)
+	if !r.write {
+		return rows, nil, nil
 	}
-	// A single-table SELECT and a write both consume the one-row list before
-	// the transaction reads again.
-	t.rowsScratch = append(t.rowsScratch[:0], row)
-	t.idBuf[0] = id
-	return t.rowsScratch, t.idBuf[:], nil
+	return rows, append(t.vals.idList(1), id), nil
 }
 
 // lockCandidates is the row-collection step of the index-equality and range
 // steps, and of a scanning write: lock each candidate under its primary-key
 // key, in candidate order, then fetch the rows those keys name now, under one
-// latch acquisition, and keep those that still match — the candidates were
-// an unlocked guess, and a row may have changed, taken another key or
-// vanished in between.
-func (r *tableRead) lockCandidates(t *Txn, tbl *Table, en *env, keys []string, match func(Row) bool) (rows []Row, kept []uint64, err error) {
+// latch acquisition, and keep those that still match — a read's equality or
+// range a, a write's whole predicate — for the candidates were an unlocked
+// guess, and a row may have changed, taken another key or vanished in
+// between.
+func (r *tableRead) lockCandidates(t *Txn, tbl *Table, en *env, keys []string, a *access) (rows []Row, kept []uint64, err error) {
 	for _, key := range keys {
 		if err := t.lockRow(tbl, key, r.rowMode()); err != nil {
 			return nil, nil, err
@@ -223,9 +220,10 @@ func (r *tableRead) lockCandidates(t *Txn, tbl *Table, en *env, keys []string, m
 	}
 	var ids *[]uint64
 	if r.write {
+		kept = t.vals.idList(len(keys))
 		ids = &kept
 	}
-	fetched := tbl.getRowsBatch(keys, nil, ids)
+	fetched := tbl.getRowsBatch(keys, t.vals, ids)
 	rows = fetched[:0]
 	for i, row := range fetched {
 		en.row = row
@@ -235,7 +233,7 @@ func (r *tableRead) lockCandidates(t *Txn, tbl *Table, en *env, keys []string, m
 			if r.where != nil {
 				keep, err = r.where(en)
 			}
-		case !match(row):
+		case !r.holds(a, row):
 			keep = false
 		case r.residual != nil:
 			keep, err = r.residual(en)
@@ -263,16 +261,19 @@ func (r *tableRead) lockCandidates(t *Txn, tbl *Table, en *env, keys []string, m
 // needs, until it holds r.first rows or the postings run out. A candidate
 // that fails its re-check costs another round for the rows it left missing.
 func (r *tableRead) lockFirst(t *Txn, tbl *Table, en *env, v Value) (rows []Row, err error) {
-	col := r.path.colIdx
-	match := func(row Row) bool { return Equal(row[col], v) }
+	a := &access{kind: pathIndexEq, eq: v}
 	for after := ""; len(rows) < r.first; {
 		want := r.first - len(rows)
 		keys := tbl.lookupIndex(r.path.col, v, after, r.desc, want)
-		got, _, err := r.lockCandidates(t, tbl, en, keys, match)
+		got, _, err := r.lockCandidates(t, tbl, en, keys, a)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, got...)
+		if rows == nil {
+			rows = got // the one round a read whose candidates all match takes
+		} else {
+			rows = append(rows, got...)
+		}
 		if len(keys) < want {
 			break
 		}
@@ -290,7 +291,7 @@ func (r *tableRead) lockScan(t *Txn, tbl *Table, en *env) ([]Row, []uint64, erro
 		if err := t.lockInc(tbl, LockIX, false); err != nil {
 			return nil, nil, err
 		}
-		rows, _, err := r.scan(tbl, en)
+		rows, _, err := r.scan(t, tbl, en)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -308,7 +309,7 @@ func (r *tableRead) lockScan(t *Txn, tbl *Table, en *env) ([]Row, []uint64, erro
 		return nil, nil, err
 	}
 	t.engine.record(t, r.write, tbl, "")
-	return r.scan(tbl, en)
+	return r.scan(t, tbl, en)
 }
 
 func (r *tableRead) rowMode() LockMode {

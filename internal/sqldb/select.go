@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -78,9 +78,7 @@ func bindSelect(p *stmtPlan, s *SelectStmt) (*boundSelect, error) {
 	}
 	cols := bindingsFor(base.schema, s.From.Name())
 	if len(s.Joins) == 0 {
-		r := bindRead(base, s.From.Name(), s.Where)
-		r.scratch = true
-		bs.reads = []*tableRead{r}
+		bs.reads = []*tableRead{bindRead(base, s.From.Name(), s.Where)}
 	} else {
 		// WHERE conjuncts that reference only one table are pushed down to
 		// that table's read and go through the access-path planner there, so
@@ -169,17 +167,22 @@ func bindSelect(p *stmtPlan, s *SelectStmt) (*boundSelect, error) {
 	for _, ob := range s.OrderBy {
 		k := orderKey{proj: -1, desc: ob.Desc}
 		// An unqualified name matching a projected alias orders by the
-		// projected value.
-		if ce, ok := ob.Expr.(*ColumnExpr); ok && ce.Table == "" {
+		// projected value, and so does a column projected as it is.
+		if ce, ok := ob.Expr.(*ColumnExpr); ok {
 			for j, alias := range aliases {
-				if strings.EqualFold(alias, ce.Col) {
+				if ce.Table == "" && strings.EqualFold(alias, ce.Col) {
 					k.proj = j
 					break
 				}
 			}
+			if off := resolveBinding(cols, ce); k.proj < 0 && off >= 0 {
+				k.proj = slices.Index(o.flat, off)
+			}
 		}
-		if k.proj < 0 {
+		if k.col = k.proj; k.proj < 0 {
 			k.fn = b.expr(ob.Expr)
+			k.col = len(o.cols) + o.hidden
+			o.hidden++
 		}
 		o.order = append(o.order, k)
 	}
@@ -282,14 +285,14 @@ func (bs *boundSelect) exec(t *Txn, params []Value) (*Result, error) {
 	if bs.invalid != nil {
 		return nil, bs.invalid
 	}
-	return bs.out.emit(en, rows)
+	return bs.out.emit(t.vals, en, rows)
 }
 
 // source produces the filtered, joined source rows, acquiring read locks
-// along the way.
+// along the way. They are the transaction's arena rows.
 func (bs *boundSelect) source(t *Txn, en *env) ([]Row, error) {
 	if len(bs.reads) == 0 {
-		return []Row{nil}, nil
+		return append(t.vals.list(1), nil), nil
 	}
 	var cur []Row
 	for i, r := range bs.reads {
@@ -307,7 +310,7 @@ func (bs *boundSelect) source(t *Txn, en *env) ([]Row, error) {
 		}
 		if i == 0 {
 			cur = rows
-		} else if cur, err = bs.joins[i-1].join(en, cur, rows); err != nil {
+		} else if cur, err = bs.joins[i-1].join(t.vals, en, cur, rows); err != nil {
 			return nil, err
 		}
 	}
@@ -328,8 +331,9 @@ func (bs *boundSelect) source(t *Txn, en *env) ([]Row, error) {
 	return cur, nil
 }
 
-// join combines the rows so far with the joined table's rows.
-func (j *boundJoin) join(en *env, left, right []Row) ([]Row, error) {
+// join combines the rows so far with the joined table's rows, into arena
+// rows.
+func (j *boundJoin) join(a *arena, en *env, left, right []Row) ([]Row, error) {
 	var out []Row
 	if j.li >= 0 {
 		ht := make(map[string][]Row, len(right))
@@ -345,10 +349,10 @@ func (j *boundJoin) join(en *env, left, right []Row) ([]Row, error) {
 				matches = ht[keyOf(lr[j.li])]
 			}
 			for _, rr := range matches {
-				out = append(out, concatRows(lr, rr))
+				out = append(out, a.concat(lr, rr, j.width))
 			}
 			if len(matches) == 0 && j.left {
-				out = append(out, concatRows(lr, nullRow(j.width)))
+				out = append(out, a.concat(lr, nil, j.width))
 			}
 		}
 		return out, nil
@@ -356,18 +360,20 @@ func (j *boundJoin) join(en *env, left, right []Row) ([]Row, error) {
 	for _, lr := range left {
 		matched := false
 		for _, rr := range right {
-			en.row = concatRows(lr, rr)
+			en.row = a.concat(lr, rr, j.width)
 			ok, err := j.on(en)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				out = append(out, en.row)
-				matched = true
+			if !ok {
+				a.unrow(len(en.row))
+				continue
 			}
+			out = append(out, en.row)
+			matched = true
 		}
 		if !matched && j.left {
-			out = append(out, concatRows(lr, nullRow(j.width)))
+			out = append(out, a.concat(lr, nil, j.width))
 		}
 	}
 	return out, nil
@@ -382,7 +388,7 @@ func (j *boundJoin) probeJoin(t *Txn, r *tableRead, tbl *Table, en *env, left []
 	if err := t.lockInc(tbl, LockIS, false); err != nil {
 		return nil, err
 	}
-	var out []Row
+	out := t.vals.list(len(left))
 	for _, lr := range left {
 		var match []Row
 		if k := lr[j.li]; !k.IsNull() {
@@ -392,26 +398,12 @@ func (j *boundJoin) probeJoin(t *Txn, r *tableRead, tbl *Table, en *env, left []
 			}
 		}
 		if len(match) > 0 {
-			out = append(out, concatRows(lr, match[0]))
+			out = append(out, t.vals.concat(lr, match[0], j.width))
 		} else if j.left {
-			out = append(out, concatRows(lr, nullRow(j.width)))
+			out = append(out, t.vals.concat(lr, nil, j.width))
 		}
 	}
 	return out, nil
-}
-
-func concatRows(a, b Row) Row {
-	out := make(Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-func nullRow(n int) Row {
-	r := make(Row, n)
-	for i := range r {
-		r[i] = Null
-	}
-	return r
 }
 
 // output is the one output stage every SELECT runs: group → having → project
@@ -429,102 +421,135 @@ type output struct {
 
 	distinct      bool
 	order         []orderKey
+	hidden        int // ORDER BY keys that are not output columns
 	limit, offset int
 }
 
-// orderKey is one ORDER BY key: a projected column (an alias), or an
-// expression over the source row.
+// orderKey is one ORDER BY key: a projected column (an alias, or a column
+// projected as it is), or an expression over the source row, whose value an
+// output row carries past its end while it is sorted.
 type orderKey struct {
 	proj int // ≥0: the projected value at this index
 	fn   exprFn
+	col  int // where an output row holds the key: proj, or past the output columns
 	desc bool
 }
 
-// emit turns source rows into the result. Each output row is projected and its
-// ORDER BY keys evaluated before the next source row (or group) is looked at,
-// and every one of them before the LIMIT cut, so evaluation errors surface in
-// source order.
-func (o *output) emit(en *env, src []Row) (*Result, error) {
-	var out, keys []Row
-
-	if !o.grouped {
-		for _, r := range src {
-			en.row = r
-			pr, k, err := o.project(en)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pr)
-			if k != nil {
-				keys = append(keys, k)
-			}
-		}
-	} else {
-		groups, err := o.groups(en, src)
-		if err != nil {
+// emit turns source rows into the result. Every output row is written into
+// one slab, a capacity-capped view of its values followed by its hidden
+// ORDER BY keys, and the row list is made once: an ORDER BY sorts the views
+// in place. Each output row is projected and its ORDER BY keys evaluated
+// before the next source row (or group) is looked at. An ordered, distinct
+// or grouped output projects every row before the LIMIT cut, so evaluation
+// errors surface in source order; any other projects only the first
+// OFFSET + LIMIT rows. a is the arena the source rows came from.
+func (o *output) emit(a *arena, en *env, src []Row) (*Result, error) {
+	var groups [][]Row
+	n := len(src)
+	if o.grouped {
+		var err error
+		if groups, err = o.groups(en, src); err != nil {
 			return nil, err
 		}
+		n = len(groups)
 		en.grouped = true
-		for _, g := range groups {
-			// Non-aggregate expressions see the group's first row; the single
-			// group of an empty ungrouped source has none and sees NULLs.
-			if en.group = g; len(g) > 0 {
-				en.row = g[0]
-			} else {
-				en.row = nullRow(o.width)
-			}
-			if o.having != nil {
-				ok, err := o.having(en)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			pr, k, err := o.project(en)
+	} else if len(o.order) == 0 && !o.distinct && o.limit >= 0 && o.offset <= math.MaxInt-o.limit {
+		n = min(n, o.offset+o.limit)
+	}
+	w := len(o.cols)
+	stride := w + o.hidden
+	slab := make([]Value, n*stride)
+	var res *Result
+	var rows []Row
+	if n == 1 { // a point read's: the Result and its row list in one allocation
+		one := &struct {
+			Result
+			rows [1]Row
+		}{Result: Result{Cols: o.cols}}
+		res, rows = &one.Result, one.rows[:0]
+	} else {
+		res, rows = &Result{Cols: o.cols}, make([]Row, 0, n)
+	}
+	for i := range n {
+		if !o.grouped {
+			en.row = src[i]
+		} else if en.group = groups[i]; len(groups[i]) > 0 {
+			// Non-aggregate expressions see the group's first row; the
+			// single group of an empty ungrouped source has none and sees
+			// NULLs.
+			en.row = groups[i][0]
+		} else {
+			en.row = a.nulls(o.width)
+		}
+		if o.having != nil {
+			ok, err := o.having(en)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, pr)
-			if k != nil {
-				keys = append(keys, k)
-			}
-		}
-	}
-
-	if o.distinct {
-		seen := make(map[string]bool, len(out))
-		var kb, vb []byte
-		n := 0
-		for i, pr := range out {
-			kb = kb[:0]
-			for j := range pr {
-				vb = appendKey(vb[:0], &pr[j])
-				kb = append(binary.AppendUvarint(kb, uint64(len(vb))), vb...)
-			}
-			if seen[string(kb)] {
+			if !ok {
 				continue
 			}
-			seen[string(kb)] = true
-			out[n] = pr
-			if keys != nil {
-				keys[n] = keys[i]
-			}
-			n++
 		}
-		out = out[:n]
+		at := len(rows) * stride
+		pr := slab[at : at+stride : at+stride]
+		if err := o.project(en, pr); err != nil {
+			return nil, err
+		}
+		rows = append(rows, pr)
 	}
-	if len(o.order) > 0 && len(out) > 1 {
-		out = o.sorted(out, keys)
+	if o.distinct {
+		rows = o.distinctRows(rows)
 	}
-	if o.offset > 0 {
-		out = out[min(o.offset, len(out)):]
+	if len(o.order) > 0 {
+		slices.SortStableFunc(rows, o.compare)
 	}
-	if o.limit >= 0 && o.limit < len(out) {
-		out = out[:o.limit]
+	rows = rows[min(o.offset, len(rows)):]
+	if o.limit >= 0 && o.limit < len(rows) {
+		rows = rows[:o.limit]
 	}
-	return &Result{Cols: o.cols, Rows: out}, nil
+	if len(rows) == 0 {
+		return res, nil
+	}
+	if o.hidden > 0 {
+		for i, r := range rows {
+			rows[i] = r[:w:w]
+		}
+	}
+	res.Rows = rows
+	return res, nil
+}
+
+// distinctRows keeps the first of the rows with equal output values.
+func (o *output) distinctRows(rows []Row) []Row {
+	seen := make(map[string]bool, len(rows))
+	var kb, vb []byte
+	kept := rows[:0]
+	for _, pr := range rows {
+		kb = kb[:0]
+		for j := range len(o.cols) {
+			vb = appendKey(vb[:0], &pr[j])
+			kb = append(binary.AppendUvarint(kb, uint64(len(vb))), vb...)
+		}
+		if seen[string(kb)] {
+			continue
+		}
+		seen[string(kb)] = true
+		kept = append(kept, pr)
+	}
+	return kept
+}
+
+// compare orders two output rows, hidden keys included, by the ORDER BY keys.
+func (o *output) compare(a, b Row) int {
+	for _, k := range o.order {
+		if c := Compare(a[k.col], b[k.col]); c != 0 {
+			if k.desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
 }
 
 // groups partitions the source rows by the GROUP BY keys, in order of first
@@ -559,65 +584,34 @@ func (o *output) groups(en *env, src []Row) ([][]Row, error) {
 	return groups, nil
 }
 
-// project evaluates the projection and the ORDER BY keys of the row (or
-// group) en holds.
-func (o *output) project(en *env) (pr, keys Row, err error) {
+// project writes the projection of the row (or group) en holds into pr, and
+// its hidden ORDER BY keys after it.
+func (o *output) project(en *env, pr Row) error {
 	if o.flat != nil {
-		pr = make(Row, 0, len(o.flat))
-		for _, off := range o.flat {
+		for j, off := range o.flat {
 			if off < len(en.row) {
-				pr = append(pr, en.row[off])
+				pr[j] = en.row[off]
 			} else {
-				pr = append(pr, Null)
+				pr[j] = Null
 			}
 		}
 	} else {
-		pr = make(Row, 0, len(o.items))
-		for _, f := range o.items {
+		for j, f := range o.items {
 			v, err := f(en)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
-			pr = append(pr, v)
+			pr[j] = v
 		}
 	}
-	if len(o.order) > 0 {
-		keys = make(Row, len(o.order))
-		for j, k := range o.order {
-			if k.proj >= 0 {
-				keys[j] = pr[k.proj]
-			} else if keys[j], err = k.fn(en); err != nil {
-				return nil, nil, err
+	for _, k := range o.order {
+		if k.proj < 0 {
+			v, err := k.fn(en)
+			if err != nil {
+				return err
 			}
+			pr[k.col] = v
 		}
 	}
-	return pr, keys, nil
-}
-
-// sorted returns rows in ORDER BY order (stable). It sorts a permutation
-// rather than the rows: comparisons dominate, and swapping ints is cheap.
-func (o *output) sorted(rows, keys []Row) []Row {
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
-		for j, k := range o.order {
-			c := Compare(ka[j], kb[j])
-			if c == 0 {
-				continue
-			}
-			if k.desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	out := make([]Row, len(rows))
-	for i, ix := range idx {
-		out[i] = rows[ix]
-	}
-	return out
+	return nil
 }

@@ -789,33 +789,34 @@ func (t *Table) decodeOldLocked(page int, enc string) Row {
 	return t.oldRow
 }
 
-// readPKRowInto looks up the primary-key row with key and decodes it into dst
-// under a single latch acquisition, returning the (possibly grown) destination
-// slice, the rowID, and whether the key exists.
-func (t *Table) readPKRowInto(key string, dst Row) (Row, uint64, bool) {
+// readPKRow looks up the primary-key row with key and decodes it into an
+// arena row under a single latch acquisition, returning the row, its rowID,
+// and whether the key exists.
+func (t *Table) readPKRow(key string, a *arena) (Row, uint64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.pk == nil {
-		return dst, 0, false
+		return nil, 0, false
 	}
 	id, ok := t.pk[key]
 	if !ok {
-		return dst, 0, false
+		return nil, 0, false
 	}
 	l, ok := t.locOf(id)
 	if !ok {
-		return dst, 0, false
+		return nil, 0, false
 	}
-	return t.decode(int(l.page), t.encAtLocked(l), dst), id, true
+	return t.decode(int(l.page), t.encAtLocked(l), a.row(len(t.schema.Cols))), id, true
 }
 
-// getRowsBatch decodes the rows the primary-key keys name now under a single
-// latch acquisition and appends them to dst, all cut from one slab, and, when
-// ids is not nil, their row IDs to *ids in step. Keys no row holds are
-// skipped. Readers call it only after the keys' row locks are held.
-func (t *Table) getRowsBatch(keys []string, dst []Row, ids *[]uint64) []Row {
+// getRowsBatch decodes the rows the primary-key keys name now into arena
+// rows, under a single latch acquisition, and returns them in an arena list
+// and, when ids is not nil, appends their row IDs to *ids in step. Keys no
+// row holds are skipped. Readers call it only after the keys' row locks are
+// held.
+func (t *Table) getRowsBatch(keys []string, a *arena, ids *[]uint64) []Row {
 	w := len(t.schema.Cols)
-	slab := make([]Value, len(keys)*w)
+	rows := a.list(len(keys))
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, k := range keys {
@@ -824,13 +825,12 @@ func (t *Table) getRowsBatch(keys []string, dst []Row, ids *[]uint64) []Row {
 			continue
 		}
 		l, _ := t.locOf(id)
-		dst = append(dst, t.decode(int(l.page), t.encAtLocked(l), slab[:w:w]))
-		slab = slab[w:]
+		rows = append(rows, t.decode(int(l.page), t.encAtLocked(l), a.row(w)))
 		if ids != nil {
 			*ids = append(*ids, id)
 		}
 	}
-	return dst
+	return rows
 }
 
 // lookupPK returns the rowID for a primary-key value.
@@ -915,22 +915,16 @@ func (t *Table) lookupIndexRange(col string, b rangeBounds) []string {
 	return out
 }
 
-// scan invokes fn for every live row (a row of its own) until fn returns
-// false.
-func (t *Table) scan(fn func(rowID uint64, r Row) bool) {
-	_ = t.scanWhere(nil, fn) // only a predicate can fail
-}
-
 // scanWhere invokes fn for every live row that match accepts, until fn
 // returns false. It snapshots page identity under the latch and then works
 // page by page, so concurrent writers latch in between pages. Each row is
-// decoded under the page latch and match evaluated on it there: a row match
-// rejects was decoded into a scratch row the next one reuses, so only
-// matching rows cost an allocation. match must not retain the row
+// decoded into an arena row under the page latch and match evaluated on it
+// there: a row match rejects gives its room back to the next one, so the
+// arena grows only by the matching rows. match must not retain the row
 // (expression evaluation does not). Matching rows are re-checked for
-// liveness before fn sees them, and are fn's to keep. A nil match accepts
-// every row.
-func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64, r Row) bool) error {
+// liveness before fn sees them, and stay valid while the arena is not reset.
+// A nil match accepts every row.
+func (t *Table) scanWhere(a *arena, match func(r Row) (bool, error), fn func(rowID uint64, r Row) bool) error {
 	t.mu.Lock()
 	numPages := len(t.pages)
 	t.mu.Unlock()
@@ -939,24 +933,23 @@ func (t *Table) scanWhere(match func(r Row) (bool, error), fn func(rowID uint64,
 		row Row
 	}
 	var matched []idRow
-	var scratch Row
+	w := len(t.schema.Cols)
 	// collect decodes the rows of pg that match accepts into matched.
 	// Called with t.mu held.
 	collect := func(page int, pg residentPage) error {
 		matched = matched[:0]
 		for i := range pg.len() {
 			s := pg.slot(i)
-			row := t.decode(page, s.enc, scratch)
+			row := t.decode(page, s.enc, a.row(w))
 			if match != nil {
 				if ok, err := match(row); err != nil {
 					return err
 				} else if !ok {
-					scratch = row
+					a.unrow(w)
 					continue
 				}
 			}
 			matched = append(matched, idRow{s.rowID, row})
-			scratch = nil
 		}
 		return nil
 	}

@@ -69,14 +69,12 @@ type Txn struct {
 	locks    []*lockEntry
 	locksBuf [8]*lockEntry
 
-	// Per-transaction scratch, reused from statement to statement: the
-	// evaluation environment of the running statement, and the row, one-row
-	// list and one-ID list of a point step.
-	env         env
-	rowBuf      Row
-	rowsScratch []Row
-	rowsBuf     [1]Row
-	idBuf       [1]uint64
+	// env is the evaluation environment of the running statement, and vals
+	// the arena its reads decode into (nil until the first statement; see
+	// arena). Only the statement's goroutine, holding execMu, touches them,
+	// until finishTxn hands vals back to the engine.
+	env  env
+	vals *arena
 
 	// trace is the distributed-tracing context this transaction's work is
 	// attributed to (zero = untraced; every recording site checks Sampled
@@ -90,6 +88,81 @@ type Txn struct {
 func (t *Txn) newEnv(params []Value) *env {
 	t.env = env{params: params}
 	return &t.env
+}
+
+// arena is where a transaction's statements put the rows that die with the
+// statement: every row a read decodes, every joined row, and the write images
+// an INSERT assembles and an UPDATE computes. A row is a capacity-capped view
+// of the values slab (so appending to it never writes over the next row), a
+// row list a view of the lists slab, a write's row IDs one of the IDs slab.
+// A slab that is full is replaced by one twice its size, and the rows cut
+// from the old one stay valid until the statement ends. The arena is reset
+// at each statement's start, so nothing that outlives the statement may
+// alias it: the output stage copies the values into the Result, and an undo
+// record keeps a private copy of its row. When the transaction ends the
+// engine takes the arena back for the next transaction (Engine.arenas),
+// unless it grew past arenaMaxValues.
+type arena struct {
+	vals  []Value
+	lists []Row
+	ids   []uint64
+}
+
+const (
+	arenaMinValues = 256     // the values slab a new arena starts with
+	arenaMaxValues = 1 << 12 // the largest values slab the engine recycles (192 KB)
+)
+
+// cut returns a view of the next n elements of *slab, capacity capped,
+// replacing a full slab by a fresh one at least twice its size.
+func cut[T any](slab *[]T, n, least int) []T {
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(2*cap(s), n, least))
+	}
+	i := len(s)
+	*slab = s[:i+n]
+	return s[i : i+n : i+n]
+}
+
+// row returns an arena row of w values.
+func (a *arena) row(w int) Row { return cut(&a.vals, w, arenaMinValues) }
+
+// unrow gives back the row of w values row just returned.
+func (a *arena) unrow(w int) { a.vals = a.vals[:len(a.vals)-w] }
+
+// list returns an empty row list with room for n rows; appending past n
+// moves it to the heap.
+func (a *arena) list(n int) []Row { return cut(&a.lists, n, 64)[:0] }
+
+// idList returns an empty row-ID list with room for n IDs.
+func (a *arena) idList(n int) []uint64 { return cut(&a.ids, n, 64)[:0] }
+
+// concat returns the arena row l followed by the n values of r or, when r
+// is nil, by n NULLs (a LEFT JOIN's null extension).
+func (a *arena) concat(l, r Row, n int) Row {
+	out := a.row(len(l) + n)
+	if r == nil {
+		clear(out[copy(out, l):])
+	} else {
+		copy(out[copy(out, l):], r)
+	}
+	return out
+}
+
+// nulls returns an arena row of n NULLs.
+func (a *arena) nulls(n int) Row {
+	out := a.row(n)
+	clear(out) // the zero Value is NULL
+	return out
+}
+
+// reset empties the arena for the next statement, dropping the values it
+// held, which would otherwise keep their page images alive.
+func (a *arena) reset() {
+	clear(a.vals)
+	clear(a.lists)
+	a.vals, a.lists, a.ids = a.vals[:0], a.lists[:0], a.ids[:0]
 }
 
 // SetTraceContext attributes the transaction's subsequent statement and

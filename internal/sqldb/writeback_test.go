@@ -44,6 +44,12 @@ func tableOf(e *Engine, db, name string) (*Table, error) {
 	return d.table(name)
 }
 
+// scan invokes fn for every live row of the table, each a row of its own,
+// until fn returns false.
+func (t *Table) scan(fn func(rowID uint64, r Row) bool) {
+	_ = t.scanWhere(new(arena), nil, fn) // only a predicate can fail
+}
+
 // tableSum returns SUM(v), COUNT(*) of db.name.
 func tableSum(t testing.TB, e *Engine, db, name string) (sum, count int64) {
 	t.Helper()
@@ -487,11 +493,11 @@ func checkRowViews(t *testing.T, e *Engine, db, name string, wantRows int) {
 	for id, want := range hot {
 		pk, s := rows[id][0], rows[id][2]
 		var ids []uint64
-		got := tbl.getRowsBatch([]string{keyOf(pk)}, nil, &ids)
+		got := tbl.getRowsBatch([]string{keyOf(pk)}, new(arena), &ids)
 		if len(got) != 1 || fmt.Sprint(got[0]) != want || ids[0] != id {
 			t.Fatalf("row %d: batch read of %v found rows %v %v, scan %s", id, pk, ids, got, want)
 		}
-		r, pid, ok := tbl.readPKRowInto(keyOf(pk), nil)
+		r, pid, ok := tbl.readPKRow(keyOf(pk), new(arena))
 		if !ok || pid != id || fmt.Sprint(r) != want {
 			t.Fatalf("row %d: point read of %v found row %d %v (%v), scan %s", id, pk, pid, r, ok, want)
 		}
@@ -500,7 +506,7 @@ func checkRowViews(t *testing.T, e *Engine, db, name string, wantRows int) {
 		}
 	}
 	for _, pk := range []Value{NewInt(-1), NewInt(1 << 40)} {
-		if got := tbl.getRowsBatch([]string{keyOf(pk)}, nil, nil); len(got) != 0 {
+		if got := tbl.getRowsBatch([]string{keyOf(pk)}, new(arena), nil); len(got) != 0 {
 			t.Fatalf("no row has key %v, read %v", pk, got)
 		}
 	}

@@ -13,17 +13,22 @@
 # pending index on the spot) and its top functions. It also records the window's mutex profile
 # (one contention in mutexFraction sampled) and prints the share of the
 # contention delay released by each of the engine's and controller's hot
-# mutexes. Both profiles are kept for `go tool pprof`. To compare commits, run
-# the copy of this script in each checkout.
+# mutexes, and the window's allocation profile (an allocs snapshot at its
+# start, after a GC, and one at its end, the first the -base of the second),
+# whose top allocation sites it prints by bytes and by objects. The profiles
+# are kept for `go tool pprof`. To compare commits, run the copy of this
+# script in each checkout.
 #
 #   bash scripts/kindlat.sh [workload] [seed] [seconds] [profile]
 #   (default: tpcw_tenants 1 10 kindlat-<workload>-<seed>.pprof; the mutex
-#   profile is written next to it as <profile>.mutex)
+#   profile is written next to it as <profile>.mutex, the allocation
+#   snapshots as <profile>.allocs.base and <profile>.allocs)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workload=${1:-tpcw_tenants} seed=${2:-1} seconds=${3:-10}
 prof=$(realpath -m "${4:-kindlat-$workload-$seed.pprof}")
 mprof=$prof.mutex
+abase=$prof.allocs.base aprof=$prof.allocs
 case $workload in
 tpcw_tenants | replica_churn) ;;
 *) echo "kindlat: $workload runs no TPC-W transactions" >&2; exit 1 ;;
@@ -73,6 +78,21 @@ func startKindLat() {
 	}
 	kinds.prof = f
 	runtime.SetMutexProfileFraction(mutexFraction)
+	allocsSnapshot(os.Getenv("KIND_ALLOCS_BASE"))
+}
+
+// allocsSnapshot writes the allocs profile to path after a GC, which the
+// profile's counts are current as of.
+func allocsSnapshot(path string) {
+	runtime.GC()
+	f, err := os.Create(path)
+	if err == nil {
+		err = pprof.Lookup("allocs").WriteTo(f, 0)
+		f.Close()
+	}
+	if err != nil {
+		fatal(err)
+	}
 }
 
 func noteKind(c client, lat time.Duration) {
@@ -86,6 +106,7 @@ func noteKind(c client, lat time.Duration) {
 func stopKindLat() {
 	pprof.StopCPUProfile()
 	kinds.prof.Close()
+	allocsSnapshot(os.Getenv("KIND_ALLOCS"))
 	m, err := os.Create(os.Getenv("KIND_MUTEX"))
 	if err == nil {
 		err = pprof.Lookup("mutex").WriteTo(m, 0)
@@ -117,7 +138,7 @@ func stopKindLat() {
 }
 EOF
 (cd "$tmp" && GOFLAGS=-mod=mod go build -o kb . &&
-	KIND_PROF="$prof" KIND_MUTEX="$mprof" KIND_OUT="$tmp/kinds.txt" ./kb --workload "$workload" --seconds "$seconds" --seed "$seed" >"$tmp/run.json")
+	KIND_PROF="$prof" KIND_MUTEX="$mprof" KIND_ALLOCS_BASE="$abase" KIND_ALLOCS="$aprof" KIND_OUT="$tmp/kinds.txt" ./kb --workload "$workload" --seconds "$seconds" --seed "$seed" >"$tmp/run.json")
 
 # share <focus regexp> [<ignore regexp>]: percent of the window's CPU samples
 # with a matching frame on the stack (and, given the second, none matching it).
@@ -132,6 +153,9 @@ cat "$tmp/kinds.txt"
 echo "CPU of the window, share of samples under:"
 row 'order-status transactions (tpcw Workload.txOrderStatus)' "$(share 'tpcw\.\(\*Workload\)\.txOrderStatus$')"
 row 'index reads (sqldb tableRead.lockCandidates)' "$(share 'sqldb\.\(\*tableRead\)\.lockCandidates$')"
+row 'index reads: fetch and decode (sqldb Table.getRowsBatch)' "$(share 'sqldb\.\(\*Table\)\.getRowsBatch$')"
+row 'SELECT output stage (sqldb output.emit)' "$(share 'sqldb\.\(\*output\)\.emit$')"
+row 'allocation (runtime mallocgc)' "$(share 'runtime\.mallocgc$')"
 row 'LIKE (sqldb likeMatch, likeRec, equalFoldByte)' "$(share 'sqldb\.(likeMatch|likeRec|equalFoldByte)$')"
 row 'redo records (sqldb Engine.walStmt)' "$(share 'sqldb\.\(\*Engine\)\.walStmt$')"
 row 'log appends (wal Log.Append)' "$(share 'wal\.\(\*Log\)\.Append$')"
@@ -158,7 +182,15 @@ row 'lock manager (sqldb lockManager: lm.mu)' "$(released 'sqldb\.\(\*lockManage
 row 'table latch (sqldb Table methods: Table.mu)' "$(released 'sqldb\.\(\*Table\)\.')"
 row 'pool stripes (sqldb BufferPool methods: stripe mu)' "$(released 'sqldb\.\(\*BufferPool\)\.')"
 row 'controller (core Cluster methods: Cluster.mu)' "$(released 'core\.\(\*Cluster\)\.')"
+# allocs <sample index>: the window's top allocation sites by it.
+allocs() {
+	go tool pprof -top -nodecount=10 -sample_index="$1" -base="$abase" "$aprof" 2>/dev/null | sed -n '/^ *flat /,$p'
+}
+echo "allocation sites of the window by bytes (the runtime samples one allocation per 512 KB):"
+allocs alloc_space
+echo "allocation sites of the window by objects:"
+allocs alloc_objects
 echo "top functions by own CPU:"
 go tool pprof -top -nodecount=15 "$prof" 2>/dev/null | sed -n '/^ *flat /,$p'
 awk '$2 ~ /^(txn_per_s|lat_p50_us|lat_p90_us)$/ { printf "bench %s %s\n", $2, $3 }' "$tmp/run.json"
-echo "profiles: $prof $mprof"
+echo "profiles: $prof $mprof $abase $aprof"
